@@ -122,6 +122,23 @@ impl Qual {
             Qual::Pred(_) => Vec::new(),
         }
     }
+
+    /// The qualifier's expression: domain, bound value, condition, or key.
+    pub fn expr(&self) -> &CExpr {
+        match self {
+            Qual::Gen(_, e) | Qual::Let(_, e) | Qual::Pred(e) | Qual::GroupBy(_, e) => e,
+        }
+    }
+
+    /// The same qualifier over a different expression.
+    pub fn with_expr(&self, e: CExpr) -> Qual {
+        match self {
+            Qual::Gen(p, _) => Qual::Gen(p.clone(), e),
+            Qual::Let(p, _) => Qual::Let(p.clone(), e),
+            Qual::Pred(_) => Qual::Pred(e),
+            Qual::GroupBy(p, _) => Qual::GroupBy(p.clone(), e),
+        }
+    }
 }
 
 /// A comprehension `{ head | quals }`.
@@ -257,7 +274,7 @@ impl CExpr {
     /// comprehension qualifier within this expression).
     pub fn free_vars(&self) -> HashSet<String> {
         let mut out = HashSet::new();
-        self.visit_free(&mut HashSet::new(), &mut |v| {
+        self.visit_free(&mut HashSet::new(), &mut |v, _| {
             out.insert(v.to_string());
         });
         out
@@ -268,7 +285,7 @@ impl CExpr {
     /// count behind the driver's cross-statement fusion analysis.
     pub fn free_occurrences(&self, name: &str) -> usize {
         let mut n = 0;
-        self.visit_free(&mut HashSet::new(), &mut |v| {
+        self.visit_free(&mut HashSet::new(), &mut |v, _| {
             if v == name {
                 n += 1;
             }
@@ -276,12 +293,27 @@ impl CExpr {
         n
     }
 
-    /// Calls `visit` for every free variable occurrence, left to right.
-    fn visit_free(&self, bound: &mut HashSet<String>, visit: &mut dyn FnMut(&str)) {
+    /// Number of free occurrences of `name` that are the direct operand of
+    /// a total aggregation, `⊕/name` — the only position where a let-bound
+    /// bag can be inlined without being built first.
+    pub fn free_agg_occurrences(&self, name: &str) -> usize {
+        let mut n = 0;
+        self.visit_free(&mut HashSet::new(), &mut |v, aggregated| {
+            if aggregated && v == name {
+                n += 1;
+            }
+        });
+        n
+    }
+
+    /// Calls `visit` for every free variable occurrence, left to right;
+    /// the flag is true when the occurrence is the whole operand of an
+    /// [`CExpr::Agg`].
+    fn visit_free(&self, bound: &mut HashSet<String>, visit: &mut dyn FnMut(&str, bool)) {
         match self {
             CExpr::Var(v) => {
                 if !bound.contains(v) {
-                    visit(v);
+                    visit(v, false);
                 }
             }
             CExpr::Const(_) => {}
@@ -306,7 +338,14 @@ impl CExpr {
                 }
             }
             CExpr::Proj(e, _) => e.visit_free(bound, visit),
-            CExpr::Agg(_, e) => e.visit_free(bound, visit),
+            CExpr::Agg(_, e) => match e.as_ref() {
+                CExpr::Var(v) => {
+                    if !bound.contains(v) {
+                        visit(v, true);
+                    }
+                }
+                e => e.visit_free(bound, visit),
+            },
             CExpr::Merge { left, right, .. } => {
                 left.visit_free(bound, visit);
                 right.visit_free(bound, visit);

@@ -15,6 +15,9 @@
 //! * **let inlining** — lets whose right-hand side is a variable, constant,
 //!   or projection chain are substituted downstream (never across a
 //!   `group by`, which would change lifting);
+//! * **aggregated-bag inlining** — `let v = {…}` whose only use is a total
+//!   aggregation `⊕/v` in the same scope is substituted into it, so the bag
+//!   is reduced where it is produced instead of being built first;
 //! * **predicate pushdown** — conditions move to the earliest position
 //!   where their free variables are bound (within their group-by segment),
 //!   so joins see their equality predicates adjacent to the generators;
@@ -139,6 +142,7 @@ fn norm_comp(c: &Comprehension, ng: &mut NameGen) -> CExpr {
     quals = unnest(quals, ng);
     quals = split_tuple_lets(quals);
     (quals, head) = inline_lets(quals, head);
+    (quals, head) = inline_aggregated_bags(quals, head);
     quals = push_preds(quals);
     quals = drop_true_preds(quals);
 
@@ -301,6 +305,64 @@ fn inline_lets(quals: Vec<Qual>, head: CExpr) -> (Vec<Qual>, CExpr) {
     }
     let head = apply(&head, &subs);
     (out, head)
+}
+
+/// Inlines `let v = {…}` into its only use when that use is a total
+/// aggregation `⊕/v`: `let v = {e | q}, let s = a + +/v` becomes
+/// `let s = a + +/{e | q}`. This is the shape Rule (16) leaves behind for
+/// `sum += e`; with the bag no longer let-bound the executor runs the
+/// aggregation as a distributed reduce instead of collecting `v` first.
+fn inline_aggregated_bags(mut quals: Vec<Qual>, mut head: CExpr) -> (Vec<Qual>, CExpr) {
+    let mut i = 0;
+    while i < quals.len() {
+        let Some(site) = sole_aggregation_of(&quals, &head, i) else {
+            i += 1;
+            continue;
+        };
+        let Qual::Let(Pattern::Var(name), bag) = quals.remove(i) else {
+            unreachable!("sole_aggregation_of only accepts variable lets");
+        };
+        // `site` indexed the list before the let was removed.
+        match quals.get_mut(site - 1) {
+            Some(q) => *q = q.with_expr(q.expr().subst(&name, &bag)),
+            None => head = head.subst(&name, &bag),
+        }
+    }
+    (quals, head)
+}
+
+/// The position (a qualifier index, or `quals.len()` for the head) of the
+/// only mention of the comprehension-valued let at `quals[i]`, provided
+/// that mention is `⊕/v` and nothing between the let and it re-evaluates
+/// or re-scopes the bag. A bag mentioned twice or outside an aggregation
+/// must exist as a value; behind a generator inlining would rebuild it per
+/// binding; behind a group-by `v` names the lifted bag of bags.
+fn sole_aggregation_of(quals: &[Qual], head: &CExpr, i: usize) -> Option<usize> {
+    let Qual::Let(Pattern::Var(name), bag @ CExpr::Comp(_)) = &quals[i] else {
+        return None;
+    };
+    let captured = bag.free_vars();
+    let mut site = None;
+    let mut same_scope = true;
+    for j in i + 1..=quals.len() {
+        let e = quals.get(j).map_or(head, Qual::expr);
+        match e.free_occurrences(name) {
+            0 => {}
+            1 if same_scope && site.is_none() && e.free_agg_occurrences(name) == 1 => {
+                site = Some(j);
+            }
+            _ => return None,
+        }
+        if let Some(q) = quals.get(j) {
+            let binds = q.bound_vars();
+            if binds.iter().any(|v| v == name) {
+                break; // shadowed: later mentions are a different variable
+            }
+            same_scope &= matches!(q, Qual::Let(_, _) | Qual::Pred(_))
+                && !binds.iter().any(|v| captured.contains(v));
+        }
+    }
+    site
 }
 
 /// Moves conditions to the earliest position where their free variables are
@@ -604,6 +666,121 @@ mod tests {
         );
         let mut ng = NameGen::new();
         assert_eq!(normalize(&e, &mut ng), CExpr::var("x"));
+    }
+
+    /// `let v = { w | (i, w) ← W }`
+    fn let_bag(name: &str) -> Qual {
+        Qual::Let(
+            Pattern::var(name),
+            CExpr::Comp(Comprehension::new(
+                CExpr::var("w"),
+                vec![Qual::Gen(
+                    Pattern::pair(Pattern::var("i"), Pattern::var("w")),
+                    CExpr::var("W"),
+                )],
+            )),
+        )
+    }
+
+    fn agg(op: BinOp, e: CExpr) -> CExpr {
+        CExpr::Agg(AggOp::new(op).unwrap(), Box::new(e))
+    }
+
+    /// Normalizes `e`, checks the meaning against `comp/eval.rs`, and says
+    /// whether a let of `name` survived.
+    fn still_lets(e: &CExpr, name: &str) -> bool {
+        let mut env = Env::new();
+        env.insert("W".into(), pairs(&[(0, 4), (1, 6), (2, 32)]));
+        env.insert(
+            "X".into(),
+            Value::bag(vec![Value::Long(1), Value::Long(2), Value::Long(1)]),
+        );
+        assert_same_meaning(e, &env);
+        let CExpr::Comp(c) = normalize(e, &mut NameGen::new()) else {
+            panic!("comprehension expected");
+        };
+        c.quals
+            .iter()
+            .any(|q| matches!(q, Qual::Let(Pattern::Var(v), _) if v == name))
+    }
+
+    #[test]
+    fn bag_used_once_under_an_aggregation_is_inlined() {
+        // { s | let v = {…}, let s = 10 + +/v } → { s | let s = 10 + +/{…} }
+        let e = CExpr::Comp(Comprehension::new(
+            CExpr::var("s"),
+            vec![
+                let_bag("v"),
+                Qual::Let(
+                    Pattern::var("s"),
+                    CExpr::Bin(
+                        BinOp::Add,
+                        Box::new(CExpr::long(10)),
+                        Box::new(agg(BinOp::Add, CExpr::var("v"))),
+                    ),
+                ),
+            ],
+        ));
+        assert!(!still_lets(&e, "v"));
+        // In the head too.
+        let e = CExpr::Comp(Comprehension::new(
+            agg(BinOp::Max, CExpr::var("v")),
+            vec![let_bag("v")],
+        ));
+        assert!(!still_lets(&e, "v"));
+    }
+
+    #[test]
+    fn bag_used_twice_is_not_inlined() {
+        // { +/v * max/v | let v = {…} } — scanning W twice is not a saving.
+        let e = CExpr::Comp(Comprehension::new(
+            CExpr::Bin(
+                BinOp::Mul,
+                Box::new(agg(BinOp::Add, CExpr::var("v"))),
+                Box::new(agg(BinOp::Max, CExpr::var("v"))),
+            ),
+            vec![let_bag("v")],
+        ));
+        assert!(still_lets(&e, "v"));
+    }
+
+    #[test]
+    fn bag_is_not_inlined_across_a_group_by() {
+        // { (k, max/v) | x ← X, let v = {…}, group by k : x } — after the
+        // group-by `v` is the bag of each group's bags, not the bag itself.
+        let e = CExpr::Comp(Comprehension::new(
+            CExpr::pair(CExpr::var("k"), agg(BinOp::Max, CExpr::var("v"))),
+            vec![
+                Qual::Gen(Pattern::var("x"), CExpr::var("X")),
+                let_bag("v"),
+                Qual::GroupBy(Pattern::var("k"), CExpr::var("x")),
+            ],
+        ));
+        assert!(still_lets(&e, "v"));
+    }
+
+    #[test]
+    fn bag_used_outside_an_aggregation_is_not_inlined() {
+        // { b | let v = {…}, b ← v } — the bag is needed as a value.
+        let e = CExpr::Comp(Comprehension::new(
+            CExpr::var("b"),
+            vec![let_bag("v"), Qual::Gen(Pattern::var("b"), CExpr::var("v"))],
+        ));
+        assert!(still_lets(&e, "v"));
+    }
+
+    #[test]
+    fn bag_is_not_inlined_under_a_later_generator() {
+        // { x + +/v | let v = {…}, x ← X } — inlining would rescan W per x.
+        let e = CExpr::Comp(Comprehension::new(
+            CExpr::Bin(
+                BinOp::Add,
+                Box::new(CExpr::var("x")),
+                Box::new(agg(BinOp::Add, CExpr::var("v"))),
+            ),
+            vec![let_bag("v"), Qual::Gen(Pattern::var("x"), CExpr::var("X"))],
+        ));
+        assert!(still_lets(&e, "v"));
     }
 
     #[test]

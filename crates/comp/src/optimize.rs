@@ -647,6 +647,13 @@ mod tests {
             c.quals.iter().all(|q| !matches!(q, Qual::GroupBy(_, _))),
             "group-by gone: {c:?}"
         );
+        // The lifted bag is aggregated where it is produced, not let-bound.
+        assert!(
+            c.quals
+                .iter()
+                .all(|q| !matches!(q, Qual::Let(_, CExpr::Comp(_)))),
+            "lifted bag inlined into its aggregation: {c:?}"
+        );
         let out = eval(&o, &env).unwrap();
         assert_eq!(
             out.as_bag().unwrap(),

@@ -17,10 +17,12 @@
 //!   the value is ever read.
 //! * **D024 bounds** — an affine subscript over a constant-range loop that
 //!   provably goes negative.
-//! * **D025 row fallback** — a fused chain that is columnar-eligible
-//!   except for one opaque expression (a record constructor, bag
-//!   aggregation, nested comprehension, …), so the columnar backend
-//!   demotes the whole stage to tuple-at-a-time.
+//! * **D025 row fallback** — a collection-scanning chain with a step the
+//!   engine cannot see through — an opaque expression (a record
+//!   constructor, bag aggregation, nested comprehension, …), a group-by's
+//!   keyed map, a join or expansion — so the default (columnar) engine
+//!   runs that stage tuple-at-a-time. Fires exactly when the run reports
+//!   `row_fallback_stages > 0` (held by `tests/lint_workloads.rs`).
 //!
 //! Lints only run on programs that already passed the restriction checks,
 //! so patterns the analysis rejects (e.g. non-monoid updates *inside*
@@ -28,7 +30,7 @@
 
 use std::collections::HashSet;
 
-use diablo_comp::ir::{CExpr, Comprehension, Qual};
+use diablo_comp::ir::{CExpr, Comprehension, Pattern, Qual};
 use diablo_diag::{codes, Diagnostic, Span};
 use diablo_lang::ast::{Const, DeclInit, Expr, Lhs, Stmt};
 use diablo_lang::pretty::{pretty_expr, pretty_lhs};
@@ -526,22 +528,76 @@ fn opaque_kind(e: &CExpr) -> &'static str {
     }
 }
 
-/// The row-position stages of a comprehension, as the pipeline builder
-/// fuses them: conditions, let bindings, and — when no group-by ends the
-/// narrow chain — the head map. Aggregation heads behind a group-by are
-/// pushed down to a reduce, not run as row stages, so they are excluded.
-fn comp_row_stages(c: &Comprehension) -> Vec<(&CExpr, &'static str)> {
-    let mut stages = Vec::new();
+/// What to do about an opaque expression.
+const HELP_REWRITE: &str = "the stage still runs (row path; reported as `row_fallback_stages` in \
+     the run stats and as `layout: row` in the plan trace); rewrite the opaque expression with \
+     arithmetic/tuple/projection forms if scan performance matters";
+
+/// What to expect of a keyed or multi-generator chain.
+const HELP_INHERENT: &str = "the stage still runs (row path; reported as `row_fallback_stages` in \
+     the run stats and as `layout: row` in the plan trace); keyed and joining steps move boxed \
+     rows today, so only the chain's arithmetic can be made columnar";
+
+/// The first step of a comprehension's engine pipeline that the pipeline
+/// builder (the exec crate's `run_comp`) can only express as an opaque
+/// closure, as `(reason, help)` — or `None` when every step of the chain
+/// is transparent, or the comprehension never reaches the engine.
+/// `is_source` recognizes generator domains that start a pipeline.
+fn first_opaque_step(
+    c: &Comprehension,
+    is_source: &dyn Fn(&CExpr) -> bool,
+) -> Option<(String, &'static str)> {
+    let opaque_expr = |e: &CExpr, what: &str| {
+        (!columnar_convertible(e)).then(|| {
+            (
+                format!(
+                    "{what} contains {}, which has no columnar form",
+                    opaque_kind(e)
+                ),
+                HELP_REWRITE,
+            )
+        })
+    };
+    let inherent = |reason: &str| Some((reason.to_string(), HELP_INHERENT));
+    // Before the first distributed source everything is bound on the
+    // driver; such bindings are crossed into the source rows by a closure.
+    let mut scanning = false;
+    let mut driver_bindings = false;
     for q in &c.quals {
-        match q {
-            Qual::Pred(e) => stages.push((e, "a condition")),
-            Qual::Let(_, e) => stages.push((e, "a let binding")),
-            Qual::GroupBy(_, _) => return stages,
-            Qual::Gen(_, _) => {}
+        let hit = match q {
+            Qual::Gen(_, dom) if !scanning => {
+                if !is_source(dom) {
+                    driver_bindings = true;
+                    None
+                } else if driver_bindings {
+                    inherent("driver-side bindings are crossed into every source row")
+                } else {
+                    scanning = true;
+                    None
+                }
+            }
+            Qual::Gen(_, _) => inherent("a second generator joins or expands the scanned rows"),
+            Qual::Let(_, _) if !scanning => {
+                driver_bindings = true;
+                None
+            }
+            Qual::Pred(_) if !scanning => None,
+            Qual::Let(Pattern::Var(_), e) => opaque_expr(e, "a let binding"),
+            Qual::Let(_, _) => inherent("a let binding destructures its value"),
+            Qual::Pred(e) => opaque_expr(e, "a condition"),
+            // Without a source the group-by finishes on the driver.
+            Qual::GroupBy(_, _) if !scanning => return None,
+            Qual::GroupBy(_, _) => inherent("its group-by keys every row for the shuffle"),
+        };
+        if hit.is_some() {
+            return hit;
         }
     }
-    stages.push((&*c.head, "the head"));
-    stages
+    if scanning {
+        opaque_expr(&c.head, "the head")
+    } else {
+        None
+    }
 }
 
 /// Visits every comprehension inside an expression, outermost first.
@@ -614,6 +670,16 @@ fn find_write(stmts: &[Stmt], name: &str) -> Option<Span> {
 }
 
 fn row_fallback(tp: &TypedProgram, compiled: &CompiledProgram, out: &mut Vec<Diagnostic>) {
+    // Generator domains the pipeline builder turns into a distributed
+    // source: a collection, a loop range, or a nested collection-backed bag.
+    let is_source = |dom: &CExpr| match dom {
+        CExpr::Var(v) => compiled.is_collection(v),
+        CExpr::Range(_, _) => true,
+        CExpr::Comp(_) | CExpr::Merge { .. } => {
+            dom.free_vars().iter().any(|v| compiled.is_collection(v))
+        }
+        _ => false,
+    };
     let mut assigns: Vec<(&String, &CExpr)> = Vec::new();
     collect_assign_values(&compiled.stmts, &mut assigns);
     let mut warned: HashSet<&String> = HashSet::new();
@@ -621,49 +687,25 @@ fn row_fallback(tp: &TypedProgram, compiled: &CompiledProgram, out: &mut Vec<Dia
         if warned.contains(name) {
             continue;
         }
-        let mut hit: Option<(&'static str, &'static str)> = None;
+        let mut hit = None;
         visit_comps(value, &mut |c| {
-            if hit.is_some() {
-                return;
-            }
-            // Only comprehensions that scan a collection become engine
-            // stages; driver-side wrappers around scalars always contain
-            // nested comps and would drown the lint in noise.
-            let scans_collection = c
-                .quals
-                .iter()
-                .any(|q| matches!(q, Qual::Gen(_, CExpr::Var(v)) if compiled.is_collection(v)));
-            if !scans_collection {
-                return;
-            }
-            let stages = comp_row_stages(c);
-            let opaque = stages.iter().find(|(e, _)| !columnar_convertible(e));
-            let any_convertible = stages.iter().any(|(e, _)| columnar_convertible(e));
-            if let Some((e, what)) = opaque {
-                if any_convertible {
-                    hit = Some((opaque_kind(e), *what));
-                }
+            if hit.is_none() {
+                hit = first_opaque_step(c, &is_source);
             }
         });
-        let Some((kind, what)) = hit else { continue };
+        let Some((reason, help)) = hit else { continue };
         warned.insert(name);
         let span = find_write(&tp.program.body, name).unwrap_or(Span::SYNTH);
         out.push(
             Diagnostic::warning(
                 codes::ROW_FALLBACK,
                 format!(
-                    "under the columnar backend, the fused chain computing `{name}` falls \
-                     back to tuple-at-a-time: {what} contains {kind}, which has no columnar \
-                     form, while the rest of the chain is vectorizable"
+                    "the fused chain computing `{name}` falls back to tuple-at-a-time on the \
+                     default (columnar) engine: {reason}"
                 ),
                 span,
             )
-            .with_help(
-                "the stage still runs (row path; reported as `row_fallback_stages` in the \
-                 run stats and as `layout: row` in the plan trace); rewrite the opaque \
-                 expression with arithmetic/tuple/projection forms if scan performance \
-                 matters",
-            ),
+            .with_help(help),
         );
     }
 }
@@ -886,9 +928,8 @@ mod tests {
     }
 
     #[test]
-    fn row_fallback_fires_on_record_head_in_vectorizable_chain() {
-        // The head builds a record — opaque to the columnar engine — while
-        // the rest of the chain (scan + join conditions) is transparent.
+    fn row_fallback_fires_on_record_constructor() {
+        // The value builds a record — opaque to the columnar engine.
         let src = r#"
             input V: vector[double];
             var W: vector[<|a: double|>] = vector();
@@ -927,13 +968,29 @@ mod tests {
     }
 
     #[test]
-    fn row_fallback_silent_on_group_by_aggregation() {
-        // Word-count-style: the aggregation head sits behind a group-by and
-        // is pushed down to a reduce, not run as a row stage.
+    fn row_fallback_fires_on_group_by_keyed_map() {
+        // Word-count-style: the aggregation is pushed down to a reduce, but
+        // keying every row for the shuffle is an opaque closure.
         let src = r#"
             input V: vector[long];
             var C: vector[long] = vector();
             for i = 0, 99 do C[V[i]] += 1;
+        "#;
+        let diags = lints(src);
+        let d = diags
+            .iter()
+            .find(|d| d.code == codes::ROW_FALLBACK)
+            .unwrap_or_else(|| panic!("{diags:?}"));
+        assert!(d.message.contains("group-by"), "{}", d.message);
+    }
+
+    #[test]
+    fn row_fallback_silent_on_total_aggregation() {
+        // `sum += e` reduces where it scans: no keyed step, nothing opaque.
+        let src = r#"
+            input P: vector[(double, double)];
+            var s: double = 0.0;
+            for p in P do s += p._1 * p._2;
         "#;
         let diags = lints(src);
         assert!(

@@ -16,16 +16,22 @@
 //!   same source, so the row path and the columnar path agree by
 //!   construction.
 //! * **[`VCol`]** — typed column chunks: `Vec<i64>` / `Vec<f64>` /
-//!   `Vec<bool>` lanes, dictionary-encoded strings, struct-of-arrays
-//!   tuples, broadcast constants, and an opaque `Value` column as the
-//!   escape hatch. A filter's boolean lane acts as the validity mask the
-//!   surviving columns are compacted through.
+//!   `Vec<bool>` lanes, struct-of-arrays tuples, broadcast constants,
+//!   references to the boxed values of the source tile (strings, tuples
+//!   and records are projected and compared in place; a field nobody asks
+//!   for is never touched), and an owned `Value` column for what the
+//!   chain computes itself. A filter's boolean lane acts as the validity
+//!   mask the surviving columns are compacted through.
 //! * **[`drive_columnar`]** — the stage compiler/driver: each tile of up
-//!   to `batch` rows is decomposed into columns once, every fused step is
-//!   evaluated as per-column inner loops (auto-vectorizable `zip`/`map`
-//!   over primitive lanes; anything type-mixed falls back to per-element
-//!   [`BinOp::apply`] so semantics agree by construction), and the
-//!   surviving rows are reassembled once at the end of the chain.
+//!   to `batch` rows is evaluated step by step as per-column inner loops
+//!   (auto-vectorizable `zip`/`map` over primitive lanes; anything
+//!   type-mixed falls back to per-element [`BinOp::apply`] so semantics
+//!   agree by construction), and the surviving rows are reassembled once
+//!   at the end of the chain.
+//! * **[`fold_columnar`]** — the same driver under a total reduction
+//!   (`Dataset::aggregate`): the chain's last column is folded into the
+//!   accumulator as a typed lane, in row order, and no row is reassembled
+//!   at all.
 //!
 //! ## Error identity
 //!
@@ -45,12 +51,12 @@
 //! [`StatsSnapshot::row_fallback_stages`](crate::StatsSnapshot), and the
 //! plan trace notes `layout: row (…)` naming the opaque step.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use diablo_runtime::{BinOp, Func, RuntimeError, UnOp, Value};
 
-use crate::plan::{self, drive, ChunkPolicy, DriveMode, Result, Step, StepOp};
+use crate::plan::{self, drive, fold_row, ChunkPolicy, DriveMode, Result, Step, StepOp};
 use crate::stats::Stats;
 use crate::{Capabilities, Context, Executor, PartitionTask, Parts, PhysicalPlan};
 
@@ -80,8 +86,83 @@ pub enum RowExpr {
     /// A fresh tuple from sub-expressions.
     Tuple(Vec<RowExpr>),
     /// Record-field / tuple-position access (`_1`, `_2`, … or a record
-    /// field name), with [`Value::field`] semantics.
-    Field(Box<RowExpr>, String),
+    /// field name), with [`Value::field`] semantics. Build it with
+    /// [`RowExpr::field`].
+    Field(Box<RowExpr>, FieldName),
+    /// The input row destructured against a nested tuple [`Shape`]: the
+    /// bound leaves, left to right, as one flat tuple. A row the shape
+    /// does not fit is the error `"{mismatch} {row}"`.
+    Unpack {
+        /// The shape every input row must have.
+        shape: Shape,
+        /// The error text preceding the offending row.
+        mismatch: Arc<str>,
+    },
+}
+
+/// A field selector whose tuple position (`_1`, `_2`, …) is resolved once,
+/// when the expression is built, instead of being re-parsed for every row.
+#[derive(Clone, Debug)]
+pub struct FieldName {
+    name: String,
+    pos: Option<usize>,
+}
+
+impl FieldName {
+    /// Resolves `name`: `_N` selects tuple position `N - 1`; anything else
+    /// (and `_N` on a record) is looked up by name.
+    pub fn new(name: impl Into<String>) -> FieldName {
+        let name = name.into();
+        let pos = name
+            .strip_prefix('_')
+            .and_then(|s| s.parse::<usize>().ok())
+            .and_then(|k| k.checked_sub(1));
+        FieldName { name, pos }
+    }
+
+    /// [`Value::field`] with the position already parsed.
+    fn of<'v>(&self, v: &'v Value) -> Option<&'v Value> {
+        match (v, self.pos) {
+            (Value::Tuple(fs), Some(k)) => fs.get(k),
+            _ => v.field(&self.name),
+        }
+    }
+
+    fn missing_in(&self, v: &Value) -> RuntimeError {
+        RuntimeError::new(format!("value {v} has no field `{}`", self.name))
+    }
+}
+
+/// The nested tuple shape a [`RowExpr::Unpack`] destructures rows against —
+/// the engine-visible form of a generator pattern like `((i, _), v)`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Shape {
+    /// Binds the value at this position.
+    Bind,
+    /// Matches anything, binds nothing.
+    Skip,
+    /// A tuple of exactly this many positions, each matched in turn.
+    Tuple(Vec<Shape>),
+}
+
+impl Shape {
+    /// Appends the values bound at the [`Shape::Bind`] positions, left to
+    /// right. Returns `false` when `v` does not have this shape.
+    fn bind(&self, v: &Value, out: &mut Vec<Value>) -> bool {
+        match self {
+            Shape::Bind => {
+                out.push(v.clone());
+                true
+            }
+            Shape::Skip => true,
+            Shape::Tuple(ps) => match v.as_tuple() {
+                Some(fields) if fields.len() == ps.len() => {
+                    ps.iter().zip(fields).all(|(p, f)| p.bind(f, out))
+                }
+                _ => false,
+            },
+        }
+    }
 }
 
 fn narrow_row() -> RuntimeError {
@@ -89,6 +170,12 @@ fn narrow_row() -> RuntimeError {
 }
 
 impl RowExpr {
+    /// `e.name` — field or tuple-position access with the position
+    /// resolved now.
+    pub fn field(e: RowExpr, name: impl Into<String>) -> RowExpr {
+        RowExpr::Field(Box::new(e), FieldName::new(name))
+    }
+
     /// Evaluates the expression against one row — the row path. This is
     /// what `Dataset::map_expr` / `filter_expr` closures call, and what a
     /// failed tile's replay runs.
@@ -117,12 +204,17 @@ impl RowExpr {
             )),
             RowExpr::Field(e, name) => {
                 let v = e.eval(row)?;
-                match v.field(name) {
+                match name.of(&v) {
                     Some(f) => Ok(f.clone()),
-                    None => Err(RuntimeError::new(format!(
-                        "value {v} has no field `{name}`"
-                    ))),
+                    None => Err(name.missing_in(&v)),
                 }
+            }
+            RowExpr::Unpack { shape, mismatch } => {
+                let mut out = Vec::with_capacity(4);
+                if !shape.bind(row, &mut out) {
+                    return Err(RuntimeError::new(format!("{mismatch} {row}")));
+                }
+                Ok(Value::tuple(out))
             }
         }
     }
@@ -134,156 +226,128 @@ pub(crate) fn eligible(steps: &[Step]) -> bool {
     !steps.is_empty() && steps.iter().all(|s| s.expr.is_some())
 }
 
-/// A typed column chunk: one tile's worth of one column.
+/// A typed column chunk: one tile's worth of one column. `'a` is the
+/// borrowed source tile.
 #[derive(Clone, Debug)]
-enum VCol {
+enum VCol<'a> {
     /// 64-bit integer lane.
     Long(Arc<Vec<i64>>),
     /// 64-bit float lane.
     Double(Arc<Vec<f64>>),
     /// Boolean lane (also the validity mask a filter compacts through).
     Bool(Arc<Vec<bool>>),
-    /// Dictionary-encoded strings: per-row ids into a deduplicated
-    /// dictionary, so equality over a shared dictionary is an id compare.
-    Str(Arc<Vec<u32>>, Arc<Vec<Arc<str>>>),
     /// Struct-of-arrays tuple: one child column per field.
-    Tuple(Arc<Vec<VCol>>),
+    Tuple(Arc<Vec<VCol<'a>>>),
     /// A broadcast constant (every row holds this value).
     Const(Value),
-    /// Opaque rows — no typed layout applies; per-element semantics.
+    /// Boxed values read in place from the source tile — strings, tuples,
+    /// records, mixed types. Projection and comparison look through the
+    /// references; a value is cloned only if its row reaches the output.
+    Refs(Arc<Vec<&'a Value>>),
+    /// Boxed values the chain itself computed.
     Val(Arc<Vec<Value>>),
 }
 
-/// Columnarizes a borrowed tile. Typed lanes when the tile is homogeneous;
-/// the opaque column otherwise.
-fn decompose(rows: &[Value]) -> VCol {
-    match try_typed(rows) {
-        Some(col) => col,
-        None => VCol::Val(Arc::new(rows.to_vec())),
+/// A primitive lane when every value is a long, a double, or a boolean.
+fn typed_lane<'v>(vals: impl ExactSizeIterator<Item = &'v Value> + Clone) -> Option<VCol<'static>> {
+    fn lane<'v, T>(
+        vals: impl ExactSizeIterator<Item = &'v Value>,
+        pick: impl Fn(&Value) -> Option<T>,
+    ) -> Option<Arc<Vec<T>>> {
+        let mut lane = Vec::with_capacity(vals.len());
+        for v in vals {
+            lane.push(pick(v)?);
+        }
+        Some(Arc::new(lane))
     }
-}
-
-/// Columnarizes an owned tile (e.g. a fallback step's per-element output),
-/// reusing the allocation when no typed layout applies.
-fn decompose_owned(rows: Vec<Value>) -> VCol {
-    match try_typed(&rows) {
-        Some(col) => col,
-        None => VCol::Val(Arc::new(rows)),
-    }
-}
-
-fn try_typed(rows: &[Value]) -> Option<VCol> {
-    match rows.first()? {
-        Value::Long(_) => {
-            let mut lane = Vec::with_capacity(rows.len());
-            for v in rows {
-                match v {
-                    Value::Long(n) => lane.push(*n),
-                    _ => return None,
-                }
-            }
-            Some(VCol::Long(Arc::new(lane)))
-        }
-        Value::Double(_) => {
-            let mut lane = Vec::with_capacity(rows.len());
-            for v in rows {
-                match v {
-                    Value::Double(x) => lane.push(*x),
-                    _ => return None,
-                }
-            }
-            Some(VCol::Double(Arc::new(lane)))
-        }
-        Value::Bool(_) => {
-            let mut lane = Vec::with_capacity(rows.len());
-            for v in rows {
-                match v {
-                    Value::Bool(b) => lane.push(*b),
-                    _ => return None,
-                }
-            }
-            Some(VCol::Bool(Arc::new(lane)))
-        }
-        Value::Str(_) => {
-            let mut ids = Vec::with_capacity(rows.len());
-            let mut dict: Vec<Arc<str>> = Vec::new();
-            let mut seen: HashMap<Arc<str>, u32> = HashMap::new();
-            for v in rows {
-                match v {
-                    Value::Str(s) => {
-                        let id = *seen.entry(s.clone()).or_insert_with(|| {
-                            dict.push(s.clone());
-                            (dict.len() - 1) as u32
-                        });
-                        ids.push(id);
-                    }
-                    _ => return None,
-                }
-            }
-            Some(VCol::Str(Arc::new(ids), Arc::new(dict)))
-        }
-        Value::Tuple(first) => {
-            let width = first.len();
-            if !rows
-                .iter()
-                .all(|v| matches!(v, Value::Tuple(fs) if fs.len() == width))
-            {
-                return None;
-            }
-            let cols = (0..width)
-                .map(|c| {
-                    let field: Vec<Value> = rows
-                        .iter()
-                        .map(|v| v.as_tuple().expect("checked tuple")[c].clone())
-                        .collect();
-                    decompose_owned(field)
-                })
-                .collect();
-            Some(VCol::Tuple(Arc::new(cols)))
-        }
+    match vals.clone().next()? {
+        Value::Long(_) => lane(vals, |v| match v {
+            Value::Long(n) => Some(*n),
+            _ => None,
+        })
+        .map(VCol::Long),
+        Value::Double(_) => lane(vals, |v| match v {
+            Value::Double(x) => Some(*x),
+            _ => None,
+        })
+        .map(VCol::Double),
+        Value::Bool(_) => lane(vals, |v| match v {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        })
+        .map(VCol::Bool),
         _ => None,
     }
 }
 
-impl VCol {
+/// Columnarizes a borrowed tile: a typed lane when the rows are primitive,
+/// otherwise references into the tile (nothing is copied).
+fn decompose(rows: &[Value]) -> VCol<'_> {
+    typed_lane(rows.iter()).unwrap_or_else(|| VCol::Refs(Arc::new(rows.iter().collect())))
+}
+
+/// Columnarizes values the chain computed (e.g. a fallback step's
+/// per-element output), reusing the allocation when they are not primitive.
+fn decompose_owned(rows: Vec<Value>) -> VCol<'static> {
+    typed_lane(rows.iter()).unwrap_or_else(|| VCol::Val(Arc::new(rows)))
+}
+
+/// One field of every boxed source value, gathered in a single pass: a
+/// typed lane when the fields are primitive, references otherwise. `None`
+/// from `field` is the error `missing` builds from the offending value.
+fn gather<'a>(
+    rows: &[&'a Value],
+    field: impl Fn(&'a Value) -> Option<&'a Value>,
+    missing: impl Fn(&Value) -> RuntimeError,
+) -> Result<VCol<'a>> {
+    let mut refs = Vec::with_capacity(rows.len());
+    for &v in rows {
+        refs.push(field(v).ok_or_else(|| missing(v))?);
+    }
+    Ok(typed_lane(refs.iter().copied()).unwrap_or_else(|| VCol::Refs(Arc::new(refs))))
+}
+
+impl VCol<'_> {
     /// Reassembles row `i` of this column as a boxed value.
     fn get(&self, i: usize) -> Value {
+        self.at(i).into_owned()
+    }
+
+    /// Row `i` of this column, borrowed when the column holds boxed
+    /// values already.
+    fn at(&self, i: usize) -> Cow<'_, Value> {
         match self {
-            VCol::Long(v) => Value::Long(v[i]),
-            VCol::Double(v) => Value::Double(v[i]),
-            VCol::Bool(v) => Value::Bool(v[i]),
-            VCol::Str(ids, dict) => Value::Str(dict[ids[i] as usize].clone()),
-            VCol::Tuple(cols) => Value::tuple(cols.iter().map(|c| c.get(i)).collect()),
-            VCol::Const(v) => v.clone(),
-            VCol::Val(rows) => rows[i].clone(),
+            VCol::Long(v) => Cow::Owned(Value::Long(v[i])),
+            VCol::Double(v) => Cow::Owned(Value::Double(v[i])),
+            VCol::Bool(v) => Cow::Owned(Value::Bool(v[i])),
+            VCol::Tuple(cols) => Cow::Owned(Value::tuple(cols.iter().map(|c| c.get(i)).collect())),
+            VCol::Const(v) => Cow::Borrowed(v),
+            VCol::Refs(rows) => Cow::Borrowed(rows[i]),
+            VCol::Val(rows) => Cow::Borrowed(&rows[i]),
         }
     }
 
     /// Keeps the rows whose mask bit is set — a filter's compaction.
-    fn compact(&self, mask: &[bool]) -> VCol {
-        fn keep<T: Copy>(lane: &[T], mask: &[bool]) -> Vec<T> {
-            lane.iter()
-                .zip(mask)
-                .filter(|&(_, &m)| m)
-                .map(|(&x, _)| x)
-                .collect()
+    fn compact(&self, mask: &[bool]) -> Self {
+        fn keep<T: Clone>(lane: &[T], mask: &[bool]) -> Arc<Vec<T>> {
+            Arc::new(
+                lane.iter()
+                    .zip(mask)
+                    .filter(|&(_, &m)| m)
+                    .map(|(x, _)| x.clone())
+                    .collect(),
+            )
         }
         match self {
-            VCol::Long(v) => VCol::Long(Arc::new(keep(v, mask))),
-            VCol::Double(v) => VCol::Double(Arc::new(keep(v, mask))),
-            VCol::Bool(v) => VCol::Bool(Arc::new(keep(v, mask))),
-            VCol::Str(ids, dict) => VCol::Str(Arc::new(keep(ids, mask)), dict.clone()),
+            VCol::Long(v) => VCol::Long(keep(v, mask)),
+            VCol::Double(v) => VCol::Double(keep(v, mask)),
+            VCol::Bool(v) => VCol::Bool(keep(v, mask)),
             VCol::Tuple(cols) => {
                 VCol::Tuple(Arc::new(cols.iter().map(|c| c.compact(mask)).collect()))
             }
             VCol::Const(v) => VCol::Const(v.clone()),
-            VCol::Val(rows) => VCol::Val(Arc::new(
-                rows.iter()
-                    .zip(mask)
-                    .filter(|&(_, &m)| m)
-                    .map(|(v, _)| v.clone())
-                    .collect(),
-            )),
+            VCol::Refs(rows) => VCol::Refs(keep(rows, mask)),
+            VCol::Val(rows) => VCol::Val(keep(rows, mask)),
         }
     }
 }
@@ -322,7 +386,7 @@ fn try_zip<T: Copy, R: Copy>(
     }
 }
 
-fn lane_i64(col: &VCol) -> Option<Lane<'_, i64>> {
+fn lane_i64<'c>(col: &'c VCol<'_>) -> Option<Lane<'c, i64>> {
     match col {
         VCol::Long(v) => Some(Lane::V(v)),
         VCol::Const(Value::Long(n)) => Some(Lane::C(*n)),
@@ -330,7 +394,7 @@ fn lane_i64(col: &VCol) -> Option<Lane<'_, i64>> {
     }
 }
 
-fn lane_f64(col: &VCol) -> Option<Lane<'_, f64>> {
+fn lane_f64<'c>(col: &'c VCol<'_>) -> Option<Lane<'c, f64>> {
     match col {
         VCol::Double(v) => Some(Lane::V(v)),
         VCol::Const(Value::Double(x)) => Some(Lane::C(*x)),
@@ -338,7 +402,7 @@ fn lane_f64(col: &VCol) -> Option<Lane<'_, f64>> {
     }
 }
 
-fn lane_bool(col: &VCol) -> Option<Lane<'_, bool>> {
+fn lane_bool<'c>(col: &'c VCol<'_>) -> Option<Lane<'c, bool>> {
     match col {
         VCol::Bool(v) => Some(Lane::V(v)),
         VCol::Const(Value::Bool(b)) => Some(Lane::C(*b)),
@@ -356,7 +420,7 @@ fn is_numeric_col(col: &VCol) -> bool {
 /// Promotes a numeric column to a double lane — the `both_doubles` /
 /// `Value::cmp` promotion the runtime applies to mixed long/double
 /// operands.
-fn promote_f64(col: &VCol) -> Option<VCol> {
+fn promote_f64<'a>(col: &VCol<'a>) -> Option<VCol<'a>> {
     match col {
         VCol::Double(_) => Some(col.clone()),
         VCol::Long(v) => Some(VCol::Double(Arc::new(
@@ -368,28 +432,37 @@ fn promote_f64(col: &VCol) -> Option<VCol> {
     }
 }
 
-fn long_col(lane: Vec<i64>) -> VCol {
+fn long_col(lane: Vec<i64>) -> VCol<'static> {
     VCol::Long(Arc::new(lane))
 }
-fn double_col(lane: Vec<f64>) -> VCol {
+fn double_col(lane: Vec<f64>) -> VCol<'static> {
     VCol::Double(Arc::new(lane))
 }
-fn bool_col(lane: Vec<bool>) -> VCol {
+fn bool_col(lane: Vec<bool>) -> VCol<'static> {
     VCol::Bool(Arc::new(lane))
 }
 
 /// Per-element fallback: exact runtime semantics for anything the lane
-/// loops do not specialize.
-fn fallback_bin(op: BinOp, a: &VCol, b: &VCol, len: usize) -> Result<VCol> {
+/// loops do not specialize. Boxed operands are read in place, and a
+/// comparison's answers go straight into a boolean lane.
+fn fallback_bin(op: BinOp, a: &VCol, b: &VCol, len: usize) -> Result<VCol<'static>> {
+    use BinOp::*;
+    if matches!(op, Eq | Ne | Lt | Le | Gt | Ge) {
+        let mut lane = Vec::with_capacity(len);
+        for i in 0..len {
+            lane.push(matches!(op.apply(&a.at(i), &b.at(i))?, Value::Bool(true)));
+        }
+        return Ok(bool_col(lane));
+    }
     let mut out = Vec::with_capacity(len);
     for i in 0..len {
-        out.push(op.apply(&a.get(i), &b.get(i))?);
+        out.push(op.apply(&a.at(i), &b.at(i))?);
     }
     Ok(decompose_owned(out))
 }
 
 /// Vectorized binary operator over two columns.
-fn vec_bin(op: BinOp, a: &VCol, b: &VCol, len: usize) -> Result<VCol> {
+fn vec_bin(op: BinOp, a: &VCol, b: &VCol, len: usize) -> Result<VCol<'static>> {
     use std::cmp::Ordering;
     use BinOp::*;
     if let (VCol::Const(x), VCol::Const(y)) = (a, b) {
@@ -491,22 +564,11 @@ fn vec_bin(op: BinOp, a: &VCol, b: &VCol, len: usize) -> Result<VCol> {
             _ => fallback_bin(op, a, b, len),
         };
     }
-    if let (VCol::Str(xi, xd), VCol::Str(yi, yd)) = (a, b) {
-        // Within one dictionary ids are unique per string, so equality
-        // over a shared dictionary is an id compare.
-        if Arc::ptr_eq(xd, yd) && matches!(op, Eq | Ne) {
-            let (x, y) = (Lane::V(xi.as_slice()), Lane::V(yi.as_slice()));
-            return match op {
-                Eq => Ok(bool_col(zip(&x, &y, len, |p: u32, q: u32| p == q))),
-                _ => Ok(bool_col(zip(&x, &y, len, |p: u32, q: u32| p != q))),
-            };
-        }
-    }
     fallback_bin(op, a, b, len)
 }
 
 /// Vectorized unary operator.
-fn vec_un(op: UnOp, col: &VCol, len: usize) -> Result<VCol> {
+fn vec_un(op: UnOp, col: &VCol, len: usize) -> Result<VCol<'static>> {
     match (op, col) {
         (_, VCol::Const(v)) => Ok(VCol::Const(op.apply(v)?)),
         (UnOp::Neg, VCol::Long(v)) => Ok(long_col(v.iter().map(|&n| -n).collect())),
@@ -515,15 +577,15 @@ fn vec_un(op: UnOp, col: &VCol, len: usize) -> Result<VCol> {
         _ => {
             let mut out = Vec::with_capacity(len);
             for i in 0..len {
-                out.push(op.apply(&col.get(i))?);
+                out.push(op.apply(&col.at(i))?);
             }
             Ok(decompose_owned(out))
         }
     }
 }
 
-/// Tuple-position / record-field projection over a column.
-fn project(col: &VCol, i: usize, len: usize) -> Result<VCol> {
+/// Tuple-position projection over a column.
+fn project<'a>(col: &VCol<'a>, i: usize) -> Result<VCol<'a>> {
     match col {
         VCol::Tuple(cols) => cols.get(i).cloned().ok_or_else(narrow_row),
         VCol::Const(v) => v
@@ -532,8 +594,9 @@ fn project(col: &VCol, i: usize, len: usize) -> Result<VCol> {
             .cloned()
             .map(VCol::Const)
             .ok_or_else(narrow_row),
+        VCol::Refs(rows) => gather(rows, |v| v.as_tuple()?.get(i), |_| narrow_row()),
         VCol::Val(rows) => {
-            let mut out = Vec::with_capacity(len);
+            let mut out = Vec::with_capacity(rows.len());
             for v in rows.iter() {
                 out.push(
                     v.as_tuple()
@@ -548,39 +611,59 @@ fn project(col: &VCol, i: usize, len: usize) -> Result<VCol> {
     }
 }
 
-fn project_field(col: &VCol, name: &str, len: usize) -> Result<VCol> {
-    if let VCol::Tuple(cols) = col {
+/// Record-field / tuple-position access over a column.
+fn project_field<'a>(col: &VCol<'a>, name: &FieldName, len: usize) -> Result<VCol<'a>> {
+    match (col, name.pos) {
         // `_k` on a struct-of-arrays tuple is just the k-th child column.
-        if let Some(k) = name
-            .strip_prefix('_')
-            .and_then(|s| s.parse::<usize>().ok())
-            .and_then(|k| k.checked_sub(1))
-        {
-            if let Some(c) = cols.get(k) {
-                return Ok(c.clone());
-            }
-        }
+        (VCol::Tuple(cols), Some(k)) if k < cols.len() => return Ok(cols[k].clone()),
+        (VCol::Refs(rows), _) => return gather(rows, |v| name.of(v), |v| name.missing_in(v)),
+        _ => {}
     }
     let mut out = Vec::with_capacity(len);
     for i in 0..len {
-        let v = col.get(i);
-        match v.field(name) {
+        let v = col.at(i);
+        match name.of(&v) {
             Some(f) => out.push(f.clone()),
-            None => {
-                return Err(RuntimeError::new(format!(
-                    "value {v} has no field `{name}`"
-                )))
-            }
+            None => return Err(name.missing_in(&v)),
         }
     }
     Ok(decompose_owned(out))
 }
 
+/// Destructures a column against `shape`, appending the bound leaves'
+/// columns. Any error stands for "some row does not have this shape"; the
+/// tile's replay raises the canonical one.
+fn unpack<'a>(shape: &Shape, col: &VCol<'a>, out: &mut Vec<VCol<'a>>) -> Result<()> {
+    match shape {
+        Shape::Skip => {}
+        Shape::Bind => out.push(col.clone()),
+        Shape::Tuple(ps) => {
+            let arity = |v: &Value| v.as_tuple().map(<[Value]>::len) == Some(ps.len());
+            let fits = match col {
+                VCol::Tuple(cols) => cols.len() == ps.len(),
+                VCol::Const(v) => arity(v),
+                VCol::Refs(rows) => rows.iter().all(|v| arity(v)),
+                VCol::Val(rows) => rows.iter().all(arity),
+                VCol::Long(_) | VCol::Double(_) | VCol::Bool(_) => false,
+            };
+            if !fits {
+                return Err(narrow_row());
+            }
+            for (i, p) in ps.iter().enumerate() {
+                if *p != Shape::Skip {
+                    unpack(p, &project(col, i)?, out)?;
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Vectorized expression evaluation over the tile's current columns.
-fn vec_eval(expr: &RowExpr, input: &VCol, len: usize) -> Result<VCol> {
+fn vec_eval<'a>(expr: &RowExpr, input: &VCol<'a>, len: usize) -> Result<VCol<'a>> {
     match expr {
         RowExpr::Input => Ok(input.clone()),
-        RowExpr::Col(i) => project(input, *i, len),
+        RowExpr::Col(i) => project(input, *i),
         RowExpr::Const(v) => Ok(VCol::Const(v.clone())),
         RowExpr::Bin(op, a, b) => {
             let a = vec_eval(a, input, len)?;
@@ -616,6 +699,11 @@ fn vec_eval(expr: &RowExpr, input: &VCol, len: usize) -> Result<VCol> {
             let col = vec_eval(e, input, len)?;
             project_field(&col, name, len)
         }
+        RowExpr::Unpack { shape, .. } => {
+            let mut cols = Vec::new();
+            unpack(shape, input, &mut cols)?;
+            Ok(VCol::Tuple(Arc::new(cols)))
+        }
     }
 }
 
@@ -627,7 +715,7 @@ fn mask_of(col: &VCol, len: usize) -> Result<Vec<bool>> {
         _ => {
             let mut mask = Vec::with_capacity(len);
             for i in 0..len {
-                match col.get(i).as_bool() {
+                match col.at(i).as_bool() {
                     Some(b) => mask.push(b),
                     None => return Err(RuntimeError::new("condition must be boolean")),
                 }
@@ -637,9 +725,10 @@ fn mask_of(col: &VCol, len: usize) -> Result<Vec<bool>> {
     }
 }
 
-/// Runs one tile through the whole fused chain in columnar form:
-/// decompose once, per-column loops per step, reassemble once.
-fn run_tile(rows: &[Value], steps: &[Step]) -> Result<Vec<Value>> {
+/// Runs one tile through the whole fused chain in columnar form —
+/// decompose once, per-column loops per step — returning the surviving
+/// rows as one column and their count.
+fn run_tile<'a>(rows: &'a [Value], steps: &[Step]) -> Result<(VCol<'a>, usize)> {
     let mut col = decompose(rows);
     let mut len = rows.len();
     for s in steps {
@@ -662,40 +751,43 @@ fn run_tile(rows: &[Value], steps: &[Step]) -> Result<Vec<Value>> {
             StepOp::FlatMap(_) => return Err(RuntimeError::new("opaque step in a columnar stage")),
         }
         if len == 0 {
-            return Ok(Vec::new());
+            break;
         }
     }
-    Ok((0..len).map(|i| col.get(i)).collect())
+    Ok((col, len))
 }
 
-/// Drives a run of source rows through an eligible chain **batch-at-a-time
-/// in columnar form**. Output rows and their order are identical to
-/// [`drive`]; a failing tile is replayed tuple-at-a-time into the real
-/// sink so the first error and its statement tag are byte-identical too
-/// (see the module docs and `drive_batch`).
-pub(crate) fn drive_columnar(
+/// What consumes a columnar stage's output: whole surviving tiles on the
+/// vectorized path, single rows when a failed tile is replayed.
+trait TileSink {
+    /// Takes the `len` surviving rows of one tile, as a column.
+    fn tile(&mut self, col: &VCol, len: usize) -> Result<()>;
+    /// Takes one row of a replayed tile.
+    fn row(&mut self, row: Value) -> Result<()>;
+}
+
+/// Drives every tile of `rows` through an eligible chain in columnar
+/// form. A failing tile is replayed tuple-at-a-time into the same sink:
+/// nothing from a failed tile has been sunk yet, and the canonical first
+/// error may come from an earlier row or from the consumer, not from the
+/// lane that failed first (see the module docs and `drive_batch`).
+fn drive_tiles(
     rows: &[Value],
     steps: &[Step],
     batch: usize,
     stats: &Stats,
-    sink: &mut dyn FnMut(Value) -> Result<()>,
+    sink: &mut impl TileSink,
 ) -> Result<()> {
     debug_assert!(batch > 0);
     for tile in rows.chunks(batch.max(1)) {
         match run_tile(tile, steps) {
-            Ok(out) => {
+            Ok((col, len)) => {
                 stats.record_vectorized_batch();
-                for v in out {
-                    sink(v)?;
-                }
+                sink.tile(&col, len)?;
             }
             Err(batched) => {
-                // Replay this tile tuple-at-a-time into the REAL sink:
-                // nothing from a failed tile has been sunk yet, and the
-                // canonical first error may come from an earlier row or
-                // from the consumer, not from the lane that failed first.
                 for row in tile {
-                    drive(row, steps, sink)?;
+                    drive(row, steps, &mut |v| sink.row(v))?;
                 }
                 // Non-deterministic operator: the replay sailed through,
                 // so keep the batched error.
@@ -706,8 +798,116 @@ pub(crate) fn drive_columnar(
     Ok(())
 }
 
-/// The columnar backend: identical plans, stage structure, shuffles, and
-/// results, but fused narrow chains whose steps are all transparent
+/// Reassembles each surviving row for a row consumer.
+struct RowSink<'s>(&'s mut dyn FnMut(Value) -> Result<()>);
+
+impl TileSink for RowSink<'_> {
+    fn tile(&mut self, col: &VCol, len: usize) -> Result<()> {
+        (0..len).try_for_each(|i| (self.0)(col.get(i)))
+    }
+
+    fn row(&mut self, row: Value) -> Result<()> {
+        (self.0)(row)
+    }
+}
+
+/// Drives a run of source rows through an eligible chain **batch-at-a-time
+/// in columnar form**. Output rows, their order, the first error and its
+/// statement tag are identical to [`drive`].
+pub(crate) fn drive_columnar(
+    rows: &[Value],
+    steps: &[Step],
+    batch: usize,
+    stats: &Stats,
+    sink: &mut dyn FnMut(Value) -> Result<()>,
+) -> Result<()> {
+    drive_tiles(rows, steps, batch, stats, &mut RowSink(sink))
+}
+
+/// Folds a tile's surviving column into `acc` with `op`, left to right.
+/// A primitive lane meeting an accumulator of its own type folds without
+/// boxing; the arithmetic is [`BinOp::apply`]'s, applied in row order, so
+/// doubles round exactly as on the row path. Everything else (tuple sums,
+/// `argmin`, mixed types, type errors) goes through `apply` per element.
+fn fold_col(op: BinOp, col: &VCol, len: usize, acc: &mut Option<Value>) -> Result<()> {
+    use std::cmp::Ordering;
+    if len == 0 {
+        return Ok(());
+    }
+    let (acc, start) = match acc {
+        Some(a) => (a, 0),
+        None => (acc.insert(col.get(0)), 1),
+    };
+    match (op, col, &mut *acc) {
+        (BinOp::Add, VCol::Long(v), Value::Long(a)) => {
+            v[start..].iter().for_each(|&x| *a = a.wrapping_add(x))
+        }
+        (BinOp::Mul, VCol::Long(v), Value::Long(a)) => {
+            v[start..].iter().for_each(|&x| *a = a.wrapping_mul(x))
+        }
+        (BinOp::Min, VCol::Long(v), Value::Long(a)) => {
+            v[start..].iter().for_each(|&x| *a = (*a).min(x))
+        }
+        (BinOp::Max, VCol::Long(v), Value::Long(a)) => {
+            v[start..].iter().for_each(|&x| *a = (*a).max(x))
+        }
+        (BinOp::Add, VCol::Double(v), Value::Double(a)) => v[start..].iter().for_each(|&x| *a += x),
+        (BinOp::Mul, VCol::Double(v), Value::Double(a)) => v[start..].iter().for_each(|&x| *a *= x),
+        // `min`/`max` keep the left operand on ties, as `apply` does.
+        (BinOp::Min, VCol::Double(v), Value::Double(a)) => v[start..].iter().for_each(|&x| {
+            if a.total_cmp(&x) == Ordering::Greater {
+                *a = x;
+            }
+        }),
+        (BinOp::Max, VCol::Double(v), Value::Double(a)) => v[start..].iter().for_each(|&x| {
+            if a.total_cmp(&x) == Ordering::Less {
+                *a = x;
+            }
+        }),
+        (BinOp::And, VCol::Bool(v), Value::Bool(a)) => *a = *a && v[start..].iter().all(|&x| x),
+        (BinOp::Or, VCol::Bool(v), Value::Bool(a)) => *a = *a || v[start..].iter().any(|&x| x),
+        _ => {
+            for i in start..len {
+                *acc = op.apply(acc, &col.at(i))?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A running reduction: folds whole columns on the vectorized path.
+struct FoldSink<'s> {
+    op: BinOp,
+    acc: &'s mut Option<Value>,
+}
+
+impl TileSink for FoldSink<'_> {
+    fn tile(&mut self, col: &VCol, len: usize) -> Result<()> {
+        fold_col(self.op, col, len, self.acc)
+    }
+
+    fn row(&mut self, row: Value) -> Result<()> {
+        fold_row(self.op, self.acc, row)
+    }
+}
+
+/// Reduces a run of source rows through an eligible chain with `op`,
+/// folding each tile's final column into `acc` without reassembling rows.
+/// The value, the first error and its statement tag are identical to
+/// folding [`drive`]'s output with [`fold_row`].
+pub(crate) fn fold_columnar(
+    rows: &[Value],
+    steps: &[Step],
+    batch: usize,
+    stats: &Stats,
+    op: BinOp,
+    acc: &mut Option<Value>,
+) -> Result<()> {
+    drive_tiles(rows, steps, batch, stats, &mut FoldSink { op, acc })
+}
+
+/// The columnar backend — the engine's default: identical plans, stage
+/// structure, shuffles, and results, but fused narrow chains whose steps are all transparent
 /// ([`RowExpr`]-described) run batch-at-a-time over typed column chunks.
 /// Stages with an opaque step fall back to tuple-at-a-time **per stage**
 /// (counted in [`StatsSnapshot::row_fallback_stages`](crate::StatsSnapshot)
@@ -814,6 +1014,7 @@ mod tests {
             op: StepOp::Map(Arc::new(f)),
             tag: tag.map(Arc::from),
             expr: Some(e),
+            what: "map",
         }
     }
 
@@ -830,6 +1031,7 @@ mod tests {
             op: StepOp::Filter(Arc::new(f)),
             tag: tag.map(Arc::from),
             expr: Some(e),
+            what: "filter",
         }
     }
 
@@ -928,7 +1130,7 @@ mod tests {
     }
 
     #[test]
-    fn string_dictionary_equality_matches_row_path() {
+    fn string_comparisons_read_the_source_rows_in_place() {
         let words = ["apple", "pear", "plum"];
         let rows: Vec<Value> = (0..200).map(|i| Value::str(words[i % 3])).collect();
         let steps = vec![step_filter(
@@ -937,19 +1139,139 @@ mod tests {
         )];
         let (col, row) = run_both(&rows, &steps, 64);
         assert_eq!(col.unwrap(), row.unwrap());
-        // And against a constant (falls back per element, same rows).
-        let steps = vec![step_filter(
-            bin(
-                BinOp::Eq,
-                RowExpr::Input,
-                RowExpr::Const(Value::str("pear")),
+        // Against a constant, and ordered.
+        for op in [BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Ge] {
+            let steps = vec![step_filter(
+                bin(op, RowExpr::Input, RowExpr::Const(Value::str("pear"))),
+                None,
+            )];
+            let (col, row) = run_both(&rows, &steps, 64);
+            let kept = col.unwrap();
+            assert!(!kept.is_empty() && kept.len() < rows.len(), "{op:?}");
+            assert_eq!(kept, row.unwrap(), "{op:?}");
+        }
+    }
+
+    fn unpack_step(shape: Shape) -> Step {
+        step_map(
+            RowExpr::Unpack {
+                shape,
+                mismatch: "pattern P does not match source row".into(),
+            },
+            Some("s1:X"),
+        )
+    }
+
+    #[test]
+    fn unpack_destructures_like_a_pattern() {
+        // ((i, _), (x, w)) over rows ((i, j), (x, w)) binds (i, (x, w))…
+        let rows: Vec<Value> = (0..150)
+            .map(|i| {
+                Value::pair(
+                    Value::pair(Value::Long(i), Value::Long(-i)),
+                    Value::pair(Value::Double(i as f64 / 4.0), Value::str("w")),
+                )
+            })
+            .collect();
+        let shape = Shape::Tuple(vec![
+            Shape::Tuple(vec![Shape::Bind, Shape::Skip]),
+            Shape::Bind,
+        ]);
+        // …and the next step projects into the bound tuple.
+        let steps = vec![
+            unpack_step(shape),
+            step_map(
+                RowExpr::Tuple(vec![
+                    RowExpr::field(RowExpr::Col(1), "_1"),
+                    RowExpr::Col(0),
+                    RowExpr::field(RowExpr::Col(1), "_2"),
+                ]),
+                None,
             ),
-            None,
-        )];
+        ];
         let (col, row) = run_both(&rows, &steps, 64);
-        let kept = col.unwrap();
-        assert_eq!(kept.len(), 200 / 3 + 1);
-        assert_eq!(kept, row.unwrap());
+        let out = col.unwrap();
+        assert_eq!(
+            out[6],
+            Value::tuple(vec![Value::Double(1.5), Value::Long(6), Value::str("w")])
+        );
+        assert_eq!(out, row.unwrap());
+    }
+
+    #[test]
+    fn unpack_mismatches_raise_the_row_paths_error() {
+        // Row 70 is a triple, row 90 not a tuple at all: arity is part of
+        // the shape, and the first offender in row order is reported.
+        let mut rows: Vec<Value> = (0..100)
+            .map(|i| Value::pair(Value::Long(i), Value::Long(i)))
+            .collect();
+        rows[70] = Value::tuple(vec![Value::Long(1), Value::Long(2), Value::Long(3)]);
+        rows[90] = Value::Long(9);
+        let steps = vec![unpack_step(Shape::Tuple(vec![Shape::Skip, Shape::Bind]))];
+        for batch in [1, 32, 4096] {
+            let (col, row) = run_both(&rows, &steps, batch);
+            let (col, row) = (col.unwrap_err(), row.unwrap_err());
+            assert_eq!(col.to_string(), row.to_string());
+            assert_eq!(
+                col.message,
+                "[s1:X] pattern P does not match source row (1, 2, 3)"
+            );
+        }
+    }
+
+    #[test]
+    fn column_folds_equal_row_folds_to_the_bit() {
+        // Doubles of mixed magnitude: any re-association changes the sum.
+        let rows: Vec<Value> = (0..1000i64)
+            .map(|i| {
+                Value::tuple(vec![
+                    Value::Long(i - 500),
+                    Value::Double((i * 7919 % 1000) as f64 * 1e-3 + (i % 13) as f64 * 1e6),
+                    Value::Bool(i % 101 != 100),
+                ])
+            })
+            .collect();
+        let cases = [
+            (BinOp::Add, 0),
+            (BinOp::Mul, 0),
+            (BinOp::Min, 0),
+            (BinOp::Max, 0),
+            (BinOp::Add, 1),
+            (BinOp::Min, 1),
+            (BinOp::Max, 1),
+            (BinOp::And, 2),
+            (BinOp::Or, 2),
+        ];
+        for (op, col) in cases {
+            // A filter in front, so tiles survive partially and some not at all.
+            let steps = vec![
+                step_filter(
+                    bin(
+                        BinOp::Ge,
+                        RowExpr::Col(0),
+                        RowExpr::Const(Value::Long(-300)),
+                    ),
+                    None,
+                ),
+                step_map(RowExpr::Col(col), None),
+            ];
+            let mut by_row = None;
+            for row in &rows {
+                drive(row, &steps, &mut |v| fold_row(op, &mut by_row, v)).unwrap();
+            }
+            assert!(by_row.is_some());
+            for batch in [1, 7, 256, 4096] {
+                let stats = Stats::default();
+                let mut by_col = None;
+                fold_columnar(&rows, &steps, batch, &stats, op, &mut by_col).unwrap();
+                assert_eq!(
+                    format!("{by_col:?}"),
+                    format!("{by_row:?}"),
+                    "{op:?} over column {col}, batch {batch}"
+                );
+                assert!(stats.snapshot().vectorized_batches > 0);
+            }
+        }
     }
 
     #[test]
@@ -992,6 +1314,7 @@ mod tests {
             op: StepOp::Map(Arc::new(|v: &Value| Ok(v.clone()))),
             tag: None,
             expr: None,
+            what: "map",
         };
         let transparent = step_map(RowExpr::Input, None);
         assert!(!eligible(&[]));
@@ -1024,17 +1347,11 @@ mod tests {
         let rows: Vec<Value> = (0..50)
             .map(|i| Value::pair(Value::Long(i), Value::Long(i * i)))
             .collect();
-        let steps = vec![step_map(
-            RowExpr::Field(Box::new(RowExpr::Input), "_2".to_string()),
-            None,
-        )];
+        let steps = vec![step_map(RowExpr::field(RowExpr::Input, "_2"), None)];
         let (col, row) = run_both(&rows, &steps, 16);
         assert_eq!(col.unwrap(), row.unwrap());
         // A missing field errors identically on both paths.
-        let steps = vec![step_map(
-            RowExpr::Field(Box::new(RowExpr::Input), "_9".to_string()),
-            None,
-        )];
+        let steps = vec![step_map(RowExpr::field(RowExpr::Input, "_9"), None)];
         let (col, row) = run_both(&rows, &steps, 16);
         assert_eq!(col.unwrap_err().to_string(), row.unwrap_err().to_string());
     }

@@ -46,7 +46,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use diablo_runtime::{array::key_value, size::slice_size, RuntimeError, Value};
+use diablo_runtime::{array::key_value, size::slice_size, AggOp, RuntimeError, Value};
 
 use crate::exchange::{pair_key, HashPartitioner, Partitioner, RangePartitioner};
 use crate::executor::PhysicalPlan;
@@ -401,12 +401,23 @@ impl Dataset {
     where
         F: Fn(&Value) -> Result<Value> + Send + Sync + 'static,
     {
+        self.map_as("map", f)
+    }
+
+    /// [`Dataset::map`] with a name for what the closure does (`keyed
+    /// map`, `join bind`, …): the plan trace quotes it when this opaque
+    /// step keeps a stage on the row path.
+    pub fn map_as<F>(&self, what: &'static str, f: F) -> Result<Dataset>
+    where
+        F: Fn(&Value) -> Result<Value> + Send + Sync + 'static,
+    {
         self.ctx.record_logical_op();
         Ok(self.derived(PlanOp::Map(
             self.effective_plan(),
             Arc::new(f),
             self.tag(),
             None,
+            what,
         )))
     }
 
@@ -427,6 +438,7 @@ impl Dataset {
             Arc::new(f),
             self.tag(),
             Some(expr),
+            "map",
         )))
     }
 
@@ -435,11 +447,21 @@ impl Dataset {
     where
         F: Fn(&Value) -> Result<Vec<Value>> + Send + Sync + 'static,
     {
+        self.flat_map_as("flat_map", f)
+    }
+
+    /// [`Dataset::flat_map`] with a name for what the closure does, as in
+    /// [`Dataset::map_as`].
+    pub fn flat_map_as<F>(&self, what: &'static str, f: F) -> Result<Dataset>
+    where
+        F: Fn(&Value) -> Result<Vec<Value>> + Send + Sync + 'static,
+    {
         self.ctx.record_logical_op();
         Ok(self.derived(PlanOp::FlatMap(
             self.effective_plan(),
             Arc::new(f),
             self.tag(),
+            what,
         )))
     }
 
@@ -512,13 +534,9 @@ impl Dataset {
     where
         F: Fn(&Value, &Value) -> Result<Value> + Sync,
     {
-        self.ctx.record_logical_op();
         let f = &f;
-        let partials = self.ctx.executor().consume(
-            &self.ctx,
-            &PhysicalPlan::new(self.effective_plan()),
-            "reduce (partial fold)",
-            &|_, rows| {
+        self.fold_partitions(
+            &|rows| {
                 let mut acc: Option<Value> = None;
                 rows.for_each(&mut |row| {
                     acc = Some(match acc.take() {
@@ -527,14 +545,40 @@ impl Dataset {
                     });
                     Ok(())
                 })?;
-                Ok(vec![acc.into_iter().collect()])
+                Ok(acc)
             },
+            f,
+        )
+    }
+
+    /// [`Dataset::reduce`] with a monoid the engine can see: the same
+    /// stage, partials and result as `reduce(|a, b| op.op.apply(a, b))`,
+    /// but a columnar stage folds its last column as a typed lane instead
+    /// of boxing every row for a closure.
+    pub fn aggregate(&self, op: AggOp) -> Result<Option<Value>> {
+        self.fold_partitions(&|rows| rows.fold(op.op), &|a, b| op.op.apply(a, b))
+    }
+
+    /// One fused stage folding each partition with `partial`, then a
+    /// driver-side fold of the partials, in partition order, with
+    /// `combine`.
+    fn fold_partitions(
+        &self,
+        partial: &(dyn Fn(&plan::PartitionRows<'_>) -> Result<Option<Value>> + Sync),
+        combine: &dyn Fn(&Value, &Value) -> Result<Value>,
+    ) -> Result<Option<Value>> {
+        self.ctx.record_logical_op();
+        let partials = self.ctx.executor().consume(
+            &self.ctx,
+            &PhysicalPlan::new(self.effective_plan()),
+            "reduce (partial fold)",
+            &|_, rows| Ok(vec![partial(rows)?.into_iter().collect()]),
         )?;
         let mut acc: Option<Value> = None;
         for p in partials.into_iter().flatten().flatten() {
             acc = Some(match acc {
                 None => p,
-                Some(a) => f(&a, &p)?,
+                Some(a) => combine(&a, &p)?,
             });
         }
         Ok(acc)
@@ -776,7 +820,7 @@ impl Dataset {
     /// is lazy, so a `map` after a join fuses with it.
     pub fn join(&self, other: &Dataset) -> Result<Dataset> {
         let co = self.cogroup(other)?;
-        co.flat_map(|row| {
+        co.flat_map_as("join pairs", |row| {
             let (k, bags) = key_value(row)?;
             let fields = bags
                 .as_tuple()

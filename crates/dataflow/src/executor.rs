@@ -1,14 +1,16 @@
 //! The pluggable execution backend: the [`Executor`] trait plus the five
-//! built-in implementations, [`LocalExecutor`] (tuple-at-a-time, the
-//! default), [`TileExecutor`] (tile/batch-at-a-time, tuned for the §5
+//! built-in implementations, [`LocalExecutor`] (tuple-at-a-time — the row
+//! reference the conformance suites compare every other backend against),
+//! [`TileExecutor`] (tile/batch-at-a-time, tuned for the §5
 //! tiled-matrix workloads whose rows carry dense tile payloads),
 //! [`SpillExecutor`] (tuple-at-a-time with always-budgeted spilling
 //! exchanges and adaptive stage re-chunking, for inputs larger than RAM),
 //! [`MorselExecutor`] (tuple-at-a-time with every narrow stage split
 //! into fixed-size morsels for the work-stealing pool), and
-//! [`ColumnarExecutor`](crate::ColumnarExecutor) (typed column chunks
-//! with per-column inner loops for transparent fused chains, row-path
-//! fallback per stage for opaque UDFs — defined in `columnar.rs`).
+//! [`ColumnarExecutor`](crate::ColumnarExecutor) (**the default**: typed
+//! column chunks with per-column inner loops for transparent fused
+//! chains, row-path fallback per stage for opaque UDFs — defined in
+//! `columnar.rs`).
 //!
 //! A [`Context`] owns one `Arc<dyn Executor>`; every [`Dataset`]
 //! materialization point routes through it, so a backend can be swapped
@@ -224,8 +226,10 @@ pub trait Executor: Send + Sync {
     }
 }
 
-/// The default backend: fused tuple-at-a-time evaluation on the worker
-/// pool — exactly the engine the lazy-plan layer shipped with.
+/// The row backend: fused tuple-at-a-time evaluation on the worker pool.
+/// Every stage runs exactly as the default backend runs a stage it cannot
+/// vectorize, which makes `local` the reference the conformance suites
+/// hold the columnar default (and every other backend) byte-identical to.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct LocalExecutor;
 
@@ -509,7 +513,9 @@ pub fn executor_named(name: &str) -> Option<Arc<dyn Executor>> {
 }
 
 /// The backend named by the `DIABLO_BACKEND` environment variable, or the
-/// default [`LocalExecutor`].
+/// default: [`ColumnarExecutor`](crate::ColumnarExecutor), which runs each
+/// stage columnar where every step is transparent and on the row path
+/// otherwise.
 ///
 /// # Panics
 /// Panics on an unknown backend name so a typo in a CI matrix fails loudly
@@ -522,7 +528,7 @@ pub(crate) fn executor_from_env() -> Arc<dyn Executor> {
                 BACKEND_NAMES.join(", ")
             )
         }),
-        Err(_) => Arc::new(LocalExecutor),
+        Err(_) => Arc::new(crate::columnar::ColumnarExecutor::from_env()),
     }
 }
 

@@ -16,14 +16,15 @@
 //!   plan node and return immediately — no data moves, no threads run;
 //! * plan execution belongs to the context's [`Executor`] — a public
 //!   trait (`materialize`, `consume`, `shuffle`/`shuffle_by`, `exchange`,
-//!   plus name/capability introspection) with three built-ins:
-//!   [`LocalExecutor`] (tuple-at-a-time, default), [`TileExecutor`]
-//!   (tile/batch-at-a-time inner loops for §5 tiled-matrix workloads),
-//!   [`SpillExecutor`] (always-budgeted spilling exchanges plus
-//!   adaptive stage re-chunking, for inputs larger than RAM), and
-//!   [`ColumnarExecutor`] (typed column chunks with per-column inner
-//!   loops for transparent fused chains, row-path fallback per stage for
-//!   opaque UDFs — see `columnar.rs`).
+//!   plus name/capability introspection) with these built-ins:
+//!   [`ColumnarExecutor`] (the default: typed column chunks with
+//!   per-column inner loops for transparent fused chains, row-path
+//!   fallback per stage for opaque UDFs — see `columnar.rs`),
+//!   [`LocalExecutor`] (tuple-at-a-time everywhere, the row reference),
+//!   [`TileExecutor`] (tile/batch-at-a-time inner loops for §5
+//!   tiled-matrix workloads), and [`SpillExecutor`] (always-budgeted
+//!   spilling exchanges plus adaptive stage re-chunking, for inputs
+//!   larger than RAM).
 //!   Select one with [`Context::with_executor`], `DIABLO_BACKEND`, or
 //!   `diabloc --backend`; results are identical across backends;
 //! * data crosses partitions only through the **Exchange API**: a
@@ -89,7 +90,7 @@ mod pool;
 mod stats;
 mod verify;
 
-pub use columnar::{ColumnarExecutor, RowExpr};
+pub use columnar::{ColumnarExecutor, FieldName, RowExpr, Shape};
 pub use dataset::Dataset;
 pub use exchange::{
     decode_value, encode_value, Exchange, ExchangeWriter, HashPartitioner, Partitioner,
@@ -146,7 +147,7 @@ struct ContextInner {
 impl Context {
     /// Creates a context with `workers` threads and `partitions` hash
     /// partitions per dataset. The execution backend defaults to
-    /// [`LocalExecutor`], overridable with the `DIABLO_BACKEND`
+    /// [`ColumnarExecutor`], overridable with the `DIABLO_BACKEND`
     /// environment variable (`local`, `tile`, `spill`, `morsel`,
     /// `columnar`) or [`Context::with_executor`].
     pub fn new(workers: usize, partitions: usize) -> Context {

@@ -34,7 +34,7 @@
 
 use std::sync::Arc;
 
-use diablo_runtime::{RuntimeError, Value};
+use diablo_runtime::{BinOp, RuntimeError, Value};
 
 use crate::columnar::RowExpr;
 use crate::pool::{run_stage_weighted, Cancel};
@@ -96,13 +96,20 @@ pub(crate) enum PlanOp {
     /// Row-wise `map`. The optional [`RowExpr`] is the transparent column
     /// expression the closure was derived from, when the transformation
     /// is engine-visible (`map_expr`, lowered loop steps); `None` marks
-    /// an opaque UDF.
-    Map(Arc<PlanOp>, RowMapFn, Tag, Option<Arc<RowExpr>>),
+    /// an opaque UDF, which the `&'static str` names for plan traces
+    /// (`map`, or what a driver layer called it: `keyed map`, …).
+    Map(
+        Arc<PlanOp>,
+        RowMapFn,
+        Tag,
+        Option<Arc<RowExpr>>,
+        &'static str,
+    ),
     /// Row-wise `filter`, with its transparent predicate expression when
     /// engine-visible.
     Filter(Arc<PlanOp>, RowPredFn, Tag, Option<Arc<RowExpr>>),
-    /// Row-wise `flat_map`.
-    FlatMap(Arc<PlanOp>, RowFlatFn, Tag),
+    /// Row-wise `flat_map`, named like an opaque `Map`.
+    FlatMap(Arc<PlanOp>, RowFlatFn, Tag, &'static str),
     /// Partition-wise transformation (a fusion barrier for row steps
     /// below it, but itself fused with the steps above it). The `&'static
     /// str` names the operator for plan traces (`map_partitions`,
@@ -133,6 +140,8 @@ pub(crate) struct Step {
     /// columnar-eligible; `None` marks an opaque UDF the columnar
     /// backend demotes to the row path.
     pub expr: Option<Arc<RowExpr>>,
+    /// What an opaque step is, for the `layout: row (opaque …)` note.
+    pub what: &'static str,
 }
 
 impl Step {
@@ -240,6 +249,16 @@ pub(crate) fn drive_owned(
             Ok(())
         }
     }
+}
+
+/// Folds one more row into a running reduction with `op` — the consumer
+/// of a total aggregation, whichever way the rows were driven.
+pub(crate) fn fold_row(op: BinOp, acc: &mut Option<Value>, row: Value) -> Result<()> {
+    *acc = Some(match acc.take() {
+        None => row,
+        Some(a) => op.apply(&a, &row)?,
+    });
+    Ok(())
 }
 
 /// Drives a run of source rows through the chain **batch-at-a-time**: each
@@ -366,11 +385,12 @@ pub(crate) fn collapse(plan: &Arc<PlanOp>) -> Collapsed {
     let mut cur = plan.clone();
     loop {
         let next = match cur.as_ref() {
-            PlanOp::Map(input, f, tag, expr) => {
+            PlanOp::Map(input, f, tag, expr, what) => {
                 steps.push(Step {
                     op: StepOp::Map(f.clone()),
                     tag: tag.clone(),
                     expr: expr.clone(),
+                    what,
                 });
                 input.clone()
             }
@@ -379,14 +399,16 @@ pub(crate) fn collapse(plan: &Arc<PlanOp>) -> Collapsed {
                     op: StepOp::Filter(f.clone()),
                     tag: tag.clone(),
                     expr: expr.clone(),
+                    what: "filter",
                 });
                 input.clone()
             }
-            PlanOp::FlatMap(input, f, tag) => {
+            PlanOp::FlatMap(input, f, tag, what) => {
                 steps.push(Step {
                     op: StepOp::FlatMap(f.clone()),
                     tag: tag.clone(),
                     expr: None,
+                    what,
                 });
                 input.clone()
             }
@@ -637,6 +659,25 @@ impl DriveMode {
             }
         }
     }
+
+    /// Reduces `rows` through `steps` into `acc` with `op`: eligible
+    /// chains fold their final column directly
+    /// ([`crate::columnar::fold_columnar`]); everything else folds row by
+    /// row. Same value and first error either way.
+    fn fold(
+        &self,
+        rows: &[Value],
+        steps: &[Step],
+        op: BinOp,
+        acc: &mut Option<Value>,
+    ) -> Result<()> {
+        match self {
+            DriveMode::Columnar(b, stats) if crate::columnar::eligible(steps) => {
+                crate::columnar::fold_columnar(rows, steps, *b, stats, op, acc)
+            }
+            _ => self.run(rows, steps, &mut |row| fold_row(op, acc, row)),
+        }
+    }
 }
 
 /// Notes a fused stage's execution layout in the plan trace when the
@@ -655,8 +696,8 @@ fn note_layout(ctx: &Context, mode: &DriveMode, steps: &[Step]) {
         Some(opaque) => {
             stats.record_row_fallback_stage();
             let why = match &opaque.tag {
-                Some(t) => format!("opaque {} from {t}", opaque.label()),
-                None => format!("opaque {}", opaque.label()),
+                Some(t) => format!("opaque {} from {t}", opaque.what),
+                None => format!("opaque {}", opaque.what),
             };
             ctx.plan_note(format!("  layout: row ({why})"));
         }
@@ -1195,6 +1236,18 @@ impl PartitionRows<'_> {
         }
         Ok(())
     }
+
+    /// Reduces the transformed rows with `op`, left to right, without
+    /// handing them out one by one: on the columnar backend an eligible
+    /// chain's last column is folded as a typed lane. `None` when no row
+    /// survives.
+    pub fn fold(&self, op: BinOp) -> Result<Option<Value>> {
+        let mut acc = None;
+        for seg in &self.segments {
+            self.mode.fold(seg.rows, seg.steps, op, &mut acc)?;
+        }
+        Ok(acc)
+    }
 }
 
 fn describe_stage(
@@ -1270,7 +1323,7 @@ pub(crate) fn render(plan: &Arc<PlanOp>, indent: usize, out: &mut String) {
             render(r, indent + 1, out);
         }
         // collapse() never returns a row node as base.
-        PlanOp::Map(_, _, _, _) | PlanOp::Filter(_, _, _, _) | PlanOp::FlatMap(_, _, _) => {}
+        PlanOp::Map(..) | PlanOp::Filter(..) | PlanOp::FlatMap(..) => {}
     }
     for s in &steps {
         out.push_str(" → ");

@@ -88,9 +88,9 @@ fn check(plan: &PlanOp) -> Result<usize> {
         }
         // Row nodes and partition-wise barriers preserve their input's
         // partition count.
-        PlanOp::Map(input, _, _, _)
-        | PlanOp::Filter(input, _, _, _)
-        | PlanOp::FlatMap(input, _, _) => check(input),
+        PlanOp::Map(input, ..) | PlanOp::Filter(input, ..) | PlanOp::FlatMap(input, ..) => {
+            check(input)
+        }
         PlanOp::MapPartitions(input, _, _, _) => check(input),
         // A cached barrier stands in for its (structurally equivalent)
         // inner plan; on a cache miss that inner plan is what re-runs.

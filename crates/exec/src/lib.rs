@@ -192,9 +192,15 @@ impl Session {
             Some(b) => format!(", memory budget {b} B"),
             None => String::new(),
         };
+        let exec = self.ctx.executor();
+        let layout = if exec.name() == "columnar" {
+            "; per stage, columnar where every step is transparent, else row"
+        } else {
+            ""
+        };
         let mut out = format!(
-            "physical plan (executed on `{}` backend, narrow chains fused{budget}):\n",
-            self.ctx.executor().name()
+            "physical plan (executed on `{}` backend, narrow chains fused{layout}{budget}):\n",
+            exec.name()
         );
         for l in &lines {
             if l.starts_with("==") {

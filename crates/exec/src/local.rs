@@ -72,10 +72,7 @@ pub fn eval_local(e: &CExpr, env: &Env, sess: &Session) -> Result<Value> {
             // Distributed reduce when the bag is dataset-backed.
             if let CExpr::Comp(c) = inner.as_ref() {
                 if sess.datasets_mentioned(inner) && env.is_empty() {
-                    let data = run_comp(c, sess)?;
-                    let op = *op;
-                    let reduced = data.reduce(move |a, b| op.op.apply(a, b))?;
-                    return match reduced {
+                    return match run_comp(c, sess)?.aggregate(*op)? {
                         Some(v) => Ok(v),
                         None => op.reduce([].iter()),
                     };

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use diablo_comp::ir::{CExpr, Comprehension, Pattern, Qual};
 use diablo_comp::Env;
-use diablo_dataflow::{Dataset, RowExpr};
+use diablo_dataflow::{Dataset, RowExpr, Shape};
 use diablo_runtime::{BinOp, RuntimeError, Value};
 
 use crate::local::{eval_local, local_comp};
@@ -327,26 +327,16 @@ impl Pipe {
                     .collect()
             })
             .collect();
-        // Fast path: one driver environment with no extra columns — one
-        // output row per input row, no per-row Vec-of-Vecs.
+        // One driver environment with no extra columns: the env row is
+        // the source row destructured by the pattern. Told to the engine
+        // as an expression, so the scan stage stays columnar-eligible.
         let rows = if local_rows.len() == 1 && local_rows[0].is_empty() {
-            if matches!(p, Pattern::Var(_)) {
-                // `v ← A` wraps each source row as a 1-tuple: transparent
-                // to the engine, so the scan stage stays columnar-eligible.
-                data.map_expr(RowExpr::Tuple(vec![RowExpr::Input]))?
-            } else {
-                data.map(move |raw| {
-                    let mut row = Vec::with_capacity(4);
-                    if !p.bind_values(raw, &mut row) {
-                        return Err(RuntimeError::new(format!(
-                            "pattern {p:?} does not match source row {raw}"
-                        )));
-                    }
-                    Ok(Value::tuple(row))
-                })?
-            }
+            data.map_expr(RowExpr::Unpack {
+                shape: shape_of(&p),
+                mismatch: format!("pattern {p:?} does not match source row").into(),
+            })?
         } else {
-            data.flat_map(move |raw| {
+            data.flat_map_as("source bind", move |raw| {
                 let mut out = Vec::with_capacity(local_rows.len());
                 for base in &local_rows {
                     let mut binds = Vec::new();
@@ -384,7 +374,7 @@ impl Pipe {
             }
         }
         let p_owned = p.clone();
-        let new_data = self.data.map(move |row| {
+        let new_data = self.data.map_as("let", move |row| {
             let fields = row.as_tuple().expect("env row");
             let v = r.eval(fields)?;
             let mut out = fields.to_vec();
@@ -432,7 +422,7 @@ impl Pipe {
             .iter()
             .map(|k| compile(&k.left, &self.layout, globals))
             .collect::<Result<Vec<_>>>()?;
-        let left = self.data.map(move |row| {
+        let left = self.data.map_as("join key", move |row| {
             let fields = row.as_tuple().expect("env row");
             let key = eval_key(&lkeys, fields)?;
             Ok(Value::pair(key, row.clone()))
@@ -444,7 +434,7 @@ impl Pipe {
             .map(|k| compile(&k.right, &pat_layout, globals))
             .collect::<Result<Vec<_>>>()?;
         let p_owned = p.clone();
-        let right = data.map(move |raw| {
+        let right = data.map_as("join key", move |raw| {
             let mut pat_row = Vec::with_capacity(4);
             if !p_owned.bind_values(raw, &mut pat_row) {
                 return Err(RuntimeError::new(format!(
@@ -457,7 +447,7 @@ impl Pipe {
         let joined = left.join(&right)?;
         // (key, (left_row, raw)) → extended env row.
         let p_owned = p.clone();
-        let new_data = joined.map(move |kv| {
+        let new_data = joined.map_as("join bind", move |kv| {
             let (_, pair) = diablo_runtime::array::key_value(kv)?;
             let fields = pair.as_tuple().expect("join pair");
             let mut out = fields[0].as_tuple().expect("env row").to_vec();
@@ -477,7 +467,7 @@ impl Pipe {
     fn broadcast_product(&mut self, data: &Dataset, p: &Pattern) -> Result<()> {
         let items = data.broadcast()?;
         let p_owned = p.clone();
-        let new_data = self.data.flat_map(move |row| {
+        let new_data = self.data.flat_map_as("broadcast product", move |row| {
             let fields = row.as_tuple().expect("env row");
             let mut out = Vec::with_capacity(items.len());
             for item in items.iter() {
@@ -507,7 +497,7 @@ impl Pipe {
         let rlo = compile(lo, &self.layout, globals)?;
         let rhi = compile(hi, &self.layout, globals)?;
         let p_owned = p.clone();
-        let new_data = self.data.flat_map(move |row| {
+        let new_data = self.data.flat_map_as("range expansion", move |row| {
             let fields = row.as_tuple().expect("env row");
             let lo = rlo
                 .eval(fields)?
@@ -538,7 +528,7 @@ impl Pipe {
     fn expand_bag(&mut self, p: &Pattern, dom: &CExpr, globals: &Arc<Env>) -> Result<()> {
         let r = compile(dom, &self.layout, globals)?;
         let p_owned = p.clone();
-        let new_data = self.data.flat_map(move |row| {
+        let new_data = self.data.flat_map_as("bag expansion", move |row| {
             let fields = row.as_tuple().expect("env row");
             let bag = r.eval(fields)?;
             let items = bag
@@ -620,7 +610,7 @@ impl Pipe {
                     Ok(RExpr::Col(idx))
                 })
                 .collect::<Result<Vec<_>>>()?;
-            let keyed = self.data.map(move |row| {
+            let keyed = self.data.map_as("keyed map", move |row| {
                 let fields = row.as_tuple().expect("env row");
                 let key = rkey.eval(fields)?;
                 let vals = inputs
@@ -646,7 +636,7 @@ impl Pipe {
                 cols.push(agg_col_name(idx));
             }
             let p_owned = p.clone();
-            let data = reduced.map(move |kv| {
+            let data = reduced.map_as("group bind", move |kv| {
                 let (k, aggs) = diablo_runtime::array::key_value(kv)?;
                 let mut row: Vec<Value> = Vec::with_capacity(4);
                 if !p_owned.bind_values(&k, &mut row) {
@@ -670,7 +660,7 @@ impl Pipe {
             .map(|c| self.layout.index_of(c).expect("lifted column"))
             .collect();
         let lifted_idx2 = lifted_idx.clone();
-        let keyed = self.data.map(move |row| {
+        let keyed = self.data.map_as("keyed map", move |row| {
             let fields = row.as_tuple().expect("env row");
             let key = rkey.eval(fields)?;
             let vals: Vec<Value> = lifted_idx2.iter().map(|&i| fields[i].clone()).collect();
@@ -679,7 +669,7 @@ impl Pipe {
         let grouped = keyed.group_by_key()?;
         let p_owned = p.clone();
         let nlifted = lifted.len();
-        let data = grouped.map(move |kv| {
+        let data = grouped.map_as("group bind", move |kv| {
             let (k, bag) = diablo_runtime::array::key_value(kv)?;
             let mut row: Vec<Value> = Vec::with_capacity(4);
             if !p_owned.bind_values(&k, &mut row) {
@@ -713,7 +703,16 @@ impl Pipe {
             return self.data.map_expr(rx);
         }
         self.data
-            .map(move |row| r.eval(row.as_tuple().expect("env row")))
+            .map_as("head", move |row| r.eval(row.as_tuple().expect("env row")))
+    }
+}
+
+/// The engine-visible shape of a generator pattern.
+fn shape_of(p: &Pattern) -> Shape {
+    match p {
+        Pattern::Var(_) => Shape::Bind,
+        Pattern::Wild => Shape::Skip,
+        Pattern::Tuple(ps) => Shape::Tuple(ps.iter().map(shape_of).collect()),
     }
 }
 

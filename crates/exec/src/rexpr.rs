@@ -295,7 +295,7 @@ pub fn to_row_expr(r: &RExpr) -> Option<RowExpr> {
         RExpr::Tuple(fs) => Some(RowExpr::Tuple(
             fs.iter().map(to_row_expr).collect::<Option<Vec<_>>>()?,
         )),
-        RExpr::Proj(inner, f) => Some(RowExpr::Field(Box::new(to_row_expr(inner)?), f.clone())),
+        RExpr::Proj(inner, f) => Some(RowExpr::field(to_row_expr(inner)?, f.as_str())),
         RExpr::Record(_) | RExpr::Agg(_, _) | RExpr::Slow { .. } => None,
     }
 }

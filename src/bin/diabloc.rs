@@ -28,14 +28,17 @@
 //!
 //! Engine flags (for `run` and `explain` only):
 //!
-//! * `--backend <name>` selects the execution backend: `local`
-//!   (tuple-at-a-time, the default), `tile` (batch-at-a-time, tuned for
-//!   tiled-matrix workloads), `spill` (budgeted exchanges that spill
-//!   to disk, plus adaptive stage re-chunking), `morsel` (narrow
-//!   stages split into fixed-size morsels for the work-stealing pool),
-//!   or `columnar` (transparent fused chains lowered to typed column
-//!   chunks and run batch-at-a-time, with per-stage row fallback for
-//!   opaque UDFs; `DIABLO_COLUMNAR_BATCH` sizes the batch).
+//! * `--backend <name>` selects the execution backend: `columnar` (the
+//!   default: stages whose steps are all transparent run as typed column
+//!   chunks, batch-at-a-time — total aggregations fold the last column
+//!   directly — and every other stage runs tuple-at-a-time;
+//!   `DIABLO_COLUMNAR_BATCH` sizes the batch), `local` (tuple-at-a-time
+//!   everywhere: the row reference the default is held byte-identical
+//!   to, and the one to pick when bisecting a suspected vectorization
+//!   bug), `tile` (batch-at-a-time, tuned for tiled-matrix workloads),
+//!   `spill` (budgeted exchanges that spill to disk, plus adaptive stage
+//!   re-chunking), or `morsel` (narrow stages split into fixed-size
+//!   morsels for the work-stealing pool).
 //!   Results are identical across backends; only the execution strategy
 //!   changes.
 //! * `--workers N` / `--partitions N` size the engine context (default:
@@ -61,7 +64,9 @@
 //! run, every program variable is printed (collections truncated).
 //!
 //! `explain` renders the engine's physical plan — one line per fused
-//! per-partition stage, shuffle, and broadcast. Inputs that are not bound
+//! per-partition stage, shuffle, and broadcast; on the default backend
+//! each stage also says `layout: columnar` or `layout: row (opaque …)`,
+//! naming the step that kept it on the row path. Inputs that are not bound
 //! on the command line are synthesized from their declared types (small
 //! representative collections, default scalars), so any program can be
 //! explained without data files.

@@ -9,7 +9,7 @@ use diablo_dataflow::{
     executor_named, ColumnarExecutor, Context, Dataset, Executor, LocalExecutor, MorselExecutor,
     RowExpr, SpillExecutor, TileExecutor,
 };
-use diablo_runtime::{array::key_value, BinOp, RuntimeError, Value};
+use diablo_runtime::{array::key_value, AggOp, BinOp, RuntimeError, Value};
 
 /// The backends under test. The tile executor runs with a deliberately
 /// tiny batch so partition sizes exercise partial and multi-tile paths;
@@ -381,6 +381,194 @@ fn columnar_falls_back_per_stage_on_opaque_steps() {
         "opaque closure must be counted as a row fallback: {after:?}"
     );
     assert_eq!(after.vectorized_batches, 0, "{after:?}");
+}
+
+/// `Dataset::aggregate` is `Dataset::reduce` with a visible monoid: the
+/// same value to the last bit on every backend, whether the chain is
+/// transparent (the columnar backend folds typed lanes), opaque (row
+/// fallback), or the monoid has no lane kernel (tuple sums, `argmin`).
+#[test]
+fn backends_agree_on_total_aggregations() {
+    // (i, x, flag) rows; x mixes magnitudes so a double sum depends on
+    // the order it is added in.
+    let rows: Vec<Value> = (0..600i64)
+        .map(|i| {
+            Value::tuple(vec![
+                Value::Long(i),
+                Value::Double((i * 7919 % 1000) as f64 * 1e-3 + (i % 13) as f64 * 1e6),
+                Value::Bool(i % 97 != 96),
+            ])
+        })
+        .collect();
+    type Build = fn(&Dataset) -> Dataset;
+    let cases: Vec<(&str, BinOp, Build)> = vec![
+        ("f64 sum", BinOp::Add, |d| {
+            d.map_expr(RowExpr::Col(1)).unwrap()
+        }),
+        ("f64 product", BinOp::Mul, |d| {
+            d.map_expr(RowExpr::Bin(
+                BinOp::Add,
+                Box::new(RowExpr::Const(Value::Double(1.0))),
+                Box::new(RowExpr::Bin(
+                    BinOp::Mul,
+                    Box::new(RowExpr::Col(1)),
+                    Box::new(RowExpr::Const(Value::Double(1e-9))),
+                )),
+            ))
+            .unwrap()
+        }),
+        ("long sum", BinOp::Add, |d| {
+            d.map_expr(RowExpr::Col(0)).unwrap()
+        }),
+        ("f64 min", BinOp::Min, |d| {
+            d.map_expr(RowExpr::Col(1)).unwrap()
+        }),
+        ("long max", BinOp::Max, |d| {
+            d.map_expr(RowExpr::Col(0)).unwrap()
+        }),
+        ("and", BinOp::And, |d| d.map_expr(RowExpr::Col(2)).unwrap()),
+        ("or", BinOp::Or, |d| d.map_expr(RowExpr::Col(2)).unwrap()),
+        ("tuple sum", BinOp::Add, |d| {
+            d.map_expr(RowExpr::Tuple(vec![RowExpr::Col(1), RowExpr::Col(0)]))
+                .unwrap()
+        }),
+        ("argmin", BinOp::ArgMin, |d| {
+            d.map_expr(RowExpr::Tuple(vec![RowExpr::Col(0), RowExpr::Col(1)]))
+                .unwrap()
+        }),
+        ("mixed long + double", BinOp::Add, |d| {
+            // Partition partials are doubles, the seed rows longs.
+            d.map(|r| {
+                let t = r.as_tuple().unwrap();
+                Ok(if t[0].as_long().unwrap() % 2 == 0 {
+                    t[0].clone()
+                } else {
+                    t[1].clone()
+                })
+            })
+            .unwrap()
+        }),
+        ("filtered to nothing", BinOp::Add, |d| {
+            d.filter_expr(RowExpr::Bin(
+                BinOp::Lt,
+                Box::new(RowExpr::Col(0)),
+                Box::new(RowExpr::Const(Value::Long(0))),
+            ))
+            .unwrap()
+            .map_expr(RowExpr::Col(1))
+            .unwrap()
+        }),
+    ];
+    for (what, op, build) in cases {
+        let agg = AggOp::new(op).expect("commutative");
+        let reference = {
+            let ctx = ctx_for(Arc::new(LocalExecutor));
+            build(&ctx.from_vec(rows.clone()))
+                .reduce(|a, b| op.apply(a, b))
+                .unwrap()
+        };
+        if what == "filtered to nothing" {
+            assert_eq!(reference, None);
+        } else {
+            assert!(reference.is_some(), "{what}");
+        }
+        for exec in backends() {
+            let name = exec.name();
+            let ctx = ctx_for(exec);
+            let got = build(&ctx.from_vec(rows.clone())).aggregate(agg).unwrap();
+            // Debug, not `==`: `Long(2) == Double(2.0)`, and the claim is
+            // the same bits.
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{reference:?}"),
+                "{what}: backend `{name}` diverged"
+            );
+        }
+    }
+}
+
+/// The paper's total aggregations, source to scalar: the default engine
+/// (columnar, at batch widths that cut tiles mid-partition) against the
+/// `local` row reference at every pool width — byte-identical values, fully
+/// vectorized.
+#[test]
+fn total_aggregation_programs_match_the_row_reference() {
+    const SRC: &str = r#"
+        input V: vector[double];
+        input N: vector[long];
+        var sum: double = 0.0;
+        var small: double = 0.0;
+        var none: double = 0.0;
+        var all: bool = true;
+        var any: bool = false;
+        var lo: double = 1000000000.0;
+        var hi: long = 0;
+        var prod: long = 1;
+        for v in V do {
+            sum += v;
+            if (v < 0.5) small += v;
+            if (v < 0.0 - 1.0) none += v;
+            all := all && v < 900.0;
+            any := any || v > 12000000.0;
+            lo := min(lo, v);
+        };
+        for n in N do {
+            hi := max(hi, n * 3);
+            prod *= n % 3 + 1;
+        };
+    "#;
+    const OUTPUTS: [&str; 8] = ["sum", "small", "none", "all", "any", "lo", "hi", "prod"];
+    let compiled = diablo_core::compile(SRC).unwrap();
+    let run = |exec: Arc<dyn Executor>, workers: usize, empty: bool| {
+        let ctx = Context::new(workers, 5).with_executor(exec);
+        let mut s = diablo_exec::Session::new(ctx.clone());
+        let n = if empty { 0 } else { 1000i64 };
+        s.bind_input(
+            "V",
+            (0..n)
+                .map(|i| {
+                    let x = (i * 7919 % 1000) as f64 * 1e-3 + (i % 13) as f64 * 1e6;
+                    Value::pair(Value::Long(i), Value::Double(x))
+                })
+                .collect(),
+        );
+        s.bind_input(
+            "N",
+            (0..n)
+                .map(|i| Value::pair(Value::Long(i), Value::Long(i * 31 % 977)))
+                .collect(),
+        );
+        // On empty input `min` has no identity to fall back on: the run
+        // stops there, with the same error and the same scalars so far.
+        let outcome = s.run(&compiled).map_err(|e| e.message);
+        assert_eq!(outcome.is_err(), empty, "{outcome:?}");
+        let mut values = vec![format!("{outcome:?}")];
+        values.extend(
+            OUTPUTS
+                .iter()
+                .map(|name| format!("{name} = {:?}", s.scalar(name).unwrap())),
+        );
+        (values, ctx.stats().snapshot())
+    };
+    for empty in [false, true] {
+        let (reference, _) = run(Arc::new(LocalExecutor), 1, empty);
+        for workers in [1, 2, 4] {
+            let (row, _) = run(Arc::new(LocalExecutor), workers, empty);
+            assert_eq!(row, reference, "local at {workers} workers");
+            for batch in [1, 7, 4096] {
+                let (got, stats) = run(Arc::new(ColumnarExecutor::new(batch)), workers, empty);
+                assert_eq!(
+                    got, reference,
+                    "batch {batch}, {workers} workers, empty input: {empty}"
+                );
+                assert_eq!(stats.row_fallback_stages, 0, "{stats:?}");
+                if !empty {
+                    assert_eq!(stats.physical_stages, 8, "one stage per aggregation");
+                    assert!(stats.vectorized_batches > 0, "{stats:?}");
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -365,6 +365,80 @@ fn columnar_mid_batch_failures_match_the_row_path_byte_for_byte() {
 }
 
 #[test]
+fn poisoned_total_aggregation_fails_like_the_row_reference() {
+    // `q += 1000 / (n - 137)`: the aggregated expression divides by zero
+    // on the 137th row, mid-tile at every batch width but 1. The default
+    // engine folds columns and replays the failing tile, and must raise
+    // what the `local` row reference raises — message and statement tag
+    // — at every batch width and pool width, leaving `q` unassigned.
+    let compiled = compile(
+        "input N: vector[long];
+         var q: long = 7;
+         for n in N do q += 1000 / (n - 137);",
+    )
+    .unwrap();
+    let run = |exec: Arc<dyn Executor>, workers: usize| -> (RuntimeError, Option<Value>) {
+        let mut s = Session::new(Context::new(workers, 5).with_executor(exec));
+        s.bind_input("N", vec_rows(&(0..300).map(|i| (i, i)).collect::<Vec<_>>()));
+        let err = s.run(&compiled).unwrap_err();
+        (err, s.scalar("q"))
+    };
+    let (reference, q) = run(Arc::new(LocalExecutor), 1);
+    assert!(
+        reference.message.contains("division by zero"),
+        "{reference}"
+    );
+    assert!(reference.message.contains("s1:q"), "{reference}");
+    assert_eq!(q, Some(Value::Long(7)));
+    for workers in [1, 2, 4] {
+        for batch in [1, 7, 4096] {
+            let (err, q_after) = run(Arc::new(ColumnarExecutor::new(batch)), workers);
+            assert_eq!(
+                err.message, reference.message,
+                "batch {batch}, {workers} workers"
+            );
+            assert_eq!(q_after, q);
+        }
+    }
+}
+
+#[test]
+fn a_failing_fold_wins_over_a_later_failing_step() {
+    // Row 1 cannot be `&&`-ed (the rows are longs), row 15 divides by
+    // zero. Tuple-at-a-time execution folds row 1 before it ever maps row
+    // 15, so the fold's error is the canonical first one — also when a
+    // whole tile's steps ran (and failed) before any of it was folded.
+    let and = diablo_runtime::AggOp::new(BinOp::And).unwrap();
+    let run = |exec: Arc<dyn Executor>| -> RuntimeError {
+        let ctx = Context::new(2, 1).with_executor(exec);
+        ctx.set_statement_label(Some("s2: ok := &&/ 1000 / (V[i] - 15)"));
+        let d = ctx
+            .from_vec((0..40).map(Value::Long).collect())
+            .map_expr(RowExpr::Bin(
+                BinOp::Div,
+                Box::new(RowExpr::Const(Value::Long(1000))),
+                Box::new(RowExpr::Bin(
+                    BinOp::Sub,
+                    Box::new(RowExpr::Input),
+                    Box::new(RowExpr::Const(Value::Long(15))),
+                )),
+            ))
+            .unwrap();
+        ctx.set_statement_label(None);
+        d.aggregate(and).unwrap_err()
+    };
+    let reference = run(Arc::new(LocalExecutor));
+    assert!(
+        reference.message.contains("expects booleans"),
+        "{reference}"
+    );
+    for batch in [1, 4, 64] {
+        let got = run(Arc::new(ColumnarExecutor::new(batch)));
+        assert_eq!(got.message, reference.message, "batch {batch}");
+    }
+}
+
+#[test]
 fn deep_nesting_is_handled() {
     // Four nested range loops, all eliminated into one bulk statement.
     let src = "var T: matrix[long] = matrix();

@@ -1,12 +1,15 @@
 //! Lint sweep over every Fig. 3 workload program.
 //!
 //! `diabloc lint` must stay quiet on the paper's own benchmark
-//! programs, except for the documented allow-list below: workloads
+//! programs, except for the documented allow-lists below: workloads
 //! that group by *data* (word counts, histograms, key join products)
 //! genuinely shuffle on every run, and the D020 shuffle forecast is
-//! supposed to say so. Anything else — a new warning code, or D020 on
-//! a workload that used to compile shuffle-free — fails this test so
-//! the change gets looked at instead of silently regressing the lints.
+//! supposed to say so; workloads with a keyed or joining step run that
+//! stage on the row path, and the D025 row-fallback forecast says so (the
+//! second test holds D025 to what the engine actually does). Anything
+//! else — a new warning code, or a forecast on a workload that used to
+//! compile without it — fails this test so the change gets looked at
+//! instead of silently regressing the lints.
 
 use std::collections::BTreeSet;
 
@@ -24,10 +27,26 @@ const ALLOWED_D020: &[&str] = &[
     "Group By",
 ];
 
+/// Workloads with a stage the engine cannot vectorize — a group-by's keyed
+/// map, a join, a range expansion: every D020 workload, plus Matrix
+/// Addition, whose only keyed step is the join of its two operands.
+const ALLOWED_D025: &[&str] = &[
+    "Equal Frequency",
+    "Word Count",
+    "Histogram",
+    "Matrix Multiplication",
+    "KMeans",
+    "PageRank",
+    "Matrix Factorization",
+    "Group By",
+    "Matrix Addition",
+];
+
 #[test]
 fn fig3_workloads_lint_clean_or_allow_listed() {
     let mut violations = Vec::new();
     let mut warned = BTreeSet::new();
+    let mut row_path = BTreeSet::new();
     for (name, src) in diablo_workloads::programs::all_programs() {
         let mut diags = diablo_diag::Diagnostics::new();
         let Some((tp, compiled)) = diablo_core::compile_multi(src, &mut diags) else {
@@ -35,9 +54,10 @@ fn fig3_workloads_lint_clean_or_allow_listed() {
             continue;
         };
         for d in diablo_core::lint_program(&tp, &compiled) {
-            let allowed = d.code == diablo_diag::codes::SHUFFLE && ALLOWED_D020.contains(&name);
-            if allowed {
+            if d.code == diablo_diag::codes::SHUFFLE && ALLOWED_D020.contains(&name) {
                 warned.insert(name);
+            } else if d.code == diablo_diag::codes::ROW_FALLBACK && ALLOWED_D025.contains(&name) {
+                row_path.insert(name);
             } else {
                 violations.push(format!("{name}: unexpected {}", d.one_line()));
             }
@@ -48,12 +68,58 @@ fn fig3_workloads_lint_clean_or_allow_listed() {
         "fig-3 lint sweep found unexpected diagnostics:\n  {}",
         violations.join("\n  ")
     );
-    // The allow-list must also stay honest: every entry still warns, so
+    // The allow-lists must also stay honest: every entry still warns, so
     // stale names can't accumulate after a workload is rewritten.
     for name in ALLOWED_D020 {
         assert!(
             warned.contains(name),
             "allow-list entry `{name}` no longer emits D020; remove it"
+        );
+    }
+    for name in ALLOWED_D025 {
+        assert!(
+            row_path.contains(name),
+            "allow-list entry `{name}` no longer emits D025; remove it"
+        );
+    }
+}
+
+/// The D025 forecast against the engine: a Fig. 3 program gets the
+/// row-fallback warning exactly when the default engine runs at least one
+/// of its stages on the row path.
+#[test]
+fn d025_fires_iff_a_stage_falls_back_on_the_default_engine() {
+    use diablo_dataflow::{ColumnarExecutor, Context};
+    for w in diablo_workloads::figure3_workloads(1, 11) {
+        let mut diags = diablo_diag::Diagnostics::new();
+        let (tp, compiled) = diablo_core::compile_multi(w.source, &mut diags)
+            .unwrap_or_else(|| panic!("{}: failed to compile", w.name));
+        let forecast = diablo_core::lint_program(&tp, &compiled)
+            .iter()
+            .any(|d| d.code == diablo_diag::codes::ROW_FALLBACK);
+        // The default backend, pinned so a suite-wide DIABLO_BACKEND
+        // cannot swap in an engine that never counts fallbacks.
+        let ctx =
+            Context::new(2, 4).with_executor(std::sync::Arc::new(ColumnarExecutor::default()));
+        let mut s = diablo_exec::Session::new(ctx.clone());
+        for (name, v) in &w.scalars {
+            s.bind_scalar(name, v.clone());
+        }
+        for (name, rows) in &w.collections {
+            s.bind_input(name, rows.clone());
+        }
+        ctx.start_plan_trace();
+        s.run(&compiled)
+            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let trace = ctx.take_plan_trace();
+        let fallbacks = ctx.stats().snapshot().row_fallback_stages;
+        assert_eq!(
+            forecast,
+            fallbacks > 0,
+            "{}: D025 {} but {fallbacks} stage(s) fell back:\n{}",
+            w.name,
+            if forecast { "fired" } else { "was silent" },
+            trace.join("\n"),
         );
     }
 }

@@ -8,9 +8,8 @@ use diablo_exec::Session;
 use diablo_runtime::Value;
 use diablo_workloads as wl;
 
-/// Runs a workload and returns the statistics delta for the run.
-fn stats_of(w: &wl::Workload, ctx: &Context) -> StatsSnapshot {
-    let compiled = compile(w.source).expect("compiles");
+/// A session on `ctx` with the workload's inputs bound.
+fn session_for(w: &wl::Workload, ctx: &Context) -> Session {
     let mut s = Session::new(ctx.clone());
     for (n, v) in &w.scalars {
         s.bind_scalar(n, v.clone());
@@ -18,6 +17,13 @@ fn stats_of(w: &wl::Workload, ctx: &Context) -> StatsSnapshot {
     for (n, rows) in &w.collections {
         s.bind_input(n, rows.clone());
     }
+    s
+}
+
+/// Runs a workload and returns the statistics delta for the run.
+fn stats_of(w: &wl::Workload, ctx: &Context) -> StatsSnapshot {
+    let compiled = compile(w.source).expect("compiles");
+    let mut s = session_for(w, ctx);
     let before = ctx.stats().snapshot();
     s.run(&compiled).expect("runs");
     ctx.stats().snapshot().since(&before)
@@ -291,9 +297,73 @@ fn plan_trace_notes_the_layout_per_stage_under_the_columnar_backend() {
     let _ = d.map(|v| Ok(v.clone())).expect("map").collect();
     let trace = ctx.take_plan_trace().join("\n");
     assert!(
-        trace.contains("layout: row ("),
+        trace.contains("layout: row (opaque map)"),
         "opaque chain must name its row-path reason: {trace}"
     );
+
+    // A driver layer names its closures; the note quotes the name.
+    ctx.start_plan_trace();
+    let _ = d
+        .map_as("keyed map", |v| Ok(Value::pair(v.clone(), Value::Long(1))))
+        .expect("map_as")
+        .collect();
+    let trace = ctx.take_plan_trace().join("\n");
+    assert!(
+        trace.contains("layout: row (opaque keyed map)"),
+        "the note must name the opaque step: {trace}"
+    );
+}
+
+#[test]
+fn scan_programs_run_as_one_vectorized_reduce_per_aggregation() {
+    // Fig. 3 A, B, C, F on the default engine: every total aggregation is
+    // one stage that ends in the engine's reduce — not a materialized bag
+    // folded on the driver — and every one of those stages is columnar.
+    // Statement lines vary with fresh-name counters, so the golden is the
+    // stage lines.
+    use diablo_dataflow::ColumnarExecutor;
+    use std::sync::Arc;
+
+    let golden: [(wl::Workload, &[&str]); 4] = [
+        (
+            wl::conditional_sum(2_000, 1),
+            &["stage 1: scan[4p] → map → filter → map ⇒ reduce (partial fold) (fused 3 narrow ops)"],
+        ),
+        (
+            wl::equal(2_000, 1),
+            &["stage 1: scan[4p] → map → map ⇒ reduce (partial fold) (fused 2 narrow ops)"],
+        ),
+        (
+            wl::string_match(2_000, 1),
+            &["stage 1: scan[4p] → map → map → map → map ⇒ reduce (partial fold) (fused 4 narrow ops)"],
+        ),
+        (
+            wl::linear_regression(2_000, 1),
+            &[
+                "stage 1: scan[4p] → map → map ⇒ reduce (partial fold) (fused 2 narrow ops)",
+                "stage 2: scan[4p] → map → map ⇒ reduce (partial fold) (fused 2 narrow ops)",
+                "stage 3: scan[4p] → map → map → map ⇒ reduce (partial fold) (fused 3 narrow ops)",
+                "stage 4: scan[4p] → map → map → map ⇒ reduce (partial fold) (fused 3 narrow ops)",
+                "stage 5: scan[4p] → map → map → map ⇒ reduce (partial fold) (fused 3 narrow ops)",
+            ],
+        ),
+    ];
+    for (w, stages) in golden {
+        // Pinned, so a suite-wide DIABLO_BACKEND cannot change the layout.
+        let ctx = Context::new(2, 4).with_executor(Arc::new(ColumnarExecutor::default()));
+        let compiled = compile(w.source).expect("compiles");
+        let plan = session_for(&w, &ctx).explain(&compiled).expect("explains");
+        let got: Vec<&str> = plan
+            .lines()
+            .map(str::trim)
+            .filter(|l| l.starts_with("stage ") || l.starts_with("layout:"))
+            .collect();
+        let want: Vec<&str> = stages
+            .iter()
+            .flat_map(|stage| [*stage, "layout: columnar"])
+            .collect();
+        assert_eq!(got, want, "{}:\n{plan}", w.name);
+    }
 }
 
 #[test]
