@@ -27,6 +27,7 @@ pub mod ir;
 pub mod normalize;
 pub mod optimize;
 pub mod pretty;
+pub mod pushdown;
 
 pub use eval::{eval, eval_comp, Env};
 pub use ir::{CExpr, Comprehension, Pattern, Qual};

@@ -1,0 +1,180 @@
+//! Aggregate pushdown through a `group by`.
+//!
+//! After `group by p : k` every variable bound before it and not in `p`
+//! is lifted to a bag. When the rest of the comprehension only ever
+//! *aggregates* those bags with monoids (`+/v`, `max/w`, …), the group-by
+//! never has to build them: it can shuffle `(k, (v, w))` and fold each
+//! field with its monoid — `reduceByKey` instead of `groupByKey`. This
+//! module decides that, for the engine (which then runs the rewritten
+//! tail over pre-aggregated columns) and for the lints that forecast what
+//! the engine will do.
+
+use std::collections::HashSet;
+
+use diablo_runtime::AggOp;
+
+use crate::ir::{CExpr, Qual};
+
+/// A group-by whose lifted variables are all consumed by monoid
+/// aggregations.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Pushdown {
+    /// The distinct aggregations `⊕/v`, in first-use order: the `i`-th is
+    /// available to the rewritten tail as the variable [`agg_col_name`]`(i)`.
+    pub aggs: Vec<(AggOp, String)>,
+    /// The qualifiers after the group-by, over the aggregated columns.
+    pub tail: Vec<Qual>,
+    /// The head, over the aggregated columns.
+    pub head: CExpr,
+}
+
+/// Rewrites what follows a group-by — its `tail` qualifiers and the
+/// `head` — to read pre-aggregated columns instead of aggregating the
+/// `lifted` bags. `None` when a lifted variable is used outside such an
+/// aggregation, which forces the general groupByKey.
+pub fn push_down_aggs(lifted: &HashSet<String>, tail: &[Qual], head: &CExpr) -> Option<Pushdown> {
+    let mut aggs = Vec::new();
+    let tail = tail
+        .iter()
+        .map(|q| {
+            let mut rw = |e: &CExpr| rewrite_aggs(e, lifted, &mut aggs);
+            Some(match q {
+                Qual::Gen(p, e) => Qual::Gen(p.clone(), rw(e)?),
+                Qual::Let(p, e) => Qual::Let(p.clone(), rw(e)?),
+                Qual::Pred(e) => Qual::Pred(rw(e)?),
+                Qual::GroupBy(p, e) => Qual::GroupBy(p.clone(), rw(e)?),
+            })
+        })
+        .collect::<Option<Vec<Qual>>>()?;
+    let head = rewrite_aggs(head, lifted, &mut aggs)?;
+    Some(Pushdown { aggs, tail, head })
+}
+
+/// Rewrites an expression, replacing each aggregation `⊕/v` of a lifted
+/// column with a reference to a pre-aggregated column. Returns `None` if
+/// the expression uses a lifted column outside such an aggregation (which
+/// forces the groupByKey fallback).
+fn rewrite_aggs(
+    e: &CExpr,
+    lifted: &HashSet<String>,
+    found: &mut Vec<(AggOp, String)>,
+) -> Option<CExpr> {
+    match e {
+        CExpr::Agg(op, inner) => {
+            if let CExpr::Var(v) = inner.as_ref() {
+                if lifted.contains(v) {
+                    let idx = found
+                        .iter()
+                        .position(|(o, n)| o == op && n == v)
+                        .unwrap_or_else(|| {
+                            found.push((*op, v.clone()));
+                            found.len() - 1
+                        });
+                    return Some(CExpr::Var(agg_col_name(idx)));
+                }
+            }
+            let inner = rewrite_aggs(inner, lifted, found)?;
+            Some(CExpr::Agg(*op, Box::new(inner)))
+        }
+        CExpr::Var(v) => {
+            if lifted.contains(v) {
+                None // bare use of a lifted variable — cannot push down
+            } else {
+                Some(e.clone())
+            }
+        }
+        CExpr::Const(_) => Some(e.clone()),
+        CExpr::Bin(op, a, b) => Some(CExpr::Bin(
+            *op,
+            Box::new(rewrite_aggs(a, lifted, found)?),
+            Box::new(rewrite_aggs(b, lifted, found)?),
+        )),
+        CExpr::Un(op, a) => Some(CExpr::Un(*op, Box::new(rewrite_aggs(a, lifted, found)?))),
+        CExpr::Call(f, args) => Some(CExpr::Call(
+            *f,
+            args.iter()
+                .map(|a| rewrite_aggs(a, lifted, found))
+                .collect::<Option<Vec<_>>>()?,
+        )),
+        CExpr::Tuple(fs) => Some(CExpr::Tuple(
+            fs.iter()
+                .map(|f| rewrite_aggs(f, lifted, found))
+                .collect::<Option<Vec<_>>>()?,
+        )),
+        CExpr::Record(fs) => Some(CExpr::Record(
+            fs.iter()
+                .map(|(n, f)| Some((n.clone(), rewrite_aggs(f, lifted, found)?)))
+                .collect::<Option<Vec<_>>>()?,
+        )),
+        CExpr::Proj(inner, f) => Some(CExpr::Proj(
+            Box::new(rewrite_aggs(inner, lifted, found)?),
+            f.clone(),
+        )),
+        // Nested comprehensions might close over lifted variables; checking
+        // precisely is possible but not worth it — fall back.
+        CExpr::Comp(_) | CExpr::Merge { .. } | CExpr::Range(_, _) => {
+            let fv = e.free_vars();
+            if fv.iter().any(|v| lifted.contains(v)) {
+                None
+            } else {
+                Some(e.clone())
+            }
+        }
+    }
+}
+
+/// The synthetic column name for the `idx`-th pushed-down aggregation.
+pub fn agg_col_name(idx: usize) -> String {
+    format!("$agg{idx}")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use diablo_runtime::BinOp;
+
+    #[test]
+    fn rewrite_aggs_finds_pushdown() {
+        // (k, +/v) over lifted {v} → (k, $agg0)
+        let lifted: HashSet<String> = ["v".to_string()].into();
+        let e = CExpr::pair(
+            CExpr::var("k"),
+            CExpr::Agg(AggOp::new(BinOp::Add).unwrap(), Box::new(CExpr::var("v"))),
+        );
+        let mut found = Vec::new();
+        let out = rewrite_aggs(&e, &lifted, &mut found).unwrap();
+        assert_eq!(
+            found,
+            vec![(AggOp::new(BinOp::Add).unwrap(), "v".to_string())]
+        );
+        assert_eq!(
+            out,
+            CExpr::pair(CExpr::var("k"), CExpr::var(agg_col_name(0)))
+        );
+    }
+
+    #[test]
+    fn rewrite_aggs_rejects_bare_lifted_use() {
+        let lifted: HashSet<String> = ["v".to_string()].into();
+        let mut found = Vec::new();
+        assert!(rewrite_aggs(&CExpr::var("v"), &lifted, &mut found).is_none());
+    }
+
+    #[test]
+    fn rewrite_aggs_shares_equal_aggregations() {
+        let lifted: HashSet<String> = ["v".to_string()].into();
+        let agg = CExpr::Agg(AggOp::new(BinOp::Add).unwrap(), Box::new(CExpr::var("v")));
+        let e = CExpr::Bin(BinOp::Add, Box::new(agg.clone()), Box::new(agg));
+        let mut found = Vec::new();
+        let out = rewrite_aggs(&e, &lifted, &mut found).unwrap();
+        assert_eq!(found.len(), 1, "same aggregation shares one column");
+        assert_eq!(
+            out,
+            CExpr::Bin(
+                BinOp::Add,
+                Box::new(CExpr::var(agg_col_name(0))),
+                Box::new(CExpr::var(agg_col_name(0)))
+            )
+        );
+    }
+}

@@ -19,9 +19,11 @@
 //!   provably goes negative.
 //! * **D025 row fallback** — a collection-scanning chain with a step the
 //!   engine cannot see through — an opaque expression (a record
-//!   constructor, bag aggregation, nested comprehension, …), a group-by's
-//!   keyed map, a join or expansion — so the default (columnar) engine
-//!   runs that stage tuple-at-a-time. Fires exactly when the run reports
+//!   constructor, bag aggregation, nested comprehension, …), a group-by
+//!   that builds whole groups (one whose grouped variables are only folded
+//!   by monoids is keyed and aggregated in typed columns), a join or
+//!   expansion — so the default (columnar) engine runs that stage
+//!   tuple-at-a-time. Fires exactly when the run reports
 //!   `row_fallback_stages > 0` (held by `tests/lint_workloads.rs`).
 //!
 //! Lints only run on programs that already passed the restriction checks,
@@ -31,6 +33,7 @@
 use std::collections::HashSet;
 
 use diablo_comp::ir::{CExpr, Comprehension, Pattern, Qual};
+use diablo_comp::pushdown::{agg_col_name, push_down_aggs};
 use diablo_diag::{codes, Diagnostic, Span};
 use diablo_lang::ast::{Const, DeclInit, Expr, Lhs, Stmt};
 use diablo_lang::pretty::{pretty_expr, pretty_lhs};
@@ -533,71 +536,100 @@ const HELP_REWRITE: &str = "the stage still runs (row path; reported as `row_fal
      the run stats and as `layout: row` in the plan trace); rewrite the opaque expression with \
      arithmetic/tuple/projection forms if scan performance matters";
 
-/// What to expect of a keyed or multi-generator chain.
+/// What to expect of a step that moves boxed rows.
 const HELP_INHERENT: &str = "the stage still runs (row path; reported as `row_fallback_stages` in \
-     the run stats and as `layout: row` in the plan trace); keyed and joining steps move boxed \
-     rows today, so only the chain's arithmetic can be made columnar";
+     the run stats and as `layout: row` in the plan trace); joins, generator expansions and \
+     group-bys that build whole groups move boxed rows, so only the chain's arithmetic and its \
+     monoid aggregations (`+=`, `min=`, …) can be made columnar";
+
+/// A D025 finding: why a stage falls back, and what to do about it.
+type Fallback = (String, &'static str);
+
+fn opaque_expr(e: &CExpr, what: &str) -> Option<Fallback> {
+    (!columnar_convertible(e)).then(|| {
+        (
+            format!(
+                "{what} contains {}, which has no columnar form",
+                opaque_kind(e)
+            ),
+            HELP_REWRITE,
+        )
+    })
+}
+
+fn inherent(reason: &str) -> Option<Fallback> {
+    Some((reason.to_string(), HELP_INHERENT))
+}
 
 /// The first step of a comprehension's engine pipeline that the pipeline
 /// builder (the exec crate's `run_comp`) can only express as an opaque
-/// closure, as `(reason, help)` — or `None` when every step of the chain
-/// is transparent, or the comprehension never reaches the engine.
-/// `is_source` recognizes generator domains that start a pipeline.
-fn first_opaque_step(
-    c: &Comprehension,
-    is_source: &dyn Fn(&CExpr) -> bool,
-) -> Option<(String, &'static str)> {
-    let opaque_expr = |e: &CExpr, what: &str| {
-        (!columnar_convertible(e)).then(|| {
-            (
-                format!(
-                    "{what} contains {}, which has no columnar form",
-                    opaque_kind(e)
-                ),
-                HELP_REWRITE,
-            )
-        })
-    };
-    let inherent = |reason: &str| Some((reason.to_string(), HELP_INHERENT));
+/// closure — or `None` when every step of the chain is transparent, or
+/// the comprehension never reaches the engine. `is_source` recognizes
+/// generator domains that start a pipeline.
+fn first_opaque_step(c: &Comprehension, is_source: &dyn Fn(&CExpr) -> bool) -> Option<Fallback> {
     // Before the first distributed source everything is bound on the
     // driver; such bindings are crossed into the source rows by a closure.
-    let mut scanning = false;
     let mut driver_bindings = false;
-    for q in &c.quals {
-        let hit = match q {
-            Qual::Gen(_, dom) if !scanning => {
-                if !is_source(dom) {
-                    driver_bindings = true;
-                    None
-                } else if driver_bindings {
+    for (i, q) in c.quals.iter().enumerate() {
+        match q {
+            Qual::Gen(p, dom) if is_source(dom) => {
+                return if driver_bindings {
                     inherent("driver-side bindings are crossed into every source row")
                 } else {
-                    scanning = true;
-                    None
-                }
+                    first_opaque_after_source(&c.quals[i + 1..], &c.head, p.var_list())
+                };
             }
+            Qual::Gen(_, _) | Qual::Let(_, _) => driver_bindings = true,
+            Qual::Pred(_) => {}
+            // Without a source the group-by finishes on the driver.
+            Qual::GroupBy(_, _) => return None,
+        }
+    }
+    None
+}
+
+/// [`first_opaque_step`] once a source is being scanned: `quals` and
+/// `head` are what follows, `cols` the variables the pipeline's rows
+/// carry so far.
+fn first_opaque_after_source(
+    quals: &[Qual],
+    head: &CExpr,
+    mut cols: Vec<String>,
+) -> Option<Fallback> {
+    for (i, q) in quals.iter().enumerate() {
+        let hit = match q {
             Qual::Gen(_, _) => inherent("a second generator joins or expands the scanned rows"),
-            Qual::Let(_, _) if !scanning => {
-                driver_bindings = true;
-                None
+            Qual::Let(Pattern::Var(v), e) => {
+                cols.push(v.clone());
+                opaque_expr(e, "a let binding")
             }
-            Qual::Pred(_) if !scanning => None,
-            Qual::Let(Pattern::Var(_), e) => opaque_expr(e, "a let binding"),
             Qual::Let(_, _) => inherent("a let binding destructures its value"),
             Qual::Pred(e) => opaque_expr(e, "a condition"),
-            // Without a source the group-by finishes on the driver.
-            Qual::GroupBy(_, _) if !scanning => return None,
-            Qual::GroupBy(_, _) => inherent("its group-by keys every row for the shuffle"),
+            Qual::GroupBy(p, key) => {
+                // What the pipeline builder does: when everything after
+                // the group-by only aggregates the lifted variables with
+                // monoids, it keys and folds typed columns and carries on
+                // over the aggregates; otherwise it builds the groups.
+                let key_vars = p.var_list();
+                cols.retain(|c| !key_vars.contains(c));
+                let lifted: HashSet<String> = cols.into_iter().collect();
+                let Some(pushed) = push_down_aggs(&lifted, &quals[i + 1..], head) else {
+                    return inherent(
+                        "its group-by builds whole groups: a grouped variable is used outside \
+                         a monoid aggregation",
+                    );
+                };
+                let mut cols = key_vars;
+                cols.extend((0..pushed.aggs.len()).map(agg_col_name));
+                return opaque_expr(key, "the group-by key")
+                    .or_else(|| first_opaque_after_source(&pushed.tail, &pushed.head, cols));
+            }
         };
         if hit.is_some() {
             return hit;
         }
     }
-    if scanning {
-        opaque_expr(&c.head, "the head")
-    } else {
-        None
-    }
+    opaque_expr(head, "the head")
 }
 
 /// Visits every comprehension inside an expression, outermost first.
@@ -775,6 +807,7 @@ fn visit_blocks(stmts: &[Stmt], f: &mut dyn FnMut(&[Stmt])) {
 mod tests {
     use super::*;
     use diablo_lang::{parse, typecheck};
+    use diablo_runtime::Value;
 
     fn lints(src: &str) -> Vec<Diagnostic> {
         let tp = typecheck(parse(src).unwrap()).unwrap();
@@ -968,20 +1001,49 @@ mod tests {
     }
 
     #[test]
-    fn row_fallback_fires_on_group_by_keyed_map() {
-        // Word-count-style: the aggregation is pushed down to a reduce, but
-        // keying every row for the shuffle is an opaque closure.
+    fn row_fallback_silent_on_a_group_by_of_monoid_aggregations() {
+        // Word-count-style: the key and the aggregated input are plain
+        // expressions and the grouped values are only summed, so the
+        // engine keys and folds typed columns.
         let src = r#"
             input V: vector[long];
             var C: vector[long] = vector();
             for i = 0, 99 do C[V[i]] += 1;
         "#;
         let diags = lints(src);
-        let d = diags
-            .iter()
-            .find(|d| d.code == codes::ROW_FALLBACK)
-            .unwrap_or_else(|| panic!("{diags:?}"));
-        assert!(d.message.contains("group-by"), "{}", d.message);
+        assert!(
+            !codes_of(&diags).contains(&codes::ROW_FALLBACK),
+            "{diags:?}"
+        );
+    }
+
+    fn fallback_of(quals: Vec<Qual>, head: CExpr) -> Option<String> {
+        let c = Comprehension::new(head, quals);
+        first_opaque_step(&c, &|dom| matches!(dom, CExpr::Var(v) if v == "V")).map(|(why, _)| why)
+    }
+
+    #[test]
+    fn row_fallback_after_a_group_by_follows_the_pipeline_builder() {
+        use diablo_runtime::AggOp;
+        let sum = |v: &str| CExpr::Agg(AggOp::new(BinOp::Add).unwrap(), Box::new(CExpr::var(v)));
+        let scan = || Qual::Gen(Pattern::var("v"), CExpr::var("V"));
+        let by_v = || Qual::GroupBy(Pattern::var("k"), CExpr::var("v"));
+        let one = || Qual::Let(Pattern::var("w"), CExpr::Const(Value::Long(1)));
+        // Only aggregated: silent, also for what follows the group-by.
+        let head = CExpr::pair(CExpr::var("k"), sum("w"));
+        assert_eq!(fallback_of(vec![scan(), one(), by_v()], head.clone()), None);
+        // A grouped variable used as a bag: the general groupByKey.
+        let why = fallback_of(vec![scan(), one(), by_v()], CExpr::var("w")).unwrap();
+        assert!(why.contains("builds whole groups"), "{why}");
+        // An opaque key is computed by a closure first.
+        let record = CExpr::Record(vec![("a".into(), CExpr::var("v"))]);
+        let by_record = Qual::GroupBy(Pattern::var("k"), record);
+        let why = fallback_of(vec![scan(), one(), by_record], head.clone()).unwrap();
+        assert!(why.contains("the group-by key"), "{why}");
+        // A second generator after the group-by still joins.
+        let again = Qual::Gen(Pattern::var("u"), CExpr::var("V"));
+        let why = fallback_of(vec![scan(), one(), by_v(), again], head).unwrap();
+        assert!(why.contains("second generator"), "{why}");
     }
 
     #[test]

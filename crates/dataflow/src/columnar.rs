@@ -32,6 +32,11 @@
 //!   (`Dataset::aggregate`): the chain's last column is folded into the
 //!   accumulator as a typed lane, in row order, and no row is reassembled
 //!   at all.
+//! * **[`combine_columnar`]** — the same driver under a keyed aggregation
+//!   (`Dataset::aggregate_by_key`): a [`KeyedFold`] looks the tile's key
+//!   column up in a [`KeyTable`] and folds each value lane into typed
+//!   per-key accumulators, each key's values in row order; a row is boxed
+//!   only for the combined keys the partition emits.
 //!
 //! ## Error identity
 //!
@@ -54,8 +59,10 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
+use diablo_runtime::array::key_value_ref;
 use diablo_runtime::{BinOp, Func, RuntimeError, UnOp, Value};
 
+use crate::keytable::KeyTable;
 use crate::plan::{self, drive, fold_row, ChunkPolicy, DriveMode, Result, Step, StepOp};
 use crate::stats::Stats;
 use crate::{Capabilities, Context, Executor, PartitionTask, Parts, PhysicalPlan};
@@ -131,6 +138,12 @@ impl FieldName {
     fn missing_in(&self, v: &Value) -> RuntimeError {
         RuntimeError::new(format!("value {v} has no field `{}`", self.name))
     }
+
+    /// The selected field of `v`; a value without it is the error
+    /// ``value {v} has no field `{name}` ``.
+    pub fn get<'v>(&self, v: &'v Value) -> Result<&'v Value> {
+        self.of(v).ok_or_else(|| self.missing_in(v))
+    }
 }
 
 /// The nested tuple shape a [`RowExpr::Unpack`] destructures rows against —
@@ -202,13 +215,7 @@ impl RowExpr {
                     .map(|e| e.eval(row))
                     .collect::<Result<Vec<Value>>>()?,
             )),
-            RowExpr::Field(e, name) => {
-                let v = e.eval(row)?;
-                match name.of(&v) {
-                    Some(f) => Ok(f.clone()),
-                    None => Err(name.missing_in(&v)),
-                }
-            }
+            RowExpr::Field(e, name) => name.get(&e.eval(row)?).cloned(),
             RowExpr::Unpack { shape, mismatch } => {
                 let mut out = Vec::with_capacity(4);
                 if !shape.bind(row, &mut out) {
@@ -906,6 +913,304 @@ pub(crate) fn fold_columnar(
     drive_tiles(rows, steps, batch, stats, &mut FoldSink { op, acc })
 }
 
+/// The lane kernel of a monoid over longs: [`BinOp::apply`]'s arithmetic
+/// on two `Value::Long`s, unboxed.
+fn long_kernel(op: BinOp) -> Option<fn(i64, i64) -> i64> {
+    Some(match op {
+        BinOp::Add => i64::wrapping_add,
+        BinOp::Mul => i64::wrapping_mul,
+        BinOp::Min => Ord::min,
+        BinOp::Max => Ord::max,
+        _ => return None,
+    })
+}
+
+/// The lane kernel of a monoid over doubles. `min`/`max` keep the left
+/// operand on ties, as `apply` does.
+fn double_kernel(op: BinOp) -> Option<fn(f64, f64) -> f64> {
+    use std::cmp::Ordering;
+    Some(match op {
+        BinOp::Add => |a, x| a + x,
+        BinOp::Mul => |a, x| a * x,
+        BinOp::Min => |a, x| match a.total_cmp(&x) {
+            Ordering::Greater => x,
+            _ => a,
+        },
+        BinOp::Max => |a, x| match a.total_cmp(&x) {
+            Ordering::Less => x,
+            _ => a,
+        },
+        _ => return None,
+    })
+}
+
+fn bool_kernel(op: BinOp) -> Option<fn(bool, bool) -> bool> {
+    Some(match op {
+        BinOp::And => |a, x| a && x,
+        BinOp::Or => |a, x| a || x,
+        _ => return None,
+    })
+}
+
+/// One aggregate's accumulators, indexed by key slot: a primitive vector
+/// for as long as every value folded in is of that type, boxed values
+/// from the first one that is not.
+enum AccCol {
+    Long(Vec<i64>),
+    Double(Vec<f64>),
+    Bool(Vec<bool>),
+    Val(Vec<Value>),
+}
+
+impl AccCol {
+    fn len(&self) -> usize {
+        match self {
+            AccCol::Long(a) => a.len(),
+            AccCol::Double(a) => a.len(),
+            AccCol::Bool(a) => a.len(),
+            AccCol::Val(a) => a.len(),
+        }
+    }
+
+    fn get(&self, slot: usize) -> Value {
+        match self {
+            AccCol::Long(a) => Value::Long(a[slot]),
+            AccCol::Double(a) => Value::Double(a[slot]),
+            AccCol::Bool(a) => Value::Bool(a[slot]),
+            AccCol::Val(a) => a[slot].clone(),
+        }
+    }
+
+    /// The accumulators as boxed values, converting a primitive vector
+    /// once.
+    fn boxed(&mut self) -> &mut Vec<Value> {
+        if !matches!(self, AccCol::Val(_)) {
+            *self = AccCol::Val((0..self.len()).map(|slot| self.get(slot)).collect());
+        }
+        match self {
+            AccCol::Val(a) => a,
+            _ => unreachable!("just boxed"),
+        }
+    }
+
+    /// Starts the accumulator of a new key (the next slot) at `x`.
+    fn push(&mut self, x: &Value) {
+        if self.len() == 0 {
+            *self = match x {
+                Value::Long(_) => AccCol::Long(Vec::new()),
+                Value::Double(_) => AccCol::Double(Vec::new()),
+                Value::Bool(_) => AccCol::Bool(Vec::new()),
+                _ => AccCol::Val(Vec::new()),
+            };
+        }
+        match (&mut *self, x) {
+            (AccCol::Long(a), Value::Long(n)) => a.push(*n),
+            (AccCol::Double(a), Value::Double(x)) => a.push(*x),
+            (AccCol::Bool(a), Value::Bool(b)) => a.push(*b),
+            _ => self.boxed().push(x.clone()),
+        }
+    }
+
+    /// Folds one boxed value into the accumulator at `slot` — the next
+    /// slot starts a new key — with exactly [`BinOp::apply`]'s result.
+    fn fold_value(&mut self, op: BinOp, slot: usize, x: &Value) -> Result<()> {
+        if slot == self.len() {
+            self.push(x);
+            return Ok(());
+        }
+        match (&mut *self, x) {
+            (AccCol::Long(a), Value::Long(x)) => {
+                if let Some(k) = long_kernel(op) {
+                    a[slot] = k(a[slot], *x);
+                    return Ok(());
+                }
+            }
+            (AccCol::Double(a), Value::Double(x)) => {
+                if let Some(k) = double_kernel(op) {
+                    a[slot] = k(a[slot], *x);
+                    return Ok(());
+                }
+            }
+            (AccCol::Bool(a), Value::Bool(x)) => {
+                if let Some(k) = bool_kernel(op) {
+                    a[slot] = k(a[slot], *x);
+                    return Ok(());
+                }
+            }
+            _ => {}
+        }
+        let vals = self.boxed();
+        vals[slot] = op.apply(&vals[slot], x)?;
+        Ok(())
+    }
+
+    /// Folds a whole primitive lane into the accumulators its rows' key
+    /// slots name, in row order, when the lane, the accumulators and `op`
+    /// have a kernel in common. `false` (nothing folded) otherwise.
+    fn fold_lane(&mut self, op: BinOp, slots: &[u32], lane: &VCol) -> bool {
+        fn scatter<T: Copy>(acc: &mut Vec<T>, slots: &[u32], lane: &Lane<'_, T>, k: fn(T, T) -> T) {
+            // Slots are handed out in first-seen order, so a slot past the
+            // end is always the very next one: a new key's first value.
+            let mut fold = |s: u32, x: T| match acc.get_mut(s as usize) {
+                Some(a) => *a = k(*a, x),
+                None => acc.push(x),
+            };
+            match lane {
+                Lane::V(xs) => slots.iter().zip(xs.iter()).for_each(|(&s, &x)| fold(s, x)),
+                Lane::C(x) => slots.iter().for_each(|&s| fold(s, *x)),
+            }
+        }
+        if self.len() == 0 {
+            if lane_i64(lane).is_some() {
+                *self = AccCol::Long(Vec::new());
+            } else if lane_f64(lane).is_some() {
+                *self = AccCol::Double(Vec::new());
+            } else if lane_bool(lane).is_some() {
+                *self = AccCol::Bool(Vec::new());
+            }
+        }
+        match self {
+            AccCol::Long(acc) => match (lane_i64(lane), long_kernel(op)) {
+                (Some(lane), Some(k)) => scatter(acc, slots, &lane, k),
+                _ => return false,
+            },
+            AccCol::Double(acc) => match (lane_f64(lane), double_kernel(op)) {
+                (Some(lane), Some(k)) => scatter(acc, slots, &lane, k),
+                _ => return false,
+            },
+            AccCol::Bool(acc) => match (lane_bool(lane), bool_kernel(op)) {
+                (Some(lane), Some(k)) => scatter(acc, slots, &lane, k),
+                _ => return false,
+            },
+            AccCol::Val(_) => return false,
+        }
+        true
+    }
+}
+
+/// A keyed aggregation in progress — `reduce_by_key` with one monoid per
+/// field of the value tuple: the third [`TileSink`]. Rows are
+/// `(key, (v1, …, vn))`; every distinct key gets a slot in a [`KeyTable`]
+/// and one accumulator per monoid, and leaves as `(key, (a1, …, an))` in
+/// first-seen order.
+///
+/// On the vectorized path a tile's key column is hashed where it lies and
+/// each value lane is folded into its typed accumulators without boxing a
+/// row. Each key's values are folded in row order either way, so doubles
+/// round exactly as in a row-at-a-time combine.
+pub(crate) struct KeyedFold<'o> {
+    ops: &'o [BinOp],
+    keys: KeyTable<()>,
+    accs: Vec<AccCol>,
+    /// The current tile's key slot per row (scratch, reused).
+    slots: Vec<u32>,
+}
+
+impl<'o> KeyedFold<'o> {
+    pub(crate) fn new(ops: &'o [BinOp]) -> KeyedFold<'o> {
+        KeyedFold {
+            ops,
+            keys: KeyTable::new(),
+            accs: ops.iter().map(|_| AccCol::Val(Vec::new())).collect(),
+            slots: Vec::new(),
+        }
+    }
+
+    /// Folds one boxed `(key, (v1, …, vn))` row.
+    pub(crate) fn row(&mut self, row: &Value) -> Result<()> {
+        let (key, vals) = key_value_ref(row)?;
+        let vals = vals
+            .as_tuple()
+            .filter(|vs| vs.len() == self.ops.len())
+            .ok_or_else(|| {
+                RuntimeError::new(format!(
+                    "keyed aggregation expects {} value(s) per key, got {vals}",
+                    self.ops.len()
+                ))
+            })?;
+        let slot = self.keys.upsert(Cow::Borrowed(key), || ()).slot;
+        for ((acc, &op), x) in self.accs.iter_mut().zip(self.ops).zip(vals) {
+            acc.fold_value(op, slot, x)?;
+        }
+        Ok(())
+    }
+
+    /// Hands out every key with its tuple of aggregates, in first-seen
+    /// order — the only place a combined row is boxed.
+    pub(crate) fn finish(self, emit: &mut dyn FnMut(Value, Value) -> Result<()>) -> Result<()> {
+        let accs = self.accs;
+        for (slot, (key, ())) in self.keys.into_entries().enumerate() {
+            emit(
+                key,
+                Value::tuple(accs.iter().map(|a| a.get(slot)).collect()),
+            )?;
+        }
+        Ok(())
+    }
+}
+
+impl TileSink for KeyedFold<'_> {
+    fn tile(&mut self, col: &VCol, len: usize) -> Result<()> {
+        // The keyed map builds `(key, (v1, …, vn))` as struct-of-arrays;
+        // anything else (boxed pairs passed through) folds row by row.
+        let columns = match col {
+            VCol::Tuple(kv) => match kv.as_slice() {
+                [keys, VCol::Tuple(lanes)] if lanes.len() == self.ops.len() => Some((keys, lanes)),
+                _ => None,
+            },
+            _ => None,
+        };
+        let Some((keys, lanes)) = columns else {
+            return (0..len).try_for_each(|i| self.row(&col.at(i)));
+        };
+        let mut slots = std::mem::take(&mut self.slots);
+        slots.clear();
+        match keys {
+            VCol::Const(key) => {
+                let slot = self.keys.upsert(Cow::Borrowed(key), || ()).slot;
+                slots.resize(len, slot as u32);
+            }
+            _ => slots.extend((0..len).map(|i| self.keys.upsert(keys.at(i), || ()).slot as u32)),
+        }
+        // Primitive lanes first, a lane at a time: their kernels cannot
+        // fail. The rest goes through `apply` row by row, lanes in order
+        // within a row, so the first error is the row path's.
+        let mut boxed = Vec::new();
+        for (j, lane) in lanes.iter().enumerate() {
+            if !self.accs[j].fold_lane(self.ops[j], &slots, lane) {
+                boxed.push(j);
+            }
+        }
+        if !boxed.is_empty() {
+            for (i, &slot) in slots.iter().enumerate() {
+                for &j in &boxed {
+                    self.accs[j].fold_value(self.ops[j], slot as usize, &lanes[j].at(i))?;
+                }
+            }
+        }
+        self.slots = slots;
+        Ok(())
+    }
+
+    fn row(&mut self, row: Value) -> Result<()> {
+        KeyedFold::row(self, &row)
+    }
+}
+
+/// Folds a run of source rows through an eligible chain into a keyed
+/// aggregation. Keys, their order, their aggregates, the first error and
+/// its statement tag are identical to feeding [`drive`]'s output to
+/// [`KeyedFold::row`].
+pub(crate) fn combine_columnar(
+    rows: &[Value],
+    steps: &[Step],
+    batch: usize,
+    stats: &Stats,
+    fold: &mut KeyedFold<'_>,
+) -> Result<()> {
+    drive_tiles(rows, steps, batch, stats, fold)
+}
+
 /// The columnar backend — the engine's default: identical plans, stage
 /// structure, shuffles, and results, but fused narrow chains whose steps are all transparent
 /// ([`RowExpr`]-described) run batch-at-a-time over typed column chunks.
@@ -1271,6 +1576,120 @@ mod tests {
                 );
                 assert!(stats.snapshot().vectorized_batches > 0);
             }
+        }
+    }
+
+    /// Runs a keyed aggregation over `rows` through `steps`, by tile and by
+    /// row, and returns what each emitted (or raised).
+    fn combine_both(
+        rows: &[Value],
+        steps: &[Step],
+        ops: &[BinOp],
+        batch: usize,
+    ) -> (Result<Vec<Value>>, Result<Vec<Value>>) {
+        let finish = |fold: KeyedFold<'_>| {
+            let mut out = Vec::new();
+            fold.finish(&mut |k, v| {
+                out.push(Value::pair(k, v));
+                Ok(())
+            })
+            .map(|()| out)
+        };
+        let stats = Stats::default();
+        let mut by_tile = KeyedFold::new(ops);
+        let tiled = combine_columnar(rows, steps, batch, &stats, &mut by_tile)
+            .and_then(|()| finish(by_tile));
+        let mut by_row = KeyedFold::new(ops);
+        let rowed = rows
+            .iter()
+            .try_for_each(|row| drive(row, steps, &mut |v| by_row.row(&v)))
+            .and_then(|()| finish(by_row));
+        (tiled, rowed)
+    }
+
+    #[test]
+    fn keyed_folds_equal_row_folds_to_the_bit() {
+        // (i, x, word): doubles of mixed magnitude, so re-association or
+        // a changed per-key order changes a sum.
+        let words = ["apple", "pear", "plum"];
+        let rows: Vec<Value> = (0..1000i64)
+            .map(|i| {
+                Value::tuple(vec![
+                    Value::Long(i),
+                    Value::Double((i * 7919 % 1000) as f64 * 1e-3 + (i % 13) as f64 * 1e6),
+                    Value::str(words[(i * 7 % 3) as usize]),
+                ])
+            })
+            .collect();
+        let keyed = |key: RowExpr| {
+            vec![step_map(
+                RowExpr::Tuple(vec![
+                    key,
+                    RowExpr::Tuple(vec![
+                        RowExpr::Col(1),
+                        RowExpr::Const(Value::Long(1)),
+                        RowExpr::Col(0),
+                        RowExpr::Tuple(vec![RowExpr::Col(0), RowExpr::Col(1)]),
+                    ]),
+                ]),
+                None,
+            )]
+        };
+        let ops = [BinOp::Add, BinOp::Add, BinOp::Max, BinOp::ArgMin];
+        let keys = [
+            bin(BinOp::Mod, RowExpr::Col(0), RowExpr::Const(Value::Long(17))),
+            RowExpr::Col(2),
+            RowExpr::Tuple(vec![
+                RowExpr::Col(2),
+                bin(BinOp::Mod, RowExpr::Col(0), RowExpr::Const(Value::Long(2))),
+            ]),
+            RowExpr::Const(Value::Unit),
+        ];
+        for key in keys {
+            let steps = keyed(key);
+            for batch in [1, 7, 256, 4096] {
+                let (tiled, rowed) = combine_both(&rows, &steps, &ops, batch);
+                let tiled = tiled.unwrap();
+                assert!(!tiled.is_empty());
+                assert_eq!(format!("{tiled:?}"), format!("{:?}", rowed.unwrap()));
+            }
+        }
+    }
+
+    #[test]
+    fn a_keyed_fold_that_fails_raises_the_row_paths_error() {
+        // Row 30 starts a key with a string where every other value is a
+        // long, so row 31 (same key) cannot be added to it; row 60 divides
+        // by zero in the keyed map. Whichever tile boundaries fall between
+        // them, the fold's error on row 31 comes first.
+        let rows: Vec<Value> = (0..100i64)
+            .map(|i| {
+                Value::pair(
+                    Value::Long(i),
+                    if i == 30 {
+                        Value::str("thirty")
+                    } else {
+                        Value::Long(i)
+                    },
+                )
+            })
+            .collect();
+        let steps = vec![step_map(
+            RowExpr::Tuple(vec![
+                bin(
+                    BinOp::Div,
+                    RowExpr::Const(Value::Long(600)),
+                    bin(BinOp::Sub, RowExpr::Col(0), RowExpr::Const(Value::Long(60))),
+                ),
+                RowExpr::Tuple(vec![RowExpr::Col(1)]),
+            ]),
+            Some("s2:C"),
+        )];
+        for batch in [1, 8, 4096] {
+            let (tiled, rowed) = combine_both(&rows, &steps, &[BinOp::Add], batch);
+            let (tiled, rowed) = (tiled.unwrap_err(), rowed.unwrap_err());
+            assert_eq!(tiled.to_string(), rowed.to_string(), "batch {batch}");
+            assert!(tiled.message.contains("got string and long"), "{tiled}");
         }
     }
 

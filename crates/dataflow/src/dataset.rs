@@ -41,25 +41,113 @@
 //! [`Dataset::try_collect`] / [`Dataset::materialize`] where a deferred
 //! error must be handled gracefully.
 
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use diablo_runtime::{array::key_value, size::slice_size, AggOp, RuntimeError, Value};
+use diablo_runtime::array::{key_value, key_value_ref};
+use diablo_runtime::{size::slice_size, AggOp, BinOp, RuntimeError, Value};
 
+use crate::columnar::KeyedFold;
 use crate::exchange::{pair_key, HashPartitioner, Partitioner, RangePartitioner};
 use crate::executor::PhysicalPlan;
-use crate::plan::{self, PartFn, PlanOp};
+use crate::keytable::KeyTable;
+use crate::plan::{self, PartFn, PartitionRows, PlanOp};
 use crate::pool::run_stage;
 use crate::Context;
 
 /// Result alias for engine operations.
 pub type Result<T> = std::result::Result<T, RuntimeError>;
 
-/// A borrowed map-side combiner, as threaded through the sorted-source
-/// pass (internal).
-type CombineRef<'a> = &'a (dyn Fn(&Value, &Value) -> Result<Value> + Sync);
+/// A combiner of two values of one key, as `reduce_by_key` takes it.
+type CombineFn = dyn Fn(&Value, &Value) -> Result<Value> + Send + Sync;
+
+/// How a keyed reduction folds the values of one key.
+enum KeyFold {
+    /// An opaque combiner (`reduce_by_key`).
+    Closure(Arc<CombineFn>),
+    /// One monoid per field of the value tuple, visible to the engine
+    /// (`aggregate_by_key`).
+    Monoids(Arc<[BinOp]>),
+}
+
+impl KeyFold {
+    /// Folds two values of one key.
+    fn apply(&self, a: &Value, b: &Value) -> Result<Value> {
+        match self {
+            KeyFold::Closure(f) => f(a, b),
+            KeyFold::Monoids(ops) => match (a.as_tuple(), b.as_tuple()) {
+                (Some(xs), Some(ys)) if xs.len() == ops.len() && ys.len() == ops.len() => {
+                    let fields = ops
+                        .iter()
+                        .zip(xs.iter().zip(ys))
+                        .map(|(op, (x, y))| op.apply(x, y))
+                        .collect::<Result<Vec<_>>>()?;
+                    Ok(Value::tuple(fields))
+                }
+                _ => Err(RuntimeError::new(format!(
+                    "keyed aggregation expects {} value(s) per key, got {a} and {b}",
+                    ops.len()
+                ))),
+            },
+        }
+    }
+
+    /// Folds one more `(key, value)` row into `acc`; a key's first value
+    /// is kept as it is.
+    fn fold_pair(&self, acc: &mut KeyTable<Value>, row: &Value) -> Result<()> {
+        let (k, v) = key_value_ref(row)?;
+        let hit = acc.upsert(Cow::Borrowed(k), || v.clone());
+        if !hit.new {
+            *hit.value = self.apply(hit.value, v)?;
+        }
+        Ok(())
+    }
+
+    /// The map-side combine: folds a partition's transformed rows per key
+    /// and hands every distinct key and its folded value to `emit`, in
+    /// first-seen order.
+    fn combine(
+        &self,
+        rows: &PartitionRows<'_>,
+        emit: &mut dyn FnMut(Value, Value) -> Result<()>,
+    ) -> Result<()> {
+        match self {
+            KeyFold::Monoids(ops) => rows.combine(ops, emit),
+            KeyFold::Closure(_) => {
+                let mut acc = KeyTable::new();
+                rows.for_each(&mut |row| self.fold_pair(&mut acc, &row))?;
+                acc.into_entries().try_for_each(|(k, v)| emit(k, v))
+            }
+        }
+    }
+
+    /// The post-shuffle reduce: one `(key, folded)` row per distinct key
+    /// of a gathered bucket, in first-seen order.
+    fn reduce(&self, bucket: &[Value]) -> Result<Vec<Value>> {
+        let mut out = Vec::new();
+        let mut emit = |k, v| {
+            out.push(Value::pair(k, v));
+            Ok(())
+        };
+        match self {
+            KeyFold::Monoids(ops) => {
+                let mut fold = KeyedFold::new(ops);
+                bucket.iter().try_for_each(|row| fold.row(row))?;
+                fold.finish(&mut emit)?;
+            }
+            KeyFold::Closure(_) => {
+                let mut acc = KeyTable::new();
+                bucket
+                    .iter()
+                    .try_for_each(|row| self.fold_pair(&mut acc, row))?;
+                acc.into_entries().try_for_each(|(k, v)| emit(k, v))?;
+            }
+        }
+        Ok(out)
+    }
+}
 
 /// An immutable, partitioned bag of rows with a lazy physical plan.
 #[derive(Clone)]
@@ -645,64 +733,42 @@ impl Dataset {
     where
         F: Fn(&Value, &Value) -> Result<Value> + Send + Sync + 'static,
     {
+        self.reduce_by_key_with(KeyFold::Closure(Arc::new(f)))
+    }
+
+    /// [`Dataset::reduce_by_key`] with monoids the engine can see: rows
+    /// are `(key, (v1, …, vn))`, `ops[i]` folds the `i`-th value field,
+    /// and the output has one `(key, (a1, …, an))` row per distinct key —
+    /// the same stages, shuffle and rows as `reduce_by_key` with the
+    /// element-wise closure. What changes is the map-side combine: a
+    /// columnar stage hashes its key column in place and folds typed value
+    /// lanes into per-key accumulators instead of boxing every row for a
+    /// closure.
+    pub fn aggregate_by_key(&self, ops: Vec<AggOp>) -> Result<Dataset> {
+        self.reduce_by_key_with(KeyFold::Monoids(ops.iter().map(|o| o.op).collect()))
+    }
+
+    fn reduce_by_key_with(&self, fold: KeyFold) -> Result<Dataset> {
         if self.ctx.ordered() {
-            return self.sorted_reduce_by_key(f);
+            return self.sorted_reduce_by_key_with(fold);
         }
         self.ctx.record_logical_op();
         let p = self.ctx.partitions();
-        let f = Arc::new(f);
-        let exec = self.ctx.executor();
-        let fc = &f;
         // Map-side combine, then stream the combined pairs straight into
         // the exchange sink: no all-partitions bucket matrix is ever
         // built, and buckets past the memory budget spill to disk.
-        let dest = exec.exchange(
+        let dest = self.ctx.executor().exchange(
             &self.ctx,
             &PhysicalPlan::new(self.effective_plan()),
             "reduce_by_key (combine + scatter)",
             &|_, rows, sink| {
-                let mut acc: HashMap<Value, Value> = HashMap::new();
-                let mut order: Vec<Value> = Vec::new();
-                rows.for_each(&mut |row| {
-                    let (k, v) = key_value(&row)?;
-                    match acc.get_mut(&k) {
-                        Some(cur) => *cur = fc(cur, &v)?,
-                        None => {
-                            order.push(k.clone());
-                            acc.insert(k, v);
-                        }
-                    }
-                    Ok(())
-                })?;
-                for k in order {
-                    let v = acc.remove(&k).expect("combined");
+                fold.combine(rows, &mut |k, v| {
                     let b = HashPartitioner.partition(&k, p)?;
-                    sink.emit(b, Value::pair(k, v))?;
-                }
-                Ok(())
+                    sink.emit(b, Value::pair(k, v))
+                })
             },
         )?;
-        let reduce_fn: PartFn = Arc::new(move |bucket: &[Value]| {
-            let mut acc: HashMap<Value, Value> = HashMap::new();
-            let mut order: Vec<Value> = Vec::new();
-            for row in bucket {
-                let (k, v) = key_value(row)?;
-                match acc.get_mut(&k) {
-                    Some(cur) => *cur = f(cur, &v)?,
-                    None => {
-                        order.push(k.clone());
-                        acc.insert(k, v);
-                    }
-                }
-            }
-            Ok(order
-                .into_iter()
-                .map(|k| {
-                    let v = acc.remove(&k).expect("reduced");
-                    Value::pair(k, v)
-                })
-                .collect::<Vec<_>>())
-        });
+        let reduce_fn: PartFn = Arc::new(move |bucket: &[Value]| fold.reduce(bucket));
         Ok(self.post_shuffle(dest, reduce_fn, "reduce_by_key (reduce)"))
     }
 
@@ -716,25 +782,18 @@ impl Dataset {
         self.ctx.record_logical_op();
         let dest = self.shuffle("group_by_key (scatter)")?;
         let group_fn: PartFn = Arc::new(|bucket: &[Value]| {
-            let mut groups: HashMap<Value, Vec<Value>> = HashMap::new();
-            let mut order: Vec<Value> = Vec::new();
+            let mut groups: KeyTable<Vec<Value>> = KeyTable::new();
             for row in bucket {
-                let (k, v) = key_value(row)?;
-                match groups.get_mut(&k) {
-                    Some(g) => g.push(v),
-                    None => {
-                        order.push(k.clone());
-                        groups.insert(k, vec![v]);
-                    }
-                }
+                let (k, v) = key_value_ref(row)?;
+                groups
+                    .upsert(Cow::Borrowed(k), Vec::new)
+                    .value
+                    .push(v.clone());
             }
-            Ok(order
-                .into_iter()
-                .map(|k| {
-                    let vs = groups.remove(&k).expect("grouped");
-                    Value::pair(k, Value::bag(vs))
-                })
-                .collect::<Vec<_>>())
+            Ok(groups
+                .into_entries()
+                .map(|(k, vs)| Value::pair(k, Value::bag(vs)))
+                .collect())
         });
         Ok(self.post_shuffle(dest, group_fn, "group_by_key (group)"))
     }
@@ -778,35 +837,21 @@ impl Dataset {
         let right = other.shuffle("cogroup (scatter right)")?;
         let co_fn: PartFn = Arc::new(|part: &[Value]| {
             let (l, r) = Dataset::unzip_bucket(part)?;
-            let mut groups: HashMap<Value, (Vec<Value>, Vec<Value>)> = HashMap::new();
-            let mut order: Vec<Value> = Vec::new();
+            let mut groups: KeyTable<(Vec<Value>, Vec<Value>)> = KeyTable::new();
             for row in l {
-                let (k, v) = key_value(row)?;
-                match groups.get_mut(&k) {
-                    Some(g) => g.0.push(v),
-                    None => {
-                        order.push(k.clone());
-                        groups.insert(k, (vec![v], Vec::new()));
-                    }
-                }
+                let (k, v) = key_value_ref(row)?;
+                let group = groups.upsert(Cow::Borrowed(k), Default::default).value;
+                group.0.push(v.clone());
             }
             for row in r {
-                let (k, v) = key_value(row)?;
-                match groups.get_mut(&k) {
-                    Some(g) => g.1.push(v),
-                    None => {
-                        order.push(k.clone());
-                        groups.insert(k, (Vec::new(), vec![v]));
-                    }
-                }
+                let (k, v) = key_value_ref(row)?;
+                let group = groups.upsert(Cow::Borrowed(k), Default::default).value;
+                group.1.push(v.clone());
             }
-            Ok(order
-                .into_iter()
-                .map(|k| {
-                    let (lv, rv) = groups.remove(&k).expect("cogrouped");
-                    Value::pair(k, Value::pair(Value::bag(lv), Value::bag(rv)))
-                })
-                .collect::<Vec<_>>())
+            Ok(groups
+                .into_entries()
+                .map(|(k, (lv, rv))| Value::pair(k, Value::pair(Value::bag(lv), Value::bag(rv))))
+                .collect())
         });
         Ok(self.post_shuffle(
             Dataset::zip_buckets(left, right),
@@ -860,37 +905,29 @@ impl Dataset {
         let new = updates.shuffle("merge (scatter updates)")?;
         let merge_fn: PartFn = Arc::new(move |part: &[Value]| {
             let (olds, news) = Dataset::unzip_bucket(part)?;
-            // Old side: arrays have unique keys; keep the last if not.
-            let mut slots: HashMap<Value, Value> = HashMap::with_capacity(olds.len());
-            let mut order: Vec<Value> = Vec::with_capacity(olds.len());
+            let mut slots: KeyTable<Value> = KeyTable::with_capacity(olds.len());
             for row in olds {
-                let (k, v) = key_value(row)?;
-                if slots.insert(k.clone(), v).is_none() {
-                    order.push(k);
+                let (k, v) = key_value_ref(row)?;
+                let hit = slots.upsert(Cow::Borrowed(k), || v.clone());
+                if !hit.new {
+                    // Arrays have unique keys; keep the last if not.
+                    *hit.value = v.clone();
                 }
             }
             for row in news {
-                let (k, v) = key_value(row)?;
-                match slots.get_mut(&k) {
-                    Some(cur) => {
-                        *cur = match &combine {
-                            Some(f) => f(cur, &v)?,
-                            None => v,
-                        };
-                    }
-                    None => {
-                        order.push(k.clone());
-                        slots.insert(k, v);
-                    }
+                let (k, v) = key_value_ref(row)?;
+                let hit = slots.upsert(Cow::Borrowed(k), || v.clone());
+                if !hit.new {
+                    *hit.value = match &combine {
+                        Some(f) => f(hit.value, v)?,
+                        None => v.clone(),
+                    };
                 }
             }
-            Ok(order
-                .into_iter()
-                .map(|k| {
-                    let v = slots.remove(&k).expect("merged");
-                    Value::pair(k, v)
-                })
-                .collect::<Vec<_>>())
+            Ok(slots
+                .into_entries()
+                .map(|(k, v)| Value::pair(k, v))
+                .collect())
         });
         Ok(self.post_shuffle(
             Dataset::zip_buckets(old, new),
@@ -906,11 +943,7 @@ impl Dataset {
     /// shape in canonical row order (so first errors match the hash
     /// path's scatter), applies the optional map-side combiner, and
     /// stably sorts each source partition by key.
-    fn sorted_sources(
-        &self,
-        label: &str,
-        combine: Option<CombineRef<'_>>,
-    ) -> Result<Vec<Vec<Value>>> {
+    fn sorted_sources(&self, label: &str, combine: Option<&KeyFold>) -> Result<Vec<Vec<Value>>> {
         let groups = self.ctx.executor().consume(
             &self.ctx,
             &PhysicalPlan::new(self.effective_plan()),
@@ -918,26 +951,15 @@ impl Dataset {
             &|_, rows| {
                 let mut out: Vec<Value> = Vec::new();
                 match combine {
-                    Some(f) => {
-                        let mut acc: HashMap<Value, Value> = HashMap::new();
-                        rows.for_each(&mut |row| {
-                            let (k, v) = key_value(&row)?;
-                            match acc.get_mut(&k) {
-                                Some(cur) => *cur = f(cur, &v)?,
-                                None => {
-                                    acc.insert(k, v);
-                                }
-                            }
-                            Ok(())
-                        })?;
-                        // Combined keys are unique, so the key sort below
-                        // fully determines the order — no need to track
-                        // first-seen order like the hash-path combiner.
-                        out.extend(acc.into_iter().map(|(k, v)| Value::pair(k, v)));
-                    }
+                    // Combined keys are unique, so the key sort below
+                    // fully determines the order.
+                    Some(fold) => fold.combine(rows, &mut |k, v| {
+                        out.push(Value::pair(k, v));
+                        Ok(())
+                    })?,
                     None => {
                         rows.for_each(&mut |row| {
-                            key_value(&row)?;
+                            key_value_ref(&row)?;
                             out.push(row);
                             Ok(())
                         })?;
@@ -1008,12 +1030,12 @@ impl Dataset {
     where
         F: Fn(&Value, &Value) -> Result<Value> + Send + Sync + 'static,
     {
+        self.sorted_reduce_by_key_with(KeyFold::Closure(Arc::new(f)))
+    }
+
+    fn sorted_reduce_by_key_with(&self, fold: KeyFold) -> Result<Dataset> {
         self.ctx.record_logical_op();
-        let f = Arc::new(f);
-        let sources = self.sorted_sources(
-            "sorted_reduce_by_key (combine + sort)",
-            Some(&|a: &Value, b: &Value| f(a, b)),
-        )?;
+        let sources = self.sorted_sources("sorted_reduce_by_key (combine + sort)", Some(&fold))?;
         let part = Dataset::sample_partitioner(sources.iter(), self.ctx.partitions());
         let dest = self.sorted_shuffle(sources, &part, "sorted_reduce_by_key (range scatter)")?;
         let reduce_fn: PartFn = Arc::new(move |bucket: &[Value]| {
@@ -1022,7 +1044,7 @@ impl Dataset {
                 let mut it = vs.into_iter();
                 let mut acc = it.next().expect("non-empty key run");
                 for v in it {
-                    acc = f(&acc, &v)?;
+                    acc = fold.apply(&acc, &v)?;
                 }
                 out.push(Value::pair(k, acc));
                 Ok(())

@@ -144,8 +144,8 @@ pub trait Executor: Send + Sync {
         let p = ctx.partitions();
         self.exchange(ctx, plan, label, &|_, rows, sink| {
             rows.for_each(&mut |row| {
-                let (k, _) = diablo_runtime::array::key_value(&row)?;
-                sink.emit(partitioner.partition(&k, p)?, row)
+                let (k, _) = diablo_runtime::array::key_value_ref(&row)?;
+                sink.emit(partitioner.partition(k, p)?, row)
             })
         })
     }

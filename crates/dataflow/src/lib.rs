@@ -85,6 +85,7 @@ mod dataset;
 mod dscache;
 mod exchange;
 mod executor;
+mod keytable;
 mod plan;
 mod pool;
 mod stats;

@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use diablo_runtime::{BinOp, RuntimeError, Value};
 
-use crate::columnar::RowExpr;
+use crate::columnar::{KeyedFold, RowExpr};
 use crate::pool::{run_stage_weighted, Cancel};
 use crate::stats::Stats;
 use crate::Context;
@@ -678,6 +678,19 @@ impl DriveMode {
             _ => self.run(rows, steps, &mut |row| fold_row(op, acc, row)),
         }
     }
+
+    /// Feeds `rows` through `steps` into the keyed aggregation `fold`:
+    /// eligible chains hand over whole tiles
+    /// ([`crate::columnar::combine_columnar`]); everything else folds row
+    /// by row. Same keys, aggregates and first error either way.
+    fn combine(&self, rows: &[Value], steps: &[Step], fold: &mut KeyedFold<'_>) -> Result<()> {
+        match self {
+            DriveMode::Columnar(b, stats) if crate::columnar::eligible(steps) => {
+                crate::columnar::combine_columnar(rows, steps, *b, stats, fold)
+            }
+            _ => self.run(rows, steps, &mut |row| fold.row(&row)),
+        }
+    }
 }
 
 /// Notes a fused stage's execution layout in the plan trace when the
@@ -1247,6 +1260,25 @@ impl PartitionRows<'_> {
             self.mode.fold(seg.rows, seg.steps, op, &mut acc)?;
         }
         Ok(acc)
+    }
+
+    /// Aggregates the transformed rows by key — rows `(key, (v1, …, vn))`,
+    /// one monoid of `ops` per value field — and hands each distinct key
+    /// and its tuple of aggregates to `emit` in first-seen order: the
+    /// map-side combine of a keyed aggregation. On the columnar backend an
+    /// eligible chain's key column is hashed in place and its value lanes
+    /// fold into typed per-key accumulators; only the emitted aggregates
+    /// are boxed.
+    pub fn combine(
+        &self,
+        ops: &[BinOp],
+        emit: &mut dyn FnMut(Value, Value) -> Result<()>,
+    ) -> Result<()> {
+        let mut fold = KeyedFold::new(ops);
+        for seg in &self.segments {
+            self.mode.combine(seg.rows, seg.steps, &mut fold)?;
+        }
+        fold.finish(emit)
     }
 }
 

@@ -86,8 +86,9 @@ pub mod codes {
     pub const DEAD_STORE: &str = "D023";
     /// Lint: affine subscript provably out of bounds for a constant range.
     pub const BOUNDS: &str = "D024";
-    /// Lint: an opaque step (expression, keyed map, join) makes the
-    /// default engine run a collection-scanning stage tuple-at-a-time.
+    /// Lint: an opaque step (expression, group-by that builds whole
+    /// groups, join) makes the default engine run a collection-scanning
+    /// stage tuple-at-a-time.
     pub const ROW_FALLBACK: &str = "D025";
 }
 

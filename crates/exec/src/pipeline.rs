@@ -20,16 +20,17 @@
 //! driver; a comprehension with no distributed source at all is evaluated
 //! locally and parallelized as a literal dataset.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use diablo_comp::ir::{CExpr, Comprehension, Pattern, Qual};
+use diablo_comp::pushdown::{agg_col_name, push_down_aggs, Pushdown};
 use diablo_comp::Env;
 use diablo_dataflow::{Dataset, RowExpr, Shape};
 use diablo_runtime::{BinOp, RuntimeError, Value};
 
 use crate::local::{eval_local, local_comp};
-use crate::rexpr::{agg_col_name, compile, rewrite_aggs, to_row_expr, Layout, RExpr};
+use crate::rexpr::{compile, to_row_expr, Layout, RExpr};
 use crate::{Result, Session};
 
 /// Runs a comprehension, producing a dataset of its head values.
@@ -572,88 +573,15 @@ impl Pipe {
             .filter(|c| !key_vars.contains(c))
             .cloned()
             .collect();
-        let lifted_set: HashMap<String, ()> = lifted.iter().map(|v| (v.clone(), ())).collect();
 
-        // Attempt aggregate pushdown: rewrite all downstream expressions.
-        let mut found: Vec<(BinOp, String)> = Vec::new();
-        let rewritten_tail: Option<Vec<Qual>> = tail
-            .iter()
-            .map(|q| match q {
-                Qual::Gen(p, e) => Some(Qual::Gen(
-                    p.clone(),
-                    rewrite_aggs(e, &lifted_set, &mut found)?,
-                )),
-                Qual::Let(p, e) => Some(Qual::Let(
-                    p.clone(),
-                    rewrite_aggs(e, &lifted_set, &mut found)?,
-                )),
-                Qual::Pred(e) => Some(Qual::Pred(rewrite_aggs(e, &lifted_set, &mut found)?)),
-                Qual::GroupBy(p, e) => Some(Qual::GroupBy(
-                    p.clone(),
-                    rewrite_aggs(e, &lifted_set, &mut found)?,
-                )),
-            })
-            .collect();
-        let rewritten_head = rewrite_aggs(head, &lifted_set, &mut found);
-
-        let rkey = compile(key, &self.layout, globals)?;
-
-        if let (Some(new_tail), Some(new_head)) = (rewritten_tail, rewritten_head) {
-            // reduceByKey: shuffle (key, (inputs...)) with elementwise ops.
-            let inputs: Vec<RExpr> = found
-                .iter()
-                .map(|(_, col)| {
-                    let idx = self
-                        .layout
-                        .index_of(col)
-                        .ok_or_else(|| RuntimeError::new(format!("missing column `{col}`")))?;
-                    Ok(RExpr::Col(idx))
-                })
-                .collect::<Result<Vec<_>>>()?;
-            let keyed = self.data.map_as("keyed map", move |row| {
-                let fields = row.as_tuple().expect("env row");
-                let key = rkey.eval(fields)?;
-                let vals = inputs
-                    .iter()
-                    .map(|r| r.eval(fields))
-                    .collect::<Result<Vec<_>>>()?;
-                Ok(Value::pair(key, Value::tuple(vals)))
-            })?;
-            let ops: Vec<BinOp> = found.iter().map(|(op, _)| *op).collect();
-            let ops2 = ops.clone();
-            let reduced = keyed.reduce_by_key(move |a, b| {
-                let (xs, ys) = (a.as_tuple().expect("aggs"), b.as_tuple().expect("aggs"));
-                let vals = ops2
-                    .iter()
-                    .zip(xs.iter().zip(ys))
-                    .map(|(op, (x, y))| op.apply(x, y))
-                    .collect::<Result<Vec<_>>>()?;
-                Ok(Value::tuple(vals))
-            })?;
-            // Rows become: key pattern vars + $agg columns.
-            let mut cols = key_vars.clone();
-            for idx in 0..found.len() {
-                cols.push(agg_col_name(idx));
-            }
-            let p_owned = p.clone();
-            let data = reduced.map_as("group bind", move |kv| {
-                let (k, aggs) = diablo_runtime::array::key_value(kv)?;
-                let mut row: Vec<Value> = Vec::with_capacity(4);
-                if !p_owned.bind_values(&k, &mut row) {
-                    return Err(RuntimeError::new("group-by key pattern mismatch"));
-                }
-                row.extend(aggs.as_tuple().expect("agg tuple").iter().cloned());
-                Ok(Value::tuple(row))
-            })?;
-            return Ok((
-                Pipe {
-                    data,
-                    layout: Layout::new(cols),
-                },
-                Some((new_tail, new_head)),
-            ));
+        // Aggregate pushdown: every lifted variable is only ever folded by
+        // a monoid, so shuffle `(key, (inputs…))` and let the engine fold.
+        let lifted_set: HashSet<String> = lifted.iter().cloned().collect();
+        if let Some(pushed) = push_down_aggs(&lifted_set, tail, head) {
+            return self.aggregate_by(p, key, pushed, globals);
         }
 
+        let rkey = compile(key, &self.layout, globals)?;
         // General groupByKey: lift every non-key column to a bag.
         let lifted_idx: Vec<usize> = lifted
             .iter()
@@ -693,6 +621,61 @@ impl Pipe {
                 layout: Layout::new(cols),
             },
             None,
+        ))
+    }
+
+    /// A group-by whose lifted variables are only aggregated, as
+    /// reduceByKey over monoids the engine can see: a transparent keyed
+    /// map `(key, (inputs…))`, [`Dataset::aggregate_by_key`], and the key
+    /// pattern unpacked next to the aggregates.
+    #[allow(clippy::type_complexity)]
+    fn aggregate_by(
+        mut self,
+        p: &Pattern,
+        key: &CExpr,
+        pushed: Pushdown,
+        globals: &Arc<Env>,
+    ) -> Result<(Pipe, Option<(Vec<Qual>, CExpr)>)> {
+        let key_rx = match to_row_expr(&compile(key, &self.layout, globals)?) {
+            Some(rx) => rx,
+            // An opaque key is computed by a `let` of its own first; the
+            // keyed map then reads its column.
+            None => {
+                let column = "$key".to_string();
+                self.extend_let(&Pattern::Var(column.clone()), key, globals)?;
+                RowExpr::Col(self.layout.index_of(&column).expect("just bound"))
+            }
+        };
+        let inputs = pushed
+            .aggs
+            .iter()
+            .map(|(_, col)| {
+                self.layout
+                    .index_of(col)
+                    .map(RowExpr::Col)
+                    .ok_or_else(|| RuntimeError::new(format!("missing column `{col}`")))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let keyed = self
+            .data
+            .map_expr(RowExpr::Tuple(vec![key_rx, RowExpr::Tuple(inputs)]))?;
+        let reduced = keyed.aggregate_by_key(pushed.aggs.iter().map(|(op, _)| *op).collect())?;
+        // Rows become: key pattern vars + $agg columns.
+        let data = reduced.map_expr(RowExpr::Unpack {
+            shape: Shape::Tuple(vec![
+                shape_of(p),
+                Shape::Tuple(vec![Shape::Bind; pushed.aggs.len()]),
+            ]),
+            mismatch: format!("group-by key pattern {p:?} does not match").into(),
+        })?;
+        let mut cols = p.var_list();
+        cols.extend((0..pushed.aggs.len()).map(agg_col_name));
+        Ok((
+            Pipe {
+                data,
+                layout: Layout::new(cols),
+            },
+            Some((pushed.tail, pushed.head)),
         ))
     }
 

@@ -6,12 +6,11 @@
 //! scalar constant, or (for rare shapes like nested comprehensions over
 //! already-lifted bags) a slow path that rebuilds an environment per row.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use diablo_comp::ir::CExpr;
 use diablo_comp::Env;
-use diablo_dataflow::RowExpr;
+use diablo_dataflow::{FieldName, RowExpr};
 use diablo_runtime::{AggOp, BinOp, Func, RuntimeError, UnOp, Value};
 
 use crate::Result;
@@ -33,8 +32,8 @@ pub enum RExpr {
     Tuple(Vec<RExpr>),
     /// Record construction.
     Record(Vec<(String, RExpr)>),
-    /// Field projection.
-    Proj(Box<RExpr>, String),
+    /// Field projection (a `_N` tuple position is resolved once, here).
+    Proj(Box<RExpr>, FieldName),
     /// Aggregation over a bag-valued sub-expression (a lifted column).
     Agg(AggOp, Box<RExpr>),
     /// Slow path: evaluate the original expression with a per-row
@@ -114,7 +113,7 @@ pub fn compile(e: &CExpr, layout: &Layout, globals: &Arc<Env>) -> Result<RExpr> 
         )),
         CExpr::Proj(inner, f) => Ok(RExpr::Proj(
             Box::new(compile(inner, layout, globals)?),
-            f.clone(),
+            FieldName::new(f.as_str()),
         )),
         CExpr::Agg(op, inner) => Ok(RExpr::Agg(*op, Box::new(compile(inner, layout, globals)?))),
         CExpr::Comp(_) | CExpr::Merge { .. } | CExpr::Range(_, _) => {
@@ -161,12 +160,7 @@ impl RExpr {
                     .map(|(n, f)| Ok((n.clone(), f.eval(row)?)))
                     .collect::<Result<Vec<_>>>()?,
             )),
-            RExpr::Proj(inner, field) => {
-                let v = inner.eval(row)?;
-                v.field(field)
-                    .cloned()
-                    .ok_or_else(|| RuntimeError::new(format!("value {v} has no field `{field}`")))
-            }
+            RExpr::Proj(inner, field) => field.get(&inner.eval(row)?).cloned(),
             RExpr::Agg(op, inner) => {
                 let v = inner.eval(row)?;
                 let items = v
@@ -187,84 +181,6 @@ impl RExpr {
             }
         }
     }
-}
-
-/// Rewrites an expression, replacing each aggregation `⊕/v` of a lifted
-/// column with a reference to a pre-aggregated column. Returns `None` if
-/// the expression uses a lifted column outside such an aggregation (which
-/// forces the groupByKey fallback).
-pub fn rewrite_aggs(
-    e: &CExpr,
-    lifted: &HashMap<String, ()>,
-    found: &mut Vec<(BinOp, String)>,
-) -> Option<CExpr> {
-    match e {
-        CExpr::Agg(op, inner) => {
-            if let CExpr::Var(v) = inner.as_ref() {
-                if lifted.contains_key(v) {
-                    let idx = found
-                        .iter()
-                        .position(|(o, n)| o == &op.op && n == v)
-                        .unwrap_or_else(|| {
-                            found.push((op.op, v.clone()));
-                            found.len() - 1
-                        });
-                    return Some(CExpr::Var(agg_col_name(idx)));
-                }
-            }
-            let inner = rewrite_aggs(inner, lifted, found)?;
-            Some(CExpr::Agg(*op, Box::new(inner)))
-        }
-        CExpr::Var(v) => {
-            if lifted.contains_key(v) {
-                None // bare use of a lifted variable — cannot push down
-            } else {
-                Some(e.clone())
-            }
-        }
-        CExpr::Const(_) => Some(e.clone()),
-        CExpr::Bin(op, a, b) => Some(CExpr::Bin(
-            *op,
-            Box::new(rewrite_aggs(a, lifted, found)?),
-            Box::new(rewrite_aggs(b, lifted, found)?),
-        )),
-        CExpr::Un(op, a) => Some(CExpr::Un(*op, Box::new(rewrite_aggs(a, lifted, found)?))),
-        CExpr::Call(f, args) => Some(CExpr::Call(
-            *f,
-            args.iter()
-                .map(|a| rewrite_aggs(a, lifted, found))
-                .collect::<Option<Vec<_>>>()?,
-        )),
-        CExpr::Tuple(fs) => Some(CExpr::Tuple(
-            fs.iter()
-                .map(|f| rewrite_aggs(f, lifted, found))
-                .collect::<Option<Vec<_>>>()?,
-        )),
-        CExpr::Record(fs) => Some(CExpr::Record(
-            fs.iter()
-                .map(|(n, f)| Some((n.clone(), rewrite_aggs(f, lifted, found)?)))
-                .collect::<Option<Vec<_>>>()?,
-        )),
-        CExpr::Proj(inner, f) => Some(CExpr::Proj(
-            Box::new(rewrite_aggs(inner, lifted, found)?),
-            f.clone(),
-        )),
-        // Nested comprehensions might close over lifted variables; checking
-        // precisely is possible but not worth it — fall back.
-        CExpr::Comp(_) | CExpr::Merge { .. } | CExpr::Range(_, _) => {
-            let fv = e.free_vars();
-            if fv.iter().any(|v| lifted.contains_key(v)) {
-                None
-            } else {
-                Some(e.clone())
-            }
-        }
-    }
-}
-
-/// The synthetic column name for the `idx`-th pushed-down aggregation.
-pub fn agg_col_name(idx: usize) -> String {
-    format!("$agg{idx}")
 }
 
 /// Converts a compiled row expression into the engine's transparent
@@ -295,7 +211,7 @@ pub fn to_row_expr(r: &RExpr) -> Option<RowExpr> {
         RExpr::Tuple(fs) => Some(RowExpr::Tuple(
             fs.iter().map(to_row_expr).collect::<Option<Vec<_>>>()?,
         )),
-        RExpr::Proj(inner, f) => Some(RowExpr::field(to_row_expr(inner)?, f.as_str())),
+        RExpr::Proj(inner, f) => Some(RowExpr::Field(Box::new(to_row_expr(inner)?), f.clone())),
         RExpr::Record(_) | RExpr::Agg(_, _) | RExpr::Slow { .. } => None,
     }
 }
@@ -336,48 +252,6 @@ mod tests {
         let r = compile(&e, &layout, &globals()).unwrap();
         let row = vec![Value::bag(vec![Value::Long(1), Value::Long(2)])];
         assert_eq!(r.eval(&row).unwrap(), Value::Long(3));
-    }
-
-    #[test]
-    fn rewrite_aggs_finds_pushdown() {
-        // (k, +/v) over lifted {v} → (k, $agg0)
-        let lifted: HashMap<String, ()> = [("v".to_string(), ())].into();
-        let e = CExpr::pair(
-            CExpr::var("k"),
-            CExpr::Agg(AggOp::new(BinOp::Add).unwrap(), Box::new(CExpr::var("v"))),
-        );
-        let mut found = Vec::new();
-        let out = rewrite_aggs(&e, &lifted, &mut found).unwrap();
-        assert_eq!(found, vec![(BinOp::Add, "v".to_string())]);
-        assert_eq!(
-            out,
-            CExpr::pair(CExpr::var("k"), CExpr::var(agg_col_name(0)))
-        );
-    }
-
-    #[test]
-    fn rewrite_aggs_rejects_bare_lifted_use() {
-        let lifted: HashMap<String, ()> = [("v".to_string(), ())].into();
-        let mut found = Vec::new();
-        assert!(rewrite_aggs(&CExpr::var("v"), &lifted, &mut found).is_none());
-    }
-
-    #[test]
-    fn rewrite_aggs_shares_equal_aggregations() {
-        let lifted: HashMap<String, ()> = [("v".to_string(), ())].into();
-        let agg = CExpr::Agg(AggOp::new(BinOp::Add).unwrap(), Box::new(CExpr::var("v")));
-        let e = CExpr::Bin(BinOp::Add, Box::new(agg.clone()), Box::new(agg));
-        let mut found = Vec::new();
-        let out = rewrite_aggs(&e, &lifted, &mut found).unwrap();
-        assert_eq!(found.len(), 1, "same aggregation shares one column");
-        assert_eq!(
-            out,
-            CExpr::Bin(
-                BinOp::Add,
-                Box::new(CExpr::var(agg_col_name(0))),
-                Box::new(CExpr::var(agg_col_name(0)))
-            )
-        );
     }
 
     #[test]

@@ -19,8 +19,14 @@ use crate::{Result, RuntimeError};
 
 /// Splits a sparse-array element into its key and value.
 pub fn key_value(pair: &Value) -> Result<(Value, Value)> {
+    key_value_ref(pair).map(|(k, v)| (k.clone(), v.clone()))
+}
+
+/// [`key_value`] without the clones: the key and value borrowed from the
+/// pair.
+pub fn key_value_ref(pair: &Value) -> Result<(&Value, &Value)> {
     match pair.as_tuple() {
-        Some([k, v]) => Ok((k.clone(), v.clone())),
+        Some([k, v]) => Ok((k, v)),
         _ => Err(RuntimeError::new(format!(
             "sparse array element must be a (key, value) pair, got {pair}"
         ))),

@@ -571,6 +571,207 @@ fn total_aggregation_programs_match_the_row_reference() {
     }
 }
 
+/// `Dataset::aggregate_by_key` is `Dataset::reduce_by_key` with visible
+/// monoids: the same rows in the same order, to the last bit, on every
+/// backend — whether the keyed map is transparent (the columnar backend
+/// hashes the key column in place and folds typed lanes), opaque, or
+/// absent; whatever the key type; hash or sorted shuffle.
+#[test]
+fn backends_agree_on_keyed_aggregations() {
+    // (i, x, flag, word, name, odd key, odd value) rows. x mixes magnitudes
+    // so a double sum depends on the order it is added in; the odd key
+    // column mixes longs with the doubles they equal, both zeros and two
+    // NaNs; the odd value column alternates longs and doubles.
+    let words = ["apple", "pear", "plum", "fig", "kiwi"];
+    let odd_keys = [
+        Value::Long(1),
+        Value::Double(1.0),
+        Value::Double(0.0),
+        Value::Double(-0.0),
+        Value::Long(0),
+        Value::Double(f64::NAN),
+        Value::Double(-f64::NAN),
+        Value::Double(2.5),
+    ];
+    let rows: Vec<Value> = (0..600i64)
+        .map(|i| {
+            let x = (i * 7919 % 1000) as f64 * 1e-3 + (i % 13) as f64 * 1e6;
+            Value::tuple(vec![
+                Value::Long(i),
+                Value::Double(x),
+                Value::Bool(i % 97 != 96),
+                Value::str(words[i as usize % words.len()]),
+                Value::str(format!("w{i}")),
+                odd_keys[(i * 5 % 8) as usize].clone(),
+                if i % 2 == 0 {
+                    Value::Long(i)
+                } else {
+                    Value::Double(x)
+                },
+            ])
+        })
+        .collect();
+    let col = RowExpr::Col;
+    let long = |n| RowExpr::Const(Value::Long(n));
+    let bin = |op, a, b| RowExpr::Bin(op, Box::new(a), Box::new(b));
+    let keys: Vec<(&str, RowExpr)> = vec![
+        ("few longs", bin(BinOp::Mod, col(0), long(7))),
+        ("distinct longs", col(0)),
+        ("few strings", col(3)),
+        ("distinct strings", col(4)),
+        (
+            "tuples",
+            RowExpr::Tuple(vec![bin(BinOp::Mod, col(0), long(3)), col(3)]),
+        ),
+        ("longs, doubles, zeros and NaNs", col(5)),
+        ("one key", long(0)),
+    ];
+    let values: Vec<(&str, Vec<BinOp>, Vec<RowExpr>)> = vec![
+        (
+            "sums and all",
+            vec![BinOp::Add, BinOp::Add, BinOp::And],
+            vec![col(0), col(1), col(2)],
+        ),
+        (
+            "products and any",
+            vec![BinOp::Mul, BinOp::Mul, BinOp::Or],
+            vec![
+                bin(BinOp::Add, bin(BinOp::Mod, col(0), long(3)), long(1)),
+                bin(
+                    BinOp::Add,
+                    RowExpr::Const(Value::Double(1.0)),
+                    bin(BinOp::Mul, col(1), RowExpr::Const(Value::Double(1e-9))),
+                ),
+                col(2),
+            ],
+        ),
+        (
+            "min and max",
+            vec![BinOp::Min, BinOp::Min, BinOp::Max, BinOp::Max],
+            vec![col(0), col(1), col(0), col(1)],
+        ),
+        (
+            "tuple sum and argmin",
+            vec![BinOp::Add, BinOp::ArgMin],
+            vec![
+                RowExpr::Tuple(vec![col(1), col(0)]),
+                RowExpr::Tuple(vec![col(0), col(1)]),
+            ],
+        ),
+        ("count", vec![BinOp::Add], vec![long(1)]),
+        (
+            "longs met by doubles",
+            vec![BinOp::Add, BinOp::Max],
+            vec![col(6), col(6)],
+        ),
+        ("no aggregate at all", vec![], vec![]),
+    ];
+    // How the `(key, (v1, …, vn))` rows come about.
+    type Build = fn(&Dataset, RowExpr) -> Dataset;
+    let shapes: Vec<(&str, Build)> = vec![
+        ("transparent keyed map", |d, keyed| {
+            d.map_expr(keyed).unwrap()
+        }),
+        ("filtered first", |d, keyed| {
+            let keep = RowExpr::Bin(
+                BinOp::Ne,
+                Box::new(RowExpr::Bin(
+                    BinOp::Mod,
+                    Box::new(RowExpr::Col(0)),
+                    Box::new(RowExpr::Const(Value::Long(3))),
+                )),
+                Box::new(RowExpr::Const(Value::Long(0))),
+            );
+            d.filter_expr(keep).unwrap().map_expr(keyed).unwrap()
+        }),
+        ("opaque keyed map", |d, keyed| {
+            d.map(move |row| keyed.eval(row)).unwrap()
+        }),
+        ("boxed pairs passed through a filter", |d, keyed| {
+            let pairs = d.map_expr(keyed).unwrap().materialize().unwrap();
+            pairs
+                .filter_expr(RowExpr::Const(Value::Bool(true)))
+                .unwrap()
+        }),
+        ("boxed pairs, no step", |d, keyed| {
+            d.map_expr(keyed).unwrap().materialize().unwrap()
+        }),
+        ("empty input", |d, keyed| {
+            let none = RowExpr::Bin(
+                BinOp::Lt,
+                Box::new(RowExpr::Col(0)),
+                Box::new(RowExpr::Const(Value::Long(0))),
+            );
+            d.filter_expr(none).unwrap().map_expr(keyed).unwrap()
+        }),
+    ];
+    let context = |exec: Arc<dyn Executor>, workers: usize, ordered: bool| {
+        let ctx = Context::new(workers, 5)
+            .with_executor(exec)
+            .with_morsel_size(16)
+            .with_ordered(ordered);
+        ctx.set_memory_budget(None);
+        ctx
+    };
+    let mut vectorized = 0;
+    for (k, (key_name, key)) in keys.iter().enumerate() {
+        for (v, (value_name, ops, inputs)) in values.iter().enumerate() {
+            let keyed = RowExpr::Tuple(vec![key.clone(), RowExpr::Tuple(inputs.clone())]);
+            let aggs: Vec<AggOp> = ops.iter().map(|&op| AggOp::new(op).unwrap()).collect();
+            // Every key meets every aggregate under the transparent keyed
+            // map; the other shapes take a diagonal of that square.
+            let shapes = shapes.iter().take(if k == v { shapes.len() } else { 1 });
+            for (shape_name, build) in shapes {
+                for ordered in [false, true] {
+                    let what =
+                        format!("{value_name} by {key_name}, {shape_name}, ordered {ordered}");
+                    let reference = {
+                        let ctx = context(Arc::new(LocalExecutor), 1, ordered);
+                        let ops = ops.clone();
+                        build(&ctx.from_vec(rows.clone()), keyed.clone())
+                            .reduce_by_key(move |a, b| {
+                                let (xs, ys) = (a.as_tuple().unwrap(), b.as_tuple().unwrap());
+                                let fields = ops
+                                    .iter()
+                                    .zip(xs.iter().zip(ys))
+                                    .map(|(op, (x, y))| op.apply(x, y))
+                                    .collect::<Result<Vec<_>, _>>()?;
+                                Ok(Value::tuple(fields))
+                            })
+                            .unwrap()
+                            .collect()
+                    };
+                    assert_eq!(reference.is_empty(), *shape_name == "empty input", "{what}");
+                    let mut engines: Vec<(Arc<dyn Executor>, usize)> =
+                        backends().into_iter().map(|e| (e, 3)).collect();
+                    for batch in [1, 7, 4096] {
+                        for workers in [1, 2, 4] {
+                            engines.push((Arc::new(ColumnarExecutor::new(batch)), workers));
+                        }
+                    }
+                    for (exec, workers) in engines {
+                        let name = exec.name();
+                        let ctx = context(exec, workers, ordered);
+                        let got = build(&ctx.from_vec(rows.clone()), keyed.clone())
+                            .aggregate_by_key(aggs.clone())
+                            .unwrap()
+                            .collect();
+                        // Debug, not `==`: `Long(2) == Double(2.0)`, and the
+                        // claim is the same bits.
+                        assert_eq!(
+                            format!("{got:?}"),
+                            format!("{reference:?}"),
+                            "{what}: backend `{name}` at {workers} workers diverged"
+                        );
+                        vectorized += ctx.stats().snapshot().vectorized_batches;
+                    }
+                }
+            }
+        }
+    }
+    assert!(vectorized > 0, "the columnar legs never ran a tile");
+}
+
 #[test]
 fn context_swaps_backends_in_place() {
     let ctx = Context::new(2, 4);

@@ -439,6 +439,128 @@ fn a_failing_fold_wins_over_a_later_failing_step() {
 }
 
 #[test]
+fn poisoned_keyed_aggregation_fails_like_the_row_reference() {
+    // `C[n % 7] += 1000 / (n - 137)`: the keyed value divides by zero on
+    // the 137th row, mid-tile at every batch width but 1. The default
+    // engine keys and folds columns and replays the failing tile into the
+    // same per-key accumulators, and must raise what the `local` row
+    // reference raises — message and statement tag — on both keyed paths,
+    // under every exchange budget, batch width and pool width.
+    let compiled = compile(
+        "input N: vector[long];
+         var C: vector[long] = vector();
+         for n in N do C[n % 7] += 1000 / (n - 137);",
+    )
+    .unwrap();
+    for budget in [None, Some(4096), Some(0)] {
+        for ordered in [false, true] {
+            let run = |exec: Arc<dyn Executor>, workers: usize| -> RuntimeError {
+                let ctx = Context::new(workers, 5)
+                    .with_executor(exec)
+                    .with_ordered(ordered);
+                ctx.set_memory_budget(budget);
+                let mut s = Session::new(ctx);
+                s.bind_input("N", vec_rows(&(0..300).map(|i| (i, i)).collect::<Vec<_>>()));
+                s.run(&compiled).unwrap_err()
+            };
+            let reference = run(Arc::new(LocalExecutor), 1);
+            assert!(
+                reference.message.contains("division by zero"),
+                "{reference}"
+            );
+            assert!(reference.message.contains("s1:C"), "{reference}");
+            for workers in [1, 2, 4] {
+                for batch in [1, 7, 4096] {
+                    let err = run(Arc::new(ColumnarExecutor::new(batch)), workers);
+                    assert_eq!(
+                        err.message, reference.message,
+                        "budget {budget:?}, ordered {ordered}, batch {batch}, {workers} workers"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_combine_that_fails_mid_tile_fails_like_the_row_reference() {
+    // Two sums per key, one partition. Row 140 offers the first a string
+    // where every other row has a long, row 137 offers the second a string
+    // among doubles, and row 250's key divides by zero. Tuple-at-a-time
+    // execution folds row 137 before it ever sees rows 140 and 250, so
+    // `+` over a double and a string is the canonical first error — also
+    // when a whole tile's steps ran (and failed) before any of it was
+    // folded (batch 4096), and when rows 137 and 140 share a tile whose
+    // first lane comes first (batch 64).
+    let rows: Vec<Value> = (0..300i64)
+        .map(|i| {
+            Value::tuple(vec![
+                Value::Long(i),
+                if i == 140 {
+                    Value::str("one forty")
+                } else {
+                    Value::Long(i)
+                },
+                if i == 137 {
+                    Value::str("one three seven")
+                } else {
+                    Value::Double(i as f64)
+                },
+            ])
+        })
+        .collect();
+    let keyed = || {
+        let key = RowExpr::Bin(
+            BinOp::Mod,
+            Box::new(RowExpr::Col(0)),
+            Box::new(RowExpr::Bin(
+                BinOp::Sub,
+                Box::new(RowExpr::Col(0)),
+                Box::new(RowExpr::Const(Value::Long(250))),
+            )),
+        );
+        RowExpr::Tuple(vec![
+            key,
+            RowExpr::Tuple(vec![RowExpr::Col(1), RowExpr::Col(2)]),
+        ])
+    };
+    let add = diablo_runtime::AggOp::new(BinOp::Add).unwrap();
+    for budget in [None, Some(4096), Some(0)] {
+        for ordered in [false, true] {
+            let run = |exec: Arc<dyn Executor>, workers: usize| -> RuntimeError {
+                let ctx = Context::new(workers, 1)
+                    .with_executor(exec)
+                    .with_ordered(ordered);
+                ctx.set_memory_budget(budget);
+                ctx.set_statement_label(Some("s4: C[k] += (a, b)"));
+                let d = ctx.from_vec(rows.clone()).map_expr(keyed()).unwrap();
+                ctx.set_statement_label(None);
+                match d.aggregate_by_key(vec![add, add]) {
+                    Err(e) => e,
+                    Ok(k) => k.try_collect().unwrap_err(),
+                }
+            };
+            let reference = run(Arc::new(LocalExecutor), 1);
+            assert!(
+                reference
+                    .message
+                    .contains("expects numbers, got double and string"),
+                "{reference}"
+            );
+            for workers in [1, 2, 4] {
+                for batch in [1, 7, 64, 4096] {
+                    let got = run(Arc::new(ColumnarExecutor::new(batch)), workers);
+                    assert_eq!(
+                        got.message, reference.message,
+                        "budget {budget:?}, ordered {ordered}, batch {batch}, {workers} workers"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn deep_nesting_is_handled() {
     // Four nested range loops, all eliminated into one bulk statement.
     let src = "var T: matrix[long] = matrix();

@@ -60,14 +60,18 @@ fn run_budgeted(
     (outputs, stats)
 }
 
-/// The tentpole contract: Word Count and PageRank on inputs far past the
+/// The tentpole contract: Word Count, Group By and PageRank on inputs far past the
 /// budget (the 4 KiB budget is ~10–100× smaller than the materialized
 /// data) are byte-identical to the unbounded run, per backend and per
 /// shuffle routing — and the budgeted runs actually exercised the cache
 /// (spills or evictions fired).
 #[test]
-fn word_count_and_pagerank_are_budget_invariant_on_every_backend() {
-    let workloads = [wl::word_count(1500, 7), wl::pagerank(60, 3, 7)];
+fn word_count_group_by_and_pagerank_are_budget_invariant_on_every_backend() {
+    let workloads = [
+        wl::word_count(1500, 7),
+        wl::group_by(6000, 7),
+        wl::pagerank(60, 3, 7),
+    ];
     for w in &workloads {
         for &backend in BACKEND_NAMES {
             for ordered in [false, true] {
@@ -102,6 +106,50 @@ fn word_count_and_pagerank_are_budget_invariant_on_every_backend() {
                             w.name
                         ),
                     }
+                }
+            }
+        }
+    }
+}
+
+/// Columnar keyed aggregation under both budgets at once: Word Count and
+/// Group By with 4 KiB for the exchange (every combined bucket spills) and
+/// 4 KiB for the dataset cache return the unbounded run's rows, in its
+/// order, which are the `local` row reference's — and every stage of the
+/// default engine still runs columnar.
+#[test]
+fn keyed_aggregations_are_budget_invariant_on_the_columnar_path() {
+    for w in [wl::word_count(1500, 7), wl::group_by(6000, 7)] {
+        for ordered in [false, true] {
+            let run = |backend: &str, budget: Option<u64>| {
+                let ctx = Context::new(3, 6)
+                    .with_executor(executor_named(backend).expect(backend))
+                    .with_ordered(ordered);
+                ctx.set_memory_budget(budget);
+                ctx.set_dataset_budget(budget);
+                let mut s = Session::new(ctx.clone());
+                for (n, rows) in &w.collections {
+                    s.bind_input(n, rows.clone());
+                }
+                s.run(&compile(w.source).expect("compiles")).expect("runs");
+                let rows = s.dataset(w.outputs[0]).expect("output bound").collect();
+                (rows, ctx.stats().snapshot())
+            };
+            let (reference, _) = run("local", None);
+            assert!(!reference.is_empty(), "{}", w.name);
+            for budget in [None, Some(4096)] {
+                let (got, stats) = run("columnar", budget);
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{reference:?}"),
+                    "{} diverged (ordered={ordered}, budget={budget:?})",
+                    w.name
+                );
+                assert!(stats.vectorized_batches > 0, "{}: {stats:?}", w.name);
+                assert_eq!(stats.row_fallback_stages, 0, "{}: {stats:?}", w.name);
+                if budget.is_some() {
+                    assert!(stats.spilled_bytes > 0, "{}: {stats:?}", w.name);
+                    assert!(stats.dataset_spills > 0, "{}: {stats:?}", w.name);
                 }
             }
         }

@@ -367,6 +367,102 @@ fn scan_programs_run_as_one_vectorized_reduce_per_aggregation() {
 }
 
 #[test]
+fn keyed_programs_combine_and_rebind_in_columnar_stages() {
+    // Fig. 3 D, E, G on the default engine: each `d[k] ⊕= e` is the same
+    // four stages with the same labels as ever — combine + scatter, the
+    // old array's scatter, reduce → group bind → head into the updates'
+    // scatter, the merge — but the keyed map and the group bind are
+    // expressions now, so both stages with steps in them run columnar and
+    // none falls back.
+    use diablo_dataflow::ColumnarExecutor;
+    use std::sync::Arc;
+
+    const COMBINE: &str =
+        "scan[4p] → map → map → map ⇒ reduce_by_key (combine + scatter) (fused 3 narrow ops)";
+    const SCATTER_OLD: &str = "scan[4p] ⇒ merge (scatter old)";
+    const REDUCE: &str = "scan[4p] → reduce_by_key (reduce) → map → map ⇒ merge (scatter updates) \
+                          (fused 3 narrow ops)";
+    const MERGE: &str = "scan[4p] → merge ⊳ (combine slots) ⇒ materialize";
+    let update = [
+        COMBINE,
+        "layout: columnar",
+        SCATTER_OLD,
+        REDUCE,
+        "layout: columnar",
+    ];
+    for (w, updates) in [
+        (wl::word_count(2_000, 1), 1),
+        (wl::histogram(2_000, 1), 3),
+        (wl::group_by(2_000, 1), 1),
+    ] {
+        // Pinned, so a suite-wide DIABLO_BACKEND cannot change the layout.
+        let ctx = Context::new(2, 4).with_executor(Arc::new(ColumnarExecutor::default()));
+        let compiled = compile(w.source).expect("compiles");
+        let plan = session_for(&w, &ctx).explain(&compiled).expect("explains");
+        // Stage numbers aside, the golden is the stage and layout lines.
+        let got: Vec<&str> = plan
+            .lines()
+            .map(str::trim)
+            .filter_map(|l| match l.strip_prefix("stage ") {
+                Some(rest) => rest.split_once(": ").map(|(_, stage)| stage),
+                None => l.starts_with("layout:").then_some(l),
+            })
+            .collect();
+        let mut want: Vec<&str> = Vec::new();
+        for _ in 0..updates {
+            want.extend(update);
+        }
+        want.extend(std::iter::repeat_n(MERGE, updates));
+        assert_eq!(got, want, "{}:\n{plan}", w.name);
+        let stats = stats_of(&w, &ctx);
+        assert_eq!(stats.physical_stages, 4 * updates as u64, "{stats:?}");
+        assert_eq!(stats.shuffles, 3 * updates as u64, "{stats:?}");
+        assert_eq!(stats.row_fallback_stages, 0, "{stats:?}");
+        assert!(stats.vectorized_batches > 0, "{stats:?}");
+    }
+}
+
+#[test]
+fn a_group_by_with_an_opaque_key_computes_it_in_a_row_step_first() {
+    // A record has no columnar form, so a group-by keyed by one binds the
+    // key with an opaque `let` first — one more fused step, named in the
+    // layout note and forecast by D025 — and then keys and folds as usual.
+    use diablo_dataflow::ColumnarExecutor;
+    use std::sync::Arc;
+
+    const SRC: &str = "input V: vector[long];
+         var C: map[<|k: long|>, long] = map();
+         for v in V do C[<|k = v|>] += 1;";
+    let ctx = Context::new(2, 4).with_executor(Arc::new(ColumnarExecutor::default()));
+    let mut s = Session::new(ctx);
+    s.bind_input(
+        "V",
+        (0..200)
+            .map(|i| Value::pair(Value::Long(i), Value::Long(i % 9)))
+            .collect(),
+    );
+    let plan = s
+        .explain(&compile(SRC).expect("compiles"))
+        .expect("explains");
+    assert!(
+        plan.contains("scan[4p] → map → map → map → map ⇒ reduce_by_key (combine + scatter)"),
+        "{plan}"
+    );
+    assert!(
+        plan.contains("layout: row (opaque let from s1:C)"),
+        "{plan}"
+    );
+    let mut diags = diablo_diag::Diagnostics::new();
+    let (tp, compiled) = diablo_core::compile_multi(SRC, &mut diags).expect("compiles");
+    assert!(
+        diablo_core::lint_program(&tp, &compiled)
+            .iter()
+            .any(|d| d.code == diablo_diag::codes::ROW_FALLBACK),
+        "D025 forecasts the opaque key"
+    );
+}
+
+#[test]
 fn stage_counts_grow_with_program_complexity() {
     let ctx = Context::new(2, 4);
     let simple = stats_of(&wl::sum(1_000, 1), &ctx);

@@ -201,4 +201,59 @@ proptest! {
         let rb = dataset(&b, &pairs).reduce_by_key(|x, y| BinOp::Add.apply(x, y)).unwrap().collect_sorted();
         prop_assert_eq!(ra, rb);
     }
+
+    #[test]
+    fn aggregate_by_key_equals_reduce_by_key(
+        pairs in pairs_strategy(),
+        workers in 1usize..5,
+        partitions in 1usize..9,
+        batch in 1usize..40,
+        ordered in any::<bool>(),
+    ) {
+        use std::sync::Arc;
+        use diablo_dataflow::{ColumnarExecutor, LocalExecutor, RowExpr};
+        use diablo_runtime::AggOp;
+        // (key, v, x): odd values key by the double their long key equals,
+        // and x is a double whose sum depends on the order of addition.
+        let rows: Vec<Value> = pairs
+            .iter()
+            .map(|&(k, v)| {
+                let key = if v % 2 == 0 { Value::Long(k) } else { Value::Double(k as f64) };
+                Value::tuple(vec![key, Value::Long(v), Value::Double(v as f64 * 1e-3 + (v % 7) as f64 * 1e9)])
+            })
+            .collect();
+        let keyed = || RowExpr::Tuple(vec![
+            RowExpr::Col(0),
+            RowExpr::Tuple(vec![RowExpr::Col(1), RowExpr::Col(2), RowExpr::Col(1)]),
+        ]);
+        let ops = [BinOp::Add, BinOp::Add, BinOp::Max];
+        let reference = Context::new(1, partitions)
+            .with_executor(Arc::new(LocalExecutor))
+            .with_ordered(ordered)
+            .from_vec(rows.clone())
+            .map_expr(keyed())
+            .unwrap()
+            .reduce_by_key(move |a, b| {
+                let (xs, ys) = (a.as_tuple().unwrap(), b.as_tuple().unwrap());
+                let fields = ops
+                    .iter()
+                    .zip(xs.iter().zip(ys))
+                    .map(|(op, (x, y))| op.apply(x, y))
+                    .collect::<Result<Vec<_>, _>>()?;
+                Ok(Value::tuple(fields))
+            })
+            .unwrap()
+            .collect();
+        let got = Context::new(workers, partitions)
+            .with_executor(Arc::new(ColumnarExecutor::new(batch)))
+            .with_ordered(ordered)
+            .from_vec(rows)
+            .map_expr(keyed())
+            .unwrap()
+            .aggregate_by_key(ops.iter().map(|&op| AggOp::new(op).unwrap()).collect())
+            .unwrap()
+            .collect();
+        // Same rows, same order, same bits.
+        prop_assert_eq!(format!("{got:?}"), format!("{reference:?}"));
+    }
 }
