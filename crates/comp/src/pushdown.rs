@@ -1,19 +1,85 @@
-//! Aggregate pushdown through a `group by`.
+//! What the pipeline builder hands the engine as data instead of
+//! closures, decided in one place for the engine (the exec crate's
+//! `run_comp`) and for the lints that forecast what the engine will do.
 //!
-//! After `group by p : k` every variable bound before it and not in `p`
-//! is lifted to a bag. When the rest of the comprehension only ever
-//! *aggregates* those bags with monoids (`+/v`, `max/w`, …), the group-by
-//! never has to build them: it can shuffle `(k, (v, w))` and fold each
-//! field with its monoid — `reduceByKey` instead of `groupByKey`. This
-//! module decides that, for the engine (which then runs the rewritten
-//! tail over pre-aggregated columns) and for the lints that forecast what
-//! the engine will do.
+//! **Aggregate pushdown through a `group by`.** After `group by p : k`
+//! every variable bound before it and not in `p` is lifted to a bag. When
+//! the rest of the comprehension only ever *aggregates* those bags with
+//! monoids (`+/v`, `max/w`, …), the group-by never has to build them: it
+//! can shuffle `(k, (v, w))` and fold each field with its monoid —
+//! `reduceByKey` instead of `groupByKey` ([`push_down_aggs`]).
+//!
+//! **Join keys of a second generator.** A generator over a dataset that
+//! follows the first one is an equi-join when equalities link its pattern
+//! to the variables bound so far, and a broadcast cross when none does
+//! ([`join_keys`]).
 
 use std::collections::HashSet;
 
-use diablo_runtime::AggOp;
+use diablo_runtime::{AggOp, BinOp};
 
 use crate::ir::{CExpr, Qual};
+
+/// One equality linking the rows bound so far to a new generator's
+/// pattern.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JoinKey {
+    /// The index of the equality among the qualifiers: the join consumes
+    /// it, so it must not run as a filter as well.
+    pub pred: usize,
+    /// The side over the variables bound so far.
+    pub left: CExpr,
+    /// The side over the new generator's pattern variables.
+    pub right: CExpr,
+}
+
+/// Scans the predicates following generator `gen_idx` (up to the next
+/// generator, let or group-by) for equalities with one side over
+/// `row_vars` — the variables bound so far — and the other over
+/// `pat_vars`, the generator's pattern variables. Variables `is_global`
+/// accepts (scalars of the enclosing program) may appear on either side.
+pub fn join_keys(
+    quals: &[Qual],
+    gen_idx: usize,
+    row_vars: &HashSet<String>,
+    pat_vars: &HashSet<String>,
+    is_global: &dyn Fn(&str) -> bool,
+) -> Vec<JoinKey> {
+    // true: row side; false: pattern side.
+    let side = |e: &CExpr| -> Option<bool> {
+        let fv = e.free_vars();
+        let local: Vec<&String> = fv.iter().filter(|v| !is_global(v)).collect();
+        if local.is_empty() {
+            None
+        } else if local.iter().all(|v| row_vars.contains(*v)) {
+            Some(true)
+        } else if local.iter().all(|v| pat_vars.contains(*v)) {
+            Some(false)
+        } else {
+            None
+        }
+    };
+    let mut keys = Vec::new();
+    for (pred, q) in quals.iter().enumerate().skip(gen_idx + 1) {
+        match q {
+            Qual::Pred(CExpr::Bin(BinOp::Eq, a, b)) => {
+                let (left, right) = match (side(a), side(b)) {
+                    (Some(true), Some(false)) => (a, b),
+                    (Some(false), Some(true)) => (b, a),
+                    _ => continue,
+                };
+                keys.push(JoinKey {
+                    pred,
+                    left: (**left).clone(),
+                    right: (**right).clone(),
+                });
+            }
+            Qual::Pred(_) => {}
+            _ => break, // next generator / let / group-by ends the window
+        }
+    }
+    keys
+}
 
 /// A group-by whose lifted variables are all consumed by monoid
 /// aggregations.

@@ -21,10 +21,12 @@
 //!   engine cannot see through — an opaque expression (a record
 //!   constructor, bag aggregation, nested comprehension, …), a group-by
 //!   that builds whole groups (one whose grouped variables are only folded
-//!   by monoids is keyed and aggregated in typed columns), a join or
-//!   expansion — so the default (columnar) engine runs that stage
-//!   tuple-at-a-time. Fires exactly when the run reports
-//!   `row_fallback_stages > 0` (held by `tests/lint_workloads.rs`).
+//!   by monoids is keyed and aggregated in typed columns), a second
+//!   generator over a range or a per-row bag (one over a collection is a
+//!   join or a broadcast cross the engine is told as data) — so the default
+//!   (columnar) engine runs that stage tuple-at-a-time. Fires exactly when
+//!   the run reports `row_fallback_stages > 0` (held by
+//!   `tests/lint_workloads.rs`).
 //!
 //! Lints only run on programs that already passed the restriction checks,
 //! so patterns the analysis rejects (e.g. non-monoid updates *inside*
@@ -33,7 +35,7 @@
 use std::collections::HashSet;
 
 use diablo_comp::ir::{CExpr, Comprehension, Pattern, Qual};
-use diablo_comp::pushdown::{agg_col_name, push_down_aggs};
+use diablo_comp::pushdown::{agg_col_name, join_keys, push_down_aggs};
 use diablo_diag::{codes, Diagnostic, Span};
 use diablo_lang::ast::{Const, DeclInit, Expr, Lhs, Stmt};
 use diablo_lang::pretty::{pretty_expr, pretty_lhs};
@@ -538,9 +540,9 @@ const HELP_REWRITE: &str = "the stage still runs (row path; reported as `row_fal
 
 /// What to expect of a step that moves boxed rows.
 const HELP_INHERENT: &str = "the stage still runs (row path; reported as `row_fallback_stages` in \
-     the run stats and as `layout: row` in the plan trace); joins, generator expansions and \
-     group-bys that build whole groups move boxed rows, so only the chain's arithmetic and its \
-     monoid aggregations (`+=`, `min=`, …) can be made columnar";
+     the run stats and as `layout: row` in the plan trace); range and bag expansions and \
+     group-bys that build whole groups move boxed rows, so only the chain's arithmetic, its \
+     joins with collections and its monoid aggregations (`+=`, `min=`, …) can be made columnar";
 
 /// A D025 finding: why a stage falls back, and what to do about it.
 type Fallback = (String, &'static str);
@@ -561,22 +563,39 @@ fn inherent(reason: &str) -> Option<Fallback> {
     Some((reason.to_string(), HELP_INHERENT))
 }
 
+/// True for a generator domain the pipeline builder turns into a
+/// distributed dataset: a collection, a loop range, or a nested
+/// collection-backed bag.
+fn is_source(dom: &CExpr, is_collection: &dyn Fn(&str) -> bool) -> bool {
+    match dom {
+        CExpr::Var(v) => is_collection(v),
+        CExpr::Range(_, _) => true,
+        CExpr::Comp(_) | CExpr::Merge { .. } => dom.free_vars().iter().any(|v| is_collection(v)),
+        _ => false,
+    }
+}
+
 /// The first step of a comprehension's engine pipeline that the pipeline
 /// builder (the exec crate's `run_comp`) can only express as an opaque
 /// closure — or `None` when every step of the chain is transparent, or
-/// the comprehension never reaches the engine. `is_source` recognizes
-/// generator domains that start a pipeline.
-fn first_opaque_step(c: &Comprehension, is_source: &dyn Fn(&CExpr) -> bool) -> Option<Fallback> {
+/// the comprehension never reaches the engine. `is_collection` recognizes
+/// the program's dataset variables.
+fn first_opaque_step(c: &Comprehension, is_collection: &dyn Fn(&str) -> bool) -> Option<Fallback> {
     // Before the first distributed source everything is bound on the
     // driver; such bindings are crossed into the source rows by a closure.
     let mut driver_bindings = false;
     for (i, q) in c.quals.iter().enumerate() {
         match q {
-            Qual::Gen(p, dom) if is_source(dom) => {
+            Qual::Gen(p, dom) if is_source(dom, is_collection) => {
                 return if driver_bindings {
                     inherent("driver-side bindings are crossed into every source row")
                 } else {
-                    first_opaque_after_source(&c.quals[i + 1..], &c.head, p.var_list())
+                    first_opaque_after_source(
+                        &c.quals[i + 1..],
+                        &c.head,
+                        p.var_list(),
+                        is_collection,
+                    )
                 };
             }
             Qual::Gen(_, _) | Qual::Let(_, _) => driver_bindings = true,
@@ -595,15 +614,41 @@ fn first_opaque_after_source(
     quals: &[Qual],
     head: &CExpr,
     mut cols: Vec<String>,
+    is_collection: &dyn Fn(&str) -> bool,
 ) -> Option<Fallback> {
+    // Equalities a join consumed: they never run as filters.
+    let mut consumed: HashSet<usize> = HashSet::new();
     for (i, q) in quals.iter().enumerate() {
         let hit = match q {
-            Qual::Gen(_, _) => inherent("a second generator joins or expands the scanned rows"),
+            Qual::Gen(_, CExpr::Range(_, _)) => {
+                inherent("a second generator expands every scanned row over a range")
+            }
+            // A second generator over a dataset: the pipeline builder
+            // tells the engine the join keys (or, without any, the
+            // broadcast rows) and the pattern's shape; a key that does not
+            // convert is computed by a closure first.
+            Qual::Gen(p, dom) if is_source(dom, is_collection) => {
+                let row_vars: HashSet<String> = cols.iter().cloned().collect();
+                let pat_vars: HashSet<String> = p.var_list().into_iter().collect();
+                let keys = join_keys(quals, i, &row_vars, &pat_vars, &|v| {
+                    !row_vars.contains(v) && !pat_vars.contains(v) && !is_collection(v)
+                });
+                consumed.extend(keys.iter().map(|k| k.pred));
+                cols.extend(p.var_list());
+                keys.iter()
+                    .map(|k| &k.left)
+                    .chain(keys.iter().map(|k| &k.right))
+                    .find_map(|key| opaque_expr(key, "a join key"))
+            }
+            Qual::Gen(_, _) => {
+                inherent("a second generator expands every scanned row over a bag computed from it")
+            }
             Qual::Let(Pattern::Var(v), e) => {
                 cols.push(v.clone());
                 opaque_expr(e, "a let binding")
             }
             Qual::Let(_, _) => inherent("a let binding destructures its value"),
+            Qual::Pred(_) if consumed.contains(&i) => None,
             Qual::Pred(e) => opaque_expr(e, "a condition"),
             Qual::GroupBy(p, key) => {
                 // What the pipeline builder does: when everything after
@@ -621,8 +666,9 @@ fn first_opaque_after_source(
                 };
                 let mut cols = key_vars;
                 cols.extend((0..pushed.aggs.len()).map(agg_col_name));
-                return opaque_expr(key, "the group-by key")
-                    .or_else(|| first_opaque_after_source(&pushed.tail, &pushed.head, cols));
+                return opaque_expr(key, "the group-by key").or_else(|| {
+                    first_opaque_after_source(&pushed.tail, &pushed.head, cols, is_collection)
+                });
             }
         };
         if hit.is_some() {
@@ -702,16 +748,7 @@ fn find_write(stmts: &[Stmt], name: &str) -> Option<Span> {
 }
 
 fn row_fallback(tp: &TypedProgram, compiled: &CompiledProgram, out: &mut Vec<Diagnostic>) {
-    // Generator domains the pipeline builder turns into a distributed
-    // source: a collection, a loop range, or a nested collection-backed bag.
-    let is_source = |dom: &CExpr| match dom {
-        CExpr::Var(v) => compiled.is_collection(v),
-        CExpr::Range(_, _) => true,
-        CExpr::Comp(_) | CExpr::Merge { .. } => {
-            dom.free_vars().iter().any(|v| compiled.is_collection(v))
-        }
-        _ => false,
-    };
+    let is_collection = |v: &str| compiled.is_collection(v);
     let mut assigns: Vec<(&String, &CExpr)> = Vec::new();
     collect_assign_values(&compiled.stmts, &mut assigns);
     let mut warned: HashSet<&String> = HashSet::new();
@@ -722,7 +759,7 @@ fn row_fallback(tp: &TypedProgram, compiled: &CompiledProgram, out: &mut Vec<Dia
         let mut hit = None;
         visit_comps(value, &mut |c| {
             if hit.is_none() {
-                hit = first_opaque_step(c, &is_source);
+                hit = first_opaque_step(c, &is_collection);
             }
         });
         let Some((reason, help)) = hit else { continue };
@@ -1019,7 +1056,7 @@ mod tests {
 
     fn fallback_of(quals: Vec<Qual>, head: CExpr) -> Option<String> {
         let c = Comprehension::new(head, quals);
-        first_opaque_step(&c, &|dom| matches!(dom, CExpr::Var(v) if v == "V")).map(|(why, _)| why)
+        first_opaque_step(&c, &|v| v == "V" || v == "W").map(|(why, _)| why)
     }
 
     #[test]
@@ -1040,10 +1077,51 @@ mod tests {
         let by_record = Qual::GroupBy(Pattern::var("k"), record);
         let why = fallback_of(vec![scan(), one(), by_record], head.clone()).unwrap();
         assert!(why.contains("the group-by key"), "{why}");
-        // A second generator after the group-by still joins.
+        // A second generator after the group-by: a cross with a collection
+        // is transparent, an expansion over a range is not.
         let again = Qual::Gen(Pattern::var("u"), CExpr::var("V"));
+        let quals = vec![scan(), one(), by_v(), again];
+        assert_eq!(fallback_of(quals, head.clone()), None);
+        let range = CExpr::Range(Box::new(CExpr::long(0)), Box::new(CExpr::var("k")));
+        let again = Qual::Gen(Pattern::var("u"), range);
         let why = fallback_of(vec![scan(), one(), by_v(), again], head).unwrap();
-        assert!(why.contains("second generator"), "{why}");
+        assert!(why.contains("over a range"), "{why}");
+    }
+
+    #[test]
+    fn row_fallback_of_a_second_generator_follows_the_pipeline_builder() {
+        let scan = || Qual::Gen(Pattern::var("v"), CExpr::var("V"));
+        let other = || {
+            Qual::Gen(
+                Pattern::Tuple(vec![Pattern::var("i"), Pattern::var("w")]),
+                CExpr::var("W"),
+            )
+        };
+        let eq = |a: CExpr, b: CExpr| Qual::Pred(CExpr::Bin(BinOp::Eq, Box::new(a), Box::new(b)));
+        let head = || CExpr::pair(CExpr::var("v"), CExpr::var("w"));
+        let record = |v: &str| CExpr::Record(vec![("a".into(), CExpr::var(v))]);
+        // No linking equality: a broadcast cross the engine expands itself.
+        assert_eq!(fallback_of(vec![scan(), other()], head()), None);
+        // A linking equality, either way round: a join on transparent keys.
+        let join = vec![scan(), other(), eq(CExpr::var("i"), CExpr::var("v"))];
+        assert_eq!(fallback_of(join, head()), None);
+        // A key that does not convert is computed by a closure first — on
+        // the left or on the right — and the equality is not a filter too.
+        for (l, r) in [
+            (record("v"), CExpr::var("i")),
+            (CExpr::var("v"), record("i")),
+        ] {
+            let why = fallback_of(vec![scan(), other(), eq(r, l)], head()).unwrap();
+            assert!(why.contains("a join key contains a record"), "{why}");
+        }
+        // An equality that links nothing stays a condition.
+        let filter = eq(record("v"), CExpr::var("v"));
+        let why = fallback_of(vec![scan(), other(), filter], head()).unwrap();
+        assert!(why.contains("a condition contains a record"), "{why}");
+        // A generator over a bag the row computes expands row by row.
+        let bag = Qual::Gen(Pattern::var("u"), CExpr::var("v"));
+        let why = fallback_of(vec![scan(), bag], head()).unwrap();
+        assert!(why.contains("over a bag computed from it"), "{why}");
     }
 
     #[test]

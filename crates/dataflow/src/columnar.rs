@@ -159,6 +159,16 @@ pub enum Shape {
 }
 
 impl Shape {
+    /// The arity of a flat tuple shape that binds every position: a row
+    /// that fits it *is* the tuple of its bound leaves, so unpacking it
+    /// needs no new row.
+    fn whole_tuple(&self) -> Option<usize> {
+        match self {
+            Shape::Tuple(ps) if ps.iter().all(|p| *p == Shape::Bind) => Some(ps.len()),
+            _ => None,
+        }
+    }
+
     /// Appends the values bound at the [`Shape::Bind`] positions, left to
     /// right. Returns `false` when `v` does not have this shape.
     fn bind(&self, v: &Value, out: &mut Vec<Value>) -> bool {
@@ -180,6 +190,61 @@ impl Shape {
 
 fn narrow_row() -> RuntimeError {
     RuntimeError::new("row is narrower than its layout")
+}
+
+/// The fields of an environment row: the operators that extend rows
+/// (`Dataset::cross`, `Dataset::join_on`) take tuples on their left.
+pub(crate) fn env_fields(row: &Value) -> Result<&[Value]> {
+    row.as_tuple()
+        .ok_or_else(|| RuntimeError::new(format!("expected a tuple row to extend, got {row}")))
+}
+
+/// A broadcast cross described by data — the transparent form of the
+/// `flat_map` behind `Dataset::cross`: every input row (a tuple) is
+/// followed, once per item and in item order, by the leaves `shape` binds
+/// in that item. An item the shape does not fit is the error
+/// `"{mismatch} {item}"`, raised by the first row that reaches the step.
+#[derive(Debug)]
+pub(crate) struct Cross {
+    items: Arc<Vec<Value>>,
+    shape: Shape,
+    mismatch: Arc<str>,
+}
+
+impl Cross {
+    pub(crate) fn new(items: Arc<Vec<Value>>, shape: Shape, mismatch: Arc<str>) -> Cross {
+        Cross {
+            items,
+            shape,
+            mismatch,
+        }
+    }
+
+    /// The row path: what the step's closure runs, and what a failed
+    /// tile's replay runs.
+    pub(crate) fn expand(&self, row: &Value) -> Result<Vec<Value>> {
+        let fields = env_fields(row)?;
+        let mut out = Vec::with_capacity(self.items.len());
+        for item in self.items.iter() {
+            let mut extended = Vec::with_capacity(fields.len() + 4);
+            extended.extend_from_slice(fields);
+            if !self.shape.bind(item, &mut extended) {
+                return Err(RuntimeError::new(format!("{} {item}", self.mismatch)));
+            }
+            out.push(Value::tuple(extended));
+        }
+        Ok(out)
+    }
+
+    /// The items' bound leaves as columns, one per leaf and each as long
+    /// as the item list. `None` when some item does not fit the shape:
+    /// the tile that reaches the step then fails, and its replay names
+    /// the item.
+    fn leaf_columns(&self) -> Option<Vec<VCol<'_>>> {
+        let mut leaves = Vec::new();
+        unpack(&self.shape, &decompose(&self.items), &mut leaves).ok()?;
+        Some(leaves)
+    }
 }
 
 impl RowExpr {
@@ -217,9 +282,14 @@ impl RowExpr {
             )),
             RowExpr::Field(e, name) => name.get(&e.eval(row)?).cloned(),
             RowExpr::Unpack { shape, mismatch } => {
+                let unfit = || RuntimeError::new(format!("{mismatch} {row}"));
+                if let Some(n) = shape.whole_tuple() {
+                    let fits = row.as_tuple().is_some_and(|fields| fields.len() == n);
+                    return if fits { Ok(row.clone()) } else { Err(unfit()) };
+                }
                 let mut out = Vec::with_capacity(4);
                 if !shape.bind(row, &mut out) {
-                    return Err(RuntimeError::new(format!("{mismatch} {row}")));
+                    return Err(unfit());
                 }
                 Ok(Value::tuple(out))
             }
@@ -227,10 +297,11 @@ impl RowExpr {
     }
 }
 
-/// True when every fused step of the chain carries a [`RowExpr`] — the
-/// stage can run through the columnar driver.
+/// True when every fused step of the chain is described by data (a
+/// [`RowExpr`], or a [`Cross`] for an expansion) — the stage can run
+/// through the columnar driver.
 pub(crate) fn eligible(steps: &[Step]) -> bool {
-    !steps.is_empty() && steps.iter().all(|s| s.expr.is_some())
+    !steps.is_empty() && steps.iter().all(Step::transparent)
 }
 
 /// A typed column chunk: one tile's worth of one column. `'a` is the
@@ -359,10 +430,67 @@ impl VCol<'_> {
     }
 }
 
+impl<'a> VCol<'a> {
+    /// The column stretched for an expansion of `len` rows by `items`
+    /// items each: every row `items` times in a row (`a a b b …`, the
+    /// expanded rows' own fields) when `each`, the whole column `len`
+    /// times over (`x y x y …`, the items' leaves) otherwise.
+    fn stretched(&self, len: usize, items: usize, each: bool) -> VCol<'a> {
+        fn lane<T: Clone>(v: &[T], len: usize, items: usize, each: bool) -> Arc<Vec<T>> {
+            let mut out = Vec::with_capacity(len * items);
+            if each {
+                for x in v {
+                    out.extend(std::iter::repeat_n(x, items).cloned());
+                }
+            } else {
+                for _ in 0..len {
+                    out.extend_from_slice(v);
+                }
+            }
+            Arc::new(out)
+        }
+        match self {
+            VCol::Long(v) => VCol::Long(lane(v, len, items, each)),
+            VCol::Double(v) => VCol::Double(lane(v, len, items, each)),
+            VCol::Bool(v) => VCol::Bool(lane(v, len, items, each)),
+            VCol::Tuple(cols) => VCol::Tuple(Arc::new(
+                cols.iter().map(|c| c.stretched(len, items, each)).collect(),
+            )),
+            VCol::Const(v) => VCol::Const(v.clone()),
+            VCol::Refs(rows) => VCol::Refs(lane(rows, len, items, each)),
+            VCol::Val(rows) => VCol::Val(lane(rows, len, items, each)),
+        }
+    }
+
+    /// The field columns of a column of `len` tuples that all have one
+    /// arity; `None` for anything less regular.
+    fn tuple_columns(&self, len: usize) -> Option<Vec<VCol<'a>>> {
+        let n = match self {
+            VCol::Tuple(cols) => return Some(cols.to_vec()),
+            VCol::Long(_) | VCol::Double(_) | VCol::Bool(_) => return None,
+            VCol::Const(_) | VCol::Refs(_) | VCol::Val(_) => {
+                let arity = |i: usize| self.at(i).as_tuple().map(<[Value]>::len);
+                let n = arity(0).filter(|_| len > 0)?;
+                (1..len).all(|i| arity(i) == Some(n)).then_some(n)?
+            }
+        };
+        (0..n).map(|i| project(self, i).ok()).collect()
+    }
+}
+
 /// A primitive lane view with constant broadcast.
 enum Lane<'a, T: Copy> {
     V(&'a [T]),
     C(T),
+}
+
+impl<T: Copy> Lane<'_, T> {
+    fn at(&self, i: usize) -> T {
+        match self {
+            Lane::V(v) => v[i],
+            Lane::C(c) => *c,
+        }
+    }
 }
 
 fn zip<T: Copy, R: Copy>(
@@ -591,6 +719,40 @@ fn vec_un(op: UnOp, col: &VCol, len: usize) -> Result<VCol<'static>> {
     }
 }
 
+/// Lane kernels of the builtin functions over numeric columns: the
+/// arithmetic of [`Func::apply`] on longs and doubles — every argument
+/// promoted to a double first, as `apply` does — unboxed. `None` when an
+/// argument is not numeric or the function keeps its argument's type
+/// (`abs`); the per-element path then decides, and reports.
+fn vec_call(f: Func, cols: &[VCol], len: usize) -> Option<VCol<'static>> {
+    if cols.len() != f.arity() {
+        return None;
+    }
+    let promoted: Vec<VCol> = cols.iter().map(promote_f64).collect::<Option<_>>()?;
+    let lane = |i: usize| lane_f64(&promoted[i]).expect("promoted");
+    let unary = |k: fn(f64) -> f64| {
+        let x = lane(0);
+        double_col((0..len).map(|i| k(x.at(i))).collect())
+    };
+    Some(match f {
+        Func::Sqrt => unary(f64::sqrt),
+        Func::Exp => unary(f64::exp),
+        Func::Log => unary(f64::ln),
+        Func::ToDouble => unary(|x| x),
+        Func::Pow => double_col(zip(&lane(0), &lane(1), len, f64::powf)),
+        Func::ToLong => {
+            let x = lane(0);
+            long_col((0..len).map(|i| x.at(i) as i64).collect())
+        }
+        Func::InRange => {
+            let (x, lo, hi) = (lane(0), lane(1), lane(2));
+            let within = |i: usize| lo.at(i) <= x.at(i) && x.at(i) <= hi.at(i);
+            bool_col((0..len).map(within).collect())
+        }
+        Func::Abs => return None,
+    })
+}
+
 /// Tuple-position projection over a column.
 fn project<'a>(col: &VCol<'a>, i: usize) -> Result<VCol<'a>> {
     match col {
@@ -686,6 +848,9 @@ fn vec_eval<'a>(expr: &RowExpr, input: &VCol<'a>, len: usize) -> Result<VCol<'a>
                 .iter()
                 .map(|e| vec_eval(e, input, len))
                 .collect::<Result<Vec<VCol>>>()?;
+            if let Some(col) = vec_call(*f, &cols, len) {
+                return Ok(col);
+            }
             let mut out = Vec::with_capacity(len);
             let mut buf: Vec<Value> = Vec::with_capacity(cols.len());
             for i in 0..len {
@@ -707,6 +872,17 @@ fn vec_eval<'a>(expr: &RowExpr, input: &VCol<'a>, len: usize) -> Result<VCol<'a>
             project_field(&col, name, len)
         }
         RowExpr::Unpack { shape, .. } => {
+            // Boxed rows that are the tuple of their own leaves stay as
+            // they are: whoever wants a field projects it, and a row that
+            // reaches the output is cloned, not rebuilt.
+            if let (Some(n), VCol::Refs(_) | VCol::Val(_)) = (shape.whole_tuple(), input) {
+                let fits = |v: &Value| v.as_tuple().map(<[Value]>::len) == Some(n);
+                return if (0..len).all(|i| fits(&input.at(i))) {
+                    Ok(input.clone())
+                } else {
+                    Err(narrow_row())
+                };
+            }
             let mut cols = Vec::new();
             unpack(shape, input, &mut cols)?;
             Ok(VCol::Tuple(Arc::new(cols)))
@@ -732,30 +908,64 @@ fn mask_of(col: &VCol, len: usize) -> Result<Vec<bool>> {
     }
 }
 
+/// Expands a tile through a [`Cross`]: the rows' own field columns, each
+/// row repeated once per item, followed by the items' leaf columns tiled
+/// once per row. Rows that are not tuples of one arity are expanded one by
+/// one, exactly as the row path does it.
+fn vec_cross<'a>(
+    cross: &Cross,
+    leaves: Option<&[VCol<'a>]>,
+    col: &VCol<'a>,
+    len: usize,
+) -> Result<(VCol<'a>, usize)> {
+    let leaves = leaves.ok_or_else(|| RuntimeError::new(cross.mismatch.to_string()))?;
+    let items = cross.items.len();
+    let Some(fields) = col.tuple_columns(len) else {
+        let mut out = Vec::with_capacity(len * items);
+        for i in 0..len {
+            out.extend(cross.expand(&col.at(i))?);
+        }
+        return Ok((decompose_owned(out), len * items));
+    };
+    let cols = fields
+        .iter()
+        .map(|c| c.stretched(len, items, true))
+        .chain(leaves.iter().map(|c| c.stretched(len, items, false)))
+        .collect();
+    Ok((VCol::Tuple(Arc::new(cols)), len * items))
+}
+
 /// Runs one tile through the whole fused chain in columnar form —
 /// decompose once, per-column loops per step — returning the surviving
-/// rows as one column and their count.
-fn run_tile<'a>(rows: &'a [Value], steps: &[Step]) -> Result<(VCol<'a>, usize)> {
+/// rows as one column and their count. `leaves[i]` holds the item leaf
+/// columns of step `i` when it is a [`Cross`].
+fn run_tile<'a>(
+    rows: &'a [Value],
+    steps: &[Step],
+    leaves: &[Option<Vec<VCol<'a>>>],
+) -> Result<(VCol<'a>, usize)> {
+    let opaque = || RuntimeError::new("opaque step in a columnar stage");
     let mut col = decompose(rows);
     let mut len = rows.len();
-    for s in steps {
-        let expr = s
-            .expr
-            .as_ref()
-            .ok_or_else(|| RuntimeError::new("opaque step in a columnar stage"))?;
+    for (s, leaves) in steps.iter().zip(leaves) {
         match &s.op {
             StepOp::Map(_) => {
+                let expr = s.expr.as_ref().ok_or_else(opaque)?;
                 col = vec_eval(expr, &col, len).map_err(|e| s.tag_err(e))?;
             }
             StepOp::Filter(_) => {
+                let expr = s.expr.as_ref().ok_or_else(opaque)?;
                 let mask = vec_eval(expr, &col, len)
                     .and_then(|c| mask_of(&c, len))
                     .map_err(|e| s.tag_err(e))?;
                 len = mask.iter().filter(|&&m| m).count();
                 col = col.compact(&mask);
             }
-            // flat_map carries no expression, so eligible() excluded it.
-            StepOp::FlatMap(_) => return Err(RuntimeError::new("opaque step in a columnar stage")),
+            StepOp::FlatMap(_, cross) => {
+                let cross = cross.as_ref().ok_or_else(opaque)?;
+                (col, len) =
+                    vec_cross(cross, leaves.as_deref(), &col, len).map_err(|e| s.tag_err(e))?;
+            }
         }
         if len == 0 {
             break;
@@ -786,8 +996,19 @@ fn drive_tiles(
     sink: &mut impl TileSink,
 ) -> Result<()> {
     debug_assert!(batch > 0);
-    for tile in rows.chunks(batch.max(1)) {
-        match run_tile(tile, steps) {
+    // The items of every cross in the chain, columnarized once for all
+    // tiles; source tiles are narrowed by the expansion factor so an
+    // expanded tile stays within the batch width (down to one source row).
+    let leaves: Vec<Option<Vec<VCol>>> = steps
+        .iter()
+        .map(|s| s.cross().and_then(Cross::leaf_columns))
+        .collect();
+    let factor = steps
+        .iter()
+        .filter_map(|s| s.cross())
+        .fold(1usize, |f, c| f.saturating_mul(c.items.len().max(1)));
+    for tile in rows.chunks((batch / factor).max(1)) {
+        match run_tile(tile, steps, &leaves) {
             Ok((col, len)) => {
                 stats.record_vectorized_batch();
                 sink.tile(&col, len)?;
@@ -816,6 +1037,48 @@ impl TileSink for RowSink<'_> {
     fn row(&mut self, row: Value) -> Result<()> {
         (self.0)(row)
     }
+}
+
+/// Hands a `(key, row)` pair to `sink` as its two halves.
+pub(crate) fn split_pair(
+    pair: &Value,
+    sink: &mut dyn FnMut(&Value, Value) -> Result<()>,
+) -> Result<()> {
+    let (key, row) = key_value_ref(pair)?;
+    sink(key, row.clone())
+}
+
+/// Splits each surviving `(key, row)` pair for a keyed scatter: the key is
+/// read in place, only the row is reassembled.
+struct PairSink<'s>(&'s mut dyn FnMut(&Value, Value) -> Result<()>);
+
+impl TileSink for PairSink<'_> {
+    fn tile(&mut self, col: &VCol, len: usize) -> Result<()> {
+        match col {
+            VCol::Tuple(kv) if kv.len() == 2 => {
+                (0..len).try_for_each(|i| (self.0)(&kv[0].at(i), kv[1].get(i)))
+            }
+            _ => (0..len).try_for_each(|i| split_pair(&col.at(i), self.0)),
+        }
+    }
+
+    fn row(&mut self, row: Value) -> Result<()> {
+        split_pair(&row, self.0)
+    }
+}
+
+/// Drives a run of source rows through an eligible chain ending in
+/// `(key, row)` pairs, handing `sink` each pair's halves. Halves, order,
+/// the first error and its statement tag are identical to splitting
+/// [`drive`]'s output with [`split_pair`].
+pub(crate) fn pairs_columnar(
+    rows: &[Value],
+    steps: &[Step],
+    batch: usize,
+    stats: &Stats,
+    sink: &mut dyn FnMut(&Value, Value) -> Result<()>,
+) -> Result<()> {
+    drive_tiles(rows, steps, batch, stats, &mut PairSink(sink))
 }
 
 /// Drives a run of source rows through an eligible chain **batch-at-a-time
@@ -952,6 +1215,29 @@ fn bool_kernel(op: BinOp) -> Option<fn(bool, bool) -> bool> {
     })
 }
 
+/// The two lanes of a struct-of-arrays `(long, double)` column — what `^`
+/// folds without boxing.
+fn argmin_lanes<'c>(col: &'c VCol<'_>) -> Option<(Lane<'c, i64>, Lane<'c, f64>)> {
+    match col {
+        VCol::Tuple(cols) => match cols.as_slice() {
+            [index, distance] => Some((lane_i64(index)?, lane_f64(distance)?)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// `^` on two `(index, distance)` pairs, unboxed: the left one unless the
+/// right one's distance is smaller — `BinOp::apply`'s `da <= db`, which a
+/// NaN on either side fails.
+fn argmin_kernel(a: (i64, f64), x: (i64, f64)) -> (i64, f64) {
+    if a.1 <= x.1 {
+        a
+    } else {
+        x
+    }
+}
+
 /// One aggregate's accumulators, indexed by key slot: a primitive vector
 /// for as long as every value folded in is of that type, boxed values
 /// from the first one that is not.
@@ -959,6 +1245,8 @@ enum AccCol {
     Long(Vec<i64>),
     Double(Vec<f64>),
     Bool(Vec<bool>),
+    /// `^` over `(long, double)` pairs arriving as two lanes.
+    ArgMin(Vec<(i64, f64)>),
     Val(Vec<Value>),
 }
 
@@ -968,6 +1256,7 @@ impl AccCol {
             AccCol::Long(a) => a.len(),
             AccCol::Double(a) => a.len(),
             AccCol::Bool(a) => a.len(),
+            AccCol::ArgMin(a) => a.len(),
             AccCol::Val(a) => a.len(),
         }
     }
@@ -977,6 +1266,7 @@ impl AccCol {
             AccCol::Long(a) => Value::Long(a[slot]),
             AccCol::Double(a) => Value::Double(a[slot]),
             AccCol::Bool(a) => Value::Bool(a[slot]),
+            AccCol::ArgMin(a) => Value::pair(Value::Long(a[slot].0), Value::Double(a[slot].1)),
             AccCol::Val(a) => a[slot].clone(),
         }
     }
@@ -1044,9 +1334,10 @@ impl AccCol {
         Ok(())
     }
 
-    /// Folds a whole primitive lane into the accumulators its rows' key
-    /// slots name, in row order, when the lane, the accumulators and `op`
-    /// have a kernel in common. `false` (nothing folded) otherwise.
+    /// Folds a whole lane — primitive, or `(long, double)` as two lanes
+    /// under `^` — into the accumulators its rows' key slots name, in row
+    /// order, when the lane, the accumulators and `op` have a kernel in
+    /// common. `false` (nothing folded) otherwise.
     fn fold_lane(&mut self, op: BinOp, slots: &[u32], lane: &VCol) -> bool {
         fn scatter<T: Copy>(acc: &mut Vec<T>, slots: &[u32], lane: &Lane<'_, T>, k: fn(T, T) -> T) {
             // Slots are handed out in first-seen order, so a slot past the
@@ -1067,9 +1358,23 @@ impl AccCol {
                 *self = AccCol::Double(Vec::new());
             } else if lane_bool(lane).is_some() {
                 *self = AccCol::Bool(Vec::new());
+            } else if op == BinOp::ArgMin && argmin_lanes(lane).is_some() {
+                *self = AccCol::ArgMin(Vec::new());
             }
         }
         match self {
+            AccCol::ArgMin(acc) => match argmin_lanes(lane) {
+                Some((index, distance)) => {
+                    for (row, &s) in slots.iter().enumerate() {
+                        let x = (index.at(row), distance.at(row));
+                        match acc.get_mut(s as usize) {
+                            Some(a) => *a = argmin_kernel(*a, x),
+                            None => acc.push(x),
+                        }
+                    }
+                }
+                None => return false,
+            },
             AccCol::Long(acc) => match (lane_i64(lane), long_kernel(op)) {
                 (Some(lane), Some(k)) => scatter(acc, slots, &lane, k),
                 _ => return false,
@@ -1725,6 +2030,285 @@ mod tests {
         assert_eq!(col_out, row_out, "identical sunk prefix");
         let snap = stats.snapshot();
         assert!(snap.vectorized_batches >= 2, "{snap:?}");
+    }
+
+    fn step_cross(items: Vec<Value>, shape: Shape, tag: Option<&str>) -> Step {
+        let cross = Arc::new(Cross::new(
+            Arc::new(items),
+            shape,
+            "pattern Q does not match row".into(),
+        ));
+        let f = {
+            let cross = cross.clone();
+            move |row: &Value| cross.expand(row)
+        };
+        Step {
+            op: StepOp::FlatMap(Arc::new(f), Some(cross)),
+            tag: tag.map(Arc::from),
+            expr: None,
+            what: "flat_map",
+        }
+    }
+
+    #[test]
+    fn a_cross_expands_tiles_like_the_row_path() {
+        // (i, x) rows against (j, (y, name)) items binding j and y: the
+        // expansion sits between a filter and arithmetic over both sides.
+        let rows: Vec<Value> = (0..500i64)
+            .map(|i| Value::pair(Value::Long(i), Value::Double(i as f64 / 8.0)))
+            .collect();
+        let items: Vec<Value> = (0..7i64)
+            .map(|j| {
+                Value::pair(
+                    Value::Long(j),
+                    Value::pair(Value::Double(j as f64 * 1.5), Value::str(format!("c{j}"))),
+                )
+            })
+            .collect();
+        let shape = Shape::Tuple(vec![
+            Shape::Bind,
+            Shape::Tuple(vec![Shape::Bind, Shape::Skip]),
+        ]);
+        let chain = |items: Vec<Value>| {
+            vec![
+                step_filter(
+                    bin(
+                        BinOp::Ne,
+                        bin(BinOp::Mod, RowExpr::Col(0), RowExpr::Const(Value::Long(5))),
+                        RowExpr::Const(Value::Long(0)),
+                    ),
+                    None,
+                ),
+                step_cross(items, shape.clone(), Some("s4:D")),
+                step_filter(bin(BinOp::Ne, RowExpr::Col(2), RowExpr::Col(0)), None),
+                step_map(
+                    RowExpr::Tuple(vec![
+                        RowExpr::Col(0),
+                        RowExpr::Col(2),
+                        bin(BinOp::Sub, RowExpr::Col(1), RowExpr::Col(3)),
+                    ]),
+                    None,
+                ),
+            ]
+        };
+        for batch in [1, 3, 7, 64, 4096] {
+            let stats = Stats::default();
+            let (col, row) = run_both(&rows, &chain(items.clone()), batch);
+            let out = col.unwrap();
+            // 400 rows survive the filter, 5 of them meet their own index.
+            assert_eq!(out.len(), 400 * 7 - 5, "batch {batch}");
+            assert_eq!(format!("{out:?}"), format!("{:?}", row.unwrap()));
+            // An expanded tile stays within the batch width (or is the
+            // expansion of a single row).
+            drive_columnar(&rows, &chain(items.clone()), batch, &stats, &mut |_| Ok(())).unwrap();
+            let tiles = stats.snapshot().vectorized_batches as usize;
+            assert_eq!(
+                tiles,
+                rows.len().div_ceil((batch / 7).max(1)),
+                "batch {batch}"
+            );
+        }
+        // No items: no rows, no error; no rows: a bad item is never seen.
+        let (col, row) = run_both(&rows, &chain(Vec::new()), 64);
+        assert_eq!(col.unwrap(), Vec::<Value>::new());
+        assert_eq!(row.unwrap(), Vec::<Value>::new());
+        let (col, row) = run_both(&[], &chain(vec![Value::Long(1)]), 64);
+        assert_eq!(col.unwrap(), Vec::<Value>::new());
+        assert_eq!(row.unwrap(), Vec::<Value>::new());
+    }
+
+    #[test]
+    fn a_cross_item_that_does_not_fit_raises_the_row_paths_error() {
+        let rows: Vec<Value> = (0..100i64)
+            .map(|i| Value::pair(Value::Long(i), Value::Long(-i)))
+            .collect();
+        let mut items: Vec<Value> = (0..5i64)
+            .map(|j| Value::pair(Value::Long(j), Value::Long(j * j)))
+            .collect();
+        items[3] = Value::tuple(vec![Value::Long(3)]);
+        let steps = vec![
+            // Rows 0..=40 are dropped, so row 41 is the first to reach the
+            // cross; nothing is wrong with the rows before it.
+            step_filter(
+                bin(BinOp::Gt, RowExpr::Col(0), RowExpr::Const(Value::Long(40))),
+                None,
+            ),
+            step_cross(
+                items,
+                Shape::Tuple(vec![Shape::Bind, Shape::Bind]),
+                Some("s4:D"),
+            ),
+        ];
+        for batch in [1, 8, 4096] {
+            let (col, row) = run_both(&rows, &steps, batch);
+            let (col, row) = (col.unwrap_err(), row.unwrap_err());
+            assert_eq!(col.to_string(), row.to_string(), "batch {batch}");
+            assert_eq!(col.message, "[s4:D] pattern Q does not match row (3)");
+        }
+    }
+
+    #[test]
+    fn a_cross_over_ragged_or_boxed_rows_expands_row_by_row() {
+        // Straight from the scan (boxed rows), of two arities; and a row
+        // that is no tuple at all.
+        let mut rows: Vec<Value> = (0..40i64)
+            .map(|i| {
+                let mut fields = vec![Value::Long(i), Value::str("x")];
+                if i % 3 == 0 {
+                    fields.push(Value::Double(0.5));
+                }
+                Value::tuple(fields)
+            })
+            .collect();
+        let items = vec![Value::Long(7), Value::Long(8)];
+        let steps = vec![step_cross(items, Shape::Bind, None)];
+        for batch in [1, 16, 4096] {
+            let (col, row) = run_both(&rows, &steps, batch);
+            let out = col.unwrap();
+            assert_eq!(out.len(), 80);
+            assert_eq!(format!("{out:?}"), format!("{:?}", row.unwrap()));
+        }
+        rows[25] = Value::Long(25);
+        for batch in [1, 16, 4096] {
+            let (col, row) = run_both(&rows, &steps, batch);
+            let (col, row) = (col.unwrap_err(), row.unwrap_err());
+            assert_eq!(col.to_string(), row.to_string());
+            assert_eq!(col.message, "expected a tuple row to extend, got 25");
+        }
+    }
+
+    #[test]
+    fn keyed_scatters_split_pairs_without_boxing_them() {
+        // (key, row) built by the chain: the sink sees the key and the row.
+        let rows: Vec<Value> = (0..300i64)
+            .map(|i| Value::pair(Value::Long(i), Value::str(format!("r{i}"))))
+            .collect();
+        let steps = vec![step_map(
+            RowExpr::Tuple(vec![
+                bin(
+                    BinOp::Div,
+                    RowExpr::Const(Value::Long(1000)),
+                    bin(
+                        BinOp::Sub,
+                        RowExpr::Const(Value::Long(250)),
+                        RowExpr::Col(0),
+                    ),
+                ),
+                RowExpr::Input,
+            ]),
+            Some("s7:J"),
+        )];
+        let by_row = |upto: usize| {
+            let mut out = Vec::new();
+            let res = rows[..upto].iter().try_for_each(|row| {
+                drive(row, &steps, &mut |pair| {
+                    split_pair(&pair, &mut |k, v| {
+                        out.push((k.clone(), v));
+                        Ok(())
+                    })
+                })
+            });
+            (out, res)
+        };
+        for batch in [1, 7, 4096] {
+            for upto in [200, 300] {
+                let stats = Stats::default();
+                let mut out = Vec::new();
+                let res = pairs_columnar(&rows[..upto], &steps, batch, &stats, &mut |k, v| {
+                    out.push((k.clone(), v));
+                    Ok(())
+                });
+                let (want, want_res) = by_row(upto);
+                assert_eq!(format!("{out:?}"), format!("{want:?}"), "batch {batch}");
+                assert_eq!(
+                    res.map_err(|e| e.to_string()),
+                    want_res.map_err(|e| e.to_string())
+                );
+            }
+        }
+        // Pairs passed through from the scan are split all the same, and a
+        // row that is no pair is the usual error.
+        let mut pairs = rows.clone();
+        pairs[9] = Value::Long(9);
+        let steps = vec![step_filter(RowExpr::Const(Value::Bool(true)), None)];
+        let stats = Stats::default();
+        let mut seen = 0;
+        let err = pairs_columnar(&pairs, &steps, 4, &stats, &mut |_, _| {
+            seen += 1;
+            Ok(())
+        })
+        .unwrap_err();
+        assert_eq!(seen, 9);
+        assert!(err.message.contains("must be a (key, value) pair, got 9"));
+    }
+
+    #[test]
+    fn whole_tuple_unpacks_hand_the_row_on_as_it_is() {
+        let rows: Vec<Value> = (0..50i64)
+            .map(|i| Value::pair(Value::Long(i), Value::str("v")))
+            .collect();
+        let steps = vec![unpack_step(Shape::Tuple(vec![Shape::Bind, Shape::Bind]))];
+        let (col, row) = run_both(&rows, &steps, 16);
+        let out = col.unwrap();
+        assert_eq!(out, row.unwrap());
+        let same = |a: &Value, b: &Value| match (a, b) {
+            (Value::Tuple(x), Value::Tuple(y)) => Arc::ptr_eq(x, y),
+            _ => false,
+        };
+        assert!(out.iter().zip(&rows).all(|(a, b)| same(a, b)));
+        // Arity is still part of the shape.
+        let mut bad = rows.clone();
+        bad[20] = Value::tuple(vec![Value::Long(1)]);
+        let (col, row) = run_both(&bad, &steps, 16);
+        assert_eq!(col.unwrap_err().to_string(), row.unwrap_err().to_string());
+    }
+
+    #[test]
+    fn builtin_calls_over_lanes_match_the_row_path_to_the_bit() {
+        // (long, double, mixed, word): every builtin over a long lane, a
+        // double lane, a column that is neither, and one that is no number.
+        let rows: Vec<Value> = (0..120i64)
+            .map(|i| {
+                Value::tuple(vec![
+                    Value::Long(i - 40),
+                    Value::Double((i - 40) as f64 * 0.37),
+                    if i % 2 == 0 {
+                        Value::Long(i)
+                    } else {
+                        Value::Double(i as f64 + 0.5)
+                    },
+                    Value::str("w"),
+                ])
+            })
+            .collect();
+        let call = |f, args: Vec<RowExpr>| RowExpr::Call(f, args);
+        let long = |n| RowExpr::Const(Value::Long(n));
+        for col in 0..4 {
+            let x = || RowExpr::Col(col);
+            let exprs = vec![
+                call(Func::Sqrt, vec![x()]),
+                call(Func::Abs, vec![x()]),
+                call(Func::Exp, vec![x()]),
+                call(Func::Log, vec![x()]),
+                call(Func::ToLong, vec![x()]),
+                call(Func::ToDouble, vec![x()]),
+                call(Func::Pow, vec![x(), RowExpr::Const(Value::Double(1.5))]),
+                call(Func::Pow, vec![long(2), x()]),
+                call(Func::InRange, vec![x(), long(-3), long(17)]),
+                call(Func::InRange, vec![long(5), x(), RowExpr::Col(1)]),
+            ];
+            for expr in exprs {
+                let steps = vec![step_map(expr.clone(), Some("s1:X"))];
+                for batch in [1, 16, 4096] {
+                    let (col_out, row_out) = run_both(&rows, &steps, batch);
+                    assert_eq!(
+                        format!("{:?}", col_out.map_err(|e| e.to_string())),
+                        format!("{:?}", row_out.map_err(|e| e.to_string())),
+                        "{expr:?}, column {col}, batch {batch}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,9 @@
 //! `cogroup`, `join`, `merge`) expect rows shaped as `(key, value)` pairs —
 //! exactly the sparse-array representation of §3.4 — and hash-partition
 //! rows by key before the reduction stage, which is the engine's shuffle.
+//! [`Dataset::join_on`] is the same join told as data — both keys as
+//! [`RowExpr`]s over rows of any shape — and [`Dataset::cross`] its
+//! keyless counterpart, a broadcast nested loop as a transparent step.
 //!
 //! Narrow operators (`map`, `filter`, `flat_map`, `map_partitions`,
 //! `union`) are **lazy**: they append a node to the dataset's plan and
@@ -49,7 +52,7 @@ use std::sync::Arc;
 use diablo_runtime::array::{key_value, key_value_ref};
 use diablo_runtime::{size::slice_size, AggOp, BinOp, RuntimeError, Value};
 
-use crate::columnar::KeyedFold;
+use crate::columnar::{env_fields, Cross, KeyedFold, RowExpr, Shape};
 use crate::exchange::{pair_key, HashPartitioner, Partitioner, RangePartitioner};
 use crate::executor::PhysicalPlan;
 use crate::keytable::KeyTable;
@@ -147,6 +150,112 @@ impl KeyFold {
         }
         Ok(out)
     }
+}
+
+/// An equi-join described by data, as [`Dataset::join_on`] takes it: the
+/// engine sees both keys and the shape of the right rows, so both scatters
+/// are transparent steps of their chains and the rows cross the exchange
+/// without a key wrapper.
+#[derive(Clone, Debug)]
+pub struct JoinOn {
+    /// The key of a left row.
+    pub left_key: RowExpr,
+    /// The shape every right row must have; the leaves it binds are what a
+    /// match appends to the left row.
+    pub right: Shape,
+    /// The key of a right row, over the tuple of its bound leaves.
+    pub right_key: RowExpr,
+    /// The error text preceding a right row that `right` does not fit.
+    pub mismatch: Arc<str>,
+}
+
+/// What `Dataset::join` says about a row that is not a `(key, value)`
+/// pair — `key_value_ref`'s words, as every pair-keyed operator has them —
+/// in [`RowExpr::Unpack`]'s form.
+const NOT_A_PAIR: &str = "sparse array element must be a (key, value) pair, got";
+
+/// The output row of a join's match, from the key of the group (as its
+/// first left row spells it), the left row and the right row.
+type JoinRow = fn(&Value, &Value, &Value) -> Result<Value>;
+
+/// A left row followed by the fields of a right one: what
+/// [`Dataset::join_on`] emits.
+fn concat_rows(left: &Value, right: &Value) -> Result<Value> {
+    let (l, r) = (env_fields(left)?, env_fields(right)?);
+    Ok(Value::Tuple(l.iter().chain(r).cloned().collect()))
+}
+
+/// The rows of one key on one side of a join, as a linked list of row
+/// indices threaded through a `next` array: appending allocates nothing.
+#[derive(Clone, Copy)]
+struct RowChain {
+    first: u32,
+    last: u32,
+}
+
+impl RowChain {
+    const NIL: u32 = u32::MAX;
+    const EMPTY: RowChain = RowChain {
+        first: RowChain::NIL,
+        last: RowChain::NIL,
+    };
+
+    fn push(&mut self, next: &mut [u32], row: usize) {
+        let row = u32::try_from(row).expect("a bucket holds fewer than 2^32 rows");
+        match self.last {
+            RowChain::NIL => self.first = row,
+            last => next[last as usize] = row,
+        }
+        self.last = row;
+    }
+
+    /// The chain's rows, in the order they were pushed.
+    fn rows(self, next: &[u32]) -> impl Iterator<Item = usize> + '_ {
+        let some = |row: u32| (row != RowChain::NIL).then_some(row as usize);
+        std::iter::successors(some(self.first), move |&row| some(next[row]))
+    }
+}
+
+/// The post-shuffle stage of a hash join over one bucket: builds a table
+/// of the left rows' keys, each holding the chain of its left rows and —
+/// once the right rows have probed it — of its right rows; then emits,
+/// per key in first-seen order, every left row of the key with every right
+/// row of the key, as `emit` combines them. No row is copied before it is
+/// part of an output row.
+fn build_probe(
+    left_key: &RowExpr,
+    right_key: &RowExpr,
+    left: &[Value],
+    right: &[Value],
+    emit: JoinRow,
+) -> Result<Vec<Value>> {
+    let mut keys: KeyTable<(RowChain, RowChain)> = KeyTable::new();
+    let mut lnext = vec![RowChain::NIL; left.len()];
+    for (i, row) in left.iter().enumerate() {
+        let key = Cow::Owned(left_key.eval(row)?);
+        let chains = keys
+            .upsert(key, || (RowChain::EMPTY, RowChain::EMPTY))
+            .value;
+        chains.0.push(&mut lnext, i);
+    }
+    let mut rnext = vec![RowChain::NIL; right.len()];
+    let mut matched = 0usize;
+    for (j, row) in right.iter().enumerate() {
+        if let Some(chains) = keys.get_mut(&right_key.eval(row)?) {
+            chains.1.push(&mut rnext, j);
+            matched += 1;
+        }
+    }
+    // At least one output row per matched right row.
+    let mut out = Vec::with_capacity(matched);
+    for (key, (lrows, rrows)) in keys.into_entries() {
+        for i in lrows.rows(&lnext) {
+            for j in rrows.rows(&rnext) {
+                out.push(emit(&key, &left[i], &right[j])?);
+            }
+        }
+    }
+    Ok(out)
 }
 
 /// An immutable, partitioned bag of rows with a lazy physical plan.
@@ -493,7 +602,7 @@ impl Dataset {
     }
 
     /// [`Dataset::map`] with a name for what the closure does (`keyed
-    /// map`, `join bind`, …): the plan trace quotes it when this opaque
+    /// map`, `group bind`, …): the plan trace quotes it when this opaque
     /// step keeps a stage on the row path.
     pub fn map_as<F>(&self, what: &'static str, f: F) -> Result<Dataset>
     where
@@ -550,6 +659,38 @@ impl Dataset {
             Arc::new(f),
             self.tag(),
             what,
+            None,
+        )))
+    }
+
+    /// Crosses every row with `items` — the broadcast nested loop behind a
+    /// generator that no equality links to the rows bound so far — as a
+    /// **transparent** expansion (lazy): each row, a tuple, is followed by
+    /// the leaves `shape` binds in an item, once per item and in item
+    /// order. The closure the engine runs is derived from this description,
+    /// and the description rides the plan node, so a columnar stage expands
+    /// whole tiles (the rows' lanes repeated, the items' leaf columns
+    /// tiled) while every other backend runs it like a
+    /// [`Dataset::flat_map`]. An item `shape` does not fit is the error
+    /// `"{mismatch} {item}"`, raised by the first row that reaches the step.
+    pub fn cross(
+        &self,
+        items: Arc<Vec<Value>>,
+        shape: Shape,
+        mismatch: impl Into<Arc<str>>,
+    ) -> Result<Dataset> {
+        self.ctx.record_logical_op();
+        let cross = Arc::new(Cross::new(items, shape, mismatch.into()));
+        let f = {
+            let cross = cross.clone();
+            move |row: &Value| cross.expand(row)
+        };
+        Ok(self.derived(PlanOp::FlatMap(
+            self.effective_plan(),
+            Arc::new(f),
+            self.tag(),
+            "flat_map",
+            Some(cross),
         )))
     }
 
@@ -825,9 +966,9 @@ impl Dataset {
 
     /// `cogroup`: for each key present on either side, produces
     /// `(key, (left-bag, right-bag))`. Both scatters are eager; the
-    /// grouping stage is lazy and fuses with the next consumer (which is
-    /// how a `join`'s pair expansion and the map after it run in the
-    /// grouping's stage).
+    /// grouping stage is lazy and fuses with the next consumer. For what
+    /// needs whole groups; a join that only pairs rows up is
+    /// [`Dataset::join_on`], which never builds them.
     pub fn cogroup(&self, other: &Dataset) -> Result<Dataset> {
         if self.ctx.ordered() {
             return self.sorted_cogroup(other);
@@ -861,26 +1002,134 @@ impl Dataset {
     }
 
     /// Inner equi-join on `(key, value)` rows: produces
-    /// `(key, (left, right))` for every matching pair. The pair expansion
-    /// is lazy, so a `map` after a join fuses with it.
+    /// `(key, (left, right))` for every matching pair, the key as the
+    /// first left row of its group spells it — the same operator as
+    /// [`Dataset::join_on`], over pairs keyed by their first field. The
+    /// matching stage is lazy, so a `map` after a join fuses with it.
     pub fn join(&self, other: &Dataset) -> Result<Dataset> {
-        let co = self.cogroup(other)?;
-        co.flat_map_as("join pairs", |row| {
-            let (k, bags) = key_value(row)?;
-            let fields = bags
-                .as_tuple()
-                .ok_or_else(|| RuntimeError::new("cogroup row shape"))?;
-            let (Some(ls), Some(rs)) = (fields[0].as_bag(), fields[1].as_bag()) else {
-                return Err(RuntimeError::new("cogroup bags"));
-            };
-            let mut out = Vec::with_capacity(ls.len() * rs.len());
-            for l in ls {
-                for r in rs {
-                    out.push(Value::pair(k.clone(), Value::pair(l.clone(), r.clone())));
-                }
-            }
-            Ok(out)
+        let pair = RowExpr::Unpack {
+            shape: Shape::Tuple(vec![Shape::Bind, Shape::Bind]),
+            mismatch: NOT_A_PAIR.into(),
+        };
+        self.map_expr(pair.clone())?.join_keyed(
+            &other.map_expr(pair)?,
+            RowExpr::Col(0),
+            RowExpr::Col(0),
+            |key, left, right| {
+                let (l, r) = (key_value_ref(left)?.1, key_value_ref(right)?.1);
+                Ok(Value::pair(key.clone(), Value::pair(l.clone(), r.clone())))
+            },
+        )
+    }
+
+    /// Inner equi-join described by data: every left row (a tuple) whose
+    /// `on.left_key` equals the `on.right_key` of a right row is emitted
+    /// followed by the leaves `on.right` binds in that right row.
+    ///
+    /// Both sides compute their key as one more transparent step of their
+    /// pending chain and scatter by it (eagerly; a columnar stage reads the
+    /// key column in place and never boxes a `(key, row)` pair), and the
+    /// rows cross the exchange as themselves. The lazy post-shuffle stage
+    /// is a build–probe per bucket: a key table over the left rows'
+    /// keys holding row indices, probed by the right rows. Output order is
+    /// left keys as first seen, then left × right rows of a key, each in
+    /// bucket order. An `ordered` context scatters by range instead and
+    /// merges the two key-sorted sides run by run, in key order.
+    ///
+    /// A right row `on.right` does not fit is the error
+    /// `"{on.mismatch} {row}"`, raised by the right scatter.
+    pub fn join_on(&self, other: &Dataset, on: JoinOn) -> Result<Dataset> {
+        let right = other.map_expr(RowExpr::Unpack {
+            shape: on.right,
+            mismatch: on.mismatch,
+        })?;
+        self.join_keyed(&right, on.left_key, on.right_key, |_, left, right| {
+            concat_rows(left, right)
         })
+    }
+
+    /// The one join operator: `self`'s rows keyed by `left_key`, `right`'s
+    /// by `right_key`, and `emit` building the output row of a match from
+    /// the group's key, the left row and the right row.
+    fn join_keyed(
+        &self,
+        right: &Dataset,
+        left_key: RowExpr,
+        right_key: RowExpr,
+        emit: JoinRow,
+    ) -> Result<Dataset> {
+        let keyed = |key: &RowExpr| RowExpr::Tuple(vec![key.clone(), RowExpr::Input]);
+        let left = self.map_expr(keyed(&left_key))?;
+        let right = right.map_expr(keyed(&right_key))?;
+        if self.ctx.ordered() {
+            return left.sorted_join(&right, emit);
+        }
+        self.ctx.record_logical_op();
+        let lrows = left.scatter_pairs("join (scatter left)")?;
+        let rrows = right.scatter_pairs("join (scatter right)")?;
+        let join_fn: PartFn = Arc::new(move |part: &[Value]| {
+            let (l, r) = Dataset::unzip_bucket(part)?;
+            build_probe(&left_key, &right_key, l, r, emit)
+        });
+        Ok(self.post_shuffle(
+            Dataset::zip_buckets(lrows, rrows),
+            join_fn,
+            "join (build + probe)",
+        ))
+    }
+
+    /// Hash-scatters the rows of `(key, row)` pairs by key: the pending
+    /// chain and the scatter are one stage, and only the row crosses.
+    fn scatter_pairs(&self, label: &str) -> Result<Vec<Vec<Value>>> {
+        let p = self.ctx.partitions();
+        self.ctx.executor().exchange(
+            &self.ctx,
+            &PhysicalPlan::new(self.effective_plan()),
+            label,
+            &|_, rows, sink| {
+                rows.for_each_pair(&mut |key, row| {
+                    sink.emit(HashPartitioner.partition(key, p)?, row)
+                })
+            },
+        )
+    }
+
+    /// The sort-based form of [`Dataset::join_on`] over two datasets of
+    /// `(key, row)` pairs: both sides range-scatter with one shared sampled
+    /// partitioner, and the lazy post-shuffle stage merges the left side's
+    /// key runs with the right's. Same rows as the hash path, in global
+    /// key order.
+    fn sorted_join(&self, right: &Dataset, emit: JoinRow) -> Result<Dataset> {
+        self.ctx.record_logical_op();
+        let l = self.sorted_sources("sorted_join (sort left)", None)?;
+        let r = right.sorted_sources("sorted_join (sort right)", None)?;
+        let part = Dataset::sample_partitioner(l.iter().chain(r.iter()), self.ctx.partitions());
+        let ldest = self.sorted_shuffle(l, &part, "sorted_join (range scatter left)")?;
+        let rdest = self.sorted_shuffle(r, &part, "sorted_join (range scatter right)")?;
+        let join_fn: PartFn = Arc::new(move |part: &[Value]| {
+            let (l, r) = Dataset::unzip_bucket(part)?;
+            let mut out: Vec<Value> = Vec::new();
+            let mut j = 0usize;
+            Dataset::for_each_key_run(l, |k, lrows| {
+                while r.get(j).is_some_and(|row| pair_key(row) < &k) {
+                    j += 1;
+                }
+                let mut rrows = Vec::new();
+                Dataset::take_key_run(r, &mut j, &k, &mut rrows)?;
+                for lrow in &lrows {
+                    for rrow in &rrows {
+                        out.push(emit(&k, lrow, rrow)?);
+                    }
+                }
+                Ok(())
+            })?;
+            Ok(out)
+        });
+        Ok(self.post_shuffle(
+            Dataset::zip_buckets(ldest, rdest),
+            join_fn,
+            "sorted_join (merge-join, range)",
+        ))
     }
 
     /// The array merge `self ⊳ updates` (§3.4), implemented as a cogroup.
@@ -1606,6 +1855,94 @@ mod tests {
         let l = pairs(&ctx, &[(1, 10), (1, 11)]);
         let r = pairs(&ctx, &[(1, 100), (1, 101)]);
         assert_eq!(l.join(&r).unwrap().count(), 4);
+    }
+
+    #[test]
+    fn join_on_is_two_scatters_and_a_lazy_build_probe() {
+        // Left rows (i, i % 3) joined on their second field with right
+        // rows ((k, _), name) bound as (k, name): three stages — the
+        // build–probe runs inside whatever reads it — and the rows that
+        // cross the exchange are the rows themselves, not (key, row).
+        let ctx = Context::new(2, 1);
+        let left = ctx.from_vec(
+            (0..9)
+                .map(|i| Value::pair(Value::Long(i), Value::Long(i % 3)))
+                .collect(),
+        );
+        let right = ctx.from_vec(
+            [(2, "two"), (0, "zero"), (5, "five"), (2, "deux")]
+                .iter()
+                .map(|&(k, name)| {
+                    Value::pair(Value::pair(Value::Long(k), Value::Unit), Value::str(name))
+                })
+                .collect(),
+        );
+        let on = JoinOn {
+            left_key: RowExpr::Col(1),
+            right: Shape::Tuple(vec![
+                Shape::Tuple(vec![Shape::Bind, Shape::Skip]),
+                Shape::Bind,
+            ]),
+            right_key: RowExpr::Col(0),
+            mismatch: "join pattern ((k, _), name) does not match row".into(),
+        };
+        let before = ctx.stats().snapshot();
+        let joined = left.join_on(&right, on).unwrap();
+        let scattered = ctx.stats().snapshot().since(&before);
+        assert_eq!(scattered.physical_stages, 2, "{scattered:?}");
+        assert_eq!(scattered.shuffled_records, 9 + 4, "{scattered:?}");
+        let rows = joined
+            .map_expr(RowExpr::Tuple(vec![RowExpr::Col(0), RowExpr::Col(3)]))
+            .unwrap()
+            .collect();
+        let after = ctx.stats().snapshot().since(&before);
+        assert_eq!(after.physical_stages, 3, "{after:?}");
+        // Left keys as first seen (0, 1, 2; nothing matches 1), each left
+        // row of a key with each right row of it, both in arrival order.
+        let want: Vec<Value> = [
+            (0, "zero"),
+            (3, "zero"),
+            (6, "zero"),
+            (2, "two"),
+            (2, "deux"),
+            (5, "two"),
+            (5, "deux"),
+            (8, "two"),
+            (8, "deux"),
+        ]
+        .iter()
+        .map(|&(i, name)| Value::pair(Value::Long(i), Value::str(name)))
+        .collect();
+        assert_eq!(rows, want);
+    }
+
+    #[test]
+    fn cross_follows_every_row_with_every_items_leaves() {
+        let ctx = ctx();
+        let d = pairs(&ctx, &[(1, 10), (2, 20)]);
+        let items = Arc::new(vec![
+            Value::pair(Value::Long(7), Value::str("a")),
+            Value::pair(Value::Long(8), Value::str("b")),
+        ]);
+        let shape = Shape::Tuple(vec![Shape::Skip, Shape::Bind]);
+        let crossed = d.cross(items, shape, "pattern (_, s) does not match row");
+        let s = |k, v, name| Value::tuple(vec![Value::Long(k), Value::Long(v), Value::str(name)]);
+        assert_eq!(
+            crossed.unwrap().collect(),
+            vec![s(1, 10, "a"), s(1, 10, "b"), s(2, 20, "a"), s(2, 20, "b")]
+        );
+        // An item that does not fit is named, with the pattern's words.
+        let bad = Arc::new(vec![Value::Long(3)]);
+        let err = d
+            .cross(
+                bad,
+                Shape::Tuple(vec![Shape::Bind]),
+                "pattern (x) does not match row",
+            )
+            .unwrap()
+            .try_collect()
+            .unwrap_err();
+        assert_eq!(err.message, "pattern (x) does not match row 3");
     }
 
     #[test]

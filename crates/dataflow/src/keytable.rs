@@ -122,29 +122,43 @@ impl<T> KeyTable<T> {
         }
     }
 
+    /// Probes for `key`: its slot, or else the empty seat of the index
+    /// where it would go.
+    fn probe(&self, hash: u64, key: &Value) -> std::result::Result<usize, usize> {
+        let mask = self.index.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            let Some(slot) = (self.index[at] as usize).checked_sub(1) else {
+                return Err(at);
+            };
+            let e = &self.entries[slot];
+            if e.hash == hash && e.key == *key {
+                return Ok(slot);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// The payload of `key`, if the table holds it.
+    pub fn get_mut(&mut self, key: &Value) -> Option<&mut T> {
+        let slot = self.probe(mix_hash(key), key).ok()?;
+        Some(&mut self.entries[slot].value)
+    }
+
     /// Finds `key`, inserting it with `init()` as payload if it is new. An
     /// owned key is moved in; a borrowed one is cloned on insertion only.
     pub fn upsert(&mut self, key: Cow<'_, Value>, init: impl FnOnce() -> T) -> Upserted<'_, T> {
         let hash = mix_hash(&key);
-        let mask = self.index.len() - 1;
-        let mut at = hash as usize & mask;
-        loop {
-            match self.index[at] {
-                0 => break,
-                n => {
-                    let slot = n as usize - 1;
-                    let e = &self.entries[slot];
-                    if e.hash == hash && e.key == *key {
-                        return Upserted {
-                            slot,
-                            value: &mut self.entries[slot].value,
-                            new: false,
-                        };
-                    }
+        let at = match self.probe(hash, &key) {
+            Ok(slot) => {
+                return Upserted {
+                    slot,
+                    value: &mut self.entries[slot].value,
+                    new: false,
                 }
             }
-            at = (at + 1) & mask;
-        }
+            Err(at) => at,
+        };
         let slot = self.entries.len();
         self.index[at] = u32::try_from(slot + 1).expect("a key table holds fewer than 2^32 keys");
         self.entries.push(Entry {

@@ -56,6 +56,13 @@
 //! * `reduce_by_key` performs map-side combining (Spark's combiner), which
 //!   is what makes the Word-Count/Histogram/Group-By shapes of Figure 3
 //!   come out right;
+//! * a join is one operator ([`Dataset::join_on`], with [`Dataset::join`]
+//!   as its `(key, value)` form): both keys are [`RowExpr`]s, so each side
+//!   scatters its rows by a key computed as a column and the rows cross
+//!   the exchange as themselves; the lazy post-shuffle stage is a
+//!   build–probe over row indices. Its keyless counterpart is
+//!   [`Dataset::cross`], a broadcast nested loop as a transparent
+//!   expansion step;
 //! * broadcasts materialize a dataset on "all workers" (here: one shared
 //!   `Arc`), mirroring Spark's broadcast variables used by the hand-written
 //!   K-Means baseline.
@@ -92,7 +99,7 @@ mod stats;
 mod verify;
 
 pub use columnar::{ColumnarExecutor, FieldName, RowExpr, Shape};
-pub use dataset::Dataset;
+pub use dataset::{Dataset, JoinOn};
 pub use exchange::{
     decode_value, encode_value, Exchange, ExchangeWriter, HashPartitioner, Partitioner,
     RangePartitioner,
@@ -274,7 +281,7 @@ impl Context {
     }
 
     /// Routes the keyed operators (`reduce_by_key`, `group_by_key`,
-    /// `merge`, `cogroup` — and `join`, which builds on `cogroup`)
+    /// `merge`, `cogroup`, `join` and `join_on`)
     /// through the **sort-based shuffle path** (builder style): keys are
     /// sampled, rows range-scattered so ordered keys stay in contiguous
     /// buckets, and every output is globally key-sorted. Same rows as the

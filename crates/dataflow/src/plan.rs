@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use diablo_runtime::{BinOp, RuntimeError, Value};
 
-use crate::columnar::{KeyedFold, RowExpr};
+use crate::columnar::{Cross, KeyedFold, RowExpr};
 use crate::pool::{run_stage_weighted, Cancel};
 use crate::stats::Stats;
 use crate::Context;
@@ -108,8 +108,15 @@ pub(crate) enum PlanOp {
     /// Row-wise `filter`, with its transparent predicate expression when
     /// engine-visible.
     Filter(Arc<PlanOp>, RowPredFn, Tag, Option<Arc<RowExpr>>),
-    /// Row-wise `flat_map`, named like an opaque `Map`.
-    FlatMap(Arc<PlanOp>, RowFlatFn, Tag, &'static str),
+    /// Row-wise `flat_map`, named like an opaque `Map` — or, with a
+    /// [`Cross`], the transparent expansion the closure was derived from.
+    FlatMap(
+        Arc<PlanOp>,
+        RowFlatFn,
+        Tag,
+        &'static str,
+        Option<Arc<Cross>>,
+    ),
     /// Partition-wise transformation (a fusion barrier for row steps
     /// below it, but itself fused with the steps above it). The `&'static
     /// str` names the operator for plan traces (`map_partitions`,
@@ -126,8 +133,9 @@ pub(crate) enum StepOp {
     Map(RowMapFn),
     /// From [`PlanOp::Filter`].
     Filter(RowPredFn),
-    /// From [`PlanOp::FlatMap`].
-    FlatMap(RowFlatFn),
+    /// From [`PlanOp::FlatMap`], with the expansion's transparent form
+    /// when it has one.
+    FlatMap(RowFlatFn, Option<Arc<Cross>>),
 }
 
 /// One fused narrow step (a row-level op of a collapsed chain) plus the
@@ -149,8 +157,22 @@ impl Step {
         match self.op {
             StepOp::Map(_) => "map",
             StepOp::Filter(_) => "filter",
-            StepOp::FlatMap(_) => "flat_map",
+            StepOp::FlatMap(..) => "flat_map",
         }
+    }
+
+    /// The expansion this step performs, when the engine can see it.
+    pub(crate) fn cross(&self) -> Option<&Cross> {
+        match &self.op {
+            StepOp::FlatMap(_, cross) => cross.as_deref(),
+            _ => None,
+        }
+    }
+
+    /// True when the step is described by data — a [`RowExpr`] or a
+    /// [`Cross`] — so a columnar stage can run it.
+    pub(crate) fn transparent(&self) -> bool {
+        self.expr.is_some() || self.cross().is_some()
     }
 
     /// Prefixes an error from this step with its source statement.
@@ -198,7 +220,7 @@ pub(crate) fn drive(
         }
         Some((
             s @ Step {
-                op: StepOp::FlatMap(f),
+                op: StepOp::FlatMap(f, _),
                 ..
             },
             rest,
@@ -238,7 +260,7 @@ pub(crate) fn drive_owned(
         }
         Some((
             s @ Step {
-                op: StepOp::FlatMap(f),
+                op: StepOp::FlatMap(f, _),
                 ..
             },
             rest,
@@ -328,7 +350,7 @@ fn seed_tile(tile: &[Value], first: &Step) -> Result<Vec<Value>> {
                 }
             }
         }
-        StepOp::FlatMap(f) => {
+        StepOp::FlatMap(f, _) => {
             for v in tile {
                 buf.extend(f(v).map_err(|e| first.tag_err(e))?);
             }
@@ -355,7 +377,7 @@ fn apply_steps_to_tile(mut buf: Vec<Value>, steps: &[Step]) -> Result<Vec<Value>
                 }
                 buf = kept;
             }
-            StepOp::FlatMap(f) => {
+            StepOp::FlatMap(f, _) => {
                 let mut expanded = Vec::with_capacity(buf.len());
                 for v in &buf {
                     expanded.extend(f(v).map_err(|e| s.tag_err(e))?);
@@ -403,9 +425,9 @@ pub(crate) fn collapse(plan: &Arc<PlanOp>) -> Collapsed {
                 });
                 input.clone()
             }
-            PlanOp::FlatMap(input, f, tag, what) => {
+            PlanOp::FlatMap(input, f, tag, what, cross) => {
                 steps.push(Step {
-                    op: StepOp::FlatMap(f.clone()),
+                    op: StepOp::FlatMap(f.clone(), cross.clone()),
                     tag: tag.clone(),
                     expr: None,
                     what,
@@ -679,6 +701,29 @@ impl DriveMode {
         }
     }
 
+    /// Drives `rows` through `steps` and hands each resulting `(key, row)`
+    /// pair to `sink` as its two halves — the scatter of a keyed operator
+    /// whose rows cross the exchange without their key. An eligible
+    /// chain's key and row columns are read where they lie
+    /// ([`crate::columnar::pairs_columnar`]), so no pair is ever boxed;
+    /// everything else splits boxed pairs. Same halves, order and first
+    /// error either way.
+    fn pairs(
+        &self,
+        rows: &[Value],
+        steps: &[Step],
+        sink: &mut dyn FnMut(&Value, Value) -> Result<()>,
+    ) -> Result<()> {
+        match self {
+            DriveMode::Columnar(b, stats) if crate::columnar::eligible(steps) => {
+                crate::columnar::pairs_columnar(rows, steps, *b, stats, sink)
+            }
+            _ => self.run(rows, steps, &mut |pair| {
+                crate::columnar::split_pair(&pair, sink)
+            }),
+        }
+    }
+
     /// Feeds `rows` through `steps` into the keyed aggregation `fold`:
     /// eligible chains hand over whole tiles
     /// ([`crate::columnar::combine_columnar`]); everything else folds row
@@ -704,7 +749,7 @@ fn note_layout(ctx: &Context, mode: &DriveMode, steps: &[Step]) {
     if steps.is_empty() {
         return;
     }
-    match steps.iter().find(|s| s.expr.is_none()) {
+    match steps.iter().find(|s| !s.transparent()) {
         None => ctx.plan_note("  layout: columnar".to_string()),
         Some(opaque) => {
             stats.record_row_fallback_stage();
@@ -1260,6 +1305,17 @@ impl PartitionRows<'_> {
             self.mode.fold(seg.rows, seg.steps, op, &mut acc)?;
         }
         Ok(acc)
+    }
+
+    /// Feeds every transformed row — a `(key, row)` pair — to `sink` as
+    /// its key and its row, segment by segment: what a keyed scatter needs
+    /// to pick a bucket and send the row on as itself. On the columnar
+    /// backend an eligible chain never boxes the pair.
+    pub fn for_each_pair(&self, sink: &mut dyn FnMut(&Value, Value) -> Result<()>) -> Result<()> {
+        for seg in &self.segments {
+            self.mode.pairs(seg.rows, seg.steps, sink)?;
+        }
+        Ok(())
     }
 
     /// Aggregates the transformed rows by key — rows `(key, (v1, …, vn))`,

@@ -8,10 +8,15 @@
 //! * generators over arrays become partitioned scans;
 //! * equality conditions linking a new generator to already-bound
 //!   variables become **hash joins** (the paper's translation of
-//!   comprehensions to DISC joins [20]);
+//!   comprehensions to DISC joins [20]): the engine's
+//!   `Dataset::join_on`, told both keys as row expressions and the
+//!   generator's pattern as a shape, so the scatters stay columnar and
+//!   the match is a build–probe;
 //! * generators with no linking condition become **broadcast
 //!   nested-loop** products (how DIABLO's K-Means correlates points with
-//!   the centroid array — the expensive plan the paper reports);
+//!   the centroid array — the expensive plan the paper reports): the
+//!   engine's `Dataset::cross`, a transparent expansion step over the
+//!   broadcast rows;
 //! * `group by` becomes **reduceByKey** when every lifted variable is
 //!   consumed by an aggregation (map-side combining), and **groupByKey**
 //!   otherwise;
@@ -506,6 +511,55 @@ mod tests {
         s.bind_input("A", a);
         s.run(&compiled).unwrap();
         assert_eq!(s.collect("C").unwrap(), long_pairs(&[(3, 23), (5, 25)]));
+    }
+
+    #[test]
+    fn opaque_join_keys_are_bound_by_a_let_on_their_own_side() {
+        // { (v, w) | (i, v) ← A, (j, w) ← B, ⟨k = i % 3⟩ == ⟨k = j⟩ }: a
+        // record has no `RowExpr` form, so either side computes its key
+        // with an opaque `let` of its own and the engine joins on that
+        // column. The carried key columns stay out of the head's way.
+        use diablo_comp::ir::{Comprehension, Pattern, Qual};
+        use diablo_runtime::BinOp;
+        let record = |e: CExpr| CExpr::Record(vec![("k".into(), e)]);
+        let left_key = record(CExpr::Bin(
+            BinOp::Mod,
+            Box::new(CExpr::var("i")),
+            Box::new(CExpr::long(3)),
+        ));
+        let comp = |a: CExpr, b: CExpr| {
+            Comprehension::new(
+                CExpr::pair(CExpr::var("v"), CExpr::var("w")),
+                vec![
+                    Qual::Gen(
+                        Pattern::pair(Pattern::var("i"), Pattern::var("v")),
+                        CExpr::var("A"),
+                    ),
+                    Qual::Gen(
+                        Pattern::pair(Pattern::var("j"), Pattern::var("w")),
+                        CExpr::var("B"),
+                    ),
+                    Qual::Pred(CExpr::Bin(BinOp::Eq, Box::new(a), Box::new(b))),
+                ],
+            )
+        };
+        let mut s = session();
+        s.bind_input("A", long_pairs(&[(0, 10), (1, 11), (2, 12), (4, 14)]));
+        s.bind_input("B", long_pairs(&[(1, -1), (0, -10), (7, -7)]));
+        let want = long_pairs(&[(10, -10), (11, -1), (14, -1)]);
+        for c in [
+            comp(left_key.clone(), record(CExpr::var("j"))),
+            comp(record(CExpr::var("j")), left_key),
+        ] {
+            s.ctx.start_plan_trace();
+            let mut rows = run_comp(&c, &s).unwrap().collect();
+            rows.sort();
+            assert_eq!(rows, want);
+            let trace = s.ctx.take_plan_trace().join("\n");
+            assert!(trace.contains("⇒ join (scatter left)"), "{trace}");
+            assert!(trace.contains("⇒ join (scatter right)"), "{trace}");
+            assert!(!trace.contains("broadcast"), "{trace}");
+        }
     }
 
     #[test]

@@ -7,8 +7,13 @@
 //! | qualifier                        | stage                              |
 //! |----------------------------------|------------------------------------|
 //! | first `p ← Array`                | partitioned scan                   |
-//! | later `p ← Array` + `x == e(p)`  | hash join (predicates consumed)    |
-//! | later `p ← Array` (no link)      | broadcast nested loop              |
+//! | later `p ← Array` + `x == e(p)`  | `Dataset::join_on`: both keys and  |
+//! |                                  | the pattern's shape as data — two  |
+//! |                                  | transparent scatters, then a       |
+//! |                                  | build–probe (predicates consumed)  |
+//! | later `p ← Array` (no link)      | `Dataset::cross`: the broadcast    |
+//! |                                  | rows and the pattern's shape as a  |
+//! |                                  | transparent expansion step         |
 //! | `p ← range(lo, hi)`              | range source / per-row expansion   |
 //! | `let p = e`                      | map (extend row)                   |
 //! | condition                        | filter                             |
@@ -24,13 +29,13 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use diablo_comp::ir::{CExpr, Comprehension, Pattern, Qual};
-use diablo_comp::pushdown::{agg_col_name, push_down_aggs, Pushdown};
+use diablo_comp::pushdown::{agg_col_name, join_keys, push_down_aggs, JoinKey, Pushdown};
 use diablo_comp::Env;
-use diablo_dataflow::{Dataset, RowExpr, Shape};
-use diablo_runtime::{BinOp, RuntimeError, Value};
+use diablo_dataflow::{Dataset, JoinOn, RowExpr, Shape};
+use diablo_runtime::{RuntimeError, Value};
 
 use crate::local::{eval_local, local_comp};
-use crate::rexpr::{compile, to_row_expr, Layout, RExpr};
+use crate::rexpr::{compile, to_row_expr, Layout};
 use crate::{Result, Session};
 
 /// Runs a comprehension, producing a dataset of its head values.
@@ -85,7 +90,7 @@ pub fn run_comp(c: &Comprehension, sess: &Session) -> Result<Dataset> {
                 let source: GenSource = classify(&dom, sess)?;
                 match (&mut pipe, source) {
                     (None, GenSource::Data(data)) => {
-                        pipe = Some(Pipe::source(data, &p, &local_vars, &locals, sess)?);
+                        pipe = Some(Pipe::source(data, &p, &local_vars, &locals)?);
                     }
                     (None, GenSource::Range(lo, hi)) => {
                         if locals.len() != 1 {
@@ -101,7 +106,7 @@ pub fn run_comp(c: &Comprehension, sess: &Session) -> Result<Dataset> {
                             .as_long()
                             .ok_or_else(|| RuntimeError::new("range bound must be long"))?;
                         let data = sess.context().range(lo, hi);
-                        pipe = Some(Pipe::source(data, &p, &local_vars, &locals, sess)?);
+                        pipe = Some(Pipe::source(data, &p, &local_vars, &locals)?);
                     }
                     (None, GenSource::Local) => {
                         let mut next = Vec::new();
@@ -125,7 +130,12 @@ pub fn run_comp(c: &Comprehension, sess: &Session) -> Result<Dataset> {
                     (Some(pipe), GenSource::Data(data)) => {
                         // Join detection: equality predicates between the
                         // current row variables and the new pattern.
-                        let keys = find_join_keys(&quals, i, &p, pipe, &globals, &mut consumed);
+                        let row_vars = pipe.layout.cols.iter().cloned().collect();
+                        let pat_vars = p.var_list().into_iter().collect();
+                        let keys = join_keys(&quals, i, &row_vars, &pat_vars, &|v| {
+                            globals.contains_key(v)
+                        });
+                        consumed.extend(keys.iter().map(|k| k.pred));
                         if keys.is_empty() {
                             pipe.broadcast_product(&data, &p)?;
                         } else {
@@ -237,68 +247,6 @@ fn bind_into(p: &Pattern, v: &Value, env: &mut Env) -> Result<()> {
     Ok(())
 }
 
-/// A join key pair: left expression (over current rows) and right
-/// expression (over the new generator's pattern variables).
-struct JoinKey {
-    left: CExpr,
-    right: CExpr,
-}
-
-/// Scans the predicates following generator `gen_idx` (up to the next
-/// generator or group-by) for equalities linking current row variables to
-/// the new pattern variables. Matching predicates are consumed.
-fn find_join_keys(
-    quals: &[Qual],
-    gen_idx: usize,
-    p: &Pattern,
-    pipe: &Pipe,
-    globals: &Arc<Env>,
-    consumed: &mut HashSet<usize>,
-) -> Vec<JoinKey> {
-    let pat_vars: HashSet<String> = p.var_list().into_iter().collect();
-    let row_vars: HashSet<String> = pipe.layout.cols.iter().cloned().collect();
-    let mut keys = Vec::new();
-    for (j, q) in quals.iter().enumerate().skip(gen_idx + 1) {
-        match q {
-            Qual::Pred(CExpr::Bin(BinOp::Eq, a, b)) => {
-                let side = |e: &CExpr| -> Option<bool> {
-                    // true: row side; false: pattern side.
-                    let fv = e.free_vars();
-                    let local: Vec<&String> =
-                        fv.iter().filter(|v| !globals.contains_key(*v)).collect();
-                    if local.iter().all(|v| row_vars.contains(*v)) && !local.is_empty() {
-                        Some(true)
-                    } else if local.iter().all(|v| pat_vars.contains(*v)) && !local.is_empty() {
-                        Some(false)
-                    } else {
-                        None
-                    }
-                };
-                match (side(a), side(b)) {
-                    (Some(true), Some(false)) => {
-                        keys.push(JoinKey {
-                            left: (**a).clone(),
-                            right: (**b).clone(),
-                        });
-                        consumed.insert(j);
-                    }
-                    (Some(false), Some(true)) => {
-                        keys.push(JoinKey {
-                            left: (**b).clone(),
-                            right: (**a).clone(),
-                        });
-                        consumed.insert(j);
-                    }
-                    _ => {}
-                }
-            }
-            Qual::Pred(_) => {}
-            _ => break, // next generator / let / group-by ends the window
-        }
-    }
-    keys
-}
-
 /// A pipeline in flight: distributed env rows plus their layout.
 struct Pipe {
     data: Dataset,
@@ -308,13 +256,7 @@ struct Pipe {
 impl Pipe {
     /// Starts a pipeline from a dataset source, crossing in the
     /// driver-side bindings accumulated so far.
-    fn source(
-        data: Dataset,
-        p: &Pattern,
-        local_vars: &[String],
-        locals: &[Env],
-        _sess: &Session,
-    ) -> Result<Pipe> {
+    fn source(data: Dataset, p: &Pattern, local_vars: &[String], locals: &[Env]) -> Result<Pipe> {
         let mut cols: Vec<String> = local_vars.to_vec();
         cols.extend(p.var_list());
         let layout = Layout::new(cols);
@@ -368,9 +310,7 @@ impl Pipe {
                     (0..self.layout.cols.len()).map(RowExpr::Col).collect();
                 fields.push(rx);
                 self.data = self.data.map_expr(RowExpr::Tuple(fields))?;
-                for v in p_vars(p.clone()) {
-                    self.layout.push(v);
-                }
+                self.bind(p);
                 return Ok(());
             }
         }
@@ -387,9 +327,7 @@ impl Pipe {
             Ok(Value::tuple(out))
         })?;
         self.data = new_data;
-        for v in p_vars(p.clone()) {
-            self.layout.push(v);
-        }
+        self.bind(p);
         Ok(())
     }
 
@@ -410,7 +348,27 @@ impl Pipe {
         Ok(())
     }
 
-    /// Joins a new dataset generator through equality keys.
+    /// Appends the variables `p` binds to the layout.
+    fn bind(&mut self, p: &Pattern) {
+        for v in p.var_list() {
+            self.layout.push(v);
+        }
+    }
+
+    /// A key expression as the engine sees it: itself when it has a
+    /// `RowExpr` form; otherwise an opaque `let` of its own computes it
+    /// first and the engine reads its column.
+    fn key_expr(&mut self, key: &CExpr, globals: &Arc<Env>) -> Result<RowExpr> {
+        if let Some(rx) = to_row_expr(&compile(key, &self.layout, globals)?) {
+            return Ok(rx);
+        }
+        let column = format!("$key{}", self.layout.cols.len());
+        self.extend_let(&Pattern::Var(column), key, globals)?;
+        Ok(RowExpr::Col(self.layout.cols.len() - 1))
+    }
+
+    /// Joins a new dataset generator through equality keys: both keys and
+    /// the pattern's shape go to the engine as data.
     fn hash_join(
         &mut self,
         data: &Dataset,
@@ -418,72 +376,61 @@ impl Pipe {
         keys: &[JoinKey],
         globals: &Arc<Env>,
     ) -> Result<()> {
-        // Left side: (key, row).
-        let lkeys = keys
-            .iter()
-            .map(|k| compile(&k.left, &self.layout, globals))
-            .collect::<Result<Vec<_>>>()?;
-        let left = self.data.map_as("join key", move |row| {
-            let fields = row.as_tuple().expect("env row");
-            let key = eval_key(&lkeys, fields)?;
-            Ok(Value::pair(key, row.clone()))
-        })?;
-        // Right side: (key, raw), keys computed over the pattern binding.
-        let pat_layout = Layout::new(p.var_list());
-        let rkeys = keys
-            .iter()
-            .map(|k| compile(&k.right, &pat_layout, globals))
-            .collect::<Result<Vec<_>>>()?;
-        let p_owned = p.clone();
-        let right = data.map_as("join key", move |raw| {
-            let mut pat_row = Vec::with_capacity(4);
-            if !p_owned.bind_values(raw, &mut pat_row) {
-                return Err(RuntimeError::new(format!(
-                    "pattern {p_owned:?} does not match row {raw}"
-                )));
+        let key_of = |side: fn(&JoinKey) -> &CExpr| match keys {
+            [k] => side(k).clone(),
+            _ => CExpr::Tuple(keys.iter().map(|k| side(k).clone()).collect()),
+        };
+        let left_key = self.key_expr(&key_of(|k| &k.left), globals)?;
+        let mismatch: Arc<str> = format!("join pattern {p:?} does not match row").into();
+        // The right key reads the pattern's variables. When it has no
+        // `RowExpr` form the pattern is bound first, the opaque `let`
+        // follows, and the join takes those rows as they are.
+        let mut right = Pipe {
+            data: data.clone(),
+            layout: Layout::new(p.var_list()),
+        };
+        let right_key = key_of(|k| &k.right);
+        let mut shape = shape_of(p);
+        let right_key = match to_row_expr(&compile(&right_key, &right.layout, globals)?) {
+            Some(rx) => rx,
+            None => {
+                right.data = right.data.map_expr(RowExpr::Unpack {
+                    shape,
+                    mismatch: mismatch.clone(),
+                })?;
+                let rx = right.key_expr(&right_key, globals)?;
+                shape = Shape::Tuple(vec![Shape::Bind; right.layout.cols.len()]);
+                rx
             }
-            let key = eval_key(&rkeys, &pat_row)?;
-            Ok(Value::pair(key, raw.clone()))
-        })?;
-        let joined = left.join(&right)?;
-        // (key, (left_row, raw)) → extended env row.
-        let p_owned = p.clone();
-        let new_data = joined.map_as("join bind", move |kv| {
-            let (_, pair) = diablo_runtime::array::key_value(kv)?;
-            let fields = pair.as_tuple().expect("join pair");
-            let mut out = fields[0].as_tuple().expect("env row").to_vec();
-            if !p_owned.bind_values(&fields[1], &mut out) {
-                return Err(RuntimeError::new("join pattern mismatch"));
-            }
-            Ok(Value::tuple(out))
-        })?;
-        self.data = new_data;
-        for v in p_vars(p.clone()) {
-            self.layout.push(v);
+        };
+        let carried_key = right.layout.cols.len() > p.var_list().len();
+        self.data = self.data.join_on(
+            &right.data,
+            JoinOn {
+                left_key,
+                right: shape,
+                right_key,
+                mismatch,
+            },
+        )?;
+        self.bind(p);
+        if carried_key {
+            // The right side's key column came along with its leaves.
+            self.layout.push(format!("$key{}", self.layout.cols.len()));
         }
         Ok(())
     }
 
-    /// Crosses the rows with a broadcast copy of the dataset (no join key).
+    /// Crosses the rows with a broadcast copy of the dataset (no join
+    /// key): the broadcast rows and the pattern's shape go to the engine
+    /// as data.
     fn broadcast_product(&mut self, data: &Dataset, p: &Pattern) -> Result<()> {
-        let items = data.broadcast()?;
-        let p_owned = p.clone();
-        let new_data = self.data.flat_map_as("broadcast product", move |row| {
-            let fields = row.as_tuple().expect("env row");
-            let mut out = Vec::with_capacity(items.len());
-            for item in items.iter() {
-                let mut r = fields.to_vec();
-                if !p_owned.bind_values(item, &mut r) {
-                    return Err(RuntimeError::new("broadcast pattern mismatch"));
-                }
-                out.push(Value::tuple(r));
-            }
-            Ok(out)
-        })?;
-        self.data = new_data;
-        for v in p_vars(p.clone()) {
-            self.layout.push(v);
-        }
+        self.data = self.data.cross(
+            data.broadcast()?,
+            shape_of(p),
+            format!("broadcast pattern {p:?} does not match row"),
+        )?;
+        self.bind(p);
         Ok(())
     }
 
@@ -519,9 +466,7 @@ impl Pipe {
             Ok(out)
         })?;
         self.data = new_data;
-        for v in p_vars(p.clone()) {
-            self.layout.push(v);
-        }
+        self.bind(p);
         Ok(())
     }
 
@@ -547,9 +492,7 @@ impl Pipe {
             Ok(out)
         })?;
         self.data = new_data;
-        for v in p_vars(p.clone()) {
-            self.layout.push(v);
-        }
+        self.bind(p);
         Ok(())
     }
 
@@ -636,16 +579,7 @@ impl Pipe {
         pushed: Pushdown,
         globals: &Arc<Env>,
     ) -> Result<(Pipe, Option<(Vec<Qual>, CExpr)>)> {
-        let key_rx = match to_row_expr(&compile(key, &self.layout, globals)?) {
-            Some(rx) => rx,
-            // An opaque key is computed by a `let` of its own first; the
-            // keyed map then reads its column.
-            None => {
-                let column = "$key".to_string();
-                self.extend_let(&Pattern::Var(column.clone()), key, globals)?;
-                RowExpr::Col(self.layout.index_of(&column).expect("just bound"))
-            }
-        };
+        let key_rx = self.key_expr(key, globals)?;
         let inputs = pushed
             .aggs
             .iter()
@@ -696,21 +630,5 @@ fn shape_of(p: &Pattern) -> Shape {
         Pattern::Var(_) => Shape::Bind,
         Pattern::Wild => Shape::Skip,
         Pattern::Tuple(ps) => Shape::Tuple(ps.iter().map(shape_of).collect()),
-    }
-}
-
-fn p_vars(p: Pattern) -> Vec<String> {
-    p.var_list()
-}
-
-fn eval_key(keys: &[RExpr], row: &[Value]) -> Result<Value> {
-    if keys.len() == 1 {
-        keys[0].eval(row)
-    } else {
-        Ok(Value::tuple(
-            keys.iter()
-                .map(|k| k.eval(row))
-                .collect::<Result<Vec<_>>>()?,
-        ))
     }
 }

@@ -6,8 +6,8 @@
 use std::sync::Arc;
 
 use diablo_dataflow::{
-    executor_named, ColumnarExecutor, Context, Dataset, Executor, LocalExecutor, MorselExecutor,
-    RowExpr, SpillExecutor, TileExecutor,
+    executor_named, ColumnarExecutor, Context, Dataset, Executor, JoinOn, LocalExecutor,
+    MorselExecutor, RowExpr, Shape, SpillExecutor, TileExecutor,
 };
 use diablo_runtime::{array::key_value, AggOp, BinOp, RuntimeError, Value};
 
@@ -770,6 +770,374 @@ fn backends_agree_on_keyed_aggregations() {
         }
     }
     assert!(vectorized > 0, "the columnar legs never ran a tile");
+}
+
+/// What `Dataset::join_on` computed before it was an engine operator: both
+/// sides keyed by closures, `cogroup` into per-key bags, every left × right
+/// pair of a key flattened out. Kept here as the reference the operator is
+/// held to, row for row.
+fn cogroup_join(left: &Dataset, right: &Dataset, on: &JoinOn) -> Result<Vec<Value>, RuntimeError> {
+    let left_key = on.left_key.clone();
+    let keyed_left = left.map(move |row| Ok(Value::pair(left_key.eval(row)?, row.clone())))?;
+    let unpack = RowExpr::Unpack {
+        shape: on.right.clone(),
+        mismatch: on.mismatch.clone(),
+    };
+    let right_key = on.right_key.clone();
+    let keyed_right = right.map(move |raw| {
+        let leaves = unpack.eval(raw)?;
+        Ok(Value::pair(right_key.eval(&leaves)?, leaves))
+    })?;
+    keyed_left
+        .cogroup(&keyed_right)?
+        .flat_map(|row| {
+            let (_, bags) = key_value(row)?;
+            let sides = bags.as_tuple().expect("cogroup row");
+            let (ls, rs) = (sides[0].as_bag().unwrap(), sides[1].as_bag().unwrap());
+            let mut out = Vec::with_capacity(ls.len() * rs.len());
+            for l in ls {
+                for r in rs {
+                    let mut fields = l.as_tuple().expect("left row").to_vec();
+                    fields.extend_from_slice(r.as_tuple().expect("right leaves"));
+                    out.push(Value::tuple(fields));
+                }
+            }
+            Ok(out)
+        })?
+        .try_collect()
+}
+
+/// `Dataset::join` as it was: `cogroup`, then `(k, (l, r))` per pair.
+fn cogroup_pairs(left: &Dataset, right: &Dataset) -> Result<Vec<Value>, RuntimeError> {
+    left.cogroup(right)?
+        .flat_map(|row| {
+            let (k, bags) = key_value(row)?;
+            let sides = bags.as_tuple().expect("cogroup row");
+            let (ls, rs) = (sides[0].as_bag().unwrap(), sides[1].as_bag().unwrap());
+            let mut out = Vec::with_capacity(ls.len() * rs.len());
+            for l in ls {
+                for r in rs {
+                    out.push(Value::pair(k.clone(), Value::pair(l.clone(), r.clone())));
+                }
+            }
+            Ok(out)
+        })?
+        .try_collect()
+}
+
+/// `Dataset::cross` as a closure: what the pipeline builder's `broadcast
+/// product` did.
+fn closure_cross(
+    left: &Dataset,
+    items: Arc<Vec<Value>>,
+    shape: &Shape,
+    mismatch: &str,
+) -> Result<Vec<Value>, RuntimeError> {
+    let unpack = RowExpr::Unpack {
+        shape: shape.clone(),
+        mismatch: mismatch.into(),
+    };
+    left.flat_map(move |row| {
+        let fields = row.as_tuple().expect("left row");
+        items
+            .iter()
+            .map(|item| {
+                let mut out = fields.to_vec();
+                out.extend_from_slice(unpack.eval(item)?.as_tuple().expect("leaves"));
+                Ok(Value::tuple(out))
+            })
+            .collect()
+    })?
+    .try_collect()
+}
+
+#[test]
+fn backends_agree_on_joins_and_crosses() {
+    let words = ["apple", "pear", "plum", "fig", "kiwi"];
+    let odd_keys = [
+        Value::Long(1),
+        Value::Double(1.0),
+        Value::Double(0.0),
+        Value::Double(-0.0),
+        Value::Long(0),
+        Value::Double(f64::NAN),
+        Value::Double(-f64::NAN),
+        Value::Double(2.5),
+    ];
+    // Left rows `(i, long key, word, odd key, x)`: 12 rows per long key
+    // 0..=9, so every matched key meets duplicates on both sides.
+    let left_rows: Vec<Value> = (0..120i64)
+        .map(|i| {
+            Value::tuple(vec![
+                Value::Long(i),
+                Value::Long(i % 10),
+                Value::str(words[i as usize % 5]),
+                odd_keys[(i * 5 % 8) as usize].clone(),
+                Value::Double(i as f64 / 4.0),
+            ])
+        })
+        .collect();
+    // Right rows `((key, j), y)` per key kind. Long keys 4..=12: 0..=3 are
+    // left-only, 10..=12 right-only. Words: "apple" and "kiwi" left-only,
+    // "zzz" right-only. Odd keys: a different walk over the same values.
+    let right_words = ["pear", "plum", "fig", "zzz"];
+    let right_rows = |key: &dyn Fn(i64) -> Value| -> Vec<Value> {
+        (0..45i64)
+            .map(|j| {
+                Value::pair(
+                    Value::pair(key(j), Value::Long(j)),
+                    Value::str(format!("y{j}")),
+                )
+            })
+            .collect()
+    };
+    let col = RowExpr::Col;
+    let long = |n| RowExpr::Const(Value::Long(n));
+    let bin = |op, a, b| RowExpr::Bin(op, Box::new(a), Box::new(b));
+    let kinds: Vec<(&str, RowExpr, Vec<Value>)> = vec![
+        ("long keys", col(1), right_rows(&|j| Value::Long(j % 9 + 4))),
+        (
+            "string keys",
+            col(2),
+            right_rows(&|j| Value::str(right_words[j as usize % 4])),
+        ),
+        (
+            "tuple keys",
+            RowExpr::Tuple(vec![bin(BinOp::Mod, col(0), long(3)), col(2)]),
+            right_rows(&|j| {
+                Value::pair(Value::Long(j % 4), Value::str(right_words[j as usize % 4]))
+            }),
+        ),
+        (
+            "longs, doubles, zeros and NaNs",
+            col(3),
+            right_rows(&|j| odd_keys[(j * 3 % 8) as usize].clone()),
+        ),
+    ];
+    // ((key, _), y) binds (key, y); the key is the first leaf.
+    let shape = Shape::Tuple(vec![
+        Shape::Tuple(vec![Shape::Bind, Shape::Skip]),
+        Shape::Bind,
+    ]);
+    let mismatch = "join pattern ((k, _), y) does not match row";
+    // How the two sides come about.
+    type Build = fn(&Context, &[Value], &[Value]) -> (Dataset, Dataset);
+    let variants: Vec<(&str, Build)> = vec![
+        ("as they are", |ctx, l, r| {
+            (ctx.from_vec(l.to_vec()), ctx.from_vec(r.to_vec()))
+        }),
+        ("behind transparent and opaque steps", |ctx, l, r| {
+            let keep = RowExpr::Bin(
+                BinOp::Ne,
+                Box::new(RowExpr::Bin(
+                    BinOp::Mod,
+                    Box::new(RowExpr::Col(0)),
+                    Box::new(RowExpr::Const(Value::Long(7))),
+                )),
+                Box::new(RowExpr::Const(Value::Long(0))),
+            );
+            (
+                ctx.from_vec(l.to_vec()).filter_expr(keep).unwrap(),
+                ctx.from_vec(r.to_vec()).map(|v| Ok(v.clone())).unwrap(),
+            )
+        }),
+        ("empty left", |ctx, l, r| {
+            let none = RowExpr::Bin(
+                BinOp::Lt,
+                Box::new(RowExpr::Col(0)),
+                Box::new(RowExpr::Const(Value::Long(0))),
+            );
+            (
+                ctx.from_vec(l.to_vec()).filter_expr(none).unwrap(),
+                ctx.from_vec(r.to_vec()),
+            )
+        }),
+        ("empty right", |ctx, l, _| {
+            (ctx.from_vec(l.to_vec()), ctx.from_vec(Vec::new()))
+        }),
+        ("a right row that is no pair", |ctx, l, r| {
+            let mut r = r.to_vec();
+            r[17] = Value::Long(17);
+            r[31] = Value::str("thirty-one");
+            (ctx.from_vec(l.to_vec()), ctx.from_vec(r))
+        }),
+    ];
+    let context = |exec: Arc<dyn Executor>, workers: usize, ordered: bool| {
+        let ctx = Context::new(workers, 5)
+            .with_executor(exec)
+            .with_morsel_size(16)
+            .with_ordered(ordered);
+        ctx.set_memory_budget(None);
+        ctx
+    };
+    let engines = || {
+        let mut engines: Vec<(Arc<dyn Executor>, usize)> =
+            backends().into_iter().map(|e| (e, 3)).collect();
+        for batch in [1, 7, 4096] {
+            for workers in [1, 2, 4] {
+                engines.push((Arc::new(ColumnarExecutor::new(batch)), workers));
+            }
+        }
+        engines
+    };
+    // Debug, not `==`: `Long(1) == Double(1.0)`, and the claim is the same
+    // rows bit for bit — or the same first error.
+    let show = |res: Result<Vec<Value>, RuntimeError>| match res {
+        Ok(rows) => format!("{rows:?}"),
+        Err(e) => format!("error: {e}"),
+    };
+    let mut vectorized = 0;
+    for (kind, left_key, right) in &kinds {
+        let on = JoinOn {
+            left_key: left_key.clone(),
+            right: shape.clone(),
+            right_key: RowExpr::Col(0),
+            mismatch: mismatch.into(),
+        };
+        for (variant, build) in &variants {
+            for ordered in [false, true] {
+                let what = format!("{kind}, {variant}, ordered {ordered}");
+                let reference = {
+                    let ctx = context(Arc::new(LocalExecutor), 1, ordered);
+                    let (l, r) = build(&ctx, &left_rows, right);
+                    show(cogroup_join(&l, &r, &on))
+                };
+                let fails = reference.starts_with("error");
+                assert_eq!(fails, *variant == "a right row that is no pair", "{what}");
+                if fails {
+                    assert_eq!(
+                        reference,
+                        format!("error: runtime error: {mismatch} 17"),
+                        "{what}"
+                    );
+                } else {
+                    assert_eq!(reference == "[]", variant.starts_with("empty"), "{what}");
+                }
+                for (exec, workers) in engines() {
+                    let name = exec.name();
+                    let ctx = context(exec, workers, ordered);
+                    let (l, r) = build(&ctx, &left_rows, right);
+                    let got = show(l.join_on(&r, on.clone()).and_then(|d| d.try_collect()));
+                    assert_eq!(
+                        got, reference,
+                        "{what}: backend `{name}` at {workers} workers diverged"
+                    );
+                    let stats = ctx.stats().snapshot();
+                    vectorized += stats.vectorized_batches;
+                    if *variant == "as they are" {
+                        assert_eq!(stats.row_fallback_stages, 0, "{what}: `{name}`");
+                    }
+                }
+            }
+        }
+    }
+    assert!(vectorized > 0, "the columnar legs never ran a tile");
+
+    // `Dataset::join` keeps its `(k, (l, r))` rows and its words for a row
+    // that is no pair, on either side.
+    let pairs = |rows: &[Value], key: usize, value: usize| -> Vec<Value> {
+        rows.iter()
+            .map(|row| {
+                let fields = row.as_tuple().unwrap();
+                Value::pair(fields[key].clone(), fields[value].clone())
+            })
+            .collect()
+    };
+    let right_pairs: Vec<Value> = kinds[3]
+        .2
+        .iter()
+        .map(|row| {
+            let (kj, y) = key_value(row).unwrap();
+            Value::pair(key_value(&kj).unwrap().0, y)
+        })
+        .collect();
+    for bad in [None, Some(false), Some(true)] {
+        let (mut l, mut r) = (pairs(&left_rows, 3, 0), right_pairs.clone());
+        match bad {
+            Some(false) => {
+                l[40] = Value::tuple(vec![Value::Long(1), Value::Long(2), Value::Long(3)])
+            }
+            Some(true) => r[9] = Value::Unit,
+            None => {}
+        }
+        for ordered in [false, true] {
+            let reference = {
+                let ctx = context(Arc::new(LocalExecutor), 1, ordered);
+                show(cogroup_pairs(
+                    &ctx.from_vec(l.clone()),
+                    &ctx.from_vec(r.clone()),
+                ))
+            };
+            assert_eq!(reference.starts_with("error"), bad.is_some());
+            for (exec, workers) in engines() {
+                let name = exec.name();
+                let ctx = context(exec, workers, ordered);
+                let joined = ctx.from_vec(l.clone()).join(&ctx.from_vec(r.clone()));
+                assert_eq!(
+                    show(joined.and_then(|d| d.try_collect())),
+                    reference,
+                    "join with bad row {bad:?}, ordered {ordered}: `{name}` at {workers} workers"
+                );
+            }
+        }
+    }
+
+    // Crosses: every left row against every item, in item order; no items,
+    // no rows; an item that does not fit is named by the first row to
+    // reach it — and by none if no row does.
+    let cross_mismatch = "broadcast pattern ((k, _), y) does not match row";
+    let items: Vec<Value> = kinds[0].2[..7].to_vec();
+    let mut bad_items = items.clone();
+    bad_items[4] = Value::pair(Value::Long(4), Value::Long(4));
+    let cases: Vec<(&str, Vec<Value>, bool)> = vec![
+        ("seven items", items.clone(), false),
+        ("no items", Vec::new(), false),
+        ("an item that does not fit", bad_items.clone(), false),
+        ("an item that does not fit, no rows", bad_items, true),
+    ];
+    for (case, items, no_rows) in cases {
+        let items = Arc::new(items);
+        let left = |ctx: &Context| {
+            let keep = if no_rows {
+                bin(BinOp::Lt, col(0), long(0))
+            } else {
+                bin(BinOp::Ne, bin(BinOp::Mod, col(0), long(3)), long(0))
+            };
+            ctx.from_vec(left_rows.clone()).filter_expr(keep).unwrap()
+        };
+        let reference = {
+            let ctx = context(Arc::new(LocalExecutor), 1, false);
+            show(closure_cross(
+                &left(&ctx),
+                items.clone(),
+                &shape,
+                cross_mismatch,
+            ))
+        };
+        let fails = case == "an item that does not fit";
+        assert_eq!(reference.starts_with("error"), fails, "{case}");
+        if fails {
+            assert_eq!(
+                reference,
+                format!("error: runtime error: {cross_mismatch} (4, 4)")
+            );
+        }
+        for (exec, workers) in engines() {
+            let name = exec.name();
+            let ctx = context(exec, workers, false);
+            let crossed = left(&ctx).cross(items.clone(), shape.clone(), cross_mismatch);
+            assert_eq!(
+                show(crossed.and_then(|d| d.try_collect())),
+                reference,
+                "cross, {case}: backend `{name}` at {workers} workers diverged"
+            );
+            assert_eq!(
+                ctx.stats().snapshot().row_fallback_stages,
+                0,
+                "{case}: `{name}`"
+            );
+        }
+    }
 }
 
 #[test]

@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use diablo_core::compile;
 use diablo_dataflow::{
-    ColumnarExecutor, Context, Executor, LocalExecutor, MorselExecutor, RowExpr, SpillExecutor,
-    TileExecutor,
+    ColumnarExecutor, Context, Executor, JoinOn, LocalExecutor, MorselExecutor, RowExpr, Shape,
+    SpillExecutor, TileExecutor,
 };
 use diablo_exec::Session;
 use diablo_interp::Interpreter;
@@ -553,6 +553,168 @@ fn a_combine_that_fails_mid_tile_fails_like_the_row_reference() {
                     assert_eq!(
                         got.message, reference.message,
                         "budget {budget:?}, ordered {ordered}, batch {batch}, {workers} workers"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn poisoned_joins_fail_like_the_row_reference() {
+    // Left rows `(i, i²)`, right rows `(j, "r<j>")`, joined on `i == j`.
+    // One case at a time: the left key divides by zero on row 137, the
+    // right key does, right row 211 is no pair (and 250 is none either),
+    // and all three at once — the left scatter runs first, so its error
+    // wins. Each fault sits mid-tile at every batch width but 1, and a
+    // later right row means tiles before it were already scattered. The
+    // default engine computes the keys as columns and replays the failing
+    // tile; it must raise what `local` raises, statement tag included,
+    // under every exchange budget, on the hash and the sorted exchange.
+    let poisoned = |col: usize| {
+        RowExpr::Bin(
+            BinOp::Add,
+            Box::new(RowExpr::Col(col)),
+            Box::new(RowExpr::Bin(
+                BinOp::Div,
+                Box::new(RowExpr::Const(Value::Long(0))),
+                Box::new(RowExpr::Bin(
+                    BinOp::Sub,
+                    Box::new(RowExpr::Col(col)),
+                    Box::new(RowExpr::Const(Value::Long(137))),
+                )),
+            )),
+        )
+    };
+    let left_rows: Vec<Value> = (0..300i64)
+        .map(|i| Value::pair(Value::Long(i), Value::Long(i * i)))
+        .collect();
+    let right_rows: Vec<Value> = (0..300i64)
+        .map(|j| Value::pair(Value::Long(j), Value::str(format!("r{j}"))))
+        .collect();
+    let mut bad_rows = right_rows.clone();
+    bad_rows[211] = Value::Long(211);
+    bad_rows[250] = Value::Unit;
+    let mismatch = "join pattern (j, r) does not match row";
+    let cases: Vec<(&str, RowExpr, RowExpr, &Vec<Value>, &str)> = vec![
+        (
+            "left key",
+            poisoned(0),
+            RowExpr::Col(0),
+            &right_rows,
+            "division by zero",
+        ),
+        (
+            "right key",
+            RowExpr::Col(0),
+            poisoned(0),
+            &right_rows,
+            "division by zero",
+        ),
+        (
+            "right pattern",
+            RowExpr::Col(0),
+            RowExpr::Col(0),
+            &bad_rows,
+            "join pattern (j, r) does not match row 211",
+        ),
+        (
+            "everything",
+            poisoned(0),
+            poisoned(0),
+            &bad_rows,
+            "division by zero",
+        ),
+    ];
+    for (case, left_key, right_key, right, expect) in cases {
+        for budget in [None, Some(4096), Some(0)] {
+            for ordered in [false, true] {
+                let run = |exec: Arc<dyn Executor>, workers: usize| -> RuntimeError {
+                    let ctx = Context::new(workers, 5)
+                        .with_executor(exec)
+                        .with_ordered(ordered);
+                    ctx.set_memory_budget(budget);
+                    let (l, r) = (ctx.from_vec(left_rows.clone()), ctx.from_vec(right.clone()));
+                    ctx.set_statement_label(Some("s3:W"));
+                    let on = JoinOn {
+                        left_key: left_key.clone(),
+                        right: Shape::Tuple(vec![Shape::Bind, Shape::Bind]),
+                        right_key: right_key.clone(),
+                        mismatch: mismatch.into(),
+                    };
+                    let joined = l.join_on(&r, on);
+                    ctx.set_statement_label(None);
+                    match joined {
+                        Err(e) => e,
+                        Ok(d) => d.try_collect().unwrap_err(),
+                    }
+                };
+                let reference = run(Arc::new(LocalExecutor), 1);
+                assert!(reference.message.contains(expect), "{case}: {reference}");
+                assert!(reference.message.contains("[s3:W]"), "{case}: {reference}");
+                for workers in [1, 2, 4] {
+                    for batch in [1, 7, 64, 4096] {
+                        let got = run(Arc::new(ColumnarExecutor::new(batch)), workers);
+                        assert_eq!(
+                            got.message, reference.message,
+                            "{case}: budget {budget:?}, ordered {ordered}, batch {batch}, \
+                             {workers} workers"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_poisoned_join_or_cross_in_a_program_fails_like_the_row_reference() {
+    // `B[1000 / (i - 137)]`: the subscript becomes the join key, and
+    // dividing by zero on the 137th row fails the left scatter mid-tile.
+    // In the second program a centroid row is no `(index, value)` pair,
+    // which the first point to reach the cross reports.
+    let join = compile(
+        "input A: vector[long];
+         input B: vector[long];
+         var W: vector[long] = vector();
+         for i = 0, 299 do W[i] := A[i] + B[1000 / (i - 137)];",
+    )
+    .unwrap();
+    let cross = compile(
+        "input P: vector[long];
+         input C: vector[long];
+         var D: vector[long] = vector();
+         for i = 0, 299 do
+             for j = 0, 3 do
+                 D[i] += P[i] * C[j];",
+    )
+    .unwrap();
+    let longs = |n: i64| vec_rows(&(0..n).map(|i| (i, i)).collect::<Vec<_>>());
+    let mut centroids = longs(4);
+    centroids[2] = Value::Long(2);
+    let cases = [
+        (&join, "A", "B", longs(300), "division by zero", "s1:W"),
+        (&cross, "P", "C", centroids, "does not match row 2", "s1:D"),
+    ];
+    for (compiled, left, right, right_rows, expect, tag) in cases {
+        for budget in [None, Some(4096), Some(0)] {
+            let run = |exec: Arc<dyn Executor>, workers: usize| -> RuntimeError {
+                let ctx = Context::new(workers, 5).with_executor(exec);
+                ctx.set_memory_budget(budget);
+                let mut s = Session::new(ctx);
+                s.bind_input(left, longs(300));
+                s.bind_input(right, right_rows.clone());
+                s.run(compiled).unwrap_err()
+            };
+            let reference = run(Arc::new(LocalExecutor), 1);
+            assert!(reference.message.contains(expect), "{reference}");
+            assert!(reference.message.contains(tag), "{reference}");
+            for workers in [1, 2, 4] {
+                for batch in [1, 7, 4096] {
+                    let err = run(Arc::new(ColumnarExecutor::new(batch)), workers);
+                    assert_eq!(
+                        err.message, reference.message,
+                        "budget {budget:?}, batch {batch}, {workers} workers"
                     );
                 }
             }

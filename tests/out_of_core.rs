@@ -156,6 +156,65 @@ fn keyed_aggregations_are_budget_invariant_on_the_columnar_path() {
     }
 }
 
+/// Joins and crosses under both budgets at once: PageRank (two joins per
+/// step), Matrix Multiplication (a join into a group-by) and K-Means (a
+/// broadcast cross and a join per step) with 4 KiB for the exchange — the
+/// joined rows cross it without a key wrapper and come back from spill
+/// runs — and 4 KiB for the dataset cache return the `local` row
+/// reference's rows, in its order, on the hash and the sorted exchange.
+/// PageRank and K-Means run every stage columnar; Matrix Multiplication
+/// keeps the one range expansion that zeroes its result.
+#[test]
+fn joins_and_crosses_are_budget_invariant_on_the_columnar_path() {
+    let workloads = [
+        (wl::pagerank(60, 3, 7), 0),
+        (wl::matrix_multiplication(24, 7), 1),
+        (wl::kmeans(300, 2, 2, 7), 0),
+    ];
+    for (w, fallbacks) in &workloads {
+        for ordered in [false, true] {
+            let run = |backend: &str, budget: Option<u64>| {
+                let ctx = Context::new(3, 6)
+                    .with_executor(executor_named(backend).expect(backend))
+                    .with_ordered(ordered);
+                ctx.set_memory_budget(budget);
+                ctx.set_dataset_budget(budget);
+                let mut s = Session::new(ctx.clone());
+                for (n, v) in &w.scalars {
+                    s.bind_scalar(n, v.clone());
+                }
+                for (n, rows) in &w.collections {
+                    s.bind_input(n, rows.clone());
+                }
+                s.run(&compile(w.source).expect("compiles")).expect("runs");
+                let rows = s.dataset(w.outputs[0]).expect("output bound").collect();
+                (rows, ctx.stats().snapshot())
+            };
+            let (reference, _) = run("local", None);
+            assert!(!reference.is_empty(), "{}", w.name);
+            for budget in [None, Some(4096)] {
+                let (got, stats) = run("columnar", budget);
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{reference:?}"),
+                    "{} diverged (ordered={ordered}, budget={budget:?})",
+                    w.name
+                );
+                assert!(stats.vectorized_batches > 0, "{}: {stats:?}", w.name);
+                assert_eq!(
+                    stats.row_fallback_stages, *fallbacks,
+                    "{}: {stats:?}",
+                    w.name
+                );
+                if budget.is_some() {
+                    assert!(stats.spilled_bytes > 0, "{}: {stats:?}", w.name);
+                    assert!(stats.dataset_spills > 0, "{}: {stats:?}", w.name);
+                }
+            }
+        }
+    }
+}
+
 /// Deferred first errors are budget-invariant too: the recomputed plan
 /// carries the same statement tags, so the error message — tag included —
 /// matches the unbounded run exactly.

@@ -423,6 +423,161 @@ fn keyed_programs_combine_and_rebind_in_columnar_stages() {
 }
 
 #[test]
+fn loop_programs_join_and_cross_in_columnar_stages() {
+    // Fig. 3 J and K on the default engine, one loop step each. A second
+    // generator linked by an equality is the engine's join — two scatters
+    // whose key is one more transparent step, then a build–probe fused
+    // into whatever consumes it — and K-Means' centroids are a transparent
+    // expansion inside the stage that scans the points. The same stages
+    // and shuffles as when these were `cogroup` and closures; every stage
+    // with steps in it runs columnar.
+    use diablo_dataflow::ColumnarExecutor;
+    use std::sync::Arc;
+
+    const SCATTER_OLD: &str = "scan[4p] ⇒ merge (scatter old)";
+    const MERGE: &str = "scan[4p] → merge ⊳ (combine slots) ⇒ materialize";
+    const SCATTER_RIGHT: &str = "scan[4p] → map → map ⇒ join (scatter right) (fused 2 narrow ops)";
+    const REDUCE: &str = "scan[4p] → reduce_by_key (reduce) → map → map ⇒ merge (scatter updates) \
+                          (fused 3 narrow ops)";
+    let pagerank_step: &[&str] = &[
+        // Q[i, j] := P[i] over the edges: E ⋈ P.
+        "scan[4p] → map → filter → filter → filter → map ⇒ join (scatter left) \
+         (fused 5 narrow ops)",
+        SCATTER_RIGHT,
+        SCATTER_OLD,
+        "scan[4p] → join (build + probe) → map → map ⇒ merge (scatter updates) \
+         (fused 3 narrow ops)",
+        MERGE,
+        // P[i] := (1 - b) / vertices.
+        SCATTER_OLD,
+        "scan[4p] → map → map → map ⇒ merge (scatter updates) (fused 3 narrow ops)",
+        MERGE,
+        // P[i] += b * Q[j, i] / C[j]: Q ⋈ C into a keyed sum.
+        "scan[4p] → map → filter → filter → map ⇒ join (scatter left) (fused 4 narrow ops)",
+        SCATTER_RIGHT,
+        "scan[4p] → join (build + probe) → map → map ⇒ reduce_by_key (combine + scatter) \
+         (fused 3 narrow ops)",
+        SCATTER_OLD,
+        REDUCE,
+        MERGE,
+    ];
+    let kmeans_step: &[&str] = &[
+        // closest[i] := (0, 1e12).
+        SCATTER_OLD,
+        "scan[4p] → map → map → map ⇒ merge (scatter updates) (fused 3 narrow ops)",
+        MERGE,
+        // closest[i] ^= (j, distance): P × C into a keyed argmin.
+        "scan[4p] → map → filter → flat_map → filter → map → map → map → map → map ⇒ \
+         reduce_by_key (combine + scatter) (fused 9 narrow ops)",
+        SCATTER_OLD,
+        REDUCE,
+        MERGE,
+        // avg[closest[i]._1] += (x, y, 1): P ⋈ closest into a keyed sum.
+        "scan[4p] → map → filter → map → map ⇒ join (scatter left) (fused 4 narrow ops)",
+        SCATTER_RIGHT,
+        "scan[4p] → join (build + probe) → map ⇒ reduce_by_key (combine + scatter) \
+         (fused 2 narrow ops)",
+        SCATTER_OLD,
+        REDUCE,
+        MERGE,
+        // C[i] := avg[i] / count.
+        SCATTER_OLD,
+        "scan[4p] → map → filter → map → map ⇒ merge (scatter updates) (fused 4 narrow ops)",
+        MERGE,
+    ];
+    // (workload, the step's first statement, its stages, and the whole
+    // run's stage and shuffle counts — what they were before the join and
+    // the cross were engine operators)
+    for (w, first, step, stages, shuffles) in [
+        (wl::pagerank(60, 1, 7), "s10:", pagerank_step, 23, 18),
+        (wl::kmeans(300, 2, 1, 7), "s7:", kmeans_step, 19, 14),
+    ] {
+        // Pinned, so a suite-wide DIABLO_BACKEND cannot change the layout.
+        let ctx = Context::new(2, 4).with_executor(Arc::new(ColumnarExecutor::default()));
+        let compiled = compile(w.source).expect("compiles");
+        let plan = session_for(&w, &ctx).explain(&compiled).expect("explains");
+        // Stage numbers aside, the golden is the stage and layout lines
+        // from the loop body's first statement on.
+        let got: Vec<&str> = plan
+            .lines()
+            .map(str::trim)
+            .skip_while(|l| !l.starts_with(&format!("== {first}")))
+            .filter_map(|l| match l.strip_prefix("stage ") {
+                Some(rest) => rest.split_once(": ").map(|(_, stage)| stage),
+                None => l.starts_with("layout:").then_some(l),
+            })
+            .collect();
+        // A layout line follows every stage that has steps of its own.
+        let want: Vec<&str> = step
+            .iter()
+            .flat_map(|stage| {
+                let steps = stage.contains(" → map") || stage.contains(" → filter");
+                std::iter::once(*stage).chain(steps.then_some("layout: columnar"))
+            })
+            .collect();
+        assert_eq!(got, want, "{}:\n{plan}", w.name);
+        let stats = stats_of(&w, &ctx);
+        assert_eq!(stats.physical_stages, stages, "{stats:?}");
+        assert_eq!(stats.shuffles, shuffles, "{stats:?}");
+        assert_eq!(stats.row_fallback_stages, 0, "{stats:?}");
+        assert!(stats.vectorized_batches > 0, "{stats:?}");
+    }
+}
+
+#[test]
+fn a_join_with_an_opaque_key_computes_it_in_a_row_step_first() {
+    // A record has no columnar form, so a join keyed by one binds the key
+    // with an opaque `let` first — on the side that needs it — and the
+    // engine joins on that column. D025 forecasts it.
+    use diablo_dataflow::ColumnarExecutor;
+    use std::sync::Arc;
+
+    const SRC: &str = "input A: vector[long];
+         input B: map[<|k: long|>, long];
+         var W: vector[long] = vector();
+         for i = 0, 99 do W[i] := A[i] + B[<|k = i|>];";
+    let ctx = Context::new(2, 4).with_executor(Arc::new(ColumnarExecutor::default()));
+    let mut s = Session::new(ctx);
+    s.bind_input(
+        "A",
+        (0..100)
+            .map(|i| Value::pair(Value::Long(i), Value::Long(i * i)))
+            .collect(),
+    );
+    s.bind_input(
+        "B",
+        (0..100)
+            .map(|i| {
+                let key = Value::record(vec![("k".into(), Value::Long(i))]);
+                Value::pair(key, Value::Long(-i))
+            })
+            .collect(),
+    );
+    let compiled = compile(SRC).expect("compiles");
+    let plan = s.explain(&compiled).expect("explains");
+    assert!(plan.contains("⇒ join (scatter left)"), "{plan}");
+    assert!(
+        plan.contains("layout: row (opaque let from s1:W)"),
+        "{plan}"
+    );
+    s.run(&compiled).expect("runs");
+    let rows = s.collect("W").expect("bound");
+    assert_eq!(rows.len(), 100);
+    assert!(rows.contains(&Value::pair(Value::Long(7), Value::Long(42))));
+    let mut diags = diablo_diag::Diagnostics::new();
+    let (tp, compiled) = diablo_core::compile_multi(SRC, &mut diags).expect("compiles");
+    let d025 = diablo_core::lint_program(&tp, &compiled)
+        .into_iter()
+        .find(|d| d.code == diablo_diag::codes::ROW_FALLBACK)
+        .expect("D025 forecasts the opaque key");
+    assert!(
+        d025.message.contains("record constructor"),
+        "{}",
+        d025.message
+    );
+}
+
+#[test]
 fn a_group_by_with_an_opaque_key_computes_it_in_a_row_step_first() {
     // A record has no columnar form, so a group-by keyed by one binds the
     // key with an opaque `let` first — one more fused step, named in the

@@ -256,4 +256,82 @@ proptest! {
         // Same rows, same order, same bits.
         prop_assert_eq!(format!("{got:?}"), format!("{reference:?}"));
     }
+
+    #[test]
+    fn join_on_equals_cogroup_and_expansion(
+        left in pairs_strategy(),
+        right in pairs_strategy(),
+        workers in 1usize..5,
+        partitions in 1usize..9,
+        batch in 1usize..40,
+        ordered in any::<bool>(),
+    ) {
+        use std::sync::Arc;
+        use diablo_dataflow::{ColumnarExecutor, JoinOn, LocalExecutor, RowExpr, Shape};
+        // Left rows (key, v) keyed by `key`; right rows ((key, v), v) bound
+        // by ((k, _), w). Odd values spell their key as the double it
+        // equals, so one key has two spellings on either side.
+        let spell = |k: i64, v: i64| if v % 2 == 0 { Value::Long(k) } else { Value::Double(k as f64) };
+        let left_rows: Vec<Value> = left
+            .iter()
+            .map(|&(k, v)| Value::pair(spell(k, v), Value::Long(v)))
+            .collect();
+        let right_rows: Vec<Value> = right
+            .iter()
+            .map(|&(k, v)| Value::pair(Value::pair(spell(k, v), Value::Long(v)), Value::Long(-v)))
+            .collect();
+        let shape = Shape::Tuple(vec![Shape::Tuple(vec![Shape::Bind, Shape::Skip]), Shape::Bind]);
+        // The reference: key both sides by closures, cogroup, and expand
+        // every group's left × right pairs.
+        let reference = {
+            let ctx = Context::new(1, partitions)
+                .with_executor(Arc::new(LocalExecutor))
+                .with_ordered(ordered);
+            let l = ctx
+                .from_vec(left_rows.clone())
+                .map(|row| Ok(Value::pair(key_value(row)?.0, row.clone())))
+                .unwrap();
+            let r = ctx
+                .from_vec(right_rows.clone())
+                .map(|row| {
+                    let (kv, w) = key_value(row)?;
+                    let k = key_value(&kv)?.0;
+                    Ok(Value::pair(k.clone(), Value::pair(k, w)))
+                })
+                .unwrap();
+            l.cogroup(&r)
+                .unwrap()
+                .flat_map(|row| {
+                    let (_, bags) = key_value(row)?;
+                    let sides = bags.as_tuple().unwrap();
+                    let mut out = Vec::new();
+                    for l in sides[0].as_bag().unwrap() {
+                        for r in sides[1].as_bag().unwrap() {
+                            let mut fields = l.as_tuple().unwrap().to_vec();
+                            fields.extend_from_slice(r.as_tuple().unwrap());
+                            out.push(Value::tuple(fields));
+                        }
+                    }
+                    Ok(out)
+                })
+                .unwrap()
+                .collect()
+        };
+        let ctx = Context::new(workers, partitions)
+            .with_executor(Arc::new(ColumnarExecutor::new(batch)))
+            .with_ordered(ordered);
+        let on = JoinOn {
+            left_key: RowExpr::Col(0),
+            right: shape,
+            right_key: RowExpr::Col(0),
+            mismatch: "join pattern ((k, _), w) does not match row".into(),
+        };
+        let got = ctx
+            .from_vec(left_rows)
+            .join_on(&ctx.from_vec(right_rows), on)
+            .unwrap()
+            .collect();
+        // Same rows, same order, same bits.
+        prop_assert_eq!(format!("{got:?}"), format!("{reference:?}"));
+    }
 }
