@@ -32,17 +32,25 @@ impl Pattern {
         Pattern::Var(name.into())
     }
 
-    /// Collects the variables bound by this pattern, in order.
-    pub fn vars(&self, out: &mut Vec<String>) {
+    /// Calls `f` with every variable bound by this pattern, in order.
+    pub fn each_var<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
         match self {
-            Pattern::Var(v) => out.push(v.clone()),
-            Pattern::Tuple(ps) => {
-                for p in ps {
-                    p.vars(out);
-                }
-            }
+            Pattern::Var(v) => f(v),
+            Pattern::Tuple(ps) => ps.iter().for_each(|p| p.each_var(f)),
             Pattern::Wild => {}
         }
+    }
+
+    /// Collects the variables bound by this pattern, in order.
+    pub fn vars(&self, out: &mut Vec<String>) {
+        self.each_var(&mut |v| out.push(v.to_string()));
+    }
+
+    /// True if the pattern binds `name`.
+    pub fn binds(&self, name: &str) -> bool {
+        let mut found = false;
+        self.each_var(&mut |v| found |= v == name);
+        found
     }
 
     /// The bound variables as a vector.
@@ -115,14 +123,6 @@ pub enum Qual {
 }
 
 impl Qual {
-    /// Variables bound by this qualifier (empty for conditions).
-    pub fn bound_vars(&self) -> Vec<String> {
-        match self {
-            Qual::Gen(p, _) | Qual::Let(p, _) | Qual::GroupBy(p, _) => p.var_list(),
-            Qual::Pred(_) => Vec::new(),
-        }
-    }
-
     /// The qualifier's expression: domain, bound value, condition, or key.
     pub fn expr(&self) -> &CExpr {
         match self {
@@ -130,16 +130,38 @@ impl Qual {
         }
     }
 
-    /// The same qualifier over a different expression.
-    pub fn with_expr(&self, e: CExpr) -> Qual {
+    /// The qualifier's expression, for rewriting in place.
+    pub fn expr_mut(&mut self) -> &mut CExpr {
         match self {
-            Qual::Gen(p, _) => Qual::Gen(p.clone(), e),
-            Qual::Let(p, _) => Qual::Let(p.clone(), e),
-            Qual::Pred(_) => Qual::Pred(e),
-            Qual::GroupBy(p, _) => Qual::GroupBy(p.clone(), e),
+            Qual::Gen(_, e) | Qual::Let(_, e) | Qual::Pred(e) | Qual::GroupBy(_, e) => e,
         }
     }
+
+    /// The pattern this qualifier binds — the one place that knows which
+    /// qualifiers are binding positions (conditions bind nothing).
+    pub fn pattern(&self) -> Option<&Pattern> {
+        match self {
+            Qual::Gen(p, _) | Qual::Let(p, _) | Qual::GroupBy(p, _) => Some(p),
+            Qual::Pred(_) => None,
+        }
+    }
+
+    /// Calls `f` with every variable this qualifier binds, in order.
+    pub fn each_bound<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
+        if let Some(p) = self.pattern() {
+            p.each_var(f);
+        }
+    }
+
+    /// True if this qualifier binds `name`.
+    pub fn binds(&self, name: &str) -> bool {
+        self.pattern().is_some_and(|p| p.binds(name))
+    }
 }
+
+/// A simultaneous substitution: `(name, replacement)` pairs, a later pair
+/// for the same name overriding an earlier one.
+pub type Subst = Vec<(String, CExpr)>;
 
 /// A comprehension `{ head | quals }`.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,6 +184,15 @@ impl Comprehension {
     /// True if any qualifier is a group-by.
     pub fn has_group_by(&self) -> bool {
         self.quals.iter().any(|q| matches!(q, Qual::GroupBy(_, _)))
+    }
+
+    /// [`CExpr::subst_all`] over the qualifiers from position `from` on
+    /// and the head — the scope of a binding made just before `from`.
+    pub fn subst_from(&mut self, from: usize, subs: &[(String, CExpr)]) -> bool {
+        let exprs = self.quals[from..].iter_mut().map(Qual::expr_mut);
+        exprs
+            .chain(std::iter::once(self.head.as_mut()))
+            .fold(false, |changed, e| e.subst_all(subs) | changed)
     }
 }
 
@@ -274,10 +305,17 @@ impl CExpr {
     /// comprehension qualifier within this expression).
     pub fn free_vars(&self) -> HashSet<String> {
         let mut out = HashSet::new();
-        self.visit_free(&mut HashSet::new(), &mut |v, _| {
-            out.insert(v.to_string());
+        self.each_free(&mut |v, _| {
+            if !out.contains(v) {
+                out.insert(v.to_string());
+            }
         });
         out
+    }
+
+    /// True if `name` occurs free in this expression.
+    pub fn mentions(&self, name: &str) -> bool {
+        self.free_occurrences(name) > 0
     }
 
     /// Number of free occurrences of `name`, with multiplicity (an
@@ -285,11 +323,7 @@ impl CExpr {
     /// count behind the driver's cross-statement fusion analysis.
     pub fn free_occurrences(&self, name: &str) -> usize {
         let mut n = 0;
-        self.visit_free(&mut HashSet::new(), &mut |v, _| {
-            if v == name {
-                n += 1;
-            }
-        });
+        self.each_free(&mut |v, _| n += usize::from(v == name));
         n
     }
 
@@ -298,166 +332,114 @@ impl CExpr {
     /// bag can be inlined without being built first.
     pub fn free_agg_occurrences(&self, name: &str) -> usize {
         let mut n = 0;
-        self.visit_free(&mut HashSet::new(), &mut |v, aggregated| {
-            if aggregated && v == name {
-                n += 1;
-            }
-        });
+        self.each_free(&mut |v, aggregated| n += usize::from(aggregated && v == name));
         n
     }
 
-    /// Calls `visit` for every free variable occurrence, left to right;
-    /// the flag is true when the occurrence is the whole operand of an
-    /// [`CExpr::Agg`].
-    fn visit_free(&self, bound: &mut HashSet<String>, visit: &mut dyn FnMut(&str, bool)) {
+    /// Calls `visit` for every free variable occurrence, left to right,
+    /// without allocating; the flag is true when the occurrence is the
+    /// whole operand of an [`CExpr::Agg`].
+    pub fn each_free<'a>(&'a self, visit: &mut dyn FnMut(&'a str, bool)) {
+        self.visit_free(&mut Vec::new(), visit);
+    }
+
+    /// `bound` is the stack of names in scope, innermost last.
+    fn visit_free<'a>(&'a self, bound: &mut Vec<&'a str>, visit: &mut dyn FnMut(&'a str, bool)) {
         match self {
-            CExpr::Var(v) => {
-                if !bound.contains(v) {
-                    visit(v, false);
-                }
-            }
+            CExpr::Var(v) if !bound.contains(&v.as_str()) => visit(v, false),
+            CExpr::Var(_) => {}
             CExpr::Const(_) => {}
-            CExpr::Bin(_, a, b) => {
+            CExpr::Bin(_, a, b) | CExpr::Range(a, b) => {
                 a.visit_free(bound, visit);
                 b.visit_free(bound, visit);
             }
-            CExpr::Un(_, a) => a.visit_free(bound, visit),
-            CExpr::Call(_, args) => {
-                for a in args {
-                    a.visit_free(bound, visit);
-                }
-            }
-            CExpr::Tuple(fs) => {
-                for f in fs {
-                    f.visit_free(bound, visit);
-                }
-            }
-            CExpr::Record(fs) => {
-                for (_, f) in fs {
-                    f.visit_free(bound, visit);
-                }
-            }
-            CExpr::Proj(e, _) => e.visit_free(bound, visit),
-            CExpr::Agg(_, e) => match e.as_ref() {
-                CExpr::Var(v) => {
-                    if !bound.contains(v) {
-                        visit(v, true);
-                    }
-                }
-                e => e.visit_free(bound, visit),
-            },
             CExpr::Merge { left, right, .. } => {
                 left.visit_free(bound, visit);
                 right.visit_free(bound, visit);
             }
-            CExpr::Range(lo, hi) => {
-                lo.visit_free(bound, visit);
-                hi.visit_free(bound, visit);
+            CExpr::Un(_, a) | CExpr::Proj(a, _) => a.visit_free(bound, visit),
+            CExpr::Call(_, args) | CExpr::Tuple(args) => {
+                args.iter().for_each(|a| a.visit_free(bound, visit));
             }
+            CExpr::Record(fs) => fs.iter().for_each(|(_, f)| f.visit_free(bound, visit)),
+            CExpr::Agg(_, e) => match e.as_ref() {
+                CExpr::Var(v) if !bound.contains(&v.as_str()) => visit(v, true),
+                CExpr::Var(_) => {}
+                e => e.visit_free(bound, visit),
+            },
             CExpr::Comp(c) => {
                 // Qualifiers bind left to right; a generator's domain sees
                 // only the bindings before it.
-                let mut newly: Vec<String> = Vec::new();
+                let mark = bound.len();
                 for q in &c.quals {
-                    match q {
-                        Qual::Gen(p, e) | Qual::Let(p, e) | Qual::GroupBy(p, e) => {
-                            e.visit_free(bound, visit);
-                            for v in p.var_list() {
-                                if bound.insert(v.clone()) {
-                                    newly.push(v);
-                                }
-                            }
-                        }
-                        Qual::Pred(e) => e.visit_free(bound, visit),
-                    }
+                    q.expr().visit_free(bound, visit);
+                    q.each_bound(&mut |v| bound.push(v));
                 }
                 c.head.visit_free(bound, visit);
-                for v in newly {
-                    bound.remove(&v);
-                }
+                bound.truncate(mark);
             }
         }
     }
 
-    /// Capture-avoiding substitution of variable `name` by `replacement`.
+    /// Simultaneous substitution, in place and in one traversal: every free
+    /// occurrence of a name in `subs` becomes a clone of its replacement
+    /// (a later entry for the same name overrides an earlier one), and a
+    /// subtree without an occurrence is not touched. Returns whether any
+    /// occurrence was replaced.
     ///
-    /// Comprehension qualifiers that rebind `name` shadow it for the rest of
-    /// that comprehension. Pattern variables are assumed globally fresh
-    /// (the translator and normalizer generate unique names), so no
-    /// alpha-renaming is performed here.
-    pub fn subst(&self, name: &str, replacement: &CExpr) -> CExpr {
+    /// Scope-aware: a qualifier that rebinds a name hides it for the rest
+    /// of its comprehension. Bound names are assumed fresh with respect to
+    /// the replacements' free variables (the translator and the normalizer
+    /// draw them from [`NameGen`]), so no binder is renamed here.
+    pub fn subst_all(&mut self, subs: &[(String, CExpr)]) -> bool {
+        !subs.is_empty() && self.subst_in(subs, &mut Vec::new())
+    }
+
+    /// `hidden` holds the indexes of `subs` shadowed at this point.
+    fn subst_in(&mut self, subs: &[(String, CExpr)], hidden: &mut Vec<usize>) -> bool {
         match self {
-            CExpr::Var(v) => {
-                if v == name {
-                    replacement.clone()
-                } else {
-                    self.clone()
+            CExpr::Var(v) => match subs.iter().rposition(|(n, _)| n == v) {
+                Some(i) if !hidden.contains(&i) => {
+                    *self = subs[i].1.clone();
+                    true
                 }
-            }
-            CExpr::Const(_) => self.clone(),
-            CExpr::Bin(op, a, b) => CExpr::Bin(
-                *op,
-                Box::new(a.subst(name, replacement)),
-                Box::new(b.subst(name, replacement)),
-            ),
-            CExpr::Un(op, a) => CExpr::Un(*op, Box::new(a.subst(name, replacement))),
-            CExpr::Call(f, args) => CExpr::Call(
-                *f,
-                args.iter().map(|a| a.subst(name, replacement)).collect(),
-            ),
-            CExpr::Tuple(fs) => {
-                CExpr::Tuple(fs.iter().map(|f| f.subst(name, replacement)).collect())
-            }
-            CExpr::Record(fs) => CExpr::Record(
-                fs.iter()
-                    .map(|(n, f)| (n.clone(), f.subst(name, replacement)))
-                    .collect(),
-            ),
-            CExpr::Proj(e, f) => CExpr::Proj(Box::new(e.subst(name, replacement)), f.clone()),
-            CExpr::Agg(op, e) => CExpr::Agg(*op, Box::new(e.subst(name, replacement))),
-            CExpr::Merge {
-                left,
-                right,
-                combine,
-            } => CExpr::Merge {
-                left: Box::new(left.subst(name, replacement)),
-                right: Box::new(right.subst(name, replacement)),
-                combine: *combine,
+                _ => false,
             },
-            CExpr::Range(lo, hi) => CExpr::Range(
-                Box::new(lo.subst(name, replacement)),
-                Box::new(hi.subst(name, replacement)),
-            ),
+            CExpr::Const(_) => false,
+            CExpr::Bin(_, a, b) | CExpr::Range(a, b) => {
+                a.subst_in(subs, hidden) | b.subst_in(subs, hidden)
+            }
+            CExpr::Merge { left, right, .. } => {
+                left.subst_in(subs, hidden) | right.subst_in(subs, hidden)
+            }
+            CExpr::Un(_, a) | CExpr::Proj(a, _) | CExpr::Agg(_, a) => a.subst_in(subs, hidden),
+            CExpr::Call(_, args) | CExpr::Tuple(args) => args
+                .iter_mut()
+                .fold(false, |changed, a| a.subst_in(subs, hidden) | changed),
+            CExpr::Record(fs) => fs
+                .iter_mut()
+                .fold(false, |changed, (_, f)| f.subst_in(subs, hidden) | changed),
             CExpr::Comp(c) => {
-                let mut shadowed = false;
-                let mut quals = Vec::with_capacity(c.quals.len());
-                for q in &c.quals {
-                    let q = if shadowed {
-                        q.clone()
-                    } else {
-                        match q {
-                            Qual::Gen(p, e) => Qual::Gen(p.clone(), e.subst(name, replacement)),
-                            Qual::Let(p, e) => Qual::Let(p.clone(), e.subst(name, replacement)),
-                            Qual::Pred(e) => Qual::Pred(e.subst(name, replacement)),
-                            Qual::GroupBy(p, e) => {
-                                Qual::GroupBy(p.clone(), e.subst(name, replacement))
+                let mark = hidden.len();
+                let mut changed = false;
+                for q in &mut c.quals {
+                    changed |= q.expr_mut().subst_in(subs, hidden);
+                    q.each_bound(&mut |v| {
+                        for (i, (n, _)) in subs.iter().enumerate() {
+                            if n == v && !hidden.contains(&i) {
+                                hidden.push(i);
                             }
                         }
-                    };
-                    if !shadowed && q.bound_vars().iter().any(|v| v == name) {
-                        shadowed = true;
+                    });
+                    if hidden.len() == subs.len() {
+                        break; // everything is shadowed from here on
                     }
-                    quals.push(q);
                 }
-                let head = if shadowed {
-                    (*c.head).clone()
-                } else {
-                    c.head.subst(name, replacement)
-                };
-                CExpr::Comp(Comprehension {
-                    head: Box::new(head),
-                    quals,
-                })
+                if hidden.len() < subs.len() {
+                    changed |= c.head.subst_in(subs, hidden);
+                }
+                hidden.truncate(mark);
+                changed
             }
         }
     }
@@ -470,7 +452,7 @@ impl CExpr {
 }
 
 /// A counter handing out globally fresh variable names.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct NameGen {
     next: u64,
 }
@@ -552,14 +534,28 @@ mod tests {
     #[test]
     fn subst_stops_at_shadowing() {
         // { x | x ← X }[x := 9] leaves the bound x alone but hits X's side.
-        let comp = CExpr::Comp(Comprehension::new(
+        let mut comp = CExpr::Comp(Comprehension::new(
             CExpr::var("x"),
             vec![Qual::Gen(Pattern::var("x"), CExpr::var("x"))],
         ));
-        let out = comp.subst("x", &CExpr::long(9));
-        let CExpr::Comp(c) = out else { panic!() };
+        assert!(comp.subst_all(&[("x".to_string(), CExpr::long(9))]));
+        let CExpr::Comp(c) = comp else { panic!() };
         assert_eq!(c.quals[0], Qual::Gen(Pattern::var("x"), CExpr::long(9)));
         assert_eq!(*c.head, CExpr::var("x"), "head is shadowed");
+    }
+
+    #[test]
+    fn subst_all_is_simultaneous() {
+        // (x, y)[x := y, y := x] swaps; applied one after the other it would
+        // collapse both to the same variable.
+        let mut e = CExpr::pair(CExpr::var("x"), CExpr::var("y"));
+        let swap = [
+            ("x".to_string(), CExpr::var("y")),
+            ("y".to_string(), CExpr::var("x")),
+        ];
+        assert!(e.subst_all(&swap));
+        assert_eq!(e, CExpr::pair(CExpr::var("y"), CExpr::var("x")));
+        assert!(!e.subst_all(&[("z".to_string(), CExpr::long(1))]));
     }
 
     #[test]

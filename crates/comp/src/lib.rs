@@ -20,6 +20,9 @@
 //! * [`optimize`] — Rule (16) constant-key group-by elimination, Rule (17)
 //!   unique-key group-by elimination, and the loop-iteration elimination of
 //!   §3.6 (`range` joins become array traversals guarded by `inRange`);
+//! * [`rewrite`] — the one change-driven driver and rule table behind
+//!   both: every rule reports whether it fired, and [`RewriteStats`] counts
+//!   the fires;
 //! * [`pretty`] — a printer matching the paper's notation.
 
 pub mod eval;
@@ -28,9 +31,11 @@ pub mod normalize;
 pub mod optimize;
 pub mod pretty;
 pub mod pushdown;
+pub mod rewrite;
 
 pub use eval::{eval, eval_comp, Env};
 pub use ir::{CExpr, Comprehension, Pattern, Qual};
 pub use normalize::normalize;
-pub use optimize::optimize;
+pub use optimize::{optimize, optimize_counted};
 pub use pretty::pretty_cexpr;
+pub use rewrite::RewriteStats;

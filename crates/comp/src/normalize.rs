@@ -1,4 +1,5 @@
-//! Comprehension normalization.
+//! Comprehension normalization: the first six rules of the rewrite table
+//! (`crate::rewrite`) and the three expression folds.
 //!
 //! The workhorse is Rule (2) of §3.3:
 //!
@@ -22,147 +23,90 @@
 //!   where their free variables are bound (within their group-by segment),
 //!   so joins see their equality predicates adjacent to the generators;
 //! * **constant folding** and removal of trivially-true conditions.
-
-use std::collections::HashSet;
+//!
+//! Every rule works on the term in place and returns whether it changed it.
 
 use diablo_runtime::Value;
 
-use crate::ir::{CExpr, Comprehension, NameGen, Pattern, Qual};
+use crate::ir::{CExpr, Comprehension, NameGen, Pattern, Qual, Subst};
+use crate::rewrite::{rewrite, RewriteStats};
 
 /// Normalizes an expression (all comprehensions inside it) to fixpoint.
 pub fn normalize(e: &CExpr, ng: &mut NameGen) -> CExpr {
-    let mut cur = e.clone();
-    // The passes are individually terminating and jointly confluent enough
-    // in practice; a small iteration cap guards against ping-ponging.
-    for _ in 0..8 {
-        let next = norm_expr(&cur, ng);
-        if next == cur {
-            return next;
-        }
-        cur = next;
-    }
-    cur
+    let mut out = e.clone();
+    rewrite(&mut out, false, ng, &mut RewriteStats::default());
+    out
 }
 
-fn norm_expr(e: &CExpr, ng: &mut NameGen) -> CExpr {
-    match e {
-        CExpr::Var(_) | CExpr::Const(_) => e.clone(),
-        CExpr::Bin(op, a, b) => {
-            let a = norm_expr(a, ng);
-            let b = norm_expr(b, ng);
-            fold_bin(*op, a, b)
-        }
-        CExpr::Un(op, a) => {
-            let a = norm_expr(a, ng);
-            if let CExpr::Const(v) = &a {
-                if let Ok(folded) = op.apply(v) {
-                    return CExpr::Const(folded);
-                }
-            }
-            CExpr::Un(*op, Box::new(a))
-        }
-        CExpr::Call(f, args) => CExpr::Call(*f, args.iter().map(|a| norm_expr(a, ng)).collect()),
-        CExpr::Tuple(fs) => CExpr::Tuple(fs.iter().map(|f| norm_expr(f, ng)).collect()),
-        CExpr::Record(fs) => CExpr::Record(
-            fs.iter()
-                .map(|(n, f)| (n.clone(), norm_expr(f, ng)))
-                .collect(),
-        ),
-        CExpr::Proj(inner, field) => {
-            let inner = norm_expr(inner, ng);
-            // Project out of literal tuples/records.
-            match &inner {
-                CExpr::Tuple(fs) => {
-                    if let Some(idx) = field
-                        .strip_prefix('_')
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .and_then(|i| i.checked_sub(1))
-                    {
-                        if let Some(f) = fs.get(idx) {
-                            return f.clone();
-                        }
-                    }
-                }
-                CExpr::Record(fs) => {
-                    if let Some((_, f)) = fs.iter().find(|(n, _)| n == field) {
-                        return f.clone();
-                    }
-                }
-                _ => {}
-            }
-            CExpr::Proj(Box::new(inner), field.clone())
-        }
-        CExpr::Agg(op, inner) => {
-            let inner = norm_expr(inner, ng);
-            // ⊕/{e} = e
-            if let Some(head) = inner.as_singleton() {
-                return head.clone();
-            }
-            CExpr::Agg(*op, Box::new(inner))
-        }
-        CExpr::Merge {
-            left,
-            right,
-            combine,
-        } => CExpr::Merge {
-            left: Box::new(norm_expr(left, ng)),
-            right: Box::new(norm_expr(right, ng)),
-            combine: *combine,
+// ------------------------------------------------------------ the folds
+
+/// `c1 ⊕ c2` and `⊖c` over constants, where the operation is defined.
+pub(crate) fn fold_constants(e: &mut CExpr) -> bool {
+    let folded = match e {
+        CExpr::Bin(op, a, b) => match (a.as_ref(), b.as_ref()) {
+            (CExpr::Const(x), CExpr::Const(y)) => op.apply(x, y).ok(),
+            _ => None,
         },
-        CExpr::Range(lo, hi) => {
-            CExpr::Range(Box::new(norm_expr(lo, ng)), Box::new(norm_expr(hi, ng)))
+        CExpr::Un(op, a) => match a.as_ref() {
+            CExpr::Const(v) => op.apply(v).ok(),
+            _ => None,
+        },
+        _ => None,
+    };
+    folded.map(|v| *e = CExpr::Const(v)).is_some()
+}
+
+/// `(e1, …, en)._i = ei` and `<| …, A = e, … |>.A = e`.
+pub(crate) fn project_literals(e: &mut CExpr) -> bool {
+    let CExpr::Proj(inner, field) = e else {
+        return false;
+    };
+    let picked = match inner.as_mut() {
+        CExpr::Tuple(fs) => field
+            .strip_prefix('_')
+            .and_then(|s| s.parse::<usize>().ok())
+            .and_then(|i| i.checked_sub(1))
+            .filter(|i| *i < fs.len())
+            .map(|i| fs.swap_remove(i)),
+        CExpr::Record(fs) => fs
+            .iter()
+            .position(|(n, _)| n == field)
+            .map(|i| fs.swap_remove(i).1),
+        _ => None,
+    };
+    picked.map(|f| *e = f).is_some()
+}
+
+/// `⊕/{e} = e`.
+pub(crate) fn aggregate_singletons(e: &mut CExpr) -> bool {
+    let CExpr::Agg(_, inner) = e else {
+        return false;
+    };
+    let head = match inner.as_mut() {
+        CExpr::Comp(c) if c.quals.is_empty() => {
+            std::mem::replace(c.head.as_mut(), CExpr::Const(Value::Unit))
         }
-        CExpr::Comp(c) => norm_comp(c, ng),
-    }
+        _ => return false,
+    };
+    *e = head;
+    true
 }
 
-fn fold_bin(op: diablo_runtime::BinOp, a: CExpr, b: CExpr) -> CExpr {
-    if let (CExpr::Const(x), CExpr::Const(y)) = (&a, &b) {
-        if let Ok(v) = op.apply(x, y) {
-            return CExpr::Const(v);
-        }
-    }
-    CExpr::Bin(op, Box::new(a), Box::new(b))
-}
-
-fn norm_comp(c: &Comprehension, ng: &mut NameGen) -> CExpr {
-    // Normalize constituent expressions first (bottom-up).
-    let mut quals: Vec<Qual> = c
-        .quals
-        .iter()
-        .map(|q| match q {
-            Qual::Gen(p, e) => Qual::Gen(p.clone(), norm_expr(e, ng)),
-            Qual::Let(p, e) => Qual::Let(p.clone(), norm_expr(e, ng)),
-            Qual::Pred(e) => Qual::Pred(norm_expr(e, ng)),
-            Qual::GroupBy(p, e) => Qual::GroupBy(p.clone(), norm_expr(e, ng)),
-        })
-        .collect();
-    let mut head = norm_expr(&c.head, ng);
-
-    quals = unnest(quals, ng);
-    quals = split_tuple_lets(quals);
-    (quals, head) = inline_lets(quals, head);
-    (quals, head) = inline_aggregated_bags(quals, head);
-    quals = push_preds(quals);
-    quals = drop_true_preds(quals);
-
-    CExpr::Comp(Comprehension {
-        head: Box::new(head),
-        quals,
-    })
-}
+// ------------------------------------------------------------ the rules
 
 /// Rule (2): splice generators over comprehensions into the qualifier list.
-fn unnest(quals: Vec<Qual>, ng: &mut NameGen) -> Vec<Qual> {
-    let mut out: Vec<Qual> = Vec::with_capacity(quals.len());
-    for q in quals {
+pub(crate) fn unnest(c: &mut Comprehension, ng: &mut NameGen) -> bool {
+    // A group-by inside may only surface when nothing is bound before it.
+    fn applies((at, q): (usize, &Qual)) -> bool {
+        matches!(q, Qual::Gen(_, CExpr::Comp(inner)) if at == 0 || !inner.has_group_by())
+    }
+    if !c.quals.iter().enumerate().any(applies) {
+        return false;
+    }
+    let mut out: Vec<Qual> = Vec::with_capacity(c.quals.len() + 8);
+    for (at, q) in std::mem::take(&mut c.quals).into_iter().enumerate() {
         match q {
-            Qual::Gen(p, CExpr::Comp(inner)) => {
-                let applicable = !inner.has_group_by() || out.is_empty();
-                if !applicable {
-                    out.push(Qual::Gen(p, CExpr::Comp(inner)));
-                    continue;
-                }
+            Qual::Gen(p, CExpr::Comp(inner)) if at == 0 || !inner.has_group_by() => {
                 // Alpha-rename the inner bound variables to fresh names to
                 // prevent capture when splicing.
                 let (inner_quals, inner_head) = alpha_rename(inner, ng);
@@ -172,76 +116,59 @@ fn unnest(quals: Vec<Qual>, ng: &mut NameGen) -> Vec<Qual> {
             other => out.push(other),
         }
     }
-    out
+    c.quals = out;
+    true
 }
 
 /// Renames all variables bound by the comprehension's qualifiers to fresh
-/// names, returning the rewritten qualifiers and head.
-fn alpha_rename(c: Comprehension, ng: &mut NameGen) -> (Vec<Qual>, CExpr) {
-    let mut renames: Vec<(String, String)> = Vec::new();
-    let apply = |e: &CExpr, renames: &[(String, String)]| -> CExpr {
-        let mut out = e.clone();
-        for (from, to) in renames {
-            out = out.subst(from, &CExpr::Var(to.clone()));
+/// names, returning the rewritten qualifiers and head. Each expression is
+/// traversed once, with the renames in scope at its position.
+fn alpha_rename(mut c: Comprehension, ng: &mut NameGen) -> (Vec<Qual>, CExpr) {
+    fn fresh(p: &mut Pattern, renames: &mut Subst, ng: &mut NameGen) {
+        match p {
+            Pattern::Var(v) => {
+                let new = ng.fresh(v.split('#').next().unwrap_or(v));
+                renames.push((std::mem::replace(v, new.clone()), CExpr::Var(new)));
+            }
+            Pattern::Tuple(ps) => ps.iter_mut().for_each(|p| fresh(p, renames, ng)),
+            Pattern::Wild => {}
         }
-        out
-    };
-    let rename_pat = |p: &Pattern, renames: &mut Vec<(String, String)>, ng: &mut NameGen| {
-        fn go(p: &Pattern, renames: &mut Vec<(String, String)>, ng: &mut NameGen) -> Pattern {
-            match p {
-                Pattern::Var(v) => {
-                    let fresh = ng.fresh(v.split('#').next().unwrap_or(v));
-                    renames.push((v.clone(), fresh.clone()));
-                    Pattern::Var(fresh)
-                }
-                Pattern::Tuple(ps) => {
-                    Pattern::Tuple(ps.iter().map(|p| go(p, renames, ng)).collect())
-                }
-                Pattern::Wild => Pattern::Wild,
-            }
-        }
-        go(p, renames, ng)
-    };
-    let mut quals = Vec::with_capacity(c.quals.len());
-    for q in &c.quals {
-        let q2 = match q {
-            Qual::Gen(p, e) => {
-                let e = apply(e, &renames);
-                let p = rename_pat(p, &mut renames, ng);
-                Qual::Gen(p, e)
-            }
-            Qual::Let(p, e) => {
-                let e = apply(e, &renames);
-                let p = rename_pat(p, &mut renames, ng);
-                Qual::Let(p, e)
-            }
-            Qual::Pred(e) => Qual::Pred(apply(e, &renames)),
-            Qual::GroupBy(p, e) => {
-                let e = apply(e, &renames);
-                let p = rename_pat(p, &mut renames, ng);
-                Qual::GroupBy(p, e)
-            }
-        };
-        quals.push(q2);
     }
-    let head = apply(&c.head, &renames);
-    (quals, head)
+    let mut renames = Subst::new();
+    for q in &mut c.quals {
+        match q {
+            Qual::Gen(p, e) | Qual::Let(p, e) | Qual::GroupBy(p, e) => {
+                e.subst_all(&renames);
+                fresh(p, &mut renames, ng);
+            }
+            Qual::Pred(e) => {
+                e.subst_all(&renames);
+            }
+        }
+    }
+    c.head.subst_all(&renames);
+    (c.quals, *c.head)
 }
 
 /// `let (p1, ..., pn) = (e1, ..., en)` → `let p1 = e1, ..., let pn = en`.
-fn split_tuple_lets(quals: Vec<Qual>) -> Vec<Qual> {
-    let mut out = Vec::with_capacity(quals.len());
-    for q in quals {
+pub(crate) fn split_tuple_lets(c: &mut Comprehension, _: &mut NameGen) -> bool {
+    fn splits(q: &Qual) -> bool {
+        matches!(q, Qual::Let(Pattern::Tuple(ps), CExpr::Tuple(es)) if ps.len() == es.len())
+    }
+    if !c.quals.iter().any(splits) {
+        return false;
+    }
+    let mut out = Vec::with_capacity(c.quals.len() + 2);
+    for q in std::mem::take(&mut c.quals) {
         match q {
             Qual::Let(Pattern::Tuple(ps), CExpr::Tuple(es)) if ps.len() == es.len() => {
-                for (p, e) in ps.into_iter().zip(es) {
-                    out.push(Qual::Let(p, e));
-                }
+                out.extend(ps.into_iter().zip(es).map(|(p, e)| Qual::Let(p, e)));
             }
             other => out.push(other),
         }
     }
-    out
+    c.quals = out;
+    true
 }
 
 /// True for right-hand sides cheap and safe to inline: variables,
@@ -264,47 +191,48 @@ fn inlinable(e: &CExpr) -> bool {
 }
 
 /// Inlines cheap lets downstream within their group-by segment.
-fn inline_lets(quals: Vec<Qual>, head: CExpr) -> (Vec<Qual>, CExpr) {
-    let mut out: Vec<Qual> = Vec::with_capacity(quals.len());
-    // Pending substitutions (name → expr), cleared at group-by boundaries.
-    let mut subs: Vec<(String, CExpr)> = Vec::new();
-    let apply = |e: &CExpr, subs: &[(String, CExpr)]| -> CExpr {
-        let mut out = e.clone();
-        for (n, r) in subs {
-            out = out.subst(n, r);
-        }
-        out
-    };
-    for q in quals {
+///
+/// A variable lifted by a group-by must stay a let so the lifting applies
+/// to it: a pending let whose value could be referenced after the group-by
+/// is put back in front of it. Putting it back where it came from, with
+/// nothing substituted on the way, is not a rewrite — the rule has fired
+/// only if an occurrence was replaced or a let moved or disappeared.
+pub(crate) fn inline_lets(c: &mut Comprehension, _: &mut NameGen) -> bool {
+    let candidate = |q: &Qual| matches!(q, Qual::Let(Pattern::Var(_), e) if inlinable(e));
+    if !c.quals.iter().any(candidate) {
+        return false; // substitution only grows a right-hand side
+    }
+    let mut fired = false;
+    // Pending substitutions and the position each let was taken from,
+    // cleared at group-by boundaries.
+    let mut subs = Subst::new();
+    let mut taken_from: Vec<usize> = Vec::new();
+    let mut out: Vec<Qual> = Vec::with_capacity(c.quals.len());
+    for (at, mut q) in std::mem::take(&mut c.quals).into_iter().enumerate() {
+        fired |= q.expr_mut().subst_all(&subs);
         match q {
-            Qual::Let(Pattern::Var(name), e) => {
-                let e = apply(&e, &subs);
-                if inlinable(&e) {
-                    subs.push((name, e));
-                } else {
-                    out.push(Qual::Let(Pattern::Var(name), e));
-                }
+            Qual::Let(Pattern::Var(name), e) if inlinable(&e) => {
+                subs.push((name, e));
+                taken_from.push(at);
             }
-            Qual::Let(p, e) => out.push(Qual::Let(p, apply(&e, &subs))),
-            Qual::Gen(p, e) => out.push(Qual::Gen(p, apply(&e, &subs))),
-            Qual::Pred(e) => out.push(Qual::Pred(apply(&e, &subs))),
             Qual::GroupBy(p, e) => {
-                let e = apply(&e, &subs);
-                // A variable lifted by the group-by must stay a let so the
-                // lifting applies to it; re-materialize pending subs whose
-                // value could be referenced after the group-by.
-                let after_vars = p.var_list();
-                for (n, r) in subs.drain(..) {
-                    if !after_vars.contains(&n) {
-                        out.push(Qual::Let(Pattern::Var(n), r));
+                for ((name, e), from) in subs.drain(..).zip(taken_from.drain(..)) {
+                    if p.binds(&name) {
+                        fired = true; // rebound by the key pattern: gone
+                    } else {
+                        fired |= from != out.len();
+                        out.push(Qual::Let(Pattern::Var(name), e));
                     }
                 }
                 out.push(Qual::GroupBy(p, e));
             }
+            other => out.push(other),
         }
     }
-    let head = apply(&head, &subs);
-    (out, head)
+    fired |= !subs.is_empty();
+    c.head.subst_all(&subs);
+    c.quals = out;
+    fired
 }
 
 /// Inlines `let v = {…}` into its only use when that use is a total
@@ -312,23 +240,26 @@ fn inline_lets(quals: Vec<Qual>, head: CExpr) -> (Vec<Qual>, CExpr) {
 /// `let s = a + +/{e | q}`. This is the shape Rule (16) leaves behind for
 /// `sum += e`; with the bag no longer let-bound the executor runs the
 /// aggregation as a distributed reduce instead of collecting `v` first.
-fn inline_aggregated_bags(mut quals: Vec<Qual>, mut head: CExpr) -> (Vec<Qual>, CExpr) {
+pub(crate) fn inline_aggregated_bags(c: &mut Comprehension, _: &mut NameGen) -> bool {
+    let mut fired = false;
     let mut i = 0;
-    while i < quals.len() {
-        let Some(site) = sole_aggregation_of(&quals, &head, i) else {
+    while i < c.quals.len() {
+        let Some(site) = sole_aggregation_of(&c.quals, &c.head, i) else {
             i += 1;
             continue;
         };
-        let Qual::Let(Pattern::Var(name), bag) = quals.remove(i) else {
+        let Qual::Let(Pattern::Var(name), bag) = c.quals.remove(i) else {
             unreachable!("sole_aggregation_of only accepts variable lets");
         };
         // `site` indexed the list before the let was removed.
-        match quals.get_mut(site - 1) {
-            Some(q) => *q = q.with_expr(q.expr().subst(&name, &bag)),
-            None => head = head.subst(&name, &bag),
-        }
+        let target = match c.quals.get_mut(site - 1) {
+            Some(q) => q.expr_mut(),
+            None => c.head.as_mut(),
+        };
+        target.subst_all(&[(name, bag)]);
+        fired = true;
     }
-    (quals, head)
+    fired
 }
 
 /// The position (a qualifier index, or `quals.len()` for the head) of the
@@ -341,7 +272,6 @@ fn sole_aggregation_of(quals: &[Qual], head: &CExpr, i: usize) -> Option<usize> 
     let Qual::Let(Pattern::Var(name), bag @ CExpr::Comp(_)) = &quals[i] else {
         return None;
     };
-    let captured = bag.free_vars();
     let mut site = None;
     let mut same_scope = true;
     for j in i + 1..=quals.len() {
@@ -354,93 +284,95 @@ fn sole_aggregation_of(quals: &[Qual], head: &CExpr, i: usize) -> Option<usize> 
             _ => return None,
         }
         if let Some(q) = quals.get(j) {
-            let binds = q.bound_vars();
-            if binds.iter().any(|v| v == name) {
+            if q.binds(name) {
                 break; // shadowed: later mentions are a different variable
             }
-            same_scope &= matches!(q, Qual::Let(_, _) | Qual::Pred(_))
-                && !binds.iter().any(|v| captured.contains(v));
+            let mut captures = false;
+            q.each_bound(&mut |v| captures |= bag.mentions(v));
+            same_scope &= matches!(q, Qual::Let(_, _) | Qual::Pred(_)) && !captures;
         }
     }
     site
 }
 
 /// Moves conditions to the earliest position where their free variables are
-/// bound, within their group-by segment.
-fn push_preds(quals: Vec<Qual>) -> Vec<Qual> {
-    // Split into segments at group-by boundaries; push within each.
-    let mut segments: Vec<Vec<Qual>> = vec![Vec::new()];
-    for q in quals {
-        let is_boundary = matches!(q, Qual::GroupBy(_, _));
-        segments.last_mut().expect("nonempty").push(q);
-        if is_boundary {
-            segments.push(Vec::new());
+/// bound, within their group-by segment. Binding positions are computed
+/// once per segment; the rule fires only if some condition actually moves.
+pub(crate) fn push_preds(c: &mut Comprehension, _: &mut NameGen) -> bool {
+    if !c.quals.iter().any(|q| matches!(q, Qual::Pred(_))) {
+        return false;
+    }
+    // `order[k]` is the current index of the qualifier that belongs k-th.
+    let mut order: Vec<usize> = Vec::with_capacity(c.quals.len());
+    let mut start = 0;
+    while start < c.quals.len() {
+        let end = (start..c.quals.len())
+            .find(|&i| matches!(c.quals[i], Qual::GroupBy(_, _)))
+            .unwrap_or(c.quals.len());
+        push_preds_segment(&c.quals, start..end, &mut order);
+        if end < c.quals.len() {
+            order.push(end); // the group-by closes its segment
         }
+        start = end + 1;
     }
-    let mut out = Vec::new();
-    for seg in segments {
-        out.extend(push_preds_segment(seg));
+    if order.iter().enumerate().all(|(k, &i)| k == i) {
+        return false;
     }
-    out
+    let mut old: Vec<Option<Qual>> = std::mem::take(&mut c.quals).into_iter().map(Some).collect();
+    c.quals = order
+        .iter()
+        .map(|&i| old[i].take().expect("order is a permutation"))
+        .collect();
+    true
 }
 
-fn push_preds_segment(quals: Vec<Qual>) -> Vec<Qual> {
-    let mut others: Vec<Qual> = Vec::new();
-    let mut preds: Vec<CExpr> = Vec::new();
-    let mut trailing_group: Option<Qual> = None;
-    for q in quals {
-        match q {
-            Qual::Pred(e) => preds.push(e),
-            g @ Qual::GroupBy(_, _) => trailing_group = Some(g),
-            other => others.push(other),
-        }
-    }
-    // For each pred, find the first position after which all its free
-    // variables are bound.
-    let mut placed: Vec<Vec<CExpr>> = vec![Vec::new(); others.len() + 1];
-    for pred in preds {
-        let fv = pred.free_vars();
-        let mut bound: HashSet<String> = HashSet::new();
-        let mut pos = others.len();
-        // Position 0 = before all quals (pred has no locally bound vars).
-        let locally_bound: HashSet<String> = others.iter().flat_map(|q| q.bound_vars()).collect();
-        let needed: HashSet<&String> = fv.iter().filter(|v| locally_bound.contains(*v)).collect();
-        if needed.is_empty() {
-            pos = 0;
+/// Appends to `order` the indexes of one group-by-free segment: its
+/// generators and lets in place, each condition right after the last
+/// binder it needs (or in front, when it needs none of the segment's).
+fn push_preds_segment(quals: &[Qual], segment: std::ops::Range<usize>, order: &mut Vec<usize>) {
+    // (name, number of binders up to and including the one that binds it)
+    let mut bound_after: Vec<(&str, usize)> = Vec::new();
+    let mut binders: Vec<usize> = Vec::new();
+    let mut preds: Vec<usize> = Vec::new();
+    for i in segment {
+        if matches!(quals[i], Qual::Pred(_)) {
+            preds.push(i);
         } else {
-            for (i, q) in others.iter().enumerate() {
-                for v in q.bound_vars() {
-                    bound.insert(v);
+            binders.push(i);
+            quals[i].each_bound(&mut |v| {
+                if !bound_after.iter().any(|(name, _)| *name == v) {
+                    bound_after.push((v, binders.len()));
                 }
-                if needed.iter().all(|v| bound.contains(*v)) {
-                    pos = i + 1;
-                    break;
-                }
+            });
+        }
+    }
+    let mut slots: Vec<(usize, usize)> = Vec::with_capacity(preds.len());
+    for i in preds {
+        let mut slot = 0;
+        quals[i].expr().each_free(&mut |v, _| {
+            if let Some((_, after)) = bound_after.iter().find(|(name, _)| *name == v) {
+                slot = slot.max(*after);
             }
+        });
+        slots.push((slot, i));
+    }
+    slots.sort_by_key(|(slot, _)| *slot); // stable: conditions keep their order
+    let mut slots = slots.into_iter().peekable();
+    for placed in 0..=binders.len() {
+        if placed > 0 {
+            order.push(binders[placed - 1]);
         }
-        placed[pos].push(pred);
-    }
-    let mut out = Vec::with_capacity(others.len() + placed.len());
-    for p in placed[0].drain(..) {
-        out.push(Qual::Pred(p));
-    }
-    for (i, q) in others.into_iter().enumerate() {
-        out.push(q);
-        for p in placed[i + 1].drain(..) {
-            out.push(Qual::Pred(p));
+        while let Some((_, i)) = slots.next_if(|(slot, _)| *slot == placed) {
+            order.push(i);
         }
     }
-    if let Some(g) = trailing_group {
-        out.push(g);
-    }
-    out
 }
 
-fn drop_true_preds(quals: Vec<Qual>) -> Vec<Qual> {
-    quals
-        .into_iter()
-        .filter(|q| !matches!(q, Qual::Pred(CExpr::Const(Value::Bool(true)))))
-        .collect()
+pub(crate) fn drop_true_preds(c: &mut Comprehension, _: &mut NameGen) -> bool {
+    let before = c.quals.len();
+    c.quals
+        .retain(|q| !matches!(q, Qual::Pred(CExpr::Const(Value::Bool(true)))));
+    c.quals.len() != before
 }
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
-//! Comprehension optimization (§4 and §3.6).
-//!
-//! Three rewrites, each meaning-preserving:
+//! Comprehension optimization (§4 and §3.6): the last five rules of the
+//! rewrite table (`crate::rewrite`), each meaning-preserving.
 //!
 //! * **Rule (16)** — group-by on a constant key forms a single group, so the
 //!   group-by is replaced by let-bindings that lift the prefix variables to
@@ -13,91 +12,86 @@
 //!   joined to an array traversal through an invertible affine index
 //!   equation `I = f(i)` is eliminated: the traversal itself enumerates the
 //!   indexes, guarded by `inRange(F(I), lo, hi)`.
+//! * **Common array-access elimination** — two traversals pinned to the
+//!   same element of the same array become one.
+//! * **Dead lets** — bindings the rewrites leave behind that nothing
+//!   references are removed.
 //!
-//! A final dead-let pass removes bindings introduced by the rewrites that
-//! nothing references.
-
-use std::collections::HashSet;
+//! The driver tries these only on a comprehension the normalization rules
+//! have nothing left to do on.
 
 use diablo_runtime::{BinOp, Func};
 
-use crate::ir::{CExpr, Comprehension, NameGen, Pattern, Qual};
-use crate::normalize::normalize;
+use crate::ir::{CExpr, Comprehension, NameGen, Pattern, Qual, Subst};
+use crate::rewrite::{rewrite, RewriteStats};
 
-/// Optimizes an expression: normalizes, then applies Rule (16), Rule (17),
-/// and range elimination to fixpoint.
+/// Optimizes an expression: normalization, Rule (16), Rule (17), range
+/// elimination, access deduplication and dead-let removal, to their joint
+/// fixpoint.
 pub fn optimize(e: &CExpr, ng: &mut NameGen) -> CExpr {
-    let mut cur = normalize(e, ng);
-    for _ in 0..8 {
-        let next = opt_expr(&cur, ng);
-        let next = normalize(&next, ng);
-        if next == cur {
-            return next;
-        }
-        cur = next;
-    }
-    cur
+    optimize_counted(e.clone(), ng, &mut RewriteStats::default())
 }
 
-#[allow(clippy::only_used_in_recursion)]
-fn opt_expr(e: &CExpr, ng: &mut NameGen) -> CExpr {
-    match e {
-        CExpr::Var(_) | CExpr::Const(_) => e.clone(),
-        CExpr::Bin(op, a, b) => {
-            CExpr::Bin(*op, Box::new(opt_expr(a, ng)), Box::new(opt_expr(b, ng)))
-        }
-        CExpr::Un(op, a) => CExpr::Un(*op, Box::new(opt_expr(a, ng))),
-        CExpr::Call(f, args) => CExpr::Call(*f, args.iter().map(|a| opt_expr(a, ng)).collect()),
-        CExpr::Tuple(fs) => CExpr::Tuple(fs.iter().map(|f| opt_expr(f, ng)).collect()),
-        CExpr::Record(fs) => CExpr::Record(
-            fs.iter()
-                .map(|(n, f)| (n.clone(), opt_expr(f, ng)))
-                .collect(),
-        ),
-        CExpr::Proj(inner, f) => CExpr::Proj(Box::new(opt_expr(inner, ng)), f.clone()),
-        CExpr::Agg(op, inner) => CExpr::Agg(*op, Box::new(opt_expr(inner, ng))),
-        CExpr::Merge {
-            left,
-            right,
-            combine,
-        } => CExpr::Merge {
-            left: Box::new(opt_expr(left, ng)),
-            right: Box::new(opt_expr(right, ng)),
-            combine: *combine,
-        },
-        CExpr::Range(lo, hi) => {
-            CExpr::Range(Box::new(opt_expr(lo, ng)), Box::new(opt_expr(hi, ng)))
-        }
-        CExpr::Comp(c) => {
-            let mut c = Comprehension {
-                head: Box::new(opt_expr(&c.head, ng)),
-                quals: c
-                    .quals
-                    .iter()
-                    .map(|q| match q {
-                        Qual::Gen(p, e) => Qual::Gen(p.clone(), opt_expr(e, ng)),
-                        Qual::Let(p, e) => Qual::Let(p.clone(), opt_expr(e, ng)),
-                        Qual::Pred(e) => Qual::Pred(opt_expr(e, ng)),
-                        Qual::GroupBy(p, e) => Qual::GroupBy(p.clone(), opt_expr(e, ng)),
-                    })
-                    .collect(),
-            };
-            c = dedup_array_accesses(c);
-            c = eliminate_ranges(c);
-            if let Some(rewritten) = rule16_constant_key(&c) {
-                return CExpr::Comp(rewritten);
-            }
-            if let Some(rewritten) = rule17_unique_key(&c) {
-                return CExpr::Comp(rewritten);
-            }
-            CExpr::Comp(drop_dead_lets(c))
-        }
-    }
+/// [`optimize`] over an owned term, adding the rules' fire counts and the
+/// driver's visits to `stats`.
+pub fn optimize_counted(mut e: CExpr, ng: &mut NameGen, stats: &mut RewriteStats) -> CExpr {
+    rewrite(&mut e, true, ng, stats);
+    e
 }
 
-/// Variables bound by the qualifiers `quals`.
-fn bound_vars(quals: &[Qual]) -> HashSet<String> {
-    quals.iter().flat_map(|q| q.bound_vars()).collect()
+/// Position of the first group-by, with its pattern and key.
+fn first_group_by(quals: &[Qual]) -> Option<(usize, &Pattern, &CExpr)> {
+    quals.iter().enumerate().find_map(|(at, q)| match q {
+        Qual::GroupBy(p, key) => Some((at, p, key)),
+        _ => None,
+    })
+}
+
+/// Number of qualifiers before the first group-by (all of them if none).
+fn before_group_by(quals: &[Qual]) -> usize {
+    first_group_by(quals).map_or(quals.len(), |(at, _, _)| at)
+}
+
+/// Every variable the qualifiers bind, in binding order.
+fn bound_names(quals: &[Qual]) -> Vec<&str> {
+    let mut names = Vec::new();
+    quals
+        .iter()
+        .for_each(|q| q.each_bound(&mut |v| names.push(v)));
+    names
+}
+
+/// True if `e` mentions any of `names` free.
+fn mentions_any(e: &CExpr, names: &[&str]) -> bool {
+    let mut hit = false;
+    e.each_free(&mut |v, _| hit |= names.contains(&v));
+    hit
+}
+
+/// Removes the qualifiers at the given positions.
+fn remove_at(quals: &mut Vec<Qual>, positions: &[usize]) {
+    let mut at = 0;
+    quals.retain(|_| {
+        at += 1;
+        !positions.contains(&(at - 1))
+    });
+}
+
+/// Adds the free variables of `e` that `used` does not hold yet.
+fn note_free<'a>(e: &'a CExpr, used: &mut Vec<&'a str>) {
+    e.each_free(&mut |v, _| {
+        if !used.contains(&v) {
+            used.push(v);
+        }
+    });
+}
+
+/// The free variables of the head and of `quals`' expressions.
+fn used_names<'a>(quals: &'a [Qual], head: &'a CExpr) -> Vec<&'a str> {
+    let mut used = Vec::new();
+    let exprs = quals.iter().map(Qual::expr).chain(std::iter::once(head));
+    exprs.for_each(|e| note_free(e, &mut used));
+    used
 }
 
 // --------------------------------------------------------------- Rule (16)
@@ -105,146 +99,111 @@ fn bound_vars(quals: &[Qual]) -> HashSet<String> {
 /// `{ e | q1, group by p : c, q2 } →
 ///  { e | let p = c, ∀vi: let vi = {vi | q1}, q2 }`
 /// when the key `c` is constant with respect to the prefix `q1`.
-fn rule16_constant_key(c: &Comprehension) -> Option<Comprehension> {
-    let gpos = c
-        .quals
-        .iter()
-        .position(|q| matches!(q, Qual::GroupBy(_, _)))?;
-    let (q1, rest) = c.quals.split_at(gpos);
-    let Qual::GroupBy(p, key) = &rest[0] else {
-        unreachable!()
+pub(crate) fn rule16_constant_key(c: &mut Comprehension, _: &mut NameGen) -> bool {
+    let Some((gpos, p, key)) = first_group_by(&c.quals) else {
+        return false;
     };
-    let q2 = &rest[1..];
-    let prefix_vars = bound_vars(q1);
-    if key.free_vars().iter().any(|v| prefix_vars.contains(v)) {
-        return None; // key depends on the prefix — not constant
+    let (q1, rest) = c.quals.split_at(gpos);
+    let prefix_vars = bound_names(q1);
+    if mentions_any(key, &prefix_vars) {
+        return false; // key depends on the prefix — not constant
     }
-    // Which lifted variables are actually used downstream?
-    let key_vars: HashSet<String> = p.var_list().into_iter().collect();
-    let mut used = (*c.head).free_vars();
-    for q in q2 {
-        match q {
-            Qual::Gen(_, e) | Qual::Let(_, e) | Qual::Pred(e) | Qual::GroupBy(_, e) => {
-                used.extend(e.free_vars());
-            }
-        }
-    }
+    // Only the lifted variables actually used downstream are built.
+    let used = used_names(&rest[1..], &c.head);
     let mut new_quals: Vec<Qual> = vec![Qual::Let(p.clone(), key.clone())];
-    for q in q1 {
-        for v in q.bound_vars() {
-            if !key_vars.contains(&v) && used.contains(&v) {
-                let lifted = CExpr::Comp(Comprehension::new(CExpr::Var(v.clone()), q1.to_vec()));
-                new_quals.push(Qual::Let(Pattern::Var(v), lifted));
-            }
+    for v in prefix_vars {
+        if !p.binds(v) && used.contains(&v) {
+            let lifted = CExpr::Comp(Comprehension::new(CExpr::var(v), q1.to_vec()));
+            new_quals.push(Qual::Let(Pattern::var(v), lifted));
         }
     }
-    new_quals.extend(q2.iter().cloned());
-    Some(Comprehension {
-        head: c.head.clone(),
-        quals: new_quals,
-    })
+    new_quals.extend(c.quals.drain(gpos + 1..));
+    c.quals = new_quals;
+    true
 }
 
 // --------------------------------------------------------------- Rule (17)
 
-/// The index variables contributed by a generator: the variables in the key
-/// part of an array traversal `(k, v) ← A` / `((i, j), v) ← A`, or the
-/// variable of a range generator. `None` means the generator's shape is not
-/// recognized and the uniqueness analysis must bail.
-fn generator_index_vars(q: &Qual) -> Option<Option<Vec<String>>> {
+/// What a qualifier contributes to the uniqueness analysis.
+enum IndexVars<'a> {
+    /// The key variables of an array traversal `(k, v) ← A` /
+    /// `((i, j), v) ← A`, or the variable of a range generator.
+    Of(Vec<&'a str>),
+    /// A generator of a shape the analysis does not recognize.
+    Unknown,
+    /// Not a generator.
+    NotAGenerator,
+}
+
+fn generator_index_vars(q: &Qual) -> IndexVars<'_> {
     match q {
-        Qual::Gen(Pattern::Var(i), CExpr::Range(_, _)) => Some(Some(vec![i.clone()])),
-        Qual::Gen(Pattern::Tuple(ps), dom) if ps.len() == 2 && matches!(dom, CExpr::Var(_)) => {
+        Qual::Gen(Pattern::Var(i), CExpr::Range(_, _)) => IndexVars::Of(vec![i]),
+        Qual::Gen(Pattern::Tuple(ps), CExpr::Var(_)) if ps.len() == 2 => {
             // (key_pattern, value) ← Dataset
             let mut vars = Vec::new();
-            ps[0].vars(&mut vars);
-            Some(Some(vars))
+            ps[0].each_var(&mut |v| vars.push(v));
+            IndexVars::Of(vars)
         }
-        Qual::Gen(_, _) => Some(None), // unrecognized generator
-        _ => None,                     // not a generator
+        Qual::Gen(_, _) => IndexVars::Unknown,
+        _ => IndexVars::NotAGenerator,
     }
 }
 
 /// Rule (17): a group-by whose key consists of exactly the index variables
 /// of *all* generators before it is unique — each group is a singleton.
-fn rule17_unique_key(c: &Comprehension) -> Option<Comprehension> {
-    let gpos = c
-        .quals
-        .iter()
-        .position(|q| matches!(q, Qual::GroupBy(_, _)))?;
-    let (q1, rest) = c.quals.split_at(gpos);
-    let Qual::GroupBy(p, key) = &rest[0] else {
-        unreachable!()
+pub(crate) fn rule17_unique_key(c: &mut Comprehension, _: &mut NameGen) -> bool {
+    let Some((gpos, p, key)) = first_group_by(&c.quals) else {
+        return false;
     };
-    let q2 = &rest[1..];
-
+    let q1 = &c.quals[..gpos];
     // Gather index variables from every generator in the prefix.
-    let mut index_vars: HashSet<String> = HashSet::new();
+    let mut index_vars: Vec<&str> = Vec::new();
     for q in q1 {
-        if let Some(vars) = generator_index_vars(q) {
-            match vars {
-                Some(vs) => index_vars.extend(vs),
-                None => return None,
-            }
+        match generator_index_vars(q) {
+            IndexVars::Of(vars) => index_vars.extend(vars),
+            IndexVars::Unknown => return false,
+            IndexVars::NotAGenerator => {}
         }
-    }
-    if index_vars.is_empty() {
-        return None;
     }
     // The key must be a variable or tuple of variables covering exactly the
     // index variables.
-    let key_vars = key_var_list(key)?;
-    let key_set: HashSet<String> = key_vars.iter().cloned().collect();
-    if key_set != index_vars {
-        return None;
+    let Some(key_vars) = key_var_list(key) else {
+        return false;
+    };
+    if index_vars.is_empty()
+        || !index_vars.iter().all(|v| key_vars.contains(v))
+        || !key_vars.iter().all(|v| index_vars.contains(v))
+    {
+        return false;
     }
-
     // Replace the group-by with a let for the key pattern. Every lifted
     // variable forms a singleton group, so downstream uses are substituted
     // with the singleton bag `{v}` directly (a let would shadow itself).
-    let key_pat_vars: HashSet<String> = p.var_list().into_iter().collect();
-    let lifted: Vec<String> = q1
-        .iter()
-        .flat_map(|q| q.bound_vars())
-        .filter(|v| !key_pat_vars.contains(v))
+    let lifted: Subst = bound_names(q1)
+        .into_iter()
+        .filter(|v| !p.binds(v))
+        .map(|v| (v.to_string(), CExpr::singleton(CExpr::var(v))))
         .collect();
-    let subst_lifted = |e: &CExpr| -> CExpr {
-        let mut out = e.clone();
-        for v in &lifted {
-            out = out.subst(v, &CExpr::singleton(CExpr::Var(v.clone())));
-        }
-        out
+    let Qual::GroupBy(p, key) = std::mem::replace(&mut c.quals[gpos], Qual::Pred(CExpr::long(0)))
+    else {
+        unreachable!("first_group_by found a group-by here");
     };
-    let mut new_quals: Vec<Qual> = q1.to_vec();
-    new_quals.push(Qual::Let(p.clone(), key.clone()));
-    for q in q2 {
-        new_quals.push(match q {
-            Qual::Gen(p, e) => Qual::Gen(p.clone(), subst_lifted(e)),
-            Qual::Let(p, e) => Qual::Let(p.clone(), subst_lifted(e)),
-            Qual::Pred(e) => Qual::Pred(subst_lifted(e)),
-            Qual::GroupBy(p, e) => Qual::GroupBy(p.clone(), subst_lifted(e)),
-        });
-    }
-    Some(Comprehension {
-        head: Box::new(subst_lifted(&c.head)),
-        quals: new_quals,
-    })
+    c.quals[gpos] = Qual::Let(p, key);
+    c.subst_from(gpos + 1, &lifted);
+    true
 }
 
 /// If the expression is a variable or a tuple of variables, returns them.
-fn key_var_list(e: &CExpr) -> Option<Vec<String>> {
+fn key_var_list(e: &CExpr) -> Option<Vec<&str>> {
     match e {
-        CExpr::Var(v) => Some(vec![v.clone()]),
-        CExpr::Tuple(fs) => {
-            let mut out = Vec::with_capacity(fs.len());
-            for f in fs {
-                match f {
-                    CExpr::Var(v) => out.push(v.clone()),
-                    _ => return None,
-                }
-            }
-            Some(out)
-        }
+        CExpr::Var(v) => Some(vec![v]),
+        CExpr::Tuple(fs) => fs
+            .iter()
+            .map(|f| match f {
+                CExpr::Var(v) => Some(v.as_str()),
+                _ => None,
+            })
+            .collect(),
         _ => None,
     }
 }
@@ -261,120 +220,80 @@ fn key_var_list(e: &CExpr) -> Option<Vec<String>> {
 /// conditions are removed and its variables aliased to the first's. This
 /// is a correctness-preserving strength reduction of the "unnecessary
 /// joins" the paper attributes to its translator (§6).
-fn dedup_array_accesses(c: Comprehension) -> Comprehension {
-    let mut c = c;
-    loop {
-        match try_dedup_one(&c) {
-            Some(next) => c = next,
-            None => return c,
-        }
+pub(crate) fn dedup_array_accesses(c: &mut Comprehension, _: &mut NameGen) -> bool {
+    let mut fired = false;
+    while let Some((dropped, renames)) = find_duplicate_access(&c.quals) {
+        remove_at(&mut c.quals, &dropped);
+        c.subst_from(0, &renames);
+        fired = true;
     }
+    fired
 }
 
-/// The access signature of a dataset generator: array name, pinned index
-/// expressions, the qualifier positions of the pins, the pattern's index
-/// variables, and its value variable.
-type AccessSig = (String, Vec<CExpr>, Vec<usize>, Vec<String>, String);
+/// A dataset generator whose every index variable is pinned by a later
+/// equality condition.
+struct Access<'a> {
+    array: &'a str,
+    /// The expression each index variable is pinned to.
+    pins: Vec<&'a CExpr>,
+    /// The qualifier positions of the pinning conditions.
+    pin_positions: Vec<usize>,
+    /// The pattern's index variables, then its value variable.
+    vars: Vec<&'a str>,
+}
 
-/// Computes the [`AccessSig`] of a dataset generator: the array name and,
-/// for each index variable of the pattern, the expression it is pinned to
-/// by a later equality condition. `None` when any index is unpinned.
-fn access_signature(quals: &[Qual], gpos: usize, limit: usize) -> Option<AccessSig> {
+/// The [`Access`] of the generator at `gpos`; `None` when it is not a
+/// dataset traversal or any index is unpinned before `limit`.
+fn access_signature(quals: &[Qual], gpos: usize, limit: usize) -> Option<Access<'_>> {
     let Qual::Gen(Pattern::Tuple(ps), CExpr::Var(array)) = &quals[gpos] else {
         return None;
     };
-    if ps.len() != 2 {
-        return None;
-    }
-    let mut index_vars = Vec::new();
-    ps[0].vars(&mut index_vars);
-    let Pattern::Var(value_var) = &ps[1] else {
+    let [key, Pattern::Var(value_var)] = ps.as_slice() else {
         return None;
     };
-    let own_vars: HashSet<&String> = index_vars.iter().collect();
-    let mut pins: Vec<CExpr> = Vec::new();
-    let mut pin_positions: Vec<usize> = Vec::new();
-    for iv in &index_vars {
-        let mut found = false;
-        for (qpos, q) in quals.iter().enumerate().take(limit).skip(gpos + 1) {
-            let Qual::Pred(CExpr::Bin(BinOp::Eq, a, b)) = q else {
-                continue;
+    let mut vars = Vec::new();
+    key.each_var(&mut |v| vars.push(v));
+    let mut pins = Vec::with_capacity(vars.len());
+    let mut pin_positions = Vec::with_capacity(vars.len());
+    for iv in &vars {
+        let (qpos, pin) = (gpos + 1..limit).find_map(|qpos| {
+            let Qual::Pred(CExpr::Bin(BinOp::Eq, a, b)) = &quals[qpos] else {
+                return None;
             };
-            for (lhs, rhs) in [(a, b), (b, a)] {
-                if matches!(lhs.as_ref(), CExpr::Var(v) if v == iv)
-                    && rhs.free_vars().iter().all(|v| !own_vars.contains(v))
-                {
-                    pins.push(rhs.as_ref().clone());
-                    pin_positions.push(qpos);
-                    found = true;
-                    break;
-                }
-            }
-            if found {
-                break;
-            }
-        }
-        if !found {
-            return None;
-        }
+            [(a, b), (b, a)].into_iter().find_map(|(lhs, rhs)| {
+                (matches!(lhs.as_ref(), CExpr::Var(v) if v == iv) && !mentions_any(rhs, &vars))
+                    .then_some((qpos, rhs.as_ref()))
+            })
+        })?;
+        pins.push(pin);
+        pin_positions.push(qpos);
     }
-    Some((
-        array.clone(),
+    vars.push(value_var);
+    Some(Access {
+        array,
         pins,
         pin_positions,
-        index_vars,
-        value_var.clone(),
-    ))
+        vars,
+    })
 }
 
-fn try_dedup_one(c: &Comprehension) -> Option<Comprehension> {
-    let limit = c
-        .quals
-        .iter()
-        .position(|q| matches!(q, Qual::GroupBy(_, _)))
-        .unwrap_or(c.quals.len());
-    // Collect signatures for all dataset generators before the group-by.
-    let sigs: Vec<(usize, AccessSig)> = (0..limit)
-        .filter_map(|g| access_signature(&c.quals, g, limit).map(|s| (g, s)))
+/// The first pair of generators before the group-by that read the same
+/// element: the positions to drop (the later generator and its pins) and
+/// the renaming of its variables to the earlier one's.
+fn find_duplicate_access(quals: &[Qual]) -> Option<(Vec<usize>, Subst)> {
+    let limit = before_group_by(quals);
+    let accesses: Vec<(usize, Access)> = (0..limit)
+        .filter_map(|g| access_signature(quals, g, limit).map(|a| (g, a)))
         .collect();
-    for (ai, (_ga, sa)) in sigs.iter().enumerate() {
-        for (gb, sb) in sigs.iter().skip(ai + 1) {
-            if sa.0 != sb.0 || sa.1 != sb.1 {
-                continue;
+    for (n, (_, first)) in accesses.iter().enumerate() {
+        for (gpos, second) in &accesses[n + 1..] {
+            if first.array == second.array && first.pins == second.pins {
+                let mut dropped = second.pin_positions.clone();
+                dropped.push(*gpos);
+                let renames = second.vars.iter().zip(&first.vars);
+                let renames = renames.map(|(from, to)| (from.to_string(), CExpr::var(*to)));
+                return Some((dropped, renames.collect()));
             }
-            // Generator *gb duplicates *ga: remove it and its pins, alias
-            // its variables to *ga's.
-            let drop: HashSet<usize> = std::iter::once(*gb).chain(sb.2.iter().copied()).collect();
-            let renames: Vec<(String, String)> =
-                sb.3.iter()
-                    .cloned()
-                    .zip(sa.3.iter().cloned())
-                    .chain(std::iter::once((sb.4.clone(), sa.4.clone())))
-                    .collect();
-            let apply = |e: &CExpr| -> CExpr {
-                let mut out = e.clone();
-                for (from, to) in &renames {
-                    out = out.subst(from, &CExpr::Var(to.clone()));
-                }
-                out
-            };
-            let quals: Vec<Qual> = c
-                .quals
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !drop.contains(i))
-                .map(|(_, q)| match q {
-                    Qual::Gen(p, e) => Qual::Gen(p.clone(), apply(e)),
-                    Qual::Let(p, e) => Qual::Let(p.clone(), apply(e)),
-                    Qual::Pred(e) => Qual::Pred(apply(e)),
-                    Qual::GroupBy(p, e) => Qual::GroupBy(p.clone(), apply(e)),
-                })
-                .collect();
-            let head = apply(&c.head);
-            return Some(Comprehension {
-                head: Box::new(head),
-                quals,
-            });
         }
     }
     None
@@ -382,45 +301,21 @@ fn try_dedup_one(c: &Comprehension) -> Option<Comprehension> {
 
 // ------------------------------------------------- range elimination (§3.6)
 
-/// An invertible affine use `I = f(i)`; `invert(I)` produces `F(I)` with
-/// `f(F(k)) = k`.
-fn invert_affine(
-    f: &CExpr,
-    i: &str,
-    locals: &HashSet<String>,
-) -> Option<Box<dyn Fn(CExpr) -> CExpr>> {
-    let is_invariant = |e: &CExpr| e.free_vars().iter().all(|v| !locals.contains(v));
+/// For an invertible affine use `I = f(i)` returns `F(I)` with
+/// `f(F(k)) = k`; every other variable of `f` must be none of `locals`.
+fn invert_affine(f: &CExpr, i: &str, index: CExpr, locals: &[&str]) -> Option<CExpr> {
+    let is_i = |e: &CExpr| matches!(e, CExpr::Var(v) if v == i);
+    let invariant = |e: &CExpr| !mentions_any(e, locals);
+    let bin = |op, a: CExpr, b: &CExpr| CExpr::Bin(op, Box::new(a), Box::new(b.clone()));
     match f {
-        CExpr::Var(v) if v == i => Some(Box::new(|k| k)),
-        CExpr::Bin(BinOp::Add, a, b) => {
-            if matches!(a.as_ref(), CExpr::Var(v) if v == i) && is_invariant(b) {
-                let c = b.as_ref().clone();
-                return Some(Box::new(move |k| {
-                    CExpr::Bin(BinOp::Sub, Box::new(k), Box::new(c.clone()))
-                }));
-            }
-            if matches!(b.as_ref(), CExpr::Var(v) if v == i) && is_invariant(a) {
-                let c = a.as_ref().clone();
-                return Some(Box::new(move |k| {
-                    CExpr::Bin(BinOp::Sub, Box::new(k), Box::new(c.clone()))
-                }));
-            }
-            None
-        }
-        CExpr::Bin(BinOp::Sub, a, b) => {
-            if matches!(a.as_ref(), CExpr::Var(v) if v == i) && is_invariant(b) {
-                let c = b.as_ref().clone();
-                return Some(Box::new(move |k| {
-                    CExpr::Bin(BinOp::Add, Box::new(k), Box::new(c.clone()))
-                }));
-            }
-            if matches!(b.as_ref(), CExpr::Var(v) if v == i) && is_invariant(a) {
-                let c = a.as_ref().clone();
-                return Some(Box::new(move |k| {
-                    CExpr::Bin(BinOp::Sub, Box::new(c.clone()), Box::new(k))
-                }));
-            }
-            None
+        f if is_i(f) => Some(index),
+        // i + c = I and c + i = I give i = I - c
+        CExpr::Bin(BinOp::Add, a, b) if is_i(a) && invariant(b) => Some(bin(BinOp::Sub, index, b)),
+        CExpr::Bin(BinOp::Add, a, b) if is_i(b) && invariant(a) => Some(bin(BinOp::Sub, index, a)),
+        // i - c = I gives i = I + c; c - i = I gives i = c - I
+        CExpr::Bin(BinOp::Sub, a, b) if is_i(a) && invariant(b) => Some(bin(BinOp::Add, index, b)),
+        CExpr::Bin(BinOp::Sub, a, b) if is_i(b) && invariant(a) => {
+            Some(bin(BinOp::Sub, a.as_ref().clone(), &index))
         }
         _ => None,
     }
@@ -428,110 +323,112 @@ fn invert_affine(
 
 /// Eliminates `i ← range(lo, hi)` generators that are joined to an array
 /// traversal through an equality `I = f(i)` with invertible affine `f`.
-fn eliminate_ranges(c: Comprehension) -> Comprehension {
-    let mut c = c;
-    loop {
-        match try_eliminate_one_range(&c) {
-            Some(next) => c = next,
-            None => return c,
+pub(crate) fn eliminate_ranges(c: &mut Comprehension, _: &mut NameGen) -> bool {
+    let mut fired = false;
+    while let Some(found) = find_range_join(c) {
+        let RangeJoin {
+            rpos,
+            ppos,
+            gpos,
+            var,
+            inverse,
+            in_range,
+        } = found;
+        let mut out = Vec::with_capacity(c.quals.len());
+        for (qpos, q) in std::mem::take(&mut c.quals).into_iter().enumerate() {
+            if qpos != rpos && qpos != ppos {
+                out.push(q);
+            }
+            if qpos == gpos {
+                out.push(Qual::Pred(in_range.clone()));
+            }
         }
+        c.quals = out;
+        c.subst_from(0, &[(var, inverse)]);
+        fired = true;
     }
+    fired
 }
 
-fn try_eliminate_one_range(c: &Comprehension) -> Option<Comprehension> {
-    let locals = bound_vars(&c.quals);
+/// A range generator at `rpos` joined by the condition at `ppos` to an
+/// index variable of the dataset traversal at `gpos`.
+struct RangeJoin {
+    rpos: usize,
+    ppos: usize,
+    gpos: usize,
+    /// The range variable `i`, and `F(I)` to put in its place.
+    var: String,
+    inverse: CExpr,
+    /// `inRange(F(I), lo, hi)`, to go right after the traversal.
+    in_range: CExpr,
+}
+
+fn find_range_join(c: &Comprehension) -> Option<RangeJoin> {
     // The rewrite is only valid before any group-by (generators after a
     // group-by see lifted variables; our translation never puts range
     // generators there, but be safe).
-    let limit = c
-        .quals
+    let limit = before_group_by(&c.quals);
+    let quals = &c.quals[..limit];
+    if !quals
         .iter()
-        .position(|q| matches!(q, Qual::GroupBy(_, _)))
-        .unwrap_or(c.quals.len());
-
-    for rpos in 0..limit {
-        let Qual::Gen(Pattern::Var(i), CExpr::Range(lo, hi)) = &c.quals[rpos] else {
+        .any(|q| matches!(q, Qual::Gen(Pattern::Var(_), CExpr::Range(_, _))))
+    {
+        return None;
+    }
+    let locals = bound_names(&c.quals);
+    for (rpos, q) in quals.iter().enumerate() {
+        let Qual::Gen(Pattern::Var(i), CExpr::Range(lo, hi)) = q else {
             continue;
         };
         // Range bounds must be loop-invariant (they are, by construction).
-        if lo.free_vars().iter().any(|v| locals.contains(v))
-            || hi.free_vars().iter().any(|v| locals.contains(v))
-        {
+        if mentions_any(lo, &locals) || mentions_any(hi, &locals) {
             continue;
         }
+        let other_locals: Vec<&str> = locals.iter().copied().filter(|l| l != i).collect();
         // Find a later equality pred `I = f(i)` (either side) where `I` is
         // an index variable of a dataset generator at position gpos.
         for ppos in rpos + 1..limit {
-            let Qual::Pred(CExpr::Bin(BinOp::Eq, a, b)) = &c.quals[ppos] else {
+            let Qual::Pred(CExpr::Bin(BinOp::Eq, a, b)) = &quals[ppos] else {
                 continue;
             };
             for (lhs, rhs) in [(a, b), (b, a)] {
                 let CExpr::Var(index_var) = lhs.as_ref() else {
                     continue;
                 };
-                if index_var == i {
+                if index_var == i || !rhs.mentions(i) {
                     continue;
                 }
                 // index_var must come from a dataset traversal generator.
-                let Some(gpos) = (0..limit).find(|&g| {
-                    matches!(generator_index_vars(&c.quals[g]), Some(Some(ref vs))
-                        if vs.contains(index_var)
-                            && !matches!(&c.quals[g], Qual::Gen(_, CExpr::Range(_, _))))
+                let Some(gpos) = quals.iter().position(|g| {
+                    let traversal = !matches!(g, Qual::Gen(_, CExpr::Range(_, _)));
+                    traversal
+                        && matches!(generator_index_vars(g), IndexVars::Of(vs)
+                            if vs.contains(&index_var.as_str()))
                 }) else {
                     continue;
                 };
-                // f(i) must be invertible and mention i.
-                if !rhs.free_vars().contains(i) {
-                    continue;
-                }
-                let mut invariant_locals = locals.clone();
-                invariant_locals.remove(i);
-                let Some(invert) = invert_affine(rhs, i, &invariant_locals) else {
+                // f(i) must be invertible.
+                let Some(inverse) = invert_affine(rhs, i, CExpr::var(index_var), &other_locals)
+                else {
                     continue;
                 };
                 // Every other use of `i` must be at a position after the
                 // dataset generator (where `index_var` is in scope).
-                let fi = invert(CExpr::Var(index_var.clone()));
-                let mut ok = true;
-                for (qpos, q) in c.quals.iter().enumerate() {
-                    if qpos == rpos || qpos == ppos {
-                        continue;
-                    }
-                    let uses_i = match q {
-                        Qual::Gen(_, e) | Qual::Let(_, e) | Qual::Pred(e) | Qual::GroupBy(_, e) => {
-                            e.free_vars().contains(i)
-                        }
-                    };
-                    if uses_i && qpos <= gpos {
-                        ok = false;
-                        break;
-                    }
-                }
-                if !ok {
+                let early_use = c.quals[..=gpos]
+                    .iter()
+                    .enumerate()
+                    .any(|(qpos, q)| qpos != rpos && qpos != ppos && q.expr().mentions(i));
+                if early_use {
                     continue;
                 }
-                // Rebuild: drop the range generator and the pred; insert
-                // inRange right after the dataset generator; substitute i.
-                let in_range = Qual::Pred(CExpr::Call(
-                    Func::InRange,
-                    vec![fi.clone(), lo.as_ref().clone(), hi.as_ref().clone()],
-                ));
-                let mut new_quals: Vec<Qual> = Vec::with_capacity(c.quals.len());
-                for (qpos, q) in c.quals.iter().enumerate() {
-                    if qpos == rpos || qpos == ppos {
-                        // dropped
-                    } else {
-                        let q = subst_in_qual(q, i, &fi);
-                        new_quals.push(q);
-                    }
-                    if qpos == gpos {
-                        new_quals.push(in_range.clone());
-                    }
-                }
-                let head = c.head.subst(i, &fi);
-                return Some(Comprehension {
-                    head: Box::new(head),
-                    quals: new_quals,
+                let bounds = [inverse.clone(), lo.as_ref().clone(), hi.as_ref().clone()];
+                return Some(RangeJoin {
+                    rpos,
+                    ppos,
+                    gpos,
+                    var: i.clone(),
+                    inverse,
+                    in_range: CExpr::Call(Func::InRange, bounds.into()),
                 });
             }
         }
@@ -539,47 +436,28 @@ fn try_eliminate_one_range(c: &Comprehension) -> Option<Comprehension> {
     None
 }
 
-fn subst_in_qual(q: &Qual, name: &str, replacement: &CExpr) -> Qual {
-    match q {
-        Qual::Gen(p, e) => Qual::Gen(p.clone(), e.subst(name, replacement)),
-        Qual::Let(p, e) => Qual::Let(p.clone(), e.subst(name, replacement)),
-        Qual::Pred(e) => Qual::Pred(e.subst(name, replacement)),
-        Qual::GroupBy(p, e) => Qual::GroupBy(p.clone(), e.subst(name, replacement)),
-    }
-}
-
 // -------------------------------------------------------------- dead lets
 
 /// Removes let-bindings whose variables are never used downstream.
-fn drop_dead_lets(c: Comprehension) -> Comprehension {
-    let mut keep: Vec<bool> = vec![true; c.quals.len()];
+pub(crate) fn drop_dead_lets(c: &mut Comprehension, _: &mut NameGen) -> bool {
+    if !c.quals.iter().any(|q| matches!(q, Qual::Let(_, _))) {
+        return false;
+    }
     // Walk backwards tracking used variables.
-    let mut used: HashSet<String> = (*c.head).free_vars();
-    for (idx, q) in c.quals.iter().enumerate().rev() {
-        match q {
-            Qual::Let(p, e) => {
-                let vars = p.var_list();
-                if vars.iter().all(|v| !used.contains(v)) {
-                    keep[idx] = false;
-                } else {
-                    used.extend(e.free_vars());
-                }
-            }
-            Qual::Gen(_, e) | Qual::Pred(e) | Qual::GroupBy(_, e) => {
-                used.extend(e.free_vars());
-            }
+    let mut used: Vec<&str> = Vec::new();
+    note_free(&c.head, &mut used);
+    let mut dead: Vec<usize> = Vec::new();
+    for (at, q) in c.quals.iter().enumerate().rev() {
+        let mut live = !matches!(q, Qual::Let(_, _));
+        q.each_bound(&mut |v| live |= used.contains(&v));
+        if live {
+            note_free(q.expr(), &mut used);
+        } else {
+            dead.push(at);
         }
     }
-    let quals = c
-        .quals
-        .into_iter()
-        .zip(keep)
-        .filter_map(|(q, k)| k.then_some(q))
-        .collect();
-    Comprehension {
-        head: c.head,
-        quals,
-    }
+    remove_at(&mut c.quals, &dead);
+    !dead.is_empty()
 }
 
 #[cfg(test)]

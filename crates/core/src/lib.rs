@@ -25,7 +25,7 @@ pub mod translate;
 pub use analysis::{check_restrictions, check_restrictions_multi};
 pub use lint::lint_program;
 pub use target::{lazy_assignments, preorder_len, CompiledProgram, TStmt};
-pub use translate::translate;
+pub use translate::{optimize_program, translate, translate_raw};
 
 use diablo_diag::{codes, Diagnostics};
 use diablo_lang::{parse, parse_multi, typecheck, typecheck_multi, LangError, TypedProgram};

@@ -12,6 +12,7 @@
 //! assignment to an *array* variable replaces the whole array with a new
 //! one, usually a merge `V ⊳ x`.
 
+use diablo_comp::ir::NameGen;
 use diablo_comp::CExpr;
 use diablo_lang::Type;
 
@@ -48,6 +49,9 @@ pub struct CompiledProgram {
     pub inputs: Vec<(String, Type)>,
     /// The type of every program variable.
     pub var_types: std::collections::HashMap<String, Type>,
+    /// The fresh-name supply, continuing where translation stopped: a later
+    /// phase that needs new names draws them here and cannot collide.
+    pub names: NameGen,
 }
 
 /// Number of pre-order slots a statement list occupies (an `Assign` takes

@@ -21,7 +21,7 @@
 //! (e.g. `C[w] += 1` starting from an empty map).
 
 use diablo_comp::ir::{CExpr, Comprehension, NameGen, Pattern, Qual};
-use diablo_comp::optimize;
+use diablo_comp::{optimize_counted, RewriteStats};
 use diablo_lang::ast::{Const, DeclInit, Expr, Lhs, Stmt};
 use diablo_lang::lexer::Span;
 use diablo_lang::types::TypedProgram;
@@ -33,8 +33,15 @@ use crate::target::{CompiledProgram, TStmt};
 /// Result alias for translation.
 pub type Result<T> = std::result::Result<T, LangError>;
 
-/// Translates a type-checked (and restriction-checked) program.
+/// Translates a type-checked (and restriction-checked) program and
+/// optimizes the target code: [`translate_raw`], then [`optimize_program`].
 pub fn translate(tp: &TypedProgram) -> Result<CompiledProgram> {
+    translate_raw(tp).map(|raw| optimize_program(raw).0)
+}
+
+/// Rules (11)–(15) alone: the target code exactly as the translation
+/// schemes emit it, nested and unoptimized.
+pub fn translate_raw(tp: &TypedProgram) -> Result<CompiledProgram> {
     let mut t = Translator {
         tp,
         ng: NameGen::new(),
@@ -43,13 +50,39 @@ pub fn translate(tp: &TypedProgram) -> Result<CompiledProgram> {
     for s in &tp.program.body {
         stmts.extend(t.stmt(s, Vec::new())?);
     }
-    // Optimize every generated expression.
-    let stmts = stmts.into_iter().map(|s| t.optimize_stmt(s)).collect();
     Ok(CompiledProgram {
         stmts,
         inputs: tp.program.inputs.clone(),
         var_types: tp.var_types.clone(),
+        names: t.ng,
     })
+}
+
+/// Normalizes and optimizes every expression of the target code (the
+/// rewrite table of `diablo_comp`), and says what the rewriting did.
+pub fn optimize_program(mut program: CompiledProgram) -> (CompiledProgram, RewriteStats) {
+    fn stmts(list: Vec<TStmt>, ng: &mut NameGen, stats: &mut RewriteStats) -> Vec<TStmt> {
+        list.into_iter()
+            .map(|s| match s {
+                TStmt::Assign {
+                    name,
+                    value,
+                    collection,
+                } => TStmt::Assign {
+                    name,
+                    value: optimize_counted(value, ng, stats),
+                    collection,
+                },
+                TStmt::While { cond, body } => TStmt::While {
+                    cond: optimize_counted(cond, ng, stats),
+                    body: stmts(body, ng, stats),
+                },
+            })
+            .collect()
+    }
+    let mut stats = RewriteStats::default();
+    program.stmts = stmts(program.stmts, &mut program.names, &mut stats);
+    (program, stats)
 }
 
 struct Translator<'a> {
@@ -58,24 +91,6 @@ struct Translator<'a> {
 }
 
 impl Translator<'_> {
-    fn optimize_stmt(&mut self, s: TStmt) -> TStmt {
-        match s {
-            TStmt::Assign {
-                name,
-                value,
-                collection,
-            } => TStmt::Assign {
-                name,
-                value: optimize(&value, &mut self.ng),
-                collection,
-            },
-            TStmt::While { cond, body } => TStmt::While {
-                cond: optimize(&cond, &mut self.ng),
-                body: body.into_iter().map(|s| self.optimize_stmt(s)).collect(),
-            },
-        }
-    }
-
     // ------------------------------------------------------------- E⟦e⟧
 
     /// Lifts an expression to a bag-valued comprehension (rules (11a-g)).

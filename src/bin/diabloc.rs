@@ -320,7 +320,7 @@ fn run(
             Ok(())
         }
         "explain" => {
-            let (_, compiled) = front_end(&source, path, false)?;
+            let (tp, compiled) = front_end(&source, path, false)?;
             let mut session = Session::new(engine.context()?);
             for binding in rest {
                 let (name, value) = parse_binding(binding)?;
@@ -332,6 +332,11 @@ fn run(
             bind_synthetic_inputs(&compiled, &mut session);
             let plan = session.explain(&compiled).map_err(|e| e.to_string())?;
             print!("{plan}");
+            // What the optimizer did to get from the translation schemes'
+            // output to `compiled`: the front end keeps only the result, so
+            // the two phases `translate` is made of run once more here.
+            let raw = diablo_core::translate_raw(&tp).map_err(|e| e.to_string())?;
+            println!("rewrites: {}", diablo_core::optimize_program(raw).1);
             Ok(())
         }
         "interp" => {

@@ -149,6 +149,10 @@ fn explain_renders_fused_plan_for_word_count() {
         assert!(text.contains("fused"), "{text}");
         assert!(text.contains("reduce_by_key"), "{text}");
         assert!(text.contains("shuffle"), "{text}");
+        // The optimizer's fire counts close the output, under the plan.
+        let last = text.lines().last().unwrap_or_default();
+        assert!(last.starts_with("rewrites: unnest "), "{text}");
+        assert!(last.ends_with(" visits"), "{text}");
     }
 }
 

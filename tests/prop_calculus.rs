@@ -147,6 +147,15 @@ proptest! {
         );
     }
 
+    /// The driver stops at a fixpoint, not at a cap: optimizing an
+    /// optimized term fires no rule, so not even a generated name differs.
+    #[test]
+    fn optimize_is_idempotent(rc in rand_comp_strategy()) {
+        let mut ng = NameGen::new();
+        let once = optimize(&build(&rc), &mut ng);
+        prop_assert_eq!(&optimize(&once, &mut ng), &once);
+    }
+
     #[test]
     fn merge_laws(
         xs in prop::collection::hash_map(0i64..20, -100i64..100, 0..20),
