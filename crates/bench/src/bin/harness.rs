@@ -6,44 +6,34 @@
 //! harness fig3a .. fig3l   # Figure 3 panels: DIABLO vs hand-written (vs Casper) across sizes
 //! harness tiles            # §5 ablation: sparse vs tiled matrix multiplication
 //! harness ordered          # hash vs sort-based (key-ordered) aggregation
-//! harness scaling          # morsel work-stealing vs static pool on skewed input
-//!                          #   [--mode morsel|baseline] [--check]
 //! harness serve            # closed-loop diablod driver: N clients × M programs,
 //!                          #   cold / cache-warm / 2× overload phases with
 //!                          #   throughput and p50/p99 latency [--check]
-//! harness out-of-core      # WC + PageRank with the dataset cache bounded to
-//!                          #   ~1/10 of the input, per backend, byte-checked
-//!                          #   against the unbounded run [--check]
-//! harness columnar         # columnar backend vs the row path on a scan-heavy
-//!                          #   fused expression chain, Word Count, and K-Means,
-//!                          #   byte- and error-identity checked [--check]
 //! harness all              # everything (used to fill EXPERIMENTS.md)
 //! harness --json <cmd>     # machine-readable: one JSON object per row,
 //!                          # each tagged with the execution backend
 //! ```
 //!
-//! Sizes are laptop-scale; see DESIGN.md for the scale substitution. Set
-//! `DIABLO_SCALE` (default 1) to grow every sweep, `DIABLO_BACKEND`
-//! (`local`, `tile`, `spill`, `morsel`, `columnar`) to pick the engine's
-//! execution backend, and
-//! `DIABLO_MEMORY_BUDGET` to bound shuffle memory — every engine-backed
-//! JSON row carries the full effective settings (backend, workers,
-//! partitions, morsel size, memory budget, scheduler, ordered) plus the
-//! spill counters (`spilled_records`, `spilled_bytes`, `spill_files`).
+//! The end-to-end benchmark is the spine (`spine/README.md`); this binary
+//! keeps the paper's tables and figures. Sizes are laptop-scale; see
+//! DESIGN.md for the scale substitution. Set `DIABLO_SCALE` (default 1) to
+//! grow every sweep, `DIABLO_BACKEND` (`columnar` or `local`) to pick the
+//! engine's layout, and `DIABLO_MEMORY_BUDGET` to bound shuffle memory —
+//! every engine-backed JSON row carries the full effective settings
+//! (backend, workers, partitions, morsel size, memory budget, scheduler,
+//! ordered) plus the spill counters (`spilled_records`, `spilled_bytes`,
+//! `spill_files`).
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use diablo_baselines::casper_like::casper_translate_with_budget;
-use diablo_baselines::{handwritten, mold_translate};
+use diablo_baselines::mold_translate;
 use diablo_bench::{
     compile_time, json_row, mb, millis, percentile, run_casper_program, run_diablo,
-    run_diablo_outputs, run_handwritten, run_interp, secs, settings_fields, time_once,
+    run_handwritten, run_interp, secs, settings_fields, time_once,
 };
-use diablo_dataflow::{
-    executor_named, Context, Dataset, LocalExecutor, MorselExecutor, BACKEND_NAMES,
-};
-use diablo_runtime::{BinOp, RuntimeError, TiledMatrix, Value};
+use diablo_dataflow::Context;
+use diablo_runtime::{TiledMatrix, Value};
 use diablo_serve::{Client, ServeConfig, Server};
 use diablo_workloads as wl;
 use diablo_workloads::Workload;
@@ -58,25 +48,9 @@ fn main() {
         "table2" => table2(json),
         "tiles" => tiles(json),
         "ordered" => ordered(json),
-        "scaling" => {
-            let check = args.iter().any(|a| a == "--check");
-            let mode = args
-                .windows(2)
-                .find(|w| w[0] == "--mode")
-                .map(|w| w[1].clone());
-            scaling(json, check, mode.as_deref());
-        }
         "serve" => {
             let check = args.iter().any(|a| a == "--check");
             serve_bench(json, check);
-        }
-        "out-of-core" => {
-            let check = args.iter().any(|a| a == "--check");
-            out_of_core(json, check);
-        }
-        "columnar" => {
-            let check = args.iter().any(|a| a == "--check");
-            columnar(json, check);
         }
         "all" => {
             table1(json);
@@ -86,7 +60,6 @@ fn main() {
             }
             tiles(json);
             ordered(json);
-            scaling(json, false, None);
         }
         other if other.starts_with("fig3") => {
             let letter = other.trim_start_matches("fig3");
@@ -94,7 +67,7 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown command `{other}`; try table1, table2, fig3a..fig3l, tiles, ordered, scaling, serve, out-of-core, columnar, all"
+                "unknown command `{other}`; try table1, table2, fig3a..fig3l, tiles, ordered, serve, all"
             );
             std::process::exit(2);
         }
@@ -491,902 +464,6 @@ fn ordered(json: bool) {
     }
     if !json {
         println!();
-    }
-}
-
-// ----------------------------------------------------------------- scaling
-
-/// The scaling trajectory behind the morsel scheduler: skewed inputs
-/// (partition 0 holds ~55% of the rows) run at several worker counts under
-/// two scheduler modes — `morsel` (the work-stealing pool, splitting
-/// oversized partitions into morsels) and `baseline` (the retained static
-/// pool scheduling whole partitions, i.e. `DIABLO_SCHEDULER=static`).
-/// Wall-clock shows the real speedup only on a many-core host, so every
-/// row also reports `sched_speedup`: the load-balance bound
-/// Σ(stage cost) / Σ(stage critical path) that the *schedule itself*
-/// guarantees on any machine — that is what the `--check` gates assert
-/// (`host_cpus` records how trustworthy the wall column is).
-const SCALING_PARTS: usize = 16;
-
-/// splitmix64 — deterministic input generation without a rand crate.
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
-/// Packs rows into [`SCALING_PARTS`] partitions with ~55% in partition 0 —
-/// the skew the static pool cannot balance (one worker owns the whole
-/// partition) but the morsel scheduler can (it splits it into morsels).
-fn skewed(rows: Vec<Value>) -> Vec<Vec<Value>> {
-    let head = rows.len() * 55 / 100;
-    let mut it = rows.into_iter();
-    let mut parts: Vec<Vec<Value>> = vec![it.by_ref().take(head).collect()];
-    let rest: Vec<Value> = it.collect();
-    let per = rest.len().div_ceil(SCALING_PARTS - 1).max(1);
-    let mut rest = rest.into_iter();
-    for _ in 1..SCALING_PARTS {
-        parts.push(rest.by_ref().take(per).collect());
-    }
-    parts
-}
-
-fn scaling_workers() -> Vec<usize> {
-    let all = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let mut ws = vec![1, 2, 4, all];
-    ws.sort_unstable();
-    ws.dedup();
-    ws
-}
-
-/// An 8-operator fused chain over longs: compiles to a single splittable
-/// narrow stage, the best case for morsel balancing.
-fn scaling_fusion(d: &Dataset) {
-    let mut out = d.clone();
-    for step in 0..8u64 {
-        out = out
-            .map(move |v| {
-                let x = v
-                    .as_long()
-                    .ok_or_else(|| RuntimeError::new("expected a long"))?
-                    as u64;
-                let mixed = (x ^ (x >> 13)).wrapping_mul(0x9e37_79b9_7f4a_7c15 ^ step);
-                Ok(Value::Long((mixed >> 1) as i64))
-            })
-            .expect("map");
-    }
-    assert!(!out.collect().is_empty());
-}
-
-/// A deliberately small vocabulary (no stem ends in `e`, so stemming is
-/// exact): per-document combining then collapses each document to ≤10
-/// counted pairs, keeping the shuffle light — the stage under test is the
-/// splittable normalization pass, not the reduction.
-const WC_STEMS: &[&str] = &[
-    "market", "signal", "stream", "worker", "morsel", "vector", "kernel", "buffer", "column",
-    "record",
-];
-
-/// Documents of 250 space-separated tokens: a stem from [`WC_STEMS`] plus
-/// an inflection, sometimes capitalized so normalization has real work.
-fn wc_docs(n: usize) -> Vec<Value> {
-    let mut rng = SplitMix(11);
-    const SUFFIXES: [&str; 4] = ["", "s", "ed", "ing"];
-    (0..n)
-        .map(|_| {
-            let mut doc = String::with_capacity(2560);
-            for t in 0..250 {
-                if t > 0 {
-                    doc.push(' ');
-                }
-                let stem = WC_STEMS[rng.below(WC_STEMS.len())];
-                if rng.below(4) == 0 {
-                    let mut chars = stem.chars();
-                    let first = chars.next().unwrap().to_ascii_uppercase();
-                    doc.push(first);
-                    doc.push_str(chars.as_str());
-                } else {
-                    doc.push_str(stem);
-                }
-                doc.push_str(SUFFIXES[rng.below(4)]);
-            }
-            Value::str(doc)
-        })
-        .collect()
-}
-
-fn wc_stem(word: &str) -> &str {
-    for suf in ["ing", "ed", "es", "s"] {
-        if word.len() > suf.len() + 2 {
-            if let Some(base) = word.strip_suffix(suf) {
-                return base;
-            }
-        }
-    }
-    word
-}
-
-/// Word count with per-document normalization (lowercase + stemming) and
-/// in-mapper combining: the heavy tokenize stage is narrow and splittable
-/// (it runs as morsels), the residual shuffle moves only the combined
-/// per-document counts.
-fn scaling_word_count(d: &Dataset) {
-    let counted = d
-        .flat_map(|doc| {
-            let text = doc
-                .as_str()
-                .ok_or_else(|| RuntimeError::new("expected a document string"))?;
-            let mut counts: std::collections::BTreeMap<String, i64> = Default::default();
-            for tok in text.split_whitespace() {
-                let lower = tok.to_lowercase();
-                *counts.entry(wc_stem(&lower).to_string()).or_insert(0) += 1;
-            }
-            Ok(counts
-                .into_iter()
-                .map(|(w, c)| Value::pair(Value::str(w), Value::Long(c)))
-                .collect())
-        })
-        .expect("tokenize")
-        .materialize()
-        .expect("materialize")
-        .reduce_by_key(|a, b| BinOp::Add.apply(a, b))
-        .expect("count")
-        .collect();
-    assert!(!counted.is_empty());
-}
-
-const KM_DIM: usize = 8;
-const KM_K: usize = 64;
-const KM_BLOCK: usize = 512;
-
-fn km_centroids() -> Vec<[f64; KM_DIM]> {
-    let mut rng = SplitMix(7);
-    (0..KM_K)
-        .map(|_| std::array::from_fn(|_| rng.below(1000) as f64 / 1000.0))
-        .collect()
-}
-
-/// Blocks of [`KM_BLOCK`] 8-dimensional points.
-fn km_blocks(blocks: usize) -> Vec<Value> {
-    let mut rng = SplitMix(13);
-    (0..blocks)
-        .map(|_| {
-            Value::bag(
-                (0..KM_BLOCK)
-                    .map(|_| {
-                        Value::tuple(
-                            (0..KM_DIM)
-                                .map(|_| Value::Double(rng.below(1000) as f64 / 1000.0))
-                                .collect(),
-                        )
-                    })
-                    .collect(),
-            )
-        })
-        .collect()
-}
-
-/// One k-means step (assign + partial sums): the nearest-centroid search
-/// (64 centroids × 8 dims per point) runs in the narrow splittable stage
-/// with block-local aggregation; the shuffle carries at most `KM_K`
-/// partial sums per block.
-fn scaling_kmeans(d: &Dataset) {
-    let cents = km_centroids();
-    let new_centroids = d
-        .flat_map(move |block| {
-            let pts = block
-                .as_bag()
-                .ok_or_else(|| RuntimeError::new("expected a bag of points"))?;
-            let mut acc = vec![[0.0f64; KM_DIM + 1]; KM_K];
-            for p in pts {
-                let t = p
-                    .as_tuple()
-                    .ok_or_else(|| RuntimeError::new("expected a point tuple"))?;
-                let mut x = [0.0f64; KM_DIM];
-                for (i, xi) in x.iter_mut().enumerate() {
-                    *xi = t[i]
-                        .as_double()
-                        .ok_or_else(|| RuntimeError::new("expected a coordinate"))?;
-                }
-                let mut best = 0usize;
-                let mut best_d = f64::INFINITY;
-                for (k, c) in cents.iter().enumerate() {
-                    let mut s = 0.0;
-                    for i in 0..KM_DIM {
-                        let dx = x[i] - c[i];
-                        s += dx * dx;
-                    }
-                    if s < best_d {
-                        best_d = s;
-                        best = k;
-                    }
-                }
-                for i in 0..KM_DIM {
-                    acc[best][i] += x[i];
-                }
-                acc[best][KM_DIM] += 1.0;
-            }
-            Ok(acc
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| a[KM_DIM] > 0.0)
-                .map(|(k, a)| {
-                    Value::pair(
-                        Value::Long(k as i64),
-                        Value::tuple(a.iter().map(|&f| Value::Double(f)).collect()),
-                    )
-                })
-                .collect())
-        })
-        .expect("assign")
-        .materialize()
-        .expect("materialize")
-        .reduce_by_key(|a, b| {
-            let (x, y) = (a.as_tuple().unwrap(), b.as_tuple().unwrap());
-            Ok(Value::tuple(
-                x.iter()
-                    .zip(y.iter())
-                    .map(|(p, q)| Value::Double(p.as_double().unwrap() + q.as_double().unwrap()))
-                    .collect(),
-            ))
-        })
-        .expect("recenter")
-        .collect();
-    assert!(new_centroids.len() <= KM_K);
-}
-
-const PR_VERTICES: usize = 20_000;
-
-/// Matrix-shaped edges `((i, j), 1)`; every vertex gets one guaranteed
-/// out-edge so no rank mass is stranded.
-fn pr_edges(extra: usize) -> Vec<Value> {
-    let mut rng = SplitMix(17);
-    let edge = |i: usize, j: usize| {
-        Value::pair(
-            Value::tuple(vec![Value::Long(i as i64), Value::Long(j as i64)]),
-            Value::Long(1),
-        )
-    };
-    let mut rows: Vec<Value> = (0..PR_VERTICES)
-        .map(|i| edge(i, (i + 1) % PR_VERTICES))
-        .collect();
-    rows.extend((0..extra).map(|_| edge(rng.below(PR_VERTICES), rng.below(PR_VERTICES))));
-    rows
-}
-
-fn scaling_pagerank(d: &Dataset) {
-    let ranks = handwritten::pagerank(d, PR_VERTICES as i64, 2).expect("pagerank");
-    assert!(!ranks.collect().is_empty());
-}
-
-type ScalingRunner = fn(&Dataset);
-type ScalingWorkload = (&'static str, Option<usize>, Vec<Vec<Value>>, ScalingRunner);
-
-fn scaling(json: bool, check: bool, mode_filter: Option<&str>) {
-    if !json {
-        println!("== Scaling: morsel work-stealing vs static pool on skewed input ============");
-        println!(
-            "{:<14} {:>9} {:>8} {:>10} {:>14} {:>9} {:>8}",
-            "workload", "mode", "workers", "secs", "sched_speedup", "morsels", "steals"
-        );
-    }
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // (name, morsel rows override, skewed input, pipeline). Morsel sizes
-    // follow row weight: documents and point blocks are ~100–256× heavier
-    // than a long, so their morsels hold proportionally fewer rows.
-    let workloads: Vec<ScalingWorkload> = vec![
-        (
-            "fusion-chain",
-            None,
-            skewed((0..300_000).map(Value::Long).collect()),
-            scaling_fusion as ScalingRunner,
-        ),
-        (
-            "word-count",
-            Some(256),
-            skewed(wc_docs(16_000)),
-            scaling_word_count,
-        ),
-        (
-            "k-means",
-            Some(64),
-            skewed(km_blocks(2_000)),
-            scaling_kmeans,
-        ),
-        (
-            "page-rank",
-            None,
-            skewed(pr_edges(150_000)),
-            scaling_pagerank,
-        ),
-    ];
-    let mut measured: Vec<(String, String, usize, f64)> = Vec::new();
-    for (name, morsel_rows, parts, run) in &workloads {
-        for mode in ["morsel", "baseline"] {
-            if mode_filter.is_some_and(|m| m != mode) {
-                continue;
-            }
-            for &workers in &scaling_workers() {
-                let ctx = match mode {
-                    "morsel" => {
-                        let c = Context::new(workers, SCALING_PARTS)
-                            .with_executor(Arc::new(MorselExecutor));
-                        if let Some(rows) = morsel_rows {
-                            c.set_morsel_size(*rows);
-                        }
-                        c
-                    }
-                    _ => {
-                        let c = Context::new(workers, SCALING_PARTS)
-                            .with_executor(Arc::new(LocalExecutor));
-                        c.set_static_scheduler(true);
-                        c
-                    }
-                };
-                ctx.set_memory_budget(None);
-                let d = ctx.from_partitions(parts.clone());
-                // Two repetitions, keeping the faster wall and the higher
-                // load-balance bound: the bound is a property of the
-                // schedule, and an OS hiccup during a short stage can only
-                // depress the measured value, never inflate it.
-                let mut t = Duration::MAX;
-                let mut speedup = 1.0f64;
-                let mut stats = ctx.stats().snapshot();
-                for _ in 0..2 {
-                    let before = ctx.stats().snapshot();
-                    let (_, rep_t) = time_once(|| run(&d));
-                    let rep = ctx.stats().snapshot().since(&before);
-                    let rep_speedup = rep.sched_speedup().unwrap_or(1.0);
-                    t = t.min(rep_t);
-                    if rep_speedup >= speedup {
-                        speedup = rep_speedup;
-                        stats = rep;
-                    }
-                }
-                measured.push((name.to_string(), mode.to_string(), workers, speedup));
-                if json {
-                    let settings = settings_fields(&ctx);
-                    let secs_s = secs(t);
-                    let speedup_s = format!("{speedup:.2}");
-                    let morsels = stats.morsels.to_string();
-                    let steals = stats.steals.to_string();
-                    let depth = stats.max_queue_depth.to_string();
-                    let vec_batches = stats.vectorized_batches.to_string();
-                    let row_fallbacks = stats.row_fallback_stages.to_string();
-                    let cpus = host_cpus.to_string();
-                    let mut fields: Vec<(&str, &str)> =
-                        vec![("section", "scaling"), ("workload", name)];
-                    fields.extend(settings.iter().map(|(k, v)| (*k, v.as_str())));
-                    fields.extend([
-                        ("mode", mode),
-                        ("secs", secs_s.as_str()),
-                        ("sched_speedup", speedup_s.as_str()),
-                        ("morsels", morsels.as_str()),
-                        ("steals", steals.as_str()),
-                        ("max_queue_depth", depth.as_str()),
-                        ("vectorized_batches", vec_batches.as_str()),
-                        ("row_fallback_stages", row_fallbacks.as_str()),
-                        ("host_cpus", cpus.as_str()),
-                    ]);
-                    println!("{}", json_row(&fields));
-                } else {
-                    println!(
-                        "{:<14} {:>9} {:>8} {:>10} {:>14.2} {:>9} {:>8}",
-                        name,
-                        mode,
-                        workers,
-                        secs(t),
-                        speedup,
-                        stats.morsels,
-                        stats.steals
-                    );
-                }
-            }
-        }
-    }
-    if !json {
-        println!();
-    }
-    if check {
-        scaling_check(&measured);
-    }
-}
-
-/// The gates CI holds the scheduler to, all on the 4-worker load-balance
-/// bound (`sched_speedup`) so they are meaningful on any host: the morsel
-/// scheduler must reach ≥2× on the fusion chain and ≥3× on word count and
-/// k-means, while the static pool — pinned under the same 55% skew — must
-/// stay below 2×.
-fn scaling_check(measured: &[(String, String, usize, f64)]) {
-    let get = |wl: &str, mode: &str| {
-        measured
-            .iter()
-            .find(|(w, m, k, _)| w == wl && m == mode && *k == 4)
-            .map(|(_, _, _, s)| *s)
-    };
-    let mut failures: Vec<String> = Vec::new();
-    let gates: [(&str, &str, f64, bool); 5] = [
-        ("fusion-chain", "morsel", 2.0, true),
-        ("word-count", "morsel", 3.0, true),
-        ("k-means", "morsel", 3.0, true),
-        ("word-count", "baseline", 2.0, false),
-        ("k-means", "baseline", 2.0, false),
-    ];
-    for (wl, mode, bound, at_least) in gates {
-        let Some(s) = get(wl, mode) else { continue };
-        let ok = if at_least { s >= bound } else { s < bound };
-        if !ok {
-            let rel = if at_least { "≥" } else { "<" };
-            failures.push(format!(
-                "{wl}/{mode} @4 workers: sched_speedup {s:.2} (need {rel} {bound})"
-            ));
-        }
-    }
-    if failures.is_empty() {
-        eprintln!("scaling --check: all gates passed");
-    } else {
-        for f in &failures {
-            eprintln!("scaling --check FAILED: {f}");
-        }
-        std::process::exit(1);
-    }
-}
-
-// ------------------------------------------------------------- out-of-core
-
-/// One out-of-core measurement: did the budgeted run match the unbounded
-/// reference, and what did each side's cache counters say.
-struct OocRow {
-    workload: String,
-    backend: String,
-    identical: bool,
-    budgeted_spills: u64,
-    unbounded_spills: u64,
-    unbounded_evictions: u64,
-}
-
-/// Out-of-core execution: Word Count and PageRank with the dataset cache
-/// bounded to ~1/10 of the input bytes, on every backend, checked
-/// byte-identical (rows and order) against the unbounded run. The
-/// budgeted rows carry the cache counters (`dataset_spills`,
-/// `dataset_spilled_bytes`, `dataset_evictions`, `dataset_recomputes`)
-/// that prove the run actually went through disk rather than fitting in
-/// memory after all.
-fn out_of_core(json: bool, check: bool) {
-    if !json {
-        println!("== Out-of-core: dataset cache at ~1/10 of the input ========================");
-        println!(
-            "{:<12} {:>7} {:>12} {:>8} {:>10} {:>10} {:>7} {:>7} {:>7} {:>10}",
-            "workload",
-            "backend",
-            "input_bytes",
-            "budget",
-            "unbounded",
-            "budgeted",
-            "spills",
-            "evicts",
-            "recomp",
-            "identical"
-        );
-    }
-    let s = scale();
-    let workloads = vec![wl::word_count(6_000 * s, 7), wl::pagerank(120 * s, 3, 7)];
-    let mut rows: Vec<OocRow> = Vec::new();
-    for w in &workloads {
-        let input = w.input_bytes() as u64;
-        // At most a tenth of the input, capped at 4 KiB so even modest
-        // inputs overflow the memory tier many times over.
-        let budget = (input / 10).clamp(1, 4096);
-        for &backend in BACKEND_NAMES {
-            let exec = || executor_named(backend).expect(backend);
-            let free = Context::new(4, 8).with_executor(exec());
-            let before = free.stats().snapshot();
-            let (reference, free_t) = run_diablo_outputs(w, &free);
-            let base = free.stats().snapshot().since(&before);
-
-            let ctx = Context::new(4, 8)
-                .with_executor(exec())
-                .with_dataset_budget(budget);
-            let before = ctx.stats().snapshot();
-            let (got, t) = run_diablo_outputs(w, &ctx);
-            let stats = ctx.stats().snapshot().since(&before);
-            let identical = got == reference;
-            rows.push(OocRow {
-                workload: w.name.to_string(),
-                backend: backend.to_string(),
-                identical,
-                budgeted_spills: stats.dataset_spills,
-                unbounded_spills: base.dataset_spills,
-                unbounded_evictions: base.dataset_evictions,
-            });
-            if json {
-                let settings = settings_fields(&ctx);
-                let input_s = input.to_string();
-                let free_s = secs(free_t);
-                let secs_s = secs(t);
-                let spills = stats.dataset_spills.to_string();
-                let spilled = stats.dataset_spilled_bytes.to_string();
-                let evicts = stats.dataset_evictions.to_string();
-                let recomputes = stats.dataset_recomputes.to_string();
-                let vec_batches = stats.vectorized_batches.to_string();
-                let row_fallbacks = stats.row_fallback_stages.to_string();
-                let identical_s = identical.to_string();
-                let mut fields: Vec<(&str, &str)> =
-                    vec![("section", "out_of_core"), ("workload", w.name)];
-                fields.extend(settings.iter().map(|(k, v)| (*k, v.as_str())));
-                fields.extend([
-                    ("input_bytes", input_s.as_str()),
-                    ("secs_unbounded", free_s.as_str()),
-                    ("secs", secs_s.as_str()),
-                    ("dataset_spills", spills.as_str()),
-                    ("dataset_spilled_bytes", spilled.as_str()),
-                    ("dataset_evictions", evicts.as_str()),
-                    ("dataset_recomputes", recomputes.as_str()),
-                    ("vectorized_batches", vec_batches.as_str()),
-                    ("row_fallback_stages", row_fallbacks.as_str()),
-                    ("identical", identical_s.as_str()),
-                ]);
-                println!("{}", json_row(&fields));
-            } else {
-                println!(
-                    "{:<12} {:>7} {:>12} {:>8} {:>10} {:>10} {:>7} {:>7} {:>7} {:>10}",
-                    w.name,
-                    backend,
-                    input,
-                    budget,
-                    secs(free_t),
-                    secs(t),
-                    stats.dataset_spills,
-                    stats.dataset_evictions,
-                    stats.dataset_recomputes,
-                    identical
-                );
-            }
-        }
-    }
-    if !json {
-        println!();
-    }
-    if check {
-        out_of_core_check(&rows);
-    }
-}
-
-/// The gates CI holds out-of-core execution to: every budgeted run is
-/// byte-identical to the unbounded reference, every budgeted run actually
-/// spilled (the budget was genuinely undersized), and the unbounded
-/// reference never touched the spill or eviction paths.
-fn out_of_core_check(rows: &[OocRow]) {
-    let mut failures: Vec<String> = Vec::new();
-    for r in rows {
-        let at = format!("{}/{}", r.workload, r.backend);
-        if !r.identical {
-            failures.push(format!("{at}: budgeted outputs diverged from unbounded"));
-        }
-        if r.budgeted_spills == 0 {
-            failures.push(format!(
-                "{at}: budgeted run never spilled — budget not exercised"
-            ));
-        }
-        if r.unbounded_spills != 0 || r.unbounded_evictions != 0 {
-            failures.push(format!("{at}: unbounded run spilled or evicted"));
-        }
-    }
-    if failures.is_empty() {
-        eprintln!("out-of-core --check: all gates passed");
-    } else {
-        for f in &failures {
-            eprintln!("out-of-core --check FAILED: {f}");
-        }
-        std::process::exit(1);
-    }
-}
-
-// ---------------------------------------------------------------- columnar
-
-const COLUMNAR_WORKERS: usize = 4;
-const COLUMNAR_PARTS: usize = 8;
-
-/// A scan-heavy fused chain built entirely from transparent expressions
-/// (`map_expr`/`filter_expr` carrying `RowExpr` IR): ~20 scalar ops per
-/// row across ten maps and two selective filters, so the stage compiler
-/// lowers the whole stage to per-column loops and the output stays small.
-fn columnar_chain(d: &Dataset) -> Dataset {
-    use diablo_dataflow::RowExpr as E;
-    let lit = |n: i64| Box::new(E::Const(Value::Long(n)));
-    let input = || Box::new(E::Input);
-    let bin = |op: BinOp, a: Box<E>, b: Box<E>| Box::new(E::Bin(op, a, b));
-    let steps: Vec<E> = vec![
-        E::Bin(BinOp::Add, bin(BinOp::Mul, input(), lit(3)), lit(7)),
-        E::Bin(BinOp::Mul, input(), input()),
-        E::Bin(BinOp::Mod, input(), lit(1_000_003)),
-        E::Bin(BinOp::Sub, bin(BinOp::Mul, input(), lit(5)), lit(11)),
-        E::Bin(BinOp::Eq, bin(BinOp::Mod, input(), lit(2)), lit(0)),
-        E::Bin(BinOp::Add, input(), bin(BinOp::Mod, input(), lit(97))),
-        E::Bin(BinOp::Mul, input(), lit(13)),
-        E::Bin(BinOp::Mod, input(), lit(999_983)),
-        E::Bin(BinOp::Lt, input(), lit(250_000)),
-        E::Bin(BinOp::Add, bin(BinOp::Mul, input(), lit(31)), lit(17)),
-        E::Bin(BinOp::Mod, input(), lit(101_117)),
-        E::Bin(BinOp::Sub, input(), lit(1)),
-    ];
-    let mut out = d.clone();
-    for (i, e) in steps.into_iter().enumerate() {
-        out = if matches!(i, 4 | 8) {
-            out.filter_expr(e).expect("filter_expr")
-        } else {
-            out.map_expr(e).expect("map_expr")
-        };
-    }
-    out
-}
-
-/// One columnar-vs-row comparison the table, JSON, and `--check` gates
-/// all read from.
-struct ColumnarRow {
-    workload: String,
-    speedup: f64,
-    identical: bool,
-    errors_identical: bool,
-    vectorized_batches: u64,
-    row_fallback_stages: u64,
-}
-
-/// Columnar execution: the scan-heavy fused chain plus Word Count and
-/// K-Means, each run once on the row path (`local`) and once on the
-/// `columnar` backend, byte-checked (rows and order) against each other.
-/// A poisoned division mid-chain additionally checks that both backends
-/// surface the identical first error with its statement tag. `--check`
-/// gates: everything identical, the chain actually vectorized, and the
-/// columnar chain at least 3× faster than the row path.
-fn columnar(json: bool, check: bool) {
-    if !json {
-        println!("== Columnar: vectorized batches vs the tuple-at-a-time row path ===========");
-        println!(
-            "{:<14} {:>9} {:>10} {:>9} {:>12} {:>10} {:>10} {:>8}",
-            "workload",
-            "backend",
-            "secs",
-            "speedup",
-            "vec_batches",
-            "fallbacks",
-            "identical",
-            "errors"
-        );
-    }
-    let s = scale();
-    let mut rows: Vec<ColumnarRow> = Vec::new();
-
-    // -- the fused expression chain -------------------------------------
-    let base: Vec<Value> = (0..1_500_000 * s as i64).map(Value::Long).collect();
-    let timed = |backend: &str| {
-        let ctx = Context::new(COLUMNAR_WORKERS, COLUMNAR_PARTS)
-            .with_executor(executor_named(backend).expect(backend));
-        ctx.set_memory_budget(None);
-        let settings = settings_fields(&ctx);
-        let d = ctx.from_vec(base.clone());
-        let before = ctx.stats().snapshot();
-        let mut out: Vec<Value> = Vec::new();
-        let t = diablo_bench::time_median(2, || out = columnar_chain(&d).collect());
-        let stats = ctx.stats().snapshot().since(&before);
-        (t, out, stats, settings)
-    };
-    // The same chain with a division poisoned to hit zero on one mid-tile
-    // row; both backends must surface the identical tagged first error.
-    let poisoned_err = |backend: &str| -> String {
-        use diablo_dataflow::RowExpr as E;
-        let ctx = Context::new(COLUMNAR_WORKERS, COLUMNAR_PARTS)
-            .with_executor(executor_named(backend).expect(backend));
-        ctx.set_memory_budget(None);
-        ctx.set_statement_label(Some("s1: F := 1000 / (V[i] - 123457)"));
-        let d = ctx
-            .from_vec((0..300_000).map(Value::Long).collect())
-            .map_expr(E::Bin(
-                BinOp::Div,
-                Box::new(E::Const(Value::Long(1000))),
-                Box::new(E::Bin(
-                    BinOp::Sub,
-                    Box::new(E::Input),
-                    Box::new(E::Const(Value::Long(123_457))),
-                )),
-            ))
-            .expect("map_expr");
-        ctx.set_statement_label(None);
-        d.try_collect()
-            .expect_err("poisoned chain must fail")
-            .message
-    };
-    let (row_t, row_rows, row_stats, row_settings) = timed("local");
-    let (col_t, col_rows, col_stats, col_settings) = timed("columnar");
-    let identical = row_rows == col_rows;
-    let err_row = poisoned_err("local");
-    let err_col = poisoned_err("columnar");
-    let errors_identical = err_row == err_col && err_col.contains("zero");
-    let speedup = row_t.as_secs_f64() / col_t.as_secs_f64().max(1e-9);
-    rows.push(ColumnarRow {
-        workload: "fusion-chain".into(),
-        speedup,
-        identical,
-        errors_identical,
-        vectorized_batches: col_stats.vectorized_batches,
-        row_fallback_stages: col_stats.row_fallback_stages,
-    });
-    let emit = |workload: &str,
-                backend_secs: Duration,
-                speedup: f64,
-                stats_vec: u64,
-                stats_fallback: u64,
-                settings: &[(&'static str, String)],
-                identical: bool,
-                errors_identical: Option<bool>| {
-        if json {
-            let secs_s = secs(backend_secs);
-            let speedup_s = format!("{speedup:.2}");
-            let vecb = stats_vec.to_string();
-            let fallb = stats_fallback.to_string();
-            let ident = identical.to_string();
-            let mut fields: Vec<(&str, &str)> = vec![("bench", "columnar"), ("workload", workload)];
-            fields.extend(settings.iter().map(|(k, v)| (*k, v.as_str())));
-            fields.extend([
-                ("secs", secs_s.as_str()),
-                ("speedup_vs_row", speedup_s.as_str()),
-                ("vectorized_batches", vecb.as_str()),
-                ("row_fallback_stages", fallb.as_str()),
-                ("identical", ident.as_str()),
-            ]);
-            let err_s;
-            if let Some(e) = errors_identical {
-                err_s = e.to_string();
-                fields.push(("errors_identical", err_s.as_str()));
-            }
-            println!("{}", json_row(&fields));
-        } else {
-            let backend = settings
-                .iter()
-                .find(|(k, _)| *k == "backend")
-                .map(|(_, v)| v.as_str())
-                .unwrap_or("?");
-            println!(
-                "{:<14} {:>9} {:>10} {:>9.2} {:>12} {:>10} {:>10} {:>8}",
-                workload,
-                backend,
-                secs(backend_secs),
-                speedup,
-                stats_vec,
-                stats_fallback,
-                identical,
-                errors_identical.map_or("-".to_string(), |e| e.to_string()),
-            );
-        }
-    };
-    emit(
-        "fusion-chain",
-        row_t,
-        1.0,
-        row_stats.vectorized_batches,
-        row_stats.row_fallback_stages,
-        &row_settings,
-        identical,
-        Some(errors_identical),
-    );
-    emit(
-        "fusion-chain",
-        col_t,
-        speedup,
-        col_stats.vectorized_batches,
-        col_stats.row_fallback_stages,
-        &col_settings,
-        identical,
-        Some(errors_identical),
-    );
-
-    // -- full compiled workloads ----------------------------------------
-    for w in [
-        wl::word_count(20_000 * s, 91),
-        wl::kmeans(2_000 * s, 3, 1, 92),
-    ] {
-        let run = |backend: &str| {
-            let ctx = Context::new(COLUMNAR_WORKERS, COLUMNAR_PARTS)
-                .with_executor(executor_named(backend).expect(backend));
-            ctx.set_memory_budget(None);
-            let settings = settings_fields(&ctx);
-            let before = ctx.stats().snapshot();
-            let (outs, t) = run_diablo_outputs(&w, &ctx);
-            let stats = ctx.stats().snapshot().since(&before);
-            (outs, t, stats, settings)
-        };
-        let (row_outs, row_t, row_stats, row_settings) = run("local");
-        let (col_outs, col_t, col_stats, col_settings) = run("columnar");
-        let identical = row_outs == col_outs;
-        let speedup = row_t.as_secs_f64() / col_t.as_secs_f64().max(1e-9);
-        rows.push(ColumnarRow {
-            workload: w.name.to_string(),
-            speedup,
-            identical,
-            errors_identical: true,
-            vectorized_batches: col_stats.vectorized_batches,
-            row_fallback_stages: col_stats.row_fallback_stages,
-        });
-        emit(
-            w.name,
-            row_t,
-            1.0,
-            row_stats.vectorized_batches,
-            row_stats.row_fallback_stages,
-            &row_settings,
-            identical,
-            None,
-        );
-        emit(
-            w.name,
-            col_t,
-            speedup,
-            col_stats.vectorized_batches,
-            col_stats.row_fallback_stages,
-            &col_settings,
-            identical,
-            None,
-        );
-    }
-    if !json {
-        println!();
-    }
-    if check {
-        columnar_check(&rows);
-    }
-}
-
-/// The gates CI holds columnar execution to: every workload byte-identical
-/// to the row path, the poisoned chain's first error identical too, the
-/// fused chain genuinely vectorized end to end (batches counted, zero
-/// fallbacks), and at least 3× faster than tuple-at-a-time.
-fn columnar_check(rows: &[ColumnarRow]) {
-    let mut failures: Vec<String> = Vec::new();
-    for r in rows {
-        if !r.identical {
-            failures.push(format!(
-                "{}: columnar rows diverged from the row path",
-                r.workload
-            ));
-        }
-        if !r.errors_identical {
-            failures.push(format!("{}: columnar first error diverged", r.workload));
-        }
-        if r.workload == "fusion-chain" {
-            if r.speedup < 3.0 {
-                failures.push(format!(
-                    "fusion-chain: columnar speedup {:.2} (need ≥ 3.0)",
-                    r.speedup
-                ));
-            }
-            if r.vectorized_batches == 0 {
-                failures.push("fusion-chain: no vectorized batches counted".into());
-            }
-            if r.row_fallback_stages != 0 {
-                failures.push(format!(
-                    "fusion-chain: {} row-path fallbacks on a transparent chain",
-                    r.row_fallback_stages
-                ));
-            }
-        }
-    }
-    if failures.is_empty() {
-        eprintln!("columnar --check: all gates passed");
-    } else {
-        for f in &failures {
-            eprintln!("columnar --check FAILED: {f}");
-        }
-        std::process::exit(1);
     }
 }
 

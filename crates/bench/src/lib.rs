@@ -72,30 +72,6 @@ pub fn run_diablo(w: &Workload, ctx: &Context) -> Duration {
     t
 }
 
-/// Runs the DIABLO-compiled program and collects every output
-/// collection (in engine partition order) alongside the run time — for
-/// conformance-style benches (`harness out-of-core`) that compare rows
-/// across engine configurations, not just clocks.
-pub fn run_diablo_outputs(w: &Workload, ctx: &Context) -> (Vec<(String, Vec<Value>)>, Duration) {
-    let compiled = diablo_core::compile(w.source).expect("compiles");
-    let mut s = session_for(w, ctx);
-    let (r, t) = time_once(|| s.run(&compiled));
-    r.unwrap_or_else(|e| panic!("{}: {e}", w.name));
-    let outputs = w
-        .outputs
-        .iter()
-        .map(|out| {
-            (
-                out.to_string(),
-                s.dataset(out)
-                    .unwrap_or_else(|| panic!("{}: output {out} not bound", w.name))
-                    .collect(),
-            )
-        })
-        .collect();
-    (outputs, t)
-}
-
 /// Runs the workload on the sequential reference interpreter.
 pub fn run_interp(w: &Workload) -> Duration {
     let tp =

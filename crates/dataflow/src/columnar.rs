@@ -3,9 +3,9 @@
 //! driver that runs eligible chains batch-at-a-time over per-column inner
 //! loops.
 //!
-//! Every other backend moves rows as boxed [`Value`] enums, one enum match
-//! per operator per tuple, even inside fused stages. This module
-//! generalizes the §5 tile runtime's batch layout to arbitrary datasets:
+//! The row layout moves rows as boxed [`Value`] enums, one enum match per
+//! operator per tuple, even inside fused stages. This module generalizes
+//! the §5 tile runtime's batch layout to arbitrary datasets:
 //!
 //! * **[`RowExpr`]** — a small expression IR over whole rows. Operators
 //!   built from it (via `Dataset::map_expr` / `Dataset::filter_expr`, or
@@ -43,12 +43,12 @@
 //! Lane loops bail on the first faulting lane element, which is generally
 //! *not* the canonical first error of tuple-at-a-time execution (a later
 //! column of an earlier row may fail first, or the consumer's sink may
-//! reject an earlier row). Exactly like `drive_batch`, a failing tile is
-//! therefore **replayed tuple-at-a-time into the real sink**: nothing from
-//! the failed tile has been emitted yet, so the replay reproduces the
-//! byte-identical first error — statement tag included — that
-//! `LocalExecutor` would have raised. If the replay sails through (a
-//! non-deterministic operator), the batched error is kept.
+//! reject an earlier row). A failing tile is therefore **replayed
+//! tuple-at-a-time into the real sink**: nothing from the failed tile has
+//! been emitted yet, so the replay reproduces the byte-identical first
+//! error — statement tag included — that the row layout would have
+//! raised. If the replay sails through (a non-deterministic operator), the
+//! batched error is kept.
 //!
 //! Stages containing a step without an expression (an opaque UDF) never
 //! enter the columnar path at all: `DriveMode::Columnar` demotes them to
@@ -63,9 +63,8 @@ use diablo_runtime::array::key_value_ref;
 use diablo_runtime::{BinOp, Func, RuntimeError, UnOp, Value};
 
 use crate::keytable::KeyTable;
-use crate::plan::{self, drive, fold_row, ChunkPolicy, DriveMode, Result, Step, StepOp};
+use crate::plan::{drive, fold_row, Result, Step, StepOp};
 use crate::stats::Stats;
-use crate::{Capabilities, Context, Executor, PartitionTask, Parts, PhysicalPlan};
 
 /// A transparent row expression: the part of a `map`/`filter` step the
 /// engine can see through and lower to per-column loops.
@@ -987,7 +986,7 @@ trait TileSink {
 /// form. A failing tile is replayed tuple-at-a-time into the same sink:
 /// nothing from a failed tile has been sunk yet, and the canonical first
 /// error may come from an earlier row or from the consumer, not from the
-/// lane that failed first (see the module docs and `drive_batch`).
+/// lane that failed first (see the module docs).
 fn drive_tiles(
     rows: &[Value],
     steps: &[Step],
@@ -1514,96 +1513,6 @@ pub(crate) fn combine_columnar(
     fold: &mut KeyedFold<'_>,
 ) -> Result<()> {
     drive_tiles(rows, steps, batch, stats, fold)
-}
-
-/// The columnar backend — the engine's default: identical plans, stage
-/// structure, shuffles, and results, but fused narrow chains whose steps are all transparent
-/// ([`RowExpr`]-described) run batch-at-a-time over typed column chunks.
-/// Stages with an opaque step fall back to tuple-at-a-time **per stage**
-/// (counted in [`StatsSnapshot::row_fallback_stages`](crate::StatsSnapshot)
-/// and noted in the plan trace as `layout: row (…)`).
-///
-/// The default batch width is 4096 rows; tune with the
-/// `DIABLO_COLUMNAR_BATCH` environment variable.
-#[derive(Debug, Clone, Copy)]
-pub struct ColumnarExecutor {
-    batch: usize,
-}
-
-impl ColumnarExecutor {
-    /// Default column-chunk width in rows.
-    pub const DEFAULT_BATCH: usize = 4096;
-
-    /// Creates a columnar executor with the given batch width.
-    pub fn new(batch: usize) -> ColumnarExecutor {
-        assert!(batch > 0, "columnar batch must be positive");
-        ColumnarExecutor { batch }
-    }
-
-    /// Creates a columnar executor sized from `DIABLO_COLUMNAR_BATCH`
-    /// (default [`ColumnarExecutor::DEFAULT_BATCH`]).
-    pub fn from_env() -> ColumnarExecutor {
-        let batch = std::env::var("DIABLO_COLUMNAR_BATCH")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .filter(|&b| b > 0)
-            .unwrap_or(Self::DEFAULT_BATCH);
-        ColumnarExecutor::new(batch)
-    }
-
-    /// The configured batch width.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    fn mode(&self, ctx: &Context) -> DriveMode {
-        DriveMode::Columnar(self.batch, ctx.stats_arc())
-    }
-}
-
-impl Default for ColumnarExecutor {
-    fn default() -> ColumnarExecutor {
-        ColumnarExecutor::new(Self::DEFAULT_BATCH)
-    }
-}
-
-impl Executor for ColumnarExecutor {
-    fn name(&self) -> &'static str {
-        "columnar"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            vectorized: true,
-            fused_shuffle_read: true,
-            union_in_place: true,
-            spilling_exchange: false,
-            adaptive_chunking: false,
-            ordered_exchange: true,
-            morsel_scheduling: false,
-        }
-    }
-
-    fn materialize(&self, ctx: &Context, plan: &PhysicalPlan) -> Result<Parts> {
-        plan::materialize(ctx, &plan.op, &self.mode(ctx), ChunkPolicy::Fixed)
-    }
-
-    fn consume(
-        &self,
-        ctx: &Context,
-        plan: &PhysicalPlan,
-        label: &str,
-        task: &PartitionTask<'_>,
-    ) -> Result<Vec<Vec<Vec<Value>>>> {
-        plan::consume(
-            ctx,
-            &plan.op,
-            label,
-            &self.mode(ctx),
-            ChunkPolicy::Fixed,
-            task,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -2360,8 +2269,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "columnar batch must be positive")]
+    #[should_panic(expected = "tile width must be positive")]
     fn zero_batch_panics() {
-        let _ = ColumnarExecutor::new(0);
+        let _ = crate::Context::new(1, 1).with_tile_width(0);
     }
 }

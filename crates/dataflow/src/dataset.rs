@@ -1,6 +1,6 @@
 //! The partitioned [`Dataset`] and its operators, built over the lazy
-//! physical plan of [`crate::plan`] and executed by the context's
-//! pluggable [`Executor`](crate::Executor) backend.
+//! physical plan of [`crate::plan`] and executed by its plan walker in the
+//! context's [`Layout`](crate::Layout).
 //!
 //! Rows are [`Value`]s. Keyed operators (`reduce_by_key`, `group_by_key`,
 //! `cogroup`, `join`, `merge`) expect rows shaped as `(key, value)` pairs —
@@ -19,7 +19,7 @@
 //! in two physical stages, with the reduction fused into the next
 //! scatter. Work happens at materialization points — shuffles,
 //! [`Dataset::collect`], [`Dataset::reduce`], [`Dataset::broadcast`] —
-//! where the executor fuses the pending chain into one physical
+//! where the walker fuses the pending chain into one physical
 //! per-partition stage. Results are deterministic and bit-identical to
 //! operator-at-a-time execution: a shuffle distributes rows by key hash,
 //! and output order within a partition follows (source partition, source
@@ -53,8 +53,9 @@ use diablo_runtime::array::{key_value, key_value_ref};
 use diablo_runtime::{size::slice_size, AggOp, BinOp, RuntimeError, Value};
 
 use crate::columnar::{env_fields, Cross, KeyedFold, RowExpr, Shape};
-use crate::exchange::{pair_key, HashPartitioner, Partitioner, RangePartitioner};
-use crate::executor::PhysicalPlan;
+use crate::exchange::{
+    pair_key, Exchange, ExchangeWriter, HashPartitioner, Partitioner, RangePartitioner,
+};
 use crate::keytable::KeyTable;
 use crate::plan::{self, PartFn, PartitionRows, PlanOp};
 use crate::pool::run_stage;
@@ -415,7 +416,7 @@ impl Dataset {
         self.ctx.statement_label()
     }
 
-    /// Executes the pending plan through the context's executor (fusing
+    /// Executes the pending plan through the plan walker (fusing
     /// the narrow chain into one physical stage per segment) and enters
     /// the partitions into the context's dataset cache. A cache hit
     /// skips execution; base data (`Scan` plans) bypasses the cache —
@@ -423,21 +424,13 @@ impl Dataset {
     /// the plan holds anyway.
     pub(crate) fn force(&self) -> Result<Arc<Vec<Vec<Value>>>> {
         if matches!(self.plan.as_ref(), PlanOp::Scan(_)) {
-            return Ok(self
-                .ctx
-                .executor()
-                .materialize(&self.ctx, &PhysicalPlan::new(self.plan.clone()))?
-                .into_arc());
+            return Ok(plan::materialize(&self.ctx, &self.plan)?.into_arc());
         }
         let cache = self.ctx.dataset_cache().clone();
         if let Some(p) = cache.get(self.slot.id(), &self.ctx)? {
             return Ok(p);
         }
-        let parts = self
-            .ctx
-            .executor()
-            .materialize(&self.ctx, &PhysicalPlan::new(self.plan.clone()))?
-            .into_arc();
+        let parts = plan::materialize(&self.ctx, &self.plan)?.into_arc();
         cache.insert(self.slot.id(), parts.clone(), &self.ctx)?;
         Ok(parts)
     }
@@ -489,31 +482,19 @@ impl Dataset {
     /// [`Dataset::try_collect`].
     pub fn count(&self) -> usize {
         if self.union_pending() {
-            // Count through the executor's segmented read: no operand is
+            // Count through the walker's segmented read: no operand is
             // copied, no combined partitions are built.
-            let groups = self
-                .ctx
-                .executor()
-                .consume(
-                    &self.ctx,
-                    &PhysicalPlan::new(self.plan.clone()),
-                    "count (read in place)",
-                    &|_, rows| {
-                        let mut n = 0i64;
-                        rows.for_each(&mut |_| {
-                            n += 1;
-                            Ok(())
-                        })?;
-                        Ok(vec![vec![Value::Long(n)]])
-                    },
-                )
+            let counts =
+                plan::consume(&self.ctx, &self.plan, "count (read in place)", |_, rows| {
+                    let mut n = 0usize;
+                    rows.for_each(&mut |_| {
+                        n += 1;
+                        Ok(())
+                    })?;
+                    Ok(n)
+                })
                 .expect("dataset materialization failed");
-            return groups
-                .into_iter()
-                .flatten()
-                .flatten()
-                .map(|v| v.as_long().unwrap_or(0) as usize)
-                .sum();
+            return counts.into_iter().sum();
         }
         self.force()
             .expect("dataset materialization failed")
@@ -543,26 +524,26 @@ impl Dataset {
     /// operator errors.
     ///
     /// A plan bottoming out in an unforced `union` is streamed straight
-    /// out of the executor's segmented read: each surviving row is cloned
+    /// out of the walker's segmented read: each surviving row is cloned
     /// exactly once, into the output — combined partitions are never
     /// built (and nothing is cached; the shared operands are re-read in
     /// place if collected again).
     pub fn try_collect(&self) -> Result<Vec<Value>> {
         if self.union_pending() {
-            let groups = self.ctx.executor().consume(
+            let parts = plan::consume(
                 &self.ctx,
-                &PhysicalPlan::new(self.plan.clone()),
+                &self.plan,
                 "collect (read in place)",
-                &|_, rows| {
+                |_, rows| {
                     let mut out = Vec::new();
                     rows.for_each(&mut |v| {
                         out.push(v);
                         Ok(())
                     })?;
-                    Ok(vec![out])
+                    Ok(out)
                 },
             )?;
-            return Ok(groups.into_iter().flatten().flatten().collect());
+            return Ok(parts.into_iter().flatten().collect());
         }
         let parts = self.force()?;
         let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
@@ -620,9 +601,9 @@ impl Dataset {
 
     /// Applies a **transparent** row expression to every row (lazy). The
     /// closure the engine runs is derived from `expr`, and the expression
-    /// itself rides the plan node — so the columnar backend can lower
-    /// this step to per-column inner loops while every other backend
-    /// executes it exactly like [`Dataset::map`].
+    /// itself rides the plan node — so the columnar layout can lower
+    /// this step to per-column inner loops while the row layout executes
+    /// it exactly like [`Dataset::map`].
     pub fn map_expr(&self, expr: crate::RowExpr) -> Result<Dataset> {
         self.ctx.record_logical_op();
         let expr = Arc::new(expr);
@@ -670,9 +651,9 @@ impl Dataset {
     /// order. The closure the engine runs is derived from this description,
     /// and the description rides the plan node, so a columnar stage expands
     /// whole tiles (the rows' lanes repeated, the items' leaf columns
-    /// tiled) while every other backend runs it like a
-    /// [`Dataset::flat_map`]. An item `shape` does not fit is the error
-    /// `"{mismatch} {item}"`, raised by the first row that reaches the step.
+    /// tiled) while the row layout runs it like a [`Dataset::flat_map`].
+    /// An item `shape` does not fit is the error `"{mismatch} {item}"`,
+    /// raised by the first row that reaches the step.
     pub fn cross(
         &self,
         items: Arc<Vec<Value>>,
@@ -747,7 +728,7 @@ impl Dataset {
     /// Bag union (no dedup), preserving the left side's partition count.
     ///
     /// Lazy and narrow: it moves no data, runs no parallel stage, and the
-    /// executor reads both operands in place via segments — including for
+    /// walker reads both operands in place via segments — including for
     /// a bare `collect`, which streams the rows without ever building
     /// combined partitions.
     pub fn union(&self, other: &Dataset) -> Dataset {
@@ -797,14 +778,14 @@ impl Dataset {
         combine: &dyn Fn(&Value, &Value) -> Result<Value>,
     ) -> Result<Option<Value>> {
         self.ctx.record_logical_op();
-        let partials = self.ctx.executor().consume(
+        let partials = plan::consume(
             &self.ctx,
-            &PhysicalPlan::new(self.effective_plan()),
+            &self.effective_plan(),
             "reduce (partial fold)",
-            &|_, rows| Ok(vec![partial(rows)?.into_iter().collect()]),
+            |_, rows| partial(rows),
         )?;
         let mut acc: Option<Value> = None;
-        for p in partials.into_iter().flatten().flatten() {
+        for p in partials.into_iter().flatten() {
             acc = Some(match acc {
                 None => p,
                 Some(a) => combine(&a, &p)?,
@@ -815,15 +796,43 @@ impl Dataset {
 
     // ------------------------------------------------------------ shuffles
 
-    /// Hash-partitions `(key, value)` rows by key — the raw shuffle,
-    /// delegated to the executor. The scatter pass fuses the pending
-    /// narrow chain, so a chain ending in a shuffle costs exactly one pass
-    /// over the source rows. Returns per-destination buckets with
-    /// deterministic row order.
+    /// The exchange primitive under every hash shuffle: runs `scatter`
+    /// once per source partition over the plan's *transformed* rows — the
+    /// scatter pass fuses the pending narrow chain, so a chain ending in a
+    /// shuffle costs exactly one pass over the source rows — streaming the
+    /// emitted rows through an [`Exchange`] bounded by
+    /// [`Context::memory_budget`] (buckets past the budget spill to sorted
+    /// run files), and merge-reads the destination partitions back in
+    /// source order.
+    fn exchange(
+        &self,
+        label: &str,
+        scatter: impl Fn(&PartitionRows<'_>, &mut ExchangeWriter<'_>) -> Result<()> + Sync,
+    ) -> Result<Vec<Vec<Value>>> {
+        let ex = Exchange::new(self.ctx.partitions(), self.ctx.memory_budget());
+        plan::consume(&self.ctx, &self.effective_plan(), label, |src, rows| {
+            let mut writer = ex.writer(src);
+            scatter(rows, &mut writer)?;
+            writer.close()
+        })?;
+        ex.finish(&self.ctx)
+    }
+
+    /// Partitions `(key, value)` rows by key with `partitioner`. Returns
+    /// per-destination buckets with deterministic row order.
+    fn shuffle_by(&self, label: &str, partitioner: &dyn Partitioner) -> Result<Vec<Vec<Value>>> {
+        let p = self.ctx.partitions();
+        self.exchange(label, |rows, sink| {
+            rows.for_each(&mut |row| {
+                let (k, _) = key_value_ref(&row)?;
+                sink.emit(partitioner.partition(k, p)?, row)
+            })
+        })
+    }
+
+    /// Hash-partitions `(key, value)` rows by key — the raw shuffle.
     fn shuffle(&self, label: &str) -> Result<Vec<Vec<Value>>> {
-        self.ctx
-            .executor()
-            .shuffle(&self.ctx, &PhysicalPlan::new(self.effective_plan()), label)
+        self.shuffle_by(label, &HashPartitioner)
     }
 
     /// Wraps gathered shuffle buckets in a lazy partition-wise stage: the
@@ -852,12 +861,7 @@ impl Dataset {
     /// globally sorted output.
     pub fn partition_by(&self, partitioner: &dyn crate::Partitioner) -> Result<Dataset> {
         self.ctx.record_logical_op();
-        let dest = self.ctx.executor().shuffle_by(
-            &self.ctx,
-            &PhysicalPlan::new(self.effective_plan()),
-            "partition_by (scatter)",
-            partitioner,
-        )?;
+        let dest = self.shuffle_by("partition_by (scatter)", partitioner)?;
         Ok(Dataset::from_materialized(self.ctx.clone(), dest))
     }
 
@@ -898,17 +902,12 @@ impl Dataset {
         // Map-side combine, then stream the combined pairs straight into
         // the exchange sink: no all-partitions bucket matrix is ever
         // built, and buckets past the memory budget spill to disk.
-        let dest = self.ctx.executor().exchange(
-            &self.ctx,
-            &PhysicalPlan::new(self.effective_plan()),
-            "reduce_by_key (combine + scatter)",
-            &|_, rows, sink| {
-                fold.combine(rows, &mut |k, v| {
-                    let b = HashPartitioner.partition(&k, p)?;
-                    sink.emit(b, Value::pair(k, v))
-                })
-            },
-        )?;
+        let dest = self.exchange("reduce_by_key (combine + scatter)", |rows, sink| {
+            fold.combine(rows, &mut |k, v| {
+                let b = HashPartitioner.partition(&k, p)?;
+                sink.emit(b, Value::pair(k, v))
+            })
+        })?;
         let reduce_fn: PartFn = Arc::new(move |bucket: &[Value]| fold.reduce(bucket));
         Ok(self.post_shuffle(dest, reduce_fn, "reduce_by_key (reduce)"))
     }
@@ -1082,16 +1081,9 @@ impl Dataset {
     /// chain and the scatter are one stage, and only the row crosses.
     fn scatter_pairs(&self, label: &str) -> Result<Vec<Vec<Value>>> {
         let p = self.ctx.partitions();
-        self.ctx.executor().exchange(
-            &self.ctx,
-            &PhysicalPlan::new(self.effective_plan()),
-            label,
-            &|_, rows, sink| {
-                rows.for_each_pair(&mut |key, row| {
-                    sink.emit(HashPartitioner.partition(key, p)?, row)
-                })
-            },
-        )
+        self.exchange(label, |rows, sink| {
+            rows.for_each_pair(&mut |key, row| sink.emit(HashPartitioner.partition(key, p)?, row))
+        })
     }
 
     /// The sort-based form of [`Dataset::join_on`] over two datasets of
@@ -1193,40 +1185,31 @@ impl Dataset {
     /// path's scatter), applies the optional map-side combiner, and
     /// stably sorts each source partition by key.
     fn sorted_sources(&self, label: &str, combine: Option<&KeyFold>) -> Result<Vec<Vec<Value>>> {
-        let groups = self.ctx.executor().consume(
-            &self.ctx,
-            &PhysicalPlan::new(self.effective_plan()),
-            label,
-            &|_, rows| {
-                let mut out: Vec<Value> = Vec::new();
-                match combine {
-                    // Combined keys are unique, so the key sort below
-                    // fully determines the order.
-                    Some(fold) => fold.combine(rows, &mut |k, v| {
-                        out.push(Value::pair(k, v));
+        plan::consume(&self.ctx, &self.effective_plan(), label, |_, rows| {
+            let mut out: Vec<Value> = Vec::new();
+            match combine {
+                // Combined keys are unique, so the key sort below
+                // fully determines the order.
+                Some(fold) => fold.combine(rows, &mut |k, v| {
+                    out.push(Value::pair(k, v));
+                    Ok(())
+                })?,
+                None => {
+                    rows.for_each(&mut |row| {
+                        key_value_ref(&row)?;
+                        out.push(row);
                         Ok(())
-                    })?,
-                    None => {
-                        rows.for_each(&mut |row| {
-                            key_value_ref(&row)?;
-                            out.push(row);
-                            Ok(())
-                        })?;
-                    }
+                    })?;
                 }
-                out.sort_by(|a, b| pair_key(a).cmp(pair_key(b)));
-                Ok(vec![out])
-            },
-        )?;
-        Ok(groups
-            .into_iter()
-            .map(|g| g.into_iter().flatten().collect())
-            .collect())
+            }
+            out.sort_by(|a, b| pair_key(a).cmp(pair_key(b)));
+            Ok(out)
+        })
     }
 
     /// Range bounds sampled from key-sorted sources: up to 64 evenly
     /// spaced keys per source (quantile-ish, since the rows are sorted)
-    /// plus each source's maximum. Deterministic, so every backend and
+    /// plus each source's maximum. Deterministic, so every layout and
     /// budget derives identical bounds.
     fn sample_partitioner<'a>(
         sources: impl Iterator<Item = &'a Vec<Value>>,
@@ -1243,10 +1226,12 @@ impl Dataset {
         RangePartitioner::from_sample(sample, partitions)
     }
 
-    /// Range-scatters key-sorted sources through the executor's
-    /// key-ordered exchange; the merged buckets come back globally
-    /// key-sorted and contiguous, so concatenating them in partition
-    /// order yields totally key-ordered output.
+    /// Range-scatters key-sorted sources through a key-ordered
+    /// [`Exchange`] (same budget rules as a hash shuffle; chunks past the
+    /// budget spill as sorted runs and merge straight from disk); the
+    /// merged buckets come back globally key-sorted and contiguous, so
+    /// concatenating them in partition order yields totally key-ordered
+    /// output.
     fn sorted_shuffle(
         &self,
         sources: Vec<Vec<Value>>,
@@ -1259,9 +1244,25 @@ impl Dataset {
             partitioner.bounds().len(),
             self.ctx.partitions()
         ));
-        self.ctx
-            .executor()
-            .exchange_sorted(&self.ctx, sources, label, partitioner)
+        let p = self.ctx.partitions();
+        let ex = Exchange::new_ordered(p, self.ctx.memory_budget());
+        // Scatter sources in parallel like every other exchange: writers
+        // are independent, chunks are tagged (source, sequence), and the
+        // ordered merge breaks key ties by that tag, so the result is
+        // independent of worker interleaving. Each task owns exactly its
+        // source partition (taken out of the slot), so rows move into the
+        // sink without a clone.
+        let slots: Vec<std::sync::Mutex<Vec<Value>>> =
+            sources.into_iter().map(std::sync::Mutex::new).collect();
+        run_stage(&self.ctx, &slots, |src, slot| {
+            let rows = std::mem::take(&mut *slot.lock().expect("source slot"));
+            let mut writer = ex.writer(src);
+            for row in rows {
+                writer.emit(partitioner.partition(pair_key(&row), p)?, row)?;
+            }
+            writer.close()
+        })?;
+        ex.finish(&self.ctx)
     }
 
     /// Sort-based `reduceByKey`: combines values of equal keys like
@@ -1637,7 +1638,7 @@ mod tests {
     #[test]
     fn bare_union_collect_streams_without_combined_partitions() {
         // A bare collect of an unprocessed union reads both operands in
-        // place through the executor — one fused stage, rows streamed
+        // place through the walker — one fused stage, rows streamed
         // straight into the output.
         let ctx = ctx();
         let a = ctx.range(1, 100);

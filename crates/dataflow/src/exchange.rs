@@ -1,6 +1,6 @@
 //! The Exchange API: how rows move between partitions.
 //!
-//! A shuffle used to be two hardwired `Executor` methods — a scatter that
+//! A shuffle used to be two hardwired engine methods — a scatter that
 //! hash-modded every key and a `gather` that concatenated every exchanged
 //! row through one in-memory `Vec<Vec<Vec<Value>>>`. This module makes the
 //! exchange a first-class, pluggable boundary:

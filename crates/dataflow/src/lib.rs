@@ -6,7 +6,7 @@
 //! Spark's **lazy evaluation**: transformations build a plan; actions run
 //! it.
 //!
-//! ## Architecture: plan → fuse → execute (on a pluggable backend)
+//! ## Architecture: plan → fuse → execute
 //!
 //! * a [`Dataset`] is an immutable bag of rows split into hash partitions,
 //!   described by a lazy **physical plan** — a DAG of `PlanOp` nodes
@@ -14,19 +14,17 @@
 //!   by the operator methods without running anything;
 //! * *narrow* operations (`map`, `filter`, `flat_map`, `union`) append a
 //!   plan node and return immediately — no data moves, no threads run;
-//! * plan execution belongs to the context's [`Executor`] — a public
-//!   trait (`materialize`, `consume`, `shuffle`/`shuffle_by`, `exchange`,
-//!   plus name/capability introspection) with these built-ins:
-//!   [`ColumnarExecutor`] (the default: typed column chunks with
-//!   per-column inner loops for transparent fused chains, row-path
-//!   fallback per stage for opaque UDFs — see `columnar.rs`),
-//!   [`LocalExecutor`] (tuple-at-a-time everywhere, the row reference),
-//!   [`TileExecutor`] (tile/batch-at-a-time inner loops for §5
-//!   tiled-matrix workloads), and [`SpillExecutor`] (always-budgeted
-//!   spilling exchanges plus adaptive stage re-chunking, for inputs
-//!   larger than RAM).
-//!   Select one with [`Context::with_executor`], `DIABLO_BACKEND`, or
-//!   `diabloc --backend`; results are identical across backends;
+//! * one **plan walker** runs the plan: at every materialization point it
+//!   collapses the pending narrow chain into one fused stage per partition
+//!   and schedules the partitions on the context's work-stealing pool. The
+//!   [`Layout`] decides how a stage pushes rows through its chain:
+//!   [`Layout::Columnar`] (the default) runs a chain whose steps are all
+//!   transparent as typed column chunks with per-column inner loops and
+//!   every other chain tuple-at-a-time, per stage; [`Layout::Row`] runs
+//!   every chain tuple-at-a-time — the reference the conformance suites
+//!   hold the default to. Select one with [`Context::with_layout`],
+//!   `DIABLO_BACKEND` (`columnar`, `local`), or `diabloc --backend`;
+//!   results are identical either way;
 //! * data crosses partitions only through the **Exchange API**: a
 //!   pluggable [`Partitioner`] picks each key's destination bucket, and a
 //!   streaming [`Exchange`] sink/reader pair moves rows under a memory
@@ -43,7 +41,7 @@
 //!   hash path's row multiset;
 //! * at every **materialization point** — a shuffle (`group_by_key`,
 //!   `reduce_by_key`, `cogroup`, `join`, the array-merge `⊳`), `collect`,
-//!   `reduce`, or `broadcast` — the executor **fuses** the pending narrow
+//!   `reduce`, or `broadcast` — the walker **fuses** the pending narrow
 //!   chain into a single closure and runs it once per partition on the
 //!   worker pool. A chain of N narrow operators costs one pass over the
 //!   source rows and allocates no per-operator intermediate `Vec`;
@@ -91,24 +89,18 @@ mod columnar;
 mod dataset;
 mod dscache;
 mod exchange;
-mod executor;
 mod keytable;
 mod plan;
 mod pool;
 mod stats;
 mod verify;
 
-pub use columnar::{ColumnarExecutor, FieldName, RowExpr, Shape};
+pub use columnar::{FieldName, RowExpr, Shape};
 pub use dataset::{Dataset, JoinOn};
 pub use exchange::{
     decode_value, encode_value, Exchange, ExchangeWriter, HashPartitioner, Partitioner,
     RangePartitioner,
 };
-pub use executor::{
-    executor_named, Capabilities, Executor, LocalExecutor, MorselExecutor, PartitionTask,
-    PhysicalPlan, ScatterTask, SpillExecutor, TileExecutor, BACKEND_NAMES,
-};
-pub use plan::{PartitionRows, Parts};
 pub use stats::{Stats, StatsSnapshot};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -116,10 +108,55 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use diablo_runtime::Value;
 
-/// Handle to the engine: worker count, partition count, the execution
-/// backend, and run statistics.
+/// How a fused stage pushes rows through its narrow chain. Layout is
+/// execution policy only: rows, their order, stage and shuffle counts, and
+/// first errors (statement tags included) are the same under both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// The default: a chain whose steps are all transparent
+    /// ([`RowExpr`]-described) runs tile by tile over typed column chunks;
+    /// a chain with an opaque step runs tuple-at-a-time, per stage
+    /// (counted in [`StatsSnapshot::row_fallback_stages`] and noted as
+    /// `layout: row (…)` in the plan trace).
+    Columnar,
+    /// Tuple-at-a-time everywhere: the reference the columnar layout is
+    /// held byte-identical to.
+    Row,
+}
+
+impl Layout {
+    /// The names `DIABLO_BACKEND` and `--backend` accept, in the order
+    /// help and error messages list them.
+    pub const NAMES: &'static [&'static str] = &["columnar", "local"];
+
+    /// The layout a backend name selects (`columnar`, or `local` for the
+    /// row layout); `None` for any other name.
+    pub fn named(name: &str) -> Option<Layout> {
+        match name {
+            "columnar" => Some(Layout::Columnar),
+            "local" => Some(Layout::Row),
+            _ => None,
+        }
+    }
+
+    /// The backend name of this layout — what [`Layout::named`] reads
+    /// back, and what [`StatsSnapshot::backend`] and `explain` report.
+    pub fn name(self) -> &'static str {
+        match self {
+            Layout::Columnar => "columnar",
+            Layout::Row => "local",
+        }
+    }
+}
+
+/// Rows per column tile of the columnar layout, unless
+/// [`Context::with_tile_width`] says otherwise.
+pub const DEFAULT_TILE_WIDTH: usize = 4096;
+
+/// Handle to the engine: worker count, partition count, execution
+/// settings, and run statistics.
 ///
-/// Cheap to clone; all clones share the same statistics and backend.
+/// Cheap to clone; all clones share the same statistics and settings.
 #[derive(Clone)]
 pub struct Context {
     inner: Arc<ContextInner>,
@@ -133,32 +170,65 @@ struct ContextInner {
     stats: Arc<Stats>,
     op_counter: AtomicUsize,
     plan_trace: Mutex<Option<Vec<String>>>,
-    executor: Mutex<Arc<dyn Executor>>,
     stmt_label: Mutex<Option<Arc<str>>>,
-    /// Exchange memory budget in bytes; `u64::MAX` means unbounded.
-    memory_budget: AtomicU64,
-    /// Route keyed operators through the sort-based shuffle path.
-    ordered: AtomicBool,
+    settings: Settings,
     /// The persistent work-stealing pool, built on first stage. Held in an
     /// `Arc` so [`Context::fork`]ed tenant contexts share one pool.
     pool: OnceLock<Arc<pool::WorkerPool>>,
-    /// Rows per morsel when a stage splits oversized partitions.
-    morsel_size: AtomicUsize,
-    /// Run stages on the retained pre-morsel scheduler (baseline mode).
-    static_scheduler: AtomicBool,
     /// The shared dataset cache (built on first use). Held in an `Arc`
     /// so [`Context::fork`]ed tenant contexts share one cache — and one
     /// dataset budget — the way they share one worker pool.
     dscache: OnceLock<Arc<dscache::DatasetCache>>,
 }
 
+/// The per-context execution settings a [`Context::fork`] copies. The
+/// dataset budget is not here: it belongs to the dataset cache, which
+/// forks share.
+struct Settings {
+    /// [`Layout::Columnar`] when set, else [`Layout::Row`].
+    columnar: AtomicBool,
+    /// Rows per column tile of the columnar layout.
+    tile_width: AtomicUsize,
+    /// Exchange memory budget in bytes; `u64::MAX` means unbounded.
+    memory_budget: AtomicU64,
+    /// Route keyed operators through the sort-based shuffle path.
+    ordered: AtomicBool,
+}
+
+impl Settings {
+    /// The defaults, as the `DIABLO_*` environment variables amend them.
+    fn from_env() -> Settings {
+        Settings {
+            columnar: AtomicBool::new(layout_from_env() == Layout::Columnar),
+            tile_width: AtomicUsize::new(DEFAULT_TILE_WIDTH),
+            memory_budget: AtomicU64::new(memory_budget_from_env()),
+            ordered: AtomicBool::new(ordered_from_env()),
+        }
+    }
+
+    /// A copy of every setting, for a fork.
+    fn copy(&self) -> Settings {
+        let load_bool = |b: &AtomicBool| AtomicBool::new(b.load(Ordering::Relaxed));
+        Settings {
+            columnar: load_bool(&self.columnar),
+            tile_width: AtomicUsize::new(self.tile_width.load(Ordering::Relaxed)),
+            memory_budget: AtomicU64::new(self.memory_budget.load(Ordering::Relaxed)),
+            ordered: load_bool(&self.ordered),
+        }
+    }
+}
+
 impl Context {
     /// Creates a context with `workers` threads and `partitions` hash
-    /// partitions per dataset. The execution backend defaults to
-    /// [`ColumnarExecutor`], overridable with the `DIABLO_BACKEND`
-    /// environment variable (`local`, `tile`, `spill`, `morsel`,
-    /// `columnar`) or [`Context::with_executor`].
+    /// partitions per dataset. The layout defaults to
+    /// [`Layout::Columnar`], overridable with the `DIABLO_BACKEND`
+    /// environment variable (`columnar`, `local`) or
+    /// [`Context::with_layout`].
     pub fn new(workers: usize, partitions: usize) -> Context {
+        Context::with_settings(workers, partitions, Settings::from_env())
+    }
+
+    fn with_settings(workers: usize, partitions: usize, settings: Settings) -> Context {
         assert!(workers > 0, "need at least one worker");
         assert!(partitions > 0, "need at least one partition");
         Context {
@@ -168,13 +238,9 @@ impl Context {
                 stats: Arc::new(Stats::default()),
                 op_counter: AtomicUsize::new(0),
                 plan_trace: Mutex::new(None),
-                executor: Mutex::new(executor::executor_from_env()),
                 stmt_label: Mutex::new(None),
-                memory_budget: AtomicU64::new(memory_budget_from_env()),
-                ordered: AtomicBool::new(ordered_from_env()),
+                settings,
                 pool: OnceLock::new(),
-                morsel_size: AtomicUsize::new(morsel_size_from_env()),
-                static_scheduler: AtomicBool::new(static_scheduler_from_env()),
                 dscache: OnceLock::new(),
             }),
         }
@@ -203,22 +269,45 @@ impl Context {
         Context::new(1, 1)
     }
 
-    /// Swaps the execution backend (builder style). Affects every clone of
-    /// this context; call it before building datasets so all stages run on
-    /// one backend.
-    pub fn with_executor(self, executor: Arc<dyn Executor>) -> Context {
-        self.set_executor(executor);
+    /// Sets the [`Layout`] every later stage runs in (builder style).
+    /// Affects every clone of this context; results never change.
+    pub fn with_layout(self, layout: Layout) -> Context {
+        self.inner
+            .settings
+            .columnar
+            .store(layout == Layout::Columnar, Ordering::Relaxed);
         self
     }
 
-    /// Swaps the execution backend in place.
-    pub fn set_executor(&self, executor: Arc<dyn Executor>) {
-        *self.inner.executor.lock().expect("executor lock") = executor;
+    /// The layout stages run in.
+    pub fn layout(&self) -> Layout {
+        if self.inner.settings.columnar.load(Ordering::Relaxed) {
+            Layout::Columnar
+        } else {
+            Layout::Row
+        }
     }
 
-    /// The execution backend.
-    pub fn executor(&self) -> Arc<dyn Executor> {
-        self.inner.executor.lock().expect("executor lock").clone()
+    /// Sets the rows per column tile of the columnar layout (builder
+    /// style; default [`DEFAULT_TILE_WIDTH`]). A width that cuts
+    /// partitions into several tiles — 1 or 7 on small inputs — is how
+    /// tests reach the tile-boundary replay of a failing tile; results
+    /// never change.
+    ///
+    /// # Panics
+    /// Panics on a zero width.
+    pub fn with_tile_width(self, rows: usize) -> Context {
+        assert!(rows > 0, "tile width must be positive");
+        self.inner
+            .settings
+            .tile_width
+            .store(rows, Ordering::Relaxed);
+        self
+    }
+
+    /// Rows per column tile of the columnar layout.
+    pub fn tile_width(&self) -> usize {
+        self.inner.settings.tile_width.load(Ordering::Relaxed)
     }
 
     /// Caps the bytes of exchanged rows a shuffle may buffer in memory
@@ -234,18 +323,18 @@ impl Context {
     /// Sets (or clears, with `None`) the exchange memory budget in place.
     pub fn set_memory_budget(&self, bytes: Option<u64>) {
         self.inner
+            .settings
             .memory_budget
             .store(bytes.unwrap_or(u64::MAX), Ordering::Relaxed);
     }
 
     /// The exchange memory budget in bytes, if one is set.
     pub fn memory_budget(&self) -> Option<u64> {
-        match self.inner.memory_budget.load(Ordering::Relaxed) {
+        match self.inner.settings.memory_budget.load(Ordering::Relaxed) {
             u64::MAX => None,
             b => Some(b),
         }
     }
-
     /// Caps the bytes of **materialized datasets** the context keeps
     /// pinned in memory (builder style): forcing a dataset past the
     /// budget demotes the least-recently-used entries to disk files
@@ -294,51 +383,12 @@ impl Context {
 
     /// Sets (or clears) the sort-based keyed-operator routing in place.
     pub fn set_ordered(&self, on: bool) {
-        self.inner.ordered.store(on, Ordering::Relaxed);
+        self.inner.settings.ordered.store(on, Ordering::Relaxed);
     }
 
     /// True when keyed operators route through the sort-based shuffle.
     pub fn ordered(&self) -> bool {
-        self.inner.ordered.load(Ordering::Relaxed)
-    }
-
-    /// Sets the morsel size (builder style): the maximum rows one
-    /// scheduling item covers when a stage splits oversized partitions.
-    /// Defaults to the `DIABLO_MORSEL_SIZE` environment variable, else
-    /// 16384 rows. Scheduling granularity only — results never change.
-    pub fn with_morsel_size(self, rows: usize) -> Context {
-        self.set_morsel_size(rows);
-        self
-    }
-
-    /// Sets the morsel size in place.
-    pub fn set_morsel_size(&self, rows: usize) {
-        assert!(rows > 0, "morsel size must be at least 1 row");
-        self.inner.morsel_size.store(rows, Ordering::Relaxed);
-    }
-
-    /// Rows per morsel when stages split oversized partitions.
-    pub fn morsel_size(&self) -> usize {
-        self.inner.morsel_size.load(Ordering::Relaxed)
-    }
-
-    /// Routes stages to the retained pre-morsel scheduler (one task per
-    /// partition, no splitting or stealing) — the benchmark baseline.
-    /// Defaults to the `DIABLO_SCHEDULER` environment variable
-    /// (`morsel` / `static`), else the work-stealing pool.
-    pub fn with_static_scheduler(self, on: bool) -> Context {
-        self.set_static_scheduler(on);
-        self
-    }
-
-    /// Sets (or clears) baseline-scheduler routing in place.
-    pub fn set_static_scheduler(&self, on: bool) {
-        self.inner.static_scheduler.store(on, Ordering::Relaxed);
-    }
-
-    /// True when stages run on the pre-morsel baseline scheduler.
-    pub fn static_scheduler(&self) -> bool {
-        self.inner.static_scheduler.load(Ordering::Relaxed)
+        self.inner.settings.ordered.load(Ordering::Relaxed)
     }
 
     /// The persistent work-stealing pool (built on first use).
@@ -349,23 +399,21 @@ impl Context {
     }
 
     /// A **tenant context**: a new context that shares this context's
-    /// worker pool (and copies its shape and settings — workers,
-    /// partitions, executor, memory budget, ordered routing, morsel size,
-    /// scheduler) but owns fresh statistics, plan trace, and statement
-    /// labels. This is the multi-tenant serving primitive: each request
-    /// runs its session on a fork, so per-request statistics and
-    /// statement-label plan tagging never interleave across concurrent
-    /// requests, while every stage still schedules onto the one shared
-    /// morsel pool. (The pool itself already tolerates concurrent
-    /// submitters: a stage submitted while another is in flight runs
-    /// inline on the submitting thread.)
+    /// worker pool and dataset cache (and copies its shape and every
+    /// setting — layout, tile width, memory budget, ordered routing) but
+    /// owns fresh statistics, plan trace, and statement labels. This is
+    /// the multi-tenant serving primitive: each request runs its session
+    /// on a fork, so per-request statistics and statement-label plan
+    /// tagging never interleave across concurrent requests, while every
+    /// stage still schedules onto the one shared pool. (The pool itself
+    /// already tolerates concurrent submitters: a stage submitted while
+    /// another is in flight runs inline on the submitting thread.)
     pub fn fork(&self) -> Context {
-        let child = Context::new(self.workers(), self.partitions());
-        child.set_executor(self.executor());
-        child.set_memory_budget(self.memory_budget());
-        child.set_ordered(self.ordered());
-        child.set_morsel_size(self.morsel_size());
-        child.set_static_scheduler(self.static_scheduler());
+        let child = Context::with_settings(
+            self.workers(),
+            self.partitions(),
+            self.inner.settings.copy(),
+        );
         // Share the parent's pool (forcing its creation): the OnceLock is
         // fresh on the child, so pre-filling it makes every child stage
         // schedule onto the parent's workers.
@@ -417,25 +465,20 @@ impl Context {
     }
 
     /// A statistics snapshot with the **effective context settings**
-    /// (backend, workers, partitions, morsel size, memory budget,
-    /// scheduler, ordered routing) filled in alongside the counters, so
-    /// emitted benchmark rows are self-describing. [`Stats::snapshot`]
-    /// alone leaves the settings at their empty defaults — it cannot see
-    /// the context.
+    /// (backend, workers, partitions, memory and dataset budgets, ordered
+    /// routing, and the scheduler's constants) filled in alongside the
+    /// counters, so emitted benchmark rows are self-describing.
+    /// [`Stats::snapshot`] alone leaves the settings at their empty
+    /// defaults — it cannot see the context.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
         let mut snap = self.inner.stats.snapshot();
-        snap.backend = self.executor().name().to_string();
+        snap.backend = self.layout().name().to_string();
         snap.workers = self.workers() as u64;
         snap.partitions = self.partitions() as u64;
-        snap.morsel_size = self.morsel_size() as u64;
+        snap.morsel_size = u64::MAX;
         snap.memory_budget = self.memory_budget().unwrap_or(u64::MAX);
         snap.dataset_budget = self.dataset_budget().unwrap_or(u64::MAX);
-        snap.scheduler = if self.static_scheduler() {
-            "static"
-        } else {
-            "morsel"
-        }
-        .to_string();
+        snap.scheduler = "morsel".to_string();
         snap.ordered = self.ordered();
         snap
     }
@@ -446,10 +489,8 @@ impl Context {
         self.inner.stats.record_logical_op();
     }
 
-    /// Counts one physical per-partition pass. Public so [`Executor`]
-    /// implementations outside this crate can keep stage accounting
-    /// honest; not meant for application code.
-    pub fn record_physical_stage(&self) {
+    /// Counts one physical per-partition pass.
+    pub(crate) fn record_physical_stage(&self) {
         self.inner.stats.record_physical_stage();
     }
 
@@ -503,6 +544,21 @@ impl Context {
     }
 }
 
+/// The layout named by `DIABLO_BACKEND` (`columnar` or `local`), or the
+/// columnar default. Panics on any other name so a typo in a CI job fails
+/// loudly instead of silently testing the default layout.
+fn layout_from_env() -> Layout {
+    match std::env::var("DIABLO_BACKEND") {
+        Ok(name) => Layout::named(&name).unwrap_or_else(|| {
+            panic!(
+                "DIABLO_BACKEND={name}: unknown backend (try {})",
+                Layout::NAMES.join(", ")
+            )
+        }),
+        Err(_) => Layout::Columnar,
+    }
+}
+
 /// The exchange budget named by `DIABLO_MEMORY_BUDGET` (bytes), or
 /// unbounded. Panics on an unparseable value so a typo in a CI job fails
 /// loudly instead of silently testing the in-memory path.
@@ -536,34 +592,6 @@ fn ordered_from_env() -> bool {
             "1" | "true" | "yes" => true,
             "0" | "false" | "no" | "" => false,
             _ => panic!("DIABLO_ORDERED={s}: expected 1/0, true/false, or yes/no"),
-        },
-        Err(_) => false,
-    }
-}
-
-/// The morsel size named by `DIABLO_MORSEL_SIZE` (rows), or the 16384-row
-/// default. Panics on an unparseable or zero value so a typo in a CI job
-/// fails loudly instead of silently testing the default granularity.
-fn morsel_size_from_env() -> usize {
-    match std::env::var("DIABLO_MORSEL_SIZE") {
-        Ok(s) => match s.parse() {
-            Ok(n) if n > 0 => n,
-            _ => panic!("DIABLO_MORSEL_SIZE={s}: expected a positive row count"),
-        },
-        Err(_) => 16384,
-    }
-}
-
-/// Whether `DIABLO_SCHEDULER` asks for the pre-morsel baseline scheduler
-/// (`static`) or the work-stealing pool (`morsel`, the default). Panics
-/// on other values so a typo in a CI job fails loudly instead of silently
-/// benchmarking the wrong scheduler.
-fn static_scheduler_from_env() -> bool {
-    match std::env::var("DIABLO_SCHEDULER") {
-        Ok(s) => match s.to_ascii_lowercase().as_str() {
-            "static" => true,
-            "morsel" | "" => false,
-            _ => panic!("DIABLO_SCHEDULER={s}: expected morsel or static"),
         },
         Err(_) => false,
     }
@@ -636,22 +664,58 @@ mod tests {
     }
 
     #[test]
-    fn morsel_size_and_scheduler_round_trip() {
-        let ctx = Context::new(2, 4).with_morsel_size(64);
-        assert_eq!(ctx.morsel_size(), 64);
-        assert_eq!(ctx.clone().morsel_size(), 64, "clones share the size");
-        ctx.set_morsel_size(16384);
-        assert_eq!(ctx.morsel_size(), 16384);
-        let base = Context::new(2, 4).with_static_scheduler(true);
-        assert!(base.static_scheduler());
-        base.set_static_scheduler(false);
-        assert!(!base.static_scheduler());
+    fn layout_lookup_by_name() {
+        for &name in Layout::NAMES {
+            assert_eq!(Layout::named(name).unwrap().name(), name);
+        }
+        assert_eq!(Layout::named("local"), Some(Layout::Row));
+        assert!(Layout::named("spark").is_none());
+        assert!(Layout::named("tile").is_none(), "only two layouts remain");
     }
 
     #[test]
-    #[should_panic(expected = "at least 1 row")]
-    fn zero_morsel_size_panics() {
-        let _ = Context::new(1, 1).with_morsel_size(0);
+    fn layout_and_tile_width_round_trip() {
+        let ctx = Context::new(2, 4)
+            .with_layout(Layout::Row)
+            .with_tile_width(7);
+        assert_eq!(ctx.layout(), Layout::Row);
+        assert_eq!(ctx.tile_width(), 7);
+        assert_eq!(ctx.clone().tile_width(), 7, "clones share the width");
+        let ctx = ctx.with_layout(Layout::Columnar);
+        assert_eq!(ctx.stats_snapshot().backend, "columnar");
+        assert_eq!(
+            Context::new(1, 1).with_tile_width(64).tile_width(),
+            64,
+            "{DEFAULT_TILE_WIDTH} is only the default"
+        );
+    }
+
+    #[test]
+    fn a_fork_carries_every_setting() {
+        // Every setting away from its default, whatever `DIABLO_*` the
+        // suite runs under.
+        let defaults = Context::new(3, 5);
+        let other = match defaults.layout() {
+            Layout::Columnar => Layout::Row,
+            Layout::Row => Layout::Columnar,
+        };
+        let parent = Context::new(3, 5)
+            .with_layout(other)
+            .with_tile_width(7)
+            .with_memory_budget(4321)
+            .with_dataset_budget(1234)
+            .with_ordered(!defaults.ordered());
+        let (p, f) = (parent.stats_snapshot(), parent.fork().stats_snapshot());
+        assert_ne!(p.backend, defaults.stats_snapshot().backend);
+        assert_eq!(
+            (&f.backend, f.workers, f.partitions, f.morsel_size),
+            (&p.backend, p.workers, p.partitions, p.morsel_size)
+        );
+        assert_eq!(
+            (&f.scheduler, f.memory_budget, f.dataset_budget, f.ordered),
+            (&p.scheduler, p.memory_budget, p.dataset_budget, p.ordered)
+        );
+        assert_eq!(parent.fork().tile_width(), 7);
     }
 
     #[test]

@@ -1,12 +1,22 @@
 //! The lazy physical plan: a DAG of [`PlanOp`] nodes built by [`Dataset`]
-//! operators, plus the plan-walking machinery ([`collapse`], [`drive`],
-//! [`flatten_union`]) that the [`Executor`](crate::Executor)
-//! implementations share.
+//! operators, plus the engine's one plan walker — [`materialize`] and
+//! [`consume`] — that every materialization point calls.
+//!
+//! ## The walker's contract
+//!
+//! For a plan, the walker produces the rows of tuple-at-a-time evaluation
+//! in the same order, moves the same rows through shuffles, records the
+//! same physical stages, and surfaces the same first error — statement tag
+//! included — whatever the context's [`Layout`], tile width, worker
+//! count, or budgets (`tests/executor_conformance.rs`,
+//! `tests/engine_grid.rs`). Every stage is one item per partition on the
+//! work-stealing pool; the layout only decides how a stage drives rows
+//! through its fused chain ([`DriveMode`]).
 //!
 //! Narrow operators (`map`, `filter`, `flat_map`, `union`,
 //! `map_partitions`) never run when called — they append a node to the
 //! plan. At a *materialization point* (a shuffle, `collect`, `reduce`,
-//! `broadcast`, `zip_partitions`) the executor collapses every pending
+//! `broadcast`, `zip_partitions`) the walker collapses every pending
 //! chain of row-level nodes into one [`Step`] list and runs it as a single
 //! physical stage per partition, feeding each transformed row into a sink
 //! without materializing any per-operator intermediate `Vec<Value>`.
@@ -25,7 +35,7 @@
 //! inside a tagged step is prefixed with its statement, so laziness never
 //! loses error locality.
 //!
-//! The executor is directional in the Cranelift optimization-rules sense:
+//! The walker is directional in the Cranelift optimization-rules sense:
 //! a fused plan performs *at most* the work of the eager pipeline it
 //! replaces — one pass, no intermediate allocations, one clone per
 //! surviving row — never more.
@@ -39,7 +49,7 @@ use diablo_runtime::{BinOp, RuntimeError, Value};
 use crate::columnar::{Cross, KeyedFold, RowExpr};
 use crate::pool::{run_stage_weighted, Cancel};
 use crate::stats::Stats;
-use crate::Context;
+use crate::{Context, Layout};
 
 /// How many rows a stage sink emits between cooperative-cancellation
 /// polls. Cheap enough to leave on everywhere; fine-grained enough that a
@@ -146,7 +156,7 @@ pub(crate) struct Step {
     pub tag: Tag,
     /// The transparent column expression, when the step is
     /// columnar-eligible; `None` marks an opaque UDF the columnar
-    /// backend demotes to the row path.
+    /// layout demotes to the row path.
     pub expr: Option<Arc<RowExpr>>,
     /// What an opaque step is, for the `layout: row (opaque …)` note.
     pub what: &'static str,
@@ -283,115 +293,6 @@ pub(crate) fn fold_row(op: BinOp, acc: &mut Option<Value>, row: Value) -> Result
     Ok(())
 }
 
-/// Drives a run of source rows through the chain **batch-at-a-time**: each
-/// tile of up to `batch` rows is pushed through one step at a time with a
-/// tight per-step inner loop, instead of recursing per row. Output rows,
-/// their order, and (for deterministic operators) the first error are
-/// identical to [`drive`]: when a batched step fails, the tile is replayed
-/// tuple-at-a-time so the error surfaces in canonical row order.
-pub(crate) fn drive_batch(
-    rows: &[Value],
-    steps: &[Step],
-    batch: usize,
-    sink: &mut dyn FnMut(Value) -> Result<()>,
-) -> Result<()> {
-    debug_assert!(batch > 0);
-    if steps.is_empty() {
-        for row in rows {
-            sink(row.clone())?;
-        }
-        return Ok(());
-    }
-    let (first, rest) = steps.split_first().expect("checked non-empty");
-    for tile in rows.chunks(batch) {
-        match seed_tile(tile, first).and_then(|buf| apply_steps_to_tile(buf, rest)) {
-            Ok(out) => {
-                for v in out {
-                    sink(v)?;
-                }
-            }
-            Err(batched) => {
-                // Replay this tile tuple-at-a-time into the REAL sink:
-                // nothing from a failed tile has been sunk yet, and the
-                // canonical first error may come from the consumer (the
-                // sink — e.g. a scatter's key check on an earlier row),
-                // not from the step that failed batched. Replaying for
-                // real reproduces exactly what tuple-at-a-time execution
-                // would have delivered and raised.
-                for row in tile {
-                    drive(row, steps, sink)?;
-                }
-                // Non-deterministic operator: the replay sailed through,
-                // so keep the batched error.
-                return Err(batched);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Builds the tile buffer by applying the FIRST step straight from the
-/// borrowed source rows — `map` allocates only its outputs, `filter`
-/// clones only survivors — so the batch path pays no upfront whole-tile
-/// clone (rows carrying dense tile payloads are exactly where that would
-/// hurt).
-fn seed_tile(tile: &[Value], first: &Step) -> Result<Vec<Value>> {
-    let mut buf = Vec::with_capacity(tile.len());
-    match &first.op {
-        StepOp::Map(f) => {
-            for v in tile {
-                buf.push(f(v).map_err(|e| first.tag_err(e))?);
-            }
-        }
-        StepOp::Filter(f) => {
-            for v in tile {
-                if f(v).map_err(|e| first.tag_err(e))? {
-                    buf.push(v.clone());
-                }
-            }
-        }
-        StepOp::FlatMap(f, _) => {
-            for v in tile {
-                buf.extend(f(v).map_err(|e| first.tag_err(e))?);
-            }
-        }
-    }
-    Ok(buf)
-}
-
-/// Applies every step to a whole tile with per-step inner loops.
-fn apply_steps_to_tile(mut buf: Vec<Value>, steps: &[Step]) -> Result<Vec<Value>> {
-    for s in steps {
-        match &s.op {
-            StepOp::Map(f) => {
-                for v in buf.iter_mut() {
-                    *v = f(v).map_err(|e| s.tag_err(e))?;
-                }
-            }
-            StepOp::Filter(f) => {
-                let mut kept = Vec::with_capacity(buf.len());
-                for v in buf {
-                    if f(&v).map_err(|e| s.tag_err(e))? {
-                        kept.push(v);
-                    }
-                }
-                buf = kept;
-            }
-            StepOp::FlatMap(f, _) => {
-                let mut expanded = Vec::with_capacity(buf.len());
-                for v in &buf {
-                    expanded.extend(f(v).map_err(|e| s.tag_err(e))?);
-                }
-                buf = expanded;
-            }
-        }
-        if buf.is_empty() {
-            break;
-        }
-    }
-    Ok(buf)
-}
-
 /// A plan collapsed to a base node plus the fused row steps above it.
 pub(crate) struct Collapsed {
     /// The deepest non-row node: `Scan`, `Cached`, `MapPartitions`, or
@@ -445,8 +346,8 @@ pub(crate) fn collapse(plan: &Arc<PlanOp>) -> Collapsed {
     Collapsed { base: cur, steps }
 }
 
-/// Executor output: shared when no work was needed, owned otherwise.
-pub enum Parts {
+/// Walker output: shared when no work was needed, owned otherwise.
+pub(crate) enum Parts {
     /// Untouched materialized partitions (zero-copy).
     Shared(Arc<Vec<Vec<Value>>>),
     /// Freshly computed partitions.
@@ -469,192 +370,31 @@ impl Parts {
             Parts::Owned(p) => Arc::new(p),
         }
     }
-
-    /// Converts into owned partitions, cloning only if still shared
-    /// elsewhere.
-    pub fn into_owned(self) -> Vec<Vec<Value>> {
-        match self {
-            Parts::Shared(p) => Arc::try_unwrap(p).unwrap_or_else(|p| p.as_ref().clone()),
-            Parts::Owned(p) => p,
-        }
-    }
 }
 
-/// How a stage's work maps onto pool tasks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum ChunkPolicy {
-    /// One task per partition — the classic schedule.
-    Fixed,
-    /// Re-chunk at the stage boundary from observed per-partition row
-    /// counts, Spark-AQE style: split skewed partitions across several
-    /// tasks (narrow stages only — a partition-level function must see
-    /// its whole partition) and coalesce runs of tiny ones into a single
-    /// task. Scheduling only: partition boundaries, within-partition row
-    /// order, stage counts, and first errors are exactly those of
-    /// [`ChunkPolicy::Fixed`].
-    Adaptive,
-    /// Split every partition larger than [`Context::morsel_size`] rows
-    /// into fixed-size morsel spans (narrow stages only), regardless of
-    /// skew — the work-stealing pool's preferred granularity. Consumers
-    /// (partition-atomic) coalesce tiny partitions like
-    /// [`ChunkPolicy::Adaptive`]. Scheduling only: results and first
-    /// errors are exactly those of [`ChunkPolicy::Fixed`].
-    Morsel,
-}
-
-/// One scheduling item: contiguous row spans `(partition, start, end)`,
-/// ordered by `(partition, start)`.
-type Spans = Vec<(usize, usize, usize)>;
-
-/// Plans adaptive work items over observed per-partition row counts.
-/// Returns `None` when the plan degenerates to one-task-per-partition
-/// (callers then keep the classic schedule and its zero overhead).
-fn chunk_plan(sizes: &[usize], workers: usize, splittable: bool) -> Option<Vec<Spans>> {
-    let total: usize = sizes.iter().sum();
-    // A single partition is the maximally skewed case — still worth
-    // splitting (when allowed); only an empty stage has nothing to plan.
-    if total == 0 {
-        return None;
-    }
-    // Aim for a few tasks per worker so self-scheduling can rebalance —
-    // but never chase chunks smaller than a floor: on tiny stages the
-    // per-task overhead (pool claim, result slot, output reassembly)
-    // would dwarf any balancing win, so small partitions coalesce and
-    // nothing splits. The floor shrinks with the worker count: a flat
-    // 4096 kept stages of a few thousand rows on one core no matter how
-    // wide the pool was (the flat small-input PageRank rows in the
-    // scaling bench), while 4096/workers still keeps per-task overhead
-    // amortized over at least 64 rows.
-    const MIN_TARGET_ROWS: usize = 4096;
-    let floor = (MIN_TARGET_ROWS / workers.max(1)).max(64);
-    let target = (total / (workers * 4).max(1)).max(floor);
-    let mut items: Vec<Spans> = Vec::new();
-    let mut group: Spans = Vec::new();
-    let mut group_rows = 0usize;
-    let mut changed = false;
-    let flush = |group: &mut Spans, items: &mut Vec<Spans>, changed: &mut bool| {
-        if !group.is_empty() {
-            *changed |= group.len() > 1;
-            items.push(std::mem::take(group));
-        }
-    };
-    for (p, &n) in sizes.iter().enumerate() {
-        if splittable && n > 2 * target {
-            // Skewed: split into ~target-row spans, each its own task.
-            flush(&mut group, &mut items, &mut changed);
-            group_rows = 0;
-            let pieces = n.div_ceil(target);
-            let chunk = n.div_ceil(pieces);
-            let mut start = 0;
-            while start < n {
-                let end = (start + chunk).min(n);
-                items.push(vec![(p, start, end)]);
-                start = end;
-            }
-            changed = true;
-        } else if n >= target {
-            // Big enough to be its own task: never lump it into a
-            // coalesce group (that would serialize it behind the tinies).
-            flush(&mut group, &mut items, &mut changed);
-            group_rows = 0;
-            items.push(vec![(p, 0, n)]);
-        } else {
-            group.push((p, 0, n));
-            group_rows += n;
-            if group_rows >= target {
-                flush(&mut group, &mut items, &mut changed);
-                group_rows = 0;
-            }
-        }
-    }
-    flush(&mut group, &mut items, &mut changed);
-    changed.then_some(items)
-}
-
-/// Plans morsel work items: every partition larger than `morsel` rows
-/// splits into even spans of at most `morsel` rows; smaller partitions
-/// stay whole (no coalescing — the work-stealing pool absorbs many small
-/// items cheaply). Returns `None` when nothing splits (or splitting is
-/// forbidden), so callers keep the classic zero-overhead schedule.
-fn morsel_plan(sizes: &[usize], morsel: usize, splittable: bool) -> Option<Vec<Spans>> {
-    debug_assert!(morsel > 0);
-    if !splittable || !sizes.iter().any(|&n| n > morsel) {
-        return None;
-    }
-    let mut items: Vec<Spans> = Vec::new();
-    for (p, &n) in sizes.iter().enumerate() {
-        if n > morsel {
-            // Even spans: div_ceil pieces, so no runt morsel at the end.
-            let pieces = n.div_ceil(morsel);
-            let chunk = n.div_ceil(pieces);
-            let mut start = 0;
-            while start < n {
-                let end = (start + chunk).min(n);
-                items.push(vec![(p, start, end)]);
-                start = end;
-            }
-        } else {
-            items.push(vec![(p, 0, n)]);
-        }
-    }
-    Some(items)
-}
-
-/// Total rows one spans-item covers — its scheduling weight.
-fn item_rows(spans: &Spans) -> u64 {
-    spans.iter().map(|&(_, s, e)| (e - s) as u64).sum()
-}
-
-/// Plans the stage's scheduling items for a *splittable* (narrow) or
-/// partition-atomic stage under `policy`, emitting the matching explain
-/// note. `None` keeps the classic one-task-per-partition schedule.
-fn stage_items(
-    ctx: &Context,
-    sizes: &[usize],
-    splittable: bool,
-    policy: ChunkPolicy,
-) -> Option<Vec<Spans>> {
-    match policy {
-        ChunkPolicy::Fixed => None,
-        ChunkPolicy::Adaptive => {
-            let items = chunk_plan(sizes, ctx.workers(), splittable)?;
-            ctx.plan_note(format!(
-                "adaptive: re-chunked {} partitions into {} tasks",
-                sizes.len(),
-                items.len()
-            ));
-            Some(items)
-        }
-        ChunkPolicy::Morsel => {
-            let items = morsel_plan(sizes, ctx.morsel_size(), splittable)
-                .or_else(|| chunk_plan(sizes, ctx.workers(), false))?;
-            ctx.plan_note(format!(
-                "morsel: scheduled {} partitions as {} item(s) (≤{} rows each)",
-                sizes.len(),
-                items.len(),
-                ctx.morsel_size()
-            ));
-            Some(items)
-        }
-    }
-}
-
-/// How an executor pushes rows through a fused step chain.
+/// How the walker pushes rows through a fused step chain: the context's
+/// [`Layout`], resolved once per materialization point.
 #[derive(Clone, Debug)]
 pub(crate) enum DriveMode {
-    /// Tuple-at-a-time recursion ([`drive`]).
+    /// Tuple-at-a-time recursion ([`drive`]): [`Layout::Row`].
     Tuple,
-    /// Tile-at-a-time inner loops of the given width ([`drive_batch`]).
-    Batch(usize),
-    /// Columnar tiles of the given width: eligible chains (every step
-    /// carries a [`RowExpr`]) run through typed per-column loops
-    /// ([`crate::columnar::drive_columnar`], counting batches on the
-    /// carried [`Stats`]); chains with an opaque step fall back to
+    /// [`Layout::Columnar`], tiles of the given width: eligible chains
+    /// (every step carries a [`RowExpr`]) run through typed per-column
+    /// loops ([`crate::columnar::drive_columnar`], counting batches on
+    /// the carried [`Stats`]); chains with an opaque step fall back to
     /// tuple-at-a-time, per stage.
     Columnar(usize, Arc<Stats>),
 }
 
 impl DriveMode {
+    /// The drive mode of `ctx`'s layout and tile width.
+    fn of(ctx: &Context) -> DriveMode {
+        match ctx.layout() {
+            Layout::Row => DriveMode::Tuple,
+            Layout::Columnar => DriveMode::Columnar(ctx.tile_width(), ctx.stats_arc()),
+        }
+    }
+
     fn run(
         &self,
         rows: &[Value],
@@ -662,22 +402,14 @@ impl DriveMode {
         sink: &mut dyn FnMut(Value) -> Result<()>,
     ) -> Result<()> {
         match self {
-            DriveMode::Tuple => {
+            DriveMode::Columnar(b, stats) if crate::columnar::eligible(steps) => {
+                crate::columnar::drive_columnar(rows, steps, *b, stats, sink)
+            }
+            _ => {
                 for row in rows {
                     drive(row, steps, sink)?;
                 }
                 Ok(())
-            }
-            DriveMode::Batch(b) => drive_batch(rows, steps, *b, sink),
-            DriveMode::Columnar(b, stats) => {
-                if crate::columnar::eligible(steps) {
-                    crate::columnar::drive_columnar(rows, steps, *b, stats, sink)
-                } else {
-                    for row in rows {
-                        drive(row, steps, sink)?;
-                    }
-                    Ok(())
-                }
             }
         }
     }
@@ -771,27 +503,35 @@ fn resolve_cached(
     slot: &Arc<crate::dscache::CacheSlot>,
     inner: &Arc<PlanOp>,
     mode: &DriveMode,
-    policy: ChunkPolicy,
 ) -> Result<Arc<Vec<Vec<Value>>>> {
     let cache = slot.cache();
     if let Some(parts) = cache.get(slot.id(), ctx)? {
         return Ok(parts);
     }
-    let parts = materialize_with(ctx, inner, &[], mode, policy)?.into_arc();
+    let parts = materialize_with(ctx, inner, &[], mode)?.into_arc();
     cache.insert(slot.id(), parts.clone(), ctx)?;
     Ok(parts)
 }
 
+/// The partitions a base already holds: a `Scan`'s, or a `Cached`
+/// barrier's once resolved. `None` for a base that must run first.
+fn scanned(
+    ctx: &Context,
+    base: &Arc<PlanOp>,
+    mode: &DriveMode,
+) -> Result<Option<Arc<Vec<Vec<Value>>>>> {
+    match base.as_ref() {
+        PlanOp::Scan(parts) => Ok(Some(parts.clone())),
+        PlanOp::Cached(slot, inner) => resolve_cached(ctx, slot, inner, mode).map(Some),
+        _ => Ok(None),
+    }
+}
+
 /// Materializes a plan into partitions, fusing every narrow chain into one
 /// physical stage per `Scan`/`Cached`/`MapPartitions`/`Union` segment.
-pub(crate) fn materialize(
-    ctx: &Context,
-    plan: &Arc<PlanOp>,
-    mode: &DriveMode,
-    policy: ChunkPolicy,
-) -> Result<Parts> {
+pub(crate) fn materialize(ctx: &Context, plan: &Arc<PlanOp>) -> Result<Parts> {
     crate::verify::verify_plan(plan)?;
-    materialize_with(ctx, plan, &[], mode, policy)
+    materialize_with(ctx, plan, &[], &DriveMode::of(ctx))
 }
 
 /// [`materialize`] with extra steps appended after the plan's own rows —
@@ -801,56 +541,27 @@ fn materialize_with(
     plan: &Arc<PlanOp>,
     extra: &[Step],
     mode: &DriveMode,
-    policy: ChunkPolicy,
 ) -> Result<Parts> {
     let Collapsed { base, steps } = collapse(plan);
     let mut all = steps;
     all.extend(extra.iter().cloned());
+    if let Some(parts) = scanned(ctx, &base, mode)? {
+        if all.is_empty() {
+            return Ok(Parts::Shared(parts));
+        }
+        let out = run_fused_stage(ctx, &parts, None, &all, "materialize", mode)?;
+        return Ok(Parts::Owned(out));
+    }
     match base.as_ref() {
-        PlanOp::Scan(parts) => {
-            if all.is_empty() {
-                return Ok(Parts::Shared(parts.clone()));
-            }
-            let out = run_fused_stage(
-                ctx,
-                parts,
-                None,
-                &all,
-                parts.len(),
-                "materialize",
-                mode,
-                policy,
-            )?;
-            Ok(Parts::Owned(out))
-        }
-        PlanOp::Cached(slot, inner) => {
-            let parts = resolve_cached(ctx, slot, inner, mode, policy)?;
-            if all.is_empty() {
-                return Ok(Parts::Shared(parts));
-            }
-            let out = run_fused_stage(
-                ctx,
-                &parts,
-                None,
-                &all,
-                parts.len(),
-                "materialize",
-                mode,
-                policy,
-            )?;
-            Ok(Parts::Owned(out))
-        }
         PlanOp::MapPartitions(input, f, label, tag) => {
-            let inp = materialize(ctx, input, mode, policy)?;
+            let inp = materialize_with(ctx, input, &[], mode)?;
             let out = run_fused_stage(
                 ctx,
                 inp.as_slice(),
                 Some((f.clone(), label, tag.clone())),
                 &all,
-                inp.as_slice().len(),
                 "materialize",
                 mode,
-                policy,
             )?;
             Ok(Parts::Owned(out))
         }
@@ -862,7 +573,7 @@ fn materialize_with(
             // partitions first.
             let mut sources: Vec<(Parts, Vec<Step>)> = Vec::new();
             let mut virt: Vec<Vec<(usize, usize)>> = Vec::new();
-            flatten_union(ctx, &base, &all, &mut sources, &mut virt, mode, policy)?;
+            flatten_union(ctx, &base, &all, &mut sources, &mut virt, mode)?;
             ctx.record_physical_stage();
             let stage = ctx.stats().snapshot().physical_stages;
             ctx.plan_note(format!(
@@ -897,73 +608,31 @@ fn materialize_with(
 }
 
 /// Runs one fused physical stage: per partition, optionally apply a
-/// partition-level function, then drive every row through `steps`.
-///
-/// Under [`ChunkPolicy::Adaptive`] the stage's work is re-chunked from the
-/// observed partition sizes — skewed partitions split across tasks (only
-/// when there is no partition-level prelude, which must see its whole
-/// partition), tiny ones coalesced — and the outputs reassembled on the
-/// original partition boundaries, so results are byte-identical to the
-/// fixed schedule.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
+/// partition-level function, then drive every row through `steps`. Each
+/// partition is one item on the work-stealing pool.
+#[allow(clippy::type_complexity)]
 fn run_fused_stage(
     ctx: &Context,
     input: &[Vec<Value>],
     prelude: Option<(PartFn, &'static str, Tag)>,
     steps: &[Step],
-    parts: usize,
     label: &str,
     mode: &DriveMode,
-    policy: ChunkPolicy,
 ) -> Result<Vec<Vec<Value>>> {
     ctx.record_physical_stage();
     ctx.plan_note(describe_stage(
         ctx,
-        parts,
+        input.len(),
         prelude.as_ref().map(|(_, l, t)| (*l, t.clone())),
         steps,
         label,
     ));
     note_layout(ctx, mode, steps);
     let prelude = prelude.map(|(f, _, tag)| (f, tag));
-    let sizes: Vec<usize> = input.iter().map(Vec::len).collect();
-    if let Some(items) = stage_items(ctx, &sizes, prelude.is_none(), policy) {
-        let outs = run_stage_weighted(
-            ctx,
-            &items,
-            |i| item_rows(&items[i]),
-            |_, spans: &Spans, cancel| {
-                let mut produced: Vec<(usize, Vec<Value>)> = Vec::with_capacity(spans.len());
-                for &(p, start, end) in spans {
-                    let mut out = Vec::new();
-                    let mut sink = cancellable_sink(cancel, |v| out.push(v));
-                    match &prelude {
-                        Some((f, tag)) => {
-                            let rows = f(&input[p]).map_err(|e| tag_opt(e, tag))?;
-                            mode.run(&rows, steps, &mut sink)?;
-                        }
-                        None => mode.run(&input[p][start..end], steps, &mut sink)?,
-                    }
-                    drop(sink);
-                    produced.push((p, out));
-                }
-                Ok(produced)
-            },
-        )?;
-        // Items are ordered by (partition, start), so extending in
-        // item order rebuilds each partition in source order.
-        let mut dest: Vec<Vec<Value>> = input.iter().map(|_| Vec::new()).collect();
-        for item in outs {
-            for (p, rows) in item {
-                dest[p].extend(rows);
-            }
-        }
-        return Ok(dest);
-    }
     run_stage_weighted(
         ctx,
         input,
-        |i| sizes[i] as u64,
+        |i| input[i].len() as u64,
         |_, part: &Vec<Value>, cancel| {
             let mut out = Vec::with_capacity(part.len());
             let mut sink = cancellable_sink(cancel, |v| out.push(v));
@@ -980,39 +649,6 @@ fn run_fused_stage(
     )
 }
 
-/// Runs a consumer once per partition, on the classic
-/// one-task-per-partition schedule (`items` = `None`) or with runs of
-/// tiny partitions coalesced into shared tasks. Either way the results
-/// come back in partition order and the first error follows partition
-/// order (items are partition-ordered; within an item, sequential).
-fn run_consumer_stage<R: Send>(
-    ctx: &Context,
-    sizes: &[usize],
-    items: Option<Vec<Spans>>,
-    run_one: impl Fn(usize) -> Result<R> + Sync,
-) -> Result<Vec<R>> {
-    match items {
-        Some(items) => {
-            let outs = run_stage_weighted(
-                ctx,
-                &items,
-                |i| item_rows(&items[i]),
-                |_, spans: &Spans, _| {
-                    spans
-                        .iter()
-                        .map(|&(p, _, _)| run_one(p))
-                        .collect::<Result<Vec<R>>>()
-                },
-            )?;
-            Ok(outs.into_iter().flatten().collect())
-        }
-        None => {
-            let idx: Vec<usize> = (0..sizes.len()).collect();
-            run_stage_weighted(ctx, &idx, |i| sizes[i] as u64, |_, &p, _| run_one(p))
-        }
-    }
-}
-
 /// Runs `task` once per partition over the plan's *transformed* rows, in
 /// one fused physical stage whenever the base permits: a `Scan`, a tree of
 /// `Union`s over scans, or a `MapPartitions` whose own input is a scan
@@ -1025,8 +661,6 @@ pub(crate) fn consume<R, F>(
     ctx: &Context,
     plan: &Arc<PlanOp>,
     label: &str,
-    mode: &DriveMode,
-    policy: ChunkPolicy,
     task: F,
 ) -> Result<Vec<R>>
 where
@@ -1034,54 +668,20 @@ where
     F: Fn(usize, &PartitionRows<'_>) -> Result<R> + Sync,
 {
     crate::verify::verify_plan(plan)?;
-    // Consumer tasks are atomic per partition (a scatter may carry
-    // partition-wide state, e.g. a combiner's hash map), so adaptive
-    // scheduling can only coalesce runs of tiny partitions into one task,
-    // never split — results and first errors are unchanged.
-    let coalesce = |_parts_len: usize, sizes: &[usize]| -> Option<Vec<Spans>> {
-        stage_items(ctx, sizes, false, policy)
-    };
+    let mode = &DriveMode::of(ctx);
     let Collapsed { base, steps } = collapse(plan);
+    if let Some(parts) = scanned(ctx, &base, mode)? {
+        ctx.record_physical_stage();
+        ctx.plan_note(describe_stage(ctx, parts.len(), None, &steps, label));
+        note_layout(ctx, mode, &steps);
+        return run_stage_weighted(
+            ctx,
+            &parts,
+            |i| parts[i].len() as u64,
+            |p, part: &Vec<Value>, _| task(p, &PartitionRows::one(part, &steps, mode)),
+        );
+    }
     match base.as_ref() {
-        PlanOp::Scan(parts) => {
-            ctx.record_physical_stage();
-            ctx.plan_note(describe_stage(ctx, parts.len(), None, &steps, label));
-            note_layout(ctx, mode, &steps);
-            let sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
-            let items = coalesce(parts.len(), &sizes);
-            run_consumer_stage(ctx, &sizes, items, |p| {
-                task(
-                    p,
-                    &PartitionRows {
-                        segments: vec![Segment {
-                            rows: &parts[p],
-                            steps: &steps,
-                        }],
-                        mode: mode.clone(),
-                    },
-                )
-            })
-        }
-        PlanOp::Cached(slot, inner) => {
-            let parts = resolve_cached(ctx, slot, inner, mode, policy)?;
-            ctx.record_physical_stage();
-            ctx.plan_note(describe_stage(ctx, parts.len(), None, &steps, label));
-            note_layout(ctx, mode, &steps);
-            let sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
-            let items = coalesce(parts.len(), &sizes);
-            run_consumer_stage(ctx, &sizes, items, |p| {
-                task(
-                    p,
-                    &PartitionRows {
-                        segments: vec![Segment {
-                            rows: &parts[p],
-                            steps: &steps,
-                        }],
-                        mode: mode.clone(),
-                    },
-                )
-            })
-        }
         PlanOp::MapPartitions(input, f, plabel, tag) => {
             // Shuffle-read fusion: when the prelude's input is already
             // materialized (a scan — e.g. gathered shuffle buckets — or a
@@ -1089,13 +689,7 @@ where
             // partition-level function, the fused chain above it, and the
             // consumer all run in ONE stage.
             let inner = collapse(input);
-            let scanned: Option<Arc<Vec<Vec<Value>>>> = match inner.base.as_ref() {
-                PlanOp::Scan(parts) => Some(parts.clone()),
-                PlanOp::Cached(slot, ip) => Some(resolve_cached(ctx, slot, ip, mode, policy)?),
-                _ => None,
-            };
-            if let Some(parts) = scanned {
-                let parts = parts.as_ref();
+            if let Some(parts) = scanned(ctx, &inner.base, mode)? {
                 ctx.record_physical_stage();
                 ctx.plan_note(describe_stage(
                     ctx,
@@ -1123,25 +717,19 @@ where
                         f(&buf).map_err(|e| tag_opt(e, tag))
                     }
                 };
-                let sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
-                let items = coalesce(parts.len(), &sizes);
-                return run_consumer_stage(ctx, &sizes, items, |p| {
-                    let fed = feed(&parts[p])?;
-                    task(
-                        p,
-                        &PartitionRows {
-                            segments: vec![Segment {
-                                rows: &fed,
-                                steps: &steps,
-                            }],
-                            mode: mode.clone(),
-                        },
-                    )
-                });
+                return run_stage_weighted(
+                    ctx,
+                    &parts,
+                    |i| parts[i].len() as u64,
+                    |p, part: &Vec<Value>, _| {
+                        let fed = feed(part)?;
+                        task(p, &PartitionRows::one(&fed, &steps, mode))
+                    },
+                );
             }
             // Deep prelude (its input is itself unforced): materialize it
             // (fusing inside), then run the consumer as one more stage.
-            let inp = materialize_with(ctx, &base, &steps, mode, policy)?;
+            let inp = materialize_with(ctx, &base, &steps, mode)?;
             let parts = inp.as_slice();
             ctx.record_physical_stage();
             ctx.plan_note(describe_stage(ctx, parts.len(), None, &[], label));
@@ -1149,18 +737,7 @@ where
                 ctx,
                 parts,
                 |i| parts[i].len() as u64,
-                |i, part: &Vec<Value>, _| {
-                    task(
-                        i,
-                        &PartitionRows {
-                            segments: vec![Segment {
-                                rows: part,
-                                steps: &[],
-                            }],
-                            mode: mode.clone(),
-                        },
-                    )
-                },
+                |i, part: &Vec<Value>, _| task(i, &PartitionRows::one(part, &[], mode)),
             )
         }
         PlanOp::Union(_, _) => {
@@ -1170,7 +747,7 @@ where
             // own fused step chain. No operand is copied.
             let mut sources: Vec<(Parts, Vec<Step>)> = Vec::new();
             let mut virt: Vec<Vec<(usize, usize)>> = Vec::new();
-            flatten_union(ctx, &base, &steps, &mut sources, &mut virt, mode, policy)?;
+            flatten_union(ctx, &base, &steps, &mut sources, &mut virt, mode)?;
             ctx.record_physical_stage();
             let stage = ctx.stats().snapshot().physical_stages;
             ctx.plan_note(format!(
@@ -1216,7 +793,6 @@ where
 /// partitions fold into the left's by index modulo the left's partition
 /// count — the same composition the eager engine produced by extending
 /// partition vectors, but without moving a row.
-#[allow(clippy::too_many_arguments)]
 fn flatten_union(
     ctx: &Context,
     plan: &Arc<PlanOp>,
@@ -1224,34 +800,24 @@ fn flatten_union(
     sources: &mut Vec<(Parts, Vec<Step>)>,
     virt: &mut Vec<Vec<(usize, usize)>>,
     mode: &DriveMode,
-    policy: ChunkPolicy,
 ) -> Result<()> {
     let Collapsed { base, steps } = collapse(plan);
     let mut all = steps;
     all.extend(extra.iter().cloned());
+    // A cached operand reads in place like a scan once resolved.
+    if let Some(parts) = scanned(ctx, &base, mode)? {
+        let src = sources.len();
+        virt.extend((0..parts.len()).map(|p| vec![(src, p)]));
+        sources.push((Parts::Shared(parts), all));
+        return Ok(());
+    }
     match base.as_ref() {
-        PlanOp::Scan(parts) => {
-            let src = sources.len();
-            let n = parts.len();
-            sources.push((Parts::Shared(parts.clone()), all));
-            virt.extend((0..n).map(|p| vec![(src, p)]));
-            Ok(())
-        }
-        PlanOp::Cached(slot, inner) => {
-            // A cached operand reads in place like a scan once resolved.
-            let parts = resolve_cached(ctx, slot, inner, mode, policy)?;
-            let src = sources.len();
-            let n = parts.len();
-            sources.push((Parts::Shared(parts), all));
-            virt.extend((0..n).map(|p| vec![(src, p)]));
-            Ok(())
-        }
         PlanOp::Union(l, r) => {
             let start = virt.len();
-            flatten_union(ctx, l, &all, sources, virt, mode, policy)?;
+            flatten_union(ctx, l, &all, sources, virt, mode)?;
             let n = virt.len() - start;
             let mut rvirt: Vec<Vec<(usize, usize)>> = Vec::new();
-            flatten_union(ctx, r, &all, sources, &mut rvirt, mode, policy)?;
+            flatten_union(ctx, r, &all, sources, &mut rvirt, mode)?;
             if n == 0 {
                 virt.extend(rvirt);
             } else {
@@ -1263,7 +829,7 @@ fn flatten_union(
         }
         _ => {
             // MapPartitions under a union: materialize just this branch.
-            let parts = materialize_with(ctx, &base, &all, mode, policy)?;
+            let parts = materialize_with(ctx, &base, &all, mode)?;
             let src = sources.len();
             let n = parts.as_slice().len();
             sources.push((parts, Vec::new()));
@@ -1279,14 +845,22 @@ struct Segment<'a> {
     steps: &'a [Step],
 }
 
-/// The rows of one (possibly union-composed) partition, as presented to an
-/// executor's partition-wise consumer.
-pub struct PartitionRows<'a> {
+/// The rows of one (possibly union-composed) partition, as presented to a
+/// [`consume`] task.
+pub(crate) struct PartitionRows<'a> {
     segments: Vec<Segment<'a>>,
     mode: DriveMode,
 }
 
-impl PartitionRows<'_> {
+impl<'a> PartitionRows<'a> {
+    /// One run of rows with its chain still to apply.
+    fn one(rows: &'a [Value], steps: &'a [Step], mode: &DriveMode) -> PartitionRows<'a> {
+        PartitionRows {
+            segments: vec![Segment { rows, steps }],
+            mode: mode.clone(),
+        }
+    }
+
     /// Feeds every transformed row to `sink`, segment by segment.
     pub fn for_each(&self, sink: &mut dyn FnMut(Value) -> Result<()>) -> Result<()> {
         for seg in &self.segments {
@@ -1296,7 +870,7 @@ impl PartitionRows<'_> {
     }
 
     /// Reduces the transformed rows with `op`, left to right, without
-    /// handing them out one by one: on the columnar backend an eligible
+    /// handing them out one by one: in the columnar layout an eligible
     /// chain's last column is folded as a typed lane. `None` when no row
     /// survives.
     pub fn fold(&self, op: BinOp) -> Result<Option<Value>> {
@@ -1309,8 +883,8 @@ impl PartitionRows<'_> {
 
     /// Feeds every transformed row — a `(key, row)` pair — to `sink` as
     /// its key and its row, segment by segment: what a keyed scatter needs
-    /// to pick a bucket and send the row on as itself. On the columnar
-    /// backend an eligible chain never boxes the pair.
+    /// to pick a bucket and send the row on as itself. In the columnar
+    /// layout an eligible chain never boxes the pair.
     pub fn for_each_pair(&self, sink: &mut dyn FnMut(&Value, Value) -> Result<()>) -> Result<()> {
         for seg in &self.segments {
             self.mode.pairs(seg.rows, seg.steps, sink)?;
@@ -1321,7 +895,7 @@ impl PartitionRows<'_> {
     /// Aggregates the transformed rows by key — rows `(key, (v1, …, vn))`,
     /// one monoid of `ops` per value field — and hands each distinct key
     /// and its tuple of aggregates to `emit` in first-seen order: the
-    /// map-side combine of a keyed aggregation. On the columnar backend an
+    /// map-side combine of a keyed aggregation. In the columnar layout an
     /// eligible chain's key column is hashed in place and its value lanes
     /// fold into typed per-key accumulators; only the emitted aggregates
     /// are boxed.
@@ -1419,135 +993,5 @@ pub(crate) fn render(plan: &Arc<PlanOp>, indent: usize, out: &mut String) {
     }
     if steps.len() > 1 {
         out.push_str(&format!(" (1 fused stage, {} ops)", steps.len()));
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn covered_rows(items: &[Spans], sizes: &[usize]) -> Vec<usize> {
-        // Rows covered per partition, also checking span contiguity/order.
-        let mut covered = vec![0usize; sizes.len()];
-        let mut last: Option<(usize, usize)> = None;
-        for item in items {
-            for &(p, start, end) in item {
-                if let Some((lp, lend)) = last {
-                    assert!(
-                        p > lp || (p == lp && start == lend),
-                        "spans ordered by (partition, start) and contiguous"
-                    );
-                }
-                covered[p] += end - start;
-                last = Some((p, end));
-            }
-        }
-        covered
-    }
-
-    #[test]
-    fn balanced_partitions_keep_the_fixed_schedule() {
-        assert!(chunk_plan(&[100_000, 100_000, 100_000, 100_000], 2, true).is_none());
-        assert!(chunk_plan(&[], 4, true).is_none());
-        assert!(chunk_plan(&[0, 0, 0], 4, true).is_none(), "nothing to do");
-    }
-
-    #[test]
-    fn tiny_stages_coalesce_instead_of_splitting() {
-        // Below the target floor nothing splits — per-task overhead would
-        // dwarf the work — and the tiny partitions share one task.
-        let sizes = [4, 4, 4, 4, 4];
-        let items = chunk_plan(&sizes, 3, true).expect("coalesces");
-        assert_eq!(items.len(), 1, "one task for a trivial stage");
-        for &(_, start, _) in &items[0] {
-            assert_eq!(start, 0, "no splits below the floor");
-        }
-        assert_eq!(covered_rows(&items, &sizes), sizes.to_vec());
-    }
-
-    #[test]
-    fn skewed_partition_splits_into_ordered_spans() {
-        let sizes = [10_000, 10, 10];
-        let items = chunk_plan(&sizes, 2, true).expect("re-chunks");
-        assert!(items.len() > 3, "the skewed partition fans out");
-        assert_eq!(covered_rows(&items, &sizes), sizes.to_vec());
-    }
-
-    #[test]
-    fn a_single_giant_partition_still_splits() {
-        // The maximally skewed case: one partition, many workers.
-        let sizes = [100_000];
-        let items = chunk_plan(&sizes, 8, true).expect("re-chunks");
-        assert!(items.len() >= 8, "all workers get a span: {}", items.len());
-        assert_eq!(covered_rows(&items, &sizes), sizes.to_vec());
-        // Unsplittable (consumer/prelude) single partitions stay fixed.
-        assert!(chunk_plan(&sizes, 8, false).is_none());
-    }
-
-    #[test]
-    fn small_stage_still_splits_across_a_wide_pool() {
-        // 3000 rows is under the old flat 4096-row floor, which kept the
-        // whole stage on one core; with the floor scaled by worker count
-        // (4096/8 = 512) the stage fans out across the pool.
-        let sizes = [3000];
-        let items = chunk_plan(&sizes, 8, true).expect("re-chunks");
-        assert!(items.len() >= 4, "small stage fans out: {}", items.len());
-        assert_eq!(covered_rows(&items, &sizes), sizes.to_vec());
-        // The floor never chases sub-64-row chunks: a truly tiny stage
-        // still coalesces instead of splitting.
-        let tiny = [40, 40];
-        let items = chunk_plan(&tiny, 64, true).expect("coalesces");
-        assert_eq!(items.len(), 1);
-    }
-
-    #[test]
-    fn morsel_plan_splits_only_oversized_partitions() {
-        let sizes = [100, 10, 250];
-        let items = morsel_plan(&sizes, 100, true).expect("partition 2 splits");
-        assert_eq!(covered_rows(&items, &sizes), sizes.to_vec());
-        // Partition 2 (250 rows, morsel 100) → 3 even spans of ≤ 100.
-        let p2: Vec<_> = items
-            .iter()
-            .flatten()
-            .filter(|&&(p, _, _)| p == 2)
-            .collect();
-        assert_eq!(p2.len(), 3);
-        assert!(p2.iter().all(|&&(_, s, e)| e - s <= 100));
-        // Partitions at or below the morsel size stay whole.
-        assert!(items
-            .iter()
-            .flatten()
-            .any(|&(p, s, e)| (p, s, e) == (0, 0, 100)));
-    }
-
-    #[test]
-    fn morsel_plan_is_none_when_nothing_splits() {
-        assert!(morsel_plan(&[10, 20, 30], 100, true).is_none());
-        assert!(morsel_plan(&[], 100, true).is_none());
-        assert!(
-            morsel_plan(&[1000], 100, false).is_none(),
-            "partition-atomic stages never split"
-        );
-    }
-
-    #[test]
-    fn morsel_size_one_isolates_every_row() {
-        let sizes = [3, 1];
-        let items = morsel_plan(&sizes, 1, true).expect("splits");
-        assert_eq!(items.len(), 4);
-        assert_eq!(covered_rows(&items, &sizes), sizes.to_vec());
-    }
-
-    #[test]
-    fn tiny_partitions_coalesce_without_splitting_when_forbidden() {
-        let sizes = [5, 5, 5, 5, 5, 5, 5, 5, 4000];
-        let items = chunk_plan(&sizes, 2, false).expect("re-chunks");
-        assert!(items.len() < sizes.len(), "tiny partitions coalesced");
-        for item in &items {
-            for &(p, start, end) in item {
-                assert_eq!((start, end), (0, sizes[p]), "whole partitions only");
-            }
-        }
-        assert_eq!(covered_rows(&items, &sizes), sizes.to_vec());
     }
 }

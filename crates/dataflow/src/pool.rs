@@ -1,9 +1,9 @@
-//! Morsel-driven, work-stealing stage execution.
+//! Work-stealing stage execution.
 //!
-//! Every physical stage becomes a list of scheduling items — whole
-//! partitions, coalesced groups of tiny partitions, or fixed-size row
-//! spans (*morsels*) of a split partition — and runs on a persistent
-//! [`WorkerPool`] built once per [`Context`] and reused across stages.
+//! Every physical stage becomes a list of scheduling items — one per
+//! partition (the stats call an executed item a *morsel*) — and runs on a
+//! persistent [`WorkerPool`] built once per [`Context`] and reused across
+//! stages.
 //! Each worker owns a deque seeded with a contiguous block of items; the
 //! owner pops from the front (so it walks its block in canonical order)
 //! and idle workers steal from the back of the nearest non-empty victim,
@@ -16,8 +16,7 @@
 //!
 //! * every item writes into its own pre-allocated result slot (no shared
 //!   results lock), and the submitter stitches slots back in item order —
-//!   which the planners keep equal to canonical `(partition, row-span)`
-//!   order;
+//!   which is canonical partition order;
 //! * the first error is the error of the **lowest-indexed** failing item,
 //!   not the first to fail on the wall clock: an item may be skipped or
 //!   cancelled only when a *lower-indexed* item has already failed, so
@@ -25,14 +24,8 @@
 //!   is exact;
 //! * cancellation is cooperative: once an error is recorded, queued items
 //!   above it are skipped at claim time and in-flight tasks above it can
-//!   poll [`Cancel::cancelled`] mid-morsel and bail (their own results —
+//!   poll [`Cancel::cancelled`] mid-item and bail (their own results —
 //!   including any bail-out error — are discarded, never surfaced).
-//!
-//! The pre-morsel scheduler (one task per item, self-scheduled off an
-//! atomic counter, no stealing) is retained behind
-//! `DIABLO_SCHEDULER=static` / [`Context::set_static_scheduler`] as the
-//! benchmark baseline; it shares the poison flag and the per-slot writes,
-//! so only the schedule differs.
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
@@ -311,82 +304,6 @@ impl WorkerPool {
             .unwrap_or(0);
         (collect_slots(slots, &min_error), metrics)
     }
-
-    /// The retained pre-morsel scheduler: one task per item pulled off an
-    /// atomic counter by per-stage scoped threads. No splitting, no
-    /// stealing — the benchmark baseline — but completions write into
-    /// per-item slots (never a shared results lock) and the poison flag
-    /// cancels queued work after the first error, like the pool.
-    pub fn run_static<T, R, E, F, W>(
-        workers: usize,
-        inputs: &[T],
-        weight: W,
-        task: F,
-    ) -> (Result<Vec<R>, E>, StageMetrics)
-    where
-        T: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(usize, &T, &Cancel<'_>) -> Result<R, E> + Sync,
-        W: Fn(usize) -> u64 + Sync,
-    {
-        let n = inputs.len();
-        let mut metrics = StageMetrics {
-            total_weight: (0..n).map(&weight).sum(),
-            ..StageMetrics::default()
-        };
-        if n == 0 {
-            return (Ok(Vec::new()), metrics);
-        }
-        let threads = workers.min(n);
-        if threads <= 1 {
-            return (run_inline(inputs, &task, &mut metrics), metrics);
-        }
-        metrics.max_depth = n as u64;
-        let min_error = AtomicUsize::new(usize::MAX);
-        let slots: Slots<Result<R, E>> = Slots::new(n);
-        let next = AtomicUsize::new(0);
-        let executed = AtomicU64::new(0);
-        let thread_weight: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let slots = &slots;
-                let next = &next;
-                let min_error = &min_error;
-                let executed = &executed;
-                let thread_weight = &thread_weight;
-                let task = &task;
-                let weight = &weight;
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    if min_error.load(Ordering::Acquire) < i {
-                        continue;
-                    }
-                    let cancel = Cancel { min_error, idx: i };
-                    let out = task(i, &inputs[i], &cancel);
-                    if out.is_err() {
-                        min_error.fetch_min(i, Ordering::AcqRel);
-                    }
-                    executed.fetch_add(1, Ordering::Relaxed);
-                    thread_weight[t].fetch_add(weight(i), Ordering::Relaxed);
-                    // SAFETY: the `fetch_add` on `next` hands index `i`
-                    // to exactly one thread, and the scope join is the
-                    // completion barrier before any slot is read.
-                    unsafe { slots.put(i, out) };
-                });
-            }
-        });
-        metrics.morsels = executed.load(Ordering::Relaxed);
-        metrics.max_worker_weight = thread_weight
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0);
-        (collect_slots(slots, &min_error), metrics)
-    }
 }
 
 impl Drop for WorkerPool {
@@ -568,11 +485,7 @@ where
     W: Fn(usize) -> u64 + Sync,
 {
     let start = Instant::now();
-    let (out, m) = if ctx.static_scheduler() {
-        WorkerPool::run_static(ctx.workers(), inputs, weight, task)
-    } else {
-        ctx.pool().run(inputs, weight, task)
-    };
+    let (out, m) = ctx.pool().run(inputs, weight, task);
     let cost_us = start.elapsed().as_micros() as u64;
     let critical_us = if m.total_weight == 0 {
         cost_us
@@ -599,9 +512,7 @@ mod tests {
     use super::*;
 
     fn pool_ctx(workers: usize) -> Context {
-        let ctx = Context::new(workers, workers.max(2));
-        ctx.set_static_scheduler(false);
-        ctx
+        Context::new(workers, workers.max(2))
     }
 
     #[test]
@@ -644,24 +555,20 @@ mod tests {
     #[test]
     fn first_error_keeps_item_index_identity() {
         // Two failing items: the lower index must win no matter which
-        // fails first on the wall clock, on both schedulers.
-        for static_sched in [false, true] {
-            let ctx = pool_ctx(4);
-            ctx.set_static_scheduler(static_sched);
-            let inputs: Vec<usize> = (0..64).collect();
-            let err = run_stage(&ctx, &inputs, |_, &x| {
-                if x == 3 {
-                    // The later-indexed error tends to land first.
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                    Err("low")
-                } else if x == 40 {
-                    Err("high")
-                } else {
-                    Ok(x)
-                }
-            });
-            assert_eq!(err, Err("low"), "static={static_sched}");
-        }
+        // fails first on the wall clock.
+        let inputs: Vec<usize> = (0..64).collect();
+        let err = run_stage(&pool_ctx(4), &inputs, |_, &x| {
+            if x == 3 {
+                // The later-indexed error tends to land first.
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                Err("low")
+            } else if x == 40 {
+                Err("high")
+            } else {
+                Ok(x)
+            }
+        });
+        assert_eq!(err, Err("low"));
     }
 
     #[test]
@@ -670,26 +577,19 @@ mod tests {
         // partition after the first error. Item 0 fails immediately; of
         // the remaining 500 items, only the handful already in flight may
         // still run.
-        for static_sched in [false, true] {
-            let ctx = pool_ctx(4);
-            ctx.set_static_scheduler(static_sched);
-            let executed = AtomicUsize::new(0);
-            let inputs: Vec<usize> = (0..500).collect();
-            let err = run_stage(&ctx, &inputs, |_, &x| {
-                if x == 0 {
-                    return Err("poison");
-                }
-                executed.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(std::time::Duration::from_micros(200));
-                Ok(x)
-            });
-            assert_eq!(err, Err("poison"));
-            let ran = executed.load(Ordering::Relaxed);
-            assert!(
-                ran < 100,
-                "poison must cancel queued items (static={static_sched}, ran {ran}/500)"
-            );
-        }
+        let executed = AtomicUsize::new(0);
+        let inputs: Vec<usize> = (0..500).collect();
+        let err = run_stage(&pool_ctx(4), &inputs, |_, &x| {
+            if x == 0 {
+                return Err("poison");
+            }
+            executed.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(std::time::Duration::from_micros(200));
+            Ok(x)
+        });
+        assert_eq!(err, Err("poison"));
+        let ran = executed.load(Ordering::Relaxed);
+        assert!(ran < 100, "poison must cancel queued items (ran {ran}/500)");
     }
 
     #[test]

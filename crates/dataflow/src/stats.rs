@@ -15,7 +15,7 @@
 //!   operators a program *called*. This is the shape of the translated
 //!   program, independent of execution strategy.
 //! * **physical stages** ([`StatsSnapshot::physical_stages`]) — how many
-//!   parallel per-partition passes the executor actually *ran* after
+//!   parallel per-partition passes the engine actually *ran* after
 //!   fusing narrow chains. A chain of N narrow ops contributes N logical
 //!   ops but exactly 1 physical stage.
 
@@ -117,12 +117,12 @@ impl Stats {
     }
 
     /// Records one column batch executed through the vectorized per-column
-    /// loops (columnar backend only).
+    /// loops (columnar layout only).
     pub(crate) fn record_vectorized_batch(&self) {
         self.vectorized_batches.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one fused stage the columnar backend had to run on the
+    /// Records one fused stage the columnar layout had to run on the
     /// tuple-at-a-time row path because a step was opaque.
     pub(crate) fn record_row_fallback_stage(&self) {
         self.row_fallback_stages.fetch_add(1, Ordering::Relaxed);
@@ -198,28 +198,32 @@ impl Stats {
 /// (a number without its backend/budget/scheduler is unreproducible).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StatsSnapshot {
-    /// Executor backend name (`local`, `tile`, `spill`, `morsel`); empty
-    /// when the snapshot came from bare [`Stats::snapshot`].
+    /// The layout's backend name (`columnar`, or `local` for the row
+    /// layout — see [`Layout::name`](crate::Layout::name)); empty when the
+    /// snapshot came from bare [`Stats::snapshot`].
     pub backend: String,
     /// Worker-thread count of the owning context (0 when unknown).
     pub workers: u64,
     /// Partition count of the owning context (0 when unknown).
     pub partitions: u64,
-    /// Morsel size in rows (0 when unknown).
+    /// Rows one scheduling item covers at most: a constant `u64::MAX`,
+    /// since the engine schedules every partition whole and never splits
+    /// one (0 when unknown).
     pub morsel_size: u64,
     /// Global memory budget in bytes; `u64::MAX` means unbounded.
     pub memory_budget: u64,
     /// Dataset-cache memory budget in bytes; `u64::MAX` means unbounded.
     pub dataset_budget: u64,
-    /// Scheduler flavor (`morsel` or `static`); empty when unknown.
+    /// The scheduler: a constant `morsel`, the work-stealing pool (empty
+    /// when unknown).
     pub scheduler: String,
     /// Whether ordered (key-sorted) shuffle routing was in force.
     pub ordered: bool,
     /// Number of logical `Dataset` operator invocations (historically
     /// named `stages`; each operator call counts one regardless of how the
-    /// executor fuses it).
+    /// walker fuses it).
     pub stages: u64,
-    /// Number of physical per-partition passes the executor ran — a fused
+    /// Number of physical per-partition passes the engine ran — a fused
     /// chain of narrow operators counts one.
     pub physical_stages: u64,
     /// Number of shuffle exchanges.
@@ -268,9 +272,9 @@ pub struct StatsSnapshot {
     /// Evicted datasets re-derived from their plan lineage on a miss.
     pub dataset_recomputes: u64,
     /// Column batches executed through the vectorized per-column loops
-    /// (the `columnar` backend; other backends leave this at zero).
+    /// (the columnar layout; the row layout leaves this at zero).
     pub vectorized_batches: u64,
-    /// Fused stages the columnar backend demoted to the tuple-at-a-time
+    /// Fused stages the columnar layout demoted to the tuple-at-a-time
     /// row path because a step carried no column expression (opaque UDF).
     pub row_fallback_stages: u64,
 }

@@ -37,7 +37,7 @@ use std::collections::HashMap;
 
 use diablo_comp::CExpr;
 use diablo_core::{CompiledProgram, TStmt};
-use diablo_dataflow::{Context, Dataset};
+use diablo_dataflow::{Context, Dataset, Layout};
 use diablo_runtime::{RuntimeError, Value};
 
 /// Result alias for execution.
@@ -197,15 +197,14 @@ impl Session {
             Some(b) => format!(", memory budget {b} B"),
             None => String::new(),
         };
-        let exec = self.ctx.executor();
-        let layout = if exec.name() == "columnar" {
-            "; per stage, columnar where every step is transparent, else row"
-        } else {
-            ""
+        let layout = self.ctx.layout();
+        let per_stage = match layout {
+            Layout::Columnar => "; per stage, columnar where every step is transparent, else row",
+            Layout::Row => "",
         };
         let mut out = format!(
-            "physical plan (executed on `{}` backend, narrow chains fused{layout}{budget}):\n",
-            exec.name()
+            "physical plan (executed on `{}` backend, narrow chains fused{per_stage}{budget}):\n",
+            layout.name()
         );
         for l in &lines {
             if l.starts_with("==") {

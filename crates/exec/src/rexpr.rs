@@ -192,7 +192,7 @@ impl RExpr {
 ///
 /// `Record` construction, bag aggregations, and the slow
 /// nested-comprehension path have no columnar interpretation and return
-/// `None` — the stage keeps its opaque closure and the columnar backend
+/// `None` — the stage keeps its opaque closure and the columnar layout
 /// demotes it to tuple-at-a-time.
 pub fn to_row_expr(r: &RExpr) -> Option<RowExpr> {
     match r {

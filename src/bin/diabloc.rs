@@ -10,7 +10,7 @@
 //! diabloc interp  <program.dbl> [bindings]  # execute with the sequential interpreter
 //! diabloc explain <program.dbl> [bindings]  # print the executed physical plan
 //! diabloc run --explain <program.dbl> ...   # same as `explain`
-//! diabloc run --backend spill <program.dbl> # pick the execution backend
+//! diabloc run --backend local <program.dbl> # the row layout (default: columnar)
 //! diabloc run --workers 8 --partitions 32 --memory-budget 1048576 ...
 //! diabloc run --ordered <program.dbl>       # sort-based (key-ordered) shuffles
 //! ```
@@ -26,21 +26,17 @@
 //! stores, and provably out-of-bounds constant subscripts; warnings never
 //! fail the command.
 //!
-//! Engine flags (for `run` and `explain` only):
+//! Engine flags (for `run` and `explain` only; `diablod` parses the same
+//! ones with the same code, [`diablo::EngineFlags`]):
 //!
-//! * `--backend <name>` selects the execution backend: `columnar` (the
-//!   default: stages whose steps are all transparent run as typed column
-//!   chunks, batch-at-a-time — total aggregations fold the last column
-//!   directly — and every other stage runs tuple-at-a-time;
-//!   `DIABLO_COLUMNAR_BATCH` sizes the batch), `local` (tuple-at-a-time
-//!   everywhere: the row reference the default is held byte-identical
-//!   to, and the one to pick when bisecting a suspected vectorization
-//!   bug), `tile` (batch-at-a-time, tuned for tiled-matrix workloads),
-//!   `spill` (budgeted exchanges that spill to disk, plus adaptive stage
-//!   re-chunking), or `morsel` (narrow stages split into fixed-size
-//!   morsels for the work-stealing pool).
-//!   Results are identical across backends; only the execution strategy
-//!   changes.
+//! * `--backend <columnar|local>` selects the engine's layout: `columnar`
+//!   (the default: stages whose steps are all transparent run as typed
+//!   column chunks, tile by tile — total aggregations fold the last
+//!   column directly — and every other stage runs tuple-at-a-time) or
+//!   `local` (tuple-at-a-time everywhere: the row reference the default
+//!   is held byte-identical to, and the one to pick when bisecting a
+//!   suspected vectorization bug). Results are identical either way
+//!   (equivalent to `DIABLO_BACKEND`).
 //! * `--workers N` / `--partitions N` size the engine context (default:
 //!   one worker per core, two partitions per worker).
 //! * `--memory-budget BYTES` caps the bytes a shuffle buffers in memory;
@@ -51,9 +47,6 @@
 //!   the disk ledger, recompute from their plan on the next read
 //!   (equivalent to `DIABLO_DATASET_BUDGET`). `0` disables dataset
 //!   caching. Results never change.
-//! * `--morsel-size ROWS` sets the scheduling granularity stages split
-//!   oversized partitions into (equivalent to `DIABLO_MORSEL_SIZE`;
-//!   default 16384 rows). Scheduling only — results never change.
 //! * `--ordered` routes keyed operators through the sort-based shuffle
 //!   path (equivalent to `DIABLO_ORDERED=1`): outputs are globally
 //!   key-ordered — same rows as the hash path, in key order.
@@ -73,8 +66,8 @@
 
 use std::process::ExitCode;
 
+use diablo::{take_flag, EngineFlags};
 use diablo_core::{CompiledProgram, TStmt};
-use diablo_dataflow::Context;
 use diablo_diag::Diagnostics;
 use diablo_exec::Session;
 use diablo_interp::Interpreter;
@@ -82,19 +75,7 @@ use diablo_lang::{parse_multi, typecheck_multi, Type, TypedProgram};
 use diablo_runtime::Value;
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let explain_flag = args.iter().any(|a| a == "--explain");
-    args.retain(|a| a != "--explain");
-    let json_flag = args.iter().any(|a| a == "--json");
-    args.retain(|a| a != "--json");
-    let engine = match EngineFlags::extract(&mut args) {
-        Ok(f) => f,
-        Err(msg) => {
-            eprintln!("diabloc: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match run(&args, explain_flag, json_flag, &engine) {
+    match run(std::env::args().skip(1).collect()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("diabloc: {msg}");
@@ -103,136 +84,17 @@ fn main() -> ExitCode {
     }
 }
 
-/// The engine-shaping flags of `run` and `explain`.
-#[derive(Default)]
-struct EngineFlags {
-    backend: Option<String>,
-    workers: Option<usize>,
-    partitions: Option<usize>,
-    memory_budget: Option<u64>,
-    dataset_budget: Option<u64>,
-    morsel_size: Option<usize>,
-    ordered: bool,
-    /// `run` only: execute on a `diablod` server at this address
-    /// (`host:port` or `unix:/path`) instead of a local engine.
-    connect: Option<String>,
-}
-
-impl EngineFlags {
-    /// Pulls `--backend`, `--workers`, `--partitions`, `--memory-budget`,
-    /// `--dataset-budget`, `--morsel-size` (each as `--flag value` or
-    /// `--flag=value`), and the bare `--ordered` out of the argument
-    /// list.
-    fn extract(args: &mut Vec<String>) -> Result<EngineFlags, String> {
-        let mut flags = EngineFlags::default();
-        args.retain(|a| {
-            let hit = a == "--ordered";
-            flags.ordered |= hit;
-            !hit
-        });
-        let mut i = 0;
-        while i < args.len() {
-            let arg = args[i].clone();
-            let mut take_value = |flag: &str| -> Result<Option<String>, String> {
-                if let Some(v) = arg.strip_prefix(&format!("{flag}=")) {
-                    args.remove(i);
-                    return Ok(Some(v.to_string()));
-                }
-                if arg == flag {
-                    if i + 1 >= args.len() {
-                        return Err(format!("{flag} requires a value"));
-                    }
-                    let v = args[i + 1].clone();
-                    args.drain(i..=i + 1);
-                    return Ok(Some(v));
-                }
-                Ok(None)
-            };
-            if let Some(name) = take_value("--backend")? {
-                flags.backend = Some(name);
-            } else if let Some(n) = take_value("--workers")? {
-                flags.workers = Some(parse_count("--workers", &n)?);
-            } else if let Some(n) = take_value("--partitions")? {
-                flags.partitions = Some(parse_count("--partitions", &n)?);
-            } else if let Some(n) = take_value("--memory-budget")? {
-                flags.memory_budget = Some(
-                    n.parse()
-                        .map_err(|_| format!("--memory-budget: `{n}` is not a byte count"))?,
-                );
-            } else if let Some(n) = take_value("--dataset-budget")? {
-                flags.dataset_budget = Some(
-                    n.parse()
-                        .map_err(|_| format!("--dataset-budget: `{n}` is not a byte count"))?,
-                );
-            } else if let Some(n) = take_value("--morsel-size")? {
-                flags.morsel_size = Some(parse_count("--morsel-size", &n)?);
-            } else if let Some(addr) = take_value("--connect")? {
-                flags.connect = Some(addr);
-            } else {
-                i += 1;
-            }
-        }
-        Ok(flags)
-    }
-
-    /// True when any engine flag was given (they only apply to commands
-    /// that build an engine context).
-    fn any(&self) -> bool {
-        self.backend.is_some()
-            || self.workers.is_some()
-            || self.partitions.is_some()
-            || self.memory_budget.is_some()
-            || self.dataset_budget.is_some()
-            || self.morsel_size.is_some()
-            || self.ordered
-            || self.connect.is_some()
-    }
-
-    /// Builds the engine context these flags describe.
-    fn context(&self) -> Result<Context, String> {
-        let ctx = Context::sized(self.workers, self.partitions);
-        if let Some(budget) = self.memory_budget {
-            ctx.set_memory_budget(Some(budget));
-        }
-        if let Some(budget) = self.dataset_budget {
-            ctx.set_dataset_budget(Some(budget));
-        }
-        if let Some(rows) = self.morsel_size {
-            ctx.set_morsel_size(rows);
-        }
-        if self.ordered {
-            ctx.set_ordered(true);
-        }
-        match &self.backend {
-            None => Ok(ctx),
-            Some(name) => {
-                let exec = diablo_dataflow::executor_named(name).ok_or_else(|| {
-                    format!(
-                        "unknown backend `{name}` (try {})",
-                        diablo_dataflow::BACKEND_NAMES.join(", ")
-                    )
-                })?;
-                Ok(ctx.with_executor(exec))
-            }
-        }
-    }
-}
-
-fn parse_count(flag: &str, s: &str) -> Result<usize, String> {
-    match s.parse::<usize>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("{flag}: `{s}` is not a positive count")),
-    }
-}
-
-fn run(
-    args: &[String],
-    explain_flag: bool,
-    json_flag: bool,
-    engine: &EngineFlags,
-) -> Result<(), String> {
-    let [cmd, path, rest @ ..] = args else {
-        return Err(USAGE.to_string());
+fn run(mut args: Vec<String>) -> Result<(), String> {
+    let explain_flag = args.iter().any(|a| a == "--explain");
+    args.retain(|a| a != "--explain");
+    let json_flag = args.iter().any(|a| a == "--json");
+    args.retain(|a| a != "--json");
+    let engine = EngineFlags::extract(&mut args)?;
+    // `run` only: execute on a `diablod` server at this address
+    // (`host:port` or `unix:/path`) instead of a local engine.
+    let connect = take_flag(&mut args, "--connect")?;
+    let [cmd, path, rest @ ..] = args.as_slice() else {
+        return Err(usage());
     };
     let cmd = match (cmd.as_str(), explain_flag) {
         (cmd, false) => cmd,
@@ -243,15 +105,15 @@ fn run(
             ))
         }
     };
-    if engine.any() && !matches!(cmd, "run" | "explain") {
+    if (engine.any() || connect.is_some()) && !matches!(cmd, "run" | "explain") {
         return Err(format!(
-            "--backend/--workers/--partitions/--memory-budget/--dataset-budget/--morsel-size/--ordered/--connect only apply to `run` and `explain`, not `{cmd}`"
+            "--backend/--workers/--partitions/--memory-budget/--dataset-budget/--ordered/--connect only apply to `run` and `explain`, not `{cmd}`"
         ));
     }
     if json_flag && !matches!(cmd, "check" | "lint") {
         return Err("--json only applies to `check` and `lint`".to_string());
     }
-    if engine.connect.is_some() && cmd == "explain" {
+    if connect.is_some() && cmd == "explain" {
         return Err("--connect only applies to `run`".to_string());
     }
     let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -290,15 +152,8 @@ fn run(
             Ok(())
         }
         "run" => {
-            if let Some(addr) = &engine.connect {
-                if engine.backend.is_some()
-                    || engine.workers.is_some()
-                    || engine.partitions.is_some()
-                    || engine.memory_budget.is_some()
-                    || engine.dataset_budget.is_some()
-                    || engine.morsel_size.is_some()
-                    || engine.ordered
-                {
+            if let Some(addr) = &connect {
+                if engine.any() {
                     return Err(
                         "--connect runs on the server's engine; engine flags belong to diablod"
                             .to_string(),
@@ -307,7 +162,7 @@ fn run(
                 return run_remote(addr, &source, rest);
             }
             let (_, compiled) = front_end(&source, path, false)?;
-            let mut session = Session::new(engine.context()?);
+            let mut session = Session::new(engine.context());
             for binding in rest {
                 let (name, value) = parse_binding(binding)?;
                 match value {
@@ -321,7 +176,7 @@ fn run(
         }
         "explain" => {
             let (tp, compiled) = front_end(&source, path, false)?;
-            let mut session = Session::new(engine.context()?);
+            let mut session = Session::new(engine.context());
             for binding in rest {
                 let (name, value) = parse_binding(binding)?;
                 match value {
@@ -369,11 +224,16 @@ fn run(
             }
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        other => Err(format!("unknown command `{other}`\n{}", usage())),
     }
 }
 
-const USAGE: &str = "usage: diabloc <check|lint|show|run|interp|explain> [--explain] [--json] [--backend <local|tile|spill|morsel|columnar>] [--workers N] [--partitions N] [--memory-budget BYTES] [--dataset-budget BYTES] [--morsel-size ROWS] [--ordered] [--connect ADDR] <program.dbl> [name=value | name=@rows.csv ...]";
+fn usage() -> String {
+    format!(
+        "usage: diabloc <check|lint|show|run|interp|explain> [--explain] [--json] {} [--connect ADDR] <program.dbl> [name=value | name=@rows.csv ...]",
+        EngineFlags::USAGE
+    )
+}
 
 /// Renders accumulated front-end diagnostics — rustc-style caret snippets
 /// on stderr, or the stable JSON document on stdout under `--json` — and

@@ -6,8 +6,9 @@
 //!
 //! Starts a long-lived server that accepts concurrent DIABLO programs
 //! over the length-prefixed socket protocol of `diablo-serve`, runs them
-//! on **one shared engine** (one morsel worker pool, one global memory
-//! budget), and serves repeat programs from a plan-hash result cache.
+//! on **one shared engine** (one work-stealing worker pool, one global
+//! memory budget), and serves repeat programs from a plan-hash result
+//! cache.
 //! Drive it with `diabloc run --connect ADDR program.dbl …` or the bench
 //! harness's `serve` command.
 //!
@@ -22,13 +23,13 @@
 //! * `--cache-budget BYTES` — result-cache byte budget, 0 disables
 //!   caching (`DIABLO_SERVE_CACHE_BUDGET`, default 64 MiB).
 //!
-//! Engine flags mirror `diabloc run`: `--backend <local|tile|spill|morsel>`,
-//! `--workers N`, `--partitions N`, `--memory-budget BYTES`,
-//! `--dataset-budget BYTES` (one shared dataset cache across all
-//! tenants — materialized datasets past the budget demote to disk and
-//! recompute when dropped), `--morsel-size ROWS`, `--ordered` (each
-//! also honors its `DIABLO_*` env var through the engine's own
-//! defaults).
+//! Engine flags are `diabloc run`'s, parsed by the same code
+//! ([`diablo::EngineFlags`]): `--backend <columnar|local>` (the columnar
+//! layout is the default), `--workers N`, `--partitions N`,
+//! `--memory-budget BYTES`, `--dataset-budget BYTES` (one shared dataset
+//! cache across all tenants — materialized datasets past the budget
+//! demote to disk and recompute when dropped), `--ordered` (each also
+//! honors its `DIABLO_*` env var through the engine's own defaults).
 //!
 //! On startup the daemon prints exactly one line to stdout —
 //! `diablod: listening on <resolved addr>` — so wrappers can wait for
@@ -37,10 +38,8 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use diablo_dataflow::Context;
+use diablo::{take_flag, EngineFlags};
 use diablo_serve::{ServeConfig, Server};
-
-const USAGE: &str = "usage: diablod [--listen ADDR|unix:/path] [--backend <local|tile|spill|morsel>] [--workers N] [--partitions N] [--memory-budget BYTES] [--dataset-budget BYTES] [--morsel-size ROWS] [--ordered] [--max-inflight N] [--queue-deadline-ms MS] [--cache-budget BYTES]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -51,28 +50,6 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// One `--flag value` / `--flag=value` extraction pass.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(v) = args[i].strip_prefix(&format!("{flag}=")) {
-            let v = v.to_string();
-            args.remove(i);
-            return Ok(Some(v));
-        }
-        if args[i] == flag {
-            if i + 1 >= args.len() {
-                return Err(format!("{flag} requires a value"));
-            }
-            let v = args[i + 1].clone();
-            args.drain(i..=i + 1);
-            return Ok(Some(v));
-        }
-        i += 1;
-    }
-    Ok(None)
 }
 
 /// A flag value, falling back to its environment variable.
@@ -88,28 +65,17 @@ fn parse_num<T: std::str::FromStr>(flag: &str, s: &str) -> Result<T, String> {
         .map_err(|_| format!("{flag}: `{s}` is not a valid value"))
 }
 
-fn serve(mut args: Vec<String>) -> Result<(), String> {
-    let ordered = args.iter().any(|a| a == "--ordered");
-    args.retain(|a| a != "--ordered");
+fn usage() -> String {
+    format!(
+        "usage: diablod [--listen ADDR|unix:/path] {} [--max-inflight N] [--queue-deadline-ms MS] [--cache-budget BYTES]",
+        EngineFlags::USAGE
+    )
+}
 
+fn serve(mut args: Vec<String>) -> Result<(), String> {
+    let engine = EngineFlags::extract(&mut args)?;
     let listen = flag_or_env(&mut args, "--listen", "DIABLO_SERVE_LISTEN")?
         .unwrap_or_else(|| "127.0.0.1:7716".to_string());
-    let backend = take_flag(&mut args, "--backend")?;
-    let workers = take_flag(&mut args, "--workers")?
-        .map(|v| parse_num::<usize>("--workers", &v))
-        .transpose()?;
-    let partitions = take_flag(&mut args, "--partitions")?
-        .map(|v| parse_num::<usize>("--partitions", &v))
-        .transpose()?;
-    let memory_budget = take_flag(&mut args, "--memory-budget")?
-        .map(|v| parse_num::<u64>("--memory-budget", &v))
-        .transpose()?;
-    let dataset_budget = take_flag(&mut args, "--dataset-budget")?
-        .map(|v| parse_num::<u64>("--dataset-budget", &v))
-        .transpose()?;
-    let morsel_size = take_flag(&mut args, "--morsel-size")?
-        .map(|v| parse_num::<usize>("--morsel-size", &v))
-        .transpose()?;
 
     let mut cfg = ServeConfig::default();
     if let Some(v) = flag_or_env(&mut args, "--max-inflight", "DIABLO_SERVE_MAX_INFLIGHT")? {
@@ -126,36 +92,11 @@ fn serve(mut args: Vec<String>) -> Result<(), String> {
         cfg.cache_budget = parse_num("--cache-budget", &v)?;
     }
     if let Some(stray) = args.first() {
-        return Err(format!("unexpected argument `{stray}`\n{USAGE}"));
+        return Err(format!("unexpected argument `{stray}`\n{}", usage()));
     }
 
-    let ctx = Context::sized(workers, partitions);
-    if let Some(b) = memory_budget {
-        ctx.set_memory_budget(Some(b));
-    }
-    if let Some(b) = dataset_budget {
-        ctx.set_dataset_budget(Some(b));
-    }
-    if let Some(rows) = morsel_size {
-        ctx.set_morsel_size(rows);
-    }
-    if ordered {
-        ctx.set_ordered(true);
-    }
-    let ctx = match backend {
-        None => ctx,
-        Some(name) => {
-            let exec = diablo_dataflow::executor_named(&name).ok_or_else(|| {
-                format!(
-                    "unknown backend `{name}` (try {})",
-                    diablo_dataflow::BACKEND_NAMES.join(", ")
-                )
-            })?;
-            ctx.with_executor(exec)
-        }
-    };
-
-    let server = Server::start(&listen, ctx, cfg).map_err(|e| format!("{listen}: {e}"))?;
+    let server =
+        Server::start(&listen, engine.context(), cfg).map_err(|e| format!("{listen}: {e}"))?;
     // The single readiness line wrappers wait for; flushed immediately
     // so piped stdout sees it before the first request.
     println!("diablod: listening on {}", server.addr());

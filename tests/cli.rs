@@ -218,27 +218,29 @@ fn backend_flag_selects_executor_and_outputs_match() {
         );
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
-    let local = run(&["run"]);
-    let tile = run(&["run", "--backend", "tile"]);
-    let tile_eq = run(&["run", "--backend=tile"]);
-    assert_eq!(local, tile, "backends must produce byte-identical output");
-    assert_eq!(tile, tile_eq);
-    let spill = run(&["run", "--backend", "spill"]);
-    assert_eq!(local, spill, "spill backend must match local byte-for-byte");
+    let default = run(&["run"]);
+    let columnar = run(&["run", "--backend", "columnar"]);
+    let local = run(&["run", "--backend", "local"]);
+    let local_eq = run(&["run", "--backend=local"]);
+    assert_eq!(default, local, "layouts must produce byte-identical output");
+    assert_eq!(default, columnar);
+    assert_eq!(local, local_eq);
     // Even with a zero budget — every exchanged bucket through disk.
-    let spill0 = run(&["run", "--backend", "spill", "--memory-budget", "0"]);
-    assert_eq!(local, spill0, "fully spilled run must match local");
+    let local0 = run(&["run", "--backend", "local", "--memory-budget", "0"]);
+    assert_eq!(default, local0, "fully spilled run must match the default");
     // explain names the backend it executed on.
-    let out = diabloc()
-        .arg("explain")
-        .arg("--backend")
-        .arg("tile")
-        .arg(&p)
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("`tile` backend"), "{text}");
+    for backend in ["local", "columnar"] {
+        let out = diabloc()
+            .arg("explain")
+            .arg("--backend")
+            .arg(backend)
+            .arg(&p)
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains(&format!("`{backend}` backend")), "{text}");
+    }
 }
 
 #[test]
@@ -320,13 +322,21 @@ fn backend_flag_rejects_unknown_names_and_wrong_commands() {
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(stderr.contains("unknown backend"), "{stderr}");
     assert!(
-        stderr.contains("local, tile, spill"),
+        stderr.contains("(try columnar, local)"),
         "the error must list every valid backend: {stderr}"
     );
+    for gone in ["tile", "spill", "morsel"] {
+        let out = diabloc()
+            .args(["run", "--backend", gone])
+            .arg(&p)
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "`{gone}` is no backend any more");
+    }
     let out = diabloc()
         .arg("check")
         .arg("--backend")
-        .arg("tile")
+        .arg("local")
         .arg(&p)
         .output()
         .unwrap();
@@ -497,7 +507,7 @@ fn diablod_serves_runs_identical_to_local_diabloc() {
         .arg("--connect")
         .arg(&addr)
         .arg("--backend")
-        .arg("tile")
+        .arg("local")
         .arg(&program)
         .output()
         .unwrap();
@@ -532,11 +542,38 @@ fn diablod_rejects_bad_flags_before_binding() {
         .output()
         .unwrap();
     assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("unknown backend"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown backend"), "{stderr}");
+    assert!(stderr.contains("(try columnar, local)"), "{stderr}");
+    // The usage line lists the default layout.
+    let out = Command::new(env!("CARGO_BIN_EXE_diablod"))
+        .arg("--frobnicate")
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--backend <columnar|local>"), "{stderr}");
+}
+
+#[test]
+fn diablod_rejects_zero_workers_and_partitions_without_panicking() {
+    // The parser `diabloc` uses: a clean error, exit code 1, not the
+    // engine's `need at least one worker` panic (exit 101).
+    for (flag, value) in [
+        ("--workers", "0"),
+        ("--partitions", "0"),
+        ("--workers=0", ""),
+    ] {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_diablod"));
+        cmd.arg("--listen").arg("127.0.0.1:0").arg(flag);
+        if !value.is_empty() {
+            cmd.arg(value);
+        }
+        let out = cmd.output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("is not a positive count"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
 }
 
 #[test]

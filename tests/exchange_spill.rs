@@ -9,12 +9,11 @@ use proptest::prelude::*;
 
 use diablo_core::compile;
 use diablo_dataflow::{
-    Context, Dataset, HashPartitioner, Partitioner, RangePartitioner, SpillExecutor, StatsSnapshot,
+    Context, Dataset, HashPartitioner, Layout, Partitioner, RangePartitioner, StatsSnapshot,
 };
 use diablo_exec::Session;
 use diablo_runtime::{array::key_value, BinOp, RuntimeError, Value};
 use diablo_workloads as wl;
-use std::sync::Arc;
 
 /// A context with an explicit exchange budget (`None` = unbounded),
 /// pinned regardless of any suite-wide `DIABLO_MEMORY_BUDGET`.
@@ -77,14 +76,14 @@ proptest! {
     }
 }
 
-/// The spill backend (no context budget at all) agrees with local too —
-/// its fallback budget kicks in, and with a zero fallback every bucket
-/// hits disk.
+/// The row layout with every bucket on disk agrees with the unbounded
+/// columnar default too.
 #[test]
-fn spill_backend_agrees_with_local_on_word_count() {
+fn row_layout_spilled_agrees_with_columnar_on_word_count() {
     let w = wl::word_count(600, 42);
-    let (mem_rows, _) = run_workload(&w, ctx_with_budget(None), "C");
-    let forced = ctx_with_budget(None).with_executor(Arc::new(SpillExecutor::new(0)));
+    let columnar = ctx_with_budget(None).with_layout(Layout::Columnar);
+    let (mem_rows, _) = run_workload(&w, columnar, "C");
+    let forced = ctx_with_budget(Some(0)).with_layout(Layout::Row);
     let (spill_rows, spill) = run_workload(&w, forced, "C");
     assert_eq!(spill_rows, mem_rows);
     assert!(spill.spill_files > 0, "{spill:?}");

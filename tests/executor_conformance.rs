@@ -1,48 +1,40 @@
-//! Executor trait conformance: every backend must be plan-faithful — same
-//! rows, same order, same shuffle counts, same first error for
-//! deterministic chains — so the whole suite runs against both built-in
-//! implementations and compares them pairwise.
+//! Plan-walker conformance: every engine configuration must be
+//! plan-faithful — same rows, same order, same shuffle counts, same first
+//! error for deterministic chains — so the whole suite runs over the
+//! walker's knobs (layout × tile width × exchange budget, and workers and
+//! ordered routing where a test sweeps them) and compares every
+//! configuration against the row layout.
+
+mod common;
 
 use std::sync::Arc;
 
-use diablo_dataflow::{
-    executor_named, ColumnarExecutor, Context, Dataset, Executor, JoinOn, LocalExecutor,
-    MorselExecutor, RowExpr, Shape, SpillExecutor, TileExecutor,
-};
+use common::Engine;
+use diablo_dataflow::{Context, Dataset, JoinOn, Layout, RowExpr, Shape, DEFAULT_TILE_WIDTH};
 use diablo_runtime::{array::key_value, AggOp, BinOp, RuntimeError, Value};
 
-/// The backends under test. The tile executor runs with a deliberately
-/// tiny batch so partition sizes exercise partial and multi-tile paths;
-/// the spill executor runs once with its default budget and once with a
-/// zero fallback budget so every exchanged bucket goes through disk runs
-/// (and adaptive re-chunking is active on both); the morsel executor
-/// splits narrow stages across the work-stealing pool; the columnar
-/// executor runs with a tiny batch so fixtures span many tiles (opaque
+/// The configurations under test. The columnar layout runs with tiny
+/// tiles so partition sizes exercise partial and multi-tile paths (opaque
 /// closures here exercise its per-stage row fallback, transparent
-/// expressions its vectorized path).
-fn backends() -> Vec<Arc<dyn Executor>> {
+/// expressions its vectorized path), and at the default width; each
+/// layout runs once with a zero exchange budget, so every exchanged
+/// bucket goes through disk runs, and the columnar default once more
+/// under a 4 KiB budget. Each runs whatever `DIABLO_MEMORY_BUDGET` the
+/// suite is under: conformance must hold for the in-memory and the
+/// spilled exchange alike.
+fn engines() -> Vec<Engine> {
     vec![
-        Arc::new(LocalExecutor),
-        Arc::new(TileExecutor::new(4)),
-        Arc::new(TileExecutor::default()),
-        Arc::new(SpillExecutor::default()),
-        Arc::new(SpillExecutor::new(0)),
-        Arc::new(MorselExecutor),
-        Arc::new(ColumnarExecutor::new(16)),
-        Arc::new(ColumnarExecutor::default()),
+        Engine::ROW,
+        Engine::ROW.budget(Some(0)),
+        Engine::COLUMNAR.tile(4),
+        Engine::COLUMNAR.tile(16).budget(Some(0)),
+        Engine::COLUMNAR,
+        Engine::COLUMNAR.budget(Some(4096)),
     ]
 }
 
-fn ctx_for(exec: Arc<dyn Executor>) -> Context {
-    // Clear any suite-wide DIABLO_MEMORY_BUDGET so each backend runs
-    // under exactly the budget its constructor chose: conformance must
-    // hold for the in-memory and the fully spilled exchange alike.
-    // A tiny morsel size keeps the work-stealing splitter active even on
-    // these small fixtures (the default 16K-row morsel would never split
-    // them) — conformance must hold at any granularity.
-    let ctx = Context::new(3, 5).with_executor(exec).with_morsel_size(16);
-    ctx.set_memory_budget(None);
-    ctx
+fn ctx_for(engine: Engine) -> Context {
+    engine.context(3, 5)
 }
 
 fn long_pairs(ctx: &Context, entries: &[(i64, i64)]) -> Dataset {
@@ -82,21 +74,20 @@ fn pipeline(ctx: &Context) -> Vec<Value> {
 
 #[test]
 fn backends_agree_on_a_full_pipeline() {
-    let reference = pipeline(&ctx_for(Arc::new(LocalExecutor)));
+    let reference = pipeline(&ctx_for(Engine::ROW));
     assert!(!reference.is_empty());
-    for exec in backends() {
-        let name = exec.name();
-        let got = pipeline(&ctx_for(exec));
-        assert_eq!(got, reference, "backend `{name}` diverged");
+    for engine in engines() {
+        let got = pipeline(&ctx_for(engine));
+        assert_eq!(got, reference, "`{engine}` diverged");
     }
 }
 
 #[test]
 fn backends_agree_on_narrow_chain_order_and_stage_count() {
     let mut outputs: Vec<(String, Vec<Value>)> = Vec::new();
-    for exec in backends() {
-        let name = exec.name().to_string();
-        let ctx = ctx_for(exec);
+    for engine in engines() {
+        let name = engine.to_string();
+        let ctx = ctx_for(engine);
         let d = ctx.from_vec((0..137).map(Value::Long).collect());
         let chained = d
             .map(|v| BinOp::Add.apply(v, &Value::Long(10)))
@@ -113,21 +104,21 @@ fn backends_agree_on_narrow_chain_order_and_stage_count() {
         let after = ctx.stats().snapshot().since(&before);
         assert_eq!(
             after.physical_stages, 1,
-            "backend `{name}` must fuse the chain into one stage"
+            "`{name}` must fuse the chain into one stage"
         );
         outputs.push((name, rows));
     }
     for (name, rows) in &outputs[1..] {
-        assert_eq!(rows, &outputs[0].1, "backend `{name}` changed row order");
+        assert_eq!(rows, &outputs[0].1, "`{name}` changed row order");
     }
 }
 
 #[test]
 fn backends_agree_on_shuffle_volume() {
     let mut volumes = Vec::new();
-    for exec in backends() {
-        let name = exec.name().to_string();
-        let ctx = ctx_for(exec);
+    for engine in engines() {
+        let name = engine.to_string();
+        let ctx = ctx_for(engine);
         let entries: Vec<(i64, i64)> = (0..600).map(|i| (i % 13, i)).collect();
         let d = long_pairs(&ctx, &entries);
         let before = ctx.stats().snapshot();
@@ -140,7 +131,7 @@ fn backends_agree_on_shuffle_volume() {
         assert_eq!(
             (shuffles, records),
             (&volumes[0].1, &volumes[0].2),
-            "backend `{name}` moved a different number of rows"
+            "`{name}` moved a different number of rows"
         );
     }
 }
@@ -150,9 +141,9 @@ type BackendRows = (String, Vec<Value>, Vec<Value>, Vec<Value>);
 #[test]
 fn backends_agree_on_union_merge_and_join() {
     let mut outputs: Vec<BackendRows> = Vec::new();
-    for exec in backends() {
-        let name = exec.name().to_string();
-        let ctx = ctx_for(exec);
+    for engine in engines() {
+        let name = engine.to_string();
+        let ctx = ctx_for(engine);
         let a = long_pairs(&ctx, &[(1, 1), (2, 2), (3, 3), (4, 4)]);
         let b = long_pairs(&ctx, &[(2, 20), (3, 30), (5, 50)]);
         let union_rows = a.union(&b).try_collect().unwrap();
@@ -164,9 +155,9 @@ fn backends_agree_on_union_merge_and_join() {
         outputs.push((name, union_rows, merged, joined));
     }
     for (name, u, m, j) in &outputs[1..] {
-        assert_eq!(u, &outputs[0].1, "backend `{name}` union diverged");
-        assert_eq!(m, &outputs[0].2, "backend `{name}` merge diverged");
-        assert_eq!(j, &outputs[0].3, "backend `{name}` join diverged");
+        assert_eq!(u, &outputs[0].1, "`{name}` union diverged");
+        assert_eq!(m, &outputs[0].2, "`{name}` merge diverged");
+        assert_eq!(j, &outputs[0].3, "`{name}` join diverged");
     }
 }
 
@@ -174,11 +165,11 @@ fn backends_agree_on_union_merge_and_join() {
 fn backends_surface_the_same_first_error() {
     // Row 2 fails in the second step; row 7 fails in the first step.
     // Tuple-at-a-time order reaches row 2's second-step error first, and
-    // the tile backend must replay to the same error.
+    // the columnar layout must replay its tile to the same error.
     let mut messages = Vec::new();
-    for exec in backends() {
-        let name = exec.name().to_string();
-        let ctx = ctx_for(exec);
+    for engine in engines() {
+        let name = engine.to_string();
+        let ctx = ctx_for(engine);
         let d = ctx.from_vec((0..10).map(Value::Long).collect());
         let err = d
             .map(|v| {
@@ -204,7 +195,7 @@ fn backends_surface_the_same_first_error() {
     for (name, msg) in &messages {
         assert_eq!(
             msg, "second-step error",
-            "backend `{name}` surfaced the wrong first error"
+            "`{name}` surfaced the wrong first error"
         );
     }
 }
@@ -213,14 +204,14 @@ fn backends_surface_the_same_first_error() {
 fn backends_surface_the_same_first_error_from_the_consumer_sink() {
     // The first error in canonical row order can come from the CONSUMER
     // (here the shuffle's key check on row 0), not from a step (row 1's
-    // map error). The tile backend's batch replay must reproduce the
+    // map error). The columnar layout's tile replay must reproduce the
     // sink's error, not short-circuit on the step's.
     let mut messages = Vec::new();
-    for exec in backends() {
-        let name = exec.name().to_string();
-        // One partition, so both rows share a tile and the batch replay
+    for engine in engines() {
+        let name = engine.to_string();
+        // One partition, so both rows share a tile and the tile replay
         // path is what decides which error surfaces.
-        let ctx = Context::new(2, 1).with_executor(exec);
+        let ctx = engine.context(2, 1);
         let d = ctx.from_vec(vec![Value::Long(0), Value::Long(1)]);
         let err = d
             .map(|v| match v.as_long() {
@@ -238,7 +229,7 @@ fn backends_surface_the_same_first_error_from_the_consumer_sink() {
     for (name, msg) in &messages[1..] {
         assert_eq!(
             msg, &messages[0].1,
-            "backend `{name}` surfaced a different first error"
+            "`{name}` surfaced a different first error"
         );
     }
     assert!(
@@ -250,62 +241,43 @@ fn backends_surface_the_same_first_error_from_the_consumer_sink() {
 
 #[test]
 fn backends_agree_under_reduce_and_group() {
-    for exec in backends() {
-        let name = exec.name().to_string();
-        let ctx = ctx_for(exec);
+    for engine in engines() {
+        let name = engine.to_string();
+        let ctx = ctx_for(engine);
         let d = ctx.range(1, 500);
         let sum = d.reduce(|a, b| BinOp::Add.apply(a, b)).unwrap().unwrap();
-        assert_eq!(sum, Value::Long(125250), "backend `{name}`");
+        assert_eq!(sum, Value::Long(125250), "`{name}`");
         let entries: Vec<(i64, i64)> = (0..100).map(|i| (i % 4, i)).collect();
         let g = long_pairs(&ctx, &entries).group_by_key().unwrap();
         let rows = g.collect_sorted();
-        assert_eq!(rows.len(), 4, "backend `{name}`");
+        assert_eq!(rows.len(), 4, "`{name}`");
         for row in rows {
             let (_, bag) = key_value(&row).unwrap();
-            assert_eq!(bag.as_bag().unwrap().len(), 25, "backend `{name}`");
+            assert_eq!(bag.as_bag().unwrap().len(), 25, "`{name}`");
         }
     }
 }
 
 #[test]
 fn introspection_is_stable() {
-    let local = executor_named("local").unwrap();
-    assert_eq!(local.name(), "local");
-    assert!(!local.capabilities().vectorized);
-    assert!(local.capabilities().fused_shuffle_read);
-    assert!(local.capabilities().union_in_place);
-
-    let tile = executor_named("tile").unwrap();
-    assert_eq!(tile.name(), "tile");
-    assert!(tile.capabilities().vectorized);
-    assert!(!tile.capabilities().spilling_exchange);
-
-    let spill = executor_named("spill").unwrap();
-    assert_eq!(spill.name(), "spill");
-    assert!(spill.capabilities().spilling_exchange);
-    assert!(spill.capabilities().adaptive_chunking);
-    assert!(spill.capabilities().fused_shuffle_read);
-
-    let columnar = executor_named("columnar").unwrap();
-    assert_eq!(columnar.name(), "columnar");
-    assert!(columnar.capabilities().vectorized);
-    assert!(columnar.capabilities().fused_shuffle_read);
-    assert!(!columnar.capabilities().spilling_exchange);
-
-    assert!(executor_named("flink").is_none());
-    assert!(
-        diablo_dataflow::BACKEND_NAMES.contains(&"spill"),
-        "the registry lists the spill backend"
-    );
-    assert!(
-        diablo_dataflow::BACKEND_NAMES.contains(&"columnar"),
-        "the registry lists the columnar backend"
-    );
+    assert_eq!(Layout::NAMES, ["columnar", "local"]);
+    assert_eq!(Layout::named("local"), Some(Layout::Row));
+    assert_eq!(Layout::Row.name(), "local");
+    assert_eq!(Layout::named("columnar"), Some(Layout::Columnar));
+    assert_eq!(Layout::Columnar.name(), "columnar");
+    for gone in ["tile", "spill", "morsel", "flink"] {
+        assert!(Layout::named(gone).is_none(), "{gone}");
+    }
+    let ctx = Context::new(1, 1);
+    assert_eq!(ctx.tile_width(), DEFAULT_TILE_WIDTH);
+    assert_eq!(ctx.stats_snapshot().backend, ctx.layout().name());
+    assert_eq!(ctx.stats_snapshot().scheduler, "morsel");
 }
 
 /// A transparent chain (built via `map_expr` / `filter_expr`) must return
-/// the same rows in the same order on every backend — and actually engage
-/// the columnar driver's vectorized path on the columnar backend.
+/// the same rows in the same order in every configuration — and actually
+/// engage the columnar driver's vectorized path, with no row fallback, in
+/// the columnar layout.
 #[test]
 fn backends_agree_on_a_transparent_expression_chain() {
     fn chain(ctx: &Context) -> Vec<Value> {
@@ -337,19 +309,18 @@ fn backends_agree_on_a_transparent_expression_chain() {
         .unwrap()
         .collect()
     }
-    let reference = chain(&ctx_for(Arc::new(LocalExecutor)));
+    let reference = chain(&ctx_for(Engine::ROW));
     assert!(!reference.is_empty());
-    for exec in backends() {
-        let name = exec.name();
-        let ctx = ctx_for(exec);
+    for engine in engines() {
+        let ctx = ctx_for(engine);
         let before = ctx.stats().snapshot();
         let got = chain(&ctx);
         let after = ctx.stats().snapshot().since(&before);
-        assert_eq!(got, reference, "backend `{name}` diverged");
-        if name == "columnar" {
+        assert_eq!(got, reference, "`{engine}` diverged");
+        if engine.columnar() {
             assert!(
                 after.vectorized_batches > 0,
-                "columnar backend must vectorize a fully transparent chain"
+                "`{engine}` must vectorize a fully transparent chain"
             );
             assert_eq!(after.row_fallback_stages, 0, "no fallback expected");
         }
@@ -361,13 +332,13 @@ fn backends_agree_on_a_transparent_expression_chain() {
 #[test]
 fn columnar_falls_back_per_stage_on_opaque_steps() {
     let reference = {
-        let ctx = ctx_for(Arc::new(LocalExecutor));
+        let ctx = ctx_for(Engine::ROW);
         let d = ctx.from_vec((0..200).map(Value::Long).collect());
         d.map(|v| BinOp::Add.apply(v, &Value::Long(5)))
             .unwrap()
             .collect()
     };
-    let ctx = ctx_for(Arc::new(ColumnarExecutor::new(32)));
+    let ctx = ctx_for(Engine::COLUMNAR.tile(32));
     let d = ctx.from_vec((0..200).map(Value::Long).collect());
     let before = ctx.stats().snapshot();
     let got = d
@@ -384,8 +355,8 @@ fn columnar_falls_back_per_stage_on_opaque_steps() {
 }
 
 /// `Dataset::aggregate` is `Dataset::reduce` with a visible monoid: the
-/// same value to the last bit on every backend, whether the chain is
-/// transparent (the columnar backend folds typed lanes), opaque (row
+/// same value to the last bit in every configuration, whether the chain is
+/// transparent (the columnar layout folds typed lanes), opaque (row
 /// fallback), or the monoid has no lane kernel (tuple sums, `argmin`).
 #[test]
 fn backends_agree_on_total_aggregations() {
@@ -462,7 +433,7 @@ fn backends_agree_on_total_aggregations() {
     for (what, op, build) in cases {
         let agg = AggOp::new(op).expect("commutative");
         let reference = {
-            let ctx = ctx_for(Arc::new(LocalExecutor));
+            let ctx = ctx_for(Engine::ROW);
             build(&ctx.from_vec(rows.clone()))
                 .reduce(|a, b| op.apply(a, b))
                 .unwrap()
@@ -472,25 +443,23 @@ fn backends_agree_on_total_aggregations() {
         } else {
             assert!(reference.is_some(), "{what}");
         }
-        for exec in backends() {
-            let name = exec.name();
-            let ctx = ctx_for(exec);
+        for engine in engines() {
+            let ctx = ctx_for(engine);
             let got = build(&ctx.from_vec(rows.clone())).aggregate(agg).unwrap();
             // Debug, not `==`: `Long(2) == Double(2.0)`, and the claim is
             // the same bits.
             assert_eq!(
                 format!("{got:?}"),
                 format!("{reference:?}"),
-                "{what}: backend `{name}` diverged"
+                "{what}: `{engine}` diverged"
             );
         }
     }
 }
 
-/// The paper's total aggregations, source to scalar: the default engine
-/// (columnar, at batch widths that cut tiles mid-partition) against the
-/// `local` row reference at every pool width — byte-identical values, fully
-/// vectorized.
+/// The paper's total aggregations, source to scalar: the default columnar
+/// layout (at tile widths that cut tiles mid-partition) against the row
+/// layout at every pool width — byte-identical values, fully vectorized.
 #[test]
 fn total_aggregation_programs_match_the_row_reference() {
     const SRC: &str = r#"
@@ -519,8 +488,8 @@ fn total_aggregation_programs_match_the_row_reference() {
     "#;
     const OUTPUTS: [&str; 8] = ["sum", "small", "none", "all", "any", "lo", "hi", "prod"];
     let compiled = diablo_core::compile(SRC).unwrap();
-    let run = |exec: Arc<dyn Executor>, workers: usize, empty: bool| {
-        let ctx = Context::new(workers, 5).with_executor(exec);
+    let run = |engine: Engine, workers: usize, empty: bool| {
+        let ctx = engine.context(workers, 5);
         let mut s = diablo_exec::Session::new(ctx.clone());
         let n = if empty { 0 } else { 1000i64 };
         s.bind_input(
@@ -551,12 +520,12 @@ fn total_aggregation_programs_match_the_row_reference() {
         (values, ctx.stats().snapshot())
     };
     for empty in [false, true] {
-        let (reference, _) = run(Arc::new(LocalExecutor), 1, empty);
+        let (reference, _) = run(Engine::ROW, 1, empty);
         for workers in [1, 2, 4] {
-            let (row, _) = run(Arc::new(LocalExecutor), workers, empty);
+            let (row, _) = run(Engine::ROW, workers, empty);
             assert_eq!(row, reference, "local at {workers} workers");
-            for batch in [1, 7, 4096] {
-                let (got, stats) = run(Arc::new(ColumnarExecutor::new(batch)), workers, empty);
+            for batch in [1, 7, DEFAULT_TILE_WIDTH] {
+                let (got, stats) = run(Engine::COLUMNAR.tile(batch), workers, empty);
                 assert_eq!(
                     got, reference,
                     "batch {batch}, {workers} workers, empty input: {empty}"
@@ -572,8 +541,8 @@ fn total_aggregation_programs_match_the_row_reference() {
 }
 
 /// `Dataset::aggregate_by_key` is `Dataset::reduce_by_key` with visible
-/// monoids: the same rows in the same order, to the last bit, on every
-/// backend — whether the keyed map is transparent (the columnar backend
+/// monoids: the same rows in the same order, to the last bit, in every
+/// configuration — whether the keyed map is transparent (the columnar layout
 /// hashes the key column in place and folds typed lanes), opaque, or
 /// absent; whatever the key type; hash or sorted shuffle.
 #[test]
@@ -705,13 +674,8 @@ fn backends_agree_on_keyed_aggregations() {
             d.filter_expr(none).unwrap().map_expr(keyed).unwrap()
         }),
     ];
-    let context = |exec: Arc<dyn Executor>, workers: usize, ordered: bool| {
-        let ctx = Context::new(workers, 5)
-            .with_executor(exec)
-            .with_morsel_size(16)
-            .with_ordered(ordered);
-        ctx.set_memory_budget(None);
-        ctx
+    let context = |engine: Engine, workers: usize, ordered: bool| {
+        engine.context(workers, 5).with_ordered(ordered)
     };
     let mut vectorized = 0;
     for (k, (key_name, key)) in keys.iter().enumerate() {
@@ -726,7 +690,7 @@ fn backends_agree_on_keyed_aggregations() {
                     let what =
                         format!("{value_name} by {key_name}, {shape_name}, ordered {ordered}");
                     let reference = {
-                        let ctx = context(Arc::new(LocalExecutor), 1, ordered);
+                        let ctx = context(Engine::ROW, 1, ordered);
                         let ops = ops.clone();
                         build(&ctx.from_vec(rows.clone()), keyed.clone())
                             .reduce_by_key(move |a, b| {
@@ -742,16 +706,8 @@ fn backends_agree_on_keyed_aggregations() {
                             .collect()
                     };
                     assert_eq!(reference.is_empty(), *shape_name == "empty input", "{what}");
-                    let mut engines: Vec<(Arc<dyn Executor>, usize)> =
-                        backends().into_iter().map(|e| (e, 3)).collect();
-                    for batch in [1, 7, 4096] {
-                        for workers in [1, 2, 4] {
-                            engines.push((Arc::new(ColumnarExecutor::new(batch)), workers));
-                        }
-                    }
-                    for (exec, workers) in engines {
-                        let name = exec.name();
-                        let ctx = context(exec, workers, ordered);
+                    for (engine, workers) in engines_and_workers() {
+                        let ctx = context(engine, workers, ordered);
                         let got = build(&ctx.from_vec(rows.clone()), keyed.clone())
                             .aggregate_by_key(aggs.clone())
                             .unwrap()
@@ -761,7 +717,7 @@ fn backends_agree_on_keyed_aggregations() {
                         assert_eq!(
                             format!("{got:?}"),
                             format!("{reference:?}"),
-                            "{what}: backend `{name}` at {workers} workers diverged"
+                            "{what}: `{engine}` at {workers} workers diverged"
                         );
                         vectorized += ctx.stats().snapshot().vectorized_batches;
                     }
@@ -962,23 +918,8 @@ fn backends_agree_on_joins_and_crosses() {
             (ctx.from_vec(l.to_vec()), ctx.from_vec(r))
         }),
     ];
-    let context = |exec: Arc<dyn Executor>, workers: usize, ordered: bool| {
-        let ctx = Context::new(workers, 5)
-            .with_executor(exec)
-            .with_morsel_size(16)
-            .with_ordered(ordered);
-        ctx.set_memory_budget(None);
-        ctx
-    };
-    let engines = || {
-        let mut engines: Vec<(Arc<dyn Executor>, usize)> =
-            backends().into_iter().map(|e| (e, 3)).collect();
-        for batch in [1, 7, 4096] {
-            for workers in [1, 2, 4] {
-                engines.push((Arc::new(ColumnarExecutor::new(batch)), workers));
-            }
-        }
-        engines
+    let context = |engine: Engine, workers: usize, ordered: bool| {
+        engine.context(workers, 5).with_ordered(ordered)
     };
     // Debug, not `==`: `Long(1) == Double(1.0)`, and the claim is the same
     // rows bit for bit — or the same first error.
@@ -998,7 +939,7 @@ fn backends_agree_on_joins_and_crosses() {
             for ordered in [false, true] {
                 let what = format!("{kind}, {variant}, ordered {ordered}");
                 let reference = {
-                    let ctx = context(Arc::new(LocalExecutor), 1, ordered);
+                    let ctx = context(Engine::ROW, 1, ordered);
                     let (l, r) = build(&ctx, &left_rows, right);
                     show(cogroup_join(&l, &r, &on))
                 };
@@ -1013,19 +954,18 @@ fn backends_agree_on_joins_and_crosses() {
                 } else {
                     assert_eq!(reference == "[]", variant.starts_with("empty"), "{what}");
                 }
-                for (exec, workers) in engines() {
-                    let name = exec.name();
-                    let ctx = context(exec, workers, ordered);
+                for (engine, workers) in engines_and_workers() {
+                    let ctx = context(engine, workers, ordered);
                     let (l, r) = build(&ctx, &left_rows, right);
                     let got = show(l.join_on(&r, on.clone()).and_then(|d| d.try_collect()));
                     assert_eq!(
                         got, reference,
-                        "{what}: backend `{name}` at {workers} workers diverged"
+                        "{what}: `{engine}` at {workers} workers diverged"
                     );
                     let stats = ctx.stats().snapshot();
                     vectorized += stats.vectorized_batches;
                     if *variant == "as they are" {
-                        assert_eq!(stats.row_fallback_stages, 0, "{what}: `{name}`");
+                        assert_eq!(stats.row_fallback_stages, 0, "{what}: `{engine}`");
                     }
                 }
             }
@@ -1062,21 +1002,20 @@ fn backends_agree_on_joins_and_crosses() {
         }
         for ordered in [false, true] {
             let reference = {
-                let ctx = context(Arc::new(LocalExecutor), 1, ordered);
+                let ctx = context(Engine::ROW, 1, ordered);
                 show(cogroup_pairs(
                     &ctx.from_vec(l.clone()),
                     &ctx.from_vec(r.clone()),
                 ))
             };
             assert_eq!(reference.starts_with("error"), bad.is_some());
-            for (exec, workers) in engines() {
-                let name = exec.name();
-                let ctx = context(exec, workers, ordered);
+            for (engine, workers) in engines_and_workers() {
+                let ctx = context(engine, workers, ordered);
                 let joined = ctx.from_vec(l.clone()).join(&ctx.from_vec(r.clone()));
                 assert_eq!(
                     show(joined.and_then(|d| d.try_collect())),
                     reference,
-                    "join with bad row {bad:?}, ordered {ordered}: `{name}` at {workers} workers"
+                    "join with bad row {bad:?}, ordered {ordered}: `{engine}` at {workers} workers"
                 );
             }
         }
@@ -1106,7 +1045,7 @@ fn backends_agree_on_joins_and_crosses() {
             ctx.from_vec(left_rows.clone()).filter_expr(keep).unwrap()
         };
         let reference = {
-            let ctx = context(Arc::new(LocalExecutor), 1, false);
+            let ctx = context(Engine::ROW, 1, false);
             show(closure_cross(
                 &left(&ctx),
                 items.clone(),
@@ -1122,19 +1061,18 @@ fn backends_agree_on_joins_and_crosses() {
                 format!("error: runtime error: {cross_mismatch} (4, 4)")
             );
         }
-        for (exec, workers) in engines() {
-            let name = exec.name();
-            let ctx = context(exec, workers, false);
+        for (engine, workers) in engines_and_workers() {
+            let ctx = context(engine, workers, false);
             let crossed = left(&ctx).cross(items.clone(), shape.clone(), cross_mismatch);
             assert_eq!(
                 show(crossed.and_then(|d| d.try_collect())),
                 reference,
-                "cross, {case}: backend `{name}` at {workers} workers diverged"
+                "cross, {case}: `{engine}` at {workers} workers diverged"
             );
             assert_eq!(
                 ctx.stats().snapshot().row_fallback_stages,
                 0,
-                "{case}: `{name}`"
+                "{case}: `{engine}`"
             );
         }
     }
@@ -1143,13 +1081,28 @@ fn backends_agree_on_joins_and_crosses() {
 #[test]
 fn context_swaps_backends_in_place() {
     let ctx = Context::new(2, 4);
-    let default_name = ctx.executor().name();
-    ctx.set_executor(Arc::new(TileExecutor::new(8)));
-    assert_eq!(ctx.executor().name(), "tile");
+    let clone = ctx.clone();
+    let ctx = ctx.with_layout(Layout::Columnar).with_tile_width(8);
+    assert_eq!(clone.layout(), Layout::Columnar, "clones share the layout");
+    assert_eq!(clone.tile_width(), 8);
     // Results stay correct after the swap.
     let d = ctx.range(1, 50);
     assert_eq!(d.count(), 50);
-    ctx.set_executor(executor_named("local").unwrap());
-    assert_eq!(ctx.executor().name(), "local");
-    let _ = default_name;
+    let ctx = ctx.with_layout(Layout::Row);
+    assert_eq!(clone.stats_snapshot().backend, "local");
+    assert_eq!(d.count(), 50);
+    assert_eq!(ctx.layout(), Layout::Row);
+}
+
+/// The grid of the keyed-aggregation and join tests: every configuration
+/// at 3 workers, plus the columnar layout at tile widths that cut
+/// partitions into many, several, or one tile, at every pool width.
+fn engines_and_workers() -> Vec<(Engine, usize)> {
+    let mut grid: Vec<(Engine, usize)> = engines().into_iter().map(|e| (e, 3)).collect();
+    for batch in [1, 7, DEFAULT_TILE_WIDTH] {
+        for workers in [1, 2, 4] {
+            grid.push((Engine::COLUMNAR.tile(batch), workers));
+        }
+    }
+    grid
 }

@@ -1,13 +1,11 @@
 //! Failure-path tests: bad programs, bad inputs, and runtime faults must
 //! surface as errors (never panics), on both execution paths.
 
-use std::sync::Arc;
+mod common;
 
+use common::Engine;
 use diablo_core::compile;
-use diablo_dataflow::{
-    ColumnarExecutor, Context, Executor, JoinOn, LocalExecutor, MorselExecutor, RowExpr, Shape,
-    SpillExecutor, TileExecutor,
-};
+use diablo_dataflow::{Context, JoinOn, RowExpr, Shape, DEFAULT_TILE_WIDTH};
 use diablo_exec::Session;
 use diablo_interp::Interpreter;
 use diablo_lang::{parse, typecheck};
@@ -157,18 +155,15 @@ fn while_loop_that_never_runs() {
     assert_eq!(session.scalar("body_ran"), Some(Value::Long(0)));
 }
 
-/// The built-in backends (tile with a tiny batch so tile replay paths
-/// run; spill with a zero fallback budget so every exchanged chunk goes
-/// through disk runs; morsel so injected failures also race the
-/// work-stealing splitter; columnar with a tiny batch so the opaque
-/// closures here exercise its per-stage row fallback).
-fn sorted_failure_backends() -> Vec<Arc<dyn Executor>> {
+/// Both layouts, unbounded and with a zero exchange budget so every
+/// exchanged chunk goes through disk runs; the columnar layout with tiny
+/// tiles so the opaque closures here exercise its per-stage row fallback.
+fn sorted_failure_engines() -> Vec<Engine> {
     vec![
-        Arc::new(LocalExecutor),
-        Arc::new(TileExecutor::new(4)),
-        Arc::new(SpillExecutor::new(0)),
-        Arc::new(MorselExecutor),
-        Arc::new(ColumnarExecutor::new(16)),
+        Engine::ROW,
+        Engine::ROW.budget(Some(0)),
+        Engine::COLUMNAR.tile(4),
+        Engine::COLUMNAR.tile(16).budget(Some(0)),
     ]
 }
 
@@ -176,13 +171,11 @@ fn sorted_failure_backends() -> Vec<Arc<dyn Executor>> {
 fn sorted_path_surfaces_the_hash_paths_error_mid_sort() {
     // A UDF that fails inside the fused chain feeding the keyed operator
     // (the sort side of the sorted path) must surface the identical first
-    // error — message and statement tag — as the hash path's scatter, on
-    // every backend.
-    for exec in sorted_failure_backends() {
-        let name = exec.name();
+    // error — message and statement tag — as the hash path's scatter, in
+    // every configuration.
+    for engine in sorted_failure_engines() {
         let run = |sorted: bool| -> RuntimeError {
-            let ctx = Context::new(3, 6).with_executor(exec.clone());
-            ctx.set_memory_budget(None);
+            let ctx = engine.context(3, 6);
             ctx.set_statement_label(Some("s4: C := poisoned map"));
             let d = ctx
                 .from_vec((0..300).map(Value::Long).collect())
@@ -206,12 +199,12 @@ fn sorted_path_surfaces_the_hash_paths_error_mid_sort() {
         let sorted = run(true);
         assert_eq!(
             sorted.message, hash.message,
-            "backend `{name}`: sorted path changed the first error"
+            "`{engine}`: sorted path changed the first error"
         );
         assert!(sorted.message.contains("boom mid-sort"), "{sorted}");
         assert!(
             sorted.message.contains("s4: C := poisoned map"),
-            "backend `{name}`: statement tag lost on the sorted path: {sorted}"
+            "`{engine}`: statement tag lost on the sorted path: {sorted}"
         );
     }
 }
@@ -222,12 +215,10 @@ fn sorted_path_surfaces_the_hash_paths_error_mid_merge() {
     // side of the sorted path). The poisoned key appears once per source
     // partition, so neither path's map-side combine ever touches it — the
     // failure happens only while merging the shuffled bucket — and both
-    // paths must report the same tagged error on every backend.
-    for exec in sorted_failure_backends() {
-        let name = exec.name();
+    // paths must report the same tagged error in every configuration.
+    for engine in sorted_failure_engines() {
         let run = |sorted: bool| -> RuntimeError {
-            let ctx = Context::new(3, 6).with_executor(exec.clone());
-            ctx.set_memory_budget(None);
+            let ctx = engine.context(3, 6);
             // 60 rows chunk into 6 partitions of 10; key 5 sits at one
             // index per partition (i % 10 == 0 → key 5).
             let rows: Vec<Value> = (0..60)
@@ -261,12 +252,12 @@ fn sorted_path_surfaces_the_hash_paths_error_mid_merge() {
         let sorted = run(true);
         assert_eq!(
             sorted.message, hash.message,
-            "backend `{name}`: sorted merge changed the first error"
+            "`{engine}`: sorted merge changed the first error"
         );
         assert!(sorted.message.contains("boom mid-merge"), "{sorted}");
         assert!(
             sorted.message.contains("s9: C := poisoned combine"),
-            "backend `{name}`: statement tag lost in the sorted merge: {sorted}"
+            "`{engine}`: statement tag lost in the sorted merge: {sorted}"
         );
     }
 }
@@ -276,11 +267,9 @@ fn sorted_shuffle_rejects_non_pair_rows_like_the_hash_scatter() {
     // The ordered exchange's pair check fires in canonical row order, so
     // the sorted path reports the same malformed-row error the hash
     // scatter does.
-    for exec in sorted_failure_backends() {
-        let name = exec.name();
+    for engine in sorted_failure_engines() {
         let run = |sorted: bool| -> RuntimeError {
-            let ctx = Context::new(2, 4).with_executor(exec.clone());
-            ctx.set_memory_budget(None);
+            let ctx = engine.context(2, 4);
             let d = ctx.from_vec(vec![
                 Value::pair(Value::Long(1), Value::Long(10)),
                 Value::Long(99), // not a (key, value) pair
@@ -295,7 +284,7 @@ fn sorted_shuffle_rejects_non_pair_rows_like_the_hash_scatter() {
         let sorted = run(true);
         assert_eq!(
             sorted.message, hash.message,
-            "backend `{name}`: malformed-row errors diverged"
+            "`{engine}`: malformed-row errors diverged"
         );
         assert!(sorted.message.contains("pair"), "{sorted}");
     }
@@ -304,10 +293,10 @@ fn sorted_shuffle_rejects_non_pair_rows_like_the_hash_scatter() {
 #[test]
 fn columnar_mid_batch_failures_match_the_row_path_byte_for_byte() {
     // A fully transparent (vectorizable) fused chain whose 137th row
-    // divides by zero. Under the columnar backend the failure strikes in
-    // the middle of a 64-row tile; the tile is replayed tuple-at-a-time,
-    // so the surfaced first error — message and statement tag — must be
-    // byte-identical to `LocalExecutor`'s, on both keyed paths and under
+    // divides by zero. In the columnar layout the failure strikes in the
+    // middle of a 64-row tile; the tile is replayed tuple-at-a-time, so the
+    // surfaced first error — message and statement tag — must be
+    // byte-identical to the row layout's, on both keyed paths and under
     // every exchange budget.
     let expr = || {
         RowExpr::Tuple(vec![
@@ -329,9 +318,8 @@ fn columnar_mid_batch_failures_match_the_row_path_byte_for_byte() {
     };
     for budget in [None, Some(4096), Some(0)] {
         for sorted in [false, true] {
-            let run = |exec: Arc<dyn Executor>| -> RuntimeError {
-                let ctx = Context::new(3, 6).with_executor(exec);
-                ctx.set_memory_budget(budget);
+            let run = |engine: Engine| -> RuntimeError {
+                let ctx = engine.budget(budget).context(3, 6);
                 ctx.set_statement_label(Some("s3: C := 1000 / (V[i] - 137)"));
                 let d = ctx
                     .from_vec((0..300).map(Value::Long).collect())
@@ -348,8 +336,8 @@ fn columnar_mid_batch_failures_match_the_row_path_byte_for_byte() {
                     Ok(k) => k.try_collect().unwrap_err(),
                 }
             };
-            let row_path = run(Arc::new(LocalExecutor));
-            let columnar = run(Arc::new(ColumnarExecutor::new(64)));
+            let row_path = run(Engine::ROW);
+            let columnar = run(Engine::COLUMNAR.tile(64));
             let mode = if sorted { "ordered" } else { "hash" };
             assert_eq!(
                 columnar.message, row_path.message,
@@ -377,13 +365,13 @@ fn poisoned_total_aggregation_fails_like_the_row_reference() {
          for n in N do q += 1000 / (n - 137);",
     )
     .unwrap();
-    let run = |exec: Arc<dyn Executor>, workers: usize| -> (RuntimeError, Option<Value>) {
-        let mut s = Session::new(Context::new(workers, 5).with_executor(exec));
+    let run = |engine: Engine, workers: usize| -> (RuntimeError, Option<Value>) {
+        let mut s = Session::new(engine.context(workers, 5));
         s.bind_input("N", vec_rows(&(0..300).map(|i| (i, i)).collect::<Vec<_>>()));
         let err = s.run(&compiled).unwrap_err();
         (err, s.scalar("q"))
     };
-    let (reference, q) = run(Arc::new(LocalExecutor), 1);
+    let (reference, q) = run(Engine::ROW, 1);
     assert!(
         reference.message.contains("division by zero"),
         "{reference}"
@@ -391,8 +379,8 @@ fn poisoned_total_aggregation_fails_like_the_row_reference() {
     assert!(reference.message.contains("s1:q"), "{reference}");
     assert_eq!(q, Some(Value::Long(7)));
     for workers in [1, 2, 4] {
-        for batch in [1, 7, 4096] {
-            let (err, q_after) = run(Arc::new(ColumnarExecutor::new(batch)), workers);
+        for batch in [1, 7, DEFAULT_TILE_WIDTH] {
+            let (err, q_after) = run(Engine::COLUMNAR.tile(batch), workers);
             assert_eq!(
                 err.message, reference.message,
                 "batch {batch}, {workers} workers"
@@ -409,8 +397,8 @@ fn a_failing_fold_wins_over_a_later_failing_step() {
     // 15, so the fold's error is the canonical first one — also when a
     // whole tile's steps ran (and failed) before any of it was folded.
     let and = diablo_runtime::AggOp::new(BinOp::And).unwrap();
-    let run = |exec: Arc<dyn Executor>| -> RuntimeError {
-        let ctx = Context::new(2, 1).with_executor(exec);
+    let run = |engine: Engine| -> RuntimeError {
+        let ctx = engine.context(2, 1);
         ctx.set_statement_label(Some("s2: ok := &&/ 1000 / (V[i] - 15)"));
         let d = ctx
             .from_vec((0..40).map(Value::Long).collect())
@@ -427,13 +415,13 @@ fn a_failing_fold_wins_over_a_later_failing_step() {
         ctx.set_statement_label(None);
         d.aggregate(and).unwrap_err()
     };
-    let reference = run(Arc::new(LocalExecutor));
+    let reference = run(Engine::ROW);
     assert!(
         reference.message.contains("expects booleans"),
         "{reference}"
     );
     for batch in [1, 4, 64] {
-        let got = run(Arc::new(ColumnarExecutor::new(batch)));
+        let got = run(Engine::COLUMNAR.tile(batch));
         assert_eq!(got.message, reference.message, "batch {batch}");
     }
 }
@@ -454,24 +442,24 @@ fn poisoned_keyed_aggregation_fails_like_the_row_reference() {
     .unwrap();
     for budget in [None, Some(4096), Some(0)] {
         for ordered in [false, true] {
-            let run = |exec: Arc<dyn Executor>, workers: usize| -> RuntimeError {
-                let ctx = Context::new(workers, 5)
-                    .with_executor(exec)
+            let run = |engine: Engine, workers: usize| -> RuntimeError {
+                let ctx = engine
+                    .budget(budget)
+                    .context(workers, 5)
                     .with_ordered(ordered);
-                ctx.set_memory_budget(budget);
                 let mut s = Session::new(ctx);
                 s.bind_input("N", vec_rows(&(0..300).map(|i| (i, i)).collect::<Vec<_>>()));
                 s.run(&compiled).unwrap_err()
             };
-            let reference = run(Arc::new(LocalExecutor), 1);
+            let reference = run(Engine::ROW, 1);
             assert!(
                 reference.message.contains("division by zero"),
                 "{reference}"
             );
             assert!(reference.message.contains("s1:C"), "{reference}");
             for workers in [1, 2, 4] {
-                for batch in [1, 7, 4096] {
-                    let err = run(Arc::new(ColumnarExecutor::new(batch)), workers);
+                for batch in [1, 7, DEFAULT_TILE_WIDTH] {
+                    let err = run(Engine::COLUMNAR.tile(batch), workers);
                     assert_eq!(
                         err.message, reference.message,
                         "budget {budget:?}, ordered {ordered}, batch {batch}, {workers} workers"
@@ -527,11 +515,11 @@ fn a_combine_that_fails_mid_tile_fails_like_the_row_reference() {
     let add = diablo_runtime::AggOp::new(BinOp::Add).unwrap();
     for budget in [None, Some(4096), Some(0)] {
         for ordered in [false, true] {
-            let run = |exec: Arc<dyn Executor>, workers: usize| -> RuntimeError {
-                let ctx = Context::new(workers, 1)
-                    .with_executor(exec)
+            let run = |engine: Engine, workers: usize| -> RuntimeError {
+                let ctx = engine
+                    .budget(budget)
+                    .context(workers, 1)
                     .with_ordered(ordered);
-                ctx.set_memory_budget(budget);
                 ctx.set_statement_label(Some("s4: C[k] += (a, b)"));
                 let d = ctx.from_vec(rows.clone()).map_expr(keyed()).unwrap();
                 ctx.set_statement_label(None);
@@ -540,7 +528,7 @@ fn a_combine_that_fails_mid_tile_fails_like_the_row_reference() {
                     Ok(k) => k.try_collect().unwrap_err(),
                 }
             };
-            let reference = run(Arc::new(LocalExecutor), 1);
+            let reference = run(Engine::ROW, 1);
             assert!(
                 reference
                     .message
@@ -548,8 +536,8 @@ fn a_combine_that_fails_mid_tile_fails_like_the_row_reference() {
                 "{reference}"
             );
             for workers in [1, 2, 4] {
-                for batch in [1, 7, 64, 4096] {
-                    let got = run(Arc::new(ColumnarExecutor::new(batch)), workers);
+                for batch in [1, 7, 64, DEFAULT_TILE_WIDTH] {
+                    let got = run(Engine::COLUMNAR.tile(batch), workers);
                     assert_eq!(
                         got.message, reference.message,
                         "budget {budget:?}, ordered {ordered}, batch {batch}, {workers} workers"
@@ -629,11 +617,11 @@ fn poisoned_joins_fail_like_the_row_reference() {
     for (case, left_key, right_key, right, expect) in cases {
         for budget in [None, Some(4096), Some(0)] {
             for ordered in [false, true] {
-                let run = |exec: Arc<dyn Executor>, workers: usize| -> RuntimeError {
-                    let ctx = Context::new(workers, 5)
-                        .with_executor(exec)
+                let run = |engine: Engine, workers: usize| -> RuntimeError {
+                    let ctx = engine
+                        .budget(budget)
+                        .context(workers, 5)
                         .with_ordered(ordered);
-                    ctx.set_memory_budget(budget);
                     let (l, r) = (ctx.from_vec(left_rows.clone()), ctx.from_vec(right.clone()));
                     ctx.set_statement_label(Some("s3:W"));
                     let on = JoinOn {
@@ -649,12 +637,12 @@ fn poisoned_joins_fail_like_the_row_reference() {
                         Ok(d) => d.try_collect().unwrap_err(),
                     }
                 };
-                let reference = run(Arc::new(LocalExecutor), 1);
+                let reference = run(Engine::ROW, 1);
                 assert!(reference.message.contains(expect), "{case}: {reference}");
                 assert!(reference.message.contains("[s3:W]"), "{case}: {reference}");
                 for workers in [1, 2, 4] {
-                    for batch in [1, 7, 64, 4096] {
-                        let got = run(Arc::new(ColumnarExecutor::new(batch)), workers);
+                    for batch in [1, 7, 64, DEFAULT_TILE_WIDTH] {
+                        let got = run(Engine::COLUMNAR.tile(batch), workers);
                         assert_eq!(
                             got.message, reference.message,
                             "{case}: budget {budget:?}, ordered {ordered}, batch {batch}, \
@@ -698,20 +686,18 @@ fn a_poisoned_join_or_cross_in_a_program_fails_like_the_row_reference() {
     ];
     for (compiled, left, right, right_rows, expect, tag) in cases {
         for budget in [None, Some(4096), Some(0)] {
-            let run = |exec: Arc<dyn Executor>, workers: usize| -> RuntimeError {
-                let ctx = Context::new(workers, 5).with_executor(exec);
-                ctx.set_memory_budget(budget);
-                let mut s = Session::new(ctx);
+            let run = |engine: Engine, workers: usize| -> RuntimeError {
+                let mut s = Session::new(engine.budget(budget).context(workers, 5));
                 s.bind_input(left, longs(300));
                 s.bind_input(right, right_rows.clone());
                 s.run(compiled).unwrap_err()
             };
-            let reference = run(Arc::new(LocalExecutor), 1);
+            let reference = run(Engine::ROW, 1);
             assert!(reference.message.contains(expect), "{reference}");
             assert!(reference.message.contains(tag), "{reference}");
             for workers in [1, 2, 4] {
-                for batch in [1, 7, 4096] {
-                    let err = run(Arc::new(ColumnarExecutor::new(batch)), workers);
+                for batch in [1, 7, DEFAULT_TILE_WIDTH] {
+                    let err = run(Engine::COLUMNAR.tile(batch), workers);
                     assert_eq!(
                         err.message, reference.message,
                         "budget {budget:?}, batch {batch}, {workers} workers"

@@ -1,5 +1,6 @@
 //! Ordering conformance for the sort-based shuffle path: for **every
-//! backend × budget (unbounded, 64 MiB, 0)**, the sorted keyed operators
+//! layout × tile width × budget (unbounded, 64 MiB, 0)**, the sorted keyed
+//! operators
 //! (`sorted_reduce_by_key`, `sorted_group_by_key`, `sorted_merge`,
 //! `sorted_cogroup`) must produce output that is
 //!
@@ -7,51 +8,42 @@
 //!    partition by partition (range buckets are contiguous);
 //! 2. **multiset-equal to the hash path** — the same rows as
 //!    `reduce_by_key`/`group_by_key`/`merge`/`cogroup`, reordered only;
-//! 3. **byte-identical across backends and budgets** — local, tile, and
-//!    spill agree row for row, whether the exchange stayed in memory or
-//!    went through disk runs (spill counters in the budget-0 runs prove
-//!    the sorted runs really were merged back from disk).
+//! 3. **byte-identical across layouts and budgets** — the row and the
+//!    columnar layout agree row for row, whether the exchange stayed in
+//!    memory or went through disk runs (spill counters in the budget-0
+//!    runs prove the sorted runs really were merged back from disk).
 //!
 //! Property tests drive the same invariants through adversarial key
 //! distributions: zipf-ish skew, all-equal, pre-sorted, reverse-sorted.
 
-use std::sync::Arc;
+mod common;
 
 use proptest::prelude::*;
 
-use diablo_dataflow::{
-    ColumnarExecutor, Context, Dataset, Executor, LocalExecutor, MorselExecutor, Partitioner,
-    RangePartitioner, SpillExecutor, TileExecutor,
-};
+use common::Engine;
+use diablo_dataflow::{Context, Dataset, Partitioner, RangePartitioner};
 use diablo_runtime::{array::key_value, BinOp, RuntimeError, Value};
 
 /// The combiner-closure result type, for turbofishing `None` combiners.
 type RtResult = std::result::Result<Value, RuntimeError>;
 
-/// The backend × budget grid every invariant runs over. The tile backend
-/// uses a deliberately tiny batch so multi-tile paths are exercised; the
-/// spill backend always budgets its exchanges (context budget wins when
-/// set, so the `Some(0)` leg forces every chunk through disk there too);
-/// the columnar backend runs with a tiny batch so its per-stage layout
-/// decision happens many times per partition.
-fn backends() -> Vec<Arc<dyn Executor>> {
+/// The layouts × tile widths every invariant runs over, each under every
+/// budget of [`BUDGETS`]. The columnar layout runs with tiny tiles so
+/// multi-tile paths are exercised and its per-stage layout decision
+/// happens many times per partition, and at the default width.
+fn engines() -> Vec<Engine> {
     vec![
-        Arc::new(LocalExecutor),
-        Arc::new(TileExecutor::new(4)),
-        Arc::new(SpillExecutor::default()),
-        Arc::new(MorselExecutor),
-        Arc::new(ColumnarExecutor::new(16)),
+        Engine::ROW,
+        Engine::COLUMNAR.tile(4),
+        Engine::COLUMNAR.tile(16),
+        Engine::COLUMNAR,
     ]
 }
 
 const BUDGETS: [Option<u64>; 3] = [None, Some(64 << 20), Some(0)];
 
-fn ctx_for(exec: Arc<dyn Executor>, budget: Option<u64>) -> Context {
-    // Tiny morsels keep the work-stealing splitter active on these small
-    // fixtures; ordering invariants must hold at any granularity.
-    let ctx = Context::new(3, 5).with_executor(exec).with_morsel_size(16);
-    ctx.set_memory_budget(budget);
-    ctx
+fn ctx_for(engine: Engine, budget: Option<u64>) -> Context {
+    engine.budget(budget).context(3, 5)
 }
 
 fn pairs(ctx: &Context, entries: &[(i64, i64)]) -> Dataset {
@@ -91,7 +83,7 @@ fn entries(n: i64) -> Vec<(i64, i64)> {
 fn sorted_ops_conform_across_backends_and_budgets() {
     // Hash-path references (order-insensitive): the sorted ops must emit
     // exactly these multisets.
-    let reference_ctx = ctx_for(Arc::new(LocalExecutor), None);
+    let reference_ctx = ctx_for(Engine::ROW, None);
     let a = pairs(&reference_ctx, &entries(400));
     let b = pairs(
         &reference_ctx,
@@ -115,10 +107,10 @@ fn sorted_ops_conform_across_backends_and_budgets() {
     // Byte-for-byte references from the first grid cell.
     let mut sorted_refs: Option<[Vec<Value>; 4]> = None;
 
-    for exec in backends() {
+    for engine in engines() {
         for budget in BUDGETS {
-            let name = format!("{} @ budget {:?}", exec.name(), budget);
-            let ctx = ctx_for(exec.clone(), budget);
+            let name = format!("{engine} @ budget {budget:?}");
+            let ctx = ctx_for(engine, budget);
             let a = pairs(&ctx, &entries(400));
             let b = pairs(
                 &ctx,
@@ -184,8 +176,8 @@ fn ordered_context_routes_keyed_operators_to_the_sorted_path() {
     // `Context::with_ordered` (the engine side of `diabloc --ordered` /
     // `DIABLO_ORDERED`) makes the plain keyed operators sort-based: same
     // multisets, key-ordered output, sorted shuffles in the stats.
-    let plain = ctx_for(Arc::new(LocalExecutor), None);
-    let ordered = ctx_for(Arc::new(LocalExecutor), None).with_ordered(true);
+    let plain = ctx_for(Engine::ROW, None);
+    let ordered = ctx_for(Engine::ROW, None).with_ordered(true);
     let d_plain = pairs(&plain, &entries(300));
     let d_ordered = pairs(&ordered, &entries(300));
     let before = ordered.stats().snapshot();
@@ -304,10 +296,10 @@ proptest! {
             prop_assert!(w[0] <= w[1], "bucket function not monotone: {buckets:?}");
         }
 
-        // Budget 0: the whole sorted exchange goes through disk runs on
-        // every backend, and the output must still be totally ordered and
-        // multiset-equal to the hash path.
-        let hash_ctx = ctx_for(Arc::new(LocalExecutor), None);
+        // Budget 0: the whole sorted exchange goes through disk runs in
+        // every configuration, and the output must still be totally
+        // ordered and multiset-equal to the hash path.
+        let hash_ctx = ctx_for(Engine::ROW, None);
         let hash = sorted_copy(
             &pairs(&hash_ctx, &rows)
                 .reduce_by_key(|x, y| BinOp::Add.apply(x, y))
@@ -316,9 +308,9 @@ proptest! {
         );
         let hash_group = sorted_copy(&pairs(&hash_ctx, &rows).group_by_key().unwrap().collect());
         let mut reference: Option<(Vec<Value>, Vec<Value>)> = None;
-        for exec in backends() {
-            let name = exec.name();
-            let ctx = ctx_for(exec, Some(0));
+        for engine in engines() {
+            let name = engine.to_string();
+            let ctx = ctx_for(engine, Some(0));
             let d = pairs(&ctx, &rows);
             let before = ctx.stats().snapshot();
             let reduced = d
@@ -352,7 +344,7 @@ fn sorted_group_bags_match_hash_bag_order() {
     // values in exactly the hash path's order (source partition order,
     // then emission order) — equal keys ride the ordered exchange in
     // (source, sequence, emission) order.
-    let ctx = ctx_for(Arc::new(LocalExecutor), None);
+    let ctx = ctx_for(Engine::ROW, None);
     let rows: Vec<(i64, i64)> = (0..240).map(|i| (i % 7, i)).collect();
     let d = pairs(&ctx, &rows);
     let hash: std::collections::HashMap<Value, Value> = d
@@ -363,7 +355,7 @@ fn sorted_group_bags_match_hash_bag_order() {
         .map(|r| key_value(&r).unwrap())
         .collect();
     for budget in BUDGETS {
-        let ctx = ctx_for(Arc::new(LocalExecutor), budget);
+        let ctx = ctx_for(Engine::ROW, budget);
         let d = pairs(&ctx, &rows);
         for row in d.sorted_group_by_key().unwrap().collect() {
             let (k, bag) = key_value(&row).unwrap();
@@ -386,7 +378,7 @@ fn sorted_merge_matches_hash_merge_semantics() {
             pairs(ctx, &[(2, 1), (2, 2), (3, 30), (0, 5)]),
         )
     };
-    let hash_ctx = ctx_for(Arc::new(LocalExecutor), None);
+    let hash_ctx = ctx_for(Engine::ROW, None);
     let (old, upd) = make(&hash_ctx);
     let hash_replace = sorted_copy(
         &old.merge(&upd, None::<fn(&Value, &Value) -> RtResult>)
@@ -399,7 +391,7 @@ fn sorted_merge_matches_hash_merge_semantics() {
             .collect(),
     );
     for budget in BUDGETS {
-        let ctx = ctx_for(Arc::new(LocalExecutor), budget);
+        let ctx = ctx_for(Engine::ROW, budget);
         let (old, upd) = make(&ctx);
         let replace = old
             .sorted_merge(&upd, None::<fn(&Value, &Value) -> RtResult>)

@@ -7,7 +7,7 @@
 //! recomputes dropped entries from their plan on the next read. All of
 //! that must be invisible: Word Count and PageRank on inputs many times
 //! the budget return byte-identical rows, in identical order, with the
-//! identical first error, on every backend × hash/ordered routing — at
+//! identical first error, in every layout × hash/ordered routing — at
 //! an unbounded budget, at a 4 KiB budget (everything demotes), and at
 //! a zero budget (caching disabled, every re-read recomputes).
 //!
@@ -17,24 +17,25 @@
 //! `while` programs) grew memory per iteration. Entries must now be
 //! released the moment the last dataset or derived plan drops.
 
+mod common;
+
+use common::Engine;
 use diablo_core::compile;
-use diablo_dataflow::{executor_named, Context, StatsSnapshot, BACKEND_NAMES};
+use diablo_dataflow::{Context, StatsSnapshot};
 use diablo_exec::Session;
 use diablo_runtime::Value;
 use diablo_workloads as wl;
 
-/// Runs a workload on one backend / routing / dataset budget; returns
-/// every output collection (in engine partition order) plus the run's
-/// statistics delta.
+/// Runs a workload in one engine configuration / routing / dataset
+/// budget; returns every output collection (in engine partition order)
+/// plus the run's statistics delta.
 fn run_budgeted(
     w: &wl::Workload,
-    backend: &str,
+    engine: Engine,
     ordered: bool,
     budget: Option<u64>,
 ) -> (Vec<(String, Vec<Value>)>, StatsSnapshot) {
-    let ctx = Context::new(3, 6)
-        .with_executor(executor_named(backend).expect(backend))
-        .with_ordered(ordered);
+    let ctx = engine.context(3, 6).with_ordered(ordered);
     ctx.set_dataset_budget(budget);
     let compiled = compile(w.source).expect("compiles");
     let mut s = Session::new(ctx.clone());
@@ -62,9 +63,9 @@ fn run_budgeted(
 
 /// The tentpole contract: Word Count, Group By and PageRank on inputs far past the
 /// budget (the 4 KiB budget is ~10–100× smaller than the materialized
-/// data) are byte-identical to the unbounded run, per backend and per
-/// shuffle routing — and the budgeted runs actually exercised the cache
-/// (spills or evictions fired).
+/// data) are byte-identical to the unbounded run, per layout, tile width,
+/// exchange budget and shuffle routing — and the budgeted runs actually
+/// exercised the cache (spills or evictions fired).
 #[test]
 fn word_count_group_by_and_pagerank_are_budget_invariant_on_every_backend() {
     let workloads = [
@@ -73,9 +74,14 @@ fn word_count_group_by_and_pagerank_are_budget_invariant_on_every_backend() {
         wl::pagerank(60, 3, 7),
     ];
     for w in &workloads {
-        for &backend in BACKEND_NAMES {
+        for engine in [
+            Engine::ROW,
+            Engine::COLUMNAR,
+            Engine::COLUMNAR.tile(7).budget(Some(4096)),
+        ] {
+            let backend = engine.to_string();
             for ordered in [false, true] {
-                let (reference, base) = run_budgeted(w, backend, ordered, None);
+                let (reference, base) = run_budgeted(w, engine, ordered, None);
                 assert!(
                     reference.iter().any(|(_, rows)| !rows.is_empty()),
                     "{}: empty reference on {backend}",
@@ -84,7 +90,7 @@ fn word_count_group_by_and_pagerank_are_budget_invariant_on_every_backend() {
                 assert_eq!(base.dataset_spills, 0, "unbounded run never spills");
                 assert_eq!(base.dataset_evictions, 0, "unbounded run never evicts");
                 for budget in [Some(4096), Some(0)] {
-                    let (got, stats) = run_budgeted(w, backend, ordered, budget);
+                    let (got, stats) = run_budgeted(w, engine, ordered, budget);
                     assert_eq!(
                         got, reference,
                         "{} diverged on {backend} (ordered={ordered}, budget={budget:?})",
@@ -121,11 +127,8 @@ fn word_count_group_by_and_pagerank_are_budget_invariant_on_every_backend() {
 fn keyed_aggregations_are_budget_invariant_on_the_columnar_path() {
     for w in [wl::word_count(1500, 7), wl::group_by(6000, 7)] {
         for ordered in [false, true] {
-            let run = |backend: &str, budget: Option<u64>| {
-                let ctx = Context::new(3, 6)
-                    .with_executor(executor_named(backend).expect(backend))
-                    .with_ordered(ordered);
-                ctx.set_memory_budget(budget);
+            let run = |engine: Engine, budget: Option<u64>| {
+                let ctx = engine.budget(budget).context(3, 6).with_ordered(ordered);
                 ctx.set_dataset_budget(budget);
                 let mut s = Session::new(ctx.clone());
                 for (n, rows) in &w.collections {
@@ -135,10 +138,10 @@ fn keyed_aggregations_are_budget_invariant_on_the_columnar_path() {
                 let rows = s.dataset(w.outputs[0]).expect("output bound").collect();
                 (rows, ctx.stats().snapshot())
             };
-            let (reference, _) = run("local", None);
+            let (reference, _) = run(Engine::ROW, None);
             assert!(!reference.is_empty(), "{}", w.name);
             for budget in [None, Some(4096)] {
-                let (got, stats) = run("columnar", budget);
+                let (got, stats) = run(Engine::COLUMNAR, budget);
                 assert_eq!(
                     format!("{got:?}"),
                     format!("{reference:?}"),
@@ -173,11 +176,8 @@ fn joins_and_crosses_are_budget_invariant_on_the_columnar_path() {
     ];
     for (w, fallbacks) in &workloads {
         for ordered in [false, true] {
-            let run = |backend: &str, budget: Option<u64>| {
-                let ctx = Context::new(3, 6)
-                    .with_executor(executor_named(backend).expect(backend))
-                    .with_ordered(ordered);
-                ctx.set_memory_budget(budget);
+            let run = |engine: Engine, budget: Option<u64>| {
+                let ctx = engine.budget(budget).context(3, 6).with_ordered(ordered);
                 ctx.set_dataset_budget(budget);
                 let mut s = Session::new(ctx.clone());
                 for (n, v) in &w.scalars {
@@ -190,10 +190,10 @@ fn joins_and_crosses_are_budget_invariant_on_the_columnar_path() {
                 let rows = s.dataset(w.outputs[0]).expect("output bound").collect();
                 (rows, ctx.stats().snapshot())
             };
-            let (reference, _) = run("local", None);
+            let (reference, _) = run(Engine::ROW, None);
             assert!(!reference.is_empty(), "{}", w.name);
             for budget in [None, Some(4096)] {
-                let (got, stats) = run("columnar", budget);
+                let (got, stats) = run(Engine::COLUMNAR, budget);
                 assert_eq!(
                     format!("{got:?}"),
                     format!("{reference:?}"),

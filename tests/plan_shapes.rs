@@ -272,10 +272,11 @@ fn plan_trace_notes_the_layout_per_stage_under_the_columnar_backend() {
     // lines `Session::explain` renders) carries a per-stage layout note —
     // `layout: columnar` for a transparent chain, `layout: row (…)`
     // naming the opaque step when a UDF forces the tuple path.
-    use diablo_dataflow::{ColumnarExecutor, RowExpr};
-    use std::sync::Arc;
+    use diablo_dataflow::{Layout, RowExpr};
 
-    let ctx = Context::new(2, 4).with_executor(Arc::new(ColumnarExecutor::new(64)));
+    let ctx = Context::new(2, 4)
+        .with_layout(Layout::Columnar)
+        .with_tile_width(64);
     let d = ctx.from_vec((0..200).map(Value::Long).collect());
 
     ctx.start_plan_trace();
@@ -321,8 +322,7 @@ fn scan_programs_run_as_one_vectorized_reduce_per_aggregation() {
     // folded on the driver — and every one of those stages is columnar.
     // Statement lines vary with fresh-name counters, so the golden is the
     // stage lines.
-    use diablo_dataflow::ColumnarExecutor;
-    use std::sync::Arc;
+    use diablo_dataflow::Layout;
 
     let golden: [(wl::Workload, &[&str]); 4] = [
         (
@@ -350,7 +350,7 @@ fn scan_programs_run_as_one_vectorized_reduce_per_aggregation() {
     ];
     for (w, stages) in golden {
         // Pinned, so a suite-wide DIABLO_BACKEND cannot change the layout.
-        let ctx = Context::new(2, 4).with_executor(Arc::new(ColumnarExecutor::default()));
+        let ctx = Context::new(2, 4).with_layout(Layout::Columnar);
         let compiled = compile(w.source).expect("compiles");
         let plan = session_for(&w, &ctx).explain(&compiled).expect("explains");
         let got: Vec<&str> = plan
@@ -374,8 +374,7 @@ fn keyed_programs_combine_and_rebind_in_columnar_stages() {
     // scatter, the merge — but the keyed map and the group bind are
     // expressions now, so both stages with steps in them run columnar and
     // none falls back.
-    use diablo_dataflow::ColumnarExecutor;
-    use std::sync::Arc;
+    use diablo_dataflow::Layout;
 
     const COMBINE: &str =
         "scan[4p] → map → map → map ⇒ reduce_by_key (combine + scatter) (fused 3 narrow ops)";
@@ -396,7 +395,7 @@ fn keyed_programs_combine_and_rebind_in_columnar_stages() {
         (wl::group_by(2_000, 1), 1),
     ] {
         // Pinned, so a suite-wide DIABLO_BACKEND cannot change the layout.
-        let ctx = Context::new(2, 4).with_executor(Arc::new(ColumnarExecutor::default()));
+        let ctx = Context::new(2, 4).with_layout(Layout::Columnar);
         let compiled = compile(w.source).expect("compiles");
         let plan = session_for(&w, &ctx).explain(&compiled).expect("explains");
         // Stage numbers aside, the golden is the stage and layout lines.
@@ -431,8 +430,7 @@ fn loop_programs_join_and_cross_in_columnar_stages() {
     // expansion inside the stage that scans the points. The same stages
     // and shuffles as when these were `cogroup` and closures; every stage
     // with steps in it runs columnar.
-    use diablo_dataflow::ColumnarExecutor;
-    use std::sync::Arc;
+    use diablo_dataflow::Layout;
 
     const SCATTER_OLD: &str = "scan[4p] ⇒ merge (scatter old)";
     const MERGE: &str = "scan[4p] → merge ⊳ (combine slots) ⇒ materialize";
@@ -493,7 +491,7 @@ fn loop_programs_join_and_cross_in_columnar_stages() {
         (wl::kmeans(300, 2, 1, 7), "s7:", kmeans_step, 19, 14),
     ] {
         // Pinned, so a suite-wide DIABLO_BACKEND cannot change the layout.
-        let ctx = Context::new(2, 4).with_executor(Arc::new(ColumnarExecutor::default()));
+        let ctx = Context::new(2, 4).with_layout(Layout::Columnar);
         let compiled = compile(w.source).expect("compiles");
         let plan = session_for(&w, &ctx).explain(&compiled).expect("explains");
         // Stage numbers aside, the golden is the stage and layout lines
@@ -529,14 +527,13 @@ fn a_join_with_an_opaque_key_computes_it_in_a_row_step_first() {
     // A record has no columnar form, so a join keyed by one binds the key
     // with an opaque `let` first — on the side that needs it — and the
     // engine joins on that column. D025 forecasts it.
-    use diablo_dataflow::ColumnarExecutor;
-    use std::sync::Arc;
+    use diablo_dataflow::Layout;
 
     const SRC: &str = "input A: vector[long];
          input B: map[<|k: long|>, long];
          var W: vector[long] = vector();
          for i = 0, 99 do W[i] := A[i] + B[<|k = i|>];";
-    let ctx = Context::new(2, 4).with_executor(Arc::new(ColumnarExecutor::default()));
+    let ctx = Context::new(2, 4).with_layout(Layout::Columnar);
     let mut s = Session::new(ctx);
     s.bind_input(
         "A",
@@ -582,13 +579,12 @@ fn a_group_by_with_an_opaque_key_computes_it_in_a_row_step_first() {
     // A record has no columnar form, so a group-by keyed by one binds the
     // key with an opaque `let` first — one more fused step, named in the
     // layout note and forecast by D025 — and then keys and folds as usual.
-    use diablo_dataflow::ColumnarExecutor;
-    use std::sync::Arc;
+    use diablo_dataflow::Layout;
 
     const SRC: &str = "input V: vector[long];
          var C: map[<|k: long|>, long] = map();
          for v in V do C[<|k = v|>] += 1;";
-    let ctx = Context::new(2, 4).with_executor(Arc::new(ColumnarExecutor::default()));
+    let ctx = Context::new(2, 4).with_layout(Layout::Columnar);
     let mut s = Session::new(ctx);
     s.bind_input(
         "V",

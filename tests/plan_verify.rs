@@ -1,7 +1,7 @@
 //! The plan-invariant verifier end to end: a deliberately malformed plan
 //! (injected through the test-only hook) is caught with a structured
 //! `plan verifier:` error when `DIABLO_VERIFY_PLAN=1`, healthy plans
-//! across backends and shuffle paths pass verified, and the gate rejects
+//! in both layouts and shuffle paths pass verified, and the gate rejects
 //! typos loudly.
 //!
 //! `DIABLO_VERIFY_PLAN` is process-global, so every test that touches it
@@ -10,7 +10,7 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use diablo_dataflow::{Context, Dataset};
+use diablo_dataflow::{Context, Dataset, Layout};
 use diablo_runtime::Value;
 
 /// Serializes env-flipping tests; restores `DIABLO_VERIFY_PLAN` on drop.
@@ -69,11 +69,10 @@ fn disabled_verifier_lets_the_malformed_plan_through() {
 #[test]
 fn healthy_plans_pass_verified_on_every_backend_and_shuffle_path() {
     let _env = set_verify(Some("1"));
-    for backend in diablo_dataflow::BACKEND_NAMES {
+    for layout in [Layout::Columnar, Layout::Row] {
+        let backend = layout.name();
         for ordered in [false, true] {
-            let ctx = Context::new(2, 3)
-                .with_executor(diablo_dataflow::executor_named(backend).unwrap())
-                .with_ordered(ordered);
+            let ctx = Context::new(2, 3).with_layout(layout).with_ordered(ordered);
             let d = ctx.range(1, 100);
             let pairs = d
                 .map(|v| {

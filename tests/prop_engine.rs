@@ -210,8 +210,7 @@ proptest! {
         batch in 1usize..40,
         ordered in any::<bool>(),
     ) {
-        use std::sync::Arc;
-        use diablo_dataflow::{ColumnarExecutor, LocalExecutor, RowExpr};
+        use diablo_dataflow::{Layout, RowExpr};
         use diablo_runtime::AggOp;
         // (key, v, x): odd values key by the double their long key equals,
         // and x is a double whose sum depends on the order of addition.
@@ -228,7 +227,7 @@ proptest! {
         ]);
         let ops = [BinOp::Add, BinOp::Add, BinOp::Max];
         let reference = Context::new(1, partitions)
-            .with_executor(Arc::new(LocalExecutor))
+            .with_layout(Layout::Row)
             .with_ordered(ordered)
             .from_vec(rows.clone())
             .map_expr(keyed())
@@ -245,7 +244,8 @@ proptest! {
             .unwrap()
             .collect();
         let got = Context::new(workers, partitions)
-            .with_executor(Arc::new(ColumnarExecutor::new(batch)))
+            .with_layout(Layout::Columnar)
+            .with_tile_width(batch)
             .with_ordered(ordered)
             .from_vec(rows)
             .map_expr(keyed())
@@ -266,8 +266,7 @@ proptest! {
         batch in 1usize..40,
         ordered in any::<bool>(),
     ) {
-        use std::sync::Arc;
-        use diablo_dataflow::{ColumnarExecutor, JoinOn, LocalExecutor, RowExpr, Shape};
+        use diablo_dataflow::{JoinOn, Layout, RowExpr, Shape};
         // Left rows (key, v) keyed by `key`; right rows ((key, v), v) bound
         // by ((k, _), w). Odd values spell their key as the double it
         // equals, so one key has two spellings on either side.
@@ -285,7 +284,7 @@ proptest! {
         // every group's left × right pairs.
         let reference = {
             let ctx = Context::new(1, partitions)
-                .with_executor(Arc::new(LocalExecutor))
+                .with_layout(Layout::Row)
                 .with_ordered(ordered);
             let l = ctx
                 .from_vec(left_rows.clone())
@@ -318,7 +317,8 @@ proptest! {
                 .collect()
         };
         let ctx = Context::new(workers, partitions)
-            .with_executor(Arc::new(ColumnarExecutor::new(batch)))
+            .with_layout(Layout::Columnar)
+            .with_tile_width(batch)
             .with_ordered(ordered);
         let on = JoinOn {
             left_key: RowExpr::Col(0),
