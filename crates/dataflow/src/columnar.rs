@@ -37,6 +37,14 @@
 //!   column up in a [`KeyTable`] and folds each value lane into typed
 //!   per-key accumulators, each key's values in row order; a row is boxed
 //!   only for the combined keys the partition emits.
+//! * **Joins' matches and lane keys** — a stage above a join's
+//!   build–probe reads a [`Source::Matches`] instead of rows: each tile's
+//!   input column is gathered from the two bucket sides by index (the
+//!   left rows' fields, then the right rows' leaves), so no row of a match
+//!   is built. A key column of flat tuples of primitive lanes, like
+//!   `(i, j)`, is hashed and compared from its lanes ([`KeyLanes`]) —
+//!   by the keyed fold, a keyed scatter's bucket, and the build–probe
+//!   ([`for_each_key`]) — and boxed only when a key table inserts it.
 //!
 //! ## Error identity
 //!
@@ -57,13 +65,15 @@
 //! plan trace notes `layout: row (…)` naming the opaque step.
 
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 use diablo_runtime::array::key_value_ref;
 use diablo_runtime::{BinOp, Func, RuntimeError, UnOp, Value};
 
-use crate::keytable::KeyTable;
-use crate::plan::{drive, fold_row, Result, Step, StepOp};
+use crate::join::Emit;
+use crate::keytable::{Key, KeyLane, KeyLanes, KeyTable, Prim};
+use crate::plan::{fold_row, Result, Source, Step, StepOp};
 use crate::stats::Stats;
 
 /// A transparent row expression: the part of a `map`/`filter` step the
@@ -934,18 +944,42 @@ fn vec_cross<'a>(
     Ok((VCol::Tuple(Arc::new(cols)), len * items))
 }
 
-/// Runs one tile through the whole fused chain in columnar form —
-/// decompose once, per-column loops per step — returning the surviving
-/// rows as one column and their count. `leaves[i]` holds the item leaf
-/// columns of step `i` when it is a [`Cross`].
+/// The input column of the tile `range` of a source: its rows decomposed,
+/// or — for a join's matches — the left rows' field columns followed by
+/// the right rows' leaf columns, gathered from the two sides by index (a
+/// primitive field straight into a lane), so no row of a match is built.
+/// Matches whose sides are not tuples of one arity each, and
+/// `Dataset::join`'s `(k, (l, r))` rows, are made into rows and
+/// decomposed.
+fn tile_column<'a>(src: Source<'a>, range: Range<usize>) -> Result<VCol<'a>> {
+    let m = match src {
+        Source::Rows(rows) => return Ok(decompose(&rows[range])),
+        Source::Matches(m) => m,
+    };
+    if m.emit == Emit::Concat {
+        let len = range.len();
+        let (lefts, rights): (Vec<&Value>, Vec<&Value>) = range.clone().map(|k| m.sides(k)).unzip();
+        let fields = |rows: Vec<&'a Value>| VCol::Refs(Arc::new(rows)).tuple_columns(len);
+        if let (Some(l), Some(r)) = (fields(lefts), fields(rights)) {
+            return Ok(VCol::Tuple(Arc::new(l.into_iter().chain(r).collect())));
+        }
+    }
+    Ok(decompose_owned(
+        range.map(|k| m.row(k)).collect::<Result<_>>()?,
+    ))
+}
+
+/// Runs one tile — `len` rows as the column `col` — through the whole
+/// fused chain in columnar form, per-column loops per step, returning the
+/// surviving rows as one column and their count. `leaves[i]` holds the
+/// item leaf columns of step `i` when it is a [`Cross`].
 fn run_tile<'a>(
-    rows: &'a [Value],
+    mut col: VCol<'a>,
+    mut len: usize,
     steps: &[Step],
     leaves: &[Option<Vec<VCol<'a>>>],
 ) -> Result<(VCol<'a>, usize)> {
     let opaque = || RuntimeError::new("opaque step in a columnar stage");
-    let mut col = decompose(rows);
-    let mut len = rows.len();
     for (s, leaves) in steps.iter().zip(leaves) {
         match &s.op {
             StepOp::Map(_) => {
@@ -982,13 +1016,14 @@ trait TileSink {
     fn row(&mut self, row: Value) -> Result<()>;
 }
 
-/// Drives every tile of `rows` through an eligible chain in columnar
-/// form. A failing tile is replayed tuple-at-a-time into the same sink:
-/// nothing from a failed tile has been sunk yet, and the canonical first
-/// error may come from an earlier row or from the consumer, not from the
-/// lane that failed first (see the module docs).
+/// Drives every tile of `src` through an eligible chain in columnar
+/// form. A failing tile is replayed tuple-at-a-time into the same sink —
+/// a join's tile from its slice of the match list, one emitted row at a
+/// time: nothing from a failed tile has been sunk yet, and the canonical
+/// first error may come from an earlier row or from the consumer, not from
+/// the lane that failed first (see the module docs).
 fn drive_tiles(
-    rows: &[Value],
+    src: Source<'_>,
     steps: &[Step],
     batch: usize,
     stats: &Stats,
@@ -1006,16 +1041,18 @@ fn drive_tiles(
         .iter()
         .filter_map(|s| s.cross())
         .fold(1usize, |f, c| f.saturating_mul(c.items.len().max(1)));
-    for tile in rows.chunks((batch / factor).max(1)) {
-        match run_tile(tile, steps, &leaves) {
+    let width = (batch / factor).max(1);
+    for start in (0..src.len()).step_by(width) {
+        let tile = start..(start + width).min(src.len());
+        match tile_column(src, tile.clone())
+            .and_then(|col| run_tile(col, tile.len(), steps, &leaves))
+        {
             Ok((col, len)) => {
                 stats.record_vectorized_batch();
                 sink.tile(&col, len)?;
             }
             Err(batched) => {
-                for row in tile {
-                    drive(row, steps, &mut |v| sink.row(v))?;
-                }
+                src.drive_rows(tile, steps, &mut |v| sink.row(v))?;
                 // Non-deterministic operator: the replay sailed through,
                 // so keep the batched error.
                 return Err(batched);
@@ -1041,21 +1078,86 @@ impl TileSink for RowSink<'_> {
 /// Hands a `(key, row)` pair to `sink` as its two halves.
 pub(crate) fn split_pair(
     pair: &Value,
-    sink: &mut dyn FnMut(&Value, Value) -> Result<()>,
+    sink: &mut dyn FnMut(Key<'_>, Value) -> Result<()>,
 ) -> Result<()> {
     let (key, row) = key_value_ref(pair)?;
-    sink(key, row.clone())
+    sink(Key::from(key), row.clone())
+}
+
+/// One lane of a key column, when the column is a primitive lane or a
+/// primitive constant.
+fn key_lane<'c>(col: &'c VCol<'_>) -> Option<KeyLane<'c>> {
+    Some(match col {
+        VCol::Long(v) => KeyLane::Longs(v),
+        VCol::Double(v) => KeyLane::Doubles(v),
+        VCol::Bool(v) => KeyLane::Bools(v),
+        VCol::Const(Value::Long(n)) => KeyLane::Const(Prim::Long(*n)),
+        VCol::Const(Value::Double(x)) => KeyLane::Const(Prim::Double(*x)),
+        VCol::Const(Value::Bool(b)) => KeyLane::Const(Prim::Bool(*b)),
+        _ => return None,
+    })
+}
+
+/// A key column of flat tuples read without boxing, such as an `(i, j)`
+/// index: one primitive lane or constant per field. `None` for anything
+/// else — a primitive key (boxed without an allocation), a string field,
+/// a nested tuple, a type-mixed field — whose keys are read as `Value`s.
+fn key_lanes<'c>(col: &'c VCol<'_>) -> Option<KeyLanes<'c>> {
+    match col {
+        VCol::Tuple(cols) => cols
+            .iter()
+            .map(key_lane)
+            .collect::<Option<_>>()
+            .map(KeyLanes),
+        _ => None,
+    }
+}
+
+/// Hands `each` the key of every row of a key column of `len` rows, in
+/// row order: read from its lanes when it has them ([`key_lanes`]),
+/// borrowed from the column otherwise.
+fn each_key(
+    col: &VCol,
+    len: usize,
+    mut each: impl FnMut(usize, Key<'_>) -> Result<()>,
+) -> Result<()> {
+    match key_lanes(col) {
+        Some(keys) => (0..len).try_for_each(|i| each(i, Key::from(keys.key(i)))),
+        None => (0..len).try_for_each(|i| each(i, Key::from(col.at(i)))),
+    }
+}
+
+/// Hands `each` the key of every row of `rows` under `key`, in row order.
+/// With `lanes`, the keys are evaluated as one column and read where they
+/// lie ([`each_key`]); without `lanes`, and when the column evaluation
+/// fails, row by row with [`RowExpr::eval`] — so the keys are the same
+/// either way and the first error is the row path's.
+pub(crate) fn for_each_key(
+    rows: &[Value],
+    key: &RowExpr,
+    lanes: bool,
+    each: &mut dyn FnMut(usize, Key<'_>) -> Result<()>,
+) -> Result<()> {
+    if lanes && !rows.is_empty() {
+        if let Ok(col) = vec_eval(key, &decompose(rows), rows.len()) {
+            return each_key(&col, rows.len(), each);
+        }
+    }
+    rows.iter()
+        .enumerate()
+        .try_for_each(|(i, row)| each(i, Key::from(Cow::Owned(key.eval(row)?))))
 }
 
 /// Splits each surviving `(key, row)` pair for a keyed scatter: the key is
-/// read in place, only the row is reassembled.
-struct PairSink<'s>(&'s mut dyn FnMut(&Value, Value) -> Result<()>);
+/// read in place — from its lanes when it has them — and only the row is
+/// reassembled.
+struct PairSink<'s>(&'s mut dyn FnMut(Key<'_>, Value) -> Result<()>);
 
 impl TileSink for PairSink<'_> {
     fn tile(&mut self, col: &VCol, len: usize) -> Result<()> {
         match col {
             VCol::Tuple(kv) if kv.len() == 2 => {
-                (0..len).try_for_each(|i| (self.0)(&kv[0].at(i), kv[1].get(i)))
+                each_key(&kv[0], len, |i, key| (self.0)(key, kv[1].get(i)))
             }
             _ => (0..len).try_for_each(|i| split_pair(&col.at(i), self.0)),
         }
@@ -1066,31 +1168,31 @@ impl TileSink for PairSink<'_> {
     }
 }
 
-/// Drives a run of source rows through an eligible chain ending in
-/// `(key, row)` pairs, handing `sink` each pair's halves. Halves, order,
-/// the first error and its statement tag are identical to splitting
-/// [`drive`]'s output with [`split_pair`].
+/// Drives a source through an eligible chain ending in `(key, row)`
+/// pairs, handing `sink` each pair's halves. Halves, order, the first
+/// error and its statement tag are identical to splitting the output of
+/// [`Source::drive_rows`] with [`split_pair`].
 pub(crate) fn pairs_columnar(
-    rows: &[Value],
+    src: Source<'_>,
     steps: &[Step],
     batch: usize,
     stats: &Stats,
-    sink: &mut dyn FnMut(&Value, Value) -> Result<()>,
+    sink: &mut dyn FnMut(Key<'_>, Value) -> Result<()>,
 ) -> Result<()> {
-    drive_tiles(rows, steps, batch, stats, &mut PairSink(sink))
+    drive_tiles(src, steps, batch, stats, &mut PairSink(sink))
 }
 
-/// Drives a run of source rows through an eligible chain **batch-at-a-time
-/// in columnar form**. Output rows, their order, the first error and its
-/// statement tag are identical to [`drive`].
+/// Drives a source through an eligible chain **batch-at-a-time in
+/// columnar form**. Output rows, their order, the first error and its
+/// statement tag are identical to [`Source::drive_rows`].
 pub(crate) fn drive_columnar(
-    rows: &[Value],
+    src: Source<'_>,
     steps: &[Step],
     batch: usize,
     stats: &Stats,
     sink: &mut dyn FnMut(Value) -> Result<()>,
 ) -> Result<()> {
-    drive_tiles(rows, steps, batch, stats, &mut RowSink(sink))
+    drive_tiles(src, steps, batch, stats, &mut RowSink(sink))
 }
 
 /// Folds a tile's surviving column into `acc` with `op`, left to right.
@@ -1160,19 +1262,19 @@ impl TileSink for FoldSink<'_> {
     }
 }
 
-/// Reduces a run of source rows through an eligible chain with `op`,
+/// Reduces a source through an eligible chain with `op`,
 /// folding each tile's final column into `acc` without reassembling rows.
 /// The value, the first error and its statement tag are identical to
-/// folding [`drive`]'s output with [`fold_row`].
+/// folding the output of [`Source::drive_rows`] with [`fold_row`].
 pub(crate) fn fold_columnar(
-    rows: &[Value],
+    src: Source<'_>,
     steps: &[Step],
     batch: usize,
     stats: &Stats,
     op: BinOp,
     acc: &mut Option<Value>,
 ) -> Result<()> {
-    drive_tiles(rows, steps, batch, stats, &mut FoldSink { op, acc })
+    drive_tiles(src, steps, batch, stats, &mut FoldSink { op, acc })
 }
 
 /// The lane kernel of a monoid over longs: [`BinOp::apply`]'s arithmetic
@@ -1469,12 +1571,16 @@ impl TileSink for KeyedFold<'_> {
         };
         let mut slots = std::mem::take(&mut self.slots);
         slots.clear();
-        match keys {
-            VCol::Const(key) => {
-                let slot = self.keys.upsert(Cow::Borrowed(key), || ()).slot;
-                slots.resize(len, slot as u32);
+        // Each key form is looked up by code of its own.
+        let table = &mut self.keys;
+        match (keys, key_lanes(keys)) {
+            (VCol::Const(key), _) => slots.resize(len, table.upsert(key, || ()).slot as u32),
+            (_, Some(lanes)) => {
+                slots.extend((0..len).map(|i| table.upsert(lanes.key(i), || ()).slot as u32))
             }
-            _ => slots.extend((0..len).map(|i| self.keys.upsert(keys.at(i), || ()).slot as u32)),
+            (_, None) => {
+                slots.extend((0..len).map(|i| table.upsert(keys.at(i), || ()).slot as u32))
+            }
         }
         // Primitive lanes first, a lane at a time: their kernels cannot
         // fail. The rest goes through `apply` row by row, lanes in order
@@ -1501,23 +1607,24 @@ impl TileSink for KeyedFold<'_> {
     }
 }
 
-/// Folds a run of source rows through an eligible chain into a keyed
-/// aggregation. Keys, their order, their aggregates, the first error and
-/// its statement tag are identical to feeding [`drive`]'s output to
+/// Folds a source through an eligible chain into a keyed aggregation.
+/// Keys, their order, their aggregates, the first error and its statement
+/// tag are identical to feeding the output of [`Source::drive_rows`] to
 /// [`KeyedFold::row`].
 pub(crate) fn combine_columnar(
-    rows: &[Value],
+    src: Source<'_>,
     steps: &[Step],
     batch: usize,
     stats: &Stats,
     fold: &mut KeyedFold<'_>,
 ) -> Result<()> {
-    drive_tiles(rows, steps, batch, stats, fold)
+    drive_tiles(src, steps, batch, stats, fold)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::drive;
 
     fn longs(ns: &[i64]) -> Vec<Value> {
         ns.iter().map(|&n| Value::Long(n)).collect()
@@ -1561,7 +1668,7 @@ mod tests {
     ) -> (Result<Vec<Value>>, Result<Vec<Value>>) {
         let stats = Stats::default();
         let mut col_out = Vec::new();
-        let col_res = drive_columnar(rows, steps, batch, &stats, &mut |v| {
+        let col_res = drive_columnar(Source::Rows(rows), steps, batch, &stats, &mut |v| {
             col_out.push(v);
             Ok(())
         })
@@ -1782,7 +1889,7 @@ mod tests {
             for batch in [1, 7, 256, 4096] {
                 let stats = Stats::default();
                 let mut by_col = None;
-                fold_columnar(&rows, &steps, batch, &stats, op, &mut by_col).unwrap();
+                fold_columnar(Source::Rows(&rows), &steps, batch, &stats, op, &mut by_col).unwrap();
                 assert_eq!(
                     format!("{by_col:?}"),
                     format!("{by_row:?}"),
@@ -1811,7 +1918,7 @@ mod tests {
         };
         let stats = Stats::default();
         let mut by_tile = KeyedFold::new(ops);
-        let tiled = combine_columnar(rows, steps, batch, &stats, &mut by_tile)
+        let tiled = combine_columnar(Source::Rows(rows), steps, batch, &stats, &mut by_tile)
             .and_then(|()| finish(by_tile));
         let mut by_row = KeyedFold::new(ops);
         let rowed = rows
@@ -1918,7 +2025,7 @@ mod tests {
         )];
         let stats = Stats::default();
         let mut col_out = Vec::new();
-        let col_err = drive_columnar(&rows, &steps, 256, &stats, &mut |v| {
+        let col_err = drive_columnar(Source::Rows(&rows), &steps, 256, &stats, &mut |v| {
             col_out.push(v);
             Ok(())
         })
@@ -2009,7 +2116,14 @@ mod tests {
             assert_eq!(format!("{out:?}"), format!("{:?}", row.unwrap()));
             // An expanded tile stays within the batch width (or is the
             // expansion of a single row).
-            drive_columnar(&rows, &chain(items.clone()), batch, &stats, &mut |_| Ok(())).unwrap();
+            drive_columnar(
+                Source::Rows(&rows),
+                &chain(items.clone()),
+                batch,
+                &stats,
+                &mut |_| Ok(()),
+            )
+            .unwrap();
             let tiles = stats.snapshot().vectorized_batches as usize;
             assert_eq!(
                 tiles,
@@ -2112,7 +2226,7 @@ mod tests {
             let res = rows[..upto].iter().try_for_each(|row| {
                 drive(row, &steps, &mut |pair| {
                     split_pair(&pair, &mut |k, v| {
-                        out.push((k.clone(), v));
+                        out.push((k.into_value(), v));
                         Ok(())
                     })
                 })
@@ -2123,10 +2237,16 @@ mod tests {
             for upto in [200, 300] {
                 let stats = Stats::default();
                 let mut out = Vec::new();
-                let res = pairs_columnar(&rows[..upto], &steps, batch, &stats, &mut |k, v| {
-                    out.push((k.clone(), v));
-                    Ok(())
-                });
+                let res = pairs_columnar(
+                    Source::Rows(&rows[..upto]),
+                    &steps,
+                    batch,
+                    &stats,
+                    &mut |k, v| {
+                        out.push((k.into_value(), v));
+                        Ok(())
+                    },
+                );
                 let (want, want_res) = by_row(upto);
                 assert_eq!(format!("{out:?}"), format!("{want:?}"), "batch {batch}");
                 assert_eq!(
@@ -2142,7 +2262,7 @@ mod tests {
         let steps = vec![step_filter(RowExpr::Const(Value::Bool(true)), None)];
         let stats = Stats::default();
         let mut seen = 0;
-        let err = pairs_columnar(&pairs, &steps, 4, &stats, &mut |_, _| {
+        let err = pairs_columnar(Source::Rows(&pairs), &steps, 4, &stats, &mut |_, _| {
             seen += 1;
             Ok(())
         })
@@ -2217,6 +2337,51 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn only_flat_tuples_of_primitive_lanes_are_lane_keys() {
+        let rows: Vec<Value> = (0..6i64)
+            .map(|i| {
+                Value::tuple(vec![
+                    Value::Long(i % 3),
+                    Value::Double(i as f64 / 2.0),
+                    Value::str(format!("w{}", i % 2)),
+                    if i % 2 == 0 {
+                        Value::Long(i)
+                    } else {
+                        Value::Double(i as f64)
+                    },
+                ])
+            })
+            .collect();
+        let input = decompose(&rows);
+        let key = |e: RowExpr| vec_eval(&e, &input, rows.len()).unwrap();
+        let col = RowExpr::Col;
+        let tuple = RowExpr::Tuple;
+        for (e, lane_form) in [
+            (tuple(vec![col(0), col(1)]), true),
+            (tuple(vec![col(1), RowExpr::Const(Value::Long(4))]), true),
+            // A primitive (boxed without an allocation), a string field, a
+            // type-mixed field, a nested tuple, a constant string: `Value`s.
+            (col(0), false),
+            (tuple(vec![col(0), col(2)]), false),
+            (tuple(vec![col(0), col(3)]), false),
+            (tuple(vec![col(0), tuple(vec![col(0), col(1)])]), false),
+            (RowExpr::Const(Value::str("k")), false),
+        ] {
+            let keys = key(e.clone());
+            assert_eq!(key_lanes(&keys).is_some(), lane_form, "{e:?}");
+            // Lane form or not, the keys are what the row path computes.
+            let mut got = Vec::new();
+            for_each_key(&rows, &e, true, &mut |_, k| {
+                got.push(k.into_value());
+                Ok(())
+            })
+            .unwrap();
+            let want: Vec<Value> = rows.iter().map(|r| e.eval(r).unwrap()).collect();
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{e:?}");
         }
     }
 

@@ -52,12 +52,13 @@ use std::sync::Arc;
 use diablo_runtime::array::{key_value, key_value_ref};
 use diablo_runtime::{size::slice_size, AggOp, BinOp, RuntimeError, Value};
 
-use crate::columnar::{env_fields, Cross, KeyedFold, RowExpr, Shape};
+use crate::columnar::{Cross, KeyedFold, RowExpr, Shape};
 use crate::exchange::{
     pair_key, Exchange, ExchangeWriter, HashPartitioner, Partitioner, RangePartitioner,
 };
+use crate::join::{Emit, Join};
 use crate::keytable::KeyTable;
-use crate::plan::{self, PartFn, PartitionRows, PlanOp};
+use crate::plan::{self, PartFn, PartOp, PartitionRows, PlanOp};
 use crate::pool::run_stage;
 use crate::Context;
 
@@ -175,90 +176,6 @@ pub struct JoinOn {
 /// in [`RowExpr::Unpack`]'s form.
 const NOT_A_PAIR: &str = "sparse array element must be a (key, value) pair, got";
 
-/// The output row of a join's match, from the key of the group (as its
-/// first left row spells it), the left row and the right row.
-type JoinRow = fn(&Value, &Value, &Value) -> Result<Value>;
-
-/// A left row followed by the fields of a right one: what
-/// [`Dataset::join_on`] emits.
-fn concat_rows(left: &Value, right: &Value) -> Result<Value> {
-    let (l, r) = (env_fields(left)?, env_fields(right)?);
-    Ok(Value::Tuple(l.iter().chain(r).cloned().collect()))
-}
-
-/// The rows of one key on one side of a join, as a linked list of row
-/// indices threaded through a `next` array: appending allocates nothing.
-#[derive(Clone, Copy)]
-struct RowChain {
-    first: u32,
-    last: u32,
-}
-
-impl RowChain {
-    const NIL: u32 = u32::MAX;
-    const EMPTY: RowChain = RowChain {
-        first: RowChain::NIL,
-        last: RowChain::NIL,
-    };
-
-    fn push(&mut self, next: &mut [u32], row: usize) {
-        let row = u32::try_from(row).expect("a bucket holds fewer than 2^32 rows");
-        match self.last {
-            RowChain::NIL => self.first = row,
-            last => next[last as usize] = row,
-        }
-        self.last = row;
-    }
-
-    /// The chain's rows, in the order they were pushed.
-    fn rows(self, next: &[u32]) -> impl Iterator<Item = usize> + '_ {
-        let some = |row: u32| (row != RowChain::NIL).then_some(row as usize);
-        std::iter::successors(some(self.first), move |&row| some(next[row]))
-    }
-}
-
-/// The post-shuffle stage of a hash join over one bucket: builds a table
-/// of the left rows' keys, each holding the chain of its left rows and —
-/// once the right rows have probed it — of its right rows; then emits,
-/// per key in first-seen order, every left row of the key with every right
-/// row of the key, as `emit` combines them. No row is copied before it is
-/// part of an output row.
-fn build_probe(
-    left_key: &RowExpr,
-    right_key: &RowExpr,
-    left: &[Value],
-    right: &[Value],
-    emit: JoinRow,
-) -> Result<Vec<Value>> {
-    let mut keys: KeyTable<(RowChain, RowChain)> = KeyTable::new();
-    let mut lnext = vec![RowChain::NIL; left.len()];
-    for (i, row) in left.iter().enumerate() {
-        let key = Cow::Owned(left_key.eval(row)?);
-        let chains = keys
-            .upsert(key, || (RowChain::EMPTY, RowChain::EMPTY))
-            .value;
-        chains.0.push(&mut lnext, i);
-    }
-    let mut rnext = vec![RowChain::NIL; right.len()];
-    let mut matched = 0usize;
-    for (j, row) in right.iter().enumerate() {
-        if let Some(chains) = keys.get_mut(&right_key.eval(row)?) {
-            chains.1.push(&mut rnext, j);
-            matched += 1;
-        }
-    }
-    // At least one output row per matched right row.
-    let mut out = Vec::with_capacity(matched);
-    for (key, (lrows, rrows)) in keys.into_entries() {
-        for i in lrows.rows(&lnext) {
-            for j in rrows.rows(&rnext) {
-                out.push(emit(&key, &left[i], &right[j])?);
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// An immutable, partitioned bag of rows with a lazy physical plan.
 #[derive(Clone)]
 pub struct Dataset {
@@ -273,7 +190,7 @@ pub struct Dataset {
     slot: Arc<crate::dscache::CacheSlot>,
 }
 
-pub(crate) fn key_hash(v: &Value) -> u64 {
+pub(crate) fn key_hash(v: &impl Hash) -> u64 {
     let mut h = DefaultHasher::new();
     v.hash(&mut h);
     h.finish()
@@ -719,7 +636,7 @@ impl Dataset {
         self.ctx.record_logical_op();
         Ok(self.derived(PlanOp::MapPartitions(
             self.effective_plan(),
-            Arc::new(f),
+            PartOp::Rows(Arc::new(f)),
             "map_partitions",
             self.tag(),
         )))
@@ -838,10 +755,10 @@ impl Dataset {
     /// Wraps gathered shuffle buckets in a lazy partition-wise stage: the
     /// post-shuffle work becomes a pending plan node that fuses with
     /// whatever consumes it next (shuffle-read fusion).
-    fn post_shuffle(&self, dest: Vec<Vec<Value>>, f: PartFn, label: &'static str) -> Dataset {
+    fn post_shuffle(&self, dest: Vec<Vec<Value>>, op: PartOp, label: &'static str) -> Dataset {
         self.derived(PlanOp::MapPartitions(
             Arc::new(PlanOp::Scan(Arc::new(dest))),
-            f,
+            op,
             label,
             self.tag(),
         ))
@@ -909,7 +826,7 @@ impl Dataset {
             })
         })?;
         let reduce_fn: PartFn = Arc::new(move |bucket: &[Value]| fold.reduce(bucket));
-        Ok(self.post_shuffle(dest, reduce_fn, "reduce_by_key (reduce)"))
+        Ok(self.post_shuffle(dest, PartOp::Rows(reduce_fn), "reduce_by_key (reduce)"))
     }
 
     /// `groupByKey`: shuffles `(key, value)` rows and produces one
@@ -935,7 +852,7 @@ impl Dataset {
                 .map(|(k, vs)| Value::pair(k, Value::bag(vs)))
                 .collect())
         });
-        Ok(self.post_shuffle(dest, group_fn, "group_by_key (group)"))
+        Ok(self.post_shuffle(dest, PartOp::Rows(group_fn), "group_by_key (group)"))
     }
 
     /// Zips two shuffled bucket lists into encoded single-row partitions
@@ -949,7 +866,7 @@ impl Dataset {
     }
 
     /// Decodes one `zip_buckets` partition back into its two sides.
-    fn unzip_bucket(part: &[Value]) -> Result<(&[Value], &[Value])> {
+    pub(crate) fn unzip_bucket(part: &[Value]) -> Result<(&[Value], &[Value])> {
         let [row] = part else {
             return Err(RuntimeError::new("corrupt two-sided shuffle partition"));
         };
@@ -995,7 +912,7 @@ impl Dataset {
         });
         Ok(self.post_shuffle(
             Dataset::zip_buckets(left, right),
-            co_fn,
+            PartOp::Rows(co_fn),
             "cogroup (group both sides)",
         ))
     }
@@ -1014,10 +931,7 @@ impl Dataset {
             &other.map_expr(pair)?,
             RowExpr::Col(0),
             RowExpr::Col(0),
-            |key, left, right| {
-                let (l, r) = (key_value_ref(left)?.1, key_value_ref(right)?.1);
-                Ok(Value::pair(key.clone(), Value::pair(l.clone(), r.clone())))
-            },
+            Emit::Pairs,
         )
     }
 
@@ -1027,13 +941,17 @@ impl Dataset {
     ///
     /// Both sides compute their key as one more transparent step of their
     /// pending chain and scatter by it (eagerly; a columnar stage reads the
-    /// key column in place and never boxes a `(key, row)` pair), and the
-    /// rows cross the exchange as themselves. The lazy post-shuffle stage
-    /// is a build–probe per bucket: a key table over the left rows'
-    /// keys holding row indices, probed by the right rows. Output order is
-    /// left keys as first seen, then left × right rows of a key, each in
-    /// bucket order. An `ordered` context scatters by range instead and
-    /// merges the two key-sorted sides run by run, in key order.
+    /// key column in place and never boxes a `(key, row)` pair, nor a key
+    /// of primitive lanes), and the rows cross the exchange as themselves.
+    /// The lazy post-shuffle stage is a build–probe per bucket: a key table
+    /// over the left rows' keys holding row indices, probed by the right
+    /// rows, yielding a match list (`join::Matches`) — index pairs, not
+    /// rows; an eligible columnar chain above it gathers its columns from
+    /// the two sides, anything else makes each match's row as it reads it.
+    /// Output order is left keys as first seen, then left × right rows of a
+    /// key, each in bucket order. An `ordered` context scatters by range
+    /// instead and merges the two key-sorted sides run by run, in key
+    /// order.
     ///
     /// A right row `on.right` does not fit is the error
     /// `"{on.mismatch} {row}"`, raised by the right scatter.
@@ -1042,20 +960,17 @@ impl Dataset {
             shape: on.right,
             mismatch: on.mismatch,
         })?;
-        self.join_keyed(&right, on.left_key, on.right_key, |_, left, right| {
-            concat_rows(left, right)
-        })
+        self.join_keyed(&right, on.left_key, on.right_key, Emit::Concat)
     }
 
     /// The one join operator: `self`'s rows keyed by `left_key`, `right`'s
-    /// by `right_key`, and `emit` building the output row of a match from
-    /// the group's key, the left row and the right row.
+    /// by `right_key`, and `emit` saying how a match becomes a row.
     fn join_keyed(
         &self,
         right: &Dataset,
         left_key: RowExpr,
         right_key: RowExpr,
-        emit: JoinRow,
+        emit: Emit,
     ) -> Result<Dataset> {
         let keyed = |key: &RowExpr| RowExpr::Tuple(vec![key.clone(), RowExpr::Input]);
         let left = self.map_expr(keyed(&left_key))?;
@@ -1066,13 +981,14 @@ impl Dataset {
         self.ctx.record_logical_op();
         let lrows = left.scatter_pairs("join (scatter left)")?;
         let rrows = right.scatter_pairs("join (scatter right)")?;
-        let join_fn: PartFn = Arc::new(move |part: &[Value]| {
-            let (l, r) = Dataset::unzip_bucket(part)?;
-            build_probe(&left_key, &right_key, l, r, emit)
-        });
+        let join = Join::Hash {
+            left_key,
+            right_key,
+            emit,
+        };
         Ok(self.post_shuffle(
             Dataset::zip_buckets(lrows, rrows),
-            join_fn,
+            PartOp::Join(Arc::new(join)),
             "join (build + probe)",
         ))
     }
@@ -1082,44 +998,25 @@ impl Dataset {
     fn scatter_pairs(&self, label: &str) -> Result<Vec<Vec<Value>>> {
         let p = self.ctx.partitions();
         self.exchange(label, |rows, sink| {
-            rows.for_each_pair(&mut |key, row| sink.emit(HashPartitioner.partition(key, p)?, row))
+            rows.for_each_pair(&mut |key, row| sink.emit(HashPartitioner.bucket(&key, p), row))
         })
     }
 
     /// The sort-based form of [`Dataset::join_on`] over two datasets of
     /// `(key, row)` pairs: both sides range-scatter with one shared sampled
     /// partitioner, and the lazy post-shuffle stage merges the left side's
-    /// key runs with the right's. Same rows as the hash path, in global
-    /// key order.
-    fn sorted_join(&self, right: &Dataset, emit: JoinRow) -> Result<Dataset> {
+    /// key runs with the right's into a match list. Same matches as the
+    /// hash path, in global key order.
+    fn sorted_join(&self, right: &Dataset, emit: Emit) -> Result<Dataset> {
         self.ctx.record_logical_op();
         let l = self.sorted_sources("sorted_join (sort left)", None)?;
         let r = right.sorted_sources("sorted_join (sort right)", None)?;
         let part = Dataset::sample_partitioner(l.iter().chain(r.iter()), self.ctx.partitions());
         let ldest = self.sorted_shuffle(l, &part, "sorted_join (range scatter left)")?;
         let rdest = self.sorted_shuffle(r, &part, "sorted_join (range scatter right)")?;
-        let join_fn: PartFn = Arc::new(move |part: &[Value]| {
-            let (l, r) = Dataset::unzip_bucket(part)?;
-            let mut out: Vec<Value> = Vec::new();
-            let mut j = 0usize;
-            Dataset::for_each_key_run(l, |k, lrows| {
-                while r.get(j).is_some_and(|row| pair_key(row) < &k) {
-                    j += 1;
-                }
-                let mut rrows = Vec::new();
-                Dataset::take_key_run(r, &mut j, &k, &mut rrows)?;
-                for lrow in &lrows {
-                    for rrow in &rrows {
-                        out.push(emit(&k, lrow, rrow)?);
-                    }
-                }
-                Ok(())
-            })?;
-            Ok(out)
-        });
         Ok(self.post_shuffle(
             Dataset::zip_buckets(ldest, rdest),
-            join_fn,
+            PartOp::Join(Arc::new(Join::Merge { emit })),
             "sorted_join (merge-join, range)",
         ))
     }
@@ -1172,7 +1069,7 @@ impl Dataset {
         });
         Ok(self.post_shuffle(
             Dataset::zip_buckets(old, new),
-            merge_fn,
+            PartOp::Rows(merge_fn),
             "merge ⊳ (combine slots)",
         ))
     }
@@ -1303,7 +1200,7 @@ impl Dataset {
         });
         Ok(self.post_shuffle(
             dest,
-            reduce_fn,
+            PartOp::Rows(reduce_fn),
             "sorted_reduce_by_key (merge-reduce, range)",
         ))
     }
@@ -1327,7 +1224,11 @@ impl Dataset {
             })?;
             Ok(out)
         });
-        Ok(self.post_shuffle(dest, group_fn, "sorted_group_by_key (merge-group, range)"))
+        Ok(self.post_shuffle(
+            dest,
+            PartOp::Rows(group_fn),
+            "sorted_group_by_key (merge-group, range)",
+        ))
     }
 
     /// Scans a key-sorted bucket as `(key, value-run)` groups, calling
@@ -1409,7 +1310,7 @@ impl Dataset {
         });
         Ok(self.post_shuffle(
             Dataset::zip_buckets(ldest, rdest),
-            co_fn,
+            PartOp::Rows(co_fn),
             "sorted_cogroup (merge-join, range)",
         ))
     }
@@ -1453,7 +1354,7 @@ impl Dataset {
         });
         Ok(self.post_shuffle(
             Dataset::zip_buckets(odest, ndest),
-            merge_fn,
+            PartOp::Rows(merge_fn),
             "sorted merge ⊳ (merge-join slots, range)",
         ))
     }

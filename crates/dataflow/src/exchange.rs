@@ -56,6 +56,7 @@ use std::sync::Mutex;
 use diablo_runtime::{RuntimeError, Value};
 
 use crate::dataset::key_hash;
+use crate::keytable::Key;
 use crate::plan::Result;
 use crate::Context;
 
@@ -86,6 +87,14 @@ impl Partitioner for HashPartitioner {
 
     fn partition(&self, key: &Value, partitions: usize) -> Result<usize> {
         Ok((key_hash(key) % partitions as u64) as usize)
+    }
+}
+
+impl HashPartitioner {
+    /// [`Partitioner::partition`] of a key that may be read from lanes:
+    /// the same bucket as its boxed `Value`, whose hash a [`Key`] writes.
+    pub(crate) fn bucket(&self, key: &Key<'_>, partitions: usize) -> usize {
+        (key_hash(key) % partitions as u64) as usize
     }
 }
 
@@ -987,6 +996,35 @@ mod tests {
                 p.partition(&k, 7).unwrap(),
                 (key_hash(&k) % 7) as usize,
                 "hash partitioner must be the legacy hash-mod"
+            );
+        }
+    }
+
+    #[test]
+    fn lane_keys_land_in_the_buckets_of_their_boxed_values() {
+        // A wrong bucket would split one key across two partitions, and
+        // the join would silently lose its matches.
+        use crate::keytable::lane_samples::{shapes, ROWS};
+        for (s, lanes) in shapes().iter().enumerate() {
+            for row in 0..ROWS {
+                let boxed = Key::from(lanes.key(row)).into_value();
+                for p in 1..=17 {
+                    assert_eq!(
+                        HashPartitioner.bucket(&Key::from(lanes.key(row)), p),
+                        HashPartitioner.partition(&boxed, p).unwrap(),
+                        "shape {s}, row {row}: {boxed:?} over {p} partitions"
+                    );
+                }
+            }
+        }
+        // Equal keys spelled with longs and with doubles share a bucket.
+        use crate::keytable::{KeyLane, KeyLanes};
+        let longs = KeyLanes(vec![KeyLane::Longs(&[3]), KeyLane::Longs(&[1])]);
+        let doubles = Value::pair(Value::Double(3.0), Value::Double(1.0));
+        for p in 1..=17 {
+            assert_eq!(
+                HashPartitioner.bucket(&Key::from(longs.key(0)), p),
+                HashPartitioner.partition(&doubles, p).unwrap()
             );
         }
     }

@@ -58,7 +58,9 @@
 //!   as its `(key, value)` form): both keys are [`RowExpr`]s, so each side
 //!   scatters its rows by a key computed as a column and the rows cross
 //!   the exchange as themselves; the lazy post-shuffle stage is a
-//!   build–probe over row indices. Its keyless counterpart is
+//!   build–probe over row indices whose output is a match list, not rows
+//!   — a columnar chain above it gathers its columns from the two sides.
+//!   Its keyless counterpart is
 //!   [`Dataset::cross`], a broadcast nested loop as a transparent
 //!   expansion step;
 //! * broadcasts materialize a dataset on "all workers" (here: one shared
@@ -89,6 +91,7 @@ mod columnar;
 mod dataset;
 mod dscache;
 mod exchange;
+mod join;
 mod keytable;
 mod plan;
 mod pool;

@@ -25,7 +25,11 @@
 //! `merge`, and `cogroup` became lazy [`PlanOp::MapPartitions`] nodes, the
 //! shuffle-*read* side fuses with the next narrow chain too:
 //! `reduce_by_key → map → shuffle` is two physical stages (combine +
-//! scatter, then reduce + map + scatter), not three.
+//! scatter, then reduce + map + scatter), not three. A join's post-shuffle
+//! node ([`PartOp::Join`]) hands the chain above it the join's match list
+//! rather than rows ([`Source::Matches`]): a columnar chain gathers its
+//! columns from the two bucket sides, anything else makes each match's
+//! row as it reads it.
 //!
 //! Every row-level node carries an optional **statement tag** — the source
 //! statement that built it, set by driver layers through
@@ -42,11 +46,14 @@
 //!
 //! [`Dataset`]: crate::Dataset
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use diablo_runtime::{BinOp, RuntimeError, Value};
 
 use crate::columnar::{Cross, KeyedFold, RowExpr};
+use crate::join::{Join, Matches};
+use crate::keytable::Key;
 use crate::pool::{run_stage_weighted, Cancel};
 use crate::stats::Stats;
 use crate::{Context, Layout};
@@ -86,6 +93,73 @@ pub(crate) type RowPredFn = Arc<dyn Fn(&Value) -> Result<bool> + Send + Sync>;
 pub(crate) type RowFlatFn = Arc<dyn Fn(&Value) -> Result<Vec<Value>> + Send + Sync>;
 /// A partition-at-a-time transformation stored in the plan.
 pub(crate) type PartFn = Arc<dyn Fn(&[Value]) -> Result<Vec<Value>> + Send + Sync>;
+
+/// What a partition-wise node makes of one partition.
+#[derive(Clone)]
+pub(crate) enum PartOp {
+    /// New rows, from a function of the partition's rows.
+    Rows(PartFn),
+    /// A join's matches over one zipped bucket pair: rows the fused chain
+    /// above reads without their being built ([`Source::Matches`]).
+    Join(Arc<Join>),
+}
+
+impl PartOp {
+    /// Runs the node over one partition and hands `then` its output as a
+    /// [`Source`]; an error of the node itself carries the node's tag.
+    fn run<R>(
+        &self,
+        part: &[Value],
+        tag: &Tag,
+        mode: &DriveMode,
+        then: impl FnOnce(Source<'_>) -> Result<R>,
+    ) -> Result<R> {
+        match self {
+            PartOp::Rows(f) => then(Source::Rows(&f(part).map_err(|e| tag_opt(e, tag))?)),
+            PartOp::Join(join) => {
+                let columnar = matches!(mode, DriveMode::Columnar(..));
+                let matches = join.matches(part, columnar).map_err(|e| tag_opt(e, tag))?;
+                then(Source::Matches(&matches))
+            }
+        }
+    }
+}
+
+/// The input of a fused chain: rows that exist, or a join's matches, made
+/// into rows only where the chain needs them.
+#[derive(Clone, Copy)]
+pub(crate) enum Source<'a> {
+    Rows(&'a [Value]),
+    Matches(&'a Matches<'a>),
+}
+
+impl Source<'_> {
+    /// The number of input rows.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Source::Rows(rows) => rows.len(),
+            Source::Matches(m) => m.len(),
+        }
+    }
+
+    /// Drives the input rows in `range` through `steps` tuple-at-a-time;
+    /// a match's row is made as it enters the chain.
+    pub(crate) fn drive_rows(
+        &self,
+        range: Range<usize>,
+        steps: &[Step],
+        sink: &mut dyn FnMut(Value) -> Result<()>,
+    ) -> Result<()> {
+        match self {
+            Source::Rows(rows) => rows[range]
+                .iter()
+                .try_for_each(|row| drive(row, steps, sink)),
+            Source::Matches(m) => range
+                .into_iter()
+                .try_for_each(|k| drive_owned(m.row(k)?, steps, sink)),
+        }
+    }
+}
 
 /// The source-statement tag of a plan node (`None` outside a driver
 /// session).
@@ -131,7 +205,7 @@ pub(crate) enum PlanOp {
     /// below it, but itself fused with the steps above it). The `&'static
     /// str` names the operator for plan traces (`map_partitions`,
     /// `reduce_by_key (reduce)`, `merge ⊳ (combine)`, …).
-    MapPartitions(Arc<PlanOp>, PartFn, &'static str, Tag),
+    MapPartitions(Arc<PlanOp>, PartOp, &'static str, Tag),
     /// Bag union; keeps the left side's partition count.
     Union(Arc<PlanOp>, Arc<PlanOp>),
 }
@@ -397,75 +471,71 @@ impl DriveMode {
 
     fn run(
         &self,
-        rows: &[Value],
+        src: Source<'_>,
         steps: &[Step],
         sink: &mut dyn FnMut(Value) -> Result<()>,
     ) -> Result<()> {
         match self {
             DriveMode::Columnar(b, stats) if crate::columnar::eligible(steps) => {
-                crate::columnar::drive_columnar(rows, steps, *b, stats, sink)
+                crate::columnar::drive_columnar(src, steps, *b, stats, sink)
             }
-            _ => {
-                for row in rows {
-                    drive(row, steps, sink)?;
-                }
-                Ok(())
-            }
+            _ => src.drive_rows(0..src.len(), steps, sink),
         }
     }
 
-    /// Reduces `rows` through `steps` into `acc` with `op`: eligible
+    /// Reduces `src` through `steps` into `acc` with `op`: eligible
     /// chains fold their final column directly
     /// ([`crate::columnar::fold_columnar`]); everything else folds row by
     /// row. Same value and first error either way.
     fn fold(
         &self,
-        rows: &[Value],
+        src: Source<'_>,
         steps: &[Step],
         op: BinOp,
         acc: &mut Option<Value>,
     ) -> Result<()> {
         match self {
             DriveMode::Columnar(b, stats) if crate::columnar::eligible(steps) => {
-                crate::columnar::fold_columnar(rows, steps, *b, stats, op, acc)
+                crate::columnar::fold_columnar(src, steps, *b, stats, op, acc)
             }
-            _ => self.run(rows, steps, &mut |row| fold_row(op, acc, row)),
+            _ => self.run(src, steps, &mut |row| fold_row(op, acc, row)),
         }
     }
 
-    /// Drives `rows` through `steps` and hands each resulting `(key, row)`
+    /// Drives `src` through `steps` and hands each resulting `(key, row)`
     /// pair to `sink` as its two halves — the scatter of a keyed operator
     /// whose rows cross the exchange without their key. An eligible
-    /// chain's key and row columns are read where they lie
+    /// chain's key and row columns are read where they lie, an `(i, j)`
+    /// key of primitive lanes without being boxed
     /// ([`crate::columnar::pairs_columnar`]), so no pair is ever boxed;
     /// everything else splits boxed pairs. Same halves, order and first
     /// error either way.
     fn pairs(
         &self,
-        rows: &[Value],
+        src: Source<'_>,
         steps: &[Step],
-        sink: &mut dyn FnMut(&Value, Value) -> Result<()>,
+        sink: &mut dyn FnMut(Key<'_>, Value) -> Result<()>,
     ) -> Result<()> {
         match self {
             DriveMode::Columnar(b, stats) if crate::columnar::eligible(steps) => {
-                crate::columnar::pairs_columnar(rows, steps, *b, stats, sink)
+                crate::columnar::pairs_columnar(src, steps, *b, stats, sink)
             }
-            _ => self.run(rows, steps, &mut |pair| {
+            _ => self.run(src, steps, &mut |pair| {
                 crate::columnar::split_pair(&pair, sink)
             }),
         }
     }
 
-    /// Feeds `rows` through `steps` into the keyed aggregation `fold`:
+    /// Feeds `src` through `steps` into the keyed aggregation `fold`:
     /// eligible chains hand over whole tiles
     /// ([`crate::columnar::combine_columnar`]); everything else folds row
     /// by row. Same keys, aggregates and first error either way.
-    fn combine(&self, rows: &[Value], steps: &[Step], fold: &mut KeyedFold<'_>) -> Result<()> {
+    fn combine(&self, src: Source<'_>, steps: &[Step], fold: &mut KeyedFold<'_>) -> Result<()> {
         match self {
             DriveMode::Columnar(b, stats) if crate::columnar::eligible(steps) => {
-                crate::columnar::combine_columnar(rows, steps, *b, stats, fold)
+                crate::columnar::combine_columnar(src, steps, *b, stats, fold)
             }
-            _ => self.run(rows, steps, &mut |row| fold.row(&row)),
+            _ => self.run(src, steps, &mut |row| fold.row(&row)),
         }
     }
 }
@@ -594,7 +664,8 @@ fn materialize_with(
                     let mut part = Vec::new();
                     let mut sink = cancellable_sink(cancel, |v| part.push(v));
                     for &(src, p) in segs {
-                        mode.run(&sources[src].0.as_slice()[p], &sources[src].1, &mut sink)?;
+                        let rows = Source::Rows(&sources[src].0.as_slice()[p]);
+                        mode.run(rows, &sources[src].1, &mut sink)?;
                     }
                     drop(sink);
                     Ok(part)
@@ -610,11 +681,10 @@ fn materialize_with(
 /// Runs one fused physical stage: per partition, optionally apply a
 /// partition-level function, then drive every row through `steps`. Each
 /// partition is one item on the work-stealing pool.
-#[allow(clippy::type_complexity)]
 fn run_fused_stage(
     ctx: &Context,
     input: &[Vec<Value>],
-    prelude: Option<(PartFn, &'static str, Tag)>,
+    prelude: Option<(PartOp, &'static str, Tag)>,
     steps: &[Step],
     label: &str,
     mode: &DriveMode,
@@ -637,11 +707,10 @@ fn run_fused_stage(
             let mut out = Vec::with_capacity(part.len());
             let mut sink = cancellable_sink(cancel, |v| out.push(v));
             match &prelude {
-                Some((f, tag)) => {
-                    let rows = f(part).map_err(|e| tag_opt(e, tag))?;
-                    mode.run(&rows, steps, &mut sink)?;
+                Some((op, tag)) => {
+                    op.run(part, tag, mode, |src| mode.run(src, steps, &mut sink))?
                 }
-                None => mode.run(part, steps, &mut sink)?,
+                None => mode.run(Source::Rows(part), steps, &mut sink)?,
             }
             drop(sink);
             Ok(out)
@@ -678,11 +747,13 @@ where
             ctx,
             &parts,
             |i| parts[i].len() as u64,
-            |p, part: &Vec<Value>, _| task(p, &PartitionRows::one(part, &steps, mode)),
+            |p, part: &Vec<Value>, _| {
+                task(p, &PartitionRows::one(Source::Rows(part), &steps, mode))
+            },
         );
     }
     match base.as_ref() {
-        PlanOp::MapPartitions(input, f, plabel, tag) => {
+        PlanOp::MapPartitions(input, op, plabel, tag) => {
             // Shuffle-read fusion: when the prelude's input is already
             // materialized (a scan — e.g. gathered shuffle buckets — or a
             // cached barrier, resolved through the dataset cache), the
@@ -704,26 +775,27 @@ where
                 note_layout(ctx, mode, &steps);
                 let lower = &inner.steps;
                 // Steps below the prelude feed it a materialized Vec.
-                let feed = |part: &[Value]| -> Result<Vec<Value>> {
+                let feed = |part: &[Value], then: &mut dyn FnMut(&[Value]) -> Result<R>| {
                     if lower.is_empty() {
-                        f(part).map_err(|e| tag_opt(e, tag))
-                    } else {
-                        let mut buf = Vec::with_capacity(part.len());
-                        let mut sink = |v: Value| {
-                            buf.push(v);
-                            Ok(())
-                        };
-                        mode.run(part, lower, &mut sink)?;
-                        f(&buf).map_err(|e| tag_opt(e, tag))
+                        return then(part);
                     }
+                    let mut buf = Vec::with_capacity(part.len());
+                    mode.run(Source::Rows(part), lower, &mut |v| {
+                        buf.push(v);
+                        Ok(())
+                    })?;
+                    then(&buf)
                 };
                 return run_stage_weighted(
                     ctx,
                     &parts,
                     |i| parts[i].len() as u64,
                     |p, part: &Vec<Value>, _| {
-                        let fed = feed(part)?;
-                        task(p, &PartitionRows::one(&fed, &steps, mode))
+                        feed(part, &mut |fed| {
+                            op.run(fed, tag, mode, |src| {
+                                task(p, &PartitionRows::one(src, &steps, mode))
+                            })
+                        })
                     },
                 );
             }
@@ -737,7 +809,9 @@ where
                 ctx,
                 parts,
                 |i| parts[i].len() as u64,
-                |i, part: &Vec<Value>, _| task(i, &PartitionRows::one(part, &[], mode)),
+                |i, part: &Vec<Value>, _| {
+                    task(i, &PartitionRows::one(Source::Rows(part), &[], mode))
+                },
             )
         }
         PlanOp::Union(_, _) => {
@@ -768,7 +842,7 @@ where
                     let segments = segs
                         .iter()
                         .map(|&(src, part)| Segment {
-                            rows: &sources[src].0.as_slice()[part],
+                            src: Source::Rows(&sources[src].0.as_slice()[part]),
                             steps: &sources[src].1,
                         })
                         .collect();
@@ -841,7 +915,7 @@ fn flatten_union(
 
 /// One run of source rows with the fused chain still to be applied.
 struct Segment<'a> {
-    rows: &'a [Value],
+    src: Source<'a>,
     steps: &'a [Step],
 }
 
@@ -854,9 +928,9 @@ pub(crate) struct PartitionRows<'a> {
 
 impl<'a> PartitionRows<'a> {
     /// One run of rows with its chain still to apply.
-    fn one(rows: &'a [Value], steps: &'a [Step], mode: &DriveMode) -> PartitionRows<'a> {
+    fn one(src: Source<'a>, steps: &'a [Step], mode: &DriveMode) -> PartitionRows<'a> {
         PartitionRows {
-            segments: vec![Segment { rows, steps }],
+            segments: vec![Segment { src, steps }],
             mode: mode.clone(),
         }
     }
@@ -864,7 +938,7 @@ impl<'a> PartitionRows<'a> {
     /// Feeds every transformed row to `sink`, segment by segment.
     pub fn for_each(&self, sink: &mut dyn FnMut(Value) -> Result<()>) -> Result<()> {
         for seg in &self.segments {
-            self.mode.run(seg.rows, seg.steps, sink)?;
+            self.mode.run(seg.src, seg.steps, sink)?;
         }
         Ok(())
     }
@@ -876,7 +950,7 @@ impl<'a> PartitionRows<'a> {
     pub fn fold(&self, op: BinOp) -> Result<Option<Value>> {
         let mut acc = None;
         for seg in &self.segments {
-            self.mode.fold(seg.rows, seg.steps, op, &mut acc)?;
+            self.mode.fold(seg.src, seg.steps, op, &mut acc)?;
         }
         Ok(acc)
     }
@@ -884,10 +958,11 @@ impl<'a> PartitionRows<'a> {
     /// Feeds every transformed row — a `(key, row)` pair — to `sink` as
     /// its key and its row, segment by segment: what a keyed scatter needs
     /// to pick a bucket and send the row on as itself. In the columnar
-    /// layout an eligible chain never boxes the pair.
-    pub fn for_each_pair(&self, sink: &mut dyn FnMut(&Value, Value) -> Result<()>) -> Result<()> {
+    /// layout an eligible chain never boxes the pair, nor a tuple key
+    /// of primitive lanes.
+    pub fn for_each_pair(&self, sink: &mut dyn FnMut(Key<'_>, Value) -> Result<()>) -> Result<()> {
         for seg in &self.segments {
-            self.mode.pairs(seg.rows, seg.steps, sink)?;
+            self.mode.pairs(seg.src, seg.steps, sink)?;
         }
         Ok(())
     }
@@ -906,7 +981,7 @@ impl<'a> PartitionRows<'a> {
     ) -> Result<()> {
         let mut fold = KeyedFold::new(ops);
         for seg in &self.segments {
-            self.mode.combine(seg.rows, seg.steps, &mut fold)?;
+            self.mode.combine(seg.src, seg.steps, &mut fold)?;
         }
         fold.finish(emit)
     }

@@ -820,8 +820,11 @@ fn backends_agree_on_joins_and_crosses() {
         Value::Double(-f64::NAN),
         Value::Double(2.5),
     ];
-    // Left rows `(i, long key, word, odd key, x)`: 12 rows per long key
-    // 0..=9, so every matched key meets duplicates on both sides.
+    // Doubles only, so they make a double lane: `1.0` against a long `1`,
+    // both zeros, a NaN.
+    let doubles = [1.0, 0.0, -0.0, f64::NAN, 2.0];
+    // Left rows `(i, long key, word, odd key, x, double)`: 12 rows per
+    // long key 0..=9, so every matched key meets duplicates on both sides.
     let left_rows: Vec<Value> = (0..120i64)
         .map(|i| {
             Value::tuple(vec![
@@ -830,6 +833,7 @@ fn backends_agree_on_joins_and_crosses() {
                 Value::str(words[i as usize % 5]),
                 odd_keys[(i * 5 % 8) as usize].clone(),
                 Value::Double(i as f64 / 4.0),
+                Value::Double(doubles[i as usize % 5]),
             ])
         })
         .collect();
@@ -850,16 +854,32 @@ fn backends_agree_on_joins_and_crosses() {
     let col = RowExpr::Col;
     let long = |n| RowExpr::Const(Value::Long(n));
     let bin = |op, a, b| RowExpr::Bin(op, Box::new(a), Box::new(b));
-    let kinds: Vec<(&str, RowExpr, Vec<Value>)> = vec![
-        ("long keys", col(1), right_rows(&|j| Value::Long(j % 9 + 4))),
+    // The right key is the first leaf, a value of the row — or, rebuilt
+    // from its fields, a column of lanes.
+    let leaf = || RowExpr::Col(0);
+    let rebuilt = || {
+        RowExpr::Tuple(vec![
+            RowExpr::field(RowExpr::Col(0), "_1"),
+            RowExpr::field(RowExpr::Col(0), "_2"),
+        ])
+    };
+    let kinds: Vec<(&str, RowExpr, RowExpr, Vec<Value>)> = vec![
+        (
+            "long keys",
+            col(1),
+            leaf(),
+            right_rows(&|j| Value::Long(j % 9 + 4)),
+        ),
         (
             "string keys",
             col(2),
+            leaf(),
             right_rows(&|j| Value::str(right_words[j as usize % 4])),
         ),
         (
             "tuple keys",
             RowExpr::Tuple(vec![bin(BinOp::Mod, col(0), long(3)), col(2)]),
+            leaf(),
             right_rows(&|j| {
                 Value::pair(Value::Long(j % 4), Value::str(right_words[j as usize % 4]))
             }),
@@ -867,7 +887,51 @@ fn backends_agree_on_joins_and_crosses() {
         (
             "longs, doubles, zeros and NaNs",
             col(3),
+            leaf(),
             right_rows(&|j| odd_keys[(j * 3 % 8) as usize].clone()),
+        ),
+        (
+            "(long, long) keys",
+            RowExpr::Tuple(vec![col(1), bin(BinOp::Mod, col(0), long(2))]),
+            rebuilt(),
+            right_rows(&|j| Value::pair(Value::Long(j % 12), Value::Long(j / 3 % 2))),
+        ),
+        (
+            "(long, double) keys against boxed ones",
+            RowExpr::Tuple(vec![bin(BinOp::Mod, col(0), long(3)), col(5)]),
+            leaf(),
+            right_rows(&|j| {
+                Value::pair(Value::Long(j % 3), odd_keys[(j * 3 % 8) as usize].clone())
+            }),
+        ),
+        (
+            "(long, long) keys against (long, double) lanes",
+            RowExpr::Tuple(vec![col(1), bin(BinOp::Mod, col(0), long(3))]),
+            rebuilt(),
+            right_rows(&|j| {
+                Value::pair(Value::Long(j % 10), Value::Double(doubles[j as usize % 5]))
+            }),
+        ),
+        (
+            "(long, string) keys",
+            RowExpr::Tuple(vec![col(1), col(2)]),
+            rebuilt(),
+            right_rows(&|j| {
+                Value::pair(Value::Long(j % 10), Value::str(right_words[j as usize % 4]))
+            }),
+        ),
+        (
+            "keys whose arity differs between the sides",
+            RowExpr::Tuple(vec![col(1), bin(BinOp::Mod, col(0), long(2))]),
+            leaf(),
+            right_rows(&|j| {
+                let (k, b) = (Value::Long(j % 10), Value::Long(j / 3 % 2));
+                match j % 3 {
+                    0 => Value::pair(k, b),
+                    1 => Value::tuple(vec![k, b, Value::Long(0)]),
+                    _ => k,
+                }
+            }),
         ),
     ];
     // ((key, _), y) binds (key, y); the key is the first leaf.
@@ -928,11 +992,11 @@ fn backends_agree_on_joins_and_crosses() {
         Err(e) => format!("error: {e}"),
     };
     let mut vectorized = 0;
-    for (kind, left_key, right) in &kinds {
+    for (kind, left_key, right_key, right) in &kinds {
         let on = JoinOn {
             left_key: left_key.clone(),
             right: shape.clone(),
-            right_key: RowExpr::Col(0),
+            right_key: right_key.clone(),
             mismatch: mismatch.into(),
         };
         for (variant, build) in &variants {
@@ -957,7 +1021,19 @@ fn backends_agree_on_joins_and_crosses() {
                 for (engine, workers) in engines_and_workers() {
                     let ctx = context(engine, workers, ordered);
                     let (l, r) = build(&ctx, &left_rows, right);
-                    let got = show(l.join_on(&r, on.clone()).and_then(|d| d.try_collect()));
+                    let joined = l.join_on(&r, on.clone());
+                    // Read through a transparent step that keeps every
+                    // row, a columnar stage gathers the matches into
+                    // columns instead of making rows of them; read bare,
+                    // every match becomes its row.
+                    let kept = show(joined.clone().and_then(|d| {
+                        d.filter_expr(bin(BinOp::Eq, col(0), col(0)))?.try_collect()
+                    }));
+                    assert_eq!(
+                        kept, reference,
+                        "{what}, behind a filter: `{engine}` at {workers} workers diverged"
+                    );
+                    let got = show(joined.and_then(|d| d.try_collect()));
                     assert_eq!(
                         got, reference,
                         "{what}: `{engine}` at {workers} workers diverged"
@@ -984,7 +1060,7 @@ fn backends_agree_on_joins_and_crosses() {
             .collect()
     };
     let right_pairs: Vec<Value> = kinds[3]
-        .2
+        .3
         .iter()
         .map(|row| {
             let (kj, y) = key_value(row).unwrap();
@@ -1025,7 +1101,7 @@ fn backends_agree_on_joins_and_crosses() {
     // no rows; an item that does not fit is named by the first row to
     // reach it — and by none if no row does.
     let cross_mismatch = "broadcast pattern ((k, _), y) does not match row";
-    let items: Vec<Value> = kinds[0].2[..7].to_vec();
+    let items: Vec<Value> = kinds[0].3[..7].to_vec();
     let mut bad_items = items.clone();
     bad_items[4] = Value::pair(Value::Long(4), Value::Long(4));
     let cases: Vec<(&str, Vec<Value>, bool)> = vec![

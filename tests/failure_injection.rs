@@ -559,24 +559,36 @@ fn poisoned_joins_fail_like_the_row_reference() {
     // default engine computes the keys as columns and replays the failing
     // tile; it must raise what `local` raises, statement tag included,
     // under every exchange budget, on the hash and the sorted exchange.
+    // Past the build–probe: a step over the matches divides by zero on
+    // the match of row 137 — mid-tile, so the tile gathered from the match
+    // list is replayed match by match — and left row 150, a record whose
+    // `_1` field still keys it, is no tuple to extend with the right row.
+    let div_by = |e: RowExpr| {
+        RowExpr::Bin(
+            BinOp::Div,
+            Box::new(RowExpr::Const(Value::Long(0))),
+            Box::new(RowExpr::Bin(
+                BinOp::Sub,
+                Box::new(e),
+                Box::new(RowExpr::Const(Value::Long(137))),
+            )),
+        )
+    };
     let poisoned = |col: usize| {
         RowExpr::Bin(
             BinOp::Add,
             Box::new(RowExpr::Col(col)),
-            Box::new(RowExpr::Bin(
-                BinOp::Div,
-                Box::new(RowExpr::Const(Value::Long(0))),
-                Box::new(RowExpr::Bin(
-                    BinOp::Sub,
-                    Box::new(RowExpr::Col(col)),
-                    Box::new(RowExpr::Const(Value::Long(137))),
-                )),
-            )),
+            Box::new(div_by(RowExpr::Col(col))),
         )
     };
     let left_rows: Vec<Value> = (0..300i64)
         .map(|i| Value::pair(Value::Long(i), Value::Long(i * i)))
         .collect();
+    let mut record_row = left_rows.clone();
+    record_row[150] = Value::record(vec![
+        ("_1".into(), Value::Long(150)),
+        ("_2".into(), Value::Long(150 * 150)),
+    ]);
     let right_rows: Vec<Value> = (0..300i64)
         .map(|j| Value::pair(Value::Long(j), Value::str(format!("r{j}"))))
         .collect();
@@ -584,37 +596,73 @@ fn poisoned_joins_fail_like_the_row_reference() {
     bad_rows[211] = Value::Long(211);
     bad_rows[250] = Value::Unit;
     let mismatch = "join pattern (j, r) does not match row";
-    let cases: Vec<(&str, RowExpr, RowExpr, &Vec<Value>, &str)> = vec![
+    let first = || RowExpr::field(RowExpr::Input, "_1");
+    type Case<'a> = (
+        &'a str,
+        &'a Vec<Value>,
+        RowExpr,
+        RowExpr,
+        &'a Vec<Value>,
+        Option<RowExpr>,
+        &'a str,
+    );
+    let cases: Vec<Case> = vec![
         (
             "left key",
+            &left_rows,
             poisoned(0),
             RowExpr::Col(0),
             &right_rows,
+            None,
             "division by zero",
         ),
         (
             "right key",
+            &left_rows,
             RowExpr::Col(0),
             poisoned(0),
             &right_rows,
+            None,
             "division by zero",
         ),
         (
             "right pattern",
+            &left_rows,
             RowExpr::Col(0),
             RowExpr::Col(0),
             &bad_rows,
+            None,
             "join pattern (j, r) does not match row 211",
         ),
         (
             "everything",
+            &left_rows,
             poisoned(0),
             poisoned(0),
             &bad_rows,
+            None,
             "division by zero",
         ),
+        (
+            "a step over the matches",
+            &left_rows,
+            RowExpr::Col(0),
+            RowExpr::Col(0),
+            &right_rows,
+            Some(div_by(RowExpr::Col(2))),
+            "division by zero",
+        ),
+        (
+            "a left row that is no tuple",
+            &record_row,
+            first(),
+            RowExpr::Col(0),
+            &right_rows,
+            Some(div_by(RowExpr::Col(0))),
+            "expected a tuple row to extend, got <|_1 = 150, _2 = 22500|>",
+        ),
     ];
-    for (case, left_key, right_key, right, expect) in cases {
+    for (case, left, left_key, right_key, right, step, expect) in cases {
         for budget in [None, Some(4096), Some(0)] {
             for ordered in [false, true] {
                 let run = |engine: Engine, workers: usize| -> RuntimeError {
@@ -622,7 +670,7 @@ fn poisoned_joins_fail_like_the_row_reference() {
                         .budget(budget)
                         .context(workers, 5)
                         .with_ordered(ordered);
-                    let (l, r) = (ctx.from_vec(left_rows.clone()), ctx.from_vec(right.clone()));
+                    let (l, r) = (ctx.from_vec(left.clone()), ctx.from_vec(right.clone()));
                     ctx.set_statement_label(Some("s3:W"));
                     let on = JoinOn {
                         left_key: left_key.clone(),
@@ -630,7 +678,10 @@ fn poisoned_joins_fail_like_the_row_reference() {
                         right_key: right_key.clone(),
                         mismatch: mismatch.into(),
                     };
-                    let joined = l.join_on(&r, on);
+                    let joined = l.join_on(&r, on).and_then(|d| match &step {
+                        Some(e) => d.map_expr(e.clone()),
+                        None => Ok(d),
+                    });
                     ctx.set_statement_label(None);
                     match joined {
                         Err(e) => e,
