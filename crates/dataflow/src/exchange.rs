@@ -51,7 +51,7 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use diablo_runtime::{RuntimeError, Value};
 
@@ -881,7 +881,13 @@ pub fn decode_value(buf: &mut &[u8]) -> Result<Value> {
     let tag = *take(buf, 1)?.first().expect("1 byte");
     Ok(match tag {
         0 => Value::Unit,
-        1 => Value::Bool(take(buf, 1)?[0] != 0),
+        // `encode_value` writes 0 or 1; any other byte is corruption, and
+        // accepting it would give one value two encodings.
+        1 => match take(buf, 1)?[0] {
+            0 => Value::Bool(false),
+            1 => Value::Bool(true),
+            _ => return Err(corrupt()),
+        },
         2 => Value::Long(i64::from_le_bytes(take(buf, 8)?.try_into().expect("8"))),
         3 => Value::Double(f64::from_bits(u64::from_le_bytes(
             take(buf, 8)?.try_into().expect("8"),
@@ -891,17 +897,26 @@ pub fn decode_value(buf: &mut &[u8]) -> Result<Value> {
             let bytes = take(buf, n)?;
             Value::str(std::str::from_utf8(bytes).map_err(|_| corrupt())?)
         }
-        5 => {
-            let n = take_len(buf)?;
-            // Capacity capped by the remaining bytes: a corrupt length
-            // must fail with `corrupt()` when decoding runs dry, never
-            // abort on a giant pre-allocation.
-            let mut fs = Vec::with_capacity(n.min(buf.len()));
-            for _ in 0..n {
-                fs.push(decode_value(buf)?);
+        5 => match take_len(buf)? {
+            // Pairs and triples — every sparse-array row and most keys —
+            // are built in their `Arc` directly: one allocation, no copy.
+            2 => Value::Tuple(Arc::from([decode_value(buf)?, decode_value(buf)?])),
+            3 => Value::Tuple(Arc::from([
+                decode_value(buf)?,
+                decode_value(buf)?,
+                decode_value(buf)?,
+            ])),
+            n => {
+                // Capacity capped by the remaining bytes: a corrupt length
+                // must fail with `corrupt()` when decoding runs dry, never
+                // abort on a giant pre-allocation.
+                let mut fs = Vec::with_capacity(n.min(buf.len()));
+                for _ in 0..n {
+                    fs.push(decode_value(buf)?);
+                }
+                Value::tuple(fs)
             }
-            Value::tuple(fs)
-        }
+        },
         6 => {
             let n = take_len(buf)?;
             let mut fields = Vec::with_capacity(n.min(buf.len()));
@@ -985,6 +1000,58 @@ mod tests {
         buf[1..5].copy_from_slice(&u32::MAX.to_le_bytes()); // tag, then len
         let mut cursor = &buf[..];
         assert!(decode_value(&mut cursor).is_err());
+    }
+
+    #[test]
+    fn codec_rejects_bool_bytes_other_than_zero_and_one() {
+        for byte in 2..=u8::MAX {
+            let buf = [1, byte];
+            let mut cursor = &buf[..];
+            assert!(decode_value(&mut cursor).is_err(), "bool byte {byte}");
+        }
+    }
+
+    mod tuple_arities {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A field of every scalar shape plus one nested tuple.
+        fn field(pick: u64, n: i64) -> Value {
+            match pick % 7 {
+                0 => Value::Unit,
+                1 => Value::Bool(n % 2 == 0),
+                2 => Value::Long(n),
+                3 => Value::Double(n as f64 / 3.0),
+                4 => Value::str(format!("é{n}")),
+                5 => Value::bag(vec![Value::Long(n)]),
+                _ => Value::pair(Value::Long(n), Value::str("")),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn tuples_of_arity_0_to_5_round_trip(
+                arity in 0usize..6,
+                picks in prop::collection::vec(any::<u64>(), 5..6),
+                n in any::<i64>(),
+            ) {
+                let fields: Vec<Value> = picks[..arity]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| field(*p, n.wrapping_add(i as i64)))
+                    .collect();
+                let v = Value::tuple(fields);
+                let mut buf = Vec::new();
+                encode_value(&v, &mut buf).unwrap();
+                let mut cursor = &buf[..];
+                let back = decode_value(&mut cursor).unwrap();
+                prop_assert!(cursor.is_empty(), "codec left {} bytes", cursor.len());
+                prop_assert_eq!(back.as_tuple().map(|fs| fs.len()), Some(arity));
+                prop_assert_eq!(back, v);
+            }
+        }
     }
 
     #[test]

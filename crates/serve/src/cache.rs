@@ -1,80 +1,70 @@
-//! The plan-hash-keyed LRU result cache.
+//! The server's two LRU maps: the plan-hash-keyed result cache and the
+//! compiled-program memo, one [`Lru`] each.
 //!
-//! Keys are the 64-bit chain `fold(plan_hash, input fingerprints…)`
-//! built by the server (see [`crate::planhash`]); values are a complete
-//! response payload — every visible program variable of a finished run.
-//! Entries are charged their estimated payload size
-//! ([`diablo_runtime::size`]) against a byte budget; inserting past the
-//! budget evicts least-recently-used entries first, and an entry larger
-//! than the whole budget is simply not cached (the run still happened —
-//! caching is an optimization, never a correctness gate).
+//! [`ResultCache`] keys are the 64-bit chain `fold(plan_hash, input
+//! fingerprints…)` built by the server (see [`crate::planhash`]); values
+//! are the **encoded outputs section** of a `RunOk` payload — every
+//! visible program variable of a finished run, as the bytes that go on the
+//! wire. A hit, a coalesced waiter and the miss that filled the entry all
+//! answer by framing those bytes with the request's stats and warnings;
+//! no output is rebuilt or re-encoded. Entries are charged their real byte
+//! length against a byte budget; inserting past the budget evicts
+//! least-recently-used entries first, and an entry larger than the whole
+//! budget is simply not cached (the run still happened — caching is an
+//! optimization, never a correctness gate).
 //!
 //! Reads and writes take one mutex; the critical sections are hash-map
-//! lookups and `Arc` clones, never row copies, so the lock is invisible
+//! lookups and `Arc` clones, never byte copies, so the lock is invisible
 //! next to program execution. A hit returns the `Arc` — concurrent
 //! requests serving the same program share one allocation.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use diablo_runtime::size::{serialized_size, slice_size};
-
-use crate::proto::Output;
-
-/// A cached run result: the full output set of one program execution.
+/// A cached run result: the encoded outputs section of one program
+/// execution's `RunOk` payload (see [`crate::proto`]).
 #[derive(Debug)]
 pub struct CachedRun {
-    /// `(name, output)` per visible program variable, sorted by name.
-    pub outputs: Vec<(String, Output)>,
+    /// `(name, output)` per visible program variable, sorted by name, as
+    /// the wire encodes them.
+    pub section: Vec<u8>,
 }
 
-/// Estimated payload bytes of an output set (the eviction currency).
-fn outputs_size(outputs: &[(String, Output)]) -> u64 {
-    outputs
-        .iter()
-        .map(|(n, o)| {
-            n.len()
-                + match o {
-                    Output::Scalar(v) => serialized_size(v),
-                    Output::Rows(rows) => slice_size(rows),
-                }
-        })
-        .sum::<usize>() as u64
-}
-
-struct Entry {
-    run: Arc<CachedRun>,
-    bytes: u64,
+struct Entry<V> {
+    value: V,
+    cost: u64,
     /// Last-touch tick for LRU ordering.
     touched: u64,
 }
 
-struct Inner {
-    map: HashMap<u64, Entry>,
+struct Inner<K, V> {
+    map: HashMap<K, Entry<V>>,
     clock: u64,
-    bytes: u64,
+    cost: u64,
 }
 
-/// A byte-budgeted LRU map from cache key to run result.
-pub struct ResultCache {
+/// A cost-budgeted LRU map: every entry is charged a cost, and inserting
+/// past the budget evicts least-recently-touched entries until the new
+/// one fits.
+pub(crate) struct Lru<K, V> {
     budget: u64,
-    inner: Mutex<Inner>,
+    inner: Mutex<Inner<K, V>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
 
-impl ResultCache {
-    /// Creates a cache holding at most `budget` estimated payload bytes.
-    /// A zero budget disables caching entirely (every insert is a no-op).
-    pub fn new(budget: u64) -> ResultCache {
-        ResultCache {
+impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
+    pub(crate) fn new(budget: u64) -> Lru<K, V> {
+        Lru {
             budget,
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
                 clock: 0,
-                bytes: 0,
+                cost: 0,
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -82,22 +72,115 @@ impl ResultCache {
         }
     }
 
-    /// Looks up a key, refreshing its recency on a hit.
-    pub fn get(&self, key: u64) -> Option<Arc<CachedRun>> {
-        let mut inner = self.inner.lock().expect("cache lock");
+    /// Looks up a key, refreshing its recency; `count` says whether the
+    /// lookup feeds the hit/miss counters.
+    fn lookup<Q>(&self, key: &Q, count: bool) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let mut inner = self.inner.lock().expect("lru lock");
         inner.clock += 1;
         let clock = inner.clock;
-        match inner.map.get_mut(&key) {
-            Some(e) => {
-                e.touched = clock;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(e.run.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let found = inner.map.get_mut(key).map(|e| {
+            e.touched = clock;
+            e.value.clone()
+        });
+        if count {
+            let counter = if found.is_some() {
+                &self.hits
+            } else {
+                &self.misses
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
         }
+        found
+    }
+
+    /// Looks up a key, refreshing its recency and counting a hit or miss.
+    pub(crate) fn get<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.lookup(key, true)
+    }
+
+    /// Inserts `value` at `cost`, evicting LRU entries until it fits. A
+    /// value costing more than the whole budget is not stored.
+    pub(crate) fn put(&self, key: K, value: V, cost: u64) {
+        if cost > self.budget {
+            return;
+        }
+        let mut inner = self.inner.lock().expect("lru lock");
+        inner.clock += 1;
+        let clock = inner.clock;
+        if let Some(old) = inner.map.remove(&key) {
+            inner.cost -= old.cost;
+        }
+        while inner.cost + cost > self.budget {
+            // O(n) LRU scan: entry counts are small (whole run results or
+            // whole programs, not rows), so a scan beats maintaining an
+            // ordered list.
+            let Some(victim) = inner
+                .map
+                .iter()
+                .min_by_key(|(_, e)| e.touched)
+                .map(|(k, _)| k.clone())
+            else {
+                break;
+            };
+            let e = inner.map.remove(&victim).expect("victim present");
+            inner.cost -= e.cost;
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        inner.cost += cost;
+        inner.map.insert(
+            key,
+            Entry {
+                value,
+                cost,
+                touched: clock,
+            },
+        );
+    }
+
+    pub(crate) fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn evictions(&self) -> u64 {
+        self.evictions.load(Ordering::Relaxed)
+    }
+
+    /// Current `(entries, cost)` occupancy.
+    pub(crate) fn occupancy(&self) -> (u64, u64) {
+        let inner = self.inner.lock().expect("lru lock");
+        (inner.map.len() as u64, inner.cost)
+    }
+}
+
+/// A byte-budgeted LRU map from cache key to encoded run result.
+pub struct ResultCache {
+    lru: Lru<u64, Arc<CachedRun>>,
+}
+
+impl ResultCache {
+    /// Creates a cache holding at most `budget` bytes of encoded outputs.
+    /// A zero budget disables caching entirely (every insert is a no-op).
+    pub fn new(budget: u64) -> ResultCache {
+        ResultCache {
+            lru: Lru::new(budget),
+        }
+    }
+
+    /// Looks up a key, refreshing its recency on a hit.
+    pub fn get(&self, key: u64) -> Option<Arc<CachedRun>> {
+        self.lru.get(&key)
     }
 
     /// Looks up a key, refreshing recency but **not** the hit/miss
@@ -105,87 +188,56 @@ impl ResultCache {
     /// re-probes right after the counted [`ResultCache::get`] and would
     /// otherwise count every cold request as two misses.
     pub fn peek(&self, key: u64) -> Option<Arc<CachedRun>> {
-        let mut inner = self.inner.lock().expect("cache lock");
-        inner.clock += 1;
-        let clock = inner.clock;
-        inner.map.get_mut(&key).map(|e| {
-            e.touched = clock;
-            e.run.clone()
-        })
+        self.lru.lookup(&key, false)
     }
 
-    /// Inserts a run under a key, evicting LRU entries until it fits.
-    /// Oversized results (bigger than the whole budget) are not cached.
-    pub fn put(&self, key: u64, outputs: Vec<(String, Output)>) -> Arc<CachedRun> {
-        let bytes = outputs_size(&outputs);
-        let run = Arc::new(CachedRun { outputs });
-        if bytes > self.budget {
-            return run;
-        }
-        let mut inner = self.inner.lock().expect("cache lock");
-        inner.clock += 1;
-        let clock = inner.clock;
-        if let Some(old) = inner.map.remove(&key) {
-            inner.bytes -= old.bytes;
-        }
-        while inner.bytes + bytes > self.budget {
-            // O(n) LRU scan: entry counts are small (whole run results,
-            // not rows), so a scan beats maintaining an ordered list.
-            let Some((&victim, _)) = inner.map.iter().min_by_key(|(_, e)| e.touched) else {
-                break;
-            };
-            let e = inner.map.remove(&victim).expect("victim present");
-            inner.bytes -= e.bytes;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        inner.bytes += bytes;
-        inner.map.insert(
-            key,
-            Entry {
-                run: run.clone(),
-                bytes,
-                touched: clock,
-            },
-        );
+    /// Inserts an encoded outputs section under a key, charged at its
+    /// length, evicting LRU entries until it fits. Oversized results
+    /// (bigger than the whole budget) are not cached.
+    pub fn put(&self, key: u64, section: Vec<u8>) -> Arc<CachedRun> {
+        let bytes = section.len() as u64;
+        let run = Arc::new(CachedRun { section });
+        self.lru.put(key, run.clone(), bytes);
         run
     }
 
     /// Cache hits served so far.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.lru.hits()
     }
 
     /// Cache misses so far.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.lru.misses()
     }
 
     /// Entries evicted by the byte budget so far.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.lru.evictions()
     }
 
     /// Current `(entries, bytes)` occupancy.
     pub fn occupancy(&self) -> (u64, u64) {
-        let inner = self.inner.lock().expect("cache lock");
-        (inner.map.len() as u64, inner.bytes)
+        self.lru.occupancy()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{encode_outputs, Output};
     use diablo_runtime::Value;
 
-    fn run_of(n: i64, rows: usize) -> Vec<(String, Output)> {
-        vec![(
+    fn run_of(n: i64, rows: usize) -> Vec<u8> {
+        encode_outputs(&[(
             format!("v{n}"),
             Output::Rows(
                 (0..rows)
                     .map(|i| Value::pair(Value::Long(i as i64), Value::Long(n)))
                     .collect(),
             ),
-        )]
+        )])
+        .expect("encodes")
     }
 
     #[test]
@@ -194,15 +246,15 @@ mod tests {
         assert!(cache.get(7).is_none());
         let put = cache.put(7, run_of(1, 4));
         let got = cache.get(7).expect("hit");
-        assert_eq!(got.outputs, put.outputs);
+        assert!(Arc::ptr_eq(&got, &put), "a hit shares the stored bytes");
+        assert_eq!(got.section, run_of(1, 4));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
     }
 
     #[test]
     fn budget_evicts_least_recently_used() {
-        // Each entry is ~ 2 + 10*(2+8+8) = 182 bytes; budget fits two.
-        let one = outputs_size(&run_of(0, 10));
+        let one = run_of(0, 10).len() as u64;
         let cache = ResultCache::new(2 * one + 1);
         cache.put(1, run_of(1, 10));
         cache.put(2, run_of(2, 10));
@@ -234,6 +286,10 @@ mod tests {
         cache.put(5, run_of(2, 10));
         let (entries, bytes) = cache.occupancy();
         assert_eq!(entries, 1);
-        assert_eq!(bytes, outputs_size(&run_of(2, 10)));
+        assert_eq!(
+            bytes,
+            run_of(2, 10).len() as u64,
+            "charged its encoded length"
+        );
     }
 }

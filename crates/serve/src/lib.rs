@@ -14,7 +14,9 @@
 //! * [`planhash`] — canonical plan hashing: program identity for the
 //!   cache, computed over compiled target code so whitespace, comments,
 //!   and input names vanish while semantics distinguish.
-//! * [`cache`] — the plan-hash-keyed, byte-budgeted LRU result cache.
+//! * [`cache`] — the plan-hash-keyed, byte-budgeted LRU result cache,
+//!   holding encoded outputs, and the LRU behind the server's
+//!   program-text memo.
 //! * [`admission`] — bounded in-flight executions with a deadline queue:
 //!   overload means waiting, not OOM, and timeouts are clean errors.
 //! * [`server`] — [`Server`]: accept loop, per-request

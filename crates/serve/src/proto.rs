@@ -110,7 +110,7 @@ pub enum Response {
     },
     /// Dataset registered; the value is its content fingerprint.
     BoundOk {
-        /// FNV-1a 64 fingerprint of the registered rows.
+        /// Content fingerprint of the registered rows ([`crate::rows_hash`]).
         fingerprint: u64,
     },
     /// Server counters as `(name, value)` pairs.
@@ -155,6 +155,63 @@ fn put_rows(out: &mut Vec<u8>, rows: &[Value]) -> Result<()> {
     Ok(())
 }
 
+/// Appends the outputs section of a `RunOk` payload: everything between
+/// the message tag and the stats.
+fn put_outputs(out: &mut Vec<u8>, outputs: &[(String, Output)]) -> Result<()> {
+    put_count(out, outputs.len())?;
+    for (name, o) in outputs {
+        put_str(out, name)?;
+        match o {
+            Output::Scalar(v) => {
+                out.push(0);
+                encode_value(v, out)?;
+            }
+            Output::Rows(rows) => {
+                out.push(1);
+                put_rows(out, rows)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Appends what follows the outputs section in a `RunOk` payload.
+fn put_run_tail(out: &mut Vec<u8>, stats: &RequestStats, warnings: &[String]) -> Result<()> {
+    out.push(u8::from(stats.cache_hit));
+    put_u64(out, stats.plan_hash);
+    put_u64(out, stats.queue_us);
+    put_u64(out, stats.exec_us);
+    put_count(out, warnings.len())?;
+    for w in warnings {
+        put_str(out, w)?;
+    }
+    Ok(())
+}
+
+/// The outputs section of a `RunOk` payload, encoded on its own: what
+/// the result cache stores.
+pub(crate) fn encode_outputs(outputs: &[(String, Output)]) -> Result<Vec<u8>> {
+    let mut out = Vec::new();
+    put_outputs(&mut out, outputs)?;
+    Ok(out)
+}
+
+/// A whole `RunOk` payload around an outputs section from
+/// [`encode_outputs`] — byte for byte what [`Response::encode`] writes for
+/// the same outputs, stats and warnings.
+pub(crate) fn run_ok_payload(
+    section: &[u8],
+    stats: &RequestStats,
+    warnings: &[String],
+) -> Result<Vec<u8>> {
+    let tail = 29 + warnings.iter().map(|w| 4 + w.len()).sum::<usize>();
+    let mut out = Vec::with_capacity(2 + section.len() + tail);
+    out.extend_from_slice(&[MAGIC, 1]);
+    out.extend_from_slice(section);
+    put_run_tail(&mut out, stats, warnings)?;
+    Ok(out)
+}
+
 fn corrupt() -> RuntimeError {
     RuntimeError::new("serve protocol: corrupt frame")
 }
@@ -176,21 +233,151 @@ fn take_u64(buf: &mut &[u8]) -> Result<u64> {
     Ok(u64::from_le_bytes(take(buf, 8)?.try_into().expect("8")))
 }
 
-fn take_str(buf: &mut &[u8]) -> Result<String> {
+fn take_str_ref<'a>(buf: &mut &'a [u8]) -> Result<&'a str> {
     let n = take_u32(buf)? as usize;
-    let bytes = take(buf, n)?;
-    Ok(std::str::from_utf8(bytes)
-        .map_err(|_| corrupt())?
-        .to_string())
+    std::str::from_utf8(take(buf, n)?).map_err(|_| corrupt())
+}
+
+fn take_str(buf: &mut &[u8]) -> Result<String> {
+    take_str_ref(buf).map(str::to_string)
+}
+
+/// One value through the engine's codec; its failures are this
+/// protocol's `corrupt frame`.
+fn take_value(buf: &mut &[u8]) -> Result<Value> {
+    decode_value(buf).map_err(|_| corrupt())
 }
 
 fn take_rows(buf: &mut &[u8]) -> Result<Vec<Value>> {
     let n = take_u32(buf)? as usize;
     let mut rows = Vec::with_capacity(n.min(buf.len()));
     for _ in 0..n {
-        rows.push(decode_value(buf)?);
+        rows.push(take_value(buf)?);
     }
     Ok(rows)
+}
+
+/// Steps over one encoded value without building it, with exactly the
+/// checks [`decode_value`] makes — tags, lengths, UTF-8, bool bytes — so
+/// bytes this accepts decode without error.
+fn skip_value(buf: &mut &[u8]) -> Result<()> {
+    match take(buf, 1)?[0] {
+        0 => {}
+        1 => {
+            if take(buf, 1)?[0] > 1 {
+                return Err(corrupt());
+            }
+        }
+        2 | 3 => {
+            take(buf, 8)?;
+        }
+        4 => {
+            take_str_ref(buf)?;
+        }
+        5 | 7 => {
+            for _ in 0..take_u32(buf)? {
+                skip_value(buf)?;
+            }
+        }
+        6 => {
+            for _ in 0..take_u32(buf)? {
+                take_str_ref(buf)?;
+                skip_value(buf)?;
+            }
+        }
+        _ => return Err(corrupt()),
+    }
+    Ok(())
+}
+
+/// An inline rows section of a `Run` frame, still encoded: a `u32` row
+/// count, then the rows — the bytes `put_rows` writes. Only constructed
+/// by the frame parser, after [`skip_value`] checked every row.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowsSection<'a>(&'a [u8]);
+
+impl<'a> RowsSection<'a> {
+    fn take(buf: &mut &'a [u8]) -> Result<RowsSection<'a>> {
+        let start = *buf;
+        for _ in 0..take_u32(buf)? {
+            skip_value(buf)?;
+        }
+        Ok(RowsSection(&start[..start.len() - buf.len()]))
+    }
+
+    /// The content fingerprint: equal to [`crate::rows_hash`] of the
+    /// decoded rows, computed from the bytes without decoding them.
+    pub(crate) fn fingerprint(self) -> u64 {
+        crate::planhash::bytes_hash(self.0)
+    }
+
+    /// The rows, decoded.
+    pub(crate) fn decode(self) -> Result<Vec<Value>> {
+        take_rows(&mut &self.0[..])
+    }
+}
+
+/// A `Run` request as the server reads it: text and names borrowed from
+/// the frame, scalars decoded, inline rows left encoded — a cache hit
+/// never builds them.
+#[derive(Debug)]
+pub(crate) struct RunFrame<'a> {
+    pub(crate) program: &'a str,
+    pub(crate) scalars: Vec<(String, Value)>,
+    pub(crate) rows: Vec<(&'a str, RowsSection<'a>)>,
+    pub(crate) no_cache: bool,
+}
+
+/// A request payload, parsed: a `Run` as a [`RunFrame`], any other
+/// request decoded whole.
+#[derive(Debug)]
+pub(crate) enum Parsed<'a> {
+    Run(RunFrame<'a>),
+    Other(Request),
+}
+
+/// The request parser — [`Request::decode`] is this plus decoding a
+/// `Run`'s rows sections, so the server and the decoder accept and reject
+/// exactly the same frames with the same messages.
+pub(crate) fn parse_request(mut buf: &[u8]) -> Result<Parsed<'_>> {
+    let buf = &mut buf;
+    if take(buf, 1)?[0] != MAGIC {
+        return Err(RuntimeError::new(
+            "serve protocol: bad magic (client/server version mismatch?)",
+        ));
+    }
+    Ok(Parsed::Other(match take(buf, 1)?[0] {
+        0 => Request::Ping,
+        1 => {
+            let program = take_str_ref(buf)?;
+            let n = take_u32(buf)? as usize;
+            let mut scalars = Vec::with_capacity(n.min(buf.len()));
+            for _ in 0..n {
+                let name = take_str(buf)?;
+                scalars.push((name, take_value(buf)?));
+            }
+            let n = take_u32(buf)? as usize;
+            let mut rows = Vec::with_capacity(n.min(buf.len()));
+            for _ in 0..n {
+                let name = take_str_ref(buf)?;
+                rows.push((name, RowsSection::take(buf)?));
+            }
+            let no_cache = take(buf, 1)?[0] != 0;
+            return Ok(Parsed::Run(RunFrame {
+                program,
+                scalars,
+                rows,
+                no_cache,
+            }));
+        }
+        2 => Request::BindDataset {
+            name: take_str(buf)?,
+            rows: take_rows(buf)?,
+        },
+        3 => Request::Stats,
+        4 => Request::Shutdown,
+        _ => return Err(corrupt()),
+    }))
 }
 
 // -------------------------------------------------------------- encoding
@@ -233,46 +420,20 @@ impl Request {
     }
 
     /// Decodes a request payload.
-    pub fn decode(mut buf: &[u8]) -> Result<Request> {
-        let buf = &mut buf;
-        if *take(buf, 1)?.first().expect("1") != MAGIC {
-            return Err(RuntimeError::new(
-                "serve protocol: bad magic (client/server version mismatch?)",
-            ));
+    pub fn decode(buf: &[u8]) -> Result<Request> {
+        match parse_request(buf)? {
+            Parsed::Other(request) => Ok(request),
+            Parsed::Run(run) => Ok(Request::Run {
+                program: run.program.to_string(),
+                rows: run
+                    .rows
+                    .iter()
+                    .map(|(name, section)| Ok((name.to_string(), section.decode()?)))
+                    .collect::<Result<_>>()?,
+                scalars: run.scalars,
+                no_cache: run.no_cache,
+            }),
         }
-        let tag = *take(buf, 1)?.first().expect("1");
-        Ok(match tag {
-            0 => Request::Ping,
-            1 => {
-                let program = take_str(buf)?;
-                let n = take_u32(buf)? as usize;
-                let mut scalars = Vec::with_capacity(n.min(buf.len()));
-                for _ in 0..n {
-                    let name = take_str(buf)?;
-                    scalars.push((name, decode_value(buf)?));
-                }
-                let n = take_u32(buf)? as usize;
-                let mut rows = Vec::with_capacity(n.min(buf.len()));
-                for _ in 0..n {
-                    let name = take_str(buf)?;
-                    rows.push((name, take_rows(buf)?));
-                }
-                let no_cache = take(buf, 1)?[0] != 0;
-                Request::Run {
-                    program,
-                    scalars,
-                    rows,
-                    no_cache,
-                }
-            }
-            2 => Request::BindDataset {
-                name: take_str(buf)?,
-                rows: take_rows(buf)?,
-            },
-            3 => Request::Stats,
-            4 => Request::Shutdown,
-            _ => return Err(corrupt()),
-        })
     }
 }
 
@@ -288,28 +449,8 @@ impl Response {
                 warnings,
             } => {
                 out.push(1);
-                put_count(&mut out, outputs.len())?;
-                for (name, o) in outputs {
-                    put_str(&mut out, name)?;
-                    match o {
-                        Output::Scalar(v) => {
-                            out.push(0);
-                            encode_value(v, &mut out)?;
-                        }
-                        Output::Rows(rows) => {
-                            out.push(1);
-                            put_rows(&mut out, rows)?;
-                        }
-                    }
-                }
-                out.push(u8::from(stats.cache_hit));
-                put_u64(&mut out, stats.plan_hash);
-                put_u64(&mut out, stats.queue_us);
-                put_u64(&mut out, stats.exec_us);
-                put_count(&mut out, warnings.len())?;
-                for w in warnings {
-                    put_str(&mut out, w)?;
-                }
+                put_outputs(&mut out, outputs)?;
+                put_run_tail(&mut out, stats, warnings)?;
             }
             Response::Error { message } => {
                 out.push(2);
@@ -350,7 +491,7 @@ impl Response {
                     let name = take_str(buf)?;
                     let kind = take(buf, 1)?[0];
                     let o = match kind {
-                        0 => Output::Scalar(decode_value(buf)?),
+                        0 => Output::Scalar(take_value(buf)?),
                         1 => Output::Rows(take_rows(buf)?),
                         _ => return Err(corrupt()),
                     };
@@ -533,5 +674,86 @@ mod tests {
         buf.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
         let err = read_frame(&mut &buf[..]).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    mod fingerprints {
+        use super::*;
+        use crate::rows_hash;
+        use proptest::prelude::*;
+        use proptest::TestRng;
+
+        /// Values of every shape the codec knows, nested up to a depth,
+        /// with the edge cases a byte-level hash could get wrong: empty
+        /// and non-ASCII strings, both zeros, NaN, `i64::MIN`.
+        struct AnyValue(u32);
+
+        impl Strategy for AnyValue {
+            type Value = Value;
+
+            fn generate(&self, rng: &mut TestRng) -> Value {
+                let pick = rng.below(if self.0 == 0 { 5 } else { 8 });
+                let nested = |rng: &mut TestRng, n: usize| -> Vec<Value> {
+                    (0..n).map(|_| AnyValue(self.0 - 1).generate(rng)).collect()
+                };
+                match pick {
+                    0 => Value::Unit,
+                    1 => Value::Bool(rng.next_u64() & 1 == 1),
+                    2 => Value::Long(
+                        [i64::MIN, i64::MAX, 0, -1, rng.next_u64() as i64][rng.below(5)],
+                    ),
+                    3 => Value::Double(
+                        [0.0, -0.0, f64::NAN, f64::INFINITY, rng.unit_f64() * 1e6][rng.below(5)],
+                    ),
+                    4 => Value::str(["", "a", "héllo", "日本語 ✓", "tab\there"][rng.below(5)]),
+                    5 => {
+                        let n = rng.below(6);
+                        Value::tuple(nested(rng, n))
+                    }
+                    6 => {
+                        let n = rng.below(4);
+                        let names = ["", "x", "ñame"];
+                        let fields = nested(rng, n)
+                            .into_iter()
+                            .map(|v| (names[rng.below(3)].to_string(), v))
+                            .collect();
+                        Value::record(fields)
+                    }
+                    _ => {
+                        let n = rng.below(4);
+                        Value::bag(nested(rng, n))
+                    }
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn an_inline_section_fingerprints_as_rows_hash(
+                rows in prop::collection::vec(AnyValue(3), 0..24),
+            ) {
+                let mut bytes = Vec::new();
+                put_rows(&mut bytes, &rows).unwrap();
+                bytes.push(0xAB); // what follows a section is not part of it
+                let mut cursor = &bytes[..];
+                let section = RowsSection::take(&mut cursor).unwrap();
+                prop_assert_eq!(cursor, &[0xAB][..]);
+                prop_assert_eq!(section.fingerprint(), rows_hash(&rows));
+                prop_assert_eq!(section.decode().unwrap(), rows);
+            }
+        }
+
+        #[test]
+        fn fingerprints_separate_what_differs() {
+            let a = vec![Value::Double(0.0)];
+            let b = vec![Value::Double(-0.0)];
+            assert_ne!(rows_hash(&a), rows_hash(&b), "the bits differ");
+            assert_ne!(rows_hash(&[]), rows_hash(&[Value::Unit]));
+            assert_ne!(
+                rows_hash(&[Value::str("ab"), Value::str("c")]),
+                rows_hash(&[Value::str("a"), Value::str("bc")])
+            );
+        }
     }
 }

@@ -13,17 +13,25 @@
 //! ## Request lifecycle
 //!
 //! ```text
-//! compile ──▶ plan hash ──▶ cache key = fold(hash, input fingerprints)
-//!   │                            │
-//!   │                       hit? ──▶ respond from cache (no admission)
-//!   ▼                            ▼ miss
-//! coalesce (identical run already in flight? wait for its result) ──▶
-//! admission (bounded in-flight, deadline queue) ──▶ fork + run ──▶
-//!   cache the outputs ──▶ respond
+//! frame scan (inline rows checked and left encoded) ──▶
+//! memo: program text → compiled program, warnings, plan hash ──▶
+//! cache key = fold(plan hash, input fingerprints) ──▶
+//!   hit? ──▶ MAGIC, tag, cached outputs bytes, stats, warnings (no admission)
+//!   ▼ miss
+//! coalesce (identical run already in flight? wait for its bytes) ──▶
+//! decode inline rows ──▶ admission (bounded in-flight, deadline queue) ──▶
+//!   fork + run ──▶ encode the outputs once, cache the bytes ──▶ respond
 //! ```
 //!
-//! Cache hits bypass admission entirely — they do no engine work, so
-//! making them queue behind executions would be latency for nothing.
+//! A hit builds no `Value`: the frame scan checks each inline rows
+//! section with `decode_value`'s checks but builds nothing, the section's
+//! fingerprint is a hash of its bytes, the program's compiled form comes
+//! from a bounded memo keyed by its text, and the answer is the cached
+//! outputs bytes framed with this request's stats and the program's
+//! warnings. Only a miss decodes rows, and only after the cache and
+//! coalescing checks. Cache hits bypass admission entirely — they do no
+//! engine work, so making them queue behind executions would be latency
+//! for nothing.
 //!
 //! **Request coalescing**: when several requests miss on the *same*
 //! cache key concurrently, only the first one (the leader) executes;
@@ -49,15 +57,18 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use diablo_core::compile;
+use diablo_core::{compile, CompiledProgram};
 use diablo_dataflow::{Context, Dataset};
 use diablo_exec::Session;
 use diablo_runtime::Value;
 
 use crate::admission::Admission;
-use crate::cache::{CachedRun, ResultCache};
+use crate::cache::{CachedRun, Lru, ResultCache};
 use crate::planhash::{fold, plan_hash, rows_hash, value_hash};
-use crate::proto::{read_frame, write_frame, Output, Request, RequestStats, Response};
+use crate::proto::{
+    encode_outputs, parse_request, read_frame, run_ok_payload, write_frame, Output, Parsed,
+    Request, RequestStats, Response, RunFrame,
+};
 
 /// Serving policy knobs (engine shape lives on the [`Context`]).
 #[derive(Debug, Clone)]
@@ -80,10 +91,54 @@ impl Default for ServeConfig {
     }
 }
 
+/// Distinct program texts the compile memo holds. A constant, not a
+/// knob: clients send a handful of programs over and over, while a
+/// daemon can see unbounded novel text, so the memo is bounded and
+/// per-server, never process-global.
+const PROGRAM_MEMO_ENTRIES: u64 = 64;
+
+/// A program as the memo holds it: compiled, linted and hashed once per
+/// text.
+struct Program {
+    compiled: CompiledProgram,
+    /// Lint one-liners. They depend on the text alone, so every response
+    /// for it — cache hits included — carries the same ones.
+    warnings: Vec<String>,
+    plan_hash: u64,
+}
+
+impl Program {
+    fn compile(text: &str) -> Result<Program, String> {
+        // The multi-error front end: a clean program yields the typed
+        // form (needed for linting) alongside the compiled one; a faulty
+        // program reports the first error with the same message a local
+        // `diabloc run` prints for it.
+        let mut diags = diablo_diag::Diagnostics::new();
+        let Some((tp, compiled)) = diablo_core::compile_multi(text, &mut diags) else {
+            return Err(match compile(text) {
+                Err(e) => e.to_string(),
+                Ok(_) => "compile failed".to_string(),
+            });
+        };
+        let warnings = diablo_core::lint_program(&tp, &compiled)
+            .iter()
+            .map(diablo_diag::Diagnostic::one_line)
+            .collect();
+        Ok(Program {
+            plan_hash: plan_hash(&compiled),
+            compiled,
+            warnings,
+        })
+    }
+}
+
+/// A server-side dataset's rows, partitioned and shared by every run.
+type Parts = Arc<Vec<Vec<Value>>>;
+
 /// A named server-side dataset: shared partitions plus the content
 /// fingerprint that versions it in cache keys.
 struct NamedData {
-    parts: Arc<Vec<Vec<Value>>>,
+    parts: Parts,
     fingerprint: u64,
 }
 
@@ -101,6 +156,11 @@ struct Shared {
     addr: String,
     queue_deadline: Duration,
     cache: ResultCache,
+    /// Program text → its compiled form, at most
+    /// [`PROGRAM_MEMO_ENTRIES`] texts.
+    programs: Lru<String, Arc<Program>>,
+    /// Programs compiled (memo misses, failed compiles included).
+    compiles: AtomicU64,
     admission: Admission,
     datasets: RwLock<HashMap<String, NamedData>>,
     /// Cache keys currently executing, for request coalescing.
@@ -109,6 +169,21 @@ struct Shared {
     coalesced: AtomicU64,
     shutdown: AtomicBool,
     requests: AtomicU64,
+}
+
+impl Shared {
+    /// The compiled form of `text`: from the memo, or compiled now —
+    /// outside the memo's lock, so a slow compile never stalls another
+    /// request's lookup. Compile errors are not memoized.
+    fn program(&self, text: &str) -> Result<Arc<Program>, String> {
+        if let Some(program) = self.programs.get(text) {
+            return Ok(program);
+        }
+        self.compiles.fetch_add(1, Ordering::Relaxed);
+        let program = Arc::new(Program::compile(text)?);
+        self.programs.put(text.to_string(), program.clone(), 1);
+        Ok(program)
+    }
 }
 
 /// The two listener flavors behind one address scheme: `unix:/path`
@@ -149,6 +224,8 @@ impl Server {
         };
         let shared = Arc::new(Shared {
             cache: ResultCache::new(cfg.cache_budget),
+            programs: Lru::new(PROGRAM_MEMO_ENTRIES),
+            compiles: AtomicU64::new(0),
             admission: Admission::new(cfg.max_inflight),
             queue_deadline: cfg.queue_deadline,
             ctx,
@@ -244,24 +321,7 @@ fn handle_conn(mut conn: Box<dyn Conn>, shared: Arc<Shared>) {
             Ok(Some(p)) => p,
             Ok(None) | Err(_) => return,
         };
-        let response = match Request::decode(&payload) {
-            Ok(req) => {
-                shared.requests.fetch_add(1, Ordering::Relaxed);
-                handle_request(req, &shared)
-            }
-            Err(e) => Response::Error {
-                message: e.to_string(),
-            },
-        };
-        let closing = matches!(response, Response::ShuttingDown);
-        let bytes = match response.encode() {
-            Ok(b) => b,
-            Err(e) => Response::Error {
-                message: e.to_string(),
-            }
-            .encode()
-            .expect("error responses encode"),
-        };
+        let (bytes, closing) = respond(&payload, &shared);
         if write_frame(&mut conn, &bytes).is_err() {
             return;
         }
@@ -273,6 +333,37 @@ fn handle_conn(mut conn: Box<dyn Conn>, shared: Arc<Shared>) {
             return;
         }
     }
+}
+
+/// The response payload for one request payload, and whether the
+/// connection closes after it. A `Run` answers with bytes it framed
+/// itself; everything else goes through [`Response::encode`].
+fn respond(payload: &[u8], shared: &Arc<Shared>) -> (Vec<u8>, bool) {
+    let response = match parse_request(payload) {
+        Ok(parsed) => {
+            shared.requests.fetch_add(1, Ordering::Relaxed);
+            match parsed {
+                Parsed::Run(run) => match handle_run(run, shared) {
+                    Ok(bytes) => return (bytes, false),
+                    Err(message) => Response::Error { message },
+                },
+                Parsed::Other(request) => handle_request(request, shared),
+            }
+        }
+        Err(e) => Response::Error {
+            message: e.to_string(),
+        },
+    };
+    let closing = matches!(response, Response::ShuttingDown);
+    let bytes = match response.encode() {
+        Ok(b) => b,
+        Err(e) => Response::Error {
+            message: e.to_string(),
+        }
+        .encode()
+        .expect("error responses encode"),
+    };
+    (bytes, closing)
 }
 
 fn handle_request(req: Request, shared: &Arc<Shared>) -> Response {
@@ -294,12 +385,7 @@ fn handle_request(req: Request, shared: &Arc<Shared>) -> Response {
             );
             Response::BoundOk { fingerprint }
         }
-        Request::Run {
-            program,
-            scalars,
-            rows,
-            no_cache,
-        } => handle_run(&program, scalars, rows, no_cache, shared),
+        Request::Run { .. } => unreachable!("the parser hands a run over as a `RunFrame`"),
     }
 }
 
@@ -336,73 +422,70 @@ fn stat_counters(shared: &Arc<Shared>) -> Vec<(String, u64)> {
             "datasets".into(),
             shared.datasets.read().expect("datasets lock").len() as u64,
         ),
+        ("compiles".into(), shared.compiles.load(Ordering::Relaxed)),
+        ("compile_memo_hits".into(), shared.programs.hits()),
     ]
 }
 
-fn handle_run(
-    program: &str,
-    scalars: Vec<(String, Value)>,
-    rows: Vec<(String, Vec<Value>)>,
-    no_cache: bool,
-    shared: &Arc<Shared>,
-) -> Response {
-    // The multi-error front end: a clean program yields the typed form
-    // (needed for linting) alongside the compiled one; a faulty program
-    // reports the first error with the same message a local `diabloc run`
-    // prints for it.
-    let mut diags = diablo_diag::Diagnostics::new();
-    let (tp, compiled) = match diablo_core::compile_multi(program, &mut diags) {
-        Some(pair) => pair,
-        None => {
-            return Response::Error {
-                message: match compile(program) {
-                    Err(e) => e.to_string(),
-                    Ok(_) => "compile failed".to_string(),
-                },
-            }
-        }
+/// Serves one `Run`: `Ok` is the whole `RunOk` payload, `Err` the
+/// message of an `Error` response.
+fn handle_run(run: RunFrame<'_>, shared: &Arc<Shared>) -> Result<Vec<u8>, String> {
+    let program = shared.program(run.program)?;
+    let compiled = &program.compiled;
+    let reply = |cached: &CachedRun, cache_hit: bool, queue_us: u64, exec_us: u64| {
+        let stats = RequestStats {
+            cache_hit,
+            plan_hash: program.plan_hash,
+            queue_us,
+            exec_us,
+        };
+        run_ok_payload(&cached.section, &stats, &program.warnings).map_err(|e| e.to_string())
     };
-    // Advisory lints ride along with every successful run (cache hits
-    // included — they depend only on the program text, not the data).
-    let warnings: Vec<String> = diablo_core::lint_program(&tp, &compiled)
-        .iter()
-        .map(diablo_diag::Diagnostic::one_line)
-        .collect();
-    let hash = plan_hash(&compiled);
+    let scalar = |name: &str| run.scalars.iter().find(|(n, _)| n == name).map(|(_, v)| v);
+    let inline = |name: &str| run.rows.iter().find(|(n, _)| *n == name).map(|(_, s)| *s);
+
+    // The server-side datasets the program reads, copied out (an `Arc`
+    // and a fingerprint each) under the lock, which is released at once:
+    // held across the admission wait below, one queued miss and one
+    // `BindDataset` — a writer, which new readers queue behind — would
+    // stall every later request, hits included.
+    let served: Vec<(&str, Parts, u64)> = {
+        let datasets = shared.datasets.read().expect("datasets lock");
+        compiled
+            .inputs
+            .iter()
+            .filter(|(name, _)| scalar(name).is_none() && inline(name).is_none())
+            .filter_map(|(name, _)| {
+                let d = datasets.get(name)?;
+                Some((name.as_str(), d.parts.clone(), d.fingerprint))
+            })
+            .collect()
+    };
 
     // Cache key: the plan hash chained with one fingerprint per declared
-    // input, in declaration order. Inline bindings hash their content;
-    // server-side datasets contribute their registration fingerprint
-    // (same hash as inline rows of identical content, so where the data
+    // input, in declaration order. Inline rows hash their section's bytes
+    // in the frame; server-side datasets contribute their registration
+    // fingerprint (the same hash of the same bytes, so where the data
     // lives does not split the cache); a missing input folds a marker —
     // the run will fail identically either way, and errors are never
     // cached.
-    let datasets = shared.datasets.read().expect("datasets lock");
-    let mut key = hash;
+    let mut key = program.plan_hash;
     for (name, _) in &compiled.inputs {
-        key = if let Some((_, v)) = scalars.iter().find(|(n, _)| n == name) {
-            fold(key, value_hash(v))
-        } else if let Some((_, r)) = rows.iter().find(|(n, _)| n == name) {
-            fold(key, rows_hash(r))
-        } else if let Some(d) = datasets.get(name) {
-            fold(key, d.fingerprint)
+        let fingerprint = if let Some(v) = scalar(name) {
+            value_hash(v)
+        } else if let Some(section) = inline(name) {
+            section.fingerprint()
+        } else if let Some((.., fingerprint)) = served.iter().find(|(n, ..)| n == name) {
+            *fingerprint
         } else {
-            fold(key, 0)
+            0
         };
+        key = fold(key, fingerprint);
     }
 
-    if !no_cache {
+    if !run.no_cache {
         if let Some(cached) = shared.cache.get(key) {
-            return Response::RunOk {
-                outputs: cached.outputs.clone(),
-                stats: RequestStats {
-                    cache_hit: true,
-                    plan_hash: hash,
-                    queue_us: 0,
-                    exec_us: 0,
-                },
-                warnings,
-            };
+            return reply(&cached, true, 0, 0);
         }
     } else {
         // A bypassed lookup still counts as a miss in the counters: the
@@ -414,37 +497,25 @@ fn handle_run(
     // executing, wait for its result instead of executing a duplicate.
     // The first miss registers itself as the leader; `no_cache` requests
     // bypass coalescing the way they bypass the cache.
-    let leading = if no_cache {
+    let leading = if run.no_cache {
         None
     } else {
         let mut inflight = shared.inflight.lock().expect("inflight lock");
-        if let Some(run) = inflight.get(&key) {
-            let run = run.clone();
+        if let Some(waiting) = inflight.get(&key) {
+            let waiting = waiting.clone();
             drop(inflight);
-            drop(datasets);
             shared.coalesced.fetch_add(1, Ordering::Relaxed);
             let waited = Instant::now();
-            let mut done = run.done.lock().expect("inflight result lock");
+            let mut done = waiting.done.lock().expect("inflight result lock");
             while done.is_none() {
-                done = run.cv.wait(done).expect("inflight result lock");
+                done = waiting.cv.wait(done).expect("inflight result lock");
             }
             return match done.as_ref().expect("loop exits on Some") {
-                Ok(cached) => Response::RunOk {
-                    outputs: cached.outputs.clone(),
-                    stats: RequestStats {
-                        cache_hit: true,
-                        plan_hash: hash,
-                        queue_us: waited.elapsed().as_micros() as u64,
-                        exec_us: 0,
-                    },
-                    warnings,
-                },
+                Ok(cached) => reply(cached, true, waited.elapsed().as_micros() as u64, 0),
                 // A leader error reaches every waiter — re-running the
                 // same program against the same inputs would fail the
                 // same way, at full execution cost per waiter.
-                Err(message) => Response::Error {
-                    message: message.clone(),
-                },
+                Err(message) => Err(message.clone()),
             };
         }
         // Double-check the result cache under the inflight lock: a
@@ -454,72 +525,63 @@ fn handle_run(
         // Without this re-probe, that interleaving would execute the
         // identical request a second time.
         if let Some(cached) = shared.cache.peek(key) {
-            return Response::RunOk {
-                outputs: cached.outputs.clone(),
-                stats: RequestStats {
-                    cache_hit: true,
-                    plan_hash: hash,
-                    queue_us: 0,
-                    exec_us: 0,
-                },
-                warnings,
-            };
+            return reply(&cached, true, 0, 0);
         }
-        let run = Arc::new(InflightRun {
+        let leader = Arc::new(InflightRun {
             done: Mutex::new(None),
             cv: Condvar::new(),
         });
-        inflight.insert(key, run.clone());
-        Some(run)
+        inflight.insert(key, leader.clone());
+        Some(leader)
     };
     // Publishes the leader's outcome: deregisters the key (later misses
     // start fresh — on success they hit the result cache anyway) and
     // wakes every waiter. Must run on EVERY exit path below, or waiters
     // sleep forever.
     let settle = |result: std::result::Result<Arc<CachedRun>, String>| {
-        if let Some(run) = &leading {
+        if let Some(leader) = &leading {
             shared.inflight.lock().expect("inflight lock").remove(&key);
-            *run.done.lock().expect("inflight result lock") = Some(result);
-            run.cv.notify_all();
+            *leader.done.lock().expect("inflight result lock") = Some(result);
+            leader.cv.notify_all();
         }
     };
+    let fail = |message: String| {
+        settle(Err(message.clone()));
+        Err(message)
+    };
+
+    // A miss, so the rows are needed: decode them now, before admission
+    // and before the execution clock starts. The frame scan already
+    // checked every byte, so this cannot fail on a parsed frame.
+    let mut rows = Vec::with_capacity(run.rows.len());
+    for (name, section) in &run.rows {
+        match section.decode() {
+            Ok(r) => rows.push((*name, r)),
+            Err(e) => return fail(e.to_string()),
+        }
+    }
 
     let permit = match shared.admission.acquire(shared.queue_deadline) {
         Ok(p) => p,
-        Err(message) => {
-            settle(Err(message.clone()));
-            return Response::Error { message };
-        }
+        Err(message) => return fail(message),
     };
 
     let started = Instant::now();
     let tenant = shared.ctx.fork();
     let mut session = Session::new(tenant.clone());
-    for (name, v) in scalars {
+    for (name, v) in run.scalars {
         session.bind_scalar(&name, v);
     }
-    let inline: Vec<&String> = rows.iter().map(|(n, _)| n).collect();
-    for (name, r) in &rows {
-        session.bind_input(name, r.clone());
+    for (name, r) in rows {
+        session.bind_input(name, r);
     }
-    for (name, _) in &compiled.inputs {
-        if inline.contains(&name) || session.binding(name).is_some() {
-            continue;
-        }
-        if let Some(d) = datasets.get(name) {
-            session.bind_dataset(
-                name,
-                Dataset::from_shared_parts(tenant.clone(), d.parts.clone()),
-            );
-        }
+    for (name, parts, _) in served {
+        session.bind_dataset(name, Dataset::from_shared_parts(tenant.clone(), parts));
     }
-    drop(datasets);
 
-    if let Err(e) = session.run(&compiled) {
+    if let Err(e) = session.run(compiled) {
         drop(permit);
-        let message = e.to_string();
-        settle(Err(message.clone()));
-        return Response::Error { message };
+        return fail(e.to_string());
     }
 
     let mut outputs = Vec::new();
@@ -543,16 +605,135 @@ fn handle_run(
     let queue_us = permit.queue_us;
     drop(permit);
 
-    let cached = shared.cache.put(key, outputs);
+    // The one encoding of these outputs: the cache stores the bytes, and
+    // this reply, every later hit and every coalesced waiter frame them.
+    let section = match encode_outputs(&outputs) {
+        Ok(section) => section,
+        Err(e) => return fail(e.to_string()),
+    };
+    drop(outputs);
+    let cached = shared.cache.put(key, section);
     settle(Ok(cached.clone()));
-    Response::RunOk {
-        outputs: cached.outputs.clone(),
-        stats: RequestStats {
-            cache_hit: false,
-            plan_hash: hash,
-            queue_us,
-            exec_us,
-        },
-        warnings,
+    reply(&cached, false, queue_us, exec_us)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+    use std::sync::mpsc;
+
+    const SUM: &str = "
+        input V: vector[double];
+        var sum: double = 0.0;
+        for v in V do sum += v;
+    ";
+
+    fn rows(n: i64) -> Vec<Value> {
+        (0..n)
+            .map(|i| Value::pair(Value::Long(i), Value::Double(i as f64)))
+            .collect()
+    }
+
+    fn counters(client: &mut Client) -> HashMap<String, u64> {
+        client.stats().expect("stats").into_iter().collect()
+    }
+
+    #[test]
+    fn a_queued_miss_holds_no_lock_that_a_bind_or_a_hit_waits_on() {
+        let cfg = ServeConfig {
+            max_inflight: 1,
+            queue_deadline: Duration::from_secs(60),
+            ..ServeConfig::default()
+        };
+        let server = Server::start("127.0.0.1:0", Context::new(1, 2), cfg).expect("server");
+        let addr = server.addr().to_string();
+        let mut control = Client::connect(&addr).expect("connect");
+        control.bind_dataset("V", rows(10)).expect("bind V");
+        let warm = control.run(SUM, vec![], vec![], false).expect("warm run");
+        assert!(!warm.stats.cache_hit);
+
+        // The only permit is taken, so a miss over the bound dataset
+        // queues in admission.
+        let permit = server
+            .shared
+            .admission
+            .acquire(Duration::from_secs(1))
+            .expect("the only permit");
+        let miss = thread::spawn({
+            let addr = addr.clone();
+            move || {
+                let doubled = SUM.replace("+= v", "+= 2.0 * v");
+                Client::connect(&addr)
+                    .expect("connect")
+                    .run(&doubled, vec![], vec![], false)
+            }
+        });
+        while server.shared.admission.peak_queued() < 1 {
+            thread::sleep(Duration::from_millis(1));
+        }
+
+        // A bind (a writer of the datasets map) and then a hit (a reader)
+        // on other connections answer while that miss waits.
+        let (tx, rx) = mpsc::channel();
+        let other = thread::spawn(move || {
+            let bound = Client::connect(&addr)
+                .expect("connect")
+                .bind_dataset("W", rows(3));
+            let hit = Client::connect(&addr)
+                .expect("connect")
+                .run(SUM, vec![], vec![], false);
+            tx.send((bound, hit)).expect("send");
+        });
+        let answered = rx.recv_timeout(Duration::from_secs(30));
+        assert_eq!(
+            server.shared.admission.admitted(),
+            2,
+            "the warm run and the held permit; the miss is still queued"
+        );
+        drop(permit);
+        let (bound, hit) = answered.expect("a bind and a hit answer while a miss is queued");
+        bound.expect("bind W");
+        assert!(hit.expect("hit").stats.cache_hit);
+        other.join().expect("bind and hit thread");
+        let miss = miss.join().expect("miss thread").expect("the miss runs");
+        assert!(!miss.stats.cache_hit);
+        server.stop();
+    }
+
+    #[test]
+    fn the_program_memo_compiles_each_text_once_and_stays_bounded() {
+        let server = Server::start("127.0.0.1:0", Context::new(1, 1), ServeConfig::default())
+            .expect("server");
+        let mut client = Client::connect(server.addr()).expect("connect");
+        let texts = 400;
+        for i in 0..texts {
+            let text = SUM.replace("0.0;", &format!("{i}.0;"));
+            for repeat in 0..2 {
+                let res = client
+                    .run(&text, vec![], vec![("V".into(), rows(2))], false)
+                    .expect("runs");
+                assert_eq!(res.stats.cache_hit, repeat == 1, "text {i}");
+                let (entries, _) = server.shared.programs.occupancy();
+                assert!(entries <= PROGRAM_MEMO_ENTRIES, "{entries} memo entries");
+            }
+        }
+        let stats = counters(&mut client);
+        assert_eq!(stats["compiles"], texts, "one compile per distinct text");
+        assert_eq!(stats["compile_memo_hits"], texts, "every repeat skipped it");
+
+        // A program that does not compile is compiled again every time.
+        let bad = "input V: vector[long]; for i = 1, 8 do V[i] := V[i-1];";
+        for _ in 0..2 {
+            client.run(bad, vec![], vec![], false).unwrap_err();
+        }
+        let stats = counters(&mut client);
+        assert_eq!(
+            stats["compiles"],
+            texts + 2,
+            "compile errors are not memoized"
+        );
+        assert_eq!(stats["compile_memo_hits"], texts);
+        server.stop();
     }
 }
