@@ -15,6 +15,9 @@
 //! * [`eval`] — a direct in-memory evaluator giving the calculus its
 //!   reference semantics (used by tests, by the driver for scalar-only
 //!   expressions, and by the Casper-style baseline's validator);
+//! * [`keys`] — array-key uniqueness (§3.4): when an update's head keys
+//!   are distinct by construction, so merging it into an empty array is
+//!   the update itself;
 //! * [`normalize`] — Rule (2) unnesting of nested comprehensions,
 //!   singleton-generator elimination, let inlining, predicate pushdown;
 //! * [`optimize`] — Rule (16) constant-key group-by elimination, Rule (17)
@@ -27,6 +30,7 @@
 
 pub mod eval;
 pub mod ir;
+pub mod keys;
 pub mod normalize;
 pub mod optimize;
 pub mod pretty;
@@ -35,6 +39,7 @@ pub mod rewrite;
 
 pub use eval::{eval, eval_comp, Env};
 pub use ir::{CExpr, Comprehension, Pattern, Qual};
+pub use keys::KeyProof;
 pub use normalize::normalize;
 pub use optimize::{optimize, optimize_counted};
 pub use pretty::pretty_cexpr;

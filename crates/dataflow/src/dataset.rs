@@ -376,6 +376,24 @@ impl Dataset {
         out
     }
 
+    /// True when this dataset is base data holding no rows: a `Scan` plan
+    /// whose partitions are all empty. Forces nothing, so a computed
+    /// dataset that turns out empty reads `false`.
+    pub fn is_known_empty(&self) -> bool {
+        matches!(self.plan.as_ref(), PlanOp::Scan(parts) if parts.iter().all(Vec::is_empty))
+    }
+
+    /// Under the plan verifier, checks that base data holds no key twice
+    /// — the §3.4 contract of an array bound from rows — and names the
+    /// input and the first repeated key otherwise. Runs no stage: a plan
+    /// that is not a `Scan` passes unread.
+    pub fn verify_unique_keys(&self, input: &str) -> Result<()> {
+        match self.plan.as_ref() {
+            PlanOp::Scan(parts) => crate::verify::verify_unique_keys(parts, input),
+            _ => Ok(()),
+        }
+    }
+
     /// The engine context this dataset belongs to.
     pub fn context(&self) -> &Context {
         &self.ctx

@@ -178,6 +178,37 @@ pub(crate) fn verify_cached_partition(
     Ok(())
 }
 
+/// Verifies that no key occurs twice among the `(key, value)` rows of the
+/// base data bound as `input` (rows of another shape are left to the
+/// operators that read them). No-op when the verifier is disabled.
+pub(crate) fn verify_unique_keys(parts: &[Vec<diablo_runtime::Value>], input: &str) -> Result<()> {
+    if !enabled() {
+        return Ok(());
+    }
+    check_unique_keys(parts, input)
+}
+
+/// The ungated body of [`verify_unique_keys`].
+fn check_unique_keys(parts: &[Vec<diablo_runtime::Value>], input: &str) -> Result<()> {
+    let mut seen = std::collections::HashSet::new();
+    let keys = parts
+        .iter()
+        .flatten()
+        .filter_map(|row| match row.as_tuple() {
+            Some([k, _]) => Some(k),
+            _ => None,
+        });
+    for k in keys {
+        if !seen.insert(k) {
+            return Err(violation(format!(
+                "input `{input}` holds key {k} more than once — array keys are unique (§3.4), \
+                 so a duplicate is outside the input contract"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// A structured verifier error: every message leads with `plan verifier:`
 /// so callers and tests can tell an invariant violation from an ordinary
 /// runtime error.
@@ -236,5 +267,20 @@ mod tests {
         ]];
         let err = check_exchange_output(&unsorted, 1, 2, true).unwrap_err();
         assert!(err.message.contains("not key-sorted"), "{err}");
+    }
+
+    #[test]
+    fn a_repeated_key_across_partitions_is_a_violation() {
+        let row = |k: i64| Value::pair(Value::Long(k), Value::Unit);
+        let unique = vec![vec![row(1), row(2)], vec![row(3)]];
+        assert!(check_unique_keys(&unique, "V").is_ok());
+        // `1` and `1.0` are the same key, as in every keyed operator.
+        let repeated = vec![
+            vec![row(1), row(2)],
+            vec![Value::pair(Value::Double(1.0), Value::Unit)],
+        ];
+        let err = check_unique_keys(&repeated, "V").unwrap_err();
+        assert!(err.message.starts_with("plan verifier:"), "{err}");
+        assert!(err.message.contains("input `V` holds key 1"), "{err}");
     }
 }

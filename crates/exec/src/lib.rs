@@ -20,7 +20,9 @@
 //! * `group by` becomes **reduceByKey** when every lifted variable is
 //!   consumed by an aggregation (map-side combining), and **groupByKey**
 //!   otherwise;
-//! * the array merge `V ⊳ x` becomes a cogroup-style merge;
+//! * the array merge `V ⊳ x` becomes a cogroup-style merge — or is `x`
+//!   itself when `V` holds no rows and `x`'s keys are provably unique
+//!   ([`diablo_comp::keys`]);
 //! * everything that touches no dataset is evaluated locally.
 //!
 //! The public entry point is [`Session`]: bind inputs, [`Session::run`] a
@@ -88,9 +90,19 @@ pub struct Session {
     ctx: Context,
     state: HashMap<String, Binding>,
     lazy: bool,
-    /// Lazily bound collection names awaiting their end-of-run forcing,
-    /// in binding order, with the statement tag that produced each.
-    pending: Vec<(String, String)>,
+    /// Lazily bound collections awaiting their end-of-run forcing, in
+    /// binding order.
+    pending: Vec<Pending>,
+}
+
+/// A lazily bound collection whose plan has not been forced yet.
+struct Pending {
+    name: String,
+    /// The statement that produced it (`s3:X`), for error tags.
+    tag: String,
+    /// The binding it replaced, restored if its plan fails: in the eager
+    /// reference a failed assignment never rebinds.
+    replaced: Option<Binding>,
 }
 
 impl Session {
@@ -132,15 +144,19 @@ impl Session {
 
     /// Binds a collection input from `(key, value)` pair rows.
     ///
-    /// Array keys are expected to be unique (arrays are key-value maps,
-    /// §3.4); duplicates keep engine semantics (last merge wins) but are
-    /// not deduplicated here.
+    /// Keys must be unique: arrays are key-value maps (§3.4), and the
+    /// engine relies on it — a merge into an empty array is skipped when
+    /// the update's keys are unique by construction, which holds only over
+    /// arrays. Duplicate keys are outside the contract. Under the plan
+    /// verifier (`DIABLO_VERIFY_PLAN`, on in debug builds) [`Session::run`]
+    /// rejects a program input holding one.
     pub fn bind_input(&mut self, name: &str, rows: Vec<Value>) {
         let data = self.ctx.from_vec(rows);
         self.state.insert(name.to_string(), Binding::Data(data));
     }
 
-    /// Binds an existing dataset.
+    /// Binds an existing dataset; its keys must be unique, as for
+    /// [`Session::bind_input`].
     pub fn bind_dataset(&mut self, name: &str, data: Dataset) {
         self.state.insert(name.to_string(), Binding::Data(data));
     }
@@ -226,8 +242,10 @@ impl Session {
     /// statement that built the failing operator.
     pub fn run(&mut self, program: &CompiledProgram) -> Result<()> {
         for (name, _) in &program.inputs {
-            if !self.state.contains_key(name) {
-                return Err(RuntimeError::new(format!("input `{name}` was not bound")));
+            match self.state.get(name) {
+                None => return Err(RuntimeError::new(format!("input `{name}` was not bound"))),
+                Some(Binding::Data(d)) => d.verify_unique_keys(name)?,
+                Some(Binding::Scalar(_)) => {}
             }
         }
         let eligible = diablo_core::lazy_assignments(&program.stmts);
@@ -250,28 +268,18 @@ impl Session {
         }
     }
 
-    /// Forces every lazily bound collection, in binding order, tagging
-    /// errors with their source statement. A binding whose plan fails is
-    /// removed from the state (matching eager semantics, where a failed
-    /// assignment never binds); the first failure is returned, but every
-    /// binding is settled regardless.
     /// Settles one still-pending binding (no-op if `name` is not
-    /// pending): forces it, dropping it and returning the tagged error if
-    /// its plan fails.
+    /// pending); see [`Session::settle`].
     fn settle_one(&mut self, name: &str) -> Result<()> {
-        let Some(pos) = self.pending.iter().position(|(n, _)| n == name) else {
+        let Some(pos) = self.pending.iter().position(|p| p.name == name) else {
             return Ok(());
         };
-        let (name, tag) = self.pending.remove(pos);
-        if let Some(Binding::Data(d)) = self.state.get(&name) {
-            if let Err(e) = d.materialize() {
-                self.state.remove(&name);
-                return Err(e.with_context(&tag));
-            }
-        }
-        Ok(())
+        let p = self.pending.remove(pos);
+        self.settle(p)
     }
 
+    /// Forces every lazily bound collection, in binding order; the first
+    /// failure is returned, but every binding is settled regardless.
     fn settle_pending(&mut self) -> Option<RuntimeError> {
         let pending = std::mem::take(&mut self.pending);
         if pending.is_empty() {
@@ -280,17 +288,37 @@ impl Session {
         self.ctx
             .plan_note("== (materialize lazy results)".to_string());
         let mut first_err = None;
-        for (name, tag) in pending {
-            if let Some(Binding::Data(d)) = self.state.get(&name) {
-                if let Err(e) = d.materialize() {
-                    self.state.remove(&name);
-                    if first_err.is_none() {
-                        first_err = Some(e.with_context(&tag));
-                    }
-                }
+        for p in pending {
+            if let Err(e) = self.settle(p) {
+                first_err.get_or_insert(e);
             }
         }
         first_err
+    }
+
+    /// Forces a pending binding. If its plan fails, the binding it
+    /// replaced comes back — as in the eager reference, where the failed
+    /// assignment never rebinds — unless that one fails too, and the
+    /// error is returned tagged with the producing statement.
+    fn settle(&mut self, p: Pending) -> Result<()> {
+        let Some(Binding::Data(d)) = self.state.get(&p.name) else {
+            return Ok(());
+        };
+        let Err(e) = d.materialize() else {
+            return Ok(());
+        };
+        match p.replaced {
+            Some(Binding::Data(old)) if old.materialize().is_err() => {
+                self.state.remove(&p.name);
+            }
+            Some(old) => {
+                self.state.insert(p.name, old);
+            }
+            None => {
+                self.state.remove(&p.name);
+            }
+        }
+        Err(e.with_context(&p.tag))
     }
 
     fn exec(&mut self, s: &TStmt, eligible: &[bool], slot: &mut usize) -> Result<()> {
@@ -325,12 +353,16 @@ impl Session {
                     let data = self.eval_collection(value);
                     self.ctx.set_statement_label(None);
                     let data = data.map_err(|e| e.with_context(&tag))?;
-                    self.pending.retain(|(n, _)| n != name);
+                    self.pending.retain(|p| p.name != *name);
                     let data = if self.lazy && eligible.get(my).copied().unwrap_or(false) {
                         // Lazy binding: the plan stays pending and fuses
-                        // into its (single) consumer; `finalize` forces it
-                        // if nothing did.
-                        self.pending.push((name.clone(), tag));
+                        // into its (single) consumer; `settle_pending`
+                        // forces it if nothing did.
+                        self.pending.push(Pending {
+                            name: name.clone(),
+                            tag,
+                            replaced: self.state.get(name).cloned(),
+                        });
                         data
                     } else {
                         data.materialize().map_err(|e| e.with_context(&tag))?
@@ -421,6 +453,20 @@ impl Session {
                 combine,
             } => {
                 let old = self.eval_collection(left)?;
+                // Merging into an array with no rows an update whose keys
+                // are unique returns the update: skip the cogroup.
+                if let CExpr::Comp(c) = right.as_ref() {
+                    if old.is_known_empty() {
+                        if let Some(proof) = c.unique_keys(&|v| self.is_dataset(v)) {
+                            self.ctx.plan_note(format!(
+                                "merge into empty `{}` skipped: update keys unique ({})",
+                                diablo_comp::pretty_cexpr(left),
+                                proof.name()
+                            ));
+                            return run_comp(c, self);
+                        }
+                    }
+                }
                 let new = self.eval_collection(right)?;
                 match combine {
                     None => old.merge(&new, None::<fn(&Value, &Value) -> Result<Value>>),

@@ -249,6 +249,62 @@ fn failed_runs_settle_lazy_bindings_like_the_eager_reference() {
 }
 
 #[test]
+fn a_failed_lazy_assignment_keeps_the_rows_it_would_have_replaced() {
+    // X holds rows when `X := { (i, 100 / v) | (i, v) <- V }` — an
+    // assignment that does not read X, terminal, so lazy — fails on V's
+    // zero. The eager reference never rebinds X; the lazy run must put
+    // the replaced rows back when settling the failed plan.
+    use diablo_comp::ir::{Comprehension, NameGen, Pattern, Qual};
+    use diablo_comp::CExpr;
+    use diablo_core::{CompiledProgram, TStmt};
+    use diablo_lang::Type;
+    use diablo_runtime::{BinOp, Value};
+
+    let vector = || Type::Vector(Box::new(Type::Long));
+    let update = Comprehension::new(
+        CExpr::pair(
+            CExpr::var("i"),
+            CExpr::Bin(
+                BinOp::Div,
+                Box::new(CExpr::long(100)),
+                Box::new(CExpr::var("v")),
+            ),
+        ),
+        vec![Qual::Gen(
+            Pattern::pair(Pattern::var("i"), Pattern::var("v")),
+            CExpr::var("V"),
+        )],
+    );
+    let program = CompiledProgram {
+        stmts: vec![TStmt::Assign {
+            name: "X".into(),
+            value: CExpr::Comp(update),
+            collection: true,
+        }],
+        inputs: vec![("V".into(), vector()), ("X".into(), vector())],
+        var_types: [("V".into(), vector()), ("X".into(), vector())].into(),
+        names: NameGen::new(),
+    };
+    assert_eq!(diablo_core::lazy_assignments(&program.stmts), vec![true]);
+    let pairs = |f: fn(i64) -> i64| {
+        (0..10)
+            .map(|i| Value::pair(Value::Long(i), Value::Long(f(i))))
+            .collect::<Vec<_>>()
+    };
+    let run = |mut s: Session| {
+        s.bind_input("V", pairs(|i| i - 4)); // V[4] = 0
+        s.bind_input("X", pairs(|i| i * 7));
+        let err = s.run(&program).unwrap_err();
+        assert!(err.message.contains("division by zero"), "{err}");
+        s.collect("X")
+    };
+    let lazy = run(Session::new(Context::new(2, 4)));
+    let eager = run(Session::eager(Context::new(2, 4)));
+    assert_eq!(lazy, eager);
+    assert_eq!(lazy, Some(pairs(|i| i * 7)), "the rows X held before");
+}
+
+#[test]
 fn lazy_and_eager_agree_across_all_figure3_workloads() {
     for w in wl::figure3_workloads(1, 9) {
         let compiled = compile(w.source).expect(w.name);

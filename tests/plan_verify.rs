@@ -111,6 +111,41 @@ fn verifier_covers_spilling_exchanges_too() {
 }
 
 #[test]
+fn an_input_holding_a_key_twice_is_refused_before_any_stage() {
+    // Array keys are unique (§3.4) — the contract the engine's merge into
+    // an empty array relies on. Verified, a run over an input that breaks
+    // it stops before its first statement and names the input and key.
+    let src = "input V: vector[long];
+               var W: vector[long] = vector();
+               for i = 0, 9 do W[i] := V[i] + 1;";
+    let compiled = diablo_core::compile(src).unwrap();
+    let run = || {
+        let ctx = Context::new(2, 2);
+        let mut s = diablo_exec::Session::new(ctx.clone());
+        let row = |k: i64, v: i64| Value::pair(Value::Long(k), Value::Long(v));
+        s.bind_input("V", vec![row(0, 1), row(3, 2), row(5, 3), row(3, 4)]);
+        let before = ctx.stats().snapshot();
+        let result = s.run(&compiled);
+        (
+            result,
+            ctx.stats().snapshot().since(&before).physical_stages,
+        )
+    };
+    let (result, stages) = {
+        let _env = set_verify(Some("1"));
+        run()
+    };
+    let err = result.unwrap_err();
+    assert!(err.message.starts_with("plan verifier:"), "{err}");
+    assert!(err.message.contains("input `V` holds key 3"), "{err}");
+    assert_eq!(stages, 0, "the check runs no stage");
+    // Unverified, the run goes ahead: duplicates are outside the contract,
+    // not detected.
+    let _env = set_verify(Some("0"));
+    assert!(run().0.is_ok());
+}
+
+#[test]
 fn verify_plan_env_typo_panics_loudly() {
     let _env = set_verify(Some("yes please"));
     let ctx = Context::new(1, 1);
