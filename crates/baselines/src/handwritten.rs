@@ -7,8 +7,8 @@
 //! Every public entry point returns **completed** work: dataset results
 //! are materialized before returning (the engine is lazy up to and
 //! including post-shuffle stages, and these functions are what the
-//! benchmark harness times — a pending plan would silently fall out of
-//! the measurement). Internal combinators stay lazy so chains still fuse.
+//! benchmark spine times — a pending plan would silently fall out of the
+//! measurement). Internal combinators stay lazy so chains still fuse.
 
 use std::sync::Arc;
 

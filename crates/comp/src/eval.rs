@@ -3,8 +3,7 @@
 //! This gives the calculus its reference semantics, independent of the
 //! distributed engine. The driver uses it for scalar-only target
 //! expressions (e.g. `while` conditions); the test suite uses it to check
-//! that normalization and optimization are meaning-preserving; the
-//! Casper-style baseline uses it to validate synthesized candidates.
+//! that normalization and optimization are meaning-preserving.
 //!
 //! Environments map variable names to [`Value`]s. Program arrays appear as
 //! bags of `(key, value)` pairs.

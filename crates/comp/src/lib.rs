@@ -13,8 +13,8 @@
 //!
 //! * [`ir`] — the IR ([`CExpr`], [`Qual`], [`Pattern`], [`Comprehension`]);
 //! * [`eval`] — a direct in-memory evaluator giving the calculus its
-//!   reference semantics (used by tests, by the driver for scalar-only
-//!   expressions, and by the Casper-style baseline's validator);
+//!   reference semantics (used by tests and by the driver for
+//!   scalar-only expressions);
 //! * [`keys`] — array-key uniqueness (§3.4): when an update's head keys
 //!   are distinct by construction, so merging it into an empty array is
 //!   the update itself;

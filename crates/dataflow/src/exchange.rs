@@ -796,6 +796,12 @@ impl ExchangeWriter<'_> {
 
 // ----------------------------------------------------------- row codec
 
+/// Deepest value nesting the row codec writes or reads: a scalar is one
+/// level, a container one more than its deepest element. The codec
+/// recurses per level, so a few kilobytes of hostile frame or corrupt
+/// spill file nested deeper would overflow the reading thread's stack.
+pub const MAX_VALUE_DEPTH: usize = 128;
+
 /// Binary row codec for spill runs. Exact round-trip for every [`Value`]
 /// shape (doubles travel as raw bits), so spilled rows come back
 /// bit-identical. Lengths that do not fit the u32 wire format (a single
@@ -805,13 +811,26 @@ impl ExchangeWriter<'_> {
 /// Public because the serve layer's wire protocol and the plan-hash
 /// cache key reuse the same canonical encoding — one codec, one notion
 /// of value identity across spill files, sockets, and cache keys.
+///
+/// A value nested deeper than [`MAX_VALUE_DEPTH`] is an error: the codec
+/// writes nothing that [`decode_value`] would refuse.
 pub fn encode_value(v: &Value, out: &mut Vec<u8>) -> Result<()> {
+    encode_nested(v, out, MAX_VALUE_DEPTH)
+}
+
+/// [`encode_value`] with `depth` levels left.
+fn encode_nested(v: &Value, out: &mut Vec<u8>, depth: usize) -> Result<()> {
     fn put_len(out: &mut Vec<u8>, n: usize) -> Result<()> {
         let n = u32::try_from(n).map_err(|_| {
             RuntimeError::new("exchange spill: value length exceeds the u32 wire format")
         })?;
         out.extend_from_slice(&n.to_le_bytes());
         Ok(())
+    }
+    if depth == 0 {
+        return Err(RuntimeError::new(format!(
+            "exchange spill: value nesting exceeds the codec's depth limit ({MAX_VALUE_DEPTH})"
+        )));
     }
     match v {
         Value::Unit => out.push(0),
@@ -836,7 +855,7 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) -> Result<()> {
             out.push(5);
             put_len(out, fs.len())?;
             for f in fs.iter() {
-                encode_value(f, out)?;
+                encode_nested(f, out, depth - 1)?;
             }
         }
         Value::Record(fields) => {
@@ -845,14 +864,14 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) -> Result<()> {
             for (n, f) in fields.iter() {
                 put_len(out, n.len())?;
                 out.extend_from_slice(n.as_bytes());
-                encode_value(f, out)?;
+                encode_nested(f, out, depth - 1)?;
             }
         }
         Value::Bag(items) => {
             out.push(7);
             put_len(out, items.len())?;
             for f in items.iter() {
-                encode_value(f, out)?;
+                encode_nested(f, out, depth - 1)?;
             }
         }
     }
@@ -861,8 +880,14 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) -> Result<()> {
 
 /// Inverse of [`encode_value`]: decodes one value from the front of
 /// `buf`, advancing it past the consumed bytes. Any truncated or
-/// malformed input is a `corrupt` error, never a panic.
+/// malformed input — a value nested deeper than [`MAX_VALUE_DEPTH`]
+/// included — is a `corrupt` error, never a panic.
 pub fn decode_value(buf: &mut &[u8]) -> Result<Value> {
+    decode_nested(buf, MAX_VALUE_DEPTH)
+}
+
+/// [`decode_value`] with `depth` levels left.
+fn decode_nested(buf: &mut &[u8], depth: usize) -> Result<Value> {
     fn corrupt() -> RuntimeError {
         RuntimeError::new("corrupt exchange spill file")
     }
@@ -878,6 +903,10 @@ pub fn decode_value(buf: &mut &[u8]) -> Result<Value> {
         let b = take(buf, 4)?;
         Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize)
     }
+    if depth == 0 {
+        return Err(corrupt());
+    }
+    let d = depth - 1;
     let tag = *take(buf, 1)?.first().expect("1 byte");
     Ok(match tag {
         0 => Value::Unit,
@@ -900,11 +929,11 @@ pub fn decode_value(buf: &mut &[u8]) -> Result<Value> {
         5 => match take_len(buf)? {
             // Pairs and triples — every sparse-array row and most keys —
             // are built in their `Arc` directly: one allocation, no copy.
-            2 => Value::Tuple(Arc::from([decode_value(buf)?, decode_value(buf)?])),
+            2 => Value::Tuple(Arc::from([decode_nested(buf, d)?, decode_nested(buf, d)?])),
             3 => Value::Tuple(Arc::from([
-                decode_value(buf)?,
-                decode_value(buf)?,
-                decode_value(buf)?,
+                decode_nested(buf, d)?,
+                decode_nested(buf, d)?,
+                decode_nested(buf, d)?,
             ])),
             n => {
                 // Capacity capped by the remaining bytes: a corrupt length
@@ -912,7 +941,7 @@ pub fn decode_value(buf: &mut &[u8]) -> Result<Value> {
                 // abort on a giant pre-allocation.
                 let mut fs = Vec::with_capacity(n.min(buf.len()));
                 for _ in 0..n {
-                    fs.push(decode_value(buf)?);
+                    fs.push(decode_nested(buf, d)?);
                 }
                 Value::tuple(fs)
             }
@@ -925,7 +954,7 @@ pub fn decode_value(buf: &mut &[u8]) -> Result<Value> {
                 let name = std::str::from_utf8(take(buf, ln)?)
                     .map_err(|_| corrupt())?
                     .to_string();
-                fields.push((name, decode_value(buf)?));
+                fields.push((name, decode_nested(buf, d)?));
             }
             Value::record(fields)
         }
@@ -933,7 +962,7 @@ pub fn decode_value(buf: &mut &[u8]) -> Result<Value> {
             let n = take_len(buf)?;
             let mut items = Vec::with_capacity(n.min(buf.len()));
             for _ in 0..n {
-                items.push(decode_value(buf)?);
+                items.push(decode_nested(buf, d)?);
             }
             Value::bag(items)
         }
@@ -1000,6 +1029,25 @@ mod tests {
         buf[1..5].copy_from_slice(&u32::MAX.to_le_bytes()); // tag, then len
         let mut cursor = &buf[..];
         assert!(decode_value(&mut cursor).is_err());
+    }
+
+    /// A value `depth` levels deep: 1-tuples around a `Long`.
+    fn nested(depth: usize) -> Value {
+        (1..depth).fold(Value::Long(7), |v, _| Value::tuple(vec![v]))
+    }
+
+    #[test]
+    fn codec_round_trips_the_depth_limit_and_refuses_one_more() {
+        let deepest = nested(MAX_VALUE_DEPTH);
+        assert_eq!(roundtrip(&deepest), deepest);
+
+        let err = encode_value(&nested(MAX_VALUE_DEPTH + 1), &mut Vec::new()).unwrap_err();
+        assert!(err.to_string().contains("depth limit"), "{err}");
+        // The bytes it would be: one more 1-tuple header around `deepest`.
+        let mut buf = vec![5, 1, 0, 0, 0];
+        encode_value(&deepest, &mut buf).unwrap();
+        let err = decode_value(&mut &buf[..]).unwrap_err();
+        assert!(err.to_string().contains("corrupt"), "{err}");
     }
 
     #[test]

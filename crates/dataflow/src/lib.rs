@@ -102,7 +102,7 @@ pub use columnar::{FieldName, RowExpr, Shape};
 pub use dataset::{Dataset, JoinOn};
 pub use exchange::{
     decode_value, encode_value, Exchange, ExchangeWriter, HashPartitioner, Partitioner,
-    RangePartitioner,
+    RangePartitioner, MAX_VALUE_DEPTH,
 };
 pub use stats::{Stats, StatsSnapshot};
 

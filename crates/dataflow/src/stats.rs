@@ -4,7 +4,7 @@
 //! The paper's evaluation reasons about *data shuffling* as the dominant
 //! cost of DISC programs (§1: "all data exchanges across compute nodes are
 //! done in a controlled way using DISC operations"). These counters let the
-//! benchmark harness report how much each plan shuffles, which explains the
+//! benchmark spine report how much each plan shuffles, which explains the
 //! Figure 3 gaps (e.g. DIABLO's K-Means shuffles the whole point set while
 //! the hand-written version shuffles only centroid-sized partials).
 //!
@@ -163,39 +163,14 @@ impl Stats {
             row_fallback_stages: self.row_fallback_stages.load(Ordering::Relaxed),
         }
     }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        self.logical_ops.store(0, Ordering::Relaxed);
-        self.physical_stages.store(0, Ordering::Relaxed);
-        self.shuffles.store(0, Ordering::Relaxed);
-        self.sorted_shuffles.store(0, Ordering::Relaxed);
-        self.shuffled_records.store(0, Ordering::Relaxed);
-        self.shuffled_bytes.store(0, Ordering::Relaxed);
-        self.spilled_records.store(0, Ordering::Relaxed);
-        self.spilled_bytes.store(0, Ordering::Relaxed);
-        self.spill_files.store(0, Ordering::Relaxed);
-        self.broadcasts.store(0, Ordering::Relaxed);
-        self.broadcast_records.store(0, Ordering::Relaxed);
-        self.morsels.store(0, Ordering::Relaxed);
-        self.steals.store(0, Ordering::Relaxed);
-        self.max_queue_depth.store(0, Ordering::Relaxed);
-        self.sched_cost_us.store(0, Ordering::Relaxed);
-        self.sched_critical_us.store(0, Ordering::Relaxed);
-        self.dataset_spills.store(0, Ordering::Relaxed);
-        self.dataset_spilled_bytes.store(0, Ordering::Relaxed);
-        self.dataset_evictions.store(0, Ordering::Relaxed);
-        self.dataset_recomputes.store(0, Ordering::Relaxed);
-        self.vectorized_batches.store(0, Ordering::Relaxed);
-        self.row_fallback_stages.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A point-in-time copy of [`Stats`], plus the **effective context
 /// settings** that produced the counters. The settings fields default to
 /// empty here and are filled by `Context::stats_snapshot`, which can see
-/// the context; they make emitted `BENCH_*.json` rows self-describing
-/// (a number without its backend/budget/scheduler is unreproducible).
+/// the context; they make the benchmark spine's result rows
+/// self-describing (a number without its backend/budget/scheduler is
+/// unreproducible).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StatsSnapshot {
     /// The layout's backend name (`columnar`, or `local` for the row
@@ -358,8 +333,8 @@ mod tests {
         assert_eq!(snap.spilled_bytes, 320);
         assert_eq!(snap.spill_files, 2);
         assert_eq!(snap.broadcasts, 1);
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
+        // Callers reset by taking a delta against a baseline snapshot.
+        assert_eq!(snap.since(&snap), StatsSnapshot::default());
     }
 
     #[test]
@@ -374,8 +349,7 @@ mod tests {
         assert_eq!(snap.sched_cost_us, 2000);
         assert_eq!(snap.sched_critical_us, 1000);
         assert_eq!(snap.sched_speedup(), Some(2.0));
-        s.reset();
-        assert_eq!(s.snapshot().sched_speedup(), None);
+        assert_eq!(snap.since(&snap).sched_speedup(), None);
     }
 
     #[test]

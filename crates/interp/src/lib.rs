@@ -1,16 +1,10 @@
 //! # diablo-interp
 //!
 //! A sequential, tree-walking reference interpreter for the loop-based
-//! language. It serves three purposes in the reproduction:
-//!
-//! 1. **Correctness oracle** — every translated program is compared against
-//!    the interpreter on the same inputs (Appendix A proves the translation
-//!    meaning-preserving; the integration tests check it empirically).
-//! 2. **The "seq" column of Table 2** — the paper compares each generated
-//!    parallel program against a sequential evaluation of the same loops.
-//! 3. **Candidate validation for the Casper-style baseline** — the
-//!    enumerative synthesizer (crate `diablo-baselines`) validates candidate
-//!    map/reduce programs against interpreter runs.
+//! language: the reproduction's **correctness oracle**. Every translated
+//! program is compared against the interpreter on the same inputs
+//! (Appendix A proves the translation meaning-preserving; the integration
+//! tests and the benchmark spine check it empirically).
 //!
 //! ## Sparse-array semantics
 //!

@@ -23,7 +23,7 @@
 //!   [`Context::fork`](diablo_dataflow::Context::fork) tenancy, named
 //!   shared datasets, the request lifecycle.
 //! * [`client`] — [`Client`]: the blocking client `diabloc --connect`
-//!   and the bench harness drive.
+//!   and the benchmark spine drive.
 //!
 //! The conformance contract: a program served by `diablod` returns
 //! byte-identical outputs — and byte-identical *error messages*,

@@ -15,7 +15,7 @@
 
 use std::io::{Read, Write};
 
-use diablo_dataflow::{decode_value, encode_value};
+use diablo_dataflow::{decode_value, encode_value, MAX_VALUE_DEPTH};
 use diablo_runtime::{RuntimeError, Value};
 
 /// Result alias for protocol operations.
@@ -258,9 +258,17 @@ fn take_rows(buf: &mut &[u8]) -> Result<Vec<Value>> {
 }
 
 /// Steps over one encoded value without building it, with exactly the
-/// checks [`decode_value`] makes — tags, lengths, UTF-8, bool bytes — so
-/// bytes this accepts decode without error.
+/// checks [`decode_value`] makes — tags, lengths, UTF-8, bool bytes,
+/// nesting depth — so bytes this accepts decode without error.
 fn skip_value(buf: &mut &[u8]) -> Result<()> {
+    skip_nested(buf, MAX_VALUE_DEPTH)
+}
+
+/// [`skip_value`] with `depth` levels left.
+fn skip_nested(buf: &mut &[u8], depth: usize) -> Result<()> {
+    if depth == 0 {
+        return Err(corrupt());
+    }
     match take(buf, 1)?[0] {
         0 => {}
         1 => {
@@ -276,13 +284,13 @@ fn skip_value(buf: &mut &[u8]) -> Result<()> {
         }
         5 | 7 => {
             for _ in 0..take_u32(buf)? {
-                skip_value(buf)?;
+                skip_nested(buf, depth - 1)?;
             }
         }
         6 => {
             for _ in 0..take_u32(buf)? {
                 take_str_ref(buf)?;
-                skip_value(buf)?;
+                skip_nested(buf, depth - 1)?;
             }
         }
         _ => return Err(corrupt()),

@@ -4,14 +4,14 @@
 //! surface syntax ([`programs`]), random input generators matching the
 //! paper's datasets ([`generators`]), the RMAT graph generator used for
 //! PageRank ([`rmat`]), and [`Workload`] — a program bundled with concrete
-//! inputs and its output variables, the unit the integration tests, Table 2
-//! and Figure 3 all consume.
+//! inputs and its output variables, the unit the integration tests and the
+//! benchmark spine consume.
 
 pub mod generators;
 pub mod programs;
 pub mod rmat;
 
-use diablo_runtime::{size::slice_size, Value};
+use diablo_runtime::Value;
 
 /// A benchmark program together with concrete inputs and outputs.
 #[derive(Debug, Clone)]
@@ -26,21 +26,6 @@ pub struct Workload {
     pub collections: Vec<(&'static str, Vec<Value>)>,
     /// Variables holding the results to read back / compare.
     pub outputs: Vec<&'static str>,
-}
-
-impl Workload {
-    /// Estimated input size in bytes (the x-axis of Figure 3).
-    pub fn input_bytes(&self) -> usize {
-        self.collections
-            .iter()
-            .map(|(_, rows)| slice_size(rows))
-            .sum()
-    }
-
-    /// Total number of collection input rows.
-    pub fn input_rows(&self) -> usize {
-        self.collections.iter().map(|(_, rows)| rows.len()).sum()
-    }
 }
 
 /// Conditional Sum (Fig. 3A): `n` doubles in `[0, 200)`.
@@ -297,8 +282,8 @@ mod tests {
     #[test]
     fn workloads_report_sizes() {
         let w = conditional_sum(100, 1);
-        assert_eq!(w.input_rows(), 100);
-        assert!(w.input_bytes() > 100 * 16);
+        assert_eq!(w.collections.len(), 1);
+        assert_eq!(w.collections[0].1.len(), 100);
     }
 
     #[test]

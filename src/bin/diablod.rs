@@ -9,8 +9,8 @@
 //! on **one shared engine** (one work-stealing worker pool, one global
 //! memory budget), and serves repeat programs from a plan-hash result
 //! cache.
-//! Drive it with `diabloc run --connect ADDR program.dbl …` or the bench
-//! harness's `serve` command.
+//! Drive it with `diabloc run --connect ADDR program.dbl …`; the benchmark
+//! spine's `serve_mix` workload drives an in-process one.
 //!
 //! * `--listen ADDR` — `host:port` (port 0 picks an ephemeral port) or
 //!   `unix:/path` for a Unix domain socket. Default `127.0.0.1:7716`,

@@ -6,14 +6,15 @@
 //! program, no matter how many clients are hammering the server or
 //! whether the response came from the result cache.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 use diablo_core::compile;
 use diablo_dataflow::Context;
 use diablo_exec::Session;
 use diablo_runtime::Value;
-use diablo_serve::{Client, Output, ServeConfig, Server};
+use diablo_serve::{Client, Output, RequestStats, Response, RunResult, ServeConfig, Server};
 use diablo_workloads as wl;
 
 /// Runs a workload locally, producing outputs shaped exactly like a
@@ -246,7 +247,7 @@ fn identical_concurrent_misses_coalesce_into_one_execution() {
     let addr = server.addr().to_string();
 
     const CLIENTS: usize = 8;
-    let barrier = Arc::new(std::sync::Barrier::new(CLIENTS));
+    let barrier = Arc::new(Barrier::new(CLIENTS));
     let handles: Vec<_> = (0..CLIENTS)
         .map(|_| {
             let addr = addr.clone();
@@ -274,8 +275,7 @@ fn identical_concurrent_misses_coalesce_into_one_execution() {
     assert_eq!(leaders, 1, "exactly one request executed");
 
     let mut client = Client::connect(&addr).expect("connect");
-    let stats: std::collections::HashMap<String, u64> =
-        client.stats().expect("stats").into_iter().collect();
+    let stats: HashMap<String, u64> = client.stats().expect("stats").into_iter().collect();
     assert_eq!(stats["admitted"], 1, "duplicates never reached admission");
     // Every non-leader was served by coalescing or by the result cache.
     assert_eq!(
@@ -302,7 +302,7 @@ fn coalesced_waiters_share_the_leaders_error_uncached() {
         Server::start("127.0.0.1:0", Context::new(2, 4), ServeConfig::default()).expect("server");
     let addr = server.addr().to_string();
     const CLIENTS: usize = 6;
-    let barrier = Arc::new(std::sync::Barrier::new(CLIENTS));
+    let barrier = Arc::new(Barrier::new(CLIENTS));
     let handles: Vec<_> = (0..CLIENTS)
         .map(|_| {
             let addr = addr.clone();
@@ -336,8 +336,86 @@ fn coalesced_waiters_share_the_leaders_error_uncached() {
         )
         .unwrap_err();
     assert_eq!(again, expected);
-    let stats: std::collections::HashMap<String, u64> =
-        client.stats().expect("stats").into_iter().collect();
+    let stats: HashMap<String, u64> = client.stats().expect("stats").into_iter().collect();
     assert_eq!(stats["cache_hits"], 0, "errors are never cached");
+    server.stop();
+}
+
+/// A reply as the wire carries it, per-request stats aside.
+fn reply_bytes(res: &RunResult) -> Vec<u8> {
+    Response::RunOk {
+        outputs: res.outputs.clone(),
+        stats: RequestStats::default(),
+        warnings: res.warnings.clone(),
+    }
+    .encode()
+    .expect("encodes")
+}
+
+#[test]
+fn overload_under_a_spilling_budget_queues_and_warm_replies_are_the_cold_bytes() {
+    // Twice as many clients as execution slots, on an engine whose 4 KiB
+    // exchange budget makes every shuffle spill: admission must queue the
+    // excess — never fail a request, never time one out — and once the
+    // cache is warm every reply is a hit with its cold reply's bytes.
+    const MAX_INFLIGHT: usize = 2;
+    const CLIENTS: usize = 2 * MAX_INFLIGHT;
+    let workloads = Arc::new(vec![
+        wl::matrix_multiplication(10, 71),
+        wl::matrix_multiplication(12, 72),
+        wl::matrix_multiplication(14, 73),
+        wl::pagerank(40, 2, 74),
+        wl::pagerank(60, 3, 75),
+        wl::matrix_factorization(10, 2, 1, 76),
+    ]);
+    let ctx = Context::new(2, 4).with_memory_budget(4096);
+    let cfg = ServeConfig {
+        max_inflight: MAX_INFLIGHT,
+        ..ServeConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", ctx, cfg).expect("server");
+    let addr = server.addr().to_string();
+
+    // One phase: every client runs every workload once, starting together
+    // and rotated so that concurrent requests are distinct programs (equal
+    // ones would coalesce rather than queue). Each client keeps its
+    // rotation across phases, so reply `i` of a client is the same
+    // workload in both.
+    let phase = |no_cache: bool| -> Vec<Vec<(bool, Vec<u8>)>> {
+        let barrier = Arc::new(Barrier::new(CLIENTS));
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let (addr, workloads, barrier) = (addr.clone(), workloads.clone(), barrier.clone());
+                thread::spawn(move || {
+                    let mut client = Client::connect(&addr).expect("connect");
+                    barrier.wait();
+                    (0..workloads.len())
+                        .map(|i| {
+                            let w = &workloads[(i + c) % workloads.len()];
+                            let (scalars, rows) = remote_bindings(w);
+                            let res = client
+                                .run(w.source, scalars, rows, no_cache)
+                                .unwrap_or_else(|e| panic!("{} (client {c}): {e}", w.name));
+                            (res.stats.cache_hit, reply_bytes(&res))
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        clients.into_iter().map(|h| h.join().unwrap()).collect()
+    };
+    let (cold, warm) = (phase(true), phase(false));
+    let pairs = cold.iter().flatten().zip(warm.iter().flatten());
+    for (i, ((cold_hit, cold), (warm_hit, warm))) in pairs.enumerate() {
+        assert!(
+            !cold_hit && *warm_hit,
+            "reply {i}: hits {cold_hit} → {warm_hit}"
+        );
+        assert_eq!(warm, cold, "reply {i}");
+    }
+    let mut client = Client::connect(&addr).expect("connect");
+    let stats: HashMap<String, u64> = client.stats().expect("stats").into_iter().collect();
+    assert_eq!(stats["admission_timeouts"], 0, "{stats:?}");
+    assert!(stats["peak_queued"] >= 1, "the overload queued: {stats:?}");
     server.stop();
 }

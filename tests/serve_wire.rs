@@ -10,11 +10,11 @@
 use std::net::TcpStream;
 
 use diablo_core::compile;
-use diablo_dataflow::Context;
+use diablo_dataflow::{Context, MAX_VALUE_DEPTH};
 use diablo_runtime::Value;
-use diablo_serve::proto::{read_frame, write_frame};
+use diablo_serve::proto::{read_frame, write_frame, MAGIC};
 use diablo_serve::{
-    plan_hash, rows_hash, Client, Request, RequestStats, Response, ServeConfig, Server,
+    plan_hash, rows_hash, Client, Output, Request, RequestStats, Response, ServeConfig, Server,
 };
 use proptest::prelude::*;
 
@@ -88,13 +88,7 @@ fn raw(conn: &mut TcpStream, payload: &[u8]) -> Vec<u8> {
     read_frame(conn).expect("receive").expect("a response")
 }
 
-fn run_ok(
-    bytes: &[u8],
-) -> (
-    Vec<(String, diablo_serve::Output)>,
-    RequestStats,
-    Vec<String>,
-) {
+fn run_ok(bytes: &[u8]) -> (Vec<(String, Output)>, RequestStats, Vec<String>) {
     match Response::decode(bytes).expect("decodes") {
         Response::RunOk {
             outputs,
@@ -273,5 +267,53 @@ fn a_hit_is_the_bytes_response_encode_writes_for_the_cold_outputs() {
         ..cold
     };
     assert_eq!(raw(&mut conn, &request), encode(hit), "the hit");
+    server.stop();
+}
+
+#[test]
+fn a_value_nested_past_the_codec_limit_is_a_corrupt_frame_and_the_server_lives() {
+    let server = start();
+
+    // The limit itself is served: a row `MAX_VALUE_DEPTH` levels deep.
+    let deepest = (2..MAX_VALUE_DEPTH).fold(Value::Unit, |v, _| Value::tuple(vec![v]));
+    let rows = vec![Value::pair(Value::Long(0), deepest)];
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let res = client.run(COUNT, vec![], vec![("X".into(), rows.clone())], false);
+    let outputs = res.expect("a row at the depth limit runs").outputs;
+    assert!(outputs.contains(&("X".into(), Output::Rows(rows))));
+
+    // 10 000 levels — about 50 KB, far under the frame cap — in each place
+    // a request carries a value. Built by hand: `encode_value` refuses to
+    // write such a value.
+    let deep = [[5, 1, 0, 0, 0].repeat(9_999), vec![0]].concat();
+    let text = |s: &str| [&(s.len() as u32).to_le_bytes()[..], s.as_bytes()].concat();
+    let (run, count, none, one) = ([MAGIC, 1], text(COUNT), [0; 4], [1, 0, 0, 0]);
+    let frames: [(&str, &[&[u8]]); 3] = [
+        (
+            "rows section",
+            &[&run, &count, &none, &one, &text("X"), &one, &deep, &[0]],
+        ),
+        (
+            "scalar",
+            &[&run, &count, &one, &text("x"), &deep, &none, &[0]],
+        ),
+        ("BindDataset", &[&[MAGIC, 2], &text("X"), &one, &deep]),
+    ];
+    let mut conn = connect(&server);
+    for (what, parts) in frames {
+        let frame = parts.concat();
+        let message = Request::decode(&frame).unwrap_err().to_string();
+        assert!(
+            message.ends_with("serve protocol: corrupt frame"),
+            "{what}: {message}"
+        );
+        let reply = Response::decode(&raw(&mut conn, &frame)).expect("the reply decodes");
+        assert_eq!(reply, Response::Error { message }, "{what}");
+    }
+
+    // The daemon is still up for everyone else.
+    let ping = Request::Ping.encode().expect("encodes");
+    let pong = Response::decode(&raw(&mut connect(&server), &ping)).expect("decodes");
+    assert_eq!(pong, Response::Pong);
     server.stop();
 }
