@@ -12,15 +12,15 @@
 //! The crate provides:
 //!
 //! * [`ir`] — the IR ([`CExpr`], [`Qual`], [`Pattern`], [`Comprehension`]);
-//! * [`eval`] — a direct in-memory evaluator giving the calculus its
+//! * [`eval`](mod@eval) — a direct in-memory evaluator giving the calculus its
 //!   reference semantics (used by tests and by the driver for
 //!   scalar-only expressions);
 //! * [`keys`] — array-key uniqueness (§3.4): when an update's head keys
 //!   are distinct by construction, so merging it into an empty array is
 //!   the update itself;
-//! * [`normalize`] — Rule (2) unnesting of nested comprehensions,
+//! * [`normalize`](mod@normalize) — Rule (2) unnesting of nested comprehensions,
 //!   singleton-generator elimination, let inlining, predicate pushdown;
-//! * [`optimize`] — Rule (16) constant-key group-by elimination, Rule (17)
+//! * [`optimize`](mod@optimize) — Rule (16) constant-key group-by elimination, Rule (17)
 //!   unique-key group-by elimination, and the loop-iteration elimination of
 //!   §3.6 (`range` joins become array traversals guarded by `inRange`);
 //! * [`rewrite`] — the one change-driven driver and rule table behind

@@ -7,7 +7,7 @@
 //! 1. [`analysis`] checks the parallelization restrictions of §3.2
 //!    (Definition 3.1) — affine destinations and the absence of
 //!    loop-carried dependences beyond the two sanctioned exceptions;
-//! 2. [`translate`] applies the rules of Fig. 2: for-loops dissolve into
+//! 2. [`translate`](mod@translate) applies the rules of Fig. 2: for-loops dissolve into
 //!    comprehension generators, incremental updates `d ⊕= e` become
 //!    group-bys over the destination index with `⊕`-aggregations, and
 //!    plain updates become bulk array merges `V ⊳ x`;

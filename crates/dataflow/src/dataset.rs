@@ -6,12 +6,15 @@
 //! `cogroup`, `join`, `merge`) expect rows shaped as `(key, value)` pairs —
 //! exactly the sparse-array representation of §3.4 — and hash-partition
 //! rows by key before the reduction stage, which is the engine's shuffle.
+//! Under [`Context::ordered`] the same operators range-partition instead
+//! and sort each post-shuffle partition by key, so their output is
+//! globally key-ordered.
 //! [`Dataset::join_on`] is the same join told as data — both keys as
 //! [`RowExpr`]s over rows of any shape — and [`Dataset::cross`] its
 //! keyless counterpart, a broadcast nested loop as a transparent step.
 //!
-//! Narrow operators (`map`, `filter`, `flat_map`, `map_partitions`,
-//! `union`) are **lazy**: they append a node to the dataset's plan and
+//! Narrow operators (`map`, `filter`, `flat_map`, `union`) are
+//! **lazy**: they append a node to the dataset's plan and
 //! return immediately. So are the **post-shuffle stages** of the keyed
 //! operators: `reduce_by_key` runs its combine+scatter eagerly (the data
 //! must move) but leaves the shuffle-read reduction as a pending
@@ -47,15 +50,13 @@
 use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use diablo_runtime::array::{key_value, key_value_ref};
+use diablo_runtime::array::key_value_ref;
 use diablo_runtime::{size::slice_size, AggOp, BinOp, RuntimeError, Value};
 
 use crate::columnar::{Cross, KeyedFold, RowExpr, Shape};
-use crate::exchange::{
-    pair_key, Exchange, ExchangeWriter, HashPartitioner, Partitioner, RangePartitioner,
-};
+use crate::exchange::{Exchange, ExchangeWriter, HashPartitioner, Partitioner, RangePartitioner};
 use crate::join::{Emit, Join};
 use crate::keytable::KeyTable;
 use crate::plan::{self, PartFn, PartOp, PartitionRows, PlanOp};
@@ -154,6 +155,18 @@ impl KeyFold {
     }
 }
 
+/// What one side of a keyed operator sends through the exchange.
+#[derive(Clone, Copy)]
+enum Crossing<'a> {
+    /// Its `(key, value)` rows, as they are.
+    Pairs,
+    /// One `(key, folded)` row per distinct key of a source partition:
+    /// `reduce_by_key`'s map-side combine.
+    Combined(&'a KeyFold),
+    /// The row of each of its `(key, row)` pairs: a join side.
+    Rows,
+}
+
 /// An equi-join described by data, as [`Dataset::join_on`] takes it: the
 /// engine sees both keys and the shape of the right rows, so both scatters
 /// are transparent steps of their chains and the rows cross the exchange
@@ -194,6 +207,36 @@ pub(crate) fn key_hash(v: &impl Hash) -> u64 {
     let mut h = DefaultHasher::new();
     v.hash(&mut h);
     h.finish()
+}
+
+/// The key of a `(key, value)` row, borrowed; a row of another shape is
+/// its own key (the keyed operators check the shape before they order).
+fn pair_key(row: &Value) -> &Value {
+    match row.as_tuple() {
+        Some([k, _]) => k,
+        _ => row,
+    }
+}
+
+/// The partitioner of a range scatter, from the `(key, value)` rows of its
+/// source partitions: per source, the keys sorted and up to 64 of them
+/// evenly spaced, plus the largest. Deterministic, so every layout and
+/// budget derives the same bounds.
+fn range_partitioner<'a>(
+    sources: impl Iterator<Item = &'a Vec<Value>>,
+    partitions: usize,
+) -> RangePartitioner {
+    const KEYS_PER_SOURCE: usize = 64;
+    let mut sample: Vec<Value> = Vec::new();
+    for rows in sources {
+        let mut keys: Vec<&Value> = rows.iter().map(pair_key).collect();
+        keys.sort();
+        let Some(&last) = keys.last() else { continue };
+        let stride = keys.len().div_ceil(KEYS_PER_SOURCE).max(1);
+        sample.extend(keys.iter().step_by(stride).map(|&k| k.clone()));
+        sample.push(last.clone());
+    }
+    RangePartitioner::from_sample(sample, partitions)
 }
 
 impl Dataset {
@@ -438,14 +481,6 @@ impl Dataset {
             .sum()
     }
 
-    /// Estimated serialized size of all rows, in bytes (sampled).
-    ///
-    /// # Panics
-    /// Panics if a pending operator in the plan fails.
-    pub fn estimated_bytes(&self) -> u64 {
-        estimate_bytes(&self.force().expect("dataset materialization failed"))
-    }
-
     /// Materializes all rows in partition order.
     ///
     /// # Panics
@@ -646,20 +681,6 @@ impl Dataset {
         )))
     }
 
-    /// Partition-at-a-time transformation (Spark's `mapPartitions`; lazy).
-    pub fn map_partitions<F>(&self, f: F) -> Result<Dataset>
-    where
-        F: Fn(&[Value]) -> Result<Vec<Value>> + Send + Sync + 'static,
-    {
-        self.ctx.record_logical_op();
-        Ok(self.derived(PlanOp::MapPartitions(
-            self.effective_plan(),
-            PartOp::Rows(Arc::new(f)),
-            "map_partitions",
-            self.tag(),
-        )))
-    }
-
     /// Bag union (no dedup), preserving the left side's partition count.
     ///
     /// Lazy and narrow: it moves no data, runs no parallel stage, and the
@@ -770,14 +791,152 @@ impl Dataset {
         self.shuffle_by(label, &HashPartitioner)
     }
 
+    /// The shuffle under every keyed operator: scatters each of `sides` by
+    /// key, left to right, and returns each side's destination buckets.
+    ///
+    /// A hash context runs one scatter stage per side. An ordered context
+    /// runs the **range scatter**: one stage per side runs its pending
+    /// chain ([`Dataset::range_sources`]), the bounds of one shared
+    /// [`RangePartitioner`] are sampled from every side's keys
+    /// ([`range_partitioner`]), and each side's rows then go through a
+    /// plain [`Exchange`], so a bucket comes back in the hash path's
+    /// `(source, sequence)` order, under the same memory budget.
+    fn scatter_keyed<const N: usize>(
+        &self,
+        sides: [(&Dataset, &str); N],
+        crossing: Crossing<'_>,
+    ) -> Result<[Vec<Vec<Value>>; N]> {
+        let mut dests = sides.map(|_| Vec::new());
+        if !self.ctx.ordered() {
+            for (dest, (side, label)) in dests.iter_mut().zip(sides) {
+                *dest = side.hash_scatter(label, crossing)?;
+            }
+            return Ok(dests);
+        }
+        let mut sources = sides.map(|_| Vec::new());
+        for (source, (side, label)) in sources.iter_mut().zip(sides) {
+            *source = side.range_sources(label, crossing)?;
+        }
+        let partitioner = range_partitioner(sources.iter().flatten(), self.ctx.partitions());
+        for ((dest, source), (_, label)) in dests.iter_mut().zip(sources).zip(sides) {
+            *dest = self.range_scatter(source, &partitioner, label, crossing)?;
+        }
+        Ok(dests)
+    }
+
+    /// One side's hash scatter: the pending chain, the map-side combine
+    /// if any, and the scatter in one stage.
+    fn hash_scatter(&self, label: &str, crossing: Crossing<'_>) -> Result<Vec<Vec<Value>>> {
+        let p = self.ctx.partitions();
+        match crossing {
+            Crossing::Pairs => self.shuffle(label),
+            // Map-side combine, then stream the combined pairs straight
+            // into the exchange sink: no all-partitions bucket matrix is
+            // ever built, and buckets past the memory budget spill to disk.
+            Crossing::Combined(fold) => self.exchange(label, |rows, sink| {
+                fold.combine(rows, &mut |k, v| {
+                    let b = HashPartitioner.partition(&k, p)?;
+                    sink.emit(b, Value::pair(k, v))
+                })
+            }),
+            // Only the row crosses; a columnar stage reads the key from
+            // its column and never boxes the pair.
+            Crossing::Rows => self.exchange(label, |rows, sink| {
+                rows.for_each_pair(&mut |key, row| sink.emit(HashPartitioner.bucket(&key, p), row))
+            }),
+        }
+    }
+
+    /// The first stage of a range scatter: runs the pending chain and
+    /// keeps each source partition's `(key, value)` rows — checked in row
+    /// order, so a malformed row fails as it does in the hash scatter, and
+    /// combined per key when `crossing` says so.
+    fn range_sources(&self, label: &str, crossing: Crossing<'_>) -> Result<Vec<Vec<Value>>> {
+        let label = format!("{label}, by range");
+        plan::consume(&self.ctx, &self.effective_plan(), &label, |_, rows| {
+            let mut out = Vec::new();
+            match crossing {
+                Crossing::Combined(fold) => fold.combine(rows, &mut |k, v| {
+                    out.push(Value::pair(k, v));
+                    Ok(())
+                })?,
+                Crossing::Pairs | Crossing::Rows => rows.for_each(&mut |row| {
+                    key_value_ref(&row)?;
+                    out.push(row);
+                    Ok(())
+                })?,
+            }
+            Ok(out)
+        })
+    }
+
+    /// The second half of a range scatter: sends every source row to the
+    /// bucket `partitioner` gives its key — a join side sends the row of
+    /// its `(key, row)` pair — through a plain [`Exchange`].
+    fn range_scatter(
+        &self,
+        sources: Vec<Vec<Value>>,
+        partitioner: &RangePartitioner,
+        label: &str,
+        crossing: Crossing<'_>,
+    ) -> Result<Vec<Vec<Value>>> {
+        self.ctx.plan_note(format!(
+            "sorted shuffle ({label}): {} partitioner, {} sampled bound(s) over {} buckets",
+            Partitioner::name(partitioner),
+            partitioner.bounds().len(),
+            self.ctx.partitions()
+        ));
+        let p = self.ctx.partitions();
+        let ex = Exchange::new(p, self.ctx.memory_budget());
+        // Each task owns exactly its source partition (taken out of the
+        // slot), so rows move into the sink without a clone; chunk tags
+        // keep the buckets independent of worker interleaving.
+        let slots: Vec<Mutex<Vec<Value>>> = sources.into_iter().map(Mutex::new).collect();
+        run_stage(&self.ctx, &slots, |src, slot| {
+            let rows = std::mem::take(&mut *slot.lock().expect("source slot"));
+            let mut writer = ex.writer(src);
+            for row in rows {
+                let bucket = partitioner.partition(pair_key(&row), p)?;
+                let row = match crossing {
+                    Crossing::Rows => key_value_ref(&row)?.1.clone(),
+                    Crossing::Pairs | Crossing::Combined(_) => row,
+                };
+                writer.emit(bucket, row)?;
+            }
+            writer.close()
+        })?;
+        let dest = ex.finish(&self.ctx)?;
+        self.ctx.stats().record_sorted_shuffle();
+        Ok(dest)
+    }
+
     /// Wraps gathered shuffle buckets in a lazy partition-wise stage: the
     /// post-shuffle work becomes a pending plan node that fuses with
-    /// whatever consumes it next (shuffle-read fusion).
-    fn post_shuffle(&self, dest: Vec<Vec<Value>>, op: PartOp, label: &'static str) -> Dataset {
+    /// whatever consumes it next (shuffle-read fusion). `labels` name the
+    /// node on the hash path and on the ordered one, where the rows `op`
+    /// makes of a partition, one per key, are then sorted by key: range
+    /// buckets hold contiguous key ranges, so the partitions concatenate
+    /// in global key order. (A join lists its matches in key order
+    /// itself.)
+    fn post_shuffle(
+        &self,
+        dest: Vec<Vec<Value>>,
+        op: PartOp,
+        labels: [&'static str; 2],
+    ) -> Dataset {
+        let ordered = self.ctx.ordered();
+        let op = match op {
+            PartOp::Rows(f) if ordered => PartOp::Rows(Arc::new(move |part: &[Value]| {
+                let mut rows = f(part)?;
+                rows.sort_by(|a, b| pair_key(a).cmp(pair_key(b)));
+                Ok(rows)
+            })),
+            op => op,
+        };
         self.derived(PlanOp::MapPartitions(
             Arc::new(PlanOp::Scan(Arc::new(dest))),
             op,
-            label,
+            labels[usize::from(ordered)],
             self.tag(),
         ))
     }
@@ -829,33 +988,28 @@ impl Dataset {
     }
 
     fn reduce_by_key_with(&self, fold: KeyFold) -> Result<Dataset> {
-        if self.ctx.ordered() {
-            return self.sorted_reduce_by_key_with(fold);
-        }
         self.ctx.record_logical_op();
-        let p = self.ctx.partitions();
-        // Map-side combine, then stream the combined pairs straight into
-        // the exchange sink: no all-partitions bucket matrix is ever
-        // built, and buckets past the memory budget spill to disk.
-        let dest = self.exchange("reduce_by_key (combine + scatter)", |rows, sink| {
-            fold.combine(rows, &mut |k, v| {
-                let b = HashPartitioner.partition(&k, p)?;
-                sink.emit(b, Value::pair(k, v))
-            })
-        })?;
+        let [dest] = self.scatter_keyed(
+            [(self, "reduce_by_key (combine + scatter)")],
+            Crossing::Combined(&fold),
+        )?;
         let reduce_fn: PartFn = Arc::new(move |bucket: &[Value]| fold.reduce(bucket));
-        Ok(self.post_shuffle(dest, PartOp::Rows(reduce_fn), "reduce_by_key (reduce)"))
+        Ok(self.post_shuffle(
+            dest,
+            PartOp::Rows(reduce_fn),
+            [
+                "reduce_by_key (reduce)",
+                "sorted_reduce_by_key (reduce + key sort, range)",
+            ],
+        ))
     }
 
     /// `groupByKey`: shuffles `(key, value)` rows and produces one
     /// `(key, bag-of-values)` row per distinct key. The grouping stage is
     /// lazy and fuses with the next consumer.
     pub fn group_by_key(&self) -> Result<Dataset> {
-        if self.ctx.ordered() {
-            return self.sorted_group_by_key();
-        }
         self.ctx.record_logical_op();
-        let dest = self.shuffle("group_by_key (scatter)")?;
+        let [dest] = self.scatter_keyed([(self, "group_by_key (scatter)")], Crossing::Pairs)?;
         let group_fn: PartFn = Arc::new(|bucket: &[Value]| {
             let mut groups: KeyTable<Vec<Value>> = KeyTable::new();
             for row in bucket {
@@ -870,7 +1024,14 @@ impl Dataset {
                 .map(|(k, vs)| Value::pair(k, Value::bag(vs)))
                 .collect())
         });
-        Ok(self.post_shuffle(dest, PartOp::Rows(group_fn), "group_by_key (group)"))
+        Ok(self.post_shuffle(
+            dest,
+            PartOp::Rows(group_fn),
+            [
+                "group_by_key (group)",
+                "sorted_group_by_key (group + key sort, range)",
+            ],
+        ))
     }
 
     /// Zips two shuffled bucket lists into encoded single-row partitions
@@ -904,12 +1065,14 @@ impl Dataset {
     /// needs whole groups; a join that only pairs rows up is
     /// [`Dataset::join_on`], which never builds them.
     pub fn cogroup(&self, other: &Dataset) -> Result<Dataset> {
-        if self.ctx.ordered() {
-            return self.sorted_cogroup(other);
-        }
         self.ctx.record_logical_op();
-        let left = self.shuffle("cogroup (scatter left)")?;
-        let right = other.shuffle("cogroup (scatter right)")?;
+        let [left, right] = self.scatter_keyed(
+            [
+                (self, "cogroup (scatter left)"),
+                (other, "cogroup (scatter right)"),
+            ],
+            Crossing::Pairs,
+        )?;
         let co_fn: PartFn = Arc::new(|part: &[Value]| {
             let (l, r) = Dataset::unzip_bucket(part)?;
             let mut groups: KeyTable<(Vec<Value>, Vec<Value>)> = KeyTable::new();
@@ -931,7 +1094,10 @@ impl Dataset {
         Ok(self.post_shuffle(
             Dataset::zip_buckets(left, right),
             PartOp::Rows(co_fn),
-            "cogroup (group both sides)",
+            [
+                "cogroup (group both sides)",
+                "sorted_cogroup (group both sides + key sort, range)",
+            ],
         ))
     }
 
@@ -968,8 +1134,7 @@ impl Dataset {
     /// the two sides, anything else makes each match's row as it reads it.
     /// Output order is left keys as first seen, then left × right rows of a
     /// key, each in bucket order. An `ordered` context scatters by range
-    /// instead and merges the two key-sorted sides run by run, in key
-    /// order.
+    /// instead and lists the keys in key order.
     ///
     /// A right row `on.right` does not fit is the error
     /// `"{on.mismatch} {row}"`, raised by the right scatter.
@@ -993,49 +1158,27 @@ impl Dataset {
         let keyed = |key: &RowExpr| RowExpr::Tuple(vec![key.clone(), RowExpr::Input]);
         let left = self.map_expr(keyed(&left_key))?;
         let right = right.map_expr(keyed(&right_key))?;
-        if self.ctx.ordered() {
-            return left.sorted_join(&right, emit);
-        }
         self.ctx.record_logical_op();
-        let lrows = left.scatter_pairs("join (scatter left)")?;
-        let rrows = right.scatter_pairs("join (scatter right)")?;
-        let join = Join::Hash {
+        let [lrows, rrows] = self.scatter_keyed(
+            [
+                (&left, "join (scatter left)"),
+                (&right, "join (scatter right)"),
+            ],
+            Crossing::Rows,
+        )?;
+        let join = Join {
             left_key,
             right_key,
             emit,
+            key_order: self.ctx.ordered(),
         };
         Ok(self.post_shuffle(
             Dataset::zip_buckets(lrows, rrows),
             PartOp::Join(Arc::new(join)),
-            "join (build + probe)",
-        ))
-    }
-
-    /// Hash-scatters the rows of `(key, row)` pairs by key: the pending
-    /// chain and the scatter are one stage, and only the row crosses.
-    fn scatter_pairs(&self, label: &str) -> Result<Vec<Vec<Value>>> {
-        let p = self.ctx.partitions();
-        self.exchange(label, |rows, sink| {
-            rows.for_each_pair(&mut |key, row| sink.emit(HashPartitioner.bucket(&key, p), row))
-        })
-    }
-
-    /// The sort-based form of [`Dataset::join_on`] over two datasets of
-    /// `(key, row)` pairs: both sides range-scatter with one shared sampled
-    /// partitioner, and the lazy post-shuffle stage merges the left side's
-    /// key runs with the right's into a match list. Same matches as the
-    /// hash path, in global key order.
-    fn sorted_join(&self, right: &Dataset, emit: Emit) -> Result<Dataset> {
-        self.ctx.record_logical_op();
-        let l = self.sorted_sources("sorted_join (sort left)", None)?;
-        let r = right.sorted_sources("sorted_join (sort right)", None)?;
-        let part = Dataset::sample_partitioner(l.iter().chain(r.iter()), self.ctx.partitions());
-        let ldest = self.sorted_shuffle(l, &part, "sorted_join (range scatter left)")?;
-        let rdest = self.sorted_shuffle(r, &part, "sorted_join (range scatter right)")?;
-        Ok(self.post_shuffle(
-            Dataset::zip_buckets(ldest, rdest),
-            PartOp::Join(Arc::new(Join::Merge { emit })),
-            "sorted_join (merge-join, range)",
+            [
+                "join (build + probe)",
+                "sorted_join (build + probe + key sort, range)",
+            ],
         ))
     }
 
@@ -1053,12 +1196,14 @@ impl Dataset {
     where
         F: Fn(&Value, &Value) -> Result<Value> + Send + Sync + 'static,
     {
-        if self.ctx.ordered() {
-            return self.sorted_merge(updates, combine);
-        }
         self.ctx.record_logical_op();
-        let old = self.shuffle("merge (scatter old)")?;
-        let new = updates.shuffle("merge (scatter updates)")?;
+        let [old, new] = self.scatter_keyed(
+            [
+                (self, "merge (scatter old)"),
+                (updates, "merge (scatter updates)"),
+            ],
+            Crossing::Pairs,
+        )?;
         let merge_fn: PartFn = Arc::new(move |part: &[Value]| {
             let (olds, news) = Dataset::unzip_bucket(part)?;
             let mut slots: KeyTable<Value> = KeyTable::with_capacity(olds.len());
@@ -1088,319 +1233,11 @@ impl Dataset {
         Ok(self.post_shuffle(
             Dataset::zip_buckets(old, new),
             PartOp::Rows(merge_fn),
-            "merge ⊳ (combine slots)",
+            [
+                "merge ⊳ (combine slots)",
+                "sorted merge ⊳ (combine slots + key sort, range)",
+            ],
         ))
-    }
-
-    // -------------------------------------------------- sorted shuffles
-
-    /// Per-source key-sorted rows for a sort-based shuffle: one fused
-    /// stage runs the pending narrow chain, validates the `(key, value)`
-    /// shape in canonical row order (so first errors match the hash
-    /// path's scatter), applies the optional map-side combiner, and
-    /// stably sorts each source partition by key.
-    fn sorted_sources(&self, label: &str, combine: Option<&KeyFold>) -> Result<Vec<Vec<Value>>> {
-        plan::consume(&self.ctx, &self.effective_plan(), label, |_, rows| {
-            let mut out: Vec<Value> = Vec::new();
-            match combine {
-                // Combined keys are unique, so the key sort below
-                // fully determines the order.
-                Some(fold) => fold.combine(rows, &mut |k, v| {
-                    out.push(Value::pair(k, v));
-                    Ok(())
-                })?,
-                None => {
-                    rows.for_each(&mut |row| {
-                        key_value_ref(&row)?;
-                        out.push(row);
-                        Ok(())
-                    })?;
-                }
-            }
-            out.sort_by(|a, b| pair_key(a).cmp(pair_key(b)));
-            Ok(out)
-        })
-    }
-
-    /// Range bounds sampled from key-sorted sources: up to 64 evenly
-    /// spaced keys per source (quantile-ish, since the rows are sorted)
-    /// plus each source's maximum. Deterministic, so every layout and
-    /// budget derives identical bounds.
-    fn sample_partitioner<'a>(
-        sources: impl Iterator<Item = &'a Vec<Value>>,
-        partitions: usize,
-    ) -> RangePartitioner {
-        const KEYS_PER_SOURCE: usize = 64;
-        let mut sample: Vec<Value> = Vec::new();
-        for rows in sources {
-            let Some(last) = rows.last() else { continue };
-            let stride = rows.len().div_ceil(KEYS_PER_SOURCE).max(1);
-            sample.extend(rows.iter().step_by(stride).map(|r| pair_key(r).clone()));
-            sample.push(pair_key(last).clone());
-        }
-        RangePartitioner::from_sample(sample, partitions)
-    }
-
-    /// Range-scatters key-sorted sources through a key-ordered
-    /// [`Exchange`] (same budget rules as a hash shuffle; chunks past the
-    /// budget spill as sorted runs and merge straight from disk); the
-    /// merged buckets come back globally key-sorted and contiguous, so
-    /// concatenating them in partition order yields totally key-ordered
-    /// output.
-    fn sorted_shuffle(
-        &self,
-        sources: Vec<Vec<Value>>,
-        partitioner: &RangePartitioner,
-        label: &str,
-    ) -> Result<Vec<Vec<Value>>> {
-        self.ctx.plan_note(format!(
-            "sorted shuffle ({label}): {} partitioner, {} sampled bound(s) over {} buckets",
-            Partitioner::name(partitioner),
-            partitioner.bounds().len(),
-            self.ctx.partitions()
-        ));
-        let p = self.ctx.partitions();
-        let ex = Exchange::new_ordered(p, self.ctx.memory_budget());
-        // Scatter sources in parallel like every other exchange: writers
-        // are independent, chunks are tagged (source, sequence), and the
-        // ordered merge breaks key ties by that tag, so the result is
-        // independent of worker interleaving. Each task owns exactly its
-        // source partition (taken out of the slot), so rows move into the
-        // sink without a clone.
-        let slots: Vec<std::sync::Mutex<Vec<Value>>> =
-            sources.into_iter().map(std::sync::Mutex::new).collect();
-        run_stage(&self.ctx, &slots, |src, slot| {
-            let rows = std::mem::take(&mut *slot.lock().expect("source slot"));
-            let mut writer = ex.writer(src);
-            for row in rows {
-                writer.emit(partitioner.partition(pair_key(&row), p)?, row)?;
-            }
-            writer.close()
-        })?;
-        ex.finish(&self.ctx)
-    }
-
-    /// Sort-based `reduceByKey`: combines values of equal keys like
-    /// [`Dataset::reduce_by_key`], but samples the combined keys, range-
-    /// scatters through a key-ordered exchange, and merge-reduces each
-    /// (already key-sorted) bucket in one linear scan — no hash map on
-    /// the read side. The output is **globally key-ordered**: partitions
-    /// hold contiguous key ranges in ascending order, and each partition
-    /// is sorted. Same `(key, combined)` multiset as the hash path.
-    ///
-    /// The combine+sort pass and the lazy merge-reduce are the only two
-    /// physical stages — shuffle-read fusion works exactly as on the hash
-    /// path, so `sorted_reduce_by_key → map → collect` is 2 stages.
-    pub fn sorted_reduce_by_key<F>(&self, f: F) -> Result<Dataset>
-    where
-        F: Fn(&Value, &Value) -> Result<Value> + Send + Sync + 'static,
-    {
-        self.sorted_reduce_by_key_with(KeyFold::Closure(Arc::new(f)))
-    }
-
-    fn sorted_reduce_by_key_with(&self, fold: KeyFold) -> Result<Dataset> {
-        self.ctx.record_logical_op();
-        let sources = self.sorted_sources("sorted_reduce_by_key (combine + sort)", Some(&fold))?;
-        let part = Dataset::sample_partitioner(sources.iter(), self.ctx.partitions());
-        let dest = self.sorted_shuffle(sources, &part, "sorted_reduce_by_key (range scatter)")?;
-        let reduce_fn: PartFn = Arc::new(move |bucket: &[Value]| {
-            let mut out: Vec<Value> = Vec::new();
-            Dataset::for_each_key_run(bucket, |k, vs| {
-                let mut it = vs.into_iter();
-                let mut acc = it.next().expect("non-empty key run");
-                for v in it {
-                    acc = fold.apply(&acc, &v)?;
-                }
-                out.push(Value::pair(k, acc));
-                Ok(())
-            })?;
-            Ok(out)
-        });
-        Ok(self.post_shuffle(
-            dest,
-            PartOp::Rows(reduce_fn),
-            "sorted_reduce_by_key (merge-reduce, range)",
-        ))
-    }
-
-    /// Sort-based `groupByKey`: like [`Dataset::group_by_key`], but the
-    /// output is globally key-ordered and each bag keeps the hash path's
-    /// value order (source-partition order, then emission order) — equal
-    /// keys ride through the ordered exchange in `(source, sequence,
-    /// emission)` order. Grouping is one linear scan over each key-sorted
-    /// bucket, lazy and fused with the next consumer.
-    pub fn sorted_group_by_key(&self) -> Result<Dataset> {
-        self.ctx.record_logical_op();
-        let sources = self.sorted_sources("sorted_group_by_key (sort)", None)?;
-        let part = Dataset::sample_partitioner(sources.iter(), self.ctx.partitions());
-        let dest = self.sorted_shuffle(sources, &part, "sorted_group_by_key (range scatter)")?;
-        let group_fn: PartFn = Arc::new(|bucket: &[Value]| {
-            let mut out: Vec<Value> = Vec::new();
-            Dataset::for_each_key_run(bucket, |k, vs| {
-                out.push(Value::pair(k, Value::bag(vs)));
-                Ok(())
-            })?;
-            Ok(out)
-        });
-        Ok(self.post_shuffle(
-            dest,
-            PartOp::Rows(group_fn),
-            "sorted_group_by_key (merge-group, range)",
-        ))
-    }
-
-    /// Scans a key-sorted bucket as `(key, value-run)` groups, calling
-    /// `emit` once per distinct key with the values in bucket order —
-    /// the one state machine behind every sorted post-shuffle stage.
-    fn for_each_key_run(
-        rows: &[Value],
-        mut emit: impl FnMut(Value, Vec<Value>) -> Result<()>,
-    ) -> Result<()> {
-        let mut i = 0usize;
-        while i < rows.len() {
-            let (k, _) = key_value(&rows[i])?;
-            let mut vs = Vec::new();
-            Dataset::take_key_run(rows, &mut i, &k, &mut vs)?;
-            emit(k, vs)?;
-        }
-        Ok(())
-    }
-
-    /// Advances `rows[*i]` past every pair whose key equals `key`,
-    /// collecting the values — one group of a merge-join scan.
-    fn take_key_run(
-        rows: &[Value],
-        i: &mut usize,
-        key: &Value,
-        out: &mut Vec<Value>,
-    ) -> Result<()> {
-        while *i < rows.len() {
-            let (k, v) = key_value(&rows[*i])?;
-            if k != *key {
-                break;
-            }
-            out.push(v);
-            *i += 1;
-        }
-        Ok(())
-    }
-
-    /// The smaller of the two cursors' keys — the next key a merge-join
-    /// scan over two key-sorted sides emits.
-    fn next_merge_key(l: Option<&Value>, r: Option<&Value>) -> Result<Value> {
-        match (l, r) {
-            (Some(a), Some(b)) => {
-                let (ka, kb) = (pair_key(a), pair_key(b));
-                Ok(if ka <= kb { ka.clone() } else { kb.clone() })
-            }
-            (Some(a), None) => Ok(pair_key(a).clone()),
-            (None, Some(b)) => Ok(pair_key(b).clone()),
-            (None, None) => Err(RuntimeError::new("merge-join scan past both sides")),
-        }
-    }
-
-    /// Sort-based `cogroup`: same `(key, (left-bag, right-bag))` rows as
-    /// [`Dataset::cogroup`] (bags included, value-for-value), emitted in
-    /// global key order. Both sides range-scatter with **one shared**
-    /// sampled partitioner so their buckets align; the grouping stage is
-    /// a lazy merge-join over the two key-sorted sides.
-    pub fn sorted_cogroup(&self, other: &Dataset) -> Result<Dataset> {
-        self.ctx.record_logical_op();
-        let left = self.sorted_sources("sorted_cogroup (sort left)", None)?;
-        let right = other.sorted_sources("sorted_cogroup (sort right)", None)?;
-        let part =
-            Dataset::sample_partitioner(left.iter().chain(right.iter()), self.ctx.partitions());
-        let ldest = self.sorted_shuffle(left, &part, "sorted_cogroup (range scatter left)")?;
-        let rdest = self.sorted_shuffle(right, &part, "sorted_cogroup (range scatter right)")?;
-        let co_fn: PartFn = Arc::new(|part: &[Value]| {
-            let (l, r) = Dataset::unzip_bucket(part)?;
-            let mut out: Vec<Value> = Vec::new();
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < l.len() || j < r.len() {
-                let k = Dataset::next_merge_key(l.get(i), r.get(j))?;
-                let mut lv = Vec::new();
-                Dataset::take_key_run(l, &mut i, &k, &mut lv)?;
-                let mut rv = Vec::new();
-                Dataset::take_key_run(r, &mut j, &k, &mut rv)?;
-                out.push(Value::pair(k, Value::pair(Value::bag(lv), Value::bag(rv))));
-            }
-            Ok(out)
-        });
-        Ok(self.post_shuffle(
-            Dataset::zip_buckets(ldest, rdest),
-            PartOp::Rows(co_fn),
-            "sorted_cogroup (merge-join, range)",
-        ))
-    }
-
-    /// Sort-based array merge `self ⊳ updates`: the same per-key slot
-    /// values as [`Dataset::merge`] (replace on `None`, fold with `f` on
-    /// `Some` — duplicate update keys folded in emission order), emitted
-    /// in global key order via a merge-join over the two key-sorted,
-    /// range-aligned sides.
-    pub fn sorted_merge<F>(&self, updates: &Dataset, combine: Option<F>) -> Result<Dataset>
-    where
-        F: Fn(&Value, &Value) -> Result<Value> + Send + Sync + 'static,
-    {
-        self.ctx.record_logical_op();
-        let old = self.sorted_sources("sorted merge ⊳ (sort old)", None)?;
-        let new = updates.sorted_sources("sorted merge ⊳ (sort updates)", None)?;
-        let part = Dataset::sample_partitioner(old.iter().chain(new.iter()), self.ctx.partitions());
-        let odest = self.sorted_shuffle(old, &part, "sorted merge ⊳ (range scatter old)")?;
-        let ndest = self.sorted_shuffle(new, &part, "sorted merge ⊳ (range scatter updates)")?;
-        let merge_fn: PartFn = Arc::new(move |part: &[Value]| {
-            let (olds, news) = Dataset::unzip_bucket(part)?;
-            let mut out: Vec<Value> = Vec::new();
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < olds.len() || j < news.len() {
-                let k = Dataset::next_merge_key(olds.get(i), news.get(j))?;
-                let mut ov = Vec::new();
-                Dataset::take_key_run(olds, &mut i, &k, &mut ov)?;
-                // Old side: arrays have unique keys; keep the last if not.
-                let mut slot = ov.pop();
-                let mut nv = Vec::new();
-                Dataset::take_key_run(news, &mut j, &k, &mut nv)?;
-                for v in nv {
-                    slot = Some(match (&slot, &combine) {
-                        (Some(cur), Some(f)) => f(cur, &v)?,
-                        _ => v,
-                    });
-                }
-                out.push(Value::pair(k, slot.expect("at least one side")));
-            }
-            Ok(out)
-        });
-        Ok(self.post_shuffle(
-            Dataset::zip_buckets(odest, ndest),
-            PartOp::Rows(merge_fn),
-            "sorted merge ⊳ (merge-join slots, range)",
-        ))
-    }
-
-    /// Pairwise partition zip (Spark's `zipPartitions`) — requires equal
-    /// partition counts; used by the tiled-matrix path (§5), which keeps
-    /// operand tilings aligned to avoid shuffles. Forces both sides.
-    pub fn zip_partitions<F>(&self, other: &Dataset, f: F) -> Result<Dataset>
-    where
-        F: Fn(&[Value], &[Value]) -> Result<Vec<Value>> + Sync,
-    {
-        let a = self.force()?;
-        let b = other.force()?;
-        if a.len() != b.len() {
-            return Err(RuntimeError::new(
-                "zip_partitions requires equal partition counts",
-            ));
-        }
-        self.ctx.record_logical_op();
-        self.ctx.record_physical_stage();
-        let stage = self.ctx.stats().snapshot().physical_stages;
-        self.ctx.plan_note(format!(
-            "stage {stage}: zip_partitions over {} partitions",
-            a.len()
-        ));
-        let pairs: Vec<(&Vec<Value>, &Vec<Value>)> = a.iter().zip(b.iter()).collect();
-        let parts = run_stage(&self.ctx, &pairs, |_, (x, y)| f(x, y))?;
-        Ok(Dataset::from_materialized(self.ctx.clone(), parts))
     }
 }
 
@@ -1442,6 +1279,7 @@ pub(crate) fn estimate_bytes(parts: &[Vec<Value>]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diablo_runtime::array::key_value;
     use diablo_runtime::BinOp;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -1980,27 +1818,6 @@ mod tests {
         let err = d.try_collect().unwrap_err();
         assert!(err.message.contains("s1: X := boom"), "{err}");
         assert!(err.message.contains("boom"), "{err}");
-    }
-
-    #[test]
-    fn zip_partitions_pairs_up() {
-        let ctx = Context::new(2, 4);
-        let a = ctx.from_vec((0..8).map(Value::Long).collect());
-        let b = ctx.from_vec((100..108).map(Value::Long).collect());
-        let z = a
-            .zip_partitions(&b, |xs, ys| {
-                xs.iter()
-                    .zip(ys)
-                    .map(|(x, y)| BinOp::Add.apply(x, y))
-                    .collect::<Result<Vec<_>>>()
-            })
-            .unwrap();
-        assert_eq!(z.count(), 8);
-        let sum = z.reduce(|a, b| BinOp::Add.apply(a, b)).unwrap().unwrap();
-        assert_eq!(
-            sum,
-            Value::Long((0..8).sum::<i64>() + (100..108).sum::<i64>())
-        );
     }
 
     #[test]

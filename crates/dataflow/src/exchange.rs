@@ -18,13 +18,12 @@
 //!   descriptor however often a tiny budget overflows), and
 //!   [`Exchange::finish`] merge-reads the runs back **in source order**,
 //!   so rows, order, and first errors are byte-identical to an unbounded
-//!   in-memory exchange;
-//! * a **key-ordered** exchange ([`Exchange::new_ordered`]) is the
-//!   sort-based shuffle path: every row must be a `(key, value)` pair,
-//!   every flushed chunk is kept key-sorted, and `finish` **merges**
-//!   the (already sorted) chunks and spill runs by key instead of
-//!   concatenating them — a bucket comes back globally key-sorted with
-//!   no post-hoc re-sort, whether its chunks lived in memory or on disk.
+//!   in-memory exchange.
+//!
+//! There is one exchange for every shuffle. The ordered keyed operators
+//! ([`Context::ordered`](crate::Context::ordered)) differ only in the
+//! bucket their scatter picks — a [`RangePartitioner`]'s — and sort each
+//! post-shuffle partition by key themselves.
 //!
 //! ## Order preservation rule
 //!
@@ -173,28 +172,6 @@ impl Partitioner for RangePartitioner {
     }
 }
 
-/// The key of a `(key, value)` row, borrowed; a non-pair row acts as its
-/// own key (total fallback — ordered exchanges reject non-pairs at
-/// [`emit`](ExchangeWriter::emit), so the fallback never decides order
-/// there).
-pub(crate) fn pair_key(row: &Value) -> &Value {
-    match row.as_tuple() {
-        Some([k, _]) => k,
-        _ => row,
-    }
-}
-
-/// Validates that a row is a `(key, value)` pair (the shape every row of
-/// a key-ordered exchange must have).
-fn require_pair(row: &Value) -> Result<()> {
-    match row.as_tuple() {
-        Some([_, _]) => Ok(()),
-        _ => Err(RuntimeError::new(format!(
-            "sorted shuffle row must be a (key, value) pair, got {row}"
-        ))),
-    }
-}
-
 // ------------------------------------------------------------- the sink
 
 /// An in-flight chunk: one flush's worth of rows for one bucket from one
@@ -245,9 +222,6 @@ struct ExchangeState {
 pub struct Exchange {
     partitions: usize,
     budget: Option<u64>,
-    /// Key-ordered (sort-based) mode: rows must be `(key, value)` pairs,
-    /// chunks stay key-sorted, and `finish` merges buckets by key.
-    ordered: bool,
     state: Mutex<ExchangeState>,
 }
 
@@ -261,24 +235,6 @@ impl Exchange {
         Exchange {
             partitions,
             budget,
-            ordered: false,
-            state: Mutex::new(ExchangeState::default()),
-        }
-    }
-
-    /// A new **key-ordered** exchange: the sort-based shuffle path. Every
-    /// emitted row must be a `(key, value)` pair; each flushed chunk is
-    /// kept stably key-sorted, and [`Exchange::finish`] k-way-merges a
-    /// bucket's chunks (in-memory and spilled alike — spill runs are
-    /// already sorted, so they merge directly instead of being
-    /// concatenated and re-sorted) into a globally key-sorted bucket.
-    /// Rows with equal keys keep `(source, sequence, emission)` order, so
-    /// the output is deterministic and byte-identical across budgets.
-    pub fn new_ordered(partitions: usize, budget: Option<u64>) -> Exchange {
-        Exchange {
-            partitions,
-            budget,
-            ordered: true,
             state: Mutex::new(ExchangeState::default()),
         }
     }
@@ -291,11 +247,6 @@ impl Exchange {
     /// The memory budget, if any.
     pub fn budget(&self) -> Option<u64> {
         self.budget
-    }
-
-    /// True for key-ordered (sort-based) exchanges.
-    pub fn is_ordered(&self) -> bool {
-        self.ordered
     }
 
     /// A writer for one source partition. Writers are independent and may
@@ -368,37 +319,25 @@ impl Exchange {
         Ok(())
     }
 
-    /// Closes the write side and merge-reads every bucket back. A plain
-    /// exchange interleaves in-memory chunks and spilled runs by
+    /// Closes the write side and merge-reads every bucket back,
+    /// interleaving in-memory chunks and spilled runs by
     /// `(source, sequence)`, so the destination partitions are
-    /// byte-identical to an unbounded in-memory exchange; a key-ordered
-    /// exchange k-way-merges the (already key-sorted) chunks by key
-    /// instead, so every bucket comes back globally key-sorted. Records
-    /// shuffle (and any spill) statistics and plan notes on `ctx`, then
-    /// removes the temp run files.
+    /// byte-identical to an unbounded in-memory exchange. Records shuffle
+    /// (and any spill) statistics and plan notes on `ctx`, then removes
+    /// the temp run files.
     pub fn finish(self, ctx: &Context) -> Result<Vec<Vec<Value>>> {
         let state = self.state.into_inner().expect("exchange lock");
         let spill_runs = state.spill_runs;
         let (spilled_records, spilled_bytes) = (state.spilled_records, state.spilled_bytes);
         let emitted = state.emitted_rows;
-        let (dest, merged_chunks) = if self.ordered {
-            merge_read_ordered(state, self.partitions)?
-        } else {
-            (merge_read(state, self.partitions)?, 0)
-        };
-        crate::verify::verify_exchange_output(&dest, self.partitions, emitted, self.ordered)?;
+        let dest = merge_read(state, self.partitions)?;
+        crate::verify::verify_exchange_output(&dest, self.partitions, emitted)?;
         let bytes = crate::dataset::estimate_bytes(&dest);
         ctx.stats().record_shuffle(emitted, bytes);
         ctx.plan_note(format!(
             "shuffle: {emitted} rows exchanged across {} partitions",
             self.partitions
         ));
-        if self.ordered {
-            ctx.stats().record_sorted_shuffle();
-            ctx.plan_note(format!(
-                "sorted: buckets merged by key from pre-sorted chunks ({merged_chunks} spilled chunk(s) merged straight from disk runs)"
-            ));
-        }
         if spill_runs > 0 {
             ctx.stats()
                 .record_spill(spilled_records, spilled_bytes, spill_runs);
@@ -572,121 +511,6 @@ fn merge_read(mut state: ExchangeState, partitions: usize) -> Result<Vec<Vec<Val
     Ok(dest)
 }
 
-/// Builds the destination partitions of a **key-ordered** exchange: per
-/// bucket, every chunk — buffered or spilled — is already stably
-/// key-sorted, so the bucket is produced by a k-way merge of the chunks
-/// by key (ties broken by `(source, sequence)` chunk order, preserving
-/// emission order for equal keys). Spilled runs are merged **directly**
-/// from their decoded chunks — never concatenated and re-sorted. Returns
-/// the partitions plus how many chunks were merged straight from disk.
-fn merge_read_ordered(
-    mut state: ExchangeState,
-    partitions: usize,
-) -> Result<(Vec<Vec<Value>>, u64)> {
-    enum Loc {
-        Mem(Vec<Value>),
-        Disk { at: usize },
-    }
-    let mut by_bucket: Vec<Vec<(u32, u64, Loc)>> = (0..partitions).map(|_| Vec::new()).collect();
-    for c in std::mem::take(&mut state.chunks) {
-        by_bucket[c.bucket as usize].push((c.src, c.seq, Loc::Mem(c.rows)));
-    }
-    if let Some(sf) = &state.spill {
-        for (i, loc) in sf.index.iter().enumerate() {
-            by_bucket[loc.bucket as usize].push((loc.src, loc.seq, Loc::Disk { at: i }));
-        }
-    }
-    let mut merged_disk_chunks = 0u64;
-    let mut dest: Vec<Vec<Value>> = Vec::with_capacity(partitions);
-    for chunks in &mut by_bucket {
-        chunks.sort_by_key(|&(src, seq, _)| (src, seq));
-        let mut lists: Vec<Vec<Value>> = Vec::with_capacity(chunks.len());
-        for (_, _, loc) in chunks.drain(..) {
-            match loc {
-                Loc::Mem(rows) => lists.push(rows),
-                Loc::Disk { at } => {
-                    let sf = state.spill.as_mut().expect("indexed spill file");
-                    let (offset, len, rows) =
-                        (sf.index[at].offset, sf.index[at].len, sf.index[at].rows);
-                    sf.file.seek(SeekFrom::Start(offset)).map_err(io_err)?;
-                    let mut buf = vec![0u8; len as usize];
-                    sf.file.read_exact(&mut buf).map_err(io_err)?;
-                    let mut cursor = &buf[..];
-                    let mut decoded = Vec::with_capacity(rows as usize);
-                    for _ in 0..rows {
-                        decoded.push(decode_value(&mut cursor)?);
-                    }
-                    merged_disk_chunks += 1;
-                    lists.push(decoded);
-                }
-            }
-        }
-        dest.push(merge_sorted_lists(lists));
-    }
-    drop(state); // removes the temp spill file
-    Ok((dest, merged_disk_chunks))
-}
-
-/// K-way merge of key-sorted row lists into one key-sorted list. Ties on
-/// equal keys resolve to the earlier list (lists arrive in
-/// `(source, sequence)` order), so equal-key rows keep their emission
-/// order and the result is independent of how flushes chunked the rows.
-fn merge_sorted_lists(lists: Vec<Vec<Value>>) -> Vec<Value> {
-    use std::cmp::{Ordering, Reverse};
-    use std::collections::BinaryHeap;
-
-    struct Head {
-        row: Value,
-        list: usize,
-    }
-    impl Head {
-        fn key(&self) -> &Value {
-            pair_key(&self.row)
-        }
-    }
-    impl PartialEq for Head {
-        fn eq(&self, other: &Self) -> bool {
-            self.cmp(other) == Ordering::Equal
-        }
-    }
-    impl Eq for Head {}
-    impl PartialOrd for Head {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Head {
-        fn cmp(&self, other: &Self) -> Ordering {
-            self.key()
-                .cmp(other.key())
-                .then_with(|| self.list.cmp(&other.list))
-        }
-    }
-
-    match lists.len() {
-        0 => return Vec::new(),
-        1 => return lists.into_iter().next().expect("one list"),
-        _ => {}
-    }
-    let total = lists.iter().map(Vec::len).sum();
-    let mut iters: Vec<std::vec::IntoIter<Value>> = lists.into_iter().map(Vec::into_iter).collect();
-    let mut heap: BinaryHeap<Reverse<Head>> = BinaryHeap::with_capacity(iters.len());
-    for (list, it) in iters.iter_mut().enumerate() {
-        if let Some(row) = it.next() {
-            heap.push(Reverse(Head { row, list }));
-        }
-    }
-    let mut out = Vec::with_capacity(total);
-    while let Some(Reverse(head)) = heap.pop() {
-        let list = head.list;
-        out.push(head.row);
-        if let Some(row) = iters[list].next() {
-            heap.push(Reverse(Head { row, list }));
-        }
-    }
-    out
-}
-
 fn io_err(e: std::io::Error) -> RuntimeError {
     RuntimeError::new(format!("exchange spill I/O: {e}"))
 }
@@ -717,17 +541,13 @@ pub struct ExchangeWriter<'a> {
 impl ExchangeWriter<'_> {
     /// Sends one row to destination bucket `bucket`, preserving emission
     /// order per `(source, bucket)` pair. An out-of-range bucket (a buggy
-    /// custom [`Partitioner`]) is a [`RuntimeError`], not a panic; so is
-    /// a non-pair row on a key-ordered exchange.
+    /// custom [`Partitioner`]) is a [`RuntimeError`], not a panic.
     pub fn emit(&mut self, bucket: usize, row: Value) -> Result<()> {
         if bucket >= self.buckets.len() {
             return Err(RuntimeError::new(format!(
                 "partitioner chose bucket {bucket} of {} partitions",
                 self.buckets.len()
             )));
-        }
-        if self.exchange.ordered {
-            require_pair(&row)?;
         }
         if self.flush_bytes.is_some() {
             self.pending_bytes += diablo_runtime::serialized_size(&row) as u64;
@@ -743,18 +563,10 @@ impl ExchangeWriter<'_> {
     }
 
     /// Hands all locally buffered rows to the exchange (spilling there if
-    /// the budget is exceeded). On a key-ordered exchange each bucket's
-    /// chunk is stably key-sorted first, so every chunk the sink buffers
-    /// or spills is already sorted — the invariant `finish`'s merge
-    /// relies on.
+    /// the budget is exceeded).
     pub fn flush(&mut self) -> Result<()> {
         if self.pending_rows == 0 {
             return Ok(());
-        }
-        if self.exchange.ordered {
-            for bucket in &mut self.buckets {
-                bucket.sort_by(|a, b| pair_key(a).cmp(pair_key(b)));
-            }
         }
         if self.exchange.budget.is_none() {
             // Unbounded exchange: stage locally, publish once at close.

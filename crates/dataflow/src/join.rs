@@ -14,7 +14,6 @@ use diablo_runtime::Value;
 
 use crate::columnar::{env_fields, for_each_key, RowExpr};
 use crate::dataset::Dataset;
-use crate::exchange::pair_key;
 use crate::keytable::KeyTable;
 use crate::plan::Result;
 
@@ -35,35 +34,25 @@ fn concat_rows(left: &Value, right: &Value) -> Result<Value> {
     Ok(Value::Tuple(l.iter().chain(r).cloned().collect()))
 }
 
-/// The post-shuffle matching of a join over one zipped bucket pair.
-pub(crate) enum Join {
-    /// A build–probe: bucket rows are the rows themselves, keyed by these
-    /// expressions.
-    Hash {
-        left_key: RowExpr,
-        right_key: RowExpr,
-        emit: Emit,
-    },
-    /// A merge of two key-sorted sides of `(key, row)` pairs, run by run
-    /// in key order.
-    Merge { emit: Emit },
+/// The post-shuffle matching of a join over one zipped bucket pair: a
+/// build–probe whose bucket rows are the rows themselves, keyed by these
+/// expressions.
+pub(crate) struct Join {
+    pub left_key: RowExpr,
+    pub right_key: RowExpr,
+    pub emit: Emit,
+    /// List the keys in key order (an ordered context) instead of in the
+    /// order the left rows first show them.
+    pub key_order: bool,
 }
 
 impl Join {
-    /// The matches of one zipped bucket pair. With `lanes`, a build–probe
-    /// evaluates each side's keys as one column and reads them from its
-    /// lanes where it has them; the keys, and so the matches, are the
-    /// same either way.
+    /// The matches of one zipped bucket pair. With `lanes`, each side's
+    /// keys are evaluated as one column and read from its lanes where it
+    /// has them; the keys, and so the matches, are the same either way.
     pub(crate) fn matches<'a>(&self, part: &'a [Value], lanes: bool) -> Result<Matches<'a>> {
         let (l, r) = Dataset::unzip_bucket(part)?;
-        match self {
-            Join::Hash {
-                left_key,
-                right_key,
-                emit,
-            } => build_probe(left_key, right_key, l, r, *emit, lanes),
-            Join::Merge { emit } => merge_join(l, r, *emit),
-        }
+        build_probe(self, l, r, lanes)
     }
 }
 
@@ -175,26 +164,25 @@ impl RowChain {
 
 /// A hash join over one bucket: builds a table of the left rows' keys,
 /// each holding the chain of its left rows and — once the right rows have
-/// probed it — of its right rows; then lists, per key in first-seen order,
-/// every left row of the key with every right row of the key.
+/// probed it — of its right rows; then lists, per key in first-seen order
+/// (in key order under [`Join::key_order`]), every left row of the key
+/// with every right row of the key.
 fn build_probe<'a>(
-    left_key: &RowExpr,
-    right_key: &RowExpr,
+    join: &Join,
     left: &'a [Value],
     right: &'a [Value],
-    emit: Emit,
     lanes: bool,
 ) -> Result<Matches<'a>> {
     let mut keys: KeyTable<(RowChain, RowChain)> = KeyTable::new();
     let mut lnext = vec![RowChain::NIL; left.len()];
-    for_each_key(left, left_key, lanes, &mut |i, key| {
+    for_each_key(left, &join.left_key, lanes, &mut |i, key| {
         let chains = keys.upsert(key, || (RowChain::EMPTY, RowChain::EMPTY));
         chains.value.0.push(&mut lnext, i);
         Ok(())
     })?;
     let mut rnext = vec![RowChain::NIL; right.len()];
     let mut matched = 0usize;
-    for_each_key(right, right_key, lanes, &mut |j, key| {
+    for_each_key(right, &join.right_key, lanes, &mut |j, key| {
         if let Some(chains) = keys.get_mut(&key) {
             chains.1.push(&mut rnext, j);
             matched += 1;
@@ -202,46 +190,30 @@ fn build_probe<'a>(
         Ok(())
     })?;
     // At least one match per matched right row.
-    let mut m = Matches::new(left.iter().collect(), right.iter().collect(), emit, matched);
-    for (_, (lrows, rrows)) in keys.into_entries() {
+    let mut m = Matches::new(
+        left.iter().collect(),
+        right.iter().collect(),
+        join.emit,
+        matched,
+    );
+    let mut list = |(lrows, rrows): (RowChain, RowChain)| -> Result<()> {
         for i in lrows.rows(&lnext) {
             for j in rrows.rows(&rnext) {
                 m.push(i, j, lrows.first as usize)?;
             }
         }
-    }
-    Ok(m)
-}
-
-/// A merge join over one bucket of two key-sorted sides of `(key, row)`
-/// pairs: per left key run, in key order, every left row of the run with
-/// every right row of the key.
-fn merge_join<'a>(left: &'a [Value], right: &'a [Value], emit: Emit) -> Result<Matches<'a>> {
-    let rows = |side: &'a [Value]| -> Result<Vec<&'a Value>> {
-        side.iter().map(|pair| Ok(key_value_ref(pair)?.1)).collect()
+        Ok(())
     };
-    let run_end = |side: &[Value], start: usize, key: &Value| {
-        start
-            + side[start..]
-                .iter()
-                .take_while(|p| pair_key(p) == key)
-                .count()
-    };
-    let mut m = Matches::new(rows(left)?, rows(right)?, emit, 0);
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < left.len() {
-        let key = pair_key(&left[i]);
-        let lend = run_end(left, i, key);
-        while right.get(j).is_some_and(|p| pair_key(p) < key) {
-            j += 1;
-        }
-        let rend = run_end(right, j, key);
-        for li in i..lend {
-            for rj in j..rend {
-                m.push(li, rj, i)?;
-            }
-        }
-        (i, j) = (lend, rend);
+    if join.key_order {
+        // A bucket's keys are distinct, so the order is total.
+        let mut entries: Vec<_> = keys.into_entries().collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        entries
+            .into_iter()
+            .try_for_each(|(_, chains)| list(chains))?;
+    } else {
+        keys.into_entries()
+            .try_for_each(|(_, chains)| list(chains))?;
     }
     Ok(m)
 }

@@ -31,14 +31,12 @@
 //!   budget ([`Context::with_memory_budget`], `DIABLO_MEMORY_BUDGET`) —
 //!   buckets past the budget spill to sorted run files and merge-read
 //!   back in source order, byte-identical to the in-memory exchange;
-//! * the **sort-based shuffle path** (`Dataset::sorted_reduce_by_key`,
-//!   `sorted_group_by_key`, `sorted_merge`, `sorted_cogroup`; routed
-//!   under the plain keyed operators by [`Context::with_ordered`],
-//!   `DIABLO_ORDERED`, or `diabloc --ordered`) samples keys, scatters
-//!   through a [`RangePartitioner`] into a **key-ordered** exchange
-//!   whose pre-sorted chunks — spilled runs included — merge back by
-//!   key, and emits globally key-ordered output holding exactly the
-//!   hash path's row multiset;
+//! * **ordered** keyed operators ([`Context::with_ordered`],
+//!   `DIABLO_ORDERED`, or `diabloc --ordered`) are the same operators with
+//!   two policies switched: the scatter picks buckets with a
+//!   [`RangePartitioner`] whose bounds are sampled from the keys, and each
+//!   post-shuffle partition is sorted by key — so the output is globally
+//!   key-ordered and holds exactly the hash path's row multiset;
 //! * at every **materialization point** — a shuffle (`group_by_key`,
 //!   `reduce_by_key`, `cogroup`, `join`, the array-merge `⊳`), `collect`,
 //!   `reduce`, or `broadcast` — the walker **fuses** the pending narrow
@@ -194,7 +192,7 @@ struct Settings {
     tile_width: AtomicUsize,
     /// Exchange memory budget in bytes; `u64::MAX` means unbounded.
     memory_budget: AtomicU64,
-    /// Route keyed operators through the sort-based shuffle path.
+    /// Keyed operators range-scatter and sort each partition by key.
     ordered: AtomicBool,
 }
 
@@ -372,24 +370,24 @@ impl Context {
             .get_or_init(|| Arc::new(dscache::DatasetCache::new(dataset_budget_from_env())))
     }
 
-    /// Routes the keyed operators (`reduce_by_key`, `group_by_key`,
-    /// `merge`, `cogroup`, `join` and `join_on`)
-    /// through the **sort-based shuffle path** (builder style): keys are
-    /// sampled, rows range-scattered so ordered keys stay in contiguous
-    /// buckets, and every output is globally key-sorted. Same rows as the
-    /// hash path, in key order instead of arrival order. Defaults to the
-    /// `DIABLO_ORDERED` environment variable, else off.
+    /// Makes the keyed operators (`reduce_by_key`, `aggregate_by_key`,
+    /// `group_by_key`, `merge`, `cogroup`, `join` and `join_on`)
+    /// **ordered** (builder style): keys are sampled, rows range-scattered
+    /// so ordered keys stay in contiguous buckets, and each post-shuffle
+    /// partition is sorted by key, so every output is globally key-sorted.
+    /// Same rows as the hash path, in key order instead of arrival order.
+    /// Defaults to the `DIABLO_ORDERED` environment variable, else off.
     pub fn with_ordered(self, on: bool) -> Context {
         self.set_ordered(on);
         self
     }
 
-    /// Sets (or clears) the sort-based keyed-operator routing in place.
+    /// Sets (or clears) key-ordered keyed operators in place.
     pub fn set_ordered(&self, on: bool) {
         self.inner.settings.ordered.store(on, Ordering::Relaxed);
     }
 
-    /// True when keyed operators route through the sort-based shuffle.
+    /// True when keyed operators range-scatter and sort by key.
     pub fn ordered(&self) -> bool {
         self.inner.settings.ordered.load(Ordering::Relaxed)
     }
@@ -586,7 +584,7 @@ fn dataset_budget_from_env() -> u64 {
     }
 }
 
-/// Whether `DIABLO_ORDERED` asks for sort-based keyed operators (`1`,
+/// Whether `DIABLO_ORDERED` asks for key-ordered keyed operators (`1`,
 /// `true`, `yes`, case-insensitive). Panics on other values so a typo in
 /// a CI job fails loudly instead of silently testing the hash path.
 fn ordered_from_env() -> bool {

@@ -13,10 +13,10 @@
 //! work-stealing pool; the layout only decides how a stage drives rows
 //! through its fused chain ([`DriveMode`]).
 //!
-//! Narrow operators (`map`, `filter`, `flat_map`, `union`,
-//! `map_partitions`) never run when called — they append a node to the
-//! plan. At a *materialization point* (a shuffle, `collect`, `reduce`,
-//! `broadcast`, `zip_partitions`) the walker collapses every pending
+//! Narrow operators (`map`, `filter`, `flat_map`, `union`) never run
+//! when called — they append a node to the plan. At a *materialization
+//! point* (a shuffle, `collect`, `reduce`, `broadcast`) the walker
+//! collapses every pending
 //! chain of row-level nodes into one [`Step`] list and runs it as a single
 //! physical stage per partition, feeding each transformed row into a sink
 //! without materializing any per-operator intermediate `Vec<Value>`.
@@ -203,8 +203,8 @@ pub(crate) enum PlanOp {
     ),
     /// Partition-wise transformation (a fusion barrier for row steps
     /// below it, but itself fused with the steps above it). The `&'static
-    /// str` names the operator for plan traces (`map_partitions`,
-    /// `reduce_by_key (reduce)`, `merge ⊳ (combine)`, …).
+    /// str` names the operator for plan traces (`reduce_by_key (reduce)`,
+    /// `merge ⊳ (combine slots)`, …).
     MapPartitions(Arc<PlanOp>, PartOp, &'static str, Tag),
     /// Bag union; keeps the left side's partition count.
     Union(Arc<PlanOp>, Arc<PlanOp>),

@@ -203,8 +203,8 @@ pub struct StatsSnapshot {
     pub physical_stages: u64,
     /// Number of shuffle exchanges.
     pub shuffles: u64,
-    /// Number of those exchanges that were key-ordered (sort-based
-    /// shuffles whose buckets merge back globally key-sorted).
+    /// Number of those exchanges that were range-partitioned (the
+    /// scatters of an ordered context's keyed operators).
     pub sorted_shuffles: u64,
     /// Total rows moved across partitions by shuffles.
     pub shuffled_records: u64,

@@ -3,11 +3,11 @@
 //!
 //! The optimizer and the operator layer are supposed to uphold a handful
 //! of invariants by construction — every dataset holds at least one
-//! partition, row nodes preserve their input's partition count, a
-//! key-ordered exchange hands back key-sorted buckets holding exactly the
-//! rows that were emitted into it. A bug that breaks one of them does not
-//! fail at the broken site: it surfaces partitions later as missing rows,
-//! mis-ordered merges, or a panic deep inside a fused stage. The verifier
+//! partition, row nodes preserve their input's partition count, an
+//! exchange hands back buckets holding exactly the rows that were emitted
+//! into it. A bug that breaks one of them does not fail at the broken
+//! site: it surfaces partitions later as missing rows, short groups, or a
+//! panic deep inside a fused stage. The verifier
 //! turns each violation into a structured [`RuntimeError`] naming the
 //! broken invariant at the point where it is still attributable.
 //!
@@ -30,19 +30,20 @@
 //!   destination buckets hold exactly as many rows as the writers
 //!   emitted — a lost spill chunk or a dropped in-memory chunk is caught
 //!   here, not as silently missing output rows.
-//! * **Ordered-exchange sortedness** (`Exchange::finish`): every bucket
-//!   of a key-ordered exchange comes back globally key-sorted, the
-//!   contract the sorted keyed operators (`sorted_reduce_by_key`, …)
-//!   build on without re-sorting.
 //! * **Dataset-cache row conservation** ([`verify_cached_partition`],
 //!   called on every disk-tier read): each decoded partition of a
 //!   disk-backed cache entry holds exactly the rows recorded when the
 //!   entry spilled.
 //!
-//! Partitioner bucket range and ordered-exchange row shape are *always*
-//! checked at [`ExchangeWriter::emit`](crate::ExchangeWriter::emit) —
-//! those guard against arbitrary user `Partitioner` implementations, not
-//! against engine bugs, so they are not gated.
+//! * **Input keys** ([`verify_unique_keys`]): base data bound as an array
+//!   holds no key twice (§3.4).
+//!
+//! The partitioner's bucket range is *always* checked at
+//! [`ExchangeWriter::emit`](crate::ExchangeWriter::emit) — that guards
+//! against arbitrary user `Partitioner` implementations, not against
+//! engine bugs, so it is not gated. Global key order of an ordered
+//! context's output holds by construction (range buckets, then a key sort
+//! per partition); `tests/ordering_conformance.rs` checks it end to end.
 
 use std::sync::Arc;
 
@@ -107,18 +108,16 @@ fn check(plan: &PlanOp) -> Result<usize> {
 }
 
 /// Verifies what an exchange merge-read produced: `partitions` buckets
-/// holding exactly `emitted` rows, each bucket key-sorted when the
-/// exchange is ordered. No-op when the verifier is disabled.
+/// holding exactly `emitted` rows. No-op when the verifier is disabled.
 pub(crate) fn verify_exchange_output(
     dest: &[Vec<diablo_runtime::Value>],
     partitions: usize,
     emitted: u64,
-    ordered: bool,
 ) -> Result<()> {
     if !enabled() {
         return Ok(());
     }
-    check_exchange_output(dest, partitions, emitted, ordered)
+    check_exchange_output(dest, partitions, emitted)
 }
 
 /// The ungated body of [`verify_exchange_output`].
@@ -126,7 +125,6 @@ fn check_exchange_output(
     dest: &[Vec<diablo_runtime::Value>],
     partitions: usize,
     emitted: u64,
-    ordered: bool,
 ) -> Result<()> {
     if dest.len() != partitions {
         return Err(violation(format!(
@@ -140,19 +138,6 @@ fn check_exchange_output(
             "exchange emitted {emitted} rows but merged {arrived} back — rows were lost or \
              duplicated between the writers and the merge-read"
         )));
-    }
-    if ordered {
-        for (b, bucket) in dest.iter().enumerate() {
-            let sorted = bucket
-                .windows(2)
-                .all(|w| crate::exchange::pair_key(&w[0]) <= crate::exchange::pair_key(&w[1]));
-            if !sorted {
-                return Err(violation(format!(
-                    "ordered exchange bucket {b} is not key-sorted after the merge — a chunk \
-                     was flushed unsorted or the k-way merge mis-ordered its heads"
-                )));
-            }
-        }
     }
     Ok(())
 }
@@ -253,20 +238,13 @@ mod tests {
                 Value::pair(Value::Long(5), Value::Unit),
             ],
         ];
-        assert!(check_exchange_output(&ok, 2, 3, true).is_ok());
+        assert!(check_exchange_output(&ok, 2, 3).is_ok());
         // Lost row.
-        let err = check_exchange_output(&ok, 2, 4, false).unwrap_err();
+        let err = check_exchange_output(&ok, 2, 4).unwrap_err();
         assert!(err.message.contains("lost or"), "{err}");
         // Wrong bucket count.
-        let err = check_exchange_output(&ok, 3, 3, false).unwrap_err();
+        let err = check_exchange_output(&ok, 3, 3).unwrap_err();
         assert!(err.message.contains("destination buckets"), "{err}");
-        // Unsorted ordered bucket.
-        let unsorted = vec![vec![
-            Value::pair(Value::Long(9), Value::Unit),
-            Value::pair(Value::Long(2), Value::Unit),
-        ]];
-        let err = check_exchange_output(&unsorted, 1, 2, true).unwrap_err();
-        assert!(err.message.contains("not key-sorted"), "{err}");
     }
 
     #[test]

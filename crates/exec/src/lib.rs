@@ -8,7 +8,7 @@
 //! * generators over arrays become partitioned scans;
 //! * equality conditions linking a new generator to already-bound
 //!   variables become **hash joins** (the paper's translation of
-//!   comprehensions to DISC joins [20]): the engine's
+//!   comprehensions to DISC joins \[20\]): the engine's
 //!   `Dataset::join_on`, told both keys as row expressions and the
 //!   generator's pattern as a shape, so the scatters stay columnar and
 //!   the match is a build–probe;

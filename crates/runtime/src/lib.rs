@@ -15,7 +15,7 @@
 //! * [`ops`] — the scalar operator semantics (`+`, `*`, `min`, argmin, …)
 //!   including the commutative monoid operations `⊕` used by incremental
 //!   updates `d ⊕= e`;
-//! * [`array`] — the array-merge operator `X ⊳ Y` of §3.4 and helpers for
+//! * [`array`](mod@array) — the array-merge operator `X ⊳ Y` of §3.4 and helpers for
 //!   treating bags of pairs as sparse arrays;
 //! * [`tile`] — densely packed (tiled) matrices and the `pack`/`unpack`
 //!   conversions of §5;

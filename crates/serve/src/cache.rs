@@ -1,5 +1,5 @@
 //! The server's two LRU maps: the plan-hash-keyed result cache and the
-//! compiled-program memo, one [`Lru`] each.
+//! compiled-program memo, one `Lru` each.
 //!
 //! [`ResultCache`] keys are the 64-bit chain `fold(plan_hash, input
 //! fingerprints…)` built by the server (see [`crate::planhash`]); values

@@ -84,7 +84,7 @@ pub fn value_hash(v: &Value) -> u64 {
     f.0
 }
 
-/// Content hash of a row slice, in order: the [`bytes_hash`] of the rows
+/// Content hash of a row slice, in order: the `bytes_hash` of the rows
 /// section the wire protocol would carry for it — a `u32` row count, then
 /// each row as [`diablo_dataflow::encode_value`] writes it. The bytes are
 /// streamed into the hash, never written out, so an inline `Run` section

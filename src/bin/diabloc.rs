@@ -12,7 +12,7 @@
 //! diabloc run --explain <program.dbl> ...   # same as `explain`
 //! diabloc run --backend local <program.dbl> # the row layout (default: columnar)
 //! diabloc run --workers 8 --partitions 32 --memory-budget 1048576 ...
-//! diabloc run --ordered <program.dbl>       # sort-based (key-ordered) shuffles
+//! diabloc run --ordered <program.dbl>       # key-ordered (range-partitioned) keyed operators
 //! ```
 //!
 //! Every source-consuming command runs the **multi-error front end**: a
@@ -47,8 +47,9 @@
 //!   the disk ledger, recompute from their plan on the next read
 //!   (equivalent to `DIABLO_DATASET_BUDGET`). `0` disables dataset
 //!   caching. Results never change.
-//! * `--ordered` routes keyed operators through the sort-based shuffle
-//!   path (equivalent to `DIABLO_ORDERED=1`): outputs are globally
+//! * `--ordered` makes keyed operators scatter by a range partitioner
+//!   sampled from the keys and sort each post-shuffle partition by key
+//!   (equivalent to `DIABLO_ORDERED=1`): outputs are globally
 //!   key-ordered — same rows as the hash path, in key order.
 //!
 //! Bindings are `name=value` for scalars (`n=100`, `a=0.5`, `x=hello`) and

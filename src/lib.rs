@@ -93,7 +93,7 @@ pub struct EngineFlags {
     pub memory_budget: Option<u64>,
     /// `--dataset-budget BYTES`: the dataset-cache budget.
     pub dataset_budget: Option<u64>,
-    /// `--ordered`: sort-based keyed operators.
+    /// `--ordered`: key-ordered (range-partitioned) keyed operators.
     pub ordered: bool,
 }
 

@@ -282,7 +282,7 @@ fn ordered_flag_runs_sorted_shuffles() {
         sorted_lines(&ordered),
         "--ordered must not change the result multiset"
     );
-    // The ordered explain shows the range-partitioned sorted exchange.
+    // The ordered explain shows the range-partitioned scatter.
     let out = diabloc()
         .arg("explain")
         .arg("--ordered")

@@ -5,7 +5,7 @@ mod common;
 
 use common::Engine;
 use diablo_core::compile;
-use diablo_dataflow::{Context, JoinOn, RowExpr, Shape, DEFAULT_TILE_WIDTH};
+use diablo_dataflow::{Context, Dataset, JoinOn, RowExpr, Shape, DEFAULT_TILE_WIDTH};
 use diablo_exec::Session;
 use diablo_interp::Interpreter;
 use diablo_lang::{parse, typecheck};
@@ -170,12 +170,12 @@ fn sorted_failure_engines() -> Vec<Engine> {
 #[test]
 fn sorted_path_surfaces_the_hash_paths_error_mid_sort() {
     // A UDF that fails inside the fused chain feeding the keyed operator
-    // (the sort side of the sorted path) must surface the identical first
-    // error — message and statement tag — as the hash path's scatter, in
-    // every configuration.
+    // (the range scatter's first stage on the ordered path) must surface
+    // the identical first error — message and statement tag — as the hash
+    // path's scatter, in every configuration.
     for engine in sorted_failure_engines() {
         let run = |sorted: bool| -> RuntimeError {
-            let ctx = engine.context(3, 6);
+            let ctx = engine.context(3, 6).with_ordered(sorted);
             ctx.set_statement_label(Some("s4: C := poisoned map"));
             let d = ctx
                 .from_vec((0..300).map(Value::Long).collect())
@@ -188,12 +188,7 @@ fn sorted_path_surfaces_the_hash_paths_error_mid_sort() {
                 })
                 .unwrap();
             ctx.set_statement_label(None);
-            let keyed = if sorted {
-                d.sorted_reduce_by_key(|a, b| BinOp::Add.apply(a, b))
-            } else {
-                d.reduce_by_key(|a, b| BinOp::Add.apply(a, b))
-            };
-            keyed.unwrap_err()
+            d.reduce_by_key(|a, b| BinOp::Add.apply(a, b)).unwrap_err()
         };
         let hash = run(false);
         let sorted = run(true);
@@ -211,14 +206,14 @@ fn sorted_path_surfaces_the_hash_paths_error_mid_sort() {
 
 #[test]
 fn sorted_path_surfaces_the_hash_paths_error_mid_merge() {
-    // A combiner that fails during the post-shuffle reduction (the merge
-    // side of the sorted path). The poisoned key appears once per source
+    // A combiner that fails during the post-shuffle reduction, before the
+    // ordered path's key sort. The poisoned key appears once per source
     // partition, so neither path's map-side combine ever touches it — the
     // failure happens only while merging the shuffled bucket — and both
     // paths must report the same tagged error in every configuration.
     for engine in sorted_failure_engines() {
         let run = |sorted: bool| -> RuntimeError {
-            let ctx = engine.context(3, 6);
+            let ctx = engine.context(3, 6).with_ordered(sorted);
             // 60 rows chunk into 6 partitions of 10; key 5 sits at one
             // index per partition (i % 10 == 0 → key 5).
             let rows: Vec<Value> = (0..60)
@@ -239,12 +234,7 @@ fn sorted_path_surfaces_the_hash_paths_error_mid_merge() {
                     BinOp::Add.apply(a, b)
                 }
             };
-            let keyed = if sorted {
-                d.sorted_reduce_by_key(combiner)
-            } else {
-                d.reduce_by_key(combiner)
-            }
-            .unwrap();
+            let keyed = d.reduce_by_key(combiner).unwrap();
             ctx.set_statement_label(None);
             keyed.try_collect().unwrap_err()
         };
@@ -264,21 +254,17 @@ fn sorted_path_surfaces_the_hash_paths_error_mid_merge() {
 
 #[test]
 fn sorted_shuffle_rejects_non_pair_rows_like_the_hash_scatter() {
-    // The ordered exchange's pair check fires in canonical row order, so
-    // the sorted path reports the same malformed-row error the hash
+    // The range scatter checks the pair shape in canonical row order, so
+    // the ordered path reports the same malformed-row error the hash
     // scatter does.
     for engine in sorted_failure_engines() {
         let run = |sorted: bool| -> RuntimeError {
-            let ctx = engine.context(2, 4);
+            let ctx = engine.context(2, 4).with_ordered(sorted);
             let d = ctx.from_vec(vec![
                 Value::pair(Value::Long(1), Value::Long(10)),
                 Value::Long(99), // not a (key, value) pair
             ]);
-            if sorted {
-                d.sorted_group_by_key().unwrap_err()
-            } else {
-                d.group_by_key().unwrap_err()
-            }
+            d.group_by_key().unwrap_err()
         };
         let hash = run(false);
         let sorted = run(true);
@@ -287,6 +273,76 @@ fn sorted_shuffle_rejects_non_pair_rows_like_the_hash_scatter() {
             "`{engine}`: malformed-row errors diverged"
         );
         assert!(sorted.message.contains("pair"), "{sorted}");
+    }
+}
+
+#[test]
+fn ordered_two_sided_operators_surface_the_hash_paths_first_error() {
+    // A poisoned row in the left chain, in the right chain, and in both:
+    // the ordered path runs each side's chain as the hash path does, the
+    // left side first, so `cogroup`, `merge` and `join_on` report the hash
+    // path's first error and statement tag — the left one when both fail.
+    type Op = fn(&Dataset, &Dataset) -> Result<Dataset, RuntimeError>;
+    let ops: [(&str, Op); 3] = [
+        ("cogroup", |l: &Dataset, r: &Dataset| l.cogroup(r)),
+        ("merge", |l: &Dataset, r: &Dataset| {
+            l.merge(r, Some(|a: &Value, b: &Value| BinOp::Add.apply(a, b)))
+        }),
+        ("join_on", |l: &Dataset, r: &Dataset| {
+            let on = JoinOn {
+                left_key: RowExpr::Col(0),
+                right: Shape::Tuple(vec![Shape::Bind, Shape::Bind]),
+                right_key: RowExpr::Col(0),
+                mismatch: "join pattern (k, v) does not match row".into(),
+            };
+            l.join_on(r, on)
+        }),
+    ];
+    const LEFT: &str = "boom in the left chain";
+    const RIGHT: &str = "boom in the right chain";
+    // Rows `(i % 17, i)` built under `tag`, failing with `what` at row
+    // `poison`.
+    let side = |ctx: &Context, n: i64, tag: &str, poison: Option<i64>, what: &'static str| {
+        ctx.set_statement_label(Some(tag));
+        let d = ctx
+            .from_vec((0..n).map(Value::Long).collect())
+            .map(move |v| match v.as_long() {
+                Some(i) if Some(i) == poison => Err(RuntimeError::new(what)),
+                Some(i) => Ok(Value::pair(Value::Long(i % 17), v.clone())),
+                None => Err(RuntimeError::new("not a long")),
+            })
+            .unwrap();
+        ctx.set_statement_label(None);
+        d
+    };
+    let cases = [
+        ("left", Some(61), None, LEFT, "s5: L := poisoned left"),
+        ("right", None, Some(43), RIGHT, "s6: R := poisoned right"),
+        ("both", Some(61), Some(43), LEFT, "s5: L := poisoned left"),
+    ];
+    for engine in sorted_failure_engines() {
+        for (name, op) in ops {
+            for (case, left_poison, right_poison, want, tag) in cases {
+                let run = |sorted: bool| -> RuntimeError {
+                    let ctx = engine.context(3, 6).with_ordered(sorted);
+                    let l = side(&ctx, 120, "s5: L := poisoned left", left_poison, LEFT);
+                    let r = side(&ctx, 90, "s6: R := poisoned right", right_poison, RIGHT);
+                    match op(&l, &r) {
+                        Err(e) => e,
+                        Ok(d) => d.try_collect().unwrap_err(),
+                    }
+                };
+                let hash = run(false);
+                let sorted = run(true);
+                let what = format!("`{engine}`: {name}, poisoned {case}");
+                assert_eq!(
+                    sorted.message, hash.message,
+                    "{what}: ordered path changed the first error"
+                );
+                assert!(sorted.message.contains(want), "{what}: {sorted}");
+                assert!(sorted.message.contains(tag), "{what}: {sorted}");
+            }
+        }
     }
 }
 
@@ -319,19 +375,14 @@ fn columnar_mid_batch_failures_match_the_row_path_byte_for_byte() {
     for budget in [None, Some(4096), Some(0)] {
         for sorted in [false, true] {
             let run = |engine: Engine| -> RuntimeError {
-                let ctx = engine.budget(budget).context(3, 6);
+                let ctx = engine.budget(budget).context(3, 6).with_ordered(sorted);
                 ctx.set_statement_label(Some("s3: C := 1000 / (V[i] - 137)"));
                 let d = ctx
                     .from_vec((0..300).map(Value::Long).collect())
                     .map_expr(expr())
                     .unwrap();
                 ctx.set_statement_label(None);
-                let keyed = if sorted {
-                    d.sorted_reduce_by_key(|a, b| BinOp::Add.apply(a, b))
-                } else {
-                    d.reduce_by_key(|a, b| BinOp::Add.apply(a, b))
-                };
-                match keyed {
+                match d.reduce_by_key(|a, b| BinOp::Add.apply(a, b)) {
                     Err(e) => e,
                     Ok(k) => k.try_collect().unwrap_err(),
                 }
@@ -558,7 +609,7 @@ fn poisoned_joins_fail_like_the_row_reference() {
     // later right row means tiles before it were already scattered. The
     // default engine computes the keys as columns and replays the failing
     // tile; it must raise what `local` raises, statement tag included,
-    // under every exchange budget, on the hash and the sorted exchange.
+    // under every exchange budget, on the hash and the ordered path.
     // Past the build–probe: a step over the matches divides by zero on
     // the match of row 137 — mid-tile, so the tile gathered from the match
     // list is replayed match by match — and left row 150, a record whose

@@ -1,27 +1,31 @@
-//! Ordering conformance for the sort-based shuffle path: for **every
-//! layout × tile width × budget (unbounded, 64 MiB, 0)**, the sorted keyed
-//! operators
-//! (`sorted_reduce_by_key`, `sorted_group_by_key`, `sorted_merge`,
-//! `sorted_cogroup`) must produce output that is
+//! Ordering conformance for the ordered keyed operators: for **every
+//! layout × tile width × budget (unbounded, 64 MiB, 0)**, the keyed
+//! operators of an ordered context (`Context::with_ordered`) —
+//! `reduce_by_key`, `group_by_key`, `merge`, `cogroup`, `join` and
+//! `join_on` — must produce output that is
 //!
 //! 1. **globally key-ordered** — keys ascend across the whole collect,
-//!    partition by partition (range buckets are contiguous);
-//! 2. **multiset-equal to the hash path** — the same rows as
-//!    `reduce_by_key`/`group_by_key`/`merge`/`cogroup`, reordered only;
+//!    partition by partition (range buckets are contiguous, and each
+//!    post-shuffle partition is sorted by key);
+//! 2. **multiset-equal to the hash path** — the same rows as the same
+//!    operators of a plain context, reordered only; within one key, bags
+//!    and join matches keep the hash path's order;
 //! 3. **byte-identical across layouts and budgets** — the row and the
 //!    columnar layout agree row for row, whether the exchange stayed in
 //!    memory or went through disk runs (spill counters in the budget-0
-//!    runs prove the sorted runs really were merged back from disk).
+//!    runs prove the runs really were read back from disk).
 //!
 //! Property tests drive the same invariants through adversarial key
 //! distributions: zipf-ish skew, all-equal, pre-sorted, reverse-sorted.
 
 mod common;
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use common::Engine;
-use diablo_dataflow::{Context, Dataset, Partitioner, RangePartitioner};
+use diablo_dataflow::{Context, Dataset, JoinOn, Partitioner, RangePartitioner, RowExpr, Shape};
 use diablo_runtime::{array::key_value, BinOp, RuntimeError, Value};
 
 /// The combiner-closure result type, for turbofishing `None` combiners.
@@ -42,8 +46,14 @@ fn engines() -> Vec<Engine> {
 
 const BUDGETS: [Option<u64>; 3] = [None, Some(64 << 20), Some(0)];
 
+/// A plain (hash) context: the reference the ordered outputs are held to.
 fn ctx_for(engine: Engine, budget: Option<u64>) -> Context {
-    engine.budget(budget).context(3, 5)
+    engine.budget(budget).context(3, 5).with_ordered(false)
+}
+
+/// The ordered context of the same configuration.
+fn ordered_ctx(engine: Engine, budget: Option<u64>) -> Context {
+    ctx_for(engine, budget).with_ordered(true)
 }
 
 fn pairs(ctx: &Context, entries: &[(i64, i64)]) -> Dataset {
@@ -55,16 +65,32 @@ fn pairs(ctx: &Context, entries: &[(i64, i64)]) -> Dataset {
     )
 }
 
+/// The key of an output row: its first field.
+fn row_key(row: &Value) -> &Value {
+    &row.as_tuple().expect("tuple row")[0]
+}
+
 /// Asserts keys ascend (non-strictly) across the rows of a full collect.
 fn assert_key_ordered(rows: &[Value], what: &str) {
     for w in rows.windows(2) {
-        let (a, _) = key_value(&w[0]).expect("pair row");
-        let (b, _) = key_value(&w[1]).expect("pair row");
+        let (a, b) = (row_key(&w[0]), row_key(&w[1]));
         assert!(
             a <= b,
             "{what}: key {a} precedes {b} — output not globally key-ordered"
         );
     }
+}
+
+/// Each key's rows, in the order the output lists them.
+fn per_key(rows: &[Value]) -> BTreeMap<Value, Vec<Value>> {
+    let mut groups: BTreeMap<Value, Vec<Value>> = BTreeMap::new();
+    for row in rows {
+        groups
+            .entry(row_key(row).clone())
+            .or_default()
+            .push(row.clone());
+    }
+    groups
 }
 
 fn sorted_copy(rows: &[Value]) -> Vec<Value> {
@@ -79,18 +105,19 @@ fn entries(n: i64) -> Vec<(i64, i64)> {
     (0..n).map(|i| ((i * 37 % 61) - 13, i)).collect()
 }
 
+/// The right side of the two-sided operators: 40 keys, most of them
+/// shared with [`entries`], several rows each.
+fn right_entries() -> Vec<(i64, i64)> {
+    (0..150).map(|i| (i * 11 % 40, 1000 + i)).collect()
+}
+
 #[test]
 fn sorted_ops_conform_across_backends_and_budgets() {
-    // Hash-path references (order-insensitive): the sorted ops must emit
+    // Hash-path references (order-insensitive): the ordered ops must emit
     // exactly these multisets.
     let reference_ctx = ctx_for(Engine::ROW, None);
     let a = pairs(&reference_ctx, &entries(400));
-    let b = pairs(
-        &reference_ctx,
-        &(0..150)
-            .map(|i| (i * 11 % 40, 1000 + i))
-            .collect::<Vec<_>>(),
-    );
+    let b = pairs(&reference_ctx, &right_entries());
     let hash_reduce = sorted_copy(
         &a.reduce_by_key(|x, y| BinOp::Add.apply(x, y))
             .unwrap()
@@ -110,25 +137,20 @@ fn sorted_ops_conform_across_backends_and_budgets() {
     for engine in engines() {
         for budget in BUDGETS {
             let name = format!("{engine} @ budget {budget:?}");
-            let ctx = ctx_for(engine, budget);
+            let ctx = ordered_ctx(engine, budget);
             let a = pairs(&ctx, &entries(400));
-            let b = pairs(
-                &ctx,
-                &(0..150)
-                    .map(|i| (i * 11 % 40, 1000 + i))
-                    .collect::<Vec<_>>(),
-            );
+            let b = pairs(&ctx, &right_entries());
             let before = ctx.stats().snapshot();
             let reduce = a
-                .sorted_reduce_by_key(|x, y| BinOp::Add.apply(x, y))
+                .reduce_by_key(|x, y| BinOp::Add.apply(x, y))
                 .unwrap()
                 .collect();
-            let group = a.sorted_group_by_key().unwrap().collect();
+            let group = a.group_by_key().unwrap().collect();
             let merge = a
-                .sorted_merge(&b, Some(|x: &Value, y: &Value| BinOp::Add.apply(x, y)))
+                .merge(&b, Some(|x: &Value, y: &Value| BinOp::Add.apply(x, y)))
                 .unwrap()
                 .collect();
-            let cogroup = a.sorted_cogroup(&b).unwrap().collect();
+            let cogroup = a.cogroup(&b).unwrap().collect();
             let stats = ctx.stats().snapshot().since(&before);
 
             for (rows, what) in [
@@ -149,12 +171,12 @@ fn sorted_ops_conform_across_backends_and_budgets() {
             );
             assert!(
                 stats.sorted_shuffles >= 4,
-                "{name}: every sorted op runs a key-ordered exchange: {stats:?}"
+                "{name}: every ordered op runs a range-partitioned exchange: {stats:?}"
             );
             if budget == Some(0) {
                 assert!(
                     stats.spill_files > 0 && stats.spilled_records > 0,
-                    "{name}: budget 0 must merge sorted runs from disk: {stats:?}"
+                    "{name}: budget 0 must read runs back from disk: {stats:?}"
                 );
             }
 
@@ -172,12 +194,60 @@ fn sorted_ops_conform_across_backends_and_budgets() {
 }
 
 #[test]
+fn ordered_joins_keep_the_hash_paths_matches_per_key() {
+    // Several rows per key on both sides: within a key, an ordered join
+    // lists the left rows × the right rows in bucket order, exactly as
+    // the hash path's build–probe does; only the order of the keys
+    // changes.
+    let on = || JoinOn {
+        left_key: RowExpr::Col(0),
+        right: Shape::Tuple(vec![Shape::Bind, Shape::Bind]),
+        right_key: RowExpr::Col(0),
+        mismatch: "join pattern (k, v) does not match row".into(),
+    };
+    let joins = |ctx: &Context| -> [Vec<Value>; 2] {
+        let a = pairs(ctx, &entries(400));
+        let b = pairs(ctx, &right_entries());
+        [
+            a.join(&b).unwrap().collect(),
+            a.join_on(&b, on()).unwrap().collect(),
+        ]
+    };
+    let hash = joins(&ctx_for(Engine::ROW, None));
+    for rows in &hash {
+        assert!(
+            per_key(rows).values().all(|g| g.len() >= 4),
+            "every matched key pairs several left rows with several right rows"
+        );
+    }
+    let mut reference: Option<[Vec<Value>; 2]> = None;
+    for engine in engines() {
+        for budget in BUDGETS {
+            let name = format!("{engine} @ budget {budget:?}");
+            let got = joins(&ordered_ctx(engine, budget));
+            for ((rows, hash_rows), what) in got.iter().zip(&hash).zip(["join", "join_on"]) {
+                assert_key_ordered(rows, &format!("{name} {what}"));
+                assert_eq!(
+                    per_key(rows),
+                    per_key(hash_rows),
+                    "{name} {what}: per-key matches differ from the hash path's"
+                );
+            }
+            match &reference {
+                None => reference = Some(got),
+                Some(want) => assert_eq!(&got, want, "{name}: diverged byte-for-byte"),
+            }
+        }
+    }
+}
+
+#[test]
 fn ordered_context_routes_keyed_operators_to_the_sorted_path() {
     // `Context::with_ordered` (the engine side of `diabloc --ordered` /
-    // `DIABLO_ORDERED`) makes the plain keyed operators sort-based: same
+    // `DIABLO_ORDERED`) makes the plain keyed operators ordered: same
     // multisets, key-ordered output, sorted shuffles in the stats.
     let plain = ctx_for(Engine::ROW, None);
-    let ordered = ctx_for(Engine::ROW, None).with_ordered(true);
+    let ordered = ordered_ctx(Engine::ROW, None);
     let d_plain = pairs(&plain, &entries(300));
     let d_ordered = pairs(&ordered, &entries(300));
     let before = ordered.stats().snapshot();
@@ -200,7 +270,7 @@ fn ordered_context_routes_keyed_operators_to_the_sorted_path() {
                 .collect()
         )
     );
-    // join builds on cogroup, so it becomes key-ordered too.
+    // A join range-scatters too and lists its keys in key order.
     let u_ordered = pairs(&ordered, &[(3, 30), (1, 10), (2, 20)]);
     let v_ordered = pairs(&ordered, &[(2, 200), (3, 300), (1, 100)]);
     let joined = u_ordered.join(&v_ordered).unwrap().collect();
@@ -296,7 +366,7 @@ proptest! {
             prop_assert!(w[0] <= w[1], "bucket function not monotone: {buckets:?}");
         }
 
-        // Budget 0: the whole sorted exchange goes through disk runs in
+        // Budget 0: the whole range exchange goes through disk runs in
         // every configuration, and the output must still be totally
         // ordered and multiset-equal to the hash path.
         let hash_ctx = ctx_for(Engine::ROW, None);
@@ -310,14 +380,14 @@ proptest! {
         let mut reference: Option<(Vec<Value>, Vec<Value>)> = None;
         for engine in engines() {
             let name = engine.to_string();
-            let ctx = ctx_for(engine, Some(0));
+            let ctx = ordered_ctx(engine, Some(0));
             let d = pairs(&ctx, &rows);
             let before = ctx.stats().snapshot();
             let reduced = d
-                .sorted_reduce_by_key(|x, y| BinOp::Add.apply(x, y))
+                .reduce_by_key(|x, y| BinOp::Add.apply(x, y))
                 .unwrap()
                 .collect();
-            let grouped = d.sorted_group_by_key().unwrap().collect();
+            let grouped = d.group_by_key().unwrap().collect();
             let stats = ctx.stats().snapshot().since(&before);
             assert_key_ordered(&reduced, "proptest reduce");
             assert_key_ordered(&grouped, "proptest group");
@@ -325,7 +395,7 @@ proptest! {
             prop_assert_eq!(sorted_copy(&grouped), hash_group.clone(), "{} group multiset", name);
             prop_assert!(
                 stats.spill_files > 0,
-                "{} @ budget 0 must spill sorted runs: {:?}", name, stats
+                "{} @ budget 0 must spill runs: {:?}", name, stats
             );
             match &reference {
                 None => reference = Some((reduced, grouped)),
@@ -340,10 +410,10 @@ proptest! {
 
 #[test]
 fn sorted_group_bags_match_hash_bag_order() {
-    // Not just multisets: within one key, the sorted path's bag must list
-    // values in exactly the hash path's order (source partition order,
-    // then emission order) — equal keys ride the ordered exchange in
-    // (source, sequence, emission) order.
+    // Not just multisets: within one key, the ordered path's bag must
+    // list values in exactly the hash path's order (source partition
+    // order, then emission order) — a range bucket holds a key's rows in
+    // the same (source, sequence, emission) order as a hash bucket.
     let ctx = ctx_for(Engine::ROW, None);
     let rows: Vec<(i64, i64)> = (0..240).map(|i| (i % 7, i)).collect();
     let d = pairs(&ctx, &rows);
@@ -355,9 +425,9 @@ fn sorted_group_bags_match_hash_bag_order() {
         .map(|r| key_value(&r).unwrap())
         .collect();
     for budget in BUDGETS {
-        let ctx = ctx_for(Engine::ROW, budget);
+        let ctx = ordered_ctx(Engine::ROW, budget);
         let d = pairs(&ctx, &rows);
-        for row in d.sorted_group_by_key().unwrap().collect() {
+        for row in d.group_by_key().unwrap().collect() {
             let (k, bag) = key_value(&row).unwrap();
             assert_eq!(
                 Some(&bag),
@@ -391,14 +461,14 @@ fn sorted_merge_matches_hash_merge_semantics() {
             .collect(),
     );
     for budget in BUDGETS {
-        let ctx = ctx_for(Engine::ROW, budget);
+        let ctx = ordered_ctx(Engine::ROW, budget);
         let (old, upd) = make(&ctx);
         let replace = old
-            .sorted_merge(&upd, None::<fn(&Value, &Value) -> RtResult>)
+            .merge(&upd, None::<fn(&Value, &Value) -> RtResult>)
             .unwrap()
             .collect();
         let combine = old
-            .sorted_merge(&upd, Some(|a: &Value, b: &Value| BinOp::Add.apply(a, b)))
+            .merge(&upd, Some(|a: &Value, b: &Value| BinOp::Add.apply(a, b)))
             .unwrap()
             .collect();
         assert_key_ordered(&replace, "sorted merge (replace)");

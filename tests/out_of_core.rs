@@ -164,7 +164,7 @@ fn keyed_aggregations_are_budget_invariant_on_the_columnar_path() {
 /// broadcast cross and a join per step) with 4 KiB for the exchange — the
 /// joined rows cross it without a key wrapper and come back from spill
 /// runs — and 4 KiB for the dataset cache return the `local` row
-/// reference's rows, in its order, on the hash and the sorted exchange.
+/// reference's rows, in its order, on the hash and the ordered path.
 /// PageRank and K-Means run every stage columnar; Matrix Multiplication
 /// keeps the one range expansion that zeroes its result.
 #[test]

@@ -181,10 +181,11 @@ fn translated_word_count_fuses_its_narrow_prologue() {
 
 #[test]
 fn sorted_reduce_then_map_then_collect_is_two_stages() {
-    // Shuffle-read fusion survives on the sorted path: the combine+sort
-    // pass is stage one, and the merge-reduce is a lazy plan node that
-    // fuses with the map and the collect into stage two.
-    let ctx = Context::new(2, 4);
+    // Shuffle-read fusion survives on the ordered path: the combine pass
+    // of the range scatter is stage one, and the reduce + key sort is a
+    // lazy plan node that fuses with the map and the collect into stage
+    // two.
+    let ctx = Context::new(2, 4).with_ordered(true);
     let d = ctx.from_vec(
         (0..600)
             .map(|i| Value::pair(Value::Long(i % 23), Value::Long(1)))
@@ -192,7 +193,7 @@ fn sorted_reduce_then_map_then_collect_is_two_stages() {
     );
     let before = ctx.stats().snapshot();
     let rows = d
-        .sorted_reduce_by_key(|a, b| diablo_runtime::BinOp::Add.apply(a, b))
+        .reduce_by_key(|a, b| diablo_runtime::BinOp::Add.apply(a, b))
         .expect("sorted reduce")
         .map(|row| {
             let (k, v) = diablo_runtime::array::key_value(row)?;
@@ -203,7 +204,7 @@ fn sorted_reduce_then_map_then_collect_is_two_stages() {
     let after = ctx.stats().snapshot().since(&before);
     assert_eq!(
         after.physical_stages, 2,
-        "combine+sort, then merge-reduce+map fused with collect: {after:?}"
+        "combine, then reduce + key sort + map fused with collect: {after:?}"
     );
     assert_eq!(after.sorted_shuffles, 1, "{after:?}");
     assert_eq!(rows.len(), 23);
@@ -219,24 +220,24 @@ fn sorted_reduce_then_map_then_collect_is_two_stages() {
 
 #[test]
 fn sorted_path_explain_names_partitioner_and_sorted_stage() {
-    // Both explain surfaces name the sort-based path: the executed-plan
+    // Both explain surfaces name the ordered path: the executed-plan
     // trace carries the partitioner name, and the pending-plan render
-    // marks the merge-reduce stage as sorted.
-    let ctx = Context::new(2, 4);
+    // marks the post-shuffle stage as sorted.
+    let ctx = Context::new(2, 4).with_ordered(true);
     let d = ctx.from_vec(
         (0..200)
             .map(|i| Value::pair(Value::Long(i % 11), Value::Long(i)))
             .collect(),
     );
     let pending = d
-        .sorted_reduce_by_key(|a, b| diablo_runtime::BinOp::Add.apply(a, b))
+        .reduce_by_key(|a, b| diablo_runtime::BinOp::Add.apply(a, b))
         .expect("sorted reduce");
     let render = pending.explain();
     assert!(render.contains("sorted_reduce_by_key"), "{render}");
     assert!(render.contains("range"), "{render}");
 
     ctx.start_plan_trace();
-    let _ = d.sorted_group_by_key().expect("sorted group").collect();
+    let _ = d.group_by_key().expect("sorted group").collect();
     let trace = ctx.take_plan_trace().join("\n");
     assert!(
         trace.contains("range partitioner"),
@@ -247,8 +248,8 @@ fn sorted_path_explain_names_partitioner_and_sorted_stage() {
         "trace must note the sorted exchange: {trace}"
     );
     assert!(
-        trace.contains("merged by key"),
-        "trace must note the run merge: {trace}"
+        trace.contains("group + key sort"),
+        "trace must note the key sort after the group: {trace}"
     );
 }
 
