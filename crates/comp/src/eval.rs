@@ -1,16 +1,20 @@
 //! Direct in-memory evaluation of comprehension expressions.
 //!
-//! This gives the calculus its reference semantics, independent of the
-//! distributed engine. The driver uses it for scalar-only target
-//! expressions (e.g. `while` conditions); the test suite uses it to check
-//! that normalization and optimization are meaning-preserving.
+//! This gives the calculus its reference semantics, and it is the only
+//! evaluator of a [`CExpr`]: the test suite checks normalization and
+//! optimization against it, the driver evaluates its scalar statements,
+//! `while` conditions and comprehensions before their first distributed
+//! source with it, and a pipeline stage whose expression has no `RowExpr`
+//! form runs it once per row.
 //!
 //! Environments map variable names to [`Value`]s. Program arrays appear as
-//! bags of `(key, value)` pairs.
+//! bags of `(key, value)` pairs. What no binder and no environment entry
+//! binds, a [`Scope`] answers: the driver's session state, a pipeline row,
+//! or [`Closed`], for which every such variable is unbound.
 
 use std::collections::HashMap;
 
-use diablo_runtime::{merge_pairs, BinOp, RuntimeError, Value};
+use diablo_runtime::{merge_pairs, AggOp, BinOp, RuntimeError, Value};
 
 use crate::ir::{CExpr, Comprehension, Qual};
 
@@ -20,50 +24,84 @@ pub type Env = HashMap<String, Value>;
 /// Result alias for evaluation.
 pub type Result<T> = std::result::Result<T, RuntimeError>;
 
+/// What an evaluation reads from outside its own bindings.
+pub trait Scope {
+    /// A variable that no binder and no environment entry binds.
+    fn var(&self, name: &str) -> Result<Value>;
+
+    /// Asked at a `Comp(c)` node, and at an `Agg(op, Comp(c))` node with
+    /// `agg: Some(op)`, before the evaluator runs `c` itself: `Some` is the
+    /// node's value, computed by the scope; `None` leaves it to the
+    /// evaluator.
+    fn comp(&self, _c: &Comprehension, _agg: Option<AggOp>, _env: &Env) -> Option<Result<Value>> {
+        None
+    }
+}
+
+/// The scope with nothing in it: every variable outside the environment
+/// is unbound.
+pub struct Closed;
+
+impl Scope for Closed {
+    fn var(&self, name: &str) -> Result<Value> {
+        Err(RuntimeError::new(format!(
+            "unbound variable `{name}` in comprehension"
+        )))
+    }
+}
+
 /// Evaluates an expression under an environment.
 pub fn eval(e: &CExpr, env: &Env) -> Result<Value> {
+    eval_in(e, env, &Closed)
+}
+
+/// Evaluates an expression under an environment and a scope.
+pub fn eval_in(e: &CExpr, env: &Env, scope: &dyn Scope) -> Result<Value> {
+    let eval = |e: &CExpr| eval_in(e, env, scope);
     match e {
-        CExpr::Var(v) => env
-            .get(v)
-            .cloned()
-            .ok_or_else(|| RuntimeError::new(format!("unbound variable `{v}` in comprehension"))),
+        CExpr::Var(v) => match env.get(v) {
+            Some(val) => Ok(val.clone()),
+            None => scope.var(v),
+        },
         CExpr::Const(v) => Ok(v.clone()),
         CExpr::Bin(op, a, b) => {
-            let a = eval(a, env)?;
-            let b = eval(b, env)?;
+            let a = eval(a)?;
+            let b = eval(b)?;
             op.apply(&a, &b)
         }
-        CExpr::Un(op, a) => op.apply(&eval(a, env)?),
+        CExpr::Un(op, a) => op.apply(&eval(a)?),
         CExpr::Call(f, args) => {
-            let vals = args
-                .iter()
-                .map(|a| eval(a, env))
-                .collect::<Result<Vec<_>>>()?;
+            let vals = args.iter().map(eval).collect::<Result<Vec<_>>>()?;
             f.apply(&vals)
         }
         CExpr::Tuple(fs) => {
-            let vals = fs
-                .iter()
-                .map(|f| eval(f, env))
-                .collect::<Result<Vec<_>>>()?;
+            let vals = fs.iter().map(eval).collect::<Result<Vec<_>>>()?;
             Ok(Value::tuple(vals))
         }
         CExpr::Record(fs) => {
             let vals = fs
                 .iter()
-                .map(|(n, f)| Ok((n.clone(), eval(f, env)?)))
+                .map(|(n, f)| Ok((n.clone(), eval(f)?)))
                 .collect::<Result<Vec<_>>>()?;
             Ok(Value::record(vals))
         }
         CExpr::Proj(e, field) => {
-            let v = eval(e, env)?;
+            let v = eval(e)?;
             v.field(field)
                 .cloned()
                 .ok_or_else(|| RuntimeError::new(format!("value {v} has no field `{field}`")))
         }
-        CExpr::Comp(c) => Ok(Value::bag(eval_comp(c, env)?)),
+        CExpr::Comp(c) => match scope.comp(c, None, env) {
+            Some(v) => v,
+            None => Ok(Value::bag(eval_comp_in(c, env, scope)?)),
+        },
         CExpr::Agg(op, e) => {
-            let v = eval(e, env)?;
+            if let CExpr::Comp(c) = e.as_ref() {
+                if let Some(v) = scope.comp(c, Some(*op), env) {
+                    return v;
+                }
+            }
+            let v = eval(e)?;
             let items = v
                 .as_bag()
                 .ok_or_else(|| RuntimeError::new("aggregation over a non-bag"))?;
@@ -74,8 +112,8 @@ pub fn eval(e: &CExpr, env: &Env) -> Result<Value> {
             right,
             combine,
         } => {
-            let l = eval(left, env)?;
-            let r = eval(right, env)?;
+            let l = eval(left)?;
+            let r = eval(right)?;
             let (Some(xs), Some(ys)) = (l.as_bag(), r.as_bag()) else {
                 return Err(RuntimeError::new("⊳ expects bags"));
             };
@@ -85,10 +123,10 @@ pub fn eval(e: &CExpr, env: &Env) -> Result<Value> {
             }
         }
         CExpr::Range(lo, hi) => {
-            let lo = eval(lo, env)?
+            let lo = eval(lo)?
                 .as_long()
                 .ok_or_else(|| RuntimeError::new("range bound must be long"))?;
-            let hi = eval(hi, env)?
+            let hi = eval(hi)?
                 .as_long()
                 .ok_or_else(|| RuntimeError::new("range bound must be long"))?;
             Ok(Value::bag((lo..=hi).map(Value::Long).collect()))
@@ -98,7 +136,7 @@ pub fn eval(e: &CExpr, env: &Env) -> Result<Value> {
 
 /// Merge with a combining monoid: keys on both sides combine `old ⊕ new`;
 /// keys on one side pass through. Duplicate keys within `ys` also combine.
-pub fn merge_with(xs: &[Value], ys: &[Value], op: BinOp) -> Result<Vec<Value>> {
+fn merge_with(xs: &[Value], ys: &[Value], op: BinOp) -> Result<Vec<Value>> {
     let mut index: HashMap<Value, usize> = HashMap::with_capacity(xs.len() + ys.len());
     let mut out: Vec<(Value, Value)> = Vec::with_capacity(xs.len() + ys.len());
     for p in xs {
@@ -129,6 +167,12 @@ pub fn merge_with(xs: &[Value], ys: &[Value], op: BinOp) -> Result<Vec<Value>> {
 
 /// Evaluates a comprehension to the vector of its produced values.
 pub fn eval_comp(c: &Comprehension, env: &Env) -> Result<Vec<Value>> {
+    eval_comp_in(c, env, &Closed)
+}
+
+/// Evaluates a comprehension under an environment and a scope.
+pub fn eval_comp_in(c: &Comprehension, env: &Env, scope: &dyn Scope) -> Result<Vec<Value>> {
+    let eval = |e: &CExpr, env: &Env| eval_in(e, env, scope);
     // Each in-flight binding set extends the outer environment.
     let mut envs: Vec<Env> = vec![env.clone()];
     // Variables bound since the start (or the last group-by), in order —

@@ -181,6 +181,24 @@ impl Comprehension {
         }
     }
 
+    /// [`CExpr::each_free`] over the comprehension.
+    pub fn each_free<'a>(&'a self, visit: &mut dyn FnMut(&'a str, bool)) {
+        self.visit_free(&mut Vec::new(), visit);
+    }
+
+    /// `bound` is the stack of names in scope, innermost last.
+    fn visit_free<'a>(&'a self, bound: &mut Vec<&'a str>, visit: &mut dyn FnMut(&'a str, bool)) {
+        // Qualifiers bind left to right; a generator's domain sees only
+        // the bindings before it.
+        let mark = bound.len();
+        for q in &self.quals {
+            q.expr().visit_free(bound, visit);
+            q.each_bound(&mut |v| bound.push(v));
+        }
+        self.head.visit_free(bound, visit);
+        bound.truncate(mark);
+    }
+
     /// True if any qualifier is a group-by.
     pub fn has_group_by(&self) -> bool {
         self.quals.iter().any(|q| matches!(q, Qual::GroupBy(_, _)))
@@ -301,6 +319,25 @@ impl CExpr {
         }
     }
 
+    /// True when the expression has a form in the engine's transparent
+    /// `RowExpr` IR: arithmetic, comparisons, builtin calls, tuples and
+    /// projections over variables and constants. Record constructors, bag
+    /// aggregations, nested comprehensions, merges and ranges have none; a
+    /// pipeline stage evaluates them per row with [`crate::eval_in`].
+    pub fn has_row_form(&self) -> bool {
+        match self {
+            CExpr::Var(_) | CExpr::Const(_) => true,
+            CExpr::Bin(_, a, b) => a.has_row_form() && b.has_row_form(),
+            CExpr::Un(_, a) | CExpr::Proj(a, _) => a.has_row_form(),
+            CExpr::Call(_, args) | CExpr::Tuple(args) => args.iter().all(CExpr::has_row_form),
+            CExpr::Record(_)
+            | CExpr::Agg(_, _)
+            | CExpr::Comp(_)
+            | CExpr::Merge { .. }
+            | CExpr::Range(_, _) => false,
+        }
+    }
+
     /// Collects free variables (variables not bound by an enclosing
     /// comprehension qualifier within this expression).
     pub fn free_vars(&self) -> HashSet<String> {
@@ -367,17 +404,7 @@ impl CExpr {
                 CExpr::Var(_) => {}
                 e => e.visit_free(bound, visit),
             },
-            CExpr::Comp(c) => {
-                // Qualifiers bind left to right; a generator's domain sees
-                // only the bindings before it.
-                let mark = bound.len();
-                for q in &c.quals {
-                    q.expr().visit_free(bound, visit);
-                    q.each_bound(&mut |v| bound.push(v));
-                }
-                c.head.visit_free(bound, visit);
-                bound.truncate(mark);
-            }
+            CExpr::Comp(c) => c.visit_free(bound, visit),
         }
     }
 

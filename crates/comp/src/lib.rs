@@ -12,9 +12,9 @@
 //! The crate provides:
 //!
 //! * [`ir`] — the IR ([`CExpr`], [`Qual`], [`Pattern`], [`Comprehension`]);
-//! * [`eval`](mod@eval) — a direct in-memory evaluator giving the calculus its
-//!   reference semantics (used by tests and by the driver for
-//!   scalar-only expressions);
+//! * [`eval`](mod@eval) — the direct in-memory evaluator giving the calculus
+//!   its reference semantics, and the only one: the driver and the
+//!   pipeline stages without a `RowExpr` form run it over a [`Scope`];
 //! * [`keys`] — array-key uniqueness (§3.4): when an update's head keys
 //!   are distinct by construction, so merging it into an empty array is
 //!   the update itself;
@@ -37,7 +37,7 @@ pub mod pretty;
 pub mod pushdown;
 pub mod rewrite;
 
-pub use eval::{eval, eval_comp, Env};
+pub use eval::{eval, eval_comp, eval_comp_in, eval_in, Closed, Env, Scope};
 pub use ir::{CExpr, Comprehension, Pattern, Qual};
 pub use keys::KeyProof;
 pub use normalize::normalize;

@@ -488,27 +488,10 @@ fn interval_of(e: &Expr, ranges: &[(String, Interval)]) -> Option<Interval> {
 
 // ------------------------------------------------------------- D025
 
-/// True when a comprehension-calculus expression lowers to the engine's
-/// transparent `RowExpr` IR (mirrors the exec crate's `to_row_expr`):
-/// arithmetic, comparisons, builtin calls, tuples, and projections over
-/// variables and constants. Record construction, bag aggregations, nested
-/// comprehensions, merges, and ranges stay opaque closures.
-fn columnar_convertible(e: &CExpr) -> bool {
-    match e {
-        CExpr::Var(_) | CExpr::Const(_) => true,
-        CExpr::Bin(_, a, b) => columnar_convertible(a) && columnar_convertible(b),
-        CExpr::Un(_, a) | CExpr::Proj(a, _) => columnar_convertible(a),
-        CExpr::Call(_, args) | CExpr::Tuple(args) => args.iter().all(columnar_convertible),
-        CExpr::Record(_)
-        | CExpr::Agg(_, _)
-        | CExpr::Comp(_)
-        | CExpr::Merge { .. }
-        | CExpr::Range(_, _) => false,
-    }
-}
-
-/// Names the first opaque construct inside a non-convertible expression,
-/// for the warning text.
+/// Names the first opaque construct inside an expression with no `RowExpr`
+/// form, for the warning text. Whether it has one is
+/// [`CExpr::has_row_form`], the predicate the exec crate's pipeline
+/// builder lowers by, so the forecast and the engine cannot disagree.
 fn opaque_kind(e: &CExpr) -> &'static str {
     match e {
         CExpr::Record(_) => "a record constructor",
@@ -517,7 +500,7 @@ fn opaque_kind(e: &CExpr) -> &'static str {
         CExpr::Merge { .. } => "an array merge",
         CExpr::Range(_, _) => "a range expression",
         CExpr::Bin(_, a, b) => {
-            if columnar_convertible(a) {
+            if a.has_row_form() {
                 opaque_kind(b)
             } else {
                 opaque_kind(a)
@@ -526,7 +509,7 @@ fn opaque_kind(e: &CExpr) -> &'static str {
         CExpr::Un(_, a) | CExpr::Proj(a, _) => opaque_kind(a),
         CExpr::Call(_, args) | CExpr::Tuple(args) => args
             .iter()
-            .find(|a| !columnar_convertible(a))
+            .find(|a| !a.has_row_form())
             .map(opaque_kind)
             .unwrap_or("an opaque expression"),
         CExpr::Var(_) | CExpr::Const(_) => "an opaque expression",
@@ -548,7 +531,7 @@ const HELP_INHERENT: &str = "the stage still runs (row path; reported as `row_fa
 type Fallback = (String, &'static str);
 
 fn opaque_expr(e: &CExpr, what: &str) -> Option<Fallback> {
-    (!columnar_convertible(e)).then(|| {
+    (!e.has_row_form()).then(|| {
         (
             format!(
                 "{what} contains {}, which has no columnar form",

@@ -150,7 +150,7 @@ impl FieldName {
 
     /// The selected field of `v`; a value without it is the error
     /// ``value {v} has no field `{name}` ``.
-    pub fn get<'v>(&self, v: &'v Value) -> Result<&'v Value> {
+    pub(crate) fn get<'v>(&self, v: &'v Value) -> Result<&'v Value> {
         self.of(v).ok_or_else(|| self.missing_in(v))
     }
 }

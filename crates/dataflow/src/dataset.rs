@@ -318,30 +318,6 @@ impl Dataset {
         }
     }
 
-    /// A content fingerprint: FNV-1a 64 over the rows' canonical binary
-    /// encoding ([`crate::encode_value`]) in cross-partition iteration
-    /// order. Deliberately **partition-boundary independent** — the same
-    /// bag split 2 ways or 8 ways fingerprints equal, so a cache key built
-    /// on it survives repartitioning. Forces the dataset if still lazy;
-    /// any append/update yields a new fingerprint, which is how the serve
-    /// cache versions its inputs.
-    pub fn fingerprint(&self) -> Result<u64> {
-        let parts = self.force()?;
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut buf = Vec::new();
-        for part in parts.iter() {
-            for row in part {
-                buf.clear();
-                crate::exchange::encode_value(row, &mut buf)?;
-                for b in &buf {
-                    hash ^= u64::from(*b);
-                    hash = hash.wrapping_mul(0x1_0000_01b3);
-                }
-            }
-        }
-        Ok(hash)
-    }
-
     /// The plan downstream consumers should build on: once this dataset
     /// has been forced, a [`PlanOp::Cached`] barrier over its cache slot
     /// stands in for the original chain, so no operator re-executes an

@@ -25,22 +25,28 @@
 //!   ([`diablo_comp::keys`]);
 //! * everything that touches no dataset is evaluated locally.
 //!
+//! A comprehension has one evaluator, [`diablo_comp::eval_in`]; this crate
+//! only supplies its [`Scope`]s. The driver evaluates scalar statements,
+//! `while` conditions and what precedes a comprehension's first
+//! distributed source in the session's scope, which runs a nested
+//! comprehension over a dataset on the engine when no local binding
+//! encloses it. A pipeline step whose expression has no `RowExpr` form
+//! evaluates it per row in a scope over the row's columns.
+//!
 //! The public entry point is [`Session`]: bind inputs, [`Session::run`] a
 //! [`CompiledProgram`], read results back.
 
-mod local;
 mod pipeline;
 mod rexpr;
 
-pub use local::eval_local;
 pub use pipeline::run_comp;
 
 use std::collections::HashMap;
 
-use diablo_comp::CExpr;
+use diablo_comp::{eval_in, CExpr, Comprehension, Env, Scope};
 use diablo_core::{CompiledProgram, TStmt};
 use diablo_dataflow::{Context, Dataset, Layout};
-use diablo_runtime::{RuntimeError, Value};
+use diablo_runtime::{AggOp, RuntimeError, Value};
 
 /// Result alias for execution.
 pub type Result<T> = std::result::Result<T, RuntimeError>;
@@ -372,8 +378,8 @@ impl Session {
                     // Scalar assignment: the value is a bag of at most one
                     // element; an empty bag leaves the variable unchanged
                     // (sparse missing-element semantics).
-                    let bag = eval_local(value, &HashMap::new(), self)
-                        .map_err(|e| e.with_context(&tag))?;
+                    let bag =
+                        eval_in(value, &Env::new(), self).map_err(|e| e.with_context(&tag))?;
                     let items = bag
                         .as_bag()
                         .ok_or_else(|| {
@@ -408,7 +414,7 @@ impl Session {
                 let body_start = *slot;
                 *slot += diablo_core::preorder_len(body);
                 loop {
-                    let v = eval_local(cond, &HashMap::new(), self)?;
+                    let v = eval_in(cond, &Env::new(), self)?;
                     let items = v
                         .as_bag()
                         .ok_or_else(|| RuntimeError::new("while condition must be a bag"))?;
@@ -479,7 +485,7 @@ impl Session {
             CExpr::Comp(c) => run_comp(c, self),
             other => {
                 // Fall back to local evaluation producing a bag.
-                let v = eval_local(other, &HashMap::new(), self)?;
+                let v = eval_in(other, &Env::new(), self)?;
                 match v {
                     Value::Bag(items) => Ok(self.ctx.from_vec(items.as_ref().clone())),
                     v => Err(RuntimeError::new(format!(
@@ -511,6 +517,41 @@ impl Session {
     /// True if the expression mentions any dataset binding freely.
     pub(crate) fn datasets_mentioned(&self, e: &CExpr) -> bool {
         e.free_vars().iter().any(|v| self.is_dataset(v))
+    }
+}
+
+/// The driver's scope: a scalar binding is its value and a dataset is
+/// collected as a bag. A comprehension that mentions a dataset and sits
+/// under no local binding runs on the engine, and an aggregation over one
+/// is the engine's distributed reduce (map-side partials) rather than a
+/// collect-then-fold.
+impl Scope for Session {
+    fn var(&self, name: &str) -> Result<Value> {
+        match self.binding(name) {
+            Some(Binding::Scalar(v)) => Ok(v.clone()),
+            // Materializing a whole dataset on the driver is allowed but
+            // only happens for small arrays used in scalar context.
+            Some(Binding::Data(d)) => Ok(Value::bag(d.try_collect()?)),
+            None => Err(RuntimeError::new(format!("undefined variable `{name}`"))),
+        }
+    }
+
+    fn comp(&self, c: &Comprehension, agg: Option<AggOp>, env: &Env) -> Option<Result<Value>> {
+        if !env.is_empty() {
+            return None;
+        }
+        let mut mentions_data = false;
+        c.each_free(&mut |v, _| mentions_data |= self.is_dataset(v));
+        if !mentions_data {
+            return None;
+        }
+        Some(run_comp(c, self).and_then(|data| match agg {
+            None => Ok(Value::bag(data.try_collect()?)),
+            Some(op) => match data.aggregate(op)? {
+                Some(v) => Ok(v),
+                None => op.reduce([].iter()),
+            },
+        }))
     }
 }
 

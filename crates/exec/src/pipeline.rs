@@ -21,21 +21,26 @@
 //! | `group by` (general)             | groupByKey (bags in rows)          |
 //! | head                             | final map                          |
 //!
+//! Every expression a stage evaluates is lowered once per stage
+//! ([`crate::rexpr::lower`]): to the engine's `RowExpr` when it has that
+//! form, so the step stays transparent and can run columnar; otherwise to
+//! an opaque step in which the reference evaluator runs it per row.
+//!
 //! Anything before the first distributed source is evaluated on the
-//! driver; a comprehension with no distributed source at all is evaluated
-//! locally and parallelized as a literal dataset.
+//! driver, by the reference evaluator in the session's scope; a
+//! comprehension with no distributed source at all is evaluated locally
+//! and parallelized as a literal dataset.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use diablo_comp::ir::{CExpr, Comprehension, Pattern, Qual};
 use diablo_comp::pushdown::{agg_col_name, join_keys, push_down_aggs, JoinKey, Pushdown};
-use diablo_comp::Env;
+use diablo_comp::{eval_comp_in, eval_in, Env};
 use diablo_dataflow::{Dataset, JoinOn, RowExpr, Shape};
 use diablo_runtime::{RuntimeError, Value};
 
-use crate::local::{eval_local, local_comp};
-use crate::rexpr::{compile, to_row_expr, Layout};
+use crate::rexpr::{lower, Layout, Lowered};
 use crate::{Result, Session};
 
 /// Runs a comprehension, producing a dataset of its head values.
@@ -62,7 +67,7 @@ pub fn run_comp(c: &Comprehension, sess: &Session) -> Result<Dataset> {
                 Some(pipe) => pipe.extend_let(&p, &e, &globals)?,
                 None => {
                     for env in &mut locals {
-                        let v = eval_local(&e, env, sess)?;
+                        let v = eval_in(&e, env, sess)?;
                         bind_into(&p, &v, env)?;
                     }
                     local_vars.extend(p.var_list());
@@ -73,7 +78,7 @@ pub fn run_comp(c: &Comprehension, sess: &Session) -> Result<Dataset> {
                 None => {
                     let mut next = Vec::with_capacity(locals.len());
                     for env in locals {
-                        match eval_local(&e, &env, sess)?.as_bool() {
+                        match eval_in(&e, &env, sess)?.as_bool() {
                             Some(true) => next.push(env),
                             Some(false) => {}
                             None => return Err(RuntimeError::new("condition must be boolean")),
@@ -99,10 +104,10 @@ pub fn run_comp(c: &Comprehension, sess: &Session) -> Result<Dataset> {
                             return finish_locally(&quals[i..], &head, &locals, &local_vars, sess);
                         }
                         let env = &locals[0];
-                        let lo = eval_local(&lo, env, sess)?
+                        let lo = eval_in(&lo, env, sess)?
                             .as_long()
                             .ok_or_else(|| RuntimeError::new("range bound must be long"))?;
-                        let hi = eval_local(&hi, env, sess)?
+                        let hi = eval_in(&hi, env, sess)?
                             .as_long()
                             .ok_or_else(|| RuntimeError::new("range bound must be long"))?;
                         let data = sess.context().range(lo, hi);
@@ -111,7 +116,7 @@ pub fn run_comp(c: &Comprehension, sess: &Session) -> Result<Dataset> {
                     (None, GenSource::Local) => {
                         let mut next = Vec::new();
                         for env in &locals {
-                            let d = eval_local(&dom, env, sess)?;
+                            let d = eval_in(&dom, env, sess)?;
                             let items = d.as_bag().ok_or_else(|| {
                                 RuntimeError::new("generator domain must be a bag")
                             })?;
@@ -173,7 +178,7 @@ pub fn run_comp(c: &Comprehension, sess: &Session) -> Result<Dataset> {
             // Fully local comprehension: evaluate and parallelize.
             let mut rows = Vec::new();
             for env in &locals {
-                rows.push(eval_local(&head, env, sess)?);
+                rows.push(eval_in(&head, env, sess)?);
             }
             Ok(sess.context().from_vec(rows))
         }
@@ -204,7 +209,7 @@ fn finish_locally(
         }
         quals.extend(tail.iter().cloned());
         let comp = Comprehension::new(head.clone(), quals);
-        rows.extend(local_comp(&comp, &Env::new(), sess)?);
+        rows.extend(eval_comp_in(&comp, &Env::new(), sess)?);
     }
     Ok(sess.context().from_vec(rows))
 }
@@ -300,12 +305,11 @@ impl Pipe {
 
     /// `let p = e` as a map stage.
     fn extend_let(&mut self, p: &Pattern, e: &CExpr, globals: &Arc<Env>) -> Result<()> {
-        let r = compile(e, &self.layout, globals)?;
-        // A single-variable let over a structural expression extends the
-        // row tuple as one transparent expression the engine can vectorize:
-        // `(c0, …, cn-1, e)`.
-        if matches!(p, Pattern::Var(_)) {
-            if let Some(rx) = to_row_expr(&r) {
+        // A single-variable let over an expression with a row form extends
+        // the row tuple as one transparent expression the engine can
+        // vectorize: `(c0, …, cn-1, e)`.
+        let r = match (p, lower(e, &self.layout, globals)?) {
+            (Pattern::Var(_), Lowered::Row(rx)) => {
                 let mut fields: Vec<RowExpr> =
                     (0..self.layout.cols.len()).map(RowExpr::Col).collect();
                 fields.push(rx);
@@ -313,11 +317,12 @@ impl Pipe {
                 self.bind(p);
                 return Ok(());
             }
-        }
+            (_, r) => r,
+        };
         let p_owned = p.clone();
         let new_data = self.data.map_as("let", move |row| {
             let fields = row.as_tuple().expect("env row");
-            let v = r.eval(fields)?;
+            let v = r.eval(row)?;
             let mut out = fields.to_vec();
             if !p_owned.bind_values(&v, &mut out) {
                 return Err(RuntimeError::new(format!(
@@ -333,18 +338,13 @@ impl Pipe {
 
     /// A condition as a filter stage.
     fn filter(&mut self, e: &CExpr, globals: &Arc<Env>) -> Result<()> {
-        let r = compile(e, &self.layout, globals)?;
-        if let Some(rx) = to_row_expr(&r) {
-            self.data = self.data.filter_expr(rx)?;
-            return Ok(());
-        }
-        self.data = self.data.filter(move |row| {
-            let fields = row.as_tuple().expect("env row");
-            match r.eval(fields)?.as_bool() {
+        self.data = match lower(e, &self.layout, globals)? {
+            Lowered::Row(rx) => self.data.filter_expr(rx)?,
+            r => self.data.filter(move |row| match r.eval(row)?.as_bool() {
                 Some(b) => Ok(b),
                 None => Err(RuntimeError::new("condition must be boolean")),
-            }
-        })?;
+            })?,
+        };
         Ok(())
     }
 
@@ -359,7 +359,7 @@ impl Pipe {
     /// `RowExpr` form; otherwise an opaque `let` of its own computes it
     /// first and the engine reads its column.
     fn key_expr(&mut self, key: &CExpr, globals: &Arc<Env>) -> Result<RowExpr> {
-        if let Some(rx) = to_row_expr(&compile(key, &self.layout, globals)?) {
+        if let Lowered::Row(rx) = lower(key, &self.layout, globals)? {
             return Ok(rx);
         }
         let column = format!("$key{}", self.layout.cols.len());
@@ -391,9 +391,9 @@ impl Pipe {
         };
         let right_key = key_of(|k| &k.right);
         let mut shape = shape_of(p);
-        let right_key = match to_row_expr(&compile(&right_key, &right.layout, globals)?) {
-            Some(rx) => rx,
-            None => {
+        let right_key = match lower(&right_key, &right.layout, globals)? {
+            Lowered::Row(rx) => rx,
+            Lowered::Opaque { .. } => {
                 right.data = right.data.map_expr(RowExpr::Unpack {
                     shape,
                     mismatch: mismatch.clone(),
@@ -442,17 +442,17 @@ impl Pipe {
         hi: &CExpr,
         globals: &Arc<Env>,
     ) -> Result<()> {
-        let rlo = compile(lo, &self.layout, globals)?;
-        let rhi = compile(hi, &self.layout, globals)?;
+        let rlo = lower(lo, &self.layout, globals)?;
+        let rhi = lower(hi, &self.layout, globals)?;
         let p_owned = p.clone();
         let new_data = self.data.flat_map_as("range expansion", move |row| {
             let fields = row.as_tuple().expect("env row");
             let lo = rlo
-                .eval(fields)?
+                .eval(row)?
                 .as_long()
                 .ok_or_else(|| RuntimeError::new("range bound must be long"))?;
             let hi = rhi
-                .eval(fields)?
+                .eval(row)?
                 .as_long()
                 .ok_or_else(|| RuntimeError::new("range bound must be long"))?;
             let mut out = Vec::with_capacity((hi - lo + 1).max(0) as usize);
@@ -472,11 +472,11 @@ impl Pipe {
 
     /// Expands a per-row bag-valued domain (e.g. a lifted bag column).
     fn expand_bag(&mut self, p: &Pattern, dom: &CExpr, globals: &Arc<Env>) -> Result<()> {
-        let r = compile(dom, &self.layout, globals)?;
+        let r = lower(dom, &self.layout, globals)?;
         let p_owned = p.clone();
         let new_data = self.data.flat_map_as("bag expansion", move |row| {
             let fields = row.as_tuple().expect("env row");
-            let bag = r.eval(fields)?;
+            let bag = r.eval(row)?;
             let items = bag
                 .as_bag()
                 .ok_or_else(|| RuntimeError::new("generator domain must be a bag"))?
@@ -524,7 +524,7 @@ impl Pipe {
             return self.aggregate_by(p, key, pushed, globals);
         }
 
-        let rkey = compile(key, &self.layout, globals)?;
+        let rkey = lower(key, &self.layout, globals)?;
         // General groupByKey: lift every non-key column to a bag.
         let lifted_idx: Vec<usize> = lifted
             .iter()
@@ -533,7 +533,7 @@ impl Pipe {
         let lifted_idx2 = lifted_idx.clone();
         let keyed = self.data.map_as("keyed map", move |row| {
             let fields = row.as_tuple().expect("env row");
-            let key = rkey.eval(fields)?;
+            let key = rkey.eval(row)?;
             let vals: Vec<Value> = lifted_idx2.iter().map(|&i| fields[i].clone()).collect();
             Ok(Value::pair(key, Value::tuple(vals)))
         })?;
@@ -615,12 +615,10 @@ impl Pipe {
 
     /// The final head map.
     fn finish(self, head: &CExpr, globals: &Arc<Env>) -> Result<Dataset> {
-        let r = compile(head, &self.layout, globals)?;
-        if let Some(rx) = to_row_expr(&r) {
-            return self.data.map_expr(rx);
+        match lower(head, &self.layout, globals)? {
+            Lowered::Row(rx) => self.data.map_expr(rx),
+            r => self.data.map_as("head", move |row| r.eval(row)),
         }
-        self.data
-            .map_as("head", move |row| r.eval(row.as_tuple().expect("env row")))
     }
 }
 

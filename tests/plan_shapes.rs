@@ -369,6 +369,59 @@ fn scan_programs_run_as_one_vectorized_reduce_per_aggregation() {
 }
 
 #[test]
+fn a_comprehension_under_local_bindings_reads_datasets_on_the_driver() {
+    // The other side of the rule above: a nested `+/{ … V … }` under a
+    // binding of its enclosing comprehension cannot run on the engine once
+    // per binding, so the driver reads `V` and folds it. A group-by before
+    // any distributed source puts the rest of the comprehension there:
+    //   { (k, +/x + +/{ w | (j, w) ← V, j == k }) | let x = 4,
+    //                                               group by k : x % 3 }
+    // No source program reaches it, so it is built by hand.
+    use diablo_comp::ir::{Comprehension, Pattern, Qual};
+    use diablo_comp::CExpr;
+    use diablo_runtime::{AggOp, BinOp};
+
+    let sum = |e: CExpr| CExpr::Agg(AggOp::new(BinOp::Add).unwrap(), Box::new(e));
+    let bin = |op, a, b| CExpr::Bin(op, Box::new(a), Box::new(b));
+    let row_k = Comprehension::new(
+        CExpr::var("w"),
+        vec![
+            Qual::Gen(
+                Pattern::pair(Pattern::var("j"), Pattern::var("w")),
+                CExpr::var("V"),
+            ),
+            Qual::Pred(CExpr::eq(CExpr::var("j"), CExpr::var("k"))),
+        ],
+    );
+    let c = Comprehension::new(
+        CExpr::pair(
+            CExpr::var("k"),
+            bin(BinOp::Add, sum(CExpr::var("x")), sum(CExpr::Comp(row_k))),
+        ),
+        vec![
+            Qual::Let(Pattern::var("x"), CExpr::long(4)),
+            Qual::GroupBy(
+                Pattern::var("k"),
+                bin(BinOp::Mod, CExpr::var("x"), CExpr::long(3)),
+            ),
+        ],
+    );
+    let ctx = Context::new(2, 4);
+    let mut s = Session::new(ctx.clone());
+    s.bind_input(
+        "V",
+        (0..4)
+            .map(|i| Value::pair(Value::Long(i), Value::Long(10 * (i + 1))))
+            .collect(),
+    );
+    ctx.start_plan_trace();
+    let rows = diablo_exec::run_comp(&c, &s).unwrap().collect_sorted();
+    let trace = ctx.take_plan_trace().join("\n");
+    assert_eq!(rows, vec![Value::pair(Value::Long(1), Value::Long(24))]);
+    assert!(!trace.contains("reduce"), "{trace}");
+}
+
+#[test]
 fn keyed_programs_combine_and_rebind_in_columnar_stages() {
     // Fig. 3 D, E, G on the default engine: each `d[k] ⊕= e` into its
     // freshly declared (empty) array is two stages — combine + scatter,
