@@ -199,6 +199,32 @@ impl Comprehension {
         bound.truncate(mark);
     }
 
+    /// The position of the comprehension's **first source**: the first
+    /// generator whose domain the engine reads
+    /// ([`CExpr::is_source_domain`]) and which mentions no variable an
+    /// earlier qualifier binds, before any group-by. The qualifiers before
+    /// it are the driver prefix; `None` means the whole comprehension is
+    /// evaluated on the driver. The pipeline builder and the row-fallback
+    /// lint both split a comprehension here.
+    pub fn first_source(&self, is_dataset: &dyn Fn(&str) -> bool) -> Option<usize> {
+        for (i, q) in self.quals.iter().enumerate() {
+            match q {
+                Qual::GroupBy(_, _) => return None,
+                Qual::Gen(_, dom) if dom.is_source_domain(is_dataset) => {
+                    let mut reads_prefix = false;
+                    dom.each_free(&mut |v, _| {
+                        reads_prefix |= self.quals[..i].iter().any(|q| q.binds(v));
+                    });
+                    if !reads_prefix {
+                        return Some(i);
+                    }
+                }
+                _ => {}
+            }
+        }
+        None
+    }
+
     /// True if any qualifier is a group-by.
     pub fn has_group_by(&self) -> bool {
         self.quals.iter().any(|q| matches!(q, Qual::GroupBy(_, _)))
@@ -335,6 +361,22 @@ impl CExpr {
             | CExpr::Comp(_)
             | CExpr::Merge { .. }
             | CExpr::Range(_, _) => false,
+        }
+    }
+
+    /// True for a generator domain the engine reads as a distributed
+    /// source: a dataset variable, a `range`, or a comprehension or merge
+    /// that mentions a dataset.
+    pub fn is_source_domain(&self, is_dataset: &dyn Fn(&str) -> bool) -> bool {
+        match self {
+            CExpr::Var(v) => is_dataset(v),
+            CExpr::Range(_, _) => true,
+            CExpr::Comp(_) | CExpr::Merge { .. } => {
+                let mut found = false;
+                self.each_free(&mut |v, _| found |= is_dataset(v));
+                found
+            }
+            _ => false,
         }
     }
 
@@ -592,6 +634,87 @@ mod tests {
         let b = ng.fresh("v");
         assert_ne!(a, b);
         assert!(a.contains('#'));
+    }
+
+    mod first_source {
+        use super::*;
+
+        fn first(quals: Vec<Qual>) -> Option<usize> {
+            Comprehension::new(CExpr::long(0), quals).first_source(&|v| v == "V")
+        }
+
+        fn scan_v() -> Qual {
+            Qual::Gen(
+                Pattern::pair(Pattern::var("i"), Pattern::var("v")),
+                CExpr::var("V"),
+            )
+        }
+
+        fn bag() -> Qual {
+            let items = Value::bag((0..6).map(Value::Long).collect());
+            Qual::Gen(Pattern::var("x"), CExpr::Const(items))
+        }
+
+        fn range(lo: CExpr, hi: CExpr) -> CExpr {
+            CExpr::Range(Box::new(lo), Box::new(hi))
+        }
+
+        fn over_v(head: CExpr) -> CExpr {
+            CExpr::Comp(Comprehension::new(head, vec![scan_v()]))
+        }
+
+        #[test]
+        fn a_dataset_variable() {
+            let y = Qual::Let(Pattern::var("y"), CExpr::long(2));
+            assert_eq!(first(vec![scan_v()]), Some(0));
+            assert_eq!(first(vec![y, bag(), scan_v()]), Some(2));
+        }
+
+        #[test]
+        fn a_range() {
+            let r = range(CExpr::long(0), CExpr::var("n"));
+            assert_eq!(first(vec![bag(), Qual::Gen(Pattern::var("j"), r)]), Some(1));
+        }
+
+        #[test]
+        fn a_range_that_reads_a_prefix_variable_is_a_driver_generator() {
+            let r = range(CExpr::long(0), CExpr::var("x"));
+            let quals = vec![bag(), Qual::Gen(Pattern::var("j"), r.clone())];
+            assert_eq!(first(quals), None);
+            let quals = vec![bag(), Qual::Gen(Pattern::var("j"), r), scan_v()];
+            assert_eq!(first(quals), Some(2));
+        }
+
+        #[test]
+        fn a_comprehension_that_mentions_a_dataset() {
+            let inner = Qual::Gen(Pattern::var("w"), over_v(CExpr::var("v")));
+            assert_eq!(first(vec![bag(), inner]), Some(1));
+            // Reading the prefix's `x`, it runs per driver binding.
+            let x_v = CExpr::Bin(
+                BinOp::Mul,
+                Box::new(CExpr::var("v")),
+                Box::new(CExpr::var("x")),
+            );
+            let inner = Qual::Gen(Pattern::var("w"), over_v(x_v));
+            assert_eq!(first(vec![bag(), inner.clone()]), None);
+            assert_eq!(first(vec![bag(), inner, scan_v()]), Some(2));
+            // A comprehension over no dataset is a driver bag.
+            let local = CExpr::Comp(Comprehension::new(CExpr::var("x"), vec![bag()]));
+            assert_eq!(first(vec![Qual::Gen(Pattern::var("w"), local)]), None);
+        }
+
+        #[test]
+        fn a_group_by_before_any_source() {
+            let by = Qual::GroupBy(Pattern::var("k"), CExpr::var("x"));
+            assert_eq!(first(vec![bag(), by, scan_v()]), None);
+        }
+
+        #[test]
+        fn no_source() {
+            let y = Qual::Let(Pattern::var("y"), CExpr::var("x"));
+            assert_eq!(first(vec![bag(), y, Qual::Pred(CExpr::var("b"))]), None);
+            assert_eq!(first(Vec::new()), None);
+        }
     }
 
     #[test]

@@ -24,9 +24,12 @@
 //!   by monoids is keyed and aggregated in typed columns), a second
 //!   generator over a range or a per-row bag (one over a collection is a
 //!   join or a broadcast cross the engine is told as data) — so the default
-//!   (columnar) engine runs that stage tuple-at-a-time. Fires exactly when
-//!   the run reports `row_fallback_stages > 0` (held by
-//!   `tests/lint_workloads.rs`).
+//!   (columnar) engine runs that stage tuple-at-a-time. Like the pipeline
+//!   builder it starts at `Comprehension::first_source`: what precedes the
+//!   source runs on the driver and is crossed into the source rows as
+//!   data, so it never falls back. Fires exactly when the run reports
+//!   `row_fallback_stages > 0` (held by `tests/lint_workloads.rs` and, on
+//!   hand-built programs, `tests/opaque_rows.rs`).
 //!
 //! Lints only run on programs that already passed the restriction checks,
 //! so patterns the analysis rejects (e.g. non-monoid updates *inside*
@@ -546,48 +549,20 @@ fn inherent(reason: &str) -> Option<Fallback> {
     Some((reason.to_string(), HELP_INHERENT))
 }
 
-/// True for a generator domain the pipeline builder turns into a
-/// distributed dataset: a collection, a loop range, or a nested
-/// collection-backed bag.
-fn is_source(dom: &CExpr, is_collection: &dyn Fn(&str) -> bool) -> bool {
-    match dom {
-        CExpr::Var(v) => is_collection(v),
-        CExpr::Range(_, _) => true,
-        CExpr::Comp(_) | CExpr::Merge { .. } => dom.free_vars().iter().any(|v| is_collection(v)),
-        _ => false,
-    }
-}
-
 /// The first step of a comprehension's engine pipeline that the pipeline
 /// builder (the exec crate's `run_comp`) can only express as an opaque
 /// closure — or `None` when every step of the chain is transparent, or
 /// the comprehension never reaches the engine. `is_collection` recognizes
-/// the program's dataset variables.
+/// the program's dataset variables. Both split the comprehension at
+/// [`Comprehension::first_source`]: the driver prefix before it runs on
+/// the driver, and its bindings are crossed into the source rows as data.
 fn first_opaque_step(c: &Comprehension, is_collection: &dyn Fn(&str) -> bool) -> Option<Fallback> {
-    // Before the first distributed source everything is bound on the
-    // driver; such bindings are crossed into the source rows by a closure.
-    let mut driver_bindings = false;
-    for (i, q) in c.quals.iter().enumerate() {
-        match q {
-            Qual::Gen(p, dom) if is_source(dom, is_collection) => {
-                return if driver_bindings {
-                    inherent("driver-side bindings are crossed into every source row")
-                } else {
-                    first_opaque_after_source(
-                        &c.quals[i + 1..],
-                        &c.head,
-                        p.var_list(),
-                        is_collection,
-                    )
-                };
-            }
-            Qual::Gen(_, _) | Qual::Let(_, _) => driver_bindings = true,
-            Qual::Pred(_) => {}
-            // Without a source the group-by finishes on the driver.
-            Qual::GroupBy(_, _) => return None,
-        }
+    let first = c.first_source(is_collection)?;
+    let mut cols = Vec::new();
+    for q in &c.quals[..=first] {
+        q.each_bound(&mut |v| cols.push(v.to_string()));
     }
-    None
+    first_opaque_after_source(&c.quals[first + 1..], &c.head, cols, is_collection)
 }
 
 /// [`first_opaque_step`] once a source is being scanned: `quals` and
@@ -610,7 +585,7 @@ fn first_opaque_after_source(
             // tells the engine the join keys (or, without any, the
             // broadcast rows) and the pattern's shape; a key that does not
             // convert is computed by a closure first.
-            Qual::Gen(p, dom) if is_source(dom, is_collection) => {
+            Qual::Gen(p, dom) if dom.is_source_domain(is_collection) => {
                 let row_vars: HashSet<String> = cols.iter().cloned().collect();
                 let pat_vars: HashSet<String> = p.var_list().into_iter().collect();
                 let keys = join_keys(quals, i, &row_vars, &pat_vars, &|v| {

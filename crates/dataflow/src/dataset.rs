@@ -262,22 +262,24 @@ impl Dataset {
         Dataset::from_materialized(ctx, parts)
     }
 
-    /// Builds the dataset `{lo, ..., hi}` of longs, range-partitioned.
-    pub fn range(ctx: Context, lo: i64, hi: i64) -> Dataset {
-        let p = ctx.partitions() as i64;
-        let n = (hi - lo + 1).max(0);
-        let chunk = (n + p - 1) / p.max(1);
-        let mut parts = Vec::with_capacity(p as usize);
-        for i in 0..p {
-            let start = lo + i * chunk;
-            let end = (start + chunk - 1).min(hi);
-            if start > hi {
-                parts.push(Vec::new());
-            } else {
-                parts.push((start..=end).map(Value::Long).collect());
-            }
-        }
-        Dataset::from_materialized(ctx, parts)
+    /// Builds the dataset `{lo, ..., hi}` of longs, range-partitioned;
+    /// more than `i64::MAX` rows is an error.
+    pub fn range(ctx: Context, lo: i64, hi: i64) -> Result<Dataset> {
+        let n = range_len(lo, hi)?;
+        let p = ctx.partitions().max(1) as u64;
+        let chunk = n.div_ceil(p);
+        let parts = (0..p)
+            .map(|i| {
+                // Every offset added to `lo` is below `n`, so each sum is
+                // exact even where `lo + n` would overflow.
+                let offset = i * chunk;
+                let start = lo.wrapping_add_unsigned(offset);
+                (0..n.saturating_sub(offset).min(chunk))
+                    .map(|j| Value::Long(start.wrapping_add_unsigned(j)))
+                    .collect()
+            })
+            .collect();
+        Ok(Dataset::from_materialized(ctx, parts))
     }
 
     /// Wraps already-materialized partitions (internal): the plan is a
@@ -1238,6 +1240,18 @@ impl std::fmt::Debug for Dataset {
     }
 }
 
+/// The number of longs in `lo..=hi`, which `range(lo, hi)` sources and
+/// expansions bind; more than `i64::MAX` is an error.
+pub fn range_len(lo: i64, hi: i64) -> Result<u64> {
+    let n = (i128::from(hi) - i128::from(lo) + 1).max(0);
+    i64::try_from(n).map(|n| n as u64).map_err(|_| {
+        RuntimeError::new(format!(
+            "range({lo}, {hi}) has more than {} elements",
+            i64::MAX
+        ))
+    })
+}
+
 /// Sampled byte estimate: measure up to 32 rows per partition and scale.
 pub(crate) fn estimate_bytes(parts: &[Vec<Value>]) -> u64 {
     let mut total = 0u64;
@@ -1275,7 +1289,7 @@ mod tests {
     #[test]
     fn map_filter_flat_map() {
         let ctx = ctx();
-        let d = ctx.range(1, 100);
+        let d = ctx.range(1, 100).unwrap();
         let doubled = d.map(|v| BinOp::Mul.apply(v, &Value::Long(2))).unwrap();
         assert_eq!(doubled.count(), 100);
         let evens = d.filter(|v| Ok(v.as_long().unwrap() % 2 == 0)).unwrap();
@@ -1288,7 +1302,7 @@ mod tests {
     fn narrow_ops_are_lazy_until_materialized() {
         let ctx = ctx();
         let calls = Arc::new(AtomicUsize::new(0));
-        let d = ctx.range(1, 10);
+        let d = ctx.range(1, 10).unwrap();
         let c = calls.clone();
         let mapped = d
             .map(move |v| {
@@ -1313,6 +1327,7 @@ mod tests {
         let c = calls.clone();
         let mapped = ctx
             .range(1, 10)
+            .unwrap()
             .map(move |v| {
                 c.fetch_add(1, Ordering::Relaxed);
                 Ok(v.clone())
@@ -1374,8 +1389,8 @@ mod tests {
         // place through the walker — one fused stage, rows streamed
         // straight into the output.
         let ctx = ctx();
-        let a = ctx.range(1, 100);
-        let b = ctx.range(101, 200);
+        let a = ctx.range(1, 100).unwrap();
+        let b = ctx.range(101, 200).unwrap();
         let u = a.union(&b);
         let before = ctx.stats().snapshot();
         let rows = u.try_collect().unwrap();
@@ -1392,7 +1407,7 @@ mod tests {
     #[test]
     fn narrow_chain_fuses_into_one_physical_stage() {
         let ctx = ctx();
-        let d = ctx.range(1, 1000);
+        let d = ctx.range(1, 1000).unwrap();
         let chained = d
             .map(|v| BinOp::Mul.apply(v, &Value::Long(3)))
             .unwrap()
@@ -1412,7 +1427,7 @@ mod tests {
     #[test]
     fn fused_chain_matches_stepwise_materialization() {
         let ctx = ctx();
-        let d = ctx.range(1, 200);
+        let d = ctx.range(1, 200).unwrap();
         let fused = d
             .map(|v| BinOp::Mul.apply(v, &Value::Long(2)))
             .unwrap()
@@ -1437,7 +1452,7 @@ mod tests {
     #[test]
     fn explain_renders_pending_chain() {
         let ctx = ctx();
-        let d = ctx.range(1, 10);
+        let d = ctx.range(1, 10).unwrap();
         let chained = d
             .map(|v| Ok(v.clone()))
             .unwrap()
@@ -1453,18 +1468,36 @@ mod tests {
     #[test]
     fn range_covers_inclusive_bounds() {
         let ctx = ctx();
-        let d = ctx.range(5, 9);
+        let d = ctx.range(5, 9).unwrap();
         assert_eq!(
             d.collect_sorted(),
             (5..=9).map(Value::Long).collect::<Vec<_>>()
         );
-        assert_eq!(ctx.range(3, 2).count(), 0, "empty range");
+        assert_eq!(ctx.range(3, 2).unwrap().count(), 0, "empty range");
+    }
+
+    #[test]
+    fn ranges_at_the_limits_of_long_hold_exactly_their_rows() {
+        let ctx = ctx();
+        for (lo, hi) in [(i64::MAX - 2, i64::MAX), (i64::MIN, i64::MIN + 2)] {
+            let d = ctx.range(lo, hi).unwrap();
+            assert_eq!(d.collect(), (lo..=hi).map(Value::Long).collect::<Vec<_>>());
+        }
+        assert_eq!(ctx.range(i64::MAX, i64::MIN).unwrap().count(), 0);
+        for (lo, hi) in [(0, i64::MAX), (i64::MIN, i64::MAX), (-1, i64::MAX - 1)] {
+            let err = ctx.range(lo, hi).unwrap_err().message;
+            assert!(
+                err.contains("more than 9223372036854775807 elements"),
+                "{err}"
+            );
+        }
+        assert_eq!(range_len(1, i64::MAX).unwrap(), i64::MAX as u64);
     }
 
     #[test]
     fn reduce_sums() {
         let ctx = ctx();
-        let d = ctx.range(1, 1000);
+        let d = ctx.range(1, 1000).unwrap();
         let sum = d.reduce(|a, b| BinOp::Add.apply(a, b)).unwrap().unwrap();
         assert_eq!(sum, Value::Long(500500));
         assert_eq!(
@@ -1476,7 +1509,7 @@ mod tests {
     #[test]
     fn reduce_fuses_pending_chain() {
         let ctx = ctx();
-        let d = ctx.range(1, 100);
+        let d = ctx.range(1, 100).unwrap();
         let before = ctx.stats().snapshot();
         let sum = d
             .map(|v| BinOp::Mul.apply(v, &Value::Long(2)))
@@ -1729,8 +1762,8 @@ mod tests {
     #[test]
     fn union_runs_no_physical_stage_and_fuses_downstream() {
         let ctx = ctx();
-        let a = ctx.range(1, 100);
-        let b = ctx.range(101, 200);
+        let a = ctx.range(1, 100).unwrap();
+        let b = ctx.range(101, 200).unwrap();
         let before = ctx.stats().snapshot();
         let u = a.union(&b);
         let mid = ctx.stats().snapshot().since(&before);
@@ -1747,7 +1780,7 @@ mod tests {
     #[test]
     fn errors_surface_at_materialization() {
         let ctx = ctx();
-        let d = ctx.range(0, 100);
+        let d = ctx.range(0, 100).unwrap();
         let mapped = d
             .map(|v| {
                 if v.as_long() == Some(50) {
@@ -1762,6 +1795,7 @@ mod tests {
         // Shuffle paths surface the same error through their Result.
         let keyed = ctx
             .range(0, 100)
+            .unwrap()
             .map(|v| {
                 if v.as_long() == Some(50) {
                     Err(RuntimeError::new("boom"))
@@ -1781,6 +1815,7 @@ mod tests {
         ctx.set_statement_label(Some("s1: X := boom"));
         let d = ctx
             .range(0, 10)
+            .unwrap()
             .map(|v| {
                 if v.as_long() == Some(5) {
                     Err(RuntimeError::new("boom"))
@@ -1799,7 +1834,7 @@ mod tests {
     #[test]
     fn broadcast_counts_in_stats() {
         let ctx = ctx();
-        let d = ctx.range(0, 9);
+        let d = ctx.range(0, 9).unwrap();
         let before = ctx.stats().snapshot();
         let b = d.broadcast().unwrap();
         assert_eq!(b.len(), 10);

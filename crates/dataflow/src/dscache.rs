@@ -190,31 +190,32 @@ impl DatasetCache {
     }
 
     /// Reads an entry: a memory hit is a clone of the shared `Arc`, a
-    /// disk hit decodes the entry's file segment by segment. A miss on an
-    /// **evicted** id counts one recompute on `ctx`'s stats (the caller
-    /// is about to re-derive the dataset from its lineage).
+    /// disk hit decodes the entry's file segment by segment. A disk entry
+    /// whose file cannot be read back whole is dropped and counted as an
+    /// eviction. A miss on an **evicted** id counts one recompute on
+    /// `ctx`'s stats (the caller is about to re-derive the dataset from
+    /// its lineage).
     pub(crate) fn get(&self, id: u64, ctx: &Context) -> Result<Option<Arc<Vec<Vec<Value>>>>> {
         let mut inner = self.inner.lock().expect("dataset cache lock");
         inner.clock += 1;
         let clock = inner.clock;
-        match inner.entries.get_mut(&id) {
-            Some(entry) => {
-                entry.touched = clock;
-                match &entry.tier {
-                    Tier::Mem(parts) => Ok(Some(parts.clone())),
-                    Tier::Disk { path, index } => {
-                        let parts = read_entry(id, path, index)?;
-                        Ok(Some(Arc::new(parts)))
-                    }
-                }
+        if let Some(entry) = inner.entries.get_mut(&id) {
+            entry.touched = clock;
+            let read = match &entry.tier {
+                Tier::Mem(parts) => return Ok(Some(parts.clone())),
+                Tier::Disk { path, index } => read_entry(id, path, index)?,
+            };
+            if let Some(parts) = read {
+                return Ok(Some(Arc::new(parts)));
             }
-            None => {
-                if inner.evicted.contains(&id) {
-                    ctx.stats().record_dataset_recompute();
-                }
-                Ok(None)
-            }
+            remove_entry(&mut inner, id);
+            inner.evicted.insert(id);
+            ctx.stats().record_dataset_eviction();
         }
+        if inner.evicted.contains(&id) {
+            ctx.stats().record_dataset_recompute();
+        }
+        Ok(None)
     }
 
     /// Inserts a freshly materialized dataset, then enforces both
@@ -382,25 +383,34 @@ fn spill_entry(dir: &Path, id: u64, parts: &[Vec<Value>]) -> Result<(PathBuf, Ve
     Ok((path, index, buf.len() as u64))
 }
 
-/// Decodes a disk entry back into partitions, segment by segment,
-/// verifying per-partition row conservation against the spilled index.
-fn read_entry(id: u64, path: &Path, index: &[Segment]) -> Result<Vec<Vec<Value>>> {
-    let data = std::fs::read(path).map_err(io_err)?;
+/// Decodes a disk entry back into partitions, segment by segment. `None`
+/// when the file cannot be read back whole: missing or unreadable, a
+/// segment past its end, bytes the codec rejects, or a partition whose
+/// row count differs from the spilled index's (under the plan verifier
+/// that last one is an error).
+fn read_entry(id: u64, path: &Path, index: &[Segment]) -> Result<Option<Vec<Vec<Value>>>> {
+    let Ok(data) = std::fs::read(path) else {
+        return Ok(None);
+    };
     let mut parts = Vec::with_capacity(index.len());
     for (p, &(off, len, rows)) in index.iter().enumerate() {
-        let (start, end) = (off as usize, (off + len) as usize);
-        let seg = data
-            .get(start..end)
-            .ok_or_else(|| RuntimeError::new("corrupt dataset cache file: segment out of range"))?;
-        let mut cur = seg;
+        let Some(mut cur) = data.get(off as usize..(off + len) as usize) else {
+            return Ok(None);
+        };
         let mut out = Vec::with_capacity(rows);
         while !cur.is_empty() {
-            out.push(decode_value(&mut cur)?);
+            let Ok(row) = decode_value(&mut cur) else {
+                return Ok(None);
+            };
+            out.push(row);
         }
         crate::verify::verify_cached_partition(id, p, rows, out.len())?;
+        if out.len() != rows {
+            return Ok(None);
+        }
         parts.push(out);
     }
-    Ok(parts)
+    Ok(Some(parts))
 }
 
 fn io_err(e: std::io::Error) -> RuntimeError {
@@ -475,6 +485,80 @@ mod tests {
         assert_eq!(c.stats().snapshot().dataset_evictions, 1);
         assert!(cache.get(7, &c).unwrap().is_none());
         assert_eq!(c.stats().snapshot().dataset_recomputes, 1);
+    }
+
+    /// A cache holding entry 1 on disk (demoted by entry 2), and the
+    /// entry's file.
+    fn spilled(c: &Context) -> (DatasetCache, PathBuf) {
+        let cache = DatasetCache::new(estimate_bytes(&rows(64)) + 1);
+        cache.insert(1, rows(64), c).unwrap();
+        cache.insert(2, rows(64), c).unwrap();
+        let inner = cache.inner.lock().unwrap();
+        let Tier::Disk { path, .. } = &inner.entries[&1].tier else {
+            panic!("entry 1 stayed in memory");
+        };
+        let path = path.clone();
+        drop(inner);
+        (cache, path)
+    }
+
+    /// Reading entry 1 misses: one eviction, one recompute; a reinsert
+    /// reads back.
+    fn read_is_an_eviction(c: &Context, cache: &DatasetCache) {
+        let before = c.stats().snapshot();
+        assert!(cache.get(1, c).unwrap().is_none());
+        let snap = c.stats().snapshot().since(&before);
+        assert_eq!((snap.dataset_evictions, snap.dataset_recomputes), (1, 1));
+        assert!(!cache.contains(1));
+        cache.insert(1, rows(64), c).unwrap();
+        assert_eq!(
+            cache.get(1, c).unwrap().unwrap().as_ref(),
+            rows(64).as_ref()
+        );
+    }
+
+    #[test]
+    fn a_deleted_cache_file_is_an_eviction() {
+        let c = ctx();
+        let (cache, path) = spilled(&c);
+        std::fs::remove_file(&path).unwrap();
+        read_is_an_eviction(&c, &cache);
+    }
+
+    #[test]
+    fn a_truncated_or_garbled_cache_file_is_an_eviction() {
+        let c = ctx();
+        let garble = |bytes: Vec<u8>| vec![0xff; bytes.len()];
+        let truncate = |mut bytes: Vec<u8>| {
+            bytes.truncate(bytes.len() / 2);
+            bytes
+        };
+        for damage in [&truncate as &dyn Fn(Vec<u8>) -> Vec<u8>, &garble] {
+            let (cache, path) = spilled(&c);
+            std::fs::write(&path, damage(std::fs::read(&path).unwrap())).unwrap();
+            read_is_an_eviction(&c, &cache);
+        }
+    }
+
+    #[test]
+    fn a_dataset_whose_cache_file_is_gone_recomputes_from_lineage() {
+        let c = Context::new(2, 2).with_dataset_budget(256);
+        let d = c.range(0, 99).unwrap().map(|v| Ok(v.clone())).unwrap();
+        let want = d.materialize().unwrap().collect();
+        let inner = c.dataset_cache().inner.lock().unwrap();
+        let paths: Vec<PathBuf> = inner
+            .entries
+            .values()
+            .filter_map(|e| match &e.tier {
+                Tier::Disk { path, .. } => Some(path.clone()),
+                Tier::Mem(_) => None,
+            })
+            .collect();
+        drop(inner);
+        assert!(!paths.is_empty(), "the dataset spilled");
+        paths.iter().for_each(|p| std::fs::remove_file(p).unwrap());
+        assert_eq!(d.collect(), want);
+        assert!(c.stats().snapshot().dataset_recomputes >= 1);
     }
 
     #[test]

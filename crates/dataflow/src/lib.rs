@@ -97,7 +97,7 @@ mod stats;
 mod verify;
 
 pub use columnar::{FieldName, RowExpr, Shape};
-pub use dataset::{Dataset, JoinOn};
+pub use dataset::{range_len, Dataset, JoinOn};
 pub use exchange::{
     decode_value, encode_value, Exchange, ExchangeWriter, HashPartitioner, Partitioner,
     RangePartitioner, MAX_VALUE_DEPTH,
@@ -107,7 +107,7 @@ pub use stats::{Stats, StatsSnapshot};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use diablo_runtime::Value;
+use diablo_runtime::{RuntimeError, Value};
 
 /// How a fused stage pushes rows through its narrow chain. Layout is
 /// execution policy only: rows, their order, stage and shuffle counts, and
@@ -534,8 +534,9 @@ impl Context {
         Dataset::from_partitions(self.clone(), parts)
     }
 
-    /// Creates a dataset of longs `lo..=hi`, range-partitioned.
-    pub fn range(&self, lo: i64, hi: i64) -> Dataset {
+    /// Creates a dataset of longs `lo..=hi`, range-partitioned; more than
+    /// `i64::MAX` rows is an error.
+    pub fn range(&self, lo: i64, hi: i64) -> Result<Dataset, RuntimeError> {
         Dataset::range(self.clone(), lo, hi)
     }
 
@@ -724,7 +725,7 @@ mod tests {
         let ctx = Context::new(2, 4);
         ctx.plan_note("dropped");
         ctx.start_plan_trace();
-        let d = ctx.range(1, 100);
+        let d = ctx.range(1, 100).unwrap();
         let _ = d
             .map(|v| Ok(v.clone()))
             .unwrap()

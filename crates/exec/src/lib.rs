@@ -23,7 +23,10 @@
 //! * the array merge `V ⊳ x` becomes a cogroup-style merge — or is `x`
 //!   itself when `V` holds no rows and `x`'s keys are provably unique
 //!   ([`diablo_comp::keys`]);
-//! * everything that touches no dataset is evaluated locally.
+//! * a comprehension with no source, and the qualifiers before its first
+//!   source ([`Comprehension::first_source`]), are evaluated on the
+//!   driver, each as one comprehension; the latter's bindings are crossed
+//!   into the source rows.
 //!
 //! A comprehension has one evaluator, [`diablo_comp::eval_in`]; this crate
 //! only supplies its [`Scope`]s. The driver evaluates scalar statements,
@@ -513,11 +516,6 @@ impl Session {
     pub(crate) fn is_dataset(&self, name: &str) -> bool {
         matches!(self.state.get(name), Some(Binding::Data(_)))
     }
-
-    /// True if the expression mentions any dataset binding freely.
-    pub(crate) fn datasets_mentioned(&self, e: &CExpr) -> bool {
-        e.free_vars().iter().any(|v| self.is_dataset(v))
-    }
 }
 
 /// The driver's scope: a scalar binding is its value and a dataset is
@@ -645,6 +643,51 @@ mod tests {
             assert!(trace.contains("⇒ join (scatter left)"), "{trace}");
             assert!(trace.contains("⇒ join (scatter right)"), "{trace}");
             assert!(!trace.contains("broadcast"), "{trace}");
+        }
+    }
+
+    #[test]
+    fn range_sources_and_expansions_at_the_limits_of_long() {
+        use diablo_comp::ir::{Pattern, Qual};
+        let range = |lo: i64, hi: i64| {
+            CExpr::Range(
+                Box::new(CExpr::Const(Value::Long(lo))),
+                Box::new(CExpr::Const(Value::Long(hi))),
+            )
+        };
+        // `{ j | i ← range(0, 0), j ← range(lo, hi) }`: the second range is
+        // expanded per row; alone, `range(lo, hi)` is the source.
+        let expand = |lo, hi| {
+            Comprehension::new(
+                CExpr::var("j"),
+                vec![
+                    Qual::Gen(Pattern::var("i"), range(0, 0)),
+                    Qual::Gen(Pattern::var("j"), range(lo, hi)),
+                ],
+            )
+        };
+        let source = |lo, hi| {
+            Comprehension::new(
+                CExpr::var("j"),
+                vec![Qual::Gen(Pattern::var("j"), range(lo, hi))],
+            )
+        };
+        let s = session();
+        for c in [
+            expand(i64::MAX - 2, i64::MAX),
+            source(i64::MAX - 2, i64::MAX),
+        ] {
+            let rows = run_comp(&c, &s).unwrap().collect();
+            assert_eq!(
+                rows,
+                (i64::MAX - 2..=i64::MAX)
+                    .map(Value::Long)
+                    .collect::<Vec<_>>()
+            );
+        }
+        for c in [expand(i64::MIN, i64::MAX), source(0, i64::MAX)] {
+            let err = run_comp(&c, &s).and_then(|d| d.try_collect()).unwrap_err();
+            assert!(err.message.contains("has more than"), "{err:?}");
         }
     }
 

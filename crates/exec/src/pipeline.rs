@@ -6,6 +6,7 @@
 //!
 //! | qualifier                        | stage                              |
 //! |----------------------------------|------------------------------------|
+//! | driver prefix (before the source)| `Dataset::cross` over its bindings |
 //! | first `p ← Array`                | partitioned scan                   |
 //! | later `p ← Array` + `x == e(p)`  | `Dataset::join_on`: both keys and  |
 //! |                                  | the pattern's shape as data — two  |
@@ -26,10 +27,14 @@
 //! form, so the step stays transparent and can run columnar; otherwise to
 //! an opaque step in which the reference evaluator runs it per row.
 //!
-//! Anything before the first distributed source is evaluated on the
-//! driver, by the reference evaluator in the session's scope; a
-//! comprehension with no distributed source at all is evaluated locally
-//! and parallelized as a literal dataset.
+//! A comprehension is split once, at its first source
+//! ([`Comprehension::first_source`]). Without one, the reference evaluator
+//! runs all of it on the driver, in the session's scope, and the rows are
+//! parallelized as a literal dataset. The qualifiers before the source, the
+//! driver prefix, are evaluated the same way as one comprehension of a
+//! tuple of their variables; every source row then meets every one of
+//! those bindings in a transparent cross, source rows outermost, and an
+//! empty prefix makes an empty result.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -37,7 +42,7 @@ use std::sync::Arc;
 use diablo_comp::ir::{CExpr, Comprehension, Pattern, Qual};
 use diablo_comp::pushdown::{agg_col_name, join_keys, push_down_aggs, JoinKey, Pushdown};
 use diablo_comp::{eval_comp_in, eval_in, Env};
-use diablo_dataflow::{Dataset, JoinOn, RowExpr, Shape};
+use diablo_dataflow::{range_len, Dataset, JoinOn, RowExpr, Shape};
 use diablo_runtime::{RuntimeError, Value};
 
 use crate::rexpr::{lower, Layout, Lowered};
@@ -45,122 +50,90 @@ use crate::{Result, Session};
 
 /// Runs a comprehension, producing a dataset of its head values.
 pub fn run_comp(c: &Comprehension, sess: &Session) -> Result<Dataset> {
+    let ctx = sess.context();
+    let Some(first) = c.first_source(&|v| sess.is_dataset(v)) else {
+        return Ok(ctx.from_vec(eval_comp_in(c, &Env::new(), sess)?));
+    };
+    let Qual::Gen(p, dom) = &c.quals[first] else {
+        unreachable!("a first source is a generator")
+    };
+    // The driver prefix, one tuple of its variables per binding; a
+    // variable the source pattern rebinds is shadowed.
+    let mut prefix: Vec<String> = Vec::new();
+    for q in &c.quals[..first] {
+        q.each_bound(&mut |v| {
+            if !p.binds(v) && !prefix.iter().any(|u| u == v) {
+                prefix.push(v.to_string());
+            }
+        });
+    }
+    let bindings = if first == 0 {
+        None
+    } else {
+        let vars = CExpr::Tuple(prefix.iter().map(CExpr::var).collect());
+        let prefix_comp = Comprehension::new(vars, c.quals[..first].to_vec());
+        let rows = eval_comp_in(&prefix_comp, &Env::new(), sess)?;
+        if rows.is_empty() {
+            return Ok(ctx.empty());
+        }
+        Some(rows)
+    };
+    let mut pipe = match classify(dom, sess)? {
+        GenSource::Data(data) => Pipe::source(data, p)?,
+        GenSource::Range(lo, hi) => {
+            let bound = |e: &CExpr| {
+                eval_in(e, &Env::new(), sess)?
+                    .as_long()
+                    .ok_or_else(|| RuntimeError::new("range bound must be long"))
+            };
+            Pipe::source(ctx.range(bound(&lo)?, bound(&hi)?)?, p)?
+        }
+        GenSource::Local => unreachable!("a first source is read by the engine"),
+    };
+    if let Some(rows) = bindings {
+        // Every source row meets every driver binding, in that order.
+        let vars = Pattern::Tuple(prefix.into_iter().map(Pattern::Var).collect());
+        pipe.cross(Arc::new(rows), &vars, "driver binding")?;
+    }
+
     let globals = Arc::new(sess.globals());
-    let mut pipe: Option<Pipe> = None;
-    // Driver-side bindings accumulated before the first distributed source.
-    let mut local_vars: Vec<String> = Vec::new();
-    let mut locals: Vec<Env> = vec![Env::new()];
     let mut consumed: HashSet<usize> = HashSet::new();
     // Remaining qualifiers / head may be rewritten by aggregate pushdown.
     let mut quals: Vec<Qual> = c.quals.clone();
     let mut head: CExpr = (*c.head).clone();
 
-    let mut i = 0;
+    let mut i = first + 1;
     while i < quals.len() {
         if consumed.contains(&i) {
             i += 1;
             continue;
         }
-        let q = quals[i].clone();
-        match q {
-            Qual::Let(p, e) => match &mut pipe {
-                Some(pipe) => pipe.extend_let(&p, &e, &globals)?,
-                None => {
-                    for env in &mut locals {
-                        let v = eval_in(&e, env, sess)?;
-                        bind_into(&p, &v, env)?;
+        match quals[i].clone() {
+            Qual::Let(p, e) => pipe.extend_let(&p, &e, &globals)?,
+            Qual::Pred(e) => pipe.filter(&e, &globals)?,
+            Qual::Gen(p, dom) => match classify(&dom, sess)? {
+                GenSource::Data(data) => {
+                    // Join detection: equality predicates between the
+                    // current row variables and the new pattern.
+                    let row_vars = pipe.layout.cols.iter().cloned().collect();
+                    let pat_vars = p.var_list().into_iter().collect();
+                    let keys = join_keys(&quals, i, &row_vars, &pat_vars, &|v| {
+                        globals.contains_key(v)
+                    });
+                    consumed.extend(keys.iter().map(|k| k.pred));
+                    if keys.is_empty() {
+                        pipe.cross(data.broadcast()?, &p, "broadcast")?;
+                    } else {
+                        pipe.hash_join(&data, &p, &keys, &globals)?;
                     }
-                    local_vars.extend(p.var_list());
                 }
+                GenSource::Range(lo, hi) => pipe.expand_range(&p, &lo, &hi, &globals)?,
+                GenSource::Local => pipe.expand_bag(&p, &dom, &globals)?,
             },
-            Qual::Pred(e) => match &mut pipe {
-                Some(pipe) => pipe.filter(&e, &globals)?,
-                None => {
-                    let mut next = Vec::with_capacity(locals.len());
-                    for env in locals {
-                        match eval_in(&e, &env, sess)?.as_bool() {
-                            Some(true) => next.push(env),
-                            Some(false) => {}
-                            None => return Err(RuntimeError::new("condition must be boolean")),
-                        }
-                    }
-                    locals = next;
-                    if locals.is_empty() {
-                        return Ok(sess.context().empty());
-                    }
-                }
-            },
-            Qual::Gen(p, dom) => {
-                // Classify the generator domain.
-                let source: GenSource = classify(&dom, sess)?;
-                match (&mut pipe, source) {
-                    (None, GenSource::Data(data)) => {
-                        pipe = Some(Pipe::source(data, &p, &local_vars, &locals)?);
-                    }
-                    (None, GenSource::Range(lo, hi)) => {
-                        if locals.len() != 1 {
-                            // Multiple driver rows feeding a range source:
-                            // fall back to local evaluation of the rest.
-                            return finish_locally(&quals[i..], &head, &locals, &local_vars, sess);
-                        }
-                        let env = &locals[0];
-                        let lo = eval_in(&lo, env, sess)?
-                            .as_long()
-                            .ok_or_else(|| RuntimeError::new("range bound must be long"))?;
-                        let hi = eval_in(&hi, env, sess)?
-                            .as_long()
-                            .ok_or_else(|| RuntimeError::new("range bound must be long"))?;
-                        let data = sess.context().range(lo, hi);
-                        pipe = Some(Pipe::source(data, &p, &local_vars, &locals)?);
-                    }
-                    (None, GenSource::Local) => {
-                        let mut next = Vec::new();
-                        for env in &locals {
-                            let d = eval_in(&dom, env, sess)?;
-                            let items = d.as_bag().ok_or_else(|| {
-                                RuntimeError::new("generator domain must be a bag")
-                            })?;
-                            for item in items {
-                                let mut e2 = env.clone();
-                                bind_into(&p, item, &mut e2)?;
-                                next.push(e2);
-                            }
-                        }
-                        locals = next;
-                        local_vars.extend(p.var_list());
-                        if locals.is_empty() {
-                            return Ok(sess.context().empty());
-                        }
-                    }
-                    (Some(pipe), GenSource::Data(data)) => {
-                        // Join detection: equality predicates between the
-                        // current row variables and the new pattern.
-                        let row_vars = pipe.layout.cols.iter().cloned().collect();
-                        let pat_vars = p.var_list().into_iter().collect();
-                        let keys = join_keys(&quals, i, &row_vars, &pat_vars, &|v| {
-                            globals.contains_key(v)
-                        });
-                        consumed.extend(keys.iter().map(|k| k.pred));
-                        if keys.is_empty() {
-                            pipe.broadcast_product(&data, &p)?;
-                        } else {
-                            pipe.hash_join(&data, &p, &keys, &globals)?;
-                        }
-                    }
-                    (Some(pipe), GenSource::Range(lo, hi)) => {
-                        pipe.expand_range(&p, &lo, &hi, &globals)?;
-                    }
-                    (Some(pipe), GenSource::Local) => {
-                        pipe.expand_bag(&p, &dom, &globals)?;
-                    }
-                }
-            }
             Qual::GroupBy(p, key) => {
-                let Some(cur) = pipe.take() else {
-                    return finish_locally(&quals[i..], &head, &locals, &local_vars, sess);
-                };
-                let (next, rewritten) = cur.group_by(&p, &key, &quals[i + 1..], &head, &globals)?;
-                pipe = Some(next);
+                let (next, rewritten) =
+                    pipe.group_by(&p, &key, &quals[i + 1..], &head, &globals)?;
+                pipe = next;
                 if let Some((new_tail, new_head)) = rewritten {
                     // Aggregate pushdown rewrote the remaining program.
                     quals.truncate(i + 1);
@@ -171,47 +144,7 @@ pub fn run_comp(c: &Comprehension, sess: &Session) -> Result<Dataset> {
         }
         i += 1;
     }
-
-    match pipe {
-        Some(pipe) => pipe.finish(&head, &globals),
-        None => {
-            // Fully local comprehension: evaluate and parallelize.
-            let mut rows = Vec::new();
-            for env in &locals {
-                rows.push(eval_in(&head, env, sess)?);
-            }
-            Ok(sess.context().from_vec(rows))
-        }
-    }
-}
-
-/// Evaluates the remaining qualifiers and head entirely on the driver.
-///
-/// Variables bound on the driver so far are re-materialized as let
-/// qualifiers so that a group-by in the tail lifts them to bags, exactly
-/// as it would have lifted the original qualifiers.
-fn finish_locally(
-    tail: &[Qual],
-    head: &CExpr,
-    locals: &[Env],
-    local_vars: &[String],
-    sess: &Session,
-) -> Result<Dataset> {
-    let mut rows = Vec::new();
-    for env in locals {
-        let mut quals: Vec<Qual> = Vec::with_capacity(local_vars.len() + tail.len());
-        for v in local_vars {
-            let val = env
-                .get(v)
-                .cloned()
-                .ok_or_else(|| RuntimeError::new(format!("missing driver binding `{v}`")))?;
-            quals.push(Qual::Let(Pattern::Var(v.clone()), CExpr::Const(val)));
-        }
-        quals.extend(tail.iter().cloned());
-        let comp = Comprehension::new(head.clone(), quals);
-        rows.extend(eval_comp_in(&comp, &Env::new(), sess)?);
-    }
-    Ok(sess.context().from_vec(rows))
+    pipe.finish(&head, &globals)
 }
 
 enum GenSource {
@@ -224,32 +157,15 @@ enum GenSource {
 }
 
 fn classify(dom: &CExpr, sess: &Session) -> Result<GenSource> {
-    match dom {
-        CExpr::Var(name) if sess.is_dataset(name) => Ok(GenSource::Data(
-            sess.dataset(name).expect("checked").clone(),
-        )),
-        CExpr::Range(lo, hi) => Ok(GenSource::Range((**lo).clone(), (**hi).clone())),
-        CExpr::Comp(inner) if sess.datasets_mentioned(dom) => {
-            Ok(GenSource::Data(run_comp(inner, sess)?))
-        }
-        CExpr::Merge { .. } if sess.datasets_mentioned(dom) => {
-            Ok(GenSource::Data(sess.eval_collection(dom)?))
-        }
-        _ => Ok(GenSource::Local),
+    if !dom.is_source_domain(&|v| sess.is_dataset(v)) {
+        return Ok(GenSource::Local);
     }
-}
-
-fn bind_into(p: &Pattern, v: &Value, env: &mut Env) -> Result<()> {
-    let mut binds = Vec::new();
-    if !p.bind(v, &mut binds) {
-        return Err(RuntimeError::new(format!(
-            "pattern {p:?} does not match {v}"
-        )));
-    }
-    for (n, val) in binds {
-        env.insert(n, val);
-    }
-    Ok(())
+    Ok(match dom {
+        CExpr::Var(name) => GenSource::Data(sess.dataset(name).expect("a dataset").clone()),
+        CExpr::Range(lo, hi) => GenSource::Range((**lo).clone(), (**hi).clone()),
+        CExpr::Comp(inner) => GenSource::Data(run_comp(inner, sess)?),
+        merge => GenSource::Data(sess.eval_collection(merge)?),
+    })
 }
 
 /// A pipeline in flight: distributed env rows plus their layout.
@@ -259,48 +175,18 @@ struct Pipe {
 }
 
 impl Pipe {
-    /// Starts a pipeline from a dataset source, crossing in the
-    /// driver-side bindings accumulated so far.
-    fn source(data: Dataset, p: &Pattern, local_vars: &[String], locals: &[Env]) -> Result<Pipe> {
-        let mut cols: Vec<String> = local_vars.to_vec();
-        cols.extend(p.var_list());
-        let layout = Layout::new(cols);
-        let p = p.clone();
-        let local_rows: Vec<Vec<Value>> = locals
-            .iter()
-            .map(|env| {
-                local_vars
-                    .iter()
-                    .map(|v| env.get(v).cloned().unwrap_or(Value::Unit))
-                    .collect()
-            })
-            .collect();
-        // One driver environment with no extra columns: the env row is
-        // the source row destructured by the pattern. Told to the engine
-        // as an expression, so the scan stage stays columnar-eligible.
-        let rows = if local_rows.len() == 1 && local_rows[0].is_empty() {
-            data.map_expr(RowExpr::Unpack {
-                shape: shape_of(&p),
-                mismatch: format!("pattern {p:?} does not match source row").into(),
-            })?
-        } else {
-            data.flat_map_as("source bind", move |raw| {
-                let mut out = Vec::with_capacity(local_rows.len());
-                for base in &local_rows {
-                    let mut binds = Vec::new();
-                    if !p.bind_values(raw, &mut binds) {
-                        return Err(RuntimeError::new(format!(
-                            "pattern {p:?} does not match source row {raw}"
-                        )));
-                    }
-                    let mut row = base.clone();
-                    row.extend(binds);
-                    out.push(Value::tuple(row));
-                }
-                Ok(out)
-            })?
-        };
-        Ok(Pipe { data: rows, layout })
+    /// Starts a pipeline from a source: the env row is the source row
+    /// destructured by the pattern, told to the engine as an expression so
+    /// the scan stage stays columnar-eligible.
+    fn source(data: Dataset, p: &Pattern) -> Result<Pipe> {
+        let rows = data.map_expr(RowExpr::Unpack {
+            shape: shape_of(p),
+            mismatch: format!("pattern {p:?} does not match source row").into(),
+        })?;
+        Ok(Pipe {
+            data: rows,
+            layout: Layout::new(p.var_list()),
+        })
     }
 
     /// `let p = e` as a map stage.
@@ -421,14 +307,14 @@ impl Pipe {
         Ok(())
     }
 
-    /// Crosses the rows with a broadcast copy of the dataset (no join
-    /// key): the broadcast rows and the pattern's shape go to the engine
-    /// as data.
-    fn broadcast_product(&mut self, data: &Dataset, p: &Pattern) -> Result<()> {
+    /// Crosses every row with every item, `p` binding each item: the
+    /// items and the pattern's shape go to the engine as data. `what`
+    /// names the items in a mismatch.
+    fn cross(&mut self, items: Arc<Vec<Value>>, p: &Pattern, what: &str) -> Result<()> {
         self.data = self.data.cross(
-            data.broadcast()?,
+            items,
             shape_of(p),
-            format!("broadcast pattern {p:?} does not match row"),
+            format!("{what} pattern {p:?} does not match row"),
         )?;
         self.bind(p);
         Ok(())
@@ -455,7 +341,7 @@ impl Pipe {
                 .eval(row)?
                 .as_long()
                 .ok_or_else(|| RuntimeError::new("range bound must be long"))?;
-            let mut out = Vec::with_capacity((hi - lo + 1).max(0) as usize);
+            let mut out = Vec::with_capacity(range_len(lo, hi)? as usize);
             for i in lo..=hi {
                 let mut r = fields.to_vec();
                 if !p_owned.bind_values(&Value::Long(i), &mut r) {

@@ -48,7 +48,7 @@ fn long_pairs(ctx: &Context, entries: &[(i64, i64)]) -> Dataset {
 
 /// A representative pipeline: narrow chain → keyed aggregation → map.
 fn pipeline(ctx: &Context) -> Vec<Value> {
-    let d = ctx.range(0, 199);
+    let d = ctx.range(0, 199).unwrap();
     d.map(|v| BinOp::Mul.apply(v, &Value::Long(3)))
         .unwrap()
         .filter(|v| Ok(v.as_long().unwrap() % 2 == 0))
@@ -244,7 +244,7 @@ fn backends_agree_under_reduce_and_group() {
     for engine in engines() {
         let name = engine.to_string();
         let ctx = ctx_for(engine);
-        let d = ctx.range(1, 500);
+        let d = ctx.range(1, 500).unwrap();
         let sum = d.reduce(|a, b| BinOp::Add.apply(a, b)).unwrap().unwrap();
         assert_eq!(sum, Value::Long(125250), "`{name}`");
         let entries: Vec<(i64, i64)> = (0..100).map(|i| (i % 4, i)).collect();
@@ -281,7 +281,7 @@ fn introspection_is_stable() {
 #[test]
 fn backends_agree_on_a_transparent_expression_chain() {
     fn chain(ctx: &Context) -> Vec<Value> {
-        let d = ctx.range(0, 499);
+        let d = ctx.range(0, 499).unwrap();
         d.map_expr(RowExpr::Bin(
             BinOp::Mul,
             Box::new(RowExpr::Input),
@@ -1162,7 +1162,7 @@ fn context_swaps_backends_in_place() {
     assert_eq!(clone.layout(), Layout::Columnar, "clones share the layout");
     assert_eq!(clone.tile_width(), 8);
     // Results stay correct after the swap.
-    let d = ctx.range(1, 50);
+    let d = ctx.range(1, 50).unwrap();
     assert_eq!(d.count(), 50);
     let ctx = ctx.with_layout(Layout::Row);
     assert_eq!(clone.stats_snapshot().backend, "local");

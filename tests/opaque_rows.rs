@@ -76,6 +76,110 @@ fn nested_in_head() -> Comprehension {
     )
 }
 
+fn long(n: i64) -> CExpr {
+    CExpr::long(n)
+}
+
+/// The bag `{lo, …, hi}` as a constant: a generator the engine never reads.
+fn longs(lo: i64, hi: i64) -> CExpr {
+    CExpr::Const(Value::bag((lo..=hi).map(Value::Long).collect()))
+}
+
+fn range(lo: CExpr, hi: CExpr) -> CExpr {
+    CExpr::Range(Box::new(lo), Box::new(hi))
+}
+
+/// `X := { (i * 10 + x, v * x) | x ← {1, …, 4}, (i, v) ← V, i % 2 == x % 2 }`:
+/// a driver generator, then a dataset source linked to it by an equality.
+fn driver_generator_then_source() -> Comprehension {
+    let parity = |e: CExpr| bin(BinOp::Mod, e, long(2));
+    Comprehension::new(
+        CExpr::pair(
+            bin(
+                BinOp::Add,
+                bin(BinOp::Mul, CExpr::var("i"), long(10)),
+                CExpr::var("x"),
+            ),
+            bin(BinOp::Mul, CExpr::var("v"), CExpr::var("x")),
+        ),
+        vec![
+            Qual::Gen(Pattern::var("x"), longs(1, 4)),
+            scan_v(),
+            Qual::Pred(CExpr::eq(parity(CExpr::var("i")), parity(CExpr::var("x")))),
+        ],
+    )
+}
+
+/// `X := { (i, n * i) | let n = 3, i ← range(0, 9) }`.
+fn let_then_range_source() -> Comprehension {
+    Comprehension::new(
+        CExpr::pair(
+            CExpr::var("i"),
+            bin(BinOp::Mul, CExpr::var("n"), CExpr::var("i")),
+        ),
+        vec![
+            Qual::Let(Pattern::var("n"), long(3)),
+            Qual::Gen(Pattern::var("i"), range(long(0), long(9))),
+        ],
+    )
+}
+
+/// `X := { (i, v) | a < b, (i, v) ← V }`.
+fn predicate_then_source(a: i64, b: i64) -> Comprehension {
+    Comprehension::new(
+        CExpr::pair(CExpr::var("i"), CExpr::var("v")),
+        vec![Qual::Pred(bin(BinOp::Lt, long(a), long(b))), scan_v()],
+    )
+}
+
+/// `X := { (i * 10 + j, v * j) | let n = 3, j ← range(1, n), (i, v) ← V }`:
+/// the range reads the driver's `n`, so it is a driver generator.
+fn prefix_range_then_source() -> Comprehension {
+    Comprehension::new(
+        CExpr::pair(
+            bin(
+                BinOp::Add,
+                bin(BinOp::Mul, CExpr::var("i"), long(10)),
+                CExpr::var("j"),
+            ),
+            bin(BinOp::Mul, CExpr::var("v"), CExpr::var("j")),
+        ),
+        vec![
+            Qual::Let(Pattern::var("n"), long(3)),
+            Qual::Gen(Pattern::var("j"), range(long(1), CExpr::var("n"))),
+            scan_v(),
+        ],
+    )
+}
+
+/// `X := { (k, +/x) | x ← {0, …, 5}, group by k : x % 3 }`: the group-by
+/// lifts `x` over all six driver bindings at once.
+fn group_by_before_any_source() -> Comprehension {
+    let sum = AggOp::new(BinOp::Add).unwrap();
+    Comprehension::new(
+        CExpr::pair(CExpr::var("k"), CExpr::Agg(sum, Box::new(CExpr::var("x")))),
+        vec![
+            Qual::Gen(Pattern::var("x"), longs(0, 5)),
+            Qual::GroupBy(Pattern::var("k"), bin(BinOp::Mod, CExpr::var("x"), long(3))),
+        ],
+    )
+}
+
+/// `X := { (x, y) | x ← {1, …, 5}, let y = x * x, y > 3 }`.
+fn no_source() -> Comprehension {
+    Comprehension::new(
+        CExpr::pair(CExpr::var("x"), CExpr::var("y")),
+        vec![
+            Qual::Gen(Pattern::var("x"), longs(1, 5)),
+            Qual::Let(
+                Pattern::var("y"),
+                bin(BinOp::Mul, CExpr::var("x"), CExpr::var("x")),
+            ),
+            Qual::Pred(bin(BinOp::Gt, CExpr::var("y"), long(3))),
+        ],
+    )
+}
+
 /// A program, the array compared, and its oracle's rows.
 struct Case {
     tp: TypedProgram,
@@ -158,6 +262,90 @@ fn opaque_forms_match_their_oracle_on_both_layouts_and_are_forecast() {
                 let plan = s.explain(&case.compiled).unwrap();
                 assert!(plan.contains(layout), "{plan}");
             }
+        }
+    }
+}
+
+/// What precedes a comprehension's first source is evaluated once, as one
+/// comprehension, on the driver; its bindings are crossed into the source
+/// rows as data, so the scan stays columnar.
+#[test]
+fn a_driver_prefix_is_one_comprehension_crossed_into_the_source() {
+    let cases = [
+        driver_generator_then_source(),
+        let_then_range_source(),
+        predicate_then_source(1, 2),
+        predicate_then_source(2, 1),
+        prefix_range_then_source(),
+        group_by_before_any_source(),
+        no_source(),
+    ];
+    for c in cases {
+        let case = by_hand(c.clone());
+        let d025 = diablo_core::lint_program(&case.tp, &case.compiled)
+            .into_iter()
+            .find(|d| d.code == diablo_diag::codes::ROW_FALLBACK);
+        for engine in [Engine::ROW, Engine::COLUMNAR] {
+            for workers in [1, 2] {
+                let ctx = engine.context(workers, 4);
+                let mut s = Session::new(ctx.clone());
+                s.bind_input("V", input(None));
+                let before = ctx.stats().snapshot();
+                s.run(&case.compiled).unwrap();
+                let fallbacks = ctx.stats().snapshot().since(&before).row_fallback_stages;
+                assert_eq!(s.collect(case.out).unwrap(), case.want, "{engine} {c:?}");
+                if engine.columnar() {
+                    assert_eq!(d025.is_some(), fallbacks > 0, "{d025:?}: {fallbacks}");
+                }
+            }
+        }
+    }
+    // A group-by after a driver generator: one group per key, not one per
+    // driver binding.
+    let sums = |rows: &[(i64, i64)]| -> Vec<Value> {
+        let pair = |&(k, v)| Value::pair(Value::Long(k), Value::Long(v));
+        rows.iter().map(pair).collect()
+    };
+    let case = by_hand(group_by_before_any_source());
+    assert_eq!(case.want, sums(&[(0, 3), (1, 5), (2, 7)]));
+    // Nothing passes a false prefix.
+    assert!(by_hand(predicate_then_source(2, 1)).want.is_empty());
+}
+
+/// A driver generator before a source: every source row meets every driver
+/// binding, source rows outermost; the stage stays columnar and D025 is
+/// silent.
+#[test]
+fn a_driver_generator_before_a_source_keeps_the_scan_columnar() {
+    let c = driver_generator_then_source();
+    let case = by_hand(c.clone());
+    let lints = diablo_core::lint_program(&case.tp, &case.compiled);
+    assert!(
+        lints
+            .iter()
+            .all(|d| d.code != diablo_diag::codes::ROW_FALLBACK),
+        "{lints:?}"
+    );
+    let want: Vec<Value> = input(None)
+        .iter()
+        .flat_map(|row| {
+            let [Value::Long(i), Value::Long(v)] = row.as_tuple().unwrap() else {
+                unreachable!()
+            };
+            (1..=4)
+                .filter(move |x| i % 2 == x % 2)
+                .map(move |x| Value::pair(Value::Long(i * 10 + x), Value::Long(v * x)))
+        })
+        .collect();
+    for engine in [Engine::ROW, Engine::COLUMNAR] {
+        let mut s = Session::new(engine.context(2, 4));
+        s.bind_input("V", input(None));
+        let rows = diablo_exec::run_comp(&c, &s).unwrap().collect();
+        assert_eq!(rows, want, "{engine}");
+        if engine.columnar() {
+            let plan = s.explain(&case.compiled).unwrap();
+            assert!(plan.contains("layout: columnar"), "{plan}");
+            assert!(!plan.contains("layout: row"), "{plan}");
         }
     }
 }

@@ -251,6 +251,7 @@ fn evicted_datasets_recompute_from_lineage() {
     let ctx = Context::new(2, 4).with_dataset_budget(0);
     let d = ctx
         .range(0, 499)
+        .unwrap()
         .map(|v| Ok(Value::pair(v.clone(), v.clone())))
         .unwrap()
         .materialize()
@@ -271,6 +272,7 @@ fn unpersist_releases_and_recomputes() {
     let ctx = Context::new(2, 4);
     let d = ctx
         .range(0, 99)
+        .unwrap()
         .map(|v| Ok(v.clone()))
         .unwrap()
         .materialize()
@@ -291,6 +293,7 @@ fn dropped_datasets_release_their_cache_entries() {
     for i in 0..100 {
         let d = ctx
             .range(0, 499)
+            .unwrap()
             .map(move |v| Ok(Value::pair(v.clone(), Value::Long(i))))
             .unwrap()
             .materialize()

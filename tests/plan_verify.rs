@@ -73,7 +73,7 @@ fn healthy_plans_pass_verified_on_every_backend_and_shuffle_path() {
         let backend = layout.name();
         for ordered in [false, true] {
             let ctx = Context::new(2, 3).with_layout(layout).with_ordered(ordered);
-            let d = ctx.range(1, 100);
+            let d = ctx.range(1, 100).unwrap();
             let pairs = d
                 .map(|v| {
                     let n = v.as_long().unwrap();
@@ -96,7 +96,7 @@ fn verifier_covers_spilling_exchanges_too() {
     // Budget 0 forces every chunk through spill runs; the conservation
     // and sortedness checks must hold for merged disk chunks as well.
     let ctx = Context::new(2, 3).with_memory_budget(0).with_ordered(true);
-    let d = ctx.range(1, 500);
+    let d = ctx.range(1, 500).unwrap();
     let grouped = d
         .map(|v| {
             Ok(Value::pair(
@@ -151,7 +151,7 @@ fn verify_plan_env_typo_panics_loudly() {
     let ctx = Context::new(1, 1);
     // A derived (still-lazy) dataset: a pre-materialized scan would be
     // served straight from its cache without ever consulting the verifier.
-    let d = ctx.range(1, 10).map(|v| Ok(v.clone())).unwrap();
+    let d = ctx.range(1, 10).unwrap().map(|v| Ok(v.clone())).unwrap();
     let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.try_collect()));
     let msg = match panicked {
         Err(payload) => payload
