@@ -3,8 +3,8 @@
 //!
 //! The translator writes every update as a merge, `X := X ⊳ e`. When the
 //! old side holds no rows and no two rows of `e` share a key, the merge
-//! returns `e` unchanged — its cogroup is pure overhead. [`unique_keys`]
-//! proves the second half from the comprehension's syntax alone, by one
+//! returns `e` unchanged — its two-sided shuffle is pure overhead.
+//! [`unique_keys`] proves the second half from the comprehension's syntax alone, by one
 //! of two rules:
 //!
 //! 1. **Group-by.** The head key is exactly the pattern of the last

@@ -430,7 +430,7 @@ fn bounds_walk(stmts: &[Stmt], ranges: &mut Vec<(String, Interval)>, out: &mut V
 fn const_long(e: &Expr) -> Option<i64> {
     match e {
         Expr::Const(Const::Long(n)) => Some(*n),
-        Expr::Un(diablo_runtime::UnOp::Neg, a) => const_long(a).map(|n| -n),
+        Expr::Un(diablo_runtime::UnOp::Neg, a) => const_long(a)?.checked_neg(),
         Expr::Bin(op, a, b) => {
             let (a, b) = (const_long(a)?, const_long(b)?);
             match op {

@@ -622,14 +622,14 @@ fn vec_bin(op: BinOp, a: &VCol, b: &VCol, len: usize) -> Result<VCol<'static>> {
                 if q == 0 {
                     Err(RuntimeError::new("division by zero"))
                 } else {
-                    Ok(p / q)
+                    Ok(p.wrapping_div(q))
                 }
             })?)),
             Mod => Ok(long_col(try_zip(&x, &y, len, |p, q| {
                 if q == 0 {
                     Err(RuntimeError::new("modulo by zero"))
                 } else {
-                    Ok(p % q)
+                    Ok(p.wrapping_rem(q))
                 }
             })?)),
             Eq => Ok(bool_col(zip(&x, &y, len, |p, q| p == q))),
@@ -715,7 +715,7 @@ fn vec_bin(op: BinOp, a: &VCol, b: &VCol, len: usize) -> Result<VCol<'static>> {
 fn vec_un(op: UnOp, col: &VCol, len: usize) -> Result<VCol<'static>> {
     match (op, col) {
         (_, VCol::Const(v)) => Ok(VCol::Const(op.apply(v)?)),
-        (UnOp::Neg, VCol::Long(v)) => Ok(long_col(v.iter().map(|&n| -n).collect())),
+        (UnOp::Neg, VCol::Long(v)) => Ok(long_col(v.iter().map(|&n| n.wrapping_neg()).collect())),
         (UnOp::Neg, VCol::Double(v)) => Ok(double_col(v.iter().map(|&x| -x).collect())),
         (UnOp::Not, VCol::Bool(v)) => Ok(bool_col(v.iter().map(|&b| !b).collect())),
         _ => {

@@ -3,7 +3,7 @@
 //! context's [`Layout`](crate::Layout).
 //!
 //! Rows are [`Value`]s. Keyed operators (`reduce_by_key`, `group_by_key`,
-//! `cogroup`, `join`, `merge`) expect rows shaped as `(key, value)` pairs —
+//! `join`, `merge`) expect rows shaped as `(key, value)` pairs —
 //! exactly the sparse-array representation of §3.4 — and hash-partition
 //! rows by key before the reduction stage, which is the engine's shuffle.
 //! Under [`Context::ordered`] the same operators range-partition instead
@@ -13,7 +13,7 @@
 //! [`RowExpr`]s over rows of any shape — and [`Dataset::cross`] its
 //! keyless counterpart, a broadcast nested loop as a transparent step.
 //!
-//! Narrow operators (`map`, `filter`, `flat_map`, `union`) are
+//! Narrow operators (`map`, `filter`, `flat_map`) are
 //! **lazy**: they append a node to the dataset's plan and
 //! return immediately. So are the **post-shuffle stages** of the keyed
 //! operators: `reduce_by_key` runs its combine+scatter eagerly (the data
@@ -39,7 +39,7 @@
 //! demote to disk files, entries past the disk ledger are dropped and
 //! transparently **recomputed from the plan** on the next read, and an
 //! entry is released as soon as its last referencing dataset or plan is
-//! dropped — or eagerly, with [`Dataset::unpersist`].
+//! dropped.
 //!
 //! Errors raised inside a fused chain surface at the materialization point
 //! (which is why shuffles and `reduce` return `Result`); the infallible
@@ -56,7 +56,7 @@ use diablo_runtime::array::key_value_ref;
 use diablo_runtime::{size::slice_size, AggOp, BinOp, RuntimeError, Value};
 
 use crate::columnar::{Cross, KeyedFold, RowExpr, Shape};
-use crate::exchange::{Exchange, ExchangeWriter, HashPartitioner, Partitioner, RangePartitioner};
+use crate::exchange::{Exchange, ExchangeWriter, HashPartitioner, RangePartitioner};
 use crate::join::{Emit, Join};
 use crate::keytable::KeyTable;
 use crate::plan::{self, PartFn, PartOp, PartitionRows, PlanOp};
@@ -253,15 +253,6 @@ impl Dataset {
         Dataset::from_materialized(ctx, parts)
     }
 
-    /// Builds a dataset from explicit pre-built partitions, preserving
-    /// their number and sizes exactly — the way to construct deliberately
-    /// skewed inputs for scheduler benchmarks and tests. The partition
-    /// list must not be empty (an empty *partition* is fine).
-    pub fn from_partitions(ctx: Context, parts: Vec<Vec<Value>>) -> Dataset {
-        assert!(!parts.is_empty(), "need at least one partition");
-        Dataset::from_materialized(ctx, parts)
-    }
-
     /// Builds the dataset `{lo, ..., hi}` of longs, range-partitioned;
     /// more than `i64::MAX` rows is an error.
     pub fn range(ctx: Context, lo: i64, hi: i64) -> Result<Dataset> {
@@ -355,7 +346,7 @@ impl Dataset {
     }
 
     /// Executes the pending plan through the plan walker (fusing
-    /// the narrow chain into one physical stage per segment) and enters
+    /// the narrow chain into one physical stage per base) and enters
     /// the partitions into the context's dataset cache. A cache hit
     /// skips execution; base data (`Scan` plans) bypasses the cache —
     /// it is already materialized and the cache could only evict what
@@ -380,20 +371,11 @@ impl Dataset {
         Ok(self.clone())
     }
 
-    /// Eagerly releases this dataset's entry in the context's dataset
-    /// cache — memory or disk — the engine's equivalent of Spark's
-    /// `unpersist()`. The dataset stays usable: the next read recomputes
-    /// from its plan (and re-enters the cache). A no-op when nothing is
-    /// cached.
-    pub fn unpersist(&self) {
-        self.ctx.dataset_cache().remove(self.slot.id());
-    }
-
     /// Renders the pending physical plan (the chains a materialization
     /// point would fuse) as text.
     pub fn explain(&self) -> String {
         let mut out = String::new();
-        plan::render(&self.effective_plan(), 0, &mut out);
+        plan::render(&self.effective_plan(), &mut out);
         out
     }
 
@@ -420,38 +402,12 @@ impl Dataset {
         &self.ctx
     }
 
-    /// True when the pending plan bottoms out in a `union` that has not
-    /// been materialized — the case where reads stream the operands in
-    /// place instead of building combined partitions.
-    fn union_pending(&self) -> bool {
-        !self.ctx.dataset_cache().contains(self.slot.id())
-            && matches!(
-                plan::collapse(&self.plan).base.as_ref(),
-                PlanOp::Union(_, _)
-            )
-    }
-
     /// Number of rows.
     ///
     /// # Panics
     /// Panics if a pending operator in the plan fails; see
     /// [`Dataset::try_collect`].
     pub fn count(&self) -> usize {
-        if self.union_pending() {
-            // Count through the walker's segmented read: no operand is
-            // copied, no combined partitions are built.
-            let counts =
-                plan::consume(&self.ctx, &self.plan, "count (read in place)", |_, rows| {
-                    let mut n = 0usize;
-                    rows.for_each(&mut |_| {
-                        n += 1;
-                        Ok(())
-                    })?;
-                    Ok(n)
-                })
-                .expect("dataset materialization failed");
-            return counts.into_iter().sum();
-        }
         self.force()
             .expect("dataset materialization failed")
             .iter()
@@ -470,29 +426,7 @@ impl Dataset {
 
     /// Materializes all rows in partition order, surfacing deferred
     /// operator errors.
-    ///
-    /// A plan bottoming out in an unforced `union` is streamed straight
-    /// out of the walker's segmented read: each surviving row is cloned
-    /// exactly once, into the output — combined partitions are never
-    /// built (and nothing is cached; the shared operands are re-read in
-    /// place if collected again).
     pub fn try_collect(&self) -> Result<Vec<Value>> {
-        if self.union_pending() {
-            let parts = plan::consume(
-                &self.ctx,
-                &self.plan,
-                "collect (read in place)",
-                |_, rows| {
-                    let mut out = Vec::new();
-                    rows.for_each(&mut |v| {
-                        out.push(v);
-                        Ok(())
-                    })?;
-                    Ok(out)
-                },
-            )?;
-            return Ok(parts.into_iter().flatten().collect());
-        }
         let parts = self.force()?;
         let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
         for p in parts.iter() {
@@ -659,17 +593,6 @@ impl Dataset {
         )))
     }
 
-    /// Bag union (no dedup), preserving the left side's partition count.
-    ///
-    /// Lazy and narrow: it moves no data, runs no parallel stage, and the
-    /// walker reads both operands in place via segments — including for
-    /// a bare `collect`, which streams the rows without ever building
-    /// combined partitions.
-    pub fn union(&self, other: &Dataset) -> Dataset {
-        self.ctx.record_logical_op();
-        self.derived(PlanOp::Union(self.effective_plan(), other.effective_plan()))
-    }
-
     /// Total reduction with a binary combiner: fused per-partition folds
     /// (including any pending narrow chain) followed by a driver-side fold
     /// over partial results (Spark's `reduce`). Returns `None` on an empty
@@ -752,21 +675,16 @@ impl Dataset {
         ex.finish(&self.ctx)
     }
 
-    /// Partitions `(key, value)` rows by key with `partitioner`. Returns
-    /// per-destination buckets with deterministic row order.
-    fn shuffle_by(&self, label: &str, partitioner: &dyn Partitioner) -> Result<Vec<Vec<Value>>> {
+    /// Hash-partitions `(key, value)` rows by key — the raw shuffle.
+    /// Returns per-destination buckets with deterministic row order.
+    fn shuffle(&self, label: &str) -> Result<Vec<Vec<Value>>> {
         let p = self.ctx.partitions();
         self.exchange(label, |rows, sink| {
             rows.for_each(&mut |row| {
                 let (k, _) = key_value_ref(&row)?;
-                sink.emit(partitioner.partition(k, p)?, row)
+                sink.emit(HashPartitioner.partition(k, p), row)
             })
         })
-    }
-
-    /// Hash-partitions `(key, value)` rows by key — the raw shuffle.
-    fn shuffle(&self, label: &str) -> Result<Vec<Vec<Value>>> {
-        self.shuffle_by(label, &HashPartitioner)
     }
 
     /// The shuffle under every keyed operator: scatters each of `sides` by
@@ -813,7 +731,7 @@ impl Dataset {
             // ever built, and buckets past the memory budget spill to disk.
             Crossing::Combined(fold) => self.exchange(label, |rows, sink| {
                 fold.combine(rows, &mut |k, v| {
-                    let b = HashPartitioner.partition(&k, p)?;
+                    let b = HashPartitioner.partition(&k, p);
                     sink.emit(b, Value::pair(k, v))
                 })
             }),
@@ -859,8 +777,7 @@ impl Dataset {
         crossing: Crossing<'_>,
     ) -> Result<Vec<Vec<Value>>> {
         self.ctx.plan_note(format!(
-            "sorted shuffle ({label}): {} partitioner, {} sampled bound(s) over {} buckets",
-            Partitioner::name(partitioner),
+            "sorted shuffle ({label}): range partitioner, {} sampled bound(s) over {} buckets",
             partitioner.bounds().len(),
             self.ctx.partitions()
         ));
@@ -874,7 +791,7 @@ impl Dataset {
             let rows = std::mem::take(&mut *slot.lock().expect("source slot"));
             let mut writer = ex.writer(src);
             for row in rows {
-                let bucket = partitioner.partition(pair_key(&row), p)?;
+                let bucket = partitioner.partition(pair_key(&row), p);
                 let row = match crossing {
                     Crossing::Rows => key_value_ref(&row)?.1.clone(),
                     Crossing::Pairs | Crossing::Combined(_) => row,
@@ -917,24 +834,6 @@ impl Dataset {
             labels[usize::from(ordered)],
             self.tag(),
         ))
-    }
-
-    /// Re-partitions `(key, value)` rows by key hash.
-    pub fn partition_by_key(&self) -> Result<Dataset> {
-        self.ctx.record_logical_op();
-        let dest = self.shuffle("partition_by_key (scatter)")?;
-        Ok(Dataset::from_materialized(self.ctx.clone(), dest))
-    }
-
-    /// Re-partitions `(key, value)` rows with a pluggable
-    /// [`Partitioner`](crate::Partitioner) — e.g. a
-    /// [`RangePartitioner`](crate::RangePartitioner) keeps ordered keys in
-    /// contiguous buckets so locally sorted partitions concatenate into
-    /// globally sorted output.
-    pub fn partition_by(&self, partitioner: &dyn crate::Partitioner) -> Result<Dataset> {
-        self.ctx.record_logical_op();
-        let dest = self.shuffle_by("partition_by (scatter)", partitioner)?;
-        Ok(Dataset::from_materialized(self.ctx.clone(), dest))
     }
 
     /// `reduceByKey`: combines values of equal keys with `f`, using
@@ -1037,48 +936,6 @@ impl Dataset {
         }
     }
 
-    /// `cogroup`: for each key present on either side, produces
-    /// `(key, (left-bag, right-bag))`. Both scatters are eager; the
-    /// grouping stage is lazy and fuses with the next consumer. For what
-    /// needs whole groups; a join that only pairs rows up is
-    /// [`Dataset::join_on`], which never builds them.
-    pub fn cogroup(&self, other: &Dataset) -> Result<Dataset> {
-        self.ctx.record_logical_op();
-        let [left, right] = self.scatter_keyed(
-            [
-                (self, "cogroup (scatter left)"),
-                (other, "cogroup (scatter right)"),
-            ],
-            Crossing::Pairs,
-        )?;
-        let co_fn: PartFn = Arc::new(|part: &[Value]| {
-            let (l, r) = Dataset::unzip_bucket(part)?;
-            let mut groups: KeyTable<(Vec<Value>, Vec<Value>)> = KeyTable::new();
-            for row in l {
-                let (k, v) = key_value_ref(row)?;
-                let group = groups.upsert(Cow::Borrowed(k), Default::default).value;
-                group.0.push(v.clone());
-            }
-            for row in r {
-                let (k, v) = key_value_ref(row)?;
-                let group = groups.upsert(Cow::Borrowed(k), Default::default).value;
-                group.1.push(v.clone());
-            }
-            Ok(groups
-                .into_entries()
-                .map(|(k, (lv, rv))| Value::pair(k, Value::pair(Value::bag(lv), Value::bag(rv))))
-                .collect())
-        });
-        Ok(self.post_shuffle(
-            Dataset::zip_buckets(left, right),
-            PartOp::Rows(co_fn),
-            [
-                "cogroup (group both sides)",
-                "sorted_cogroup (group both sides + key sort, range)",
-            ],
-        ))
-    }
-
     /// Inner equi-join on `(key, value)` rows: produces
     /// `(key, (left, right))` for every matching pair, the key as the
     /// first left row of its group spells it — the same operator as
@@ -1160,7 +1017,8 @@ impl Dataset {
         ))
     }
 
-    /// The array merge `self ⊳ updates` (§3.4), implemented as a cogroup.
+    /// The array merge `self ⊳ updates` (§3.4): both sides scattered by
+    /// key, then each bucket's slots combined.
     ///
     /// With `combine = None`, colliding keys take the update value
     /// (right-biased, the paper's `⊳`). With `combine = Some(f)`, colliding
@@ -1357,54 +1215,6 @@ mod tests {
     }
 
     #[test]
-    fn union_shuffle_reads_operands_in_place() {
-        // A keyed aggregation over a union consumes both operands via
-        // segments: one physical stage for combine+scatter, no
-        // materialization of the combined partitions.
-        let ctx = ctx();
-        let a = pairs(&ctx, &[(1, 1), (2, 2), (3, 3)]);
-        let b = pairs(&ctx, &[(1, 10), (2, 20)]);
-        let u = a.union(&b);
-        let before = ctx.stats().snapshot();
-        let r = u.reduce_by_key(|x, y| BinOp::Add.apply(x, y)).unwrap();
-        let rows = r.collect_sorted();
-        let after = ctx.stats().snapshot().since(&before);
-        assert_eq!(
-            after.physical_stages, 2,
-            "combine+scatter fused over union segments, then reduce: {after:?}"
-        );
-        assert_eq!(
-            rows,
-            vec![
-                Value::pair(Value::Long(1), Value::Long(11)),
-                Value::pair(Value::Long(2), Value::Long(22)),
-                Value::pair(Value::Long(3), Value::Long(3)),
-            ]
-        );
-    }
-
-    #[test]
-    fn bare_union_collect_streams_without_combined_partitions() {
-        // A bare collect of an unprocessed union reads both operands in
-        // place through the walker — one fused stage, rows streamed
-        // straight into the output.
-        let ctx = ctx();
-        let a = ctx.range(1, 100).unwrap();
-        let b = ctx.range(101, 200).unwrap();
-        let u = a.union(&b);
-        let before = ctx.stats().snapshot();
-        let rows = u.try_collect().unwrap();
-        let after = ctx.stats().snapshot().since(&before);
-        assert_eq!(rows.len(), 200);
-        assert_eq!(after.physical_stages, 1, "{after:?}");
-        let mut sorted = rows.clone();
-        sorted.sort();
-        assert_eq!(sorted, (1..=200).map(Value::Long).collect::<Vec<_>>());
-        // count() streams too, and clones nothing.
-        assert_eq!(u.count(), 200);
-    }
-
-    #[test]
     fn narrow_chain_fuses_into_one_physical_stage() {
         let ctx = ctx();
         let d = ctx.range(1, 1000).unwrap();
@@ -1566,10 +1376,10 @@ mod tests {
             .unwrap()
             .map(|row| {
                 let (k, v) = key_value(row)?;
-                Ok(Value::pair(v, k))
+                Ok(Value::pair(k, BinOp::Mul.apply(&v, &Value::Long(2))?))
             })
             .unwrap()
-            .partition_by_key()
+            .group_by_key()
             .unwrap();
         let after = ctx.stats().snapshot().since(&before);
         assert_eq!(
@@ -1739,42 +1549,6 @@ mod tests {
                 Value::pair(Value::Long(3), Value::Long(30)),
             ]
         );
-    }
-
-    #[test]
-    fn cogroup_covers_one_sided_keys() {
-        let ctx = ctx();
-        let l = pairs(&ctx, &[(1, 10)]);
-        let r = pairs(&ctx, &[(2, 20)]);
-        let co = l.cogroup(&r).unwrap();
-        let rows = co.collect_sorted();
-        assert_eq!(rows.len(), 2);
-    }
-
-    #[test]
-    fn union_keeps_duplicates() {
-        let ctx = ctx();
-        let a = pairs(&ctx, &[(1, 1)]);
-        let b = pairs(&ctx, &[(1, 1)]);
-        assert_eq!(a.union(&b).count(), 2);
-    }
-
-    #[test]
-    fn union_runs_no_physical_stage_and_fuses_downstream() {
-        let ctx = ctx();
-        let a = ctx.range(1, 100).unwrap();
-        let b = ctx.range(101, 200).unwrap();
-        let before = ctx.stats().snapshot();
-        let u = a.union(&b);
-        let mid = ctx.stats().snapshot().since(&before);
-        assert_eq!(mid.physical_stages, 0, "union moves no data: {mid:?}");
-        // A map above the union is pushed into both branches.
-        let mapped = u.map(|v| BinOp::Add.apply(v, &Value::Long(1))).unwrap();
-        let sum = mapped
-            .reduce(|a, b| BinOp::Add.apply(a, b))
-            .unwrap()
-            .unwrap();
-        assert_eq!(sum, Value::Long((2..=201).sum::<i64>()));
     }
 
     #[test]

@@ -301,18 +301,13 @@ impl DatasetCache {
         Ok(())
     }
 
-    /// Drops an entry and clears its evicted mark — the explicit
-    /// `unpersist`. A later force recomputes (uncounted) and may re-cache.
-    pub(crate) fn remove(&self, id: u64) {
+    /// Slot-drop cleanup: drops an entry and clears its evicted mark —
+    /// the id can never be read again, so the entry and any mark are dead
+    /// weight.
+    fn forget(&self, id: u64) {
         let mut inner = self.inner.lock().expect("dataset cache lock");
         remove_entry(&mut inner, id);
         inner.evicted.remove(&id);
-    }
-
-    /// Slot-drop cleanup: same as [`DatasetCache::remove`] — the id can
-    /// never be read again, so the entry and any mark are dead weight.
-    fn forget(&self, id: u64) {
-        self.remove(id);
     }
 
     /// The cache's temp directory, created on first spill.
@@ -566,12 +561,12 @@ mod tests {
         let c = ctx();
         let cache = DatasetCache::new(0);
         cache.insert(3, rows(4), &c).unwrap();
-        cache.remove(3);
+        cache.forget(3);
         assert!(cache.get(3, &c).unwrap().is_none());
         assert_eq!(
             c.stats().snapshot().dataset_recomputes,
             0,
-            "an unpersisted id is not a cache-pressure recompute"
+            "a forgotten id is not a cache-pressure recompute"
         );
     }
 }

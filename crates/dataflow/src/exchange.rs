@@ -3,11 +3,11 @@
 //! A shuffle used to be two hardwired engine methods — a scatter that
 //! hash-modded every key and a `gather` that concatenated every exchanged
 //! row through one in-memory `Vec<Vec<Vec<Value>>>`. This module makes the
-//! exchange a first-class, pluggable boundary:
+//! exchange a first-class boundary:
 //!
-//! * a [`Partitioner`] decides which destination bucket a key belongs to
-//!   ([`HashPartitioner`] is the default; [`RangePartitioner`] keeps
-//!   ordered keys in contiguous buckets);
+//! * a partitioner decides which destination bucket a key belongs to:
+//!   [`HashPartitioner`] for a hash shuffle, [`RangePartitioner`], which
+//!   keeps ordered keys in contiguous buckets, for an ordered one;
 //! * an [`Exchange`] is the streaming sink/reader pair behind every
 //!   shuffle: source partitions [`emit`](ExchangeWriter::emit) rows
 //!   through per-partition [`ExchangeWriter`]s, the exchange buffers them
@@ -61,37 +61,20 @@ use crate::Context;
 
 // ----------------------------------------------------------- partitioners
 
-/// Decides which destination bucket a `(key, value)` row's key belongs to.
-///
-/// Implementations must be pure: the same key and partition count always
-/// map to the same bucket, or repeated shuffles stop being deterministic
-/// and two-sided exchanges (`cogroup`, `merge`) stop aligning their sides.
-pub trait Partitioner: Send + Sync {
-    /// Short identifier for plan traces (`hash`, `range`).
-    fn name(&self) -> &'static str;
-
-    /// The destination bucket for `key`, in `0..partitions`.
-    fn partition(&self, key: &Value, partitions: usize) -> Result<usize>;
-}
-
-/// The default partitioner: bucket = `hash(key) mod partitions` — exactly
-/// the behavior the engine hardwired before the Exchange API.
+/// The hash partitioner: bucket = `hash(key) mod partitions`. Every hash
+/// shuffle picks its buckets with it.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct HashPartitioner;
 
-impl Partitioner for HashPartitioner {
-    fn name(&self) -> &'static str {
-        "hash"
-    }
-
-    fn partition(&self, key: &Value, partitions: usize) -> Result<usize> {
-        Ok((key_hash(key) % partitions as u64) as usize)
-    }
-}
-
 impl HashPartitioner {
-    /// [`Partitioner::partition`] of a key that may be read from lanes:
-    /// the same bucket as its boxed `Value`, whose hash a [`Key`] writes.
+    /// The destination bucket for `key`, in `0..partitions`.
+    pub fn partition(&self, key: &Value, partitions: usize) -> usize {
+        (key_hash(key) % partitions as u64) as usize
+    }
+
+    /// [`HashPartitioner::partition`] of a key that may be read from
+    /// lanes: the same bucket as its boxed `Value`, whose hash a [`Key`]
+    /// writes.
     pub(crate) fn bucket(&self, key: &Key<'_>, partitions: usize) -> usize {
         (key_hash(key) % partitions as u64) as usize
     }
@@ -159,16 +142,11 @@ impl RangePartitioner {
     pub fn bounds(&self) -> &[Value] {
         &self.bounds
     }
-}
 
-impl Partitioner for RangePartitioner {
-    fn name(&self) -> &'static str {
-        "range"
-    }
-
-    fn partition(&self, key: &Value, partitions: usize) -> Result<usize> {
+    /// The destination bucket for `key`, in `0..partitions`.
+    pub fn partition(&self, key: &Value, partitions: usize) -> usize {
         let idx = self.bounds.partition_point(|b| b < key);
-        Ok(idx.min(partitions.saturating_sub(1)))
+        idx.min(partitions.saturating_sub(1))
     }
 }
 
@@ -219,7 +197,7 @@ struct ExchangeState {
 /// The streaming exchange: the write side of a shuffle. Create one per
 /// exchange, hand each source partition a [`writer`](Exchange::writer),
 /// and [`finish`](Exchange::finish) it into destination partitions.
-pub struct Exchange {
+pub(crate) struct Exchange {
     partitions: usize,
     budget: Option<u64>,
     state: Mutex<ExchangeState>,
@@ -237,16 +215,6 @@ impl Exchange {
             budget,
             state: Mutex::new(ExchangeState::default()),
         }
-    }
-
-    /// The destination bucket count.
-    pub fn partitions(&self) -> usize {
-        self.partitions
-    }
-
-    /// The memory budget, if any.
-    pub fn budget(&self) -> Option<u64> {
-        self.budget
     }
 
     /// A writer for one source partition. Writers are independent and may
@@ -517,7 +485,7 @@ fn io_err(e: std::io::Error) -> RuntimeError {
 
 /// The per-source-partition write handle of an [`Exchange`]: buffers rows
 /// per bucket and flushes ordered chunks into the shared sink.
-pub struct ExchangeWriter<'a> {
+pub(crate) struct ExchangeWriter<'a> {
     exchange: &'a Exchange,
     src: u32,
     seq: u64,
@@ -540,8 +508,8 @@ pub struct ExchangeWriter<'a> {
 
 impl ExchangeWriter<'_> {
     /// Sends one row to destination bucket `bucket`, preserving emission
-    /// order per `(source, bucket)` pair. An out-of-range bucket (a buggy
-    /// custom [`Partitioner`]) is a [`RuntimeError`], not a panic.
+    /// order per `(source, bucket)` pair. An out-of-range bucket (a
+    /// partitioner bug) is a [`RuntimeError`], not a panic.
     pub fn emit(&mut self, bucket: usize, row: Value) -> Result<()> {
         if bucket >= self.buckets.len() {
             return Err(RuntimeError::new(format!(
@@ -920,7 +888,7 @@ mod tests {
         for i in 0..100i64 {
             let k = Value::Long(i);
             assert_eq!(
-                p.partition(&k, 7).unwrap(),
+                p.partition(&k, 7),
                 (key_hash(&k) % 7) as usize,
                 "hash partitioner must be the legacy hash-mod"
             );
@@ -938,7 +906,7 @@ mod tests {
                 for p in 1..=17 {
                     assert_eq!(
                         HashPartitioner.bucket(&Key::from(lanes.key(row)), p),
-                        HashPartitioner.partition(&boxed, p).unwrap(),
+                        HashPartitioner.partition(&boxed, p),
                         "shape {s}, row {row}: {boxed:?} over {p} partitions"
                     );
                 }
@@ -951,7 +919,7 @@ mod tests {
         for p in 1..=17 {
             assert_eq!(
                 HashPartitioner.bucket(&Key::from(longs.key(0)), p),
-                HashPartitioner.partition(&doubles, p).unwrap()
+                HashPartitioner.partition(&doubles, p)
             );
         }
     }
@@ -959,13 +927,13 @@ mod tests {
     #[test]
     fn range_partitioner_orders_buckets() {
         let p = RangePartitioner::new(vec![Value::Long(10), Value::Long(20)]);
-        assert_eq!(p.partition(&Value::Long(-5), 3).unwrap(), 0);
-        assert_eq!(p.partition(&Value::Long(10), 3).unwrap(), 0, "inclusive");
-        assert_eq!(p.partition(&Value::Long(11), 3).unwrap(), 1);
-        assert_eq!(p.partition(&Value::Long(20), 3).unwrap(), 1);
-        assert_eq!(p.partition(&Value::Long(999), 3).unwrap(), 2);
+        assert_eq!(p.partition(&Value::Long(-5), 3), 0);
+        assert_eq!(p.partition(&Value::Long(10), 3), 0, "inclusive");
+        assert_eq!(p.partition(&Value::Long(11), 3), 1);
+        assert_eq!(p.partition(&Value::Long(20), 3), 1);
+        assert_eq!(p.partition(&Value::Long(999), 3), 2);
         // Fewer partitions than bounds never index out of range.
-        assert_eq!(p.partition(&Value::Long(999), 2).unwrap(), 1);
+        assert_eq!(p.partition(&Value::Long(999), 2), 1);
     }
 
     #[test]
@@ -975,7 +943,7 @@ mod tests {
         assert_eq!(p.bounds().len(), 3);
         let mut seen = std::collections::HashSet::new();
         for i in 0..100 {
-            seen.insert(p.partition(&Value::Long(i), 4).unwrap());
+            seen.insert(p.partition(&Value::Long(i), 4));
         }
         assert_eq!(seen.len(), 4, "sampled bounds spread keys over buckets");
     }

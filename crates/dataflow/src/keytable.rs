@@ -1,5 +1,5 @@
 //! The one hash table behind every keyed operator: `reduce_by_key`'s
-//! combine and reduce, `group_by_key`, `cogroup`, `merge`, the sorted
+//! combine and reduce, `group_by_key`, `merge`, the sorted
 //! sources' combiner, and the columnar keyed-aggregation sink.
 //!
 //! Entries live in a `Vec` in **first-seen order** — the order every keyed

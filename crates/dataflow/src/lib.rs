@@ -10,9 +10,9 @@
 //!
 //! * a [`Dataset`] is an immutable bag of rows split into hash partitions,
 //!   described by a lazy **physical plan** — a DAG of `PlanOp` nodes
-//!   (`Scan`, `Map`, `Filter`, `FlatMap`, `MapPartitions`, `Union`) built
-//!   by the operator methods without running anything;
-//! * *narrow* operations (`map`, `filter`, `flat_map`, `union`) append a
+//!   (`Scan`, `Cached`, `Map`, `Filter`, `FlatMap`, `MapPartitions`)
+//!   built by the operator methods without running anything;
+//! * *narrow* operations (`map`, `filter`, `flat_map`) append a
 //!   plan node and return immediately — no data moves, no threads run;
 //! * one **plan walker** runs the plan: at every materialization point it
 //!   collapses the pending narrow chain into one fused stage per partition
@@ -25,10 +25,10 @@
 //!   hold the default to. Select one with [`Context::with_layout`],
 //!   `DIABLO_BACKEND` (`columnar`, `local`), or `diabloc --backend`;
 //!   results are identical either way;
-//! * data crosses partitions only through the **Exchange API**: a
-//!   pluggable [`Partitioner`] picks each key's destination bucket, and a
-//!   streaming [`Exchange`] sink/reader pair moves rows under a memory
-//!   budget ([`Context::with_memory_budget`], `DIABLO_MEMORY_BUDGET`) —
+//! * data crosses partitions only through the **exchange**: a
+//!   [`HashPartitioner`] (or, ordered, a [`RangePartitioner`]) picks each
+//!   key's destination bucket, and a streaming sink/reader pair moves rows
+//!   under a memory budget ([`Context::with_memory_budget`], `DIABLO_MEMORY_BUDGET`) —
 //!   buckets past the budget spill to sorted run files and merge-read
 //!   back in source order, byte-identical to the in-memory exchange;
 //! * **ordered** keyed operators ([`Context::with_ordered`],
@@ -38,7 +38,7 @@
 //!   post-shuffle partition is sorted by key — so the output is globally
 //!   key-ordered and holds exactly the hash path's row multiset;
 //! * at every **materialization point** — a shuffle (`group_by_key`,
-//!   `reduce_by_key`, `cogroup`, `join`, the array-merge `⊳`), `collect`,
+//!   `reduce_by_key`, `join`, the array-merge `⊳`), `collect`,
 //!   `reduce`, or `broadcast` — the walker **fuses** the pending narrow
 //!   chain into a single closure and runs it once per partition on the
 //!   worker pool. A chain of N narrow operators costs one pass over the
@@ -99,8 +99,7 @@ mod verify;
 pub use columnar::{FieldName, RowExpr, Shape};
 pub use dataset::{range_len, Dataset, JoinOn};
 pub use exchange::{
-    decode_value, encode_value, Exchange, ExchangeWriter, HashPartitioner, Partitioner,
-    RangePartitioner, MAX_VALUE_DEPTH,
+    decode_value, encode_value, HashPartitioner, RangePartitioner, MAX_VALUE_DEPTH,
 };
 pub use stats::{Stats, StatsSnapshot};
 
@@ -264,12 +263,6 @@ impl Context {
         Context::new(w, partitions.unwrap_or(w * 2))
     }
 
-    /// A single-threaded context (used to isolate engine overhead from
-    /// parallelism in benchmarks).
-    pub fn sequential() -> Context {
-        Context::new(1, 1)
-    }
-
     /// Sets the [`Layout`] every later stage runs in (builder style).
     /// Affects every clone of this context; results never change.
     pub fn with_layout(self, layout: Layout) -> Context {
@@ -371,7 +364,7 @@ impl Context {
     }
 
     /// Makes the keyed operators (`reduce_by_key`, `aggregate_by_key`,
-    /// `group_by_key`, `merge`, `cogroup`, `join` and `join_on`)
+    /// `group_by_key`, `merge`, `join` and `join_on`)
     /// **ordered** (builder style): keys are sampled, rows range-scattered
     /// so ordered keys stay in contiguous buckets, and each post-shuffle
     /// partition is sorted by key, so every output is globally key-sorted.
@@ -524,14 +517,6 @@ impl Context {
     /// Creates a dataset from a vector of rows, chunk-partitioned.
     pub fn from_vec(&self, rows: Vec<Value>) -> Dataset {
         Dataset::from_vec(self.clone(), rows)
-    }
-
-    /// Creates a dataset from explicit pre-built partitions, preserving
-    /// their sizes exactly — the way to construct deliberately skewed
-    /// inputs (e.g. one partition holding half the rows) for scheduler
-    /// benchmarks and tests.
-    pub fn from_partitions(&self, parts: Vec<Vec<Value>>) -> Dataset {
-        Dataset::from_partitions(self.clone(), parts)
     }
 
     /// Creates a dataset of longs `lo..=hi`, range-partitioned; more than

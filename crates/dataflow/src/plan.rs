@@ -13,7 +13,7 @@
 //! work-stealing pool; the layout only decides how a stage drives rows
 //! through its fused chain ([`DriveMode`]).
 //!
-//! Narrow operators (`map`, `filter`, `flat_map`, `union`) never run
+//! Narrow operators (`map`, `filter`, `flat_map`) never run
 //! when called — they append a node to the plan. At a *materialization
 //! point* (a shuffle, `collect`, `reduce`, `broadcast`) the walker
 //! collapses every pending
@@ -21,8 +21,8 @@
 //! physical stage per partition, feeding each transformed row into a sink
 //! without materializing any per-operator intermediate `Vec<Value>`.
 //!
-//! Since the post-shuffle stages of `reduce_by_key`, `group_by_key`,
-//! `merge`, and `cogroup` became lazy [`PlanOp::MapPartitions`] nodes, the
+//! Since the post-shuffle stages of `reduce_by_key`, `group_by_key` and
+//! `merge` became lazy [`PlanOp::MapPartitions`] nodes, the
 //! shuffle-*read* side fuses with the next narrow chain too:
 //! `reduce_by_key → map → shuffle` is two physical stages (combine +
 //! scatter, then reduce + map + scatter), not three. A join's post-shuffle
@@ -206,8 +206,6 @@ pub(crate) enum PlanOp {
     /// str` names the operator for plan traces (`reduce_by_key (reduce)`,
     /// `merge ⊳ (combine slots)`, …).
     MapPartitions(Arc<PlanOp>, PartOp, &'static str, Tag),
-    /// Bag union; keeps the left side's partition count.
-    Union(Arc<PlanOp>, Arc<PlanOp>),
 }
 
 /// The operator of one fused narrow step.
@@ -369,8 +367,7 @@ pub(crate) fn fold_row(op: BinOp, acc: &mut Option<Value>, row: Value) -> Result
 
 /// A plan collapsed to a base node plus the fused row steps above it.
 pub(crate) struct Collapsed {
-    /// The deepest non-row node: `Scan`, `Cached`, `MapPartitions`, or
-    /// `Union`.
+    /// The deepest non-row node: `Scan`, `Cached` or `MapPartitions`.
     pub base: Arc<PlanOp>,
     /// Row steps to apply to the base's rows, in execution order.
     pub steps: Vec<Step>,
@@ -409,10 +406,7 @@ pub(crate) fn collapse(plan: &Arc<PlanOp>) -> Collapsed {
                 });
                 input.clone()
             }
-            PlanOp::Scan(_)
-            | PlanOp::Cached(_, _)
-            | PlanOp::MapPartitions(_, _, _, _)
-            | PlanOp::Union(_, _) => break,
+            PlanOp::Scan(_) | PlanOp::Cached(_, _) | PlanOp::MapPartitions(_, _, _, _) => break,
         };
         cur = next;
     }
@@ -578,7 +572,7 @@ fn resolve_cached(
     if let Some(parts) = cache.get(slot.id(), ctx)? {
         return Ok(parts);
     }
-    let parts = materialize_with(ctx, inner, &[], mode)?.into_arc();
+    let parts = materialize_with(ctx, inner, mode)?.into_arc();
     cache.insert(slot.id(), parts.clone(), ctx)?;
     Ok(parts)
 }
@@ -598,78 +592,32 @@ fn scanned(
 }
 
 /// Materializes a plan into partitions, fusing every narrow chain into one
-/// physical stage per `Scan`/`Cached`/`MapPartitions`/`Union` segment.
+/// physical stage per `Scan`/`Cached`/`MapPartitions` base.
 pub(crate) fn materialize(ctx: &Context, plan: &Arc<PlanOp>) -> Result<Parts> {
     crate::verify::verify_plan(plan)?;
-    materialize_with(ctx, plan, &[], &DriveMode::of(ctx))
+    materialize_with(ctx, plan, &DriveMode::of(ctx))
 }
 
-/// [`materialize`] with extra steps appended after the plan's own rows —
-/// how steps above a `Union` are pushed down into both branches.
-fn materialize_with(
-    ctx: &Context,
-    plan: &Arc<PlanOp>,
-    extra: &[Step],
-    mode: &DriveMode,
-) -> Result<Parts> {
+/// [`materialize`] in a drive mode already resolved.
+fn materialize_with(ctx: &Context, plan: &Arc<PlanOp>, mode: &DriveMode) -> Result<Parts> {
     let Collapsed { base, steps } = collapse(plan);
-    let mut all = steps;
-    all.extend(extra.iter().cloned());
     if let Some(parts) = scanned(ctx, &base, mode)? {
-        if all.is_empty() {
+        if steps.is_empty() {
             return Ok(Parts::Shared(parts));
         }
-        let out = run_fused_stage(ctx, &parts, None, &all, "materialize", mode)?;
+        let out = run_fused_stage(ctx, &parts, None, &steps, "materialize", mode)?;
         return Ok(Parts::Owned(out));
     }
     match base.as_ref() {
         PlanOp::MapPartitions(input, f, label, tag) => {
-            let inp = materialize_with(ctx, input, &[], mode)?;
+            let inp = materialize_with(ctx, input, mode)?;
             let out = run_fused_stage(
                 ctx,
                 inp.as_slice(),
                 Some((f.clone(), label, tag.clone())),
-                &all,
+                &steps,
                 "materialize",
                 mode,
-            )?;
-            Ok(Parts::Owned(out))
-        }
-        PlanOp::Union(_, _) => {
-            // Read every operand in place through segments and build the
-            // owned output partitions in one fused stage: each surviving
-            // row is cloned exactly once, into its destination partition —
-            // no side is materialized into intermediate combined
-            // partitions first.
-            let mut sources: Vec<(Parts, Vec<Step>)> = Vec::new();
-            let mut virt: Vec<Vec<(usize, usize)>> = Vec::new();
-            flatten_union(ctx, &base, &all, &mut sources, &mut virt, mode)?;
-            ctx.record_physical_stage();
-            let stage = ctx.stats().snapshot().physical_stages;
-            ctx.plan_note(format!(
-                "stage {stage}: union[{} sources, {} partitions] ⇒ materialize (read in place)",
-                sources.len(),
-                virt.len()
-            ));
-            let out = run_stage_weighted(
-                ctx,
-                &virt,
-                |i| {
-                    virt[i]
-                        .iter()
-                        .map(|&(src, p)| sources[src].0.as_slice()[p].len() as u64)
-                        .sum()
-                },
-                |_, segs: &Vec<(usize, usize)>, cancel| {
-                    let mut part = Vec::new();
-                    let mut sink = cancellable_sink(cancel, |v| part.push(v));
-                    for &(src, p) in segs {
-                        let rows = Source::Rows(&sources[src].0.as_slice()[p]);
-                        mode.run(rows, &sources[src].1, &mut sink)?;
-                    }
-                    drop(sink);
-                    Ok(part)
-                },
             )?;
             Ok(Parts::Owned(out))
         }
@@ -719,13 +667,12 @@ fn run_fused_stage(
 }
 
 /// Runs `task` once per partition over the plan's *transformed* rows, in
-/// one fused physical stage whenever the base permits: a `Scan`, a tree of
-/// `Union`s over scans, or a `MapPartitions` whose own input is a scan
-/// (the shuffle-read fusion — the post-shuffle reduce runs inside the
-/// consumer's stage). `task` receives the partition index and a
-/// [`PartitionRows`] cursor; this is how shuffles and reductions consume a
-/// pending chain without an intermediate materialization — for unions,
-/// without copying either operand.
+/// one fused physical stage whenever the base permits: a `Scan`, or a
+/// `MapPartitions` whose own input is a scan (the shuffle-read fusion —
+/// the post-shuffle reduce runs inside the consumer's stage). `task`
+/// receives the partition index and a [`PartitionRows`] cursor; this is
+/// how shuffles and reductions consume a pending chain without an
+/// intermediate materialization.
 pub(crate) fn consume<R, F>(
     ctx: &Context,
     plan: &Arc<PlanOp>,
@@ -748,7 +695,7 @@ where
             &parts,
             |i| parts[i].len() as u64,
             |p, part: &Vec<Value>, _| {
-                task(p, &PartitionRows::one(Source::Rows(part), &steps, mode))
+                task(p, &PartitionRows::new(Source::Rows(part), &steps, mode))
             },
         );
     }
@@ -793,7 +740,7 @@ where
                     |p, part: &Vec<Value>, _| {
                         feed(part, &mut |fed| {
                             op.run(fed, tag, mode, |src| {
-                                task(p, &PartitionRows::one(src, &steps, mode))
+                                task(p, &PartitionRows::new(src, &steps, mode))
                             })
                         })
                     },
@@ -801,7 +748,7 @@ where
             }
             // Deep prelude (its input is itself unforced): materialize it
             // (fusing inside), then run the consumer as one more stage.
-            let inp = materialize_with(ctx, &base, &steps, mode)?;
+            let inp = materialize_with(ctx, plan, mode)?;
             let parts = inp.as_slice();
             ctx.record_physical_stage();
             ctx.plan_note(describe_stage(ctx, parts.len(), None, &[], label));
@@ -810,49 +757,7 @@ where
                 parts,
                 |i| parts[i].len() as u64,
                 |i, part: &Vec<Value>, _| {
-                    task(i, &PartitionRows::one(Source::Rows(part), &[], mode))
-                },
-            )
-        }
-        PlanOp::Union(_, _) => {
-            // Read all operands in place: each virtual partition is a
-            // list of (source, partition) segments folded together with
-            // the eager engine's `i % n` composition, each carrying its
-            // own fused step chain. No operand is copied.
-            let mut sources: Vec<(Parts, Vec<Step>)> = Vec::new();
-            let mut virt: Vec<Vec<(usize, usize)>> = Vec::new();
-            flatten_union(ctx, &base, &steps, &mut sources, &mut virt, mode)?;
-            ctx.record_physical_stage();
-            let stage = ctx.stats().snapshot().physical_stages;
-            ctx.plan_note(format!(
-                "stage {stage}: union[{} sources, {} partitions] ⇒ {label} (read in place)",
-                sources.len(),
-                virt.len()
-            ));
-            run_stage_weighted(
-                ctx,
-                &virt,
-                |i| {
-                    virt[i]
-                        .iter()
-                        .map(|&(src, p)| sources[src].0.as_slice()[p].len() as u64)
-                        .sum()
-                },
-                |i, segs: &Vec<(usize, usize)>, _| {
-                    let segments = segs
-                        .iter()
-                        .map(|&(src, part)| Segment {
-                            src: Source::Rows(&sources[src].0.as_slice()[part]),
-                            steps: &sources[src].1,
-                        })
-                        .collect();
-                    task(
-                        i,
-                        &PartitionRows {
-                            segments,
-                            mode: mode.clone(),
-                        },
-                    )
+                    task(i, &PartitionRows::new(Source::Rows(part), &[], mode))
                 },
             )
         }
@@ -861,86 +766,26 @@ where
     }
 }
 
-/// Flattens a tree of `Union` nodes into shared sources plus virtual
-/// partitions (lists of `(source, partition)` indices), pushing the fused
-/// steps above each branch down into its segments. The right operand's
-/// partitions fold into the left's by index modulo the left's partition
-/// count — the same composition the eager engine produced by extending
-/// partition vectors, but without moving a row.
-fn flatten_union(
-    ctx: &Context,
-    plan: &Arc<PlanOp>,
-    extra: &[Step],
-    sources: &mut Vec<(Parts, Vec<Step>)>,
-    virt: &mut Vec<Vec<(usize, usize)>>,
-    mode: &DriveMode,
-) -> Result<()> {
-    let Collapsed { base, steps } = collapse(plan);
-    let mut all = steps;
-    all.extend(extra.iter().cloned());
-    // A cached operand reads in place like a scan once resolved.
-    if let Some(parts) = scanned(ctx, &base, mode)? {
-        let src = sources.len();
-        virt.extend((0..parts.len()).map(|p| vec![(src, p)]));
-        sources.push((Parts::Shared(parts), all));
-        return Ok(());
-    }
-    match base.as_ref() {
-        PlanOp::Union(l, r) => {
-            let start = virt.len();
-            flatten_union(ctx, l, &all, sources, virt, mode)?;
-            let n = virt.len() - start;
-            let mut rvirt: Vec<Vec<(usize, usize)>> = Vec::new();
-            flatten_union(ctx, r, &all, sources, &mut rvirt, mode)?;
-            if n == 0 {
-                virt.extend(rvirt);
-            } else {
-                for (j, segs) in rvirt.into_iter().enumerate() {
-                    virt[start + (j % n)].extend(segs);
-                }
-            }
-            Ok(())
-        }
-        _ => {
-            // MapPartitions under a union: materialize just this branch.
-            let parts = materialize_with(ctx, &base, &all, mode)?;
-            let src = sources.len();
-            let n = parts.as_slice().len();
-            sources.push((parts, Vec::new()));
-            virt.extend((0..n).map(|p| vec![(src, p)]));
-            Ok(())
-        }
-    }
-}
-
-/// One run of source rows with the fused chain still to be applied.
-struct Segment<'a> {
+/// The rows of one partition, with the fused chain still to apply, as
+/// presented to a [`consume`] task.
+pub(crate) struct PartitionRows<'a> {
     src: Source<'a>,
     steps: &'a [Step],
-}
-
-/// The rows of one (possibly union-composed) partition, as presented to a
-/// [`consume`] task.
-pub(crate) struct PartitionRows<'a> {
-    segments: Vec<Segment<'a>>,
     mode: DriveMode,
 }
 
 impl<'a> PartitionRows<'a> {
-    /// One run of rows with its chain still to apply.
-    fn one(src: Source<'a>, steps: &'a [Step], mode: &DriveMode) -> PartitionRows<'a> {
+    fn new(src: Source<'a>, steps: &'a [Step], mode: &DriveMode) -> PartitionRows<'a> {
         PartitionRows {
-            segments: vec![Segment { src, steps }],
+            src,
+            steps,
             mode: mode.clone(),
         }
     }
 
-    /// Feeds every transformed row to `sink`, segment by segment.
+    /// Feeds every transformed row to `sink`.
     pub fn for_each(&self, sink: &mut dyn FnMut(Value) -> Result<()>) -> Result<()> {
-        for seg in &self.segments {
-            self.mode.run(seg.src, seg.steps, sink)?;
-        }
-        Ok(())
+        self.mode.run(self.src, self.steps, sink)
     }
 
     /// Reduces the transformed rows with `op`, left to right, without
@@ -949,22 +794,16 @@ impl<'a> PartitionRows<'a> {
     /// survives.
     pub fn fold(&self, op: BinOp) -> Result<Option<Value>> {
         let mut acc = None;
-        for seg in &self.segments {
-            self.mode.fold(seg.src, seg.steps, op, &mut acc)?;
-        }
+        self.mode.fold(self.src, self.steps, op, &mut acc)?;
         Ok(acc)
     }
 
     /// Feeds every transformed row — a `(key, row)` pair — to `sink` as
-    /// its key and its row, segment by segment: what a keyed scatter needs
-    /// to pick a bucket and send the row on as itself. In the columnar
-    /// layout an eligible chain never boxes the pair, nor a tuple key
-    /// of primitive lanes.
+    /// its key and its row: what a keyed scatter needs to pick a bucket
+    /// and send the row on as itself. In the columnar layout an eligible
+    /// chain never boxes the pair, nor a tuple key of primitive lanes.
     pub fn for_each_pair(&self, sink: &mut dyn FnMut(Key<'_>, Value) -> Result<()>) -> Result<()> {
-        for seg in &self.segments {
-            self.mode.pairs(seg.src, seg.steps, sink)?;
-        }
-        Ok(())
+        self.mode.pairs(self.src, self.steps, sink)
     }
 
     /// Aggregates the transformed rows by key — rows `(key, (v1, …, vn))`,
@@ -980,9 +819,7 @@ impl<'a> PartitionRows<'a> {
         emit: &mut dyn FnMut(Value, Value) -> Result<()>,
     ) -> Result<()> {
         let mut fold = KeyedFold::new(ops);
-        for seg in &self.segments {
-            self.mode.combine(seg.src, seg.steps, &mut fold)?;
-        }
+        self.mode.combine(self.src, self.steps, &mut fold)?;
         fold.finish(emit)
     }
 }
@@ -1032,32 +869,23 @@ fn describe_stage(
     out
 }
 
-/// Renders a pending (unforced) plan as an indented tree — the narrow
-/// chains a materialization point would fuse.
-pub(crate) fn render(plan: &Arc<PlanOp>, indent: usize, out: &mut String) {
-    let pad = "  ".repeat(indent);
+/// Renders a pending (unforced) plan as one line — the narrow chains a
+/// materialization point would fuse.
+pub(crate) fn render(plan: &Arc<PlanOp>, out: &mut String) {
     let Collapsed { base, steps } = collapse(plan);
     match base.as_ref() {
         PlanOp::Scan(parts) => {
-            out.push_str(&format!("{pad}scan[{}p]", parts.len()));
+            out.push_str(&format!("scan[{}p]", parts.len()));
         }
         PlanOp::Cached(_, inner) => {
-            out.push_str(&format!("{pad}cached("));
-            let mut body = String::new();
-            render(inner, 0, &mut body);
-            out.push_str(&body);
+            out.push_str("cached(");
+            render(inner, out);
             out.push(')');
         }
         PlanOp::MapPartitions(input, _, label, _) => {
-            render(input, indent, out);
+            render(input, out);
             out.push_str(" → ");
             out.push_str(label);
-        }
-        PlanOp::Union(l, r) => {
-            out.push_str(&format!("{pad}union:\n"));
-            render(l, indent + 1, out);
-            out.push('\n');
-            render(r, indent + 1, out);
         }
         // collapse() never returns a row node as base.
         PlanOp::Map(..) | PlanOp::Filter(..) | PlanOp::FlatMap(..) => {}

@@ -25,7 +25,7 @@
 //! * **Plan shape** ([`verify_plan`], called from `materialize` and
 //!   `consume`): every `Scan` leaf holds ≥ 1 partition (the public
 //!   constructors assert this, so a zero-partition scan means a corrupt
-//!   plan), and row nodes / unions sit over structurally valid inputs.
+//!   plan), and row nodes sit over structurally valid inputs.
 //! * **Exchange conservation** (`Exchange::finish`): the merged
 //!   destination buckets hold exactly as many rows as the writers
 //!   emitted — a lost spill chunk or a dropped in-memory chunk is caught
@@ -38,10 +38,9 @@
 //! * **Input keys** ([`verify_unique_keys`]): base data bound as an array
 //!   holds no key twice (§3.4).
 //!
-//! The partitioner's bucket range is *always* checked at
-//! [`ExchangeWriter::emit`](crate::ExchangeWriter::emit) — that guards
-//! against arbitrary user `Partitioner` implementations, not against
-//! engine bugs, so it is not gated. Global key order of an ordered
+//! The partitioner's bucket range is *always* checked when a scatter
+//! emits a row (`ExchangeWriter::emit`): it is a cheap safety check, so it
+//! is not gated. Global key order of an ordered
 //! context's output holds by construction (range buckets, then a key sort
 //! per partition); `tests/ordering_conformance.rs` checks it end to end.
 
@@ -96,14 +95,6 @@ fn check(plan: &PlanOp) -> Result<usize> {
         // A cached barrier stands in for its (structurally equivalent)
         // inner plan; on a cache miss that inner plan is what re-runs.
         PlanOp::Cached(_, inner) => check(inner),
-        // Union keeps the left side's partition count; the right side
-        // folds in by index modulo the left's count, so both operands
-        // must be structurally valid.
-        PlanOp::Union(l, r) => {
-            let n = check(l)?;
-            check(r)?;
-            Ok(n)
-        }
     }
 }
 
@@ -218,15 +209,6 @@ mod tests {
     fn healthy_scan_reports_its_partition_count() {
         let plan = PlanOp::Scan(Arc::new(vec![vec![Value::Long(1)], vec![]]));
         assert_eq!(check(&plan).unwrap(), 2);
-    }
-
-    #[test]
-    fn union_keeps_left_count_and_checks_both_sides() {
-        let l = Arc::new(PlanOp::Scan(Arc::new(vec![vec![], vec![], vec![]])));
-        let r = Arc::new(PlanOp::Scan(Arc::new(vec![vec![]])));
-        assert_eq!(check(&PlanOp::Union(l.clone(), r)).unwrap(), 3);
-        let bad = Arc::new(PlanOp::Scan(Arc::new(Vec::new())));
-        assert!(check(&PlanOp::Union(l, bad)).is_err());
     }
 
     #[test]

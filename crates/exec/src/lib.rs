@@ -463,7 +463,7 @@ impl Session {
             } => {
                 let old = self.eval_collection(left)?;
                 // Merging into an array with no rows an update whose keys
-                // are unique returns the update: skip the cogroup.
+                // are unique returns the update: skip the merge.
                 if let CExpr::Comp(c) = right.as_ref() {
                     if old.is_known_empty() {
                         if let Some(proof) = c.unique_keys(&|v| self.is_dataset(v)) {

@@ -5,6 +5,11 @@
 //! `d := d ⊕ e` (or `d := e ⊕ d`) for a *commutative* `⊕` is recognized as
 //! the incremental update `d ⊕= e`. This is how programs written in the
 //! style of Appendix B (e.g. `eq := eq && v == x`) are admitted.
+//!
+//! The parser also bounds how deep a program nests ([`MAX_NESTING`]):
+//! every later pass walks the tree recursively, so hostile input — a
+//! thousand nested parentheses, a chain of ten thousand `+` terms — is a
+//! D001 diagnostic here instead of a stack overflow there.
 
 use diablo_diag::{codes, Diagnostics};
 use diablo_runtime::{BinOp, Func, UnOp};
@@ -14,10 +19,19 @@ use crate::lexer::{Lexer, Span, Token, TokenKind};
 use crate::types::Type;
 use crate::{LangError, Result};
 
+/// How deep a program may nest: each parenthesis (of a group, tuple or
+/// call), index bracket, record brace, unary operator, binary operator of
+/// a chain (`1 + 1 + …` is as deep as it is long), statement block and
+/// loop or conditional body is one level. The programs of the paper's
+/// corpus nest at most 12 levels; at this bound the deepest accepted
+/// program of each shape still compiles, runs and interprets on a thread
+/// with a 2 MiB stack in a debug build (`tests/hostile_nesting.rs`).
+pub const MAX_NESTING: usize = 64;
+
 /// Parses a whole program.
 pub fn parse(src: &str) -> Result<Program> {
     let tokens = Lexer::new(src).tokenize()?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     p.program()
 }
 
@@ -36,7 +50,7 @@ pub fn parse_multi(src: &str, diags: &mut Diagnostics) -> Option<Program> {
             return None;
         }
     };
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     let before = diags.error_count();
     let program = p.program_recovering(diags);
     (diags.error_count() == before).then_some(program)
@@ -45,7 +59,7 @@ pub fn parse_multi(src: &str, diags: &mut Diagnostics) -> Option<Program> {
 /// Parses a single expression (used by tests and the REPL-style examples).
 pub fn parse_expr(src: &str) -> Result<Expr> {
     let tokens = Lexer::new(src).tokenize()?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     let e = p.expr()?;
     p.expect(&TokenKind::Eof)?;
     Ok(e)
@@ -54,9 +68,47 @@ pub fn parse_expr(src: &str) -> Result<Expr> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// The nesting levels open at `pos` (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>) -> Parser {
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Opens one more nesting level — right after the token that opens
+    /// it, where the error points — or fails past [`MAX_NESTING`].
+    fn enter(&mut self) -> Result<()> {
+        if self.depth >= MAX_NESTING {
+            return Err(LangError::new(
+                format!(
+                    "program nests deeper than {MAX_NESTING} levels \
+                     (parentheses, operator chains and blocks)"
+                ),
+                self.tokens[self.pos.saturating_sub(1)].span,
+            ));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Closes `levels` nesting levels opened by [`Parser::enter`].
+    fn leave(&mut self, levels: usize) {
+        self.depth -= levels;
+    }
+
+    /// Runs `f` one nesting level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.enter()?;
+        let out = f(self);
+        self.leave(1);
+        out
+    }
     fn peek(&self) -> &Token {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
@@ -189,6 +241,8 @@ impl Parser {
                 Err(e) => {
                     diags.emit(e.into_diagnostic(codes::SYNTAX));
                     self.recover(start);
+                    // Levels left open by the failed statement.
+                    self.depth = 0;
                 }
             }
         }
@@ -297,7 +351,7 @@ impl Parser {
             self.expect(&TokenKind::LParen)?;
             let cond = self.expr()?;
             self.expect(&TokenKind::RParen)?;
-            let body = self.stmt()?;
+            let body = self.nested(Self::stmt)?;
             return Ok(Stmt::While {
                 cond,
                 body: Box::new(body),
@@ -309,10 +363,10 @@ impl Parser {
             self.expect(&TokenKind::LParen)?;
             let cond = self.expr()?;
             self.expect(&TokenKind::RParen)?;
-            let then_branch = Box::new(self.stmt()?);
+            let then_branch = Box::new(self.nested(Self::stmt)?);
             let else_branch = if self.at_ident("else") {
                 self.bump();
-                Some(Box::new(self.stmt()?))
+                Some(Box::new(self.nested(Self::stmt)?))
             } else {
                 None
             };
@@ -325,6 +379,7 @@ impl Parser {
         }
         if self.peek_kind() == &TokenKind::LBrace {
             self.bump();
+            self.enter()?;
             let mut stmts = Vec::new();
             while self.peek_kind() != &TokenKind::RBrace {
                 if self.eat(&TokenKind::Semi) {
@@ -332,6 +387,7 @@ impl Parser {
                 }
                 stmts.push(self.stmt()?);
             }
+            self.leave(1);
             self.expect(&TokenKind::RBrace)?;
             self.eat(&TokenKind::Semi); // tolerate `};`
             return Ok(Stmt::Block(stmts));
@@ -423,7 +479,7 @@ impl Parser {
         if self.eat_ident("in") {
             let source = self.expr()?;
             self.expect_ident("do")?;
-            let body = self.stmt()?;
+            let body = self.nested(Self::stmt)?;
             return Ok(Stmt::ForIn {
                 var,
                 source,
@@ -436,7 +492,7 @@ impl Parser {
         self.expect(&TokenKind::Comma)?;
         let hi = self.expr()?;
         self.expect_ident("do")?;
-        let body = self.stmt()?;
+        let body = self.nested(Self::stmt)?;
         Ok(Stmt::For {
             var,
             lo,
@@ -452,12 +508,7 @@ impl Parser {
         let span = self.span();
         let name = self.ident()?;
         let mut d = if self.eat(&TokenKind::LBracket) {
-            let mut idxs = vec![self.expr()?];
-            while self.eat(&TokenKind::Comma) {
-                idxs.push(self.expr()?);
-            }
-            self.expect(&TokenKind::RBracket)?;
-            Lhs::Index(name, idxs)
+            Lhs::Index(name, self.nested(Self::indexes)?)
         } else {
             Lhs::Var(name)
         };
@@ -479,19 +530,27 @@ impl Parser {
     /// `expr := and_expr (('||') and_expr)*`
     pub(crate) fn expr(&mut self) -> Result<Expr> {
         let mut e = self.and_expr()?;
+        let mut chain = 0;
         while self.eat(&TokenKind::OrOr) {
+            self.enter()?;
+            chain += 1;
             let rhs = self.and_expr()?;
             e = Expr::Bin(BinOp::Or, Box::new(e), Box::new(rhs));
         }
+        self.leave(chain);
         Ok(e)
     }
 
     fn and_expr(&mut self) -> Result<Expr> {
         let mut e = self.cmp_expr()?;
+        let mut chain = 0;
         while self.eat(&TokenKind::AndAnd) {
+            self.enter()?;
+            chain += 1;
             let rhs = self.cmp_expr()?;
             e = Expr::Bin(BinOp::And, Box::new(e), Box::new(rhs));
         }
+        self.leave(chain);
         Ok(e)
     }
 
@@ -517,6 +576,7 @@ impl Parser {
 
     fn add_expr(&mut self) -> Result<Expr> {
         let mut e = self.mul_expr()?;
+        let mut chain = 0;
         loop {
             let op = match self.peek_kind() {
                 TokenKind::Plus => BinOp::Add,
@@ -525,14 +585,18 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.enter()?;
+            chain += 1;
             let rhs = self.mul_expr()?;
             e = Expr::Bin(op, Box::new(e), Box::new(rhs));
         }
+        self.leave(chain);
         Ok(e)
     }
 
     fn mul_expr(&mut self) -> Result<Expr> {
         let mut e = self.unary_expr()?;
+        let mut chain = 0;
         loop {
             let op = match self.peek_kind() {
                 TokenKind::Star => BinOp::Mul,
@@ -541,24 +605,27 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.enter()?;
+            chain += 1;
             let rhs = self.unary_expr()?;
             e = Expr::Bin(op, Box::new(e), Box::new(rhs));
         }
+        self.leave(chain);
         Ok(e)
     }
 
     fn unary_expr(&mut self) -> Result<Expr> {
         if self.eat(&TokenKind::Minus) {
-            let e = self.unary_expr()?;
+            let e = self.nested(Self::unary_expr)?;
             // Fold negation of literals so `-1` is a constant.
             return Ok(match e {
-                Expr::Const(Const::Long(n)) => Expr::Const(Const::Long(-n)),
+                Expr::Const(Const::Long(n)) => Expr::Const(Const::Long(n.wrapping_neg())),
                 Expr::Const(Const::Double(x)) => Expr::Const(Const::Double(-x)),
                 other => Expr::Un(UnOp::Neg, Box::new(other)),
             });
         }
         if self.eat(&TokenKind::Bang) {
-            let e = self.unary_expr()?;
+            let e = self.nested(Self::unary_expr)?;
             return Ok(Expr::Un(UnOp::Not, Box::new(e)));
         }
         self.postfix_expr()
@@ -600,10 +667,7 @@ impl Parser {
             }
             TokenKind::LParen => {
                 self.bump();
-                let mut fields = vec![self.expr()?];
-                while self.eat(&TokenKind::Comma) {
-                    fields.push(self.expr()?);
-                }
+                let mut fields = self.nested(Self::exprs)?;
                 self.expect(&TokenKind::RParen)?;
                 if fields.len() == 1 {
                     Ok(fields.pop().expect("one field"))
@@ -613,16 +677,17 @@ impl Parser {
             }
             TokenKind::RecOpen => {
                 self.bump();
-                let mut fields = Vec::new();
-                loop {
-                    let name = self.ident()?;
-                    self.expect(&TokenKind::Eq)?;
-                    let e = self.expr()?;
-                    fields.push((name, e));
-                    if !self.eat(&TokenKind::Comma) {
-                        break;
+                let fields = self.nested(|p| {
+                    let mut fields = Vec::new();
+                    loop {
+                        let name = p.ident()?;
+                        p.expect(&TokenKind::Eq)?;
+                        fields.push((name, p.expr()?));
+                        if !p.eat(&TokenKind::Comma) {
+                            return Ok(fields);
+                        }
                     }
-                }
+                })?;
                 self.expect(&TokenKind::RecClose)?;
                 Ok(Expr::Record(fields))
             }
@@ -643,11 +708,7 @@ impl Parser {
                     return self.call_expr(name, span);
                 }
                 if self.eat(&TokenKind::LBracket) {
-                    let mut idxs = vec![self.expr()?];
-                    while self.eat(&TokenKind::Comma) {
-                        idxs.push(self.expr()?);
-                    }
-                    self.expect(&TokenKind::RBracket)?;
+                    let idxs = self.nested(Self::indexes)?;
                     if self.peek_kind() == &TokenKind::LBracket {
                         return Err(LangError::new(
                             "nested array indexing is not allowed (arrays of arrays are excluded, §3.1)",
@@ -665,15 +726,29 @@ impl Parser {
         }
     }
 
+    /// `expr (',' expr)*`: tuple fields or call arguments.
+    fn exprs(&mut self) -> Result<Vec<Expr>> {
+        let mut es = vec![self.expr()?];
+        while self.eat(&TokenKind::Comma) {
+            es.push(self.expr()?);
+        }
+        Ok(es)
+    }
+
+    /// The indexes of an array access, up to and including the `]`.
+    fn indexes(&mut self) -> Result<Vec<Expr>> {
+        let idxs = self.exprs()?;
+        self.expect(&TokenKind::RBracket)?;
+        Ok(idxs)
+    }
+
     fn call_expr(&mut self, name: String, span: Span) -> Result<Expr> {
         self.expect(&TokenKind::LParen)?;
-        let mut args = Vec::new();
-        if self.peek_kind() != &TokenKind::RParen {
-            args.push(self.expr()?);
-            while self.eat(&TokenKind::Comma) {
-                args.push(self.expr()?);
-            }
-        }
+        let args = if self.peek_kind() == &TokenKind::RParen {
+            Vec::new()
+        } else {
+            self.nested(Self::exprs)?
+        };
         self.expect(&TokenKind::RParen)?;
         // `min`/`max` are binary operators in call syntax.
         match name.as_str() {

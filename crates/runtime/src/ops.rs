@@ -110,7 +110,7 @@ impl BinOp {
                     if *y == 0 {
                         Err(RuntimeError::new("division by zero"))
                     } else {
-                        Ok(Value::Long(x / y))
+                        Ok(Value::Long(x.wrapping_div(*y)))
                     }
                 }
                 _ => {
@@ -123,7 +123,7 @@ impl BinOp {
                     if *y == 0 {
                         Err(RuntimeError::new("modulo by zero"))
                     } else {
-                        Ok(Value::Long(x % y))
+                        Ok(Value::Long(x.wrapping_rem(*y)))
                     }
                 }
                 _ => {
@@ -247,7 +247,7 @@ impl UnOp {
     pub fn apply(self, v: &Value) -> Result<Value> {
         match self {
             UnOp::Neg => match v {
-                Value::Long(n) => Ok(Value::Long(-n)),
+                Value::Long(n) => Ok(Value::Long(n.wrapping_neg())),
                 Value::Double(x) => Ok(Value::Double(-x)),
                 _ => Err(RuntimeError::new(format!(
                     "cannot negate {}",
@@ -347,7 +347,7 @@ impl Func {
         match self {
             Func::Sqrt => Ok(Value::Double(num(&args[0])?.sqrt())),
             Func::Abs => match &args[0] {
-                Value::Long(n) => Ok(Value::Long(n.abs())),
+                Value::Long(n) => Ok(Value::Long(n.wrapping_abs())),
                 v => Ok(Value::Double(num(v)?.abs())),
             },
             Func::Exp => Ok(Value::Double(num(&args[0])?.exp())),
@@ -450,6 +450,22 @@ mod tests {
     fn division_by_zero_is_an_error() {
         assert!(BinOp::Div.apply(&Value::Long(1), &Value::Long(0)).is_err());
         assert!(BinOp::Mod.apply(&Value::Long(1), &Value::Long(0)).is_err());
+    }
+
+    #[test]
+    fn long_arithmetic_wraps_at_the_edges_of_long() {
+        let (min, minus_one) = (Value::Long(i64::MIN), Value::Long(-1));
+        assert_eq!(BinOp::Div.apply(&min, &minus_one).unwrap(), min);
+        assert_eq!(BinOp::Mod.apply(&min, &minus_one).unwrap(), Value::Long(0));
+        assert_eq!(UnOp::Neg.apply(&min).unwrap(), min);
+        assert_eq!(Func::Abs.apply(std::slice::from_ref(&min)).unwrap(), min);
+        let max = Value::Long(i64::MAX);
+        assert_eq!(BinOp::Add.apply(&max, &Value::Long(1)).unwrap(), min);
+        assert_eq!(BinOp::Sub.apply(&min, &Value::Long(1)).unwrap(), max);
+        assert_eq!(BinOp::Mul.apply(&min, &minus_one).unwrap(), min);
+        // Division by zero stays an error at the edges too.
+        assert!(BinOp::Div.apply(&min, &Value::Long(0)).is_err());
+        assert!(BinOp::Mod.apply(&min, &Value::Long(0)).is_err());
     }
 
     #[test]

@@ -53,7 +53,7 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -497,124 +497,176 @@ fn handle_run(run: RunFrame<'_>, shared: &Arc<Shared>) -> Result<Vec<u8>, String
     // executing, wait for its result instead of executing a duplicate.
     // The first miss registers itself as the leader; `no_cache` requests
     // bypass coalescing the way they bypass the cache.
-    let leading = if run.no_cache {
-        None
+    let mut leader = if run.no_cache {
+        Leader::alone(shared, key)
     } else {
-        let mut inflight = shared.inflight.lock().expect("inflight lock");
-        if let Some(waiting) = inflight.get(&key) {
-            let waiting = waiting.clone();
-            drop(inflight);
-            shared.coalesced.fetch_add(1, Ordering::Relaxed);
-            let waited = Instant::now();
-            let mut done = waiting.done.lock().expect("inflight result lock");
-            while done.is_none() {
-                done = waiting.cv.wait(done).expect("inflight result lock");
+        match coalesce(shared, key) {
+            Turn::Lead(leader) => leader,
+            Turn::Cached(cached) => return reply(&cached, true, 0, 0),
+            Turn::Waited(Ok(cached), queue_us) => return reply(&cached, true, queue_us, 0),
+            // A leader error reaches every waiter — re-running the same
+            // program against the same inputs would fail the same way, at
+            // full execution cost per waiter.
+            Turn::Waited(Err(message), _) => return Err(message),
+        }
+    };
+
+    let outcome = (|| -> Result<(Arc<CachedRun>, u64, u64), String> {
+        // A miss, so the rows are needed: decode them now, before
+        // admission and before the execution clock starts. The frame scan
+        // already checked every byte, so this cannot fail on a parsed
+        // frame.
+        let mut rows = Vec::with_capacity(run.rows.len());
+        for (name, section) in &run.rows {
+            rows.push((*name, section.decode().map_err(|e| e.to_string())?));
+        }
+
+        let permit = shared.admission.acquire(shared.queue_deadline)?;
+
+        let started = Instant::now();
+        let tenant = shared.ctx.fork();
+        let mut session = Session::new(tenant.clone());
+        for (name, v) in run.scalars {
+            session.bind_scalar(&name, v);
+        }
+        for (name, r) in rows {
+            session.bind_input(name, r);
+        }
+        for (name, parts, _) in served {
+            session.bind_dataset(name, Dataset::from_shared_parts(tenant.clone(), parts));
+        }
+
+        session.run(compiled).map_err(|e| e.to_string())?;
+
+        let mut outputs = Vec::new();
+        let mut names: Vec<(String, bool)> = compiled
+            .var_types
+            .iter()
+            .filter(|(n, _)| !n.contains('#'))
+            .map(|(n, t)| (n.clone(), t.is_collection()))
+            .collect();
+        names.sort_by(|a, b| a.0.cmp(&b.0));
+        for (name, is_collection) in names {
+            if is_collection {
+                if let Some(rows) = session.collect(&name) {
+                    outputs.push((name, Output::Rows(rows)));
+                }
+            } else if let Some(v) = session.scalar(&name) {
+                outputs.push((name, Output::Scalar(v)));
             }
-            return match done.as_ref().expect("loop exits on Some") {
-                Ok(cached) => reply(cached, true, waited.elapsed().as_micros() as u64, 0),
-                // A leader error reaches every waiter — re-running the
-                // same program against the same inputs would fail the
-                // same way, at full execution cost per waiter.
-                Err(message) => Err(message.clone()),
-            };
         }
-        // Double-check the result cache under the inflight lock: a
-        // leader settles by caching its result and THEN deregistering,
-        // so "cache miss, then no inflight entry" can also mean the
-        // leader finished in between — its result is in the cache now.
-        // Without this re-probe, that interleaving would execute the
-        // identical request a second time.
-        if let Some(cached) = shared.cache.peek(key) {
-            return reply(&cached, true, 0, 0);
-        }
-        let leader = Arc::new(InflightRun {
-            done: Mutex::new(None),
-            cv: Condvar::new(),
-        });
-        inflight.insert(key, leader.clone());
-        Some(leader)
-    };
-    // Publishes the leader's outcome: deregisters the key (later misses
-    // start fresh — on success they hit the result cache anyway) and
-    // wakes every waiter. Must run on EVERY exit path below, or waiters
-    // sleep forever.
-    let settle = |result: std::result::Result<Arc<CachedRun>, String>| {
-        if let Some(leader) = &leading {
-            shared.inflight.lock().expect("inflight lock").remove(&key);
-            *leader.done.lock().expect("inflight result lock") = Some(result);
-            leader.cv.notify_all();
-        }
-    };
-    let fail = |message: String| {
-        settle(Err(message.clone()));
-        Err(message)
-    };
-
-    // A miss, so the rows are needed: decode them now, before admission
-    // and before the execution clock starts. The frame scan already
-    // checked every byte, so this cannot fail on a parsed frame.
-    let mut rows = Vec::with_capacity(run.rows.len());
-    for (name, section) in &run.rows {
-        match section.decode() {
-            Ok(r) => rows.push((*name, r)),
-            Err(e) => return fail(e.to_string()),
-        }
-    }
-
-    let permit = match shared.admission.acquire(shared.queue_deadline) {
-        Ok(p) => p,
-        Err(message) => return fail(message),
-    };
-
-    let started = Instant::now();
-    let tenant = shared.ctx.fork();
-    let mut session = Session::new(tenant.clone());
-    for (name, v) in run.scalars {
-        session.bind_scalar(&name, v);
-    }
-    for (name, r) in rows {
-        session.bind_input(name, r);
-    }
-    for (name, parts, _) in served {
-        session.bind_dataset(name, Dataset::from_shared_parts(tenant.clone(), parts));
-    }
-
-    if let Err(e) = session.run(compiled) {
+        let exec_us = started.elapsed().as_micros() as u64;
+        let queue_us = permit.queue_us;
         drop(permit);
-        return fail(e.to_string());
-    }
 
-    let mut outputs = Vec::new();
-    let mut names: Vec<(String, bool)> = compiled
-        .var_types
-        .iter()
-        .filter(|(n, _)| !n.contains('#'))
-        .map(|(n, t)| (n.clone(), t.is_collection()))
-        .collect();
-    names.sort_by(|a, b| a.0.cmp(&b.0));
-    for (name, is_collection) in names {
-        if is_collection {
-            if let Some(rows) = session.collect(&name) {
-                outputs.push((name, Output::Rows(rows)));
-            }
-        } else if let Some(v) = session.scalar(&name) {
-            outputs.push((name, Output::Scalar(v)));
+        // The one encoding of these outputs: the cache stores the bytes,
+        // and this reply, every later hit and every coalesced waiter frame
+        // them.
+        let section = encode_outputs(&outputs).map_err(|e| e.to_string())?;
+        drop(outputs);
+        Ok((shared.cache.put(key, section), queue_us, exec_us))
+    })();
+    leader.settle(match &outcome {
+        Ok((cached, ..)) => Ok(cached.clone()),
+        Err(message) => Err(message.clone()),
+    });
+    let (cached, queue_us, exec_us) = outcome?;
+    reply(&cached, false, queue_us, exec_us)
+}
+
+/// How a cache miss proceeds under request coalescing.
+enum Turn<'a> {
+    /// No identical run is executing: this request runs the program.
+    Lead(Leader<'a>),
+    /// The identical run finished just before: its result is cached.
+    Cached(Arc<CachedRun>),
+    /// An identical run was executing: its outcome, after waiting this
+    /// many microseconds for it.
+    Waited(std::result::Result<Arc<CachedRun>, String>, u64),
+}
+
+/// Registers a miss of `key` as its leader, or waits for the identical
+/// run already executing.
+fn coalesce(shared: &Shared, key: u64) -> Turn<'_> {
+    let mut inflight = shared.inflight.lock().expect("inflight lock");
+    if let Some(waiting) = inflight.get(&key) {
+        let waiting = waiting.clone();
+        drop(inflight);
+        shared.coalesced.fetch_add(1, Ordering::Relaxed);
+        let waited = Instant::now();
+        let mut done = waiting.done.lock().expect("inflight result lock");
+        while done.is_none() {
+            done = waiting.cv.wait(done).expect("inflight result lock");
+        }
+        let outcome = done.as_ref().expect("loop exits on Some").clone();
+        return Turn::Waited(outcome, waited.elapsed().as_micros() as u64);
+    }
+    // Double-check the result cache under the inflight lock: a leader
+    // settles by caching its result and THEN deregistering, so "cache
+    // miss, then no inflight entry" can also mean the leader finished in
+    // between — its result is in the cache now. Without this re-probe,
+    // that interleaving would execute the identical request a second time.
+    if let Some(cached) = shared.cache.peek(key) {
+        return Turn::Cached(cached);
+    }
+    let run = Arc::new(InflightRun {
+        done: Mutex::new(None),
+        cv: Condvar::new(),
+    });
+    inflight.insert(key, run.clone());
+    Turn::Lead(Leader {
+        shared,
+        key,
+        run: Some(run),
+    })
+}
+
+/// A leader's entry in [`Shared::inflight`], as a drop guard. Settling
+/// publishes the run's outcome: it deregisters the key (later misses
+/// start fresh — on success they hit the result cache anyway) and wakes
+/// every waiter. A leader dropped unsettled — a panic unwinding out of
+/// its run — publishes an error, so no identical request waits on a run
+/// that is gone.
+struct Leader<'a> {
+    shared: &'a Shared,
+    key: u64,
+    /// `None` once settled, or for a run that bypasses coalescing.
+    run: Option<Arc<InflightRun>>,
+}
+
+impl<'a> Leader<'a> {
+    /// A run no other request can wait on (`no_cache`).
+    fn alone(shared: &'a Shared, key: u64) -> Leader<'a> {
+        Leader {
+            shared,
+            key,
+            run: None,
         }
     }
-    let exec_us = started.elapsed().as_micros() as u64;
-    let queue_us = permit.queue_us;
-    drop(permit);
 
-    // The one encoding of these outputs: the cache stores the bytes, and
-    // this reply, every later hit and every coalesced waiter frame them.
-    let section = match encode_outputs(&outputs) {
-        Ok(section) => section,
-        Err(e) => return fail(e.to_string()),
-    };
-    drop(outputs);
-    let cached = shared.cache.put(key, section);
-    settle(Ok(cached.clone()));
-    reply(&cached, false, queue_us, exec_us)
+    fn settle(&mut self, outcome: std::result::Result<Arc<CachedRun>, String>) {
+        let Some(run) = self.run.take() else {
+            return;
+        };
+        // Never panic here: this also runs while a panic unwinds.
+        let mut inflight = self
+            .shared
+            .inflight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        inflight.remove(&self.key);
+        drop(inflight);
+        *run.done.lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
+        run.cv.notify_all();
+    }
+}
+
+impl Drop for Leader<'_> {
+    fn drop(&mut self) {
+        self.settle(Err(
+            "the identical run this request waited on failed".to_string()
+        ));
+    }
 }
 
 #[cfg(test)]
@@ -734,6 +786,41 @@ mod tests {
             "compile errors are not memoized"
         );
         assert_eq!(stats["compile_memo_hits"], texts);
+        server.stop();
+    }
+
+    #[test]
+    fn a_leader_that_panics_strands_no_waiter() {
+        let server = Server::start("127.0.0.1:0", Context::new(1, 1), ServeConfig::default())
+            .expect("server");
+        let shared = server.shared.clone();
+        let key = 0x5eed;
+        let Turn::Lead(leader) = coalesce(&shared, key) else {
+            panic!("the first miss of a key leads");
+        };
+        let waiter = thread::spawn({
+            let shared = shared.clone();
+            move || match coalesce(&shared, key) {
+                Turn::Waited(outcome, _) => outcome.map(|_| ()),
+                _ => panic!("an identical miss waits for the leader"),
+            }
+        });
+        while shared.coalesced.load(Ordering::Relaxed) < 1 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _leader = leader;
+            panic!("the leader's run panics");
+        }));
+        assert!(unwound.is_err());
+        assert!(
+            shared.inflight.lock().expect("inflight lock").is_empty(),
+            "the unwound leader deregistered its key"
+        );
+        let got = waiter.join().expect("waiter thread");
+        assert!(got.is_err(), "the waiter gets an error: {got:?}");
+        // The next identical miss leads a fresh run.
+        assert!(matches!(coalesce(&shared, key), Turn::Lead(_)));
         server.stop();
     }
 }

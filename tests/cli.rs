@@ -98,6 +98,67 @@ fn run_and_interp_agree_on_csv_inputs() {
         assert!(text.contains("(5, 3)"), "{text}");
         assert!(text.contains("(7, 2)"), "{text}");
     }
+
+    // Long arithmetic wraps at the edges of long, alike on the driver, in
+    // column tiles (`V[i] / y`, `V[i] % y`, `-V[i]` over a long lane), on
+    // the row layout and in the interpreter.
+    let program = write_temp(
+        "wrap.dbl",
+        "input V: vector[long];
+         input x: long;
+         input y: long;
+         var Q: vector[long] = vector();
+         var R: vector[long] = vector();
+         var N: vector[long] = vector();
+         var A: vector[long] = vector();
+         var q: long = 0;
+         var r: long = 0;
+         var n: long = 0;
+         var a: long = 0;
+         for i = 0, 2 do {
+             Q[i] := V[i] / y;
+             R[i] := V[i] % y;
+             N[i] := -V[i];
+             A[i] := abs(V[i]);
+         };
+         q := x / y;
+         r := x % y;
+         n := -x;
+         a := abs(x);",
+    );
+    let data = write_temp(
+        "wrap.csv",
+        "0,-9223372036854775808\n1,9223372036854775807\n2,-7\n",
+    );
+    let run = |args: &[&str]| -> String {
+        let out = diabloc()
+            .args(args)
+            .arg(&program)
+            .arg(format!("V=@{}", data.display()))
+            .arg("x=-9223372036854775808")
+            .arg("y=-1")
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).to_string()
+    };
+    let columnar = run(&["run", "--backend", "columnar"]);
+    for scalar in ["q", "n", "a"] {
+        let want = format!("{scalar} = -9223372036854775808");
+        assert!(columnar.contains(&want), "{columnar}");
+    }
+    assert!(columnar.contains("r = 0"), "{columnar}");
+    let min = "(0, -9223372036854775808)";
+    for (array, row) in [("Q", min), ("R", "(0, 0)"), ("N", min), ("A", min)] {
+        let block = format!("{array} = {{ 3 element(s) }}\n  {row}\n");
+        assert!(columnar.contains(&block), "{block}: {columnar}");
+    }
+    assert_eq!(run(&["run", "--backend", "local"]), columnar);
+    assert_eq!(run(&["interp"]), columnar);
 }
 
 #[test]

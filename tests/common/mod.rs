@@ -1,12 +1,14 @@
 //! Engine configurations the conformance suites share: the one plan
 //! walker's execution knobs — layout, tile width, exchange budget — as one
-//! value, so a suite's grid is a list of these.
+//! value, so a suite's grid is a list of these; and the driver-side join
+//! the join conformance tests are held to.
 
 #![allow(dead_code)]
 
 use std::fmt;
 
-use diablo_dataflow::{Context, Layout, DEFAULT_TILE_WIDTH};
+use diablo_dataflow::{Context, HashPartitioner, Layout, DEFAULT_TILE_WIDTH};
+use diablo_runtime::Value;
 
 /// One engine configuration under test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,4 +76,40 @@ impl fmt::Display for Engine {
             None => write!(f, ", unbounded"),
         }
     }
+}
+
+/// The matches of an inner equi-join, computed on the driver by a nested
+/// loop over collected `(key, row)` inputs: one `(key, left, right)` per
+/// pair of rows whose keys are equal (`Value` equality), the key spelled
+/// as the first left row of its group spells it. Listed in the order the
+/// engine's join documents: hash buckets ascending (of `partitions`), then
+/// left keys as first seen, then left × right rows in input order; with
+/// `ordered`, stable by key instead of by bucket.
+pub fn nested_loop_join(
+    left: &[(Value, Value)],
+    right: &[(Value, Value)],
+    partitions: usize,
+    ordered: bool,
+) -> Vec<(Value, Value, Value)> {
+    let mut groups: Vec<(&Value, Vec<&Value>)> = Vec::new();
+    for (k, row) in left {
+        match groups.iter_mut().find(|(g, _)| *g == k) {
+            Some((_, rows)) => rows.push(row),
+            None => groups.push((k, vec![row])),
+        }
+    }
+    if ordered {
+        groups.sort_by(|a, b| a.0.cmp(b.0));
+    } else {
+        groups.sort_by_key(|(k, _)| HashPartitioner.partition(k, partitions));
+    }
+    let mut out = Vec::new();
+    for (k, lrows) in groups {
+        for l in lrows {
+            for (_, r) in right.iter().filter(|(rk, _)| rk == k) {
+                out.push((k.clone(), l.clone(), r.clone()));
+            }
+        }
+    }
+    out
 }

@@ -8,9 +8,7 @@
 use proptest::prelude::*;
 
 use diablo_core::compile;
-use diablo_dataflow::{
-    Context, Dataset, HashPartitioner, Layout, Partitioner, RangePartitioner, StatsSnapshot,
-};
+use diablo_dataflow::{Context, Dataset, Layout, RangePartitioner, StatsSnapshot};
 use diablo_exec::Session;
 use diablo_runtime::{array::key_value, BinOp, RuntimeError, Value};
 use diablo_workloads as wl;
@@ -130,8 +128,9 @@ fn spilled_shuffle_surfaces_the_same_first_error() {
 
 #[test]
 fn spilled_pipeline_preserves_shuffle_read_fusion_and_caches() {
-    // Spilling is invisible to the plan: reduce_by_key → map → shuffle is
-    // still 2 physical stages, and spilled results cache like any other.
+    // Spilling is invisible to the plan: reduce_by_key → map →
+    // group_by_key is still 2 physical stages, and spilled results cache
+    // like any other.
     let ctx = ctx_with_budget(Some(0));
     let entries: Vec<Value> = (0..500)
         .map(|i| Value::pair(Value::Long(i % 20), Value::Long(1)))
@@ -143,10 +142,10 @@ fn spilled_pipeline_preserves_shuffle_read_fusion_and_caches() {
         .unwrap()
         .map(|row| {
             let (k, v) = key_value(row)?;
-            Ok(Value::pair(v, k))
+            Ok(Value::pair(k, BinOp::Mul.apply(&v, &Value::Long(2))?))
         })
         .unwrap()
-        .partition_by_key()
+        .group_by_key()
         .unwrap();
     let after = ctx.stats().snapshot().since(&before);
     assert_eq!(after.physical_stages, 2, "{after:?}");
@@ -156,15 +155,22 @@ fn spilled_pipeline_preserves_shuffle_read_fusion_and_caches() {
 
 #[test]
 fn range_partitioner_keeps_ordered_keys_contiguous() {
-    let ctx = ctx_with_budget(None);
-    let rows: Vec<Value> = (0..120)
-        .map(|i| Value::pair(Value::Long((i * 7) % 120), Value::Long(i)))
-        .collect();
-    let d = ctx.from_vec(rows);
+    // An ordered context's keyed operator scatters through a sampled
+    // range partitioner.
+    let ordered = |budget| ctx_with_budget(budget).with_ordered(true);
+    let rows = || -> Vec<Value> {
+        (0..120)
+            .map(|i| Value::pair(Value::Long((i * 7) % 120), Value::Long(i)))
+            .collect()
+    };
     let part = RangePartitioner::from_sample((0..120).map(Value::Long).collect(), 6);
-    let ranged = d.partition_by(&part).unwrap();
-    // Same bag of rows as a hash re-partition...
-    let hashed = d.partition_by(&HashPartitioner).unwrap();
+    let ranged = ordered(None).from_vec(rows()).group_by_key().unwrap();
+    // Same bag of rows as the hash path...
+    let hashed = ctx_with_budget(None)
+        .with_ordered(false)
+        .from_vec(rows())
+        .group_by_key()
+        .unwrap();
     assert_eq!(ranged.collect_sorted(), hashed.collect_sorted());
     // ...but with key ranges contiguous per partition: a partition-order
     // collect visits the range buckets in ascending key-range order.
@@ -173,7 +179,7 @@ fn range_partitioner_keeps_ordered_keys_contiguous() {
         .iter()
         .map(|r| {
             let (k, _) = key_value(r).unwrap();
-            part.partition(&k, 6).unwrap()
+            part.partition(&k, 6)
         })
         .collect();
     let mut sorted = buckets.clone();
@@ -183,20 +189,16 @@ fn range_partitioner_keeps_ordered_keys_contiguous() {
         "range buckets appear in ascending order across partitions"
     );
     // A spilled range exchange is byte-identical to the in-memory one.
-    let spill_ctx = ctx_with_budget(Some(0));
-    let d2 = spill_ctx.from_vec(
-        (0..120)
-            .map(|i| Value::pair(Value::Long((i * 7) % 120), Value::Long(i)))
-            .collect(),
-    );
+    let spill_ctx = ordered(Some(0));
+    let d2 = spill_ctx.from_vec(rows());
     let before = spill_ctx.stats().snapshot();
-    let ranged2 = d2.partition_by(&part).unwrap();
+    let ranged2 = d2.group_by_key().unwrap();
     let after = spill_ctx.stats().snapshot().since(&before);
     assert_eq!(ranged2.collect(), collected);
     assert!(after.spill_files > 0, "{after:?}");
 }
 
-/// Two-sided exchanges (merge/cogroup) spill independently per side and
+/// Two-sided exchanges (merge/join) spill independently per side and
 /// still align their buckets.
 #[test]
 fn spilled_two_sided_exchanges_align() {

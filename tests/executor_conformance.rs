@@ -146,7 +146,15 @@ fn backends_agree_on_union_merge_and_join() {
         let ctx = ctx_for(engine);
         let a = long_pairs(&ctx, &[(1, 1), (2, 2), (3, 3), (4, 4)]);
         let b = long_pairs(&ctx, &[(2, 20), (3, 30), (5, 50)]);
-        let union_rows = a.union(&b).try_collect().unwrap();
+        // The array union `a ⊳ b`: colliding keys take the update.
+        let union_rows = a
+            .merge(
+                &b,
+                None::<fn(&Value, &Value) -> Result<Value, RuntimeError>>,
+            )
+            .unwrap()
+            .try_collect()
+            .unwrap();
         let merged = a
             .merge(&b, Some(|x: &Value, y: &Value| BinOp::Add.apply(x, y)))
             .unwrap()
@@ -728,57 +736,59 @@ fn backends_agree_on_keyed_aggregations() {
     assert!(vectorized > 0, "the columnar legs never ran a tile");
 }
 
-/// What `Dataset::join_on` computed before it was an engine operator: both
-/// sides keyed by closures, `cogroup` into per-key bags, every left × right
-/// pair of a key flattened out. Kept here as the reference the operator is
-/// held to, row for row.
-fn cogroup_join(left: &Dataset, right: &Dataset, on: &JoinOn) -> Result<Vec<Value>, RuntimeError> {
-    let left_key = on.left_key.clone();
-    let keyed_left = left.map(move |row| Ok(Value::pair(left_key.eval(row)?, row.clone())))?;
+/// `Dataset::join_on` on the driver: both sides collected and keyed as
+/// the operator keys them (left rows first, so the first error is the
+/// one the left scatter raises), then [`common::nested_loop_join`], each
+/// match a left row followed by its right leaves. The reference the
+/// operator is held to, row for row.
+fn driver_join_on(
+    left: &Dataset,
+    right: &Dataset,
+    on: &JoinOn,
+) -> Result<Vec<Value>, RuntimeError> {
+    let ctx = left.context();
     let unpack = RowExpr::Unpack {
         shape: on.right.clone(),
         mismatch: on.mismatch.clone(),
     };
-    let right_key = on.right_key.clone();
-    let keyed_right = right.map(move |raw| {
-        let leaves = unpack.eval(raw)?;
-        Ok(Value::pair(right_key.eval(&leaves)?, leaves))
-    })?;
-    keyed_left
-        .cogroup(&keyed_right)?
-        .flat_map(|row| {
-            let (_, bags) = key_value(row)?;
-            let sides = bags.as_tuple().expect("cogroup row");
-            let (ls, rs) = (sides[0].as_bag().unwrap(), sides[1].as_bag().unwrap());
-            let mut out = Vec::with_capacity(ls.len() * rs.len());
-            for l in ls {
-                for r in rs {
-                    let mut fields = l.as_tuple().expect("left row").to_vec();
-                    fields.extend_from_slice(r.as_tuple().expect("right leaves"));
-                    out.push(Value::tuple(fields));
-                }
-            }
-            Ok(out)
-        })?
-        .try_collect()
+    let keyed_left = left
+        .try_collect()?
+        .into_iter()
+        .map(|row| Ok((on.left_key.eval(&row)?, row)))
+        .collect::<Result<Vec<_>, RuntimeError>>()?;
+    let keyed_right = right
+        .try_collect()?
+        .iter()
+        .map(|raw| {
+            let leaves = unpack.eval(raw)?;
+            Ok((on.right_key.eval(&leaves)?, leaves))
+        })
+        .collect::<Result<Vec<_>, RuntimeError>>()?;
+    let matches =
+        common::nested_loop_join(&keyed_left, &keyed_right, ctx.partitions(), ctx.ordered());
+    Ok(matches
+        .into_iter()
+        .map(|(_, l, r)| {
+            let mut fields = l.as_tuple().expect("left row").to_vec();
+            fields.extend_from_slice(r.as_tuple().expect("right leaves"));
+            Value::tuple(fields)
+        })
+        .collect())
 }
 
-/// `Dataset::join` as it was: `cogroup`, then `(k, (l, r))` per pair.
-fn cogroup_pairs(left: &Dataset, right: &Dataset) -> Result<Vec<Value>, RuntimeError> {
-    left.cogroup(right)?
-        .flat_map(|row| {
-            let (k, bags) = key_value(row)?;
-            let sides = bags.as_tuple().expect("cogroup row");
-            let (ls, rs) = (sides[0].as_bag().unwrap(), sides[1].as_bag().unwrap());
-            let mut out = Vec::with_capacity(ls.len() * rs.len());
-            for l in ls {
-                for r in rs {
-                    out.push(Value::pair(k.clone(), Value::pair(l.clone(), r.clone())));
-                }
-            }
-            Ok(out)
-        })?
-        .try_collect()
+/// `Dataset::join` on the driver: `(k, (l, r))` per match of
+/// [`common::nested_loop_join`] over the `(key, value)` rows.
+fn driver_join_pairs(left: &Dataset, right: &Dataset) -> Result<Vec<Value>, RuntimeError> {
+    let ctx = left.context();
+    let pairs = |d: &Dataset| -> Result<Vec<(Value, Value)>, RuntimeError> {
+        d.try_collect()?.iter().map(key_value).collect()
+    };
+    let (l, r) = (pairs(left)?, pairs(right)?);
+    let matches = common::nested_loop_join(&l, &r, ctx.partitions(), ctx.ordered());
+    Ok(matches
+        .into_iter()
+        .map(|(k, l, r)| Value::pair(k, Value::pair(l, r)))
+        .collect())
 }
 
 /// `Dataset::cross` as a closure: what the pipeline builder's `broadcast
@@ -1005,7 +1015,7 @@ fn backends_agree_on_joins_and_crosses() {
                 let reference = {
                     let ctx = context(Engine::ROW, 1, ordered);
                     let (l, r) = build(&ctx, &left_rows, right);
-                    show(cogroup_join(&l, &r, &on))
+                    show(driver_join_on(&l, &r, &on))
                 };
                 let fails = reference.starts_with("error");
                 assert_eq!(fails, *variant == "a right row that is no pair", "{what}");
@@ -1079,7 +1089,7 @@ fn backends_agree_on_joins_and_crosses() {
         for ordered in [false, true] {
             let reference = {
                 let ctx = context(Engine::ROW, 1, ordered);
-                show(cogroup_pairs(
+                show(driver_join_pairs(
                     &ctx.from_vec(l.clone()),
                     &ctx.from_vec(r.clone()),
                 ))

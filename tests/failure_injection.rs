@@ -280,11 +280,10 @@ fn sorted_shuffle_rejects_non_pair_rows_like_the_hash_scatter() {
 fn ordered_two_sided_operators_surface_the_hash_paths_first_error() {
     // A poisoned row in the left chain, in the right chain, and in both:
     // the ordered path runs each side's chain as the hash path does, the
-    // left side first, so `cogroup`, `merge` and `join_on` report the hash
+    // left side first, so `merge` and `join_on` report the hash
     // path's first error and statement tag — the left one when both fail.
     type Op = fn(&Dataset, &Dataset) -> Result<Dataset, RuntimeError>;
-    let ops: [(&str, Op); 3] = [
-        ("cogroup", |l: &Dataset, r: &Dataset| l.cogroup(r)),
+    let ops: [(&str, Op); 2] = [
         ("merge", |l: &Dataset, r: &Dataset| {
             l.merge(r, Some(|a: &Value, b: &Value| BinOp::Add.apply(a, b)))
         }),

@@ -1,7 +1,7 @@
 //! Ordering conformance for the ordered keyed operators: for **every
 //! layout × tile width × budget (unbounded, 64 MiB, 0)**, the keyed
 //! operators of an ordered context (`Context::with_ordered`) —
-//! `reduce_by_key`, `group_by_key`, `merge`, `cogroup`, `join` and
+//! `reduce_by_key`, `group_by_key`, `merge`, `join` and
 //! `join_on` — must produce output that is
 //!
 //! 1. **globally key-ordered** — keys ascend across the whole collect,
@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use common::Engine;
-use diablo_dataflow::{Context, Dataset, JoinOn, Partitioner, RangePartitioner, RowExpr, Shape};
+use diablo_dataflow::{Context, Dataset, JoinOn, RangePartitioner, RowExpr, Shape};
 use diablo_runtime::{array::key_value, BinOp, RuntimeError, Value};
 
 /// The combiner-closure result type, for turbofishing `None` combiners.
@@ -129,7 +129,7 @@ fn sorted_ops_conform_across_backends_and_budgets() {
             .unwrap()
             .collect(),
     );
-    let hash_cogroup = sorted_copy(&a.cogroup(&b).unwrap().collect());
+    let hash_join = sorted_copy(&a.join(&b).unwrap().collect());
 
     // Byte-for-byte references from the first grid cell.
     let mut sorted_refs: Option<[Vec<Value>; 4]> = None;
@@ -150,25 +150,21 @@ fn sorted_ops_conform_across_backends_and_budgets() {
                 .merge(&b, Some(|x: &Value, y: &Value| BinOp::Add.apply(x, y)))
                 .unwrap()
                 .collect();
-            let cogroup = a.cogroup(&b).unwrap().collect();
+            let join = a.join(&b).unwrap().collect();
             let stats = ctx.stats().snapshot().since(&before);
 
             for (rows, what) in [
                 (&reduce, "reduce"),
                 (&group, "group"),
                 (&merge, "merge"),
-                (&cogroup, "cogroup"),
+                (&join, "join"),
             ] {
                 assert_key_ordered(rows, &format!("{name} {what}"));
             }
             assert_eq!(sorted_copy(&reduce), hash_reduce, "{name}: reduce multiset");
             assert_eq!(sorted_copy(&group), hash_group, "{name}: group multiset");
             assert_eq!(sorted_copy(&merge), hash_merge, "{name}: merge multiset");
-            assert_eq!(
-                sorted_copy(&cogroup),
-                hash_cogroup,
-                "{name}: cogroup multiset"
-            );
+            assert_eq!(sorted_copy(&join), hash_join, "{name}: join multiset");
             assert!(
                 stats.sorted_shuffles >= 4,
                 "{name}: every ordered op runs a range-partitioned exchange: {stats:?}"
@@ -180,7 +176,7 @@ fn sorted_ops_conform_across_backends_and_budgets() {
                 );
             }
 
-            let outputs = [reduce, group, merge, cogroup];
+            let outputs = [reduce, group, merge, join];
             match &sorted_refs {
                 None => sorted_refs = Some(outputs),
                 Some(reference) => {
@@ -289,12 +285,12 @@ fn range_partitioner_coalesces_bounds_for_degenerate_samples() {
         "an all-equal sample needs no bounds (one bucket), got {:?}",
         all_equal.bounds()
     );
-    assert_eq!(all_equal.partition(&Value::Long(7), 8).unwrap(), 0);
+    assert_eq!(all_equal.partition(&Value::Long(7), 8), 0);
 
     let two = RangePartitioner::from_sample(vec![Value::Long(1), Value::Long(2)], 8);
     assert_eq!(two.bounds(), [Value::Long(1)], "max key never bounds");
-    assert_eq!(two.partition(&Value::Long(1), 8).unwrap(), 0);
-    assert_eq!(two.partition(&Value::Long(2), 8).unwrap(), 1);
+    assert_eq!(two.partition(&Value::Long(1), 8), 0);
+    assert_eq!(two.partition(&Value::Long(2), 8), 1);
 
     // d distinct keys, d <= partitions: every sampled key gets a bucket
     // and no sampled key maps past the last bound's bucket + 1 — no
@@ -302,9 +298,7 @@ fn range_partitioner_coalesces_bounds_for_degenerate_samples() {
     for d in 1..=6i64 {
         let sample: Vec<Value> = (0..d).map(Value::Long).collect();
         let p = RangePartitioner::from_sample(sample, 6);
-        let buckets: Vec<usize> = (0..d)
-            .map(|k| p.partition(&Value::Long(k), 6).unwrap())
-            .collect();
+        let buckets: Vec<usize> = (0..d).map(|k| p.partition(&Value::Long(k), 6)).collect();
         assert_eq!(
             buckets,
             (0..d as usize).collect::<Vec<_>>(),
@@ -360,7 +354,7 @@ proptest! {
         keys.sort();
         let buckets: Vec<usize> = keys
             .iter()
-            .map(|k| part.partition(k, 5).unwrap())
+            .map(|k| part.partition(k, 5))
             .collect();
         for w in buckets.windows(2) {
             prop_assert!(w[0] <= w[1], "bucket function not monotone: {buckets:?}");

@@ -265,23 +265,6 @@ fn evicted_datasets_recompute_from_lineage() {
     assert_eq!(snap.dataset_budget, 0);
 }
 
-/// `unpersist` releases an entry eagerly; the dataset stays usable and
-/// recomputes on the next read.
-#[test]
-fn unpersist_releases_and_recomputes() {
-    let ctx = Context::new(2, 4);
-    let d = ctx
-        .range(0, 99)
-        .unwrap()
-        .map(|v| Ok(v.clone()))
-        .unwrap()
-        .materialize()
-        .expect("materializes");
-    let before = d.collect();
-    d.unpersist();
-    assert_eq!(d.collect(), before, "usable after unpersist");
-}
-
 /// The cache-pinning regression, engine level: a loop creating and
 /// dropping one materialized dataset per iteration must hold at most one
 /// live entry. Each iteration's ~9 KiB result alone fits the 16 KiB

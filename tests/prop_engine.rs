@@ -2,6 +2,8 @@
 //! with a naive single-threaded reference implementation, regardless of
 //! worker count and partitioning.
 
+mod common;
+
 use std::collections::HashMap;
 
 use proptest::prelude::*;
@@ -280,40 +282,29 @@ proptest! {
             .map(|&(k, v)| Value::pair(Value::pair(spell(k, v), Value::Long(v)), Value::Long(-v)))
             .collect();
         let shape = Shape::Tuple(vec![Shape::Tuple(vec![Shape::Bind, Shape::Skip]), Shape::Bind]);
-        // The reference: key both sides by closures, cogroup, and expand
-        // every group's left × right pairs.
-        let reference = {
-            let ctx = Context::new(1, partitions)
-                .with_layout(Layout::Row)
-                .with_ordered(ordered);
-            let l = ctx
-                .from_vec(left_rows.clone())
-                .map(|row| Ok(Value::pair(key_value(row)?.0, row.clone())))
-                .unwrap();
-            let r = ctx
-                .from_vec(right_rows.clone())
+        // The reference: key both sides on the driver, match them with a
+        // nested loop (the co-grouped keys in the join's documented
+        // order), and expand every match's left × right rows.
+        let reference: Vec<Value> = {
+            let l: Vec<(Value, Value)> = left_rows
+                .iter()
+                .map(|row| (key_value(row).unwrap().0, row.clone()))
+                .collect();
+            let r: Vec<(Value, Value)> = right_rows
+                .iter()
                 .map(|row| {
-                    let (kv, w) = key_value(row)?;
-                    let k = key_value(&kv)?.0;
-                    Ok(Value::pair(k.clone(), Value::pair(k, w)))
+                    let (kv, w) = key_value(row).unwrap();
+                    let k = key_value(&kv).unwrap().0;
+                    (k.clone(), Value::pair(k, w))
                 })
-                .unwrap();
-            l.cogroup(&r)
-                .unwrap()
-                .flat_map(|row| {
-                    let (_, bags) = key_value(row)?;
-                    let sides = bags.as_tuple().unwrap();
-                    let mut out = Vec::new();
-                    for l in sides[0].as_bag().unwrap() {
-                        for r in sides[1].as_bag().unwrap() {
-                            let mut fields = l.as_tuple().unwrap().to_vec();
-                            fields.extend_from_slice(r.as_tuple().unwrap());
-                            out.push(Value::tuple(fields));
-                        }
-                    }
-                    Ok(out)
+                .collect();
+            common::nested_loop_join(&l, &r, partitions, ordered)
+                .into_iter()
+                .map(|(_, l, r)| {
+                    let mut fields = l.as_tuple().unwrap().to_vec();
+                    fields.extend_from_slice(r.as_tuple().unwrap());
+                    Value::tuple(fields)
                 })
-                .unwrap()
                 .collect()
         };
         let ctx = Context::new(workers, partitions)
