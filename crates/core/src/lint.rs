@@ -121,29 +121,14 @@ fn collect_shuffling(stmts: &[TStmt], out: &mut Vec<String>) {
 /// Finds the first incremental update of `name` (recursing into loop and
 /// branch bodies) so the warning lands on the source statement.
 fn find_incr<'a>(stmts: &'a [Stmt], name: &str) -> Option<(&'a Lhs, Span)> {
-    for s in stmts {
-        let found = match s {
-            Stmt::Incr { dest, span, .. } if dest.base_var() == name => Some((dest, *span)),
-            Stmt::For { body, .. } | Stmt::ForIn { body, .. } | Stmt::While { body, .. } => {
-                find_incr(std::slice::from_ref(body), name)
-            }
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => find_incr(std::slice::from_ref(then_branch), name).or_else(|| {
-                else_branch
-                    .as_deref()
-                    .and_then(|e| find_incr(std::slice::from_ref(e), name))
-            }),
-            Stmt::Block(ss) => find_incr(ss, name),
-            _ => None,
-        };
-        if found.is_some() {
-            return found;
+    let mut first = None;
+    visit_stmts(stmts, &mut |s| match s {
+        Stmt::Incr { dest, span, .. } if first.is_none() && dest.base_var() == name => {
+            first = Some((dest, *span))
         }
-    }
-    None
+        _ => {}
+    });
+    first
 }
 
 // ------------------------------------------------------------- D021
@@ -676,33 +661,16 @@ fn visit_comps(e: &CExpr, f: &mut dyn FnMut(&Comprehension)) {
 /// Finds the span of the first source statement writing `name`, so the
 /// warning lands on the assignment whose chain falls back.
 fn find_write(stmts: &[Stmt], name: &str) -> Option<Span> {
-    for s in stmts {
-        let found = match s {
-            Stmt::Assign { dest, span, .. } | Stmt::Incr { dest, span, .. }
-                if dest.base_var() == name =>
-            {
-                Some(*span)
-            }
-            Stmt::For { body, .. } | Stmt::ForIn { body, .. } | Stmt::While { body, .. } => {
-                find_write(std::slice::from_ref(body), name)
-            }
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => find_write(std::slice::from_ref(then_branch), name).or_else(|| {
-                else_branch
-                    .as_deref()
-                    .and_then(|e| find_write(std::slice::from_ref(e), name))
-            }),
-            Stmt::Block(ss) => find_write(ss, name),
-            _ => None,
-        };
-        if found.is_some() {
-            return found;
+    let mut first = None;
+    visit_stmts(stmts, &mut |s| match s {
+        Stmt::Assign { dest, span, .. } | Stmt::Incr { dest, span, .. }
+            if first.is_none() && dest.base_var() == name =>
+        {
+            first = Some(*span)
         }
-    }
-    None
+        _ => {}
+    });
+    first
 }
 
 fn row_fallback(tp: &TypedProgram, compiled: &CompiledProgram, out: &mut Vec<Diagnostic>) {
@@ -750,7 +718,9 @@ fn collect_assign_values<'a>(stmts: &'a [TStmt], out: &mut Vec<(&'a String, &'a 
 
 // ------------------------------------------------------------- traversal
 
-fn visit_stmts(stmts: &[Stmt], f: &mut dyn FnMut(&Stmt)) {
+/// Calls `f` on every statement, in pre-order (a statement before the
+/// statements of its bodies and branches).
+fn visit_stmts<'a>(stmts: &'a [Stmt], f: &mut dyn FnMut(&'a Stmt)) {
     for s in stmts {
         f(s);
         match s {

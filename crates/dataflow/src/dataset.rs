@@ -6,9 +6,6 @@
 //! `join`, `merge`) expect rows shaped as `(key, value)` pairs —
 //! exactly the sparse-array representation of §3.4 — and hash-partition
 //! rows by key before the reduction stage, which is the engine's shuffle.
-//! Under [`Context::ordered`] the same operators range-partition instead
-//! and sort each post-shuffle partition by key, so their output is
-//! globally key-ordered.
 //! [`Dataset::join_on`] is the same join told as data — both keys as
 //! [`RowExpr`]s over rows of any shape — and [`Dataset::cross`] its
 //! keyless counterpart, a broadcast nested loop as a transparent step.
@@ -50,17 +47,16 @@
 use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use diablo_runtime::array::key_value_ref;
 use diablo_runtime::{size::slice_size, AggOp, BinOp, RuntimeError, Value};
 
 use crate::columnar::{Cross, KeyedFold, RowExpr, Shape};
-use crate::exchange::{Exchange, ExchangeWriter, HashPartitioner, RangePartitioner};
+use crate::exchange::{Exchange, ExchangeWriter, HashPartitioner};
 use crate::join::{Emit, Join};
 use crate::keytable::KeyTable;
 use crate::plan::{self, PartFn, PartOp, PartitionRows, PlanOp};
-use crate::pool::run_stage;
 use crate::Context;
 
 /// Result alias for engine operations.
@@ -78,39 +74,18 @@ enum KeyFold {
     Monoids(Arc<[BinOp]>),
 }
 
+/// Folds one more `(key, value)` row into `acc` with `f`; a key's first
+/// value is kept as it is.
+fn fold_pair(f: &CombineFn, acc: &mut KeyTable<Value>, row: &Value) -> Result<()> {
+    let (k, v) = key_value_ref(row)?;
+    let hit = acc.upsert(Cow::Borrowed(k), || v.clone());
+    if !hit.new {
+        *hit.value = f(hit.value, v)?;
+    }
+    Ok(())
+}
+
 impl KeyFold {
-    /// Folds two values of one key.
-    fn apply(&self, a: &Value, b: &Value) -> Result<Value> {
-        match self {
-            KeyFold::Closure(f) => f(a, b),
-            KeyFold::Monoids(ops) => match (a.as_tuple(), b.as_tuple()) {
-                (Some(xs), Some(ys)) if xs.len() == ops.len() && ys.len() == ops.len() => {
-                    let fields = ops
-                        .iter()
-                        .zip(xs.iter().zip(ys))
-                        .map(|(op, (x, y))| op.apply(x, y))
-                        .collect::<Result<Vec<_>>>()?;
-                    Ok(Value::tuple(fields))
-                }
-                _ => Err(RuntimeError::new(format!(
-                    "keyed aggregation expects {} value(s) per key, got {a} and {b}",
-                    ops.len()
-                ))),
-            },
-        }
-    }
-
-    /// Folds one more `(key, value)` row into `acc`; a key's first value
-    /// is kept as it is.
-    fn fold_pair(&self, acc: &mut KeyTable<Value>, row: &Value) -> Result<()> {
-        let (k, v) = key_value_ref(row)?;
-        let hit = acc.upsert(Cow::Borrowed(k), || v.clone());
-        if !hit.new {
-            *hit.value = self.apply(hit.value, v)?;
-        }
-        Ok(())
-    }
-
     /// The map-side combine: folds a partition's transformed rows per key
     /// and hands every distinct key and its folded value to `emit`, in
     /// first-seen order.
@@ -121,9 +96,9 @@ impl KeyFold {
     ) -> Result<()> {
         match self {
             KeyFold::Monoids(ops) => rows.combine(ops, emit),
-            KeyFold::Closure(_) => {
+            KeyFold::Closure(f) => {
                 let mut acc = KeyTable::new();
-                rows.for_each(&mut |row| self.fold_pair(&mut acc, &row))?;
+                rows.for_each(&mut |row| fold_pair(&**f, &mut acc, &row))?;
                 acc.into_entries().try_for_each(|(k, v)| emit(k, v))
             }
         }
@@ -143,11 +118,11 @@ impl KeyFold {
                 bucket.iter().try_for_each(|row| fold.row(row))?;
                 fold.finish(&mut emit)?;
             }
-            KeyFold::Closure(_) => {
+            KeyFold::Closure(f) => {
                 let mut acc = KeyTable::new();
                 bucket
                     .iter()
-                    .try_for_each(|row| self.fold_pair(&mut acc, row))?;
+                    .try_for_each(|row| fold_pair(&**f, &mut acc, row))?;
                 acc.into_entries().try_for_each(|(k, v)| emit(k, v))?;
             }
         }
@@ -207,36 +182,6 @@ pub(crate) fn key_hash(v: &impl Hash) -> u64 {
     let mut h = DefaultHasher::new();
     v.hash(&mut h);
     h.finish()
-}
-
-/// The key of a `(key, value)` row, borrowed; a row of another shape is
-/// its own key (the keyed operators check the shape before they order).
-fn pair_key(row: &Value) -> &Value {
-    match row.as_tuple() {
-        Some([k, _]) => k,
-        _ => row,
-    }
-}
-
-/// The partitioner of a range scatter, from the `(key, value)` rows of its
-/// source partitions: per source, the keys sorted and up to 64 of them
-/// evenly spaced, plus the largest. Deterministic, so every layout and
-/// budget derives the same bounds.
-fn range_partitioner<'a>(
-    sources: impl Iterator<Item = &'a Vec<Value>>,
-    partitions: usize,
-) -> RangePartitioner {
-    const KEYS_PER_SOURCE: usize = 64;
-    let mut sample: Vec<Value> = Vec::new();
-    for rows in sources {
-        let mut keys: Vec<&Value> = rows.iter().map(pair_key).collect();
-        keys.sort();
-        let Some(&last) = keys.last() else { continue };
-        let stride = keys.len().div_ceil(KEYS_PER_SOURCE).max(1);
-        sample.extend(keys.iter().step_by(stride).map(|&k| k.clone()));
-        sample.push(last.clone());
-    }
-    RangePartitioner::from_sample(sample, partitions)
 }
 
 impl Dataset {
@@ -687,42 +632,10 @@ impl Dataset {
         })
     }
 
-    /// The shuffle under every keyed operator: scatters each of `sides` by
-    /// key, left to right, and returns each side's destination buckets.
-    ///
-    /// A hash context runs one scatter stage per side. An ordered context
-    /// runs the **range scatter**: one stage per side runs its pending
-    /// chain ([`Dataset::range_sources`]), the bounds of one shared
-    /// [`RangePartitioner`] are sampled from every side's keys
-    /// ([`range_partitioner`]), and each side's rows then go through a
-    /// plain [`Exchange`], so a bucket comes back in the hash path's
-    /// `(source, sequence)` order, under the same memory budget.
-    fn scatter_keyed<const N: usize>(
-        &self,
-        sides: [(&Dataset, &str); N],
-        crossing: Crossing<'_>,
-    ) -> Result<[Vec<Vec<Value>>; N]> {
-        let mut dests = sides.map(|_| Vec::new());
-        if !self.ctx.ordered() {
-            for (dest, (side, label)) in dests.iter_mut().zip(sides) {
-                *dest = side.hash_scatter(label, crossing)?;
-            }
-            return Ok(dests);
-        }
-        let mut sources = sides.map(|_| Vec::new());
-        for (source, (side, label)) in sources.iter_mut().zip(sides) {
-            *source = side.range_sources(label, crossing)?;
-        }
-        let partitioner = range_partitioner(sources.iter().flatten(), self.ctx.partitions());
-        for ((dest, source), (_, label)) in dests.iter_mut().zip(sources).zip(sides) {
-            *dest = self.range_scatter(source, &partitioner, label, crossing)?;
-        }
-        Ok(dests)
-    }
-
-    /// One side's hash scatter: the pending chain, the map-side combine
-    /// if any, and the scatter in one stage.
-    fn hash_scatter(&self, label: &str, crossing: Crossing<'_>) -> Result<Vec<Vec<Value>>> {
+    /// The shuffle under every keyed operator, one side of it: the
+    /// pending chain, the map-side combine if any, and the hash scatter by
+    /// key in one stage; returns the side's destination buckets.
+    fn scatter_keyed(&self, label: &str, crossing: Crossing<'_>) -> Result<Vec<Vec<Value>>> {
         let p = self.ctx.partitions();
         match crossing {
             Crossing::Pairs => self.shuffle(label),
@@ -743,95 +656,14 @@ impl Dataset {
         }
     }
 
-    /// The first stage of a range scatter: runs the pending chain and
-    /// keeps each source partition's `(key, value)` rows — checked in row
-    /// order, so a malformed row fails as it does in the hash scatter, and
-    /// combined per key when `crossing` says so.
-    fn range_sources(&self, label: &str, crossing: Crossing<'_>) -> Result<Vec<Vec<Value>>> {
-        let label = format!("{label}, by range");
-        plan::consume(&self.ctx, &self.effective_plan(), &label, |_, rows| {
-            let mut out = Vec::new();
-            match crossing {
-                Crossing::Combined(fold) => fold.combine(rows, &mut |k, v| {
-                    out.push(Value::pair(k, v));
-                    Ok(())
-                })?,
-                Crossing::Pairs | Crossing::Rows => rows.for_each(&mut |row| {
-                    key_value_ref(&row)?;
-                    out.push(row);
-                    Ok(())
-                })?,
-            }
-            Ok(out)
-        })
-    }
-
-    /// The second half of a range scatter: sends every source row to the
-    /// bucket `partitioner` gives its key — a join side sends the row of
-    /// its `(key, row)` pair — through a plain [`Exchange`].
-    fn range_scatter(
-        &self,
-        sources: Vec<Vec<Value>>,
-        partitioner: &RangePartitioner,
-        label: &str,
-        crossing: Crossing<'_>,
-    ) -> Result<Vec<Vec<Value>>> {
-        self.ctx.plan_note(format!(
-            "sorted shuffle ({label}): range partitioner, {} sampled bound(s) over {} buckets",
-            partitioner.bounds().len(),
-            self.ctx.partitions()
-        ));
-        let p = self.ctx.partitions();
-        let ex = Exchange::new(p, self.ctx.memory_budget());
-        // Each task owns exactly its source partition (taken out of the
-        // slot), so rows move into the sink without a clone; chunk tags
-        // keep the buckets independent of worker interleaving.
-        let slots: Vec<Mutex<Vec<Value>>> = sources.into_iter().map(Mutex::new).collect();
-        run_stage(&self.ctx, &slots, |src, slot| {
-            let rows = std::mem::take(&mut *slot.lock().expect("source slot"));
-            let mut writer = ex.writer(src);
-            for row in rows {
-                let bucket = partitioner.partition(pair_key(&row), p);
-                let row = match crossing {
-                    Crossing::Rows => key_value_ref(&row)?.1.clone(),
-                    Crossing::Pairs | Crossing::Combined(_) => row,
-                };
-                writer.emit(bucket, row)?;
-            }
-            writer.close()
-        })?;
-        let dest = ex.finish(&self.ctx)?;
-        self.ctx.stats().record_sorted_shuffle();
-        Ok(dest)
-    }
-
-    /// Wraps gathered shuffle buckets in a lazy partition-wise stage: the
-    /// post-shuffle work becomes a pending plan node that fuses with
-    /// whatever consumes it next (shuffle-read fusion). `labels` name the
-    /// node on the hash path and on the ordered one, where the rows `op`
-    /// makes of a partition, one per key, are then sorted by key: range
-    /// buckets hold contiguous key ranges, so the partitions concatenate
-    /// in global key order. (A join lists its matches in key order
-    /// itself.)
-    fn post_shuffle(
-        &self,
-        dest: Vec<Vec<Value>>,
-        op: PartOp,
-        labels: [&'static str; 2],
-    ) -> Dataset {
-        let ordered = self.ctx.ordered();
-        let op = match op {
-            PartOp::Rows(f) if ordered => PartOp::Rows(Arc::new(move |part: &[Value]| {
-                let mut rows = f(part)?;
-                rows.sort_by(|a, b| pair_key(a).cmp(pair_key(b)));
-                Ok(rows)
-            })),
-            op => op,
-        };
+    /// Wraps gathered shuffle buckets in a lazy partition-wise stage named
+    /// `label`: the post-shuffle work becomes a pending plan node that
+    /// fuses with whatever consumes it next (shuffle-read fusion).
+    fn post_shuffle(&self, dest: Vec<Vec<Value>>, op: PartOp, label: &'static str) -> Dataset {
         self.derived(PlanOp::MapPartitions(
             Arc::new(PlanOp::Scan(Arc::new(dest))),
             op,
-            labels[usize::from(ordered)],
+            label,
             self.tag(),
         ))
     }
@@ -866,19 +698,12 @@ impl Dataset {
 
     fn reduce_by_key_with(&self, fold: KeyFold) -> Result<Dataset> {
         self.ctx.record_logical_op();
-        let [dest] = self.scatter_keyed(
-            [(self, "reduce_by_key (combine + scatter)")],
+        let dest = self.scatter_keyed(
+            "reduce_by_key (combine + scatter)",
             Crossing::Combined(&fold),
         )?;
         let reduce_fn: PartFn = Arc::new(move |bucket: &[Value]| fold.reduce(bucket));
-        Ok(self.post_shuffle(
-            dest,
-            PartOp::Rows(reduce_fn),
-            [
-                "reduce_by_key (reduce)",
-                "sorted_reduce_by_key (reduce + key sort, range)",
-            ],
-        ))
+        Ok(self.post_shuffle(dest, PartOp::Rows(reduce_fn), "reduce_by_key (reduce)"))
     }
 
     /// `groupByKey`: shuffles `(key, value)` rows and produces one
@@ -886,7 +711,7 @@ impl Dataset {
     /// lazy and fuses with the next consumer.
     pub fn group_by_key(&self) -> Result<Dataset> {
         self.ctx.record_logical_op();
-        let [dest] = self.scatter_keyed([(self, "group_by_key (scatter)")], Crossing::Pairs)?;
+        let dest = self.scatter_keyed("group_by_key (scatter)", Crossing::Pairs)?;
         let group_fn: PartFn = Arc::new(|bucket: &[Value]| {
             let mut groups: KeyTable<Vec<Value>> = KeyTable::new();
             for row in bucket {
@@ -901,14 +726,7 @@ impl Dataset {
                 .map(|(k, vs)| Value::pair(k, Value::bag(vs)))
                 .collect())
         });
-        Ok(self.post_shuffle(
-            dest,
-            PartOp::Rows(group_fn),
-            [
-                "group_by_key (group)",
-                "sorted_group_by_key (group + key sort, range)",
-            ],
-        ))
+        Ok(self.post_shuffle(dest, PartOp::Rows(group_fn), "group_by_key (group)"))
     }
 
     /// Zips two shuffled bucket lists into encoded single-row partitions
@@ -968,8 +786,7 @@ impl Dataset {
     /// rows; an eligible columnar chain above it gathers its columns from
     /// the two sides, anything else makes each match's row as it reads it.
     /// Output order is left keys as first seen, then left × right rows of a
-    /// key, each in bucket order. An `ordered` context scatters by range
-    /// instead and lists the keys in key order.
+    /// key, each in bucket order.
     ///
     /// A right row `on.right` does not fit is the error
     /// `"{on.mismatch} {row}"`, raised by the right scatter.
@@ -994,26 +811,17 @@ impl Dataset {
         let left = self.map_expr(keyed(&left_key))?;
         let right = right.map_expr(keyed(&right_key))?;
         self.ctx.record_logical_op();
-        let [lrows, rrows] = self.scatter_keyed(
-            [
-                (&left, "join (scatter left)"),
-                (&right, "join (scatter right)"),
-            ],
-            Crossing::Rows,
-        )?;
+        let lrows = left.scatter_keyed("join (scatter left)", Crossing::Rows)?;
+        let rrows = right.scatter_keyed("join (scatter right)", Crossing::Rows)?;
         let join = Join {
             left_key,
             right_key,
             emit,
-            key_order: self.ctx.ordered(),
         };
         Ok(self.post_shuffle(
             Dataset::zip_buckets(lrows, rrows),
             PartOp::Join(Arc::new(join)),
-            [
-                "join (build + probe)",
-                "sorted_join (build + probe + key sort, range)",
-            ],
+            "join (build + probe)",
         ))
     }
 
@@ -1033,13 +841,8 @@ impl Dataset {
         F: Fn(&Value, &Value) -> Result<Value> + Send + Sync + 'static,
     {
         self.ctx.record_logical_op();
-        let [old, new] = self.scatter_keyed(
-            [
-                (self, "merge (scatter old)"),
-                (updates, "merge (scatter updates)"),
-            ],
-            Crossing::Pairs,
-        )?;
+        let old = self.scatter_keyed("merge (scatter old)", Crossing::Pairs)?;
+        let new = updates.scatter_keyed("merge (scatter updates)", Crossing::Pairs)?;
         let merge_fn: PartFn = Arc::new(move |part: &[Value]| {
             let (olds, news) = Dataset::unzip_bucket(part)?;
             let mut slots: KeyTable<Value> = KeyTable::with_capacity(olds.len());
@@ -1069,10 +872,7 @@ impl Dataset {
         Ok(self.post_shuffle(
             Dataset::zip_buckets(old, new),
             PartOp::Rows(merge_fn),
-            [
-                "merge ⊳ (combine slots)",
-                "sorted merge ⊳ (combine slots + key sort, range)",
-            ],
+            "merge ⊳ (combine slots)",
         ))
     }
 }

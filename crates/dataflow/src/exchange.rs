@@ -5,9 +5,8 @@
 //! row through one in-memory `Vec<Vec<Vec<Value>>>`. This module makes the
 //! exchange a first-class boundary:
 //!
-//! * a partitioner decides which destination bucket a key belongs to:
-//!   [`HashPartitioner`] for a hash shuffle, [`RangePartitioner`], which
-//!   keeps ordered keys in contiguous buckets, for an ordered one;
+//! * the [`HashPartitioner`] decides which destination bucket a key
+//!   belongs to;
 //! * an [`Exchange`] is the streaming sink/reader pair behind every
 //!   shuffle: source partitions [`emit`](ExchangeWriter::emit) rows
 //!   through per-partition [`ExchangeWriter`]s, the exchange buffers them
@@ -20,10 +19,7 @@
 //!   so rows, order, and first errors are byte-identical to an unbounded
 //!   in-memory exchange.
 //!
-//! There is one exchange for every shuffle. The ordered keyed operators
-//! ([`Context::ordered`](crate::Context::ordered)) differ only in the
-//! bucket their scatter picks — a [`RangePartitioner`]'s — and sort each
-//! post-shuffle partition by key themselves.
+//! There is one exchange for every shuffle.
 //!
 //! ## Order preservation rule
 //!
@@ -61,7 +57,7 @@ use crate::Context;
 
 // ----------------------------------------------------------- partitioners
 
-/// The hash partitioner: bucket = `hash(key) mod partitions`. Every hash
+/// The hash partitioner: bucket = `hash(key) mod partitions`. Every
 /// shuffle picks its buckets with it.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct HashPartitioner;
@@ -77,76 +73,6 @@ impl HashPartitioner {
     /// writes.
     pub(crate) fn bucket(&self, key: &Key<'_>, partitions: usize) -> usize {
         (key_hash(key) % partitions as u64) as usize
-    }
-}
-
-/// Range partitioner for ordered keys: bucket `i` receives the keys in
-/// `(bounds[i-1], bounds[i]]` (bucket 0 everything up to `bounds[0]`, the
-/// last bucket everything above the final bound), so concatenating the
-/// output partitions yields globally key-sorted data when each partition
-/// is sorted locally.
-#[derive(Debug, Clone)]
-pub struct RangePartitioner {
-    bounds: Vec<Value>,
-}
-
-impl RangePartitioner {
-    /// Builds a range partitioner from explicit, ascending upper bounds
-    /// (`p` partitions need `p - 1` bounds). Unsorted bounds are sorted
-    /// and deduplicated.
-    pub fn new(mut bounds: Vec<Value>) -> RangePartitioner {
-        bounds.sort();
-        bounds.dedup();
-        RangePartitioner { bounds }
-    }
-
-    /// Builds a range partitioner by sampling: sorts the sample keys and
-    /// picks `partitions - 1` evenly spaced split points — how a driver
-    /// derives bounds from a key sample, Spark's `RangePartitioner`
-    /// construction in miniature.
-    ///
-    /// Bounds are **coalesced**: duplicates collapse (a sample with fewer
-    /// distinct keys than partitions yields fewer bounds, never repeated
-    /// ones that would pin guaranteed-empty middle buckets), and the
-    /// maximum sampled key is never used as a bound — bucket `i` is
-    /// `(bounds[i-1], bounds[i]]`, so a max-key bound would reserve the
-    /// final bucket for keys above every sampled key: a guaranteed-empty
-    /// tail partition whenever the sample covers the key range. An
-    /// all-equal sample therefore yields no bounds at all (one bucket).
-    pub fn from_sample(mut sample: Vec<Value>, partitions: usize) -> RangePartitioner {
-        sample.sort();
-        sample.dedup();
-        let need = partitions.saturating_sub(1);
-        if need == 0 || sample.is_empty() {
-            return RangePartitioner { bounds: Vec::new() };
-        }
-        if sample.len() <= need + 1 {
-            // No more distinct keys than partitions: every distinct key
-            // but the maximum becomes a bound, so each key gets its own
-            // bucket and no bucket is reserved for keys above the whole
-            // sample. (Already sorted and deduplicated.)
-            sample.pop();
-            return RangePartitioner { bounds: sample };
-        }
-        // More distinct keys than partitions: evenly spaced ranks. The
-        // indices are strictly increasing and never reach the maximum
-        // (i·len/(need+1) < len·need/(need+1) ≤ len−1 for len > need+1),
-        // so the bounds are already coalesced and tail-safe.
-        let bounds = (1..=need)
-            .map(|i| sample[(i * sample.len() / (need + 1)).min(sample.len() - 1)].clone())
-            .collect();
-        RangePartitioner::new(bounds)
-    }
-
-    /// The split points, ascending.
-    pub fn bounds(&self) -> &[Value] {
-        &self.bounds
-    }
-
-    /// The destination bucket for `key`, in `0..partitions`.
-    pub fn partition(&self, key: &Value, partitions: usize) -> usize {
-        let idx = self.bounds.partition_point(|b| b < key);
-        idx.min(partitions.saturating_sub(1))
     }
 }
 
@@ -922,30 +848,6 @@ mod tests {
                 HashPartitioner.partition(&doubles, p)
             );
         }
-    }
-
-    #[test]
-    fn range_partitioner_orders_buckets() {
-        let p = RangePartitioner::new(vec![Value::Long(10), Value::Long(20)]);
-        assert_eq!(p.partition(&Value::Long(-5), 3), 0);
-        assert_eq!(p.partition(&Value::Long(10), 3), 0, "inclusive");
-        assert_eq!(p.partition(&Value::Long(11), 3), 1);
-        assert_eq!(p.partition(&Value::Long(20), 3), 1);
-        assert_eq!(p.partition(&Value::Long(999), 3), 2);
-        // Fewer partitions than bounds never index out of range.
-        assert_eq!(p.partition(&Value::Long(999), 2), 1);
-    }
-
-    #[test]
-    fn range_partitioner_from_sample_covers_all_buckets() {
-        let sample: Vec<Value> = (0..100).map(Value::Long).collect();
-        let p = RangePartitioner::from_sample(sample, 4);
-        assert_eq!(p.bounds().len(), 3);
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..100 {
-            seen.insert(p.partition(&Value::Long(i), 4));
-        }
-        assert_eq!(seen.len(), 4, "sampled bounds spread keys over buckets");
     }
 
     #[test]

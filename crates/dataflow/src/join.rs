@@ -41,9 +41,6 @@ pub(crate) struct Join {
     pub left_key: RowExpr,
     pub right_key: RowExpr,
     pub emit: Emit,
-    /// List the keys in key order (an ordered context) instead of in the
-    /// order the left rows first show them.
-    pub key_order: bool,
 }
 
 impl Join {
@@ -164,9 +161,8 @@ impl RowChain {
 
 /// A hash join over one bucket: builds a table of the left rows' keys,
 /// each holding the chain of its left rows and — once the right rows have
-/// probed it — of its right rows; then lists, per key in first-seen order
-/// (in key order under [`Join::key_order`]), every left row of the key
-/// with every right row of the key.
+/// probed it — of its right rows; then lists, per key in first-seen order,
+/// every left row of the key with every right row of the key.
 fn build_probe<'a>(
     join: &Join,
     left: &'a [Value],
@@ -196,24 +192,12 @@ fn build_probe<'a>(
         join.emit,
         matched,
     );
-    let mut list = |(lrows, rrows): (RowChain, RowChain)| -> Result<()> {
+    for (_, (lrows, rrows)) in keys.into_entries() {
         for i in lrows.rows(&lnext) {
             for j in rrows.rows(&rnext) {
                 m.push(i, j, lrows.first as usize)?;
             }
         }
-        Ok(())
-    };
-    if join.key_order {
-        // A bucket's keys are distinct, so the order is total.
-        let mut entries: Vec<_> = keys.into_entries().collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        entries
-            .into_iter()
-            .try_for_each(|(_, chains)| list(chains))?;
-    } else {
-        keys.into_entries()
-            .try_for_each(|(_, chains)| list(chains))?;
     }
     Ok(m)
 }

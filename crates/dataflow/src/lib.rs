@@ -26,17 +26,11 @@
 //!   `DIABLO_BACKEND` (`columnar`, `local`), or `diabloc --backend`;
 //!   results are identical either way;
 //! * data crosses partitions only through the **exchange**: a
-//!   [`HashPartitioner`] (or, ordered, a [`RangePartitioner`]) picks each
-//!   key's destination bucket, and a streaming sink/reader pair moves rows
+//!   [`HashPartitioner`] picks each key's destination bucket, and a
+//!   streaming sink/reader pair moves rows
 //!   under a memory budget ([`Context::with_memory_budget`], `DIABLO_MEMORY_BUDGET`) —
 //!   buckets past the budget spill to sorted run files and merge-read
 //!   back in source order, byte-identical to the in-memory exchange;
-//! * **ordered** keyed operators ([`Context::with_ordered`],
-//!   `DIABLO_ORDERED`, or `diabloc --ordered`) are the same operators with
-//!   two policies switched: the scatter picks buckets with a
-//!   [`RangePartitioner`] whose bounds are sampled from the keys, and each
-//!   post-shuffle partition is sorted by key — so the output is globally
-//!   key-ordered and holds exactly the hash path's row multiset;
 //! * at every **materialization point** — a shuffle (`group_by_key`,
 //!   `reduce_by_key`, `join`, the array-merge `⊳`), `collect`,
 //!   `reduce`, or `broadcast` — the walker **fuses** the pending narrow
@@ -98,9 +92,7 @@ mod verify;
 
 pub use columnar::{FieldName, RowExpr, Shape};
 pub use dataset::{range_len, Dataset, JoinOn};
-pub use exchange::{
-    decode_value, encode_value, HashPartitioner, RangePartitioner, MAX_VALUE_DEPTH,
-};
+pub use exchange::{decode_value, encode_value, HashPartitioner, MAX_VALUE_DEPTH};
 pub use stats::{Stats, StatsSnapshot};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -191,8 +183,6 @@ struct Settings {
     tile_width: AtomicUsize,
     /// Exchange memory budget in bytes; `u64::MAX` means unbounded.
     memory_budget: AtomicU64,
-    /// Keyed operators range-scatter and sort each partition by key.
-    ordered: AtomicBool,
 }
 
 impl Settings {
@@ -202,18 +192,15 @@ impl Settings {
             columnar: AtomicBool::new(layout_from_env() == Layout::Columnar),
             tile_width: AtomicUsize::new(DEFAULT_TILE_WIDTH),
             memory_budget: AtomicU64::new(memory_budget_from_env()),
-            ordered: AtomicBool::new(ordered_from_env()),
         }
     }
 
     /// A copy of every setting, for a fork.
     fn copy(&self) -> Settings {
-        let load_bool = |b: &AtomicBool| AtomicBool::new(b.load(Ordering::Relaxed));
         Settings {
-            columnar: load_bool(&self.columnar),
+            columnar: AtomicBool::new(self.columnar.load(Ordering::Relaxed)),
             tile_width: AtomicUsize::new(self.tile_width.load(Ordering::Relaxed)),
             memory_budget: AtomicU64::new(self.memory_budget.load(Ordering::Relaxed)),
-            ordered: load_bool(&self.ordered),
         }
     }
 }
@@ -363,28 +350,6 @@ impl Context {
             .get_or_init(|| Arc::new(dscache::DatasetCache::new(dataset_budget_from_env())))
     }
 
-    /// Makes the keyed operators (`reduce_by_key`, `aggregate_by_key`,
-    /// `group_by_key`, `merge`, `join` and `join_on`)
-    /// **ordered** (builder style): keys are sampled, rows range-scattered
-    /// so ordered keys stay in contiguous buckets, and each post-shuffle
-    /// partition is sorted by key, so every output is globally key-sorted.
-    /// Same rows as the hash path, in key order instead of arrival order.
-    /// Defaults to the `DIABLO_ORDERED` environment variable, else off.
-    pub fn with_ordered(self, on: bool) -> Context {
-        self.set_ordered(on);
-        self
-    }
-
-    /// Sets (or clears) key-ordered keyed operators in place.
-    pub fn set_ordered(&self, on: bool) {
-        self.inner.settings.ordered.store(on, Ordering::Relaxed);
-    }
-
-    /// True when keyed operators range-scatter and sort by key.
-    pub fn ordered(&self) -> bool {
-        self.inner.settings.ordered.load(Ordering::Relaxed)
-    }
-
     /// The persistent work-stealing pool (built on first use).
     pub(crate) fn pool(&self) -> &pool::WorkerPool {
         self.inner
@@ -394,7 +359,7 @@ impl Context {
 
     /// A **tenant context**: a new context that shares this context's
     /// worker pool and dataset cache (and copies its shape and every
-    /// setting — layout, tile width, memory budget, ordered routing) but
+    /// setting — layout, tile width, memory budget) but
     /// owns fresh statistics, plan trace, and statement labels. This is
     /// the multi-tenant serving primitive: each request runs its session
     /// on a fork, so per-request statistics and statement-label plan
@@ -459,8 +424,8 @@ impl Context {
     }
 
     /// A statistics snapshot with the **effective context settings**
-    /// (backend, workers, partitions, memory and dataset budgets, ordered
-    /// routing, and the scheduler's constants) filled in alongside the
+    /// (backend, workers, partitions, memory and dataset budgets, and the
+    /// scheduler's constants) filled in alongside the
     /// counters, so emitted benchmark rows are self-describing.
     /// [`Stats::snapshot`] alone leaves the settings at their empty
     /// defaults — it cannot see the context.
@@ -473,7 +438,6 @@ impl Context {
         snap.memory_budget = self.memory_budget().unwrap_or(u64::MAX);
         snap.dataset_budget = self.dataset_budget().unwrap_or(u64::MAX);
         snap.scheduler = "morsel".to_string();
-        snap.ordered = self.ordered();
         snap
     }
 
@@ -567,20 +531,6 @@ fn dataset_budget_from_env() -> u64 {
             .parse()
             .unwrap_or_else(|_| panic!("DIABLO_DATASET_BUDGET={s}: not a byte count")),
         Err(_) => u64::MAX,
-    }
-}
-
-/// Whether `DIABLO_ORDERED` asks for key-ordered keyed operators (`1`,
-/// `true`, `yes`, case-insensitive). Panics on other values so a typo in
-/// a CI job fails loudly instead of silently testing the hash path.
-fn ordered_from_env() -> bool {
-    match std::env::var("DIABLO_ORDERED") {
-        Ok(s) => match s.to_ascii_lowercase().as_str() {
-            "1" | "true" | "yes" => true,
-            "0" | "false" | "no" | "" => false,
-            _ => panic!("DIABLO_ORDERED={s}: expected 1/0, true/false, or yes/no"),
-        },
-        Err(_) => false,
     }
 }
 
@@ -690,8 +640,7 @@ mod tests {
             .with_layout(other)
             .with_tile_width(7)
             .with_memory_budget(4321)
-            .with_dataset_budget(1234)
-            .with_ordered(!defaults.ordered());
+            .with_dataset_budget(1234);
         let (p, f) = (parent.stats_snapshot(), parent.fork().stats_snapshot());
         assert_ne!(p.backend, defaults.stats_snapshot().backend);
         assert_eq!(
@@ -699,8 +648,8 @@ mod tests {
             (&p.backend, p.workers, p.partitions, p.morsel_size)
         );
         assert_eq!(
-            (&f.scheduler, f.memory_budget, f.dataset_budget, f.ordered),
-            (&p.scheduler, p.memory_budget, p.dataset_budget, p.ordered)
+            (&f.scheduler, f.memory_budget, f.dataset_budget),
+            (&p.scheduler, p.memory_budget, p.dataset_budget)
         );
         assert_eq!(parent.fork().tile_width(), 7);
     }

@@ -454,10 +454,9 @@ fn work(shared: &PoolShared, stage: &ActiveStage, me: usize) {
     }
 }
 
-/// Runs `task` once per input on the context's scheduler and returns the
-/// outputs in input order; the first error by input index is returned.
-/// This is the compatibility entry point for stages whose items have no
-/// meaningful row weight.
+/// [`run_stage_weighted`] with every item weighing one row: how the tests
+/// below drive the pool.
+#[cfg(test)]
 pub(crate) fn run_stage<T, R, E, F>(ctx: &Context, inputs: &[T], task: F) -> Result<Vec<R>, E>
 where
     T: Sync,
@@ -468,8 +467,10 @@ where
     run_stage_weighted(ctx, inputs, |_| 1, |i, t, _| task(i, t))
 }
 
-/// [`run_stage`] with per-item scheduling weights (rows) and a [`Cancel`]
-/// token for mid-morsel cancellation, recording schedule statistics and
+/// Runs `task` once per input on the context's scheduler and returns the
+/// outputs in input order; the first error by input index is returned.
+/// Items carry scheduling weights (rows) and a [`Cancel`] token for
+/// mid-morsel cancellation; the stage records schedule statistics and
 /// (when a plan trace is active) an explain note.
 pub(crate) fn run_stage_weighted<T, R, E, F, W>(
     ctx: &Context,

@@ -27,7 +27,6 @@ pub struct Stats {
     logical_ops: AtomicU64,
     physical_stages: AtomicU64,
     shuffles: AtomicU64,
-    sorted_shuffles: AtomicU64,
     shuffled_records: AtomicU64,
     shuffled_bytes: AtomicU64,
     spilled_records: AtomicU64,
@@ -61,10 +60,6 @@ impl Stats {
         self.shuffles.fetch_add(1, Ordering::Relaxed);
         self.shuffled_records.fetch_add(records, Ordering::Relaxed);
         self.shuffled_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_sorted_shuffle(&self) {
-        self.sorted_shuffles.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_spill(&self, records: u64, bytes: u64, files: u64) {
@@ -142,7 +137,6 @@ impl Stats {
             stages: self.logical_ops.load(Ordering::Relaxed),
             physical_stages: self.physical_stages.load(Ordering::Relaxed),
             shuffles: self.shuffles.load(Ordering::Relaxed),
-            sorted_shuffles: self.sorted_shuffles.load(Ordering::Relaxed),
             shuffled_records: self.shuffled_records.load(Ordering::Relaxed),
             shuffled_bytes: self.shuffled_bytes.load(Ordering::Relaxed),
             spilled_records: self.spilled_records.load(Ordering::Relaxed),
@@ -192,7 +186,9 @@ pub struct StatsSnapshot {
     /// The scheduler: a constant `morsel`, the work-stealing pool (empty
     /// when unknown).
     pub scheduler: String,
-    /// Whether ordered (key-sorted) shuffle routing was in force.
+    /// Always `false`: the engine has one, hash-partitioned, shuffle.
+    /// Kept only because the benchmark spine (`spine/src/batch.rs`) still
+    /// reads it.
     pub ordered: bool,
     /// Number of logical `Dataset` operator invocations (historically
     /// named `stages`; each operator call counts one regardless of how the
@@ -203,9 +199,6 @@ pub struct StatsSnapshot {
     pub physical_stages: u64,
     /// Number of shuffle exchanges.
     pub shuffles: u64,
-    /// Number of those exchanges that were range-partitioned (the
-    /// scatters of an ordered context's keyed operators).
-    pub sorted_shuffles: u64,
     /// Total rows moved across partitions by shuffles.
     pub shuffled_records: u64,
     /// Estimated bytes moved by shuffles.
@@ -284,7 +277,6 @@ impl StatsSnapshot {
             stages: self.stages - earlier.stages,
             physical_stages: self.physical_stages - earlier.physical_stages,
             shuffles: self.shuffles - earlier.shuffles,
-            sorted_shuffles: self.sorted_shuffles - earlier.sorted_shuffles,
             shuffled_records: self.shuffled_records - earlier.shuffled_records,
             shuffled_bytes: self.shuffled_bytes - earlier.shuffled_bytes,
             spilled_records: self.spilled_records - earlier.spilled_records,
@@ -319,14 +311,12 @@ mod tests {
         s.record_physical_stage();
         s.record_shuffle(100, 800);
         s.record_shuffle(50, 400);
-        s.record_sorted_shuffle();
         s.record_spill(40, 320, 2);
         s.record_broadcast(7);
         let snap = s.snapshot();
         assert_eq!(snap.stages, 1);
         assert_eq!(snap.physical_stages, 2);
         assert_eq!(snap.shuffles, 2);
-        assert_eq!(snap.sorted_shuffles, 1);
         assert_eq!(snap.shuffled_records, 150);
         assert_eq!(snap.shuffled_bytes, 1200);
         assert_eq!(snap.spilled_records, 40);

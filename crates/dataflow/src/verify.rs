@@ -40,9 +40,7 @@
 //!
 //! The partitioner's bucket range is *always* checked when a scatter
 //! emits a row (`ExchangeWriter::emit`): it is a cheap safety check, so it
-//! is not gated. Global key order of an ordered
-//! context's output holds by construction (range buckets, then a key sort
-//! per partition); `tests/ordering_conformance.rs` checks it end to end.
+//! is not gated.
 
 use std::sync::Arc;
 

@@ -23,12 +23,12 @@
 //! output variable names, and each input's **declared type** (same text
 //! against a `vector[long]` vs a `vector[double]` is a different plan).
 //!
-//! The hash itself is FNV-1a 64 over a tagged byte stream — fully
-//! deterministic across processes and platforms, unlike
-//! `DefaultHasher`, whose seeds the standard library does not pin. Row
-//! content ([`rows_hash`], and the server's fingerprint of an inline rows
-//! section) is hashed word-at-a-time instead: it is the one input whose
-//! size grows with the data.
+//! Every hash here — of a plan, a value, a row section, a chain of cache
+//! key components — is one word-at-a-time hash (`WordHash`) over a
+//! tagged byte stream: fully deterministic across processes and
+//! platforms, unlike `DefaultHasher`, whose seeds the standard library
+//! does not pin. A value streams in as exactly the bytes the engine's
+//! binary codec writes for it.
 
 use std::collections::HashMap;
 
@@ -36,52 +36,23 @@ use diablo_comp::{CExpr, Comprehension, Pattern, Qual};
 use diablo_core::{CompiledProgram, TStmt};
 use diablo_runtime::Value;
 
-/// Streaming FNV-1a 64 over a tagged byte stream.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.0 ^= u64::from(b);
-        self.0 = self.0.wrapping_mul(0x1_0000_01b3);
-    }
-
-    fn bytes(&mut self, bs: &[u8]) {
-        for b in bs {
-            self.byte(*b);
-        }
-    }
-
-    fn u64(&mut self, n: u64) {
-        self.bytes(&n.to_le_bytes());
-    }
-
-    /// A length-prefixed string, so `("ab","c")` and `("a","bc")` differ.
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
-    }
-}
-
 /// Folds a new component into an existing hash (order-sensitive) — how
 /// the cache key chains the plan hash with input fingerprints.
 pub fn fold(hash: u64, component: u64) -> u64 {
-    let mut f = Fnv(hash);
-    f.u64(component);
-    f.0
+    let mut h = WordHash::new();
+    h.u64(hash);
+    h.u64(component);
+    h.finish()
 }
 
-/// FNV-1a 64 content hash of one value, via the same canonical shape the
-/// engine's binary codec uses (doubles as raw bits; containers tagged and
-/// length-prefixed). Infallible, unlike the wire codec: lengths are
-/// hashed as `u64`.
+/// Content hash of one value: the bytes [`diablo_dataflow::encode_value`]
+/// writes for it (doubles as raw bits; containers tagged and
+/// length-prefixed), streamed. Infallible, unlike the wire codec: lengths
+/// past `u32` wrap.
 pub fn value_hash(v: &Value) -> u64 {
-    let mut f = Fnv::new();
-    hash_value(&mut f, v);
-    f.0
+    let mut h = WordHash::new();
+    stream_value(&mut h, v);
+    h.finish()
 }
 
 /// Content hash of a row slice, in order: the `bytes_hash` of the rows
@@ -150,8 +121,8 @@ fn stream_value(h: &mut WordHash, v: &Value) {
 /// A word-at-a-time hash of a byte stream: the stream is cut into
 /// little-endian 8-byte words, each folded in with one folded multiply,
 /// the last partial word zero-padded, the length folded last and the
-/// state finished with fmix64. Eight bytes per step where FNV-1a takes
-/// one: inline rows are tens of kilobytes per request.
+/// state finished with fmix64. Eight bytes per step, not one: inline
+/// rows are tens of kilobytes per request.
 ///
 /// Bytes may arrive in any split — one slice, or many small writes — and
 /// hash the same, which is what lets [`rows_hash`] stream values without
@@ -206,6 +177,20 @@ impl WordHash {
         self.fill = self.fill + bits - 64;
     }
 
+    fn byte(&mut self, b: u8) {
+        self.put(u64::from(b), 1);
+    }
+
+    fn u64(&mut self, n: u64) {
+        self.put(n, 8);
+    }
+
+    /// A length-prefixed string, so `("ab","c")` and `("a","bc")` differ.
+    fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+
     fn bytes(&mut self, mut bs: &[u8]) {
         while self.fill != 0 {
             let Some((b, rest)) = bs.split_first() else {
@@ -239,50 +224,6 @@ impl WordHash {
     }
 }
 
-fn hash_value(f: &mut Fnv, v: &Value) {
-    match v {
-        Value::Unit => f.byte(0),
-        Value::Bool(b) => {
-            f.byte(1);
-            f.byte(u8::from(*b));
-        }
-        Value::Long(n) => {
-            f.byte(2);
-            f.u64(*n as u64);
-        }
-        Value::Double(x) => {
-            f.byte(3);
-            f.u64(x.to_bits());
-        }
-        Value::Str(s) => {
-            f.byte(4);
-            f.str(s);
-        }
-        Value::Tuple(fs) => {
-            f.byte(5);
-            f.u64(fs.len() as u64);
-            for x in fs.iter() {
-                hash_value(f, x);
-            }
-        }
-        Value::Record(fields) => {
-            f.byte(6);
-            f.u64(fields.len() as u64);
-            for (n, x) in fields.iter() {
-                f.str(n);
-                hash_value(f, x);
-            }
-        }
-        Value::Bag(items) => {
-            f.byte(7);
-            f.u64(items.len() as u64);
-            for x in items.iter() {
-                hash_value(f, x);
-            }
-        }
-    }
-}
-
 /// True when any statement (re)assigns `name`.
 fn writes(stmts: &[TStmt], name: &str) -> bool {
     stmts.iter().any(|s| match s {
@@ -298,7 +239,7 @@ fn writes(stmts: &[TStmt], name: &str) -> bool {
 pub fn plan_hash(program: &CompiledProgram) -> u64 {
     // Positional aliases for never-reassigned inputs.
     let mut rename: HashMap<&str, String> = HashMap::new();
-    let mut f = Fnv::new();
+    let mut f = WordHash::new();
     f.u64(program.inputs.len() as u64);
     for (idx, (name, ty)) in program.inputs.iter().enumerate() {
         if !writes(&program.stmts, name) {
@@ -309,10 +250,10 @@ pub fn plan_hash(program: &CompiledProgram) -> u64 {
         f.str(&format!("{ty:?}"));
     }
     hash_stmts(&mut f, &program.stmts, &rename);
-    f.0
+    f.finish()
 }
 
-fn hash_stmts(f: &mut Fnv, stmts: &[TStmt], rename: &HashMap<&str, String>) {
+fn hash_stmts(f: &mut WordHash, stmts: &[TStmt], rename: &HashMap<&str, String>) {
     f.u64(stmts.len() as u64);
     for s in stmts {
         match s {
@@ -335,14 +276,14 @@ fn hash_stmts(f: &mut Fnv, stmts: &[TStmt], rename: &HashMap<&str, String>) {
     }
 }
 
-fn hash_var(f: &mut Fnv, name: &str, rename: &HashMap<&str, String>) {
+fn hash_var(f: &mut WordHash, name: &str, rename: &HashMap<&str, String>) {
     match rename.get(name) {
         Some(alias) => f.str(alias),
         None => f.str(name),
     }
 }
 
-fn hash_pattern(f: &mut Fnv, p: &Pattern) {
+fn hash_pattern(f: &mut WordHash, p: &Pattern) {
     match p {
         Pattern::Var(v) => {
             f.byte(1);
@@ -359,7 +300,7 @@ fn hash_pattern(f: &mut Fnv, p: &Pattern) {
     }
 }
 
-fn hash_comp(f: &mut Fnv, c: &Comprehension, rename: &HashMap<&str, String>) {
+fn hash_comp(f: &mut WordHash, c: &Comprehension, rename: &HashMap<&str, String>) {
     // Pattern variables never collide with input names (inputs that a
     // qualifier shadows would be surface-illegal), so one rename map
     // serves the whole tree.
@@ -390,7 +331,7 @@ fn hash_comp(f: &mut Fnv, c: &Comprehension, rename: &HashMap<&str, String>) {
     hash_expr(f, &c.head, rename);
 }
 
-fn hash_expr(f: &mut Fnv, e: &CExpr, rename: &HashMap<&str, String>) {
+fn hash_expr(f: &mut WordHash, e: &CExpr, rename: &HashMap<&str, String>) {
     match e {
         CExpr::Var(v) => {
             f.byte(1);
@@ -398,7 +339,7 @@ fn hash_expr(f: &mut Fnv, e: &CExpr, rename: &HashMap<&str, String>) {
         }
         CExpr::Const(v) => {
             f.byte(2);
-            hash_value(f, v);
+            stream_value(f, v);
         }
         CExpr::Bin(op, a, b) => {
             f.byte(3);

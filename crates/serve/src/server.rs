@@ -4,11 +4,11 @@
 //! One [`Server`] owns one **base engine context**. Every `Run` request
 //! executes on a [`Context::fork`] of it — a tenant context that shares
 //! the parent's morsel worker pool and effective settings (backend,
-//! memory budget, ordered routing) but has private statistics and
-//! statement labels, so concurrent requests never interleave each
-//! other's `sN:var` error tags. Named datasets registered with
-//! `BindDataset` are held once as `Arc`ed partitions; every request
-//! wraps the same allocation zero-copy.
+//! memory budget) but has private statistics and statement labels, so
+//! concurrent requests never interleave each other's `sN:var` error
+//! tags. Named datasets registered with `BindDataset` are held once as
+//! `Arc`ed partitions; every request wraps the same allocation
+//! zero-copy.
 //!
 //! ## Request lifecycle
 //!
@@ -44,14 +44,16 @@
 //! cache.
 //!
 //! Compile errors, runtime errors (message identical to a local
-//! `diabloc run`, including the statement tag), and admission timeouts
-//! all travel back as [`Response::Error`]; a connection is never dropped
-//! in response to a well-formed frame.
+//! `diabloc run`, including the statement tag), admission timeouts and a
+//! run that panics all travel back as [`Response::Error`]; a connection
+//! is never dropped in response to a well-formed frame.
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread;
@@ -169,6 +171,9 @@ struct Shared {
     coalesced: AtomicU64,
     shutdown: AtomicBool,
     requests: AtomicU64,
+    /// Makes the next run panic once it leads and holds a permit.
+    #[cfg(test)]
+    panic_next_run: AtomicBool,
 }
 
 impl Shared {
@@ -235,6 +240,8 @@ impl Server {
             coalesced: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             requests: AtomicU64::new(0),
+            #[cfg(test)]
+            panic_next_run: AtomicBool::new(false),
         });
         let accept_shared = shared.clone();
         let accept = thread::Builder::new()
@@ -337,16 +344,23 @@ fn handle_conn(mut conn: Box<dyn Conn>, shared: Arc<Shared>) {
 
 /// The response payload for one request payload, and whether the
 /// connection closes after it. A `Run` answers with bytes it framed
-/// itself; everything else goes through [`Response::encode`].
+/// itself; everything else goes through [`Response::encode`]. A run that
+/// panics answers with an error and keeps the connection: its coalescing
+/// entry and admission permit are drop guards, released as it unwinds.
 fn respond(payload: &[u8], shared: &Arc<Shared>) -> (Vec<u8>, bool) {
     let response = match parse_request(payload) {
         Ok(parsed) => {
             shared.requests.fetch_add(1, Ordering::Relaxed);
             match parsed {
-                Parsed::Run(run) => match handle_run(run, shared) {
-                    Ok(bytes) => return (bytes, false),
-                    Err(message) => Response::Error { message },
-                },
+                Parsed::Run(run) => {
+                    match catch_unwind(AssertUnwindSafe(|| handle_run(run, shared))) {
+                        Ok(Ok(bytes)) => return (bytes, false),
+                        Ok(Err(message)) => Response::Error { message },
+                        Err(panic) => Response::Error {
+                            message: format!("the run panicked: {}", panic_message(&*panic)),
+                        },
+                    }
+                }
                 Parsed::Other(request) => handle_request(request, shared),
             }
         }
@@ -364,6 +378,16 @@ fn respond(payload: &[u8], shared: &Arc<Shared>) -> (Vec<u8>, bool) {
         .expect("error responses encode"),
     };
     (bytes, closing)
+}
+
+/// The text a panic was raised with, when it was raised with one.
+fn panic_message(panic: &(dyn Any + Send)) -> &str {
+    match panic.downcast_ref::<&str>() {
+        Some(s) => s,
+        None => panic
+            .downcast_ref::<String>()
+            .map_or("(no message)", String::as_str),
+    }
 }
 
 fn handle_request(req: Request, shared: &Arc<Shared>) -> Response {
@@ -522,6 +546,10 @@ fn handle_run(run: RunFrame<'_>, shared: &Arc<Shared>) -> Result<Vec<u8>, String
         }
 
         let permit = shared.admission.acquire(shared.queue_deadline)?;
+        #[cfg(test)]
+        if shared.panic_next_run.swap(false, Ordering::SeqCst) {
+            panic!("injected run panic");
+        }
 
         let started = Instant::now();
         let tenant = shared.ctx.fork();
@@ -821,6 +849,41 @@ mod tests {
         assert!(got.is_err(), "the waiter gets an error: {got:?}");
         // The next identical miss leads a fresh run.
         assert!(matches!(coalesce(&shared, key), Turn::Lead(_)));
+        server.stop();
+    }
+
+    #[test]
+    fn a_run_that_panics_costs_its_request_not_the_connection() {
+        // One permit: had the panicking run kept it, the retry would
+        // time out in admission.
+        let cfg = ServeConfig {
+            max_inflight: 1,
+            queue_deadline: Duration::from_secs(5),
+            ..ServeConfig::default()
+        };
+        let server = Server::start("127.0.0.1:0", Context::new(1, 2), cfg).expect("server");
+        let mut client = Client::connect(server.addr()).expect("connect");
+        let inputs = || vec![("V".to_string(), rows(10))];
+        server.shared.panic_next_run.store(true, Ordering::SeqCst);
+        let err = client.run(SUM, vec![], inputs(), false).unwrap_err();
+        assert!(
+            err.contains("the run panicked: injected run panic"),
+            "{err}"
+        );
+        assert!(
+            server
+                .shared
+                .inflight
+                .lock()
+                .expect("inflight lock")
+                .is_empty(),
+            "the panicked leader deregistered its key"
+        );
+        let retry = client
+            .run(SUM, vec![], inputs(), false)
+            .expect("the same connection serves the next request");
+        assert!(!retry.stats.cache_hit, "a panicked run caches nothing");
+        client.ping().expect("ping");
         server.stop();
     }
 }

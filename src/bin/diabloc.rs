@@ -12,7 +12,6 @@
 //! diabloc run --explain <program.dbl> ...   # same as `explain`
 //! diabloc run --backend local <program.dbl> # the row layout (default: columnar)
 //! diabloc run --workers 8 --partitions 32 --memory-budget 1048576 ...
-//! diabloc run --ordered <program.dbl>       # key-ordered (range-partitioned) keyed operators
 //! ```
 //!
 //! Every source-consuming command runs the **multi-error front end**: a
@@ -47,15 +46,12 @@
 //!   the disk ledger, recompute from their plan on the next read
 //!   (equivalent to `DIABLO_DATASET_BUDGET`). `0` disables dataset
 //!   caching. Results never change.
-//! * `--ordered` makes keyed operators scatter by a range partitioner
-//!   sampled from the keys and sort each post-shuffle partition by key
-//!   (equivalent to `DIABLO_ORDERED=1`): outputs are globally
-//!   key-ordered — same rows as the hash path, in key order.
 //!
 //! Bindings are `name=value` for scalars (`n=100`, `a=0.5`, `x=hello`) and
 //! `name=@file.csv` for collections. A collection CSV has one element per
 //! line: `key,value` for vectors/maps, `i,j,value` for matrices. After a
-//! run, every program variable is printed (collections truncated).
+//! run, every program variable is printed, collections in ascending key
+//! order (truncated).
 //!
 //! `explain` renders the engine's physical plan — one line per fused
 //! per-partition stage, shuffle, and broadcast; on the default backend
@@ -108,7 +104,7 @@ fn run(mut args: Vec<String>) -> Result<(), String> {
     };
     if (engine.any() || connect.is_some()) && !matches!(cmd, "run" | "explain") {
         return Err(format!(
-            "--backend/--workers/--partitions/--memory-budget/--dataset-budget/--ordered/--connect only apply to `run` and `explain`, not `{cmd}`"
+            "--backend/--workers/--partitions/--memory-budget/--dataset-budget/--connect only apply to `run` and `explain`, not `{cmd}`"
         ));
     }
     if json_flag && !matches!(cmd, "check" | "lint") {

@@ -28,10 +28,8 @@
 //! layout is the default), `--workers N`, `--partitions N`,
 //! `--memory-budget BYTES`, `--dataset-budget BYTES` (one shared dataset
 //! cache across all tenants — materialized datasets past the budget
-//! demote to disk and recompute when dropped), `--ordered` (keyed
-//! operators range-partition and sort by key, so every output is
-//! key-ordered) — each also honors its `DIABLO_*` env var through the
-//! engine's own defaults.
+//! demote to disk and recompute when dropped) — each also honors its
+//! `DIABLO_*` env var through the engine's own defaults.
 //!
 //! On startup the daemon prints exactly one line to stdout —
 //! `diablod: listening on <resolved addr>` — so wrappers can wait for

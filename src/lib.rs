@@ -93,16 +93,14 @@ pub struct EngineFlags {
     pub memory_budget: Option<u64>,
     /// `--dataset-budget BYTES`: the dataset-cache budget.
     pub dataset_budget: Option<u64>,
-    /// `--ordered`: key-ordered (range-partitioned) keyed operators.
-    pub ordered: bool,
 }
 
 impl EngineFlags {
     /// The flags as a usage line fragment.
-    pub const USAGE: &'static str = "[--backend <columnar|local>] [--workers N] [--partitions N] [--memory-budget BYTES] [--dataset-budget BYTES] [--ordered]";
+    pub const USAGE: &'static str = "[--backend <columnar|local>] [--workers N] [--partitions N] [--memory-budget BYTES] [--dataset-budget BYTES]";
 
-    /// Pulls every engine flag (`--flag value` or `--flag=value`, and the
-    /// bare `--ordered`) out of `args`, leaving the rest in order.
+    /// Pulls every engine flag (`--flag value` or `--flag=value`) out of
+    /// `args`, leaving the rest in order.
     pub fn extract(args: &mut Vec<String>) -> Result<EngineFlags, String> {
         let count = |flag: &str, s: String| match s.parse::<usize>() {
             Ok(n) if n > 0 => Ok(n),
@@ -112,8 +110,6 @@ impl EngineFlags {
             s.parse::<u64>()
                 .map_err(|_| format!("{flag}: `{s}` is not a byte count"))
         };
-        let ordered = args.iter().any(|a| a == "--ordered");
-        args.retain(|a| a != "--ordered");
         Ok(EngineFlags {
             layout: take_flag(args, "--backend")?
                 .map(|name| {
@@ -137,7 +133,6 @@ impl EngineFlags {
             dataset_budget: take_flag(args, "--dataset-budget")?
                 .map(|n| bytes("--dataset-budget", n))
                 .transpose()?,
-            ordered,
         })
     }
 
@@ -148,7 +143,6 @@ impl EngineFlags {
             || self.partitions.is_some()
             || self.memory_budget.is_some()
             || self.dataset_budget.is_some()
-            || self.ordered
     }
 
     /// The engine context these flags describe; what they leave unset
@@ -163,9 +157,6 @@ impl EngineFlags {
         }
         if let Some(bytes) = self.dataset_budget {
             ctx.set_dataset_budget(Some(bytes));
-        }
-        if self.ordered {
-            ctx.set_ordered(true);
         }
         ctx
     }
@@ -209,7 +200,6 @@ mod tests {
             "p.dbl",
             "--workers",
             "2",
-            "--ordered",
             "--memory-budget",
             "0",
             "x=1",
@@ -217,10 +207,7 @@ mod tests {
         let f = EngineFlags::extract(&mut a).unwrap();
         assert_eq!(a, args(&["run", "p.dbl", "x=1"]));
         assert_eq!(f.layout, Some(Layout::Row));
-        assert_eq!(
-            (f.workers, f.memory_budget, f.ordered),
-            (Some(2), Some(0), true)
-        );
+        assert_eq!((f.workers, f.memory_budget), (Some(2), Some(0)));
         assert!(f.any());
         assert_eq!(f.context().layout(), Layout::Row);
     }

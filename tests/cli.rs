@@ -305,20 +305,31 @@ fn backend_flag_selects_executor_and_outputs_match() {
 }
 
 #[test]
-fn ordered_flag_runs_sorted_shuffles() {
+fn run_prints_each_collection_sorted_by_key() {
+    // Keyed operators leave rows in hash-bucket order; `diabloc run`
+    // prints every collection sorted by key whatever the layout, worker
+    // and partition counts.
     let p = write_temp(
-        "wc_ordered.dbl",
+        "sorted_keys.dbl",
         "input words: vector[string];
          var C: map[string, long] = map();
-         for w in words do C[w] += 1;",
+         var D: vector[long] = vector();
+         for w in words do C[w] += 1;
+         for i = 0, 17 do D[(i * 7) % 18] += i;",
     );
-    let csv = write_temp("wc_ordered.csv", "0,b\n1,a\n2,c\n3,a\n4,b\n5,a\n");
-    let run = |args: &[&str]| {
-        let mut cmd = diabloc();
-        for a in args {
-            cmd.arg(a);
-        }
-        let out = cmd
+    let csv = write_temp(
+        "sorted_keys.csv",
+        "0,pear\n1,fig\n2,plum\n3,fig\n4,apple\n5,kiwi\n6,pear\n",
+    );
+    let configs: [&[&str]; 3] = [
+        &[],
+        &["--workers", "3", "--partitions", "7"],
+        &["--backend", "local", "--partitions", "5"],
+    ];
+    for flags in configs {
+        let out = diabloc()
+            .arg("run")
+            .args(flags)
             .arg(&p)
             .arg(format!("words=@{}", csv.display()))
             .output()
@@ -328,45 +339,25 @@ fn ordered_flag_runs_sorted_shuffles() {
             "{}",
             String::from_utf8_lossy(&out.stderr)
         );
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
-    // Same rows either way — the ordered run just emits them key-sorted.
-    let plain = run(&["run"]);
-    let ordered = run(&["run", "--ordered"]);
-    let sorted_lines = |s: &str| {
-        let mut v: Vec<&str> = s.lines().collect();
-        v.sort();
-        v.join("\n")
-    };
-    assert_eq!(
-        sorted_lines(&plain),
-        sorted_lines(&ordered),
-        "--ordered must not change the result multiset"
-    );
-    // The ordered explain shows the range-partitioned scatter.
-    let out = diabloc()
-        .arg("explain")
-        .arg("--ordered")
-        .arg(&p)
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("sorted"), "{text}");
-    assert!(text.contains("range partitioner"), "{text}");
-    // Rejected for commands that run no engine, like the other flags.
-    let out = diabloc()
-        .arg("check")
-        .arg("--ordered")
-        .arg(&p)
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("only apply to `run` and `explain`"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+        let text = String::from_utf8_lossy(&out.stdout);
+        // The keys of collection `name`, as its element lines spell them.
+        let keys = |name: &str| -> Vec<String> {
+            let header = format!("{name} = ");
+            text.lines()
+                .skip_while(|l| !l.starts_with(&header))
+                .skip(1)
+                .take_while(|l| l.starts_with("  ("))
+                .map(|l| l[3..].split(", ").next().unwrap().to_string())
+                .collect()
+        };
+        assert_eq!(
+            keys("C"),
+            ["\"apple\"", "\"fig\"", "\"kiwi\"", "\"pear\"", "\"plum\""],
+            "{flags:?}: {text}"
+        );
+        let d: Vec<i64> = keys("D").iter().map(|k| k.parse().unwrap()).collect();
+        assert_eq!(d, (0..18).collect::<Vec<_>>(), "{flags:?}: {text}");
+    }
 }
 
 #[test]

@@ -83,13 +83,11 @@ impl fmt::Display for Engine {
 /// pair of rows whose keys are equal (`Value` equality), the key spelled
 /// as the first left row of its group spells it. Listed in the order the
 /// engine's join documents: hash buckets ascending (of `partitions`), then
-/// left keys as first seen, then left × right rows in input order; with
-/// `ordered`, stable by key instead of by bucket.
+/// left keys as first seen, then left × right rows in input order.
 pub fn nested_loop_join(
     left: &[(Value, Value)],
     right: &[(Value, Value)],
     partitions: usize,
-    ordered: bool,
 ) -> Vec<(Value, Value, Value)> {
     let mut groups: Vec<(&Value, Vec<&Value>)> = Vec::new();
     for (k, row) in left {
@@ -98,11 +96,7 @@ pub fn nested_loop_join(
             None => groups.push((k, vec![row])),
         }
     }
-    if ordered {
-        groups.sort_by(|a, b| a.0.cmp(b.0));
-    } else {
-        groups.sort_by_key(|(k, _)| HashPartitioner.partition(k, partitions));
-    }
+    groups.sort_by_key(|(k, _)| HashPartitioner.partition(k, partitions));
     let mut out = Vec::new();
     for (k, lrows) in groups {
         for l in lrows {

@@ -184,22 +184,19 @@ fn skipped_merges_match_the_interpreter_across_the_engine_grid() {
         let compiled = diablo_core::compile(case.src).unwrap();
         for layout in [Layout::Row, Layout::Columnar] {
             for budget in [None, Some(4096), Some(0)] {
-                for ordered in [false, true] {
-                    let engine = Engine {
-                        layout,
-                        ..Engine::COLUMNAR
-                    }
-                    .budget(budget);
-                    let ctx = engine.context(2, 5).with_ordered(ordered);
-                    let mut s = session(&case, ctx);
-                    s.run(&compiled).unwrap();
-                    assert_eq!(
-                        s.collect(case.out).unwrap(),
-                        want,
-                        "`{}` under {engine}, ordered {ordered}",
-                        case.out
-                    );
+                let engine = Engine {
+                    layout,
+                    ..Engine::COLUMNAR
                 }
+                .budget(budget);
+                let mut s = session(&case, engine.context(2, 5));
+                s.run(&compiled).unwrap();
+                assert_eq!(
+                    s.collect(case.out).unwrap(),
+                    want,
+                    "`{}` under {engine}",
+                    case.out
+                );
             }
         }
     }

@@ -1,8 +1,8 @@
 //! The engine differential: the one plan walker must be invisible in
 //! results. Every Figure 3 workload runs under a grid of engine
-//! configurations — layout × exchange budget {unbounded, 4 KiB, 0}, on
-//! both the hash and the `--ordered` keyed paths, cycling through worker
-//! counts {1, 2, 7}, tile widths {1, 7, default} and dataset budgets
+//! configurations — layout × exchange budget {unbounded, 4 KiB, 0},
+//! cycling through worker counts {1, 2, 7}, tile widths {1, 7, default}
+//! and dataset budgets
 //! {unbounded, 4 KiB} so that each value meets each layout — and every
 //! output must be *byte-identical* (exact `Value` equality, not
 //! approximate) to a one-worker row-layout reference run.
@@ -33,11 +33,8 @@ struct Cfg {
 }
 
 impl Cfg {
-    fn context(&self, ordered: bool) -> Context {
-        let ctx = self
-            .engine
-            .context(self.workers, PARTITIONS)
-            .with_ordered(ordered);
+    fn context(&self) -> Context {
+        let ctx = self.engine.context(self.workers, PARTITIONS);
         ctx.set_dataset_budget(self.dataset_budget);
         ctx
     }
@@ -115,20 +112,20 @@ fn run_workload(w: &Workload, ctx: Context) -> Outputs {
         .collect()
 }
 
-fn check_fig3_identity(ordered: bool) {
-    let mode = if ordered { "ordered" } else { "hash" };
+#[test]
+fn fig3_outputs_are_byte_identical_across_engine_configs_hash() {
     let grid = engine_grid();
     // Per configuration, over all workloads: (spill files, tiles run).
     let mut exercised = vec![(0, 0); grid.len()];
     for w in diablo_workloads::figure3_workloads(1, 42) {
-        let reference = run_workload(&w, reference_cfg().context(ordered));
+        let reference = run_workload(&w, reference_cfg().context());
         for (cfg, seen) in grid.iter().zip(&mut exercised) {
-            let ctx = cfg.context(ordered);
+            let ctx = cfg.context();
             let got = run_workload(&w, ctx.clone());
             assert_eq!(
                 got,
                 reference,
-                "{}/{mode}: `{}` is not byte-identical to the one-worker reference",
+                "{}: `{}` is not byte-identical to the one-worker reference",
                 w.name,
                 cfg.label()
             );
@@ -142,20 +139,10 @@ fn check_fig3_identity(ordered: bool) {
     for (cfg, (spills, tiles)) in grid.iter().zip(exercised) {
         let label = cfg.label();
         if cfg.engine.memory_budget == Some(0) {
-            assert!(spills > 0, "{mode}: `{label}` never spilled");
+            assert!(spills > 0, "`{label}` never spilled");
         }
-        assert_eq!(tiles > 0, cfg.engine.columnar(), "{mode}: `{label}`");
+        assert_eq!(tiles > 0, cfg.engine.columnar(), "`{label}`");
     }
-}
-
-#[test]
-fn fig3_outputs_are_byte_identical_across_engine_configs_hash() {
-    check_fig3_identity(false);
-}
-
-#[test]
-fn fig3_outputs_are_byte_identical_across_engine_configs_ordered() {
-    check_fig3_identity(true);
 }
 
 /// Rows `10_000..15_000` cut into partitions of `size` rows, between two
@@ -191,7 +178,7 @@ fn poisoned_run(ctx: Context, size: usize) -> RuntimeError {
 
 #[test]
 fn midmorsel_failures_surface_the_same_first_error_everywhere() {
-    let reference = poisoned_run(reference_cfg().context(false), 64);
+    let reference = poisoned_run(reference_cfg().context(), 64);
     assert!(
         reference.message.contains("boom at the first poisoned row"),
         "reference picked the wrong row: {reference}"
@@ -201,7 +188,7 @@ fn midmorsel_failures_surface_the_same_first_error_everywhere() {
         "reference lost the statement tag: {reference}"
     );
     for cfg in engine_grid() {
-        let got = poisoned_run(cfg.context(false), 64);
+        let got = poisoned_run(cfg.context(), 64);
         assert_eq!(
             got.message,
             reference.message,

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 
 use diablo_core::compile;
-use diablo_dataflow::{Context, Dataset, Layout, RangePartitioner, StatsSnapshot};
+use diablo_dataflow::{Context, Dataset, HashPartitioner, Layout, StatsSnapshot};
 use diablo_exec::Session;
 use diablo_runtime::{array::key_value, BinOp, RuntimeError, Value};
 use diablo_workloads as wl;
@@ -154,47 +154,40 @@ fn spilled_pipeline_preserves_shuffle_read_fusion_and_caches() {
 }
 
 #[test]
-fn range_partitioner_keeps_ordered_keys_contiguous() {
-    // An ordered context's keyed operator scatters through a sampled
-    // range partitioner.
-    let ordered = |budget| ctx_with_budget(budget).with_ordered(true);
+fn spilled_group_by_key_keeps_each_key_in_its_hash_bucket() {
+    // A keyed operator's output partition `b` holds exactly the keys the
+    // hash partitioner sends to bucket `b`, so a partition-order collect
+    // visits the buckets in ascending order.
     let rows = || -> Vec<Value> {
         (0..120)
             .map(|i| Value::pair(Value::Long((i * 7) % 120), Value::Long(i)))
             .collect()
     };
-    let part = RangePartitioner::from_sample((0..120).map(Value::Long).collect(), 6);
-    let ranged = ordered(None).from_vec(rows()).group_by_key().unwrap();
-    // Same bag of rows as the hash path...
-    let hashed = ctx_with_budget(None)
-        .with_ordered(false)
+    let collected = ctx_with_budget(None)
         .from_vec(rows())
         .group_by_key()
-        .unwrap();
-    assert_eq!(ranged.collect_sorted(), hashed.collect_sorted());
-    // ...but with key ranges contiguous per partition: a partition-order
-    // collect visits the range buckets in ascending key-range order.
-    let collected = ranged.collect();
+        .unwrap()
+        .collect();
     let buckets: Vec<usize> = collected
         .iter()
         .map(|r| {
             let (k, _) = key_value(r).unwrap();
-            part.partition(&k, 6)
+            HashPartitioner.partition(&k, 6)
         })
         .collect();
     let mut sorted = buckets.clone();
     sorted.sort();
     assert_eq!(
         buckets, sorted,
-        "range buckets appear in ascending order across partitions"
+        "hash buckets appear in ascending order across partitions"
     );
-    // A spilled range exchange is byte-identical to the in-memory one.
-    let spill_ctx = ordered(Some(0));
-    let d2 = spill_ctx.from_vec(rows());
+    // A spilled exchange is byte-identical to the in-memory one.
+    let spill_ctx = ctx_with_budget(Some(0));
+    let d = spill_ctx.from_vec(rows());
     let before = spill_ctx.stats().snapshot();
-    let ranged2 = d2.group_by_key().unwrap();
+    let spilled = d.group_by_key().unwrap();
     let after = spill_ctx.stats().snapshot().since(&before);
-    assert_eq!(ranged2.collect(), collected);
+    assert_eq!(spilled.collect(), collected);
     assert!(after.spill_files > 0, "{after:?}");
 }
 

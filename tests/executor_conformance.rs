@@ -1,8 +1,8 @@
 //! Plan-walker conformance: every engine configuration must be
 //! plan-faithful — same rows, same order, same shuffle counts, same first
 //! error for deterministic chains — so the whole suite runs over the
-//! walker's knobs (layout × tile width × exchange budget, and workers and
-//! ordered routing where a test sweeps them) and compares every
+//! walker's knobs (layout × tile width × exchange budget, and workers
+//! where a test sweeps them) and compares every
 //! configuration against the row layout.
 
 mod common;
@@ -552,7 +552,7 @@ fn total_aggregation_programs_match_the_row_reference() {
 /// monoids: the same rows in the same order, to the last bit, in every
 /// configuration — whether the keyed map is transparent (the columnar layout
 /// hashes the key column in place and folds typed lanes), opaque, or
-/// absent; whatever the key type; hash or sorted shuffle.
+/// absent; whatever the key type.
 #[test]
 fn backends_agree_on_keyed_aggregations() {
     // (i, x, flag, word, name, odd key, odd value) rows. x mixes magnitudes
@@ -682,9 +682,7 @@ fn backends_agree_on_keyed_aggregations() {
             d.filter_expr(none).unwrap().map_expr(keyed).unwrap()
         }),
     ];
-    let context = |engine: Engine, workers: usize, ordered: bool| {
-        engine.context(workers, 5).with_ordered(ordered)
-    };
+    let context = |engine: Engine, workers: usize| engine.context(workers, 5);
     let mut vectorized = 0;
     for (k, (key_name, key)) in keys.iter().enumerate() {
         for (v, (value_name, ops, inputs)) in values.iter().enumerate() {
@@ -694,41 +692,38 @@ fn backends_agree_on_keyed_aggregations() {
             // map; the other shapes take a diagonal of that square.
             let shapes = shapes.iter().take(if k == v { shapes.len() } else { 1 });
             for (shape_name, build) in shapes {
-                for ordered in [false, true] {
-                    let what =
-                        format!("{value_name} by {key_name}, {shape_name}, ordered {ordered}");
-                    let reference = {
-                        let ctx = context(Engine::ROW, 1, ordered);
-                        let ops = ops.clone();
-                        build(&ctx.from_vec(rows.clone()), keyed.clone())
-                            .reduce_by_key(move |a, b| {
-                                let (xs, ys) = (a.as_tuple().unwrap(), b.as_tuple().unwrap());
-                                let fields = ops
-                                    .iter()
-                                    .zip(xs.iter().zip(ys))
-                                    .map(|(op, (x, y))| op.apply(x, y))
-                                    .collect::<Result<Vec<_>, _>>()?;
-                                Ok(Value::tuple(fields))
-                            })
-                            .unwrap()
-                            .collect()
-                    };
-                    assert_eq!(reference.is_empty(), *shape_name == "empty input", "{what}");
-                    for (engine, workers) in engines_and_workers() {
-                        let ctx = context(engine, workers, ordered);
-                        let got = build(&ctx.from_vec(rows.clone()), keyed.clone())
-                            .aggregate_by_key(aggs.clone())
-                            .unwrap()
-                            .collect();
-                        // Debug, not `==`: `Long(2) == Double(2.0)`, and the
-                        // claim is the same bits.
-                        assert_eq!(
-                            format!("{got:?}"),
-                            format!("{reference:?}"),
-                            "{what}: `{engine}` at {workers} workers diverged"
-                        );
-                        vectorized += ctx.stats().snapshot().vectorized_batches;
-                    }
+                let what = format!("{value_name} by {key_name}, {shape_name}");
+                let reference = {
+                    let ctx = context(Engine::ROW, 1);
+                    let ops = ops.clone();
+                    build(&ctx.from_vec(rows.clone()), keyed.clone())
+                        .reduce_by_key(move |a, b| {
+                            let (xs, ys) = (a.as_tuple().unwrap(), b.as_tuple().unwrap());
+                            let fields = ops
+                                .iter()
+                                .zip(xs.iter().zip(ys))
+                                .map(|(op, (x, y))| op.apply(x, y))
+                                .collect::<Result<Vec<_>, _>>()?;
+                            Ok(Value::tuple(fields))
+                        })
+                        .unwrap()
+                        .collect()
+                };
+                assert_eq!(reference.is_empty(), *shape_name == "empty input", "{what}");
+                for (engine, workers) in engines_and_workers() {
+                    let ctx = context(engine, workers);
+                    let got = build(&ctx.from_vec(rows.clone()), keyed.clone())
+                        .aggregate_by_key(aggs.clone())
+                        .unwrap()
+                        .collect();
+                    // Debug, not `==`: `Long(2) == Double(2.0)`, and the
+                    // claim is the same bits.
+                    assert_eq!(
+                        format!("{got:?}"),
+                        format!("{reference:?}"),
+                        "{what}: `{engine}` at {workers} workers diverged"
+                    );
+                    vectorized += ctx.stats().snapshot().vectorized_batches;
                 }
             }
         }
@@ -764,8 +759,7 @@ fn driver_join_on(
             Ok((on.right_key.eval(&leaves)?, leaves))
         })
         .collect::<Result<Vec<_>, RuntimeError>>()?;
-    let matches =
-        common::nested_loop_join(&keyed_left, &keyed_right, ctx.partitions(), ctx.ordered());
+    let matches = common::nested_loop_join(&keyed_left, &keyed_right, ctx.partitions());
     Ok(matches
         .into_iter()
         .map(|(_, l, r)| {
@@ -784,7 +778,7 @@ fn driver_join_pairs(left: &Dataset, right: &Dataset) -> Result<Vec<Value>, Runt
         d.try_collect()?.iter().map(key_value).collect()
     };
     let (l, r) = (pairs(left)?, pairs(right)?);
-    let matches = common::nested_loop_join(&l, &r, ctx.partitions(), ctx.ordered());
+    let matches = common::nested_loop_join(&l, &r, ctx.partitions());
     Ok(matches
         .into_iter()
         .map(|(k, l, r)| Value::pair(k, Value::pair(l, r)))
@@ -992,9 +986,7 @@ fn backends_agree_on_joins_and_crosses() {
             (ctx.from_vec(l.to_vec()), ctx.from_vec(r))
         }),
     ];
-    let context = |engine: Engine, workers: usize, ordered: bool| {
-        engine.context(workers, 5).with_ordered(ordered)
-    };
+    let context = |engine: Engine, workers: usize| engine.context(workers, 5);
     // Debug, not `==`: `Long(1) == Double(1.0)`, and the claim is the same
     // rows bit for bit — or the same first error.
     let show = |res: Result<Vec<Value>, RuntimeError>| match res {
@@ -1010,49 +1002,48 @@ fn backends_agree_on_joins_and_crosses() {
             mismatch: mismatch.into(),
         };
         for (variant, build) in &variants {
-            for ordered in [false, true] {
-                let what = format!("{kind}, {variant}, ordered {ordered}");
-                let reference = {
-                    let ctx = context(Engine::ROW, 1, ordered);
-                    let (l, r) = build(&ctx, &left_rows, right);
-                    show(driver_join_on(&l, &r, &on))
-                };
-                let fails = reference.starts_with("error");
-                assert_eq!(fails, *variant == "a right row that is no pair", "{what}");
-                if fails {
-                    assert_eq!(
-                        reference,
-                        format!("error: runtime error: {mismatch} 17"),
-                        "{what}"
-                    );
-                } else {
-                    assert_eq!(reference == "[]", variant.starts_with("empty"), "{what}");
-                }
-                for (engine, workers) in engines_and_workers() {
-                    let ctx = context(engine, workers, ordered);
-                    let (l, r) = build(&ctx, &left_rows, right);
-                    let joined = l.join_on(&r, on.clone());
-                    // Read through a transparent step that keeps every
-                    // row, a columnar stage gathers the matches into
-                    // columns instead of making rows of them; read bare,
-                    // every match becomes its row.
-                    let kept = show(joined.clone().and_then(|d| {
+            let what = format!("{kind}, {variant}");
+            let reference = {
+                let ctx = context(Engine::ROW, 1);
+                let (l, r) = build(&ctx, &left_rows, right);
+                show(driver_join_on(&l, &r, &on))
+            };
+            let fails = reference.starts_with("error");
+            assert_eq!(fails, *variant == "a right row that is no pair", "{what}");
+            if fails {
+                assert_eq!(
+                    reference,
+                    format!("error: runtime error: {mismatch} 17"),
+                    "{what}"
+                );
+            } else {
+                assert_eq!(reference == "[]", variant.starts_with("empty"), "{what}");
+            }
+            for (engine, workers) in engines_and_workers() {
+                let ctx = context(engine, workers);
+                let (l, r) = build(&ctx, &left_rows, right);
+                let joined = l.join_on(&r, on.clone());
+                // Read through a transparent step that keeps every
+                // row, a columnar stage gathers the matches into
+                // columns instead of making rows of them; read bare,
+                // every match becomes its row.
+                let kept =
+                    show(joined.clone().and_then(|d| {
                         d.filter_expr(bin(BinOp::Eq, col(0), col(0)))?.try_collect()
                     }));
-                    assert_eq!(
-                        kept, reference,
-                        "{what}, behind a filter: `{engine}` at {workers} workers diverged"
-                    );
-                    let got = show(joined.and_then(|d| d.try_collect()));
-                    assert_eq!(
-                        got, reference,
-                        "{what}: `{engine}` at {workers} workers diverged"
-                    );
-                    let stats = ctx.stats().snapshot();
-                    vectorized += stats.vectorized_batches;
-                    if *variant == "as they are" {
-                        assert_eq!(stats.row_fallback_stages, 0, "{what}: `{engine}`");
-                    }
+                assert_eq!(
+                    kept, reference,
+                    "{what}, behind a filter: `{engine}` at {workers} workers diverged"
+                );
+                let got = show(joined.and_then(|d| d.try_collect()));
+                assert_eq!(
+                    got, reference,
+                    "{what}: `{engine}` at {workers} workers diverged"
+                );
+                let stats = ctx.stats().snapshot();
+                vectorized += stats.vectorized_batches;
+                if *variant == "as they are" {
+                    assert_eq!(stats.row_fallback_stages, 0, "{what}: `{engine}`");
                 }
             }
         }
@@ -1086,24 +1077,22 @@ fn backends_agree_on_joins_and_crosses() {
             Some(true) => r[9] = Value::Unit,
             None => {}
         }
-        for ordered in [false, true] {
-            let reference = {
-                let ctx = context(Engine::ROW, 1, ordered);
-                show(driver_join_pairs(
-                    &ctx.from_vec(l.clone()),
-                    &ctx.from_vec(r.clone()),
-                ))
-            };
-            assert_eq!(reference.starts_with("error"), bad.is_some());
-            for (engine, workers) in engines_and_workers() {
-                let ctx = context(engine, workers, ordered);
-                let joined = ctx.from_vec(l.clone()).join(&ctx.from_vec(r.clone()));
-                assert_eq!(
-                    show(joined.and_then(|d| d.try_collect())),
-                    reference,
-                    "join with bad row {bad:?}, ordered {ordered}: `{engine}` at {workers} workers"
-                );
-            }
+        let reference = {
+            let ctx = context(Engine::ROW, 1);
+            show(driver_join_pairs(
+                &ctx.from_vec(l.clone()),
+                &ctx.from_vec(r.clone()),
+            ))
+        };
+        assert_eq!(reference.starts_with("error"), bad.is_some());
+        for (engine, workers) in engines_and_workers() {
+            let ctx = context(engine, workers);
+            let joined = ctx.from_vec(l.clone()).join(&ctx.from_vec(r.clone()));
+            assert_eq!(
+                show(joined.and_then(|d| d.try_collect())),
+                reference,
+                "join with bad row {bad:?}: `{engine}` at {workers} workers"
+            );
         }
     }
 
@@ -1131,7 +1120,7 @@ fn backends_agree_on_joins_and_crosses() {
             ctx.from_vec(left_rows.clone()).filter_expr(keep).unwrap()
         };
         let reference = {
-            let ctx = context(Engine::ROW, 1, false);
+            let ctx = context(Engine::ROW, 1);
             show(closure_cross(
                 &left(&ctx),
                 items.clone(),
@@ -1148,7 +1137,7 @@ fn backends_agree_on_joins_and_crosses() {
             );
         }
         for (engine, workers) in engines_and_workers() {
-            let ctx = context(engine, workers, false);
+            let ctx = context(engine, workers);
             let crossed = left(&ctx).cross(items.clone(), shape.clone(), cross_mismatch);
             assert_eq!(
                 show(crossed.and_then(|d| d.try_collect())),
@@ -1191,4 +1180,79 @@ fn engines_and_workers() -> Vec<(Engine, usize)> {
         }
     }
     grid
+}
+
+/// Deterministic skewed key distributions: `(key, i)` for `i` in `0..n`.
+fn skewed_rows(dist: usize, n: usize, seed: u64) -> Vec<(i64, i64)> {
+    let n = n as i64;
+    (0..n)
+        .map(|i| {
+            let k = match dist {
+                // zipf-ish skew: low keys vastly more common.
+                0 => {
+                    let r = (i.wrapping_mul(seed as i64 | 1).wrapping_add(i * i)) % 1024;
+                    (1024 / (r.abs() + 1)) % 64
+                }
+                // all-equal.
+                1 => 42,
+                // pre-sorted (many duplicates).
+                2 => i / 3,
+                // reverse-sorted.
+                _ => (n - i) / 2,
+            };
+            (k, i)
+        })
+        .collect()
+}
+
+/// `reduce_by_key`, `group_by_key`, `merge` and `join` of `left` and
+/// `right` on `ctx`, each collected in partition order.
+fn keyed_ops(ctx: &Context, left: &[(i64, i64)], right: &[(i64, i64)]) -> [Vec<Value>; 4] {
+    let (a, b) = (long_pairs(ctx, left), long_pairs(ctx, right));
+    let add = |x: &Value, y: &Value| BinOp::Add.apply(x, y);
+    [
+        a.reduce_by_key(add).unwrap().collect(),
+        a.group_by_key().unwrap().collect(),
+        a.merge(&b, Some(add)).unwrap().collect(),
+        a.join(&b).unwrap().collect(),
+    ]
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+    /// Skewed, all-equal, pre-sorted and reverse-sorted keys through the
+    /// keyed operators: every layout × tile width, unbounded and with a
+    /// zero exchange budget (every bucket through disk runs), returns the
+    /// one-worker row layout's rows in its order.
+    #[test]
+    fn skewed_key_distributions_are_byte_identical_across_engines(
+        dist in 0usize..4,
+        n in 100usize..700,
+        seed in 1u64..1000,
+    ) {
+        let left = skewed_rows(dist, n, seed);
+        let right = skewed_rows(dist, 20, seed + 1);
+        let reference = keyed_ops(&Engine::ROW.context(1, 5), &left, &right);
+        for engine in [
+            Engine::ROW,
+            Engine::COLUMNAR.tile(4),
+            Engine::COLUMNAR.tile(16),
+            Engine::COLUMNAR,
+        ] {
+            for budget in [None, Some(0)] {
+                let engine = engine.budget(budget);
+                let ctx = engine.context(3, 5);
+                let got = keyed_ops(&ctx, &left, &right);
+                for ((got, want), op) in got.iter().zip(&reference).zip(["reduce", "group", "merge", "join"]) {
+                    proptest::prop_assert_eq!(got, want, "{} under `{}`, distribution {}", op, engine, dist);
+                }
+                let stats = ctx.stats().snapshot();
+                proptest::prop_assert!(
+                    budget.is_none() || stats.spill_files > 0,
+                    "`{}` must spill runs: {:?}", engine, stats
+                );
+            }
+        }
+    }
 }

@@ -158,7 +158,7 @@ fn while_loop_that_never_runs() {
 /// Both layouts, unbounded and with a zero exchange budget so every
 /// exchanged chunk goes through disk runs; the columnar layout with tiny
 /// tiles so the opaque closures here exercise its per-stage row fallback.
-fn sorted_failure_engines() -> Vec<Engine> {
+fn keyed_failure_engines() -> Vec<Engine> {
     vec![
         Engine::ROW,
         Engine::ROW.budget(Some(0)),
@@ -167,21 +167,39 @@ fn sorted_failure_engines() -> Vec<Engine> {
     ]
 }
 
+/// Runs `run` under every engine of [`keyed_failure_engines`]: each must
+/// surface the row layout's first error, word for word, and that error
+/// must say every one of `want` (its message and statement tag).
+fn assert_first_error_everywhere(what: &str, want: &[&str], run: impl Fn(Engine) -> RuntimeError) {
+    let reference = run(Engine::ROW);
+    for w in want {
+        assert!(reference.message.contains(w), "{what}: {reference}");
+    }
+    for engine in keyed_failure_engines() {
+        assert_eq!(
+            run(engine).message,
+            reference.message,
+            "{what}: `{engine}` changed the first error"
+        );
+    }
+}
+
 #[test]
-fn sorted_path_surfaces_the_hash_paths_error_mid_sort() {
+fn keyed_scatter_surfaces_a_failing_chains_first_error_everywhere() {
     // A UDF that fails inside the fused chain feeding the keyed operator
-    // (the range scatter's first stage on the ordered path) must surface
-    // the identical first error — message and statement tag — as the hash
-    // path's scatter, in every configuration.
-    for engine in sorted_failure_engines() {
-        let run = |sorted: bool| -> RuntimeError {
-            let ctx = engine.context(3, 6).with_ordered(sorted);
+    // (its scatter stage) surfaces the same first error — message and
+    // statement tag — in every configuration.
+    assert_first_error_everywhere(
+        "reduce_by_key",
+        &["boom mid-scatter", "s4: C := poisoned map"],
+        |engine| {
+            let ctx = engine.context(3, 6);
             ctx.set_statement_label(Some("s4: C := poisoned map"));
             let d = ctx
                 .from_vec((0..300).map(Value::Long).collect())
                 .map(|v| {
                     if v.as_long() == Some(137) {
-                        Err(RuntimeError::new("boom mid-sort"))
+                        Err(RuntimeError::new("boom mid-scatter"))
                     } else {
                         Ok(Value::pair(v.clone(), Value::Long(1)))
                     }
@@ -189,31 +207,22 @@ fn sorted_path_surfaces_the_hash_paths_error_mid_sort() {
                 .unwrap();
             ctx.set_statement_label(None);
             d.reduce_by_key(|a, b| BinOp::Add.apply(a, b)).unwrap_err()
-        };
-        let hash = run(false);
-        let sorted = run(true);
-        assert_eq!(
-            sorted.message, hash.message,
-            "`{engine}`: sorted path changed the first error"
-        );
-        assert!(sorted.message.contains("boom mid-sort"), "{sorted}");
-        assert!(
-            sorted.message.contains("s4: C := poisoned map"),
-            "`{engine}`: statement tag lost on the sorted path: {sorted}"
-        );
-    }
+        },
+    );
 }
 
 #[test]
-fn sorted_path_surfaces_the_hash_paths_error_mid_merge() {
-    // A combiner that fails during the post-shuffle reduction, before the
-    // ordered path's key sort. The poisoned key appears once per source
-    // partition, so neither path's map-side combine ever touches it — the
-    // failure happens only while merging the shuffled bucket — and both
-    // paths must report the same tagged error in every configuration.
-    for engine in sorted_failure_engines() {
-        let run = |sorted: bool| -> RuntimeError {
-            let ctx = engine.context(3, 6).with_ordered(sorted);
+fn keyed_reduce_surfaces_a_failing_combiners_error_everywhere() {
+    // A combiner that fails during the post-shuffle reduction. The
+    // poisoned key appears once per source partition, so the map-side
+    // combine never touches it — the failure happens only while reducing
+    // the shuffled bucket — and every configuration reports the same
+    // tagged error.
+    assert_first_error_everywhere(
+        "reduce_by_key",
+        &["boom mid-reduce", "s9: C := poisoned combine"],
+        |engine| {
+            let ctx = engine.context(3, 6);
             // 60 rows chunk into 6 partitions of 10; key 5 sits at one
             // index per partition (i % 10 == 0 → key 5).
             let rows: Vec<Value> = (0..60)
@@ -229,7 +238,7 @@ fn sorted_path_surfaces_the_hash_paths_error_mid_merge() {
             let d = ctx.from_vec(rows);
             let combiner = |a: &Value, b: &Value| {
                 if a.as_long() == Some(-1) || b.as_long() == Some(-1) {
-                    Err(RuntimeError::new("boom mid-merge"))
+                    Err(RuntimeError::new("boom mid-reduce"))
                 } else {
                     BinOp::Add.apply(a, b)
                 }
@@ -237,51 +246,28 @@ fn sorted_path_surfaces_the_hash_paths_error_mid_merge() {
             let keyed = d.reduce_by_key(combiner).unwrap();
             ctx.set_statement_label(None);
             keyed.try_collect().unwrap_err()
-        };
-        let hash = run(false);
-        let sorted = run(true);
-        assert_eq!(
-            sorted.message, hash.message,
-            "`{engine}`: sorted merge changed the first error"
-        );
-        assert!(sorted.message.contains("boom mid-merge"), "{sorted}");
-        assert!(
-            sorted.message.contains("s9: C := poisoned combine"),
-            "`{engine}`: statement tag lost in the sorted merge: {sorted}"
-        );
-    }
+        },
+    );
 }
 
 #[test]
-fn sorted_shuffle_rejects_non_pair_rows_like_the_hash_scatter() {
-    // The range scatter checks the pair shape in canonical row order, so
-    // the ordered path reports the same malformed-row error the hash
-    // scatter does.
-    for engine in sorted_failure_engines() {
-        let run = |sorted: bool| -> RuntimeError {
-            let ctx = engine.context(2, 4).with_ordered(sorted);
-            let d = ctx.from_vec(vec![
-                Value::pair(Value::Long(1), Value::Long(10)),
-                Value::Long(99), // not a (key, value) pair
-            ]);
-            d.group_by_key().unwrap_err()
-        };
-        let hash = run(false);
-        let sorted = run(true);
-        assert_eq!(
-            sorted.message, hash.message,
-            "`{engine}`: malformed-row errors diverged"
-        );
-        assert!(sorted.message.contains("pair"), "{sorted}");
-    }
+fn keyed_scatter_rejects_non_pair_rows_everywhere() {
+    assert_first_error_everywhere("group_by_key", &["pair"], |engine| {
+        let ctx = engine.context(2, 4);
+        let d = ctx.from_vec(vec![
+            Value::pair(Value::Long(1), Value::Long(10)),
+            Value::Long(99), // not a (key, value) pair
+        ]);
+        d.group_by_key().unwrap_err()
+    });
 }
 
 #[test]
-fn ordered_two_sided_operators_surface_the_hash_paths_first_error() {
+fn two_sided_operators_surface_the_left_sides_first_error_everywhere() {
     // A poisoned row in the left chain, in the right chain, and in both:
-    // the ordered path runs each side's chain as the hash path does, the
-    // left side first, so `merge` and `join_on` report the hash
-    // path's first error and statement tag — the left one when both fail.
+    // each side's chain runs in its own scatter stage, the left side
+    // first, so `merge` and `join_on` report the first error and statement
+    // tag of the side that fails — the left one when both fail.
     type Op = fn(&Dataset, &Dataset) -> Result<Dataset, RuntimeError>;
     let ops: [(&str, Op); 2] = [
         ("merge", |l: &Dataset, r: &Dataset| {
@@ -319,28 +305,18 @@ fn ordered_two_sided_operators_surface_the_hash_paths_first_error() {
         ("right", None, Some(43), RIGHT, "s6: R := poisoned right"),
         ("both", Some(61), Some(43), LEFT, "s5: L := poisoned left"),
     ];
-    for engine in sorted_failure_engines() {
-        for (name, op) in ops {
-            for (case, left_poison, right_poison, want, tag) in cases {
-                let run = |sorted: bool| -> RuntimeError {
-                    let ctx = engine.context(3, 6).with_ordered(sorted);
-                    let l = side(&ctx, 120, "s5: L := poisoned left", left_poison, LEFT);
-                    let r = side(&ctx, 90, "s6: R := poisoned right", right_poison, RIGHT);
-                    match op(&l, &r) {
-                        Err(e) => e,
-                        Ok(d) => d.try_collect().unwrap_err(),
-                    }
-                };
-                let hash = run(false);
-                let sorted = run(true);
-                let what = format!("`{engine}`: {name}, poisoned {case}");
-                assert_eq!(
-                    sorted.message, hash.message,
-                    "{what}: ordered path changed the first error"
-                );
-                assert!(sorted.message.contains(want), "{what}: {sorted}");
-                assert!(sorted.message.contains(tag), "{what}: {sorted}");
-            }
+    for (name, op) in ops {
+        for (case, left_poison, right_poison, want, tag) in cases {
+            let what = format!("{name}, poisoned {case}");
+            assert_first_error_everywhere(&what, &[want, tag], |engine| {
+                let ctx = engine.context(3, 6);
+                let l = side(&ctx, 120, "s5: L := poisoned left", left_poison, LEFT);
+                let r = side(&ctx, 90, "s6: R := poisoned right", right_poison, RIGHT);
+                match op(&l, &r) {
+                    Err(e) => e,
+                    Ok(d) => d.try_collect().unwrap_err(),
+                }
+            });
         }
     }
 }
@@ -351,8 +327,7 @@ fn columnar_mid_batch_failures_match_the_row_path_byte_for_byte() {
     // divides by zero. In the columnar layout the failure strikes in the
     // middle of a 64-row tile; the tile is replayed tuple-at-a-time, so the
     // surfaced first error — message and statement tag — must be
-    // byte-identical to the row layout's, on both keyed paths and under
-    // every exchange budget.
+    // byte-identical to the row layout's, under every exchange budget.
     let expr = || {
         RowExpr::Tuple(vec![
             RowExpr::Bin(
@@ -372,33 +347,30 @@ fn columnar_mid_batch_failures_match_the_row_path_byte_for_byte() {
         ])
     };
     for budget in [None, Some(4096), Some(0)] {
-        for sorted in [false, true] {
-            let run = |engine: Engine| -> RuntimeError {
-                let ctx = engine.budget(budget).context(3, 6).with_ordered(sorted);
-                ctx.set_statement_label(Some("s3: C := 1000 / (V[i] - 137)"));
-                let d = ctx
-                    .from_vec((0..300).map(Value::Long).collect())
-                    .map_expr(expr())
-                    .unwrap();
-                ctx.set_statement_label(None);
-                match d.reduce_by_key(|a, b| BinOp::Add.apply(a, b)) {
-                    Err(e) => e,
-                    Ok(k) => k.try_collect().unwrap_err(),
-                }
-            };
-            let row_path = run(Engine::ROW);
-            let columnar = run(Engine::COLUMNAR.tile(64));
-            let mode = if sorted { "ordered" } else { "hash" };
-            assert_eq!(
-                columnar.message, row_path.message,
-                "{mode}/budget {budget:?}: columnar changed the first error"
-            );
-            assert!(columnar.message.contains("zero"), "{columnar}");
-            assert!(
-                columnar.message.contains("s3: C := 1000 / (V[i] - 137)"),
-                "{mode}/budget {budget:?}: statement tag lost mid-batch: {columnar}"
-            );
-        }
+        let run = |engine: Engine| -> RuntimeError {
+            let ctx = engine.budget(budget).context(3, 6);
+            ctx.set_statement_label(Some("s3: C := 1000 / (V[i] - 137)"));
+            let d = ctx
+                .from_vec((0..300).map(Value::Long).collect())
+                .map_expr(expr())
+                .unwrap();
+            ctx.set_statement_label(None);
+            match d.reduce_by_key(|a, b| BinOp::Add.apply(a, b)) {
+                Err(e) => e,
+                Ok(k) => k.try_collect().unwrap_err(),
+            }
+        };
+        let row_path = run(Engine::ROW);
+        let columnar = run(Engine::COLUMNAR.tile(64));
+        assert_eq!(
+            columnar.message, row_path.message,
+            "budget {budget:?}: columnar changed the first error"
+        );
+        assert!(columnar.message.contains("zero"), "{columnar}");
+        assert!(
+            columnar.message.contains("s3: C := 1000 / (V[i] - 137)"),
+            "budget {budget:?}: statement tag lost mid-batch: {columnar}"
+        );
     }
 }
 
@@ -482,8 +454,8 @@ fn poisoned_keyed_aggregation_fails_like_the_row_reference() {
     // the 137th row, mid-tile at every batch width but 1. The default
     // engine keys and folds columns and replays the failing tile into the
     // same per-key accumulators, and must raise what the `local` row
-    // reference raises — message and statement tag — on both keyed paths,
-    // under every exchange budget, batch width and pool width.
+    // reference raises — message and statement tag — under every exchange
+    // budget, batch width and pool width.
     let compiled = compile(
         "input N: vector[long];
          var C: vector[long] = vector();
@@ -491,30 +463,25 @@ fn poisoned_keyed_aggregation_fails_like_the_row_reference() {
     )
     .unwrap();
     for budget in [None, Some(4096), Some(0)] {
-        for ordered in [false, true] {
-            let run = |engine: Engine, workers: usize| -> RuntimeError {
-                let ctx = engine
-                    .budget(budget)
-                    .context(workers, 5)
-                    .with_ordered(ordered);
-                let mut s = Session::new(ctx);
-                s.bind_input("N", vec_rows(&(0..300).map(|i| (i, i)).collect::<Vec<_>>()));
-                s.run(&compiled).unwrap_err()
-            };
-            let reference = run(Engine::ROW, 1);
-            assert!(
-                reference.message.contains("division by zero"),
-                "{reference}"
-            );
-            assert!(reference.message.contains("s1:C"), "{reference}");
-            for workers in [1, 2, 4] {
-                for batch in [1, 7, DEFAULT_TILE_WIDTH] {
-                    let err = run(Engine::COLUMNAR.tile(batch), workers);
-                    assert_eq!(
-                        err.message, reference.message,
-                        "budget {budget:?}, ordered {ordered}, batch {batch}, {workers} workers"
-                    );
-                }
+        let run = |engine: Engine, workers: usize| -> RuntimeError {
+            let ctx = engine.budget(budget).context(workers, 5);
+            let mut s = Session::new(ctx);
+            s.bind_input("N", vec_rows(&(0..300).map(|i| (i, i)).collect::<Vec<_>>()));
+            s.run(&compiled).unwrap_err()
+        };
+        let reference = run(Engine::ROW, 1);
+        assert!(
+            reference.message.contains("division by zero"),
+            "{reference}"
+        );
+        assert!(reference.message.contains("s1:C"), "{reference}");
+        for workers in [1, 2, 4] {
+            for batch in [1, 7, DEFAULT_TILE_WIDTH] {
+                let err = run(Engine::COLUMNAR.tile(batch), workers);
+                assert_eq!(
+                    err.message, reference.message,
+                    "budget {budget:?}, batch {batch}, {workers} workers"
+                );
             }
         }
     }
@@ -564,35 +531,30 @@ fn a_combine_that_fails_mid_tile_fails_like_the_row_reference() {
     };
     let add = diablo_runtime::AggOp::new(BinOp::Add).unwrap();
     for budget in [None, Some(4096), Some(0)] {
-        for ordered in [false, true] {
-            let run = |engine: Engine, workers: usize| -> RuntimeError {
-                let ctx = engine
-                    .budget(budget)
-                    .context(workers, 1)
-                    .with_ordered(ordered);
-                ctx.set_statement_label(Some("s4: C[k] += (a, b)"));
-                let d = ctx.from_vec(rows.clone()).map_expr(keyed()).unwrap();
-                ctx.set_statement_label(None);
-                match d.aggregate_by_key(vec![add, add]) {
-                    Err(e) => e,
-                    Ok(k) => k.try_collect().unwrap_err(),
-                }
-            };
-            let reference = run(Engine::ROW, 1);
-            assert!(
-                reference
-                    .message
-                    .contains("expects numbers, got double and string"),
-                "{reference}"
-            );
-            for workers in [1, 2, 4] {
-                for batch in [1, 7, 64, DEFAULT_TILE_WIDTH] {
-                    let got = run(Engine::COLUMNAR.tile(batch), workers);
-                    assert_eq!(
-                        got.message, reference.message,
-                        "budget {budget:?}, ordered {ordered}, batch {batch}, {workers} workers"
-                    );
-                }
+        let run = |engine: Engine, workers: usize| -> RuntimeError {
+            let ctx = engine.budget(budget).context(workers, 1);
+            ctx.set_statement_label(Some("s4: C[k] += (a, b)"));
+            let d = ctx.from_vec(rows.clone()).map_expr(keyed()).unwrap();
+            ctx.set_statement_label(None);
+            match d.aggregate_by_key(vec![add, add]) {
+                Err(e) => e,
+                Ok(k) => k.try_collect().unwrap_err(),
+            }
+        };
+        let reference = run(Engine::ROW, 1);
+        assert!(
+            reference
+                .message
+                .contains("expects numbers, got double and string"),
+            "{reference}"
+        );
+        for workers in [1, 2, 4] {
+            for batch in [1, 7, 64, DEFAULT_TILE_WIDTH] {
+                let got = run(Engine::COLUMNAR.tile(batch), workers);
+                assert_eq!(
+                    got.message, reference.message,
+                    "budget {budget:?}, batch {batch}, {workers} workers"
+                );
             }
         }
     }
@@ -608,7 +570,7 @@ fn poisoned_joins_fail_like_the_row_reference() {
     // later right row means tiles before it were already scattered. The
     // default engine computes the keys as columns and replays the failing
     // tile; it must raise what `local` raises, statement tag included,
-    // under every exchange budget, on the hash and the ordered path.
+    // under every exchange budget.
     // Past the build–probe: a step over the matches divides by zero on
     // the match of row 137 — mid-tile, so the tile gathered from the match
     // list is replayed match by match — and left row 150, a record whose
@@ -714,42 +676,37 @@ fn poisoned_joins_fail_like_the_row_reference() {
     ];
     for (case, left, left_key, right_key, right, step, expect) in cases {
         for budget in [None, Some(4096), Some(0)] {
-            for ordered in [false, true] {
-                let run = |engine: Engine, workers: usize| -> RuntimeError {
-                    let ctx = engine
-                        .budget(budget)
-                        .context(workers, 5)
-                        .with_ordered(ordered);
-                    let (l, r) = (ctx.from_vec(left.clone()), ctx.from_vec(right.clone()));
-                    ctx.set_statement_label(Some("s3:W"));
-                    let on = JoinOn {
-                        left_key: left_key.clone(),
-                        right: Shape::Tuple(vec![Shape::Bind, Shape::Bind]),
-                        right_key: right_key.clone(),
-                        mismatch: mismatch.into(),
-                    };
-                    let joined = l.join_on(&r, on).and_then(|d| match &step {
-                        Some(e) => d.map_expr(e.clone()),
-                        None => Ok(d),
-                    });
-                    ctx.set_statement_label(None);
-                    match joined {
-                        Err(e) => e,
-                        Ok(d) => d.try_collect().unwrap_err(),
-                    }
+            let run = |engine: Engine, workers: usize| -> RuntimeError {
+                let ctx = engine.budget(budget).context(workers, 5);
+                let (l, r) = (ctx.from_vec(left.clone()), ctx.from_vec(right.clone()));
+                ctx.set_statement_label(Some("s3:W"));
+                let on = JoinOn {
+                    left_key: left_key.clone(),
+                    right: Shape::Tuple(vec![Shape::Bind, Shape::Bind]),
+                    right_key: right_key.clone(),
+                    mismatch: mismatch.into(),
                 };
-                let reference = run(Engine::ROW, 1);
-                assert!(reference.message.contains(expect), "{case}: {reference}");
-                assert!(reference.message.contains("[s3:W]"), "{case}: {reference}");
-                for workers in [1, 2, 4] {
-                    for batch in [1, 7, 64, DEFAULT_TILE_WIDTH] {
-                        let got = run(Engine::COLUMNAR.tile(batch), workers);
-                        assert_eq!(
-                            got.message, reference.message,
-                            "{case}: budget {budget:?}, ordered {ordered}, batch {batch}, \
-                             {workers} workers"
-                        );
-                    }
+                let joined = l.join_on(&r, on).and_then(|d| match &step {
+                    Some(e) => d.map_expr(e.clone()),
+                    None => Ok(d),
+                });
+                ctx.set_statement_label(None);
+                match joined {
+                    Err(e) => e,
+                    Ok(d) => d.try_collect().unwrap_err(),
+                }
+            };
+            let reference = run(Engine::ROW, 1);
+            assert!(reference.message.contains(expect), "{case}: {reference}");
+            assert!(reference.message.contains("[s3:W]"), "{case}: {reference}");
+            for workers in [1, 2, 4] {
+                for batch in [1, 7, 64, DEFAULT_TILE_WIDTH] {
+                    let got = run(Engine::COLUMNAR.tile(batch), workers);
+                    assert_eq!(
+                        got.message, reference.message,
+                        "{case}: budget {budget:?}, batch {batch}, \
+                         {workers} workers"
+                    );
                 }
             }
         }

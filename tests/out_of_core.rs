@@ -7,7 +7,7 @@
 //! recomputes dropped entries from their plan on the next read. All of
 //! that must be invisible: Word Count and PageRank on inputs many times
 //! the budget return byte-identical rows, in identical order, with the
-//! identical first error, in every layout × hash/ordered routing — at
+//! identical first error, in every layout — at
 //! an unbounded budget, at a 4 KiB budget (everything demotes), and at
 //! a zero budget (caching disabled, every re-read recomputes).
 //!
@@ -26,16 +26,14 @@ use diablo_exec::Session;
 use diablo_runtime::Value;
 use diablo_workloads as wl;
 
-/// Runs a workload in one engine configuration / routing / dataset
-/// budget; returns every output collection (in engine partition order)
+/// Runs a workload in one engine configuration / dataset budget; returns every output collection (in engine partition order)
 /// plus the run's statistics delta.
 fn run_budgeted(
     w: &wl::Workload,
     engine: Engine,
-    ordered: bool,
     budget: Option<u64>,
 ) -> (Vec<(String, Vec<Value>)>, StatsSnapshot) {
-    let ctx = engine.context(3, 6).with_ordered(ordered);
+    let ctx = engine.context(3, 6);
     ctx.set_dataset_budget(budget);
     let compiled = compile(w.source).expect("compiles");
     let mut s = Session::new(ctx.clone());
@@ -63,9 +61,9 @@ fn run_budgeted(
 
 /// The tentpole contract: Word Count, Group By and PageRank on inputs far past the
 /// budget (the 4 KiB budget is ~10–100× smaller than the materialized
-/// data) are byte-identical to the unbounded run, per layout, tile width,
-/// exchange budget and shuffle routing — and the budgeted runs actually
-/// exercised the cache (spills or evictions fired).
+/// data) are byte-identical to the unbounded run, per layout, tile width
+/// and exchange budget — and the budgeted runs actually exercised the
+/// cache (spills or evictions fired).
 #[test]
 fn word_count_group_by_and_pagerank_are_budget_invariant_on_every_backend() {
     let workloads = [
@@ -80,38 +78,36 @@ fn word_count_group_by_and_pagerank_are_budget_invariant_on_every_backend() {
             Engine::COLUMNAR.tile(7).budget(Some(4096)),
         ] {
             let backend = engine.to_string();
-            for ordered in [false, true] {
-                let (reference, base) = run_budgeted(w, engine, ordered, None);
-                assert!(
-                    reference.iter().any(|(_, rows)| !rows.is_empty()),
-                    "{}: empty reference on {backend}",
+            let (reference, base) = run_budgeted(w, engine, None);
+            assert!(
+                reference.iter().any(|(_, rows)| !rows.is_empty()),
+                "{}: empty reference on {backend}",
+                w.name
+            );
+            assert_eq!(base.dataset_spills, 0, "unbounded run never spills");
+            assert_eq!(base.dataset_evictions, 0, "unbounded run never evicts");
+            for budget in [Some(4096), Some(0)] {
+                let (got, stats) = run_budgeted(w, engine, budget);
+                assert_eq!(
+                    got, reference,
+                    "{} diverged on {backend} (budget={budget:?})",
                     w.name
                 );
-                assert_eq!(base.dataset_spills, 0, "unbounded run never spills");
-                assert_eq!(base.dataset_evictions, 0, "unbounded run never evicts");
-                for budget in [Some(4096), Some(0)] {
-                    let (got, stats) = run_budgeted(w, engine, ordered, budget);
-                    assert_eq!(
-                        got, reference,
-                        "{} diverged on {backend} (ordered={ordered}, budget={budget:?})",
+                match budget {
+                    // 4 KiB: materialized datasets exceed the memory
+                    // tier, so LRU demotion to disk must have fired.
+                    Some(4096) => assert!(
+                        stats.dataset_spills > 0,
+                        "{} on {backend}: no spills under a 4 KiB budget: {stats:?}",
                         w.name
-                    );
-                    match budget {
-                        // 4 KiB: materialized datasets exceed the memory
-                        // tier, so LRU demotion to disk must have fired.
-                        Some(4096) => assert!(
-                            stats.dataset_spills > 0,
-                            "{} on {backend}: no spills under a 4 KiB budget: {stats:?}",
-                            w.name
-                        ),
-                        // 0: caching is disabled — every insert is an
-                        // eviction, nothing is ever held.
-                        _ => assert!(
-                            stats.dataset_evictions > 0,
-                            "{} on {backend}: no evictions under a zero budget: {stats:?}",
-                            w.name
-                        ),
-                    }
+                    ),
+                    // 0: caching is disabled — every insert is an
+                    // eviction, nothing is ever held.
+                    _ => assert!(
+                        stats.dataset_evictions > 0,
+                        "{} on {backend}: no evictions under a zero budget: {stats:?}",
+                        w.name
+                    ),
                 }
             }
         }
@@ -126,34 +122,32 @@ fn word_count_group_by_and_pagerank_are_budget_invariant_on_every_backend() {
 #[test]
 fn keyed_aggregations_are_budget_invariant_on_the_columnar_path() {
     for w in [wl::word_count(1500, 7), wl::group_by(6000, 7)] {
-        for ordered in [false, true] {
-            let run = |engine: Engine, budget: Option<u64>| {
-                let ctx = engine.budget(budget).context(3, 6).with_ordered(ordered);
-                ctx.set_dataset_budget(budget);
-                let mut s = Session::new(ctx.clone());
-                for (n, rows) in &w.collections {
-                    s.bind_input(n, rows.clone());
-                }
-                s.run(&compile(w.source).expect("compiles")).expect("runs");
-                let rows = s.dataset(w.outputs[0]).expect("output bound").collect();
-                (rows, ctx.stats().snapshot())
-            };
-            let (reference, _) = run(Engine::ROW, None);
-            assert!(!reference.is_empty(), "{}", w.name);
-            for budget in [None, Some(4096)] {
-                let (got, stats) = run(Engine::COLUMNAR, budget);
-                assert_eq!(
-                    format!("{got:?}"),
-                    format!("{reference:?}"),
-                    "{} diverged (ordered={ordered}, budget={budget:?})",
-                    w.name
-                );
-                assert!(stats.vectorized_batches > 0, "{}: {stats:?}", w.name);
-                assert_eq!(stats.row_fallback_stages, 0, "{}: {stats:?}", w.name);
-                if budget.is_some() {
-                    assert!(stats.spilled_bytes > 0, "{}: {stats:?}", w.name);
-                    assert!(stats.dataset_spills > 0, "{}: {stats:?}", w.name);
-                }
+        let run = |engine: Engine, budget: Option<u64>| {
+            let ctx = engine.budget(budget).context(3, 6);
+            ctx.set_dataset_budget(budget);
+            let mut s = Session::new(ctx.clone());
+            for (n, rows) in &w.collections {
+                s.bind_input(n, rows.clone());
+            }
+            s.run(&compile(w.source).expect("compiles")).expect("runs");
+            let rows = s.dataset(w.outputs[0]).expect("output bound").collect();
+            (rows, ctx.stats().snapshot())
+        };
+        let (reference, _) = run(Engine::ROW, None);
+        assert!(!reference.is_empty(), "{}", w.name);
+        for budget in [None, Some(4096)] {
+            let (got, stats) = run(Engine::COLUMNAR, budget);
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{reference:?}"),
+                "{} diverged (budget={budget:?})",
+                w.name
+            );
+            assert!(stats.vectorized_batches > 0, "{}: {stats:?}", w.name);
+            assert_eq!(stats.row_fallback_stages, 0, "{}: {stats:?}", w.name);
+            if budget.is_some() {
+                assert!(stats.spilled_bytes > 0, "{}: {stats:?}", w.name);
+                assert!(stats.dataset_spills > 0, "{}: {stats:?}", w.name);
             }
         }
     }
@@ -164,7 +158,7 @@ fn keyed_aggregations_are_budget_invariant_on_the_columnar_path() {
 /// broadcast cross and a join per step) with 4 KiB for the exchange — the
 /// joined rows cross it without a key wrapper and come back from spill
 /// runs — and 4 KiB for the dataset cache return the `local` row
-/// reference's rows, in its order, on the hash and the ordered path.
+/// reference's rows, in its order.
 /// PageRank and K-Means run every stage columnar; Matrix Multiplication
 /// keeps the one range expansion that zeroes its result.
 #[test]
@@ -175,41 +169,39 @@ fn joins_and_crosses_are_budget_invariant_on_the_columnar_path() {
         (wl::kmeans(300, 2, 2, 7), 0),
     ];
     for (w, fallbacks) in &workloads {
-        for ordered in [false, true] {
-            let run = |engine: Engine, budget: Option<u64>| {
-                let ctx = engine.budget(budget).context(3, 6).with_ordered(ordered);
-                ctx.set_dataset_budget(budget);
-                let mut s = Session::new(ctx.clone());
-                for (n, v) in &w.scalars {
-                    s.bind_scalar(n, v.clone());
-                }
-                for (n, rows) in &w.collections {
-                    s.bind_input(n, rows.clone());
-                }
-                s.run(&compile(w.source).expect("compiles")).expect("runs");
-                let rows = s.dataset(w.outputs[0]).expect("output bound").collect();
-                (rows, ctx.stats().snapshot())
-            };
-            let (reference, _) = run(Engine::ROW, None);
-            assert!(!reference.is_empty(), "{}", w.name);
-            for budget in [None, Some(4096)] {
-                let (got, stats) = run(Engine::COLUMNAR, budget);
-                assert_eq!(
-                    format!("{got:?}"),
-                    format!("{reference:?}"),
-                    "{} diverged (ordered={ordered}, budget={budget:?})",
-                    w.name
-                );
-                assert!(stats.vectorized_batches > 0, "{}: {stats:?}", w.name);
-                assert_eq!(
-                    stats.row_fallback_stages, *fallbacks,
-                    "{}: {stats:?}",
-                    w.name
-                );
-                if budget.is_some() {
-                    assert!(stats.spilled_bytes > 0, "{}: {stats:?}", w.name);
-                    assert!(stats.dataset_spills > 0, "{}: {stats:?}", w.name);
-                }
+        let run = |engine: Engine, budget: Option<u64>| {
+            let ctx = engine.budget(budget).context(3, 6);
+            ctx.set_dataset_budget(budget);
+            let mut s = Session::new(ctx.clone());
+            for (n, v) in &w.scalars {
+                s.bind_scalar(n, v.clone());
+            }
+            for (n, rows) in &w.collections {
+                s.bind_input(n, rows.clone());
+            }
+            s.run(&compile(w.source).expect("compiles")).expect("runs");
+            let rows = s.dataset(w.outputs[0]).expect("output bound").collect();
+            (rows, ctx.stats().snapshot())
+        };
+        let (reference, _) = run(Engine::ROW, None);
+        assert!(!reference.is_empty(), "{}", w.name);
+        for budget in [None, Some(4096)] {
+            let (got, stats) = run(Engine::COLUMNAR, budget);
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{reference:?}"),
+                "{} diverged (budget={budget:?})",
+                w.name
+            );
+            assert!(stats.vectorized_batches > 0, "{}: {stats:?}", w.name);
+            assert_eq!(
+                stats.row_fallback_stages, *fallbacks,
+                "{}: {stats:?}",
+                w.name
+            );
+            if budget.is_some() {
+                assert!(stats.spilled_bytes > 0, "{}: {stats:?}", w.name);
+                assert!(stats.dataset_spills > 0, "{}: {stats:?}", w.name);
             }
         }
     }

@@ -180,80 +180,6 @@ fn translated_word_count_fuses_its_narrow_prologue() {
 }
 
 #[test]
-fn sorted_reduce_then_map_then_collect_is_two_stages() {
-    // Shuffle-read fusion survives on the ordered path: the combine pass
-    // of the range scatter is stage one, and the reduce + key sort is a
-    // lazy plan node that fuses with the map and the collect into stage
-    // two.
-    let ctx = Context::new(2, 4).with_ordered(true);
-    let d = ctx.from_vec(
-        (0..600)
-            .map(|i| Value::pair(Value::Long(i % 23), Value::Long(1)))
-            .collect(),
-    );
-    let before = ctx.stats().snapshot();
-    let rows = d
-        .reduce_by_key(|a, b| diablo_runtime::BinOp::Add.apply(a, b))
-        .expect("sorted reduce")
-        .map(|row| {
-            let (k, v) = diablo_runtime::array::key_value(row)?;
-            Ok(Value::pair(k, v))
-        })
-        .expect("map")
-        .collect();
-    let after = ctx.stats().snapshot().since(&before);
-    assert_eq!(
-        after.physical_stages, 2,
-        "combine, then reduce + key sort + map fused with collect: {after:?}"
-    );
-    assert_eq!(after.sorted_shuffles, 1, "{after:?}");
-    assert_eq!(rows.len(), 23);
-    // The output is globally key-ordered — the point of the sorted path.
-    let keys: Vec<Value> = rows
-        .iter()
-        .map(|r| diablo_runtime::array::key_value(r).unwrap().0)
-        .collect();
-    let mut sorted = keys.clone();
-    sorted.sort();
-    assert_eq!(keys, sorted);
-}
-
-#[test]
-fn sorted_path_explain_names_partitioner_and_sorted_stage() {
-    // Both explain surfaces name the ordered path: the executed-plan
-    // trace carries the partitioner name, and the pending-plan render
-    // marks the post-shuffle stage as sorted.
-    let ctx = Context::new(2, 4).with_ordered(true);
-    let d = ctx.from_vec(
-        (0..200)
-            .map(|i| Value::pair(Value::Long(i % 11), Value::Long(i)))
-            .collect(),
-    );
-    let pending = d
-        .reduce_by_key(|a, b| diablo_runtime::BinOp::Add.apply(a, b))
-        .expect("sorted reduce");
-    let render = pending.explain();
-    assert!(render.contains("sorted_reduce_by_key"), "{render}");
-    assert!(render.contains("range"), "{render}");
-
-    ctx.start_plan_trace();
-    let _ = d.group_by_key().expect("sorted group").collect();
-    let trace = ctx.take_plan_trace().join("\n");
-    assert!(
-        trace.contains("range partitioner"),
-        "trace must name the partitioner: {trace}"
-    );
-    assert!(
-        trace.contains("sorted"),
-        "trace must note the sorted exchange: {trace}"
-    );
-    assert!(
-        trace.contains("group + key sort"),
-        "trace must note the key sort after the group: {trace}"
-    );
-}
-
-#[test]
 fn session_explain_renders_fused_plan() {
     let compiled = compile(wl::word_count(100, 1).source).expect("compiles");
     let w = wl::word_count(100, 1);

@@ -71,22 +71,20 @@ fn healthy_plans_pass_verified_on_every_backend_and_shuffle_path() {
     let _env = set_verify(Some("1"));
     for layout in [Layout::Columnar, Layout::Row] {
         let backend = layout.name();
-        for ordered in [false, true] {
-            let ctx = Context::new(2, 3).with_layout(layout).with_ordered(ordered);
-            let d = ctx.range(1, 100).unwrap();
-            let pairs = d
-                .map(|v| {
-                    let n = v.as_long().unwrap();
-                    Ok(Value::pair(Value::Long(n % 7), Value::Long(n)))
-                })
-                .unwrap();
-            let reduced = pairs
-                .reduce_by_key(|a, b| Ok(Value::Long(a.as_long().unwrap() + b.as_long().unwrap())))
-                .unwrap();
-            let mut rows = reduced.try_collect().unwrap();
-            rows.sort();
-            assert_eq!(rows.len(), 7, "backend {backend} ordered={ordered}");
-        }
+        let ctx = Context::new(2, 3).with_layout(layout);
+        let d = ctx.range(1, 100).unwrap();
+        let pairs = d
+            .map(|v| {
+                let n = v.as_long().unwrap();
+                Ok(Value::pair(Value::Long(n % 7), Value::Long(n)))
+            })
+            .unwrap();
+        let reduced = pairs
+            .reduce_by_key(|a, b| Ok(Value::Long(a.as_long().unwrap() + b.as_long().unwrap())))
+            .unwrap();
+        let mut rows = reduced.try_collect().unwrap();
+        rows.sort();
+        assert_eq!(rows.len(), 7, "backend {backend}");
     }
 }
 
@@ -95,7 +93,7 @@ fn verifier_covers_spilling_exchanges_too() {
     let _env = set_verify(Some("1"));
     // Budget 0 forces every chunk through spill runs; the conservation
     // and sortedness checks must hold for merged disk chunks as well.
-    let ctx = Context::new(2, 3).with_memory_budget(0).with_ordered(true);
+    let ctx = Context::new(2, 3).with_memory_budget(0);
     let d = ctx.range(1, 500).unwrap();
     let grouped = d
         .map(|v| {

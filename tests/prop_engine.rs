@@ -210,7 +210,6 @@ proptest! {
         workers in 1usize..5,
         partitions in 1usize..9,
         batch in 1usize..40,
-        ordered in any::<bool>(),
     ) {
         use diablo_dataflow::{Layout, RowExpr};
         use diablo_runtime::AggOp;
@@ -230,7 +229,6 @@ proptest! {
         let ops = [BinOp::Add, BinOp::Add, BinOp::Max];
         let reference = Context::new(1, partitions)
             .with_layout(Layout::Row)
-            .with_ordered(ordered)
             .from_vec(rows.clone())
             .map_expr(keyed())
             .unwrap()
@@ -248,7 +246,6 @@ proptest! {
         let got = Context::new(workers, partitions)
             .with_layout(Layout::Columnar)
             .with_tile_width(batch)
-            .with_ordered(ordered)
             .from_vec(rows)
             .map_expr(keyed())
             .unwrap()
@@ -266,7 +263,6 @@ proptest! {
         workers in 1usize..5,
         partitions in 1usize..9,
         batch in 1usize..40,
-        ordered in any::<bool>(),
     ) {
         use diablo_dataflow::{JoinOn, Layout, RowExpr, Shape};
         // Left rows (key, v) keyed by `key`; right rows ((key, v), v) bound
@@ -298,7 +294,7 @@ proptest! {
                     (k.clone(), Value::pair(k, w))
                 })
                 .collect();
-            common::nested_loop_join(&l, &r, partitions, ordered)
+            common::nested_loop_join(&l, &r, partitions)
                 .into_iter()
                 .map(|(_, l, r)| {
                     let mut fields = l.as_tuple().unwrap().to_vec();
@@ -309,8 +305,7 @@ proptest! {
         };
         let ctx = Context::new(workers, partitions)
             .with_layout(Layout::Columnar)
-            .with_tile_width(batch)
-            .with_ordered(ordered);
+            .with_tile_width(batch);
         let on = JoinOn {
             left_key: RowExpr::Col(0),
             right: shape,
