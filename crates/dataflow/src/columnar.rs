@@ -71,6 +71,7 @@ use std::sync::Arc;
 use diablo_runtime::array::key_value_ref;
 use diablo_runtime::{BinOp, Func, RuntimeError, UnOp, Value};
 
+use crate::block::Packer;
 use crate::join::Emit;
 use crate::keytable::{Key, KeyLane, KeyLanes, KeyTable, Prim};
 use crate::plan::{fold_row, Result, Source, Step, StepOp};
@@ -1619,6 +1620,43 @@ pub(crate) fn combine_columnar(
     fold: &mut KeyedFold<'_>,
 ) -> Result<()> {
     drive_tiles(src, steps, batch, stats, fold)
+}
+
+/// The block packer as the fourth [`TileSink`]: a tile whose index columns
+/// are long lanes is packed without boxing a row — its value column read
+/// as a double lane when it is one — and anything else row by row.
+impl TileSink for Packer {
+    fn tile(&mut self, col: &VCol, len: usize) -> Result<()> {
+        let at = self.cols();
+        if let VCol::Tuple(cols) = col {
+            let lane = |c: usize| cols.get(c).and_then(lane_i64);
+            if let (Some(i), Some(j), Some(x)) = (lane(at.row), lane(at.col), cols.get(at.value)) {
+                match lane_f64(x) {
+                    Some(x) => (0..len).for_each(|r| self.put_f64(i.at(r), j.at(r), x.at(r))),
+                    None => (0..len).for_each(|r| self.put(i.at(r), j.at(r), &x.at(r))),
+                }
+                return Ok(());
+            }
+        }
+        (0..len).try_for_each(|r| self.row(&col.at(r)))
+    }
+
+    fn row(&mut self, row: Value) -> Result<()> {
+        Packer::row(self, &row)
+    }
+}
+
+/// Packs a source, through an eligible chain, into blocks. Blocks, their
+/// order, the first error and its statement tag are identical to feeding
+/// the output of [`Source::drive_rows`] to [`Packer::row`].
+pub(crate) fn pack_columnar(
+    src: Source<'_>,
+    steps: &[Step],
+    batch: usize,
+    stats: &Stats,
+    packer: &mut Packer,
+) -> Result<()> {
+    drive_tiles(src, steps, batch, stats, packer)
 }
 
 #[cfg(test)]

@@ -47,11 +47,12 @@
 use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use diablo_runtime::array::key_value_ref;
 use diablo_runtime::{size::slice_size, AggOp, BinOp, RuntimeError, Value};
 
+use crate::block::{self, BlockContract, BlockZip, ElementCols, Packer};
 use crate::columnar::{Cross, KeyedFold, RowExpr, Shape};
 use crate::exchange::{Exchange, ExchangeWriter, HashPartitioner};
 use crate::join::{Emit, Join};
@@ -176,6 +177,46 @@ pub struct Dataset {
     /// from it — releases the entry. Unlike the old `Arc<OnceLock>` pin
     /// this keeps nothing alive the cache cannot evict.
     slot: Arc<crate::dscache::CacheSlot>,
+    /// What the rows are ([`Dataset::known`]): for base data once asked,
+    /// otherwise once the plan has been forced — it stays known after the
+    /// cache evicts them.
+    rows: Arc<OnceLock<Known>>,
+}
+
+/// What [`Dataset::known`] knows of a dataset's rows.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Known {
+    /// The number of rows.
+    pub len: usize,
+    /// Whether every row is a matrix element `((i, j), v)` whose indices
+    /// are both longs.
+    pub long_indices: bool,
+}
+
+impl Known {
+    /// Counts the rows and checks their indices. Most datasets are no
+    /// matrix, and their first row says so; otherwise every row is read,
+    /// a partition per task on `ctx`'s workers (the check reads each
+    /// row's key, a pointer away from the row), and a partition's check
+    /// stops at its first row that fails it.
+    fn of(ctx: &Context, parts: &[Vec<Value>]) -> Known {
+        let long_indices = |row: &Value| match row.as_tuple() {
+            Some([key, _]) => matches!(key.as_tuple(), Some([Value::Long(_), Value::Long(_)])),
+            _ => false,
+        };
+        let all_long = || {
+            let (checked, _) = ctx.pool().run(
+                parts,
+                |p| parts[p].len() as u64,
+                |_, part, _| Ok::<_, std::convert::Infallible>(part.iter().all(long_indices)),
+            );
+            checked.is_ok_and(|parts| parts.into_iter().all(|ok| ok))
+        };
+        Known {
+            len: parts.iter().map(Vec::len).sum(),
+            long_indices: parts.iter().flatten().next().is_none_or(long_indices) && all_long(),
+        }
+    }
 }
 
 pub(crate) fn key_hash(v: &impl Hash) -> u64 {
@@ -238,6 +279,7 @@ impl Dataset {
             ctx,
             plan: Arc::new(PlanOp::Scan(parts)),
             slot,
+            rows: Arc::default(),
         }
     }
 
@@ -253,6 +295,7 @@ impl Dataset {
             ctx,
             plan: Arc::new(PlanOp::Scan(Arc::new(Vec::new()))),
             slot,
+            rows: Arc::default(),
         }
     }
 
@@ -282,6 +325,7 @@ impl Dataset {
             ctx: self.ctx.clone(),
             plan: Arc::new(op),
             slot,
+            rows: Arc::default(),
         }
     }
 
@@ -306,7 +350,18 @@ impl Dataset {
         }
         let parts = plan::materialize(&self.ctx, &self.plan)?.into_arc();
         cache.insert(self.slot.id(), parts.clone(), &self.ctx)?;
+        self.rows.get_or_init(|| Known::of(&self.ctx, &parts));
         Ok(parts)
+    }
+
+    /// What the rows are when it is known without running anything: base
+    /// data, or a dataset forced before (even if the cache has evicted its
+    /// rows since). `None` for a plan still pending.
+    pub fn known(&self) -> Option<Known> {
+        match self.plan.as_ref() {
+            PlanOp::Scan(parts) => Some(*self.rows.get_or_init(|| Known::of(&self.ctx, parts))),
+            _ => self.rows.get().copied(),
+        }
     }
 
     /// Forces the pending plan now, surfacing any deferred operator error,
@@ -386,7 +441,7 @@ impl Dataset {
     /// Panics if a pending operator in the plan fails.
     pub fn collect_sorted(&self) -> Vec<Value> {
         let mut rows = self.collect();
-        rows.sort();
+        sort_rows(&mut rows);
         rows
     }
 
@@ -825,6 +880,87 @@ impl Dataset {
         ))
     }
 
+    /// An element-wise statement on §5 blocks: `((i, j), x op y)` for every
+    /// element `(i, j)` inside `zip.rows × zip.cols` that both `self`
+    /// (`x`) and `other` (`y`) hold. Rows are tuples; [`BlockZip`] says
+    /// where an element's indices and value lie in each, and elements
+    /// outside the ranges are dropped.
+    ///
+    /// Each side's pending chain packs its rows into blocks inside its
+    /// scatter stage, and one row per partial block crosses the exchange,
+    /// by the block's place. The lazy post-shuffle stage overlays the
+    /// partial blocks, combines each pair of blocks with one unboxed loop
+    /// when both hold only doubles (through [`BinOp::apply`] otherwise),
+    /// and unpacks only the result elements: the stages and shuffles of
+    /// the join it replaces, without its per-element rows. Output is the
+    /// left blocks in first-seen order, each block's cells row-major.
+    pub fn block_zip(&self, other: &Dataset, zip: BlockZip) -> Result<Dataset> {
+        self.ctx.record_logical_op();
+        let p = self.ctx.partitions();
+        let scatter = |side: &Dataset, at: ElementCols, label| {
+            side.exchange(label, |rows, sink| {
+                let mut packer = Packer::new(at, zip.rows, zip.cols);
+                rows.pack(&mut packer)?;
+                block::zip_rows(packer, p, &mut |b, row| sink.emit(b, row))
+            })
+        };
+        let left = scatter(self, zip.left, "block zip (pack + scatter left)")?;
+        let right = scatter(other, zip.right, "block zip (pack + scatter right)")?;
+        let combine: PartFn = Arc::new(move |part: &[Value]| {
+            let (lefts, rights) = Dataset::unzip_bucket(part)?;
+            block::zip_bucket(&zip, lefts, rights)
+        });
+        Ok(self.post_shuffle(
+            Dataset::zip_buckets(left, right),
+            PartOp::Rows(combine),
+            "block zip (combine blocks)",
+        ))
+    }
+
+    /// A contraction on §5 blocks: `((i, j), +/ x × y)` over every `k` for
+    /// which `self` holds `(i, k)` (`x`) and `other` holds `(k, j)` (`y`),
+    /// inside the ranges of [`BlockContract`]; a pair `(i, j)` no `k` joins
+    /// has no row.
+    ///
+    /// Each side packs its rows into blocks inside its scatter stage and
+    /// sends each partial block to every product block it takes part in:
+    /// a left block `(I, K)` to `(I, J)` for each block column `J`, a
+    /// right block `(K, J)` to `(I, J)` for each block row `I`. The lazy
+    /// post-shuffle stage multiplies each product block's operands in
+    /// ascending `K` — the dense kernel of `TiledMatrix::multiply` when
+    /// both blocks are full of doubles — and unpacks the result elements.
+    /// So each sum adds its terms in ascending `k`, whatever the
+    /// partitioning, and the statement takes two shuffles, one fewer than
+    /// the join and reduce it replaces; a sum may round differently from
+    /// theirs, which follow the data's order.
+    pub fn block_contract(&self, other: &Dataset, spec: BlockContract) -> Result<Dataset> {
+        self.ctx.record_logical_op();
+        let p = self.ctx.partitions();
+        let scatter = |side: &Dataset, left: bool, label| {
+            let (at, rows, cols, fan_out) = if left {
+                (spec.left, spec.rows, spec.inner, spec.cols.blocks())
+            } else {
+                (spec.right, spec.inner, spec.cols, spec.rows.blocks())
+            };
+            side.exchange(label, |parts, sink| {
+                let mut packer = Packer::new(at, rows, cols);
+                parts.pack(&mut packer)?;
+                block::contract_rows(packer, left, fan_out, p, &mut |b, row| sink.emit(b, row))
+            })
+        };
+        let left = scatter(self, true, "block contraction (pack + scatter left)")?;
+        let right = scatter(other, false, "block contraction (pack + scatter right)")?;
+        let multiply: PartFn = Arc::new(move |part: &[Value]| {
+            let (lefts, rights) = Dataset::unzip_bucket(part)?;
+            block::contract_bucket(&spec, lefts, rights)
+        });
+        Ok(self.post_shuffle(
+            Dataset::zip_buckets(left, right),
+            PartOp::Rows(multiply),
+            "block contraction (multiply blocks)",
+        ))
+    }
+
     /// The array merge `self ⊳ updates` (§3.4): both sides scattered by
     /// key, then each bucket's slots combined.
     ///
@@ -908,6 +1044,97 @@ pub fn range_len(lo: i64, hi: i64) -> Result<u64> {
             i64::MAX
         ))
     })
+}
+
+/// The keys of rows that are all pairs keyed alike, read out for an
+/// unboxed sort: longs, strings, or flat tuples of longs (every tuple's
+/// fields end to end in `lanes`, row `r`'s at `ends[r]..ends[r + 1]`).
+enum SortKeys<'r> {
+    Longs(Vec<i64>),
+    Strs(Vec<&'r str>),
+    Tuples { lanes: Vec<i64>, ends: Vec<usize> },
+}
+
+impl<'r> SortKeys<'r> {
+    /// The keys of `rows`, or `None` unless every row is a pair and every
+    /// key has the first row's kind.
+    fn of(rows: &'r [Value]) -> Option<SortKeys<'r>> {
+        let key = |row: &'r Value| match row {
+            Value::Tuple(kv) if kv.len() == 2 => Some(&kv[0]),
+            _ => None,
+        };
+        let keys = rows.iter().map(key);
+        Some(match key(rows.first()?)? {
+            Value::Long(_) => SortKeys::Longs(
+                keys.map(|k| match k? {
+                    Value::Long(n) => Some(*n),
+                    _ => None,
+                })
+                .collect::<Option<_>>()?,
+            ),
+            Value::Str(_) => SortKeys::Strs(
+                keys.map(|k| match k? {
+                    Value::Str(s) => Some(&**s),
+                    _ => None,
+                })
+                .collect::<Option<_>>()?,
+            ),
+            Value::Tuple(_) => {
+                let mut lanes = Vec::with_capacity(rows.len() * 2);
+                let mut ends = Vec::with_capacity(rows.len() + 1);
+                ends.push(0);
+                for k in keys {
+                    let Value::Tuple(fields) = k? else {
+                        return None;
+                    };
+                    for f in fields.iter() {
+                        match f {
+                            Value::Long(n) => lanes.push(*n),
+                            _ => return None,
+                        }
+                    }
+                    ends.push(lanes.len());
+                }
+                SortKeys::Tuples { lanes, ends }
+            }
+            _ => return None,
+        })
+    }
+
+    /// Rows `a` and `b` by key — `Value::cmp`'s order on keys of these
+    /// kinds (tuples lexicographic, a prefix first).
+    fn cmp(&self, a: usize, b: usize) -> std::cmp::Ordering {
+        match self {
+            SortKeys::Longs(k) => k[a].cmp(&k[b]),
+            SortKeys::Strs(k) => k[a].cmp(k[b]),
+            SortKeys::Tuples { lanes, ends } => {
+                lanes[ends[a]..ends[a + 1]].cmp(&lanes[ends[b]..ends[b + 1]])
+            }
+        }
+    }
+}
+
+/// Sorts rows into exactly the order `rows.sort()` gives. When every row
+/// is a pair keyed by a long, a string or a flat tuple of longs (an
+/// `(i, j)` index), the keys are read out once and compared unboxed, ties
+/// broken by `Value::cmp` on the whole rows: a comparison then follows no
+/// `Arc` unless the keys are equal. Both sorts are stable and the two
+/// orders agree, so rows `Value::cmp` calls equal keep their input order
+/// either way.
+pub(crate) fn sort_rows(rows: &mut Vec<Value>) {
+    let order = match SortKeys::of(rows) {
+        None => return rows.sort(),
+        Some(keys) => {
+            let mut order: Vec<usize> = (0..rows.len()).collect();
+            order.sort_by(|&a, &b| keys.cmp(a, b).then_with(|| rows[a].cmp(&rows[b])));
+            order
+        }
+    };
+    let mut unsorted = std::mem::take(rows);
+    *rows = order
+        .into_iter()
+        .map(|i| std::mem::take(&mut unsorted[i]))
+        .collect();
 }
 
 /// Sampled byte estimate: measure up to 32 rows per partition and scale.

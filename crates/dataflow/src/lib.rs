@@ -55,6 +55,12 @@
 //!   Its keyless counterpart is
 //!   [`Dataset::cross`], a broadcast nested loop as a transparent
 //!   expansion step;
+//! * a dense matrix statement can run on §5 blocks instead
+//!   ([`Dataset::block_zip`], [`Dataset::block_contract`]): each side
+//!   packs its elements into `BLOCK_SIDE` × `BLOCK_SIDE` blocks with a
+//!   presence mask inside its scatter stage, blocks cross the exchange as
+//!   ordinary rows, and the lazy post-shuffle stage combines them and
+//!   unpacks only result elements;
 //! * broadcasts materialize a dataset on "all workers" (here: one shared
 //!   `Arc`), mirroring Spark's broadcast variables used by the hand-written
 //!   K-Means baseline.
@@ -79,6 +85,7 @@
 // why it is sound, and CI runs the pool's unit tests under Miri.
 #![warn(clippy::undocumented_unsafe_blocks)]
 
+mod block;
 mod columnar;
 mod dataset;
 mod dscache;
@@ -90,8 +97,9 @@ mod pool;
 mod stats;
 mod verify;
 
+pub use block::{BlockContract, BlockZip, ElementCols, IndexRange, BLOCK_SIDE};
 pub use columnar::{FieldName, RowExpr, Shape};
-pub use dataset::{range_len, Dataset, JoinOn};
+pub use dataset::{range_len, Dataset, JoinOn, Known};
 pub use exchange::{decode_value, encode_value, HashPartitioner, MAX_VALUE_DEPTH};
 pub use stats::{Stats, StatsSnapshot};
 

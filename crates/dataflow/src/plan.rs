@@ -51,6 +51,7 @@ use std::sync::Arc;
 
 use diablo_runtime::{BinOp, RuntimeError, Value};
 
+use crate::block::Packer;
 use crate::columnar::{Cross, KeyedFold, RowExpr};
 use crate::join::{Join, Matches};
 use crate::keytable::Key;
@@ -532,6 +533,19 @@ impl DriveMode {
             _ => self.run(src, steps, &mut |row| fold.row(&row)),
         }
     }
+
+    /// Feeds `src` through `steps` into the block `packer`: eligible
+    /// chains hand over whole tiles ([`crate::columnar::pack_columnar`]);
+    /// everything else packs row by row. Same blocks and first error
+    /// either way.
+    fn pack(&self, src: Source<'_>, steps: &[Step], packer: &mut Packer) -> Result<()> {
+        match self {
+            DriveMode::Columnar(b, stats) if crate::columnar::eligible(steps) => {
+                crate::columnar::pack_columnar(src, steps, *b, stats, packer)
+            }
+            _ => self.run(src, steps, &mut |row| packer.row(&row)),
+        }
+    }
 }
 
 /// Notes a fused stage's execution layout in the plan trace when the
@@ -821,6 +835,13 @@ impl<'a> PartitionRows<'a> {
         let mut fold = KeyedFold::new(ops);
         self.mode.combine(self.src, self.steps, &mut fold)?;
         fold.finish(emit)
+    }
+
+    /// Packs the transformed rows — tuples holding a matrix element — into
+    /// §5 blocks. In the columnar layout an eligible chain's index and
+    /// value lanes are read where they lie.
+    pub fn pack(&self, packer: &mut Packer) -> Result<()> {
+        self.mode.pack(self.src, self.steps, packer)
     }
 }
 

@@ -39,6 +39,7 @@
 //! The public entry point is [`Session`]: bind inputs, [`Session::run`] a
 //! [`CompiledProgram`], read results back.
 
+mod blocks;
 mod pipeline;
 mod rexpr;
 

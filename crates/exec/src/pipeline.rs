@@ -50,6 +50,9 @@ use crate::{Result, Session};
 
 /// Runs a comprehension, producing a dataset of its head values.
 pub fn run_comp(c: &Comprehension, sess: &Session) -> Result<Dataset> {
+    if let Some(data) = crate::blocks::run(c, sess)? {
+        return Ok(data);
+    }
     let ctx = sess.context();
     let Some(first) = c.first_source(&|v| sess.is_dataset(v)) else {
         return Ok(ctx.from_vec(eval_comp_in(c, &Env::new(), sess)?));

@@ -16,8 +16,10 @@
 //! ```
 //!
 //! This module implements both directions plus tile-local dense kernels
-//! (`add`, `multiply`) and the no-shuffle tile merge `⊳'`, which the §5
-//! ablation benchmark compares against the sparse path.
+//! (`add`, `multiply`) and the no-shuffle tile merge `⊳'`. The product's
+//! kernel, [`multiply_into`], takes a presence mask per operand: the
+//! engine's §5 block contraction runs it on its blocks, `multiply` on
+//! tiles whose every element is present.
 
 use std::collections::HashMap;
 
@@ -198,6 +200,7 @@ impl TiledMatrix {
         let k_dim = self.tile_cols;
         let m = other.tile_cols;
         let mut out = TiledMatrix::new(n, m);
+        let all = vec![u64::MAX; (n * k_dim).max(k_dim * m).div_ceil(64)];
         // Index other's tiles by their row coordinate for the join on k.
         let mut by_row: HashMap<i64, Vec<(i64, &Vec<f64>)>> = HashMap::new();
         for (&(tk, tj), tile) in &other.tiles {
@@ -210,23 +213,81 @@ impl TiledMatrix {
                     .tiles
                     .entry((ti, tj))
                     .or_insert_with(|| vec![0.0; n * m]);
-                // Dense n×k · k×m kernel, row-major, ikj loop order.
-                for i in 0..n {
-                    for k in 0..k_dim {
-                        let aik = a[i * k_dim + k];
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        let brow = &b[k * m..(k + 1) * m];
-                        let drow = &mut dst[i * m..(i + 1) * m];
-                        for (d, &bv) in drow.iter_mut().zip(brow.iter()) {
-                            *d += aik * bv;
-                        }
+                let (a, b) = (Masked::new(a, &all), Masked::new(b, &all));
+                multiply_into(a, b, dst, n, k_dim, m);
+            }
+        }
+        out
+    }
+}
+
+/// One operand of [`multiply_into`]: a row-major block of doubles and
+/// which of its elements are present — bit `r * cols + c` of `present`
+/// (64 to a word, lowest bit first) for element `(r, c)`. An absent
+/// element's value is never read into a sum.
+#[derive(Clone, Copy)]
+pub struct Masked<'a> {
+    values: &'a [f64],
+    present: &'a [u64],
+}
+
+impl<'a> Masked<'a> {
+    /// A block's values and its presence mask.
+    pub fn new(values: &'a [f64], present: &'a [u64]) -> Masked<'a> {
+        Masked { values, present }
+    }
+
+    fn has(&self, cell: usize) -> bool {
+        self.present[cell / 64] >> (cell % 64) & 1 == 1
+    }
+
+    /// Whether cells `start..start + len` are all present.
+    fn all(&self, start: usize, len: usize) -> bool {
+        let (mut cell, end) = (start, start + len);
+        while cell < end {
+            let (word, off) = (cell / 64, cell % 64);
+            let take = (64 - off).min(end - cell);
+            let want = if take == 64 {
+                u64::MAX
+            } else {
+                ((1 << take) - 1) << off
+            };
+            if self.present[word] & want != want {
+                return false;
+            }
+            cell += take;
+        }
+        true
+    }
+}
+
+/// The block product `dst += a · b` over row-major `a` (`n × k`), `b`
+/// (`k × m`) and `dst` (`n × m`), in `i, k, j` loop order, so every
+/// `dst[i][j]` adds its terms in ascending `k`. A term is added exactly
+/// when both its elements are present, whatever their values: a stored
+/// 0.0 times a NaN or an infinity is NaN, as IEEE arithmetic and the
+/// sparse join both give. A row of `b` holding every element takes a
+/// plain loop over the row.
+pub fn multiply_into(a: Masked, b: Masked, dst: &mut [f64], n: usize, k: usize, m: usize) {
+    debug_assert!(a.values.len() >= n * k && b.values.len() >= k * m && dst.len() >= n * m);
+    debug_assert!(a.present.len() * 64 >= n * k && b.present.len() * 64 >= k * m);
+    for i in 0..n {
+        let drow = &mut dst[i * m..(i + 1) * m];
+        for kk in (0..k).filter(|&kk| a.has(i * k + kk)) {
+            let aik = a.values[i * k + kk];
+            let brow = &b.values[kk * m..(kk + 1) * m];
+            if b.all(kk * m, m) {
+                for (d, &bv) in drow.iter_mut().zip(brow) {
+                    *d += aik * bv;
+                }
+            } else {
+                for (j, (d, &bv)) in drow.iter_mut().zip(brow).enumerate() {
+                    if b.has(kk * m + j) {
+                        *d += aik * bv;
                     }
                 }
             }
         }
-        out
     }
 }
 
@@ -281,6 +342,28 @@ mod tests {
                 assert!((tc.get(i, j) - want).abs() < 1e-9, "({i},{j})");
             }
         }
+    }
+
+    #[test]
+    fn a_stored_zero_times_nan_is_nan() {
+        let a = TiledMatrix::pack(2, 2, vec![(0, 0, 0.0)]);
+        let b = TiledMatrix::pack(2, 2, vec![(0, 0, f64::NAN), (0, 1, f64::INFINITY)]);
+        let c = a.multiply(&b);
+        assert!(c.get(0, 0).is_nan(), "0.0 × NaN");
+        assert!(c.get(0, 1).is_nan(), "0.0 × ∞");
+    }
+
+    #[test]
+    fn absent_elements_never_meet() {
+        // 2 × 3 times 3 × 2; a's (0, 1) and b's (2, 0) are absent, and
+        // hold values that would poison any sum they reached.
+        let a = [1.0, f64::NAN, 2.0, 3.0, 4.0, 5.0];
+        let b = [1.0, 2.0, 3.0, 4.0, f64::INFINITY, 6.0];
+        let (a_has, b_has) = ([0b111101], [0b101111]);
+        let mut dst = [-0.0; 4];
+        let (a, b) = (Masked::new(&a, &a_has), Masked::new(&b, &b_has));
+        multiply_into(a, b, &mut dst, 2, 3, 2);
+        assert_eq!(dst, [1.0, 2.0 + 12.0, 3.0 + 12.0, 6.0 + 16.0 + 30.0]);
     }
 
     #[test]

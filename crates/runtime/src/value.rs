@@ -49,9 +49,10 @@ impl Value {
         Value::Tuple(Arc::from(fields))
     }
 
-    /// Builds a pair `(a, b)` — the shape of every sparse-array element.
+    /// Builds a pair `(a, b)` — the shape of every sparse-array element —
+    /// in one allocation (a `Vec` would be copied into a second one).
     pub fn pair(a: Value, b: Value) -> Value {
-        Value::tuple(vec![a, b])
+        Value::Tuple(Arc::from([a, b]))
     }
 
     /// Builds a record value from named fields.

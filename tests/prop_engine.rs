@@ -320,4 +320,46 @@ proptest! {
         // Same rows, same order, same bits.
         prop_assert_eq!(format!("{got:?}"), format!("{reference:?}"));
     }
+
+    #[test]
+    fn collect_sorted_is_exactly_the_value_order(
+        main in 0u8..8,
+        mixed in any::<bool>(),
+        picks in prop::collection::vec((0u8..24, 0i64..4, 0i64..3, -3i64..3), 0..60),
+        workers in 1usize..4,
+        partitions in 1usize..6,
+    ) {
+        // One row kind, so the unboxed-key sort runs; or, when mixed,
+        // intruders of other kinds among them, so it must step aside.
+        let rows: Vec<Value> = picks
+            .iter()
+            .map(|&(pick, a, b, v)| {
+                let kind = if mixed && pick >= 20 { pick % 8 } else { main };
+                sort_row(kind, a, b, v)
+            })
+            .collect();
+        let mut want = rows.clone();
+        want.sort();
+        let got = Context::new(workers, partitions).from_vec(rows).collect_sorted();
+        // Same rows in the same order, told apart down to Long vs Double.
+        prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    }
+}
+
+/// A row of kind `kind`: a pair keyed by a long, a double, a string, an
+/// `(i, j)` or `(i, j, v)` tuple of longs, or a tuple with a double field;
+/// or no pair at all (a long, a triple). Small ranges make duplicate keys
+/// and rows `Value::cmp` calls equal (`Long(1)` and `Double(1.0)`).
+fn sort_row(kind: u8, a: i64, b: i64, v: i64) -> Value {
+    let (l, d) = (Value::Long, |n: i64| Value::Double(n as f64));
+    match kind {
+        0 => Value::pair(l(a), l(v)),
+        1 => Value::pair(if v < 0 { d(a) } else { l(a) }, d(v)),
+        2 => Value::pair(Value::str(format!("k{a}")), d(v)),
+        3 => Value::pair(Value::pair(l(a), l(b)), if v < 0 { l(v) } else { d(v) }),
+        4 => Value::pair(Value::tuple(vec![l(a), l(b), l(v)]), l(v)),
+        5 => Value::pair(Value::pair(l(a), if v < 0 { d(b) } else { l(b) }), l(v)),
+        6 => l(a),
+        _ => Value::tuple(vec![l(a), l(b), l(v)]),
+    }
 }

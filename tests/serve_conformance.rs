@@ -341,6 +341,20 @@ fn coalesced_waiters_share_the_leaders_error_uncached() {
     server.stop();
 }
 
+/// The rows of array `name` after the interpreter runs `w`.
+fn interpreted_rows(w: &wl::Workload, name: &str) -> Vec<Value> {
+    let tp = diablo_lang::typecheck(diablo_lang::parse(w.source).unwrap()).unwrap();
+    let mut interp = diablo_interp::Interpreter::new();
+    for (n, v) in &w.scalars {
+        interp.bind_scalar(n, v.clone());
+    }
+    for (n, rows) in &w.collections {
+        interp.bind_collection(n, rows.clone()).unwrap();
+    }
+    interp.run(&tp).expect("interprets");
+    interp.collection(name).expect("an array")
+}
+
 /// A reply as the wire carries it, per-request stats aside.
 fn reply_bytes(res: &RunResult) -> Vec<u8> {
     Response::RunOk {
@@ -367,6 +381,8 @@ fn overload_under_a_spilling_budget_queues_and_warm_replies_are_the_cold_bytes()
         wl::pagerank(40, 2, 74),
         wl::pagerank(60, 3, 75),
         wl::matrix_factorization(10, 2, 1, 76),
+        // §5 blocks with ragged edge blocks, spilled through the exchange.
+        wl::matrix_addition(33, 77),
     ]);
     let ctx = Context::new(2, 4).with_memory_budget(4096);
     let cfg = ServeConfig {
@@ -381,7 +397,8 @@ fn overload_under_a_spilling_budget_queues_and_warm_replies_are_the_cold_bytes()
     // ones would coalesce rather than queue). Each client keeps its
     // rotation across phases, so reply `i` of a client is the same
     // workload in both.
-    let phase = |no_cache: bool| -> Vec<Vec<(bool, Vec<u8>)>> {
+    type Reply = (bool, Vec<u8>, usize, Vec<(String, Output)>);
+    let phase = |no_cache: bool| -> Vec<Vec<Reply>> {
         let barrier = Arc::new(Barrier::new(CLIENTS));
         let clients: Vec<_> = (0..CLIENTS)
             .map(|c| {
@@ -391,12 +408,13 @@ fn overload_under_a_spilling_budget_queues_and_warm_replies_are_the_cold_bytes()
                     barrier.wait();
                     (0..workloads.len())
                         .map(|i| {
-                            let w = &workloads[(i + c) % workloads.len()];
+                            let at = (i + c) % workloads.len();
+                            let w = &workloads[at];
                             let (scalars, rows) = remote_bindings(w);
                             let res = client
                                 .run(w.source, scalars, rows, no_cache)
                                 .unwrap_or_else(|e| panic!("{} (client {c}): {e}", w.name));
-                            (res.stats.cache_hit, reply_bytes(&res))
+                            (res.stats.cache_hit, reply_bytes(&res), at, res.outputs)
                         })
                         .collect::<Vec<_>>()
                 })
@@ -406,12 +424,22 @@ fn overload_under_a_spilling_budget_queues_and_warm_replies_are_the_cold_bytes()
     };
     let (cold, warm) = (phase(true), phase(false));
     let pairs = cold.iter().flatten().zip(warm.iter().flatten());
-    for (i, ((cold_hit, cold), (warm_hit, warm))) in pairs.enumerate() {
+    let interpreted = interpreted_rows(workloads.last().expect("a workload"), "R");
+    for (i, ((cold_hit, cold, at, outputs), (warm_hit, warm, ..))) in pairs.enumerate() {
         assert!(
             !cold_hit && *warm_hit,
             "reply {i}: hits {cold_hit} → {warm_hit}"
         );
         assert_eq!(warm, cold, "reply {i}");
+        if *at == workloads.len() - 1 {
+            // Element-wise blocks give the interpreter's rows, bit for bit.
+            let rows = outputs.iter().find(|(name, _)| name == "R");
+            assert_eq!(
+                rows,
+                Some(&("R".to_string(), Output::Rows(interpreted.clone()))),
+                "reply {i}"
+            );
+        }
     }
     let mut client = Client::connect(&addr).expect("connect");
     let stats: HashMap<String, u64> = client.stats().expect("stats").into_iter().collect();
