@@ -22,21 +22,25 @@
 //!   for is never touched), and an owned `Value` column for what the
 //!   chain computes itself. A filter's boolean lane acts as the validity
 //!   mask the surviving columns are compacted through.
-//! * **[`drive_columnar`]** — the stage compiler/driver: each tile of up
+//! * **[`drive_tiles`]** — the stage compiler/driver: each tile of up
 //!   to `batch` rows is evaluated step by step as per-column inner loops
 //!   (auto-vectorizable `zip`/`map` over primitive lanes; anything
 //!   type-mixed falls back to per-element [`BinOp::apply`] so semantics
-//!   agree by construction), and the surviving rows are reassembled once
-//!   at the end of the chain.
-//! * **[`fold_columnar`]** — the same driver under a total reduction
-//!   (`Dataset::aggregate`): the chain's last column is folded into the
-//!   accumulator as a typed lane, in row order, and no row is reassembled
-//!   at all.
-//! * **[`combine_columnar`]** — the same driver under a keyed aggregation
-//!   (`Dataset::aggregate_by_key`): a [`KeyedFold`] looks the tile's key
-//!   column up in a [`KeyTable`] and folds each value lane into typed
-//!   per-key accumulators, each key's values in row order; a row is boxed
-//!   only for the combined keys the partition emits.
+//!   agree by construction), and each tile's surviving column is handed
+//!   to a [`TileSink`] — the consumer of the stage:
+//!   * [`RowSink`] reassembles the surviving rows once, at the end of the
+//!     chain;
+//!   * [`FoldSink`] folds the chain's last column into a total reduction
+//!     (`Dataset::aggregate`) as a typed lane, in row order, and no row is
+//!     reassembled at all;
+//!   * [`PairSink`] hands a keyed scatter each `(key, row)` pair's halves
+//!     without boxing the pair;
+//!   * [`KeyedFold`], a keyed aggregation (`Dataset::aggregate_by_key`),
+//!     looks the tile's key column up in a [`KeyTable`] and folds each
+//!     value lane into typed per-key accumulators, each key's values in
+//!     row order; a row is boxed only for the combined keys the partition
+//!     emits;
+//!   * the block [`Packer`] reads index and value lanes where they lie.
 //! * **Joins' matches and lane keys** — a stage above a join's
 //!   build–probe reads a [`Source::Matches`] instead of rows: each tile's
 //!   input column is gathered from the two bucket sides by index (the
@@ -59,8 +63,8 @@
 //! batched error is kept.
 //!
 //! Stages containing a step without an expression (an opaque UDF) never
-//! enter the columnar path at all: `DriveMode::Columnar` demotes them to
-//! tuple-at-a-time per stage, records
+//! enter the columnar path at all: `DriveMode::drive` hands them to the
+//! same sink tuple-at-a-time, per stage, records
 //! [`StatsSnapshot::row_fallback_stages`](crate::StatsSnapshot), and the
 //! plan trace notes `layout: row (…)` naming the opaque step.
 
@@ -74,7 +78,7 @@ use diablo_runtime::{BinOp, Func, RuntimeError, UnOp, Value};
 use crate::block::Packer;
 use crate::join::Emit;
 use crate::keytable::{Key, KeyLane, KeyLanes, KeyTable, Prim};
-use crate::plan::{fold_row, Result, Source, Step, StepOp};
+use crate::plan::{Result, Source, Step, StepOp};
 use crate::stats::Stats;
 
 /// A transparent row expression: the part of a `map`/`filter` step the
@@ -317,7 +321,7 @@ pub(crate) fn eligible(steps: &[Step]) -> bool {
 /// A typed column chunk: one tile's worth of one column. `'a` is the
 /// borrowed source tile.
 #[derive(Clone, Debug)]
-enum VCol<'a> {
+pub(crate) enum VCol<'a> {
     /// 64-bit integer lane.
     Long(Arc<Vec<i64>>),
     /// 64-bit float lane.
@@ -1008,12 +1012,13 @@ fn run_tile<'a>(
     Ok((col, len))
 }
 
-/// What consumes a columnar stage's output: whole surviving tiles on the
-/// vectorized path, single rows when a failed tile is replayed.
-trait TileSink {
+/// What consumes a stage's output: whole surviving tiles on the
+/// vectorized path; single rows on the row path and when a failed tile is
+/// replayed.
+pub(crate) trait TileSink {
     /// Takes the `len` surviving rows of one tile, as a column.
     fn tile(&mut self, col: &VCol, len: usize) -> Result<()>;
-    /// Takes one row of a replayed tile.
+    /// Takes one row: of a chain on the row path, or of a replayed tile.
     fn row(&mut self, row: Value) -> Result<()>;
 }
 
@@ -1023,7 +1028,7 @@ trait TileSink {
 /// time: nothing from a failed tile has been sunk yet, and the canonical
 /// first error may come from an earlier row or from the consumer, not from
 /// the lane that failed first (see the module docs).
-fn drive_tiles(
+pub(crate) fn drive_tiles(
     src: Source<'_>,
     steps: &[Step],
     batch: usize,
@@ -1064,7 +1069,7 @@ fn drive_tiles(
 }
 
 /// Reassembles each surviving row for a row consumer.
-struct RowSink<'s>(&'s mut dyn FnMut(Value) -> Result<()>);
+pub(crate) struct RowSink<'s>(pub(crate) &'s mut dyn FnMut(Value) -> Result<()>);
 
 impl TileSink for RowSink<'_> {
     fn tile(&mut self, col: &VCol, len: usize) -> Result<()> {
@@ -1077,10 +1082,7 @@ impl TileSink for RowSink<'_> {
 }
 
 /// Hands a `(key, row)` pair to `sink` as its two halves.
-pub(crate) fn split_pair(
-    pair: &Value,
-    sink: &mut dyn FnMut(Key<'_>, Value) -> Result<()>,
-) -> Result<()> {
+fn split_pair(pair: &Value, sink: &mut dyn FnMut(Key<'_>, Value) -> Result<()>) -> Result<()> {
     let (key, row) = key_value_ref(pair)?;
     sink(Key::from(key), row.clone())
 }
@@ -1152,7 +1154,7 @@ pub(crate) fn for_each_key(
 /// Splits each surviving `(key, row)` pair for a keyed scatter: the key is
 /// read in place — from its lanes when it has them — and only the row is
 /// reassembled.
-struct PairSink<'s>(&'s mut dyn FnMut(Key<'_>, Value) -> Result<()>);
+pub(crate) struct PairSink<'s>(pub(crate) &'s mut dyn FnMut(Key<'_>, Value) -> Result<()>);
 
 impl TileSink for PairSink<'_> {
     fn tile(&mut self, col: &VCol, len: usize) -> Result<()> {
@@ -1167,33 +1169,6 @@ impl TileSink for PairSink<'_> {
     fn row(&mut self, row: Value) -> Result<()> {
         split_pair(&row, self.0)
     }
-}
-
-/// Drives a source through an eligible chain ending in `(key, row)`
-/// pairs, handing `sink` each pair's halves. Halves, order, the first
-/// error and its statement tag are identical to splitting the output of
-/// [`Source::drive_rows`] with [`split_pair`].
-pub(crate) fn pairs_columnar(
-    src: Source<'_>,
-    steps: &[Step],
-    batch: usize,
-    stats: &Stats,
-    sink: &mut dyn FnMut(Key<'_>, Value) -> Result<()>,
-) -> Result<()> {
-    drive_tiles(src, steps, batch, stats, &mut PairSink(sink))
-}
-
-/// Drives a source through an eligible chain **batch-at-a-time in
-/// columnar form**. Output rows, their order, the first error and its
-/// statement tag are identical to [`Source::drive_rows`].
-pub(crate) fn drive_columnar(
-    src: Source<'_>,
-    steps: &[Step],
-    batch: usize,
-    stats: &Stats,
-    sink: &mut dyn FnMut(Value) -> Result<()>,
-) -> Result<()> {
-    drive_tiles(src, steps, batch, stats, &mut RowSink(sink))
 }
 
 /// Folds a tile's surviving column into `acc` with `op`, left to right.
@@ -1247,10 +1222,11 @@ fn fold_col(op: BinOp, col: &VCol, len: usize, acc: &mut Option<Value>) -> Resul
     Ok(())
 }
 
-/// A running reduction: folds whole columns on the vectorized path.
-struct FoldSink<'s> {
-    op: BinOp,
-    acc: &'s mut Option<Value>,
+/// A running reduction with `op`: folds whole columns on the vectorized
+/// path and one row at a time otherwise.
+pub(crate) struct FoldSink<'s> {
+    pub(crate) op: BinOp,
+    pub(crate) acc: &'s mut Option<Value>,
 }
 
 impl TileSink for FoldSink<'_> {
@@ -1259,23 +1235,12 @@ impl TileSink for FoldSink<'_> {
     }
 
     fn row(&mut self, row: Value) -> Result<()> {
-        fold_row(self.op, self.acc, row)
+        *self.acc = Some(match self.acc.take() {
+            None => row,
+            Some(a) => self.op.apply(&a, &row)?,
+        });
+        Ok(())
     }
-}
-
-/// Reduces a source through an eligible chain with `op`,
-/// folding each tile's final column into `acc` without reassembling rows.
-/// The value, the first error and its statement tag are identical to
-/// folding the output of [`Source::drive_rows`] with [`fold_row`].
-pub(crate) fn fold_columnar(
-    src: Source<'_>,
-    steps: &[Step],
-    batch: usize,
-    stats: &Stats,
-    op: BinOp,
-    acc: &mut Option<Value>,
-) -> Result<()> {
-    drive_tiles(src, steps, batch, stats, &mut FoldSink { op, acc })
 }
 
 /// The lane kernel of a monoid over longs: [`BinOp::apply`]'s arithmetic
@@ -1496,7 +1461,7 @@ impl AccCol {
 }
 
 /// A keyed aggregation in progress — `reduce_by_key` with one monoid per
-/// field of the value tuple: the third [`TileSink`]. Rows are
+/// field of the value tuple: a [`TileSink`]. Rows are
 /// `(key, (v1, …, vn))`; every distinct key gets a slot in a [`KeyTable`]
 /// and one accumulator per monoid, and leaves as `(key, (a1, …, an))` in
 /// first-seen order.
@@ -1608,21 +1573,7 @@ impl TileSink for KeyedFold<'_> {
     }
 }
 
-/// Folds a source through an eligible chain into a keyed aggregation.
-/// Keys, their order, their aggregates, the first error and its statement
-/// tag are identical to feeding the output of [`Source::drive_rows`] to
-/// [`KeyedFold::row`].
-pub(crate) fn combine_columnar(
-    src: Source<'_>,
-    steps: &[Step],
-    batch: usize,
-    stats: &Stats,
-    fold: &mut KeyedFold<'_>,
-) -> Result<()> {
-    drive_tiles(src, steps, batch, stats, fold)
-}
-
-/// The block packer as the fourth [`TileSink`]: a tile whose index columns
+/// The block packer as a [`TileSink`]: a tile whose index columns
 /// are long lanes is packed without boxing a row — its value column read
 /// as a double lane when it is one — and anything else row by row.
 impl TileSink for Packer {
@@ -1644,19 +1595,6 @@ impl TileSink for Packer {
     fn row(&mut self, row: Value) -> Result<()> {
         Packer::row(self, &row)
     }
-}
-
-/// Packs a source, through an eligible chain, into blocks. Blocks, their
-/// order, the first error and its statement tag are identical to feeding
-/// the output of [`Source::drive_rows`] to [`Packer::row`].
-pub(crate) fn pack_columnar(
-    src: Source<'_>,
-    steps: &[Step],
-    batch: usize,
-    stats: &Stats,
-    packer: &mut Packer,
-) -> Result<()> {
-    drive_tiles(src, steps, batch, stats, packer)
 }
 
 #[cfg(test)]
@@ -1706,15 +1644,16 @@ mod tests {
     ) -> (Result<Vec<Value>>, Result<Vec<Value>>) {
         let stats = Stats::default();
         let mut col_out = Vec::new();
-        let col_res = drive_columnar(Source::Rows(rows), steps, batch, &stats, &mut |v| {
+        let mut sink = RowSink(&mut |v| {
             col_out.push(v);
             Ok(())
-        })
-        .map(|()| std::mem::take(&mut col_out));
+        });
+        let col_res = drive_tiles(Source::Rows(rows), steps, batch, &stats, &mut sink)
+            .map(|()| std::mem::take(&mut col_out));
         let mut row_out = Vec::new();
         let row_res = (|| {
             for row in rows {
-                drive(row, steps, &mut |v| {
+                drive(Cow::Borrowed(row), steps, &mut |v| {
                     row_out.push(v);
                     Ok(())
                 })?;
@@ -1921,13 +1860,24 @@ mod tests {
             ];
             let mut by_row = None;
             for row in &rows {
-                drive(row, &steps, &mut |v| fold_row(op, &mut by_row, v)).unwrap();
+                drive(Cow::Borrowed(row), &steps, &mut |v| {
+                    FoldSink {
+                        op,
+                        acc: &mut by_row,
+                    }
+                    .row(v)
+                })
+                .unwrap();
             }
             assert!(by_row.is_some());
             for batch in [1, 7, 256, 4096] {
                 let stats = Stats::default();
                 let mut by_col = None;
-                fold_columnar(Source::Rows(&rows), &steps, batch, &stats, op, &mut by_col).unwrap();
+                let mut sink = FoldSink {
+                    op,
+                    acc: &mut by_col,
+                };
+                drive_tiles(Source::Rows(&rows), &steps, batch, &stats, &mut sink).unwrap();
                 assert_eq!(
                     format!("{by_col:?}"),
                     format!("{by_row:?}"),
@@ -1956,12 +1906,12 @@ mod tests {
         };
         let stats = Stats::default();
         let mut by_tile = KeyedFold::new(ops);
-        let tiled = combine_columnar(Source::Rows(rows), steps, batch, &stats, &mut by_tile)
+        let tiled = drive_tiles(Source::Rows(rows), steps, batch, &stats, &mut by_tile)
             .and_then(|()| finish(by_tile));
         let mut by_row = KeyedFold::new(ops);
         let rowed = rows
             .iter()
-            .try_for_each(|row| drive(row, steps, &mut |v| by_row.row(&v)))
+            .try_for_each(|row| drive(Cow::Borrowed(row), steps, &mut |v| by_row.row(&v)))
             .and_then(|()| finish(by_row));
         (tiled, rowed)
     }
@@ -2063,15 +2013,15 @@ mod tests {
         )];
         let stats = Stats::default();
         let mut col_out = Vec::new();
-        let col_err = drive_columnar(Source::Rows(&rows), &steps, 256, &stats, &mut |v| {
+        let mut sink = RowSink(&mut |v| {
             col_out.push(v);
             Ok(())
-        })
-        .unwrap_err();
+        });
+        let col_err = drive_tiles(Source::Rows(&rows), &steps, 256, &stats, &mut sink).unwrap_err();
         let mut row_out = Vec::new();
         let row_err = (|| -> Result<()> {
             for row in &rows {
-                drive(row, &steps, &mut |v| {
+                drive(Cow::Borrowed(row), &steps, &mut |v| {
                     row_out.push(v);
                     Ok(())
                 })?;
@@ -2154,12 +2104,12 @@ mod tests {
             assert_eq!(format!("{out:?}"), format!("{:?}", row.unwrap()));
             // An expanded tile stays within the batch width (or is the
             // expansion of a single row).
-            drive_columnar(
+            drive_tiles(
                 Source::Rows(&rows),
                 &chain(items.clone()),
                 batch,
                 &stats,
-                &mut |_| Ok(()),
+                &mut RowSink(&mut |_| Ok(())),
             )
             .unwrap();
             let tiles = stats.snapshot().vectorized_batches as usize;
@@ -2262,7 +2212,7 @@ mod tests {
         let by_row = |upto: usize| {
             let mut out = Vec::new();
             let res = rows[..upto].iter().try_for_each(|row| {
-                drive(row, &steps, &mut |pair| {
+                drive(Cow::Borrowed(row), &steps, &mut |pair| {
                     split_pair(&pair, &mut |k, v| {
                         out.push((k.into_value(), v));
                         Ok(())
@@ -2275,15 +2225,16 @@ mod tests {
             for upto in [200, 300] {
                 let stats = Stats::default();
                 let mut out = Vec::new();
-                let res = pairs_columnar(
+                let mut sink = PairSink(&mut |k, v| {
+                    out.push((k.into_value(), v));
+                    Ok(())
+                });
+                let res = drive_tiles(
                     Source::Rows(&rows[..upto]),
                     &steps,
                     batch,
                     &stats,
-                    &mut |k, v| {
-                        out.push((k.into_value(), v));
-                        Ok(())
-                    },
+                    &mut sink,
                 );
                 let (want, want_res) = by_row(upto);
                 assert_eq!(format!("{out:?}"), format!("{want:?}"), "batch {batch}");
@@ -2300,11 +2251,11 @@ mod tests {
         let steps = vec![step_filter(RowExpr::Const(Value::Bool(true)), None)];
         let stats = Stats::default();
         let mut seen = 0;
-        let err = pairs_columnar(Source::Rows(&pairs), &steps, 4, &stats, &mut |_, _| {
+        let mut sink = PairSink(&mut |_, _| {
             seen += 1;
             Ok(())
-        })
-        .unwrap_err();
+        });
+        let err = drive_tiles(Source::Rows(&pairs), &steps, 4, &stats, &mut sink).unwrap_err();
         assert_eq!(seen, 9);
         assert!(err.message.contains("must be a (key, value) pair, got 9"));
     }

@@ -53,7 +53,7 @@ use diablo_runtime::array::key_value_ref;
 use diablo_runtime::{size::slice_size, AggOp, BinOp, RuntimeError, Value};
 
 use crate::block::{self, BlockContract, BlockZip, ElementCols, Packer};
-use crate::columnar::{Cross, KeyedFold, RowExpr, Shape};
+use crate::columnar::{Cross, KeyedFold, PairSink, RowExpr, Shape};
 use crate::exchange::{Exchange, ExchangeWriter, HashPartitioner};
 use crate::join::{Emit, Join};
 use crate::keytable::KeyTable;
@@ -639,7 +639,7 @@ impl Dataset {
             &self.ctx,
             &self.effective_plan(),
             "reduce (partial fold)",
-            |_, rows| partial(rows),
+            |_, rows, _| partial(rows),
         )?;
         let mut acc: Option<Value> = None;
         for p in partials.into_iter().flatten() {
@@ -667,7 +667,7 @@ impl Dataset {
         scatter: impl Fn(&PartitionRows<'_>, &mut ExchangeWriter<'_>) -> Result<()> + Sync,
     ) -> Result<Vec<Vec<Value>>> {
         let ex = Exchange::new(self.ctx.partitions(), self.ctx.memory_budget());
-        plan::consume(&self.ctx, &self.effective_plan(), label, |src, rows| {
+        plan::consume(&self.ctx, &self.effective_plan(), label, |src, rows, _| {
             let mut writer = ex.writer(src);
             scatter(rows, &mut writer)?;
             writer.close()
@@ -706,7 +706,9 @@ impl Dataset {
             // Only the row crosses; a columnar stage reads the key from
             // its column and never boxes the pair.
             Crossing::Rows => self.exchange(label, |rows, sink| {
-                rows.for_each_pair(&mut |key, row| sink.emit(HashPartitioner.bucket(&key, p), row))
+                rows.drive(&mut PairSink(&mut |key, row| {
+                    sink.emit(HashPartitioner.bucket(&key, p), row)
+                }))
             }),
         }
     }
@@ -715,12 +717,7 @@ impl Dataset {
     /// `label`: the post-shuffle work becomes a pending plan node that
     /// fuses with whatever consumes it next (shuffle-read fusion).
     fn post_shuffle(&self, dest: Vec<Vec<Value>>, op: PartOp, label: &'static str) -> Dataset {
-        self.derived(PlanOp::MapPartitions(
-            Arc::new(PlanOp::Scan(Arc::new(dest))),
-            op,
-            label,
-            self.tag(),
-        ))
+        self.derived(PlanOp::Shuffled(Arc::new(dest), op, label, self.tag()))
     }
 
     /// `reduceByKey`: combines values of equal keys with `f`, using
@@ -900,7 +897,7 @@ impl Dataset {
         let scatter = |side: &Dataset, at: ElementCols, label| {
             side.exchange(label, |rows, sink| {
                 let mut packer = Packer::new(at, zip.rows, zip.cols);
-                rows.pack(&mut packer)?;
+                rows.drive(&mut packer)?;
                 block::zip_rows(packer, p, &mut |b, row| sink.emit(b, row))
             })
         };
@@ -944,7 +941,7 @@ impl Dataset {
             };
             side.exchange(label, |parts, sink| {
                 let mut packer = Packer::new(at, rows, cols);
-                parts.pack(&mut packer)?;
+                parts.drive(&mut packer)?;
                 block::contract_rows(packer, left, fan_out, p, &mut |b, row| sink.emit(b, row))
             })
         };
@@ -1414,6 +1411,45 @@ mod tests {
             "combine+scatter, then reduce+map+scatter: {after:?}"
         );
         assert_eq!(r.count(), 20);
+
+        // The same fusion on the materialize side: reduce_by_key → map →
+        // collect is 2 stages, the reduce and the map inside the collect's.
+        let stage_lines = |run: &dyn Fn()| {
+            let before = ctx.stats().snapshot();
+            ctx.start_plan_trace();
+            run();
+            let trace = ctx.take_plan_trace();
+            let stages = ctx.stats().snapshot().since(&before).physical_stages;
+            let lines: Vec<String> = trace
+                .into_iter()
+                .filter(|l| l.starts_with("stage "))
+                .collect();
+            assert_eq!(lines.len() as u64, stages, "{lines:?}");
+            lines
+        };
+        let lines = stage_lines(&|| {
+            let rows = d
+                .reduce_by_key(|a, b| BinOp::Add.apply(a, b))
+                .unwrap()
+                .map(|row| Ok(row.clone()))
+                .unwrap()
+                .collect();
+            assert_eq!(rows.len(), 20);
+        });
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(
+            lines[1].ends_with("→ reduce_by_key (reduce) → map ⇒ materialize (fused 2 narrow ops)"),
+            "{lines:?}"
+        );
+        // A join forced by collect: its build–probe runs inside the
+        // materialize stage, after the two scatters — no extra stage.
+        let other = pairs(&ctx, &[(3, 30), (4, 40), (99, 0)]);
+        let lines = stage_lines(&|| assert_eq!(d.join(&other).unwrap().collect().len(), 50));
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        assert!(
+            lines[2].ends_with("→ join (build + probe) ⇒ materialize"),
+            "{lines:?}"
+        );
     }
 
     #[test]

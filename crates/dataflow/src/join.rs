@@ -5,7 +5,7 @@
 //! them (the row layout, an opaque chain, a replayed tile, `Dataset::join`'s
 //! `(k, (l, r))` rows), one at a time; an eligible columnar chain gathers
 //! its tile's columns straight from the two sides by index instead
-//! (`columnar::drive_columnar` over a [`Source::Matches`]).
+//! (`columnar::drive_tiles` over a [`Source::Matches`]).
 //!
 //! [`Source::Matches`]: crate::plan::Source::Matches
 

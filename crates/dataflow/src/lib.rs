@@ -10,7 +10,7 @@
 //!
 //! * a [`Dataset`] is an immutable bag of rows split into hash partitions,
 //!   described by a lazy **physical plan** — a DAG of `PlanOp` nodes
-//!   (`Scan`, `Cached`, `Map`, `Filter`, `FlatMap`, `MapPartitions`)
+//!   (`Scan`, `Cached`, `Map`, `Filter`, `FlatMap`, `Shuffled`)
 //!   built by the operator methods without running anything;
 //! * *narrow* operations (`map`, `filter`, `flat_map`) append a
 //!   plan node and return immediately — no data moves, no threads run;
@@ -22,9 +22,8 @@
 //!   transparent as typed column chunks with per-column inner loops and
 //!   every other chain tuple-at-a-time, per stage; [`Layout::Row`] runs
 //!   every chain tuple-at-a-time — the reference the conformance suites
-//!   hold the default to. Select one with [`Context::with_layout`],
-//!   `DIABLO_BACKEND` (`columnar`, `local`), or `diabloc --backend`;
-//!   results are identical either way;
+//!   hold the default to through [`Context::with_layout`]; results are
+//!   identical either way;
 //! * data crosses partitions only through the **exchange**: a
 //!   [`HashPartitioner`] picks each key's destination bucket, and a
 //!   streaming sink/reader pair moves rows
@@ -125,22 +124,8 @@ pub enum Layout {
 }
 
 impl Layout {
-    /// The names `DIABLO_BACKEND` and `--backend` accept, in the order
-    /// help and error messages list them.
-    pub const NAMES: &'static [&'static str] = &["columnar", "local"];
-
-    /// The layout a backend name selects (`columnar`, or `local` for the
-    /// row layout); `None` for any other name.
-    pub fn named(name: &str) -> Option<Layout> {
-        match name {
-            "columnar" => Some(Layout::Columnar),
-            "local" => Some(Layout::Row),
-            _ => None,
-        }
-    }
-
-    /// The backend name of this layout — what [`Layout::named`] reads
-    /// back, and what [`StatsSnapshot::backend`] and `explain` report.
+    /// The backend name of this layout (`columnar`, or `local` for the
+    /// row layout): what [`StatsSnapshot::backend`] and `explain` report.
     pub fn name(self) -> &'static str {
         match self {
             Layout::Columnar => "columnar",
@@ -197,7 +182,7 @@ impl Settings {
     /// The defaults, as the `DIABLO_*` environment variables amend them.
     fn from_env() -> Settings {
         Settings {
-            columnar: AtomicBool::new(layout_from_env() == Layout::Columnar),
+            columnar: AtomicBool::new(true),
             tile_width: AtomicUsize::new(DEFAULT_TILE_WIDTH),
             memory_budget: AtomicU64::new(memory_budget_from_env()),
         }
@@ -215,10 +200,8 @@ impl Settings {
 
 impl Context {
     /// Creates a context with `workers` threads and `partitions` hash
-    /// partitions per dataset. The layout defaults to
-    /// [`Layout::Columnar`], overridable with the `DIABLO_BACKEND`
-    /// environment variable (`columnar`, `local`) or
-    /// [`Context::with_layout`].
+    /// partitions per dataset, in the [`Layout::Columnar`] layout
+    /// ([`Context::with_layout`] selects the row reference).
     pub fn new(workers: usize, partitions: usize) -> Context {
         Context::with_settings(workers, partitions, Settings::from_env())
     }
@@ -503,21 +486,6 @@ impl Context {
     }
 }
 
-/// The layout named by `DIABLO_BACKEND` (`columnar` or `local`), or the
-/// columnar default. Panics on any other name so a typo in a CI job fails
-/// loudly instead of silently testing the default layout.
-fn layout_from_env() -> Layout {
-    match std::env::var("DIABLO_BACKEND") {
-        Ok(name) => Layout::named(&name).unwrap_or_else(|| {
-            panic!(
-                "DIABLO_BACKEND={name}: unknown backend (try {})",
-                Layout::NAMES.join(", ")
-            )
-        }),
-        Err(_) => Layout::Columnar,
-    }
-}
-
 /// The exchange budget named by `DIABLO_MEMORY_BUDGET` (bytes), or
 /// unbounded. Panics on an unparseable value so a typo in a CI job fails
 /// loudly instead of silently testing the in-memory path.
@@ -609,16 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn layout_lookup_by_name() {
-        for &name in Layout::NAMES {
-            assert_eq!(Layout::named(name).unwrap().name(), name);
-        }
-        assert_eq!(Layout::named("local"), Some(Layout::Row));
-        assert!(Layout::named("spark").is_none());
-        assert!(Layout::named("tile").is_none(), "only two layouts remain");
-    }
-
-    #[test]
     fn layout_and_tile_width_round_trip() {
         let ctx = Context::new(2, 4)
             .with_layout(Layout::Row)
@@ -640,12 +598,8 @@ mod tests {
         // Every setting away from its default, whatever `DIABLO_*` the
         // suite runs under.
         let defaults = Context::new(3, 5);
-        let other = match defaults.layout() {
-            Layout::Columnar => Layout::Row,
-            Layout::Row => Layout::Columnar,
-        };
         let parent = Context::new(3, 5)
-            .with_layout(other)
+            .with_layout(Layout::Row)
             .with_tile_width(7)
             .with_memory_budget(4321)
             .with_dataset_budget(1234);

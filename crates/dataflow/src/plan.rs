@@ -21,15 +21,22 @@
 //! physical stage per partition, feeding each transformed row into a sink
 //! without materializing any per-operator intermediate `Vec<Value>`.
 //!
-//! Since the post-shuffle stages of `reduce_by_key`, `group_by_key` and
-//! `merge` became lazy [`PlanOp::MapPartitions`] nodes, the
+//! The post-shuffle work of every keyed operator is a lazy
+//! [`PlanOp::Shuffled`] node over the gathered buckets, so the
 //! shuffle-*read* side fuses with the next narrow chain too:
 //! `reduce_by_key → map → shuffle` is two physical stages (combine +
-//! scatter, then reduce + map + scatter), not three. A join's post-shuffle
+//! scatter, then reduce + map + scatter), not three, and so is
+//! `reduce_by_key → map → collect`. A join's post-shuffle
 //! node ([`PartOp::Join`]) hands the chain above it the join's match list
 //! rather than rows ([`Source::Matches`]): a columnar chain gathers its
 //! columns from the two bucket sides, anything else makes each match's
 //! row as it reads it.
+//!
+//! A stage runs one way: [`consume`] sets it up — one item per partition
+//! of a scanned, cached or shuffled base — and hands each partition's
+//! rows to a task; [`materialize`] is `consume` with a task that collects
+//! them. Every task drives its rows into a [`TileSink`] through the one
+//! [`DriveMode::drive`].
 //!
 //! Every row-level node carries an optional **statement tag** — the source
 //! statement that built it, set by driver layers through
@@ -46,15 +53,14 @@
 //!
 //! [`Dataset`]: crate::Dataset
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
 use diablo_runtime::{BinOp, RuntimeError, Value};
 
-use crate::block::Packer;
-use crate::columnar::{Cross, KeyedFold, RowExpr};
+use crate::columnar::{Cross, FoldSink, KeyedFold, RowExpr, RowSink, TileSink};
 use crate::join::{Join, Matches};
-use crate::keytable::Key;
 use crate::pool::{run_stage_weighted, Cancel};
 use crate::stats::Stats;
 use crate::{Context, Layout};
@@ -154,10 +160,10 @@ impl Source<'_> {
         match self {
             Source::Rows(rows) => rows[range]
                 .iter()
-                .try_for_each(|row| drive(row, steps, sink)),
+                .try_for_each(|row| drive(Cow::Borrowed(row), steps, sink)),
             Source::Matches(m) => range
                 .into_iter()
-                .try_for_each(|k| drive_owned(m.row(k)?, steps, sink)),
+                .try_for_each(|k| drive(Cow::Owned(m.row(k)?), steps, sink)),
         }
     }
 }
@@ -202,11 +208,11 @@ pub(crate) enum PlanOp {
         &'static str,
         Option<Arc<Cross>>,
     ),
-    /// Partition-wise transformation (a fusion barrier for row steps
-    /// below it, but itself fused with the steps above it). The `&'static
-    /// str` names the operator for plan traces (`reduce_by_key (reduce)`,
-    /// `merge ⊳ (combine slots)`, …).
-    MapPartitions(Arc<PlanOp>, PartOp, &'static str, Tag),
+    /// Gathered shuffle buckets — one per partition — and the
+    /// partition-wise work that reads them, fused with the steps above it.
+    /// The `&'static str` names the operator for plan traces
+    /// (`reduce_by_key (reduce)`, `merge ⊳ (combine slots)`, …).
+    Shuffled(Arc<Vec<Vec<Value>>>, PartOp, &'static str, Tag),
 }
 
 /// The operator of one fused narrow step.
@@ -275,100 +281,34 @@ fn tag_opt(e: RuntimeError, tag: &Tag) -> RuntimeError {
 /// Drives one source row through a fused step chain, feeding every
 /// surviving output row to `sink`. No intermediate collections: `map`
 /// passes its output by value, `filter` short-circuits, and `flat_map`
-/// iterates its expansion in place.
+/// iterates its expansion in place. A borrowed row is cloned only if it
+/// reaches the sink as it is.
 pub(crate) fn drive(
-    row: &Value,
+    row: Cow<'_, Value>,
     steps: &[Step],
     sink: &mut dyn FnMut(Value) -> Result<()>,
 ) -> Result<()> {
-    match steps.split_first() {
-        None => sink(row.clone()),
-        Some((
-            s @ Step {
-                op: StepOp::Map(f), ..
-            },
-            rest,
-        )) => drive_owned(f(row).map_err(|e| s.tag_err(e))?, rest, sink),
-        Some((
-            s @ Step {
-                op: StepOp::Filter(f),
-                ..
-            },
-            rest,
-        )) => {
-            if f(row).map_err(|e| s.tag_err(e))? {
+    let Some((s, rest)) = steps.split_first() else {
+        return sink(row.into_owned());
+    };
+    match &s.op {
+        StepOp::Map(f) => drive(Cow::Owned(f(&row).map_err(|e| s.tag_err(e))?), rest, sink),
+        StepOp::Filter(f) => {
+            if f(&row).map_err(|e| s.tag_err(e))? {
                 drive(row, rest, sink)?;
             }
             Ok(())
         }
-        Some((
-            s @ Step {
-                op: StepOp::FlatMap(f, _),
-                ..
-            },
-            rest,
-        )) => {
-            for v in f(row).map_err(|e| s.tag_err(e))? {
-                drive_owned(v, rest, sink)?;
-            }
-            Ok(())
-        }
+        StepOp::FlatMap(f, _) => f(&row)
+            .map_err(|e| s.tag_err(e))?
+            .into_iter()
+            .try_for_each(|v| drive(Cow::Owned(v), rest, sink)),
     }
-}
-
-pub(crate) fn drive_owned(
-    row: Value,
-    steps: &[Step],
-    sink: &mut dyn FnMut(Value) -> Result<()>,
-) -> Result<()> {
-    match steps.split_first() {
-        None => sink(row),
-        Some((
-            s @ Step {
-                op: StepOp::Map(f), ..
-            },
-            rest,
-        )) => drive_owned(f(&row).map_err(|e| s.tag_err(e))?, rest, sink),
-        Some((
-            s @ Step {
-                op: StepOp::Filter(f),
-                ..
-            },
-            rest,
-        )) => {
-            if f(&row).map_err(|e| s.tag_err(e))? {
-                drive_owned(row, rest, sink)?;
-            }
-            Ok(())
-        }
-        Some((
-            s @ Step {
-                op: StepOp::FlatMap(f, _),
-                ..
-            },
-            rest,
-        )) => {
-            for v in f(&row).map_err(|e| s.tag_err(e))? {
-                drive_owned(v, rest, sink)?;
-            }
-            Ok(())
-        }
-    }
-}
-
-/// Folds one more row into a running reduction with `op` — the consumer
-/// of a total aggregation, whichever way the rows were driven.
-pub(crate) fn fold_row(op: BinOp, acc: &mut Option<Value>, row: Value) -> Result<()> {
-    *acc = Some(match acc.take() {
-        None => row,
-        Some(a) => op.apply(&a, &row)?,
-    });
-    Ok(())
 }
 
 /// A plan collapsed to a base node plus the fused row steps above it.
 pub(crate) struct Collapsed {
-    /// The deepest non-row node: `Scan`, `Cached` or `MapPartitions`.
+    /// The deepest non-row node: `Scan`, `Cached` or `Shuffled`.
     pub base: Arc<PlanOp>,
     /// Row steps to apply to the base's rows, in execution order.
     pub steps: Vec<Step>,
@@ -407,7 +347,7 @@ pub(crate) fn collapse(plan: &Arc<PlanOp>) -> Collapsed {
                 });
                 input.clone()
             }
-            PlanOp::Scan(_) | PlanOp::Cached(_, _) | PlanOp::MapPartitions(_, _, _, _) => break,
+            PlanOp::Scan(_) | PlanOp::Cached(_, _) | PlanOp::Shuffled(..) => break,
         };
         cur = next;
     }
@@ -424,14 +364,6 @@ pub(crate) enum Parts {
 }
 
 impl Parts {
-    /// The partitions as a slice.
-    pub fn as_slice(&self) -> &[Vec<Value>] {
-        match self {
-            Parts::Shared(p) => p,
-            Parts::Owned(p) => p,
-        }
-    }
-
     /// Converts into a shared handle without copying owned data.
     pub fn into_arc(self) -> Arc<Vec<Vec<Value>>> {
         match self {
@@ -443,15 +375,14 @@ impl Parts {
 
 /// How the walker pushes rows through a fused step chain: the context's
 /// [`Layout`], resolved once per materialization point.
-#[derive(Clone, Debug)]
 pub(crate) enum DriveMode {
     /// Tuple-at-a-time recursion ([`drive`]): [`Layout::Row`].
     Tuple,
     /// [`Layout::Columnar`], tiles of the given width: eligible chains
-    /// (every step carries a [`RowExpr`]) run through typed per-column
-    /// loops ([`crate::columnar::drive_columnar`], counting batches on
-    /// the carried [`Stats`]); chains with an opaque step fall back to
-    /// tuple-at-a-time, per stage.
+    /// (every step transparent) run tile by tile through typed
+    /// per-column loops ([`crate::columnar::drive_tiles`], counting
+    /// batches on the carried [`Stats`]); chains with an opaque step fall
+    /// back to tuple-at-a-time, per stage.
     Columnar(usize, Arc<Stats>),
 }
 
@@ -464,86 +395,16 @@ impl DriveMode {
         }
     }
 
-    fn run(
-        &self,
-        src: Source<'_>,
-        steps: &[Step],
-        sink: &mut dyn FnMut(Value) -> Result<()>,
-    ) -> Result<()> {
+    /// Drives `src` through `steps` into `sink`: whole tiles when the
+    /// chain is columnar-eligible, one row at a time into
+    /// [`TileSink::row`] otherwise. Same output, order and first error
+    /// (statement tag included) either way.
+    fn drive(&self, src: Source<'_>, steps: &[Step], sink: &mut impl TileSink) -> Result<()> {
         match self {
             DriveMode::Columnar(b, stats) if crate::columnar::eligible(steps) => {
-                crate::columnar::drive_columnar(src, steps, *b, stats, sink)
+                crate::columnar::drive_tiles(src, steps, *b, stats, sink)
             }
-            _ => src.drive_rows(0..src.len(), steps, sink),
-        }
-    }
-
-    /// Reduces `src` through `steps` into `acc` with `op`: eligible
-    /// chains fold their final column directly
-    /// ([`crate::columnar::fold_columnar`]); everything else folds row by
-    /// row. Same value and first error either way.
-    fn fold(
-        &self,
-        src: Source<'_>,
-        steps: &[Step],
-        op: BinOp,
-        acc: &mut Option<Value>,
-    ) -> Result<()> {
-        match self {
-            DriveMode::Columnar(b, stats) if crate::columnar::eligible(steps) => {
-                crate::columnar::fold_columnar(src, steps, *b, stats, op, acc)
-            }
-            _ => self.run(src, steps, &mut |row| fold_row(op, acc, row)),
-        }
-    }
-
-    /// Drives `src` through `steps` and hands each resulting `(key, row)`
-    /// pair to `sink` as its two halves — the scatter of a keyed operator
-    /// whose rows cross the exchange without their key. An eligible
-    /// chain's key and row columns are read where they lie, an `(i, j)`
-    /// key of primitive lanes without being boxed
-    /// ([`crate::columnar::pairs_columnar`]), so no pair is ever boxed;
-    /// everything else splits boxed pairs. Same halves, order and first
-    /// error either way.
-    fn pairs(
-        &self,
-        src: Source<'_>,
-        steps: &[Step],
-        sink: &mut dyn FnMut(Key<'_>, Value) -> Result<()>,
-    ) -> Result<()> {
-        match self {
-            DriveMode::Columnar(b, stats) if crate::columnar::eligible(steps) => {
-                crate::columnar::pairs_columnar(src, steps, *b, stats, sink)
-            }
-            _ => self.run(src, steps, &mut |pair| {
-                crate::columnar::split_pair(&pair, sink)
-            }),
-        }
-    }
-
-    /// Feeds `src` through `steps` into the keyed aggregation `fold`:
-    /// eligible chains hand over whole tiles
-    /// ([`crate::columnar::combine_columnar`]); everything else folds row
-    /// by row. Same keys, aggregates and first error either way.
-    fn combine(&self, src: Source<'_>, steps: &[Step], fold: &mut KeyedFold<'_>) -> Result<()> {
-        match self {
-            DriveMode::Columnar(b, stats) if crate::columnar::eligible(steps) => {
-                crate::columnar::combine_columnar(src, steps, *b, stats, fold)
-            }
-            _ => self.run(src, steps, &mut |row| fold.row(&row)),
-        }
-    }
-
-    /// Feeds `src` through `steps` into the block `packer`: eligible
-    /// chains hand over whole tiles ([`crate::columnar::pack_columnar`]);
-    /// everything else packs row by row. Same blocks and first error
-    /// either way.
-    fn pack(&self, src: Source<'_>, steps: &[Step], packer: &mut Packer) -> Result<()> {
-        match self {
-            DriveMode::Columnar(b, stats) if crate::columnar::eligible(steps) => {
-                crate::columnar::pack_columnar(src, steps, *b, stats, packer)
-            }
-            _ => self.run(src, steps, &mut |row| packer.row(&row)),
+            _ => src.drive_rows(0..src.len(), steps, &mut |row| sink.row(row)),
         }
     }
 }
@@ -580,113 +441,48 @@ fn resolve_cached(
     ctx: &Context,
     slot: &Arc<crate::dscache::CacheSlot>,
     inner: &Arc<PlanOp>,
-    mode: &DriveMode,
 ) -> Result<Arc<Vec<Vec<Value>>>> {
     let cache = slot.cache();
     if let Some(parts) = cache.get(slot.id(), ctx)? {
         return Ok(parts);
     }
-    let parts = materialize_with(ctx, inner, mode)?.into_arc();
+    let parts = materialize(ctx, inner)?.into_arc();
     cache.insert(slot.id(), parts.clone(), ctx)?;
     Ok(parts)
 }
 
-/// The partitions a base already holds: a `Scan`'s, or a `Cached`
-/// barrier's once resolved. `None` for a base that must run first.
-fn scanned(
-    ctx: &Context,
-    base: &Arc<PlanOp>,
-    mode: &DriveMode,
-) -> Result<Option<Arc<Vec<Vec<Value>>>>> {
-    match base.as_ref() {
-        PlanOp::Scan(parts) => Ok(Some(parts.clone())),
-        PlanOp::Cached(slot, inner) => resolve_cached(ctx, slot, inner, mode).map(Some),
-        _ => Ok(None),
-    }
-}
-
-/// Materializes a plan into partitions, fusing every narrow chain into one
-/// physical stage per `Scan`/`Cached`/`MapPartitions` base.
+/// Materializes a plan into partitions: the partitions a scanned or
+/// cached base already holds when no step is pending (zero-copy), else one
+/// fused stage that collects each partition's transformed rows.
 pub(crate) fn materialize(ctx: &Context, plan: &Arc<PlanOp>) -> Result<Parts> {
     crate::verify::verify_plan(plan)?;
-    materialize_with(ctx, plan, &DriveMode::of(ctx))
-}
-
-/// [`materialize`] in a drive mode already resolved.
-fn materialize_with(ctx: &Context, plan: &Arc<PlanOp>, mode: &DriveMode) -> Result<Parts> {
     let Collapsed { base, steps } = collapse(plan);
-    if let Some(parts) = scanned(ctx, &base, mode)? {
-        if steps.is_empty() {
-            return Ok(Parts::Shared(parts));
-        }
-        let out = run_fused_stage(ctx, &parts, None, &steps, "materialize", mode)?;
-        return Ok(Parts::Owned(out));
-    }
-    match base.as_ref() {
-        PlanOp::MapPartitions(input, f, label, tag) => {
-            let inp = materialize_with(ctx, input, mode)?;
-            let out = run_fused_stage(
-                ctx,
-                inp.as_slice(),
-                Some((f.clone(), label, tag.clone())),
-                &steps,
-                "materialize",
-                mode,
-            )?;
-            Ok(Parts::Owned(out))
-        }
-        // collapse() never returns a row node as base.
-        _ => Err(RuntimeError::new("corrupt plan: row node as base")),
-    }
-}
-
-/// Runs one fused physical stage: per partition, optionally apply a
-/// partition-level function, then drive every row through `steps`. Each
-/// partition is one item on the work-stealing pool.
-fn run_fused_stage(
-    ctx: &Context,
-    input: &[Vec<Value>],
-    prelude: Option<(PartOp, &'static str, Tag)>,
-    steps: &[Step],
-    label: &str,
-    mode: &DriveMode,
-) -> Result<Vec<Vec<Value>>> {
-    ctx.record_physical_stage();
-    ctx.plan_note(describe_stage(
-        ctx,
-        input.len(),
-        prelude.as_ref().map(|(_, l, t)| (*l, t.clone())),
-        steps,
-        label,
-    ));
-    note_layout(ctx, mode, steps);
-    let prelude = prelude.map(|(f, _, tag)| (f, tag));
-    run_stage_weighted(
-        ctx,
-        input,
-        |i| input[i].len() as u64,
-        |_, part: &Vec<Value>, cancel| {
-            let mut out = Vec::with_capacity(part.len());
-            let mut sink = cancellable_sink(cancel, |v| out.push(v));
-            match &prelude {
-                Some((op, tag)) => {
-                    op.run(part, tag, mode, |src| mode.run(src, steps, &mut sink))?
-                }
-                None => mode.run(Source::Rows(part), steps, &mut sink)?,
+    if steps.is_empty() {
+        match base.as_ref() {
+            PlanOp::Scan(parts) => return Ok(Parts::Shared(parts.clone())),
+            PlanOp::Cached(slot, inner) => {
+                return resolve_cached(ctx, slot, inner).map(Parts::Shared)
             }
-            drop(sink);
-            Ok(out)
-        },
-    )
+            _ => {}
+        }
+    }
+    consume(ctx, plan, "materialize", |_, rows, cancel| {
+        let mut out = Vec::with_capacity(rows.src.len());
+        rows.for_each(&mut cancellable_sink(cancel, |v| out.push(v)))?;
+        Ok(out)
+    })
+    .map(Parts::Owned)
 }
 
 /// Runs `task` once per partition over the plan's *transformed* rows, in
-/// one fused physical stage whenever the base permits: a `Scan`, or a
-/// `MapPartitions` whose own input is a scan (the shuffle-read fusion —
-/// the post-shuffle reduce runs inside the consumer's stage). `task`
-/// receives the partition index and a [`PartitionRows`] cursor; this is
-/// how shuffles and reductions consume a pending chain without an
-/// intermediate materialization.
+/// one fused physical stage: the base's partitions (a `Scan`'s, or a
+/// `Cached` barrier's once resolved) or its shuffled buckets with the
+/// post-shuffle work in front of the chain (the shuffle-read fusion — the
+/// post-shuffle reduce runs inside the consumer's stage). Each partition
+/// is one item on the work-stealing pool; `task` receives its index, a
+/// [`PartitionRows`] cursor, and the item's cancellation poll. This is
+/// how shuffles, reductions and [`materialize`] consume a pending chain
+/// without an intermediate materialization.
 pub(crate) fn consume<R, F>(
     ctx: &Context,
     plan: &Arc<PlanOp>,
@@ -695,89 +491,40 @@ pub(crate) fn consume<R, F>(
 ) -> Result<Vec<R>>
 where
     R: Send,
-    F: Fn(usize, &PartitionRows<'_>) -> Result<R> + Sync,
+    F: Fn(usize, &PartitionRows<'_>, &Cancel<'_>) -> Result<R> + Sync,
 {
     crate::verify::verify_plan(plan)?;
     let mode = &DriveMode::of(ctx);
     let Collapsed { base, steps } = collapse(plan);
-    if let Some(parts) = scanned(ctx, &base, mode)? {
-        ctx.record_physical_stage();
-        ctx.plan_note(describe_stage(ctx, parts.len(), None, &steps, label));
-        note_layout(ctx, mode, &steps);
-        return run_stage_weighted(
-            ctx,
-            &parts,
-            |i| parts[i].len() as u64,
-            |p, part: &Vec<Value>, _| {
-                task(p, &PartitionRows::new(Source::Rows(part), &steps, mode))
-            },
-        );
-    }
-    match base.as_ref() {
-        PlanOp::MapPartitions(input, op, plabel, tag) => {
-            // Shuffle-read fusion: when the prelude's input is already
-            // materialized (a scan — e.g. gathered shuffle buckets — or a
-            // cached barrier, resolved through the dataset cache), the
-            // partition-level function, the fused chain above it, and the
-            // consumer all run in ONE stage.
-            let inner = collapse(input);
-            if let Some(parts) = scanned(ctx, &inner.base, mode)? {
-                ctx.record_physical_stage();
-                ctx.plan_note(describe_stage(
-                    ctx,
-                    parts.len(),
-                    Some((*plabel, tag.clone())),
-                    &steps,
-                    label,
-                ));
-                // Both fused chains of this stage get a layout verdict:
-                // the one feeding the prelude and the one above it.
-                note_layout(ctx, mode, &inner.steps);
-                note_layout(ctx, mode, &steps);
-                let lower = &inner.steps;
-                // Steps below the prelude feed it a materialized Vec.
-                let feed = |part: &[Value], then: &mut dyn FnMut(&[Value]) -> Result<R>| {
-                    if lower.is_empty() {
-                        return then(part);
-                    }
-                    let mut buf = Vec::with_capacity(part.len());
-                    mode.run(Source::Rows(part), lower, &mut |v| {
-                        buf.push(v);
-                        Ok(())
-                    })?;
-                    then(&buf)
-                };
-                return run_stage_weighted(
-                    ctx,
-                    &parts,
-                    |i| parts[i].len() as u64,
-                    |p, part: &Vec<Value>, _| {
-                        feed(part, &mut |fed| {
-                            op.run(fed, tag, mode, |src| {
-                                task(p, &PartitionRows::new(src, &steps, mode))
-                            })
-                        })
-                    },
-                );
-            }
-            // Deep prelude (its input is itself unforced): materialize it
-            // (fusing inside), then run the consumer as one more stage.
-            let inp = materialize_with(ctx, plan, mode)?;
-            let parts = inp.as_slice();
-            ctx.record_physical_stage();
-            ctx.plan_note(describe_stage(ctx, parts.len(), None, &[], label));
-            run_stage_weighted(
-                ctx,
-                parts,
-                |i| parts[i].len() as u64,
-                |i, part: &Vec<Value>, _| {
-                    task(i, &PartitionRows::new(Source::Rows(part), &[], mode))
-                },
-            )
-        }
+    let (parts, prelude) = match base.as_ref() {
+        PlanOp::Scan(parts) => (parts.clone(), None),
+        PlanOp::Cached(slot, inner) => (resolve_cached(ctx, slot, inner)?, None),
+        PlanOp::Shuffled(buckets, op, label, tag) => (buckets.clone(), Some((op, *label, tag))),
         // collapse() never returns a row node as base.
-        _ => Err(RuntimeError::new("corrupt plan: row node as base")),
-    }
+        _ => return Err(RuntimeError::new("corrupt plan: row node as base")),
+    };
+    ctx.record_physical_stage();
+    ctx.plan_note(describe_stage(
+        ctx,
+        parts.len(),
+        prelude.map(|(_, label, tag)| (label, tag)),
+        &steps,
+        label,
+    ));
+    note_layout(ctx, mode, &steps);
+    let steps = &steps;
+    run_stage_weighted(
+        ctx,
+        &parts,
+        |i| parts[i].len() as u64,
+        |p, part: &Vec<Value>, cancel| {
+            let run = |src: Source<'_>| task(p, &PartitionRows { src, steps, mode }, cancel);
+            match prelude {
+                Some((op, _, tag)) => op.run(part, tag, mode, run),
+                None => run(Source::Rows(part)),
+            }
+        },
+    )
 }
 
 /// The rows of one partition, with the fused chain still to apply, as
@@ -785,70 +532,48 @@ where
 pub(crate) struct PartitionRows<'a> {
     src: Source<'a>,
     steps: &'a [Step],
-    mode: DriveMode,
+    mode: &'a DriveMode,
 }
 
-impl<'a> PartitionRows<'a> {
-    fn new(src: Source<'a>, steps: &'a [Step], mode: &DriveMode) -> PartitionRows<'a> {
-        PartitionRows {
-            src,
-            steps,
-            mode: mode.clone(),
-        }
+impl PartitionRows<'_> {
+    /// Drives every transformed row into `sink` ([`DriveMode::drive`]).
+    pub fn drive(&self, sink: &mut impl TileSink) -> Result<()> {
+        self.mode.drive(self.src, self.steps, sink)
     }
 
     /// Feeds every transformed row to `sink`.
     pub fn for_each(&self, sink: &mut dyn FnMut(Value) -> Result<()>) -> Result<()> {
-        self.mode.run(self.src, self.steps, sink)
+        self.drive(&mut RowSink(sink))
     }
 
-    /// Reduces the transformed rows with `op`, left to right, without
-    /// handing them out one by one: in the columnar layout an eligible
+    /// Reduces the transformed rows with `op`, left to right: an eligible
     /// chain's last column is folded as a typed lane. `None` when no row
     /// survives.
     pub fn fold(&self, op: BinOp) -> Result<Option<Value>> {
         let mut acc = None;
-        self.mode.fold(self.src, self.steps, op, &mut acc)?;
+        self.drive(&mut FoldSink { op, acc: &mut acc })?;
         Ok(acc)
-    }
-
-    /// Feeds every transformed row — a `(key, row)` pair — to `sink` as
-    /// its key and its row: what a keyed scatter needs to pick a bucket
-    /// and send the row on as itself. In the columnar layout an eligible
-    /// chain never boxes the pair, nor a tuple key of primitive lanes.
-    pub fn for_each_pair(&self, sink: &mut dyn FnMut(Key<'_>, Value) -> Result<()>) -> Result<()> {
-        self.mode.pairs(self.src, self.steps, sink)
     }
 
     /// Aggregates the transformed rows by key — rows `(key, (v1, …, vn))`,
     /// one monoid of `ops` per value field — and hands each distinct key
     /// and its tuple of aggregates to `emit` in first-seen order: the
-    /// map-side combine of a keyed aggregation. In the columnar layout an
-    /// eligible chain's key column is hashed in place and its value lanes
-    /// fold into typed per-key accumulators; only the emitted aggregates
-    /// are boxed.
+    /// map-side combine of a keyed aggregation ([`KeyedFold`]).
     pub fn combine(
         &self,
         ops: &[BinOp],
         emit: &mut dyn FnMut(Value, Value) -> Result<()>,
     ) -> Result<()> {
         let mut fold = KeyedFold::new(ops);
-        self.mode.combine(self.src, self.steps, &mut fold)?;
+        self.drive(&mut fold)?;
         fold.finish(emit)
-    }
-
-    /// Packs the transformed rows — tuples holding a matrix element — into
-    /// §5 blocks. In the columnar layout an eligible chain's index and
-    /// value lanes are read where they lie.
-    pub fn pack(&self, packer: &mut Packer) -> Result<()> {
-        self.mode.pack(self.src, self.steps, packer)
     }
 }
 
 fn describe_stage(
     ctx: &Context,
     parts: usize,
-    prelude: Option<(&'static str, Tag)>,
+    prelude: Option<(&str, &Tag)>,
     steps: &[Step],
     label: &str,
 ) -> String {
@@ -903,10 +628,8 @@ pub(crate) fn render(plan: &Arc<PlanOp>, out: &mut String) {
             render(inner, out);
             out.push(')');
         }
-        PlanOp::MapPartitions(input, _, label, _) => {
-            render(input, out);
-            out.push_str(" → ");
-            out.push_str(label);
+        PlanOp::Shuffled(buckets, _, label, _) => {
+            out.push_str(&format!("scan[{}p] → {label}", buckets.len()));
         }
         // collapse() never returns a row node as base.
         PlanOp::Map(..) | PlanOp::Filter(..) | PlanOp::FlatMap(..) => {}

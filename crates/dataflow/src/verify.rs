@@ -75,7 +75,7 @@ pub(crate) fn verify_plan(plan: &Arc<PlanOp>) -> Result<()> {
 /// Recursive walk: validates a node and returns its partition count.
 fn check(plan: &PlanOp) -> Result<usize> {
     match plan {
-        PlanOp::Scan(parts) => {
+        PlanOp::Scan(parts) | PlanOp::Shuffled(parts, ..) => {
             if parts.is_empty() {
                 return Err(violation(
                     "scan node has zero partitions — every dataset holds at least one \
@@ -84,12 +84,10 @@ fn check(plan: &PlanOp) -> Result<usize> {
             }
             Ok(parts.len())
         }
-        // Row nodes and partition-wise barriers preserve their input's
-        // partition count.
+        // Row nodes preserve their input's partition count.
         PlanOp::Map(input, ..) | PlanOp::Filter(input, ..) | PlanOp::FlatMap(input, ..) => {
             check(input)
         }
-        PlanOp::MapPartitions(input, _, _, _) => check(input),
         // A cached barrier stands in for its (structurally equivalent)
         // inner plan; on a cache miss that inner plan is what re-runs.
         PlanOp::Cached(_, inner) => check(inner),

@@ -15,11 +15,10 @@
 //!             let z = (i%n)*m + (j%m), group by (I: i/n, J: j/m) }
 //! ```
 //!
-//! This module implements both directions plus tile-local dense kernels
-//! (`add`, `multiply`) and the no-shuffle tile merge `⊳'`. The product's
-//! kernel, [`multiply_into`], takes a presence mask per operand: the
-//! engine's §5 block contraction runs it on its blocks, `multiply` on
-//! tiles whose every element is present.
+//! This module implements both directions plus the tile-local dense
+//! product, `multiply`. The product's kernel, [`multiply_into`], takes a
+//! presence mask per operand: the engine's §5 block contraction runs it
+//! on its blocks, `multiply` on tiles whose every element is present.
 
 use std::collections::HashMap;
 
@@ -141,52 +140,10 @@ impl TiledMatrix {
     }
 
     /// Writes element `(i, j)`, allocating the enclosing tile if needed.
-    pub fn set(&mut self, i: i64, j: i64, v: f64) {
+    fn set(&mut self, i: i64, j: i64, v: f64) {
         let (key, off) = self.locate(i, j);
         let len = self.tile_rows * self.tile_cols;
         self.tiles.entry(key).or_insert_with(|| vec![0.0; len])[off] = v;
-    }
-
-    /// Number of allocated tiles.
-    pub fn tile_count(&self) -> usize {
-        self.tiles.len()
-    }
-
-    /// The no-shuffle tile merge `self ⊳' other`: tiles of `other` replace
-    /// tiles of `self` at the same tile coordinate.
-    pub fn merge(&self, other: &TiledMatrix) -> TiledMatrix {
-        assert_eq!(
-            (self.tile_rows, self.tile_cols),
-            (other.tile_rows, other.tile_cols),
-            "merged tiled matrices must share a tile shape"
-        );
-        let mut tiles = self.tiles.clone();
-        for (k, t) in &other.tiles {
-            tiles.insert(*k, t.clone());
-        }
-        TiledMatrix {
-            tile_rows: self.tile_rows,
-            tile_cols: self.tile_cols,
-            tiles,
-        }
-    }
-
-    /// Tile-wise dense addition.
-    pub fn add(&self, other: &TiledMatrix) -> TiledMatrix {
-        assert_eq!(
-            (self.tile_rows, self.tile_cols),
-            (other.tile_rows, other.tile_cols),
-            "added tiled matrices must share a tile shape"
-        );
-        let mut out = self.clone();
-        let len = self.tile_rows * self.tile_cols;
-        for (k, t) in &other.tiles {
-            let dst = out.tiles.entry(*k).or_insert_with(|| vec![0.0; len]);
-            for (d, s) in dst.iter_mut().zip(t.iter()) {
-                *d += s;
-            }
-        }
-        out
     }
 
     /// Tiled matrix multiplication: for square tiles (`tile_rows ==
@@ -316,7 +273,7 @@ mod tests {
         assert_eq!(m.get(1, 2), 2.0);
         assert_eq!(m.get(2, 3), 3.0);
         assert_eq!(m.get(9, 9), 0.0, "absent tiles read as zero");
-        assert_eq!(m.tile_count(), 2);
+        assert_eq!(m.tiles.len(), 2);
     }
 
     #[test]
@@ -364,28 +321,6 @@ mod tests {
         let (a, b) = (Masked::new(&a, &a_has), Masked::new(&b, &b_has));
         multiply_into(a, b, &mut dst, 2, 3, 2);
         assert_eq!(dst, [1.0, 2.0 + 12.0, 3.0 + 12.0, 6.0 + 16.0 + 30.0]);
-    }
-
-    #[test]
-    fn tiled_add_accumulates_per_tile() {
-        let a = TiledMatrix::pack(2, 2, vec![(0, 0, 1.0), (3, 3, 2.0)]);
-        let b = TiledMatrix::pack(2, 2, vec![(0, 0, 5.0), (1, 1, 7.0)]);
-        let c = a.add(&b);
-        assert_eq!(c.get(0, 0), 6.0);
-        assert_eq!(c.get(1, 1), 7.0);
-        assert_eq!(c.get(3, 3), 2.0);
-    }
-
-    #[test]
-    fn merge_is_tile_granular_and_right_biased() {
-        let a = TiledMatrix::pack(2, 2, vec![(0, 0, 1.0), (0, 1, 9.0), (3, 3, 2.0)]);
-        let b = TiledMatrix::pack(2, 2, vec![(0, 0, 5.0)]);
-        let c = a.merge(&b);
-        assert_eq!(c.get(0, 0), 5.0);
-        // Tile-granular: the whole (0,0) tile is replaced, so (0,1) from `a`
-        // is gone — exactly the semantics of ⊳' on tiles.
-        assert_eq!(c.get(0, 1), 0.0);
-        assert_eq!(c.get(3, 3), 2.0);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! diabloc interp  <program.dbl> [bindings]  # execute with the sequential interpreter
 //! diabloc explain <program.dbl> [bindings]  # print the executed physical plan
 //! diabloc run --explain <program.dbl> ...   # same as `explain`
-//! diabloc run --backend local <program.dbl> # the row layout (default: columnar)
 //! diabloc run --workers 8 --partitions 32 --memory-budget 1048576 ...
 //! ```
 //!
@@ -28,14 +27,6 @@
 //! Engine flags (for `run` and `explain` only; `diablod` parses the same
 //! ones with the same code, [`diablo::EngineFlags`]):
 //!
-//! * `--backend <columnar|local>` selects the engine's layout: `columnar`
-//!   (the default: stages whose steps are all transparent run as typed
-//!   column chunks, tile by tile — total aggregations fold the last
-//!   column directly — and every other stage runs tuple-at-a-time) or
-//!   `local` (tuple-at-a-time everywhere: the row reference the default
-//!   is held byte-identical to, and the one to pick when bisecting a
-//!   suspected vectorization bug). Results are identical either way
-//!   (equivalent to `DIABLO_BACKEND`).
 //! * `--workers N` / `--partitions N` size the engine context (default:
 //!   one worker per core, two partitions per worker).
 //! * `--memory-budget BYTES` caps the bytes a shuffle buffers in memory;
@@ -47,15 +38,25 @@
 //!   (equivalent to `DIABLO_DATASET_BUDGET`). `0` disables dataset
 //!   caching. Results never change.
 //!
+//! Any other argument starting with `--` is an unknown flag, rejected
+//! with the usage line before the program file is read.
+//!
 //! Bindings are `name=value` for scalars (`n=100`, `a=0.5`, `x=hello`) and
 //! `name=@file.csv` for collections. A collection CSV has one element per
 //! line: `key,value` for vectors/maps, `i,j,value` for matrices. After a
 //! run, every program variable is printed, collections in ascending key
 //! order (truncated).
 //!
+//! The engine runs every stage in the columnar layout: a stage whose steps
+//! are all transparent runs as typed column chunks, tile by tile — total
+//! aggregations fold the last column directly — and every other stage
+//! runs tuple-at-a-time. (The tuple-at-a-time row layout everywhere is
+//! the library's reference, `Context::with_layout`, that the tests hold
+//! the default to.)
+//!
 //! `explain` renders the engine's physical plan — one line per fused
-//! per-partition stage, shuffle, and broadcast; on the default backend
-//! each stage also says `layout: columnar` or `layout: row (opaque …)`,
+//! per-partition stage, shuffle, and broadcast; each stage also says
+//! `layout: columnar` or `layout: row (opaque …)`,
 //! naming the step that kept it on the row path. Inputs that are not bound
 //! on the command line are synthesized from their declared types (small
 //! representative collections, default scalars), so any program can be
@@ -90,6 +91,9 @@ fn run(mut args: Vec<String>) -> Result<(), String> {
     // `run` only: execute on a `diablod` server at this address
     // (`host:port` or `unix:/path`) instead of a local engine.
     let connect = take_flag(&mut args, "--connect")?;
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("unknown flag `{flag}`\n{}", usage()));
+    }
     let [cmd, path, rest @ ..] = args.as_slice() else {
         return Err(usage());
     };
@@ -104,7 +108,7 @@ fn run(mut args: Vec<String>) -> Result<(), String> {
     };
     if (engine.any() || connect.is_some()) && !matches!(cmd, "run" | "explain") {
         return Err(format!(
-            "--backend/--workers/--partitions/--memory-budget/--dataset-budget/--connect only apply to `run` and `explain`, not `{cmd}`"
+            "--workers/--partitions/--memory-budget/--dataset-budget/--connect only apply to `run` and `explain`, not `{cmd}`"
         ));
     }
     if json_flag && !matches!(cmd, "check" | "lint") {

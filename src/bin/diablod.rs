@@ -24,8 +24,7 @@
 //!   caching (`DIABLO_SERVE_CACHE_BUDGET`, default 64 MiB).
 //!
 //! Engine flags are `diabloc run`'s, parsed by the same code
-//! ([`diablo::EngineFlags`]): `--backend <columnar|local>` (the columnar
-//! layout is the default), `--workers N`, `--partitions N`,
+//! ([`diablo::EngineFlags`]): `--workers N`, `--partitions N`,
 //! `--memory-budget BYTES`, `--dataset-budget BYTES` (one shared dataset
 //! cache across all tenants — materialized datasets past the budget
 //! demote to disk and recompute when dropped) — each also honors its

@@ -75,7 +75,7 @@ pub mod prelude {
     pub use diablo_runtime::Value;
 }
 
-use diablo_dataflow::{Context, Layout};
+use diablo_dataflow::Context;
 
 /// The engine flags `diabloc run`/`explain` and `diablod` share — one
 /// parser, so the two binaries accept the same values and reject bad ones
@@ -83,8 +83,6 @@ use diablo_dataflow::{Context, Layout};
 /// the engine reads on its own when the flag is absent.
 #[derive(Debug, Default)]
 pub struct EngineFlags {
-    /// `--backend <columnar|local>`: the engine's [`Layout`].
-    pub layout: Option<Layout>,
     /// `--workers N`, N > 0.
     pub workers: Option<usize>,
     /// `--partitions N`, N > 0.
@@ -97,7 +95,8 @@ pub struct EngineFlags {
 
 impl EngineFlags {
     /// The flags as a usage line fragment.
-    pub const USAGE: &'static str = "[--backend <columnar|local>] [--workers N] [--partitions N] [--memory-budget BYTES] [--dataset-budget BYTES]";
+    pub const USAGE: &'static str =
+        "[--workers N] [--partitions N] [--memory-budget BYTES] [--dataset-budget BYTES]";
 
     /// Pulls every engine flag (`--flag value` or `--flag=value`) out of
     /// `args`, leaving the rest in order.
@@ -111,16 +110,6 @@ impl EngineFlags {
                 .map_err(|_| format!("{flag}: `{s}` is not a byte count"))
         };
         Ok(EngineFlags {
-            layout: take_flag(args, "--backend")?
-                .map(|name| {
-                    Layout::named(&name).ok_or_else(|| {
-                        format!(
-                            "unknown backend `{name}` (try {})",
-                            Layout::NAMES.join(", ")
-                        )
-                    })
-                })
-                .transpose()?,
             workers: take_flag(args, "--workers")?
                 .map(|n| count("--workers", n))
                 .transpose()?,
@@ -138,8 +127,7 @@ impl EngineFlags {
 
     /// True when any engine flag was given.
     pub fn any(&self) -> bool {
-        self.layout.is_some()
-            || self.workers.is_some()
+        self.workers.is_some()
             || self.partitions.is_some()
             || self.memory_budget.is_some()
             || self.dataset_budget.is_some()
@@ -148,10 +136,7 @@ impl EngineFlags {
     /// The engine context these flags describe; what they leave unset
     /// keeps the engine's defaults and `DIABLO_*` variables.
     pub fn context(&self) -> Context {
-        let mut ctx = Context::sized(self.workers, self.partitions);
-        if let Some(layout) = self.layout {
-            ctx = ctx.with_layout(layout);
-        }
+        let ctx = Context::sized(self.workers, self.partitions);
         if let Some(bytes) = self.memory_budget {
             ctx.set_memory_budget(Some(bytes));
         }
@@ -196,7 +181,7 @@ mod tests {
     fn engine_flags_come_out_and_leave_the_rest() {
         let mut a = args(&[
             "run",
-            "--backend=local",
+            "--partitions=3",
             "p.dbl",
             "--workers",
             "2",
@@ -206,10 +191,12 @@ mod tests {
         ]);
         let f = EngineFlags::extract(&mut a).unwrap();
         assert_eq!(a, args(&["run", "p.dbl", "x=1"]));
-        assert_eq!(f.layout, Some(Layout::Row));
-        assert_eq!((f.workers, f.memory_budget), (Some(2), Some(0)));
+        assert_eq!(
+            (f.workers, f.partitions, f.memory_budget),
+            (Some(2), Some(3), Some(0))
+        );
         assert!(f.any());
-        assert_eq!(f.context().layout(), Layout::Row);
+        assert_eq!(f.context().partitions(), 3);
     }
 
     #[test]
@@ -218,7 +205,6 @@ mod tests {
         assert!(err(&["--workers", "0"]).contains("not a positive count"));
         assert!(err(&["--partitions=0"]).contains("not a positive count"));
         assert!(err(&["--dataset-budget", "lots"]).contains("not a byte count"));
-        assert!(err(&["--backend", "tile"]).contains("(try columnar, local)"));
         assert!(err(&["--workers"]).contains("requires a value"));
     }
 }

@@ -100,8 +100,8 @@ fn run_and_interp_agree_on_csv_inputs() {
     }
 
     // Long arithmetic wraps at the edges of long, alike on the driver, in
-    // column tiles (`V[i] / y`, `V[i] % y`, `-V[i]` over a long lane), on
-    // the row layout and in the interpreter.
+    // column tiles (`V[i] / y`, `V[i] % y`, `-V[i]` over a long lane) and
+    // in the interpreter.
     let program = write_temp(
         "wrap.dbl",
         "input V: vector[long];
@@ -146,7 +146,7 @@ fn run_and_interp_agree_on_csv_inputs() {
         );
         String::from_utf8_lossy(&out.stdout).to_string()
     };
-    let columnar = run(&["run", "--backend", "columnar"]);
+    let columnar = run(&["run"]);
     for scalar in ["q", "n", "a"] {
         let want = format!("{scalar} = -9223372036854775808");
         assert!(columnar.contains(&want), "{columnar}");
@@ -157,7 +157,6 @@ fn run_and_interp_agree_on_csv_inputs() {
         let block = format!("{array} = {{ 3 element(s) }}\n  {row}\n");
         assert!(columnar.contains(&block), "{block}: {columnar}");
     }
-    assert_eq!(run(&["run", "--backend", "local"]), columnar);
     assert_eq!(run(&["interp"]), columnar);
 }
 
@@ -207,6 +206,7 @@ fn explain_renders_fused_plan_for_word_count() {
         );
         let text = String::from_utf8_lossy(&out.stdout);
         assert!(text.contains("physical plan"), "{text}");
+        assert!(text.contains("`columnar` backend"), "{text}");
         assert!(text.contains("fused"), "{text}");
         assert!(text.contains("reduce_by_key"), "{text}");
         assert!(text.contains("shuffle"), "{text}");
@@ -254,61 +254,40 @@ fn usage_errors_are_reported() {
 }
 
 #[test]
-fn backend_flag_selects_executor_and_outputs_match() {
-    let p = write_temp(
-        "wc_backend.dbl",
-        "input words: vector[string];
-         var C: map[string, long] = map();
-         for w in words do C[w] += 1;",
-    );
-    let csv = write_temp("wc_backend.csv", "0,a\n1,b\n2,a\n3,c\n4,a\n");
-    let run = |args: &[&str]| {
-        let mut cmd = diabloc();
-        for a in args {
-            cmd.arg(a);
-        }
-        let out = cmd
-            .arg(&p)
-            .arg(format!("words=@{}", csv.display()))
-            .output()
-            .unwrap();
+fn unknown_flags_are_rejected_by_name() {
+    // An unknown flag — `--backend` included — is named in the error with
+    // the usage line, whichever form and command it takes.
+    let p = write_temp("unknown_flag.dbl", "var k: long = 0;");
+    for args in [
+        &["run", "--bogus"][..],
+        &["run", "--backend", "local"],
+        &["explain", "--backend=columnar"],
+        &["check", "--backend", "local"],
+    ] {
+        let out = diabloc().args(args).arg(&p).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
+            stderr.contains(&format!("unknown flag `{}", args[1])),
+            "{args:?}: {stderr}"
         );
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
-    let default = run(&["run"]);
-    let columnar = run(&["run", "--backend", "columnar"]);
-    let local = run(&["run", "--backend", "local"]);
-    let local_eq = run(&["run", "--backend=local"]);
-    assert_eq!(default, local, "layouts must produce byte-identical output");
-    assert_eq!(default, columnar);
-    assert_eq!(local, local_eq);
-    // Even with a zero budget — every exchanged bucket through disk.
-    let local0 = run(&["run", "--backend", "local", "--memory-budget", "0"]);
-    assert_eq!(default, local0, "fully spilled run must match the default");
-    // explain names the backend it executed on.
-    for backend in ["local", "columnar"] {
-        let out = diabloc()
-            .arg("explain")
-            .arg("--backend")
-            .arg(backend)
-            .arg(&p)
-            .output()
-            .unwrap();
-        assert!(out.status.success());
-        let text = String::from_utf8_lossy(&out.stdout);
-        assert!(text.contains(&format!("`{backend}` backend")), "{text}");
+        assert!(stderr.contains("usage: diabloc"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("No such file"), "{args:?}: {stderr}");
     }
+    // Never read: the flag is rejected before the (missing) file.
+    let out = diabloc()
+        .args(["run", "--bogus", "/nonexistent/p.dbl"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag `--bogus`"), "{stderr}");
 }
 
 #[test]
 fn run_prints_each_collection_sorted_by_key() {
     // Keyed operators leave rows in hash-bucket order; `diabloc run`
-    // prints every collection sorted by key whatever the layout, worker
-    // and partition counts.
+    // prints every collection sorted by key whatever the worker and
+    // partition counts.
     let p = write_temp(
         "sorted_keys.dbl",
         "input words: vector[string];
@@ -324,7 +303,7 @@ fn run_prints_each_collection_sorted_by_key() {
     let configs: [&[&str]; 3] = [
         &[],
         &["--workers", "3", "--partitions", "7"],
-        &["--backend", "local", "--partitions", "5"],
+        &["--partitions", "5"],
     ];
     for flags in configs {
         let out = diabloc()
@@ -358,46 +337,6 @@ fn run_prints_each_collection_sorted_by_key() {
         let d: Vec<i64> = keys("D").iter().map(|k| k.parse().unwrap()).collect();
         assert_eq!(d, (0..18).collect::<Vec<_>>(), "{flags:?}: {text}");
     }
-}
-
-#[test]
-fn backend_flag_rejects_unknown_names_and_wrong_commands() {
-    let p = write_temp("backend_err.dbl", "var k: long = 0;");
-    let out = diabloc()
-        .arg("run")
-        .arg("--backend")
-        .arg("spark")
-        .arg(&p)
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(stderr.contains("unknown backend"), "{stderr}");
-    assert!(
-        stderr.contains("(try columnar, local)"),
-        "the error must list every valid backend: {stderr}"
-    );
-    for gone in ["tile", "spill", "morsel"] {
-        let out = diabloc()
-            .args(["run", "--backend", gone])
-            .arg(&p)
-            .output()
-            .unwrap();
-        assert!(!out.status.success(), "`{gone}` is no backend any more");
-    }
-    let out = diabloc()
-        .arg("check")
-        .arg("--backend")
-        .arg("local")
-        .arg(&p)
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("only apply to `run` and `explain`"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
 }
 
 #[test]
@@ -437,8 +376,7 @@ fn engine_shape_flags_apply_to_run_and_are_rejected_elsewhere() {
         String::from_utf8_lossy(&shaped.stdout),
         "context shape and spilling must not change results"
     );
-    // Engine flags are rejected for commands that run no engine, exactly
-    // like --backend.
+    // Engine flags are rejected for commands that run no engine.
     for (cmd, flag) in [
         ("check", "--workers=2"),
         ("show", "--partitions=4"),
@@ -558,8 +496,8 @@ fn diablod_serves_runs_identical_to_local_diabloc() {
         .arg("run")
         .arg("--connect")
         .arg(&addr)
-        .arg("--backend")
-        .arg("local")
+        .arg("--workers")
+        .arg("2")
         .arg(&program)
         .output()
         .unwrap();
@@ -588,22 +526,21 @@ fn diablod_rejects_bad_flags_before_binding() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    // `--backend` is not an engine flag: a stray argument.
     let out = Command::new(env!("CARGO_BIN_EXE_diablod"))
         .arg("--backend")
-        .arg("spark")
+        .arg("local")
         .output()
         .unwrap();
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown backend"), "{stderr}");
-    assert!(stderr.contains("(try columnar, local)"), "{stderr}");
-    // The usage line lists the default layout.
-    let out = Command::new(env!("CARGO_BIN_EXE_diablod"))
-        .arg("--frobnicate")
-        .output()
-        .unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--backend <columnar|local>"), "{stderr}");
+    assert!(
+        stderr.contains("unexpected argument `--backend`"),
+        "{stderr}"
+    );
+    // The usage line lists the engine flags.
+    assert!(stderr.contains("[--workers N]"), "{stderr}");
+    assert!(!stderr.contains("<columnar|local>"), "{stderr}");
 }
 
 #[test]

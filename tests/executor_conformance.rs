@@ -268,15 +268,10 @@ fn backends_agree_under_reduce_and_group() {
 
 #[test]
 fn introspection_is_stable() {
-    assert_eq!(Layout::NAMES, ["columnar", "local"]);
-    assert_eq!(Layout::named("local"), Some(Layout::Row));
     assert_eq!(Layout::Row.name(), "local");
-    assert_eq!(Layout::named("columnar"), Some(Layout::Columnar));
     assert_eq!(Layout::Columnar.name(), "columnar");
-    for gone in ["tile", "spill", "morsel", "flink"] {
-        assert!(Layout::named(gone).is_none(), "{gone}");
-    }
     let ctx = Context::new(1, 1);
+    assert_eq!(ctx.layout(), Layout::Columnar, "the one default layout");
     assert_eq!(ctx.tile_width(), DEFAULT_TILE_WIDTH);
     assert_eq!(ctx.stats_snapshot().backend, ctx.layout().name());
     assert_eq!(ctx.stats_snapshot().scheduler, "morsel");

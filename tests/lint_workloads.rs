@@ -82,7 +82,7 @@ fn fig3_workloads_lint_clean_or_allow_listed() {
 /// of its stages on the row path.
 #[test]
 fn d025_fires_iff_a_stage_falls_back_on_the_default_engine() {
-    use diablo_dataflow::{Context, Layout};
+    use diablo_dataflow::Context;
     for w in diablo_workloads::figure3_workloads(1, 11) {
         let mut diags = diablo_diag::Diagnostics::new();
         let (tp, compiled) = diablo_core::compile_multi(w.source, &mut diags)
@@ -90,9 +90,7 @@ fn d025_fires_iff_a_stage_falls_back_on_the_default_engine() {
         let forecast = diablo_core::lint_program(&tp, &compiled)
             .iter()
             .any(|d| d.code == diablo_diag::codes::ROW_FALLBACK);
-        // The default layout, pinned so a suite-wide DIABLO_BACKEND
-        // cannot swap in the row layout, which never counts fallbacks.
-        let ctx = Context::new(2, 4).with_layout(Layout::Columnar);
+        let ctx = Context::new(2, 4);
         let mut s = diablo_exec::Session::new(ctx.clone());
         for (name, v) in &w.scalars {
             s.bind_scalar(name, v.clone());

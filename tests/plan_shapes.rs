@@ -200,11 +200,9 @@ fn plan_trace_notes_the_layout_per_stage_under_the_columnar_backend() {
     // lines `Session::explain` renders) carries a per-stage layout note —
     // `layout: columnar` for a transparent chain, `layout: row (…)`
     // naming the opaque step when a UDF forces the tuple path.
-    use diablo_dataflow::{Layout, RowExpr};
+    use diablo_dataflow::RowExpr;
 
-    let ctx = Context::new(2, 4)
-        .with_layout(Layout::Columnar)
-        .with_tile_width(64);
+    let ctx = Context::new(2, 4).with_tile_width(64);
     let d = ctx.from_vec((0..200).map(Value::Long).collect());
 
     ctx.start_plan_trace();
@@ -250,7 +248,6 @@ fn scan_programs_run_as_one_vectorized_reduce_per_aggregation() {
     // folded on the driver — and every one of those stages is columnar.
     // Statement lines vary with fresh-name counters, so the golden is the
     // stage lines.
-    use diablo_dataflow::Layout;
 
     let golden: [(wl::Workload, &[&str]); 4] = [
         (
@@ -277,8 +274,7 @@ fn scan_programs_run_as_one_vectorized_reduce_per_aggregation() {
         ),
     ];
     for (w, stages) in golden {
-        // Pinned, so a suite-wide DIABLO_BACKEND cannot change the layout.
-        let ctx = Context::new(2, 4).with_layout(Layout::Columnar);
+        let ctx = Context::new(2, 4);
         let compiled = compile(w.source).expect("compiles");
         let plan = session_for(&w, &ctx).explain(&compiled).expect("explains");
         let got: Vec<&str> = plan
@@ -355,7 +351,6 @@ fn keyed_programs_combine_and_rebind_in_columnar_stages() {
     // emits each key once, so there is nothing to merge. The keyed map
     // and the group bind are expressions, so both stages run columnar and
     // none falls back.
-    use diablo_dataflow::Layout;
 
     const COMBINE: &str =
         "scan[4p] → map → map → map ⇒ reduce_by_key (combine + scatter) (fused 3 narrow ops)";
@@ -366,8 +361,7 @@ fn keyed_programs_combine_and_rebind_in_columnar_stages() {
         (wl::histogram(2_000, 1), 3),
         (wl::group_by(2_000, 1), 1),
     ] {
-        // Pinned, so a suite-wide DIABLO_BACKEND cannot change the layout.
-        let ctx = Context::new(2, 4).with_layout(Layout::Columnar);
+        let ctx = Context::new(2, 4);
         let compiled = compile(w.source).expect("compiles");
         let plan = session_for(&w, &ctx).explain(&compiled).expect("explains");
         // Stage numbers aside, the golden is the stage and layout lines.
@@ -408,7 +402,6 @@ fn loop_programs_join_and_cross_in_columnar_stages() {
     // expansion inside the stage that scans the points. An update whose
     // keys are unique into an array that holds no rows is no merge at all.
     // Every stage with steps in it runs columnar.
-    use diablo_dataflow::Layout;
 
     const SCATTER_OLD: &str = "scan[4p] ⇒ merge (scatter old)";
     const MERGE: &str = "scan[4p] → merge ⊳ (combine slots) ⇒ materialize";
@@ -463,8 +456,7 @@ fn loop_programs_join_and_cross_in_columnar_stages() {
         (wl::pagerank(60, 1, 7), "s10:", pagerank_step, 17, 12),
         (wl::kmeans(300, 2, 1, 7), "s7:", kmeans_step, 13, 8),
     ] {
-        // Pinned, so a suite-wide DIABLO_BACKEND cannot change the layout.
-        let ctx = Context::new(2, 4).with_layout(Layout::Columnar);
+        let ctx = Context::new(2, 4);
         let compiled = compile(w.source).expect("compiles");
         let plan = session_for(&w, &ctx).explain(&compiled).expect("explains");
         // Stage numbers aside, the golden is the stage and layout lines
@@ -500,13 +492,12 @@ fn a_join_with_an_opaque_key_computes_it_in_a_row_step_first() {
     // A record has no columnar form, so a join keyed by one binds the key
     // with an opaque `let` first — on the side that needs it — and the
     // engine joins on that column. D025 forecasts it.
-    use diablo_dataflow::Layout;
 
     const SRC: &str = "input A: vector[long];
          input B: map[<|k: long|>, long];
          var W: vector[long] = vector();
          for i = 0, 99 do W[i] := A[i] + B[<|k = i|>];";
-    let ctx = Context::new(2, 4).with_layout(Layout::Columnar);
+    let ctx = Context::new(2, 4);
     let mut s = Session::new(ctx);
     s.bind_input(
         "A",
@@ -552,12 +543,11 @@ fn a_group_by_with_an_opaque_key_computes_it_in_a_row_step_first() {
     // A record has no columnar form, so a group-by keyed by one binds the
     // key with an opaque `let` first — one more fused step, named in the
     // layout note and forecast by D025 — and then keys and folds as usual.
-    use diablo_dataflow::Layout;
 
     const SRC: &str = "input V: vector[long];
          var C: map[<|k: long|>, long] = map();
          for v in V do C[<|k = v|>] += 1;";
-    let ctx = Context::new(2, 4).with_layout(Layout::Columnar);
+    let ctx = Context::new(2, 4);
     let mut s = Session::new(ctx);
     s.bind_input(
         "V",
@@ -592,7 +582,6 @@ fn fig3_programs_stay_within_their_stage_and_shuffle_counts() {
     // the twelve Fig. 3 programs at fixed sizes. A change may lower an
     // entry, never raise one. The comment on each row is what the program
     // cost while every merge into an empty array ran as a cogroup.
-    use diablo_dataflow::Layout;
 
     let want: [(&str, u64, u64); 12] = [
         ("Conditional Sum", 1, 0),        // 1, 0
@@ -611,8 +600,7 @@ fn fig3_programs_stay_within_their_stage_and_shuffle_counts() {
     let got: Vec<(&str, u64, u64)> = wl::figure3_workloads(1, 42)
         .iter()
         .map(|w| {
-            // Pinned, so a suite-wide DIABLO_BACKEND cannot change the plan.
-            let ctx = Context::new(2, 4).with_layout(Layout::Columnar);
+            let ctx = Context::new(2, 4);
             let stats = stats_of(w, &ctx);
             (w.name, stats.physical_stages, stats.shuffles)
         })
