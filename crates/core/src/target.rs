@@ -83,12 +83,25 @@ fn stmt_occurrences(s: &TStmt, name: &str) -> usize {
     }
 }
 
-/// True when the statement (re)assigns `name` anywhere.
-fn stmt_writes(s: &TStmt, name: &str) -> bool {
-    match s {
-        TStmt::Assign { name: n, .. } => n == name,
-        TStmt::While { body, .. } => body.iter().any(|b| stmt_writes(b, name)),
+/// Readers of `name` in `stmts` up to and including the first assignment
+/// to it — later reads see the new definition — and whether there is one.
+/// Readers count with multiplicity (a statement mentioning the variable
+/// twice derives two plans from it), and a `while` that mentions it counts
+/// at least two (it re-reads every iteration). Only an assignment is an
+/// overwrite: a `while` that assigns the variable may run no iteration.
+fn readers_until_overwrite(stmts: &[TStmt], name: &str) -> (usize, bool) {
+    let mut readers = 0usize;
+    for s in stmts {
+        readers += match (s, stmt_occurrences(s, name)) {
+            (_, 0) => 0,
+            (TStmt::While { .. }, occ) => occ.max(2),
+            (TStmt::Assign { .. }, occ) => occ,
+        };
+        if matches!(s, TStmt::Assign { name: n, .. } if n == name) {
+            return (readers, true);
+        }
     }
+    (readers, false)
 }
 
 /// Cross-statement fusion eligibility (the dependency analysis behind the
@@ -97,18 +110,26 @@ fn stmt_writes(s: &TStmt, name: &str) -> bool {
 /// fuses into the stage of whatever consumes it, instead of materializing
 /// at the assignment.
 ///
-/// An assignment is eligible when its result is read **at most once**
-/// downstream before being reassigned (occurrences count with
-/// multiplicity: one statement mentioning the variable twice derives two
-/// plans from it). With a single consumer,
-/// deferring costs nothing and the producer's pending chain fuses across
-/// the statement boundary; with several consumers each would re-run the
+/// An assignment is eligible when its result has **at most one reader**
+/// before it is overwritten. With a single
+/// reader, deferring costs nothing and the producer's pending chain fuses
+/// across the statement boundary; with several each would re-run the
 /// pending chain (plans are captured per derivation, the materialization
-/// cache only helps after a force), so those materialize eagerly. A
-/// `while` that mentions the variable counts as many consumers (it re-reads
-/// every iteration), and statements inside a `while` body are never
-/// eligible (per-iteration materialization keeps plans bounded and loop
-/// errors local).
+/// cache only helps after a force), so those materialize eagerly.
+///
+/// An assignment in the body of a top-level `while` is eligible when both
+/// hold, so a step-local array (PageRank's `Q`, K-Means' `closest` and
+/// `avg`) fuses into its reader every iteration:
+///
+/// - it has at most one reader later in the same iteration, counting, when
+///   the rest of the body does not overwrite it, the statements after the
+///   loop (the loop may end here);
+/// - it is overwritten before any read in the next iteration: the scan
+///   wraps around the body, and the loop condition, evaluated before the
+///   next iteration, must not read it either.
+///
+/// A carried array (read by the next iteration before it is reassigned)
+/// stays eager, and so does every statement of a nested `while` body.
 pub fn lazy_assignments(stmts: &[TStmt]) -> Vec<bool> {
     fn mark_ineligible(stmts: &[TStmt], out: &mut Vec<bool>) {
         for s in stmts {
@@ -120,31 +141,48 @@ pub fn lazy_assignments(stmts: &[TStmt]) -> Vec<bool> {
     }
     let mut out = Vec::with_capacity(preorder_len(stmts));
     for (i, s) in stmts.iter().enumerate() {
+        let after = &stmts[i + 1..];
         match s {
-            TStmt::Assign { name, .. } => {
-                let mut consumers = 0usize;
-                for later in &stmts[i + 1..] {
-                    let occ = stmt_occurrences(later, name);
-                    if occ > 0 {
-                        consumers += match later {
-                            // A while re-reads the variable every iteration.
-                            TStmt::While { .. } => occ.max(2),
-                            TStmt::Assign { .. } => occ,
-                        };
-                    }
-                    if stmt_writes(later, name) {
-                        break; // later uses refer to the new definition
+            TStmt::Assign { name, .. } => out.push(readers_until_overwrite(after, name).0 <= 1),
+            TStmt::While { cond, body } => {
+                out.push(false);
+                for (b, s) in body.iter().enumerate() {
+                    match s {
+                        TStmt::Assign { name, .. } => {
+                            out.push(body_assignment_is_lazy(cond, body, b, name, after))
+                        }
+                        TStmt::While { body, .. } => {
+                            out.push(false);
+                            mark_ineligible(body, &mut out);
+                        }
                     }
                 }
-                out.push(consumers <= 1);
-            }
-            TStmt::While { body, .. } => {
-                out.push(false);
-                mark_ineligible(body, &mut out);
             }
         }
     }
     out
+}
+
+/// The loop-body rule of [`lazy_assignments`] for `body[b]`, an assignment
+/// to `name` in `while (cond) body`, followed by `after`.
+fn body_assignment_is_lazy(
+    cond: &CExpr,
+    body: &[TStmt],
+    b: usize,
+    name: &str,
+    after: &[TStmt],
+) -> bool {
+    let (mut readers, overwritten) = readers_until_overwrite(&body[b + 1..], name);
+    if !overwritten {
+        // The next iteration reads it first unless the body overwrites it
+        // before any read; `body[b]` itself assigns it, so the scan ends.
+        let (carried, _) = readers_until_overwrite(&body[..=b], name);
+        if carried > 0 || cond.free_occurrences(name) > 0 {
+            return false;
+        }
+        readers += readers_until_overwrite(after, name).0;
+    }
+    readers <= 1
 }
 
 impl CompiledProgram {
@@ -248,13 +286,175 @@ mod tests {
         );
         let lazies = lazy_assignments(&p.stmts);
         assert_eq!(lazies.len(), p.statement_count());
-        // k := 0 is read by the while: eager. Everything in the body and
-        // the while slot itself: eager.
+        // k := 0 is read by the while: eager. The while slot, and both body
+        // statements, which the next iteration reads before overwriting:
+        // eager.
         assert!(!lazies[0]);
         let while_slot = 2; // k, total, while, body…
         for &l in &lazies[while_slot..] {
             assert!(!l, "{lazies:?}");
         }
+    }
+
+    /// The pre-order slots of `names`' assignments in `stmts`, in order.
+    fn slots_of(stmts: &[TStmt], name: &str) -> Vec<usize> {
+        fn walk(stmts: &[TStmt], name: &str, slot: &mut usize, out: &mut Vec<usize>) {
+            for s in stmts {
+                match s {
+                    TStmt::Assign { name: n, .. } if n == name => out.push(*slot),
+                    TStmt::Assign { .. } => {}
+                    TStmt::While { body, .. } => {
+                        *slot += 1;
+                        walk(body, name, slot, out);
+                        continue;
+                    }
+                }
+                *slot += 1;
+            }
+        }
+        let mut out = Vec::new();
+        walk(stmts, name, &mut 0, &mut out);
+        out
+    }
+
+    #[test]
+    fn step_local_arrays_of_the_iterative_programs_are_lazy() {
+        use diablo_workloads::programs::{KMEANS, PAGERANK};
+        // PageRank's body: Q := {}, k := k + 1, Q := Q ⊳ {E ⋈ P},
+        // P := P ⊳ {fill}, P := P ⊳[+] {Q ⋈ C}.
+        let p = program(PAGERANK);
+        let lazies = lazy_assignments(&p.stmts);
+        let q = slots_of(&p.stmts, "Q");
+        let pr = slots_of(&p.stmts, "P");
+        assert_eq!(
+            (q.as_slice(), pr.as_slice()),
+            (&[8, 10][..], &[0, 4, 11, 12][..])
+        );
+        assert!(lazies[10], "Q, read once by the rank update: {lazies:?}");
+        assert!(
+            lazies[11],
+            "the step-local P, read once by the update: {lazies:?}"
+        );
+        assert!(
+            !lazies[12],
+            "the carried P, which the next Q reads: {lazies:?}"
+        );
+        assert!(!lazies[4], "P's start, read in the loop: {lazies:?}");
+        // K-Means' body: steps := steps + 1, closest := {}, avg := {},
+        // closest := closest ⊳ {fill}, closest := closest ⊳[^] {P × C},
+        // avg := avg ⊳[+] {P ⋈ closest}, C := C ⊳ {avg}.
+        let p = program(KMEANS);
+        let lazies = lazy_assignments(&p.stmts);
+        let closest = slots_of(&p.stmts, "closest");
+        assert_eq!(closest, [5, 7, 8]);
+        assert_eq!(slots_of(&p.stmts, "avg"), [6, 9]);
+        assert_eq!(slots_of(&p.stmts, "C"), [0, 2, 10]);
+        for (slot, what) in [(7, "closest's fill"), (8, "closest"), (9, "avg")] {
+            assert!(lazies[slot], "{what}: {lazies:?}");
+        }
+        assert!(!lazies[10], "the carried centroids: {lazies:?}");
+    }
+
+    /// `name := (reads…)`, a collection assignment reading `reads`.
+    fn assign(name: &str, reads: &[&str]) -> TStmt {
+        TStmt::Assign {
+            name: name.into(),
+            value: CExpr::Tuple(reads.iter().map(|v| CExpr::var(*v)).collect()),
+            collection: true,
+        }
+    }
+
+    /// `while ((reads…)) body`.
+    fn while_(reads: &[&str], body: Vec<TStmt>) -> TStmt {
+        TStmt::While {
+            cond: CExpr::Tuple(reads.iter().map(|v| CExpr::var(*v)).collect()),
+            body,
+        }
+    }
+
+    #[test]
+    fn loop_body_eligibility_wraps_around_the_body() {
+        // Slot 0 is the while, its body from slot 1 on.
+        let lazies = |stmts: Vec<TStmt>| lazy_assignments(&stmts);
+        // A step-local X, read once in the iteration and overwritten first
+        // thing in the next: lazy.
+        assert_eq!(
+            lazies(vec![while_(
+                &["k"],
+                vec![assign("X", &["V"]), assign("Y", &["X", "Y"])]
+            )]),
+            [false, true, false]
+        );
+        // A carried array: X reads itself.
+        assert_eq!(
+            lazies(vec![while_(&["k"], vec![assign("X", &["X", "V"])])]),
+            [false, false]
+        );
+        // Read in the next iteration before it is overwritten: Y reads X
+        // ahead of X's assignment. Y itself is overwritten before any read.
+        assert_eq!(
+            lazies(vec![while_(
+                &["k"],
+                vec![assign("Y", &["X"]), assign("X", &["V"])]
+            )]),
+            [false, true, false]
+        );
+        // Read by the loop condition, which runs before the next iteration.
+        assert_eq!(
+            lazies(vec![while_(
+                &["X"],
+                vec![assign("X", &["V"]), assign("Y", &["X", "Y"])]
+            )]),
+            [false, false, false]
+        );
+        // Read after the loop too: two readers. Read only after it: one.
+        assert_eq!(
+            lazies(vec![
+                while_(&["k"], vec![assign("X", &["V"]), assign("Y", &["X", "Y"])]),
+                assign("Z", &["X"]),
+            ]),
+            [false, false, false, true]
+        );
+        assert_eq!(
+            lazies(vec![
+                while_(&["k"], vec![assign("X", &["V"])]),
+                assign("Z", &["X"])
+            ]),
+            [false, true, true]
+        );
+        // Read twice in the iteration.
+        assert_eq!(
+            lazies(vec![while_(
+                &["k"],
+                vec![assign("X", &["V"]), assign("Y", &["X", "X", "Y"])]
+            )]),
+            [false, false, false]
+        );
+        // A nested while's body stays eager, and a nested while that only
+        // may assign X does not overwrite it: it may run no iteration, and
+        // then Y and Z both read the first X.
+        assert_eq!(
+            lazies(vec![while_(
+                &["k"],
+                vec![while_(
+                    &["j"],
+                    vec![assign("X", &["V"]), assign("Y", &["X", "Y"])]
+                )]
+            )]),
+            [false, false, false, false]
+        );
+        assert_eq!(
+            lazies(vec![while_(
+                &["k"],
+                vec![
+                    assign("X", &["V"]),
+                    while_(&["j"], vec![assign("X", &["V"])]),
+                    assign("Y", &["X", "Y"]),
+                    assign("Z", &["X", "Z"]),
+                ]
+            )]),
+            [false, false, false, false, false, false]
+        );
     }
 
     #[test]

@@ -47,6 +47,7 @@
 use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use diablo_runtime::array::key_value_ref;
@@ -181,6 +182,9 @@ pub struct Dataset {
     /// otherwise once the plan has been forced — it stays known after the
     /// cache evicts them.
     rows: Arc<OnceLock<Known>>,
+    /// Set once the plan has run without error: forced, or fused into a
+    /// stage that finished on every partition ([`Dataset::has_run`]).
+    ran: Arc<AtomicBool>,
 }
 
 /// What [`Dataset::known`] knows of a dataset's rows.
@@ -280,6 +284,7 @@ impl Dataset {
             plan: Arc::new(PlanOp::Scan(parts)),
             slot,
             rows: Arc::default(),
+            ran: Arc::default(),
         }
     }
 
@@ -296,6 +301,7 @@ impl Dataset {
             plan: Arc::new(PlanOp::Scan(Arc::new(Vec::new()))),
             slot,
             rows: Arc::default(),
+            ran: Arc::default(),
         }
     }
 
@@ -304,15 +310,17 @@ impl Dataset {
     /// stands in for the original chain, so no operator re-executes an
     /// already-materialized upstream while the entry is resident — yet
     /// the cache can still evict the entry (the barrier carries the
-    /// lineage to recompute it). An unforced dataset hands out its raw
-    /// plan so narrow chains keep fusing across the derivation.
+    /// lineage to recompute it). An unforced dataset hands out its plan
+    /// under a [`PlanOp::Pending`] node, so narrow chains keep fusing
+    /// across the derivation and the stage that runs them sets this
+    /// dataset's ran fact.
     fn effective_plan(&self) -> Arc<PlanOp> {
-        if !matches!(self.plan.as_ref(), PlanOp::Scan(_))
-            && self.ctx.dataset_cache().contains(self.slot.id())
-        {
+        if matches!(self.plan.as_ref(), PlanOp::Scan(_)) {
+            self.plan.clone()
+        } else if self.ctx.dataset_cache().contains(self.slot.id()) {
             Arc::new(PlanOp::Cached(self.slot.clone(), self.plan.clone()))
         } else {
-            self.plan.clone()
+            Arc::new(PlanOp::Pending(self.plan.clone(), self.ran.clone()))
         }
     }
 
@@ -326,6 +334,7 @@ impl Dataset {
             plan: Arc::new(op),
             slot,
             rows: Arc::default(),
+            ran: Arc::default(),
         }
     }
 
@@ -351,7 +360,18 @@ impl Dataset {
         let parts = plan::materialize(&self.ctx, &self.plan)?.into_arc();
         cache.insert(self.slot.id(), parts.clone(), &self.ctx)?;
         self.rows.get_or_init(|| Known::of(&self.ctx, &parts));
+        self.ran.store(true, Ordering::Release);
         Ok(parts)
+    }
+
+    /// True when the plan has run without error: base data, a dataset
+    /// forced before, or a pending plan that a stage fused — a shuffle,
+    /// reduction or materialization of some dataset derived from it — and
+    /// finished on every partition. Such a plan can raise no error its
+    /// run did not, so forcing it would only run the chain again. A stage
+    /// that failed or was cancelled leaves the fact unset.
+    pub fn has_run(&self) -> bool {
+        matches!(self.plan.as_ref(), PlanOp::Scan(_)) || self.ran.load(Ordering::Acquire)
     }
 
     /// What the rows are when it is known without running anything: base

@@ -55,6 +55,7 @@
 
 use std::borrow::Cow;
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use diablo_runtime::{BinOp, RuntimeError, Value};
@@ -213,6 +214,13 @@ pub(crate) enum PlanOp {
     /// The `&'static str` names the operator for plan traces
     /// (`reduce_by_key (reduce)`, `merge ⊳ (combine slots)`, …).
     Shuffled(Arc<Vec<Vec<Value>>>, PartOp, &'static str, Tag),
+    /// An unforced dataset's plan as a derivation reads it: the inner
+    /// plan's rows, plus that dataset's *ran* fact, which [`consume`] sets
+    /// once a stage that fused the inner plan has finished on every
+    /// partition without error ([`Dataset::has_run`]).
+    ///
+    /// [`Dataset::has_run`]: crate::Dataset::has_run
+    Pending(Arc<PlanOp>, Arc<AtomicBool>),
 }
 
 /// The operator of one fused narrow step.
@@ -312,11 +320,15 @@ pub(crate) struct Collapsed {
     pub base: Arc<PlanOp>,
     /// Row steps to apply to the base's rows, in execution order.
     pub steps: Vec<Step>,
+    /// The ran facts of the pending datasets whose plans the chain holds.
+    pub ran: Vec<Arc<AtomicBool>>,
 }
 
-/// Walks `Map`/`Filter`/`FlatMap` nodes down to the nearest barrier.
+/// Walks `Map`/`Filter`/`FlatMap` (and `Pending`) nodes down to the
+/// nearest barrier.
 pub(crate) fn collapse(plan: &Arc<PlanOp>) -> Collapsed {
     let mut steps: Vec<Step> = Vec::new();
+    let mut ran = Vec::new();
     let mut cur = plan.clone();
     loop {
         let next = match cur.as_ref() {
@@ -347,12 +359,20 @@ pub(crate) fn collapse(plan: &Arc<PlanOp>) -> Collapsed {
                 });
                 input.clone()
             }
+            PlanOp::Pending(inner, fact) => {
+                ran.push(fact.clone());
+                inner.clone()
+            }
             PlanOp::Scan(_) | PlanOp::Cached(_, _) | PlanOp::Shuffled(..) => break,
         };
         cur = next;
     }
     steps.reverse();
-    Collapsed { base: cur, steps }
+    Collapsed {
+        base: cur,
+        steps,
+        ran,
+    }
 }
 
 /// Walker output: shared when no work was needed, owned otherwise.
@@ -456,7 +476,7 @@ fn resolve_cached(
 /// fused stage that collects each partition's transformed rows.
 pub(crate) fn materialize(ctx: &Context, plan: &Arc<PlanOp>) -> Result<Parts> {
     crate::verify::verify_plan(plan)?;
-    let Collapsed { base, steps } = collapse(plan);
+    let Collapsed { base, steps, .. } = collapse(plan);
     if steps.is_empty() {
         match base.as_ref() {
             PlanOp::Scan(parts) => return Ok(Parts::Shared(parts.clone())),
@@ -483,6 +503,10 @@ pub(crate) fn materialize(ctx: &Context, plan: &Arc<PlanOp>) -> Result<Parts> {
 /// [`PartitionRows`] cursor, and the item's cancellation poll. This is
 /// how shuffles, reductions and [`materialize`] consume a pending chain
 /// without an intermediate materialization.
+///
+/// Once every partition has finished without error, the stage records
+/// that it ran each pending dataset's plan it fused ([`PlanOp::Pending`]);
+/// a failed or cancelled stage records nothing.
 pub(crate) fn consume<R, F>(
     ctx: &Context,
     plan: &Arc<PlanOp>,
@@ -495,7 +519,7 @@ where
 {
     crate::verify::verify_plan(plan)?;
     let mode = &DriveMode::of(ctx);
-    let Collapsed { base, steps } = collapse(plan);
+    let Collapsed { base, steps, ran } = collapse(plan);
     let (parts, prelude) = match base.as_ref() {
         PlanOp::Scan(parts) => (parts.clone(), None),
         PlanOp::Cached(slot, inner) => (resolve_cached(ctx, slot, inner)?, None),
@@ -513,7 +537,7 @@ where
     ));
     note_layout(ctx, mode, &steps);
     let steps = &steps;
-    run_stage_weighted(
+    let out = run_stage_weighted(
         ctx,
         &parts,
         |i| parts[i].len() as u64,
@@ -524,7 +548,11 @@ where
                 None => run(Source::Rows(part)),
             }
         },
-    )
+    )?;
+    for fact in &ran {
+        fact.store(true, Ordering::Release);
+    }
+    Ok(out)
 }
 
 /// The rows of one partition, with the fused chain still to apply, as
@@ -618,7 +646,7 @@ fn describe_stage(
 /// Renders a pending (unforced) plan as one line — the narrow chains a
 /// materialization point would fuse.
 pub(crate) fn render(plan: &Arc<PlanOp>, out: &mut String) {
-    let Collapsed { base, steps } = collapse(plan);
+    let Collapsed { base, steps, .. } = collapse(plan);
     match base.as_ref() {
         PlanOp::Scan(parts) => {
             out.push_str(&format!("scan[{}p]", parts.len()));
@@ -632,7 +660,7 @@ pub(crate) fn render(plan: &Arc<PlanOp>, out: &mut String) {
             out.push_str(&format!("scan[{}p] → {label}", buckets.len()));
         }
         // collapse() never returns a row node as base.
-        PlanOp::Map(..) | PlanOp::Filter(..) | PlanOp::FlatMap(..) => {}
+        PlanOp::Map(..) | PlanOp::Filter(..) | PlanOp::FlatMap(..) | PlanOp::Pending(..) => {}
     }
     for s in &steps {
         out.push_str(" → ");

@@ -90,7 +90,7 @@ fn check(plan: &PlanOp) -> Result<usize> {
         }
         // A cached barrier stands in for its (structurally equivalent)
         // inner plan; on a cache miss that inner plan is what re-runs.
-        PlanOp::Cached(_, inner) => check(inner),
+        PlanOp::Cached(_, inner) | PlanOp::Pending(inner, _) => check(inner),
     }
 }
 

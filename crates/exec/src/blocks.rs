@@ -16,7 +16,9 @@
 //! meet an index `3.0` with `3`, and keep its type in the result), and
 //! both operands must hold at least [`MIN_DENSITY`] of the elements their
 //! bounds allow — all checked from what is known of the operands' rows
-//! before any stage runs.
+//! before any stage runs. An operand still pending (a lazy binding, whose
+//! rows no stage has counted) is forced for the check once every operand
+//! whose rows are known has passed it: its blocks pay for that stage.
 //! The plan trace names the path taken with the densities it measured, or
 //! why the rule declined a statement of its shape.
 
@@ -321,26 +323,29 @@ fn classes<'c>(matched: &Matched<'c>, sess: &Session) -> std::result::Result<Cla
 }
 
 /// The share of `op`'s area, `rows × cols`, its rows fill, or why the
-/// block path cannot take it: its rows are not known before running, or
-/// an index is not a long.
+/// block path cannot take it: it is no array, or an index is not a long.
+/// A pending operand is forced to count its rows.
 fn density(
     op: &Operand,
     sess: &Session,
     rows: IndexRange,
     cols: IndexRange,
-) -> std::result::Result<f64, String> {
-    let known = sess.dataset(op.name).and_then(|d| d.known());
-    let Some(known) = known else {
-        return Err(format!(
-            "the rows of `{}` are not known before running",
-            op.name
-        ));
+) -> Result<std::result::Result<f64, String>> {
+    let Some(data) = sess.dataset(op.name) else {
+        return Ok(Err(format!("`{}` is not an array", op.name)));
+    };
+    let known = match data.known() {
+        Some(known) => known,
+        None => data
+            .materialize()?
+            .known()
+            .expect("a forced dataset's rows are known"),
     };
     if !known.long_indices {
-        return Err(format!("an index of `{}` is not a long", op.name));
+        return Ok(Err(format!("an index of `{}` is not a long", op.name)));
     }
     let side = |r: IndexRange| (i128::from(r.hi) - i128::from(r.lo) + 1) as f64;
-    Ok(known.len as f64 / (side(rows) * side(cols)))
+    Ok(Ok(known.len as f64 / (side(rows) * side(cols))))
 }
 
 /// Builds the block plan of a matched statement, or says why not.
@@ -350,10 +355,15 @@ fn plan(matched: &Matched, sess: &Session) -> Result<std::result::Result<Dataset
         Err(why) => return Ok(Err(why)),
     };
     let (m, n) = (&matched.m, &matched.n);
-    let mut densities = Vec::new();
-    for op in [m, n] {
+    // Operands whose rows are known first: a sparse one declines the
+    // statement before a pending one is forced.
+    let pending = |op: &Operand| sess.dataset(op.name).is_some_and(|d| d.known().is_none());
+    let mut order = [(0, m), (1, n)];
+    order.sort_by_key(|(_, op)| pending(op));
+    let mut densities = [String::new(), String::new()];
+    for (i, op) in order {
         let (rows, cols) = (classes.range(op.vars[0]), classes.range(op.vars[1]));
-        let d = match density(op, sess, rows, cols) {
+        let d = match density(op, sess, rows, cols)? {
             Ok(d) => d,
             Err(why) => return Ok(Err(why)),
         };
@@ -363,7 +373,7 @@ fn plan(matched: &Matched, sess: &Session) -> Result<std::result::Result<Dataset
                 op.name
             )));
         }
-        densities.push(format!("{} {d:.2}", op.name));
+        densities[i] = format!("{} {d:.2}", op.name);
     }
     let at = |row: usize, col: usize| ElementCols { row, col, value: 2 };
     let [p, r] = matched.key.map(|v| classes.class(v));

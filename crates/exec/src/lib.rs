@@ -80,18 +80,25 @@ impl std::fmt::Debug for Binding {
 ///
 /// By default the session is **lazy across statements**: a collection
 /// assignment whose result feeds at most one downstream statement (per
-/// [`diablo_core::lazy_assignments`]) binds its *plan* instead of forcing
-/// a materialization, so the producer's pending stage fuses into the
-/// consumer's — `X := …; Y := f(X)` runs the tail of `X` inside `Y`'s
-/// stage. Materialization happens only at reads: a multi-consumer or
-/// loop-involved assignment, [`Session::collect`]/[`Session::scalar`]
-/// after the run, [`Session::explain`], and the end of [`Session::run`],
-/// which forces every still-pending binding so deferred operator errors
-/// surface from `run` itself. Error locality is preserved by tagging plan
-/// nodes with their source statement (`s3:X`): an error raised inside a
-/// fused cross-statement stage names the statement that built the failing
-/// operator, and the executed-plan trace lists every statement a fused
-/// stage spans.
+/// [`diablo_core::lazy_assignments`]; in a `while` body, one reader in the
+/// same iteration and overwritten before the next reads it) binds its
+/// *plan* instead of forcing a materialization, so the producer's pending
+/// stage fuses into the consumer's — `X := …; Y := f(X)` runs the tail of
+/// `X` inside `Y`'s stage. Every other assignment (several readers, or an
+/// array a loop carries into its next iteration) materializes.
+///
+/// A pending binding is *settled* at a dead store (an assignment that
+/// overwrites it without reading it) and at the end of [`Session::run`]:
+/// if a stage that fused its plan has already finished
+/// ([`Dataset::has_run`]) it is dropped, or left unforced, since forcing it
+/// would only run the chain its reader ran; otherwise it is forced, so its
+/// deferred errors surface from `run` itself. Error locality is preserved
+/// by tagging plan nodes with their source statement (`s3:X`): an error
+/// raised inside a fused cross-statement stage names the statement that
+/// built the failing operator, and the executed-plan trace lists every
+/// statement a fused stage spans. When the run fails, every pending
+/// binding is settled oldest first and the first failure is the error, so
+/// it reads as the eager reference's.
 ///
 /// [`Session::eager`] disables cross-statement laziness (every assignment
 /// materializes, the pre-lazy behavior) — the reference the lazy mode's
@@ -100,16 +107,19 @@ pub struct Session {
     ctx: Context,
     state: HashMap<String, Binding>,
     lazy: bool,
-    /// Lazily bound collections awaiting their end-of-run forcing, in
-    /// binding order.
+    /// Lazily bound collections not settled yet, in binding order.
     pending: Vec<Pending>,
 }
 
-/// A lazily bound collection whose plan has not been forced yet.
+/// A lazily bound collection whose plan had not run when it was bound.
 struct Pending {
     name: String,
     /// The statement that produced it (`s3:X`), for error tags.
     tag: String,
+    /// The plan bound. A later assignment that reads `name` replaces it
+    /// in the state, and the entry stays: its statement still comes first
+    /// in the eager order.
+    data: Dataset,
     /// The binding it replaced, restored if its plan fails: in the eager
     /// reference a failed assignment never rebinds.
     replaced: Option<Binding>,
@@ -261,15 +271,13 @@ impl Session {
         let eligible = diablo_core::lazy_assignments(&program.stmts);
         let mut slot = 0usize;
         for s in &program.stmts {
-            let r = self.exec(s, &eligible, &mut slot);
-            if r.is_err() {
+            if let Err(e) = self.exec(s, &eligible, &mut slot) {
                 self.ctx.set_statement_label(None);
-                // Settle lazy bindings even on a failed run: healthy plans
-                // materialize, broken ones are dropped, so later reads
-                // never panic on a deferred error. The run's own error
-                // wins over any settling error.
-                let _ = self.settle_pending();
-                return r;
+                // The eager reference stops at the first statement that
+                // fails, and a pending binding's statement came before
+                // this one: the first pending failure is the run's error.
+                // Settling also leaves no deferred error for a later read.
+                return Err(self.settle_pending().unwrap_or(e));
             }
         }
         match self.settle_pending() {
@@ -278,18 +286,32 @@ impl Session {
         }
     }
 
-    /// Settles one still-pending binding (no-op if `name` is not
-    /// pending); see [`Session::settle`].
-    fn settle_one(&mut self, name: &str) -> Result<()> {
-        let Some(pos) = self.pending.iter().position(|p| p.name == name) else {
-            return Ok(());
-        };
-        let p = self.pending.remove(pos);
-        self.settle(p)
+    /// Settles the pending bindings of `name` before an assignment that
+    /// overwrites it without reading it: one whose plan has run is dropped
+    /// unforced, any other is forced so its errors are not lost. A failing
+    /// one stays pending, for the run's failure path to settle in binding
+    /// order.
+    fn settle_dead_store(&mut self, name: &str) -> Result<()> {
+        while let Some(i) = self.pending.iter().position(|p| p.name == name) {
+            let p = &self.pending[i];
+            if p.data.has_run() {
+                self.ctx.plan_note(format!(
+                    "dead store drops pending `{name}` ({}): its plan already ran",
+                    p.tag
+                ));
+            } else if let Err(e) = p.data.materialize() {
+                return Err(e.with_context(&p.tag));
+            }
+            self.pending.remove(i);
+        }
+        Ok(())
     }
 
-    /// Forces every lazily bound collection, in binding order; the first
-    /// failure is returned, but every binding is settled regardless.
+    /// Settles every pending binding, oldest first: a plan that has run is
+    /// left unforced, any other is forced. The first failure is returned,
+    /// tagged with its statement, and the state rolls back to the eager
+    /// reference's at that statement: the failed binding and every younger
+    /// pending one give way, newest first, to the bindings they replaced.
     fn settle_pending(&mut self) -> Option<RuntimeError> {
         let pending = std::mem::take(&mut self.pending);
         if pending.is_empty() {
@@ -297,38 +319,23 @@ impl Session {
         }
         self.ctx
             .plan_note("== (materialize lazy results)".to_string());
-        let mut first_err = None;
-        for p in pending {
-            if let Err(e) = self.settle(p) {
-                first_err.get_or_insert(e);
+        let failed = pending.iter().enumerate().find_map(|(i, p)| {
+            if p.data.has_run() {
+                return None;
             }
+            p.data
+                .materialize()
+                .err()
+                .map(|e| (i, e.with_context(&p.tag)))
+        });
+        let (at, err) = failed?;
+        for p in pending.into_iter().skip(at).rev() {
+            match p.replaced {
+                Some(old) => self.state.insert(p.name, old),
+                None => self.state.remove(&p.name),
+            };
         }
-        first_err
-    }
-
-    /// Forces a pending binding. If its plan fails, the binding it
-    /// replaced comes back — as in the eager reference, where the failed
-    /// assignment never rebinds — unless that one fails too, and the
-    /// error is returned tagged with the producing statement.
-    fn settle(&mut self, p: Pending) -> Result<()> {
-        let Some(Binding::Data(d)) = self.state.get(&p.name) else {
-            return Ok(());
-        };
-        let Err(e) = d.materialize() else {
-            return Ok(());
-        };
-        match p.replaced {
-            Some(Binding::Data(old)) if old.materialize().is_err() => {
-                self.state.remove(&p.name);
-            }
-            Some(old) => {
-                self.state.insert(p.name, old);
-            }
-            None => {
-                self.state.remove(&p.name);
-            }
-        }
-        Err(e.with_context(&p.tag))
+        Some(err)
     }
 
     fn exec(&mut self, s: &TStmt, eligible: &[bool], slot: &mut usize) -> Result<()> {
@@ -350,11 +357,9 @@ impl Session {
                     // A dead store over a still-pending binding would
                     // silently discard its deferred errors: if the new
                     // value does not read the old one (so evaluation will
-                    // not consume its chain), settle just that binding
-                    // first, exactly as the eager reference would have
-                    // surfaced the error at the original assignment.
+                    // not consume its chain), settle that binding first.
                     if !value.free_vars().contains(name) {
-                        self.settle_one(name)?;
+                        self.settle_dead_store(name)?;
                     }
                     // Plan nodes built for this statement carry its tag,
                     // so stages and errors stay attributable however far
@@ -363,14 +368,15 @@ impl Session {
                     let data = self.eval_collection(value);
                     self.ctx.set_statement_label(None);
                     let data = data.map_err(|e| e.with_context(&tag))?;
-                    self.pending.retain(|p| p.name != *name);
-                    let data = if self.lazy && eligible.get(my).copied().unwrap_or(false) {
+                    let lazy = self.lazy && eligible.get(my).copied().unwrap_or(false);
+                    let data = if lazy && !data.has_run() {
                         // Lazy binding: the plan stays pending and fuses
-                        // into its (single) consumer; `settle_pending`
-                        // forces it if nothing did.
+                        // into its (single) consumer; it is settled at the
+                        // dead store or the end of the run.
                         self.pending.push(Pending {
                             name: name.clone(),
                             tag,
+                            data: data.clone(),
                             replaced: self.state.get(name).cloned(),
                         });
                         data
@@ -414,7 +420,7 @@ impl Session {
                 self.ctx
                     .plan_note(format!("== while {}", diablo_comp::pretty_cexpr(cond)));
                 // Body statements keep stable pre-order slots across
-                // iterations (lazy_assignments marks them ineligible).
+                // iterations, which `lazy_assignments` numbers.
                 let body_start = *slot;
                 *slot += diablo_core::preorder_len(body);
                 loop {

@@ -14,6 +14,10 @@ pub enum TokenKind {
     Ident(String),
     /// An integer literal.
     Long(i64),
+    /// The integer literal 2^63, one past `i64::MAX`: only a unary minus
+    /// in front of it makes a `long` (`i64::MIN`); anywhere else it is too
+    /// large.
+    MinLongMagnitude,
     /// A floating-point literal.
     Double(f64),
     /// A string literal (unescaped contents).
@@ -90,12 +94,20 @@ pub enum TokenKind {
     Eof,
 }
 
+/// The error of an integer literal a `long` cannot hold — what the parser
+/// says of a [`TokenKind::MinLongMagnitude`] no unary minus negates.
+pub(crate) fn too_large(span: Span) -> LangError {
+    let e = "9223372036854775808".parse::<i64>().unwrap_err();
+    LangError::new(format!("bad integer literal: {e}"), span)
+}
+
 impl TokenKind {
     /// A short human-readable description for error messages.
     pub fn describe(&self) -> String {
         match self {
             TokenKind::Ident(s) => format!("`{s}`"),
             TokenKind::Long(n) => format!("`{n}`"),
+            TokenKind::MinLongMagnitude => format!("`{}`", i64::MIN.unsigned_abs()),
             TokenKind::Double(x) => format!("`{x}`"),
             TokenKind::Str(s) => format!("{s:?}"),
             TokenKind::Eof => "end of input".to_string(),
@@ -272,10 +284,13 @@ impl<'a> Lexer<'a> {
                     .map_err(|e| LangError::new(format!("bad float literal: {e}"), span))?,
             )
         } else {
-            TokenKind::Long(
-                text.parse::<i64>()
-                    .map_err(|e| LangError::new(format!("bad integer literal: {e}"), span))?,
-            )
+            match text.parse::<i64>() {
+                Ok(n) => TokenKind::Long(n),
+                Err(_) if text.parse::<u64>() == Ok(i64::MIN.unsigned_abs()) => {
+                    TokenKind::MinLongMagnitude
+                }
+                Err(e) => return Err(LangError::new(format!("bad integer literal: {e}"), span)),
+            }
         };
         Ok(Token { kind, span })
     }

@@ -616,6 +616,11 @@ impl Parser {
 
     fn unary_expr(&mut self) -> Result<Expr> {
         if self.eat(&TokenKind::Minus) {
+            // `-9223372036854775808` is `i64::MIN`, though its magnitude
+            // is no `long`.
+            if self.eat(&TokenKind::MinLongMagnitude) {
+                return Ok(Expr::Const(Const::Long(i64::MIN)));
+            }
             let e = self.nested(Self::unary_expr)?;
             // Fold negation of literals so `-1` is a constant.
             return Ok(match e {
@@ -661,6 +666,7 @@ impl Parser {
                 self.bump();
                 Ok(Expr::Const(Const::Double(x)))
             }
+            TokenKind::MinLongMagnitude => Err(crate::lexer::too_large(span)),
             TokenKind::Str(s) => {
                 self.bump();
                 Ok(Expr::Const(Const::Str(s)))
@@ -948,6 +954,38 @@ mod tests {
     fn unary_minus_folds_literals() {
         assert_eq!(parse_expr("-5").unwrap(), Expr::Const(Const::Long(-5)));
         assert!(matches!(parse_expr("-x").unwrap(), Expr::Un(UnOp::Neg, _)));
+    }
+
+    #[test]
+    fn the_least_long_is_a_negated_literal() {
+        let min = Expr::Const(Const::Long(i64::MIN));
+        assert_eq!(parse_expr("-9223372036854775808").unwrap(), min);
+        assert_eq!(parse_expr("- 09223372036854775808").unwrap(), min);
+        // Negating it again wraps, as negating a `long` does.
+        assert_eq!(parse_expr("--9223372036854775808").unwrap(), min);
+        let p = parse("var x: long = -9223372036854775808;").unwrap();
+        assert!(matches!(
+            &p.body[0],
+            Stmt::Decl {
+                init: DeclInit::Expr(Expr::Const(Const::Long(i64::MIN))),
+                ..
+            }
+        ));
+        // Its magnitude alone is no `long`, nor is one past it.
+        let too_large = "bad integer literal: number too large to fit in target type";
+        for src in [
+            "9223372036854775808",
+            "1 - 9223372036854775808",
+            "-(9223372036854775808)",
+            "-9223372036854775809",
+        ] {
+            let e = parse_expr(src).unwrap_err();
+            assert_eq!(e.message, too_large, "{src}");
+        }
+        let mut diags = Diagnostics::new();
+        assert!(parse_multi("var x: long = 9223372036854775808;", &mut diags).is_none());
+        let d = diags.iter().next().expect("one diagnostic");
+        assert_eq!((d.code, d.message.as_str()), (codes::SYNTAX, too_large));
     }
 
     #[test]

@@ -400,18 +400,21 @@ fn parse_scalar(s: &str) -> Value {
 
 /// CSV rows: `key,value` (vector/map) or `i,j,value` (matrix). A value
 /// written `(a b c)` parses as a tuple of space-separated scalars, so
-/// tuple-element vectors (e.g. K-Means points) bind from files too.
+/// tuple-element vectors (e.g. K-Means points) bind from files too. An
+/// array holds each key once (§3.4), so a repeated key is an error naming
+/// both lines.
 fn parse_rows(text: &str) -> Result<Vec<Value>, String> {
     let mut rows = Vec::new();
+    let mut bound_on = std::collections::HashMap::new();
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
         let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-        let row = match fields.as_slice() {
-            [k, v] => Value::pair(parse_scalar(k), parse_value(v)),
-            [i, j, v] => Value::pair(
+        let (key, value) = match fields.as_slice() {
+            [k, v] => (parse_scalar(k), parse_value(v)),
+            [i, j, v] => (
                 Value::pair(parse_scalar(i), parse_scalar(j)),
                 parse_value(v),
             ),
@@ -422,7 +425,13 @@ fn parse_rows(text: &str) -> Result<Vec<Value>, String> {
                 ))
             }
         };
-        rows.push(row);
+        if let Some(first) = bound_on.insert(key.clone(), lineno + 1) {
+            return Err(format!(
+                "line {}: key {key} already bound on line {first}",
+                lineno + 1
+            ));
+        }
+        rows.push(Value::pair(key, value));
     }
     Ok(rows)
 }

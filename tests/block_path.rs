@@ -398,3 +398,39 @@ fn sparse_and_other_shapes_keep_their_plans() {
         "{paths:?}"
     );
 }
+
+#[test]
+fn a_pending_dense_operand_is_forced_onto_the_block_path() {
+    // With a dense rating matrix, Matrix Factorization's `err := R - pq`
+    // is a block zip. `pq` is step-local, so its binding is still pending
+    // when `err` is planned: the block path forces it, once `R` has shown
+    // itself dense, and matches the eager run, which materialized `pq`.
+    let mut w = wl::matrix_factorization(20, 2, 2, 3);
+    for (name, rows) in &mut w.collections {
+        if *name == "R" {
+            *rows = matrix(20, 20, share(90, 7), double);
+        }
+    }
+    w.outputs = vec!["P", "Q"];
+    let (_, paths) = default_engine(&w);
+    let zips: Vec<&String> = paths
+        .iter()
+        .filter(|l| l.starts_with("block zip"))
+        .collect();
+    assert_eq!(zips.len(), 2, "one per step: {paths:?}");
+    assert!(zips[0].ends_with("density R 0.91, pq 1.00"), "{zips:?}");
+    let compiled = diablo_core::compile(w.source).expect("compiles");
+    let outputs = |mut s: Session| {
+        for (n, v) in &w.scalars {
+            s.bind_scalar(n, v.clone());
+        }
+        for (n, rows) in &w.collections {
+            s.bind_input(n, rows.clone());
+        }
+        s.run(&compiled).expect("runs");
+        w.outputs.iter().map(|n| s.collect(n)).collect::<Vec<_>>()
+    };
+    let lazy = outputs(Session::new(Context::new(2, 4)));
+    let eager = outputs(Session::eager(Context::new(2, 4)));
+    assert_eq!(format!("{lazy:?}"), format!("{eager:?}"));
+}

@@ -588,3 +588,94 @@ fn csv_tuple_values_bind_point_vectors() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("sx = 4"), "{text}");
 }
+
+#[test]
+fn csv_inputs_reject_a_repeated_key() {
+    // An array holds each key once (§3.4): a second row for a key is an
+    // error naming both lines, before anything runs, for every command
+    // that binds inputs.
+    let p = write_temp(
+        "dup_key.dbl",
+        "input V: vector[long];
+         var X: vector[long] = vector();
+         for i = 0, 9 do X[i] := V[i];",
+    );
+    let csv = write_temp("dup_key.csv", "0,1\n1,2\n1,3\n");
+    for cmd in ["run", "interp", "explain"] {
+        let out = diabloc()
+            .arg(cmd)
+            .arg(&p)
+            .arg(format!("V=@{}", csv.display()))
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{cmd}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("line 3: key 1 already bound on line 2"),
+            "{cmd}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{cmd}");
+    }
+    // A matrix key is the pair of indices; comment lines keep their number.
+    let m = write_temp(
+        "dup_matrix.dbl",
+        "input M: matrix[double];
+         var s: double = 0.0;
+         for v in M do s += v;",
+    );
+    let csv = write_temp("dup_matrix.csv", "0,0,1.0\n0,1,2.0\n# c\n0,0,3.0\n");
+    let out = diabloc()
+        .arg("run")
+        .arg(&m)
+        .arg(format!("M=@{}", csv.display()))
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("line 4: key (0, 0) already bound on line 1"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn the_least_long_literal_runs_and_interprets_alike() {
+    let p = write_temp(
+        "least_long.dbl",
+        "var x: long = -9223372036854775808;
+         var y: long = 0;
+         y := x - 1;",
+    );
+    let outputs: Vec<String> = ["run", "interp"]
+        .iter()
+        .map(|cmd| {
+            let out = diabloc().arg(cmd).arg(&p).output().unwrap();
+            assert!(
+                out.status.success(),
+                "{cmd}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            String::from_utf8_lossy(&out.stdout).into_owned()
+        })
+        .collect();
+    assert_eq!(outputs[0], outputs[1]);
+    assert!(
+        outputs[0].contains("x = -9223372036854775808"),
+        "{}",
+        outputs[0]
+    );
+    assert!(
+        outputs[0].contains("y = 9223372036854775807"),
+        "{}",
+        outputs[0]
+    );
+    // The magnitude alone is still no `long`.
+    let big = write_temp("too_large.dbl", "var x: long = 9223372036854775808;");
+    let out = diabloc().arg("run").arg(&big).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("error[D001]: bad integer literal: number too large"),
+        "{stderr}"
+    );
+}

@@ -11,13 +11,13 @@ use diablo_dataflow::{Context, StatsSnapshot};
 use diablo_exec::Session;
 use diablo_workloads as wl;
 
-/// Runs a workload through a session; returns the named collection in
-/// engine (partition) order plus the run's statistics delta.
-fn run_workload(
-    w: &wl::Workload,
-    lazy: bool,
-    out: &str,
-) -> (Vec<diablo_runtime::Value>, StatsSnapshot) {
+/// Every collection a run binds, by name, in engine (partition) order.
+type Outputs = Vec<(String, Vec<diablo_runtime::Value>)>;
+
+/// Runs a workload through a lazy or an eager session; returns every
+/// collection the program binds plus the run's statistics delta, taken
+/// before the outputs are read back.
+fn run_workload(w: &wl::Workload, lazy: bool) -> (Outputs, StatsSnapshot) {
     let ctx = Context::new(3, 6);
     let compiled = compile(w.source).expect("compiles");
     let mut s = if lazy {
@@ -32,10 +32,15 @@ fn run_workload(
         s.bind_input(n, rows.clone());
     }
     let before = ctx.stats().snapshot();
-    s.run(&compiled).expect("runs");
+    s.run(&compiled).expect(w.name);
     let stats = ctx.stats().snapshot().since(&before);
-    let rows = s.dataset(out).expect("output bound").collect();
-    (rows, stats)
+    let mut outs: Outputs = compiled
+        .collection_names()
+        .into_iter()
+        .filter_map(|n| s.dataset(&n).map(|d| (n, d.collect())))
+        .collect();
+    outs.sort();
+    (outs, stats)
 }
 
 proptest! {
@@ -44,8 +49,8 @@ proptest! {
     #[test]
     fn lazy_word_count_matches_eager_reference(n in 200usize..1500, seed in 1u64..500) {
         let w = wl::word_count(n, seed);
-        let (lazy_rows, lazy_stats) = run_workload(&w, true, "C");
-        let (eager_rows, eager_stats) = run_workload(&w, false, "C");
+        let (lazy_rows, lazy_stats) = run_workload(&w, true);
+        let (eager_rows, eager_stats) = run_workload(&w, false);
         prop_assert_eq!(lazy_rows, eager_rows, "rows/order diverged");
         prop_assert_eq!(lazy_stats.shuffles, eager_stats.shuffles);
         prop_assert_eq!(lazy_stats.shuffled_records, eager_stats.shuffled_records);
@@ -66,8 +71,8 @@ proptest! {
     #[test]
     fn lazy_kmeans_matches_eager_reference(n in 60usize..250, steps in 1usize..3, seed in 1u64..200) {
         let w = wl::kmeans(n, 3, steps, seed);
-        let (lazy_rows, lazy_stats) = run_workload(&w, true, "C");
-        let (eager_rows, eager_stats) = run_workload(&w, false, "C");
+        let (lazy_rows, lazy_stats) = run_workload(&w, true);
+        let (eager_rows, eager_stats) = run_workload(&w, false);
         prop_assert_eq!(lazy_rows, eager_rows, "rows/order diverged");
         prop_assert_eq!(lazy_stats.shuffles, eager_stats.shuffles);
         prop_assert_eq!(lazy_stats.shuffled_records, eager_stats.shuffled_records);
@@ -307,29 +312,313 @@ fn a_failed_lazy_assignment_keeps_the_rows_it_would_have_replaced() {
 #[test]
 fn lazy_and_eager_agree_across_all_figure3_workloads() {
     for w in wl::figure3_workloads(1, 9) {
-        let compiled = compile(w.source).expect(w.name);
-        let run = |lazy: bool| {
-            let ctx = Context::new(2, 4);
-            let mut s = if lazy {
-                Session::new(ctx.clone())
-            } else {
-                Session::eager(ctx.clone())
-            };
-            for (n, v) in &w.scalars {
-                s.bind_scalar(n, v.clone());
-            }
-            for (n, rows) in &w.collections {
-                s.bind_input(n, rows.clone());
-            }
-            s.run(&compiled).expect(w.name);
-            let mut outs: Vec<(String, Vec<diablo_runtime::Value>)> = compiled
-                .collection_names()
-                .into_iter()
-                .filter_map(|n| s.collect(&n).map(|rows| (n, rows)))
-                .collect();
-            outs.sort();
-            outs
-        };
-        assert_eq!(run(true), run(false), "{} diverged", w.name);
+        let (lazy, _) = run_workload(&w, true);
+        let (eager, _) = run_workload(&w, false);
+        assert_eq!(lazy, eager, "{} diverged", w.name);
     }
+}
+
+#[test]
+fn loop_bodies_fuse_their_step_local_arrays_and_run_no_chain_twice() {
+    // The step-local arrays of the iterative programs stay lazy and run
+    // inside their reader's stage. Rows, shuffles and shuffled records
+    // are the eager run's, and each step saves the materializations
+    // removed and no more — a chain run a second time would add its stage
+    // back: PageRank's `Q` and step-local `P` are two stages, K-Means' two
+    // `closest` and `avg` three, and Matrix Factorization's two `pq` and
+    // the step's copies of `P0` and `Q0` into `P` and `Q` four.
+    let saved = |w: &wl::Workload| {
+        let (lazy_outs, lazy) = run_workload(w, true);
+        let (eager_outs, eager) = run_workload(w, false);
+        assert_eq!(lazy_outs, eager_outs, "{}: rows diverged", w.name);
+        assert_eq!(lazy.shuffles, eager.shuffles, "{}", w.name);
+        assert_eq!(lazy.shuffled_records, eager.shuffled_records, "{}", w.name);
+        assert!(
+            lazy.physical_stages < eager.physical_stages,
+            "{}: {} lazy vs {} eager stages",
+            w.name,
+            lazy.physical_stages,
+            eager.physical_stages
+        );
+        eager.physical_stages - lazy.physical_stages
+    };
+    for (one_step, three_steps, per_step) in [
+        (wl::pagerank(80, 1, 5), wl::pagerank(80, 3, 5), 2),
+        (wl::kmeans(200, 2, 1, 5), wl::kmeans(200, 2, 3, 5), 3),
+        (
+            wl::matrix_factorization(8, 2, 1, 5),
+            wl::matrix_factorization(8, 2, 3, 5),
+            4,
+        ),
+    ] {
+        assert_eq!(
+            saved(&three_steps) - saved(&one_step),
+            2 * per_step,
+            "{}",
+            one_step.name
+        );
+    }
+}
+
+#[test]
+fn explain_shows_loop_bodies_fused_and_dead_stores_dropping_run_plans() {
+    // Each PageRank step runs `Q`'s build–probe in the rank update's left
+    // scatter, and the next step's `Q := {}` drops the `Q` whose plan that
+    // stage ran instead of forcing it again; the last step's is left
+    // unforced at the end of the run. K-Means' next step drops both
+    // `closest` bindings and `avg`.
+    for (w, steps, spans, drops) in [
+        (
+            wl::pagerank(60, 3, 7),
+            3,
+            "[spans stmts: s10:Q, s12:P]",
+            vec!["dead store drops pending `Q` (s10:Q): its plan already ran"; 2],
+        ),
+        (
+            wl::kmeans(300, 2, 2, 7),
+            2,
+            "[spans stmts: s8:closest, s9:avg]",
+            vec![
+                "dead store drops pending `closest` (s7:closest): its plan already ran",
+                "dead store drops pending `closest` (s8:closest): its plan already ran",
+                "dead store drops pending `avg` (s9:avg): its plan already ran",
+            ],
+        ),
+    ] {
+        let compiled = compile(w.source).unwrap();
+        let mut s = Session::new(Context::new(2, 4));
+        for (n, v) in &w.scalars {
+            s.bind_scalar(n, v.clone());
+        }
+        for (n, rows) in &w.collections {
+            s.bind_input(n, rows.clone());
+        }
+        let plan = s.explain(&compiled).unwrap();
+        assert_eq!(
+            plan.lines().filter(|l| l.contains(spans)).count(),
+            steps,
+            "{}: one fused stage per step:\n{plan}",
+            w.name
+        );
+        let got: Vec<&str> = plan
+            .lines()
+            .map(str::trim)
+            .filter(|l| l.starts_with("dead store"))
+            .collect();
+        assert_eq!(got, drops, "{}:\n{plan}", w.name);
+    }
+}
+
+/// `V`/`W` rows `i ↦ i - 4` and `i ↦ i - 6`: each holds one zero.
+fn bind_two_zeros(s: &mut Session) {
+    use diablo_runtime::Value;
+    for (name, zero) in [("V", 4), ("W", 6)] {
+        s.bind_input(
+            name,
+            (0..10)
+                .map(|i| Value::pair(Value::Long(i), Value::Long(i - zero)))
+                .collect(),
+        );
+    }
+}
+
+/// Runs `src` on a lazy and on an eager session bound by `bind`, both
+/// failing; returns each run's error and its bindings of `names`.
+fn failing_runs(
+    src: &str,
+    bind: impl Fn(&mut Session),
+    names: &[&str],
+) -> [(String, Vec<Option<diablo_exec::Binding>>); 2] {
+    let compiled = compile(src).unwrap();
+    [true, false].map(|lazy| {
+        let ctx = Context::new(2, 4);
+        let mut s = match lazy {
+            true => Session::new(ctx),
+            false => Session::eager(ctx),
+        };
+        bind(&mut s);
+        let err = s.run(&compiled).expect_err("the run fails").message;
+        let bindings = names.iter().map(|n| s.binding(n).cloned()).collect();
+        (err, bindings)
+    })
+}
+
+/// A binding's value, for comparing sessions: a scalar, or a dataset's
+/// rows sorted.
+fn value_of(b: &Option<diablo_exec::Binding>) -> Option<String> {
+    b.as_ref().map(|b| match b {
+        diablo_exec::Binding::Scalar(v) => v.to_string(),
+        diablo_exec::Binding::Data(d) => format!("{:?}", d.collect_sorted()),
+    })
+}
+
+/// Asserts the lazy and eager runs failed alike: same error text, same
+/// bindings afterwards.
+fn assert_fail_alike(runs: &[(String, Vec<Option<diablo_exec::Binding>>); 2], names: &[&str]) {
+    let [(lazy_err, lazy), (eager_err, eager)] = runs;
+    assert_eq!(lazy_err, eager_err);
+    for (i, name) in names.iter().enumerate() {
+        assert_eq!(value_of(&lazy[i]), value_of(&eager[i]), "binding `{name}`");
+    }
+}
+
+#[test]
+fn two_failing_lazy_producers_report_the_first_as_the_eager_run_does() {
+    // X (s3) and Y (s4) both divide by zero and Z (s5) reads both: the
+    // reader's stage meets whichever side it scatters first, but the
+    // eager reference fails at X's statement, and so must the lazy run,
+    // with Y and Z left as the eager run leaves them.
+    for operands in ["Y[i] + X[i]", "X[i] + Y[i]"] {
+        let src = format!(
+            "input V: vector[long];
+             input W: vector[long];
+             var X: vector[long] = vector();
+             var Y: vector[long] = vector();
+             var Z: vector[long] = vector();
+             for i = 0, 9 do X[i] := 100 / V[i];
+             for i = 0, 9 do Y[i] := 100 / W[i];
+             for i = 0, 9 do Z[i] := {operands};"
+        );
+        let names = ["X", "Y", "Z"];
+        let runs = failing_runs(&src, bind_two_zeros, &names);
+        assert_eq!(runs[1].0, "[s3:X] division by zero", "{operands}");
+        assert_fail_alike(&runs, &names);
+    }
+    // The same inside a loop body, where X and Y are step-local and Z is
+    // carried: the first step fails at X.
+    let src = "
+        input V: vector[long];
+        input W: vector[long];
+        var Z: vector[long] = vector();
+        var k: long = 0;
+        while (k < 2) {
+            k += 1;
+            var X: vector[long] = vector();
+            var Y: vector[long] = vector();
+            for i = 0, 9 do X[i] := 100 / V[i];
+            for i = 0, 9 do Y[i] := 100 / W[i];
+            for i = 0, 9 do Z[i] := Y[i] + X[i];
+        };";
+    let compiled = compile(src).unwrap();
+    let lazies = diablo_core::lazy_assignments(&compiled.stmts);
+    assert_eq!(lazies[6..], [true, true, false], "X and Y lazy, Z carried");
+    let names = ["X", "Y", "Z", "k"];
+    let runs = failing_runs(src, bind_two_zeros, &names);
+    assert_eq!(runs[1].0, "[s6:X] division by zero");
+    assert_fail_alike(&runs, &names);
+}
+
+#[test]
+fn a_failing_lazy_step_fails_and_leaves_bindings_as_the_eager_run_does() {
+    // PageRank's shape with a degree vector holding a zero: `Q`'s step
+    // divides by it. `Q` and the step-local `P` are lazy, and the rank
+    // update's stage is where `Q`'s chain runs and fails. The error is
+    // `Q`'s own, and `P` is the previous step's ranks — the eager run
+    // never reached the step-local `P`.
+    let src = "
+        input E: matrix[bool];
+        input D: vector[long];
+        input vertices: long;
+        input num_steps: long;
+        var P: vector[double] = vector();
+        var b: double = 0.85;
+        for i = 0, vertices-1 do
+            P[i] := 1.0 / vertices;
+        var k: long = 0;
+        while (k < num_steps) {
+            var Q: matrix[double] = matrix();
+            k += 1;
+            for i = 0, vertices-1 do
+                for j = 0, vertices-1 do
+                    if (E[i, j])
+                        Q[i, j] := P[i] * (100 / D[i]);
+            for i = 0, vertices-1 do
+                P[i] := (1.0 - b) / vertices;
+            for i = 0, vertices-1 do
+                for j = 0, vertices-1 do
+                    P[i] += b * Q[j, i];
+        };";
+    let compiled = compile(src).unwrap();
+    let lazies = diablo_core::lazy_assignments(&compiled.stmts);
+    let (q, step_p, carried_p) = (7, 8, 9);
+    assert!(
+        lazies[q] && lazies[step_p] && !lazies[carried_p],
+        "{lazies:?}"
+    );
+    let bind = |s: &mut Session| {
+        use diablo_runtime::Value;
+        let v = 12i64;
+        s.bind_scalar("vertices", Value::Long(v));
+        s.bind_scalar("num_steps", Value::Long(3));
+        s.bind_input(
+            "E",
+            (0..v)
+                .map(|i| {
+                    let key = Value::pair(Value::Long(i), Value::Long((i * 5 + 1) % v));
+                    Value::pair(key, Value::Bool(true))
+                })
+                .collect(),
+        );
+        s.bind_input(
+            "D",
+            (0..v)
+                .map(|i| Value::pair(Value::Long(i), Value::Long(i32::from(i != 7).into())))
+                .collect(),
+        );
+    };
+    let names = ["P", "Q", "k", "b"];
+    let runs = failing_runs(src, bind, &names);
+    assert_eq!(runs[1].0, "[s7:Q] division by zero");
+    assert_fail_alike(&runs, &names);
+}
+
+#[test]
+fn a_lazy_binding_its_reader_never_ran_is_forced_at_the_dead_store() {
+    // The reader of `X` has a driver prefix, `flag > 0`, that binds no
+    // rows, so it is empty without running `X`'s chain. The next step's
+    // `X := {}` finds `X` unrun and forces it: the error surfaces as in
+    // the eager run.
+    let src = "
+        input V: vector[long];
+        input n: long;
+        input flag: long;
+        var Y: vector[long] = vector();
+        var k: long = 0;
+        while (k < n) {
+            k += 1;
+            var X: vector[long] = vector();
+            for i = 0, 9 do X[i] := 100 / V[i];
+            if (flag > 0)
+                for i = 0, 9 do Y[i] := X[i];
+        };";
+    let compiled = compile(src).unwrap();
+    assert!(
+        diablo_core::lazy_assignments(&compiled.stmts)[5],
+        "X is lazy"
+    );
+    let bind = |s: &mut Session| {
+        use diablo_runtime::Value;
+        s.bind_scalar("n", Value::Long(2));
+        s.bind_scalar("flag", Value::Long(0));
+        s.bind_input(
+            "V",
+            (0..10)
+                .map(|i| Value::pair(Value::Long(i), Value::Long(i - 4)))
+                .collect(),
+        );
+    };
+    let [(lazy_err, _), (eager_err, _)] = failing_runs(src, bind, &[]);
+    assert_eq!(lazy_err, eager_err);
+    assert_eq!(eager_err, "[s5:X] division by zero");
+    // The lazy run got past the first step: the error came from the dead
+    // store, not the end of the run.
+    let mut s = Session::new(Context::new(2, 4));
+    bind(&mut s);
+    let plan_err = s.explain(&compiled).unwrap_err();
+    assert_eq!(plan_err.message, eager_err);
+    s.bind_scalar("n", diablo_runtime::Value::Long(1));
+    assert!(
+        s.run(&compiled).is_err(),
+        "the end-of-run settle forces it too"
+    );
 }

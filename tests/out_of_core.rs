@@ -158,21 +158,27 @@ fn keyed_aggregations_are_budget_invariant_on_the_columnar_path() {
 /// broadcast cross and a join per step) with 4 KiB for the exchange — the
 /// joined rows cross it without a key wrapper and come back from spill
 /// runs — and 4 KiB for the dataset cache return the `local` row
-/// reference's rows, in its order.
+/// reference's rows, in its order, from a lazy and an eager session.
 /// PageRank and K-Means run every stage columnar; Matrix Multiplication
-/// keeps the one range expansion that zeroes its result.
+/// keeps the one range expansion that zeroes its result. The eager session
+/// materializes every step's arrays, so its dataset cache spills on every
+/// workload; the lazy one binds K-Means' step-local `closest` and `avg`
+/// unforced, and caches only centroids far below the budget.
 #[test]
 fn joins_and_crosses_are_budget_invariant_on_the_columnar_path() {
     let workloads = [
-        (wl::pagerank(60, 3, 7), 0),
-        (wl::matrix_multiplication(24, 7), 1),
-        (wl::kmeans(300, 2, 2, 7), 0),
+        (wl::pagerank(60, 3, 7), 0, true),
+        (wl::matrix_multiplication(24, 7), 1, true),
+        (wl::kmeans(300, 2, 2, 7), 0, false),
     ];
-    for (w, fallbacks) in &workloads {
-        let run = |engine: Engine, budget: Option<u64>| {
+    for (w, fallbacks, lazy_spills) in &workloads {
+        let run = |engine: Engine, budget: Option<u64>, lazy: bool| {
             let ctx = engine.budget(budget).context(3, 6);
             ctx.set_dataset_budget(budget);
-            let mut s = Session::new(ctx.clone());
+            let mut s = match lazy {
+                true => Session::new(ctx.clone()),
+                false => Session::eager(ctx.clone()),
+            };
             for (n, v) in &w.scalars {
                 s.bind_scalar(n, v.clone());
             }
@@ -183,14 +189,14 @@ fn joins_and_crosses_are_budget_invariant_on_the_columnar_path() {
             let rows = s.dataset(w.outputs[0]).expect("output bound").collect();
             (rows, ctx.stats().snapshot())
         };
-        let (reference, _) = run(Engine::ROW, None);
+        let (reference, _) = run(Engine::ROW, None, true);
         assert!(!reference.is_empty(), "{}", w.name);
-        for budget in [None, Some(4096)] {
-            let (got, stats) = run(Engine::COLUMNAR, budget);
+        for (budget, lazy) in [(None, true), (Some(4096), true), (Some(4096), false)] {
+            let (got, stats) = run(Engine::COLUMNAR, budget, lazy);
             assert_eq!(
                 format!("{got:?}"),
                 format!("{reference:?}"),
-                "{} diverged (budget={budget:?})",
+                "{} diverged (budget={budget:?}, lazy={lazy})",
                 w.name
             );
             assert!(stats.vectorized_batches > 0, "{}: {stats:?}", w.name);
@@ -201,7 +207,12 @@ fn joins_and_crosses_are_budget_invariant_on_the_columnar_path() {
             );
             if budget.is_some() {
                 assert!(stats.spilled_bytes > 0, "{}: {stats:?}", w.name);
-                assert!(stats.dataset_spills > 0, "{}: {stats:?}", w.name);
+                assert_eq!(
+                    stats.dataset_spills > 0,
+                    !lazy || *lazy_spills,
+                    "{} (lazy={lazy}): {stats:?}",
+                    w.name
+                );
             }
         }
     }
