@@ -1,0 +1,591 @@
+//! Column chunks: the form a shuffle bucket takes.
+//!
+//! A [`Chunk`] is the rows of one bucket, either as boxed rows
+//! ([`Chunk::Rows`]) or as typed lanes ([`Chunk::Cols`]): one lane per leaf
+//! of the rows' tuple layout, held as a [`VCol`] — i64, f64 and bool lanes,
+//! struct-of-arrays tuples, and a boxed escape lane (`VCol::Val`) for
+//! strings, records and mixed types. A `Cols` chunk reads as a column tile
+//! with no `decompose` ([`Chunk::col`]), and [`Chunk::row`] boxes one row
+//! for a row consumer: the row it stands for is the row the exchange was
+//! sent.
+//!
+//! Who writes which: a columnar tile sent through a keyed scatter appends
+//! its columns to a [`ChunkBuf`]'s lanes; a row — of a chain on the row
+//! path, of a replayed tile, a §5 block, a spilled run — goes into `Rows`.
+//! So the row layout, the tests' reference, writes `Rows` chunks only.
+//! Lanes that do not agree — a column that is Long in one tile and Double
+//! in another, tuples of two arities — fall back to the boxed lane, at the
+//! leaf where they disagree.
+
+use std::borrow::Cow;
+use std::sync::Arc;
+
+use diablo_runtime::array::key_value_ref;
+use diablo_runtime::size::{
+    sampled_size, serialized_size, tuple_size, BOOL_SIZE, DOUBLE_SIZE, LONG_SIZE,
+};
+use diablo_runtime::{RuntimeError, Value};
+
+use crate::columnar::{decompose, each_key, env_fields, VCol};
+use crate::keytable::Key;
+use crate::plan::Result;
+
+/// The rows of one shuffle bucket (or of one side of it).
+#[derive(Debug)]
+pub(crate) enum Chunk {
+    /// Boxed rows.
+    Rows(Vec<Value>),
+    /// `len` rows as lanes; every lane holds `len` rows
+    /// ([`crate::verify`] checks it).
+    Cols { len: usize, lanes: VCol<'static> },
+}
+
+impl Chunk {
+    /// The number of rows.
+    pub fn len(&self) -> usize {
+        match self {
+            Chunk::Rows(rows) => rows.len(),
+            Chunk::Cols { len, .. } => *len,
+        }
+    }
+
+    /// Row `i`, boxed.
+    pub fn row(&self, i: usize) -> Value {
+        match self {
+            Chunk::Rows(rows) => rows[i].clone(),
+            Chunk::Cols { lanes, .. } => lanes.get(i),
+        }
+    }
+
+    /// Every row, boxed: borrowed from a `Rows` chunk, built for a `Cols`
+    /// one.
+    pub fn rows(&self) -> Cow<'_, [Value]> {
+        match self {
+            Chunk::Rows(rows) => Cow::Borrowed(rows),
+            Chunk::Cols { len, lanes } => Cow::Owned((0..*len).map(|i| lanes.get(i)).collect()),
+        }
+    }
+
+    /// The rows as one column: the lanes themselves, or the boxed rows
+    /// decomposed.
+    pub fn col(&self) -> VCol<'_> {
+        match self {
+            Chunk::Rows(rows) => decompose(rows),
+            Chunk::Cols { lanes, .. } => lanes.clone(),
+        }
+    }
+
+    /// The arity of row `i` when it is a tuple.
+    pub fn arity(&self, i: usize) -> Option<usize> {
+        match self {
+            Chunk::Rows(rows) => rows[i].as_tuple().map(<[Value]>::len),
+            Chunk::Cols { lanes, .. } => match lanes {
+                VCol::Tuple(cols) => Some(cols.len()),
+                VCol::Long(_) | VCol::Double(_) | VCol::Bool(_) => None,
+                VCol::Const(_) | VCol::Refs(_) | VCol::Val(_) => {
+                    lanes.at(i).as_tuple().map(<[Value]>::len)
+                }
+            },
+        }
+    }
+
+    /// Appends the fields of row `i`, which must be a tuple (the error of
+    /// `env_fields` otherwise).
+    pub fn push_fields(&self, i: usize, out: &mut Vec<Value>) -> Result<()> {
+        match self {
+            Chunk::Cols {
+                lanes: VCol::Tuple(cols),
+                ..
+            } => out.extend(cols.iter().map(|c| c.get(i))),
+            Chunk::Rows(rows) => out.extend_from_slice(env_fields(&rows[i])?),
+            Chunk::Cols { lanes, .. } => out.extend_from_slice(env_fields(&lanes.at(i))?),
+        }
+        Ok(())
+    }
+
+    /// The key and value of row `i`, a `(key, value)` pair (the error of
+    /// `key_value_ref` otherwise).
+    pub fn pair(&self, i: usize) -> Result<(Cow<'_, Value>, Cow<'_, Value>)> {
+        match self {
+            Chunk::Rows(rows) => {
+                let (k, v) = key_value_ref(&rows[i])?;
+                Ok((Cow::Borrowed(k), Cow::Borrowed(v)))
+            }
+            Chunk::Cols { lanes, .. } => match lanes {
+                VCol::Tuple(kv) if kv.len() == 2 => Ok((kv[0].at(i), kv[1].at(i))),
+                _ => {
+                    let row = lanes.at(i);
+                    let (k, v) = key_value_ref(&row)?;
+                    Ok((Cow::Owned(k.clone()), Cow::Owned(v.clone())))
+                }
+            },
+        }
+    }
+
+    /// Hands `each` the key and value of every `(key, value)` row, in row
+    /// order: the key read from its lanes where it has them, so a table
+    /// boxes it only on insertion.
+    pub fn each_pair(
+        &self,
+        each: &mut dyn FnMut(Key<'_>, Cow<'_, Value>) -> Result<()>,
+    ) -> Result<()> {
+        match self {
+            Chunk::Cols {
+                len,
+                lanes: VCol::Tuple(kv),
+            } if kv.len() == 2 => each_key(&kv[0], *len, |i, key| each(key, kv[1].at(i))),
+            _ => (0..self.len()).try_for_each(|i| {
+                let (k, v) = self.pair(i)?;
+                each(Key::from(k), v)
+            }),
+        }
+    }
+
+    /// The `serialized_size` of row `i`, read from its lanes.
+    pub fn row_size(&self, i: usize) -> usize {
+        match self {
+            Chunk::Rows(rows) => serialized_size(&rows[i]),
+            Chunk::Cols { lanes, .. } => row_size(lanes, i),
+        }
+    }
+}
+
+/// The `serialized_size` of row `i` of `col`: what boxing it and asking
+/// would say.
+pub(crate) fn row_size(col: &VCol, i: usize) -> usize {
+    match col {
+        VCol::Long(_) => LONG_SIZE,
+        VCol::Double(_) => DOUBLE_SIZE,
+        VCol::Bool(_) => BOOL_SIZE,
+        VCol::Tuple(cols) => tuple_size(cols.iter().map(|c| row_size(c, i))),
+        VCol::Const(v) => serialized_size(v),
+        VCol::Refs(rows) => serialized_size(rows[i]),
+        VCol::Val(rows) => serialized_size(&rows[i]),
+    }
+}
+
+/// Sampled byte estimate of a shuffle's buckets ([`sampled_size`] per
+/// bucket), a lane row measured as the row it stands for.
+pub(crate) fn estimate_bytes(chunks: &[Chunk]) -> u64 {
+    chunks
+        .iter()
+        .map(|c| sampled_size(c.len(), |i| c.row_size(i)))
+        .sum()
+}
+
+/// One partition of a post-shuffle stage: a bucket of one exchange, or the
+/// same bucket of two (left and right).
+#[derive(Debug)]
+pub(crate) enum Bucket {
+    One(Chunk),
+    Two(Chunk, Chunk),
+}
+
+impl Bucket {
+    /// The rows of every side.
+    pub fn len(&self) -> usize {
+        match self {
+            Bucket::One(c) => c.len(),
+            Bucket::Two(l, r) => l.len() + r.len(),
+        }
+    }
+
+    /// Every side's chunk.
+    pub fn chunks(&self) -> impl Iterator<Item = &Chunk> {
+        let (a, b) = match self {
+            Bucket::One(c) => (c, None),
+            Bucket::Two(l, r) => (l, Some(r)),
+        };
+        std::iter::once(a).chain(b)
+    }
+
+    /// The chunk of a one-sided bucket.
+    pub fn one(&self) -> Result<&Chunk> {
+        match self {
+            Bucket::One(c) => Ok(c),
+            Bucket::Two(..) => Err(RuntimeError::new(
+                "corrupt shuffle bucket: two sides where one was expected",
+            )),
+        }
+    }
+
+    /// The left and right chunks of a two-sided bucket.
+    pub fn two(&self) -> Result<(&Chunk, &Chunk)> {
+        match self {
+            Bucket::Two(l, r) => Ok((l, r)),
+            Bucket::One(_) => Err(RuntimeError::new(
+                "corrupt shuffle bucket: one side where two were expected",
+            )),
+        }
+    }
+}
+
+/// A lane being built: the owned, growable form of a chunk's [`VCol`].
+pub(crate) enum LaneBuf {
+    Long(Vec<i64>),
+    Double(Vec<f64>),
+    Bool(Vec<bool>),
+    /// One lane per field; at least one field.
+    Tuple(Vec<LaneBuf>),
+    Boxed(Vec<Value>),
+}
+
+impl LaneBuf {
+    /// An empty lane of the kind `v` is: a primitive lane, a lane per
+    /// field of a tuple, the boxed lane for anything else. A chunk's lanes
+    /// take the kind of its first row.
+    fn like_value(v: &Value) -> LaneBuf {
+        match v {
+            Value::Long(_) => LaneBuf::Long(Vec::new()),
+            Value::Double(_) => LaneBuf::Double(Vec::new()),
+            Value::Bool(_) => LaneBuf::Bool(Vec::new()),
+            Value::Tuple(fields) if !fields.is_empty() => {
+                LaneBuf::Tuple(fields.iter().map(LaneBuf::like_value).collect())
+            }
+            _ => LaneBuf::Boxed(Vec::new()),
+        }
+    }
+
+    /// A finished lane of `len` rows, to append to: its vectors taken
+    /// over when nothing else holds them.
+    fn from_col(col: VCol<'static>, len: usize) -> LaneBuf {
+        fn own<T: Clone>(v: Arc<Vec<T>>) -> Vec<T> {
+            Arc::try_unwrap(v).unwrap_or_else(|v| (*v).clone())
+        }
+        match col {
+            VCol::Long(v) => LaneBuf::Long(own(v)),
+            VCol::Double(v) => LaneBuf::Double(own(v)),
+            VCol::Bool(v) => LaneBuf::Bool(own(v)),
+            VCol::Tuple(cols) if !cols.is_empty() => LaneBuf::Tuple(
+                own(cols)
+                    .into_iter()
+                    .map(|c| LaneBuf::from_col(c, len))
+                    .collect(),
+            ),
+            VCol::Val(v) => LaneBuf::Boxed(own(v)),
+            other => LaneBuf::Boxed((0..len).map(|i| other.get(i)).collect()),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            LaneBuf::Long(v) => v.len(),
+            LaneBuf::Double(v) => v.len(),
+            LaneBuf::Bool(v) => v.len(),
+            LaneBuf::Tuple(lanes) => lanes[0].len(),
+            LaneBuf::Boxed(v) => v.len(),
+        }
+    }
+
+    fn get(&self, i: usize) -> Value {
+        match self {
+            LaneBuf::Long(v) => Value::Long(v[i]),
+            LaneBuf::Double(v) => Value::Double(v[i]),
+            LaneBuf::Bool(v) => Value::Bool(v[i]),
+            LaneBuf::Tuple(lanes) => Value::tuple(lanes.iter().map(|l| l.get(i)).collect()),
+            LaneBuf::Boxed(v) => v[i].clone(),
+        }
+    }
+
+    /// Appends rows `rows` of `col`, in that order. A column this lane
+    /// cannot hold as it is turns the lane into the boxed lane first.
+    fn extend(&mut self, col: &VCol, rows: impl Iterator<Item = usize> + Clone) {
+        match (&mut *self, col) {
+            (LaneBuf::Long(v), VCol::Long(lane)) => v.extend(rows.map(|r| lane[r])),
+            (LaneBuf::Long(v), VCol::Const(Value::Long(n))) => v.extend(rows.map(|_| *n)),
+            (LaneBuf::Double(v), VCol::Double(lane)) => v.extend(rows.map(|r| lane[r])),
+            (LaneBuf::Double(v), VCol::Const(Value::Double(x))) => v.extend(rows.map(|_| *x)),
+            (LaneBuf::Bool(v), VCol::Bool(lane)) => v.extend(rows.map(|r| lane[r])),
+            (LaneBuf::Bool(v), VCol::Const(Value::Bool(b))) => v.extend(rows.map(|_| *b)),
+            (LaneBuf::Tuple(lanes), VCol::Tuple(cols)) if lanes.len() == cols.len() => {
+                for (lane, c) in lanes.iter_mut().zip(cols.iter()) {
+                    lane.extend(c, rows.clone());
+                }
+            }
+            (LaneBuf::Boxed(v), _) => v.extend(rows.map(|r| col.get(r))),
+            (lane, VCol::Const(_) | VCol::Refs(_) | VCol::Val(_)) => {
+                rows.for_each(|r| lane.push_value(&col.at(r)))
+            }
+            (lane, _) => {
+                lane.box_all();
+                lane.extend(col, rows);
+            }
+        }
+    }
+
+    /// Appends one boxed value, taken apart into this lane's leaves; a
+    /// leaf it does not fit turns into the boxed lane first.
+    fn push_value(&mut self, v: &Value) {
+        match (&mut *self, v) {
+            (LaneBuf::Long(lane), Value::Long(n)) => lane.push(*n),
+            (LaneBuf::Double(lane), Value::Double(x)) => lane.push(*x),
+            (LaneBuf::Bool(lane), Value::Bool(b)) => lane.push(*b),
+            (LaneBuf::Tuple(lanes), Value::Tuple(fields)) if lanes.len() == fields.len() => {
+                for (lane, f) in lanes.iter_mut().zip(fields.iter()) {
+                    lane.push_value(f);
+                }
+            }
+            (LaneBuf::Boxed(lane), v) => lane.push(v.clone()),
+            (lane, v) => {
+                lane.box_all();
+                lane.push_value(v);
+            }
+        }
+    }
+
+    /// Turns this lane into the boxed lane of the same rows.
+    fn box_all(&mut self) {
+        *self = LaneBuf::Boxed((0..self.len()).map(|i| self.get(i)).collect());
+    }
+
+    fn finish(self) -> VCol<'static> {
+        match self {
+            LaneBuf::Long(v) => VCol::Long(Arc::new(v)),
+            LaneBuf::Double(v) => VCol::Double(Arc::new(v)),
+            LaneBuf::Bool(v) => VCol::Bool(Arc::new(v)),
+            LaneBuf::Tuple(lanes) => {
+                VCol::Tuple(Arc::new(lanes.into_iter().map(LaneBuf::finish).collect()))
+            }
+            LaneBuf::Boxed(v) => VCol::Val(Arc::new(v)),
+        }
+    }
+}
+
+/// A chunk being built: boxed rows, or lanes.
+pub(crate) enum ChunkBuf {
+    Rows(Vec<Value>),
+    Cols { len: usize, lanes: LaneBuf },
+}
+
+impl Default for ChunkBuf {
+    fn default() -> ChunkBuf {
+        ChunkBuf::Rows(Vec::new())
+    }
+}
+
+impl ChunkBuf {
+    pub fn len(&self) -> usize {
+        match self {
+            ChunkBuf::Rows(rows) => rows.len(),
+            ChunkBuf::Cols { len, .. } => *len,
+        }
+    }
+
+    /// True when the next row must start a new chunk to go in as a boxed
+    /// row.
+    pub fn holds_cols(&self) -> bool {
+        matches!(self, ChunkBuf::Cols { len, .. } if *len > 0)
+    }
+
+    /// True when the next tile must start a new chunk to go in as lanes.
+    pub fn holds_rows(&self) -> bool {
+        matches!(self, ChunkBuf::Rows(rows) if !rows.is_empty())
+    }
+
+    /// Appends one boxed row. The buffer must not hold lanes
+    /// ([`ChunkBuf::holds_cols`]).
+    pub fn push_row(&mut self, row: Value) {
+        match self {
+            ChunkBuf::Rows(rows) => rows.push(row),
+            ChunkBuf::Cols { .. } => *self = ChunkBuf::Rows(vec![row]),
+        }
+    }
+
+    /// Appends rows `rows` of the tile column `col` as lanes. The buffer
+    /// must not hold boxed rows ([`ChunkBuf::holds_rows`]).
+    pub fn push_tile(&mut self, col: &VCol, rows: &[u32]) {
+        if !matches!(self, ChunkBuf::Cols { .. }) {
+            let first = rows.first().map_or(0, |&r| r as usize);
+            *self = ChunkBuf::Cols {
+                len: 0,
+                lanes: LaneBuf::like_value(&col.at(first)),
+            };
+        }
+        if let ChunkBuf::Cols { len, lanes } = self {
+            lanes.extend(col, rows.iter().map(|&r| r as usize));
+            *len += rows.len();
+        }
+    }
+
+    /// The finished chunk; the buffer is left empty.
+    pub fn take(&mut self) -> Chunk {
+        match std::mem::take(self) {
+            ChunkBuf::Rows(rows) => Chunk::Rows(rows),
+            ChunkBuf::Cols { len, lanes } => Chunk::Cols {
+                len,
+                lanes: lanes.finish(),
+            },
+        }
+    }
+}
+
+/// The pieces of one bucket, in order, as one chunk: lanes when every
+/// piece holds lanes (a lane that disagrees across pieces boxed), boxed
+/// rows when any piece holds them.
+pub(crate) fn concat(pieces: Vec<Chunk>) -> Chunk {
+    if pieces.iter().any(|p| matches!(p, Chunk::Rows(_))) {
+        let mut rows = Vec::with_capacity(pieces.iter().map(Chunk::len).sum());
+        for p in pieces {
+            match p {
+                Chunk::Rows(r) if rows.is_empty() => rows = r,
+                Chunk::Rows(r) => rows.extend(r),
+                Chunk::Cols { len, lanes } => rows.extend((0..len).map(|i| lanes.get(i))),
+            }
+        }
+        return Chunk::Rows(rows);
+    }
+    let mut pieces = pieces.into_iter();
+    let Some(Chunk::Cols { mut len, lanes }) = pieces.next() else {
+        return Chunk::Rows(Vec::new());
+    };
+    if pieces.len() == 0 {
+        return Chunk::Cols { len, lanes };
+    }
+    let mut buf = LaneBuf::from_col(lanes, len);
+    for p in pieces {
+        if let Chunk::Cols { len: n, lanes } = p {
+            buf.extend(&lanes, 0..n);
+            len += n;
+        }
+    }
+    Chunk::Cols {
+        len,
+        lanes: buf.finish(),
+    }
+}
+
+/// Owned values as one column, taken apart the way a chunk's lanes are:
+/// a primitive lane, a lane per field of a tuple, the boxed lane for
+/// anything else or where values disagree.
+pub(crate) fn owned_col(vals: Vec<Value>) -> VCol<'static> {
+    let Some(first) = vals.first() else {
+        return VCol::Val(Arc::new(vals));
+    };
+    let mut lane = LaneBuf::like_value(first);
+    vals.iter().for_each(|v| lane.push_value(v));
+    lane.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn l(n: i64) -> Value {
+        Value::Long(n)
+    }
+
+    fn cols(len: usize, lanes: VCol<'static>) -> Chunk {
+        Chunk::Cols { len, lanes }
+    }
+
+    fn rows(c: &Chunk) -> Vec<Value> {
+        c.rows().into_owned()
+    }
+
+    #[test]
+    fn lanes_box_as_the_rows_they_stand_for() {
+        let pairs: Vec<Value> = (0..5)
+            .map(|i| Value::pair(Value::pair(l(i), l(i * 2)), Value::Double(i as f64)))
+            .collect();
+        let col = owned_col(pairs.clone());
+        assert!(matches!(&col, VCol::Tuple(kv) if matches!(&kv[0], VCol::Tuple(_))));
+        let c = cols(5, col);
+        assert_eq!(rows(&c), pairs);
+        for (i, row) in pairs.iter().enumerate() {
+            assert_eq!(c.row_size(i), serialized_size(row));
+            assert_eq!(c.arity(i), Some(2));
+        }
+        assert_eq!(estimate_bytes(&[c]), estimate_bytes(&[Chunk::Rows(pairs)]));
+    }
+
+    #[test]
+    fn disagreeing_lanes_fall_back_to_the_boxed_lane_at_their_leaf() {
+        // A key that is Long in one tile and Double in the next.
+        let tile = |k: Value| owned_col(vec![Value::pair(k, Value::str("s"))]);
+        let mut buf = ChunkBuf::default();
+        buf.push_tile(&tile(l(1)), &[0]);
+        buf.push_tile(&tile(Value::Double(1.0)), &[0]);
+        let c = buf.take();
+        let Chunk::Cols {
+            lanes: VCol::Tuple(kv),
+            ..
+        } = &c
+        else {
+            panic!("{c:?}");
+        };
+        assert!(matches!(kv[0], VCol::Val(_)), "the key leaf is boxed");
+        assert!(matches!(kv[1], VCol::Val(_)), "strings are boxed anyway");
+        assert_eq!(
+            rows(&c),
+            vec![
+                Value::pair(l(1), Value::str("s")),
+                Value::pair(Value::Double(1.0), Value::str("s"))
+            ]
+        );
+        // Pieces of two arities concatenate into the boxed lane.
+        let one = cols(1, owned_col(vec![Value::pair(l(1), l(2))]));
+        let two = cols(1, owned_col(vec![Value::tuple(vec![l(1), l(2), l(3)])]));
+        let c = concat(vec![one, two]);
+        assert!(matches!(
+            c,
+            Chunk::Cols {
+                lanes: VCol::Val(_),
+                len: 2
+            }
+        ));
+        // A boxed piece makes the bucket boxed rows, in piece order.
+        let c = concat(vec![
+            cols(1, owned_col(vec![l(1)])),
+            Chunk::Rows(vec![l(2)]),
+            cols(2, owned_col(vec![l(3), l(4)])),
+        ]);
+        assert!(matches!(&c, Chunk::Rows(r) if *r == vec![l(1), l(2), l(3), l(4)]));
+        assert!(matches!(concat(Vec::new()), Chunk::Rows(r) if r.is_empty()));
+    }
+
+    #[test]
+    fn pairs_read_the_same_from_lanes_and_rows() {
+        let pairs: Vec<Value> = [(1, "a"), (2, "b"), (1, "c")]
+            .iter()
+            .map(|&(k, v)| Value::pair(Value::pair(l(k), l(0)), Value::str(v)))
+            .collect();
+        let read = |c: &Chunk| {
+            let mut out = Vec::new();
+            c.each_pair(&mut |k, v| {
+                out.push((k.into_value(), v.into_owned()));
+                Ok(())
+            })
+            .unwrap();
+            out
+        };
+        let lanes = cols(3, owned_col(pairs.clone()));
+        let boxed = Chunk::Rows(pairs);
+        assert_eq!(read(&lanes), read(&boxed));
+        // A row that is no pair is the pair-keyed operators' error.
+        let bad = Chunk::Rows(vec![l(3)]);
+        let err = bad.each_pair(&mut |_, _| Ok(())).unwrap_err();
+        assert!(err.message.contains("(key, value) pair"), "{err}");
+        let bad = cols(1, owned_col(vec![l(3)]));
+        assert_eq!(
+            bad.each_pair(&mut |_, _| Ok(())).unwrap_err().message,
+            err.message
+        );
+    }
+
+    #[test]
+    fn gathered_fields_borrow_boxed_lanes_and_copy_typed_ones() {
+        let c = owned_col(vec![
+            Value::pair(l(1), Value::str("x")),
+            Value::pair(l(2), Value::str("y")),
+        ]);
+        let g = c.gather_rows(&[1, 1, 0]);
+        assert_eq!(
+            (0..3).map(|i| g.get(i)).collect::<Vec<_>>(),
+            vec![
+                Value::pair(l(2), Value::str("y")),
+                Value::pair(l(2), Value::str("y")),
+                Value::pair(l(1), Value::str("x"))
+            ]
+        );
+    }
+}

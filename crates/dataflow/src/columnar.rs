@@ -33,13 +33,13 @@
 //!   * [`FoldSink`] folds the chain's last column into a total reduction
 //!     (`Dataset::aggregate`) as a typed lane, in row order, and no row is
 //!     reassembled at all;
-//!   * [`PairSink`] hands a keyed scatter each `(key, row)` pair's halves
-//!     without boxing the pair;
+//!   * a keyed scatter (`exchange::KeyedScatter`) hashes each
+//!     `(key, row)` pair's key where it lies and sends the tile's columns
+//!     to their buckets as lanes ([`crate::chunk`]), boxing no row;
 //!   * [`KeyedFold`], a keyed aggregation (`Dataset::aggregate_by_key`),
 //!     looks the tile's key column up in a [`KeyTable`] and folds each
 //!     value lane into typed per-key accumulators, each key's values in
-//!     row order; a row is boxed only for the combined keys the partition
-//!     emits;
+//!     row order; the combined keys and accumulators leave as lanes;
 //!   * the block [`Packer`] reads index and value lanes where they lie.
 //! * **Joins' matches and lane keys** — a stage above a join's
 //!   build–probe reads a [`Source::Matches`] instead of rows: each tile's
@@ -76,6 +76,8 @@ use diablo_runtime::array::key_value_ref;
 use diablo_runtime::{BinOp, Func, RuntimeError, UnOp, Value};
 
 use crate::block::Packer;
+use crate::chunk::{self, Chunk};
+use crate::exchange::{ExchangeWriter, HashPartitioner};
 use crate::join::Emit;
 use crate::keytable::{Key, KeyLane, KeyLanes, KeyTable, Prim};
 use crate::plan::{Result, Source, Step, StepOp};
@@ -341,7 +343,9 @@ pub(crate) enum VCol<'a> {
 }
 
 /// A primitive lane when every value is a long, a double, or a boolean.
-fn typed_lane<'v>(vals: impl ExactSizeIterator<Item = &'v Value> + Clone) -> Option<VCol<'static>> {
+pub(crate) fn typed_lane<'v>(
+    vals: impl ExactSizeIterator<Item = &'v Value> + Clone,
+) -> Option<VCol<'static>> {
     fn lane<'v, T>(
         vals: impl ExactSizeIterator<Item = &'v Value>,
         pick: impl Fn(&Value) -> Option<T>,
@@ -374,7 +378,7 @@ fn typed_lane<'v>(vals: impl ExactSizeIterator<Item = &'v Value> + Clone) -> Opt
 
 /// Columnarizes a borrowed tile: a typed lane when the rows are primitive,
 /// otherwise references into the tile (nothing is copied).
-fn decompose(rows: &[Value]) -> VCol<'_> {
+pub(crate) fn decompose(rows: &[Value]) -> VCol<'_> {
     typed_lane(rows.iter()).unwrap_or_else(|| VCol::Refs(Arc::new(rows.iter().collect())))
 }
 
@@ -384,10 +388,16 @@ fn decompose_owned(rows: Vec<Value>) -> VCol<'static> {
     typed_lane(rows.iter()).unwrap_or_else(|| VCol::Val(Arc::new(rows)))
 }
 
-/// One field of every boxed source value, gathered in a single pass: a
-/// typed lane when the fields are primitive, references otherwise. `None`
-/// from `field` is the error `missing` builds from the offending value.
-fn gather<'a>(
+/// Borrowed boxed values as one column: a typed lane when they are
+/// primitives of one type, references otherwise.
+fn refs_col(refs: Vec<&Value>) -> VCol<'_> {
+    typed_lane(refs.iter().copied()).unwrap_or_else(|| VCol::Refs(Arc::new(refs)))
+}
+
+/// One field of every boxed source value, gathered in a single pass
+/// ([`refs_col`]). `None` from `field` is the error `missing` builds from
+/// the offending value.
+fn gather_field<'a>(
     rows: &[&'a Value],
     field: impl Fn(&'a Value) -> Option<&'a Value>,
     missing: impl Fn(&Value) -> RuntimeError,
@@ -396,18 +406,18 @@ fn gather<'a>(
     for &v in rows {
         refs.push(field(v).ok_or_else(|| missing(v))?);
     }
-    Ok(typed_lane(refs.iter().copied()).unwrap_or_else(|| VCol::Refs(Arc::new(refs))))
+    Ok(refs_col(refs))
 }
 
 impl VCol<'_> {
     /// Reassembles row `i` of this column as a boxed value.
-    fn get(&self, i: usize) -> Value {
+    pub(crate) fn get(&self, i: usize) -> Value {
         self.at(i).into_owned()
     }
 
     /// Row `i` of this column, borrowed when the column holds boxed
     /// values already.
-    fn at(&self, i: usize) -> Cow<'_, Value> {
+    pub(crate) fn at(&self, i: usize) -> Cow<'_, Value> {
         match self {
             VCol::Long(v) => Cow::Owned(Value::Long(v[i])),
             VCol::Double(v) => Cow::Owned(Value::Double(v[i])),
@@ -416,6 +426,26 @@ impl VCol<'_> {
             VCol::Const(v) => Cow::Borrowed(v),
             VCol::Refs(rows) => Cow::Borrowed(rows[i]),
             VCol::Val(rows) => Cow::Borrowed(&rows[i]),
+        }
+    }
+
+    /// Rows `rows` of this column, in that order: primitive lanes copied,
+    /// boxed values borrowed ([`refs_col`]) — a join side's field for the
+    /// matches of one tile.
+    pub(crate) fn gather_rows(&self, rows: &[u32]) -> VCol<'_> {
+        fn pick<T: Copy>(lane: &[T], rows: &[u32]) -> Arc<Vec<T>> {
+            Arc::new(rows.iter().map(|&r| lane[r as usize]).collect())
+        }
+        match self {
+            VCol::Long(v) => VCol::Long(pick(v, rows)),
+            VCol::Double(v) => VCol::Double(pick(v, rows)),
+            VCol::Bool(v) => VCol::Bool(pick(v, rows)),
+            VCol::Tuple(cols) => {
+                VCol::Tuple(Arc::new(cols.iter().map(|c| c.gather_rows(rows)).collect()))
+            }
+            VCol::Const(v) => VCol::Const(v.clone()),
+            VCol::Refs(v) => refs_col(rows.iter().map(|&r| v[r as usize]).collect()),
+            VCol::Val(v) => refs_col(rows.iter().map(|&r| &v[r as usize]).collect()),
         }
     }
 
@@ -777,7 +807,7 @@ fn project<'a>(col: &VCol<'a>, i: usize) -> Result<VCol<'a>> {
             .cloned()
             .map(VCol::Const)
             .ok_or_else(narrow_row),
-        VCol::Refs(rows) => gather(rows, |v| v.as_tuple()?.get(i), |_| narrow_row()),
+        VCol::Refs(rows) => gather_field(rows, |v| v.as_tuple()?.get(i), |_| narrow_row()),
         VCol::Val(rows) => {
             let mut out = Vec::with_capacity(rows.len());
             for v in rows.iter() {
@@ -799,7 +829,7 @@ fn project_field<'a>(col: &VCol<'a>, name: &FieldName, len: usize) -> Result<VCo
     match (col, name.pos) {
         // `_k` on a struct-of-arrays tuple is just the k-th child column.
         (VCol::Tuple(cols), Some(k)) if k < cols.len() => return Ok(cols[k].clone()),
-        (VCol::Refs(rows), _) => return gather(rows, |v| name.of(v), |v| name.missing_in(v)),
+        (VCol::Refs(rows), _) => return gather_field(rows, |v| name.of(v), |v| name.missing_in(v)),
         _ => {}
     }
     let mut out = Vec::with_capacity(len);
@@ -952,26 +982,42 @@ fn vec_cross<'a>(
 /// The input column of the tile `range` of a source: its rows decomposed,
 /// or — for a join's matches — the left rows' field columns followed by
 /// the right rows' leaf columns, gathered from the two sides by index (a
-/// primitive field straight into a lane), so no row of a match is built.
-/// Matches whose sides are not tuples of one arity each, and
-/// `Dataset::join`'s `(k, (l, r))` rows, are made into rows and
-/// decomposed.
+/// lane side's fields straight from its lanes, a boxed side's primitive
+/// fields into lanes), so no row of a match is built. Matches whose sides
+/// are not tuples of one arity each, and `Dataset::join`'s `(k, (l, r))`
+/// rows, are made into rows and decomposed.
 fn tile_column<'a>(src: Source<'a>, range: Range<usize>) -> Result<VCol<'a>> {
     let m = match src {
         Source::Rows(rows) => return Ok(decompose(&rows[range])),
         Source::Matches(m) => m,
     };
     if m.emit == Emit::Concat {
-        let len = range.len();
-        let (lefts, rights): (Vec<&Value>, Vec<&Value>) = range.clone().map(|k| m.sides(k)).unzip();
-        let fields = |rows: Vec<&'a Value>| VCol::Refs(Arc::new(rows)).tuple_columns(len);
-        if let (Some(l), Some(r)) = (fields(lefts), fields(rights)) {
+        let (lefts, rights): (Vec<u32>, Vec<u32>) = range.clone().map(|k| m.sides(k)).unzip();
+        let (l, r) = m.chunks();
+        if let (Some(l), Some(r)) = (field_columns(l, &lefts), field_columns(r, &rights)) {
             return Ok(VCol::Tuple(Arc::new(l.into_iter().chain(r).collect())));
         }
     }
     Ok(decompose_owned(
         range.map(|k| m.row(k)).collect::<Result<_>>()?,
     ))
+}
+
+/// The field columns of rows `rows` of a join side when they are tuples
+/// of one arity: gathered from a `Cols` chunk's tuple lanes, projected
+/// from boxed rows.
+fn field_columns<'a>(side: &'a Chunk, rows: &[u32]) -> Option<Vec<VCol<'a>>> {
+    match side {
+        Chunk::Cols {
+            lanes: VCol::Tuple(cols),
+            ..
+        } => Some(cols.iter().map(|c| c.gather_rows(rows)).collect()),
+        Chunk::Cols { lanes, .. } => lanes.gather_rows(rows).tuple_columns(rows.len()),
+        Chunk::Rows(all) => {
+            let refs = rows.iter().map(|&r| &all[r as usize]).collect();
+            VCol::Refs(Arc::new(refs)).tuple_columns(rows.len())
+        }
+    }
 }
 
 /// Runs one tile — `len` rows as the column `col` — through the whole
@@ -1081,12 +1127,6 @@ impl TileSink for RowSink<'_> {
     }
 }
 
-/// Hands a `(key, row)` pair to `sink` as its two halves.
-fn split_pair(pair: &Value, sink: &mut dyn FnMut(Key<'_>, Value) -> Result<()>) -> Result<()> {
-    let (key, row) = key_value_ref(pair)?;
-    sink(Key::from(key), row.clone())
-}
-
 /// One lane of a key column, when the column is a primitive lane or a
 /// primitive constant.
 fn key_lane<'c>(col: &'c VCol<'_>) -> Option<KeyLane<'c>> {
@@ -1119,7 +1159,7 @@ fn key_lanes<'c>(col: &'c VCol<'_>) -> Option<KeyLanes<'c>> {
 /// Hands `each` the key of every row of a key column of `len` rows, in
 /// row order: read from its lanes when it has them ([`key_lanes`]),
 /// borrowed from the column otherwise.
-fn each_key(
+pub(crate) fn each_key(
     col: &VCol,
     len: usize,
     mut each: impl FnMut(usize, Key<'_>) -> Result<()>,
@@ -1131,43 +1171,31 @@ fn each_key(
 }
 
 /// Hands `each` the key of every row of `rows` under `key`, in row order.
-/// With `lanes`, the keys are evaluated as one column and read where they
-/// lie ([`each_key`]); without `lanes`, and when the column evaluation
-/// fails, row by row with [`RowExpr::eval`] — so the keys are the same
-/// either way and the first error is the row path's.
+/// With `lanes`, the keys are evaluated as one column — a `Cols` chunk's
+/// lanes as they are, boxed rows decomposed — and read where they lie
+/// ([`each_key`]); without `lanes`, and when the column evaluation fails,
+/// row by row with [`RowExpr::eval`] — so the keys are the same either
+/// way and the first error is the row path's.
 pub(crate) fn for_each_key(
-    rows: &[Value],
+    rows: &Chunk,
     key: &RowExpr,
     lanes: bool,
     each: &mut dyn FnMut(usize, Key<'_>) -> Result<()>,
 ) -> Result<()> {
-    if lanes && !rows.is_empty() {
-        if let Ok(col) = vec_eval(key, &decompose(rows), rows.len()) {
-            return each_key(&col, rows.len(), each);
+    let len = rows.len();
+    if lanes && len > 0 {
+        if let Ok(col) = vec_eval(key, &rows.col(), len) {
+            return each_key(&col, len, each);
         }
     }
-    rows.iter()
-        .enumerate()
-        .try_for_each(|(i, row)| each(i, Key::from(Cow::Owned(key.eval(row)?))))
-}
-
-/// Splits each surviving `(key, row)` pair for a keyed scatter: the key is
-/// read in place — from its lanes when it has them — and only the row is
-/// reassembled.
-pub(crate) struct PairSink<'s>(pub(crate) &'s mut dyn FnMut(Key<'_>, Value) -> Result<()>);
-
-impl TileSink for PairSink<'_> {
-    fn tile(&mut self, col: &VCol, len: usize) -> Result<()> {
-        match col {
-            VCol::Tuple(kv) if kv.len() == 2 => {
-                each_key(&kv[0], len, |i, key| (self.0)(key, kv[1].get(i)))
-            }
-            _ => (0..len).try_for_each(|i| split_pair(&col.at(i), self.0)),
+    match rows {
+        Chunk::Rows(rows) => rows
+            .iter()
+            .enumerate()
+            .try_for_each(|(i, row)| each(i, Key::from(Cow::Owned(key.eval(row)?)))),
+        Chunk::Cols { .. } => {
+            (0..len).try_for_each(|i| each(i, Key::from(Cow::Owned(key.eval(&rows.row(i))?))))
         }
-    }
-
-    fn row(&mut self, row: Value) -> Result<()> {
-        split_pair(&row, self.0)
     }
 }
 
@@ -1335,6 +1363,20 @@ impl AccCol {
             AccCol::Bool(a) => Value::Bool(a[slot]),
             AccCol::ArgMin(a) => Value::pair(Value::Long(a[slot].0), Value::Double(a[slot].1)),
             AccCol::Val(a) => a[slot].clone(),
+        }
+    }
+
+    /// The accumulators as a column, one row per key slot.
+    fn into_col(self) -> VCol<'static> {
+        match self {
+            AccCol::Long(a) => long_col(a),
+            AccCol::Double(a) => double_col(a),
+            AccCol::Bool(a) => bool_col(a),
+            AccCol::ArgMin(a) => {
+                let (index, distance) = a.into_iter().unzip();
+                VCol::Tuple(Arc::new(vec![long_col(index), double_col(distance)]))
+            }
+            AccCol::Val(a) => chunk::owned_col(a),
         }
     }
 
@@ -1507,8 +1549,26 @@ impl<'o> KeyedFold<'o> {
         Ok(())
     }
 
+    /// Sends every key with its tuple of aggregates to its bucket among
+    /// `partitions`, in first-seen order, as lanes: the key column and the
+    /// accumulators as they are. The rows they stand for are the rows
+    /// [`KeyedFold::finish`] hands out.
+    pub(crate) fn scatter(self, sink: &mut ExchangeWriter<'_>, partitions: usize) -> Result<()> {
+        let keys: Vec<Value> = self.keys.into_entries().map(|(k, ())| k).collect();
+        let buckets: Vec<u32> = keys
+            .iter()
+            .map(|k| HashPartitioner.partition(k, partitions) as u32)
+            .collect();
+        let accs = self.accs.into_iter().map(AccCol::into_col).collect();
+        let col = VCol::Tuple(Arc::new(vec![
+            chunk::owned_col(keys),
+            VCol::Tuple(Arc::new(accs)),
+        ]));
+        sink.emit_tile(&buckets, &col)
+    }
+
     /// Hands out every key with its tuple of aggregates, in first-seen
-    /// order — the only place a combined row is boxed.
+    /// order, boxed.
     pub(crate) fn finish(self, emit: &mut dyn FnMut(Value, Value) -> Result<()>) -> Result<()> {
         let accs = self.accs;
         for (slot, (key, ())) in self.keys.into_entries().enumerate() {
@@ -2190,7 +2250,9 @@ mod tests {
 
     #[test]
     fn keyed_scatters_split_pairs_without_boxing_them() {
-        // (key, row) built by the chain: the sink sees the key and the row.
+        use crate::exchange::{Exchange, KeyedScatter};
+        // (key, row) built by the chain: each row lands in its key's
+        // bucket, sent as lanes, and the first error is the row path's.
         let rows: Vec<Value> = (0..300i64)
             .map(|i| Value::pair(Value::Long(i), Value::str(format!("r{i}"))))
             .collect();
@@ -2209,14 +2271,14 @@ mod tests {
             ]),
             Some("s7:J"),
         )];
+        let p = 3;
         let by_row = |upto: usize| {
-            let mut out = Vec::new();
+            let mut out = vec![Vec::new(); p];
             let res = rows[..upto].iter().try_for_each(|row| {
                 drive(Cow::Borrowed(row), &steps, &mut |pair| {
-                    split_pair(&pair, &mut |k, v| {
-                        out.push((k.into_value(), v));
-                        Ok(())
-                    })
+                    let (k, v) = key_value_ref(&pair)?;
+                    out[crate::HashPartitioner.partition(k, p)].push(v.clone());
+                    Ok(())
                 })
             });
             (out, res)
@@ -2224,11 +2286,9 @@ mod tests {
         for batch in [1, 7, 4096] {
             for upto in [200, 300] {
                 let stats = Stats::default();
-                let mut out = Vec::new();
-                let mut sink = PairSink(&mut |k, v| {
-                    out.push((k.into_value(), v));
-                    Ok(())
-                });
+                let ex = Exchange::new(p, None);
+                let mut w = ex.writer(0);
+                let mut sink = KeyedScatter::new(&mut w, p, false);
                 let res = drive_tiles(
                     Source::Rows(&rows[..upto]),
                     &steps,
@@ -2237,10 +2297,23 @@ mod tests {
                     &mut sink,
                 );
                 let (want, want_res) = by_row(upto);
-                assert_eq!(format!("{out:?}"), format!("{want:?}"), "batch {batch}");
                 assert_eq!(
-                    res.map_err(|e| e.to_string()),
-                    want_res.map_err(|e| e.to_string())
+                    res.as_ref().map_err(|e| e.to_string()),
+                    want_res.as_ref().map_err(|e| e.to_string())
+                );
+                // On error too, the buckets hold exactly the rows the row
+                // path sent before its first error (the replayed tile's
+                // prefix included).
+                w.close().unwrap();
+                let got = ex.finish(&crate::Context::new(1, p)).unwrap();
+                if res.is_ok() {
+                    assert!(got.iter().all(|c| matches!(c, Chunk::Cols { .. })));
+                }
+                let got: Vec<Vec<Value>> = got.iter().map(|c| c.rows().into_owned()).collect();
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "batch {batch}, upto {upto}"
                 );
             }
         }
@@ -2250,14 +2323,17 @@ mod tests {
         pairs[9] = Value::Long(9);
         let steps = vec![step_filter(RowExpr::Const(Value::Bool(true)), None)];
         let stats = Stats::default();
-        let mut seen = 0;
-        let mut sink = PairSink(&mut |_, _| {
-            seen += 1;
-            Ok(())
-        });
+        let ex = Exchange::new(p, None);
+        let mut w = ex.writer(0);
+        let mut sink = KeyedScatter::new(&mut w, p, true);
         let err = drive_tiles(Source::Rows(&pairs), &steps, 4, &stats, &mut sink).unwrap_err();
-        assert_eq!(seen, 9);
         assert!(err.message.contains("must be a (key, value) pair, got 9"));
+        // The nine pairs before it were sent, each to its bucket.
+        w.close().unwrap();
+        let got = ex.finish(&crate::Context::new(1, p)).unwrap();
+        let mut seen: Vec<Value> = got.iter().flat_map(|c| c.rows().into_owned()).collect();
+        seen.sort();
+        assert_eq!(seen, pairs[..9].to_vec());
     }
 
     #[test]
@@ -2362,15 +2438,25 @@ mod tests {
         ] {
             let keys = key(e.clone());
             assert_eq!(key_lanes(&keys).is_some(), lane_form, "{e:?}");
-            // Lane form or not, the keys are what the row path computes.
-            let mut got = Vec::new();
-            for_each_key(&rows, &e, true, &mut |_, k| {
-                got.push(k.into_value());
-                Ok(())
-            })
-            .unwrap();
+            // Lane form or not, and from boxed rows or a chunk's lanes,
+            // the keys are what the row path computes.
             let want: Vec<Value> = rows.iter().map(|r| e.eval(r).unwrap()).collect();
-            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{e:?}");
+            let sides = [
+                Chunk::Rows(rows.clone()),
+                Chunk::Cols {
+                    len: rows.len(),
+                    lanes: chunk::owned_col(rows.clone()),
+                },
+            ];
+            for side in &sides {
+                let mut got = Vec::new();
+                for_each_key(side, &e, true, &mut |_, k| {
+                    got.push(k.into_value());
+                    Ok(())
+                })
+                .unwrap();
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{e:?}");
+            }
         }
     }
 

@@ -51,13 +51,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use diablo_runtime::array::key_value_ref;
-use diablo_runtime::{size::slice_size, AggOp, BinOp, RuntimeError, Value};
+use diablo_runtime::size::{sampled_size, serialized_size};
+use diablo_runtime::{AggOp, BinOp, RuntimeError, Value};
 
 use crate::block::{self, BlockContract, BlockZip, ElementCols, Packer};
-use crate::columnar::{Cross, KeyedFold, PairSink, RowExpr, Shape};
-use crate::exchange::{Exchange, ExchangeWriter, HashPartitioner};
+use crate::chunk::{Bucket, Chunk};
+use crate::columnar::{Cross, KeyedFold, RowExpr, Shape, TileSink};
+use crate::exchange::{Exchange, ExchangeWriter, HashPartitioner, KeyedScatter};
 use crate::join::{Emit, Join};
-use crate::keytable::KeyTable;
+use crate::keytable::{Key, KeyTable};
 use crate::plan::{self, PartFn, PartOp, PartitionRows, PlanOp};
 use crate::Context;
 
@@ -76,39 +78,62 @@ enum KeyFold {
     Monoids(Arc<[BinOp]>),
 }
 
-/// Folds one more `(key, value)` row into `acc` with `f`; a key's first
-/// value is kept as it is.
-fn fold_pair(f: &CombineFn, acc: &mut KeyTable<Value>, row: &Value) -> Result<()> {
-    let (k, v) = key_value_ref(row)?;
-    let hit = acc.upsert(Cow::Borrowed(k), || v.clone());
+/// Folds one more `(key, value)` into `acc` with `f`; a key's first value
+/// is kept as it is.
+fn fold_pair(
+    f: &CombineFn,
+    acc: &mut KeyTable<Value>,
+    k: Key<'_>,
+    v: Cow<'_, Value>,
+) -> Result<()> {
+    let hit = acc.upsert(k, || v.clone().into_owned());
     if !hit.new {
-        *hit.value = f(hit.value, v)?;
+        *hit.value = f(hit.value, &v)?;
     }
     Ok(())
 }
 
 impl KeyFold {
     /// The map-side combine: folds a partition's transformed rows per key
-    /// and hands every distinct key and its folded value to `emit`, in
-    /// first-seen order.
+    /// and sends every distinct key and its folded value to its bucket
+    /// among `partitions`, in first-seen order — as lanes when the
+    /// monoids' accumulators are lanes on the columnar layout, as boxed
+    /// `(key, folded)` rows otherwise.
     fn combine(
         &self,
         rows: &PartitionRows<'_>,
-        emit: &mut dyn FnMut(Value, Value) -> Result<()>,
+        sink: &mut ExchangeWriter<'_>,
+        partitions: usize,
     ) -> Result<()> {
+        let mut emit = |k: Value, v| {
+            let b = HashPartitioner.partition(&k, partitions);
+            sink.emit(b, Value::pair(k, v))
+        };
         match self {
-            KeyFold::Monoids(ops) => rows.combine(ops, emit),
+            KeyFold::Monoids(ops) => {
+                let mut fold = KeyedFold::new(ops);
+                rows.drive(&mut fold)?;
+                if rows.columnar() {
+                    fold.scatter(sink, partitions)
+                } else {
+                    fold.finish(&mut emit)
+                }
+            }
             KeyFold::Closure(f) => {
                 let mut acc = KeyTable::new();
-                rows.for_each(&mut |row| fold_pair(&**f, &mut acc, &row))?;
+                rows.for_each(&mut |row| {
+                    let (k, v) = key_value_ref(&row)?;
+                    fold_pair(&**f, &mut acc, Key::from(k), Cow::Borrowed(v))
+                })?;
                 acc.into_entries().try_for_each(|(k, v)| emit(k, v))
             }
         }
     }
 
     /// The post-shuffle reduce: one `(key, folded)` row per distinct key
-    /// of a gathered bucket, in first-seen order.
-    fn reduce(&self, bucket: &[Value]) -> Result<Vec<Value>> {
+    /// of a gathered bucket, in first-seen order — a bucket of lanes
+    /// folded as one tile.
+    fn reduce(&self, bucket: &Chunk) -> Result<Vec<Value>> {
         let mut out = Vec::new();
         let mut emit = |k, v| {
             out.push(Value::pair(k, v));
@@ -117,14 +142,15 @@ impl KeyFold {
         match self {
             KeyFold::Monoids(ops) => {
                 let mut fold = KeyedFold::new(ops);
-                bucket.iter().try_for_each(|row| fold.row(row))?;
+                match bucket {
+                    Chunk::Rows(rows) => rows.iter().try_for_each(|row| fold.row(row))?,
+                    Chunk::Cols { len, lanes } => fold.tile(lanes, *len)?,
+                }
                 fold.finish(&mut emit)?;
             }
             KeyFold::Closure(f) => {
                 let mut acc = KeyTable::new();
-                bucket
-                    .iter()
-                    .try_for_each(|row| fold_pair(&**f, &mut acc, row))?;
+                bucket.each_pair(&mut |k, v| fold_pair(&**f, &mut acc, k, v))?;
                 acc.into_entries().try_for_each(|(k, v)| emit(k, v))?;
             }
         }
@@ -135,7 +161,7 @@ impl KeyFold {
 /// What one side of a keyed operator sends through the exchange.
 #[derive(Clone, Copy)]
 enum Crossing<'a> {
-    /// Its `(key, value)` rows, as they are.
+    /// Its `(key, value)` rows, as they are: a merge or group-by side.
     Pairs,
     /// One `(key, folded)` row per distinct key of a source partition:
     /// `reduce_by_key`'s map-side combine.
@@ -679,13 +705,13 @@ impl Dataset {
     /// shuffle costs exactly one pass over the source rows — streaming the
     /// emitted rows through an [`Exchange`] bounded by
     /// [`Context::memory_budget`] (buckets past the budget spill to sorted
-    /// run files), and merge-reads the destination partitions back in
-    /// source order.
+    /// run files), and merge-reads the destination buckets back in source
+    /// order, one chunk each.
     fn exchange(
         &self,
         label: &str,
         scatter: impl Fn(&PartitionRows<'_>, &mut ExchangeWriter<'_>) -> Result<()> + Sync,
-    ) -> Result<Vec<Vec<Value>>> {
+    ) -> Result<Vec<Chunk>> {
         let ex = Exchange::new(self.ctx.partitions(), self.ctx.memory_budget());
         plan::consume(&self.ctx, &self.effective_plan(), label, |src, rows, _| {
             let mut writer = ex.writer(src);
@@ -695,49 +721,43 @@ impl Dataset {
         ex.finish(&self.ctx)
     }
 
-    /// Hash-partitions `(key, value)` rows by key — the raw shuffle.
-    /// Returns per-destination buckets with deterministic row order.
-    fn shuffle(&self, label: &str) -> Result<Vec<Vec<Value>>> {
-        let p = self.ctx.partitions();
-        self.exchange(label, |rows, sink| {
-            rows.for_each(&mut |row| {
-                let (k, _) = key_value_ref(&row)?;
-                sink.emit(HashPartitioner.partition(k, p), row)
-            })
-        })
-    }
-
     /// The shuffle under every keyed operator, one side of it: the
     /// pending chain, the map-side combine if any, and the hash scatter by
-    /// key in one stage; returns the side's destination buckets.
-    fn scatter_keyed(&self, label: &str, crossing: Crossing<'_>) -> Result<Vec<Vec<Value>>> {
+    /// key in one stage; returns the side's destination buckets. A
+    /// columnar stage reads each key from its column and sends its tiles'
+    /// columns as lanes: no `(key, row)` pair, and no row, is boxed.
+    fn scatter_keyed(&self, label: &str, crossing: Crossing<'_>) -> Result<Vec<Chunk>> {
         let p = self.ctx.partitions();
         match crossing {
-            Crossing::Pairs => self.shuffle(label),
-            // Map-side combine, then stream the combined pairs straight
+            Crossing::Pairs => self.exchange(label, |rows, sink| {
+                rows.drive(&mut KeyedScatter::new(sink, p, true))
+            }),
+            // Map-side combine, then stream the combined keys straight
             // into the exchange sink: no all-partitions bucket matrix is
             // ever built, and buckets past the memory budget spill to disk.
-            Crossing::Combined(fold) => self.exchange(label, |rows, sink| {
-                fold.combine(rows, &mut |k, v| {
-                    let b = HashPartitioner.partition(&k, p);
-                    sink.emit(b, Value::pair(k, v))
-                })
-            }),
-            // Only the row crosses; a columnar stage reads the key from
-            // its column and never boxes the pair.
+            Crossing::Combined(fold) => {
+                self.exchange(label, |rows, sink| fold.combine(rows, sink, p))
+            }
+            // Only the row crosses.
             Crossing::Rows => self.exchange(label, |rows, sink| {
-                rows.drive(&mut PairSink(&mut |key, row| {
-                    sink.emit(HashPartitioner.bucket(&key, p), row)
-                }))
+                rows.drive(&mut KeyedScatter::new(sink, p, false))
             }),
         }
     }
 
-    /// Wraps gathered shuffle buckets in a lazy partition-wise stage named
+    /// Wraps gathered shuffle buckets in a lazy bucket-wise stage named
     /// `label`: the post-shuffle work becomes a pending plan node that
     /// fuses with whatever consumes it next (shuffle-read fusion).
-    fn post_shuffle(&self, dest: Vec<Vec<Value>>, op: PartOp, label: &'static str) -> Dataset {
-        self.derived(PlanOp::Shuffled(Arc::new(dest), op, label, self.tag()))
+    fn post_shuffle(&self, buckets: Vec<Bucket>, op: PartOp, label: &'static str) -> Dataset {
+        self.derived(PlanOp::Shuffled(Arc::new(buckets), op, label, self.tag()))
+    }
+
+    /// Pairs the buckets of two exchanges, left and right.
+    fn two_sided(left: Vec<Chunk>, right: Vec<Chunk>) -> Vec<Bucket> {
+        left.into_iter()
+            .zip(right)
+            .map(|(l, r)| Bucket::Two(l, r))
+            .collect()
     }
 
     /// `reduceByKey`: combines values of equal keys with `f`, using
@@ -774,7 +794,8 @@ impl Dataset {
             "reduce_by_key (combine + scatter)",
             Crossing::Combined(&fold),
         )?;
-        let reduce_fn: PartFn = Arc::new(move |bucket: &[Value]| fold.reduce(bucket));
+        let reduce_fn: PartFn = Arc::new(move |bucket: &Bucket| fold.reduce(bucket.one()?));
+        let dest = dest.into_iter().map(Bucket::One).collect();
         Ok(self.post_shuffle(dest, PartOp::Rows(reduce_fn), "reduce_by_key (reduce)"))
     }
 
@@ -784,46 +805,19 @@ impl Dataset {
     pub fn group_by_key(&self) -> Result<Dataset> {
         self.ctx.record_logical_op();
         let dest = self.scatter_keyed("group_by_key (scatter)", Crossing::Pairs)?;
-        let group_fn: PartFn = Arc::new(|bucket: &[Value]| {
+        let group_fn: PartFn = Arc::new(|bucket: &Bucket| {
             let mut groups: KeyTable<Vec<Value>> = KeyTable::new();
-            for row in bucket {
-                let (k, v) = key_value_ref(row)?;
-                groups
-                    .upsert(Cow::Borrowed(k), Vec::new)
-                    .value
-                    .push(v.clone());
-            }
+            bucket.one()?.each_pair(&mut |k, v| {
+                groups.upsert(k, Vec::new).value.push(v.into_owned());
+                Ok(())
+            })?;
             Ok(groups
                 .into_entries()
                 .map(|(k, vs)| Value::pair(k, Value::bag(vs)))
                 .collect())
         });
+        let dest = dest.into_iter().map(Bucket::One).collect();
         Ok(self.post_shuffle(dest, PartOp::Rows(group_fn), "group_by_key (group)"))
-    }
-
-    /// Zips two shuffled bucket lists into encoded single-row partitions
-    /// `(bag(left), bag(right))` — the input of a lazy two-sided
-    /// post-shuffle stage (internal).
-    fn zip_buckets(left: Vec<Vec<Value>>, right: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-        left.into_iter()
-            .zip(right)
-            .map(|(l, r)| vec![Value::pair(Value::bag(l), Value::bag(r))])
-            .collect()
-    }
-
-    /// Decodes one `zip_buckets` partition back into its two sides.
-    pub(crate) fn unzip_bucket(part: &[Value]) -> Result<(&[Value], &[Value])> {
-        let [row] = part else {
-            return Err(RuntimeError::new("corrupt two-sided shuffle partition"));
-        };
-        let fields = row
-            .as_tuple()
-            .filter(|t| t.len() == 2)
-            .ok_or_else(|| RuntimeError::new("corrupt two-sided shuffle row"))?;
-        match (fields[0].as_bag(), fields[1].as_bag()) {
-            (Some(l), Some(r)) => Ok((l, r)),
-            _ => Err(RuntimeError::new("corrupt two-sided shuffle bags")),
-        }
     }
 
     /// Inner equi-join on `(key, value)` rows: produces
@@ -891,7 +885,7 @@ impl Dataset {
             emit,
         };
         Ok(self.post_shuffle(
-            Dataset::zip_buckets(lrows, rrows),
+            Dataset::two_sided(lrows, rrows),
             PartOp::Join(Arc::new(join)),
             "join (build + probe)",
         ))
@@ -923,12 +917,12 @@ impl Dataset {
         };
         let left = scatter(self, zip.left, "block zip (pack + scatter left)")?;
         let right = scatter(other, zip.right, "block zip (pack + scatter right)")?;
-        let combine: PartFn = Arc::new(move |part: &[Value]| {
-            let (lefts, rights) = Dataset::unzip_bucket(part)?;
-            block::zip_bucket(&zip, lefts, rights)
+        let combine: PartFn = Arc::new(move |bucket: &Bucket| {
+            let (lefts, rights) = bucket.two()?;
+            block::zip_bucket(&zip, &lefts.rows(), &rights.rows())
         });
         Ok(self.post_shuffle(
-            Dataset::zip_buckets(left, right),
+            Dataset::two_sided(left, right),
             PartOp::Rows(combine),
             "block zip (combine blocks)",
         ))
@@ -967,12 +961,12 @@ impl Dataset {
         };
         let left = scatter(self, true, "block contraction (pack + scatter left)")?;
         let right = scatter(other, false, "block contraction (pack + scatter right)")?;
-        let multiply: PartFn = Arc::new(move |part: &[Value]| {
-            let (lefts, rights) = Dataset::unzip_bucket(part)?;
-            block::contract_bucket(&spec, lefts, rights)
+        let multiply: PartFn = Arc::new(move |bucket: &Bucket| {
+            let (lefts, rights) = bucket.two()?;
+            block::contract_bucket(&spec, &lefts.rows(), &rights.rows())
         });
         Ok(self.post_shuffle(
-            Dataset::zip_buckets(left, right),
+            Dataset::two_sided(left, right),
             PartOp::Rows(multiply),
             "block contraction (multiply blocks)",
         ))
@@ -996,34 +990,34 @@ impl Dataset {
         self.ctx.record_logical_op();
         let old = self.scatter_keyed("merge (scatter old)", Crossing::Pairs)?;
         let new = updates.scatter_keyed("merge (scatter updates)", Crossing::Pairs)?;
-        let merge_fn: PartFn = Arc::new(move |part: &[Value]| {
-            let (olds, news) = Dataset::unzip_bucket(part)?;
+        let merge_fn: PartFn = Arc::new(move |bucket: &Bucket| {
+            let (olds, news) = bucket.two()?;
             let mut slots: KeyTable<Value> = KeyTable::with_capacity(olds.len());
-            for row in olds {
-                let (k, v) = key_value_ref(row)?;
-                let hit = slots.upsert(Cow::Borrowed(k), || v.clone());
+            olds.each_pair(&mut |k, v| {
+                let hit = slots.upsert(k, || v.clone().into_owned());
                 if !hit.new {
                     // Arrays have unique keys; keep the last if not.
-                    *hit.value = v.clone();
+                    *hit.value = v.into_owned();
                 }
-            }
-            for row in news {
-                let (k, v) = key_value_ref(row)?;
-                let hit = slots.upsert(Cow::Borrowed(k), || v.clone());
+                Ok(())
+            })?;
+            news.each_pair(&mut |k, v| {
+                let hit = slots.upsert(k, || v.clone().into_owned());
                 if !hit.new {
                     *hit.value = match &combine {
-                        Some(f) => f(hit.value, v)?,
-                        None => v.clone(),
+                        Some(f) => f(hit.value, &v)?,
+                        None => v.into_owned(),
                     };
                 }
-            }
+                Ok(())
+            })?;
             Ok(slots
                 .into_entries()
                 .map(|(k, v)| Value::pair(k, v))
                 .collect())
         });
         Ok(self.post_shuffle(
-            Dataset::zip_buckets(old, new),
+            Dataset::two_sided(old, new),
             PartOp::Rows(merge_fn),
             "merge ⊳ (combine slots)",
         ))
@@ -1154,18 +1148,12 @@ pub(crate) fn sort_rows(rows: &mut Vec<Value>) {
         .collect();
 }
 
-/// Sampled byte estimate: measure up to 32 rows per partition and scale.
+/// Sampled byte estimate of partitions ([`sampled_size`] per partition).
 pub(crate) fn estimate_bytes(parts: &[Vec<Value>]) -> u64 {
-    let mut total = 0u64;
-    for p in parts {
-        if p.is_empty() {
-            continue;
-        }
-        let sample_n = p.len().min(32);
-        let sample: u64 = slice_size(&p[..sample_n]) as u64;
-        total += sample * p.len() as u64 / sample_n as u64;
-    }
-    total
+    parts
+        .iter()
+        .map(|p| sampled_size(p.len(), |i| serialized_size(&p[i])))
+        .sum()
 }
 
 #[cfg(test)]

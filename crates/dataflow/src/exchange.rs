@@ -8,48 +8,63 @@
 //! * the [`HashPartitioner`] decides which destination bucket a key
 //!   belongs to;
 //! * an [`Exchange`] is the streaming sink/reader pair behind every
-//!   shuffle: source partitions [`emit`](ExchangeWriter::emit) rows
-//!   through per-partition [`ExchangeWriter`]s, the exchange buffers them
-//!   as ordered chunks under a **memory budget**
+//!   shuffle: source partitions send rows through per-partition
+//!   [`ExchangeWriter`]s — a boxed row with [`emit`](ExchangeWriter::emit),
+//!   a columnar tile's rows as lanes with
+//!   [`emit_tile`](ExchangeWriter::emit_tile), a keyed scatter through
+//!   [`KeyedScatter`] — and each writer builds one [`Chunk`] per bucket.
+//!   The exchange buffers the chunks under a **memory budget**
 //!   ([`Context::memory_budget`](crate::Context::memory_budget),
 //!   `DIABLO_MEMORY_BUDGET`), spills chunks past the budget as sorted
 //!   runs appended to one per-exchange temp file (a single open
 //!   descriptor however often a tiny budget overflows), and
-//!   [`Exchange::finish`] merge-reads the runs back **in source order**,
-//!   so rows, order, and first errors are byte-identical to an unbounded
-//!   in-memory exchange.
+//!   [`Exchange::finish`] merge-reads every bucket back **in source
+//!   order** as one chunk, so rows, order, and first errors are
+//!   byte-identical to an unbounded in-memory exchange.
 //!
 //! There is one exchange for every shuffle.
 //!
 //! ## Order preservation rule
 //!
-//! Every chunk is tagged `(bucket, source partition, flush sequence)`.
-//! Within one source partition, chunks are flushed in row order, so sorting
-//! a bucket's chunks by `(source, sequence)` and concatenating reproduces
-//! exactly the row order the old collect-everything gather produced:
-//! bucket `b` holds source 0's rows in source order, then source 1's, …
-//! Spill runs are written with their chunks pre-sorted by
-//! `(bucket, source, sequence)` and merge-read per bucket, so a spilled
-//! exchange and an in-memory exchange are indistinguishable downstream.
+//! A writer seals a bucket's chunk as one *piece* when it flushes, and
+//! also when the bucket switches between boxed rows and lanes; every
+//! piece is tagged `(bucket, source partition, sequence)`, the sequence
+//! counting the source's pieces. Within one source partition, pieces are
+//! sealed in row order, so sorting a bucket's pieces by
+//! `(source, sequence)` and concatenating reproduces exactly the row
+//! order of the old collect-everything gather: bucket `b` holds source
+//! 0's rows in source order, then source 1's, … Spill runs are written
+//! with their pieces pre-sorted by `(bucket, source, sequence)` and
+//! merge-read per bucket, so a spilled exchange and an in-memory exchange
+//! are indistinguishable downstream. A bucket whose pieces all hold lanes
+//! comes back as lanes; one with a spilled or boxed piece comes back as
+//! boxed rows — the same rows either way.
 //!
 //! ## Budget semantics
 //!
 //! The budget bounds the bytes of exchanged rows the sink holds in memory
 //! at once (estimated with [`diablo_runtime::serialized_size`], summed
-//! row-by-row by the writers — unbounded exchanges skip the accounting
-//! entirely). `None` means unbounded (never spill). A budget of 0 spills
-//! every flushed chunk. Spills are counted in [`Stats`](crate::Stats)
-//! (`spilled_records`, `spilled_bytes`, `spill_files`) and noted in the
-//! executed-plan trace.
+//! row-by-row by the writers — a lane row is charged the size of the row
+//! it stands for, so spills fall where they fall for boxed rows;
+//! unbounded exchanges skip the accounting entirely). `None` means
+//! unbounded (never spill). A budget of 0 spills every flushed chunk.
+//! A spilled chunk is encoded row by row with [`encode_value`]'s format
+//! and comes back as boxed rows. Spills are counted in
+//! [`Stats`](crate::Stats) (`spilled_records`, `spilled_bytes`,
+//! `spill_files`) and noted in the executed-plan trace.
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
+use diablo_runtime::array::key_value_ref;
 use diablo_runtime::{RuntimeError, Value};
 
+use crate::chunk::{self, row_size, Chunk, ChunkBuf};
+use crate::columnar::{each_key, TileSink, VCol};
 use crate::dataset::key_hash;
 use crate::keytable::Key;
 use crate::plan::Result;
@@ -78,13 +93,13 @@ impl HashPartitioner {
 
 // ------------------------------------------------------------- the sink
 
-/// An in-flight chunk: one flush's worth of rows for one bucket from one
-/// source partition.
-struct Chunk {
+/// An in-flight chunk: one piece of one bucket's rows from one source
+/// partition, tagged with its place among that source's pieces.
+struct Tagged {
     bucket: u32,
     src: u32,
     seq: u64,
-    rows: Vec<Value>,
+    chunk: Chunk,
 }
 
 /// Where a spilled chunk lives inside the exchange's spill file.
@@ -109,7 +124,7 @@ struct SpillFile {
 
 #[derive(Default)]
 struct ExchangeState {
-    chunks: Vec<Chunk>,
+    chunks: Vec<Tagged>,
     buffered_bytes: u64,
     spill: Option<SpillFile>,
     /// Sorted runs appended to the spill file.
@@ -132,6 +147,15 @@ pub(crate) struct Exchange {
 /// Distinguishes concurrent exchanges' temp dirs within one process.
 static EXCHANGE_ID: AtomicU64 = AtomicU64::new(0);
 
+/// The error of a state lock that a panicking thread poisoned. No code
+/// that can panic runs under the lock — chunk pushes, saturating byte
+/// counts, and the spill file's appends, whose failures are `Result`s —
+/// so a poisoned lock means a bug elsewhere, and it fails this one stage
+/// instead of the thread that meets it.
+fn poisoned() -> RuntimeError {
+    RuntimeError::new("exchange state lock poisoned by a panicking writer")
+}
+
 impl Exchange {
     /// A new exchange into `partitions` buckets under `budget` bytes of
     /// in-memory buffering (`None` = unbounded, never spill).
@@ -143,71 +167,64 @@ impl Exchange {
         }
     }
 
+    fn state(&self) -> Result<MutexGuard<'_, ExchangeState>> {
+        self.state.lock().map_err(|_| poisoned())
+    }
+
     /// A writer for one source partition. Writers are independent and may
     /// run concurrently; each must be [`close`](ExchangeWriter::close)d.
     pub fn writer(&self, src: usize) -> ExchangeWriter<'_> {
-        // Small budgets flush (and so spill-check) eagerly; roomy or
-        // unbounded exchanges amortize the shared-state lock over bigger
-        // chunks instead of serializing scatter workers on it. Budgeted
+        // Small budgets flush (and so spill-check) eagerly, roomy ones
+        // amortize the shared-state lock over bigger pieces. Budgeted
         // writers also flush on estimated *bytes* (a quarter of the
         // budget, floored so tiny budgets keep their row-count cadence),
         // so wide rows — §5 tile payloads — cannot pile up a large
-        // multiple of the budget in writer-local buffers.
-        let flush_rows = match self.budget {
-            Some(b) if b < (1 << 20) => 64,
-            _ => 1024,
-        };
-        let flush_bytes = self.budget.map(|b| (b / 4).max(64 * 1024));
+        // multiple of the budget in writer-local buffers. Unbounded
+        // writers never flush before they close.
+        let flush = self.budget.map(|b| {
+            let rows = if b < (1 << 20) { 64 } else { 1024 };
+            (rows, (b / 4).max(64 * 1024))
+        });
         ExchangeWriter {
             exchange: self,
             src: src as u32,
             seq: 0,
-            flush_rows,
-            flush_bytes,
+            flush,
             pending_rows: 0,
             pending_bytes: 0,
-            buckets: vec![Vec::new(); self.partitions],
-            staged: Vec::new(),
+            buckets: (0..self.partitions).map(|_| ChunkBuf::default()).collect(),
+            sealed: Vec::new(),
+            rows_of: vec![Vec::new(); self.partitions],
         }
     }
 
-    /// Accepts one flush's buckets (whose estimated size the writer
+    /// Accepts one flush's pieces (whose estimated size the writer
     /// already accumulated row-by-row — nothing is re-walked under the
     /// lock), spilling if the budget is now exceeded. The CPU-heavy half
     /// of a spill — sorting and binary-encoding the run — happens
     /// **outside** the state lock, so concurrent scatter workers only
     /// serialize on the actual file append, not on the encode.
-    fn accept(&self, src: u32, seq: u64, buckets: &mut [Vec<Value>], bytes: u64) -> Result<()> {
+    fn accept(&self, pieces: Vec<Tagged>, bytes: u64) -> Result<()> {
         let over_budget = {
-            let mut state = self.state.lock().expect("exchange lock");
-            for (b, rows) in buckets.iter_mut().enumerate() {
-                if rows.is_empty() {
-                    continue;
-                }
-                let rows = std::mem::take(rows);
-                state.emitted_rows += rows.len() as u64;
-                state.chunks.push(Chunk {
-                    bucket: b as u32,
-                    src,
-                    seq,
-                    rows,
-                });
+            let mut state = self.state()?;
+            for piece in pieces {
+                state.emitted_rows += piece.chunk.len() as u64;
+                state.chunks.push(piece);
             }
-            state.buffered_bytes += bytes;
+            state.buffered_bytes = state.buffered_bytes.saturating_add(bytes);
             self.budget.is_some_and(|b| state.buffered_bytes > b)
         };
         if over_budget {
             // Claim the buffered chunks (new ones may accumulate behind
             // us — they will trigger their own spill if needed).
             let chunks = {
-                let mut state = self.state.lock().expect("exchange lock");
+                let mut state = self.state()?;
                 state.buffered_bytes = 0;
                 std::mem::take(&mut state.chunks)
             };
             if !chunks.is_empty() {
                 let run = encode_run(chunks)?;
-                let mut state = self.state.lock().expect("exchange lock");
-                append_run(&mut state, run)?;
+                append_run(&mut *self.state()?, run)?;
             }
         }
         Ok(())
@@ -219,25 +236,29 @@ impl Exchange {
     /// byte-identical to an unbounded in-memory exchange. Records shuffle
     /// (and any spill) statistics and plan notes on `ctx`, then removes
     /// the temp run files.
-    pub fn finish(self, ctx: &Context) -> Result<Vec<Vec<Value>>> {
-        let state = self.state.into_inner().expect("exchange lock");
+    pub fn finish(self, ctx: &Context) -> Result<Vec<Chunk>> {
+        let Exchange {
+            partitions,
+            budget,
+            state,
+        } = self;
+        let state = state.into_inner().map_err(|_| poisoned())?;
         let spill_runs = state.spill_runs;
         let (spilled_records, spilled_bytes) = (state.spilled_records, state.spilled_bytes);
         let emitted = state.emitted_rows;
-        let dest = merge_read(state, self.partitions)?;
-        crate::verify::verify_exchange_output(&dest, self.partitions, emitted)?;
-        let bytes = crate::dataset::estimate_bytes(&dest);
+        let dest = merge_read(state, partitions)?;
+        crate::verify::verify_exchange_output(&dest, partitions, emitted)?;
+        let bytes = crate::chunk::estimate_bytes(&dest);
         ctx.stats().record_shuffle(emitted, bytes);
         ctx.plan_note(format!(
-            "shuffle: {emitted} rows exchanged across {} partitions",
-            self.partitions
+            "shuffle: {emitted} rows exchanged across {partitions} partitions"
         ));
         if spill_runs > 0 {
             ctx.stats()
                 .record_spill(spilled_records, spilled_bytes, spill_runs);
             ctx.plan_note(format!(
                 "spill: {spilled_records} rows ({spilled_bytes} B) through {spill_runs} sorted run(s), budget {} B",
-                self.budget.unwrap_or(0)
+                budget.unwrap_or(0)
             ));
         }
         Ok(dest)
@@ -265,16 +286,22 @@ struct EncodedRun {
 
 /// Sorts chunks by `(bucket, source, sequence)` — so the read side can
 /// scan one bucket's chunks contiguously — and binary-encodes them into
-/// one run. Pure CPU: called without the exchange lock held.
-fn encode_run(mut chunks: Vec<Chunk>) -> Result<EncodedRun> {
+/// one run, row by row: a lane row is written as the row it stands for.
+/// Pure CPU: called without the exchange lock held.
+fn encode_run(mut chunks: Vec<Tagged>) -> Result<EncodedRun> {
     chunks.sort_by_key(|c| (c.bucket, c.src, c.seq));
     let mut bytes = Vec::new();
     let mut index = Vec::with_capacity(chunks.len());
     let mut records = 0u64;
     for c in chunks {
         let offset = bytes.len() as u64;
-        for row in &c.rows {
-            encode_value(row, &mut bytes)?;
+        let rows = c.chunk.len();
+        match &c.chunk {
+            Chunk::Rows(rows) => rows
+                .iter()
+                .try_for_each(|row| encode_value(row, &mut bytes))?,
+            Chunk::Cols { lanes, .. } => (0..rows)
+                .try_for_each(|i| encode_lane_row(lanes, i, &mut bytes, MAX_VALUE_DEPTH))?,
         }
         index.push(ChunkLoc {
             bucket: c.bucket,
@@ -282,9 +309,11 @@ fn encode_run(mut chunks: Vec<Chunk>) -> Result<EncodedRun> {
             seq: c.seq,
             offset,
             len: bytes.len() as u64 - offset,
-            rows: c.rows.len() as u32,
+            rows: u32::try_from(rows).map_err(|_| {
+                RuntimeError::new("exchange spill: a chunk holds 2^32 rows or more")
+            })?,
         });
-        records += c.rows.len() as u64;
+        records += rows as u64;
     }
     Ok(EncodedRun {
         bytes,
@@ -297,28 +326,30 @@ fn encode_run(mut chunks: Vec<Chunk>) -> Result<EncodedRun> {
 /// on first spill — one open descriptor per exchange, no matter how many
 /// runs a tiny budget forces) and merges its index in.
 fn append_run(state: &mut ExchangeState, run: EncodedRun) -> Result<()> {
-    if state.spill.is_none() {
-        let dir = std::env::temp_dir().join(format!(
-            "diablo-exchange-{}-{}",
-            std::process::id(),
-            EXCHANGE_ID.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir).map_err(io_err)?;
-        let file = File::options()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(dir.join("runs.bin"))
-            .map_err(io_err)?;
-        state.dir = Some(dir);
-        state.spill = Some(SpillFile {
-            file,
-            index: Vec::new(),
-            len: 0,
-        });
-    }
-    let sf = state.spill.as_mut().expect("spill file");
+    let sf = match &mut state.spill {
+        Some(sf) => sf,
+        None => {
+            let dir = std::env::temp_dir().join(format!(
+                "diablo-exchange-{}-{}",
+                std::process::id(),
+                EXCHANGE_ID.fetch_add(1, Ordering::Relaxed)
+            ));
+            std::fs::create_dir_all(&dir).map_err(io_err)?;
+            let file = File::options()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(true)
+                .open(dir.join("runs.bin"))
+                .map_err(io_err)?;
+            state.dir = Some(dir);
+            state.spill.insert(SpillFile {
+                file,
+                index: Vec::new(),
+                len: 0,
+            })
+        }
+    };
     sf.file.seek(SeekFrom::Start(sf.len)).map_err(io_err)?;
     sf.file.write_all(&run.bytes).map_err(io_err)?;
     let base = sf.len;
@@ -334,39 +365,45 @@ fn append_run(state: &mut ExchangeState, run: EncodedRun) -> Result<()> {
 }
 
 /// Builds the destination partitions: per bucket, every chunk — buffered
-/// or spilled — sorted by `(source, sequence)` and concatenated. Disk
-/// chunks that sort adjacently *and* sit contiguously in the spill file
-/// (the common case: consecutive sequences of one source within one run)
-/// are fetched with a single ranged read instead of one seek+read per
-/// chunk.
-fn merge_read(mut state: ExchangeState, partitions: usize) -> Result<Vec<Vec<Value>>> {
+/// or spilled — sorted by `(source, sequence)` and concatenated into one
+/// chunk ([`chunk::concat`]: lanes when every piece holds lanes, boxed
+/// rows when a piece was spilled or boxed). Disk chunks that sort
+/// adjacently *and* sit contiguously in the spill file (the common case:
+/// consecutive sequences of one source within one run) are fetched with
+/// a single ranged read instead of one seek+read per chunk.
+fn merge_read(mut state: ExchangeState, partitions: usize) -> Result<Vec<Chunk>> {
     // (src, seq) -> where the rows are.
     enum Loc {
-        Mem(Vec<Value>),
+        Mem(Chunk),
         Disk { at: usize },
     }
     let mut by_bucket: Vec<Vec<(u32, u64, Loc)>> = (0..partitions).map(|_| Vec::new()).collect();
     for c in std::mem::take(&mut state.chunks) {
-        by_bucket[c.bucket as usize].push((c.src, c.seq, Loc::Mem(c.rows)));
+        by_bucket[c.bucket as usize].push((c.src, c.seq, Loc::Mem(c.chunk)));
     }
     if let Some(sf) = &state.spill {
         for (i, loc) in sf.index.iter().enumerate() {
             by_bucket[loc.bucket as usize].push((loc.src, loc.seq, Loc::Disk { at: i }));
         }
     }
-    let mut dest: Vec<Vec<Value>> = Vec::with_capacity(partitions);
+    let mut dest: Vec<Chunk> = Vec::with_capacity(partitions);
     for chunks in &mut by_bucket {
         chunks.sort_by_key(|&(src, seq, _)| (src, seq));
-        let mut part = Vec::new();
+        let mut pieces = Vec::new();
         let mut pending: Vec<usize> = Vec::new(); // contiguous disk chunks
         let read_pending = |pending: &mut Vec<usize>,
-                            part: &mut Vec<Value>,
+                            pieces: &mut Vec<Chunk>,
                             state: &mut ExchangeState|
          -> Result<()> {
             let Some(&first) = pending.first() else {
                 return Ok(());
             };
-            let sf = state.spill.as_mut().expect("indexed spill file");
+            // Disk locations come from the spill file's own index.
+            let Some(sf) = state.spill.as_mut() else {
+                return Err(RuntimeError::new(
+                    "exchange spill: run index without a file",
+                ));
+            };
             let start = sf.index[first].offset;
             let total: u64 = pending.iter().map(|&i| sf.index[i].len).sum();
             sf.file.seek(SeekFrom::Start(start)).map_err(io_err)?;
@@ -374,32 +411,34 @@ fn merge_read(mut state: ExchangeState, partitions: usize) -> Result<Vec<Vec<Val
             sf.file.read_exact(&mut buf).map_err(io_err)?;
             let mut cursor = &buf[..];
             let rows: u64 = pending.iter().map(|&i| u64::from(sf.index[i].rows)).sum();
-            for _ in 0..rows {
-                part.push(decode_value(&mut cursor)?);
-            }
+            let rows = (0..rows)
+                .map(|_| decode_value(&mut cursor))
+                .collect::<Result<_>>()?;
+            pieces.push(Chunk::Rows(rows));
             pending.clear();
             Ok(())
         };
         for (_, _, loc) in chunks.drain(..) {
             match loc {
-                Loc::Mem(rows) => {
-                    read_pending(&mut pending, &mut part, &mut state)?;
-                    part.extend(rows);
+                Loc::Mem(chunk) => {
+                    read_pending(&mut pending, &mut pieces, &mut state)?;
+                    pieces.push(chunk);
                 }
                 Loc::Disk { at } => {
                     let contiguous = pending.last().is_some_and(|&prev| {
-                        let sf = state.spill.as_ref().expect("indexed spill file");
-                        sf.index[prev].offset + sf.index[prev].len == sf.index[at].offset
+                        state.spill.as_ref().is_some_and(|sf| {
+                            sf.index[prev].offset + sf.index[prev].len == sf.index[at].offset
+                        })
                     });
                     if !contiguous {
-                        read_pending(&mut pending, &mut part, &mut state)?;
+                        read_pending(&mut pending, &mut pieces, &mut state)?;
                     }
                     pending.push(at);
                 }
             }
         }
-        read_pending(&mut pending, &mut part, &mut state)?;
-        dest.push(part);
+        read_pending(&mut pending, &mut pieces, &mut state)?;
+        dest.push(chunk::concat(pieces));
     }
     drop(state); // removes the temp spill file
     Ok(dest)
@@ -409,94 +448,229 @@ fn io_err(e: std::io::Error) -> RuntimeError {
     RuntimeError::new(format!("exchange spill I/O: {e}"))
 }
 
-/// The per-source-partition write handle of an [`Exchange`]: buffers rows
-/// per bucket and flushes ordered chunks into the shared sink.
+/// The per-source-partition write handle of an [`Exchange`]: builds one
+/// chunk per bucket — boxed rows from [`emit`](ExchangeWriter::emit),
+/// lanes from [`emit_tile`](ExchangeWriter::emit_tile) — and hands them to
+/// the shared sink as ordered pieces.
 pub(crate) struct ExchangeWriter<'a> {
     exchange: &'a Exchange,
     src: u32,
+    /// The sequence number of the next piece this writer seals.
     seq: u64,
-    flush_rows: usize,
-    /// Byte-based flush trigger; `None` on unbounded exchanges (no need
-    /// to pay per-row size estimation there).
-    flush_bytes: Option<u64>,
+    /// Row-count and byte flush triggers; `None` on unbounded exchanges
+    /// (no need to pay per-row size estimation there).
+    flush: Option<(usize, u64)>,
     pending_rows: usize,
     pending_bytes: u64,
-    buckets: Vec<Vec<Value>>,
-    /// Chunks staged writer-locally on unbounded exchanges (no spill
-    /// checks needed there): flushes append here instead of taking the
-    /// shared sink lock, and [`close`](ExchangeWriter::close) publishes
-    /// them all at once — one lock acquisition per writer per stage, so
-    /// concurrent scatter workers never contend on the sink. The chunk
-    /// tags `(bucket, source, sequence)` make the merge order independent
-    /// of which worker published first.
-    staged: Vec<Chunk>,
+    /// The chunk each bucket is building.
+    buckets: Vec<ChunkBuf>,
+    /// Pieces sealed since the last flush. An unbounded exchange (no
+    /// spill checks needed) keeps them until
+    /// [`close`](ExchangeWriter::close) publishes them all at once — one
+    /// lock acquisition per writer per stage, so concurrent scatter
+    /// workers never contend on the sink. The tags
+    /// `(bucket, source, sequence)` make the merge order independent of
+    /// which worker published first.
+    sealed: Vec<Tagged>,
+    /// Per bucket, the tile rows going to it (scratch, reused).
+    rows_of: Vec<Vec<u32>>,
 }
 
 impl ExchangeWriter<'_> {
-    /// Sends one row to destination bucket `bucket`, preserving emission
-    /// order per `(source, bucket)` pair. An out-of-range bucket (a
-    /// partitioner bug) is a [`RuntimeError`], not a panic.
-    pub fn emit(&mut self, bucket: usize, row: Value) -> Result<()> {
+    /// An out-of-range bucket (a partitioner bug) is a [`RuntimeError`],
+    /// not a panic.
+    fn check(&self, bucket: usize) -> Result<()> {
         if bucket >= self.buckets.len() {
             return Err(RuntimeError::new(format!(
                 "partitioner chose bucket {bucket} of {} partitions",
                 self.buckets.len()
             )));
         }
-        if self.flush_bytes.is_some() {
+        Ok(())
+    }
+
+    /// True when the rows since the last flush reach a flush trigger.
+    fn due(&self) -> bool {
+        self.flush
+            .is_some_and(|(rows, bytes)| self.pending_rows >= rows || self.pending_bytes >= bytes)
+    }
+
+    /// Finishes bucket `b`'s chunk as the source's next piece.
+    fn seal(&mut self, b: usize) {
+        let chunk = self.buckets[b].take();
+        self.sealed.push(Tagged {
+            bucket: b as u32,
+            src: self.src,
+            seq: self.seq,
+            chunk,
+        });
+        self.seq += 1;
+    }
+
+    /// Sends one row to destination bucket `bucket` as a boxed row,
+    /// preserving emission order per `(source, bucket)` pair.
+    pub fn emit(&mut self, bucket: usize, row: Value) -> Result<()> {
+        self.check(bucket)?;
+        if self.buckets[bucket].holds_cols() {
+            self.seal(bucket);
+        }
+        if self.flush.is_some() {
             self.pending_bytes += diablo_runtime::serialized_size(&row) as u64;
         }
-        self.buckets[bucket].push(row);
+        self.buckets[bucket].push_row(row);
         self.pending_rows += 1;
-        if self.pending_rows >= self.flush_rows
-            || self.flush_bytes.is_some_and(|b| self.pending_bytes >= b)
-        {
+        if self.due() {
             self.flush()?;
         }
         Ok(())
     }
 
-    /// Hands all locally buffered rows to the exchange (spilling there if
-    /// the budget is exceeded).
-    pub fn flush(&mut self) -> Result<()> {
+    /// Sends row `i` of the tile column `col` to bucket `buckets[i]`, for
+    /// every row, as lanes: each bucket gets its rows in tile order, and
+    /// the writer flushes where emitting the rows one by one would — each
+    /// row charged the size of the row it stands for — so spills fall
+    /// where they would for boxed rows.
+    pub fn emit_tile(&mut self, buckets: &[u32], col: &VCol) -> Result<()> {
+        if let Some(&b) = buckets.iter().max() {
+            self.check(b as usize)?;
+        }
+        let mut start = 0;
+        while start < buckets.len() {
+            let mut end = buckets.len();
+            if self.flush.is_some() {
+                end = start;
+                while end < buckets.len() && !self.due() {
+                    self.pending_bytes += row_size(col, end) as u64;
+                    self.pending_rows += 1;
+                    end += 1;
+                }
+            } else {
+                self.pending_rows += end - start;
+            }
+            self.push_tile(col, &buckets[start..end], start);
+            if self.due() {
+                self.flush()?;
+            }
+            start = end;
+        }
+        Ok(())
+    }
+
+    /// Appends tile rows `offset..` (one per entry of `buckets`) to their
+    /// buckets' lanes.
+    fn push_tile(&mut self, col: &VCol, buckets: &[u32], offset: usize) {
+        let mut rows_of = std::mem::take(&mut self.rows_of);
+        for (i, &b) in buckets.iter().enumerate() {
+            rows_of[b as usize].push((offset + i) as u32);
+        }
+        for (b, rows) in rows_of.iter_mut().enumerate() {
+            if rows.is_empty() {
+                continue;
+            }
+            if self.buckets[b].holds_rows() {
+                self.seal(b);
+            }
+            self.buckets[b].push_tile(col, rows);
+            rows.clear();
+        }
+        self.rows_of = rows_of;
+    }
+
+    /// Seals every bucket's chunk and, on a budgeted exchange, hands the
+    /// pieces to the shared sink (spilling there if the budget is
+    /// exceeded).
+    fn flush(&mut self) -> Result<()> {
         if self.pending_rows == 0 {
             return Ok(());
         }
-        if self.exchange.budget.is_none() {
-            // Unbounded exchange: stage locally, publish once at close.
-            for (b, rows) in self.buckets.iter_mut().enumerate() {
-                if rows.is_empty() {
-                    continue;
-                }
-                self.staged.push(Chunk {
-                    bucket: b as u32,
-                    src: self.src,
-                    seq: self.seq,
-                    rows: std::mem::take(rows),
-                });
+        for b in 0..self.buckets.len() {
+            if self.buckets[b].len() > 0 {
+                self.seal(b);
             }
-        } else {
-            self.exchange
-                .accept(self.src, self.seq, &mut self.buckets, self.pending_bytes)?;
         }
-        self.seq += 1;
+        if self.flush.is_some() {
+            let pieces = std::mem::take(&mut self.sealed);
+            self.exchange.accept(pieces, self.pending_bytes)?;
+        }
         self.pending_rows = 0;
         self.pending_bytes = 0;
         Ok(())
     }
 
-    /// Final flush, plus the one-lock publish of any writer-staged
-    /// chunks. Dropping a writer without closing it discards its
+    /// Final flush, plus the one-lock publish of an unbounded writer's
+    /// pieces. Dropping a writer without closing it discards its
     /// un-published rows — which is exactly right on scatter error paths.
     pub fn close(mut self) -> Result<()> {
         self.flush()?;
-        if !self.staged.is_empty() {
-            let rows: u64 = self.staged.iter().map(|c| c.rows.len() as u64).sum();
-            let mut state = self.exchange.state.lock().expect("exchange lock");
+        if !self.sealed.is_empty() {
+            let rows: u64 = self.sealed.iter().map(|c| c.chunk.len() as u64).sum();
+            let mut state = self.exchange.state()?;
             state.emitted_rows += rows;
-            state.chunks.append(&mut self.staged);
+            state.chunks.append(&mut self.sealed);
         }
         Ok(())
+    }
+}
+
+/// A keyed scatter as a [`TileSink`]: every `(key, row)` pair goes to
+/// its key's bucket — the whole pair (a merge or group-by side) or only
+/// the row (a join side). A tile of struct-of-arrays pairs sends its
+/// columns as lanes, its key read where it lies; a row, or a tile of
+/// boxed pairs, is split and sent boxed.
+pub(crate) struct KeyedScatter<'w, 'e> {
+    writer: &'w mut ExchangeWriter<'e>,
+    partitions: usize,
+    /// Send the pair, not only its row.
+    whole: bool,
+    /// The current tile's bucket per row (scratch, reused).
+    buckets: Vec<u32>,
+}
+
+impl<'w, 'e> KeyedScatter<'w, 'e> {
+    pub fn new(writer: &'w mut ExchangeWriter<'e>, partitions: usize, whole: bool) -> Self {
+        KeyedScatter {
+            writer,
+            partitions,
+            whole,
+            buckets: Vec::new(),
+        }
+    }
+
+    fn pair(&mut self, pair: Cow<'_, Value>) -> Result<()> {
+        let (key, row) = key_value_ref(&pair)?;
+        let b = HashPartitioner.partition(key, self.partitions);
+        let row = if self.whole {
+            pair.into_owned()
+        } else {
+            row.clone()
+        };
+        self.writer.emit(b, row)
+    }
+}
+
+impl TileSink for KeyedScatter<'_, '_> {
+    fn tile(&mut self, col: &VCol, len: usize) -> Result<()> {
+        let VCol::Tuple(kv) = col else {
+            return (0..len).try_for_each(|i| self.pair(col.at(i)));
+        };
+        if kv.len() != 2 {
+            return (0..len).try_for_each(|i| self.pair(col.at(i)));
+        }
+        let (p, mut buckets) = (self.partitions, std::mem::take(&mut self.buckets));
+        buckets.clear();
+        each_key(&kv[0], len, |_, key| {
+            buckets.push(HashPartitioner.bucket(&key, p) as u32);
+            Ok(())
+        })?;
+        let sent = self
+            .writer
+            .emit_tile(&buckets, if self.whole { col } else { &kv[1] });
+        self.buckets = buckets;
+        sent
+    }
+
+    fn row(&mut self, row: Value) -> Result<()> {
+        self.pair(Cow::Owned(row))
     }
 }
 
@@ -524,19 +698,42 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) -> Result<()> {
     encode_nested(v, out, MAX_VALUE_DEPTH)
 }
 
+/// Writes a length in the codec's u32 wire format.
+fn put_len(out: &mut Vec<u8>, n: usize) -> Result<()> {
+    let n = u32::try_from(n).map_err(|_| {
+        RuntimeError::new("exchange spill: value length exceeds the u32 wire format")
+    })?;
+    out.extend_from_slice(&n.to_le_bytes());
+    Ok(())
+}
+
+fn too_deep() -> RuntimeError {
+    RuntimeError::new(format!(
+        "exchange spill: value nesting exceeds the codec's depth limit ({MAX_VALUE_DEPTH})"
+    ))
+}
+
+/// Writes row `i` of a chunk's lane exactly as [`encode_value`] writes
+/// the row it stands for, without boxing a struct-of-arrays tuple.
+fn encode_lane_row(col: &VCol, i: usize, out: &mut Vec<u8>, depth: usize) -> Result<()> {
+    match col {
+        VCol::Tuple(cols) => {
+            if depth == 0 {
+                return Err(too_deep());
+            }
+            out.push(5);
+            put_len(out, cols.len())?;
+            cols.iter()
+                .try_for_each(|c| encode_lane_row(c, i, out, depth - 1))
+        }
+        _ => encode_nested(&col.at(i), out, depth),
+    }
+}
+
 /// [`encode_value`] with `depth` levels left.
 fn encode_nested(v: &Value, out: &mut Vec<u8>, depth: usize) -> Result<()> {
-    fn put_len(out: &mut Vec<u8>, n: usize) -> Result<()> {
-        let n = u32::try_from(n).map_err(|_| {
-            RuntimeError::new("exchange spill: value length exceeds the u32 wire format")
-        })?;
-        out.extend_from_slice(&n.to_le_bytes());
-        Ok(())
-    }
     if depth == 0 {
-        return Err(RuntimeError::new(format!(
-            "exchange spill: value nesting exceeds the codec's depth limit ({MAX_VALUE_DEPTH})"
-        )));
+        return Err(too_deep());
     }
     match v {
         Value::Unit => out.push(0),
@@ -679,6 +876,11 @@ fn decode_nested(buf: &mut &[u8], depth: usize) -> Result<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every bucket's rows, boxed.
+    fn boxed(dest: Vec<Chunk>) -> Vec<Vec<Value>> {
+        dest.iter().map(|c| c.rows().into_owned()).collect()
+    }
 
     fn roundtrip(v: &Value) -> Value {
         let mut buf = Vec::new();
@@ -884,7 +1086,7 @@ mod tests {
         }
         fn finish_quiet(ex: Exchange) -> Vec<Vec<Value>> {
             let ctx = crate::Context::new(1, 3);
-            ex.finish(&ctx).unwrap()
+            boxed(ex.finish(&ctx).unwrap())
         }
     }
 
@@ -915,12 +1117,49 @@ mod tests {
         let before = ctx.stats().snapshot();
         let dest = ex.finish(&ctx).unwrap();
         let after = ctx.stats().snapshot().since(&before);
-        assert_eq!(dest.iter().map(Vec::len).sum::<usize>(), 500);
+        assert_eq!(dest.iter().map(Chunk::len).sum::<usize>(), 500);
         assert!(after.spill_files > 0, "{after:?}");
         assert_eq!(after.spilled_records, 500, "{after:?}");
         assert!(after.spilled_bytes > 0, "{after:?}");
         assert_eq!(after.shuffled_records, 500);
         assert!(!dir.exists(), "temp run files removed after finish");
+    }
+
+    #[test]
+    fn a_lane_row_spills_as_the_row_it_stands_for() {
+        let rows: Vec<Value> = (0..6i64)
+            .map(|i| {
+                let key = Value::pair(Value::Long(i), Value::Double(i as f64 / 4.0));
+                Value::pair(key, Value::str(format!("s{i}")))
+            })
+            .collect();
+        let lanes = chunk::owned_col(rows.clone());
+        assert!(matches!(&lanes, VCol::Tuple(_)), "{lanes:?}");
+        for (i, row) in rows.iter().enumerate() {
+            let (mut boxed_bytes, mut lane_bytes) = (Vec::new(), Vec::new());
+            encode_value(row, &mut boxed_bytes).unwrap();
+            encode_lane_row(&lanes, i, &mut lane_bytes, MAX_VALUE_DEPTH).unwrap();
+            assert_eq!(lane_bytes, boxed_bytes, "row {i}");
+        }
+        // Sent as lanes under a budget of 0, every piece spills and comes
+        // back as boxed rows, in order, charged as the rows themselves.
+        let ctx = crate::Context::new(1, 2);
+        let ex = Exchange::new(2, Some(0));
+        let mut w = ex.writer(0);
+        w.emit_tile(&[0, 1, 0, 1, 0, 1], &lanes).unwrap();
+        w.close().unwrap();
+        let before = ctx.stats().snapshot();
+        let dest = ex.finish(&ctx).unwrap();
+        let after = ctx.stats().snapshot().since(&before);
+        assert!(dest.iter().all(|c| matches!(c, Chunk::Rows(_))));
+        let want: Vec<Vec<Value>> = (0..2)
+            .map(|b| rows.iter().skip(b).step_by(2).cloned().collect())
+            .collect();
+        assert_eq!(
+            after.shuffled_bytes,
+            chunk::estimate_bytes(&[Chunk::Rows(rows)])
+        );
+        assert_eq!(boxed(dest), want);
     }
 
     #[test]
@@ -967,7 +1206,7 @@ mod tests {
         }
         w0.close().unwrap();
         let ctx = crate::Context::new(1, 1);
-        let dest = ex.finish(&ctx).unwrap();
+        let dest = boxed(ex.finish(&ctx).unwrap());
         let expect: Vec<Value> = (0..100).chain(1000..1100).map(Value::Long).collect();
         assert_eq!(dest[0], expect);
     }
@@ -982,7 +1221,7 @@ mod tests {
         w.emit(0, Value::str("loose row")).unwrap();
         w.close().unwrap();
         let ctx = crate::Context::new(1, 2);
-        let dest = ex.finish(&ctx).unwrap();
+        let dest = boxed(ex.finish(&ctx).unwrap());
         assert_eq!(dest[0], vec![Value::str("loose row")]);
         assert_eq!(dest[1], vec![Value::Unit]);
     }
@@ -1020,6 +1259,6 @@ mod tests {
         let ex = Exchange::new(4, Some(0));
         let dest = ex.finish(&ctx).unwrap();
         assert_eq!(dest.len(), 4);
-        assert!(dest.iter().all(Vec::is_empty));
+        assert!(dest.iter().all(|c| c.len() == 0));
     }
 }

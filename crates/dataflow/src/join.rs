@@ -1,8 +1,10 @@
 //! The matching half of a join, in factorised form: a [`Join`] turns one
-//! zipped bucket pair into [`Matches`] — the two bucket sides plus one
+//! bucket pair into [`Matches`] — the two bucket sides plus one
 //! `(left row, right row)` index pair per match, in emission order — and
-//! allocates no row. Rows are made of matches only where a consumer needs
-//! them (the row layout, an opaque chain, a replayed tile, `Dataset::join`'s
+//! allocates no row. The sides are the exchange's chunks as they arrived:
+//! boxed rows, or lanes whose keys the build–probe hashes where they lie.
+//! Rows are made of matches only where a consumer needs them (the row
+//! layout, an opaque chain, a replayed tile, `Dataset::join`'s
 //! `(k, (l, r))` rows), one at a time; an eligible columnar chain gathers
 //! its tile's columns straight from the two sides by index instead
 //! (`columnar::drive_tiles` over a [`Source::Matches`]).
@@ -12,8 +14,8 @@
 use diablo_runtime::array::key_value_ref;
 use diablo_runtime::Value;
 
+use crate::chunk::Chunk;
 use crate::columnar::{env_fields, for_each_key, RowExpr};
-use crate::dataset::Dataset;
 use crate::keytable::KeyTable;
 use crate::plan::Result;
 
@@ -28,13 +30,7 @@ pub(crate) enum Emit {
     Pairs,
 }
 
-/// A left row followed by the fields of a right one.
-fn concat_rows(left: &Value, right: &Value) -> Result<Value> {
-    let (l, r) = (env_fields(left)?, env_fields(right)?);
-    Ok(Value::Tuple(l.iter().chain(r).cloned().collect()))
-}
-
-/// The post-shuffle matching of a join over one zipped bucket pair: a
+/// The post-shuffle matching of a join over one bucket pair: a
 /// build–probe whose bucket rows are the rows themselves, keyed by these
 /// expressions.
 pub(crate) struct Join {
@@ -44,21 +40,25 @@ pub(crate) struct Join {
 }
 
 impl Join {
-    /// The matches of one zipped bucket pair. With `lanes`, each side's
-    /// keys are evaluated as one column and read from its lanes where it
-    /// has them; the keys, and so the matches, are the same either way.
-    pub(crate) fn matches<'a>(&self, part: &'a [Value], lanes: bool) -> Result<Matches<'a>> {
-        let (l, r) = Dataset::unzip_bucket(part)?;
-        build_probe(self, l, r, lanes)
+    /// The matches of one bucket pair. With `lanes`, each side's keys are
+    /// evaluated as one column and read from its lanes where it has them;
+    /// the keys, and so the matches, are the same either way.
+    pub(crate) fn matches<'a>(
+        &self,
+        left: &'a Chunk,
+        right: &'a Chunk,
+        lanes: bool,
+    ) -> Result<Matches<'a>> {
+        build_probe(self, left, right, lanes)
     }
 }
 
 /// A join's matches over one bucket pair.
 pub(crate) struct Matches<'a> {
     /// The left side's rows.
-    left: Vec<&'a Value>,
+    left: &'a Chunk,
     /// The right side's rows.
-    right: Vec<&'a Value>,
+    right: &'a Chunk,
     /// One `(left row, right row)` per match, in emission order.
     pairs: Vec<(u32, u32)>,
     /// Under [`Emit::Pairs`], per match: the left row that spells its
@@ -67,8 +67,30 @@ pub(crate) struct Matches<'a> {
     pub emit: Emit,
 }
 
+/// Raises what reading row `i` of `side` the way `emit` reads it would
+/// raise: `Concat` extends tuples, `Pairs` splits `(key, value)` pairs.
+/// A row of the right shape is checked without being boxed.
+fn check_row(side: &Chunk, i: usize, emit: Emit) -> Result<()> {
+    let want = match emit {
+        Emit::Concat => side.arity(i).is_some(),
+        Emit::Pairs => side.arity(i) == Some(2),
+    };
+    if !want {
+        let row = side.row(i);
+        match emit {
+            Emit::Concat => {
+                env_fields(&row)?;
+            }
+            Emit::Pairs => {
+                key_value_ref(&row)?;
+            }
+        }
+    }
+    Ok(())
+}
+
 impl<'a> Matches<'a> {
-    fn new(left: Vec<&'a Value>, right: Vec<&'a Value>, emit: Emit, matches: usize) -> Self {
+    fn new(left: &'a Chunk, right: &'a Chunk, emit: Emit, matches: usize) -> Self {
         Matches {
             left,
             right,
@@ -83,17 +105,10 @@ impl<'a> Matches<'a> {
     /// be emitted fails the stage here, in emission order, before any
     /// step runs.
     fn push(&mut self, i: usize, j: usize, key_row: usize) -> Result<()> {
-        let (l, r) = (self.left[i], self.right[j]);
-        match self.emit {
-            Emit::Concat => {
-                env_fields(l)?;
-                env_fields(r)?;
-            }
-            Emit::Pairs => {
-                key_value_ref(l)?;
-                key_value_ref(r)?;
-                self.key_rows.push(row_index(key_row));
-            }
+        check_row(self.left, i, self.emit)?;
+        check_row(self.right, j, self.emit)?;
+        if self.emit == Emit::Pairs {
+            self.key_rows.push(row_index(key_row));
         }
         self.pairs.push((row_index(i), row_index(j)));
         Ok(())
@@ -104,21 +119,34 @@ impl<'a> Matches<'a> {
         self.pairs.len()
     }
 
-    /// The left and right rows of match `m`.
-    pub fn sides(&self, m: usize) -> (&'a Value, &'a Value) {
-        let (i, j) = self.pairs[m];
-        (self.left[i as usize], self.right[j as usize])
+    /// The two sides.
+    pub fn chunks(&self) -> (&'a Chunk, &'a Chunk) {
+        (self.left, self.right)
+    }
+
+    /// The left and right rows of match `m`, as row indices of the sides.
+    pub fn sides(&self, m: usize) -> (u32, u32) {
+        self.pairs[m]
     }
 
     /// The row of match `m`.
     pub fn row(&self, m: usize) -> Result<Value> {
-        let (l, r) = self.sides(m);
+        let (i, j) = self.pairs[m];
+        let (i, j) = (i as usize, j as usize);
         match self.emit {
-            Emit::Concat => concat_rows(l, r),
+            Emit::Concat => {
+                let mut fields = Vec::new();
+                self.left.push_fields(i, &mut fields)?;
+                self.right.push_fields(j, &mut fields)?;
+                Ok(Value::tuple(fields))
+            }
             Emit::Pairs => {
-                let key = key_value_ref(self.left[self.key_rows[m] as usize])?.0;
-                let (l, r) = (key_value_ref(l)?.1, key_value_ref(r)?.1);
-                Ok(Value::pair(key.clone(), Value::pair(l.clone(), r.clone())))
+                let (key, _) = self.left.pair(self.key_rows[m] as usize)?;
+                let (l, r) = (self.left.pair(i)?.1, self.right.pair(j)?.1);
+                Ok(Value::pair(
+                    key.into_owned(),
+                    Value::pair(l.into_owned(), r.into_owned()),
+                ))
             }
         }
     }
@@ -165,8 +193,8 @@ impl RowChain {
 /// every left row of the key with every right row of the key.
 fn build_probe<'a>(
     join: &Join,
-    left: &'a [Value],
-    right: &'a [Value],
+    left: &'a Chunk,
+    right: &'a Chunk,
     lanes: bool,
 ) -> Result<Matches<'a>> {
     let mut keys: KeyTable<(RowChain, RowChain)> = KeyTable::new();
@@ -186,12 +214,7 @@ fn build_probe<'a>(
         Ok(())
     })?;
     // At least one match per matched right row.
-    let mut m = Matches::new(
-        left.iter().collect(),
-        right.iter().collect(),
-        join.emit,
-        matched,
-    );
+    let mut m = Matches::new(left, right, join.emit, matched);
     for (_, (lrows, rrows)) in keys.into_entries() {
         for i in lrows.rows(&lnext) {
             for j in rrows.rows(&rnext) {

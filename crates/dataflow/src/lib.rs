@@ -85,6 +85,7 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 mod block;
+mod chunk;
 mod columnar;
 mod dataset;
 mod dscache;

@@ -26,11 +26,17 @@
 //! shuffle-*read* side fuses with the next narrow chain too:
 //! `reduce_by_key → map → shuffle` is two physical stages (combine +
 //! scatter, then reduce + map + scatter), not three, and so is
-//! `reduce_by_key → map → collect`. A join's post-shuffle
-//! node ([`PartOp::Join`]) hands the chain above it the join's match list
-//! rather than rows ([`Source::Matches`]): a columnar chain gathers its
-//! columns from the two bucket sides, anything else makes each match's
-//! row as it reads it.
+//! `reduce_by_key → map → collect`. The node holds each bucket as the
+//! exchange built it ([`Bucket`]): one [`Chunk`](crate::chunk::Chunk) per
+//! partition, or a left and a right chunk for a two-sided operator, each
+//! either boxed rows or typed lanes. The reduce folds its lanes, the
+//! merge and the join's build–probe key on them, and group-by and the §5
+//! block operators read rows; so dropping the node frees a few vectors
+//! per bucket instead of one boxed row per exchanged row. A join's
+//! post-shuffle node ([`PartOp::Join`]) hands the chain above it the
+//! join's match list rather than rows ([`Source::Matches`]): a columnar
+//! chain gathers its columns from the two bucket sides, anything else
+//! makes each match's row as it reads it.
 //!
 //! A stage runs one way: [`consume`] sets it up — one item per partition
 //! of a scanned, cached or shuffled base — and hands each partition's
@@ -60,7 +66,8 @@ use std::sync::Arc;
 
 use diablo_runtime::{BinOp, RuntimeError, Value};
 
-use crate::columnar::{Cross, FoldSink, KeyedFold, RowExpr, RowSink, TileSink};
+use crate::chunk::Bucket;
+use crate::columnar::{Cross, FoldSink, RowExpr, RowSink, TileSink};
 use crate::join::{Join, Matches};
 use crate::pool::{run_stage_weighted, Cancel};
 use crate::stats::Stats;
@@ -99,34 +106,37 @@ pub(crate) type RowMapFn = Arc<dyn Fn(&Value) -> Result<Value> + Send + Sync>;
 pub(crate) type RowPredFn = Arc<dyn Fn(&Value) -> Result<bool> + Send + Sync>;
 /// A row-to-rows transformation stored in the plan.
 pub(crate) type RowFlatFn = Arc<dyn Fn(&Value) -> Result<Vec<Value>> + Send + Sync>;
-/// A partition-at-a-time transformation stored in the plan.
-pub(crate) type PartFn = Arc<dyn Fn(&[Value]) -> Result<Vec<Value>> + Send + Sync>;
+/// A bucket-at-a-time transformation stored in the plan.
+pub(crate) type PartFn = Arc<dyn Fn(&Bucket) -> Result<Vec<Value>> + Send + Sync>;
 
 /// What a partition-wise node makes of one partition.
 #[derive(Clone)]
 pub(crate) enum PartOp {
-    /// New rows, from a function of the partition's rows.
+    /// New rows, from a function of the bucket.
     Rows(PartFn),
-    /// A join's matches over one zipped bucket pair: rows the fused chain
-    /// above reads without their being built ([`Source::Matches`]).
+    /// A join's matches over one bucket pair: rows the fused chain above
+    /// reads without their being built ([`Source::Matches`]).
     Join(Arc<Join>),
 }
 
 impl PartOp {
-    /// Runs the node over one partition and hands `then` its output as a
+    /// Runs the node over one bucket and hands `then` its output as a
     /// [`Source`]; an error of the node itself carries the node's tag.
     fn run<R>(
         &self,
-        part: &[Value],
+        bucket: &Bucket,
         tag: &Tag,
         mode: &DriveMode,
         then: impl FnOnce(Source<'_>) -> Result<R>,
     ) -> Result<R> {
         match self {
-            PartOp::Rows(f) => then(Source::Rows(&f(part).map_err(|e| tag_opt(e, tag))?)),
+            PartOp::Rows(f) => then(Source::Rows(&f(bucket).map_err(|e| tag_opt(e, tag))?)),
             PartOp::Join(join) => {
                 let columnar = matches!(mode, DriveMode::Columnar(..));
-                let matches = join.matches(part, columnar).map_err(|e| tag_opt(e, tag))?;
+                let matches = bucket
+                    .two()
+                    .and_then(|(l, r)| join.matches(l, r, columnar))
+                    .map_err(|e| tag_opt(e, tag))?;
                 then(Source::Matches(&matches))
             }
         }
@@ -209,11 +219,12 @@ pub(crate) enum PlanOp {
         &'static str,
         Option<Arc<Cross>>,
     ),
-    /// Gathered shuffle buckets — one per partition — and the
-    /// partition-wise work that reads them, fused with the steps above it.
+    /// Gathered shuffle buckets — one per partition, each one chunk or a
+    /// left and a right chunk, as the exchange built them — and the
+    /// bucket-wise work that reads them, fused with the steps above it.
     /// The `&'static str` names the operator for plan traces
     /// (`reduce_by_key (reduce)`, `merge ⊳ (combine slots)`, …).
-    Shuffled(Arc<Vec<Vec<Value>>>, PartOp, &'static str, Tag),
+    Shuffled(Arc<Vec<Bucket>>, PartOp, &'static str, Tag),
     /// An unforced dataset's plan as a derivation reads it: the inner
     /// plan's rows, plus that dataset's *ran* fact, which [`consume`] sets
     /// once a stage that fused the inner plan has finished on every
@@ -520,39 +531,52 @@ where
     crate::verify::verify_plan(plan)?;
     let mode = &DriveMode::of(ctx);
     let Collapsed { base, steps, ran } = collapse(plan);
-    let (parts, prelude) = match base.as_ref() {
-        PlanOp::Scan(parts) => (parts.clone(), None),
-        PlanOp::Cached(slot, inner) => (resolve_cached(ctx, slot, inner)?, None),
-        PlanOp::Shuffled(buckets, op, label, tag) => (buckets.clone(), Some((op, *label, tag))),
-        // collapse() never returns a row node as base.
-        _ => return Err(RuntimeError::new("corrupt plan: row node as base")),
+    let run = |p: usize, src: Source<'_>, cancel: &Cancel<'_>| {
+        let steps = &steps;
+        task(p, &PartitionRows { src, steps, mode }, cancel)
     };
-    ctx.record_physical_stage();
-    ctx.plan_note(describe_stage(
-        ctx,
-        parts.len(),
-        prelude.map(|(_, label, tag)| (label, tag)),
-        &steps,
-        label,
-    ));
-    note_layout(ctx, mode, &steps);
-    let steps = &steps;
-    let out = run_stage_weighted(
-        ctx,
-        &parts,
-        |i| parts[i].len() as u64,
-        |p, part: &Vec<Value>, cancel| {
-            let run = |src: Source<'_>| task(p, &PartitionRows { src, steps, mode }, cancel);
-            match prelude {
-                Some((op, _, tag)) => op.run(part, tag, mode, run),
-                None => run(Source::Rows(part)),
-            }
-        },
-    )?;
+    let out = match base.as_ref() {
+        PlanOp::Shuffled(buckets, op, op_label, tag) => {
+            let prelude = Some((*op_label, tag));
+            note_stage(ctx, mode, buckets.len(), prelude, &steps, label);
+            let weight = |i: usize| buckets[i].len() as u64;
+            run_stage_weighted(ctx, buckets, weight, |p, bucket, cancel| {
+                op.run(bucket, tag, mode, |src| run(p, src, cancel))
+            })?
+        }
+        base => {
+            let parts = match base {
+                PlanOp::Scan(parts) => parts.clone(),
+                PlanOp::Cached(slot, inner) => resolve_cached(ctx, slot, inner)?,
+                // collapse() never returns a row node as base.
+                _ => return Err(RuntimeError::new("corrupt plan: row node as base")),
+            };
+            note_stage(ctx, mode, parts.len(), None, &steps, label);
+            let weight = |i: usize| parts[i].len() as u64;
+            run_stage_weighted(ctx, &parts, weight, |p, part: &Vec<Value>, cancel| {
+                run(p, Source::Rows(part), cancel)
+            })?
+        }
+    };
     for fact in &ran {
         fact.store(true, Ordering::Release);
     }
     Ok(out)
+}
+
+/// Records a stage over `parts` partitions and notes it in the plan
+/// trace, with its layout.
+fn note_stage(
+    ctx: &Context,
+    mode: &DriveMode,
+    parts: usize,
+    prelude: Option<(&str, &Tag)>,
+    steps: &[Step],
+    label: &str,
+) {
+    ctx.record_physical_stage();
+    ctx.plan_note(describe_stage(ctx, parts, prelude, steps, label));
+    note_layout(ctx, mode, steps);
 }
 
 /// The rows of one partition, with the fused chain still to apply, as
@@ -569,6 +593,11 @@ impl PartitionRows<'_> {
         self.mode.drive(self.src, self.steps, sink)
     }
 
+    /// True on the columnar layout, whose keyed scatters send lanes.
+    pub fn columnar(&self) -> bool {
+        matches!(self.mode, DriveMode::Columnar(..))
+    }
+
     /// Feeds every transformed row to `sink`.
     pub fn for_each(&self, sink: &mut dyn FnMut(Value) -> Result<()>) -> Result<()> {
         self.drive(&mut RowSink(sink))
@@ -581,20 +610,6 @@ impl PartitionRows<'_> {
         let mut acc = None;
         self.drive(&mut FoldSink { op, acc: &mut acc })?;
         Ok(acc)
-    }
-
-    /// Aggregates the transformed rows by key — rows `(key, (v1, …, vn))`,
-    /// one monoid of `ops` per value field — and hands each distinct key
-    /// and its tuple of aggregates to `emit` in first-seen order: the
-    /// map-side combine of a keyed aggregation ([`KeyedFold`]).
-    pub fn combine(
-        &self,
-        ops: &[BinOp],
-        emit: &mut dyn FnMut(Value, Value) -> Result<()>,
-    ) -> Result<()> {
-        let mut fold = KeyedFold::new(ops);
-        self.drive(&mut fold)?;
-        fold.finish(emit)
     }
 }
 

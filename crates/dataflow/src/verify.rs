@@ -30,6 +30,9 @@
 //!   destination buckets hold exactly as many rows as the writers
 //!   emitted — a lost spill chunk or a dropped in-memory chunk is caught
 //!   here, not as silently missing output rows.
+//! * **Chunk shape** (`Exchange::finish`, and every `Shuffled` node of a
+//!   plan): every lane of a `Cols` chunk holds the chunk's `len` rows, so
+//!   a short lane is this error, not an out-of-bounds panic in a reader.
 //! * **Dataset-cache row conservation** ([`verify_cached_partition`],
 //!   called on every disk-tier read): each decoded partition of a
 //!   disk-backed cache entry holds exactly the rows recorded when the
@@ -39,13 +42,15 @@
 //!   holds no key twice (§3.4).
 //!
 //! The partitioner's bucket range is *always* checked when a scatter
-//! emits a row (`ExchangeWriter::emit`): it is a cheap safety check, so it
-//! is not gated.
+//! emits a row (`ExchangeWriter::emit`, `emit_tile`): it is a cheap
+//! safety check, so it is not gated.
 
 use std::sync::Arc;
 
 use diablo_runtime::RuntimeError;
 
+use crate::chunk::Chunk;
+use crate::columnar::VCol;
 use crate::plan::{PlanOp, Result};
 
 /// Whether the verifier is on: `DIABLO_VERIFY_PLAN` (`1` / `0`, panic on
@@ -75,14 +80,12 @@ pub(crate) fn verify_plan(plan: &Arc<PlanOp>) -> Result<()> {
 /// Recursive walk: validates a node and returns its partition count.
 fn check(plan: &PlanOp) -> Result<usize> {
     match plan {
-        PlanOp::Scan(parts) | PlanOp::Shuffled(parts, ..) => {
-            if parts.is_empty() {
-                return Err(violation(
-                    "scan node has zero partitions — every dataset holds at least one \
-                     (possibly empty) partition",
-                ));
+        PlanOp::Scan(parts) => partitions(parts.len()),
+        PlanOp::Shuffled(buckets, ..) => {
+            for chunk in buckets.iter().flat_map(|b| b.chunks()) {
+                check_chunk(chunk)?;
             }
-            Ok(parts.len())
+            partitions(buckets.len())
         }
         // Row nodes preserve their input's partition count.
         PlanOp::Map(input, ..) | PlanOp::Filter(input, ..) | PlanOp::FlatMap(input, ..) => {
@@ -94,10 +97,55 @@ fn check(plan: &PlanOp) -> Result<usize> {
     }
 }
 
+/// A node's partition count, which must not be zero.
+fn partitions(n: usize) -> Result<usize> {
+    if n == 0 {
+        return Err(violation(
+            "scan node has zero partitions — every dataset holds at least one \
+             (possibly empty) partition",
+        ));
+    }
+    Ok(n)
+}
+
+/// Checks that every lane of a `Cols` chunk holds the chunk's rows.
+fn check_chunk(chunk: &Chunk) -> Result<()> {
+    match chunk {
+        Chunk::Rows(_) => Ok(()),
+        Chunk::Cols { len, lanes } => check_lane(lanes, *len),
+    }
+}
+
+fn check_lane(lane: &VCol, len: usize) -> Result<()> {
+    let held = match lane {
+        VCol::Long(v) => v.len(),
+        VCol::Double(v) => v.len(),
+        VCol::Bool(v) => v.len(),
+        VCol::Val(v) => v.len(),
+        VCol::Tuple(fields) if !fields.is_empty() => {
+            return fields.iter().try_for_each(|f| check_lane(f, len));
+        }
+        VCol::Tuple(_) | VCol::Const(_) | VCol::Refs(_) => {
+            return Err(violation(
+                "a chunk lane is a field-less tuple, a constant or borrowed rows — \
+                 the exchange builds none of these",
+            ))
+        }
+    };
+    if held != len {
+        return Err(violation(format!(
+            "a lane of a {len}-row chunk holds {held} rows — a chunk's lanes hold one \
+             row each per row of the chunk"
+        )));
+    }
+    Ok(())
+}
+
 /// Verifies what an exchange merge-read produced: `partitions` buckets
-/// holding exactly `emitted` rows. No-op when the verifier is disabled.
+/// holding exactly `emitted` rows, in well-formed chunks. No-op when the
+/// verifier is disabled.
 pub(crate) fn verify_exchange_output(
-    dest: &[Vec<diablo_runtime::Value>],
+    dest: &[Chunk],
     partitions: usize,
     emitted: u64,
 ) -> Result<()> {
@@ -108,17 +156,14 @@ pub(crate) fn verify_exchange_output(
 }
 
 /// The ungated body of [`verify_exchange_output`].
-fn check_exchange_output(
-    dest: &[Vec<diablo_runtime::Value>],
-    partitions: usize,
-    emitted: u64,
-) -> Result<()> {
+fn check_exchange_output(dest: &[Chunk], partitions: usize, emitted: u64) -> Result<()> {
     if dest.len() != partitions {
         return Err(violation(format!(
             "exchange produced {} destination buckets for {partitions} partitions",
             dest.len()
         )));
     }
+    dest.iter().try_for_each(check_chunk)?;
     let arrived: u64 = dest.iter().map(|b| b.len() as u64).sum();
     if arrived != emitted {
         return Err(violation(format!(
@@ -210,11 +255,14 @@ mod tests {
     #[test]
     fn exchange_output_conservation_and_order() {
         let ok = vec![
-            vec![Value::pair(Value::Long(1), Value::Unit)],
-            vec![
-                Value::pair(Value::Long(2), Value::Unit),
-                Value::pair(Value::Long(5), Value::Unit),
-            ],
+            Chunk::Rows(vec![Value::pair(Value::Long(1), Value::Unit)]),
+            Chunk::Cols {
+                len: 2,
+                lanes: VCol::Tuple(Arc::new(vec![
+                    VCol::Long(Arc::new(vec![2, 5])),
+                    VCol::Val(Arc::new(vec![Value::Unit, Value::Unit])),
+                ])),
+            },
         ];
         assert!(check_exchange_output(&ok, 2, 3).is_ok());
         // Lost row.
@@ -223,6 +271,35 @@ mod tests {
         // Wrong bucket count.
         let err = check_exchange_output(&ok, 3, 3).unwrap_err();
         assert!(err.message.contains("destination buckets"), "{err}");
+    }
+
+    #[test]
+    fn a_short_lane_is_a_violation_not_a_panic() {
+        let short = Chunk::Cols {
+            len: 3,
+            lanes: VCol::Tuple(Arc::new(vec![
+                VCol::Long(Arc::new(vec![1, 2, 3])),
+                VCol::Double(Arc::new(vec![1.0, 2.0])),
+            ])),
+        };
+        let err = check_exchange_output(std::slice::from_ref(&short), 1, 3).unwrap_err();
+        assert!(err.message.starts_with("plan verifier:"), "{err}");
+        assert!(err.message.contains("3-row chunk holds 2 rows"), "{err}");
+        // The same chunk held by a plan fails the plan's check.
+        let plan = PlanOp::Shuffled(
+            Arc::new(vec![crate::chunk::Bucket::One(short)]),
+            crate::plan::PartOp::Rows(Arc::new(|_| Ok(Vec::new()))),
+            "test",
+            None,
+        );
+        let err = check(&plan).unwrap_err();
+        assert!(err.message.contains("3-row chunk holds 2 rows"), "{err}");
+        // A well-formed chunk of lanes passes.
+        let ok = Chunk::Cols {
+            len: 1,
+            lanes: VCol::Long(Arc::new(vec![7])),
+        };
+        assert!(check_exchange_output(&[ok], 1, 1).is_ok());
     }
 
     #[test]

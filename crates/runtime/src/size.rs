@@ -10,15 +10,28 @@
 
 use crate::value::Value;
 
+/// Size of a boolean.
+pub const BOOL_SIZE: usize = 1;
+/// Size of a long.
+pub const LONG_SIZE: usize = 8;
+/// Size of a double.
+pub const DOUBLE_SIZE: usize = 8;
+
+/// Size of a tuple whose fields have the sizes `fields` — for callers that
+/// measure a tuple held field by field (column lanes) without boxing it.
+pub fn tuple_size(fields: impl Iterator<Item = usize>) -> usize {
+    2 + fields.sum::<usize>()
+}
+
 /// Estimated serialized size of a value in bytes.
 pub fn serialized_size(v: &Value) -> usize {
     match v {
         Value::Unit => 1,
-        Value::Bool(_) => 1,
-        Value::Long(_) => 8,
-        Value::Double(_) => 8,
+        Value::Bool(_) => BOOL_SIZE,
+        Value::Long(_) => LONG_SIZE,
+        Value::Double(_) => DOUBLE_SIZE,
         Value::Str(s) => 4 + s.len(),
-        Value::Tuple(fs) => 2 + fs.iter().map(serialized_size).sum::<usize>(),
+        Value::Tuple(fs) => tuple_size(fs.iter().map(serialized_size)),
         Value::Record(fields) => {
             2 + fields
                 .iter()
@@ -32,6 +45,17 @@ pub fn serialized_size(v: &Value) -> usize {
 /// Estimated total size of a slice of rows.
 pub fn slice_size(rows: &[Value]) -> usize {
     rows.iter().map(serialized_size).sum()
+}
+
+/// Sampled size of `len` rows: the first 32 measured by `size_of_row` and
+/// scaled to `len`.
+pub fn sampled_size(len: usize, size_of_row: impl Fn(usize) -> usize) -> u64 {
+    if len == 0 {
+        return 0;
+    }
+    let sample_n = len.min(32);
+    let sample: u64 = (0..sample_n).map(|i| size_of_row(i) as u64).sum();
+    sample * len as u64 / sample_n as u64
 }
 
 #[cfg(test)]
@@ -58,5 +82,17 @@ mod tests {
     fn slice_size_sums_rows() {
         let rows = vec![Value::Long(1), Value::Long(2)];
         assert_eq!(slice_size(&rows), 16);
+    }
+
+    #[test]
+    fn sampled_size_scales_the_first_32_rows() {
+        let rows: Vec<Value> = (0..100).map(|i| Value::str("x".repeat(i))).collect();
+        let measure = |i: usize| serialized_size(&rows[i]);
+        assert_eq!(sampled_size(0, measure), 0);
+        assert_eq!(sampled_size(10, measure), slice_size(&rows[..10]) as u64);
+        assert_eq!(
+            sampled_size(100, measure),
+            slice_size(&rows[..32]) as u64 * 100 / 32
+        );
     }
 }

@@ -43,8 +43,14 @@
 //!
 //! Bindings are `name=value` for scalars (`n=100`, `a=0.5`, `x=hello`) and
 //! `name=@file.csv` for collections. A collection CSV has one element per
-//! line: `key,value` for vectors/maps, `i,j,value` for matrices. After a
-//! run, every program variable is printed, collections in ascending key
+//! line: `key,value` for vectors/maps, `i,j,value` for matrices. Every
+//! binding is parsed against the type its input is declared with: a
+//! `long` takes an integer only, a `double` any number, a `bool` `true` or
+//! `false`, a `string` the text as it is, and a tuple `(a b …)` one
+//! field per element type; text that is not of the type, a type CSV text
+//! cannot write (records, nested tuples), and a name the program declares
+//! no input for are errors naming the input, its type and the text. After
+//! a run, every program variable is printed, collections in ascending key
 //! order (truncated).
 //!
 //! The engine runs every stage in the columnar layout: a stage whose steps
@@ -160,12 +166,13 @@ fn run(mut args: Vec<String>) -> Result<(), String> {
                             .to_string(),
                     );
                 }
-                return run_remote(addr, &source, rest);
+                let tp = typed_front_end(&source, path)?;
+                return run_remote(addr, &source, rest, &tp.program.inputs);
             }
             let (_, compiled) = front_end(&source, path, false)?;
             let mut session = Session::new(engine.context());
             for binding in rest {
-                let (name, value) = parse_binding(binding)?;
+                let (name, value) = parse_binding(binding, &compiled.inputs)?;
                 match value {
                     Bound::Scalar(v) => session.bind_scalar(&name, v),
                     Bound::Rows(rows) => session.bind_input(&name, rows),
@@ -179,7 +186,7 @@ fn run(mut args: Vec<String>) -> Result<(), String> {
             let (tp, compiled) = front_end(&source, path, false)?;
             let mut session = Session::new(engine.context());
             for binding in rest {
-                let (name, value) = parse_binding(binding)?;
+                let (name, value) = parse_binding(binding, &compiled.inputs)?;
                 match value {
                     Bound::Scalar(v) => session.bind_scalar(&name, v),
                     Bound::Rows(rows) => session.bind_input(&name, rows),
@@ -199,13 +206,10 @@ fn run(mut args: Vec<String>) -> Result<(), String> {
             // The interpreter accepts programs the restriction check would
             // reject (it runs them sequentially), so only parse and type
             // check here — still multi-error.
-            let mut diags = Diagnostics::new();
-            let tp = parse_multi(&source, &mut diags)
-                .and_then(|p| typecheck_multi(p, &mut diags))
-                .ok_or_else(|| report_diagnostics(&diags, &source, path, false))?;
+            let tp = typed_front_end(&source, path)?;
             let mut interp = Interpreter::new();
             for binding in rest {
-                let (name, value) = parse_binding(binding)?;
+                let (name, value) = parse_binding(binding, &tp.program.inputs)?;
                 match value {
                     Bound::Scalar(v) => interp.bind_scalar(&name, v),
                     Bound::Rows(rows) => interp
@@ -262,13 +266,28 @@ fn front_end(
         .ok_or_else(|| report_diagnostics(&diags, source, path, json))
 }
 
+/// Parse and type check only, multi-error: what `interp` runs (the
+/// interpreter accepts programs the restriction check would reject), and
+/// what `run --connect` needs to read its bindings.
+fn typed_front_end(source: &str, path: &str) -> Result<TypedProgram, String> {
+    let mut diags = Diagnostics::new();
+    parse_multi(source, &mut diags)
+        .and_then(|p| typecheck_multi(p, &mut diags))
+        .ok_or_else(|| report_diagnostics(&diags, source, path, false))
+}
+
 /// `run --connect`: ship the program and bindings to a `diablod` server
 /// and print its outputs exactly as a local run would.
-fn run_remote(addr: &str, source: &str, bindings: &[String]) -> Result<(), String> {
+fn run_remote(
+    addr: &str,
+    source: &str,
+    bindings: &[String],
+    inputs: &[(String, Type)],
+) -> Result<(), String> {
     let mut scalars = Vec::new();
     let mut rows = Vec::new();
     for binding in bindings {
-        let (name, value) = parse_binding(binding)?;
+        let (name, value) = parse_binding(binding, inputs)?;
         match value {
             Bound::Scalar(v) => scalars.push((name, v)),
             Bound::Rows(r) => rows.push((name, r)),
@@ -370,40 +389,82 @@ enum Bound {
     Rows(Vec<Value>),
 }
 
-/// Parses `name=value` / `name=@file` bindings.
-fn parse_binding(s: &str) -> Result<(String, Bound), String> {
+/// Parses a `name=value` / `name=@file` binding against the type the
+/// program declares for input `name`.
+fn parse_binding(s: &str, inputs: &[(String, Type)]) -> Result<(String, Bound), String> {
     let (name, rhs) = s
         .split_once('=')
         .ok_or_else(|| format!("binding `{s}` is not name=value"))?;
-    if let Some(file) = rhs.strip_prefix('@') {
-        let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
-        let rows = parse_rows(&text)?;
-        return Ok((name.to_string(), Bound::Rows(rows)));
-    }
-    Ok((name.to_string(), Bound::Scalar(parse_scalar(rhs))))
+    let Some((_, ty)) = inputs.iter().find(|(n, _)| n == name) else {
+        return Err(format!(
+            "binding `{s}`: the program declares no input `{name}`"
+        ));
+    };
+    let input = format!("input `{name}: {ty}`");
+    let bound = match (rhs.strip_prefix('@'), ty.is_collection()) {
+        (Some(file), true) => {
+            let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
+            let rows = parse_rows(&text, ty).map_err(|e| format!("{input}: {file} {e}"))?;
+            Bound::Rows(rows)
+        }
+        (None, false) => Bound::Scalar(parse_cell(rhs, ty).map_err(|e| format!("{input}: {e}"))?),
+        (Some(_), false) => {
+            return Err(format!(
+                "{input} is a scalar: bind it as `{name}=value`, not from a file"
+            ))
+        }
+        (None, true) => {
+            return Err(format!(
+                "{input} is a collection: bind it as `{name}=@rows.csv`"
+            ))
+        }
+    };
+    Ok((name.to_string(), bound))
 }
 
-/// Scalar literals: long, double, bool, else string.
-fn parse_scalar(s: &str) -> Value {
-    if let Ok(n) = s.parse::<i64>() {
-        return Value::Long(n);
-    }
-    if let Ok(x) = s.parse::<f64>() {
-        return Value::Double(x);
-    }
-    match s {
-        "true" => Value::Bool(true),
-        "false" => Value::Bool(false),
-        _ => Value::str(s),
+/// A scalar binding or CSV cell of type `ty`: a `long` takes an integer
+/// only, a `double` any number (an integer promoted), a `bool` `true` or
+/// `false`, a `string` the text as it is, and a tuple of those `(a b …)`
+/// one field per element type. Any other type has no CSV text.
+fn parse_cell(text: &str, ty: &Type) -> Result<Value, String> {
+    let unfit = || format!("`{text}` is not a {ty}");
+    match ty {
+        Type::Long => text.parse().map(Value::Long).map_err(|_| unfit()),
+        Type::Double => text.parse().map(Value::Double).map_err(|_| unfit()),
+        Type::Bool => match text {
+            "true" => Ok(Value::Bool(true)),
+            "false" => Ok(Value::Bool(false)),
+            _ => Err(unfit()),
+        },
+        Type::Str => Ok(Value::str(text)),
+        Type::Tuple(ts) if !ts.iter().any(|t| matches!(t, Type::Tuple(_))) => {
+            let inner = text
+                .strip_prefix('(')
+                .and_then(|t| t.strip_suffix(')'))
+                .ok_or_else(unfit)?;
+            let cells: Vec<&str> = inner.split_whitespace().collect();
+            if cells.len() != ts.len() {
+                return Err(unfit());
+            }
+            let fields = cells.iter().zip(ts).map(|(c, t)| parse_cell(c, t));
+            Ok(Value::tuple(
+                fields.collect::<Result<_, _>>().map_err(|_| unfit())?,
+            ))
+        }
+        _ => Err(format!("a {ty} cannot be written as CSV text")),
     }
 }
 
-/// CSV rows: `key,value` (vector/map) or `i,j,value` (matrix). A value
-/// written `(a b c)` parses as a tuple of space-separated scalars, so
+/// CSV rows of a collection of type `ty`: `key,value` for a vector or a
+/// map, `i,j,value` for a matrix, each cell parsed against its type
+/// ([`parse_cell`]). A value written `(a b c)` is a tuple, so
 /// tuple-element vectors (e.g. K-Means points) bind from files too. An
 /// array holds each key once (§3.4), so a repeated key is an error naming
 /// both lines.
-fn parse_rows(text: &str) -> Result<Vec<Value>, String> {
+fn parse_rows(text: &str, ty: &Type) -> Result<Vec<Value>, String> {
+    let (Some(key_ty), Some(elem)) = (ty.key_type(), ty.element()) else {
+        return Err(format!("a {ty} has no rows"));
+    };
     let mut rows = Vec::new();
     let mut bound_on = std::collections::HashMap::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -411,37 +472,29 @@ fn parse_rows(text: &str) -> Result<Vec<Value>, String> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
+        let at = |e: String| format!("line {}: {e}", lineno + 1);
         let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-        let (key, value) = match fields.as_slice() {
-            [k, v] => (parse_scalar(k), parse_value(v)),
-            [i, j, v] => (
-                Value::pair(parse_scalar(i), parse_scalar(j)),
-                parse_value(v),
+        let (key, value) = match (ty, fields.as_slice()) {
+            (Type::Matrix(_), [i, j, v]) => (
+                Value::pair(
+                    parse_cell(i, &Type::Long).map_err(at)?,
+                    parse_cell(j, &Type::Long).map_err(at)?,
+                ),
+                parse_cell(v, elem).map_err(at)?,
             ),
-            _ => {
-                return Err(format!(
-                    "line {}: expected `key,value` or `i,j,value`",
-                    lineno + 1
-                ))
-            }
+            (Type::Matrix(_), _) => return Err(at("expected `i,j,value`".to_string())),
+            (_, [k, v]) => (
+                parse_cell(k, &key_ty).map_err(at)?,
+                parse_cell(v, elem).map_err(at)?,
+            ),
+            _ => return Err(at("expected `key,value`".to_string())),
         };
         if let Some(first) = bound_on.insert(key.clone(), lineno + 1) {
-            return Err(format!(
-                "line {}: key {key} already bound on line {first}",
-                lineno + 1
-            ));
+            return Err(at(format!("key {key} already bound on line {first}")));
         }
         rows.push(Value::pair(key, value));
     }
     Ok(rows)
-}
-
-/// A CSV cell: `(a b c)` is a tuple of scalars, anything else a scalar.
-fn parse_value(s: &str) -> Value {
-    match s.strip_prefix('(').and_then(|t| t.strip_suffix(')')) {
-        Some(inner) => Value::tuple(inner.split_whitespace().map(parse_scalar).collect()),
-        None => parse_scalar(s),
-    }
 }
 
 fn print_target(stmts: &[TStmt], indent: usize) {

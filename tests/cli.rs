@@ -679,3 +679,127 @@ fn the_least_long_literal_runs_and_interprets_alike() {
         "{stderr}"
     );
 }
+
+#[test]
+fn bindings_are_parsed_against_their_declared_types() {
+    // A `long` input takes an integer only, for every command that binds
+    // inputs: a double, a word or a number past `long` is an error naming
+    // the input, its type and the text, before anything runs.
+    let p = write_temp(
+        "typed_scalar.dbl",
+        "input n: long; var s: long = 0; s := n / 2;",
+    );
+    for text in ["3.0", "abc", "9223372036854775808"] {
+        for cmd in ["run", "interp", "explain"] {
+            let out = diabloc()
+                .arg(cmd)
+                .arg(&p)
+                .arg(format!("n={text}"))
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(1), "{cmd} n={text}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let want = format!("input `n: long`: `{text}` is not a long");
+            assert!(stderr.contains(&want), "{cmd}: {stderr}");
+            assert!(out.stdout.is_empty(), "{cmd}");
+        }
+        // `run --connect` reads its bindings before it connects.
+        let out = diabloc()
+            .args(["run", "--connect", "127.0.0.1:1"])
+            .arg(&p)
+            .arg(format!("n={text}"))
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("is not a long"), "{stderr}");
+    }
+    // A `double` takes any number, an integer promoted.
+    let d = write_temp(
+        "typed_double.dbl",
+        "input a: double; var x: double = 0.0; x := a / 2;",
+    );
+    for cmd in ["run", "interp"] {
+        let out = diabloc().arg(cmd).arg(&d).arg("a=3").output().unwrap();
+        assert!(out.status.success(), "{cmd}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains("a = 3\n") && stdout.contains("x = 1.5"),
+            "{stdout}"
+        );
+    }
+    // A name the program declares no input for, and a scalar bound from a
+    // file, are errors too.
+    for (binding, want) in [
+        ("m=3", "the program declares no input `m`"),
+        ("n=@rows.csv", "input `n: long` is a scalar"),
+    ] {
+        let out = diabloc().arg("run").arg(&p).arg(binding).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{binding}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(want), "{stderr}");
+    }
+}
+
+#[test]
+fn csv_cells_are_parsed_against_their_declared_types() {
+    // A map's string key `42` binds the string, not a long.
+    let m = write_temp(
+        "typed_map.dbl",
+        "input M: map[string, long]; var s: long = 0; for v in M do s += v;",
+    );
+    let csv = write_temp("typed_map.csv", "42,7\nx,1\n");
+    for cmd in ["run", "interp"] {
+        let out = diabloc()
+            .arg(cmd)
+            .arg(&m)
+            .arg(format!("M=@{}", csv.display()))
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{cmd}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains("(\"42\", 7)") && stdout.contains("s = 8"),
+            "{stdout}"
+        );
+    }
+    // A cell that is not of its type names the input, the file and line.
+    let v = write_temp(
+        "typed_vector.dbl",
+        "input V: vector[(double, long)]; var s: long = 0; for p in V do s += p._2;",
+    );
+    for (rows, want) in [
+        (
+            "0,(1 2)\n1,(1.5 x)\n",
+            "line 2: `(1.5 x)` is not a (double, long)",
+        ),
+        ("0,(1 2)\nk,(1 2)\n", "line 2: `k` is not a long"),
+        ("0,(1 2 3)\n", "line 1: `(1 2 3)` is not a (double, long)"),
+        ("0,0,(1 2)\n", "line 1: expected `key,value`"),
+    ] {
+        let csv = write_temp("typed_vector.csv", rows);
+        for cmd in ["run", "interp", "explain"] {
+            let out = diabloc()
+                .arg(cmd)
+                .arg(&v)
+                .arg(format!("V=@{}", csv.display()))
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(1), "{cmd} {rows:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains("input `V: vector[(double, long)]`") && stderr.contains(want),
+                "{cmd}: {stderr}"
+            );
+        }
+    }
+    // A type CSV text cannot write is an error, not a guess.
+    let r = write_temp(
+        "typed_record.dbl",
+        "input R: <| a: long |>; var s: long = 0;",
+    );
+    let out = diabloc().arg("run").arg(&r).arg("R=3").output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cannot be written as CSV text"), "{stderr}");
+}
