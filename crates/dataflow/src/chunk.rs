@@ -11,11 +11,16 @@
 //!
 //! Who writes which: a columnar tile sent through a keyed scatter appends
 //! its columns to a [`ChunkBuf`]'s lanes; a row — of a chain on the row
-//! path, of a replayed tile, a §5 block, a spilled run — goes into `Rows`.
-//! So the row layout, the tests' reference, writes `Rows` chunks only.
+//! path, of a replayed tile, a §5 block — goes into `Rows`. So the row
+//! layout, the tests' reference, writes `Rows` chunks only.
 //! Lanes that do not agree — a column that is Long in one tile and Double
 //! in another, tuples of two arities — fall back to the boxed lane, at the
 //! leaf where they disagree.
+//!
+//! A chunk spills as one frame ([`encode_frame`]) and reads back as the
+//! same kind of chunk ([`decode_frame`]): lanes as raw little-endian
+//! words or bytes, boxed rows and the boxed lane in the row codec's
+//! format ([`encode_value`]).
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -27,6 +32,10 @@ use diablo_runtime::size::{
 use diablo_runtime::{RuntimeError, Value};
 
 use crate::columnar::{decompose, each_key, env_fields, VCol};
+use crate::exchange::{
+    corrupt, decode_nested, encode_nested, encode_value, put_len, take, take_len, too_deep,
+    MAX_VALUE_DEPTH,
+};
 use crate::keytable::Key;
 use crate::plan::Result;
 
@@ -466,6 +475,155 @@ pub(crate) fn owned_col(vals: Vec<Value>) -> VCol<'static> {
     lane.finish()
 }
 
+// ----------------------------------------------------------------- frames
+
+/// Frame kind tags: a frame is one chunk, of either kind.
+const ROWS_FRAME: u8 = 0;
+const COLS_FRAME: u8 = 1;
+/// Lane tags of a `Cols` frame.
+const LONG_LANE: u8 = 0;
+const DOUBLE_LANE: u8 = 1;
+const BOOL_LANE: u8 = 2;
+const TUPLE_LANE: u8 = 3;
+const BOXED_LANE: u8 = 4;
+
+/// Appends `chunk` as one frame: its kind tag, then a `Rows` chunk's rows
+/// in [`encode_value`]'s format, or a `Cols` chunk's lanes in order. A
+/// lane is its tag, then an i64 or f64 lane's raw little-endian words
+/// (doubles as bits), a bool lane's bytes (0 or 1), a tuple lane's arity
+/// and children, or the boxed lane's values in `encode_value`'s format.
+/// The row count is not written: the reader knows it. A row nested deeper
+/// than [`MAX_VALUE_DEPTH`] is `encode_value`'s error.
+pub(crate) fn encode_frame(chunk: &Chunk, out: &mut Vec<u8>) -> Result<()> {
+    match chunk {
+        Chunk::Rows(rows) => {
+            out.push(ROWS_FRAME);
+            rows.iter().try_for_each(|row| encode_value(row, out))
+        }
+        Chunk::Cols { len, lanes } => {
+            out.push(COLS_FRAME);
+            encode_lane(lanes, *len, out, MAX_VALUE_DEPTH)
+        }
+    }
+}
+
+/// Writes one lane of `len` rows with `depth` levels left: a tuple lane
+/// is a level, as a tuple is, so a lane row nests as deep as its row.
+fn encode_lane(col: &VCol, len: usize, out: &mut Vec<u8>, depth: usize) -> Result<()> {
+    if depth == 0 {
+        return Err(too_deep());
+    }
+    match col {
+        VCol::Long(v) => {
+            out.push(LONG_LANE);
+            out.reserve(v.len() * 8);
+            v.iter()
+                .for_each(|n| out.extend_from_slice(&n.to_le_bytes()));
+        }
+        VCol::Double(v) => {
+            out.push(DOUBLE_LANE);
+            out.reserve(v.len() * 8);
+            v.iter()
+                .for_each(|x| out.extend_from_slice(&x.to_bits().to_le_bytes()));
+        }
+        VCol::Bool(v) => {
+            out.push(BOOL_LANE);
+            out.extend(v.iter().map(|&b| u8::from(b)));
+        }
+        VCol::Tuple(cols) if !cols.is_empty() => {
+            out.push(TUPLE_LANE);
+            put_len(out, cols.len())?;
+            for c in cols.iter() {
+                encode_lane(c, len, out, depth - 1)?;
+            }
+        }
+        _ => {
+            out.push(BOXED_LANE);
+            for i in 0..len {
+                encode_nested(&col.at(i), out, depth)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Inverse of [`encode_frame`]: the chunk of `len` rows that `frame`
+/// holds, of the kind it was written as. `len` comes from the reader, not
+/// from the frame. A truncated, malformed or over-long frame is an error,
+/// never a panic, and every length read from it is checked against the
+/// bytes left before anything is allocated.
+pub(crate) fn decode_frame(mut frame: &[u8], len: usize) -> Result<Chunk> {
+    let buf = &mut frame;
+    let chunk = match take(buf, 1)?[0] {
+        ROWS_FRAME => Chunk::Rows(decode_values(buf, len, MAX_VALUE_DEPTH)?),
+        COLS_FRAME => Chunk::Cols {
+            len,
+            lanes: decode_lane(buf, len, MAX_VALUE_DEPTH)?,
+        },
+        _ => return Err(corrupt()),
+    };
+    if !buf.is_empty() {
+        return Err(corrupt());
+    }
+    Ok(chunk)
+}
+
+/// `len` values in [`encode_value`]'s format, `depth` levels left each.
+fn decode_values(buf: &mut &[u8], len: usize, depth: usize) -> Result<Vec<Value>> {
+    // Every value takes a byte at least.
+    if len > buf.len() {
+        return Err(corrupt());
+    }
+    let mut vals = Vec::with_capacity(len);
+    for _ in 0..len {
+        vals.push(decode_nested(buf, depth)?);
+    }
+    Ok(vals)
+}
+
+/// One lane of `len` rows with `depth` levels left.
+fn decode_lane(buf: &mut &[u8], len: usize, depth: usize) -> Result<VCol<'static>> {
+    fn words<'a>(buf: &mut &'a [u8], len: usize) -> Result<impl Iterator<Item = [u8; 8]> + 'a> {
+        let bytes = take(buf, len.checked_mul(8).ok_or_else(corrupt)?)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|w| w.try_into().expect("8 bytes")))
+    }
+    if depth == 0 {
+        return Err(corrupt());
+    }
+    Ok(match take(buf, 1)?[0] {
+        LONG_LANE => VCol::Long(Arc::new(words(buf, len)?.map(i64::from_le_bytes).collect())),
+        DOUBLE_LANE => VCol::Double(Arc::new(
+            words(buf, len)?
+                .map(|w| f64::from_bits(u64::from_le_bytes(w)))
+                .collect(),
+        )),
+        BOOL_LANE => {
+            let bytes = take(buf, len)?;
+            // Only 0 and 1: any other byte would give a row two encodings.
+            if bytes.iter().any(|&b| b > 1) {
+                return Err(corrupt());
+            }
+            VCol::Bool(Arc::new(bytes.iter().map(|&b| b == 1).collect()))
+        }
+        TUPLE_LANE => {
+            let arity = take_len(buf)?;
+            // Every child lane takes its tag byte at least.
+            if arity == 0 || arity > buf.len() {
+                return Err(corrupt());
+            }
+            let mut cols = Vec::with_capacity(arity);
+            for _ in 0..arity {
+                cols.push(decode_lane(buf, len, depth - 1)?);
+            }
+            VCol::Tuple(Arc::new(cols))
+        }
+        BOXED_LANE => VCol::Val(Arc::new(decode_values(buf, len, depth)?)),
+        _ => return Err(corrupt()),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,6 +728,124 @@ mod tests {
             bad.each_pair(&mut |_, _| Ok(())).unwrap_err().message,
             err.message
         );
+    }
+
+    /// One chunk of each lane kind — long, double, bool, a nested tuple,
+    /// the boxed escape — and one of boxed rows.
+    fn frame_samples() -> Vec<Chunk> {
+        let nan = f64::from_bits(0x7ff8_0000_0000_0001);
+        let longs = vec![l(i64::MIN), l(-1), l(0), l(i64::MAX)];
+        let doubles = [-0.0, nan, -nan, f64::INFINITY, 0.1].map(Value::Double);
+        let bools = vec![Value::Bool(true), Value::Bool(false), Value::Bool(true)];
+        let nested = (0..3)
+            .map(|i| {
+                let key = Value::pair(l(i), Value::Double(i as f64 / 3.0));
+                Value::pair(key, Value::pair(Value::Bool(i % 2 == 0), l(-i)))
+            })
+            .collect();
+        let boxed = vec![
+            Value::str("é"),
+            Value::Unit,
+            Value::bag(vec![l(1)]),
+            Value::record(vec![("x".into(), Value::Double(-0.0))]),
+        ];
+        let frame = |vals: Vec<Value>| cols(vals.len(), owned_col(vals));
+        vec![
+            frame(longs),
+            frame(doubles.to_vec()),
+            frame(bools),
+            frame(nested),
+            frame(boxed),
+            Chunk::Rows(vec![Value::pair(l(1), Value::str("a")), Value::Unit]),
+        ]
+    }
+
+    /// Every row of `c` in `encode_value`'s bytes: equal bytes are equal
+    /// rows, double bits included.
+    fn row_bytes(c: &Chunk) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        for row in c.rows().iter() {
+            let mut bytes = Vec::new();
+            encode_value(row, &mut bytes).unwrap();
+            out.push(bytes);
+        }
+        out
+    }
+
+    fn frame(c: &Chunk) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_frame(c, &mut bytes).unwrap();
+        bytes
+    }
+
+    #[test]
+    fn frames_come_back_as_the_chunks_they_were_written_as() {
+        let samples = frame_samples();
+        let lane_kinds = [
+            matches!(samples[0].col(), VCol::Long(_)),
+            matches!(samples[1].col(), VCol::Double(_)),
+            matches!(samples[2].col(), VCol::Bool(_)),
+            matches!(samples[3].col(), VCol::Tuple(ref kv) if matches!(kv[0], VCol::Tuple(_))),
+            matches!(samples[4].col(), VCol::Val(_)),
+        ];
+        assert_eq!(lane_kinds, [true; 5], "{samples:?}");
+        for c in &samples {
+            let bytes = frame(c);
+            let back = decode_frame(&bytes, c.len()).unwrap();
+            assert_eq!(
+                std::mem::discriminant(&back),
+                std::mem::discriminant(c),
+                "{c:?}"
+            );
+            assert_eq!(row_bytes(&back), row_bytes(c), "{c:?}");
+            assert_eq!(frame(&back), bytes, "{c:?}");
+            // The row count is the reader's, and a frame holds no other.
+            assert!(decode_frame(&bytes, c.len() + 1).is_err(), "{c:?}");
+            assert!(decode_frame(&bytes, usize::MAX).is_err(), "{c:?}");
+        }
+        // Lanes nest as deep as the codec's rows, and no deeper.
+        let nested = |depth: usize| (1..depth).fold(l(7), |v, _| Value::tuple(vec![v]));
+        let deepest = cols(1, owned_col(vec![nested(MAX_VALUE_DEPTH)]));
+        let back = decode_frame(&frame(&deepest), 1).unwrap();
+        assert_eq!(rows(&back), rows(&deepest));
+        let deeper = cols(1, owned_col(vec![nested(MAX_VALUE_DEPTH + 1)]));
+        let err = encode_frame(&deeper, &mut Vec::new()).unwrap_err();
+        assert!(err.message.contains("depth limit"), "{err}");
+    }
+
+    #[test]
+    fn a_hostile_frame_is_an_error_or_the_rows_its_bytes_spell() {
+        // Every cut of a frame is short of the rows the reader expects.
+        // A flipped bit may still spell rows (a long's bits are any long):
+        // then the frame must decode to well-formed lanes that write back
+        // to the very bytes read, so no row has two encodings. Nothing
+        // panics, and a length the bytes cannot hold — an arity flipped to
+        // 2^31, say — fails before anything is allocated for it.
+        for c in frame_samples() {
+            let bytes = frame(&c);
+            for cut in 0..bytes.len() {
+                assert!(
+                    decode_frame(&bytes[..cut], c.len()).is_err(),
+                    "{c:?} cut at {cut}"
+                );
+            }
+            for at in 0..bytes.len() {
+                for bit in 0..8 {
+                    let mut mutant = bytes.clone();
+                    mutant[at] ^= 1 << bit;
+                    let Ok(back) = decode_frame(&mutant, c.len()) else {
+                        continue;
+                    };
+                    let well_formed = crate::verify::check_chunk(&back);
+                    assert!(
+                        well_formed.is_ok(),
+                        "{c:?}, bit {bit} of byte {at}: {back:?}"
+                    );
+                    assert_eq!(back.len(), c.len());
+                    assert_eq!(frame(&back), mutant, "{c:?}, bit {bit} of byte {at}");
+                }
+            }
+        }
     }
 
     #[test]

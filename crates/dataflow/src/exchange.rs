@@ -37,8 +37,8 @@
 //! with their pieces pre-sorted by `(bucket, source, sequence)` and
 //! merge-read per bucket, so a spilled exchange and an in-memory exchange
 //! are indistinguishable downstream. A bucket whose pieces all hold lanes
-//! comes back as lanes; one with a spilled or boxed piece comes back as
-//! boxed rows — the same rows either way.
+//! — in memory or spilled — comes back as lanes; one with a boxed piece
+//! comes back as boxed rows — the same rows either way.
 //!
 //! ## Budget semantics
 //!
@@ -48,15 +48,24 @@
 //! it stands for, so spills fall where they fall for boxed rows;
 //! unbounded exchanges skip the accounting entirely). `None` means
 //! unbounded (never spill). A budget of 0 spills every flushed chunk.
-//! A spilled chunk is encoded row by row with [`encode_value`]'s format
-//! and comes back as boxed rows. Spills are counted in
-//! [`Stats`](crate::Stats) (`spilled_records`, `spilled_bytes`,
-//! `spill_files`) and noted in the executed-plan trace.
+//!
+//! ## Spill format
+//!
+//! A run is one frame per piece ([`chunk::encode_frame`]): boxed rows in
+//! [`encode_value`]'s format, lanes as typed lane frames — raw words for
+//! long and double lanes, a byte per bool, the boxed escape lane in
+//! `encode_value`'s format. The run's in-memory index holds each piece's
+//! place, bytes and row count, and the merge-read decodes every piece
+//! back into the kind of chunk it was written as, so a spilled lane
+//! builds no boxed row. Spills are counted in [`Stats`](crate::Stats)
+//! (`spilled_records`, `spilled_bytes` — the frames' bytes —
+//! `spill_files`) and noted in the executed-plan trace. A spill error
+//! names the run file and, on the read side, the bucket.
 
 use std::borrow::Cow;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -117,6 +126,8 @@ struct ChunkLoc {
 /// open no matter how many times a tiny budget overflows.
 struct SpillFile {
     file: File,
+    /// Where the file is, for the errors that name it.
+    path: PathBuf,
     index: Vec<ChunkLoc>,
     /// Bytes written so far — the append offset of the next run.
     len: u64,
@@ -285,9 +296,9 @@ struct EncodedRun {
 }
 
 /// Sorts chunks by `(bucket, source, sequence)` — so the read side can
-/// scan one bucket's chunks contiguously — and binary-encodes them into
-/// one run, row by row: a lane row is written as the row it stands for.
-/// Pure CPU: called without the exchange lock held.
+/// scan one bucket's chunks contiguously — and encodes them into one run,
+/// one [`chunk::encode_frame`] per piece: lanes stay lanes. Pure CPU:
+/// called without the exchange lock held.
 fn encode_run(mut chunks: Vec<Tagged>) -> Result<EncodedRun> {
     chunks.sort_by_key(|c| (c.bucket, c.src, c.seq));
     let mut bytes = Vec::new();
@@ -296,13 +307,7 @@ fn encode_run(mut chunks: Vec<Tagged>) -> Result<EncodedRun> {
     for c in chunks {
         let offset = bytes.len() as u64;
         let rows = c.chunk.len();
-        match &c.chunk {
-            Chunk::Rows(rows) => rows
-                .iter()
-                .try_for_each(|row| encode_value(row, &mut bytes))?,
-            Chunk::Cols { lanes, .. } => (0..rows)
-                .try_for_each(|i| encode_lane_row(lanes, i, &mut bytes, MAX_VALUE_DEPTH))?,
-        }
+        chunk::encode_frame(&c.chunk, &mut bytes)?;
         index.push(ChunkLoc {
             bucket: c.bucket,
             src: c.src,
@@ -334,24 +339,28 @@ fn append_run(state: &mut ExchangeState, run: EncodedRun) -> Result<()> {
                 std::process::id(),
                 EXCHANGE_ID.fetch_add(1, Ordering::Relaxed)
             ));
-            std::fs::create_dir_all(&dir).map_err(io_err)?;
+            std::fs::create_dir_all(&dir).map_err(|e| io_err(&dir, None, e))?;
+            state.dir = Some(dir.clone());
+            let path = dir.join("runs.bin");
             let file = File::options()
                 .read(true)
                 .write(true)
                 .create(true)
                 .truncate(true)
-                .open(dir.join("runs.bin"))
-                .map_err(io_err)?;
-            state.dir = Some(dir);
+                .open(&path)
+                .map_err(|e| io_err(&path, None, e))?;
             state.spill.insert(SpillFile {
                 file,
+                path,
                 index: Vec::new(),
                 len: 0,
             })
         }
     };
-    sf.file.seek(SeekFrom::Start(sf.len)).map_err(io_err)?;
-    sf.file.write_all(&run.bytes).map_err(io_err)?;
+    sf.file
+        .seek(SeekFrom::Start(sf.len))
+        .and_then(|_| sf.file.write_all(&run.bytes))
+        .map_err(|e| io_err(&sf.path, None, e))?;
     let base = sf.len;
     sf.index.extend(run.index.into_iter().map(|mut loc| {
         loc.offset += base;
@@ -367,10 +376,11 @@ fn append_run(state: &mut ExchangeState, run: EncodedRun) -> Result<()> {
 /// Builds the destination partitions: per bucket, every chunk — buffered
 /// or spilled — sorted by `(source, sequence)` and concatenated into one
 /// chunk ([`chunk::concat`]: lanes when every piece holds lanes, boxed
-/// rows when a piece was spilled or boxed). Disk chunks that sort
-/// adjacently *and* sit contiguously in the spill file (the common case:
-/// consecutive sequences of one source within one run) are fetched with
-/// a single ranged read instead of one seek+read per chunk.
+/// rows when a piece holds boxed rows). A spilled piece comes back as the
+/// kind of chunk it was written as ([`chunk::decode_frame`]). Disk chunks
+/// that sort adjacently *and* sit contiguously in the spill file (the
+/// common case: consecutive sequences of one source within one run) are
+/// fetched with a single ranged read instead of one seek+read per chunk.
 fn merge_read(mut state: ExchangeState, partitions: usize) -> Result<Vec<Chunk>> {
     // (src, seq) -> where the rows are.
     enum Loc {
@@ -387,7 +397,7 @@ fn merge_read(mut state: ExchangeState, partitions: usize) -> Result<Vec<Chunk>>
         }
     }
     let mut dest: Vec<Chunk> = Vec::with_capacity(partitions);
-    for chunks in &mut by_bucket {
+    for (bucket, chunks) in by_bucket.iter_mut().enumerate() {
         chunks.sort_by_key(|&(src, seq, _)| (src, seq));
         let mut pieces = Vec::new();
         let mut pending: Vec<usize> = Vec::new(); // contiguous disk chunks
@@ -406,15 +416,19 @@ fn merge_read(mut state: ExchangeState, partitions: usize) -> Result<Vec<Chunk>>
             };
             let start = sf.index[first].offset;
             let total: u64 = pending.iter().map(|&i| sf.index[i].len).sum();
-            sf.file.seek(SeekFrom::Start(start)).map_err(io_err)?;
             let mut buf = vec![0u8; total as usize];
-            sf.file.read_exact(&mut buf).map_err(io_err)?;
-            let mut cursor = &buf[..];
-            let rows: u64 = pending.iter().map(|&i| u64::from(sf.index[i].rows)).sum();
-            let rows = (0..rows)
-                .map(|_| decode_value(&mut cursor))
-                .collect::<Result<_>>()?;
-            pieces.push(Chunk::Rows(rows));
+            sf.file
+                .seek(SeekFrom::Start(start))
+                .and_then(|_| sf.file.read_exact(&mut buf))
+                .map_err(|e| io_err(&sf.path, Some(bucket), e))?;
+            let mut frames = &buf[..];
+            for &i in pending.iter() {
+                let loc = &sf.index[i];
+                let (frame, rest) = frames.split_at(loc.len as usize);
+                frames = rest;
+                let piece = chunk::decode_frame(frame, loc.rows as usize);
+                pieces.push(piece.map_err(|e| spill_err(e.message, &sf.path, Some(bucket)))?);
+            }
             pending.clear();
             Ok(())
         };
@@ -444,8 +458,14 @@ fn merge_read(mut state: ExchangeState, partitions: usize) -> Result<Vec<Chunk>>
     Ok(dest)
 }
 
-fn io_err(e: std::io::Error) -> RuntimeError {
-    RuntimeError::new(format!("exchange spill I/O: {e}"))
+/// A spill error, naming the run file and, on the read side, the bucket.
+fn spill_err(e: impl std::fmt::Display, path: &Path, bucket: Option<usize>) -> RuntimeError {
+    let bucket = bucket.map_or(String::new(), |b| format!("bucket {b} of "));
+    RuntimeError::new(format!("{e} ({bucket}{})", path.display()))
+}
+
+fn io_err(path: &Path, bucket: Option<usize>, e: std::io::Error) -> RuntimeError {
+    spill_err(format_args!("exchange spill I/O: {e}"), path, bucket)
 }
 
 /// The per-source-partition write handle of an [`Exchange`]: builds one
@@ -682,11 +702,12 @@ impl TileSink for KeyedScatter<'_, '_> {
 /// spill file nested deeper would overflow the reading thread's stack.
 pub const MAX_VALUE_DEPTH: usize = 128;
 
-/// Binary row codec for spill runs. Exact round-trip for every [`Value`]
-/// shape (doubles travel as raw bits), so spilled rows come back
-/// bit-identical. Lengths that do not fit the u32 wire format (a single
-/// string or container past 4 GiB / 2³² elements) are a loud error, not
-/// a silent truncation.
+/// Binary row codec: a spilled boxed row, and the boxed lane of a
+/// spilled lane frame. Exact round-trip for every [`Value`] shape
+/// (doubles travel as raw bits), so spilled rows come back bit-identical.
+/// Lengths that do not fit the u32 wire format (a single string or
+/// container past 4 GiB / 2³² elements) are a loud error, not a silent
+/// truncation.
 ///
 /// Public because the serve layer's wire protocol and the plan-hash
 /// cache key reuse the same canonical encoding — one codec, one notion
@@ -699,7 +720,7 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) -> Result<()> {
 }
 
 /// Writes a length in the codec's u32 wire format.
-fn put_len(out: &mut Vec<u8>, n: usize) -> Result<()> {
+pub(crate) fn put_len(out: &mut Vec<u8>, n: usize) -> Result<()> {
     let n = u32::try_from(n).map_err(|_| {
         RuntimeError::new("exchange spill: value length exceeds the u32 wire format")
     })?;
@@ -707,31 +728,14 @@ fn put_len(out: &mut Vec<u8>, n: usize) -> Result<()> {
     Ok(())
 }
 
-fn too_deep() -> RuntimeError {
+pub(crate) fn too_deep() -> RuntimeError {
     RuntimeError::new(format!(
         "exchange spill: value nesting exceeds the codec's depth limit ({MAX_VALUE_DEPTH})"
     ))
 }
 
-/// Writes row `i` of a chunk's lane exactly as [`encode_value`] writes
-/// the row it stands for, without boxing a struct-of-arrays tuple.
-fn encode_lane_row(col: &VCol, i: usize, out: &mut Vec<u8>, depth: usize) -> Result<()> {
-    match col {
-        VCol::Tuple(cols) => {
-            if depth == 0 {
-                return Err(too_deep());
-            }
-            out.push(5);
-            put_len(out, cols.len())?;
-            cols.iter()
-                .try_for_each(|c| encode_lane_row(c, i, out, depth - 1))
-        }
-        _ => encode_nested(&col.at(i), out, depth),
-    }
-}
-
 /// [`encode_value`] with `depth` levels left.
-fn encode_nested(v: &Value, out: &mut Vec<u8>, depth: usize) -> Result<()> {
+pub(crate) fn encode_nested(v: &Value, out: &mut Vec<u8>, depth: usize) -> Result<()> {
     if depth == 0 {
         return Err(too_deep());
     }
@@ -789,23 +793,29 @@ pub fn decode_value(buf: &mut &[u8]) -> Result<Value> {
     decode_nested(buf, MAX_VALUE_DEPTH)
 }
 
+/// The error of every truncated or malformed input to the codec.
+pub(crate) fn corrupt() -> RuntimeError {
+    RuntimeError::new("corrupt exchange spill file")
+}
+
+/// The next `n` bytes of `buf`, which it advances past them.
+pub(crate) fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
+    if buf.len() < n {
+        return Err(corrupt());
+    }
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(head)
+}
+
+/// A length in the codec's u32 wire format.
+pub(crate) fn take_len(buf: &mut &[u8]) -> Result<usize> {
+    let b = take(buf, 4)?;
+    Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize)
+}
+
 /// [`decode_value`] with `depth` levels left.
-fn decode_nested(buf: &mut &[u8], depth: usize) -> Result<Value> {
-    fn corrupt() -> RuntimeError {
-        RuntimeError::new("corrupt exchange spill file")
-    }
-    fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
-        if buf.len() < n {
-            return Err(corrupt());
-        }
-        let (head, rest) = buf.split_at(n);
-        *buf = rest;
-        Ok(head)
-    }
-    fn take_len(buf: &mut &[u8]) -> Result<usize> {
-        let b = take(buf, 4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize)
-    }
+pub(crate) fn decode_nested(buf: &mut &[u8], depth: usize) -> Result<Value> {
     if depth == 0 {
         return Err(corrupt());
     }
@@ -1135,23 +1145,21 @@ mod tests {
             .collect();
         let lanes = chunk::owned_col(rows.clone());
         assert!(matches!(&lanes, VCol::Tuple(_)), "{lanes:?}");
-        for (i, row) in rows.iter().enumerate() {
-            let (mut boxed_bytes, mut lane_bytes) = (Vec::new(), Vec::new());
-            encode_value(row, &mut boxed_bytes).unwrap();
-            encode_lane_row(&lanes, i, &mut lane_bytes, MAX_VALUE_DEPTH).unwrap();
-            assert_eq!(lane_bytes, boxed_bytes, "row {i}");
-        }
         // Sent as lanes under a budget of 0, every piece spills and comes
-        // back as boxed rows, in order, charged as the rows themselves.
+        // back as lanes, in order, charged as the rows themselves.
         let ctx = crate::Context::new(1, 2);
         let ex = Exchange::new(2, Some(0));
         let mut w = ex.writer(0);
         w.emit_tile(&[0, 1, 0, 1, 0, 1], &lanes).unwrap();
         w.close().unwrap();
+        assert!(ex.state.lock().unwrap().spill_runs > 0, "spilled");
         let before = ctx.stats().snapshot();
         let dest = ex.finish(&ctx).unwrap();
         let after = ctx.stats().snapshot().since(&before);
-        assert!(dest.iter().all(|c| matches!(c, Chunk::Rows(_))));
+        assert!(
+            dest.iter().all(|c| matches!(c, Chunk::Cols { len: 3, .. })),
+            "{dest:?}"
+        );
         let want: Vec<Vec<Value>> = (0..2)
             .map(|b| rows.iter().skip(b).step_by(2).cloned().collect())
             .collect();
@@ -1160,6 +1168,61 @@ mod tests {
             chunk::estimate_bytes(&[Chunk::Rows(rows)])
         );
         assert_eq!(boxed(dest), want);
+    }
+
+    #[test]
+    fn a_damaged_run_file_is_an_error_that_names_it() {
+        // One exchange per damage, each spilled whole under a budget of 0.
+        let spilled = || {
+            let ex = Exchange::new(2, Some(0));
+            let mut w = ex.writer(0);
+            for i in 0..100i64 {
+                w.emit((i % 2) as usize, Value::pair(Value::Long(i), Value::Unit))
+                    .unwrap();
+            }
+            w.close().unwrap();
+            let path = ex
+                .state
+                .lock()
+                .unwrap()
+                .spill
+                .as_ref()
+                .unwrap()
+                .path
+                .clone();
+            (ex, path)
+        };
+        let ctx = crate::Context::new(1, 2);
+        // A frame kind no writer writes, at the head of bucket 0's first
+        // piece: a corrupt frame.
+        let (ex, path) = spilled();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[0] = 0xff;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = ex.finish(&ctx).unwrap_err();
+        assert!(err.message.contains("corrupt"), "{err}");
+        assert!(
+            err.message
+                .contains(&format!("bucket 0 of {}", path.display())),
+            "{err}"
+        );
+        // A file cut short: the first read past its end fails (every run
+        // holds pieces of both buckets, so bucket 0's).
+        let (ex, path) = spilled();
+        let len = std::fs::metadata(&path).unwrap().len();
+        File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(len / 2)
+            .unwrap();
+        let err = ex.finish(&ctx).unwrap_err();
+        assert!(err.message.contains("exchange spill I/O"), "{err}");
+        assert!(
+            err.message
+                .contains(&format!("bucket 0 of {}", path.display())),
+            "{err}"
+        );
     }
 
     #[test]

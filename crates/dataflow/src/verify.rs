@@ -109,7 +109,7 @@ fn partitions(n: usize) -> Result<usize> {
 }
 
 /// Checks that every lane of a `Cols` chunk holds the chunk's rows.
-fn check_chunk(chunk: &Chunk) -> Result<()> {
+pub(crate) fn check_chunk(chunk: &Chunk) -> Result<()> {
     match chunk {
         Chunk::Rows(_) => Ok(()),
         Chunk::Cols { len, lanes } => check_lane(lanes, *len),

@@ -3,10 +3,10 @@
 //! group-by and join read them where they lie. Every case runs in every
 //! engine configuration — both layouts, a tile width that splits each
 //! partition into several tiles, and exchange budgets none, 0 and 4096 (a
-//! spilled piece comes back as boxed rows and meets in-memory lanes) — and
-//! must match the row layout's rows, order, first error and shuffle
-//! counters byte for byte. `shuffled_bytes` agreeing says a lane row is
-//! charged as the row it stands for.
+//! spilled piece comes back as the chunk it was written as and meets
+//! in-memory pieces) — and must match the row layout's rows, order, first
+//! error and shuffle counters byte for byte. `shuffled_bytes` agreeing
+//! says a lane row is charged as the row it stands for.
 
 mod common;
 
