@@ -230,6 +230,8 @@ impl Bucket {
 }
 
 /// A lane being built: the owned, growable form of a chunk's [`VCol`].
+/// The keyed and total folds keep their accumulators in one, a slot per
+/// key (`fold_lane` and `fold_value`, in `columnar.rs`).
 pub(crate) enum LaneBuf {
     Long(Vec<i64>),
     Double(Vec<f64>),
@@ -243,7 +245,7 @@ impl LaneBuf {
     /// An empty lane of the kind `v` is: a primitive lane, a lane per
     /// field of a tuple, the boxed lane for anything else. A chunk's lanes
     /// take the kind of its first row.
-    fn like_value(v: &Value) -> LaneBuf {
+    pub(crate) fn like_value(v: &Value) -> LaneBuf {
         match v {
             Value::Long(_) => LaneBuf::Long(Vec::new()),
             Value::Double(_) => LaneBuf::Double(Vec::new()),
@@ -276,7 +278,7 @@ impl LaneBuf {
         }
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             LaneBuf::Long(v) => v.len(),
             LaneBuf::Double(v) => v.len(),
@@ -286,7 +288,7 @@ impl LaneBuf {
         }
     }
 
-    fn get(&self, i: usize) -> Value {
+    pub(crate) fn get(&self, i: usize) -> Value {
         match self {
             LaneBuf::Long(v) => Value::Long(v[i]),
             LaneBuf::Double(v) => Value::Double(v[i]),
@@ -324,7 +326,7 @@ impl LaneBuf {
 
     /// Appends one boxed value, taken apart into this lane's leaves; a
     /// leaf it does not fit turns into the boxed lane first.
-    fn push_value(&mut self, v: &Value) {
+    pub(crate) fn push_value(&mut self, v: &Value) {
         match (&mut *self, v) {
             (LaneBuf::Long(lane), Value::Long(n)) => lane.push(*n),
             (LaneBuf::Double(lane), Value::Double(x)) => lane.push(*x),
@@ -343,11 +345,13 @@ impl LaneBuf {
     }
 
     /// Turns this lane into the boxed lane of the same rows.
-    fn box_all(&mut self) {
-        *self = LaneBuf::Boxed((0..self.len()).map(|i| self.get(i)).collect());
+    pub(crate) fn box_all(&mut self) {
+        if !matches!(self, LaneBuf::Boxed(_)) {
+            *self = LaneBuf::Boxed((0..self.len()).map(|i| self.get(i)).collect());
+        }
     }
 
-    fn finish(self) -> VCol<'static> {
+    pub(crate) fn finish(self) -> VCol<'static> {
         match self {
             LaneBuf::Long(v) => VCol::Long(Arc::new(v)),
             LaneBuf::Double(v) => VCol::Double(Arc::new(v)),

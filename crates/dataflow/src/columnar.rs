@@ -30,16 +30,16 @@
 //!   to a [`TileSink`] — the consumer of the stage:
 //!   * [`RowSink`] reassembles the surviving rows once, at the end of the
 //!     chain;
-//!   * [`FoldSink`] folds the chain's last column into a total reduction
-//!     (`Dataset::aggregate`) as a typed lane, in row order, and no row is
-//!     reassembled at all;
 //!   * a keyed scatter (`exchange::KeyedScatter`) hashes each
 //!     `(key, row)` pair's key where it lies and sends the tile's columns
 //!     to their buckets as lanes ([`crate::chunk`]), boxing no row;
 //!   * [`KeyedFold`], a keyed aggregation (`Dataset::aggregate_by_key`),
 //!     looks the tile's key column up in a [`KeyTable`] and folds each
-//!     value lane into typed per-key accumulators, each key's values in
-//!     row order; the combined keys and accumulators leave as lanes;
+//!     value lane into typed per-key accumulators ([`LaneBuf`] lanes,
+//!     one slot per key), each key's values in row order; the combined
+//!     keys and accumulators leave as lanes. [`TotalFold`], a total one
+//!     (`Dataset::aggregate`), is the same fold on a constant key: one
+//!     slot, and no row is reassembled at all;
 //!   * the block [`Packer`] reads index and value lanes where they lie.
 //! * **Joins' matches and lane keys** — a stage above a join's
 //!   build–probe reads a [`Source::Matches`] instead of rows: each tile's
@@ -76,7 +76,7 @@ use diablo_runtime::array::key_value_ref;
 use diablo_runtime::{BinOp, Func, RuntimeError, UnOp, Value};
 
 use crate::block::Packer;
-use crate::chunk::{self, Chunk};
+use crate::chunk::{self, Chunk, LaneBuf};
 use crate::exchange::{ExchangeWriter, HashPartitioner};
 use crate::join::Emit;
 use crate::keytable::{Key, KeyLane, KeyLanes, KeyTable, Prim};
@@ -1199,118 +1199,47 @@ pub(crate) fn for_each_key(
     }
 }
 
-/// Folds a tile's surviving column into `acc` with `op`, left to right.
-/// A primitive lane meeting an accumulator of its own type folds without
-/// boxing; the arithmetic is [`BinOp::apply`]'s, applied in row order, so
-/// doubles round exactly as on the row path. Everything else (tuple sums,
-/// `argmin`, mixed types, type errors) goes through `apply` per element.
-fn fold_col(op: BinOp, col: &VCol, len: usize, acc: &mut Option<Value>) -> Result<()> {
-    use std::cmp::Ordering;
-    if len == 0 {
-        return Ok(());
-    }
-    let (acc, start) = match acc {
-        Some(a) => (a, 0),
-        None => (acc.insert(col.get(0)), 1),
-    };
-    match (op, col, &mut *acc) {
-        (BinOp::Add, VCol::Long(v), Value::Long(a)) => {
-            v[start..].iter().for_each(|&x| *a = a.wrapping_add(x))
-        }
-        (BinOp::Mul, VCol::Long(v), Value::Long(a)) => {
-            v[start..].iter().for_each(|&x| *a = a.wrapping_mul(x))
-        }
-        (BinOp::Min, VCol::Long(v), Value::Long(a)) => {
-            v[start..].iter().for_each(|&x| *a = (*a).min(x))
-        }
-        (BinOp::Max, VCol::Long(v), Value::Long(a)) => {
-            v[start..].iter().for_each(|&x| *a = (*a).max(x))
-        }
-        (BinOp::Add, VCol::Double(v), Value::Double(a)) => v[start..].iter().for_each(|&x| *a += x),
-        (BinOp::Mul, VCol::Double(v), Value::Double(a)) => v[start..].iter().for_each(|&x| *a *= x),
-        // `min`/`max` keep the left operand on ties, as `apply` does.
-        (BinOp::Min, VCol::Double(v), Value::Double(a)) => v[start..].iter().for_each(|&x| {
-            if a.total_cmp(&x) == Ordering::Greater {
-                *a = x;
-            }
-        }),
-        (BinOp::Max, VCol::Double(v), Value::Double(a)) => v[start..].iter().for_each(|&x| {
-            if a.total_cmp(&x) == Ordering::Less {
-                *a = x;
-            }
-        }),
-        (BinOp::And, VCol::Bool(v), Value::Bool(a)) => *a = *a && v[start..].iter().all(|&x| x),
-        (BinOp::Or, VCol::Bool(v), Value::Bool(a)) => *a = *a || v[start..].iter().any(|&x| x),
-        _ => {
-            for i in start..len {
-                *acc = op.apply(acc, &col.at(i))?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// A running reduction with `op`: folds whole columns on the vectorized
-/// path and one row at a time otherwise.
-pub(crate) struct FoldSink<'s> {
-    pub(crate) op: BinOp,
-    pub(crate) acc: &'s mut Option<Value>,
-}
-
-impl TileSink for FoldSink<'_> {
-    fn tile(&mut self, col: &VCol, len: usize) -> Result<()> {
-        fold_col(self.op, col, len, self.acc)
-    }
-
-    fn row(&mut self, row: Value) -> Result<()> {
-        *self.acc = Some(match self.acc.take() {
-            None => row,
-            Some(a) => self.op.apply(&a, &row)?,
-        });
-        Ok(())
-    }
-}
-
 /// The lane kernel of a monoid over longs: [`BinOp::apply`]'s arithmetic
-/// on two `Value::Long`s, unboxed.
-fn long_kernel(op: BinOp) -> Option<fn(i64, i64) -> i64> {
-    Some(match op {
-        BinOp::Add => i64::wrapping_add,
-        BinOp::Mul => i64::wrapping_mul,
-        BinOp::Min => Ord::min,
-        BinOp::Max => Ord::max,
-        _ => return None,
+/// on two `Value::Long`s, unboxed. One closure for every monoid, so a loop
+/// over a lane calls no function per row: the compiler moves the `match`
+/// on the loop-invariant `op` out of the loop.
+fn long_kernel(op: BinOp) -> Option<impl Fn(i64, i64) -> i64> {
+    use BinOp::*;
+    matches!(op, Add | Mul | Min | Max).then_some(move |a: i64, x: i64| match op {
+        Add => a.wrapping_add(x),
+        Mul => a.wrapping_mul(x),
+        Min => a.min(x),
+        _ => a.max(x),
     })
 }
 
 /// The lane kernel of a monoid over doubles. `min`/`max` keep the left
 /// operand on ties, as `apply` does.
-fn double_kernel(op: BinOp) -> Option<fn(f64, f64) -> f64> {
+fn double_kernel(op: BinOp) -> Option<impl Fn(f64, f64) -> f64> {
     use std::cmp::Ordering;
-    Some(match op {
-        BinOp::Add => |a, x| a + x,
-        BinOp::Mul => |a, x| a * x,
-        BinOp::Min => |a, x| match a.total_cmp(&x) {
+    use BinOp::*;
+    matches!(op, Add | Mul | Min | Max).then_some(move |a: f64, x: f64| match op {
+        Add => a + x,
+        Mul => a * x,
+        Min => match a.total_cmp(&x) {
             Ordering::Greater => x,
             _ => a,
         },
-        BinOp::Max => |a, x| match a.total_cmp(&x) {
+        _ => match a.total_cmp(&x) {
             Ordering::Less => x,
             _ => a,
         },
-        _ => return None,
     })
 }
 
-fn bool_kernel(op: BinOp) -> Option<fn(bool, bool) -> bool> {
-    Some(match op {
-        BinOp::And => |a, x| a && x,
-        BinOp::Or => |a, x| a || x,
-        _ => return None,
+fn bool_kernel(op: BinOp) -> Option<impl Fn(bool, bool) -> bool> {
+    matches!(op, BinOp::And | BinOp::Or).then_some(move |a, x| match op {
+        BinOp::And => a && x,
+        _ => a || x,
     })
 }
 
-/// The two lanes of a struct-of-arrays `(long, double)` column — what `^`
+/// The two lanes of a struct-of-arrays `(long, double)` column: what `^`
 /// folds without boxing.
 fn argmin_lanes<'c>(col: &'c VCol<'_>) -> Option<(Lane<'c, i64>, Lane<'c, f64>)> {
     match col {
@@ -1333,172 +1262,108 @@ fn argmin_kernel(a: (i64, f64), x: (i64, f64)) -> (i64, f64) {
     }
 }
 
-/// One aggregate's accumulators, indexed by key slot: a primitive vector
-/// for as long as every value folded in is of that type, boxed values
-/// from the first one that is not.
-enum AccCol {
-    Long(Vec<i64>),
-    Double(Vec<f64>),
-    Bool(Vec<bool>),
-    /// `^` over `(long, double)` pairs arriving as two lanes.
-    ArgMin(Vec<(i64, f64)>),
-    Val(Vec<Value>),
+/// Folds a primitive lane into `acc` with the kernel `k`, row `i` into
+/// slot `slots[i]`, in row order; `false` (nothing folded) without a lane
+/// or a kernel. Slots are handed out in first-seen order, so a slot past
+/// the end is always the very next one: a new key's first value. When
+/// every row folds into slot 0 — a total aggregation, a tile of one key —
+/// the fold is a straight loop over the lane.
+fn fold_prim<T: Copy>(
+    acc: &mut Vec<T>,
+    slots: &[u32],
+    lane: Option<Lane<'_, T>>,
+    k: Option<impl Fn(T, T) -> T>,
+) -> bool {
+    let (Some(lane), Some(k)) = (lane, k) else {
+        return false;
+    };
+    // Or-ing every slot is a loop the compiler vectorizes.
+    if acc.len() <= 1 && !slots.is_empty() && slots.iter().fold(0, |or, &s| or | s) == 0 {
+        let (a, from) = acc.pop().map_or((lane.at(0), 1), |a| (a, 0));
+        acc.push(match &lane {
+            Lane::V(xs) => xs[from..].iter().fold(a, |a, &x| k(a, x)),
+            Lane::C(x) => (from..slots.len()).fold(a, |a, _| k(a, *x)),
+        });
+        return true;
+    }
+    let mut fold = |s: u32, x: T| match acc.get_mut(s as usize) {
+        Some(a) => *a = k(*a, x),
+        None => acc.push(x),
+    };
+    match &lane {
+        Lane::V(xs) => slots.iter().zip(xs.iter()).for_each(|(&s, &x)| fold(s, x)),
+        Lane::C(x) => slots.iter().for_each(|&s| fold(s, *x)),
+    }
+    true
 }
 
-impl AccCol {
-    fn len(&self) -> usize {
-        match self {
-            AccCol::Long(a) => a.len(),
-            AccCol::Double(a) => a.len(),
-            AccCol::Bool(a) => a.len(),
-            AccCol::ArgMin(a) => a.len(),
-            AccCol::Val(a) => a.len(),
-        }
+/// An empty accumulator for `op` that starts at `first`: a primitive
+/// lane, tuple lanes for `^`'s pairs, the boxed lane for anything else (a
+/// tuple sum stays boxed).
+fn accumulator(op: BinOp, first: &Value) -> LaneBuf {
+    match first {
+        Value::Tuple(_) if op != BinOp::ArgMin => LaneBuf::Boxed(Vec::new()),
+        first => LaneBuf::like_value(first),
     }
+}
 
-    fn get(&self, slot: usize) -> Value {
-        match self {
-            AccCol::Long(a) => Value::Long(a[slot]),
-            AccCol::Double(a) => Value::Double(a[slot]),
-            AccCol::Bool(a) => Value::Bool(a[slot]),
-            AccCol::ArgMin(a) => Value::pair(Value::Long(a[slot].0), Value::Double(a[slot].1)),
-            AccCol::Val(a) => a[slot].clone(),
-        }
-    }
-
-    /// The accumulators as a column, one row per key slot.
-    fn into_col(self) -> VCol<'static> {
-        match self {
-            AccCol::Long(a) => long_col(a),
-            AccCol::Double(a) => double_col(a),
-            AccCol::Bool(a) => bool_col(a),
-            AccCol::ArgMin(a) => {
-                let (index, distance) = a.into_iter().unzip();
-                VCol::Tuple(Arc::new(vec![long_col(index), double_col(distance)]))
-            }
-            AccCol::Val(a) => chunk::owned_col(a),
-        }
-    }
-
-    /// The accumulators as boxed values, converting a primitive vector
-    /// once.
-    fn boxed(&mut self) -> &mut Vec<Value> {
-        if !matches!(self, AccCol::Val(_)) {
-            *self = AccCol::Val((0..self.len()).map(|slot| self.get(slot)).collect());
-        }
-        match self {
-            AccCol::Val(a) => a,
-            _ => unreachable!("just boxed"),
-        }
-    }
-
-    /// Starts the accumulator of a new key (the next slot) at `x`.
-    fn push(&mut self, x: &Value) {
-        if self.len() == 0 {
-            *self = match x {
-                Value::Long(_) => AccCol::Long(Vec::new()),
-                Value::Double(_) => AccCol::Double(Vec::new()),
-                Value::Bool(_) => AccCol::Bool(Vec::new()),
-                _ => AccCol::Val(Vec::new()),
-            };
-        }
-        match (&mut *self, x) {
-            (AccCol::Long(a), Value::Long(n)) => a.push(*n),
-            (AccCol::Double(a), Value::Double(x)) => a.push(*x),
-            (AccCol::Bool(a), Value::Bool(b)) => a.push(*b),
-            _ => self.boxed().push(x.clone()),
-        }
-    }
-
+/// A [`LaneBuf`] as accumulators, one per slot: what the keyed and the
+/// total fold keep. A lane stays typed for as long as everything folded
+/// in has a kernel for it, and turns into the boxed lane at the first
+/// value that has not (a `^` pair folded by value into a held slot).
+impl LaneBuf {
     /// Folds one boxed value into the accumulator at `slot` — the next
-    /// slot starts a new key — with exactly [`BinOp::apply`]'s result.
+    /// slot starts a new key — with exactly [`BinOp::apply`]'s result: as
+    /// a one-row lane when it has a kernel, through `apply` otherwise — a
+    /// boxed lane, which has none, without building the one-row lane.
     fn fold_value(&mut self, op: BinOp, slot: usize, x: &Value) -> Result<()> {
         if slot == self.len() {
-            self.push(x);
-            return Ok(());
+            if slot == 0 {
+                *self = accumulator(op, x);
+            }
+            self.push_value(x);
+        } else if matches!(self, LaneBuf::Boxed(_))
+            || !self.fold_lane(op, &[slot as u32], &VCol::Const(x.clone()))
+        {
+            self.box_all();
+            if let LaneBuf::Boxed(vals) = self {
+                vals[slot] = op.apply(&vals[slot], x)?;
+            }
         }
-        match (&mut *self, x) {
-            (AccCol::Long(a), Value::Long(x)) => {
-                if let Some(k) = long_kernel(op) {
-                    a[slot] = k(a[slot], *x);
-                    return Ok(());
-                }
-            }
-            (AccCol::Double(a), Value::Double(x)) => {
-                if let Some(k) = double_kernel(op) {
-                    a[slot] = k(a[slot], *x);
-                    return Ok(());
-                }
-            }
-            (AccCol::Bool(a), Value::Bool(x)) => {
-                if let Some(k) = bool_kernel(op) {
-                    a[slot] = k(a[slot], *x);
-                    return Ok(());
-                }
-            }
-            _ => {}
-        }
-        let vals = self.boxed();
-        vals[slot] = op.apply(&vals[slot], x)?;
         Ok(())
     }
 
     /// Folds a whole lane — primitive, or `(long, double)` as two lanes
-    /// under `^` — into the accumulators its rows' key slots name, in row
-    /// order, when the lane, the accumulators and `op` have a kernel in
-    /// common. `false` (nothing folded) otherwise.
+    /// under `^` — into the accumulators its rows' `slots` name, in row
+    /// order ([`fold_prim`]), when the lane, the accumulators and `op`
+    /// have a kernel in common. `false` (nothing folded) otherwise.
     fn fold_lane(&mut self, op: BinOp, slots: &[u32], lane: &VCol) -> bool {
-        fn scatter<T: Copy>(acc: &mut Vec<T>, slots: &[u32], lane: &Lane<'_, T>, k: fn(T, T) -> T) {
-            // Slots are handed out in first-seen order, so a slot past the
-            // end is always the very next one: a new key's first value.
-            let mut fold = |s: u32, x: T| match acc.get_mut(s as usize) {
-                Some(a) => *a = k(*a, x),
-                None => acc.push(x),
-            };
-            match lane {
-                Lane::V(xs) => slots.iter().zip(xs.iter()).for_each(|(&s, &x)| fold(s, x)),
-                Lane::C(x) => slots.iter().for_each(|&s| fold(s, *x)),
-            }
-        }
-        if self.len() == 0 {
-            if lane_i64(lane).is_some() {
-                *self = AccCol::Long(Vec::new());
-            } else if lane_f64(lane).is_some() {
-                *self = AccCol::Double(Vec::new());
-            } else if lane_bool(lane).is_some() {
-                *self = AccCol::Bool(Vec::new());
-            } else if op == BinOp::ArgMin && argmin_lanes(lane).is_some() {
-                *self = AccCol::ArgMin(Vec::new());
-            }
+        if self.len() == 0 && !slots.is_empty() {
+            *self = accumulator(op, &lane.at(0));
         }
         match self {
-            AccCol::ArgMin(acc) => match argmin_lanes(lane) {
-                Some((index, distance)) => {
+            LaneBuf::Long(acc) => fold_prim(acc, slots, lane_i64(lane), long_kernel(op)),
+            LaneBuf::Double(acc) => fold_prim(acc, slots, lane_f64(lane), double_kernel(op)),
+            LaneBuf::Bool(acc) => fold_prim(acc, slots, lane_bool(lane), bool_kernel(op)),
+            LaneBuf::Tuple(acc) => match (acc.as_mut_slice(), argmin_lanes(lane)) {
+                ([LaneBuf::Long(index), LaneBuf::Double(distance)], Some((xi, xd)))
+                    if op == BinOp::ArgMin =>
+                {
                     for (row, &s) in slots.iter().enumerate() {
-                        let x = (index.at(row), distance.at(row));
-                        match acc.get_mut(s as usize) {
-                            Some(a) => *a = argmin_kernel(*a, x),
-                            None => acc.push(x),
+                        let (s, x) = (s as usize, (xi.at(row), xd.at(row)));
+                        if s < index.len() {
+                            (index[s], distance[s]) = argmin_kernel((index[s], distance[s]), x);
+                        } else {
+                            index.push(x.0);
+                            distance.push(x.1);
                         }
                     }
+                    true
                 }
-                None => return false,
+                _ => false,
             },
-            AccCol::Long(acc) => match (lane_i64(lane), long_kernel(op)) {
-                (Some(lane), Some(k)) => scatter(acc, slots, &lane, k),
-                _ => return false,
-            },
-            AccCol::Double(acc) => match (lane_f64(lane), double_kernel(op)) {
-                (Some(lane), Some(k)) => scatter(acc, slots, &lane, k),
-                _ => return false,
-            },
-            AccCol::Bool(acc) => match (lane_bool(lane), bool_kernel(op)) {
-                (Some(lane), Some(k)) => scatter(acc, slots, &lane, k),
-                _ => return false,
-            },
-            AccCol::Val(_) => return false,
+            LaneBuf::Boxed(_) => false,
         }
-        true
     }
 }
 
@@ -1515,7 +1380,7 @@ impl AccCol {
 pub(crate) struct KeyedFold<'o> {
     ops: &'o [BinOp],
     keys: KeyTable<()>,
-    accs: Vec<AccCol>,
+    accs: Vec<LaneBuf>,
     /// The current tile's key slot per row (scratch, reused).
     slots: Vec<u32>,
 }
@@ -1525,7 +1390,7 @@ impl<'o> KeyedFold<'o> {
         KeyedFold {
             ops,
             keys: KeyTable::new(),
-            accs: ops.iter().map(|_| AccCol::Val(Vec::new())).collect(),
+            accs: ops.iter().map(|_| LaneBuf::Boxed(Vec::new())).collect(),
             slots: Vec::new(),
         }
     }
@@ -1549,6 +1414,37 @@ impl<'o> KeyedFold<'o> {
         Ok(())
     }
 
+    /// Folds `len` rows given as a key column and one value lane per
+    /// monoid: the keys are looked up where they lie, then lanes with a
+    /// kernel are folded a lane at a time — kernels cannot fail — and the
+    /// rest through `apply` row by row, lanes in order within a row, so
+    /// the first error is the row path's.
+    fn fold_tile(&mut self, keys: &VCol, lanes: &[VCol], len: usize) -> Result<()> {
+        let (ops, table, accs, slots) = (self.ops, &mut self.keys, &mut self.accs, &mut self.slots);
+        slots.clear();
+        // Each key form is looked up by code of its own.
+        match (keys, key_lanes(keys)) {
+            (VCol::Const(key), _) => slots.resize(len, table.upsert(key, || ()).slot as u32),
+            (_, Some(lanes)) => {
+                slots.extend((0..len).map(|i| table.upsert(lanes.key(i), || ()).slot as u32))
+            }
+            (_, None) => {
+                slots.extend((0..len).map(|i| table.upsert(keys.at(i), || ()).slot as u32))
+            }
+        }
+        let boxed: Vec<usize> = (0..lanes.len())
+            .filter(|&j| !accs[j].fold_lane(ops[j], slots, &lanes[j]))
+            .collect();
+        if boxed.is_empty() {
+            return Ok(());
+        }
+        slots.iter().enumerate().try_for_each(|(row, &slot)| {
+            boxed
+                .iter()
+                .try_for_each(|&j| accs[j].fold_value(ops[j], slot as usize, &lanes[j].at(row)))
+        })
+    }
+
     /// Sends every key with its tuple of aggregates to its bucket among
     /// `partitions`, in first-seen order, as lanes: the key column and the
     /// accumulators as they are. The rows they stand for are the rows
@@ -1559,7 +1455,16 @@ impl<'o> KeyedFold<'o> {
             .iter()
             .map(|k| HashPartitioner.partition(k, partitions) as u32)
             .collect();
-        let accs = self.accs.into_iter().map(AccCol::into_col).collect();
+        let accs = self
+            .accs
+            .into_iter()
+            .map(|acc| match acc {
+                // A boxed accumulator (a tuple sum) leaves taken apart, as
+                // a chunk's lanes are.
+                LaneBuf::Boxed(vals) => chunk::owned_col(vals),
+                acc => acc.finish(),
+            })
+            .collect();
         let col = VCol::Tuple(Arc::new(vec![
             chunk::owned_col(keys),
             VCol::Tuple(Arc::new(accs)),
@@ -1585,51 +1490,47 @@ impl TileSink for KeyedFold<'_> {
     fn tile(&mut self, col: &VCol, len: usize) -> Result<()> {
         // The keyed map builds `(key, (v1, …, vn))` as struct-of-arrays;
         // anything else (boxed pairs passed through) folds row by row.
-        let columns = match col {
-            VCol::Tuple(kv) => match kv.as_slice() {
-                [keys, VCol::Tuple(lanes)] if lanes.len() == self.ops.len() => Some((keys, lanes)),
-                _ => None,
-            },
-            _ => None,
-        };
-        let Some((keys, lanes)) = columns else {
-            return (0..len).try_for_each(|i| self.row(&col.at(i)));
-        };
-        let mut slots = std::mem::take(&mut self.slots);
-        slots.clear();
-        // Each key form is looked up by code of its own.
-        let table = &mut self.keys;
-        match (keys, key_lanes(keys)) {
-            (VCol::Const(key), _) => slots.resize(len, table.upsert(key, || ()).slot as u32),
-            (_, Some(lanes)) => {
-                slots.extend((0..len).map(|i| table.upsert(lanes.key(i), || ()).slot as u32))
-            }
-            (_, None) => {
-                slots.extend((0..len).map(|i| table.upsert(keys.at(i), || ()).slot as u32))
-            }
-        }
-        // Primitive lanes first, a lane at a time: their kernels cannot
-        // fail. The rest goes through `apply` row by row, lanes in order
-        // within a row, so the first error is the row path's.
-        let mut boxed = Vec::new();
-        for (j, lane) in lanes.iter().enumerate() {
-            if !self.accs[j].fold_lane(self.ops[j], &slots, lane) {
-                boxed.push(j);
-            }
-        }
-        if !boxed.is_empty() {
-            for (i, &slot) in slots.iter().enumerate() {
-                for &j in &boxed {
-                    self.accs[j].fold_value(self.ops[j], slot as usize, &lanes[j].at(i))?;
+        if let VCol::Tuple(kv) = col {
+            if let [keys, VCol::Tuple(lanes)] = kv.as_slice() {
+                if lanes.len() == self.ops.len() {
+                    return self.fold_tile(keys, lanes, len);
                 }
             }
         }
-        self.slots = slots;
-        Ok(())
+        (0..len).try_for_each(|i| self.row(&col.at(i)))
     }
 
     fn row(&mut self, row: Value) -> Result<()> {
         KeyedFold::row(self, &row)
+    }
+}
+
+/// A total aggregation in progress (`Dataset::aggregate`): by Rule (16) a
+/// keyed one on a constant key, so every row folds into the one slot of
+/// one accumulator, in row order.
+pub(crate) struct TotalFold<'o>(KeyedFold<'o>);
+
+impl<'o> TotalFold<'o> {
+    pub(crate) fn new(op: &'o BinOp) -> TotalFold<'o> {
+        TotalFold(KeyedFold::new(std::slice::from_ref(op)))
+    }
+
+    /// The aggregate in slot 0; `None` when no row was folded.
+    pub(crate) fn finish(self) -> Option<Value> {
+        let acc = self.0.accs.first()?;
+        (acc.len() > 0).then(|| acc.get(0))
+    }
+}
+
+impl TileSink for TotalFold<'_> {
+    fn tile(&mut self, col: &VCol, len: usize) -> Result<()> {
+        self.0
+            .fold_tile(&VCol::Const(Value::Unit), std::slice::from_ref(col), len)
+    }
+
+    /// A row folds straight into slot 0: the one key needs no lookup.
+    fn row(&mut self, row: Value) -> Result<()> {
+        self.0.accs[0].fold_value(self.0.ops[0], 0, &row)
     }
 }
 
@@ -1918,32 +1819,89 @@ mod tests {
                 ),
                 step_map(RowExpr::Col(col), None),
             ];
-            let mut by_row = None;
+            // The reference: `apply`, left to right. The fold's own row
+            // path must agree with it too.
+            let (mut by_row, mut by_sink_row) = (None::<Value>, TotalFold::new(&op));
             for row in &rows {
                 drive(Cow::Borrowed(row), &steps, &mut |v| {
-                    FoldSink {
-                        op,
-                        acc: &mut by_row,
-                    }
-                    .row(v)
+                    by_row = Some(match by_row.take() {
+                        Some(a) => op.apply(&a, &v)?,
+                        None => v.clone(),
+                    });
+                    by_sink_row.row(v)
                 })
                 .unwrap();
             }
             assert!(by_row.is_some());
+            assert_eq!(format!("{:?}", by_sink_row.finish()), format!("{by_row:?}"));
             for batch in [1, 7, 256, 4096] {
                 let stats = Stats::default();
-                let mut by_col = None;
-                let mut sink = FoldSink {
-                    op,
-                    acc: &mut by_col,
-                };
+                let mut sink = TotalFold::new(&op);
                 drive_tiles(Source::Rows(&rows), &steps, batch, &stats, &mut sink).unwrap();
+                let by_col = sink.finish();
                 assert_eq!(
                     format!("{by_col:?}"),
                     format!("{by_row:?}"),
                     "{op:?} over column {col}, batch {batch}"
                 );
                 assert!(stats.snapshot().vectorized_batches > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn argmin_ties_keep_the_left_pair_on_every_fold() {
+        // Ties, NaN on either side of a comparison, and both zeros: the
+        // kernel, a lane fold into one slot or into keyed slots, and a
+        // value-at-a-time fold must all pick what `apply` picks, bits
+        // included.
+        let nan = f64::NAN;
+        let pairs: Vec<(i64, f64)> = [0.5, 0.5, nan, 0.25, 0.25, -0.0, 0.0, nan, nan, 0.0, -0.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &d)| (i as i64, d))
+            .collect();
+        let boxed = |&(i, d): &(i64, f64)| Value::pair(Value::Long(i), Value::Double(d));
+        let bits = |v: &Value| {
+            let mut out = Vec::new();
+            crate::exchange::encode_value(v, &mut out).unwrap();
+            out
+        };
+        for a in &pairs {
+            for x in &pairs {
+                let want = BinOp::ArgMin.apply(&boxed(a), &boxed(x)).unwrap();
+                assert_eq!(
+                    bits(&boxed(&argmin_kernel(*a, *x))),
+                    bits(&want),
+                    "{a:?} ^ {x:?}"
+                );
+            }
+        }
+        let lane = VCol::Tuple(Arc::new(vec![
+            long_col(pairs.iter().map(|p| p.0).collect()),
+            double_col(pairs.iter().map(|p| p.1).collect()),
+        ]));
+        for keys in [1, 3] {
+            let slots: Vec<u32> = (0..pairs.len() as u32).map(|i| i % keys).collect();
+            let mut want: Vec<Value> = Vec::new();
+            for (p, &s) in pairs.iter().zip(&slots) {
+                match want.get_mut(s as usize) {
+                    Some(a) => *a = BinOp::ArgMin.apply(a, &boxed(p)).unwrap(),
+                    None => want.push(boxed(p)),
+                }
+            }
+            let mut by_lane = LaneBuf::Boxed(Vec::new());
+            assert!(by_lane.fold_lane(BinOp::ArgMin, &slots, &lane));
+            assert!(matches!(by_lane, LaneBuf::Tuple(_)), "kept as lanes");
+            let mut by_value = LaneBuf::Boxed(Vec::new());
+            for (row, p) in pairs.iter().enumerate() {
+                by_value
+                    .fold_value(BinOp::ArgMin, slots[row] as usize, &boxed(p))
+                    .unwrap();
+            }
+            for (slot, want) in want.iter().enumerate() {
+                assert_eq!(bits(&by_lane.get(slot)), bits(want), "{keys} keys, lane");
+                assert_eq!(bits(&by_value.get(slot)), bits(want), "{keys} keys, value");
             }
         }
     }

@@ -36,11 +36,15 @@
 //! clone *and* the last plan referencing the slot drop, the slot's `Drop`
 //! removes the entry — a re-bound session variable frees its old
 //! materialization instead of pinning it for the life of the process.
+//!
+//! No code under the cache's lock panics. Should a thread panic there
+//! anyway, the poisoned cache is bypassed: every read misses and every
+//! insert stores nothing, so each dataset is recomputed from its lineage.
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use diablo_runtime::{RuntimeError, Value};
 
@@ -174,15 +178,13 @@ impl DatasetCache {
     pub(crate) fn contains(&self, id: u64) -> bool {
         self.inner
             .lock()
-            .expect("dataset cache lock")
-            .entries
-            .contains_key(&id)
+            .is_ok_and(|inner| inner.entries.contains_key(&id))
     }
 
     /// `(partitions, total rows)` of a resident entry, without touching
     /// the LRU clock or reading disk — for `Debug` rendering.
     pub(crate) fn shape(&self, id: u64) -> Option<(usize, usize)> {
-        let inner = self.inner.lock().expect("dataset cache lock");
+        let inner = self.inner.lock().ok()?;
         inner.entries.get(&id).map(|e| match &e.tier {
             Tier::Mem(parts) => (parts.len(), parts.iter().map(Vec::len).sum()),
             Tier::Disk { index, .. } => (index.len(), index.iter().map(|&(_, _, r)| r).sum()),
@@ -196,7 +198,9 @@ impl DatasetCache {
     /// `ctx`'s stats (the caller is about to re-derive the dataset from
     /// its lineage).
     pub(crate) fn get(&self, id: u64, ctx: &Context) -> Result<Option<Arc<Vec<Vec<Value>>>>> {
-        let mut inner = self.inner.lock().expect("dataset cache lock");
+        let Ok(mut inner) = self.inner.lock() else {
+            return Ok(None);
+        };
         inner.clock += 1;
         let clock = inner.clock;
         if let Some(entry) = inner.entries.get_mut(&id) {
@@ -224,7 +228,9 @@ impl DatasetCache {
     /// outright (counted as evictions, marked for recompute accounting).
     pub(crate) fn insert(&self, id: u64, parts: Arc<Vec<Vec<Value>>>, ctx: &Context) -> Result<()> {
         let budget = self.budget();
-        let mut inner = self.inner.lock().expect("dataset cache lock");
+        let Ok(mut inner) = self.inner.lock() else {
+            return Ok(());
+        };
         inner.clock += 1;
         let clock = inner.clock;
         inner.evicted.remove(&id);
@@ -270,13 +276,18 @@ impl DatasetCache {
             let Some(victim) = lru_id(&inner, true) else {
                 break;
             };
-            let entry = inner.entries.remove(&victim).expect("lru entry");
-            let Tier::Mem(vparts) = &entry.tier else {
-                unreachable!("lru_id(mem) returned a disk entry");
+            // `lru_id(_, true)` only names memory entries.
+            let Some(Entry {
+                tier: Tier::Mem(vparts),
+                bytes,
+                touched,
+            }) = inner.entries.remove(&victim)
+            else {
+                break;
             };
-            inner.mem_bytes -= entry.bytes;
+            inner.mem_bytes -= bytes;
             let dir = self.dir(&mut inner)?;
-            let (path, index, encoded) = spill_entry(&dir, victim, vparts)?;
+            let (path, index, encoded) = spill_entry(&dir, victim, &vparts)?;
             ctx.stats().record_dataset_spill(encoded);
             inner.disk_bytes += encoded;
             inner.entries.insert(
@@ -284,7 +295,7 @@ impl DatasetCache {
                 Entry {
                     tier: Tier::Disk { path, index },
                     bytes: encoded,
-                    touched: entry.touched,
+                    touched,
                 },
             );
         }
@@ -305,9 +316,10 @@ impl DatasetCache {
     /// the id can never be read again, so the entry and any mark are dead
     /// weight.
     fn forget(&self, id: u64) {
-        let mut inner = self.inner.lock().expect("dataset cache lock");
-        remove_entry(&mut inner, id);
-        inner.evicted.remove(&id);
+        if let Ok(mut inner) = self.inner.lock() {
+            remove_entry(&mut inner, id);
+            inner.evicted.remove(&id);
+        }
     }
 
     /// The cache's temp directory, created on first spill.
@@ -328,10 +340,10 @@ impl DatasetCache {
 
 impl Drop for DatasetCache {
     fn drop(&mut self) {
-        if let Ok(inner) = self.inner.lock() {
-            if let Some(dir) = &inner.dir {
-                let _ = std::fs::remove_dir_all(dir);
-            }
+        // A poisoned cache still owns its files.
+        let inner = self.inner.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if let Some(dir) = &inner.dir {
+            let _ = std::fs::remove_dir_all(dir);
         }
     }
 }
@@ -554,6 +566,45 @@ mod tests {
         paths.iter().for_each(|p| std::fs::remove_file(p).unwrap());
         assert_eq!(d.collect(), want);
         assert!(c.stats().snapshot().dataset_recomputes >= 1);
+    }
+
+    #[test]
+    fn a_poisoned_cache_is_bypassed_and_datasets_recompute() {
+        let c = Context::new(2, 2).with_dataset_budget(256);
+        let d = c.range(0, 99).unwrap().map(|v| Ok(v.clone())).unwrap();
+        let want: Vec<Value> = (0..=99).map(Value::Long).collect();
+        assert_eq!(d.materialize().unwrap().collect(), want);
+        let cache = c.dataset_cache().clone();
+        let (dir, held) = {
+            let inner = cache.inner.lock().unwrap();
+            (inner.dir.clone().expect("spilled"), inner.entries.len())
+        };
+        let holder = cache.clone();
+        let poisoner = std::thread::spawn(move || {
+            let _held = holder.inner.lock().unwrap();
+            panic!("a thread panics holding the dataset cache lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(cache.inner.is_poisoned());
+        // Nothing reads as cached, nothing is stored, and every force
+        // recomputes the same rows from lineage.
+        let e = d.map(|v| Ok(v.clone())).unwrap().materialize().unwrap();
+        for _ in 0..2 {
+            assert_eq!(d.collect(), want);
+            assert_eq!(e.collect(), want);
+        }
+        let inner = cache.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let ids: Vec<u64> = inner.entries.keys().copied().collect();
+        assert_eq!(ids.len(), held, "no insert stored anything");
+        drop(inner);
+        for id in ids {
+            assert!(!cache.contains(id));
+            assert_eq!(cache.shape(id), None);
+            cache.forget(id);
+        }
+        // The temp dir goes with the cache, poisoned or not.
+        drop((d, e, c, cache));
+        assert!(!dir.exists(), "{dir:?}");
     }
 
     #[test]

@@ -154,7 +154,6 @@ struct ContextInner {
     /// Shared so long-lived handles (e.g. a columnar `DriveMode` carried
     /// inside plan partitions) can record without holding the context.
     stats: Arc<Stats>,
-    op_counter: AtomicUsize,
     plan_trace: Mutex<Option<Vec<String>>>,
     stmt_label: Mutex<Option<Arc<str>>>,
     settings: Settings,
@@ -215,7 +214,6 @@ impl Context {
                 workers,
                 partitions,
                 stats: Arc::new(Stats::default()),
-                op_counter: AtomicUsize::new(0),
                 plan_trace: Mutex::new(None),
                 stmt_label: Mutex::new(None),
                 settings,
@@ -435,7 +433,6 @@ impl Context {
 
     /// Counts one logical `Dataset` operator invocation.
     pub(crate) fn record_logical_op(&self) {
-        self.inner.op_counter.fetch_add(1, Ordering::Relaxed);
         self.inner.stats.record_logical_op();
     }
 

@@ -67,7 +67,7 @@ use std::sync::Arc;
 use diablo_runtime::{BinOp, RuntimeError, Value};
 
 use crate::chunk::Bucket;
-use crate::columnar::{Cross, FoldSink, RowExpr, RowSink, TileSink};
+use crate::columnar::{Cross, RowExpr, RowSink, TileSink, TotalFold};
 use crate::join::{Join, Matches};
 use crate::pool::{run_stage_weighted, Cancel};
 use crate::stats::Stats;
@@ -603,13 +603,13 @@ impl PartitionRows<'_> {
         self.drive(&mut RowSink(sink))
     }
 
-    /// Reduces the transformed rows with `op`, left to right: an eligible
-    /// chain's last column is folded as a typed lane. `None` when no row
-    /// survives.
+    /// Reduces the transformed rows with `op`, left to right, into one
+    /// accumulator slot ([`TotalFold`]): an eligible chain's last column
+    /// is folded as a typed lane. `None` when no row survives.
     pub fn fold(&self, op: BinOp) -> Result<Option<Value>> {
-        let mut acc = None;
-        self.drive(&mut FoldSink { op, acc: &mut acc })?;
-        Ok(acc)
+        let mut fold = TotalFold::new(&op);
+        self.drive(&mut fold)?;
+        Ok(fold.finish())
     }
 }
 

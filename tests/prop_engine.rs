@@ -213,20 +213,57 @@ proptest! {
     ) {
         use diablo_dataflow::{Layout, RowExpr};
         use diablo_runtime::AggOp;
-        // (key, v, x): odd values key by the double their long key equals,
-        // and x is a double whose sum depends on the order of addition.
+        // (key, v, x, d, all, any): odd values key by the double their
+        // long key equals; x is a double whose sum depends on the order of
+        // addition; d is a distance with ties, NaN and -0.0; `all` and
+        // `any` are bools for `&&` and `||`.
         let rows: Vec<Value> = pairs
             .iter()
             .map(|&(k, v)| {
                 let key = if v % 2 == 0 { Value::Long(k) } else { Value::Double(k as f64) };
-                Value::tuple(vec![key, Value::Long(v), Value::Double(v as f64 * 1e-3 + (v % 7) as f64 * 1e9)])
+                let d = match v.rem_euclid(11) {
+                    0 => f64::NAN,
+                    1 => -0.0,
+                    r => (r % 4) as f64,
+                };
+                Value::tuple(vec![
+                    key,
+                    Value::Long(v),
+                    Value::Double(v as f64 * 1e-3 + (v % 7) as f64 * 1e9),
+                    Value::Double(d),
+                    Value::Bool(v % 5 != 0),
+                    Value::Bool(v % 5 == 0),
+                ])
             })
             .collect();
+        let col = RowExpr::Col;
         let keyed = || RowExpr::Tuple(vec![
-            RowExpr::Col(0),
-            RowExpr::Tuple(vec![RowExpr::Col(1), RowExpr::Col(2), RowExpr::Col(1)]),
+            col(0),
+            RowExpr::Tuple(vec![
+                col(1),
+                col(2),
+                col(1),
+                col(1),
+                col(2),
+                col(3),
+                col(4),
+                col(5),
+                RowExpr::Tuple(vec![col(1), col(3)]),
+                RowExpr::Tuple(vec![col(1), col(2)]),
+            ]),
         ]);
-        let ops = [BinOp::Add, BinOp::Add, BinOp::Max];
+        let ops = [
+            BinOp::Add,
+            BinOp::Add,
+            BinOp::Max,
+            BinOp::Mul,
+            BinOp::Min,
+            BinOp::Min,
+            BinOp::And,
+            BinOp::Or,
+            BinOp::ArgMin,
+            BinOp::ArgMin,
+        ];
         let reference = Context::new(1, partitions)
             .with_layout(Layout::Row)
             .from_vec(rows.clone())
@@ -254,6 +291,55 @@ proptest! {
             .collect();
         // Same rows, same order, same bits.
         prop_assert_eq!(format!("{got:?}"), format!("{reference:?}"));
+        prop_assert_eq!(encoded(&got), encoded(&reference));
+    }
+
+    #[test]
+    fn aggregate_equals_reduce(
+        vals in prop::collection::vec((-50i64..50, 0u8..8), 0..200),
+        monoid in 0usize..7,
+        cut in 0usize..220,
+        constant in prop::option::of(0u8..8),
+        workers in 1usize..5,
+        partitions in 1usize..9,
+        batch in 1usize..41,
+    ) {
+        use diablo_dataflow::{Layout, RowExpr};
+        use diablo_runtime::AggOp;
+        let op = MONOIDS[monoid];
+        // (i, v) rows; rows before `cut` are filtered out, so leading
+        // partitions (and tiles) can be empty, and so can the whole input.
+        let rows: Vec<Value> = vals
+            .iter()
+            .enumerate()
+            .map(|(i, &(n, spell))| Value::pair(Value::Long(i as i64), monoid_value(op, n, spell)))
+            .collect();
+        let value = match constant {
+            Some(spell) => RowExpr::Const(monoid_value(op, 5, spell)),
+            None => RowExpr::Col(1),
+        };
+        let values = |ctx: Context| {
+            ctx.from_vec(rows.clone())
+                .filter_expr(RowExpr::Bin(
+                    BinOp::Ge,
+                    Box::new(RowExpr::Col(0)),
+                    Box::new(RowExpr::Const(Value::Long(cut as i64))),
+                ))
+                .unwrap()
+                .map_expr(value.clone())
+                .unwrap()
+        };
+        let reference = values(Context::new(1, partitions).with_layout(Layout::Row))
+            .reduce(|a, b| op.apply(a, b));
+        let got = values(
+            Context::new(workers, partitions)
+                .with_layout(Layout::Columnar)
+                .with_tile_width(batch),
+        )
+        .aggregate(AggOp::new(op).unwrap());
+        prop_assert_eq!(format!("{got:?}"), format!("{reference:?}"), "{:?}", op);
+        let bytes = |r: &diablo_runtime::Result<Option<Value>>| r.as_ref().ok().map(|v| encoded(v.as_slice()));
+        prop_assert_eq!(bytes(&got), bytes(&reference), "{:?}", op);
     }
 
     #[test]
@@ -362,4 +448,120 @@ fn sort_row(kind: u8, a: i64, b: i64, v: i64) -> Value {
         6 => l(a),
         _ => Value::tuple(vec![l(a), l(b), l(v)]),
     }
+}
+
+/// `^` keeps the left (earlier) pair when distances are equal, and a NaN
+/// on either side picks the right one — `BinOp::apply`'s `da <= db` — on
+/// the row path and on every fold: the total fold and the keyed fold,
+/// under both layouts, whatever the tile width.
+#[test]
+fn argmin_ties_keep_the_left_pair_and_nan_picks_the_right() {
+    use diablo_dataflow::{Layout, RowExpr};
+    use diablo_runtime::AggOp;
+    let pair = |i: i64, d: f64| Value::pair(Value::Long(i), Value::Double(d));
+    let nan = f64::NAN;
+    let cases: [(Vec<Value>, Value); 6] = [
+        (vec![pair(1, 0.5), pair(2, 0.5)], pair(1, 0.5)),
+        (vec![pair(1, nan), pair(2, 0.5)], pair(2, 0.5)),
+        (vec![pair(1, 0.5), pair(2, nan)], pair(2, nan)),
+        (vec![pair(1, 0.0), pair(2, -0.0)], pair(1, 0.0)),
+        (vec![pair(1, -0.0), pair(2, 0.0)], pair(1, -0.0)),
+        (
+            vec![
+                pair(1, 0.5),
+                pair(2, 0.5),
+                pair(3, nan),
+                pair(4, 0.9),
+                pair(5, 0.9),
+            ],
+            pair(4, 0.9),
+        ),
+    ];
+    let show = |v: &Value| format!("{v:?} {:?}", encoded(std::slice::from_ref(v)));
+    for (pairs, want) in &cases {
+        let folded = pairs[1..]
+            .iter()
+            .try_fold(pairs[0].clone(), |a, x| BinOp::ArgMin.apply(&a, x))
+            .unwrap();
+        assert_eq!(show(&folded), show(want), "row path over {pairs:?}");
+        for layout in [Layout::Row, Layout::Columnar] {
+            for (partitions, width) in [(1, 1), (1, 2), (1, 64), (2, 1), (2, 64)] {
+                let ctx = Context::new(2, partitions)
+                    .with_layout(layout)
+                    .with_tile_width(width);
+                let at = format!("{layout:?}, {partitions} partitions, width {width}, {pairs:?}");
+                // The pairs rebuilt from their fields: `(long, double)`
+                // lanes on the columnar layout.
+                let lanes = RowExpr::Tuple(vec![RowExpr::Col(0), RowExpr::Col(1)]);
+                let total = ctx
+                    .from_vec(pairs.clone())
+                    .map_expr(lanes.clone())
+                    .unwrap()
+                    .aggregate(AggOp::new(BinOp::ArgMin).unwrap())
+                    .unwrap()
+                    .unwrap();
+                assert_eq!(show(&total), show(want), "total fold, {at}");
+                // One key: every pair folds into one accumulator.
+                let keyed = ctx
+                    .from_vec(pairs.clone())
+                    .map_expr(RowExpr::Tuple(vec![
+                        RowExpr::Const(Value::Long(0)),
+                        RowExpr::Tuple(vec![lanes]),
+                    ]))
+                    .unwrap()
+                    .aggregate_by_key(vec![AggOp::new(BinOp::ArgMin).unwrap()])
+                    .unwrap()
+                    .collect();
+                let want = Value::pair(Value::Long(0), Value::tuple(vec![want.clone()]));
+                assert_eq!(keyed.len(), 1, "{at}");
+                assert_eq!(show(&keyed[0]), show(&want), "keyed fold, {at}");
+            }
+        }
+    }
+}
+
+/// Every monoid an aggregation folds with.
+const MONOIDS: [BinOp; 7] = [
+    BinOp::Add,
+    BinOp::Mul,
+    BinOp::Min,
+    BinOp::Max,
+    BinOp::And,
+    BinOp::Or,
+    BinOp::ArgMin,
+];
+
+/// A value for `op` to fold, picked by `spell`: for the numeric monoids
+/// `n` as a long and as the double it equals, NaN, `-0.0`, `0.0`, a value
+/// many rows share in either spelling, and a double whose sum depends on
+/// the order of addition; `(n, distance)` pairs with those spellings as
+/// distances for `^`; for `&&` and `||`, the bool the monoid keeps unless
+/// a rare row flips it.
+fn monoid_value(op: BinOp, n: i64, spell: u8) -> Value {
+    let number = match spell {
+        0 => Value::Long(n),
+        1 => Value::Double(n as f64),
+        2 => Value::Double(f64::NAN),
+        3 => Value::Double(-0.0),
+        4 => Value::Double(0.0),
+        5 => Value::Long(3),
+        6 => Value::Double(3.0),
+        _ => Value::Double(n as f64 * 1e-3 + (n % 7) as f64 * 1e9),
+    };
+    match op {
+        BinOp::And => Value::Bool(spell != 2 || n % 4 != 0),
+        BinOp::Or => Value::Bool(spell == 2 && n % 4 == 0),
+        BinOp::ArgMin => Value::pair(Value::Long(n), number),
+        _ => number,
+    }
+}
+
+/// The rows in `encode_value`'s bytes: equal bytes are equal rows, double
+/// bits included.
+fn encoded(rows: &[Value]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for row in rows {
+        diablo_dataflow::encode_value(row, &mut out).unwrap();
+    }
+    out
 }
