@@ -209,57 +209,367 @@ fn narrow_row() -> RuntimeError {
 }
 
 /// The fields of an environment row: the operators that extend rows
-/// (`Dataset::cross`, `Dataset::join_on`) take tuples on their left.
+/// (`Dataset::cross`, `Dataset::join_on`, `Dataset::join_probe`) take
+/// tuples on their left.
 pub(crate) fn env_fields(row: &Value) -> Result<&[Value]> {
     row.as_tuple()
         .ok_or_else(|| RuntimeError::new(format!("expected a tuple row to extend, got {row}")))
 }
 
-/// A broadcast cross described by data — the transparent form of the
-/// `flat_map` behind `Dataset::cross`: every input row (a tuple) is
-/// followed, once per item and in item order, by the leaves `shape` binds
-/// in that item. An item the shape does not fit is the error
-/// `"{mismatch} {item}"`, raised by the first row that reaches the step.
-#[derive(Debug)]
-pub(crate) struct Cross {
-    items: Arc<Vec<Value>>,
-    shape: Shape,
-    mismatch: Arc<str>,
+/// A join's build side, built once on the driver and read by every task
+/// that probes it — the transparent form of the `flat_map` behind
+/// `Dataset::join_probe` and `Dataset::cross`: every probe row (a tuple)
+/// is followed, once per build row its key matches and in build order, by
+/// the leaves `shape` binds in that build row. A cross is the probe on the
+/// constant key `()`, which every build row holds.
+///
+/// The build rows' leaves are owned lanes, taken apart once, and build
+/// keys match probe keys as every keyed operator matches them
+/// ([`KeyTable`], [`for_each_key`]). A build row the shape does not fit is
+/// the error `"{mismatch} {row}"` — and a build key that fails, its own
+/// error — raised by the first probe row that reaches the step.
+pub(crate) struct Probe {
+    /// The build rows' bound leaves, one lane per leaf.
+    leaves: Vec<VCol<'static>>,
+    /// The number of build rows.
+    len: usize,
+    /// The probe row's key and the build keys; `None` on the constant key.
+    keyed: Option<(RowExpr, BuildKeys)>,
+    /// What every probe row that reaches the step raises.
+    unfit: Option<RuntimeError>,
 }
 
-impl Cross {
-    pub(crate) fn new(items: Arc<Vec<Value>>, shape: Shape, mismatch: Arc<str>) -> Cross {
-        Cross {
-            items,
-            shape,
-            mismatch,
+/// The equi-join a [`Probe`] performs: the probe row's key, and the build
+/// row's, over the tuple of its bound leaves.
+pub(crate) struct ProbeKeys {
+    pub probe: RowExpr,
+    pub build: RowExpr,
+}
+
+/// The distinct build keys, and the build rows of each in build order:
+/// those of key slot `s` are `rows[starts[s]..starts[s + 1]]`.
+struct BuildKeys {
+    index: KeyIndex,
+    starts: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+/// How a key finds its slot among the build keys.
+enum KeyIndex {
+    Dense(DenseKeys),
+    Table(KeyTable<()>),
+}
+
+/// Build keys that are all longs in `base..base + slots.len()`, inside the
+/// range where each long is exactly one double: key `k`'s slot is
+/// `slots[k - base]` ([`DenseKeys::ABSENT`] for none) — the slots a
+/// [`KeyTable`] would find, without hashing. Array indices, which key
+/// the build sides of PageRank and K-Means, are such keys; probing them
+/// here rather than through a [`KeyTable`] ran the `iterative` benchmark
+/// 0.90 × as long (ten alternating runs, 2 vCPUs).
+struct DenseKeys {
+    base: i64,
+    slots: Vec<u32>,
+}
+
+impl DenseKeys {
+    const ABSENT: u32 = u32::MAX;
+
+    /// The slot of long key `k`.
+    fn slot(&self, k: i64) -> Option<usize> {
+        let at = usize::try_from(k.checked_sub(self.base)?).ok()?;
+        let s = *self.slots.get(at)?;
+        (s != DenseKeys::ABSENT).then_some(s as usize)
+    }
+}
+
+impl KeyIndex {
+    /// A dense index over a build's keys, and each build row's slot, when
+    /// the keys are a long lane of values close together: the slot array
+    /// spans at most two entries per build row, plus 64 so a small side
+    /// qualifies whatever its spread. Keys spread wider, whose index would
+    /// be mostly absent slots, take the table.
+    fn dense(keys: &VCol, len: usize) -> Option<(KeyIndex, Vec<usize>)> {
+        const EXACT: i64 = 1 << 53;
+        let VCol::Long(lane) = keys else { return None };
+        let (lo, hi) = (*lane.iter().min()?, *lane.iter().max()?);
+        if lo <= -EXACT || hi >= EXACT || (hi - lo) as u64 >= 2 * len as u64 + 64 {
+            return None;
         }
+        let mut slots = vec![DenseKeys::ABSENT; (hi - lo) as usize + 1];
+        let mut keys = 0;
+        let rows = lane
+            .iter()
+            .map(|&k| {
+                let s = &mut slots[(k - lo) as usize];
+                if *s == DenseKeys::ABSENT {
+                    *s = keys;
+                    keys += 1;
+                }
+                *s as usize
+            })
+            .collect();
+        Some((KeyIndex::Dense(DenseKeys { base: lo, slots }), rows))
+    }
+
+    /// A key table over the keys of `build`'s rows under `key`, and each
+    /// row's slot.
+    fn table(build: &Chunk, key: &RowExpr) -> Result<(KeyIndex, Vec<usize>)> {
+        let mut table = KeyTable::with_capacity(build.len());
+        let mut rows = Vec::with_capacity(build.len());
+        for_each_key(build, key, true, &mut |_, k| {
+            rows.push(table.upsert(k, || ()).slot);
+            Ok(())
+        })?;
+        Ok((KeyIndex::Table(table), rows))
+    }
+
+    /// The slot of `key`, as [`Value`] equality finds it: among dense
+    /// keys, only a long or a double that is exactly one can be a key.
+    fn slot(&self, key: &Key<'_>) -> Option<usize> {
+        match (self, key) {
+            (KeyIndex::Table(table), key) => table.slot(key),
+            (KeyIndex::Dense(dense), Key::Value(v)) => match **v {
+                Value::Long(k) => dense.slot(k),
+                // The one long a double can equal among the keys.
+                Value::Double(x) => {
+                    let k = x as i64;
+                    (Value::Long(k) == **v).then(|| dense.slot(k)).flatten()
+                }
+                _ => None,
+            },
+            (KeyIndex::Dense(_), Key::Lanes(_)) => None,
+        }
+    }
+}
+
+impl BuildKeys {
+    /// Keys the rows of `build` by `key`.
+    fn new(build: &Chunk, key: &RowExpr) -> Result<BuildKeys> {
+        let dense = vec_eval(key, &build.col(), build.len())
+            .ok()
+            .and_then(|keys| KeyIndex::dense(&keys, build.len()));
+        let (index, slots) = match dense {
+            Some(dense) => dense,
+            None => KeyIndex::table(build, key)?,
+        };
+        // Slots are numbered in first-seen order.
+        let keys = slots.iter().max().map_or(0, |&s| s + 1);
+        let mut starts = vec![0u32; keys + 1];
+        for &s in &slots {
+            starts[s + 1] += 1;
+        }
+        for s in 1..starts.len() {
+            starts[s] += starts[s - 1];
+        }
+        let mut next = starts.clone();
+        let mut rows = vec![0u32; slots.len()];
+        for (j, &s) in slots.iter().enumerate() {
+            rows[next[s] as usize] =
+                u32::try_from(j).expect("a build side holds fewer than 2^32 rows");
+            next[s] += 1;
+        }
+        Ok(BuildKeys {
+            index,
+            starts,
+            rows,
+        })
+    }
+
+    /// The build rows of the key in slot `slot`.
+    fn rows_of(&self, slot: Option<usize>) -> &[u32] {
+        match slot {
+            Some(s) => &self.rows[self.starts[s] as usize..self.starts[s + 1] as usize],
+            None => &[],
+        }
+    }
+
+    /// The build rows of `key`.
+    fn rows(&self, key: &Key<'_>) -> &[u32] {
+        self.rows_of(self.index.slot(key))
+    }
+
+    /// Hands `each` the build rows of every key of a key column of `len`
+    /// rows, in row order: a long lane under a dense index read straight
+    /// from its lane, anything else as [`each_key`] reads it.
+    fn each_match(
+        &self,
+        keys: &VCol,
+        len: usize,
+        mut each: impl FnMut(usize, &[u32]) -> Result<()>,
+    ) -> Result<()> {
+        match (&self.index, keys) {
+            (KeyIndex::Dense(dense), VCol::Long(lane)) => lane
+                .iter()
+                .enumerate()
+                .try_for_each(|(i, &k)| each(i, self.rows_of(dense.slot(k)))),
+            _ => each_key(keys, len, |i, k| each(i, self.rows(&k))),
+        }
+    }
+}
+
+/// Appends the leaves `shape` binds in `v` to `lanes`, from leaf `*at` on,
+/// opening a lane of a leaf's kind at its first row. `false` when `v` does
+/// not have the shape.
+fn bind_lanes(shape: &Shape, v: &Value, lanes: &mut Vec<LaneBuf>, at: &mut usize) -> bool {
+    match shape {
+        Shape::Bind => {
+            if lanes.len() == *at {
+                lanes.push(LaneBuf::like_value(v));
+            }
+            lanes[*at].push_value(v);
+            *at += 1;
+            true
+        }
+        Shape::Skip => true,
+        Shape::Tuple(ps) => match v.as_tuple() {
+            Some(fields) if fields.len() == ps.len() => ps
+                .iter()
+                .zip(fields)
+                .all(|(p, f)| bind_lanes(p, f, lanes, at)),
+            _ => false,
+        },
+    }
+}
+
+impl Probe {
+    /// Builds over `rows`, in order; `keys: None` is a cross.
+    pub(crate) fn build<'r>(
+        rows: impl Iterator<Item = &'r Value>,
+        shape: &Shape,
+        keys: Option<ProbeKeys>,
+        mismatch: &str,
+    ) -> Probe {
+        let mut lanes = Vec::new();
+        let mut len = 0;
+        let mut unfit = None;
+        for row in rows {
+            if !bind_lanes(shape, row, &mut lanes, &mut 0) {
+                unfit = Some(RuntimeError::new(format!("{mismatch} {row}")));
+                break;
+            }
+            len += 1;
+        }
+        let leaves: Vec<VCol<'static>> = lanes.into_iter().map(LaneBuf::finish).collect();
+        let mut probe = Probe {
+            leaves,
+            len,
+            keyed: None,
+            unfit,
+        };
+        if let (Some(keys), None) = (keys, &probe.unfit) {
+            let lanes = VCol::Tuple(Arc::new(probe.leaves.clone()));
+            match BuildKeys::new(&Chunk::Cols { len, lanes }, &keys.build) {
+                Ok(table) => probe.keyed = Some((keys.probe, table)),
+                Err(e) => probe.unfit = Some(e),
+            }
+        }
+        probe
+    }
+
+    /// Probe row `fields` followed by the leaves of build row `j`.
+    fn extended(&self, fields: &[Value], j: usize) -> Value {
+        let mut out = Vec::with_capacity(fields.len() + self.leaves.len());
+        out.extend_from_slice(fields);
+        out.extend(self.leaves.iter().map(|c| c.get(j)));
+        Value::tuple(out)
     }
 
     /// The row path: what the step's closure runs, and what a failed
     /// tile's replay runs.
     pub(crate) fn expand(&self, row: &Value) -> Result<Vec<Value>> {
         let fields = env_fields(row)?;
-        let mut out = Vec::with_capacity(self.items.len());
-        for item in self.items.iter() {
-            let mut extended = Vec::with_capacity(fields.len() + 4);
-            extended.extend_from_slice(fields);
-            if !self.shape.bind(item, &mut extended) {
-                return Err(RuntimeError::new(format!("{} {item}", self.mismatch)));
-            }
-            out.push(Value::tuple(extended));
+        if let Some(e) = &self.unfit {
+            return Err(e.clone());
         }
-        Ok(out)
+        Ok(match &self.keyed {
+            None => (0..self.len).map(|j| self.extended(fields, j)).collect(),
+            Some((key, table)) => table
+                .rows(&Key::from(Cow::Owned(key.eval(row)?)))
+                .iter()
+                .map(|&j| self.extended(fields, j as usize))
+                .collect(),
+        })
     }
 
-    /// The items' bound leaves as columns, one per leaf and each as long
-    /// as the item list. `None` when some item does not fit the shape:
-    /// the tile that reaches the step then fails, and its replay names
-    /// the item.
-    fn leaf_columns(&self) -> Option<Vec<VCol<'_>>> {
-        let mut leaves = Vec::new();
-        unpack(&self.shape, &decompose(&self.items), &mut leaves).ok()?;
-        Some(leaves)
+    /// True when the probe matches on a key; a cross meets every build
+    /// row.
+    pub(crate) fn keyed(&self) -> bool {
+        self.keyed.is_some()
+    }
+
+    /// Expands a tile, handing `emit` the expanded rows as columns. On a
+    /// key: the matches in probe-row order, then build-row order, as the
+    /// tile rows' field columns and the build rows' leaf columns gathered
+    /// by index, in pieces of at most `batch` matches — a heavy key does
+    /// not widen a piece, and a tile of light ones is not narrowed for it.
+    /// On the constant key: one piece, every row repeated once per build
+    /// row and the leaf columns tiled once per row (the caller narrows the
+    /// tile by the build rows). Rows that are not tuples of one arity are
+    /// expanded one by one, exactly as the row path does it, into one
+    /// piece. The step's own errors are tagged by `step`; `emit`'s pass as
+    /// they are.
+    fn tile<'a>(
+        &'a self,
+        col: &VCol<'a>,
+        len: usize,
+        batch: usize,
+        step: &Step,
+        emit: &mut dyn FnMut(VCol<'a>, usize) -> Result<()>,
+    ) -> Result<()> {
+        if let Some(e) = &self.unfit {
+            return Err(step.tag_err(e.clone()));
+        }
+        let Some(fields) = col.tuple_columns(len) else {
+            let mut out = Vec::new();
+            for i in 0..len {
+                out.extend(self.expand(&col.at(i)).map_err(|e| step.tag_err(e))?);
+            }
+            let n = out.len();
+            return emit(decompose_owned(out), n);
+        };
+        let Some((key, table)) = &self.keyed else {
+            let rows = self.len;
+            let cols = fields
+                .iter()
+                .map(|c| c.stretched(len, rows, true))
+                .chain(self.leaves.iter().map(|c| c.stretched(len, rows, false)))
+                .collect();
+            return emit(VCol::Tuple(Arc::new(cols)), len * rows);
+        };
+        let keys = vec_eval(key, col, len).map_err(|e| step.tag_err(e))?;
+        let mut piece = |probes: &mut Vec<u32>, builds: &mut Vec<u32>| {
+            // Every tile row met exactly one build row: the tile's own
+            // columns are the piece's as they are.
+            let whole =
+                probes.len() == len && probes.iter().enumerate().all(|(k, &i)| k == i as usize);
+            let cols = fields
+                .iter()
+                .map(|c| if whole { c.clone() } else { c.picked(probes) })
+                .chain(self.leaves.iter().map(|c| c.gather_rows(builds)))
+                .collect();
+            let n = probes.len();
+            probes.clear();
+            builds.clear();
+            emit(VCol::Tuple(Arc::new(cols)), n)
+        };
+        let (mut probes, mut builds) = (Vec::new(), Vec::new());
+        table.each_match(&keys, len, |i, mut rows| {
+            while !rows.is_empty() {
+                let take = rows.len().min(batch - builds.len());
+                probes.extend(std::iter::repeat_n(i as u32, take));
+                builds.extend_from_slice(&rows[..take]);
+                rows = &rows[take..];
+                if builds.len() == batch {
+                    piece(&mut probes, &mut builds)?;
+                }
+            }
+            Ok(())
+        })?;
+        if builds.is_empty() {
+            return Ok(());
+        }
+        piece(&mut probes, &mut builds)
     }
 }
 
@@ -314,7 +624,7 @@ impl RowExpr {
 }
 
 /// True when every fused step of the chain is described by data (a
-/// [`RowExpr`], or a [`Cross`] for an expansion) — the stage can run
+/// [`RowExpr`], or a [`Probe`] for an expansion) — the stage can run
 /// through the columnar driver.
 pub(crate) fn eligible(steps: &[Step]) -> bool {
     !steps.is_empty() && steps.iter().all(Step::transparent)
@@ -433,19 +743,12 @@ impl VCol<'_> {
     /// boxed values borrowed ([`refs_col`]) — a join side's field for the
     /// matches of one tile.
     pub(crate) fn gather_rows(&self, rows: &[u32]) -> VCol<'_> {
-        fn pick<T: Copy>(lane: &[T], rows: &[u32]) -> Arc<Vec<T>> {
-            Arc::new(rows.iter().map(|&r| lane[r as usize]).collect())
-        }
         match self {
-            VCol::Long(v) => VCol::Long(pick(v, rows)),
-            VCol::Double(v) => VCol::Double(pick(v, rows)),
-            VCol::Bool(v) => VCol::Bool(pick(v, rows)),
             VCol::Tuple(cols) => {
                 VCol::Tuple(Arc::new(cols.iter().map(|c| c.gather_rows(rows)).collect()))
             }
-            VCol::Const(v) => VCol::Const(v.clone()),
-            VCol::Refs(v) => refs_col(rows.iter().map(|&r| v[r as usize]).collect()),
             VCol::Val(v) => refs_col(rows.iter().map(|&r| &v[r as usize]).collect()),
+            col => col.picked(rows),
         }
     }
 
@@ -475,6 +778,27 @@ impl VCol<'_> {
 }
 
 impl<'a> VCol<'a> {
+    /// Rows `rows` of this column, in that order, for as long as the
+    /// column's source lives: primitive lanes copied, borrowed values
+    /// borrowed ([`refs_col`]), values the chain computed cloned — a probe
+    /// tile's own fields for its matches.
+    fn picked(&self, rows: &[u32]) -> VCol<'a> {
+        fn pick<T: Clone>(lane: &[T], rows: &[u32]) -> Arc<Vec<T>> {
+            Arc::new(rows.iter().map(|&r| lane[r as usize].clone()).collect())
+        }
+        match self {
+            VCol::Long(v) => VCol::Long(pick(v, rows)),
+            VCol::Double(v) => VCol::Double(pick(v, rows)),
+            VCol::Bool(v) => VCol::Bool(pick(v, rows)),
+            VCol::Tuple(cols) => {
+                VCol::Tuple(Arc::new(cols.iter().map(|c| c.picked(rows)).collect()))
+            }
+            VCol::Const(v) => VCol::Const(v.clone()),
+            VCol::Refs(v) => refs_col(rows.iter().map(|&r| v[r as usize]).collect()),
+            VCol::Val(v) => VCol::Val(pick(v, rows)),
+        }
+    }
+
     /// The column stretched for an expansion of `len` rows by `items`
     /// items each: every row `items` times in a row (`a a b b …`, the
     /// expanded rows' own fields) when `each`, the whole column `len`
@@ -952,33 +1276,6 @@ fn mask_of(col: &VCol, len: usize) -> Result<Vec<bool>> {
     }
 }
 
-/// Expands a tile through a [`Cross`]: the rows' own field columns, each
-/// row repeated once per item, followed by the items' leaf columns tiled
-/// once per row. Rows that are not tuples of one arity are expanded one by
-/// one, exactly as the row path does it.
-fn vec_cross<'a>(
-    cross: &Cross,
-    leaves: Option<&[VCol<'a>]>,
-    col: &VCol<'a>,
-    len: usize,
-) -> Result<(VCol<'a>, usize)> {
-    let leaves = leaves.ok_or_else(|| RuntimeError::new(cross.mismatch.to_string()))?;
-    let items = cross.items.len();
-    let Some(fields) = col.tuple_columns(len) else {
-        let mut out = Vec::with_capacity(len * items);
-        for i in 0..len {
-            out.extend(cross.expand(&col.at(i))?);
-        }
-        return Ok((decompose_owned(out), len * items));
-    };
-    let cols = fields
-        .iter()
-        .map(|c| c.stretched(len, items, true))
-        .chain(leaves.iter().map(|c| c.stretched(len, items, false)))
-        .collect();
-    Ok((VCol::Tuple(Arc::new(cols)), len * items))
-}
-
 /// The input column of the tile `range` of a source: its rows decomposed,
 /// or — for a join's matches — the left rows' field columns followed by
 /// the right rows' leaf columns, gathered from the two sides by index (a
@@ -1021,17 +1318,22 @@ fn field_columns<'a>(side: &'a Chunk, rows: &[u32]) -> Option<Vec<VCol<'a>>> {
 }
 
 /// Runs one tile — `len` rows as the column `col` — through the whole
-/// fused chain in columnar form, per-column loops per step, returning the
-/// surviving rows as one column and their count. `leaves[i]` holds the
-/// item leaf columns of step `i` when it is a [`Cross`].
+/// fused chain in columnar form, per-column loops per step, handing `emit`
+/// the surviving rows as columns and their count: in one piece, or in the
+/// pieces a keyed probe cuts its matches into, each run through the rest
+/// of the chain on its own.
 fn run_tile<'a>(
     mut col: VCol<'a>,
     mut len: usize,
-    steps: &[Step],
-    leaves: &[Option<Vec<VCol<'a>>>],
-) -> Result<(VCol<'a>, usize)> {
+    steps: &'a [Step],
+    batch: usize,
+    emit: &mut dyn FnMut(VCol<'a>, usize) -> Result<()>,
+) -> Result<()> {
     let opaque = || RuntimeError::new("opaque step in a columnar stage");
-    for (s, leaves) in steps.iter().zip(leaves) {
+    for (k, s) in steps.iter().enumerate() {
+        if len == 0 {
+            break;
+        }
         match &s.op {
             StepOp::Map(_) => {
                 let expr = s.expr.as_ref().ok_or_else(opaque)?;
@@ -1045,17 +1347,16 @@ fn run_tile<'a>(
                 len = mask.iter().filter(|&&m| m).count();
                 col = col.compact(&mask);
             }
-            StepOp::FlatMap(_, cross) => {
-                let cross = cross.as_ref().ok_or_else(opaque)?;
-                (col, len) =
-                    vec_cross(cross, leaves.as_deref(), &col, len).map_err(|e| s.tag_err(e))?;
+            StepOp::FlatMap(_, probe) => {
+                let probe = probe.as_ref().ok_or_else(opaque)?;
+                let rest = &steps[k + 1..];
+                return probe.tile(&col, len, batch, s, &mut |col, len| {
+                    run_tile(col, len, rest, batch, emit)
+                });
             }
         }
-        if len == 0 {
-            break;
-        }
     }
-    Ok((col, len))
+    emit(col, len)
 }
 
 /// What consumes a stage's output: whole surviving tiles on the
@@ -1071,9 +1372,10 @@ pub(crate) trait TileSink {
 /// Drives every tile of `src` through an eligible chain in columnar
 /// form. A failing tile is replayed tuple-at-a-time into the same sink —
 /// a join's tile from its slice of the match list, one emitted row at a
-/// time: nothing from a failed tile has been sunk yet, and the canonical
-/// first error may come from an earlier row or from the consumer, not from
-/// the lane that failed first (see the module docs).
+/// time — skipping the rows its pieces sunk before the failure: the row
+/// path emits the same rows in the same order, and the canonical first
+/// error may come from an earlier row or from the consumer, not from the
+/// lane that failed first (see the module docs).
 pub(crate) fn drive_tiles(
     src: Source<'_>,
     steps: &[Step],
@@ -1082,29 +1384,41 @@ pub(crate) fn drive_tiles(
     sink: &mut impl TileSink,
 ) -> Result<()> {
     debug_assert!(batch > 0);
-    // The items of every cross in the chain, columnarized once for all
-    // tiles; source tiles are narrowed by the expansion factor so an
-    // expanded tile stays within the batch width (down to one source row).
-    let leaves: Vec<Option<Vec<VCol>>> = steps
-        .iter()
-        .map(|s| s.cross().and_then(Cross::leaf_columns))
-        .collect();
+    // Source tiles are narrowed by the chain's crosses, which expand every
+    // row by their build rows, so an expanded tile stays within the batch
+    // width (down to one source row); a keyed probe cuts its matches into
+    // batch-wide pieces instead.
     let factor = steps
         .iter()
-        .filter_map(|s| s.cross())
-        .fold(1usize, |f, c| f.saturating_mul(c.items.len().max(1)));
+        .filter_map(Step::probe)
+        .filter(|p| !p.keyed())
+        .fold(1usize, |f, p| f.saturating_mul(p.len.max(1)));
     let width = (batch / factor).max(1);
     for start in (0..src.len()).step_by(width) {
         let tile = start..(start + width).min(src.len());
-        match tile_column(src, tile.clone())
-            .and_then(|col| run_tile(col, tile.len(), steps, &leaves))
-        {
-            Ok((col, len)) => {
-                stats.record_vectorized_batch();
-                sink.tile(&col, len)?;
-            }
+        // The rows this tile's pieces sank, and the sink's own error.
+        let (mut sunk, mut refused) = (0, None);
+        let ran = tile_column(src, tile.clone()).and_then(|col| {
+            run_tile(col, tile.len(), steps, batch, &mut |col, len| {
+                sink.tile(&col, len)
+                    .inspect_err(|e| refused = Some(e.clone()))?;
+                sunk += len;
+                Ok(())
+            })
+        });
+        if let Some(e) = refused {
+            return Err(e);
+        }
+        match ran {
+            Ok(()) => stats.record_vectorized_batch(),
             Err(batched) => {
-                src.drive_rows(tile, steps, &mut |v| sink.row(v))?;
+                src.drive_rows(tile, steps, &mut |v| match sunk {
+                    0 => sink.row(v),
+                    _ => {
+                        sunk -= 1;
+                        Ok(())
+                    }
+                })?;
                 // Non-deterministic operator: the replay sailed through,
                 // so keep the batched error.
                 return Err(batched);
@@ -2054,22 +2368,141 @@ mod tests {
         assert!(snap.vectorized_batches >= 2, "{snap:?}");
     }
 
-    fn step_cross(items: Vec<Value>, shape: Shape, tag: Option<&str>) -> Step {
-        let cross = Arc::new(Cross::new(
-            Arc::new(items),
-            shape,
-            "pattern Q does not match row".into(),
+    fn step_probe(items: Vec<Value>, shape: Shape, keys: Option<ProbeKeys>) -> Step {
+        let probe = Arc::new(Probe::build(
+            items.iter(),
+            &shape,
+            keys,
+            "pattern Q does not match row",
         ));
         let f = {
-            let cross = cross.clone();
-            move |row: &Value| cross.expand(row)
+            let probe = probe.clone();
+            move |row: &Value| probe.expand(row)
         };
         Step {
-            op: StepOp::FlatMap(Arc::new(f), Some(cross)),
-            tag: tag.map(Arc::from),
+            op: StepOp::FlatMap(Arc::new(f), Some(probe)),
+            tag: None,
             expr: None,
             what: "flat_map",
         }
+    }
+
+    fn step_cross(items: Vec<Value>, shape: Shape, tag: Option<&str>) -> Step {
+        Step {
+            tag: tag.map(Arc::from),
+            ..step_probe(items, shape, None)
+        }
+    }
+
+    #[test]
+    fn a_keyed_probe_expands_tiles_like_the_row_path() {
+        // (i, i % 7) rows probing (k, name) build rows on i % 7 == k: keys
+        // with two build rows, one, and none, as longs close together (a
+        // dense index) and as doubles (a key table).
+        let rows: Vec<Value> = (0..300i64)
+            .map(|i| Value::pair(Value::Long(i), Value::Long(i % 7)))
+            .collect();
+        let build = |key: &dyn Fn(i64) -> Value| -> Vec<Value> {
+            [0, 0, 2, 3, 5, 5, 9]
+                .iter()
+                .enumerate()
+                .map(|(n, &k)| Value::pair(key(k), Value::str(format!("b{n}"))))
+                .collect()
+        };
+        let keys = |probe: RowExpr| ProbeKeys {
+            probe,
+            build: RowExpr::Col(0),
+        };
+        let shape = Shape::Tuple(vec![Shape::Bind, Shape::Bind]);
+        let as_double = RowExpr::Call(Func::ToDouble, vec![RowExpr::Col(1)]);
+        for (items, probe) in [
+            (build(&Value::Long), RowExpr::Col(1)),
+            (build(&|k| Value::Double(k as f64)), as_double),
+        ] {
+            let steps = [step_probe(items, shape.clone(), Some(keys(probe)))];
+            for batch in [1, 3, 7, 64, 4096] {
+                let (col, row) = run_both(&rows, &steps, batch);
+                let out = col.unwrap();
+                // Rows of i % 7 in {0, 5} meet two build rows, {2, 3} one.
+                assert_eq!(out.len(), 43 * 2 + 43 * 2 + 43 + 43, "batch {batch}");
+                assert_eq!(format!("{out:?}"), format!("{:?}", row.unwrap()));
+            }
+        }
+    }
+
+    #[test]
+    fn a_heavy_key_is_cut_into_batch_wide_pieces_and_narrows_no_tile() {
+        // Build key 0 holds 300 rows and keys 1..=9 one each; 640 probe
+        // rows (i, i % 10) in tiles of 64. Every piece is at most 64 rows
+        // wide, and the source is cut into 10 tiles, not one per row.
+        let rows: Vec<Value> = (0..640i64)
+            .map(|i| Value::pair(Value::Long(i), Value::Long(i % 10)))
+            .collect();
+        let items: Vec<Value> = (0..300)
+            .map(|n| (0, n))
+            .chain((1..10).map(|k| (k, 1000 + k)))
+            .map(|(k, n)| Value::pair(Value::Long(k), Value::Long(n)))
+            .collect();
+        let probe = || {
+            let keys = ProbeKeys {
+                probe: RowExpr::Col(1),
+                build: RowExpr::Col(0),
+            };
+            let shape = Shape::Tuple(vec![Shape::Bind, Shape::Bind]);
+            step_probe(items.clone(), shape, Some(keys))
+        };
+        struct Pieces(Vec<usize>, Vec<Value>);
+        impl TileSink for Pieces {
+            fn tile(&mut self, col: &VCol, len: usize) -> Result<()> {
+                self.0.push(len);
+                self.1.extend((0..len).map(|i| col.get(i)));
+                Ok(())
+            }
+            fn row(&mut self, row: Value) -> Result<()> {
+                self.1.push(row);
+                Ok(())
+            }
+        }
+        let steps = [probe()];
+        let stats = Stats::default();
+        let mut sink = Pieces(Vec::new(), Vec::new());
+        drive_tiles(Source::Rows(&rows), &steps, 64, &stats, &mut sink).unwrap();
+        assert_eq!(stats.snapshot().vectorized_batches, 10);
+        assert!(sink.0.iter().all(|&n| n <= 64), "{:?}", sink.0);
+        let (_, row) = run_both(&rows, &steps, 64);
+        assert_eq!(sink.1, row.unwrap());
+        assert_eq!(sink.1.len(), 64 * 300 + 576);
+
+        // A step after the probe fails on the heavy key's build row 150,
+        // in the third piece of the first tile: the replay skips the 128
+        // rows the first two pieces sank, so the sink holds the row path's
+        // 150 rows before the error, once each.
+        let steps = [
+            probe(),
+            step_map(
+                bin(
+                    BinOp::Div,
+                    RowExpr::Const(Value::Long(1)),
+                    bin(
+                        BinOp::Sub,
+                        RowExpr::Col(3),
+                        RowExpr::Const(Value::Long(150)),
+                    ),
+                ),
+                None,
+            ),
+        ];
+        let mut sink = Pieces(Vec::new(), Vec::new());
+        let err = drive_tiles(Source::Rows(&rows), &steps, 64, &stats, &mut sink).unwrap_err();
+        assert_eq!(sink.0, vec![64, 64], "two pieces sank before the failure");
+        let mut row_out = Vec::new();
+        let row_err = drive(Cow::Borrowed(&rows[0]), &steps, &mut |v| {
+            row_out.push(v);
+            Ok(())
+        })
+        .unwrap_err();
+        assert_eq!((sink.1.len(), err.message), (150, row_err.message));
+        assert_eq!(sink.1, row_out);
     }
 
     #[test]

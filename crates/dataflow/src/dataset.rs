@@ -7,8 +7,10 @@
 //! exactly the sparse-array representation of §3.4 — and hash-partition
 //! rows by key before the reduction stage, which is the engine's shuffle.
 //! [`Dataset::join_on`] is the same join told as data — both keys as
-//! [`RowExpr`]s over rows of any shape — and [`Dataset::cross`] its
-//! keyless counterpart, a broadcast nested loop as a transparent step.
+//! [`RowExpr`]s over rows of any shape — and [`Dataset::join_probe`] the
+//! same join against a side small enough to share: one key table built
+//! on the driver, probed by a transparent step of the other side's chain.
+//! [`Dataset::cross`] is that probe on the constant key `()`.
 //!
 //! Narrow operators (`map`, `filter`, `flat_map`) are
 //! **lazy**: they append a node to the dataset's plan and
@@ -56,7 +58,7 @@ use diablo_runtime::{AggOp, BinOp, RuntimeError, Value};
 
 use crate::block::{self, BlockContract, BlockZip, ElementCols, Packer};
 use crate::chunk::{Bucket, Chunk};
-use crate::columnar::{Cross, KeyedFold, RowExpr, Shape, TileSink};
+use crate::columnar::{KeyedFold, Probe, ProbeKeys, RowExpr, Shape, TileSink};
 use crate::exchange::{Exchange, ExchangeWriter, HashPartitioner, KeyedScatter};
 use crate::join::{Emit, Join};
 use crate::keytable::{Key, KeyTable};
@@ -384,10 +386,37 @@ impl Dataset {
             return Ok(p);
         }
         let parts = plan::materialize(&self.ctx, &self.plan)?.into_arc();
-        cache.insert(self.slot.id(), parts.clone(), &self.ctx)?;
-        self.rows.get_or_init(|| Known::of(&self.ctx, &parts));
-        self.ran.store(true, Ordering::Release);
+        self.enter(&parts)?;
         Ok(parts)
+    }
+
+    /// Enters `parts`, this dataset's rows, into the dataset cache.
+    fn enter(&self, parts: &Arc<Vec<Vec<Value>>>) -> Result<()> {
+        let cache = self.ctx.dataset_cache();
+        cache.insert(self.slot.id(), parts.clone(), &self.ctx)?;
+        self.rows.get_or_init(|| Known::of(&self.ctx, parts));
+        self.ran.store(true, Ordering::Release);
+        Ok(())
+    }
+
+    /// This dataset's rows for a reader that reads them once and whole —
+    /// a join's build side — with their count known ([`Dataset::known`]).
+    /// Base data and a dataset forced before are read as they are. A
+    /// pending plan runs now, in one fused stage, and records that it ran,
+    /// as any stage that fuses it does. At most `keep` rows are handed
+    /// over as base data, outside the dataset cache: the reader holds them
+    /// whole anyway. More enter the cache as [`Dataset::materialize`]
+    /// enters them, charged to its budget and spilled under it.
+    pub fn computed(&self, keep: usize) -> Result<Dataset> {
+        if self.known().is_some() {
+            return Ok(self.clone());
+        }
+        let parts = plan::materialize(&self.ctx, &self.effective_plan())?.into_arc();
+        if parts.iter().map(Vec::len).sum::<usize>() <= keep {
+            return Ok(Dataset::from_shared_parts(self.ctx.clone(), parts));
+        }
+        self.enter(&parts)?;
+        Ok(self.clone())
     }
 
     /// True when the plan has run without error: base data, a dataset
@@ -576,30 +605,36 @@ impl Dataset {
     /// generator that no equality links to the rows bound so far — as a
     /// **transparent** expansion (lazy): each row, a tuple, is followed by
     /// the leaves `shape` binds in an item, once per item and in item
-    /// order. The closure the engine runs is derived from this description,
-    /// and the description rides the plan node, so a columnar stage expands
-    /// whole tiles (the rows' lanes repeated, the items' leaf columns
-    /// tiled) while the row layout runs it like a [`Dataset::flat_map`].
-    /// An item `shape` does not fit is the error `"{mismatch} {item}"`,
-    /// raised by the first row that reaches the step.
+    /// order. It is [`Dataset::join_probe`] on the constant key `()`, which
+    /// every item holds. An item `shape` does not fit is the error
+    /// `"{mismatch} {item}"`, raised by the first row that reaches the step.
     pub fn cross(
         &self,
         items: Arc<Vec<Value>>,
         shape: Shape,
         mismatch: impl Into<Arc<str>>,
     ) -> Result<Dataset> {
+        let probe = Probe::build(items.iter(), &shape, None, &mismatch.into());
+        self.probing(probe)
+    }
+
+    /// Appends a probe of a built side as a transparent expansion step
+    /// (lazy): the closure the engine runs is derived from the probe, and
+    /// the probe rides the plan node, so a columnar stage expands whole
+    /// tiles while the row layout runs it like a [`Dataset::flat_map`].
+    fn probing(&self, probe: Probe) -> Result<Dataset> {
         self.ctx.record_logical_op();
-        let cross = Arc::new(Cross::new(items, shape, mismatch.into()));
+        let probe = Arc::new(probe);
         let f = {
-            let cross = cross.clone();
-            move |row: &Value| cross.expand(row)
+            let probe = probe.clone();
+            move |row: &Value| probe.expand(row)
         };
         Ok(self.derived(PlanOp::FlatMap(
             self.effective_plan(),
             Arc::new(f),
             self.tag(),
             "flat_map",
-            Some(cross),
+            Some(probe),
         )))
     }
 
@@ -862,6 +897,31 @@ impl Dataset {
             mismatch: on.mismatch,
         })?;
         self.join_keyed(&right, on.left_key, on.right_key, Emit::Concat)
+    }
+
+    /// [`Dataset::join_on`] against a side that is built, not scattered:
+    /// `build` is forced, and one key table over its rows' `on.right_key`
+    /// — holding their bound leaves as owned columns — is shared by every
+    /// task. Probing it is one more transparent step of `self`'s pending
+    /// chain (lazy), so neither side crosses an exchange and the output is
+    /// partitioned as `self` is. Each left row is followed by the leaves
+    /// of every build row its key matches, in build order; keys match as
+    /// in [`Dataset::join_on`]. The build counts as a broadcast of its
+    /// rows.
+    ///
+    /// A build row `on.right` does not fit is the error
+    /// `"{on.mismatch} {row}"`, raised by the first left row that reaches
+    /// the probe — and by none if no row does.
+    pub fn join_probe(&self, build: &Dataset, on: JoinOn) -> Result<Dataset> {
+        let parts = build.force()?;
+        let rows = parts.iter().map(Vec::len).sum::<usize>();
+        self.ctx.stats().record_broadcast(rows as u64);
+        let keys = ProbeKeys {
+            probe: on.left_key,
+            build: on.right_key,
+        };
+        let probe = Probe::build(parts.iter().flatten(), &on.right, Some(keys), &on.mismatch);
+        self.probing(probe)
     }
 
     /// The one join operator: `self`'s rows keyed by `left_key`, `right`'s

@@ -296,13 +296,20 @@ impl<T> KeyTable<T> {
         }
     }
 
-    /// The payload of `key`, if the table holds it.
-    pub fn get_mut(&mut self, key: &Key<'_>) -> Option<&mut T> {
-        let slot = match key {
+    /// The slot of `key` — its position in first-seen order — if the
+    /// table holds it.
+    pub fn slot(&self, key: &Key<'_>) -> Option<usize> {
+        match key {
             Key::Value(v) => self.probe(mix_hash(v), v),
             Key::Lanes(k) => self.probe(mix_hash(k), k),
-        };
-        Some(&mut self.entries[slot.ok()?].value)
+        }
+        .ok()
+    }
+
+    /// The payload of `key`, if the table holds it.
+    pub fn get_mut(&mut self, key: &Key<'_>) -> Option<&mut T> {
+        let slot = self.slot(key)?;
+        Some(&mut self.entries[slot].value)
     }
 
     /// Finds `key`, inserting it with `init()` as payload if it is new. An

@@ -104,7 +104,7 @@ pub use exchange::{decode_value, encode_value, HashPartitioner, MAX_VALUE_DEPTH}
 pub use stats::{Stats, StatsSnapshot};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use diablo_runtime::{RuntimeError, Value};
 
@@ -383,12 +383,32 @@ impl Context {
     /// stages spanning several statements can report all of them, and so
     /// deferred operator errors name the statement they came from.
     pub fn set_statement_label(&self, label: Option<&str>) {
-        *self.inner.stmt_label.lock().expect("label lock") = label.map(Arc::from);
+        *self.statement_label_lock() = label.map(Arc::from);
     }
 
     /// The current source-statement label, if any.
     pub(crate) fn statement_label(&self) -> Option<Arc<str>> {
-        self.inner.stmt_label.lock().expect("label lock").clone()
+        self.statement_label_lock().clone()
+    }
+
+    /// The statement label, even after a thread panicked holding it: its
+    /// holders replace or clone one `Option` and panic nowhere in between,
+    /// so the label a panic leaves behind is whole.
+    fn statement_label_lock(&self) -> std::sync::MutexGuard<'_, Option<Arc<str>>> {
+        self.inner
+            .stmt_label
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The plan trace, even after a thread panicked holding it: its
+    /// holders replace the `Option`, take it, or push one line onto its
+    /// `Vec`, so a panic leaves it holding every line pushed before.
+    fn plan_trace_lock(&self) -> std::sync::MutexGuard<'_, Option<Vec<String>>> {
+        self.inner
+            .plan_trace
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of worker threads.
@@ -444,25 +464,20 @@ impl Context {
     /// Starts recording a textual line per physical stage / shuffle /
     /// broadcast — the executed-plan trace behind `diabloc --explain`.
     pub fn start_plan_trace(&self) {
-        *self.inner.plan_trace.lock().expect("trace lock") = Some(Vec::new());
+        *self.plan_trace_lock() = Some(Vec::new());
     }
 
     /// Stops recording and returns the trace lines (empty if tracing was
     /// never started).
     pub fn take_plan_trace(&self) -> Vec<String> {
-        self.inner
-            .plan_trace
-            .lock()
-            .expect("trace lock")
-            .take()
-            .unwrap_or_default()
+        self.plan_trace_lock().take().unwrap_or_default()
     }
 
     /// Appends a line to the plan trace; no-op unless tracing is active.
     /// Public so driver layers can interleave statement markers with the
     /// engine's stage lines.
     pub fn plan_note(&self, note: impl Into<String>) {
-        if let Some(trace) = self.inner.plan_trace.lock().expect("trace lock").as_mut() {
+        if let Some(trace) = self.plan_trace_lock().as_mut() {
             trace.push(note.into());
         }
     }
@@ -630,5 +645,51 @@ mod tests {
         assert!(!trace.is_empty());
         assert!(trace.iter().any(|l| l.contains("fused")), "{trace:?}");
         assert!(ctx.take_plan_trace().is_empty(), "trace was taken");
+    }
+
+    #[test]
+    fn a_thread_that_panicked_holding_a_context_lock_poisons_nothing() {
+        let ctx = Context::new(2, 4);
+        ctx.start_plan_trace();
+        ctx.plan_note("before the panic");
+        let poison = |lock: fn(&Context)| {
+            let ctx = ctx.clone();
+            let died = std::thread::spawn(move || lock(&ctx)).join();
+            assert!(died.is_err(), "the thread panicked");
+        };
+        poison(|ctx| {
+            let _held = ctx.inner.stmt_label.lock();
+            panic!("poisons the statement label");
+        });
+        poison(|ctx| {
+            let _held = ctx.inner.plan_trace.lock();
+            panic!("poisons the plan trace");
+        });
+        assert!(ctx.inner.stmt_label.is_poisoned());
+        assert!(ctx.inner.plan_trace.is_poisoned());
+        // A traced, labelled stage runs as it would have.
+        ctx.set_statement_label(Some("s1:X"));
+        let rows = ctx
+            .range(1, 10)
+            .and_then(|d| {
+                d.map_expr(RowExpr::Bin(
+                    diablo_runtime::BinOp::Mul,
+                    Box::new(RowExpr::Input),
+                    Box::new(RowExpr::Const(Value::Long(2))),
+                ))
+            })
+            .and_then(|d| d.try_collect())
+            .unwrap();
+        assert_eq!(
+            rows,
+            (1..=10).map(|i| Value::Long(2 * i)).collect::<Vec<_>>()
+        );
+        assert_eq!(ctx.statement_label().as_deref(), Some("s1:X"));
+        let trace = ctx.take_plan_trace();
+        assert_eq!(trace[0], "before the panic");
+        assert!(
+            trace.iter().any(|l| l.contains("⇒ materialize")),
+            "{trace:?}"
+        );
     }
 }

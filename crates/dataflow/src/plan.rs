@@ -67,7 +67,7 @@ use std::sync::Arc;
 use diablo_runtime::{BinOp, RuntimeError, Value};
 
 use crate::chunk::Bucket;
-use crate::columnar::{Cross, RowExpr, RowSink, TileSink, TotalFold};
+use crate::columnar::{Probe, RowExpr, RowSink, TileSink, TotalFold};
 use crate::join::{Join, Matches};
 use crate::pool::{run_stage_weighted, Cancel};
 use crate::stats::Stats;
@@ -211,13 +211,13 @@ pub(crate) enum PlanOp {
     /// engine-visible.
     Filter(Arc<PlanOp>, RowPredFn, Tag, Option<Arc<RowExpr>>),
     /// Row-wise `flat_map`, named like an opaque `Map` — or, with a
-    /// [`Cross`], the transparent expansion the closure was derived from.
+    /// [`Probe`], the transparent expansion the closure was derived from.
     FlatMap(
         Arc<PlanOp>,
         RowFlatFn,
         Tag,
         &'static str,
-        Option<Arc<Cross>>,
+        Option<Arc<Probe>>,
     ),
     /// Gathered shuffle buckets — one per partition, each one chunk or a
     /// left and a right chunk, as the exchange built them — and the
@@ -243,7 +243,7 @@ pub(crate) enum StepOp {
     Filter(RowPredFn),
     /// From [`PlanOp::FlatMap`], with the expansion's transparent form
     /// when it has one.
-    FlatMap(RowFlatFn, Option<Arc<Cross>>),
+    FlatMap(RowFlatFn, Option<Arc<Probe>>),
 }
 
 /// One fused narrow step (a row-level op of a collapsed chain) plus the
@@ -270,17 +270,17 @@ impl Step {
     }
 
     /// The expansion this step performs, when the engine can see it.
-    pub(crate) fn cross(&self) -> Option<&Cross> {
+    pub(crate) fn probe(&self) -> Option<&Probe> {
         match &self.op {
-            StepOp::FlatMap(_, cross) => cross.as_deref(),
+            StepOp::FlatMap(_, probe) => probe.as_deref(),
             _ => None,
         }
     }
 
     /// True when the step is described by data — a [`RowExpr`] or a
-    /// [`Cross`] — so a columnar stage can run it.
+    /// [`Probe`] — so a columnar stage can run it.
     pub(crate) fn transparent(&self) -> bool {
-        self.expr.is_some() || self.cross().is_some()
+        self.expr.is_some() || self.probe().is_some()
     }
 
     /// Prefixes an error from this step with its source statement.
@@ -361,9 +361,9 @@ pub(crate) fn collapse(plan: &Arc<PlanOp>) -> Collapsed {
                 });
                 input.clone()
             }
-            PlanOp::FlatMap(input, f, tag, what, cross) => {
+            PlanOp::FlatMap(input, f, tag, what, probe) => {
                 steps.push(Step {
-                    op: StepOp::FlatMap(f.clone(), cross.clone()),
+                    op: StepOp::FlatMap(f.clone(), probe.clone()),
                     tag: tag.clone(),
                     expr: None,
                     what,

@@ -609,7 +609,8 @@ mod tests {
         // { (v, w) | (i, v) ← A, (j, w) ← B, ⟨k = i % 3⟩ == ⟨k = j⟩ }: a
         // record has no `RowExpr` form, so either side computes its key
         // with an opaque `let` of its own and the engine joins on that
-        // column. The carried key columns stay out of the head's way.
+        // column: `B` is built, and `A`'s chain probes it. The carried key
+        // columns stay out of the head's way.
         use diablo_comp::ir::{Comprehension, Pattern, Qual};
         use diablo_runtime::BinOp;
         let record = |e: CExpr| CExpr::Record(vec![("k".into(), e)]);
@@ -647,8 +648,8 @@ mod tests {
             rows.sort();
             assert_eq!(rows, want);
             let trace = s.ctx.take_plan_trace().join("\n");
-            assert!(trace.contains("⇒ join (scatter left)"), "{trace}");
-            assert!(trace.contains("⇒ join (scatter right)"), "{trace}");
+            assert!(trace.contains("join build: 3 rows"), "{trace}");
+            assert!(!trace.contains("scatter"), "{trace}");
             assert!(!trace.contains("broadcast"), "{trace}");
         }
     }

@@ -8,13 +8,17 @@
 //! |----------------------------------|------------------------------------|
 //! | driver prefix (before the source)| `Dataset::cross` over its bindings |
 //! | first `p ← Array`                | partitioned scan                   |
-//! | later `p ← Array` + `x == e(p)`  | `Dataset::join_on`: both keys and  |
-//! |                                  | the pattern's shape as data — two  |
-//! |                                  | transparent scatters, then a       |
-//! |                                  | build–probe (predicates consumed)  |
-//! | later `p ← Array` (no link)      | `Dataset::cross`: the broadcast    |
-//! |                                  | rows and the pattern's shape as a  |
-//! |                                  | transparent expansion step         |
+//! | later `p ← Array` + `x == e(p)`  | both keys and the pattern's shape  |
+//! |                                  | as data (predicates consumed): at  |
+//! |                                  | most `BUILD_CAP` rows,             |
+//! |                                  | `Dataset::join_probe` — one shared |
+//! |                                  | key table, probed by a transparent |
+//! |                                  | step; more, `Dataset::join_on` —   |
+//! |                                  | two transparent scatters, then a   |
+//! |                                  | build–probe per bucket             |
+//! | later `p ← Array` (no link)      | `Dataset::cross`: the same probe   |
+//! |                                  | on the constant key `()` over the  |
+//! |                                  | broadcast rows                     |
 //! | `p ← range(lo, hi)`              | range source / per-row expansion   |
 //! | `let p = e`                      | map (extend row)                   |
 //! | condition                        | filter                             |
@@ -47,6 +51,19 @@ use diablo_runtime::{RuntimeError, Value};
 
 use crate::rexpr::{lower, Layout, Lowered};
 use crate::{Result, Session};
+
+/// The most rows a join's generator side may hold to be built into one
+/// key table that every worker probes; a larger side is scattered with the
+/// pipeline's rows. The choice reads the side's exact row count only, so
+/// a program's plan — and the order in which its double sums combine — is
+/// the same under every budget, worker count, layout and tile width.
+///
+/// Measured on 2 vCPUs (`Context::new(2, 4)`, release build, median of 21
+/// runs): joining 65 536 `(i, i)` long pairs with as many `(j, j)` on
+/// `i == j`, counted, takes 5.4 ms with the right side built and probed
+/// (its build on the driver included) and 10.6 ms partitioned. The cap
+/// bounds the driver's serial build and the table every worker shares.
+const BUILD_CAP: usize = 1 << 16;
 
 /// Runs a comprehension, producing a dataset of its head values.
 pub fn run_comp(c: &Comprehension, sess: &Session) -> Result<Dataset> {
@@ -257,7 +274,12 @@ impl Pipe {
     }
 
     /// Joins a new dataset generator through equality keys: both keys and
-    /// the pattern's shape go to the engine as data.
+    /// the pattern's shape go to the engine as data. The generator's
+    /// dataset is computed ([`Dataset::computed`]): one of at most
+    /// [`BUILD_CAP`] rows is built and probed from the pipeline's chain
+    /// ([`Dataset::join_probe`]); a larger one, entered into the dataset
+    /// cache if it was pending, is scattered with it
+    /// ([`Dataset::join_on`]).
     fn hash_join(
         &mut self,
         data: &Dataset,
@@ -293,15 +315,26 @@ impl Pipe {
             }
         };
         let carried_key = right.layout.cols.len() > p.var_list().len();
-        self.data = self.data.join_on(
-            &right.data,
-            JoinOn {
-                left_key,
-                right: shape,
-                right_key,
-                mismatch,
-            },
-        )?;
+        let on = JoinOn {
+            left_key,
+            right: shape,
+            right_key,
+            mismatch,
+        };
+        let ctx = self.data.context();
+        let right = right.data.computed(BUILD_CAP)?;
+        let rows = right.known().map_or(usize::MAX, |k| k.len);
+        self.data = if rows <= BUILD_CAP {
+            ctx.plan_note(format!(
+                "join build: {rows} rows (cap {BUILD_CAP}), probed in the left stage"
+            ));
+            self.data.join_probe(&right, on)?
+        } else {
+            ctx.plan_note(format!(
+                "join partitioned: {rows} rows over the cap {BUILD_CAP}"
+            ));
+            self.data.join_on(&right, on)?
+        };
         self.bind(p);
         if carried_key {
             // The right side's key column came along with its leaves.

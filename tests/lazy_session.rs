@@ -324,9 +324,11 @@ fn loop_bodies_fuse_their_step_local_arrays_and_run_no_chain_twice() {
     // inside their reader's stage. Rows, shuffles and shuffled records
     // are the eager run's, and each step saves the materializations
     // removed and no more — a chain run a second time would add its stage
-    // back: PageRank's `Q` and step-local `P` are two stages, K-Means' two
-    // `closest` and `avg` three, and Matrix Factorization's two `pq` and
-    // the step's copies of `P0` and `Q0` into `P` and `Q` four.
+    // back: PageRank's `Q` and step-local `P` are two stages, K-Means'
+    // first `closest` and `avg` two, and Matrix Factorization's first `pq`
+    // and the step's copies of `P0` and `Q0` into `P` and `Q` three. (The
+    // second `closest` and `pq` are join build sides: each is computed in
+    // a stage of its own, as the eager run materializes it.)
     let saved = |w: &wl::Workload| {
         let (lazy_outs, lazy) = run_workload(w, true);
         let (eager_outs, eager) = run_workload(w, false);
@@ -344,11 +346,11 @@ fn loop_bodies_fuse_their_step_local_arrays_and_run_no_chain_twice() {
     };
     for (one_step, three_steps, per_step) in [
         (wl::pagerank(80, 1, 5), wl::pagerank(80, 3, 5), 2),
-        (wl::kmeans(200, 2, 1, 5), wl::kmeans(200, 2, 3, 5), 3),
+        (wl::kmeans(200, 2, 1, 5), wl::kmeans(200, 2, 3, 5), 2),
         (
             wl::matrix_factorization(8, 2, 1, 5),
             wl::matrix_factorization(8, 2, 3, 5),
-            4,
+            3,
         ),
     ] {
         assert_eq!(
@@ -362,10 +364,11 @@ fn loop_bodies_fuse_their_step_local_arrays_and_run_no_chain_twice() {
 
 #[test]
 fn explain_shows_loop_bodies_fused_and_dead_stores_dropping_run_plans() {
-    // Each PageRank step runs `Q`'s build–probe in the rank update's left
-    // scatter, and the next step's `Q := {}` drops the `Q` whose plan that
-    // stage ran instead of forcing it again; the last step's is left
-    // unforced at the end of the run. K-Means' next step drops both
+    // Each PageRank step runs `Q`'s probe of `P` in the rank update's
+    // keyed sum, and the next step's `Q := {}` drops the `Q` whose plan
+    // that stage ran instead of forcing it again; the last step's is left
+    // unforced at the end of the run. Each K-Means step reduces the lazy
+    // `avg` in the centroid update's scatter, and the next step drops both
     // `closest` bindings and `avg`.
     for (w, steps, spans, drops) in [
         (
@@ -377,7 +380,7 @@ fn explain_shows_loop_bodies_fused_and_dead_stores_dropping_run_plans() {
         (
             wl::kmeans(300, 2, 2, 7),
             2,
-            "[spans stmts: s8:closest, s9:avg]",
+            "[spans stmts: s9:avg, s10:C]",
             vec![
                 "dead store drops pending `closest` (s7:closest): its plan already ran",
                 "dead store drops pending `closest` (s8:closest): its plan already ran",

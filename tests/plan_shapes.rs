@@ -396,36 +396,33 @@ fn keyed_programs_combine_and_rebind_in_columnar_stages() {
 #[test]
 fn loop_programs_join_and_cross_in_columnar_stages() {
     // Fig. 3 J and K on the default engine, one loop step each. A second
-    // generator linked by an equality is the engine's join — two scatters
-    // whose key is one more transparent step, then a build–probe fused
-    // into whatever consumes it — and K-Means' centroids are a transparent
-    // expansion inside the stage that scans the points. An update whose
-    // keys are unique into an array that holds no rows is no merge at all.
-    // Every stage with steps in it runs columnar.
+    // generator linked by an equality is the engine's join: its side, far
+    // under the build cap, is built into one key table that a transparent
+    // step of the other side's chain probes, so neither side is scattered;
+    // and K-Means' centroids are the same probe on the constant key, inside
+    // the stage that scans the points. An update whose keys are unique
+    // into an array that holds no rows is no merge at all. Every stage
+    // with steps in it runs columnar.
 
     const SCATTER_OLD: &str = "scan[4p] ⇒ merge (scatter old)";
     const MERGE: &str = "scan[4p] → merge ⊳ (combine slots) ⇒ materialize";
-    const SCATTER_RIGHT: &str = "scan[4p] → map → map ⇒ join (scatter right) (fused 2 narrow ops)";
     const REDUCE: &str = "scan[4p] → reduce_by_key (reduce) → map → map ⇒ merge (scatter updates) \
                           (fused 3 narrow ops)";
     let pagerank_step: &[&str] = &[
-        // Q[i, j] := P[i] over the edges: E ⋈ P, keyed by E's unique
-        // (i, j), into the `Q := {}` of the step's top — no merge. `Q`
-        // stays lazy: the build–probe runs in its reader's stage.
-        "scan[4p] → map → filter → filter → filter → map ⇒ join (scatter left) \
-         (fused 5 narrow ops)",
-        SCATTER_RIGHT,
+        // Q[i, j] := P[i] over the edges: `P` is built, keyed by E's
+        // unique (i, j), into the `Q := {}` of the step's top — no merge.
+        // `Q` stays lazy: its probe of `P` runs in its reader's stage.
+        "join build: 60 rows (cap 65536), probed in the left stage",
         // P[i] := (1 - b) / vertices, lazy too: its slot combine runs in
         // the next merge's old-side scatter.
         SCATTER_OLD,
         "scan[4p] → map → map → map ⇒ merge (scatter updates) (fused 3 narrow ops)",
-        // P[i] += b * Q[j, i] / C[j]: Q ⋈ C into a keyed sum, `Q`'s
-        // build–probe fused into the left scatter.
-        "scan[4p] → join (build + probe) → map → map → map → filter → filter → map ⇒ \
-         join (scatter left) (fused 7 narrow ops) [spans stmts: s10:Q, s12:P]",
-        SCATTER_RIGHT,
-        "scan[4p] → join (build + probe) → map → map ⇒ reduce_by_key (combine + scatter) \
-         (fused 3 narrow ops)",
+        // P[i] += b * Q[j, i] / C[j]: `C` is built, and E's scan probes
+        // `P`, then `C`, into a keyed sum.
+        "join build: 60 rows (cap 65536), probed in the left stage",
+        "scan[4p] → map → filter → filter → filter → flat_map → map → map → map → filter → \
+         filter → flat_map → map → map ⇒ reduce_by_key (combine + scatter) (fused 13 narrow ops) \
+         [spans stmts: s10:Q, s12:P]",
         "scan[4p] → merge ⊳ (combine slots) ⇒ merge (scatter old)",
         REDUCE,
         MERGE,
@@ -439,14 +436,14 @@ fn loop_programs_join_and_cross_in_columnar_stages() {
          reduce_by_key (combine + scatter) (fused 9 narrow ops)",
         "scan[4p] → map → map → map ⇒ merge (scatter old) (fused 3 narrow ops)",
         REDUCE,
-        // avg[closest[i]._1] += (x, y, 1): P ⋈ closest into a keyed sum,
-        // one row per group into the empty `avg` — no merge. The lazy
-        // `closest` combines its slots in the right scatter.
-        "scan[4p] → map → filter → map → map ⇒ join (scatter left) (fused 4 narrow ops)",
-        "scan[4p] → merge ⊳ (combine slots) → map → map ⇒ join (scatter right) \
-         (fused 3 narrow ops) [spans stmts: s8:closest, s9:avg]",
-        "scan[4p] → join (build + probe) → map ⇒ reduce_by_key (combine + scatter) \
-         (fused 2 narrow ops)",
+        // avg[closest[i]._1] += (x, y, 1): the lazy `closest` combines its
+        // slots in the stage that computes it for its build, and P's scan
+        // probes it into a keyed sum, one row per group into the empty
+        // `avg` — no merge.
+        MERGE,
+        "join build: 300 rows (cap 65536), probed in the left stage",
+        "scan[4p] → map → filter → map → flat_map → map ⇒ reduce_by_key (combine + scatter) \
+         (fused 5 narrow ops)",
         // C[i] := avg[i] / count, the lazy `avg` reduced in its scatter.
         SCATTER_OLD,
         "scan[4p] → reduce_by_key (reduce) → map → map → map → filter → map → map ⇒ \
@@ -456,21 +453,21 @@ fn loop_programs_join_and_cross_in_columnar_stages() {
     // (workload, the step's first statement, its stages, and the whole
     // run's stage and shuffle counts)
     for (w, first, step, stages, shuffles) in [
-        (wl::pagerank(60, 1, 7), "s10:", pagerank_step, 15, 12),
-        (wl::kmeans(300, 2, 1, 7), "s7:", kmeans_step, 10, 8),
+        (wl::pagerank(60, 1, 7), "s10:", pagerank_step, 11, 8),
+        (wl::kmeans(300, 2, 1, 7), "s7:", kmeans_step, 9, 6),
     ] {
         let ctx = Context::new(2, 4);
         let compiled = compile(w.source).expect("compiles");
         let plan = session_for(&w, &ctx).explain(&compiled).expect("explains");
-        // Stage numbers aside, the golden is the stage and layout lines
-        // from the loop body's first statement on.
+        // Stage numbers aside, the golden is the stage, layout and join
+        // build lines from the loop body's first statement on.
         let got: Vec<&str> = plan
             .lines()
             .map(str::trim)
             .skip_while(|l| !l.starts_with(&format!("== {first}")))
             .filter_map(|l| match l.strip_prefix("stage ") {
                 Some(rest) => rest.split_once(": ").map(|(_, stage)| stage),
-                None => l.starts_with("layout:").then_some(l),
+                None => (l.starts_with("layout:") || l.starts_with("join ")).then_some(l),
             })
             .collect();
         // A layout line follows every stage that has steps of its own.
@@ -490,16 +487,15 @@ fn loop_programs_join_and_cross_in_columnar_stages() {
     }
 }
 
-#[test]
-fn a_join_with_an_opaque_key_computes_it_in_a_row_step_first() {
-    // A record has no columnar form, so a join keyed by one binds the key
-    // with an opaque `let` first — on the side that needs it — and the
-    // engine joins on that column. D025 forecasts it.
+/// A join keyed by a record.
+const OPAQUE_KEY_JOIN: &str = "input A: vector[long];
+     input B: map[<|k: long|>, long];
+     var W: vector[long] = vector();
+     for i = 0, 99 do W[i] := A[i] + B[<|k = i|>];";
 
-    const SRC: &str = "input A: vector[long];
-         input B: map[<|k: long|>, long];
-         var W: vector[long] = vector();
-         for i = 0, 99 do W[i] := A[i] + B[<|k = i|>];";
+/// [`OPAQUE_KEY_JOIN`] over a `B` of `b_rows` rows: a session with the
+/// inputs bound, the compiled program, and its `explain`.
+fn opaque_key_join(b_rows: i64) -> (Session, diablo_core::CompiledProgram, String) {
     let ctx = Context::new(2, 4);
     let mut s = Session::new(ctx);
     s.bind_input(
@@ -510,16 +506,28 @@ fn a_join_with_an_opaque_key_computes_it_in_a_row_step_first() {
     );
     s.bind_input(
         "B",
-        (0..100)
+        (0..b_rows)
             .map(|i| {
                 let key = Value::record(vec![("k".into(), Value::Long(i))]);
                 Value::pair(key, Value::Long(-i))
             })
             .collect(),
     );
-    let compiled = compile(SRC).expect("compiles");
+    let compiled = compile(OPAQUE_KEY_JOIN).expect("compiles");
     let plan = s.explain(&compiled).expect("explains");
-    assert!(plan.contains("⇒ join (scatter left)"), "{plan}");
+    (s, compiled, plan)
+}
+
+#[test]
+fn a_join_with_an_opaque_key_computes_it_in_a_row_step_first() {
+    // A record has no columnar form, so a join keyed by one binds the key
+    // with an opaque `let` first — on the side that needs it — and the
+    // engine joins on that column: `B`, under the build cap, is built and
+    // probed from the row step's stage. D025 forecasts it.
+
+    let (mut s, compiled, plan) = opaque_key_join(100);
+    assert!(plan.contains("join build: 100 rows (cap 65536)"), "{plan}");
+    assert!(!plan.contains("scatter"), "{plan}");
     assert!(
         plan.contains("layout: row (opaque let from s1:W)"),
         "{plan}"
@@ -529,7 +537,7 @@ fn a_join_with_an_opaque_key_computes_it_in_a_row_step_first() {
     assert_eq!(rows.len(), 100);
     assert!(rows.contains(&Value::pair(Value::Long(7), Value::Long(42))));
     let mut diags = diablo_diag::Diagnostics::new();
-    let (tp, compiled) = diablo_core::compile_multi(SRC, &mut diags).expect("compiles");
+    let (tp, compiled) = diablo_core::compile_multi(OPAQUE_KEY_JOIN, &mut diags).expect("compiles");
     let d025 = diablo_core::lint_program(&tp, &compiled)
         .into_iter()
         .find(|d| d.code == diablo_diag::codes::ROW_FALLBACK)
@@ -539,6 +547,26 @@ fn a_join_with_an_opaque_key_computes_it_in_a_row_step_first() {
         "{}",
         d025.message
     );
+}
+
+#[test]
+fn a_join_with_an_opaque_key_over_the_build_cap_scatters_both_sides() {
+    // The same join with `B` one row over the build cap: both sides are
+    // scattered by the key column, the left one from the row step's stage.
+    let (mut s, compiled, plan) = opaque_key_join((1 << 16) + 1);
+    assert!(
+        plan.contains("join partitioned: 65537 rows over the cap 65536"),
+        "{plan}"
+    );
+    assert!(plan.contains("⇒ join (scatter left)"), "{plan}");
+    assert!(
+        plan.contains("layout: row (opaque let from s1:W)"),
+        "{plan}"
+    );
+    s.run(&compiled).expect("runs");
+    let rows = s.collect("W").expect("bound");
+    assert_eq!(rows.len(), 100);
+    assert!(rows.contains(&Value::pair(Value::Long(7), Value::Long(42))));
 }
 
 #[test]
@@ -586,21 +614,22 @@ fn fig3_programs_stay_within_their_stage_and_shuffle_counts() {
     // entry, never raise one. The comment on each row is what the program
     // cost while every merge into an empty array ran as a cogroup, and for
     // the loops what they cost while every loop-body statement
-    // materialized.
+    // materialized, and while every join scattered both sides.
 
     let want: [(&str, u64, u64); 12] = [
-        ("Conditional Sum", 1, 0),        // 1, 0
-        ("Equal", 1, 0),                  // 1, 0
-        ("String Match", 1, 0),           // 1, 0
-        ("Word Count", 2, 1),             // 4, 3
-        ("Histogram", 6, 3),              // 12, 9
-        ("Linear Regression", 5, 0),      // 5, 0
-        ("Group By", 2, 1),               // 4, 3
-        ("Matrix Addition", 3, 2),        // 5, 4
-        ("Matrix Multiplication", 5, 4),  // 8, 7 (6, 5 before §5 blocks)
-        ("PageRank", 25, 21),             // 37, 29; 29, 21 with eager loop bodies
-        ("KMeans", 10, 8),                // 19, 14; 13, 8 with eager loop bodies
-        ("Matrix Factorization", 31, 24), // 48, 37 (36, 25 before §5 blocks); 35, 24 eager bodies
+        ("Conditional Sum", 1, 0),       // 1, 0
+        ("Equal", 1, 0),                 // 1, 0
+        ("String Match", 1, 0),          // 1, 0
+        ("Word Count", 2, 1),            // 4, 3
+        ("Histogram", 6, 3),             // 12, 9
+        ("Linear Regression", 5, 0),     // 5, 0
+        ("Group By", 2, 1),              // 4, 3
+        ("Matrix Addition", 3, 2),       // 5, 4
+        ("Matrix Multiplication", 5, 4), // 8, 7 (6, 5 before §5 blocks)
+        ("PageRank", 17, 13), // 37, 29; 29, 21 with eager loop bodies; 25, 21 partitioned joins
+        ("KMeans", 9, 6),     // 19, 14; 13, 8 with eager loop bodies; 10, 8 partitioned joins
+        // 48, 37 (36, 25 before §5 blocks); 35, 24 eager bodies; 31, 24 partitioned joins
+        ("Matrix Factorization", 22, 14),
     ];
     let got: Vec<(&str, u64, u64)> = wl::figure3_workloads(1, 42)
         .iter()
