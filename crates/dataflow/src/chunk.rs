@@ -1,26 +1,28 @@
 //! Column chunks: the form a shuffle bucket takes.
 //!
-//! A [`Chunk`] is the rows of one bucket, either as boxed rows
-//! ([`Chunk::Rows`]) or as typed lanes ([`Chunk::Cols`]): one lane per leaf
-//! of the rows' tuple layout, held as a [`VCol`] — i64, f64 and bool lanes,
-//! struct-of-arrays tuples, and a boxed escape lane (`VCol::Val`) for
-//! strings, records and mixed types. A `Cols` chunk reads as a column tile
-//! with no `decompose` ([`Chunk::col`]), and [`Chunk::row`] boxes one row
-//! for a row consumer: the row it stands for is the row the exchange was
-//! sent.
+//! A [`Chunk`] is the rows of one bucket as one lane: one lane per leaf
+//! of the rows' tuple layout, held as a [`VCol`] — i64, f64 and bool
+//! lanes, struct-of-arrays tuples, and the boxed lane (`VCol::Val`) for
+//! strings, records and mixed types. Boxed rows are the boxed lane. Typed
+//! lanes read as a column tile with no `decompose`, the boxed lane
+//! decomposed as boxed rows are ([`Chunk::col`]), and [`Chunk::row`]
+//! boxes one row for a row consumer: the row it stands for is the row the
+//! exchange was sent.
 //!
 //! Who writes which: a columnar tile sent through a keyed scatter appends
-//! its columns to a [`ChunkBuf`]'s lanes; a row — of a chain on the row
-//! path, of a replayed tile, a §5 block — goes into `Rows`. So the row
-//! layout, the tests' reference, writes `Rows` chunks only.
-//! Lanes that do not agree — a column that is Long in one tile and Double
-//! in another, tuples of two arities — fall back to the boxed lane, at the
-//! leaf where they disagree.
+//! its columns to a [`ChunkBuf`]'s typed lanes; a row — of a chain on the
+//! row path, of a replayed tile, a §5 block — is appended as it is. The
+//! first write picks the lanes: a bucket that starts with a boxed row is
+//! the boxed lane, so the row layout, the tests' reference, writes boxed
+//! lanes only. Lanes that do not agree — a column that is Long in one tile
+//! and Double in another, tuples of two arities, a boxed row a typed leaf
+//! cannot hold — fall back to the boxed lane, at the leaf where they
+//! disagree.
 //!
-//! A chunk spills as one frame ([`encode_frame`]) and reads back as the
-//! same kind of chunk ([`decode_frame`]): lanes as raw little-endian
-//! words or bytes, boxed rows and the boxed lane in the row codec's
-//! format ([`encode_value`]).
+//! A chunk spills as one frame ([`encode_frame`]), its lane, and reads
+//! back as the same lanes ([`decode_frame`]): typed lanes as raw
+//! little-endian words or bytes, the boxed lane in the row codec's format
+//! ([`encode_value`](crate::exchange::encode_value)).
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -33,81 +35,72 @@ use diablo_runtime::{RuntimeError, Value};
 
 use crate::columnar::{decompose, each_key, env_fields, VCol};
 use crate::exchange::{
-    corrupt, decode_nested, encode_nested, encode_value, put_len, take, take_len, too_deep,
-    MAX_VALUE_DEPTH,
+    corrupt, decode_nested, encode_nested, put_len, take, take_len, too_deep, MAX_VALUE_DEPTH,
 };
 use crate::keytable::Key;
 use crate::plan::Result;
 
-/// The rows of one shuffle bucket (or of one side of it).
+/// The rows of one shuffle bucket (or of one side of it): `len` rows as
+/// one lane, every leaf of which holds `len` rows ([`crate::verify`]
+/// checks it). Boxed rows are the boxed lane, `VCol::Val`.
 #[derive(Debug)]
-pub(crate) enum Chunk {
-    /// Boxed rows.
-    Rows(Vec<Value>),
-    /// `len` rows as lanes; every lane holds `len` rows
-    /// ([`crate::verify`] checks it).
-    Cols { len: usize, lanes: VCol<'static> },
+pub(crate) struct Chunk {
+    pub len: usize,
+    pub lanes: VCol<'static>,
 }
 
 impl Chunk {
+    /// Boxed rows, as the boxed lane.
+    pub fn boxed(rows: Vec<Value>) -> Chunk {
+        Chunk {
+            len: rows.len(),
+            lanes: VCol::Val(Arc::new(rows)),
+        }
+    }
+
     /// The number of rows.
     pub fn len(&self) -> usize {
-        match self {
-            Chunk::Rows(rows) => rows.len(),
-            Chunk::Cols { len, .. } => *len,
-        }
+        self.len
     }
 
     /// Row `i`, boxed.
     pub fn row(&self, i: usize) -> Value {
-        match self {
-            Chunk::Rows(rows) => rows[i].clone(),
-            Chunk::Cols { lanes, .. } => lanes.get(i),
-        }
+        self.lanes.get(i)
     }
 
-    /// Every row, boxed: borrowed from a `Rows` chunk, built for a `Cols`
-    /// one.
+    /// Every row, boxed: borrowed from the boxed lane, built from typed
+    /// ones.
     pub fn rows(&self) -> Cow<'_, [Value]> {
-        match self {
-            Chunk::Rows(rows) => Cow::Borrowed(rows),
-            Chunk::Cols { len, lanes } => Cow::Owned((0..*len).map(|i| lanes.get(i)).collect()),
+        match &self.lanes {
+            VCol::Val(rows) => Cow::Borrowed(rows),
+            lanes => Cow::Owned((0..self.len).map(|i| lanes.get(i)).collect()),
         }
     }
 
-    /// The rows as one column: the lanes themselves, or the boxed rows
+    /// The rows as one column: typed lanes as they are, the boxed lane
     /// decomposed.
     pub fn col(&self) -> VCol<'_> {
-        match self {
-            Chunk::Rows(rows) => decompose(rows),
-            Chunk::Cols { lanes, .. } => lanes.clone(),
+        match &self.lanes {
+            VCol::Val(rows) => decompose(rows),
+            lanes => lanes.clone(),
         }
     }
 
     /// The arity of row `i` when it is a tuple.
     pub fn arity(&self, i: usize) -> Option<usize> {
-        match self {
-            Chunk::Rows(rows) => rows[i].as_tuple().map(<[Value]>::len),
-            Chunk::Cols { lanes, .. } => match lanes {
-                VCol::Tuple(cols) => Some(cols.len()),
-                VCol::Long(_) | VCol::Double(_) | VCol::Bool(_) => None,
-                VCol::Const(_) | VCol::Refs(_) | VCol::Val(_) => {
-                    lanes.at(i).as_tuple().map(<[Value]>::len)
-                }
-            },
+        match &self.lanes {
+            VCol::Tuple(cols) => Some(cols.len()),
+            VCol::Long(_) | VCol::Double(_) | VCol::Bool(_) => None,
+            lanes => lanes.at(i).as_tuple().map(<[Value]>::len),
         }
     }
 
     /// Appends the fields of row `i`, which must be a tuple (the error of
     /// `env_fields` otherwise).
     pub fn push_fields(&self, i: usize, out: &mut Vec<Value>) -> Result<()> {
-        match self {
-            Chunk::Cols {
-                lanes: VCol::Tuple(cols),
-                ..
-            } => out.extend(cols.iter().map(|c| c.get(i))),
-            Chunk::Rows(rows) => out.extend_from_slice(env_fields(&rows[i])?),
-            Chunk::Cols { lanes, .. } => out.extend_from_slice(env_fields(&lanes.at(i))?),
+        match &self.lanes {
+            VCol::Tuple(cols) => out.extend(cols.iter().map(|c| c.get(i))),
+            lanes => out.extend_from_slice(env_fields(&lanes.at(i))?),
         }
         Ok(())
     }
@@ -115,15 +108,14 @@ impl Chunk {
     /// The key and value of row `i`, a `(key, value)` pair (the error of
     /// `key_value_ref` otherwise).
     pub fn pair(&self, i: usize) -> Result<(Cow<'_, Value>, Cow<'_, Value>)> {
-        match self {
-            Chunk::Rows(rows) => {
-                let (k, v) = key_value_ref(&rows[i])?;
-                Ok((Cow::Borrowed(k), Cow::Borrowed(v)))
-            }
-            Chunk::Cols { lanes, .. } => match lanes {
-                VCol::Tuple(kv) if kv.len() == 2 => Ok((kv[0].at(i), kv[1].at(i))),
-                _ => {
-                    let row = lanes.at(i);
+        match &self.lanes {
+            VCol::Tuple(kv) if kv.len() == 2 => Ok((kv[0].at(i), kv[1].at(i))),
+            lanes => match lanes.at(i) {
+                Cow::Borrowed(row) => {
+                    let (k, v) = key_value_ref(row)?;
+                    Ok((Cow::Borrowed(k), Cow::Borrowed(v)))
+                }
+                Cow::Owned(row) => {
                     let (k, v) = key_value_ref(&row)?;
                     Ok((Cow::Owned(k.clone()), Cow::Owned(v.clone())))
                 }
@@ -138,12 +130,11 @@ impl Chunk {
         &self,
         each: &mut dyn FnMut(Key<'_>, Cow<'_, Value>) -> Result<()>,
     ) -> Result<()> {
-        match self {
-            Chunk::Cols {
-                len,
-                lanes: VCol::Tuple(kv),
-            } if kv.len() == 2 => each_key(&kv[0], *len, |i, key| each(key, kv[1].at(i))),
-            _ => (0..self.len()).try_for_each(|i| {
+        match &self.lanes {
+            VCol::Tuple(kv) if kv.len() == 2 => {
+                each_key(&kv[0], self.len, |i, key| each(key, kv[1].at(i)))
+            }
+            _ => (0..self.len).try_for_each(|i| {
                 let (k, v) = self.pair(i)?;
                 each(Key::from(k), v)
             }),
@@ -152,10 +143,7 @@ impl Chunk {
 
     /// The `serialized_size` of row `i`, read from its lanes.
     pub fn row_size(&self, i: usize) -> usize {
-        match self {
-            Chunk::Rows(rows) => serialized_size(&rows[i]),
-            Chunk::Cols { lanes, .. } => row_size(lanes, i),
-        }
+        row_size(&self.lanes, i)
     }
 }
 
@@ -229,6 +217,11 @@ impl Bucket {
     }
 }
 
+/// The vector behind `v`, taken over when nothing else holds it.
+fn own<T: Clone>(v: Arc<Vec<T>>) -> Vec<T> {
+    Arc::try_unwrap(v).unwrap_or_else(|v| (*v).clone())
+}
+
 /// A lane being built: the owned, growable form of a chunk's [`VCol`].
 /// The keyed and total folds keep their accumulators in one, a slot per
 /// key (`fold_lane` and `fold_value`, in `columnar.rs`).
@@ -260,9 +253,6 @@ impl LaneBuf {
     /// A finished lane of `len` rows, to append to: its vectors taken
     /// over when nothing else holds them.
     fn from_col(col: VCol<'static>, len: usize) -> LaneBuf {
-        fn own<T: Clone>(v: Arc<Vec<T>>) -> Vec<T> {
-            Arc::try_unwrap(v).unwrap_or_else(|v| (*v).clone())
-        }
         match col {
             VCol::Long(v) => LaneBuf::Long(own(v)),
             VCol::Double(v) => LaneBuf::Double(own(v)),
@@ -275,6 +265,15 @@ impl LaneBuf {
             ),
             VCol::Val(v) => LaneBuf::Boxed(own(v)),
             other => LaneBuf::Boxed((0..len).map(|i| other.get(i)).collect()),
+        }
+    }
+
+    /// Appends the `len` rows of the finished lane `col`: boxed values
+    /// moved onto a boxed lane when nothing else holds them.
+    fn append(&mut self, col: VCol<'static>, len: usize) {
+        match (&mut *self, col) {
+            (LaneBuf::Boxed(v), VCol::Val(rows)) => v.extend(own(rows)),
+            (lane, col) => lane.extend(&col, 0..len),
         }
     }
 
@@ -364,104 +363,72 @@ impl LaneBuf {
     }
 }
 
-/// A chunk being built: boxed rows, or lanes.
-pub(crate) enum ChunkBuf {
-    Rows(Vec<Value>),
-    Cols { len: usize, lanes: LaneBuf },
-}
-
-impl Default for ChunkBuf {
-    fn default() -> ChunkBuf {
-        ChunkBuf::Rows(Vec::new())
-    }
+/// A chunk being built: `len` rows in one lane, whose kind the first
+/// write picks — the boxed lane for a boxed row, typed lanes for a tile.
+/// A later write of the other kind appends into the same lane, which
+/// boxes only the leaves that disagree.
+#[derive(Default)]
+pub(crate) struct ChunkBuf {
+    len: usize,
+    lanes: Option<LaneBuf>,
 }
 
 impl ChunkBuf {
     pub fn len(&self) -> usize {
-        match self {
-            ChunkBuf::Rows(rows) => rows.len(),
-            ChunkBuf::Cols { len, .. } => *len,
-        }
+        self.len
     }
 
-    /// True when the next row must start a new chunk to go in as a boxed
-    /// row.
-    pub fn holds_cols(&self) -> bool {
-        matches!(self, ChunkBuf::Cols { len, .. } if *len > 0)
-    }
-
-    /// True when the next tile must start a new chunk to go in as lanes.
-    pub fn holds_rows(&self) -> bool {
-        matches!(self, ChunkBuf::Rows(rows) if !rows.is_empty())
-    }
-
-    /// Appends one boxed row. The buffer must not hold lanes
-    /// ([`ChunkBuf::holds_cols`]).
+    /// Appends one boxed row.
     pub fn push_row(&mut self, row: Value) {
-        match self {
-            ChunkBuf::Rows(rows) => rows.push(row),
-            ChunkBuf::Cols { .. } => *self = ChunkBuf::Rows(vec![row]),
+        match &mut self.lanes {
+            None => self.lanes = Some(LaneBuf::Boxed(vec![row])),
+            Some(LaneBuf::Boxed(rows)) => rows.push(row),
+            Some(lanes) => lanes.push_value(&row),
         }
+        self.len += 1;
     }
 
-    /// Appends rows `rows` of the tile column `col` as lanes. The buffer
-    /// must not hold boxed rows ([`ChunkBuf::holds_rows`]).
+    /// Appends rows `rows` of the tile column `col`.
     pub fn push_tile(&mut self, col: &VCol, rows: &[u32]) {
-        if !matches!(self, ChunkBuf::Cols { .. }) {
+        let lanes = self.lanes.get_or_insert_with(|| {
             let first = rows.first().map_or(0, |&r| r as usize);
-            *self = ChunkBuf::Cols {
-                len: 0,
-                lanes: LaneBuf::like_value(&col.at(first)),
-            };
-        }
-        if let ChunkBuf::Cols { len, lanes } = self {
-            lanes.extend(col, rows.iter().map(|&r| r as usize));
-            *len += rows.len();
-        }
+            LaneBuf::like_value(&col.at(first))
+        });
+        lanes.extend(col, rows.iter().map(|&r| r as usize));
+        self.len += rows.len();
     }
 
     /// The finished chunk; the buffer is left empty.
     pub fn take(&mut self) -> Chunk {
-        match std::mem::take(self) {
-            ChunkBuf::Rows(rows) => Chunk::Rows(rows),
-            ChunkBuf::Cols { len, lanes } => Chunk::Cols {
+        let ChunkBuf { len, lanes } = std::mem::take(self);
+        match lanes {
+            Some(lanes) => Chunk {
                 len,
                 lanes: lanes.finish(),
             },
+            None => Chunk::boxed(Vec::new()),
         }
     }
 }
 
-/// The pieces of one bucket, in order, as one chunk: lanes when every
-/// piece holds lanes (a lane that disagrees across pieces boxed), boxed
-/// rows when any piece holds them.
+/// The pieces of one bucket, in order, as one chunk: the first piece's
+/// lanes with every later piece appended (a leaf that disagrees across
+/// pieces boxed).
 pub(crate) fn concat(pieces: Vec<Chunk>) -> Chunk {
-    if pieces.iter().any(|p| matches!(p, Chunk::Rows(_))) {
-        let mut rows = Vec::with_capacity(pieces.iter().map(Chunk::len).sum());
-        for p in pieces {
-            match p {
-                Chunk::Rows(r) if rows.is_empty() => rows = r,
-                Chunk::Rows(r) => rows.extend(r),
-                Chunk::Cols { len, lanes } => rows.extend((0..len).map(|i| lanes.get(i))),
-            }
-        }
-        return Chunk::Rows(rows);
-    }
     let mut pieces = pieces.into_iter();
-    let Some(Chunk::Cols { mut len, lanes }) = pieces.next() else {
-        return Chunk::Rows(Vec::new());
+    let Some(first) = pieces.next() else {
+        return Chunk::boxed(Vec::new());
     };
     if pieces.len() == 0 {
-        return Chunk::Cols { len, lanes };
+        return first;
     }
-    let mut buf = LaneBuf::from_col(lanes, len);
+    let mut len = first.len;
+    let mut buf = LaneBuf::from_col(first.lanes, len);
     for p in pieces {
-        if let Chunk::Cols { len: n, lanes } = p {
-            buf.extend(&lanes, 0..n);
-            len += n;
-        }
+        buf.append(p.lanes, p.len);
+        len += p.len;
     }
-    Chunk::Cols {
+    Chunk {
         len,
         lanes: buf.finish(),
     }
@@ -481,34 +448,22 @@ pub(crate) fn owned_col(vals: Vec<Value>) -> VCol<'static> {
 
 // ----------------------------------------------------------------- frames
 
-/// Frame kind tags: a frame is one chunk, of either kind.
-const ROWS_FRAME: u8 = 0;
-const COLS_FRAME: u8 = 1;
-/// Lane tags of a `Cols` frame.
+/// Lane tags: a frame is one chunk's lane, starting with its tag.
 const LONG_LANE: u8 = 0;
 const DOUBLE_LANE: u8 = 1;
 const BOOL_LANE: u8 = 2;
 const TUPLE_LANE: u8 = 3;
 const BOXED_LANE: u8 = 4;
 
-/// Appends `chunk` as one frame: its kind tag, then a `Rows` chunk's rows
-/// in [`encode_value`]'s format, or a `Cols` chunk's lanes in order. A
-/// lane is its tag, then an i64 or f64 lane's raw little-endian words
-/// (doubles as bits), a bool lane's bytes (0 or 1), a tuple lane's arity
-/// and children, or the boxed lane's values in `encode_value`'s format.
-/// The row count is not written: the reader knows it. A row nested deeper
-/// than [`MAX_VALUE_DEPTH`] is `encode_value`'s error.
+/// Appends `chunk` as one frame: its lane. A lane is its tag, then an
+/// i64 or f64 lane's raw little-endian words (doubles as bits), a bool
+/// lane's bytes (0 or 1), a tuple lane's arity and children, or the boxed
+/// lane's values in [`encode_value`](crate::exchange::encode_value)'s
+/// format. The row count is not
+/// written: the reader knows it. A row nested deeper than
+/// [`MAX_VALUE_DEPTH`] is `encode_value`'s error.
 pub(crate) fn encode_frame(chunk: &Chunk, out: &mut Vec<u8>) -> Result<()> {
-    match chunk {
-        Chunk::Rows(rows) => {
-            out.push(ROWS_FRAME);
-            rows.iter().try_for_each(|row| encode_value(row, out))
-        }
-        Chunk::Cols { len, lanes } => {
-            out.push(COLS_FRAME);
-            encode_lane(lanes, *len, out, MAX_VALUE_DEPTH)
-        }
-    }
+    encode_lane(&chunk.lanes, chunk.len, out, MAX_VALUE_DEPTH)
 }
 
 /// Writes one lane of `len` rows with `depth` levels left: a tuple lane
@@ -552,27 +507,20 @@ fn encode_lane(col: &VCol, len: usize, out: &mut Vec<u8>, depth: usize) -> Resul
 }
 
 /// Inverse of [`encode_frame`]: the chunk of `len` rows that `frame`
-/// holds, of the kind it was written as. `len` comes from the reader, not
-/// from the frame. A truncated, malformed or over-long frame is an error,
-/// never a panic, and every length read from it is checked against the
-/// bytes left before anything is allocated.
+/// holds, in the lanes it was written as. `len` comes from the reader,
+/// not from the frame. A truncated, malformed or over-long frame is an
+/// error, never a panic, and every length read from it is checked against
+/// the bytes left before anything is allocated.
 pub(crate) fn decode_frame(mut frame: &[u8], len: usize) -> Result<Chunk> {
     let buf = &mut frame;
-    let chunk = match take(buf, 1)?[0] {
-        ROWS_FRAME => Chunk::Rows(decode_values(buf, len, MAX_VALUE_DEPTH)?),
-        COLS_FRAME => Chunk::Cols {
-            len,
-            lanes: decode_lane(buf, len, MAX_VALUE_DEPTH)?,
-        },
-        _ => return Err(corrupt()),
-    };
+    let lanes = decode_lane(buf, len, MAX_VALUE_DEPTH)?;
     if !buf.is_empty() {
         return Err(corrupt());
     }
-    Ok(chunk)
+    Ok(Chunk { len, lanes })
 }
 
-/// `len` values in [`encode_value`]'s format, `depth` levels left each.
+/// `len` values in `encode_value`'s format, `depth` levels left each.
 fn decode_values(buf: &mut &[u8], len: usize, depth: usize) -> Result<Vec<Value>> {
     // Every value takes a byte at least.
     if len > buf.len() {
@@ -631,13 +579,14 @@ fn decode_lane(buf: &mut &[u8], len: usize, depth: usize) -> Result<VCol<'static
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exchange::encode_value;
 
     fn l(n: i64) -> Value {
         Value::Long(n)
     }
 
     fn cols(len: usize, lanes: VCol<'static>) -> Chunk {
-        Chunk::Cols { len, lanes }
+        Chunk { len, lanes }
     }
 
     fn rows(c: &Chunk) -> Vec<Value> {
@@ -657,7 +606,7 @@ mod tests {
             assert_eq!(c.row_size(i), serialized_size(row));
             assert_eq!(c.arity(i), Some(2));
         }
-        assert_eq!(estimate_bytes(&[c]), estimate_bytes(&[Chunk::Rows(pairs)]));
+        assert_eq!(estimate_bytes(&[c]), estimate_bytes(&[Chunk::boxed(pairs)]));
     }
 
     #[test]
@@ -668,11 +617,7 @@ mod tests {
         buf.push_tile(&tile(l(1)), &[0]);
         buf.push_tile(&tile(Value::Double(1.0)), &[0]);
         let c = buf.take();
-        let Chunk::Cols {
-            lanes: VCol::Tuple(kv),
-            ..
-        } = &c
-        else {
+        let VCol::Tuple(kv) = &c.lanes else {
             panic!("{c:?}");
         };
         assert!(matches!(kv[0], VCol::Val(_)), "the key leaf is boxed");
@@ -688,21 +633,42 @@ mod tests {
         let one = cols(1, owned_col(vec![Value::pair(l(1), l(2))]));
         let two = cols(1, owned_col(vec![Value::tuple(vec![l(1), l(2), l(3)])]));
         let c = concat(vec![one, two]);
-        assert!(matches!(
-            c,
-            Chunk::Cols {
-                lanes: VCol::Val(_),
-                len: 2
-            }
-        ));
-        // A boxed piece makes the bucket boxed rows, in piece order.
+        assert!(matches!(c.lanes, VCol::Val(_)), "{c:?}");
+        assert_eq!(c.len, 2);
+        // A boxed piece is appended in piece order, and boxes no leaf
+        // that agrees.
         let c = concat(vec![
             cols(1, owned_col(vec![l(1)])),
-            Chunk::Rows(vec![l(2)]),
+            Chunk::boxed(vec![l(2)]),
             cols(2, owned_col(vec![l(3), l(4)])),
         ]);
-        assert!(matches!(&c, Chunk::Rows(r) if *r == vec![l(1), l(2), l(3), l(4)]));
-        assert!(matches!(concat(Vec::new()), Chunk::Rows(r) if r.is_empty()));
+        assert_eq!(rows(&c), vec![l(1), l(2), l(3), l(4)]);
+        assert!(matches!(c.lanes, VCol::Long(_)), "{c:?}");
+        let c = concat(Vec::new());
+        assert_eq!((c.len, rows(&c)), (0, Vec::new()));
+    }
+
+    #[test]
+    fn the_first_write_picks_the_lanes_and_later_writes_append() {
+        let tile = owned_col(vec![
+            Value::pair(l(1), Value::Double(0.5)),
+            Value::pair(l(2), Value::Double(1.5)),
+        ]);
+        let row = Value::pair(l(3), Value::Double(2.5));
+        let mut buf = ChunkBuf::default();
+        buf.push_tile(&tile, &[0, 1]);
+        buf.push_row(row.clone());
+        let c = buf.take();
+        assert_eq!(rows(&c), vec![tile.get(0), tile.get(1), row.clone()]);
+        let typed = |kv: &[VCol]| matches!(kv, [VCol::Long(_), VCol::Double(_)]);
+        assert!(matches!(&c.lanes, VCol::Tuple(kv) if typed(kv)), "{c:?}");
+        // A boxed row first opens the boxed lane.
+        buf.push_row(row.clone());
+        buf.push_tile(&tile, &[1, 0]);
+        let c = buf.take();
+        assert_eq!(rows(&c), vec![row, tile.get(1), tile.get(0)]);
+        assert!(matches!(c.lanes, VCol::Val(_)), "{c:?}");
+        assert_eq!(buf.len(), 0);
     }
 
     #[test]
@@ -721,10 +687,10 @@ mod tests {
             out
         };
         let lanes = cols(3, owned_col(pairs.clone()));
-        let boxed = Chunk::Rows(pairs);
+        let boxed = Chunk::boxed(pairs);
         assert_eq!(read(&lanes), read(&boxed));
         // A row that is no pair is the pair-keyed operators' error.
-        let bad = Chunk::Rows(vec![l(3)]);
+        let bad = Chunk::boxed(vec![l(3)]);
         let err = bad.each_pair(&mut |_, _| Ok(())).unwrap_err();
         assert!(err.message.contains("(key, value) pair"), "{err}");
         let bad = cols(1, owned_col(vec![l(3)]));
@@ -735,7 +701,7 @@ mod tests {
     }
 
     /// One chunk of each lane kind — long, double, bool, a nested tuple,
-    /// the boxed escape — and one of boxed rows.
+    /// the boxed escape — and boxed rows, the boxed lane of a row writer.
     fn frame_samples() -> Vec<Chunk> {
         let nan = f64::from_bits(0x7ff8_0000_0000_0001);
         let longs = vec![l(i64::MIN), l(-1), l(0), l(i64::MAX)];
@@ -760,7 +726,7 @@ mod tests {
             frame(bools),
             frame(nested),
             frame(boxed),
-            Chunk::Rows(vec![Value::pair(l(1), Value::str("a")), Value::Unit]),
+            Chunk::boxed(vec![Value::pair(l(1), Value::str("a")), Value::Unit]),
         ]
     }
 
@@ -786,19 +752,20 @@ mod tests {
     fn frames_come_back_as_the_chunks_they_were_written_as() {
         let samples = frame_samples();
         let lane_kinds = [
-            matches!(samples[0].col(), VCol::Long(_)),
-            matches!(samples[1].col(), VCol::Double(_)),
-            matches!(samples[2].col(), VCol::Bool(_)),
-            matches!(samples[3].col(), VCol::Tuple(ref kv) if matches!(kv[0], VCol::Tuple(_))),
-            matches!(samples[4].col(), VCol::Val(_)),
+            matches!(samples[0].lanes, VCol::Long(_)),
+            matches!(samples[1].lanes, VCol::Double(_)),
+            matches!(samples[2].lanes, VCol::Bool(_)),
+            matches!(samples[3].lanes, VCol::Tuple(ref kv) if matches!(kv[0], VCol::Tuple(_))),
+            matches!(samples[4].lanes, VCol::Val(_)),
+            matches!(samples[5].lanes, VCol::Val(_)),
         ];
-        assert_eq!(lane_kinds, [true; 5], "{samples:?}");
+        assert_eq!(lane_kinds, [true; 6], "{samples:?}");
         for c in &samples {
             let bytes = frame(c);
             let back = decode_frame(&bytes, c.len()).unwrap();
             assert_eq!(
-                std::mem::discriminant(&back),
-                std::mem::discriminant(c),
+                std::mem::discriminant(&back.lanes),
+                std::mem::discriminant(&c.lanes),
                 "{c:?}"
             );
             assert_eq!(row_bytes(&back), row_bytes(c), "{c:?}");

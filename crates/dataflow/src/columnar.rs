@@ -459,7 +459,7 @@ impl Probe {
         };
         if let (Some(keys), None) = (keys, &probe.unfit) {
             let lanes = VCol::Tuple(Arc::new(probe.leaves.clone()));
-            match BuildKeys::new(&Chunk::Cols { len, lanes }, &keys.build) {
+            match BuildKeys::new(&Chunk { len, lanes }, &keys.build) {
                 Ok(table) => probe.keyed = Some((keys.probe, table)),
                 Err(e) => probe.unfit = Some(e),
             }
@@ -1301,20 +1301,9 @@ fn tile_column<'a>(src: Source<'a>, range: Range<usize>) -> Result<VCol<'a>> {
 }
 
 /// The field columns of rows `rows` of a join side when they are tuples
-/// of one arity: gathered from a `Cols` chunk's tuple lanes, projected
-/// from boxed rows.
+/// of one arity: gathered from its tuple lanes, projected from boxed rows.
 fn field_columns<'a>(side: &'a Chunk, rows: &[u32]) -> Option<Vec<VCol<'a>>> {
-    match side {
-        Chunk::Cols {
-            lanes: VCol::Tuple(cols),
-            ..
-        } => Some(cols.iter().map(|c| c.gather_rows(rows)).collect()),
-        Chunk::Cols { lanes, .. } => lanes.gather_rows(rows).tuple_columns(rows.len()),
-        Chunk::Rows(all) => {
-            let refs = rows.iter().map(|&r| &all[r as usize]).collect();
-            VCol::Refs(Arc::new(refs)).tuple_columns(rows.len())
-        }
-    }
+    side.lanes.gather_rows(rows).tuple_columns(rows.len())
 }
 
 /// Runs one tile — `len` rows as the column `col` — through the whole
@@ -1485,11 +1474,11 @@ pub(crate) fn each_key(
 }
 
 /// Hands `each` the key of every row of `rows` under `key`, in row order.
-/// With `lanes`, the keys are evaluated as one column — a `Cols` chunk's
-/// lanes as they are, boxed rows decomposed — and read where they lie
-/// ([`each_key`]); without `lanes`, and when the column evaluation fails,
-/// row by row with [`RowExpr::eval`] — so the keys are the same either
-/// way and the first error is the row path's.
+/// With `lanes`, the keys are evaluated as one column ([`Chunk::col`]:
+/// typed lanes as they are, the boxed lane decomposed) and read where
+/// they lie ([`each_key`]); without `lanes`, and when the column
+/// evaluation fails, row by row with [`RowExpr::eval`] — so the keys are
+/// the same either way and the first error is the row path's.
 pub(crate) fn for_each_key(
     rows: &Chunk,
     key: &RowExpr,
@@ -1502,15 +1491,7 @@ pub(crate) fn for_each_key(
             return each_key(&col, len, each);
         }
     }
-    match rows {
-        Chunk::Rows(rows) => rows
-            .iter()
-            .enumerate()
-            .try_for_each(|(i, row)| each(i, Key::from(Cow::Owned(key.eval(row)?)))),
-        Chunk::Cols { .. } => {
-            (0..len).try_for_each(|i| each(i, Key::from(Cow::Owned(key.eval(&rows.row(i))?))))
-        }
-    }
+    (0..len).try_for_each(|i| each(i, Key::from(Cow::Owned(key.eval(&rows.lanes.at(i))?))))
 }
 
 /// The lane kernel of a monoid over longs: [`BinOp::apply`]'s arithmetic
@@ -2698,7 +2679,7 @@ mod tests {
                 w.close().unwrap();
                 let got = ex.finish(&crate::Context::new(1, p)).unwrap();
                 if res.is_ok() {
-                    assert!(got.iter().all(|c| matches!(c, Chunk::Cols { .. })));
+                    assert!(got.iter().all(|c| matches!(c.lanes, VCol::Tuple(_))));
                 }
                 let got: Vec<Vec<Value>> = got.iter().map(|c| c.rows().into_owned()).collect();
                 assert_eq!(
@@ -2833,8 +2814,8 @@ mod tests {
             // the keys are what the row path computes.
             let want: Vec<Value> = rows.iter().map(|r| e.eval(r).unwrap()).collect();
             let sides = [
-                Chunk::Rows(rows.clone()),
-                Chunk::Cols {
+                Chunk::boxed(rows.clone()),
+                Chunk {
                     len: rows.len(),
                     lanes: chunk::owned_col(rows.clone()),
                 },

@@ -144,10 +144,7 @@ impl KeyFold {
         match self {
             KeyFold::Monoids(ops) => {
                 let mut fold = KeyedFold::new(ops);
-                match bucket {
-                    Chunk::Rows(rows) => rows.iter().try_for_each(|row| fold.row(row))?,
-                    Chunk::Cols { len, lanes } => fold.tile(lanes, *len)?,
-                }
+                fold.tile(&bucket.lanes, bucket.len)?;
                 fold.finish(&mut emit)?;
             }
             KeyFold::Closure(f) => {

@@ -26,19 +26,20 @@
 //!
 //! ## Order preservation rule
 //!
-//! A writer seals a bucket's chunk as one *piece* when it flushes, and
-//! also when the bucket switches between boxed rows and lanes; every
-//! piece is tagged `(bucket, source partition, sequence)`, the sequence
-//! counting the source's pieces. Within one source partition, pieces are
-//! sealed in row order, so sorting a bucket's pieces by
+//! A writer seals a bucket's chunk as one *piece* when it flushes; boxed
+//! rows and tiles sent to one bucket between two flushes append to the
+//! same piece in emission order. Every piece is tagged
+//! `(bucket, source partition, sequence)`, the sequence counting the
+//! source's pieces. Within one source partition, pieces are sealed in
+//! row order, so sorting a bucket's pieces by
 //! `(source, sequence)` and concatenating reproduces exactly the row
 //! order of the old collect-everything gather: bucket `b` holds source
 //! 0's rows in source order, then source 1's, … Spill runs are written
 //! with their pieces pre-sorted by `(bucket, source, sequence)` and
 //! merge-read per bucket, so a spilled exchange and an in-memory exchange
-//! are indistinguishable downstream. A bucket whose pieces all hold lanes
-//! — in memory or spilled — comes back as lanes; one with a boxed piece
-//! comes back as boxed rows — the same rows either way.
+//! are indistinguishable downstream. A bucket comes back as the first
+//! piece's lanes with the other pieces appended — a leaf that disagrees
+//! across pieces boxed — the same rows either way.
 //!
 //! ## Budget semantics
 //!
@@ -51,12 +52,12 @@
 //!
 //! ## Spill format
 //!
-//! A run is one frame per piece ([`chunk::encode_frame`]): boxed rows in
-//! [`encode_value`]'s format, lanes as typed lane frames — raw words for
-//! long and double lanes, a byte per bool, the boxed escape lane in
-//! `encode_value`'s format. The run's in-memory index holds each piece's
-//! place, bytes and row count, and the merge-read decodes every piece
-//! back into the kind of chunk it was written as, so a spilled lane
+//! A run is one frame per piece ([`chunk::encode_frame`]): the piece's
+//! lane, starting with its tag — raw words for long and double lanes, a
+//! byte per bool, the boxed lane (boxed rows among them) in
+//! [`encode_value`]'s format. The run's in-memory index holds each
+//! piece's place, bytes and row count, and the merge-read decodes every
+//! piece back into the lanes it was written as, so a spilled typed lane
 //! builds no boxed row. Spills are counted in [`Stats`](crate::Stats)
 //! (`spilled_records`, `spilled_bytes` — the frames' bytes —
 //! `spill_files`) and noted in the executed-plan trace. A spill error
@@ -375,12 +376,12 @@ fn append_run(state: &mut ExchangeState, run: EncodedRun) -> Result<()> {
 
 /// Builds the destination partitions: per bucket, every chunk — buffered
 /// or spilled — sorted by `(source, sequence)` and concatenated into one
-/// chunk ([`chunk::concat`]: lanes when every piece holds lanes, boxed
-/// rows when a piece holds boxed rows). A spilled piece comes back as the
-/// kind of chunk it was written as ([`chunk::decode_frame`]). Disk chunks
-/// that sort adjacently *and* sit contiguously in the spill file (the
-/// common case: consecutive sequences of one source within one run) are
-/// fetched with a single ranged read instead of one seek+read per chunk.
+/// chunk ([`chunk::concat`]: the first piece's lanes, the others
+/// appended). A spilled piece comes back in the lanes it was written as
+/// ([`chunk::decode_frame`]). Disk chunks that sort adjacently *and* sit
+/// contiguously in the spill file (the common case: consecutive sequences
+/// of one source within one run) are fetched with a single ranged read
+/// instead of one seek+read per chunk.
 fn merge_read(mut state: ExchangeState, partitions: usize) -> Result<Vec<Chunk>> {
     // (src, seq) -> where the rows are.
     enum Loc {
@@ -469,9 +470,9 @@ fn io_err(path: &Path, bucket: Option<usize>, e: std::io::Error) -> RuntimeError
 }
 
 /// The per-source-partition write handle of an [`Exchange`]: builds one
-/// chunk per bucket — boxed rows from [`emit`](ExchangeWriter::emit),
-/// lanes from [`emit_tile`](ExchangeWriter::emit_tile) — and hands them to
-/// the shared sink as ordered pieces.
+/// chunk per bucket — from boxed rows ([`emit`](ExchangeWriter::emit)) and
+/// tiles ([`emit_tile`](ExchangeWriter::emit_tile)), in emission order —
+/// and hands them to the shared sink as ordered pieces.
 pub(crate) struct ExchangeWriter<'a> {
     exchange: &'a Exchange,
     src: u32,
@@ -527,13 +528,10 @@ impl ExchangeWriter<'_> {
         self.seq += 1;
     }
 
-    /// Sends one row to destination bucket `bucket` as a boxed row,
-    /// preserving emission order per `(source, bucket)` pair.
+    /// Sends one boxed row to destination bucket `bucket`, preserving
+    /// emission order per `(source, bucket)` pair.
     pub fn emit(&mut self, bucket: usize, row: Value) -> Result<()> {
         self.check(bucket)?;
-        if self.buckets[bucket].holds_cols() {
-            self.seal(bucket);
-        }
         if self.flush.is_some() {
             self.pending_bytes += diablo_runtime::serialized_size(&row) as u64;
         }
@@ -584,14 +582,10 @@ impl ExchangeWriter<'_> {
             rows_of[b as usize].push((offset + i) as u32);
         }
         for (b, rows) in rows_of.iter_mut().enumerate() {
-            if rows.is_empty() {
-                continue;
+            if !rows.is_empty() {
+                self.buckets[b].push_tile(col, rows);
+                rows.clear();
             }
-            if self.buckets[b].holds_rows() {
-                self.seal(b);
-            }
-            self.buckets[b].push_tile(col, rows);
-            rows.clear();
         }
         self.rows_of = rows_of;
     }
@@ -702,9 +696,9 @@ impl TileSink for KeyedScatter<'_, '_> {
 /// spill file nested deeper would overflow the reading thread's stack.
 pub const MAX_VALUE_DEPTH: usize = 128;
 
-/// Binary row codec: a spilled boxed row, and the boxed lane of a
-/// spilled lane frame. Exact round-trip for every [`Value`] shape
-/// (doubles travel as raw bits), so spilled rows come back bit-identical.
+/// Binary row codec: the values of a spilled frame's boxed lane. Exact
+/// round-trip for every [`Value`] shape (doubles travel as raw bits), so
+/// spilled rows come back bit-identical.
 /// Lengths that do not fit the u32 wire format (a single string or
 /// container past 4 GiB / 2³² elements) are a loud error, not a silent
 /// truncation.
@@ -1157,7 +1151,8 @@ mod tests {
         let dest = ex.finish(&ctx).unwrap();
         let after = ctx.stats().snapshot().since(&before);
         assert!(
-            dest.iter().all(|c| matches!(c, Chunk::Cols { len: 3, .. })),
+            dest.iter()
+                .all(|c| c.len == 3 && matches!(c.lanes, VCol::Tuple(_))),
             "{dest:?}"
         );
         let want: Vec<Vec<Value>> = (0..2)
@@ -1165,7 +1160,7 @@ mod tests {
             .collect();
         assert_eq!(
             after.shuffled_bytes,
-            chunk::estimate_bytes(&[Chunk::Rows(rows)])
+            chunk::estimate_bytes(&[Chunk::boxed(rows)])
         );
         assert_eq!(boxed(dest), want);
     }
@@ -1272,6 +1267,49 @@ mod tests {
         let dest = boxed(ex.finish(&ctx).unwrap());
         let expect: Vec<Value> = (0..100).chain(1000..1100).map(Value::Long).collect();
         assert_eq!(dest[0], expect);
+    }
+
+    #[test]
+    fn a_writer_that_mixes_rows_and_tiles_keeps_emission_order() {
+        // Each writer interleaves boxed rows and tiles of lanes into the
+        // same buckets. Rows are wide enough (≈ 120 B) that every 64-row
+        // flush overruns a 4 KiB budget, so both budgets spill every row.
+        let row = |src: i64, i: i64| {
+            Value::pair(
+                Value::Long(src * 1000 + i),
+                Value::str(format!("{i:0>100}")),
+            )
+        };
+        let mut spilled = Vec::new();
+        for budget in [None, Some(0), Some(4096)] {
+            let ctx = crate::Context::new(1, 3);
+            let ex = Exchange::new(3, budget);
+            let mut want = vec![Vec::new(); 3];
+            for src in 0..2i64 {
+                let mut w = ex.writer(src as usize);
+                let mut i = 0;
+                for _ in 0..32 {
+                    let tile: Vec<Value> = (i..i + 5).map(|j| row(src, j)).collect();
+                    let buckets: Vec<u32> = (i..i + 5).map(|j| (j % 3) as u32).collect();
+                    w.emit_tile(&buckets, &chunk::owned_col(tile.clone()))
+                        .unwrap();
+                    for (v, &b) in tile.into_iter().zip(&buckets) {
+                        want[b as usize].push(v);
+                    }
+                    for j in i + 5..i + 8 {
+                        w.emit((j % 3) as usize, row(src, j)).unwrap();
+                        want[(j % 3) as usize].push(row(src, j));
+                    }
+                    i += 8;
+                }
+                w.close().unwrap();
+            }
+            let before = ctx.stats().snapshot();
+            let dest = ex.finish(&ctx).unwrap();
+            spilled.push(ctx.stats().snapshot().since(&before).spilled_records);
+            assert_eq!(boxed(dest), want, "budget {budget:?}");
+        }
+        assert_eq!(spilled, [0, 512, 512]);
     }
 
     #[test]

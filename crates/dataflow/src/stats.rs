@@ -205,7 +205,12 @@ pub struct StatsSnapshot {
     pub shuffled_bytes: u64,
     /// Rows written to spill runs by budget-bounded exchanges.
     pub spilled_records: u64,
-    /// Encoded bytes written to spill runs.
+    /// Encoded bytes written to spill runs: the frames' bytes. Not an
+    /// exact counter: when the budget trips, an exchange spills the chunks
+    /// buffered at that moment, and which workers' flushes have arrived
+    /// by then depends on how the workers interleave, so the frames the
+    /// same rows make can differ by a few hundred bytes from run to run.
+    /// `spilled_records` and the other counters do not move with it.
     pub spilled_bytes: u64,
     /// Sorted spill runs written (each appended to its exchange's single
     /// spill file, so one run ≠ one open descriptor).

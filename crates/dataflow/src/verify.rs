@@ -108,12 +108,10 @@ fn partitions(n: usize) -> Result<usize> {
     Ok(n)
 }
 
-/// Checks that every lane of a `Cols` chunk holds the chunk's rows.
+/// Checks that every lane of a chunk, the boxed lane too, holds the
+/// chunk's rows.
 pub(crate) fn check_chunk(chunk: &Chunk) -> Result<()> {
-    match chunk {
-        Chunk::Rows(_) => Ok(()),
-        Chunk::Cols { len, lanes } => check_lane(lanes, *len),
-    }
+    check_lane(&chunk.lanes, chunk.len)
 }
 
 fn check_lane(lane: &VCol, len: usize) -> Result<()> {
@@ -255,8 +253,8 @@ mod tests {
     #[test]
     fn exchange_output_conservation_and_order() {
         let ok = vec![
-            Chunk::Rows(vec![Value::pair(Value::Long(1), Value::Unit)]),
-            Chunk::Cols {
+            Chunk::boxed(vec![Value::pair(Value::Long(1), Value::Unit)]),
+            Chunk {
                 len: 2,
                 lanes: VCol::Tuple(Arc::new(vec![
                     VCol::Long(Arc::new(vec![2, 5])),
@@ -275,7 +273,7 @@ mod tests {
 
     #[test]
     fn a_short_lane_is_a_violation_not_a_panic() {
-        let short = Chunk::Cols {
+        let short = Chunk {
             len: 3,
             lanes: VCol::Tuple(Arc::new(vec![
                 VCol::Long(Arc::new(vec![1, 2, 3])),
@@ -294,8 +292,15 @@ mod tests {
         );
         let err = check(&plan).unwrap_err();
         assert!(err.message.contains("3-row chunk holds 2 rows"), "{err}");
+        // A short boxed lane is caught as well.
+        let short = Chunk {
+            len: 2,
+            lanes: VCol::Val(Arc::new(vec![Value::Unit])),
+        };
+        let err = check_exchange_output(&[short], 1, 2).unwrap_err();
+        assert!(err.message.contains("2-row chunk holds 1 rows"), "{err}");
         // A well-formed chunk of lanes passes.
-        let ok = Chunk::Cols {
+        let ok = Chunk {
             len: 1,
             lanes: VCol::Long(Arc::new(vec![7])),
         };

@@ -400,13 +400,20 @@ fn handle_request(req: Request, shared: &Arc<Shared>) -> Response {
         Request::BindDataset { name, rows } => {
             let fingerprint = rows_hash(&rows);
             let parts = partition_rows(rows, shared.ctx.partitions());
-            shared.datasets.write().expect("datasets lock").insert(
-                name,
-                NamedData {
-                    parts: Arc::new(parts),
-                    fingerprint,
-                },
-            );
+            // A writer only ever makes one `HashMap::insert` of a value
+            // built beforehand, so a panic under the lock leaves the map
+            // whole: a poisoned lock is taken over, not a panic here.
+            shared
+                .datasets
+                .write()
+                .unwrap_or_else(PoisonError::into_inner)
+                .insert(
+                    name,
+                    NamedData {
+                        parts: Arc::new(parts),
+                        fingerprint,
+                    },
+                );
             Response::BoundOk { fingerprint }
         }
         Request::Run { .. } => unreachable!("the parser hands a run over as a `RunFrame`"),
@@ -444,7 +451,13 @@ fn stat_counters(shared: &Arc<Shared>) -> Vec<(String, u64)> {
         ),
         (
             "datasets".into(),
-            shared.datasets.read().expect("datasets lock").len() as u64,
+            // A read; the map is whole even under a poisoned lock, since
+            // its one writer makes one `insert` (`handle_request`).
+            shared
+                .datasets
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .len() as u64,
         ),
         ("compiles".into(), shared.compiles.load(Ordering::Relaxed)),
         ("compile_memo_hits".into(), shared.programs.hits()),
@@ -474,7 +487,12 @@ fn handle_run(run: RunFrame<'_>, shared: &Arc<Shared>) -> Result<Vec<u8>, String
     // `BindDataset` — a writer, which new readers queue behind — would
     // stall every later request, hits included.
     let served: Vec<(&str, Parts, u64)> = {
-        let datasets = shared.datasets.read().expect("datasets lock");
+        // A read; the map is whole even under a poisoned lock, since its
+        // one writer makes one `insert` (`handle_request`).
+        let datasets = shared
+            .datasets
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
         compiled
             .inputs
             .iter()
@@ -778,6 +796,33 @@ mod tests {
         other.join().expect("bind and hit thread");
         let miss = miss.join().expect("miss thread").expect("the miss runs");
         assert!(!miss.stats.cache_hit);
+        server.stop();
+    }
+
+    #[test]
+    fn a_poisoned_datasets_lock_still_serves_binds_runs_and_stats() {
+        let server = Server::start("127.0.0.1:0", Context::new(1, 2), ServeConfig::default())
+            .expect("server");
+        let shared = server.shared.clone();
+        let poisoner = thread::spawn(move || {
+            let _held = shared.datasets.write().expect("datasets lock");
+            panic!("a thread panics holding the datasets lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(server.shared.datasets.is_poisoned());
+
+        let mut client = Client::connect(server.addr()).expect("connect");
+        client.bind_dataset("V", rows(100)).expect("bind V");
+        let res = client
+            .run(SUM, vec![], vec![], false)
+            .expect("a run over V");
+        let sum = res.outputs.iter().find(|(name, _)| name == "sum");
+        assert_eq!(
+            sum.map(|(_, out)| out),
+            Some(&Output::Scalar(Value::Double(4950.0)))
+        );
+        assert_eq!(counters(&mut client)["datasets"], 1);
+        client.ping().expect("ping");
         server.stop();
     }
 
