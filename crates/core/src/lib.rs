@@ -13,17 +13,22 @@
 //!    plain updates become bulk array merges `V ⊳ x`;
 //! 3. the comprehension optimizer (crate `diablo-comp`) then unnests,
 //!    eliminates redundant group-bys (Rules (16)/(17)) and turns
-//!    range-joins into array traversals (§3.6).
+//!    range-joins into array traversals (§3.6);
+//! 4. [`splice_arrays`] splices a step-local array that one statement
+//!    reads through a join on its key into that reader (K-Means'
+//!    `closest`).
 //!
 //! The one-call entry point is [`compile`].
 
 pub mod analysis;
 pub mod lint;
+pub mod splice;
 pub mod target;
 pub mod translate;
 
 pub use analysis::{check_restrictions, check_restrictions_multi};
 pub use lint::lint_program;
+pub use splice::splice_arrays;
 pub use target::{lazy_assignments, preorder_len, CompiledProgram, TStmt};
 pub use translate::{optimize_program, translate, translate_raw};
 

@@ -340,10 +340,12 @@ mod tests {
             "the carried P, which the next Q reads: {lazies:?}"
         );
         assert!(!lazies[4], "P's start, read in the loop: {lazies:?}");
-        // K-Means' body: steps := steps + 1, closest := {}, avg := {},
-        // closest := closest ⊳ {fill}, closest := closest ⊳[^] {P × C},
-        // avg := avg ⊳[+] {P ⋈ closest}, C := C ⊳ {avg}.
-        let p = program(KMEANS);
+        // K-Means' body before `splice_arrays`: steps := steps + 1,
+        // closest := {}, avg := {}, closest := closest ⊳ {fill},
+        // closest := closest ⊳[^] {P × C}, avg := avg ⊳[+] {P ⋈ closest},
+        // C := C ⊳ {avg}.
+        let typed = diablo_lang::typecheck(diablo_lang::parse(KMEANS).unwrap()).unwrap();
+        let p = crate::optimize_program(crate::translate_raw(&typed).unwrap()).0;
         let lazies = lazy_assignments(&p.stmts);
         let closest = slots_of(&p.stmts, "closest");
         assert_eq!(closest, [5, 7, 8]);
@@ -353,6 +355,15 @@ mod tests {
             assert!(lazies[slot], "{what}: {lazies:?}");
         }
         assert!(!lazies[10], "the carried centroids: {lazies:?}");
+        // Spliced, `closest` is gone: steps := steps + 1, avg := {},
+        // avg := avg ⊳[+] {P with its fold over C}, C := C ⊳ {avg}.
+        let p = program(KMEANS);
+        let lazies = lazy_assignments(&p.stmts);
+        assert!(slots_of(&p.stmts, "closest").is_empty());
+        assert_eq!(slots_of(&p.stmts, "avg"), [5, 6]);
+        assert_eq!(slots_of(&p.stmts, "C"), [0, 2, 7]);
+        assert!(lazies[6], "avg: {lazies:?}");
+        assert!(!lazies[7], "the carried centroids: {lazies:?}");
     }
 
     /// `name := (reads…)`, a collection assignment reading `reads`.

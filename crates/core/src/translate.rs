@@ -34,9 +34,14 @@ use crate::target::{CompiledProgram, TStmt};
 pub type Result<T> = std::result::Result<T, LangError>;
 
 /// Translates a type-checked (and restriction-checked) program and
-/// optimizes the target code: [`translate_raw`], then [`optimize_program`].
+/// optimizes the target code: [`translate_raw`], [`optimize_program`],
+/// then [`splice_arrays`](crate::splice_arrays).
 pub fn translate(tp: &TypedProgram) -> Result<CompiledProgram> {
-    translate_raw(tp).map(|raw| optimize_program(raw).0)
+    translate_raw(tp).map(|raw| {
+        let mut program = optimize_program(raw).0;
+        crate::splice_arrays(&mut program);
+        program
+    })
 }
 
 /// Rules (11)–(15) alone: the target code exactly as the translation

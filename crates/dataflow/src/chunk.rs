@@ -299,7 +299,7 @@ impl LaneBuf {
 
     /// Appends rows `rows` of `col`, in that order. A column this lane
     /// cannot hold as it is turns the lane into the boxed lane first.
-    fn extend(&mut self, col: &VCol, rows: impl Iterator<Item = usize> + Clone) {
+    pub(crate) fn extend(&mut self, col: &VCol, rows: impl Iterator<Item = usize> + Clone) {
         match (&mut *self, col) {
             (LaneBuf::Long(v), VCol::Long(lane)) => v.extend(rows.map(|r| lane[r])),
             (LaneBuf::Long(v), VCol::Const(Value::Long(n))) => v.extend(rows.map(|_| *n)),

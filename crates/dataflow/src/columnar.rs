@@ -492,10 +492,66 @@ impl Probe {
         })
     }
 
-    /// True when the probe matches on a key; a cross meets every build
-    /// row.
-    pub(crate) fn keyed(&self) -> bool {
-        self.keyed.is_some()
+    /// The rows a cross makes of every probe row: its build rows (at
+    /// least 1); a keyed probe's count varies, and is 1 here.
+    pub(crate) fn widening(&self) -> usize {
+        match self.keyed {
+            None => self.len.max(1),
+            Some(_) => 1,
+        }
+    }
+
+    /// A tile of `len` rows with the tuple columns `fields`, crossed with
+    /// every build row: each row's own lanes repeated once per build row,
+    /// the leaf lanes tiled once per row.
+    fn crossed<'a>(&'a self, fields: &[VCol<'a>], len: usize) -> VCol<'a> {
+        let cols = fields
+            .iter()
+            .map(|c| c.stretched(len, self.len, true))
+            .chain(
+                self.leaves
+                    .iter()
+                    .map(|c| c.stretched(len, self.len, false)),
+            )
+            .collect();
+        VCol::Tuple(Arc::new(cols))
+    }
+
+    /// Expands a tile in one piece, with the tile row each expanded row
+    /// came from: [`Probe::tile`] for a chain that must know it (a
+    /// [`RowFold`]'s expansion).
+    fn tile_from<'a>(&'a self, col: &VCol<'a>, len: usize) -> Result<(VCol<'a>, Vec<u32>)> {
+        if let Some(e) = &self.unfit {
+            return Err(e.clone());
+        }
+        let Some(fields) = col.tuple_columns(len) else {
+            let (mut out, mut from) = (Vec::new(), Vec::new());
+            for i in 0..len {
+                let rows = self.expand(&col.at(i))?;
+                from.extend(std::iter::repeat_n(i as u32, rows.len()));
+                out.extend(rows);
+            }
+            return Ok((decompose_owned(out), from));
+        };
+        let Some((key, table)) = &self.keyed else {
+            let from = (0..len as u32)
+                .flat_map(|i| std::iter::repeat_n(i, self.len))
+                .collect();
+            return Ok((self.crossed(&fields, len), from));
+        };
+        let keys = vec_eval(key, col, len)?;
+        let (mut probes, mut builds) = (Vec::new(), Vec::new());
+        table.each_match(&keys, len, |i, rows| {
+            probes.extend(std::iter::repeat_n(i as u32, rows.len()));
+            builds.extend_from_slice(rows);
+            Ok(())
+        })?;
+        let cols = fields
+            .iter()
+            .map(|c| c.picked(&probes))
+            .chain(self.leaves.iter().map(|c| c.gather_rows(&builds)))
+            .collect();
+        Ok((VCol::Tuple(Arc::new(cols)), probes))
     }
 
     /// Expands a tile, handing `emit` the expanded rows as columns. On a
@@ -529,13 +585,7 @@ impl Probe {
             return emit(decompose_owned(out), n);
         };
         let Some((key, table)) = &self.keyed else {
-            let rows = self.len;
-            let cols = fields
-                .iter()
-                .map(|c| c.stretched(len, rows, true))
-                .chain(self.leaves.iter().map(|c| c.stretched(len, rows, false)))
-                .collect();
-            return emit(VCol::Tuple(Arc::new(cols)), len * rows);
+            return emit(self.crossed(&fields, len), len * self.len);
         };
         let keys = vec_eval(key, col, len).map_err(|e| step.tag_err(e))?;
         let mut piece = |probes: &mut Vec<u32>, builds: &mut Vec<u32>| {
@@ -752,16 +802,21 @@ impl VCol<'_> {
         }
     }
 
-    /// Keeps the rows whose mask bit is set — a filter's compaction.
+    /// Keeps the rows whose mask bit is set — a filter's compaction. A
+    /// mask that keeps every row keeps the column as it is.
     fn compact(&self, mask: &[bool]) -> Self {
         fn keep<T: Clone>(lane: &[T], mask: &[bool]) -> Arc<Vec<T>> {
-            Arc::new(
+            let mut out = Vec::with_capacity(lane.len());
+            out.extend(
                 lane.iter()
                     .zip(mask)
                     .filter(|&(_, &m)| m)
-                    .map(|(x, _)| x.clone())
-                    .collect(),
-            )
+                    .map(|(x, _)| x.clone()),
+            );
+            Arc::new(out)
+        }
+        if mask.iter().all(|&m| m) {
+            return self.clone();
         }
         match self {
             VCol::Long(v) => VCol::Long(keep(v, mask)),
@@ -1343,9 +1398,241 @@ fn run_tile<'a>(
                     run_tile(col, len, rest, batch, emit)
                 });
             }
+            StepOp::Fold(fold) => (col, len) = fold.tile(&col, len, s)?,
         }
     }
     emit(col, len)
+}
+
+/// Runs a fold's expansion chain over a tile in one piece, with the tile
+/// row every surviving row came from, non-decreasing.
+fn expand_from<'a>(
+    steps: &'a [Step],
+    mut col: VCol<'a>,
+    mut len: usize,
+) -> Result<(VCol<'a>, usize, Vec<u32>)> {
+    let opaque = || RuntimeError::new("opaque step in a columnar stage");
+    let mut from: Vec<u32> = (0..len as u32).collect();
+    for s in steps {
+        if len == 0 {
+            break;
+        }
+        match &s.op {
+            StepOp::Map(_) => {
+                let expr = s.expr.as_ref().ok_or_else(opaque)?;
+                col = vec_eval(expr, &col, len).map_err(|e| s.tag_err(e))?;
+            }
+            StepOp::Filter(_) => {
+                let expr = s.expr.as_ref().ok_or_else(opaque)?;
+                let mask = vec_eval(expr, &col, len)
+                    .and_then(|c| mask_of(&c, len))
+                    .map_err(|e| s.tag_err(e))?;
+                if !mask.iter().all(|&m| m) {
+                    col = col.compact(&mask);
+                    from = from
+                        .iter()
+                        .zip(&mask)
+                        .filter(|(_, &m)| m)
+                        .map(|(&f, _)| f)
+                        .collect();
+                    len = from.len();
+                }
+            }
+            StepOp::FlatMap(_, probe) => {
+                let probe = probe.as_ref().ok_or_else(opaque)?;
+                let (expanded, rows) = probe.tile_from(&col, len).map_err(|e| s.tag_err(e))?;
+                from = rows.iter().map(|&r| from[r as usize]).collect();
+                (col, len) = (expanded, from.len());
+            }
+            StepOp::Fold(_) => return Err(opaque()),
+        }
+    }
+    Ok((col, len, from))
+}
+
+/// A column of boxed tuples as struct-of-arrays lanes, when their leaves
+/// are primitives of one kind per position; any other column as it is.
+fn lanes_of<'a>(col: &VCol<'a>, len: usize) -> VCol<'a> {
+    if !matches!(col, VCol::Refs(_) | VCol::Val(_)) || len == 0 {
+        return col.clone();
+    }
+    let mut lanes = LaneBuf::like_value(&col.at(0));
+    if !matches!(lanes, LaneBuf::Tuple(_)) {
+        return col.clone();
+    }
+    (0..len).for_each(|i| lanes.push_value(&col.at(i)));
+    match lanes.finish() {
+        VCol::Tuple(cols)
+            if cols
+                .iter()
+                .all(|c| matches!(c, VCol::Long(_) | VCol::Double(_) | VCol::Bool(_))) =>
+        {
+            VCol::Tuple(cols)
+        }
+        _ => col.clone(),
+    }
+}
+
+/// A fold per row: every row — a tuple — is expanded through a fused
+/// chain of its own (the generators after a comprehension's source, and
+/// what they bind and test), and the expansion's `values`, one per
+/// monoid, are folded in order into the row's accumulators. The row
+/// leaves followed by its accumulators.
+///
+/// With `init`, every row starts from the accumulators `init` computes
+/// over it, so it leaves whether its expansion is empty or not: the
+/// `⊳[⊕]` merge of a range fill with a fold. Without, a row's first value
+/// starts them and a row with an empty expansion is dropped: a group-by
+/// on a key no other row holds. Either way nothing is scattered, and the
+/// rows keep their partitions.
+pub(crate) struct RowFold {
+    /// The fields of a row its expansion reads: the expansion runs over
+    /// the tuple of these.
+    pub(crate) input: Vec<usize>,
+    /// The expansion of one row's `input` fields.
+    pub(crate) steps: Vec<Step>,
+    /// Over an expanded row: the tuple of the values folded.
+    pub(crate) values: RowExpr,
+    /// One monoid per value.
+    pub(crate) ops: Vec<BinOp>,
+    /// Over a row: the tuple of its initial accumulators.
+    pub(crate) init: Option<RowExpr>,
+}
+
+impl RowFold {
+    /// True when every step of the expansion is described by data.
+    pub(crate) fn transparent(&self) -> bool {
+        self.steps.iter().all(Step::transparent)
+    }
+
+    /// The rows the expansion makes of one row at most, for narrowing
+    /// the tiles it expands.
+    pub(crate) fn widening(&self) -> usize {
+        self.steps
+            .iter()
+            .fold(1usize, |f, s| f.saturating_mul(s.widening()))
+    }
+
+    /// The `ops.len()` fields of a tuple `values` or `init` computed.
+    fn fields(&self, v: Value) -> Result<Vec<Value>> {
+        match v {
+            Value::Tuple(fs) if fs.len() == self.ops.len() => Ok(fs.to_vec()),
+            v => Err(RuntimeError::new(format!(
+                "a fold per row expects {} value(s), got {v}",
+                self.ops.len()
+            ))),
+        }
+    }
+
+    /// The row path: `row` followed by its accumulators, or `None`. An
+    /// error of the expansion carries its own step's tag, one of the fold
+    /// itself `step`'s.
+    pub(crate) fn row(&self, row: &Value, step: &Step) -> Result<Option<Value>> {
+        let own = |e| step.tag_err(e);
+        let fields = env_fields(row).map_err(own)?;
+        let mut accs = match &self.init {
+            Some(init) => Some(init.eval(row).and_then(|v| self.fields(v)).map_err(own)?),
+            None => None,
+        };
+        let view = self.input.iter().map(|&k| fields.get(k).cloned());
+        let view = Value::tuple(
+            view.collect::<Option<_>>()
+                .ok_or_else(narrow_row)
+                .map_err(own)?,
+        );
+        crate::plan::drive(Cow::Owned(view), &self.steps, &mut |x| {
+            let vals = self
+                .values
+                .eval(&x)
+                .and_then(|v| self.fields(v))
+                .map_err(own)?;
+            match &mut accs {
+                None => accs = Some(vals),
+                Some(accs) => {
+                    for ((a, op), v) in accs.iter_mut().zip(&self.ops).zip(&vals) {
+                        *a = op.apply(a, v).map_err(own)?;
+                    }
+                }
+            }
+            Ok(())
+        })?;
+        Ok(accs.map(|accs| Value::tuple(fields.iter().cloned().chain(accs).collect())))
+    }
+
+    /// The columnar path over a tile: the expansion in one piece with
+    /// each row's source ([`expand_from`]), each value lane folded into
+    /// the accumulators of those sources — kept in [`LaneBuf`] lanes, one
+    /// slot per row, as a keyed fold keeps them — and the surviving rows'
+    /// fields followed by the accumulator lanes.
+    fn tile<'a>(&'a self, col: &VCol<'a>, len: usize, step: &Step) -> Result<(VCol<'a>, usize)> {
+        let own = |e| step.tag_err(e);
+        let Some(fields) = col.tuple_columns(len) else {
+            let mut out = Vec::new();
+            for i in 0..len {
+                out.extend(self.row(&col.at(i), step)?);
+            }
+            let n = out.len();
+            return Ok((decompose_owned(out), n));
+        };
+        let mut accs: Vec<LaneBuf> = match &self.init {
+            Some(init) => {
+                let init = vec_eval(init, col, len).map_err(own)?;
+                let mut accs = Vec::with_capacity(self.ops.len());
+                for (j, &op) in self.ops.iter().enumerate() {
+                    let lane = project(&init, j).map_err(own)?;
+                    let mut acc = match len {
+                        0 => LaneBuf::Boxed(Vec::new()),
+                        _ => accumulator(op, &lane.at(0)),
+                    };
+                    acc.extend(&lane, 0..len);
+                    accs.push(acc);
+                }
+                accs
+            }
+            None => self
+                .ops
+                .iter()
+                .map(|_| LaneBuf::Boxed(Vec::new()))
+                .collect(),
+        };
+        // The fields the expansion reads, boxed tuples taken apart into
+        // lanes once per row rather than read once per expanded row.
+        let view = self.input.iter().map(|&k| match fields.get(k) {
+            Some(c) => Ok(lanes_of(c, len)),
+            None => Err(narrow_row()),
+        });
+        let view = VCol::Tuple(Arc::new(view.collect::<Result<_>>().map_err(own)?));
+        let (expanded, n, mut slots) = expand_from(&self.steps, view, len)?;
+        // Without a start, only the rows that met a value hold a slot, in
+        // row order: the first-seen order a lane fold takes.
+        let kept = self.init.is_none().then(|| {
+            let mut kept: Vec<u32> = Vec::new();
+            for s in &mut slots {
+                if kept.last() != Some(s) {
+                    kept.push(*s);
+                }
+                *s = kept.len() as u32 - 1;
+            }
+            kept
+        });
+        if n > 0 {
+            let vals = vec_eval(&self.values, &expanded, n).map_err(own)?;
+            for (j, (acc, &op)) in accs.iter_mut().zip(&self.ops).enumerate() {
+                let lane = project(&vals, j).map_err(own)?;
+                if !acc.fold_lane(op, &slots, &lane) {
+                    for (row, &s) in slots.iter().enumerate() {
+                        acc.fold_value(op, s as usize, &lane.at(row)).map_err(own)?;
+                    }
+                }
+            }
+        }
+        let (mut cols, rows): (Vec<VCol<'a>>, usize) = match kept {
+            Some(kept) => (fields.iter().map(|c| c.picked(&kept)).collect(), kept.len()),
+            None => (fields, len),
+        };
+        cols.extend(accs.into_iter().map(|acc| -> VCol<'a> { acc.finish() }));
+        Ok((VCol::Tuple(Arc::new(cols)), rows))
+    }
 }
 
 /// What consumes a stage's output: whole surviving tiles on the
@@ -1379,9 +1666,7 @@ pub(crate) fn drive_tiles(
     // batch-wide pieces instead.
     let factor = steps
         .iter()
-        .filter_map(Step::probe)
-        .filter(|p| !p.keyed())
-        .fold(1usize, |f, p| f.saturating_mul(p.len.max(1)));
+        .fold(1usize, |f, s| f.saturating_mul(s.widening()));
     let width = (batch / factor).max(1);
     for start in (0..src.len()).step_by(width) {
         let tile = start..(start + width).min(src.len());

@@ -58,7 +58,7 @@ use diablo_runtime::{AggOp, BinOp, RuntimeError, Value};
 
 use crate::block::{self, BlockContract, BlockZip, ElementCols, Packer};
 use crate::chunk::{Bucket, Chunk};
-use crate::columnar::{KeyedFold, Probe, ProbeKeys, RowExpr, Shape, TileSink};
+use crate::columnar::{KeyedFold, Probe, ProbeKeys, RowExpr, RowFold, Shape, TileSink};
 use crate::exchange::{Exchange, ExchangeWriter, HashPartitioner, KeyedScatter};
 use crate::join::{Emit, Join};
 use crate::keytable::{Key, KeyTable};
@@ -522,7 +522,7 @@ impl Dataset {
         let rows = self.try_collect()?;
         self.ctx.stats().record_broadcast(rows.len() as u64);
         self.ctx
-            .plan_note(format!("broadcast: {} rows to all workers", rows.len()));
+            .plan_note_with(|| format!("broadcast: {} rows to all workers", rows.len()));
         Ok(Arc::new(rows))
     }
 
@@ -632,6 +632,54 @@ impl Dataset {
             self.tag(),
             "flat_map",
             Some(probe),
+        )))
+    }
+
+    /// Follows every row — a tuple — with the fold of its own expansion
+    /// (lazy): a **per-row fold**, with no shuffle and no key table.
+    ///
+    /// `expand` builds the expansion of one row, as narrow steps over the
+    /// dataset it is handed, whose rows stand for the tuple of the row's
+    /// fields `input`: crosses, probes, maps and filters. It returns that
+    /// chain and `values`, the
+    /// tuple of values an expanded row contributes, one per monoid of
+    /// `ops`; each row's values are folded in expansion order. With
+    /// `init`, the tuple of a row's initial accumulators, every row
+    /// leaves followed by its accumulators; without, a row whose
+    /// expansion is empty is dropped, as a group-by on a key only that
+    /// row holds drops it. The rows keep their partitions, and the fold
+    /// is one more transparent step of the chain: a columnar stage folds
+    /// whole tiles' expansions into typed accumulator lanes.
+    ///
+    /// An expansion that is not narrow (a shuffle inside it) is an error.
+    pub fn fold_rows(
+        &self,
+        input: Vec<usize>,
+        expand: impl FnOnce(Dataset) -> Result<(Dataset, RowExpr)>,
+        ops: &[AggOp],
+        init: Option<RowExpr>,
+    ) -> Result<Dataset> {
+        let row = self.ctx.empty();
+        let base = row.plan.clone();
+        let (expanded, values) = expand(row)?;
+        let chain = plan::collapse(&expanded.effective_plan());
+        if !Arc::ptr_eq(&chain.base, &base) {
+            return Err(RuntimeError::new(
+                "a fold per row expands each row through narrow steps only",
+            ));
+        }
+        self.ctx.record_logical_op();
+        let fold = RowFold {
+            input,
+            steps: chain.steps,
+            values,
+            ops: ops.iter().map(|o| o.op).collect(),
+            init,
+        };
+        Ok(self.derived(PlanOp::Fold(
+            self.effective_plan(),
+            Arc::new(fold),
+            self.tag(),
         )))
     }
 

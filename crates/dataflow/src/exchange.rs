@@ -262,13 +262,13 @@ impl Exchange {
         crate::verify::verify_exchange_output(&dest, partitions, emitted)?;
         let bytes = crate::chunk::estimate_bytes(&dest);
         ctx.stats().record_shuffle(emitted, bytes);
-        ctx.plan_note(format!(
-            "shuffle: {emitted} rows exchanged across {partitions} partitions"
-        ));
+        ctx.plan_note_with(|| {
+            format!("shuffle: {emitted} rows exchanged across {partitions} partitions")
+        });
         if spill_runs > 0 {
             ctx.stats()
                 .record_spill(spilled_records, spilled_bytes, spill_runs);
-            ctx.plan_note(format!(
+            ctx.plan_note_with(|| format!(
                 "spill: {spilled_records} rows ({spilled_bytes} B) through {spill_runs} sorted run(s), budget {} B",
                 budget.unwrap_or(0)
             ));

@@ -482,6 +482,14 @@ impl Context {
         }
     }
 
+    /// [`Context::plan_note`] of a line built only when tracing is
+    /// active: what a stage notes, so an untraced stage formats nothing.
+    pub(crate) fn plan_note_with(&self, note: impl FnOnce() -> String) {
+        if let Some(trace) = self.plan_trace_lock().as_mut() {
+            trace.push(note());
+        }
+    }
+
     /// Creates a dataset from a vector of rows, chunk-partitioned.
     pub fn from_vec(&self, rows: Vec<Value>) -> Dataset {
         Dataset::from_vec(self.clone(), rows)

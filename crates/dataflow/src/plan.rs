@@ -67,7 +67,7 @@ use std::sync::Arc;
 use diablo_runtime::{BinOp, RuntimeError, Value};
 
 use crate::chunk::Bucket;
-use crate::columnar::{Probe, RowExpr, RowSink, TileSink, TotalFold};
+use crate::columnar::{Probe, RowExpr, RowFold, RowSink, TileSink, TotalFold};
 use crate::join::{Join, Matches};
 use crate::pool::{run_stage_weighted, Cancel};
 use crate::stats::Stats;
@@ -219,6 +219,9 @@ pub(crate) enum PlanOp {
         &'static str,
         Option<Arc<Probe>>,
     ),
+    /// A per-row fold ([`RowFold`]): each row, followed by the fold of its
+    /// own expansion, or dropped.
+    Fold(Arc<PlanOp>, Arc<RowFold>, Tag),
     /// Gathered shuffle buckets — one per partition, each one chunk or a
     /// left and a right chunk, as the exchange built them — and the
     /// bucket-wise work that reads them, fused with the steps above it.
@@ -244,6 +247,8 @@ pub(crate) enum StepOp {
     /// From [`PlanOp::FlatMap`], with the expansion's transparent form
     /// when it has one.
     FlatMap(RowFlatFn, Option<Arc<Probe>>),
+    /// From [`PlanOp::Fold`]: at most one row per row.
+    Fold(Arc<RowFold>),
 }
 
 /// One fused narrow step (a row-level op of a collapsed chain) plus the
@@ -266,6 +271,7 @@ impl Step {
             StepOp::Map(_) => "map",
             StepOp::Filter(_) => "filter",
             StepOp::FlatMap(..) => "flat_map",
+            StepOp::Fold(_) => "fold per row",
         }
     }
 
@@ -277,10 +283,25 @@ impl Step {
         }
     }
 
-    /// True when the step is described by data — a [`RowExpr`] or a
-    /// [`Probe`] — so a columnar stage can run it.
+    /// True when the step is described by data — a [`RowExpr`], a
+    /// [`Probe`], or a [`RowFold`] over such steps — so a columnar stage
+    /// can run it.
     pub(crate) fn transparent(&self) -> bool {
-        self.expr.is_some() || self.probe().is_some()
+        match &self.op {
+            StepOp::Fold(fold) => fold.transparent(),
+            _ => self.expr.is_some() || self.probe().is_some(),
+        }
+    }
+
+    /// How many rows the step makes of one row at most, when that is the
+    /// same for every row: a cross's build rows, a fold's crosses; 1
+    /// otherwise. A columnar stage narrows its tiles by it.
+    pub(crate) fn widening(&self) -> usize {
+        match &self.op {
+            StepOp::FlatMap(_, Some(p)) => p.widening(),
+            StepOp::Fold(fold) => fold.widening(),
+            _ => 1,
+        }
     }
 
     /// Prefixes an error from this step with its source statement.
@@ -322,6 +343,10 @@ pub(crate) fn drive(
             .map_err(|e| s.tag_err(e))?
             .into_iter()
             .try_for_each(|v| drive(Cow::Owned(v), rest, sink)),
+        StepOp::Fold(fold) => match fold.row(&row, s)? {
+            Some(v) => drive(Cow::Owned(v), rest, sink),
+            None => Ok(()),
+        },
     }
 }
 
@@ -335,7 +360,7 @@ pub(crate) struct Collapsed {
     pub ran: Vec<Arc<AtomicBool>>,
 }
 
-/// Walks `Map`/`Filter`/`FlatMap` (and `Pending`) nodes down to the
+/// Walks `Map`/`Filter`/`FlatMap`/`Fold` (and `Pending`) nodes down to the
 /// nearest barrier.
 pub(crate) fn collapse(plan: &Arc<PlanOp>) -> Collapsed {
     let mut steps: Vec<Step> = Vec::new();
@@ -367,6 +392,15 @@ pub(crate) fn collapse(plan: &Arc<PlanOp>) -> Collapsed {
                     tag: tag.clone(),
                     expr: None,
                     what,
+                });
+                input.clone()
+            }
+            PlanOp::Fold(input, fold, tag) => {
+                steps.push(Step {
+                    op: StepOp::Fold(fold.clone()),
+                    tag: tag.clone(),
+                    expr: None,
+                    what: "fold per row",
                 });
                 input.clone()
             }
@@ -452,14 +486,13 @@ fn note_layout(ctx: &Context, mode: &DriveMode, steps: &[Step]) {
         return;
     }
     match steps.iter().find(|s| !s.transparent()) {
-        None => ctx.plan_note("  layout: columnar".to_string()),
+        None => ctx.plan_note_with(|| "  layout: columnar".to_string()),
         Some(opaque) => {
             stats.record_row_fallback_stage();
-            let why = match &opaque.tag {
-                Some(t) => format!("opaque {} from {t}", opaque.what),
-                None => format!("opaque {}", opaque.what),
-            };
-            ctx.plan_note(format!("  layout: row ({why})"));
+            ctx.plan_note_with(|| match &opaque.tag {
+                Some(t) => format!("  layout: row (opaque {} from {t})", opaque.what),
+                None => format!("  layout: row (opaque {})", opaque.what),
+            });
         }
     }
 }
@@ -565,7 +598,8 @@ where
 }
 
 /// Records a stage over `parts` partitions and notes it in the plan
-/// trace, with its layout.
+/// trace, with its layout; the lines are built only while a trace is
+/// open.
 fn note_stage(
     ctx: &Context,
     mode: &DriveMode,
@@ -575,7 +609,7 @@ fn note_stage(
     label: &str,
 ) {
     ctx.record_physical_stage();
-    ctx.plan_note(describe_stage(ctx, parts, prelude, steps, label));
+    ctx.plan_note_with(|| describe_stage(ctx, parts, prelude, steps, label));
     note_layout(ctx, mode, steps);
 }
 
@@ -675,7 +709,11 @@ pub(crate) fn render(plan: &Arc<PlanOp>, out: &mut String) {
             out.push_str(&format!("scan[{}p] → {label}", buckets.len()));
         }
         // collapse() never returns a row node as base.
-        PlanOp::Map(..) | PlanOp::Filter(..) | PlanOp::FlatMap(..) | PlanOp::Pending(..) => {}
+        PlanOp::Map(..)
+        | PlanOp::Filter(..)
+        | PlanOp::FlatMap(..)
+        | PlanOp::Fold(..)
+        | PlanOp::Pending(..) => {}
     }
     for s in &steps {
         out.push_str(" → ");

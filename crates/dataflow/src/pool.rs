@@ -31,10 +31,31 @@ use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::Context;
+
+/// Locks one of the pool's mutexes — the state, a worker's deque, a
+/// stage's panic slot — even after a thread panicked holding it.
+///
+/// No pool code can panic while it holds one of them: the state's holders
+/// assign `stage`, `shutdown` and the wrapping `epoch`, clone the stage's
+/// `Arc`, notify a condvar and wait on it; a deque's pop an index or read
+/// its length; the panic slot's take or fill its one `Option`. A task's
+/// panic is caught outside every lock ([`work`]). So only a thread outside
+/// the pool can poison one, and whatever it did under the lock left each
+/// field a whole value, as every write here is one assignment: the pool
+/// recovers the guard and goes on rather than failing every later stage.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Waits on `cv` with the state guard `st`, recovering it from a poisoned
+/// lock as [`lock`] does.
+fn wait<'a>(cv: &Condvar, st: MutexGuard<'a, PoolState>) -> MutexGuard<'a, PoolState> {
+    cv.wait(st).unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Result slots, one per scheduling item. Safe because the deque protocol
 /// hands every index to exactly one worker, which is the only writer of
@@ -243,7 +264,7 @@ impl WorkerPool {
             .collect();
         metrics.max_depth = deques
             .iter()
-            .map(|d| d.lock().expect("pool deque").len() as u64)
+            .map(|d| lock(d).len() as u64)
             .max()
             .unwrap_or(0);
         // Erase the closure's borrow lifetime: workers only dereference
@@ -268,7 +289,7 @@ impl WorkerPool {
             panic: Mutex::new(None),
         });
         {
-            let mut st = self.shared.state.lock().expect("pool state");
+            let mut st = lock(&self.shared.state);
             if st.stage.is_some() {
                 // Another driver thread has a stage in flight; don't
                 // interleave two schedules — run this one inline.
@@ -276,7 +297,7 @@ impl WorkerPool {
                 return (run_inline(inputs, &task, &mut metrics), metrics);
             }
             st.stage = Some(stage.clone());
-            st.epoch += 1;
+            st.epoch = st.epoch.wrapping_add(1);
             self.shared.work_cv.notify_all();
         }
 
@@ -285,13 +306,14 @@ impl WorkerPool {
         work(&self.shared, &stage, 0);
         IN_POOL.set(false);
         {
-            let mut st = self.shared.state.lock().expect("pool state");
+            let mut st = lock(&self.shared.state);
             while stage.pending.load(Ordering::Acquire) != 0 {
-                st = self.shared.done_cv.wait(st).expect("pool state");
+                st = wait(&self.shared.done_cv, st);
             }
             st.stage = None;
         }
-        if let Some(p) = stage.panic.lock().expect("pool panic slot").take() {
+        let panicked = lock(&stage.panic).take();
+        if let Some(p) = panicked {
             std::panic::resume_unwind(p);
         }
 
@@ -309,7 +331,7 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         {
-            let mut st = self.shared.state.lock().expect("pool state");
+            let mut st = lock(&self.shared.state);
             st.shutdown = true;
             self.shared.work_cv.notify_all();
         }
@@ -391,7 +413,7 @@ fn worker_loop(shared: Arc<PoolShared>, me: usize) {
     let mut seen = 0u64;
     loop {
         let stage = {
-            let mut st = shared.state.lock().expect("pool state");
+            let mut st = lock(&shared.state);
             loop {
                 if st.shutdown {
                     return;
@@ -402,7 +424,7 @@ fn worker_loop(shared: Arc<PoolShared>, me: usize) {
                         break stage;
                     }
                 }
-                st = shared.work_cv.wait(st).expect("pool state");
+                st = wait(&shared.work_cv, st);
             }
         };
         work(&shared, &stage, me);
@@ -415,12 +437,12 @@ fn worker_loop(shared: Arc<PoolShared>, me: usize) {
 fn work(shared: &PoolShared, stage: &ActiveStage, me: usize) {
     let width = stage.deques.len();
     loop {
-        let mut claimed = stage.deques[me].lock().expect("pool deque").pop_front();
+        let mut claimed = lock(&stage.deques[me]).pop_front();
         let mut stolen = false;
         if claimed.is_none() {
             for off in 1..width {
                 let v = (me + off) % width;
-                if let Some(i) = stage.deques[v].lock().expect("pool deque").pop_back() {
+                if let Some(i) = lock(&stage.deques[v]).pop_back() {
                     claimed = Some(i);
                     stolen = true;
                     break;
@@ -440,7 +462,7 @@ fn work(shared: &PoolShared, stage: &ActiveStage, me: usize) {
         // `pending` decrement below is what releases the submitter).
         let run = unsafe { &*stage.task.0 };
         if let Err(p) = catch_unwind(AssertUnwindSafe(|| run(me, item))) {
-            let mut slot = stage.panic.lock().expect("pool panic slot");
+            let mut slot = lock(&stage.panic);
             if slot.is_none() {
                 *slot = Some(p);
             }
@@ -448,7 +470,7 @@ fn work(shared: &PoolShared, stage: &ActiveStage, me: usize) {
         if stage.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Last item: wake the submitter. Taking the state lock makes
             // the notify race-free against its pending re-check.
-            let _st = shared.state.lock().expect("pool state");
+            let _st = lock(&shared.state);
             shared.done_cv.notify_all();
         }
     }
@@ -496,14 +518,16 @@ where
     ctx.stats()
         .record_stage_schedule(m.morsels, m.steals, m.max_depth, cost_us, critical_us);
     if inputs.len() > 1 {
-        ctx.plan_note(format!(
-            "sched: {} item(s) across {} worker(s) — {} run, {} stolen, max queue {}",
-            inputs.len(),
-            ctx.workers(),
-            m.morsels,
-            m.steals,
-            m.max_depth
-        ));
+        ctx.plan_note_with(|| {
+            format!(
+                "sched: {} item(s) across {} worker(s) — {} run, {} stolen, max queue {}",
+                inputs.len(),
+                ctx.workers(),
+                m.morsels,
+                m.steals,
+                m.max_depth
+            )
+        });
     }
     out
 }
@@ -514,6 +538,23 @@ mod tests {
 
     fn pool_ctx(workers: usize) -> Context {
         Context::new(workers, workers.max(2))
+    }
+
+    #[test]
+    fn a_thread_that_panicked_holding_the_state_lock_stops_no_stage() {
+        let ctx = pool_ctx(2);
+        let shared = ctx.pool().shared.clone();
+        let poisoner = std::thread::spawn(move || {
+            let _st = shared.state.lock().unwrap();
+            panic!("poisons the pool state");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(ctx.pool().shared.state.is_poisoned());
+        let items: Vec<u64> = (0..8).collect();
+        for _ in 0..3 {
+            let out = run_stage(&ctx, &items, |_, &x| Ok::<_, ()>(x * x)).unwrap();
+            assert_eq!(out, items.iter().map(|x| x * x).collect::<Vec<_>>());
+        }
     }
 
     #[test]

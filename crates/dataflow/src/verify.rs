@@ -88,9 +88,10 @@ fn check(plan: &PlanOp) -> Result<usize> {
             partitions(buckets.len())
         }
         // Row nodes preserve their input's partition count.
-        PlanOp::Map(input, ..) | PlanOp::Filter(input, ..) | PlanOp::FlatMap(input, ..) => {
-            check(input)
-        }
+        PlanOp::Map(input, ..)
+        | PlanOp::Filter(input, ..)
+        | PlanOp::FlatMap(input, ..)
+        | PlanOp::Fold(input, ..) => check(input),
         // A cached barrier stands in for its (structurally equivalent)
         // inner plan; on a cache miss that inner plan is what re-runs.
         PlanOp::Cached(_, inner) | PlanOp::Pending(inner, _) => check(inner),

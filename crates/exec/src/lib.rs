@@ -14,12 +14,13 @@
 //!   the match is a build–probe;
 //! * generators with no linking condition become **broadcast
 //!   nested-loop** products (how DIABLO's K-Means correlates points with
-//!   the centroid array — the expensive plan the paper reports): the
-//!   engine's `Dataset::cross`, a transparent expansion step over the
-//!   broadcast rows;
-//! * `group by` becomes **reduceByKey** when every lifted variable is
-//!   consumed by an aggregation (map-side combining), and **groupByKey**
-//!   otherwise;
+//!   the centroid array): the engine's `Dataset::cross`, a transparent
+//!   expansion step over the broadcast rows;
+//! * `group by` on the source's unique key, after only such generators,
+//!   becomes a **fold per row** inside the scanning stage
+//!   (`Dataset::fold_rows`, no shuffle); otherwise it becomes
+//!   **reduceByKey** when every lifted variable is consumed by an
+//!   aggregation (map-side combining), and **groupByKey** otherwise;
 //! * the array merge `V ⊳ x` becomes a cogroup-style merge — or is `x`
 //!   itself when `V` holds no rows and `x`'s keys are provably unique
 //!   ([`diablo_comp::keys`]);

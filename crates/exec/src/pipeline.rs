@@ -22,6 +22,11 @@
 //! | `p ← range(lo, hi)`              | range source / per-row expansion   |
 //! | `let p = e`                      | map (extend row)                   |
 //! | condition                        | filter                             |
+//! | `group by` on the source's unique| fold per row: the expansion after  |
+//! | key, after only `let`s, filters  | the source, folded inside the scan |
+//! | and dataset generators           | (`Dataset::fold_rows`), no shuffle |
+//! | `p ← {(k, d)} ⊳[⊕] {… group by k}`| the same fold, from `d` (a spliced |
+//! | (`diablo_core::splice_arrays`)   | array's range default)             |
 //! | `group by` (aggregations only)   | reduceByKey with map-side combine  |
 //! | `group by` (general)             | groupByKey (bags in rows)          |
 //! | head                             | final map                          |
@@ -47,7 +52,7 @@ use diablo_comp::ir::{CExpr, Comprehension, Pattern, Qual};
 use diablo_comp::pushdown::{agg_col_name, join_keys, push_down_aggs, JoinKey, Pushdown};
 use diablo_comp::{eval_comp_in, eval_in, Env};
 use diablo_dataflow::{range_len, Dataset, JoinOn, RowExpr, Shape};
-use diablo_runtime::{RuntimeError, Value};
+use diablo_runtime::{AggOp, RuntimeError, Value};
 
 use crate::rexpr::{lower, Layout, Lowered};
 use crate::{Result, Session};
@@ -128,28 +133,17 @@ pub fn run_comp(c: &Comprehension, sess: &Session) -> Result<Dataset> {
             i += 1;
             continue;
         }
+        if let Some((g, pushed)) = row_group(&quals, first, i, &pipe.layout, &head, sess) {
+            // A group-by on the source's unique key: each group is the
+            // expansion of one source row, folded where it lies.
+            pipe = pipe.fold_group(&quals[i..=g], &pushed, &globals, sess)?;
+            quals.truncate(g + 1);
+            quals.extend(pushed.tail);
+            head = pushed.head;
+            i = g + 1;
+            continue;
+        }
         match quals[i].clone() {
-            Qual::Let(p, e) => pipe.extend_let(&p, &e, &globals)?,
-            Qual::Pred(e) => pipe.filter(&e, &globals)?,
-            Qual::Gen(p, dom) => match classify(&dom, sess)? {
-                GenSource::Data(data) => {
-                    // Join detection: equality predicates between the
-                    // current row variables and the new pattern.
-                    let row_vars = pipe.layout.cols.iter().cloned().collect();
-                    let pat_vars = p.var_list().into_iter().collect();
-                    let keys = join_keys(&quals, i, &row_vars, &pat_vars, &|v| {
-                        globals.contains_key(v)
-                    });
-                    consumed.extend(keys.iter().map(|k| k.pred));
-                    if keys.is_empty() {
-                        pipe.cross(data.broadcast()?, &p, "broadcast")?;
-                    } else {
-                        pipe.hash_join(&data, &p, &keys, &globals)?;
-                    }
-                }
-                GenSource::Range(lo, hi) => pipe.expand_range(&p, &lo, &hi, &globals)?,
-                GenSource::Local => pipe.expand_bag(&p, &dom, &globals)?,
-            },
             Qual::GroupBy(p, key) => {
                 let (next, rewritten) =
                     pipe.group_by(&p, &key, &quals[i + 1..], &head, &globals)?;
@@ -161,10 +155,186 @@ pub fn run_comp(c: &Comprehension, sess: &Session) -> Result<Dataset> {
                     head = new_head;
                 }
             }
+            Qual::Gen(p, dom) => match merged_fold(&dom, &pipe.layout, &globals) {
+                Some(m) => pipe.fold_merged(&p, m, &globals, sess)?,
+                None => pipe.qual(&quals, i, &mut consumed, &globals, sess, false)?,
+            },
+            _ => pipe.qual(&quals, i, &mut consumed, &globals, sess, false)?,
         }
         i += 1;
     }
     pipe.finish(&head, &globals)
+}
+
+/// The group-by a fold per source row can run, for the generator at `i`:
+/// the first generator after the source at `first`, over a dataset, with
+/// no driver prefix before the source. It is the next group-by `g`, when
+///
+/// * its key is the source's key — unique, as
+///   [`Comprehension::unique_keys`] proves it for the source alone;
+/// * every qualifier between `i` and it is a `let`, a condition, or a
+///   generator over a dataset (a broadcast cross or a probe);
+/// * what follows it only aggregates the lifted variables
+///   ([`push_down_aggs`]).
+///
+/// Each group is then the expansion of one source row, adjacent in the
+/// fused chain. Returns `g` and the pushdown.
+fn row_group(
+    quals: &[Qual],
+    first: usize,
+    i: usize,
+    layout: &Layout,
+    head: &CExpr,
+    sess: &Session,
+) -> Option<(usize, Pushdown)> {
+    let over_data = |q: &Qual| matches!(q, Qual::Gen(_, CExpr::Var(v)) if sess.is_dataset(v));
+    let narrow = |q: &Qual| matches!(q, Qual::Let(..) | Qual::Pred(_));
+    if first != 0 || !over_data(&quals[i]) || !quals[first + 1..i].iter().all(narrow) {
+        return None;
+    }
+    let g = i + quals[i..]
+        .iter()
+        .position(|q| matches!(q, Qual::GroupBy(..)))?;
+    if !quals[i..g].iter().all(|q| narrow(q) || over_data(q)) {
+        return None;
+    }
+    let Qual::GroupBy(p, key) = &quals[g] else {
+        return None;
+    };
+    let source = Comprehension::new(
+        CExpr::pair(key.clone(), CExpr::Const(Value::Unit)),
+        vec![quals[first].clone()],
+    );
+    source.unique_keys(&|v| sess.is_dataset(v))?;
+    let key_vars = p.var_list();
+    let mut lifted: HashSet<String> = layout.cols.iter().cloned().collect();
+    for q in &quals[i..g] {
+        q.each_bound(&mut |v| {
+            lifted.insert(v.to_string());
+        });
+    }
+    lifted.retain(|v| !key_vars.contains(v));
+    push_down_aggs(&lifted, &quals[g + 1..], head).map(|pushed| (g, pushed))
+}
+
+/// A generator domain `{(k, d)} ⊳[⊕] { (g, ⊕/w) | q…, group by g : k }`
+/// whose key `k` and start `d` read only the row bound so far and have a
+/// `RowExpr` form: one entry of a range fill merged with the fold of the
+/// row's own expansion `q…`, as splicing an array into its one reader
+/// writes it (`diablo_core::splice_arrays`).
+struct MergedFold<'c> {
+    key: &'c CExpr,
+    init: &'c CExpr,
+    inner: &'c [Qual],
+    value: &'c str,
+    op: AggOp,
+}
+
+fn merged_fold<'c>(dom: &'c CExpr, layout: &Layout, globals: &Env) -> Option<MergedFold<'c>> {
+    let CExpr::Merge {
+        left,
+        right,
+        combine: Some(combine),
+    } = dom
+    else {
+        return None;
+    };
+    let (CExpr::Comp(l), CExpr::Comp(r)) = (left.as_ref(), right.as_ref()) else {
+        return None;
+    };
+    let (CExpr::Tuple(l_head), CExpr::Tuple(r_head)) = (l.head.as_ref(), r.head.as_ref()) else {
+        return None;
+    };
+    let ([key, init], [CExpr::Var(g), CExpr::Agg(op, w)]) = (l_head.as_slice(), r_head.as_slice())
+    else {
+        return None;
+    };
+    let (CExpr::Var(value), Some((Qual::GroupBy(Pattern::Var(g2), k2), inner))) =
+        (w.as_ref(), r.quals.split_last())
+    else {
+        return None;
+    };
+    let row_fixed = |e: &CExpr| {
+        e.has_row_form()
+            && e.free_vars()
+                .iter()
+                .all(|v| layout.index_of(v).is_some() || globals.contains_key(v))
+    };
+    let fits = l.quals.is_empty()
+        && op.op == *combine
+        && g == g2
+        && k2 == key
+        && row_fixed(key)
+        && row_fixed(init)
+        && !inner.iter().any(|q| matches!(q, Qual::GroupBy(..)));
+    fits.then_some(MergedFold {
+        key,
+        init,
+        inner,
+        value,
+        op: *op,
+    })
+}
+
+/// Keeps the broadcast `items` of the generator `p ← …` at `i` that pass
+/// the conditions right after it which read only `p`'s variables and the
+/// globals, and marks those conditions consumed: a fold meets only the
+/// items it keeps, so the test runs once per item instead of once per
+/// row and item. Conditions stay in the chain when one fails to give a
+/// boolean on some item, so that row raises the error it raises there.
+fn keep_items(
+    items: &mut Vec<Value>,
+    p: &Pattern,
+    quals: &[Qual],
+    i: usize,
+    consumed: &mut HashSet<usize>,
+    globals: &Env,
+) {
+    let vars = p.var_list();
+    let preds: Vec<usize> = (i + 1..quals.len())
+        .take_while(|&k| matches!(quals[k], Qual::Pred(_)))
+        .filter(|&k| {
+            quals[k]
+                .expr()
+                .free_vars()
+                .iter()
+                .all(|v| vars.contains(v) || globals.contains_key(v))
+        })
+        .collect();
+    if preds.is_empty() {
+        return;
+    }
+    let mut keep = Vec::with_capacity(items.len());
+    for item in items.iter() {
+        let mut env = globals.clone();
+        let mut bound = Vec::new();
+        if !p.bind(item, &mut bound) {
+            return;
+        }
+        env.extend(bound);
+        let mut pass = true;
+        for &k in &preds {
+            match diablo_comp::eval(quals[k].expr(), &env).map(|b| b.as_bool()) {
+                Ok(Some(b)) => pass &= b,
+                _ => return,
+            }
+        }
+        keep.push(pass);
+    }
+    let mut keep = keep.into_iter();
+    items.retain(|_| keep.next().unwrap_or(true));
+    consumed.extend(preds);
+}
+
+/// `e` lowered to its `RowExpr` form, which it must have.
+fn lower_row(e: &CExpr, layout: &Layout, globals: &Arc<Env>) -> Result<RowExpr> {
+    match lower(e, layout, globals)? {
+        Lowered::Row(rx) => Ok(rx),
+        Lowered::Opaque { .. } => Err(RuntimeError::new(format!(
+            "`{}` has no row form",
+            diablo_comp::pretty_cexpr(e)
+        ))),
+    }
 }
 
 enum GenSource {
@@ -207,6 +377,184 @@ impl Pipe {
             data: rows,
             layout: Layout::new(p.var_list()),
         })
+    }
+
+    /// Applies qualifier `i` of `quals`, a `let`, a condition or a
+    /// generator: a generator over a dataset is joined through the
+    /// equalities that follow it (`consumed` takes them) or crossed with
+    /// its broadcast rows. Inside a fold per row (`in_fold`), a keyed
+    /// generator is always built and probed, whatever its size, and a
+    /// cross meets its rows in key order, the order a loop over the array
+    /// scans them.
+    fn qual(
+        &mut self,
+        quals: &[Qual],
+        i: usize,
+        consumed: &mut HashSet<usize>,
+        globals: &Arc<Env>,
+        sess: &Session,
+        in_fold: bool,
+    ) -> Result<()> {
+        match &quals[i] {
+            Qual::Let(p, e) => self.extend_let(p, e, globals),
+            Qual::Pred(e) => self.filter(e, globals),
+            Qual::Gen(p, dom) => match classify(dom, sess)? {
+                GenSource::Data(data) => {
+                    // Join detection: equality predicates between the
+                    // current row variables and the new pattern.
+                    let row_vars = self.layout.cols.iter().cloned().collect();
+                    let pat_vars = p.var_list().into_iter().collect();
+                    let keys =
+                        join_keys(quals, i, &row_vars, &pat_vars, &|v| globals.contains_key(v));
+                    consumed.extend(keys.iter().map(|k| k.pred));
+                    if !keys.is_empty() {
+                        return self.hash_join(&data, p, &keys, globals, in_fold);
+                    }
+                    let mut items = data.broadcast()?;
+                    if in_fold {
+                        let items = Arc::make_mut(&mut items);
+                        items.sort();
+                        keep_items(items, p, quals, i, consumed, globals);
+                    }
+                    self.cross(items, p, "broadcast")
+                }
+                GenSource::Range(lo, hi) => self.expand_range(p, &lo, &hi, globals),
+                GenSource::Local => self.expand_bag(p, dom, globals),
+            },
+            Qual::GroupBy(..) => Err(RuntimeError::new("a group-by is not a narrow step")),
+        }
+    }
+
+    /// Follows every row with the fold of its own expansion by `inner`
+    /// ([`Dataset::fold_rows`]): the variables `values` folded with `ops`,
+    /// from the accumulators `init` when it is given; one column per
+    /// accumulator is appended to the layout.
+    fn fold_rows(
+        &mut self,
+        inner: &[Qual],
+        values: &[String],
+        ops: &[AggOp],
+        init: Option<&[CExpr]>,
+        globals: &Arc<Env>,
+        sess: &Session,
+    ) -> Result<()> {
+        let init = match init {
+            Some(es) => {
+                let es = es.iter().map(|e| lower_row(e, &self.layout, globals));
+                Some(RowExpr::Tuple(es.collect::<Result<_>>()?))
+            }
+            None => None,
+        };
+        // The expansion reads only the columns its qualifiers and values
+        // mention.
+        let mut read: HashSet<&str> = values.iter().map(String::as_str).collect();
+        for q in inner {
+            q.expr().each_free(&mut |v, _| {
+                read.insert(v);
+            });
+        }
+        let input: Vec<usize> = (0..self.layout.cols.len())
+            .filter(|&k| read.contains(self.layout.cols[k].as_str()))
+            .collect();
+        let layout = Layout::new(input.iter().map(|&k| self.layout.cols[k].clone()).collect());
+        self.data = self.data.fold_rows(
+            input,
+            |row| {
+                let mut sub = Pipe { data: row, layout };
+                let mut consumed = HashSet::new();
+                for k in 0..inner.len() {
+                    if !consumed.contains(&k) {
+                        sub.qual(inner, k, &mut consumed, globals, sess, true)?;
+                    }
+                }
+                let cols = values.iter().map(|v| {
+                    sub.layout
+                        .index_of(v)
+                        .map(RowExpr::Col)
+                        .ok_or_else(|| RuntimeError::new(format!("missing column `{v}`")))
+                });
+                Ok((sub.data, RowExpr::Tuple(cols.collect::<Result<_>>()?)))
+            },
+            ops,
+            init,
+        )?;
+        for _ in ops {
+            let column = format!("$acc{}", self.layout.cols.len());
+            self.layout.push(column);
+        }
+        Ok(())
+    }
+
+    /// A group-by on the source's unique key ([`row_group`]) run as a
+    /// fold per row: `quals` are the qualifiers from the first generator
+    /// after the source to the group-by, and `pushed` the aggregates the
+    /// rest reads.
+    fn fold_group(
+        mut self,
+        quals: &[Qual],
+        pushed: &Pushdown,
+        globals: &Arc<Env>,
+        sess: &Session,
+    ) -> Result<Pipe> {
+        let Some((Qual::GroupBy(p, key), inner)) = quals.split_last() else {
+            unreachable!("row_group ends at a group-by")
+        };
+        self.data.context().plan_note(format!(
+            "group by {}: the source's unique key, folded per row (no shuffle)",
+            diablo_comp::pretty_cexpr(key)
+        ));
+        let values: Vec<String> = pushed.aggs.iter().map(|(_, v)| v.clone()).collect();
+        let ops: Vec<AggOp> = pushed.aggs.iter().map(|(op, _)| *op).collect();
+        self.fold_rows(inner, &values, &ops, None, globals, sess)?;
+        let key_rx = self.key_expr(key, globals)?;
+        let n = self.layout.cols.len();
+        let accs = (n - ops.len()..n).map(RowExpr::Col).collect();
+        self.grouped(p, key_rx, accs)
+    }
+
+    /// The generator `p ← {(k, d)} ⊳[⊕] {…}` of a spliced array
+    /// ([`merged_fold`]) run as a fold per row from `d`, `p` binding `k`
+    /// and the accumulator.
+    fn fold_merged(
+        &mut self,
+        p: &Pattern,
+        m: MergedFold<'_>,
+        globals: &Arc<Env>,
+        sess: &Session,
+    ) -> Result<()> {
+        self.data
+            .context()
+            .plan_note("range fill merged with a fold: folded per row (no shuffle)");
+        let init = [m.init.clone()];
+        let value = [m.value.to_string()];
+        self.fold_rows(m.inner, &value, &[m.op], Some(&init), globals, sess)?;
+        let key = lower_row(m.key, &self.layout, globals)?;
+        let acc = RowExpr::Col(self.layout.cols.len() - 1);
+        self.bind_value(p, RowExpr::Tuple(vec![key, acc]))
+    }
+
+    /// Binds `p` to the value `rx`, as a transparent map appending the
+    /// leaves `p` binds.
+    fn bind_value(&mut self, p: &Pattern, rx: RowExpr) -> Result<()> {
+        fn leaves(p: &Pattern, rx: RowExpr, out: &mut Vec<RowExpr>) {
+            match (p, rx) {
+                (Pattern::Var(_), rx) => out.push(rx),
+                (Pattern::Wild, _) => {}
+                (Pattern::Tuple(ps), RowExpr::Tuple(es)) if ps.len() == es.len() => {
+                    ps.iter().zip(es).for_each(|(p, e)| leaves(p, e, out));
+                }
+                (Pattern::Tuple(ps), rx) => {
+                    for (k, p) in ps.iter().enumerate() {
+                        leaves(p, RowExpr::field(rx.clone(), format!("_{}", k + 1)), out);
+                    }
+                }
+            }
+        }
+        let mut fields: Vec<RowExpr> = (0..self.layout.cols.len()).map(RowExpr::Col).collect();
+        leaves(p, rx, &mut fields);
+        self.data = self.data.map_expr(RowExpr::Tuple(fields))?;
+        self.bind(p);
+        Ok(())
     }
 
     /// `let p = e` as a map stage.
@@ -286,6 +634,7 @@ impl Pipe {
         p: &Pattern,
         keys: &[JoinKey],
         globals: &Arc<Env>,
+        build_always: bool,
     ) -> Result<()> {
         let key_of = |side: fn(&JoinKey) -> &CExpr| match keys {
             [k] => side(k).clone(),
@@ -324,7 +673,7 @@ impl Pipe {
         let ctx = self.data.context();
         let right = right.data.computed(BUILD_CAP)?;
         let rows = right.known().map_or(usize::MAX, |k| k.len);
-        self.data = if rows <= BUILD_CAP {
+        self.data = if rows <= BUILD_CAP || build_always {
             ctx.plan_note(format!(
                 "join build: {rows} rows (cap {BUILD_CAP}), probed in the left stage"
             ));
@@ -516,23 +865,44 @@ impl Pipe {
             .data
             .map_expr(RowExpr::Tuple(vec![key_rx, RowExpr::Tuple(inputs)]))?;
         let reduced = keyed.aggregate_by_key(pushed.aggs.iter().map(|(op, _)| *op).collect())?;
-        // Rows become: key pattern vars + $agg columns.
-        let data = reduced.map_expr(RowExpr::Unpack {
-            shape: Shape::Tuple(vec![
-                shape_of(p),
-                Shape::Tuple(vec![Shape::Bind; pushed.aggs.len()]),
-            ]),
+        let grouped = Pipe {
+            data: reduced,
+            layout: Layout::default(),
+        };
+        Ok((
+            grouped.unpacked(p, pushed.aggs.len())?,
+            Some((pushed.tail, pushed.head)),
+        ))
+    }
+
+    /// Rows `(key, (a1, …, an))` as the key pattern's variables followed
+    /// by the aggregate columns `$agg0…`.
+    fn unpacked(self, p: &Pattern, aggs: usize) -> Result<Pipe> {
+        let data = self.data.map_expr(RowExpr::Unpack {
+            shape: Shape::Tuple(vec![shape_of(p), Shape::Tuple(vec![Shape::Bind; aggs])]),
             mismatch: format!("group-by key pattern {p:?} does not match").into(),
         })?;
         let mut cols = p.var_list();
-        cols.extend((0..pushed.aggs.len()).map(agg_col_name));
-        Ok((
-            Pipe {
-                data,
-                layout: Layout::new(cols),
-            },
-            Some((pushed.tail, pushed.head)),
-        ))
+        cols.extend((0..aggs).map(agg_col_name));
+        Ok(Pipe {
+            data,
+            layout: Layout::new(cols),
+        })
+    }
+
+    /// The rows after a group-by whose aggregates this pipeline's rows
+    /// already hold: the key `key_rx` and the aggregates `accs`, as
+    /// [`Pipe::unpacked`] lays them out.
+    fn grouped(self, p: &Pattern, key_rx: RowExpr, accs: Vec<RowExpr>) -> Result<Pipe> {
+        let n = accs.len();
+        let data = self
+            .data
+            .map_expr(RowExpr::Tuple(vec![key_rx, RowExpr::Tuple(accs)]))?;
+        Pipe {
+            data,
+            layout: Layout::default(),
+        }
+        .unpacked(p, n)
     }
 
     /// The final head map.

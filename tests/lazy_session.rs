@@ -325,10 +325,11 @@ fn loop_bodies_fuse_their_step_local_arrays_and_run_no_chain_twice() {
     // are the eager run's, and each step saves the materializations
     // removed and no more — a chain run a second time would add its stage
     // back: PageRank's `Q` and step-local `P` are two stages, K-Means'
-    // first `closest` and `avg` two, and Matrix Factorization's first `pq`
-    // and the step's copies of `P0` and `Q0` into `P` and `Q` three. (The
-    // second `closest` and `pq` are join build sides: each is computed in
-    // a stage of its own, as the eager run materializes it.)
+    // `avg` one (`closest` is spliced into `avg` at compile time, so it is
+    // no array of either run), and Matrix Factorization's first `pq` and
+    // the step's copies of `P0` and `Q0` into `P` and `Q` three. (The
+    // second `pq` is a join build side: it is computed in a stage of its
+    // own, as the eager run materializes it.)
     let saved = |w: &wl::Workload| {
         let (lazy_outs, lazy) = run_workload(w, true);
         let (eager_outs, eager) = run_workload(w, false);
@@ -346,7 +347,8 @@ fn loop_bodies_fuse_their_step_local_arrays_and_run_no_chain_twice() {
     };
     for (one_step, three_steps, per_step) in [
         (wl::pagerank(80, 1, 5), wl::pagerank(80, 3, 5), 2),
-        (wl::kmeans(200, 2, 1, 5), wl::kmeans(200, 2, 3, 5), 2),
+        // 2 per step before the splice: `closest`'s fill and `avg`.
+        (wl::kmeans(200, 2, 1, 5), wl::kmeans(200, 2, 3, 5), 1),
         (
             wl::matrix_factorization(8, 2, 1, 5),
             wl::matrix_factorization(8, 2, 3, 5),
@@ -368,8 +370,8 @@ fn explain_shows_loop_bodies_fused_and_dead_stores_dropping_run_plans() {
     // keyed sum, and the next step's `Q := {}` drops the `Q` whose plan
     // that stage ran instead of forcing it again; the last step's is left
     // unforced at the end of the run. Each K-Means step reduces the lazy
-    // `avg` in the centroid update's scatter, and the next step drops both
-    // `closest` bindings and `avg`.
+    // `avg` in the centroid update's scatter, and the next step drops
+    // `avg` (before the splice, also both `closest` bindings, s7 and s8).
     for (w, steps, spans, drops) in [
         (
             wl::pagerank(60, 3, 7),
@@ -380,12 +382,9 @@ fn explain_shows_loop_bodies_fused_and_dead_stores_dropping_run_plans() {
         (
             wl::kmeans(300, 2, 2, 7),
             2,
-            "[spans stmts: s9:avg, s10:C]",
-            vec![
-                "dead store drops pending `closest` (s7:closest): its plan already ran",
-                "dead store drops pending `closest` (s8:closest): its plan already ran",
-                "dead store drops pending `avg` (s9:avg): its plan already ran",
-            ],
+            // "[spans stmts: s9:avg, s10:C]" before the splice.
+            "[spans stmts: s6:avg, s7:C]",
+            vec!["dead store drops pending `avg` (s6:avg): its plan already ran"],
         ),
     ] {
         let compiled = compile(w.source).unwrap();

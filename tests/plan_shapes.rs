@@ -78,8 +78,12 @@ fn elementwise_increment_uses_no_group_by_shuffle() {
 }
 
 #[test]
-fn diablo_kmeans_shuffles_orders_of_magnitude_more_than_handwritten() {
-    // The Fig. 3K story, as a hard assertion.
+fn diablo_kmeans_shuffles_at_most_twice_what_handwritten_does() {
+    // Fig. 3K: each point meets the broadcast centroids and its argmin is
+    // folded where the point lies, so DIABLO moves centroid rows only, as
+    // the hand-written plan does. (This asserted more than 10 × the
+    // hand-written `shuffled_records` while `closest` was an array that
+    // scattered every point.)
     let ctx = Context::new(2, 4);
     let w = wl::kmeans(500, 3, 1, 5);
     let diablo = stats_of(&w, &ctx);
@@ -99,13 +103,23 @@ fn diablo_kmeans_shuffles_orders_of_magnitude_more_than_handwritten() {
     let hand = ctx.stats().snapshot().since(&before);
 
     assert!(
-        diablo.shuffled_records > 10 * hand.shuffled_records.max(1),
+        diablo.shuffled_records <= 2 * hand.shuffled_records,
         "diablo {diablo:?} vs hand-written {hand:?}"
     );
     assert!(
         diablo.broadcasts >= 1,
         "centroid array is broadcast: {diablo:?}"
     );
+    // No shuffle moves the points.
+    let compiled = compile(w.source).expect("compiles");
+    let plan = session_for(&w, &ctx).explain(&compiled).expect("explains");
+    let moved: Vec<u64> = plan
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("shuffle: "))
+        .map(|l| l.split(' ').next().unwrap().parse().unwrap())
+        .collect();
+    assert!(!moved.is_empty(), "{plan}");
+    assert!(moved.iter().all(|&rows| rows < 500), "{moved:?}:\n{plan}");
 }
 
 #[test]
@@ -428,33 +442,27 @@ fn loop_programs_join_and_cross_in_columnar_stages() {
         MERGE,
     ];
     let kmeans_step: &[&str] = &[
-        // closest[i] := (0, 1e12), one row per range index into the empty
-        // `closest` — no merge, and lazy: it runs in the next merge's
-        // old-side scatter.
-        // closest[i] ^= (j, distance): P × C into a keyed argmin.
-        "scan[4p] → map → filter → flat_map → filter → map → map → map → map → map ⇒ \
-         reduce_by_key (combine + scatter) (fused 9 narrow ops)",
-        "scan[4p] → map → map → map ⇒ merge (scatter old) (fused 3 narrow ops)",
-        REDUCE,
-        // avg[closest[i]._1] += (x, y, 1): the lazy `closest` combines its
-        // slots in the stage that computes it for its build, and P's scan
-        // probes it into a keyed sum, one row per group into the empty
-        // `avg` — no merge.
-        MERGE,
-        "join build: 300 rows (cap 65536), probed in the left stage",
-        "scan[4p] → map → filter → map → flat_map → map ⇒ reduce_by_key (combine + scatter) \
-         (fused 5 narrow ops)",
+        // avg[closest[i]._1] += (x, y, 1), with `closest` spliced in: each
+        // point's argmin over the broadcast centroids, from the range
+        // default (0, 1e12), is folded in P's scan, which sums into the
+        // keyed `avg`, one row per group into the empty `avg` — no merge.
+        // (Before the splice: P × C into a keyed argmin, its merge with
+        // the range fill — two scatters and a slot combine — and `closest`
+        // built for P's probe: 8 stages, 6 shuffles a step.)
+        "scan[4p] → map → filter → map → filter → fold per row → map → filter → map ⇒ \
+         reduce_by_key (combine + scatter) (fused 8 narrow ops)",
         // C[i] := avg[i] / count, the lazy `avg` reduced in its scatter.
         SCATTER_OLD,
         "scan[4p] → reduce_by_key (reduce) → map → map → map → filter → map → map ⇒ \
-         merge (scatter updates) (fused 7 narrow ops) [spans stmts: s9:avg, s10:C]",
+         merge (scatter updates) (fused 7 narrow ops) [spans stmts: s6:avg, s7:C]",
         MERGE,
     ];
     // (workload, the step's first statement, its stages, and the whole
     // run's stage and shuffle counts)
     for (w, first, step, stages, shuffles) in [
         (wl::pagerank(60, 1, 7), "s10:", pagerank_step, 11, 8),
-        (wl::kmeans(300, 2, 1, 7), "s7:", kmeans_step, 9, 6),
+        // "s7:", 9 stages and 6 shuffles before the splice.
+        (wl::kmeans(300, 2, 1, 7), "s6:", kmeans_step, 5, 3),
     ] {
         let ctx = Context::new(2, 4);
         let compiled = compile(w.source).expect("compiles");
@@ -627,7 +635,8 @@ fn fig3_programs_stay_within_their_stage_and_shuffle_counts() {
         ("Matrix Addition", 3, 2),       // 5, 4
         ("Matrix Multiplication", 5, 4), // 8, 7 (6, 5 before §5 blocks)
         ("PageRank", 17, 13), // 37, 29; 29, 21 with eager loop bodies; 25, 21 partitioned joins
-        ("KMeans", 9, 6),     // 19, 14; 13, 8 with eager loop bodies; 10, 8 partitioned joins
+        // 19, 14; 13, 8 with eager loop bodies; 10, 8 partitioned joins; 9, 6 unspliced
+        ("KMeans", 5, 3),
         // 48, 37 (36, 25 before §5 blocks); 35, 24 eager bodies; 31, 24 partitioned joins
         ("Matrix Factorization", 22, 14),
     ];

@@ -4,7 +4,8 @@
 //! of work, and a deterministic one. These tests pin three things: the
 //! fuel bound is far away from every real program, the work is linear in
 //! the number of statements, and on the two programs with the longest
-//! qualifier lists it is bounded by a recorded constant per qualifier. A
+//! qualifier lists it is bounded by a recorded constant per qualifier.
+//! The splice pass that follows the driver fires once per copy. A
 //! pass that becomes super-linear in statements or in qualifiers per
 //! comprehension fails here, on any machine.
 
@@ -186,6 +187,27 @@ fn work_is_linear_in_statements() {
             }
         }
     }
+}
+
+/// The splice pass (`splice_arrays`, run after the optimizer) fires on
+/// K-Means' `closest` and on no other Table 1 array, once per renamed copy
+/// in one source: its work follows the statements, as the driver's does.
+#[test]
+fn the_splice_fires_once_per_copy_of_kmeans() {
+    let spliced = |src: &str| {
+        let mut program = optimize_program(raw(src)).0;
+        diablo_core::splice_arrays(&mut program)
+    };
+    for (name, src) in all_programs() {
+        let want: &[&str] = if name == "KMeans" { &["closest"] } else { &[] };
+        assert_eq!(spliced(src), want, "{name}");
+    }
+    for k in [1, 4, 16] {
+        let want: Vec<String> = (0..k).map(|n| format!("closest_{n}")).collect();
+        assert_eq!(spliced(&copies(KMEANS, k)), want, "KMeans × {k}");
+    }
+    // The wide program holds K-Means twice, as copies 12 and 30.
+    assert_eq!(spliced(&wide_program()), ["closest_12", "closest_30"]);
 }
 
 /// Recorded with the driver: K-Means 27 visits for the 143 qualifiers of
