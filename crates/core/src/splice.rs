@@ -36,7 +36,10 @@
 //!   let … }` whose value `d` does not depend on `x` and reads no array,
 //!   and a fold `X := X ⊳[⊕] { (k, ⊕/w) | (i, v) ← S, q…, group by k : i }`
 //!   over an array `S`, whose conditions include `inRange(i, lo, hi)` —
-//!   so every key the fold makes is one the fill made;
+//!   so every key the fold makes is one the fill made, and whose
+//!   generators after `S` join on no key: a fold per row holds no
+//!   partitioned join, so only crosses, broadcast as they are without
+//!   the splice, come along;
 //! * exactly one statement reads `X` — once, after the fold, in the same
 //!   body — through a generator `(c, x) ← X` of a comprehension that
 //!   binds `(i', v') ← S` before it and tests `c == i'` after it; nothing
@@ -48,6 +51,7 @@
 use std::collections::{HashMap, HashSet};
 
 use diablo_comp::ir::{CExpr, Comprehension, Pattern, Qual};
+use diablo_comp::pushdown::join_keys;
 use diablo_runtime::{BinOp, Func};
 
 use crate::target::{CompiledProgram, TStmt};
@@ -407,7 +411,8 @@ impl Fold {
             && matches!(w.as_ref(), CExpr::Var(_))
             && *by == CExpr::var(key)
             && inner.iter().all(|q| !matches!(q, Qual::GroupBy(..)))
-            && inner.contains(&kept);
+            && inner.contains(&kept)
+            && only_crosses(&u.quals);
         fits.then(|| Fold {
             source: source.clone(),
             key: key.clone(),
@@ -416,6 +421,25 @@ impl Fold {
             group: group.clone(),
         })
     }
+}
+
+/// True when no generator of `quals` after the first is joined on a key
+/// (`join_keys`, as the engine finds them): each is a cross.
+fn only_crosses(quals: &[Qual]) -> bool {
+    let mut bound: HashSet<String> = HashSet::new();
+    for (k, q) in quals.iter().enumerate() {
+        if let (true, Qual::Gen(p, _)) = (k > 0, q) {
+            let pat: HashSet<String> = p.var_list().into_iter().collect();
+            let global = |v: &str| !bound.contains(v) && !pat.contains(v);
+            if !join_keys(quals, k, &bound, &pat, &global).is_empty() {
+                return false;
+            }
+        }
+        q.each_bound(&mut |v| {
+            bound.insert(v.to_string());
+        });
+    }
+    true
 }
 
 /// `inRange(e, lo, hi)`.

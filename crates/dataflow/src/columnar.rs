@@ -501,59 +501,6 @@ impl Probe {
         }
     }
 
-    /// A tile of `len` rows with the tuple columns `fields`, crossed with
-    /// every build row: each row's own lanes repeated once per build row,
-    /// the leaf lanes tiled once per row.
-    fn crossed<'a>(&'a self, fields: &[VCol<'a>], len: usize) -> VCol<'a> {
-        let cols = fields
-            .iter()
-            .map(|c| c.stretched(len, self.len, true))
-            .chain(
-                self.leaves
-                    .iter()
-                    .map(|c| c.stretched(len, self.len, false)),
-            )
-            .collect();
-        VCol::Tuple(Arc::new(cols))
-    }
-
-    /// Expands a tile in one piece, with the tile row each expanded row
-    /// came from: [`Probe::tile`] for a chain that must know it (a
-    /// [`RowFold`]'s expansion).
-    fn tile_from<'a>(&'a self, col: &VCol<'a>, len: usize) -> Result<(VCol<'a>, Vec<u32>)> {
-        if let Some(e) = &self.unfit {
-            return Err(e.clone());
-        }
-        let Some(fields) = col.tuple_columns(len) else {
-            let (mut out, mut from) = (Vec::new(), Vec::new());
-            for i in 0..len {
-                let rows = self.expand(&col.at(i))?;
-                from.extend(std::iter::repeat_n(i as u32, rows.len()));
-                out.extend(rows);
-            }
-            return Ok((decompose_owned(out), from));
-        };
-        let Some((key, table)) = &self.keyed else {
-            let from = (0..len as u32)
-                .flat_map(|i| std::iter::repeat_n(i, self.len))
-                .collect();
-            return Ok((self.crossed(&fields, len), from));
-        };
-        let keys = vec_eval(key, col, len)?;
-        let (mut probes, mut builds) = (Vec::new(), Vec::new());
-        table.each_match(&keys, len, |i, rows| {
-            probes.extend(std::iter::repeat_n(i as u32, rows.len()));
-            builds.extend_from_slice(rows);
-            Ok(())
-        })?;
-        let cols = fields
-            .iter()
-            .map(|c| c.picked(&probes))
-            .chain(self.leaves.iter().map(|c| c.gather_rows(&builds)))
-            .collect();
-        Ok((VCol::Tuple(Arc::new(cols)), probes))
-    }
-
     /// Expands a tile, handing `emit` the expanded rows as columns. On a
     /// key: the matches in probe-row order, then build-row order, as the
     /// tile rows' field columns and the build rows' leaf columns gathered
@@ -563,29 +510,46 @@ impl Probe {
     /// row and the leaf columns tiled once per row (the caller narrows the
     /// tile by the build rows). Rows that are not tuples of one arity are
     /// expanded one by one, exactly as the row path does it, into one
-    /// piece. The step's own errors are tagged by `step`; `emit`'s pass as
-    /// they are.
+    /// piece. With `from`, the source of each tile row, every piece comes
+    /// with the source of each of its rows. The step's own errors are
+    /// tagged by `step`; `emit`'s pass as they are.
     fn tile<'a>(
         &'a self,
         col: &VCol<'a>,
         len: usize,
+        from: Option<&[u32]>,
         batch: usize,
         step: &Step,
-        emit: &mut dyn FnMut(VCol<'a>, usize) -> Result<()>,
+        emit: &mut Emitter<'a, '_>,
     ) -> Result<()> {
         if let Some(e) = &self.unfit {
             return Err(step.tag_err(e.clone()));
         }
+        // The sources of expanded rows, from the tile rows they expand.
+        let through = |rows: &[u32]| from.map(|f| rows.iter().map(|&i| f[i as usize]).collect());
         let Some(fields) = col.tuple_columns(len) else {
-            let mut out = Vec::new();
+            let (mut out, mut rows) = (Vec::new(), Vec::new());
             for i in 0..len {
-                out.extend(self.expand(&col.at(i)).map_err(|e| step.tag_err(e))?);
+                let expanded = self.expand(&col.at(i)).map_err(|e| step.tag_err(e))?;
+                rows.extend(std::iter::repeat_n(i as u32, expanded.len()));
+                out.extend(expanded);
             }
             let n = out.len();
-            return emit(decompose_owned(out), n);
+            return emit(decompose_owned(out), n, through(&rows));
         };
         let Some((key, table)) = &self.keyed else {
-            return emit(self.crossed(&fields, len), len * self.len);
+            let rows = self.len;
+            let cols = fields
+                .iter()
+                .map(|c| c.stretched(len, rows, true))
+                .chain(self.leaves.iter().map(|c| c.stretched(len, rows, false)))
+                .collect();
+            let from = from.map(|f| {
+                f.iter()
+                    .flat_map(|&r| std::iter::repeat_n(r, rows))
+                    .collect()
+            });
+            return emit(VCol::Tuple(Arc::new(cols)), len * rows, from);
         };
         let keys = vec_eval(key, col, len).map_err(|e| step.tag_err(e))?;
         let mut piece = |probes: &mut Vec<u32>, builds: &mut Vec<u32>| {
@@ -598,10 +562,10 @@ impl Probe {
                 .map(|c| if whole { c.clone() } else { c.picked(probes) })
                 .chain(self.leaves.iter().map(|c| c.gather_rows(builds)))
                 .collect();
-            let n = probes.len();
+            let (n, from) = (probes.len(), through(probes));
             probes.clear();
             builds.clear();
-            emit(VCol::Tuple(Arc::new(cols)), n)
+            emit(VCol::Tuple(Arc::new(cols)), n, from)
         };
         let (mut probes, mut builds) = (Vec::new(), Vec::new());
         table.each_match(&keys, len, |i, mut rows| {
@@ -1361,17 +1325,25 @@ fn field_columns<'a>(side: &'a Chunk, rows: &[u32]) -> Option<Vec<VCol<'a>>> {
     side.lanes.gather_rows(rows).tuple_columns(rows.len())
 }
 
+/// What takes the pieces of a tile run through a chain: the surviving
+/// rows as columns, their count, and — when the caller tracks it — the
+/// source row of each.
+type Emitter<'a, 'e> = dyn FnMut(VCol<'a>, usize, Option<Vec<u32>>) -> Result<()> + 'e;
+
 /// Runs one tile — `len` rows as the column `col` — through the whole
 /// fused chain in columnar form, per-column loops per step, handing `emit`
 /// the surviving rows as columns and their count: in one piece, or in the
 /// pieces a keyed probe cuts its matches into, each run through the rest
-/// of the chain on its own.
+/// of the chain on its own. With `from`, the source of each tile row (a
+/// [`RowFold`]'s expansion tracks them), every piece comes with the
+/// source of each of its rows, non-decreasing.
 fn run_tile<'a>(
     mut col: VCol<'a>,
     mut len: usize,
+    mut from: Option<Vec<u32>>,
     steps: &'a [Step],
     batch: usize,
-    emit: &mut dyn FnMut(VCol<'a>, usize) -> Result<()>,
+    emit: &mut Emitter<'a, '_>,
 ) -> Result<()> {
     let opaque = || RuntimeError::new("opaque step in a columnar stage");
     for (k, s) in steps.iter().enumerate() {
@@ -1388,66 +1360,41 @@ fn run_tile<'a>(
                 let mask = vec_eval(expr, &col, len)
                     .and_then(|c| mask_of(&c, len))
                     .map_err(|e| s.tag_err(e))?;
-                len = mask.iter().filter(|&&m| m).count();
+                let kept = mask.iter().filter(|&&m| m).count();
+                if kept < len {
+                    from = from.map(|f| {
+                        f.into_iter()
+                            .zip(&mask)
+                            .filter(|(_, &m)| m)
+                            .map(|(r, _)| r)
+                            .collect()
+                    });
+                }
+                len = kept;
                 col = col.compact(&mask);
             }
             StepOp::FlatMap(_, probe) => {
                 let probe = probe.as_ref().ok_or_else(opaque)?;
                 let rest = &steps[k + 1..];
-                return probe.tile(&col, len, batch, s, &mut |col, len| {
-                    run_tile(col, len, rest, batch, emit)
-                });
+                return probe.tile(
+                    &col,
+                    len,
+                    from.as_deref(),
+                    batch,
+                    s,
+                    &mut |col, len, from| run_tile(col, len, from, rest, batch, emit),
+                );
             }
-            StepOp::Fold(fold) => (col, len) = fold.tile(&col, len, s)?,
-        }
-    }
-    emit(col, len)
-}
-
-/// Runs a fold's expansion chain over a tile in one piece, with the tile
-/// row every surviving row came from, non-decreasing.
-fn expand_from<'a>(
-    steps: &'a [Step],
-    mut col: VCol<'a>,
-    mut len: usize,
-) -> Result<(VCol<'a>, usize, Vec<u32>)> {
-    let opaque = || RuntimeError::new("opaque step in a columnar stage");
-    let mut from: Vec<u32> = (0..len as u32).collect();
-    for s in steps {
-        if len == 0 {
-            break;
-        }
-        match &s.op {
-            StepOp::Map(_) => {
-                let expr = s.expr.as_ref().ok_or_else(opaque)?;
-                col = vec_eval(expr, &col, len).map_err(|e| s.tag_err(e))?;
-            }
-            StepOp::Filter(_) => {
-                let expr = s.expr.as_ref().ok_or_else(opaque)?;
-                let mask = vec_eval(expr, &col, len)
-                    .and_then(|c| mask_of(&c, len))
-                    .map_err(|e| s.tag_err(e))?;
-                if !mask.iter().all(|&m| m) {
-                    col = col.compact(&mask);
-                    from = from
-                        .iter()
-                        .zip(&mask)
-                        .filter(|(_, &m)| m)
-                        .map(|(&f, _)| f)
-                        .collect();
-                    len = from.len();
+            StepOp::Fold(fold) => {
+                let kept;
+                (col, len, kept) = fold.tile(&col, len, batch, s)?;
+                if let (Some(f), Some(kept)) = (&mut from, kept) {
+                    *f = kept.iter().map(|&r| f[r as usize]).collect();
                 }
             }
-            StepOp::FlatMap(_, probe) => {
-                let probe = probe.as_ref().ok_or_else(opaque)?;
-                let (expanded, rows) = probe.tile_from(&col, len).map_err(|e| s.tag_err(e))?;
-                from = rows.iter().map(|&r| from[r as usize]).collect();
-                (col, len) = (expanded, from.len());
-            }
-            StepOp::Fold(_) => return Err(opaque()),
         }
     }
-    Ok((col, len, from))
+    emit(col, len, from)
 }
 
 /// A column of boxed tuples as struct-of-arrays lanes, when their leaves
@@ -1559,20 +1506,30 @@ impl RowFold {
         Ok(accs.map(|accs| Value::tuple(fields.iter().cloned().chain(accs).collect())))
     }
 
-    /// The columnar path over a tile: the expansion in one piece with
-    /// each row's source ([`expand_from`]), each value lane folded into
-    /// the accumulators of those sources — kept in [`LaneBuf`] lanes, one
-    /// slot per row, as a keyed fold keeps them — and the surviving rows'
-    /// fields followed by the accumulator lanes.
-    fn tile<'a>(&'a self, col: &VCol<'a>, len: usize, step: &Step) -> Result<(VCol<'a>, usize)> {
+    /// The columnar path over a tile: the expansion run through the
+    /// chain's runner with each expanded row's source ([`run_tile`]), each
+    /// piece's value lanes folded into the accumulators of those sources —
+    /// kept in [`LaneBuf`] lanes, one slot per row, as a keyed fold keeps
+    /// them — and the surviving rows' fields followed by the accumulator
+    /// lanes. Without a start, also the tile rows that survive.
+    fn tile<'a>(
+        &'a self,
+        col: &VCol<'a>,
+        len: usize,
+        batch: usize,
+        step: &Step,
+    ) -> Result<(VCol<'a>, usize, Option<Vec<u32>>)> {
         let own = |e| step.tag_err(e);
         let Some(fields) = col.tuple_columns(len) else {
-            let mut out = Vec::new();
+            let (mut out, mut kept) = (Vec::new(), Vec::new());
             for i in 0..len {
-                out.extend(self.row(&col.at(i), step)?);
+                if let Some(row) = self.row(&col.at(i), step)? {
+                    out.push(row);
+                    kept.push(i as u32);
+                }
             }
             let n = out.len();
-            return Ok((decompose_owned(out), n));
+            return Ok((decompose_owned(out), n, Some(kept)));
         };
         let mut accs: Vec<LaneBuf> = match &self.init {
             Some(init) => {
@@ -1602,36 +1559,52 @@ impl RowFold {
             None => Err(narrow_row()),
         });
         let view = VCol::Tuple(Arc::new(view.collect::<Result<_>>().map_err(own)?));
-        let (expanded, n, mut slots) = expand_from(&self.steps, view, len)?;
         // Without a start, only the rows that met a value hold a slot, in
         // row order: the first-seen order a lane fold takes.
-        let kept = self.init.is_none().then(|| {
-            let mut kept: Vec<u32> = Vec::new();
-            for s in &mut slots {
-                if kept.last() != Some(s) {
-                    kept.push(*s);
+        let mut kept: Vec<u32> = Vec::new();
+        let sources = Some((0..len as u32).collect());
+        run_tile(
+            view,
+            len,
+            sources,
+            &self.steps,
+            batch,
+            &mut |expanded, n, from| {
+                let mut slots =
+                    from.ok_or_else(|| RuntimeError::new("an expansion lost its rows"))?;
+                if n == 0 {
+                    return Ok(());
                 }
-                *s = kept.len() as u32 - 1;
-            }
-            kept
-        });
-        if n > 0 {
-            let vals = vec_eval(&self.values, &expanded, n).map_err(own)?;
-            for (j, (acc, &op)) in accs.iter_mut().zip(&self.ops).enumerate() {
-                let lane = project(&vals, j).map_err(own)?;
-                if !acc.fold_lane(op, &slots, &lane) {
-                    for (row, &s) in slots.iter().enumerate() {
-                        acc.fold_value(op, s as usize, &lane.at(row)).map_err(own)?;
+                if self.init.is_none() {
+                    for s in &mut slots {
+                        if kept.last() != Some(s) {
+                            kept.push(*s);
+                        }
+                        *s = kept.len() as u32 - 1;
                     }
                 }
-            }
-        }
-        let (mut cols, rows): (Vec<VCol<'a>>, usize) = match kept {
-            Some(kept) => (fields.iter().map(|c| c.picked(&kept)).collect(), kept.len()),
-            None => (fields, len),
+                let vals = vec_eval(&self.values, &expanded, n).map_err(own)?;
+                for (j, (acc, &op)) in accs.iter_mut().zip(&self.ops).enumerate() {
+                    let lane = project(&vals, j).map_err(own)?;
+                    if !acc.fold_lane(op, &slots, &lane) {
+                        for (row, &s) in slots.iter().enumerate() {
+                            acc.fold_value(op, s as usize, &lane.at(row)).map_err(own)?;
+                        }
+                    }
+                }
+                Ok(())
+            },
+        )?;
+        let (mut cols, rows, kept): (Vec<VCol<'a>>, usize, _) = match self.init {
+            Some(_) => (fields, len, None),
+            None => (
+                fields.iter().map(|c| c.picked(&kept)).collect(),
+                kept.len(),
+                Some(kept),
+            ),
         };
         cols.extend(accs.into_iter().map(|acc| -> VCol<'a> { acc.finish() }));
-        Ok((VCol::Tuple(Arc::new(cols)), rows))
+        Ok((VCol::Tuple(Arc::new(cols)), rows, kept))
     }
 }
 
@@ -1673,7 +1646,7 @@ pub(crate) fn drive_tiles(
         // The rows this tile's pieces sank, and the sink's own error.
         let (mut sunk, mut refused) = (0, None);
         let ran = tile_column(src, tile.clone()).and_then(|col| {
-            run_tile(col, tile.len(), steps, batch, &mut |col, len| {
+            run_tile(col, tile.len(), None, steps, batch, &mut |col, len, _| {
                 sink.tile(&col, len)
                     .inspect_err(|e| refused = Some(e.clone()))?;
                 sunk += len;

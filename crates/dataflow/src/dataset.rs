@@ -651,17 +651,22 @@ impl Dataset {
     /// is one more transparent step of the chain: a columnar stage folds
     /// whole tiles' expansions into typed accumulator lanes.
     ///
-    /// An expansion that is not narrow (a shuffle inside it) is an error.
+    /// `expand` returns `None` to decline — a side it would probe is too
+    /// large to build — and `fold_rows` then returns `None`, having built
+    /// nothing. An expansion that is not narrow (a shuffle inside it) is
+    /// an error.
     pub fn fold_rows(
         &self,
         input: Vec<usize>,
-        expand: impl FnOnce(Dataset) -> Result<(Dataset, RowExpr)>,
+        expand: impl FnOnce(Dataset) -> Result<Option<(Dataset, RowExpr)>>,
         ops: &[AggOp],
         init: Option<RowExpr>,
-    ) -> Result<Dataset> {
+    ) -> Result<Option<Dataset>> {
         let row = self.ctx.empty();
         let base = row.plan.clone();
-        let (expanded, values) = expand(row)?;
+        let Some((expanded, values)) = expand(row)? else {
+            return Ok(None);
+        };
         let chain = plan::collapse(&expanded.effective_plan());
         if !Arc::ptr_eq(&chain.base, &base) {
             return Err(RuntimeError::new(
@@ -676,11 +681,11 @@ impl Dataset {
             ops: ops.iter().map(|o| o.op).collect(),
             init,
         };
-        Ok(self.derived(PlanOp::Fold(
+        Ok(Some(self.derived(PlanOp::Fold(
             self.effective_plan(),
             Arc::new(fold),
             self.tag(),
-        )))
+        ))))
     }
 
     /// Keeps the rows satisfying `f` (lazy).

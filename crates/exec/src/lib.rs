@@ -16,9 +16,10 @@
 //!   nested-loop** products (how DIABLO's K-Means correlates points with
 //!   the centroid array): the engine's `Dataset::cross`, a transparent
 //!   expansion step over the broadcast rows;
-//! * `group by` on the source's unique key, after only such generators,
-//!   becomes a **fold per row** inside the scanning stage
-//!   (`Dataset::fold_rows`, no shuffle); otherwise it becomes
+//! * `group by` on the source's unique key, after only such generators
+//!   (a probed side of at most the join build cap), becomes a **fold per
+//!   row** inside the scanning stage (`Dataset::fold_rows`, no shuffle);
+//!   otherwise it becomes
 //!   **reduceByKey** when every lifted variable is consumed by an
 //!   aggregation (map-side combining), and **groupByKey** otherwise;
 //! * the array merge `V ⊳ x` becomes a cogroup-style merge — or is `x`

@@ -24,7 +24,8 @@
 //! | condition                        | filter                             |
 //! | `group by` on the source's unique| fold per row: the expansion after  |
 //! | key, after only `let`s, filters  | the source, folded inside the scan |
-//! | and dataset generators           | (`Dataset::fold_rows`), no shuffle |
+//! | and dataset generators (probed   | (`Dataset::fold_rows`), no shuffle |
+//! | sides of ≤ `BUILD_CAP` rows)     |                                    |
 //! | `p ← {(k, d)} ⊳[⊕] {… group by k}`| the same fold, from `d` (a spliced |
 //! | (`diablo_core::splice_arrays`)   | array's range default)             |
 //! | `group by` (aggregations only)   | reduceByKey with map-side combine  |
@@ -135,14 +136,18 @@ pub fn run_comp(c: &Comprehension, sess: &Session) -> Result<Dataset> {
         }
         if let Some((g, pushed)) = row_group(&quals, first, i, &pipe.layout, &head, sess) {
             // A group-by on the source's unique key: each group is the
-            // expansion of one source row, folded where it lies.
-            pipe = pipe.fold_group(&quals[i..=g], &pushed, &globals, sess)?;
-            quals.truncate(g + 1);
-            quals.extend(pushed.tail);
-            head = pushed.head;
-            i = g + 1;
-            continue;
+            // expansion of one source row, folded where it lies — unless
+            // a side it probes is too large to build, when the group-by
+            // shuffles as any other does.
+            if pipe.fold_group(&quals[i..=g], &pushed, &globals, sess)? {
+                quals.truncate(g + 1);
+                quals.extend(pushed.tail);
+                head = pushed.head;
+                i = g + 1;
+                continue;
+            }
         }
+        // Outside a fold no qualifier declines: `qual`'s `true` is dropped.
         match quals[i].clone() {
             Qual::GroupBy(p, key) => {
                 let (next, rewritten) =
@@ -157,9 +162,9 @@ pub fn run_comp(c: &Comprehension, sess: &Session) -> Result<Dataset> {
             }
             Qual::Gen(p, dom) => match merged_fold(&dom, &pipe.layout, &globals) {
                 Some(m) => pipe.fold_merged(&p, m, &globals, sess)?,
-                None => pipe.qual(&quals, i, &mut consumed, &globals, sess, false)?,
+                None => _ = pipe.qual(&quals, i, &mut consumed, &globals, sess, false)?,
             },
-            _ => pipe.qual(&quals, i, &mut consumed, &globals, sess, false)?,
+            _ => _ = pipe.qual(&quals, i, &mut consumed, &globals, sess, false)?,
         }
         i += 1;
     }
@@ -171,7 +176,9 @@ pub fn run_comp(c: &Comprehension, sess: &Session) -> Result<Dataset> {
 /// no driver prefix before the source. It is the next group-by `g`, when
 ///
 /// * its key is the source's key — unique, as
-///   [`Comprehension::unique_keys`] proves it for the source alone;
+///   [`Comprehension::unique_keys`] proves it for the source alone — and
+///   reads only variables the source binds and no later qualifier binds
+///   again, so every row of one source row's expansion has that row's key;
 /// * every qualifier between `i` and it is a `let`, a condition, or a
 ///   generator over a dataset (a broadcast cross or a probe);
 /// * what follows it only aggregates the lifted variables
@@ -201,6 +208,11 @@ fn row_group(
     let Qual::GroupBy(p, key) = &quals[g] else {
         return None;
     };
+    let fixed =
+        |v: &String| quals[first].binds(v) && !quals[first + 1..g].iter().any(|q| q.binds(v));
+    if !key.free_vars().iter().all(fixed) {
+        return None;
+    }
     let source = Comprehension::new(
         CExpr::pair(key.clone(), CExpr::Const(Value::Unit)),
         vec![quals[first].clone()],
@@ -382,10 +394,10 @@ impl Pipe {
     /// Applies qualifier `i` of `quals`, a `let`, a condition or a
     /// generator: a generator over a dataset is joined through the
     /// equalities that follow it (`consumed` takes them) or crossed with
-    /// its broadcast rows. Inside a fold per row (`in_fold`), a keyed
-    /// generator is always built and probed, whatever its size, and a
-    /// cross meets its rows in key order, the order a loop over the array
-    /// scans them.
+    /// its broadcast rows. Inside a fold per row (`in_fold`), a cross
+    /// meets its rows in key order, the order a loop over the array scans
+    /// them, and a keyed generator over [`BUILD_CAP`] rows is not joined:
+    /// `false`, and the fold declines.
     fn qual(
         &mut self,
         quals: &[Qual],
@@ -394,8 +406,8 @@ impl Pipe {
         globals: &Arc<Env>,
         sess: &Session,
         in_fold: bool,
-    ) -> Result<()> {
-        match &quals[i] {
+    ) -> Result<bool> {
+        let applied = match &quals[i] {
             Qual::Let(p, e) => self.extend_let(p, e, globals),
             Qual::Pred(e) => self.filter(e, globals),
             Qual::Gen(p, dom) => match classify(dom, sess)? {
@@ -422,13 +434,15 @@ impl Pipe {
                 GenSource::Local => self.expand_bag(p, dom, globals),
             },
             Qual::GroupBy(..) => Err(RuntimeError::new("a group-by is not a narrow step")),
-        }
+        };
+        applied.map(|()| true)
     }
 
     /// Follows every row with the fold of its own expansion by `inner`
     /// ([`Dataset::fold_rows`]): the variables `values` folded with `ops`,
     /// from the accumulators `init` when it is given; one column per
-    /// accumulator is appended to the layout.
+    /// accumulator is appended to the layout. `false`, with nothing
+    /// changed, when the expansion probes a side too large to build.
     fn fold_rows(
         &mut self,
         inner: &[Qual],
@@ -437,7 +451,7 @@ impl Pipe {
         init: Option<&[CExpr]>,
         globals: &Arc<Env>,
         sess: &Session,
-    ) -> Result<()> {
+    ) -> Result<bool> {
         let init = match init {
             Some(es) => {
                 let es = es.iter().map(|e| lower_row(e, &self.layout, globals));
@@ -457,14 +471,16 @@ impl Pipe {
             .filter(|&k| read.contains(self.layout.cols[k].as_str()))
             .collect();
         let layout = Layout::new(input.iter().map(|&k| self.layout.cols[k].clone()).collect());
-        self.data = self.data.fold_rows(
+        let folded = self.data.fold_rows(
             input,
             |row| {
                 let mut sub = Pipe { data: row, layout };
                 let mut consumed = HashSet::new();
                 for k in 0..inner.len() {
-                    if !consumed.contains(&k) {
-                        sub.qual(inner, k, &mut consumed, globals, sess, true)?;
+                    if !consumed.contains(&k)
+                        && !sub.qual(inner, k, &mut consumed, globals, sess, true)?
+                    {
+                        return Ok(None);
                     }
                 }
                 let cols = values.iter().map(|v| {
@@ -473,48 +489,61 @@ impl Pipe {
                         .map(RowExpr::Col)
                         .ok_or_else(|| RuntimeError::new(format!("missing column `{v}`")))
                 });
-                Ok((sub.data, RowExpr::Tuple(cols.collect::<Result<_>>()?)))
+                Ok(Some((
+                    sub.data,
+                    RowExpr::Tuple(cols.collect::<Result<_>>()?),
+                )))
             },
             ops,
             init,
         )?;
+        let Some(folded) = folded else {
+            return Ok(false);
+        };
+        self.data = folded;
         for _ in ops {
             let column = format!("$acc{}", self.layout.cols.len());
             self.layout.push(column);
         }
-        Ok(())
+        Ok(true)
     }
 
     /// A group-by on the source's unique key ([`row_group`]) run as a
     /// fold per row: `quals` are the qualifiers from the first generator
     /// after the source to the group-by, and `pushed` the aggregates the
-    /// rest reads.
+    /// rest reads. `false`, with nothing changed, when the fold declines
+    /// ([`Pipe::fold_rows`]).
     fn fold_group(
-        mut self,
+        &mut self,
         quals: &[Qual],
         pushed: &Pushdown,
         globals: &Arc<Env>,
         sess: &Session,
-    ) -> Result<Pipe> {
+    ) -> Result<bool> {
         let Some((Qual::GroupBy(p, key), inner)) = quals.split_last() else {
             unreachable!("row_group ends at a group-by")
         };
+        let values: Vec<String> = pushed.aggs.iter().map(|(_, v)| v.clone()).collect();
+        let ops: Vec<AggOp> = pushed.aggs.iter().map(|(op, _)| *op).collect();
+        if !self.fold_rows(inner, &values, &ops, None, globals, sess)? {
+            return Ok(false);
+        }
         self.data.context().plan_note(format!(
             "group by {}: the source's unique key, folded per row (no shuffle)",
             diablo_comp::pretty_cexpr(key)
         ));
-        let values: Vec<String> = pushed.aggs.iter().map(|(_, v)| v.clone()).collect();
-        let ops: Vec<AggOp> = pushed.aggs.iter().map(|(op, _)| *op).collect();
-        self.fold_rows(inner, &values, &ops, None, globals, sess)?;
         let key_rx = self.key_expr(key, globals)?;
         let n = self.layout.cols.len();
         let accs = (n - ops.len()..n).map(RowExpr::Col).collect();
-        self.grouped(p, key_rx, accs)
+        self.grouped(p, key_rx, accs)?;
+        Ok(true)
     }
 
     /// The generator `p ← {(k, d)} ⊳[⊕] {…}` of a spliced array
     /// ([`merged_fold`]) run as a fold per row from `d`, `p` binding `k`
-    /// and the accumulator.
+    /// and the accumulator. Its expansion only crosses arrays
+    /// (`diablo_core::splice_arrays` splices no other), so it builds no
+    /// keyed side; one over [`BUILD_CAP`] rows is an error.
     fn fold_merged(
         &mut self,
         p: &Pattern,
@@ -522,12 +551,16 @@ impl Pipe {
         globals: &Arc<Env>,
         sess: &Session,
     ) -> Result<()> {
+        let init = [m.init.clone()];
+        let value = [m.value.to_string()];
+        if !self.fold_rows(m.inner, &value, &[m.op], Some(&init), globals, sess)? {
+            return Err(RuntimeError::new(format!(
+                "a range fill merged with a fold probes a side over the join build cap {BUILD_CAP}"
+            )));
+        }
         self.data
             .context()
             .plan_note("range fill merged with a fold: folded per row (no shuffle)");
-        let init = [m.init.clone()];
-        let value = [m.value.to_string()];
-        self.fold_rows(m.inner, &value, &[m.op], Some(&init), globals, sess)?;
         let key = lower_row(m.key, &self.layout, globals)?;
         let acc = RowExpr::Col(self.layout.cols.len() - 1);
         self.bind_value(p, RowExpr::Tuple(vec![key, acc]))
@@ -627,15 +660,17 @@ impl Pipe {
     /// [`BUILD_CAP`] rows is built and probed from the pipeline's chain
     /// ([`Dataset::join_probe`]); a larger one, entered into the dataset
     /// cache if it was pending, is scattered with it
-    /// ([`Dataset::join_on`]).
+    /// ([`Dataset::join_on`]) — except inside a fold per row (`in_fold`),
+    /// which cannot hold a partitioned join: there a larger one is not
+    /// joined, and the result is `false`.
     fn hash_join(
         &mut self,
         data: &Dataset,
         p: &Pattern,
         keys: &[JoinKey],
         globals: &Arc<Env>,
-        build_always: bool,
-    ) -> Result<()> {
+        in_fold: bool,
+    ) -> Result<bool> {
         let key_of = |side: fn(&JoinKey) -> &CExpr| match keys {
             [k] => side(k).clone(),
             _ => CExpr::Tuple(keys.iter().map(|k| side(k).clone()).collect()),
@@ -673,7 +708,13 @@ impl Pipe {
         let ctx = self.data.context();
         let right = right.data.computed(BUILD_CAP)?;
         let rows = right.known().map_or(usize::MAX, |k| k.len);
-        self.data = if rows <= BUILD_CAP || build_always {
+        if rows > BUILD_CAP && in_fold {
+            ctx.plan_note(format!(
+                "fold per row declined: a side of {rows} rows is over the join build cap {BUILD_CAP}"
+            ));
+            return Ok(false);
+        }
+        self.data = if rows <= BUILD_CAP {
             ctx.plan_note(format!(
                 "join build: {rows} rows (cap {BUILD_CAP}), probed in the left stage"
             ));
@@ -689,7 +730,7 @@ impl Pipe {
             // The right side's key column came along with its leaves.
             self.layout.push(format!("$key{}", self.layout.cols.len()));
         }
-        Ok(())
+        Ok(true)
     }
 
     /// Crosses every row with every item, `p` binding each item: the
@@ -865,44 +906,36 @@ impl Pipe {
             .data
             .map_expr(RowExpr::Tuple(vec![key_rx, RowExpr::Tuple(inputs)]))?;
         let reduced = keyed.aggregate_by_key(pushed.aggs.iter().map(|(op, _)| *op).collect())?;
-        let grouped = Pipe {
+        let mut grouped = Pipe {
             data: reduced,
             layout: Layout::default(),
         };
-        Ok((
-            grouped.unpacked(p, pushed.aggs.len())?,
-            Some((pushed.tail, pushed.head)),
-        ))
+        grouped.unpacked(p, pushed.aggs.len())?;
+        Ok((grouped, Some((pushed.tail, pushed.head))))
     }
 
     /// Rows `(key, (a1, …, an))` as the key pattern's variables followed
     /// by the aggregate columns `$agg0…`.
-    fn unpacked(self, p: &Pattern, aggs: usize) -> Result<Pipe> {
-        let data = self.data.map_expr(RowExpr::Unpack {
+    fn unpacked(&mut self, p: &Pattern, aggs: usize) -> Result<()> {
+        self.data = self.data.map_expr(RowExpr::Unpack {
             shape: Shape::Tuple(vec![shape_of(p), Shape::Tuple(vec![Shape::Bind; aggs])]),
             mismatch: format!("group-by key pattern {p:?} does not match").into(),
         })?;
         let mut cols = p.var_list();
         cols.extend((0..aggs).map(agg_col_name));
-        Ok(Pipe {
-            data,
-            layout: Layout::new(cols),
-        })
+        self.layout = Layout::new(cols);
+        Ok(())
     }
 
     /// The rows after a group-by whose aggregates this pipeline's rows
     /// already hold: the key `key_rx` and the aggregates `accs`, as
     /// [`Pipe::unpacked`] lays them out.
-    fn grouped(self, p: &Pattern, key_rx: RowExpr, accs: Vec<RowExpr>) -> Result<Pipe> {
+    fn grouped(&mut self, p: &Pattern, key_rx: RowExpr, accs: Vec<RowExpr>) -> Result<()> {
         let n = accs.len();
-        let data = self
+        self.data = self
             .data
             .map_expr(RowExpr::Tuple(vec![key_rx, RowExpr::Tuple(accs)]))?;
-        Pipe {
-            data,
-            layout: Layout::default(),
-        }
-        .unpacked(p, n)
+        self.unpacked(p, n)
     }
 
     /// The final head map.

@@ -30,9 +30,10 @@ impl Layout {
         Layout { cols }
     }
 
-    /// The index of a column.
+    /// The index of a column: the last one of that name, as a later
+    /// binding of a variable shadows an earlier one.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.cols.iter().position(|c| c == name)
+        self.cols.iter().rposition(|c| c == name)
     }
 
     /// Adds a column, returning its index.

@@ -66,6 +66,8 @@ struct Inputs {
     k: i64,
     n: i64,
     steps: i64,
+    /// Further named collections.
+    more: Vec<(&'static str, Vec<Value>)>,
 }
 
 fn point(i: i64, x: f64, y: f64) -> Value {
@@ -94,6 +96,7 @@ fn grid_inputs(n: i64) -> Inputs {
         k: 4,
         n,
         steps: 2,
+        more: Vec::new(),
     }
 }
 
@@ -116,16 +119,18 @@ fn target(src: &str) -> (CompiledProgram, CompiledProgram, Vec<String>) {
 type Bindings = (Vec<(&'static str, Value)>, Vec<(&'static str, Vec<Value>)>);
 
 fn bindings(inputs: &Inputs) -> Bindings {
+    let mut collections = vec![
+        ("P", inputs.points.clone()),
+        ("C0", inputs.centroids.clone()),
+    ];
+    collections.extend(inputs.more.iter().cloned());
     (
         vec![
             ("K", Value::Long(inputs.k)),
             ("N", Value::Long(inputs.n)),
             ("num_steps", Value::Long(inputs.steps)),
         ],
-        vec![
-            ("P", inputs.points.clone()),
-            ("C0", inputs.centroids.clone()),
-        ],
+        collections,
     )
 }
 
@@ -235,6 +240,44 @@ fn a_second_reader_keeps_the_array() {
 }
 
 #[test]
+fn a_fold_that_joins_another_array_keeps_the_array() {
+    // Each point's distances are weighted by `W[i]`: `closest`'s fold
+    // joins `W` on the point's key. A fold per row holds no partitioned
+    // join, so the splice leaves `closest` alone; its group-by still
+    // folds per point, probing a built `W`.
+    let src = KMEANS.replace(
+        "input K: long;",
+        "input K: long;
+input W: vector[double];",
+    );
+    let src = src.replace(
+        "* (P[i]._2 - C[j]._2)));",
+        "* (P[i]._2 - C[j]._2)) * W[i]);",
+    );
+    assert!(src.contains("W[i]);"), "{src}");
+    let mut inputs = grid_inputs(200);
+    let weights =
+        (0..inputs.n).map(|i| Value::pair(Value::Long(i), Value::Double(1.0 + (i % 3) as f64)));
+    inputs.more.push(("W", weights.collect()));
+    let (names, _) = check_kmeans_like(&src, &inputs, &["C"]);
+    assert!(names.is_empty(), "{names:?}");
+    let mut s = Session::new(Engine::COLUMNAR.context(2, 4));
+    let (scalars, collections) = bindings(&inputs);
+    scalars
+        .iter()
+        .for_each(|(n, v)| s.bind_scalar(n, v.clone()));
+    collections
+        .iter()
+        .for_each(|(n, r)| s.bind_input(n, r.clone()));
+    let plan = s.explain(&diablo_core::compile(&src).unwrap()).unwrap();
+    assert!(
+        plan.contains("the source's unique key, folded per row"),
+        "{plan}"
+    );
+    assert!(plan.contains("join build: 200 rows"), "{plan}");
+}
+
+#[test]
 fn an_empty_centroid_array_gives_every_point_the_range_default() {
     // No centroid: every point keeps (0, 1e12), so one step averages all
     // of them into centroid 0.
@@ -288,6 +331,7 @@ fn a_tie_keeps_the_centroid_the_interpreter_scans_first() {
             k: 2,
             n: 3,
             steps: 1,
+            more: Vec::new(),
         };
         let (_, got) = check_kmeans_like(KMEANS, &inputs, &["C"]);
         assert_eq!(got, [point(0, 0.25, 0.0), point(1, 2.5, 0.0)]);
@@ -316,15 +360,132 @@ fn no_spliced_array_is_left_pending_at_loop_exit() {
     assert!(s.binding("closest").is_none());
 }
 
-/// `{ (k, +/x) | (i, v) ← V, (j, w) ← W, let x = v * w, group by k : key }`.
-fn grouped_cross(key: CExpr) -> Comprehension {
-    let pair = |a: &str, b: &str| Pattern::pair(Pattern::var(a), Pattern::var(b));
-    let mul = CExpr::Bin(
-        BinOp::Mul,
-        Box::new(CExpr::var("v")),
-        Box::new(CExpr::var("w")),
-    );
+fn pair(a: &str, b: &str) -> Pattern {
+    Pattern::pair(Pattern::var(a), Pattern::var(b))
+}
+
+fn bin(op: BinOp, a: CExpr, b: CExpr) -> CExpr {
+    CExpr::Bin(op, Box::new(a), Box::new(b))
+}
+
+fn longs(n: i64, f: fn(i64) -> i64) -> Vec<Value> {
+    (0..n)
+        .map(|i| Value::pair(Value::Long(i), Value::Long(f(i))))
+        .collect()
+}
+
+/// `{ (k, +/x) | (i, v) ← V, (j, w) ← W, inRange(j, 1, 3), let x = v * w,
+/// extra…, group by k : key }`.
+fn grouped_cross(key: CExpr, extra: Vec<Qual>) -> Comprehension {
+    let mut quals = vec![
+        Qual::Gen(pair("i", "v"), CExpr::var("V")),
+        Qual::Gen(pair("j", "w"), CExpr::var("W")),
+        Qual::Pred(CExpr::Call(
+            Func::InRange,
+            vec![CExpr::var("j"), CExpr::long(1), CExpr::long(3)],
+        )),
+        Qual::Let(
+            Pattern::var("x"),
+            bin(BinOp::Mul, CExpr::var("v"), CExpr::var("w")),
+        ),
+    ];
+    quals.extend(extra);
+    quals.push(Qual::GroupBy(Pattern::var("k"), key));
     Comprehension::new(
+        CExpr::pair(
+            CExpr::var("k"),
+            CExpr::Agg(AggOp::new(BinOp::Add).unwrap(), Box::new(CExpr::var("x"))),
+        ),
+        quals,
+    )
+}
+
+/// Runs `X := c` over the arrays `V` and `W` and the scalar `j = 5` on
+/// every engine and width, holds `X` to the reference evaluator, and
+/// checks that the group-by shuffles exactly when it does not `fold`;
+/// returns the plan of the last run.
+fn check_grouped(c: Comprehension, v: &[Value], w: &[Value], fold: bool) -> String {
+    let env = Env::from([
+        ("V".to_string(), Value::bag(v.to_vec())),
+        ("W".to_string(), Value::bag(w.to_vec())),
+        ("j".to_string(), Value::Long(5)),
+    ]);
+    let mut want = diablo_comp::eval_comp(&c, &env).unwrap();
+    want.sort();
+    let long = || Type::Vector(Box::new(Type::Long));
+    let program = CompiledProgram {
+        stmts: vec![TStmt::Assign {
+            name: "X".into(),
+            value: CExpr::Comp(c),
+            collection: true,
+        }],
+        inputs: vec![("V".into(), long()), ("W".into(), long())],
+        var_types: HashMap::from([
+            ("V".into(), long()),
+            ("W".into(), long()),
+            ("X".into(), long()),
+        ]),
+        names: NameGen::new(),
+    };
+    let mut plan = String::new();
+    for engine in ENGINES {
+        for workers in WORKERS {
+            let ctx = engine.context(workers, 4);
+            let mut s = Session::new(ctx.clone());
+            s.bind_input("V", v.to_vec());
+            s.bind_input("W", w.to_vec());
+            s.bind_scalar("j", Value::Long(5));
+            let before = ctx.stats().snapshot();
+            s.run(&program).unwrap();
+            let stats = ctx.stats().snapshot().since(&before);
+            assert_eq!(s.collect("X").unwrap(), want, "{engine}, {workers} workers");
+            assert_eq!(stats.shuffles == 0, fold, "{engine}: {stats:?}");
+            if engine.columnar() {
+                assert_eq!(stats.row_fallback_stages, 0, "{stats:?}");
+            }
+            plan = s.explain(&program).unwrap();
+        }
+    }
+    plan
+}
+
+#[test]
+fn only_a_group_by_on_the_source_key_folds_per_row() {
+    let (v, w) = (longs(50, |i| i % 7 - 2), longs(5, |j| j + 1));
+    let var = CExpr::var;
+    let modulo = bin(BinOp::Mod, var("v"), CExpr::long(3));
+    // (the group key, qualifiers before the group-by, whether the key is
+    // the source's unique key and fixed by the source row alone)
+    let cases = [
+        (var("i"), vec![], true),
+        (modulo.clone(), vec![], false),
+        // `j` is the cross's: one `V` row spans three groups (and the
+        // scalar `j` is not read for it).
+        (CExpr::pair(var("i"), var("j")), vec![], false),
+        // `i` bound again, by a `let` and by a pattern, is no longer the
+        // source's key.
+        (var("i"), vec![Qual::Let(Pattern::var("i"), modulo)], false),
+        (var("i"), vec![Qual::Gen(pair("i", "u"), var("W"))], false),
+    ];
+    for (key, extra, fold) in cases {
+        let c = grouped_cross(key, extra);
+        let what = diablo_comp::pretty_cexpr(&CExpr::Comp(c.clone()));
+        let plan = check_grouped(c, &v, &w, fold);
+        assert_eq!(
+            plan.contains("the source's unique key, folded per row"),
+            fold,
+            "{what}: {plan}"
+        );
+    }
+}
+
+#[test]
+fn a_fold_declines_a_probed_side_over_the_build_cap() {
+    // `{ (k, +/x) | (i, v) ← V, (j, w) ← W, w == v, let x = v * w, group
+    // by k : i }`: a probe per `V` row into `W`. One row over the
+    // engine's build cap of 1 << 16 rows, the group-by shuffles and the
+    // join is partitioned; at the cap, the fold probes a built `W`.
+    let c = Comprehension::new(
         CExpr::pair(
             CExpr::var("k"),
             CExpr::Agg(AggOp::new(BinOp::Add).unwrap(), Box::new(CExpr::var("x"))),
@@ -332,69 +493,29 @@ fn grouped_cross(key: CExpr) -> Comprehension {
         vec![
             Qual::Gen(pair("i", "v"), CExpr::var("V")),
             Qual::Gen(pair("j", "w"), CExpr::var("W")),
-            Qual::Pred(CExpr::Call(
-                Func::InRange,
-                vec![CExpr::var("j"), CExpr::long(1), CExpr::long(3)],
-            )),
-            Qual::Let(Pattern::var("x"), mul),
-            Qual::GroupBy(Pattern::var("k"), key),
+            Qual::Pred(CExpr::eq(CExpr::var("w"), CExpr::var("v"))),
+            Qual::Let(
+                Pattern::var("x"),
+                bin(BinOp::Mul, CExpr::var("v"), CExpr::var("w")),
+            ),
+            Qual::GroupBy(Pattern::var("k"), CExpr::var("i")),
         ],
-    )
-}
-
-#[test]
-fn only_a_group_by_on_the_source_key_folds_per_row() {
-    let longs = |n: i64, f: fn(i64) -> i64| -> Vec<Value> {
-        (0..n)
-            .map(|i| Value::pair(Value::Long(i), Value::Long(f(i))))
-            .collect()
-    };
-    let (v, w) = (longs(50, |i| i % 7 - 2), longs(5, |j| j + 1));
-    let env = Env::from([
-        ("V".to_string(), Value::bag(v.clone())),
-        ("W".to_string(), Value::bag(w.clone())),
-    ]);
-    let modulo = CExpr::Bin(
-        BinOp::Mod,
-        Box::new(CExpr::var("v")),
-        Box::new(CExpr::long(3)),
     );
-    // (the group key, whether it is the source's unique key)
-    for (key, unique) in [(CExpr::var("i"), true), (modulo, false)] {
-        let c = grouped_cross(key);
-        let mut want = diablo_comp::eval_comp(&c, &env).unwrap();
-        want.sort();
-        let long = || Type::Vector(Box::new(Type::Long));
-        let program = CompiledProgram {
-            stmts: vec![TStmt::Assign {
-                name: "X".into(),
-                value: CExpr::Comp(c),
-                collection: true,
-            }],
-            inputs: vec![("V".into(), long()), ("W".into(), long())],
-            var_types: HashMap::from([
-                ("V".into(), long()),
-                ("W".into(), long()),
-                ("X".into(), long()),
-            ]),
-            names: NameGen::new(),
-        };
-        for engine in ENGINES {
-            for workers in WORKERS {
-                let ctx = engine.context(workers, 4);
-                let mut s = Session::new(ctx.clone());
-                s.bind_input("V", v.clone());
-                s.bind_input("W", w.clone());
-                let before = ctx.stats().snapshot();
-                s.run(&program).unwrap();
-                let stats = ctx.stats().snapshot().since(&before);
-                assert_eq!(s.collect("X").unwrap(), want, "{engine}, {workers} workers");
-                // A non-unique key keeps its shuffle.
-                assert_eq!(stats.shuffles == 0, unique, "{engine}: {stats:?}");
-                if engine.columnar() {
-                    assert_eq!(stats.row_fallback_stages, 0, "{stats:?}");
-                }
-            }
-        }
-    }
+    let v = longs(6, |i| i * 1000);
+    const CAP: i64 = 1 << 16;
+    let over = check_grouped(c.clone(), &v, &longs(CAP + 1, |j| j % CAP), false);
+    assert!(
+        over.contains(&format!(
+            "fold per row declined: a side of {} rows is over the join build cap",
+            CAP + 1
+        )),
+        "{over}"
+    );
+    assert!(over.contains("join partitioned"), "{over}");
+    let at = check_grouped(c, &v, &longs(CAP, |j| j), true);
+    assert!(at.contains(&format!("join build: {CAP} rows")), "{at}");
+    assert!(
+        at.contains("the source's unique key, folded per row"),
+        "{at}"
+    );
 }
