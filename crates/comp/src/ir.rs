@@ -230,6 +230,34 @@ impl Comprehension {
         self.quals.iter().any(|q| matches!(q, Qual::GroupBy(_, _)))
     }
 
+    /// `{ (i, d) | i ← range(lo, hi), let … }` — the §3.4 translation of a
+    /// loop initialization `for i = lo, hi do X[i] := d` — as its bounds
+    /// and `d`, the `let`s inlined, when neither `d` nor a `let` reads `i`
+    /// and no `let` binds it again.
+    pub fn range_fill(&self) -> Option<(&CExpr, &CExpr, CExpr)> {
+        let (Some((Qual::Gen(Pattern::Var(i), CExpr::Range(lo, hi)), lets)), CExpr::Tuple(head)) =
+            (self.quals.split_first(), self.head.as_ref())
+        else {
+            return None;
+        };
+        let [CExpr::Var(k), d] = head.as_slice() else {
+            return None;
+        };
+        if k != i {
+            return None;
+        }
+        let mut d = d.clone();
+        for q in lets.iter().rev() {
+            match q {
+                Qual::Let(Pattern::Var(v), e) if v != i && !e.mentions(i) => {
+                    d.subst_all(&[(v.clone(), e.clone())]);
+                }
+                _ => return None,
+            }
+        }
+        (!d.mentions(i)).then_some((lo.as_ref(), hi.as_ref(), d))
+    }
+
     /// [`CExpr::subst_all`] over the qualifiers from position `from` on
     /// and the head — the scope of a binding made just before `from`.
     pub fn subst_from(&mut self, from: usize, subs: &[(String, CExpr)]) -> bool {

@@ -314,9 +314,9 @@ fn plan(body: &[TStmt], x: &str, collections: &HashSet<String>) -> Option<Plan> 
     })
 }
 
-/// `X ⊳ { (x, d) | x ← range(lo, hi), let … }`: the bounds and `d`, its
-/// `let`s inlined, when `d` reads neither `x` nor an array and has a row
-/// form.
+/// `X ⊳ { (i, d) | i ← range(lo, hi), let … }`: the bounds and `d`, its
+/// `let`s inlined ([`Comprehension::range_fill`]), when `d` reads no array
+/// and has a row form.
 fn range_fill(
     value: &CExpr,
     x: &str,
@@ -333,30 +333,12 @@ fn range_fill(
     let (CExpr::Var(l), CExpr::Comp(fill)) = (left.as_ref(), right.as_ref()) else {
         return None;
     };
-    let (Some((Qual::Gen(Pattern::Var(i), CExpr::Range(lo, hi)), lets)), CExpr::Tuple(head)) =
-        (fill.quals.split_first(), fill.head.as_ref())
-    else {
-        return None;
-    };
-    let [CExpr::Var(k), d] = head.as_slice() else {
-        return None;
-    };
-    if l != x || k != i {
+    if l != x {
         return None;
     }
-    let mut d = d.clone();
-    for q in lets.iter().rev() {
-        let Qual::Let(Pattern::Var(v), e) = q else {
-            return None;
-        };
-        d.subst_all(&[(v.clone(), e.clone())]);
-    }
-    let reads = d.free_vars();
-    let fits = d.has_row_form()
-        && !reads.contains(i)
-        && !reads.iter().any(|v| collections.contains(v))
-        && lets.iter().all(|q| !q.expr().mentions(i));
-    fits.then(|| ((**lo).clone(), (**hi).clone(), d))
+    let (lo, hi, d) = fill.range_fill()?;
+    let fits = d.has_row_form() && !d.free_vars().iter().any(|v| collections.contains(v));
+    fits.then(|| (lo.clone(), hi.clone(), d))
 }
 
 /// `X ⊳[⊕] u`: the monoid and `u`.

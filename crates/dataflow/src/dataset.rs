@@ -203,18 +203,36 @@ pub struct Dataset {
     /// from it — releases the entry. Unlike the old `Arc<OnceLock>` pin
     /// this keeps nothing alive the cache cannot evict.
     slot: Arc<crate::dscache::CacheSlot>,
-    /// What the rows are ([`Dataset::known`]): for base data once asked,
-    /// otherwise once the plan has been forced — it stays known after the
-    /// cache evicts them.
-    rows: Arc<OnceLock<Known>>,
+    /// What is known of the rows without running the plan; shared by the
+    /// clones, and new for every derived dataset.
+    known: Arc<Known>,
     /// Set once the plan has run without error: forced, or fused into a
     /// stage that finished on every partition ([`Dataset::has_run`]).
     ran: Arc<AtomicBool>,
 }
 
-/// What [`Dataset::known`] knows of a dataset's rows.
+/// The fact record of one dataset: what is known of its rows without
+/// running its plan. Each fact is set where it becomes known and stays
+/// known, even after the cache evicts the rows; a derived dataset starts a
+/// new record, so every operator drops every fact unless it sets one.
+#[derive(Debug, Default)]
+struct Known {
+    /// The count and index kind of the rows ([`Dataset::rows_known`]):
+    /// base data's once asked, a forced dataset's when it is forced.
+    rows: OnceLock<Rows>,
+    /// The range of the rows' long keys ([`Dataset::key_range`]): a
+    /// fill's bounds and a merge's union when it is built, a forced
+    /// dataset's or base data's read from the rows the first time it is
+    /// asked for; `Some(None)` once the rows are found to hold a key that
+    /// is not a long.
+    keys: OnceLock<Option<KeyRange>>,
+    /// Set on a range fill when it is built ([`Dataset::fill`]).
+    fill: Option<RangeFill>,
+}
+
+/// What [`Dataset::rows_known`] knows of a dataset's rows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Known {
+pub struct Rows {
     /// The number of rows.
     pub len: usize,
     /// Whether every row is a matrix element `((i, j), v)` whose indices
@@ -222,13 +240,13 @@ pub struct Known {
     pub long_indices: bool,
 }
 
-impl Known {
+impl Rows {
     /// Counts the rows and checks their indices. Most datasets are no
     /// matrix, and their first row says so; otherwise every row is read,
     /// a partition per task on `ctx`'s workers (the check reads each
     /// row's key, a pointer away from the row), and a partition's check
     /// stops at its first row that fails it.
-    fn of(ctx: &Context, parts: &[Vec<Value>]) -> Known {
+    fn of(ctx: &Context, parts: &[Vec<Value>]) -> Rows {
         let long_indices = |row: &Value| match row.as_tuple() {
             Some([key, _]) => matches!(key.as_tuple(), Some([Value::Long(_), Value::Long(_)])),
             _ => false,
@@ -241,10 +259,95 @@ impl Known {
             );
             checked.is_ok_and(|parts| parts.into_iter().all(|ok| ok))
         };
-        Known {
+        Rows {
             len: parts.iter().map(Vec::len).sum(),
             long_indices: parts.iter().flatten().next().is_none_or(long_indices) && all_long(),
         }
+    }
+}
+
+/// The least and the greatest key of `(key, value)` rows whose keys are
+/// all longs ([`Dataset::key_range`]); `min > max` for no rows.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct KeyRange {
+    /// The least key.
+    pub min: i64,
+    /// The greatest key.
+    pub max: i64,
+}
+
+impl KeyRange {
+    /// The range of no keys: the identity of [`KeyRange::union`].
+    pub(crate) const EMPTY: KeyRange = KeyRange {
+        min: i64::MAX,
+        max: i64::MIN,
+    };
+
+    /// The keys `lo..=hi`; [`KeyRange::EMPTY`] when `hi < lo`.
+    pub(crate) fn of(lo: i64, hi: i64) -> KeyRange {
+        if hi < lo {
+            KeyRange::EMPTY
+        } else {
+            KeyRange { min: lo, max: hi }
+        }
+    }
+
+    /// The least range holding both.
+    pub(crate) fn union(self, other: KeyRange) -> KeyRange {
+        KeyRange {
+            min: self.min.min(other.min),
+            max: self.max.max(other.max),
+        }
+    }
+
+    /// True when every key of this range lies in `lo..=hi`.
+    pub(crate) fn within(self, lo: i64, hi: i64) -> bool {
+        self.min > self.max || (lo <= self.min && self.max <= hi)
+    }
+
+    /// The range of the rows' keys, or `None` when a row is no pair or
+    /// its key is no long.
+    fn read(parts: &[Vec<Value>]) -> Option<KeyRange> {
+        parts
+            .iter()
+            .flatten()
+            .try_fold(KeyRange::EMPTY, |keys, row| match row.as_tuple() {
+                Some([Value::Long(k), _]) => Some(keys.union(KeyRange::of(*k, *k))),
+                _ => None,
+            })
+    }
+}
+
+/// A range fill: the rows `(k, value)` for every long `k` in `lo..=hi`,
+/// in ascending `k` — what the §3.4 translation of a loop initialization
+/// `for i = lo, hi do X[i] := value` merges into its array. The value
+/// reads no key, so the fill is its bounds and its value until a reader
+/// needs rows ([`Dataset::range_fill`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct RangeFill {
+    /// The least key.
+    pub lo: i64,
+    /// The greatest key; below `lo` for a fill of no rows.
+    pub hi: i64,
+    /// Every row's value.
+    pub value: Value,
+}
+
+impl RangeFill {
+    /// The fill's keys by hash bucket among `partitions`, each bucket's
+    /// in ascending order — the order in which the fill's scattered rows
+    /// reach it, since its source partitions hold ascending runs of keys.
+    /// One hash per key, as the scatter paid.
+    fn bucket_keys(&self, partitions: usize) -> Vec<Vec<i64>> {
+        let mut buckets = vec![Vec::new(); partitions];
+        // A fill holds at most `i64::MAX` keys, as `range` checked.
+        let n = range_len(self.lo, self.hi).unwrap_or(0);
+        for j in 0..n {
+            // `j < n` keeps every sum inside `lo..=hi`.
+            let k = self.lo.wrapping_add_unsigned(j);
+            buckets[HashPartitioner.partition(&Value::Long(k), partitions)].push(k);
+        }
+        buckets
     }
 }
 
@@ -288,6 +391,27 @@ impl Dataset {
         Ok(Dataset::from_materialized(ctx, parts))
     }
 
+    /// Builds the range fill `{(k, value) | k ← lo..=hi}` ([`RangeFill`]):
+    /// a reader scans it as `range(lo, hi)` keyed by each long, in one
+    /// more step of that reader's chain, and a merge whose old side it is
+    /// generates each bucket's rows instead ([`Dataset::merge`]). Its key
+    /// range is its bounds, and it can raise no error, so it counts as a
+    /// plan that has run ([`Dataset::has_run`]). More than `i64::MAX` rows
+    /// is an error.
+    pub fn range_fill(ctx: Context, lo: i64, hi: i64, value: Value) -> Result<Dataset> {
+        let row = RowExpr::Tuple(vec![RowExpr::Input, RowExpr::Const(value.clone())]);
+        let rows = Dataset::range(ctx, lo, hi)?.map_expr(row)?;
+        let known = Known {
+            keys: OnceLock::from(Some(KeyRange::of(lo, hi))),
+            fill: Some(RangeFill { lo, hi, value }),
+            ..Known::default()
+        };
+        Ok(Dataset {
+            known: Arc::new(known),
+            ..rows
+        })
+    }
+
     /// Wraps already-materialized partitions (internal): the plan is a
     /// `Scan`, so forcing is free.
     fn from_materialized(ctx: Context, parts: Vec<Vec<Value>>) -> Dataset {
@@ -308,7 +432,7 @@ impl Dataset {
             ctx,
             plan: Arc::new(PlanOp::Scan(parts)),
             slot,
-            rows: Arc::default(),
+            known: Arc::default(),
             ran: Arc::default(),
         }
     }
@@ -325,7 +449,7 @@ impl Dataset {
             ctx,
             plan: Arc::new(PlanOp::Scan(Arc::new(Vec::new()))),
             slot,
-            rows: Arc::default(),
+            known: Arc::default(),
             ran: Arc::default(),
         }
     }
@@ -358,7 +482,7 @@ impl Dataset {
             ctx: self.ctx.clone(),
             plan: Arc::new(op),
             slot,
-            rows: Arc::default(),
+            known: Arc::default(),
             ran: Arc::default(),
         }
     }
@@ -391,13 +515,14 @@ impl Dataset {
     fn enter(&self, parts: &Arc<Vec<Vec<Value>>>) -> Result<()> {
         let cache = self.ctx.dataset_cache();
         cache.insert(self.slot.id(), parts.clone(), &self.ctx)?;
-        self.rows.get_or_init(|| Known::of(&self.ctx, parts));
+        self.known.rows.get_or_init(|| Rows::of(&self.ctx, parts));
         self.ran.store(true, Ordering::Release);
         Ok(())
     }
 
     /// This dataset's rows for a reader that reads them once and whole —
-    /// a join's build side — with their count known ([`Dataset::known`]).
+    /// a join's build side — with their count known
+    /// ([`Dataset::rows_known`]).
     /// Base data and a dataset forced before are read as they are. A
     /// pending plan runs now, in one fused stage, and records that it ran,
     /// as any stage that fuses it does. At most `keep` rows are handed
@@ -405,7 +530,7 @@ impl Dataset {
     /// whole anyway. More enter the cache as [`Dataset::materialize`]
     /// enters them, charged to its budget and spilled under it.
     pub fn computed(&self, keep: usize) -> Result<Dataset> {
-        if self.known().is_some() {
+        if self.rows_known().is_some() {
             return Ok(self.clone());
         }
         let parts = plan::materialize(&self.ctx, &self.effective_plan())?.into_arc();
@@ -421,18 +546,89 @@ impl Dataset {
     /// reduction or materialization of some dataset derived from it — and
     /// finished on every partition. Such a plan can raise no error its
     /// run did not, so forcing it would only run the chain again. A stage
-    /// that failed or was cancelled leaves the fact unset.
+    /// that failed or was cancelled leaves the fact unset. A range fill,
+    /// which can raise no error, counts as run.
     pub fn has_run(&self) -> bool {
-        matches!(self.plan.as_ref(), PlanOp::Scan(_)) || self.ran.load(Ordering::Acquire)
+        matches!(self.plan.as_ref(), PlanOp::Scan(_))
+            || self.known.fill.is_some()
+            || self.ran.load(Ordering::Acquire)
     }
 
     /// What the rows are when it is known without running anything: base
     /// data, or a dataset forced before (even if the cache has evicted its
-    /// rows since). `None` for a plan still pending.
-    pub fn known(&self) -> Option<Known> {
+    /// rows since). `None` for a plan still pending and for a range fill
+    /// no reader has forced.
+    pub fn rows_known(&self) -> Option<Rows> {
         match self.plan.as_ref() {
-            PlanOp::Scan(parts) => Some(*self.rows.get_or_init(|| Known::of(&self.ctx, parts))),
-            _ => self.rows.get().copied(),
+            PlanOp::Scan(parts) => {
+                Some(*self.known.rows.get_or_init(|| Rows::of(&self.ctx, parts)))
+            }
+            _ => self.known.rows.get().copied(),
+        }
+    }
+
+    /// The range of the `(key, value)` rows' long keys, when it is known
+    /// without running a stage: a range fill's bounds, a merge's union of
+    /// its sides' ranges if both were known when it was built, or — the
+    /// first time it is asked for, then kept — read from the rows of base
+    /// data or of a forced dataset the cache still holds. `None` for a
+    /// pending plan, and when a row is no pair keyed by a long.
+    pub fn key_range(&self) -> Option<KeyRange> {
+        if let Some(keys) = self.known.keys.get() {
+            return *keys;
+        }
+        let parts = match self.plan.as_ref() {
+            PlanOp::Scan(parts) => parts.clone(),
+            _ if self.known.rows.get().is_some() => {
+                let cache = self.ctx.dataset_cache();
+                if !cache.contains(self.slot.id()) {
+                    // Evicted: no rows to read short of recomputing them.
+                    return None;
+                }
+                cache.get(self.slot.id(), &self.ctx).ok().flatten()?
+            }
+            _ => return None,
+        };
+        *self.known.keys.get_or_init(|| KeyRange::read(&parts))
+    }
+
+    /// The range fill this dataset is, when it is one
+    /// ([`Dataset::range_fill`]).
+    pub fn fill(&self) -> Option<&RangeFill> {
+        self.known.fill.as_ref()
+    }
+
+    /// True when every key of the `(key, value)` rows is known to lie in
+    /// `lo..=hi` ([`Dataset::key_range`]). Under the plan verifier the
+    /// fact is checked on the rows — a fill's bounds, or every key of the
+    /// forced rows — and a key outside is an error, not a `true` that
+    /// would drop its row.
+    pub fn keys_within(&self, lo: i64, hi: i64) -> Result<bool> {
+        if !self.key_range().is_some_and(|keys| keys.within(lo, hi)) {
+            return Ok(false);
+        }
+        // A fill's rows are its bounds' keys, which the range just
+        // compared; any other dataset's rows are read.
+        if crate::verify::enabled() && self.fill().is_none() {
+            crate::verify::verify_keys_within(&self.force()?, lo, hi)?;
+        }
+        Ok(true)
+    }
+
+    /// Test-only hook: this dataset with a **wrong fact** — its key range
+    /// said to be `keys`, whatever its rows hold — so integration tests can
+    /// prove the plan verifier refuses a rule that trusts it. Hidden from
+    /// docs; never use outside tests.
+    #[doc(hidden)]
+    pub fn with_key_range_for_tests(&self, keys: KeyRange) -> Dataset {
+        let known = Known {
+            rows: self.known.rows.clone(),
+            keys: OnceLock::from(Some(keys)),
+            fill: None,
+        };
+        Dataset {
+            known: Arc::new(known),
+            ..self.clone()
         }
     }
 
@@ -451,11 +647,18 @@ impl Dataset {
         out
     }
 
-    /// True when this dataset is base data holding no rows: a `Scan` plan
-    /// whose partitions are all empty. Forces nothing, so a computed
-    /// dataset that turns out empty reads `false`.
+    /// True when this dataset is known to hold no rows without running a
+    /// stage: base data or a forced dataset with no rows, or a dataset
+    /// whose key range is known to be empty (a fill over an empty range).
+    /// A pending plan reads `false`, even one that would turn out empty.
     pub fn is_known_empty(&self) -> bool {
-        matches!(self.plan.as_ref(), PlanOp::Scan(parts) if parts.iter().all(Vec::is_empty))
+        match self.plan.as_ref() {
+            PlanOp::Scan(parts) => parts.iter().all(Vec::is_empty),
+            _ => {
+                self.known.rows.get().is_some_and(|rows| rows.len == 0)
+                    || self.known.keys.get() == Some(&Some(KeyRange::EMPTY))
+            }
+        }
     }
 
     /// Under the plan verifier, checks that base data holds no key twice
@@ -879,7 +1082,7 @@ impl Dataset {
             "reduce_by_key (combine + scatter)",
             Crossing::Combined(&fold),
         )?;
-        let reduce_fn: PartFn = Arc::new(move |bucket: &Bucket| fold.reduce(bucket.one()?));
+        let reduce_fn: PartFn = Arc::new(move |_, bucket: &Bucket| fold.reduce(bucket.one()?));
         let dest = dest.into_iter().map(Bucket::One).collect();
         Ok(self.post_shuffle(dest, PartOp::Rows(reduce_fn), "reduce_by_key (reduce)"))
     }
@@ -890,7 +1093,7 @@ impl Dataset {
     pub fn group_by_key(&self) -> Result<Dataset> {
         self.ctx.record_logical_op();
         let dest = self.scatter_keyed("group_by_key (scatter)", Crossing::Pairs)?;
-        let group_fn: PartFn = Arc::new(|bucket: &Bucket| {
+        let group_fn: PartFn = Arc::new(|_, bucket: &Bucket| {
             let mut groups: KeyTable<Vec<Value>> = KeyTable::new();
             bucket.one()?.each_pair(&mut |k, v| {
                 groups.upsert(k, Vec::new).value.push(v.into_owned());
@@ -1027,7 +1230,7 @@ impl Dataset {
         };
         let left = scatter(self, zip.left, "block zip (pack + scatter left)")?;
         let right = scatter(other, zip.right, "block zip (pack + scatter right)")?;
-        let combine: PartFn = Arc::new(move |bucket: &Bucket| {
+        let combine: PartFn = Arc::new(move |_, bucket: &Bucket| {
             let (lefts, rights) = bucket.two()?;
             block::zip_bucket(&zip, &lefts.rows(), &rights.rows())
         });
@@ -1071,7 +1274,7 @@ impl Dataset {
         };
         let left = scatter(self, true, "block contraction (pack + scatter left)")?;
         let right = scatter(other, false, "block contraction (pack + scatter right)")?;
-        let multiply: PartFn = Arc::new(move |bucket: &Bucket| {
+        let multiply: PartFn = Arc::new(move |_, bucket: &Bucket| {
             let (lefts, rights) = bucket.two()?;
             block::contract_bucket(&spec, &lefts.rows(), &rights.rows())
         });
@@ -1092,25 +1295,52 @@ impl Dataset {
     /// with `f` first.
     ///
     /// Both scatters are eager; the slot-combining stage is lazy, so the
-    /// merged array fuses into whatever reads it next.
+    /// merged array fuses into whatever reads it next. An old side that is
+    /// a range fill ([`Dataset::range_fill`]) is not scattered: the
+    /// slot-combining stage generates each bucket's old rows — the fill's
+    /// keys of that bucket, in the ascending order its scatter would have
+    /// delivered them — so the merge is one scatter and its rows are the
+    /// same. The merge's key range is the union of its sides' when both
+    /// are known ([`Dataset::key_range`]).
     pub fn merge<F>(&self, updates: &Dataset, combine: Option<F>) -> Result<Dataset>
     where
         F: Fn(&Value, &Value) -> Result<Value> + Send + Sync + 'static,
     {
         self.ctx.record_logical_op();
-        let old = self.scatter_keyed("merge (scatter old)", Crossing::Pairs)?;
+        let fill = self.fill().cloned();
+        let old = match fill {
+            Some(_) => None,
+            None => Some(self.scatter_keyed("merge (scatter old)", Crossing::Pairs)?),
+        };
         let new = updates.scatter_keyed("merge (scatter updates)", Crossing::Pairs)?;
-        let merge_fn: PartFn = Arc::new(move |bucket: &Bucket| {
-            let (olds, news) = bucket.two()?;
-            let mut slots: KeyTable<Value> = KeyTable::with_capacity(olds.len());
-            olds.each_pair(&mut |k, v| {
-                let hit = slots.upsert(k, || v.clone().into_owned());
-                if !hit.new {
-                    // Arrays have unique keys; keep the last if not.
-                    *hit.value = v.into_owned();
+        let partitions = self.ctx.partitions();
+        // The first bucket task splits the fill's keys by bucket, and the
+        // others wait for it: the stage hashes each key once.
+        let fill_keys = OnceLock::new();
+        let merge_fn: PartFn = Arc::new(move |p, bucket: &Bucket| {
+            let (mut slots, news) = match &fill {
+                Some(fill) => {
+                    let keys = &fill_keys.get_or_init(|| fill.bucket_keys(partitions))[p];
+                    let mut slots = KeyTable::with_capacity(keys.len());
+                    for &k in keys {
+                        slots.upsert(Key::from(Cow::Owned(Value::Long(k))), || fill.value.clone());
+                    }
+                    (slots, bucket.one()?)
                 }
-                Ok(())
-            })?;
+                None => {
+                    let (olds, news) = bucket.two()?;
+                    let mut slots = KeyTable::with_capacity(olds.len());
+                    olds.each_pair(&mut |k, v| {
+                        let hit = slots.upsert(k, || v.clone().into_owned());
+                        if !hit.new {
+                            // Arrays have unique keys; keep the last if not.
+                            *hit.value = v.into_owned();
+                        }
+                        Ok(())
+                    })?;
+                    (slots, news)
+                }
+            };
             news.each_pair(&mut |k, v| {
                 let hit = slots.upsert(k, || v.clone().into_owned());
                 if !hit.new {
@@ -1126,11 +1356,19 @@ impl Dataset {
                 .map(|(k, v)| Value::pair(k, v))
                 .collect())
         });
-        Ok(self.post_shuffle(
-            Dataset::two_sided(old, new),
-            PartOp::Rows(merge_fn),
-            "merge ⊳ (combine slots)",
-        ))
+        let (buckets, label) = match old {
+            Some(old) => (Dataset::two_sided(old, new), "merge ⊳ (combine slots)"),
+            None => (
+                new.into_iter().map(Bucket::One).collect(),
+                "merge ⊳ (generate fill + combine slots)",
+            ),
+        };
+        let merged = self.post_shuffle(buckets, PartOp::Rows(merge_fn), label);
+        let side = |d: &Dataset| d.known.keys.get().copied().flatten();
+        if let (Some(a), Some(b)) = (side(self), side(updates)) {
+            _ = merged.known.keys.set(Some(a.union(b)));
+        }
+        Ok(merged)
     }
 }
 
@@ -1730,6 +1968,64 @@ mod tests {
                 Value::pair(Value::Long(3), Value::Long(30)),
             ]
         );
+    }
+
+    #[test]
+    fn a_merge_into_a_fill_generates_the_scattered_fills_buckets() {
+        // The fill's rows, generated bucket by bucket in the merge's slot
+        // combine, against the same rows scattered as an ordinary old side:
+        // the same rows in every bucket, in the same order, at the limits
+        // of long, for no key, for one and for many, over several
+        // partition counts.
+        let add = Some(|a: &Value, b: &Value| BinOp::Add.apply(a, b));
+        for (lo, hi) in [
+            (i64::MAX - 2, i64::MAX),
+            (i64::MIN, i64::MIN + 2),
+            (5, 4),
+            (7, 7),
+            (-50, 200),
+        ] {
+            for partitions in [1, 2, 3, 4, 7] {
+                let ctx = Context::new(2, partitions);
+                let value = Value::Long(1);
+                let fill = Dataset::range_fill(ctx.clone(), lo, hi, value.clone()).unwrap();
+                assert_eq!(fill.key_range(), Some(KeyRange::of(lo, hi)));
+                assert_eq!(fill.is_known_empty(), hi < lo);
+                let row = RowExpr::Tuple(vec![RowExpr::Input, RowExpr::Const(value)]);
+                let scattered = ctx.range(lo, hi).unwrap().map_expr(row).unwrap();
+                assert!(scattered.fill().is_none());
+                let updates = pairs(&ctx, &[(lo, 10), (hi, 20), (0, 30)]);
+                let shuffles = || ctx.stats().snapshot().shuffles;
+                let before = shuffles();
+                let generated = fill.merge(&updates, add).unwrap().force().unwrap();
+                assert_eq!(shuffles() - before, 1, "the fill is not scattered");
+                let want = scattered.merge(&updates, add).unwrap().force().unwrap();
+                assert_eq!(generated, want, "[{lo}, {hi}] over {partitions} partitions");
+            }
+        }
+    }
+
+    #[test]
+    fn a_merge_of_two_known_key_ranges_knows_their_union() {
+        let ctx = ctx();
+        let none = None::<fn(&Value, &Value) -> Result<Value>>;
+        let fill = Dataset::range_fill(ctx.clone(), 0, 9, Value::Long(0)).unwrap();
+        let far = Dataset::range_fill(ctx.clone(), 20, 29, Value::Long(1)).unwrap();
+        let merged = fill.merge(&far, none).unwrap();
+        assert_eq!(merged.key_range(), Some(KeyRange::of(0, 29)));
+        assert!(merged.fill().is_none(), "a merge is no fill");
+        // A pending side's range is unknown, and so is the merge's until
+        // it is forced and asked.
+        let pending = pairs(&ctx, &[(40, 1)]).map_expr(RowExpr::Input).unwrap();
+        let merged = fill.merge(&pending, none).unwrap();
+        assert_eq!(merged.key_range(), None);
+        merged.materialize().unwrap();
+        assert_eq!(merged.key_range(), Some(KeyRange::of(0, 40)));
+        assert!(merged.keys_within(0, 40).unwrap());
+        assert!(!merged.keys_within(0, 39).unwrap());
+        // A key that is not a long has no range.
+        let doubles = ctx.from_vec(vec![Value::pair(Value::Double(1.0), Value::Long(1))]);
+        assert_eq!(doubles.key_range(), None);
     }
 
     #[test]

@@ -99,7 +99,7 @@ mod verify;
 
 pub use block::{BlockContract, BlockZip, ElementCols, IndexRange, BLOCK_SIDE};
 pub use columnar::{FieldName, RowExpr, Shape};
-pub use dataset::{range_len, Dataset, JoinOn, Known};
+pub use dataset::{range_len, Dataset, JoinOn, KeyRange, RangeFill, Rows};
 pub use exchange::{decode_value, encode_value, HashPartitioner, MAX_VALUE_DEPTH};
 pub use stats::{Stats, StatsSnapshot};
 

@@ -106,8 +106,9 @@ pub(crate) type RowMapFn = Arc<dyn Fn(&Value) -> Result<Value> + Send + Sync>;
 pub(crate) type RowPredFn = Arc<dyn Fn(&Value) -> Result<bool> + Send + Sync>;
 /// A row-to-rows transformation stored in the plan.
 pub(crate) type RowFlatFn = Arc<dyn Fn(&Value) -> Result<Vec<Value>> + Send + Sync>;
-/// A bucket-at-a-time transformation stored in the plan.
-pub(crate) type PartFn = Arc<dyn Fn(&Bucket) -> Result<Vec<Value>> + Send + Sync>;
+/// A bucket-at-a-time transformation stored in the plan: the bucket's
+/// index among the partitions, and the bucket.
+pub(crate) type PartFn = Arc<dyn Fn(usize, &Bucket) -> Result<Vec<Value>> + Send + Sync>;
 
 /// What a partition-wise node makes of one partition.
 #[derive(Clone)]
@@ -120,17 +121,18 @@ pub(crate) enum PartOp {
 }
 
 impl PartOp {
-    /// Runs the node over one bucket and hands `then` its output as a
+    /// Runs the node over bucket `p` and hands `then` its output as a
     /// [`Source`]; an error of the node itself carries the node's tag.
     fn run<R>(
         &self,
+        p: usize,
         bucket: &Bucket,
         tag: &Tag,
         mode: &DriveMode,
         then: impl FnOnce(Source<'_>) -> Result<R>,
     ) -> Result<R> {
         match self {
-            PartOp::Rows(f) => then(Source::Rows(&f(bucket).map_err(|e| tag_opt(e, tag))?)),
+            PartOp::Rows(f) => then(Source::Rows(&f(p, bucket).map_err(|e| tag_opt(e, tag))?)),
             PartOp::Join(join) => {
                 let columnar = matches!(mode, DriveMode::Columnar(..));
                 let matches = bucket
@@ -574,7 +576,7 @@ where
             note_stage(ctx, mode, buckets.len(), prelude, &steps, label);
             let weight = |i: usize| buckets[i].len() as u64;
             run_stage_weighted(ctx, buckets, weight, |p, bucket, cancel| {
-                op.run(bucket, tag, mode, |src| run(p, src, cancel))
+                op.run(p, bucket, tag, mode, |src| run(p, src, cancel))
             })?
         }
         base => {

@@ -40,6 +40,10 @@
 //!
 //! * **Input keys** ([`verify_unique_keys`]): base data bound as an array
 //!   holds no key twice (§3.4).
+//! * **Covered keys** ([`verify_keys_within`], called by
+//!   `Dataset::keys_within`): before a merge is skipped because a range
+//!   fill covers its old side, every old key is a long inside the fill's
+//!   bounds — a wrong key-range fact is this error, not a dropped row.
 //!
 //! The partitioner's bucket range is *always* checked when a scatter
 //! emits a row (`ExchangeWriter::emit`, `emit_tile`): it is a cheap
@@ -225,6 +229,28 @@ fn check_unique_keys(parts: &[Vec<diablo_runtime::Value>], input: &str) -> Resul
     Ok(())
 }
 
+/// Checks that every row of `parts` is a `(key, value)` pair keyed by a
+/// long in `lo..=hi`: the rows a merge skips because a range fill over
+/// those bounds covers them. Ungated: the caller reads the gate, since it
+/// forces the rows only when the verifier is on.
+pub(crate) fn verify_keys_within(
+    parts: &[Vec<diablo_runtime::Value>],
+    lo: i64,
+    hi: i64,
+) -> Result<()> {
+    let outside = parts.iter().flatten().find(|row| {
+        !matches!(row.as_tuple(), Some([diablo_runtime::Value::Long(k), _]) if (lo..=hi).contains(k))
+    });
+    match outside {
+        None => Ok(()),
+        Some(row) => Err(violation(format!(
+            "a merge was skipped because the range fill over [{lo}, {hi}] covers its old \
+             side, but the old row {row} is not keyed inside it — the old side's key range \
+             fact is wrong"
+        ))),
+    }
+}
+
 /// A structured verifier error: every message leads with `plan verifier:`
 /// so callers and tests can tell an invariant violation from an ordinary
 /// runtime error.
@@ -287,7 +313,7 @@ mod tests {
         // The same chunk held by a plan fails the plan's check.
         let plan = PlanOp::Shuffled(
             Arc::new(vec![crate::chunk::Bucket::One(short)]),
-            crate::plan::PartOp::Rows(Arc::new(|_| Ok(Vec::new()))),
+            crate::plan::PartOp::Rows(Arc::new(|_, _| Ok(Vec::new()))),
             "test",
             None,
         );

@@ -334,11 +334,11 @@ fn density(
     let Some(data) = sess.dataset(op.name) else {
         return Ok(Err(format!("`{}` is not an array", op.name)));
     };
-    let known = match data.known() {
+    let known = match data.rows_known() {
         Some(known) => known,
         None => data
             .materialize()?
-            .known()
+            .rows_known()
             .expect("a forced dataset's rows are known"),
     };
     if !known.long_indices {
@@ -357,7 +357,10 @@ fn plan(matched: &Matched, sess: &Session) -> Result<std::result::Result<Dataset
     let (m, n) = (&matched.m, &matched.n);
     // Operands whose rows are known first: a sparse one declines the
     // statement before a pending one is forced.
-    let pending = |op: &Operand| sess.dataset(op.name).is_some_and(|d| d.known().is_none());
+    let pending = |op: &Operand| {
+        sess.dataset(op.name)
+            .is_some_and(|d| d.rows_known().is_none())
+    };
     let mut order = [(0, m), (1, n)];
     order.sort_by_key(|(_, op)| pending(op));
     let mut densities = [String::new(), String::new()];

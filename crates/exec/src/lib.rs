@@ -371,7 +371,12 @@ impl Session {
                     self.ctx.set_statement_label(None);
                     let data = data.map_err(|e| e.with_context(&tag))?;
                     let lazy = self.lazy && eligible.get(my).copied().unwrap_or(false);
-                    let data = if lazy && !data.has_run() {
+                    // A range fill is its bounds: the lazy session binds it
+                    // as it is and runs no stage, pending where a lazy
+                    // binding would be, so a failed run rolls it back alike.
+                    // (The eager reference materializes it.)
+                    let fill = self.lazy && data.fill().is_some();
+                    let data = if lazy && (fill || !data.has_run()) {
                         // Lazy binding: the plan stays pending and fuses
                         // into its (single) consumer; it is settled at the
                         // dead store or the end of the run.
@@ -381,6 +386,8 @@ impl Session {
                             data: data.clone(),
                             replaced: self.state.get(name).cloned(),
                         });
+                        data
+                    } else if fill {
                         data
                     } else {
                         data.materialize().map_err(|e| e.with_context(&tag))?
@@ -486,6 +493,19 @@ impl Session {
                     }
                 }
                 let new = self.eval_collection(right)?;
+                // A range fill whose bounds hold every key of the array
+                // replaces every row: the merge is the fill.
+                if let (None, Some(fill)) = (combine, new.fill()) {
+                    if old.keys_within(fill.lo, fill.hi)? {
+                        self.ctx.plan_note(format!(
+                            "merge into `{}` skipped: the range fill over [{}, {}] covers its keys",
+                            diablo_comp::pretty_cexpr(left),
+                            fill.lo,
+                            fill.hi
+                        ));
+                        return Ok(new);
+                    }
+                }
                 match combine {
                     None => old.merge(&new, None::<fn(&Value, &Value) -> Result<Value>>),
                     Some(op) => {

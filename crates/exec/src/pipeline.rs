@@ -76,6 +76,9 @@ pub fn run_comp(c: &Comprehension, sess: &Session) -> Result<Dataset> {
     if let Some(data) = crate::blocks::run(c, sess)? {
         return Ok(data);
     }
+    if let Some(data) = range_fill(c, sess)? {
+        return Ok(data);
+    }
     let ctx = sess.context();
     let Some(first) = c.first_source(&|v| sess.is_dataset(v)) else {
         return Ok(ctx.from_vec(eval_comp_in(c, &Env::new(), sess)?));
@@ -169,6 +172,40 @@ pub fn run_comp(c: &Comprehension, sess: &Session) -> Result<Dataset> {
         i += 1;
     }
     pipe.finish(&head, &globals)
+}
+
+/// A range fill `{ (i, d) | i <- range(lo, hi), let … }`, as
+/// [`Comprehension::range_fill`] reads it, as the engine's range fill
+/// ([`Dataset::range_fill`]) when `d` reads only scalars: one value,
+/// evaluated here, where the statement runs. `None` for any other
+/// comprehension, for an empty range, and for a value that fails to
+/// evaluate or has no `RowExpr` form, so the pipeline raises what it
+/// always raised.
+fn range_fill(c: &Comprehension, sess: &Session) -> Result<Option<Dataset>> {
+    let Some((lo, hi, value)) = c.range_fill() else {
+        return Ok(None);
+    };
+    let scalar = |v: &String| matches!(sess.binding(v), Some(crate::Binding::Scalar(_)));
+    if !value.free_vars().iter().all(scalar) {
+        return Ok(None);
+    }
+    let bound = |e: &CExpr| {
+        eval_in(e, &Env::new(), sess)?
+            .as_long()
+            .ok_or_else(|| RuntimeError::new("range bound must be long"))
+    };
+    let (lo, hi) = (bound(lo)?, bound(hi)?);
+    if hi < lo {
+        return Ok(None);
+    }
+    let globals = Arc::new(sess.globals());
+    let Ok(Lowered::Row(rx)) = lower(&value, &Layout::new(Vec::new()), &globals) else {
+        return Ok(None);
+    };
+    match rx.eval(&Value::Unit) {
+        Ok(v) => Dataset::range_fill(sess.context().clone(), lo, hi, v).map(Some),
+        Err(_) => Ok(None),
+    }
 }
 
 /// The group-by a fold per source row can run, for the generator at `i`:
@@ -707,7 +744,7 @@ impl Pipe {
         };
         let ctx = self.data.context();
         let right = right.data.computed(BUILD_CAP)?;
-        let rows = right.known().map_or(usize::MAX, |k| k.len);
+        let rows = right.rows_known().map_or(usize::MAX, |k| k.len);
         if rows > BUILD_CAP && in_fold {
             ctx.plan_note(format!(
                 "fold per row declined: a side of {rows} rows is over the join build cap {BUILD_CAP}"

@@ -371,6 +371,10 @@ fn respond(payload: &[u8], shared: &Arc<Shared>) -> (Vec<u8>, bool) {
     let closing = matches!(response, Response::ShuttingDown);
     let bytes = match response.encode() {
         Ok(b) => b,
+        // An error response is one string, and encoding fails only on a
+        // string longer than `u32::MAX` bytes. This one is the text of an
+        // encoding error — a fixed sentence naming a limit — so it cannot
+        // fail.
         Err(e) => Response::Error {
             message: e.to_string(),
         }
@@ -633,16 +637,28 @@ enum Turn<'a> {
 
 /// Registers a miss of `key` as its leader, or waits for the identical
 /// run already executing.
+///
+/// Both locks recover from poisoning, because each state is whole at every
+/// panic point: the inflight map changes by one `insert` (here) or one
+/// `remove` ([`Leader::settle`]), and a run's result slot by one
+/// assignment, so a thread that panics holding either lock has changed
+/// all of it or none.
 fn coalesce(shared: &Shared, key: u64) -> Turn<'_> {
-    let mut inflight = shared.inflight.lock().expect("inflight lock");
+    let mut inflight = shared
+        .inflight
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     if let Some(waiting) = inflight.get(&key) {
         let waiting = waiting.clone();
         drop(inflight);
         shared.coalesced.fetch_add(1, Ordering::Relaxed);
         let waited = Instant::now();
-        let mut done = waiting.done.lock().expect("inflight result lock");
+        let mut done = waiting.done.lock().unwrap_or_else(PoisonError::into_inner);
         while done.is_none() {
-            done = waiting.cv.wait(done).expect("inflight result lock");
+            done = waiting
+                .cv
+                .wait(done)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         let outcome = done.as_ref().expect("loop exits on Some").clone();
         return Turn::Waited(outcome, waited.elapsed().as_micros() as u64);
@@ -894,6 +910,68 @@ mod tests {
         assert!(got.is_err(), "the waiter gets an error: {got:?}");
         // The next identical miss leads a fresh run.
         assert!(matches!(coalesce(&shared, key), Turn::Lead(_)));
+        server.stop();
+    }
+
+    #[test]
+    fn poisoned_single_flight_locks_still_answer_identical_and_novel_runs() {
+        let server = Server::start("127.0.0.1:0", Context::new(1, 2), ServeConfig::default())
+            .expect("server");
+        let shared = server.shared.clone();
+        // A leader whose result lock a panicking thread poisons.
+        let key = 0x5eed;
+        let Turn::Lead(leader) = coalesce(&shared, key) else {
+            panic!("the first miss of a key leads");
+        };
+        let run = leader
+            .run
+            .clone()
+            .expect("a coalescing leader holds its run");
+        let poisoner = thread::spawn(move || {
+            let _held = run.done.lock().expect("result lock");
+            panic!("a thread panics holding a result lock");
+        });
+        assert!(poisoner.join().is_err());
+        // And the inflight map's lock, poisoned the same way.
+        let poisoner = thread::spawn({
+            let shared = shared.clone();
+            move || {
+                let _held = shared.inflight.lock().expect("inflight lock");
+                panic!("a thread panics holding the inflight lock");
+            }
+        });
+        assert!(poisoner.join().is_err());
+        assert!(shared.inflight.is_poisoned());
+
+        // An identical miss passes the poisoned map lock and waits on the
+        // poisoned result lock until the leader settles.
+        let waiter = thread::spawn({
+            let shared = shared.clone();
+            move || match coalesce(&shared, key) {
+                Turn::Waited(outcome, _) => outcome.map(|_| ()),
+                _ => panic!("an identical miss waits for the leader"),
+            }
+        });
+        while shared.coalesced.load(Ordering::Relaxed) < 1 && !waiter.is_finished() {
+            thread::sleep(Duration::from_millis(1));
+        }
+        drop(leader);
+        let got = waiter.join().expect("the waiter is answered");
+        assert!(got.is_err(), "the unsettled leader's error: {got:?}");
+
+        // A novel run leads through the poisoned map lock, and the
+        // identical run after it is answered from the cache.
+        let mut client = Client::connect(server.addr()).expect("connect");
+        let inputs = || vec![("V".to_string(), rows(10))];
+        let novel = client
+            .run(SUM, vec![], inputs(), false)
+            .expect("a novel run is answered");
+        assert!(!novel.stats.cache_hit);
+        let identical = client
+            .run(SUM, vec![], inputs(), false)
+            .expect("an identical run is answered");
+        assert!(identical.stats.cache_hit);
+        assert_eq!(identical.outputs, novel.outputs);
         server.stop();
     }
 

@@ -3,6 +3,12 @@
 //! session binds `e` itself and runs no cogroup. These tests hold the skip
 //! to the interpreter over the engine grid, pin where `explain` says it
 //! fired, and check that an update the proof rejects is still merged.
+//!
+//! So is a merge whose update is a range fill `{(i, c) | i <- range(lo,
+//! hi)}` covering every key of its array: the session binds the fill. A
+//! merge into a fill generates the fill's rows in its slot combine. The
+//! fill cases hold both to the interpreter over the engine grid, and show
+//! that every near miss is still merged.
 
 mod common;
 
@@ -222,6 +228,134 @@ fn explain_notes_each_skipped_merge_where_the_rule_fires() {
             want += times;
         }
         assert_eq!(notes.len(), want, "no other merge is skipped:\n{plan}");
+    }
+}
+
+/// Rows keyed by `keys`, the `i`-th holding `i * i % 23`.
+fn keyed(keys: impl IntoIterator<Item = Value>) -> Vec<Value> {
+    keys.into_iter()
+        .enumerate()
+        .map(|(i, k)| Value::pair(k, Value::Long((i * i % 23) as i64)))
+        .collect()
+}
+
+/// Range fills merged into arrays, each case with the number of merges
+/// `explain` says the fill covered. Only the first is covered; the others
+/// are the near misses, each merged.
+fn fill_cases() -> Vec<(Case, usize)> {
+    let longs = |keys: &[i64]| keyed(keys.iter().map(|&k| Value::Long(k)));
+    let case = |src, arrays, covered| {
+        let case = Case {
+            src,
+            scalars: vec![("n", Value::Long(10))],
+            arrays,
+            out: "X",
+            skips: &[],
+        };
+        (case, covered)
+    };
+    vec![
+        // Covered: `X` is the fill, and the next statement's merge into
+        // the fill generates its rows.
+        case(
+            "input X: vector[long];
+             input n: long;
+             for i = 0, n-1 do X[i] := 7;
+             for i = 0, n-1 do X[(i * 3) % n] += i;",
+            vec![("X", longs(&[0, 3, 4, 9]))],
+            1,
+        ),
+        // An old key outside the range.
+        case(
+            "input X: vector[long];
+             input n: long;
+             for i = 0, n-1 do X[i] := 7;",
+            vec![("X", longs(&[0, 3, 12]))],
+            0,
+        ),
+        // A filtered range update is no fill.
+        case(
+            "input X: vector[long];
+             input n: long;
+             for i = 0, n-1 do if (i % 3 == 0) X[i] := 7;",
+            vec![("X", longs(&[0, 3, 4, 9]))],
+            0,
+        ),
+        // A value that reads the key is no fill.
+        case(
+            "input X: vector[long];
+             input n: long;
+             for i = 0, n-1 do X[i] := i * 2;",
+            vec![("X", longs(&[0, 3, 4, 9]))],
+            0,
+        ),
+        // A `⊳[+]` merge whose update is a fill, into an array that is
+        // none.
+        case(
+            "input X: vector[long];
+             input n: long;
+             for i = 0, n-1 do X[i] += 7;",
+            vec![("X", longs(&[0, 3, 4, 9]))],
+            0,
+        ),
+        // Double keys have no range, even where each equals a long.
+        case(
+            "input X: map[double, long];
+             input n: long;
+             for i = 0, n-1 do X[i] := 7;",
+            vec![("X", keyed([0.0, 3.5, 9.0].into_iter().map(Value::Double)))],
+            0,
+        ),
+        // An old side still pending: its keys are not known.
+        case(
+            "input V: vector[long];
+             input n: long;
+             var X: vector[long] = vector();
+             for i = 0, n-1 do X[i] := V[i] * 2;
+             for i = 0, n-1 do X[i] := 7;",
+            vec![("V", longs(&[0, 3, 4, 9]))],
+            0,
+        ),
+    ]
+}
+
+#[test]
+fn fills_match_the_interpreter_across_the_engine_grid() {
+    for (case, covered) in fill_cases() {
+        let want = interpret(&case);
+        let compiled = diablo_core::compile(case.src).unwrap();
+        let plan = session(&case, Context::new(2, 4))
+            .explain(&compiled)
+            .unwrap();
+        let skips = plan
+            .lines()
+            .filter(|l| l.contains("skipped: the range fill over [0, 9] covers its keys"))
+            .count();
+        assert_eq!(skips, covered, "{}:\n{plan}", case.src);
+        let merge = match covered {
+            0 => "merge ⊳ (combine slots)",
+            _ => "merge ⊳ (generate fill + combine slots)",
+        };
+        assert!(plan.contains(merge), "{plan}");
+        for layout in [Layout::Row, Layout::Columnar] {
+            for budget in [None, Some(4096), Some(0)] {
+                let engine = Engine {
+                    layout,
+                    ..Engine::COLUMNAR
+                }
+                .budget(budget);
+                for (workers, partitions) in [(1, 1), (2, 5)] {
+                    let mut s = session(&case, engine.context(workers, partitions));
+                    s.run(&compiled).unwrap();
+                    assert_eq!(
+                        s.collect(case.out).unwrap(),
+                        want,
+                        "{} under {engine}, {workers} × {partitions}",
+                        case.src
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -415,31 +415,38 @@ fn loop_programs_join_and_cross_in_columnar_stages() {
     // step of the other side's chain probes, so neither side is scattered;
     // and K-Means' centroids are the same probe on the constant key, inside
     // the stage that scans the points. An update whose keys are unique
-    // into an array that holds no rows is no merge at all. Every stage
-    // with steps in it runs columnar.
+    // into an array that holds no rows is no merge at all, nor is a range
+    // fill whose bounds hold every key of its array; a merge into a fill
+    // generates the fill's rows in its slot combine. Every stage with
+    // steps in it runs columnar.
 
     const SCATTER_OLD: &str = "scan[4p] ⇒ merge (scatter old)";
     const MERGE: &str = "scan[4p] → merge ⊳ (combine slots) ⇒ materialize";
+    const MERGE_FILL: &str = "scan[4p] → merge ⊳ (generate fill + combine slots) ⇒ materialize";
     const REDUCE: &str = "scan[4p] → reduce_by_key (reduce) → map → map ⇒ merge (scatter updates) \
                           (fused 3 narrow ops)";
     let pagerank_step: &[&str] = &[
         // Q[i, j] := P[i] over the edges: `P` is built, keyed by E's
         // unique (i, j), into the `Q := {}` of the step's top — no merge.
         // `Q` stays lazy: its probe of `P` runs in its reader's stage.
+        // `P` is the fill initialization bound, so this first build
+        // scans it — the stage initialization ran before fills stayed
+        // symbolic.
+        "scan[4p] → map ⇒ materialize",
         "join build: 60 rows (cap 65536), probed in the left stage",
-        // P[i] := (1 - b) / vertices, lazy too: its slot combine runs in
-        // the next merge's old-side scatter.
-        SCATTER_OLD,
-        "scan[4p] → map → map → map ⇒ merge (scatter updates) (fused 3 narrow ops)",
+        // P[i] := (1 - b) / vertices: the fill's bounds hold every key of
+        // `P`, so `P` is the fill, and no stage runs. (Before: the old
+        // `P` and the fill scattered, and their slot combine run in the
+        // next merge's old-side scatter.)
         // P[i] += b * Q[j, i] / C[j]: `C` is built, and E's scan probes
-        // `P`, then `C`, into a keyed sum.
+        // `P`, then `C`, into a keyed sum, merged into the fill `P`, whose
+        // rows each bucket's slot combine generates.
         "join build: 60 rows (cap 65536), probed in the left stage",
         "scan[4p] → map → filter → filter → filter → flat_map → map → map → map → filter → \
          filter → flat_map → map → map ⇒ reduce_by_key (combine + scatter) (fused 13 narrow ops) \
          [spans stmts: s10:Q, s12:P]",
-        "scan[4p] → merge ⊳ (combine slots) ⇒ merge (scatter old)",
         REDUCE,
-        MERGE,
+        MERGE_FILL,
     ];
     let kmeans_step: &[&str] = &[
         // avg[closest[i]._1] += (x, y, 1), with `closest` spliced in: each
@@ -460,7 +467,8 @@ fn loop_programs_join_and_cross_in_columnar_stages() {
     // (workload, the step's first statement, its stages, and the whole
     // run's stage and shuffle counts)
     for (w, first, step, stages, shuffles) in [
-        (wl::pagerank(60, 1, 7), "s10:", pagerank_step, 11, 8),
+        // 11 stages and 8 shuffles before fills stayed symbolic.
+        (wl::pagerank(60, 1, 7), "s10:", pagerank_step, 7, 4),
         // "s7:", 9 stages and 6 shuffles before the splice.
         (wl::kmeans(300, 2, 1, 7), "s6:", kmeans_step, 5, 3),
     ] {
@@ -634,7 +642,8 @@ fn fig3_programs_stay_within_their_stage_and_shuffle_counts() {
         ("Group By", 2, 1),              // 4, 3
         ("Matrix Addition", 3, 2),       // 5, 4
         ("Matrix Multiplication", 5, 4), // 8, 7 (6, 5 before §5 blocks)
-        ("PageRank", 17, 13), // 37, 29; 29, 21 with eager loop bodies; 25, 21 partitioned joins
+        // 37, 29; 29, 21 with eager loop bodies; 25, 21 partitioned joins; 17, 13 scattered fills
+        ("PageRank", 10, 6),
         // 19, 14; 13, 8 with eager loop bodies; 10, 8 partitioned joins; 9, 6 unspliced
         ("KMeans", 5, 3),
         // 48, 37 (36, 25 before §5 blocks); 35, 24 eager bodies; 31, 24 partitioned joins

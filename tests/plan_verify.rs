@@ -10,7 +10,7 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use diablo_dataflow::{Context, Dataset, Layout};
+use diablo_dataflow::{Context, Dataset, KeyRange, Layout};
 use diablo_runtime::Value;
 
 /// Serializes env-flipping tests; restores `DIABLO_VERIFY_PLAN` on drop.
@@ -141,6 +141,35 @@ fn an_input_holding_a_key_twice_is_refused_before_any_stage() {
     // not detected.
     let _env = set_verify(Some("0"));
     assert!(run().0.is_ok());
+}
+
+#[test]
+fn a_wrong_key_range_fact_is_an_error_not_a_dropped_row() {
+    // `X ⊳ {(i, 7) | i <- range(0, 9)}` is the fill when `X`'s keys lie in
+    // [0, 9]. An `X` whose record says they do while a row is keyed 12
+    // would lose that row; verified, the skip reads the rows first.
+    let src = "input X: vector[long];
+               for i = 0, 9 do X[i] := 7;";
+    let compiled = diablo_core::compile(src).unwrap();
+    let run = || {
+        let ctx = Context::new(2, 2);
+        let row = |k: i64| Value::pair(Value::Long(k), Value::Long(k));
+        let wrong = ctx
+            .from_vec(vec![row(0), row(3), row(12)])
+            .with_key_range_for_tests(KeyRange { min: 0, max: 9 });
+        let mut s = diablo_exec::Session::new(ctx);
+        s.bind_dataset("X", wrong);
+        s.run(&compiled).map(|()| s.collect("X").unwrap().len())
+    };
+    let err = {
+        let _env = set_verify(Some("1"));
+        run().unwrap_err()
+    };
+    assert!(err.message.contains("plan verifier:"), "{err}");
+    assert!(err.message.contains("(12, 12)"), "names the row: {err}");
+    // Unverified, the wrong fact is trusted: the row keyed 12 is gone.
+    let _env = set_verify(Some("0"));
+    assert_eq!(run().unwrap(), 10);
 }
 
 #[test]
