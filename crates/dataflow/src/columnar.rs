@@ -1385,13 +1385,7 @@ fn run_tile<'a>(
                     &mut |col, len, from| run_tile(col, len, from, rest, batch, emit),
                 );
             }
-            StepOp::Fold(fold) => {
-                let kept;
-                (col, len, kept) = fold.tile(&col, len, batch, s)?;
-                if let (Some(f), Some(kept)) = (&mut from, kept) {
-                    *f = kept.iter().map(|&r| f[r as usize]).collect();
-                }
-            }
+            StepOp::Fold(fold) => col = fold.tile(&col, len, batch, s)?,
         }
     }
     emit(col, len, from)
@@ -1423,15 +1417,11 @@ fn lanes_of<'a>(col: &VCol<'a>, len: usize) -> VCol<'a> {
 /// A fold per row: every row — a tuple — is expanded through a fused
 /// chain of its own (the generators after a comprehension's source, and
 /// what they bind and test), and the expansion's `values`, one per
-/// monoid, are folded in order into the row's accumulators. The row
-/// leaves followed by its accumulators.
-///
-/// With `init`, every row starts from the accumulators `init` computes
-/// over it, so it leaves whether its expansion is empty or not: the
-/// `⊳[⊕]` merge of a range fill with a fold. Without, a row's first value
-/// starts them and a row with an empty expansion is dropped: a group-by
-/// on a key no other row holds. Either way nothing is scattered, and the
-/// rows keep their partitions.
+/// monoid, are folded in order into the row's accumulators. Every row
+/// starts from the accumulators `init` computes over it and leaves
+/// followed by them, whether its expansion is empty or not: the `⊳[⊕]`
+/// merge of a range fill with a fold. Nothing is scattered, and the rows
+/// keep their partitions.
 pub(crate) struct RowFold {
     /// The fields of a row its expansion reads: the expansion runs over
     /// the tuple of these.
@@ -1443,7 +1433,7 @@ pub(crate) struct RowFold {
     /// One monoid per value.
     pub(crate) ops: Vec<BinOp>,
     /// Over a row: the tuple of its initial accumulators.
-    pub(crate) init: Option<RowExpr>,
+    pub(crate) init: RowExpr,
 }
 
 impl RowFold {
@@ -1471,16 +1461,14 @@ impl RowFold {
         }
     }
 
-    /// The row path: `row` followed by its accumulators, or `None`. An
-    /// error of the expansion carries its own step's tag, one of the fold
-    /// itself `step`'s.
-    pub(crate) fn row(&self, row: &Value, step: &Step) -> Result<Option<Value>> {
+    /// The row path: `row` followed by its accumulators. An error of the
+    /// expansion carries its own step's tag, one of the fold itself
+    /// `step`'s.
+    pub(crate) fn row(&self, row: &Value, step: &Step) -> Result<Value> {
         let own = |e| step.tag_err(e);
         let fields = env_fields(row).map_err(own)?;
-        let mut accs = match &self.init {
-            Some(init) => Some(init.eval(row).and_then(|v| self.fields(v)).map_err(own)?),
-            None => None,
-        };
+        let init = self.init.eval(row).and_then(|v| self.fields(v));
+        let mut accs = init.map_err(own)?;
         let view = self.input.iter().map(|&k| fields.get(k).cloned());
         let view = Value::tuple(
             view.collect::<Option<_>>()
@@ -1493,65 +1481,42 @@ impl RowFold {
                 .eval(&x)
                 .and_then(|v| self.fields(v))
                 .map_err(own)?;
-            match &mut accs {
-                None => accs = Some(vals),
-                Some(accs) => {
-                    for ((a, op), v) in accs.iter_mut().zip(&self.ops).zip(&vals) {
-                        *a = op.apply(a, v).map_err(own)?;
-                    }
-                }
+            for ((a, op), v) in accs.iter_mut().zip(&self.ops).zip(&vals) {
+                *a = op.apply(a, v).map_err(own)?;
             }
             Ok(())
         })?;
-        Ok(accs.map(|accs| Value::tuple(fields.iter().cloned().chain(accs).collect())))
+        Ok(Value::tuple(fields.iter().cloned().chain(accs).collect()))
     }
 
     /// The columnar path over a tile: the expansion run through the
     /// chain's runner with each expanded row's source ([`run_tile`]), each
     /// piece's value lanes folded into the accumulators of those sources —
     /// kept in [`LaneBuf`] lanes, one slot per row, as a keyed fold keeps
-    /// them — and the surviving rows' fields followed by the accumulator
-    /// lanes. Without a start, also the tile rows that survive.
+    /// them — and the rows' fields followed by the accumulator lanes.
     fn tile<'a>(
         &'a self,
         col: &VCol<'a>,
         len: usize,
         batch: usize,
         step: &Step,
-    ) -> Result<(VCol<'a>, usize, Option<Vec<u32>>)> {
+    ) -> Result<VCol<'a>> {
         let own = |e| step.tag_err(e);
         let Some(fields) = col.tuple_columns(len) else {
-            let (mut out, mut kept) = (Vec::new(), Vec::new());
-            for i in 0..len {
-                if let Some(row) = self.row(&col.at(i), step)? {
-                    out.push(row);
-                    kept.push(i as u32);
-                }
-            }
-            let n = out.len();
-            return Ok((decompose_owned(out), n, Some(kept)));
+            let rows = (0..len).map(|i| self.row(&col.at(i), step));
+            return Ok(decompose_owned(rows.collect::<Result<_>>()?));
         };
-        let mut accs: Vec<LaneBuf> = match &self.init {
-            Some(init) => {
-                let init = vec_eval(init, col, len).map_err(own)?;
-                let mut accs = Vec::with_capacity(self.ops.len());
-                for (j, &op) in self.ops.iter().enumerate() {
-                    let lane = project(&init, j).map_err(own)?;
-                    let mut acc = match len {
-                        0 => LaneBuf::Boxed(Vec::new()),
-                        _ => accumulator(op, &lane.at(0)),
-                    };
-                    acc.extend(&lane, 0..len);
-                    accs.push(acc);
-                }
-                accs
-            }
-            None => self
-                .ops
-                .iter()
-                .map(|_| LaneBuf::Boxed(Vec::new()))
-                .collect(),
-        };
+        let init = vec_eval(&self.init, col, len).map_err(own)?;
+        let mut accs = Vec::with_capacity(self.ops.len());
+        for (j, &op) in self.ops.iter().enumerate() {
+            let lane = project(&init, j).map_err(own)?;
+            let mut acc = match len {
+                0 => LaneBuf::Boxed(Vec::new()),
+                _ => accumulator(op, &lane.at(0)),
+            };
+            acc.extend(&lane, 0..len);
+            accs.push(acc);
+        }
         // The fields the expansion reads, boxed tuples taken apart into
         // lanes once per row rather than read once per expanded row.
         let view = self.input.iter().map(|&k| match fields.get(k) {
@@ -1559,9 +1524,6 @@ impl RowFold {
             None => Err(narrow_row()),
         });
         let view = VCol::Tuple(Arc::new(view.collect::<Result<_>>().map_err(own)?));
-        // Without a start, only the rows that met a value hold a slot, in
-        // row order: the first-seen order a lane fold takes.
-        let mut kept: Vec<u32> = Vec::new();
         let sources = Some((0..len as u32).collect());
         run_tile(
             view,
@@ -1570,18 +1532,9 @@ impl RowFold {
             &self.steps,
             batch,
             &mut |expanded, n, from| {
-                let mut slots =
-                    from.ok_or_else(|| RuntimeError::new("an expansion lost its rows"))?;
+                let slots = from.ok_or_else(|| RuntimeError::new("an expansion lost its rows"))?;
                 if n == 0 {
                     return Ok(());
-                }
-                if self.init.is_none() {
-                    for s in &mut slots {
-                        if kept.last() != Some(s) {
-                            kept.push(*s);
-                        }
-                        *s = kept.len() as u32 - 1;
-                    }
                 }
                 let vals = vec_eval(&self.values, &expanded, n).map_err(own)?;
                 for (j, (acc, &op)) in accs.iter_mut().zip(&self.ops).enumerate() {
@@ -1595,16 +1548,9 @@ impl RowFold {
                 Ok(())
             },
         )?;
-        let (mut cols, rows, kept): (Vec<VCol<'a>>, usize, _) = match self.init {
-            Some(_) => (fields, len, None),
-            None => (
-                fields.iter().map(|c| c.picked(&kept)).collect(),
-                kept.len(),
-                Some(kept),
-            ),
-        };
+        let mut cols = fields;
         cols.extend(accs.into_iter().map(|acc| -> VCol<'a> { acc.finish() }));
-        Ok((VCol::Tuple(Arc::new(cols)), rows, kept))
+        Ok(VCol::Tuple(Arc::new(cols)))
     }
 }
 
@@ -2534,6 +2480,176 @@ mod tests {
                 assert_eq!(format!("{tiled:?}"), format!("{:?}", rowed.unwrap()));
             }
         }
+    }
+
+    /// A fold per row of the expansion `steps` over the fields `input`:
+    /// `values` folded with `ops` from the start `init`.
+    fn step_fold(
+        input: Vec<usize>,
+        steps: Vec<Step>,
+        values: RowExpr,
+        ops: Vec<BinOp>,
+        init: RowExpr,
+    ) -> Step {
+        let fold = RowFold {
+            input,
+            steps,
+            values,
+            ops,
+            init,
+        };
+        Step {
+            op: StepOp::Fold(Arc::new(fold)),
+            tag: None,
+            expr: None,
+            what: "fold per row",
+        }
+    }
+
+    #[test]
+    fn row_fold_tiles_equal_row_folds_to_the_bit() {
+        // (i, (x, y), name): the fold reads `i` and the boxed pair, which
+        // a tile takes apart into lanes once per row (`lanes_of`).
+        let rows: Vec<Value> = (0..300i64)
+            .map(|i| {
+                let (x, y) = ((i * 7 % 17) as f64 * 0.25, (i * 5 % 13) as f64 * 0.25);
+                Value::tuple(vec![
+                    Value::Long(i),
+                    Value::pair(Value::Double(x), Value::Double(y)),
+                    Value::str("p"),
+                ])
+            })
+            .collect();
+        let (x, y) = (
+            RowExpr::field(RowExpr::Col(1), "_1"),
+            RowExpr::field(RowExpr::Col(1), "_2"),
+        );
+        let double = |d: f64| RowExpr::Const(Value::Double(d));
+        let square = |e: RowExpr| bin(BinOp::Mul, e.clone(), e);
+        // Every row starts from `(100, 2.0)`, which ties with a distance
+        // of 2, and from its own `y` for a sum.
+        let init = RowExpr::Tuple(vec![
+            RowExpr::Tuple(vec![RowExpr::Const(Value::Long(100)), double(2.0)]),
+            y.clone(),
+        ]);
+        let ops = vec![BinOp::ArgMin, BinOp::Add];
+        let bits = |rows: &[Value]| {
+            let mut out = Vec::new();
+            rows.iter()
+                .for_each(|v| crate::exchange::encode_value(v, &mut out).unwrap());
+            out
+        };
+        let check = |fold: &Step, empty: &dyn Fn(i64) -> bool| {
+            for batch in [1, 7, 64, 4096] {
+                let (tiled, rowed) = run_both(&rows, std::slice::from_ref(fold), batch);
+                let (tiled, rowed) = (tiled.unwrap(), rowed.unwrap());
+                assert_eq!(tiled.len(), rows.len(), "every row leaves");
+                assert_eq!(bits(&tiled), bits(&rowed), "batch {batch}");
+                // A row whose expansion is empty leaves with its start.
+                for (row, out) in rows.iter().zip(&tiled) {
+                    let fields = out.as_tuple().unwrap();
+                    let i = fields[0].as_long().unwrap();
+                    if empty(i) {
+                        let start = init.eval(row).unwrap();
+                        assert_eq!(&fields[3..], start.as_tuple().unwrap(), "row {i}");
+                    }
+                }
+            }
+        };
+
+        // A cross of `(j, (cx, cy))` centroids, two of them equal and one
+        // NaN, kept for `j < i % 5`: a row with `i % 5 == 0` expands to
+        // nothing, and distances tie with each other and with the start.
+        let centroids: Vec<Value> = [
+            (3, 1.0, 1.0),
+            (0, 2.0, 2.0),
+            (4, 1.0, 1.0),
+            (1, f64::NAN, 0.5),
+            (2, 0.0, 3.0),
+        ]
+        .iter()
+        .map(|&(j, cx, cy)| {
+            Value::pair(
+                Value::Long(j),
+                Value::pair(Value::Double(cx), Value::Double(cy)),
+            )
+        })
+        .collect();
+        let c = |f: &str| RowExpr::field(RowExpr::Col(3), f);
+        let dist = bin(
+            BinOp::Add,
+            square(bin(BinOp::Sub, x.clone(), c("_1"))),
+            square(bin(BinOp::Sub, y.clone(), c("_2"))),
+        );
+        // A sum of mixed magnitudes: any other order changes its bits.
+        let weight = bin(
+            BinOp::Add,
+            bin(BinOp::Mul, c("_2"), double(1e6)),
+            bin(BinOp::Mul, x.clone(), double(1e-3)),
+        );
+        let cross = |items: Vec<Value>| {
+            step_fold(
+                vec![0, 1],
+                vec![
+                    step_cross(items, Shape::Tuple(vec![Shape::Bind, Shape::Bind]), None),
+                    step_filter(
+                        bin(
+                            BinOp::Lt,
+                            RowExpr::Col(2),
+                            bin(BinOp::Mod, RowExpr::Col(0), RowExpr::Const(Value::Long(5))),
+                        ),
+                        None,
+                    ),
+                ],
+                RowExpr::Tuple(vec![
+                    RowExpr::Tuple(vec![RowExpr::Col(2), dist.clone()]),
+                    weight.clone(),
+                ]),
+                ops.clone(),
+                init.clone(),
+            )
+        };
+        check(&cross(centroids), &|i| i % 5 == 0);
+        check(&cross(Vec::new()), &|_| true);
+
+        // A keyed probe on `i % 4` into `(k, (n, w))`: key 0 holds 10 build
+        // rows, more than a tile width of 1 or 7, so a row's expansion is
+        // cut into pieces; key 3 holds none. The `w`s repeat: `^` ties.
+        let build: Vec<Value> = (0..10)
+            .map(|n| (0, n))
+            .chain([(1, 10), (1, 11), (1, 12), (2, 13)])
+            .map(|(k, n)| {
+                let w = [0.5, 1.5, 0.5, -2.0][n as usize % 4];
+                Value::pair(
+                    Value::Long(k),
+                    Value::pair(Value::Long(n), Value::Double(w)),
+                )
+            })
+            .collect();
+        let keys = ProbeKeys {
+            probe: bin(BinOp::Mod, RowExpr::Col(0), RowExpr::Const(Value::Long(4))),
+            build: RowExpr::Col(0),
+        };
+        let w = RowExpr::field(RowExpr::Col(3), "_2");
+        let probe = step_fold(
+            vec![0, 1],
+            vec![step_probe(
+                build,
+                Shape::Tuple(vec![Shape::Bind, Shape::Bind]),
+                Some(keys),
+            )],
+            RowExpr::Tuple(vec![
+                RowExpr::Col(3),
+                bin(
+                    BinOp::Add,
+                    bin(BinOp::Mul, w, double(1e6)),
+                    bin(BinOp::Mul, x, double(1e-3)),
+                ),
+            ]),
+            ops.clone(),
+            init.clone(),
+        );
+        check(&probe, &|i| i % 4 == 3);
     }
 
     #[test]

@@ -844,32 +844,24 @@ impl Dataset {
     /// `expand` builds the expansion of one row, as narrow steps over the
     /// dataset it is handed, whose rows stand for the tuple of the row's
     /// fields `input`: crosses, probes, maps and filters. It returns that
-    /// chain and `values`, the
-    /// tuple of values an expanded row contributes, one per monoid of
-    /// `ops`; each row's values are folded in expansion order. With
-    /// `init`, the tuple of a row's initial accumulators, every row
-    /// leaves followed by its accumulators; without, a row whose
-    /// expansion is empty is dropped, as a group-by on a key only that
-    /// row holds drops it. The rows keep their partitions, and the fold
-    /// is one more transparent step of the chain: a columnar stage folds
-    /// whole tiles' expansions into typed accumulator lanes.
-    ///
-    /// `expand` returns `None` to decline — a side it would probe is too
-    /// large to build — and `fold_rows` then returns `None`, having built
-    /// nothing. An expansion that is not narrow (a shuffle inside it) is
-    /// an error.
+    /// chain and `values`, the tuple of values an expanded row
+    /// contributes, one per monoid of `ops`. Every row starts from the
+    /// tuple of accumulators `init` computes over it, folds its values in
+    /// expansion order, and leaves followed by its accumulators, whether
+    /// its expansion is empty or not. The rows keep their partitions, and
+    /// the fold is one more transparent step of the chain: a columnar
+    /// stage folds whole tiles' expansions into typed accumulator lanes.
+    /// An expansion that is not narrow (a shuffle inside it) is an error.
     pub fn fold_rows(
         &self,
         input: Vec<usize>,
-        expand: impl FnOnce(Dataset) -> Result<Option<(Dataset, RowExpr)>>,
+        expand: impl FnOnce(Dataset) -> Result<(Dataset, RowExpr)>,
         ops: &[AggOp],
-        init: Option<RowExpr>,
-    ) -> Result<Option<Dataset>> {
+        init: RowExpr,
+    ) -> Result<Dataset> {
         let row = self.ctx.empty();
         let base = row.plan.clone();
-        let Some((expanded, values)) = expand(row)? else {
-            return Ok(None);
-        };
+        let (expanded, values) = expand(row)?;
         let chain = plan::collapse(&expanded.effective_plan());
         if !Arc::ptr_eq(&chain.base, &base) {
             return Err(RuntimeError::new(
@@ -884,11 +876,11 @@ impl Dataset {
             ops: ops.iter().map(|o| o.op).collect(),
             init,
         };
-        Ok(Some(self.derived(PlanOp::Fold(
+        Ok(self.derived(PlanOp::Fold(
             self.effective_plan(),
             Arc::new(fold),
             self.tag(),
-        ))))
+        )))
     }
 
     /// Keeps the rows satisfying `f` (lazy).

@@ -222,7 +222,7 @@ pub(crate) enum PlanOp {
         Option<Arc<Probe>>,
     ),
     /// A per-row fold ([`RowFold`]): each row, followed by the fold of its
-    /// own expansion, or dropped.
+    /// own expansion.
     Fold(Arc<PlanOp>, Arc<RowFold>, Tag),
     /// Gathered shuffle buckets — one per partition, each one chunk or a
     /// left and a right chunk, as the exchange built them — and the
@@ -249,7 +249,7 @@ pub(crate) enum StepOp {
     /// From [`PlanOp::FlatMap`], with the expansion's transparent form
     /// when it has one.
     FlatMap(RowFlatFn, Option<Arc<Probe>>),
-    /// From [`PlanOp::Fold`]: at most one row per row.
+    /// From [`PlanOp::Fold`]: one row per row.
     Fold(Arc<RowFold>),
 }
 
@@ -345,10 +345,7 @@ pub(crate) fn drive(
             .map_err(|e| s.tag_err(e))?
             .into_iter()
             .try_for_each(|v| drive(Cow::Owned(v), rest, sink)),
-        StepOp::Fold(fold) => match fold.row(&row, s)? {
-            Some(v) => drive(Cow::Owned(v), rest, sink),
-            None => Ok(()),
-        },
+        StepOp::Fold(fold) => drive(Cow::Owned(fold.row(&row, s)?), rest, sink),
     }
 }
 

@@ -16,12 +16,13 @@
 //!   nested-loop** products (how DIABLO's K-Means correlates points with
 //!   the centroid array): the engine's `Dataset::cross`, a transparent
 //!   expansion step over the broadcast rows;
-//! * `group by` on the source's unique key, after only such generators
-//!   (a probed side of at most the join build cap), becomes a **fold per
-//!   row** inside the scanning stage (`Dataset::fold_rows`, no shuffle);
-//!   otherwise it becomes
-//!   **reduceByKey** when every lifted variable is consumed by an
-//!   aggregation (map-side combining), and **groupByKey** otherwise;
+//! * a generator over a spliced array, a range fill merged `⊳[⊕]` with
+//!   a group-by on the row's key (`diablo_core::splice_arrays`), becomes
+//!   a **fold per row** inside the scanning stage (`Dataset::fold_rows`,
+//!   no shuffle), each row starting from the fill's value;
+//! * `group by` becomes **reduceByKey** when every lifted variable is
+//!   consumed by an aggregation (map-side combining), and **groupByKey**
+//!   otherwise;
 //! * the array merge `V ⊳ x` becomes a cogroup-style merge — or is `x`
 //!   itself when `V` holds no rows and `x`'s keys are provably unique
 //!   ([`diablo_comp::keys`]);
@@ -310,20 +311,20 @@ impl Session {
     }
 
     /// Settles every pending binding, oldest first: a plan that has run is
-    /// left unforced, any other is forced. The first failure is returned,
-    /// tagged with its statement, and the state rolls back to the eager
-    /// reference's at that statement: the failed binding and every younger
-    /// pending one give way, newest first, to the bindings they replaced.
+    /// left unforced, any other is forced, under one plan note written
+    /// before the first. The first failure is returned, tagged with its
+    /// statement, and the state rolls back to the eager reference's at that
+    /// statement: the failed binding and every younger pending one give
+    /// way, newest first, to the bindings they replaced.
     fn settle_pending(&mut self) -> Option<RuntimeError> {
         let pending = std::mem::take(&mut self.pending);
-        if pending.is_empty() {
-            return None;
-        }
-        self.ctx
-            .plan_note("== (materialize lazy results)".to_string());
+        let mut noted = false;
         let failed = pending.iter().enumerate().find_map(|(i, p)| {
             if p.data.has_run() {
                 return None;
+            }
+            if !std::mem::replace(&mut noted, true) {
+                self.ctx.plan_note("== (materialize lazy results)");
             }
             p.data
                 .materialize()

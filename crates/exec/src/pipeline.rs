@@ -22,12 +22,10 @@
 //! | `p ← range(lo, hi)`              | range source / per-row expansion   |
 //! | `let p = e`                      | map (extend row)                   |
 //! | condition                        | filter                             |
-//! | `group by` on the source's unique| fold per row: the expansion after  |
-//! | key, after only `let`s, filters  | the source, folded inside the scan |
-//! | and dataset generators (probed   | (`Dataset::fold_rows`), no shuffle |
-//! | sides of ≤ `BUILD_CAP` rows)     |                                    |
-//! | `p ← {(k, d)} ⊳[⊕] {… group by k}`| the same fold, from `d` (a spliced |
-//! | (`diablo_core::splice_arrays`)   | array's range default)             |
+//! | `p ← {(k, d)} ⊳[⊕] {… group by k}`| fold per row from `d` (a spliced   |
+//! | (`diablo_core::splice_arrays`)   | array's range default): the row's  |
+//! |                                  | expansion folded inside the scan   |
+//! |                                  | (`Dataset::fold_rows`), no shuffle |
 //! | `group by` (aggregations only)   | reduceByKey with map-side combine  |
 //! | `group by` (general)             | groupByKey (bags in rows)          |
 //! | head                             | final map                          |
@@ -137,20 +135,6 @@ pub fn run_comp(c: &Comprehension, sess: &Session) -> Result<Dataset> {
             i += 1;
             continue;
         }
-        if let Some((g, pushed)) = row_group(&quals, first, i, &pipe.layout, &head, sess) {
-            // A group-by on the source's unique key: each group is the
-            // expansion of one source row, folded where it lies — unless
-            // a side it probes is too large to build, when the group-by
-            // shuffles as any other does.
-            if pipe.fold_group(&quals[i..=g], &pushed, &globals, sess)? {
-                quals.truncate(g + 1);
-                quals.extend(pushed.tail);
-                head = pushed.head;
-                i = g + 1;
-                continue;
-            }
-        }
-        // Outside a fold no qualifier declines: `qual`'s `true` is dropped.
         match quals[i].clone() {
             Qual::GroupBy(p, key) => {
                 let (next, rewritten) =
@@ -165,9 +149,9 @@ pub fn run_comp(c: &Comprehension, sess: &Session) -> Result<Dataset> {
             }
             Qual::Gen(p, dom) => match merged_fold(&dom, &pipe.layout, &globals) {
                 Some(m) => pipe.fold_merged(&p, m, &globals, sess)?,
-                None => _ = pipe.qual(&quals, i, &mut consumed, &globals, sess, false)?,
+                None => pipe.qual(&quals, i, &mut consumed, &globals, sess, false)?,
             },
-            _ => _ = pipe.qual(&quals, i, &mut consumed, &globals, sess, false)?,
+            _ => pipe.qual(&quals, i, &mut consumed, &globals, sess, false)?,
         }
         i += 1;
     }
@@ -206,64 +190,6 @@ fn range_fill(c: &Comprehension, sess: &Session) -> Result<Option<Dataset>> {
         Ok(v) => Dataset::range_fill(sess.context().clone(), lo, hi, v).map(Some),
         Err(_) => Ok(None),
     }
-}
-
-/// The group-by a fold per source row can run, for the generator at `i`:
-/// the first generator after the source at `first`, over a dataset, with
-/// no driver prefix before the source. It is the next group-by `g`, when
-///
-/// * its key is the source's key — unique, as
-///   [`Comprehension::unique_keys`] proves it for the source alone — and
-///   reads only variables the source binds and no later qualifier binds
-///   again, so every row of one source row's expansion has that row's key;
-/// * every qualifier between `i` and it is a `let`, a condition, or a
-///   generator over a dataset (a broadcast cross or a probe);
-/// * what follows it only aggregates the lifted variables
-///   ([`push_down_aggs`]).
-///
-/// Each group is then the expansion of one source row, adjacent in the
-/// fused chain. Returns `g` and the pushdown.
-fn row_group(
-    quals: &[Qual],
-    first: usize,
-    i: usize,
-    layout: &Layout,
-    head: &CExpr,
-    sess: &Session,
-) -> Option<(usize, Pushdown)> {
-    let over_data = |q: &Qual| matches!(q, Qual::Gen(_, CExpr::Var(v)) if sess.is_dataset(v));
-    let narrow = |q: &Qual| matches!(q, Qual::Let(..) | Qual::Pred(_));
-    if first != 0 || !over_data(&quals[i]) || !quals[first + 1..i].iter().all(narrow) {
-        return None;
-    }
-    let g = i + quals[i..]
-        .iter()
-        .position(|q| matches!(q, Qual::GroupBy(..)))?;
-    if !quals[i..g].iter().all(|q| narrow(q) || over_data(q)) {
-        return None;
-    }
-    let Qual::GroupBy(p, key) = &quals[g] else {
-        return None;
-    };
-    let fixed =
-        |v: &String| quals[first].binds(v) && !quals[first + 1..g].iter().any(|q| q.binds(v));
-    if !key.free_vars().iter().all(fixed) {
-        return None;
-    }
-    let source = Comprehension::new(
-        CExpr::pair(key.clone(), CExpr::Const(Value::Unit)),
-        vec![quals[first].clone()],
-    );
-    source.unique_keys(&|v| sess.is_dataset(v))?;
-    let key_vars = p.var_list();
-    let mut lifted: HashSet<String> = layout.cols.iter().cloned().collect();
-    for q in &quals[i..g] {
-        q.each_bound(&mut |v| {
-            lifted.insert(v.to_string());
-        });
-    }
-    lifted.retain(|v| !key_vars.contains(v));
-    push_down_aggs(&lifted, &quals[g + 1..], head).map(|pushed| (g, pushed))
 }
 
 /// A generator domain `{(k, d)} ⊳[⊕] { (g, ⊕/w) | q…, group by g : k }`
@@ -433,8 +359,7 @@ impl Pipe {
     /// equalities that follow it (`consumed` takes them) or crossed with
     /// its broadcast rows. Inside a fold per row (`in_fold`), a cross
     /// meets its rows in key order, the order a loop over the array scans
-    /// them, and a keyed generator over [`BUILD_CAP`] rows is not joined:
-    /// `false`, and the fold declines.
+    /// them, and a keyed generator over [`BUILD_CAP`] rows is an error.
     fn qual(
         &mut self,
         quals: &[Qual],
@@ -443,8 +368,8 @@ impl Pipe {
         globals: &Arc<Env>,
         sess: &Session,
         in_fold: bool,
-    ) -> Result<bool> {
-        let applied = match &quals[i] {
+    ) -> Result<()> {
+        match &quals[i] {
             Qual::Let(p, e) => self.extend_let(p, e, globals),
             Qual::Pred(e) => self.filter(e, globals),
             Qual::Gen(p, dom) => match classify(dom, sess)? {
@@ -471,34 +396,25 @@ impl Pipe {
                 GenSource::Local => self.expand_bag(p, dom, globals),
             },
             Qual::GroupBy(..) => Err(RuntimeError::new("a group-by is not a narrow step")),
-        };
-        applied.map(|()| true)
+        }
     }
 
     /// Follows every row with the fold of its own expansion by `inner`
-    /// ([`Dataset::fold_rows`]): the variables `values` folded with `ops`,
-    /// from the accumulators `init` when it is given; one column per
-    /// accumulator is appended to the layout. `false`, with nothing
-    /// changed, when the expansion probes a side too large to build.
+    /// ([`Dataset::fold_rows`]): the variable `value` folded with `op`,
+    /// from the accumulator `init`, appended to the layout as one column.
     fn fold_rows(
         &mut self,
         inner: &[Qual],
-        values: &[String],
-        ops: &[AggOp],
-        init: Option<&[CExpr]>,
+        value: &str,
+        op: AggOp,
+        init: &CExpr,
         globals: &Arc<Env>,
         sess: &Session,
-    ) -> Result<bool> {
-        let init = match init {
-            Some(es) => {
-                let es = es.iter().map(|e| lower_row(e, &self.layout, globals));
-                Some(RowExpr::Tuple(es.collect::<Result<_>>()?))
-            }
-            None => None,
-        };
-        // The expansion reads only the columns its qualifiers and values
+    ) -> Result<()> {
+        let init = RowExpr::Tuple(vec![lower_row(init, &self.layout, globals)?]);
+        // The expansion reads only the columns its qualifiers and value
         // mention.
-        let mut read: HashSet<&str> = values.iter().map(String::as_str).collect();
+        let mut read: HashSet<&str> = HashSet::from([value]);
         for q in inner {
             q.expr().each_free(&mut |v, _| {
                 read.insert(v);
@@ -508,79 +424,35 @@ impl Pipe {
             .filter(|&k| read.contains(self.layout.cols[k].as_str()))
             .collect();
         let layout = Layout::new(input.iter().map(|&k| self.layout.cols[k].clone()).collect());
-        let folded = self.data.fold_rows(
+        self.data = self.data.fold_rows(
             input,
             |row| {
                 let mut sub = Pipe { data: row, layout };
                 let mut consumed = HashSet::new();
                 for k in 0..inner.len() {
-                    if !consumed.contains(&k)
-                        && !sub.qual(inner, k, &mut consumed, globals, sess, true)?
-                    {
-                        return Ok(None);
+                    if !consumed.contains(&k) {
+                        sub.qual(inner, k, &mut consumed, globals, sess, true)?;
                     }
                 }
-                let cols = values.iter().map(|v| {
-                    sub.layout
-                        .index_of(v)
-                        .map(RowExpr::Col)
-                        .ok_or_else(|| RuntimeError::new(format!("missing column `{v}`")))
-                });
-                Ok(Some((
-                    sub.data,
-                    RowExpr::Tuple(cols.collect::<Result<_>>()?),
-                )))
+                let col = sub
+                    .layout
+                    .index_of(value)
+                    .ok_or_else(|| RuntimeError::new(format!("missing column `{value}`")))?;
+                Ok((sub.data, RowExpr::Tuple(vec![RowExpr::Col(col)])))
             },
-            ops,
+            &[op],
             init,
         )?;
-        let Some(folded) = folded else {
-            return Ok(false);
-        };
-        self.data = folded;
-        for _ in ops {
-            let column = format!("$acc{}", self.layout.cols.len());
-            self.layout.push(column);
-        }
-        Ok(true)
-    }
-
-    /// A group-by on the source's unique key ([`row_group`]) run as a
-    /// fold per row: `quals` are the qualifiers from the first generator
-    /// after the source to the group-by, and `pushed` the aggregates the
-    /// rest reads. `false`, with nothing changed, when the fold declines
-    /// ([`Pipe::fold_rows`]).
-    fn fold_group(
-        &mut self,
-        quals: &[Qual],
-        pushed: &Pushdown,
-        globals: &Arc<Env>,
-        sess: &Session,
-    ) -> Result<bool> {
-        let Some((Qual::GroupBy(p, key), inner)) = quals.split_last() else {
-            unreachable!("row_group ends at a group-by")
-        };
-        let values: Vec<String> = pushed.aggs.iter().map(|(_, v)| v.clone()).collect();
-        let ops: Vec<AggOp> = pushed.aggs.iter().map(|(op, _)| *op).collect();
-        if !self.fold_rows(inner, &values, &ops, None, globals, sess)? {
-            return Ok(false);
-        }
-        self.data.context().plan_note(format!(
-            "group by {}: the source's unique key, folded per row (no shuffle)",
-            diablo_comp::pretty_cexpr(key)
-        ));
-        let key_rx = self.key_expr(key, globals)?;
-        let n = self.layout.cols.len();
-        let accs = (n - ops.len()..n).map(RowExpr::Col).collect();
-        self.grouped(p, key_rx, accs)?;
-        Ok(true)
+        let column = format!("$acc{}", self.layout.cols.len());
+        self.layout.push(column);
+        Ok(())
     }
 
     /// The generator `p ← {(k, d)} ⊳[⊕] {…}` of a spliced array
     /// ([`merged_fold`]) run as a fold per row from `d`, `p` binding `k`
     /// and the accumulator. Its expansion only crosses arrays
-    /// (`diablo_core::splice_arrays` splices no other), so it builds no
-    /// keyed side; one over [`BUILD_CAP`] rows is an error.
+    /// (`diablo_core::splice_arrays` splices no other); a keyed side over
+    /// [`BUILD_CAP`] rows would be an error.
     fn fold_merged(
         &mut self,
         p: &Pattern,
@@ -588,13 +460,7 @@ impl Pipe {
         globals: &Arc<Env>,
         sess: &Session,
     ) -> Result<()> {
-        let init = [m.init.clone()];
-        let value = [m.value.to_string()];
-        if !self.fold_rows(m.inner, &value, &[m.op], Some(&init), globals, sess)? {
-            return Err(RuntimeError::new(format!(
-                "a range fill merged with a fold probes a side over the join build cap {BUILD_CAP}"
-            )));
-        }
+        self.fold_rows(m.inner, m.value, m.op, m.init, globals, sess)?;
         self.data
             .context()
             .plan_note("range fill merged with a fold: folded per row (no shuffle)");
@@ -698,8 +564,9 @@ impl Pipe {
     /// ([`Dataset::join_probe`]); a larger one, entered into the dataset
     /// cache if it was pending, is scattered with it
     /// ([`Dataset::join_on`]) — except inside a fold per row (`in_fold`),
-    /// which cannot hold a partitioned join: there a larger one is not
-    /// joined, and the result is `false`.
+    /// which cannot hold a partitioned join: there a larger one is an
+    /// error, raised once its rows are counted, before the join builds or
+    /// scatters anything.
     fn hash_join(
         &mut self,
         data: &Dataset,
@@ -707,7 +574,7 @@ impl Pipe {
         keys: &[JoinKey],
         globals: &Arc<Env>,
         in_fold: bool,
-    ) -> Result<bool> {
+    ) -> Result<()> {
         let key_of = |side: fn(&JoinKey) -> &CExpr| match keys {
             [k] => side(k).clone(),
             _ => CExpr::Tuple(keys.iter().map(|k| side(k).clone()).collect()),
@@ -746,10 +613,9 @@ impl Pipe {
         let right = right.data.computed(BUILD_CAP)?;
         let rows = right.rows_known().map_or(usize::MAX, |k| k.len);
         if rows > BUILD_CAP && in_fold {
-            ctx.plan_note(format!(
-                "fold per row declined: a side of {rows} rows is over the join build cap {BUILD_CAP}"
-            ));
-            return Ok(false);
+            return Err(RuntimeError::new(format!(
+                "a fold per row probes a side of {rows} rows, over the join build cap {BUILD_CAP}"
+            )));
         }
         self.data = if rows <= BUILD_CAP {
             ctx.plan_note(format!(
@@ -767,7 +633,7 @@ impl Pipe {
             // The right side's key column came along with its leaves.
             self.layout.push(format!("$key{}", self.layout.cols.len()));
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Crosses every row with every item, `p` binding each item: the
@@ -962,17 +828,6 @@ impl Pipe {
         cols.extend((0..aggs).map(agg_col_name));
         self.layout = Layout::new(cols);
         Ok(())
-    }
-
-    /// The rows after a group-by whose aggregates this pipeline's rows
-    /// already hold: the key `key_rx` and the aggregates `accs`, as
-    /// [`Pipe::unpacked`] lays them out.
-    fn grouped(&mut self, p: &Pattern, key_rx: RowExpr, accs: Vec<RowExpr>) -> Result<()> {
-        let n = accs.len();
-        self.data = self
-            .data
-            .map_expr(RowExpr::Tuple(vec![key_rx, RowExpr::Tuple(accs)]))?;
-        self.unpacked(p, n)
     }
 
     /// The final head map.

@@ -21,7 +21,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 struct State {
@@ -61,9 +61,22 @@ impl std::fmt::Debug for AdmissionPermit {
     }
 }
 
+impl Shared {
+    /// The gate's state under its lock. A poisoned lock is taken over,
+    /// for the state is whole at every panic point under it: each write
+    /// is one integer update (`in_flight`, `next_ticket`) or one push,
+    /// pop or retain of the ticket queue, and nothing between them can
+    /// panic. Taking it over also keeps a permit's drop, which may run
+    /// while a panic unwinds, from panicking again and aborting the
+    /// process.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 impl Drop for AdmissionPermit {
     fn drop(&mut self) {
-        let mut st = self.shared.state.lock().expect("admission lock");
+        let mut st = self.shared.state();
         st.in_flight -= 1;
         drop(st);
         // Wake everyone: only the head-of-queue ticket may take the slot,
@@ -99,7 +112,7 @@ impl Admission {
     /// message for the client.
     pub fn acquire(&self, deadline: Duration) -> Result<AdmissionPermit, String> {
         let started = Instant::now();
-        let mut st = self.shared.state.lock().expect("admission lock");
+        let mut st = self.shared.state();
         if st.in_flight >= self.shared.max_inflight || !st.queue.is_empty() {
             // Queue behind everyone already waiting — even when a slot is
             // technically free, jumping ahead of the queue would reorder
@@ -130,7 +143,7 @@ impl Admission {
                     .shared
                     .available
                     .wait_timeout(st, deadline - elapsed)
-                    .expect("admission lock");
+                    .unwrap_or_else(PoisonError::into_inner);
                 st = next;
             }
             st.queue.pop_front();
@@ -211,6 +224,27 @@ mod tests {
         drop(gate.acquire(Duration::from_secs(1)).unwrap());
         gate.acquire(Duration::from_millis(10))
             .expect("slot was released");
+    }
+
+    #[test]
+    fn a_poisoned_admission_lock_still_admits_and_releases() {
+        let gate = Arc::new(Admission::new(1));
+        let held = gate.acquire(Duration::from_secs(1)).unwrap();
+        let poisoner = thread::spawn({
+            let gate = gate.clone();
+            move || {
+                let _st = gate.shared.state.lock().expect("admission lock");
+                panic!("a thread panics holding the admission lock");
+            }
+        });
+        assert!(poisoner.join().is_err());
+        assert!(gate.shared.state.is_poisoned());
+        // The held permit's drop frees its slot under the poisoned lock.
+        drop(held);
+        let again = gate.acquire(Duration::from_secs(1)).expect("admitted");
+        drop(again);
+        assert_eq!(gate.admitted(), 2);
+        assert_eq!(gate.timed_out(), 0);
     }
 
     #[test]

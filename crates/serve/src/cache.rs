@@ -22,7 +22,7 @@ use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A cached run result: the encoded outputs section of one program
 /// execution's `RunOk` payload (see [`crate::proto`]).
@@ -72,6 +72,17 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
         }
     }
 
+    /// The map under its lock. A poisoned lock is taken over: the state is
+    /// whole at every panic point under it. An entry goes in by one
+    /// `insert` and out by one `remove`, whole, with keys (`u64`,
+    /// `String`) whose hashing cannot panic and values that are `Arc`s;
+    /// between those only the integer clock and cost tally change, and a
+    /// tally left stale could only make an eviction early or late, never
+    /// a hit wrong.
+    fn inner(&self) -> MutexGuard<'_, Inner<K, V>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Looks up a key, refreshing its recency; `count` says whether the
     /// lookup feeds the hit/miss counters.
     fn lookup<Q>(&self, key: &Q, count: bool) -> Option<V>
@@ -79,7 +90,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let mut inner = self.inner.lock().expect("lru lock");
+        let mut inner = self.inner();
         inner.clock += 1;
         let clock = inner.clock;
         let found = inner.map.get_mut(key).map(|e| {
@@ -112,7 +123,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
         if cost > self.budget {
             return;
         }
-        let mut inner = self.inner.lock().expect("lru lock");
+        let mut inner = self.inner();
         inner.clock += 1;
         let clock = inner.clock;
         if let Some(old) = inner.map.remove(&key) {
@@ -130,7 +141,9 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
             else {
                 break;
             };
-            let e = inner.map.remove(&victim).expect("victim present");
+            let Some(e) = inner.map.remove(&victim) else {
+                break;
+            };
             inner.cost -= e.cost;
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
@@ -159,7 +172,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
 
     /// Current `(entries, cost)` occupancy.
     pub(crate) fn occupancy(&self) -> (u64, u64) {
-        let inner = self.inner.lock().expect("lru lock");
+        let inner = self.inner();
         (inner.map.len() as u64, inner.cost)
     }
 }
@@ -277,6 +290,25 @@ mod tests {
         let off = ResultCache::new(0);
         off.put(2, run_of(2, 1));
         assert!(off.get(2).is_none());
+    }
+
+    #[test]
+    fn a_poisoned_lru_lock_still_gets_and_puts() {
+        let cache = Arc::new(ResultCache::new(1 << 20));
+        cache.put(1, run_of(1, 4));
+        let poisoner = std::thread::spawn({
+            let cache = cache.clone();
+            move || {
+                let _held = cache.lru.inner.lock().expect("lru lock");
+                panic!("a thread panics holding the lru lock");
+            }
+        });
+        assert!(poisoner.join().is_err());
+        assert!(cache.lru.inner.is_poisoned());
+        assert_eq!(cache.get(1).expect("hit").section, run_of(1, 4));
+        cache.put(2, run_of(2, 4));
+        assert_eq!(cache.get(2).expect("hit").section, run_of(2, 4));
+        assert_eq!(cache.occupancy().0, 2);
     }
 
     #[test]

@@ -624,3 +624,41 @@ fn a_lazy_binding_its_reader_never_ran_is_forced_at_the_dead_store() {
         "the end-of-run settle forces it too"
     );
 }
+
+#[test]
+fn the_lazy_results_note_heads_only_a_binding_that_settling_forces() {
+    // A range fill is bound as its bounds and counts as run: settling it
+    // at the end forces nothing, so no note is written.
+    let fill = "input X: vector[long]; for i = 0, 9 do X[i] := 7;";
+    let mut s = Session::new(Context::new(2, 4));
+    s.bind_input(
+        "X",
+        [0, 3, 9]
+            .map(|i| diablo_runtime::Value::pair(i.into(), diablo_runtime::Value::Long(i)))
+            .to_vec(),
+    );
+    let plan = s.explain(&compile(fill).unwrap()).unwrap();
+    assert!(!plan.contains("materialize lazy results"), "{plan}");
+
+    // `X`'s reader binds no rows (`flag` is 0), so the one step leaves `X`
+    // pending and unrun: the end of the run forces it under the note.
+    let unrun = "
+        input V: vector[long];
+        input flag: long;
+        var Y: vector[long] = vector();
+        var k: long = 0;
+        while (k < 1) {
+            k += 1;
+            var X: vector[long] = vector();
+            for i = 0, 9 do X[i] := V[i] + 1;
+            if (flag > 0)
+                for i = 0, 9 do Y[i] := X[i];
+        };";
+    let (_, mut s) = bound_session(true);
+    s.bind_scalar("flag", diablo_runtime::Value::Long(0));
+    let plan = s.explain(&compile(unrun).unwrap()).unwrap();
+    let (_, settled) = plan
+        .split_once("== (materialize lazy results)\n")
+        .unwrap_or_else(|| panic!("the unrun `X` is settled at the end: {plan}"));
+    assert!(settled.trim_start().starts_with("stage "), "{settled}");
+}
