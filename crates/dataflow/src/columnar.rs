@@ -249,115 +249,30 @@ pub(crate) struct ProbeKeys {
 /// The distinct build keys, and the build rows of each in build order:
 /// those of key slot `s` are `rows[starts[s]..starts[s + 1]]`.
 struct BuildKeys {
-    index: KeyIndex,
+    table: KeyTable<()>,
     starts: Vec<u32>,
     rows: Vec<u32>,
 }
 
-/// How a key finds its slot among the build keys.
-enum KeyIndex {
-    Dense(DenseKeys),
-    Table(KeyTable<()>),
-}
-
-/// Build keys that are all longs in `base..base + slots.len()`, inside the
-/// range where each long is exactly one double: key `k`'s slot is
-/// `slots[k - base]` ([`DenseKeys::ABSENT`] for none) — the slots a
-/// [`KeyTable`] would find, without hashing. Array indices, which key
-/// the build sides of PageRank and K-Means, are such keys; probing them
-/// here rather than through a [`KeyTable`] ran the `iterative` benchmark
-/// 0.90 × as long (ten alternating runs, 2 vCPUs).
-struct DenseKeys {
-    base: i64,
-    slots: Vec<u32>,
-}
-
-impl DenseKeys {
-    const ABSENT: u32 = u32::MAX;
-
-    /// The slot of long key `k`.
-    fn slot(&self, k: i64) -> Option<usize> {
-        let at = usize::try_from(k.checked_sub(self.base)?).ok()?;
-        let s = *self.slots.get(at)?;
-        (s != DenseKeys::ABSENT).then_some(s as usize)
-    }
-}
-
-impl KeyIndex {
-    /// A dense index over a build's keys, and each build row's slot, when
-    /// the keys are a long lane of values close together: the slot array
-    /// spans at most two entries per build row, plus 64 so a small side
-    /// qualifies whatever its spread. Keys spread wider, whose index would
-    /// be mostly absent slots, take the table.
-    fn dense(keys: &VCol, len: usize) -> Option<(KeyIndex, Vec<usize>)> {
-        const EXACT: i64 = 1 << 53;
-        let VCol::Long(lane) = keys else { return None };
-        let (lo, hi) = (*lane.iter().min()?, *lane.iter().max()?);
-        if lo <= -EXACT || hi >= EXACT || (hi - lo) as u64 >= 2 * len as u64 + 64 {
-            return None;
-        }
-        let mut slots = vec![DenseKeys::ABSENT; (hi - lo) as usize + 1];
-        let mut keys = 0;
-        let rows = lane
-            .iter()
-            .map(|&k| {
-                let s = &mut slots[(k - lo) as usize];
-                if *s == DenseKeys::ABSENT {
-                    *s = keys;
-                    keys += 1;
-                }
-                *s as usize
-            })
-            .collect();
-        Some((KeyIndex::Dense(DenseKeys { base: lo, slots }), rows))
-    }
-
-    /// A key table over the keys of `build`'s rows under `key`, and each
-    /// row's slot.
-    fn table(build: &Chunk, key: &RowExpr) -> Result<(KeyIndex, Vec<usize>)> {
-        let mut table = KeyTable::with_capacity(build.len());
-        let mut rows = Vec::with_capacity(build.len());
-        for_each_key(build, key, true, &mut |_, k| {
-            rows.push(table.upsert(k, || ()).slot);
-            Ok(())
-        })?;
-        Ok((KeyIndex::Table(table), rows))
-    }
-
-    /// The slot of `key`, as [`Value`] equality finds it: among dense
-    /// keys, only a long or a double that is exactly one can be a key.
-    fn slot(&self, key: &Key<'_>) -> Option<usize> {
-        match (self, key) {
-            (KeyIndex::Table(table), key) => table.slot(key),
-            (KeyIndex::Dense(dense), Key::Value(v)) => match **v {
-                Value::Long(k) => dense.slot(k),
-                // The one long a double can equal among the keys.
-                Value::Double(x) => {
-                    let k = x as i64;
-                    (Value::Long(k) == **v).then(|| dense.slot(k)).flatten()
-                }
-                _ => None,
-            },
-            (KeyIndex::Dense(_), Key::Lanes(_)) => None,
-        }
-    }
-}
-
 impl BuildKeys {
-    /// Keys the rows of `build` by `key`.
+    /// Keys the rows of `build` by `key`: a long lane of keys in one loop
+    /// ([`KeyTable::upsert_longs`]), any other key column as
+    /// [`for_each_key`] reads it.
     fn new(build: &Chunk, key: &RowExpr) -> Result<BuildKeys> {
-        let dense = vec_eval(key, &build.col(), build.len())
-            .ok()
-            .and_then(|keys| KeyIndex::dense(&keys, build.len()));
-        let (index, slots) = match dense {
-            Some(dense) => dense,
-            None => KeyIndex::table(build, key)?,
-        };
+        let mut table = KeyTable::with_capacity(build.len());
+        let mut slots = Vec::with_capacity(build.len());
+        match vec_eval(key, &build.col(), build.len()) {
+            Ok(VCol::Long(lane)) => table.upsert_longs(&lane, || (), &mut slots),
+            _ => for_each_key(build, key, true, &mut |_, k| {
+                slots.push(table.upsert(k, || ()).slot as u32);
+                Ok(())
+            })?,
+        }
         // Slots are numbered in first-seen order.
-        let keys = slots.iter().max().map_or(0, |&s| s + 1);
+        let keys = slots.iter().max().map_or(0, |&s| s as usize + 1);
         let mut starts = vec![0u32; keys + 1];
         for &s in &slots {
-            starts[s + 1] += 1;
+            starts[s as usize + 1] += 1;
         }
         for s in 1..starts.len() {
             starts[s] += starts[s - 1];
@@ -365,12 +280,13 @@ impl BuildKeys {
         let mut next = starts.clone();
         let mut rows = vec![0u32; slots.len()];
         for (j, &s) in slots.iter().enumerate() {
+            let s = s as usize;
             rows[next[s] as usize] =
                 u32::try_from(j).expect("a build side holds fewer than 2^32 rows");
             next[s] += 1;
         }
         Ok(BuildKeys {
-            index,
+            table,
             starts,
             rows,
         })
@@ -386,23 +302,27 @@ impl BuildKeys {
 
     /// The build rows of `key`.
     fn rows(&self, key: &Key<'_>) -> &[u32] {
-        self.rows_of(self.index.slot(key))
+        self.rows_of(self.table.slot(key))
     }
 
     /// Hands `each` the build rows of every key of a key column of `len`
-    /// rows, in row order: a long lane under a dense index read straight
-    /// from its lane, anything else as [`each_key`] reads it.
+    /// rows, in row order: a long lane looked up in one loop
+    /// ([`KeyTable::find_longs`]), anything else as [`each_key`] reads it.
     fn each_match(
         &self,
         keys: &VCol,
         len: usize,
         mut each: impl FnMut(usize, &[u32]) -> Result<()>,
     ) -> Result<()> {
-        match (&self.index, keys) {
-            (KeyIndex::Dense(dense), VCol::Long(lane)) => lane
-                .iter()
-                .enumerate()
-                .try_for_each(|(i, &k)| each(i, self.rows_of(dense.slot(k)))),
+        match keys {
+            VCol::Long(lane) => {
+                let mut slots = Vec::with_capacity(len);
+                self.table.find_longs(lane, &mut slots);
+                slots.iter().enumerate().try_for_each(|(i, &s)| {
+                    let slot = (s != KeyTable::<()>::ABSENT).then_some(s as usize);
+                    each(i, self.rows_of(slot))
+                })
+            }
             _ => each_key(keys, len, |i, k| each(i, self.rows(&k))),
         }
     }
@@ -1391,26 +1311,30 @@ fn run_tile<'a>(
     emit(col, len, from)
 }
 
-/// A column of boxed tuples as struct-of-arrays lanes, when their leaves
-/// are primitives of one kind per position; any other column as it is.
+/// A column of boxed tuples as struct-of-arrays lanes, nested tuples as
+/// nested lanes, when their leaves are primitives of one kind per
+/// position; any other column as it is.
 fn lanes_of<'a>(col: &VCol<'a>, len: usize) -> VCol<'a> {
+    fn primitive(lane: &LaneBuf) -> bool {
+        match lane {
+            LaneBuf::Long(_) | LaneBuf::Double(_) | LaneBuf::Bool(_) => true,
+            LaneBuf::Tuple(lanes) => lanes.iter().all(primitive),
+            LaneBuf::Boxed(_) => false,
+        }
+    }
     if !matches!(col, VCol::Refs(_) | VCol::Val(_)) || len == 0 {
         return col.clone();
     }
+    // The first row decides: a boxed leaf there (a string key) is not
+    // worth a pass over the column.
     let mut lanes = LaneBuf::like_value(&col.at(0));
-    if !matches!(lanes, LaneBuf::Tuple(_)) {
+    if !matches!(lanes, LaneBuf::Tuple(_)) || !primitive(&lanes) {
         return col.clone();
     }
     (0..len).for_each(|i| lanes.push_value(&col.at(i)));
-    match lanes.finish() {
-        VCol::Tuple(cols)
-            if cols
-                .iter()
-                .all(|c| matches!(c, VCol::Long(_) | VCol::Double(_) | VCol::Bool(_))) =>
-        {
-            VCol::Tuple(cols)
-        }
-        _ => col.clone(),
+    match primitive(&lanes) {
+        true => lanes.finish(),
+        false => col.clone(),
     }
 }
 
@@ -1797,12 +1721,48 @@ fn fold_prim<T: Copy>(
 }
 
 /// An empty accumulator for `op` that starts at `first`: a primitive
-/// lane, tuple lanes for `^`'s pairs, the boxed lane for anything else (a
-/// tuple sum stays boxed).
+/// lane, tuple lanes for `^`'s pairs and for a `+` over a tuple — flat or
+/// nested — of longs and doubles, the boxed lane for anything else.
 fn accumulator(op: BinOp, first: &Value) -> LaneBuf {
+    fn numbers(v: &Value) -> bool {
+        match v {
+            Value::Long(_) | Value::Double(_) => true,
+            Value::Tuple(fields) => !fields.is_empty() && fields.iter().all(numbers),
+            _ => false,
+        }
+    }
     match first {
-        Value::Tuple(_) if op != BinOp::ArgMin => LaneBuf::Boxed(Vec::new()),
+        Value::Tuple(_) if op == BinOp::ArgMin || op == BinOp::Add && numbers(first) => {
+            LaneBuf::like_value(first)
+        }
+        Value::Tuple(_) => LaneBuf::Boxed(Vec::new()),
         first => LaneBuf::like_value(first),
+    }
+}
+
+/// The component lanes of a tuple lane of arity `n`: a struct-of-arrays
+/// column's own, a constant's fields as constants. `None` for anything
+/// else.
+fn components<'a>(lane: &VCol<'a>, n: usize) -> Option<Vec<VCol<'a>>> {
+    match lane {
+        VCol::Tuple(cols) if cols.len() == n => Some(cols.to_vec()),
+        VCol::Const(Value::Tuple(fields)) if fields.len() == n => {
+            Some(fields.iter().map(|f| VCol::Const(f.clone())).collect())
+        }
+        _ => None,
+    }
+}
+
+/// True when every component of a tuple sum's accumulators has a kernel
+/// for its lane of `lane` — a long one for a long lane, a double one for
+/// a double lane — so the sum folds component by component.
+fn sum_folds(acc: &LaneBuf, lane: &VCol) -> bool {
+    match acc {
+        LaneBuf::Long(_) => lane_i64(lane).is_some(),
+        LaneBuf::Double(_) => lane_f64(lane).is_some(),
+        LaneBuf::Tuple(accs) => components(lane, accs.len())
+            .is_some_and(|cols| accs.iter().zip(&cols).all(|(acc, col)| sum_folds(acc, col))),
+        LaneBuf::Bool(_) | LaneBuf::Boxed(_) => false,
     }
 }
 
@@ -1832,10 +1792,12 @@ impl LaneBuf {
         Ok(())
     }
 
-    /// Folds a whole lane — primitive, or `(long, double)` as two lanes
-    /// under `^` — into the accumulators its rows' `slots` name, in row
-    /// order ([`fold_prim`]), when the lane, the accumulators and `op`
-    /// have a kernel in common. `false` (nothing folded) otherwise.
+    /// Folds a whole lane — primitive, `(long, double)` as two lanes
+    /// under `^`, a tuple of numbers as its component lanes under `+` —
+    /// into the accumulators its rows' `slots` name, in row order
+    /// ([`fold_prim`]), when the lane, the accumulators and `op` have a
+    /// kernel in common: for a tuple sum, every component has one or
+    /// none is folded. `false` (nothing folded) otherwise.
     fn fold_lane(&mut self, op: BinOp, slots: &[u32], lane: &VCol) -> bool {
         if self.len() == 0 && !slots.is_empty() {
             *self = accumulator(op, &lane.at(0));
@@ -1844,6 +1806,20 @@ impl LaneBuf {
             LaneBuf::Long(acc) => fold_prim(acc, slots, lane_i64(lane), long_kernel(op)),
             LaneBuf::Double(acc) => fold_prim(acc, slots, lane_f64(lane), double_kernel(op)),
             LaneBuf::Bool(acc) => fold_prim(acc, slots, lane_bool(lane), bool_kernel(op)),
+            LaneBuf::Tuple(_) if op == BinOp::Add => {
+                if !sum_folds(self, lane) {
+                    return false;
+                }
+                let LaneBuf::Tuple(accs) = self else {
+                    unreachable!("a tuple sum's accumulators are tuple lanes")
+                };
+                let cols = components(lane, accs.len()).expect("checked by `sum_folds`");
+                for (acc, col) in accs.iter_mut().zip(&cols) {
+                    let folded = acc.fold_lane(op, slots, col);
+                    debug_assert!(folded, "checked by `sum_folds`");
+                }
+                true
+            }
             LaneBuf::Tuple(acc) => match (acc.as_mut_slice(), argmin_lanes(lane)) {
                 ([LaneBuf::Long(index), LaneBuf::Double(distance)], Some((xi, xd)))
                     if op == BinOp::ArgMin =>
@@ -1924,12 +1900,11 @@ impl<'o> KeyedFold<'o> {
         // Each key form is looked up by code of its own.
         match (keys, key_lanes(keys)) {
             (VCol::Const(key), _) => slots.resize(len, table.upsert(key, || ()).slot as u32),
+            (VCol::Long(lane), _) => table.upsert_longs(lane, || (), slots),
             (_, Some(lanes)) => {
                 slots.extend((0..len).map(|i| table.upsert(lanes.key(i), || ()).slot as u32))
             }
-            (_, None) => {
-                slots.extend((0..len).map(|i| table.upsert(keys.at(i), || ()).slot as u32))
-            }
+            (_, None) => table.upsert_values(len, |i| keys.at(i), || (), slots),
         }
         let boxed: Vec<usize> = (0..lanes.len())
             .filter(|&j| !accs[j].fold_lane(ops[j], slots, &lanes[j]))
@@ -1958,8 +1933,9 @@ impl<'o> KeyedFold<'o> {
             .accs
             .into_iter()
             .map(|acc| match acc {
-                // A boxed accumulator (a tuple sum) leaves taken apart, as
-                // a chunk's lanes are.
+                // A boxed accumulator (a type-mixed sum) leaves taken
+                // apart, as a chunk's lanes are; typed ones, a tuple sum's
+                // component lanes included, as they are.
                 LaneBuf::Boxed(vals) => chunk::owned_col(vals),
                 acc => acc.finish(),
             })
@@ -1985,18 +1961,29 @@ impl<'o> KeyedFold<'o> {
     }
 }
 
+/// The key column and the value lanes of a tile of `len` rows
+/// `(key, (v1, …, vn))`, `n` being `arity`: the struct-of-arrays pair the
+/// keyed map builds as it is, and stored pairs of primitives taken apart
+/// into lanes once ([`lanes_of`]). `None` for anything else, which folds
+/// row by row.
+fn pair_lanes<'a>(col: &VCol<'a>, len: usize, arity: usize) -> Option<(VCol<'a>, Vec<VCol<'a>>)> {
+    match lanes_of(col, len) {
+        VCol::Tuple(kv) => match kv.as_slice() {
+            [keys, VCol::Tuple(lanes)] if lanes.len() == arity => {
+                Some((keys.clone(), lanes.to_vec()))
+            }
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
 impl TileSink for KeyedFold<'_> {
     fn tile(&mut self, col: &VCol, len: usize) -> Result<()> {
-        // The keyed map builds `(key, (v1, …, vn))` as struct-of-arrays;
-        // anything else (boxed pairs passed through) folds row by row.
-        if let VCol::Tuple(kv) = col {
-            if let [keys, VCol::Tuple(lanes)] = kv.as_slice() {
-                if lanes.len() == self.ops.len() {
-                    return self.fold_tile(keys, lanes, len);
-                }
-            }
+        match pair_lanes(col, len, self.ops.len()) {
+            Some((keys, lanes)) => self.fold_tile(&keys, &lanes, len),
+            None => (0..len).try_for_each(|i| self.row(&col.at(i))),
         }
-        (0..len).try_for_each(|i| self.row(&col.at(i)))
     }
 
     fn row(&mut self, row: Value) -> Result<()> {
@@ -2480,6 +2467,171 @@ mod tests {
                 assert_eq!(format!("{tiled:?}"), format!("{:?}", rowed.unwrap()));
             }
         }
+    }
+
+    /// The bytes of `rows`' encodings: NaN payloads and `-0.0` included.
+    fn encoded(rows: &[Value]) -> Vec<u8> {
+        let mut out = Vec::new();
+        rows.iter()
+            .for_each(|v| crate::exchange::encode_value(v, &mut out).unwrap());
+        out
+    }
+
+    /// A keyed fold's output rows.
+    fn folded(fold: KeyedFold<'_>) -> Vec<Value> {
+        let mut out = Vec::new();
+        fold.finish(&mut |k, v| {
+            out.push(Value::pair(k, v));
+            Ok(())
+        })
+        .unwrap();
+        out
+    }
+
+    /// Folds `tiles` — each a key column, one lane per monoid and a row
+    /// count — through `fold_tile`, and their rows boxed through
+    /// `KeyedFold::row`: the two outputs, and the tile fold's
+    /// accumulators' kinds.
+    fn fold_tiles_and_rows(
+        ops: &[BinOp],
+        tiles: &[(VCol<'static>, Vec<VCol<'static>>, usize)],
+    ) -> (Vec<u8>, Vec<u8>, Vec<bool>) {
+        let mut by_tile = KeyedFold::new(ops);
+        let mut by_row = KeyedFold::new(ops);
+        for (keys, lanes, len) in tiles {
+            by_tile.fold_tile(keys, lanes, *len).unwrap();
+            for i in 0..*len {
+                let vals = Value::tuple(lanes.iter().map(|l| l.get(i)).collect());
+                by_row.row(&Value::pair(keys.get(i), vals)).unwrap();
+            }
+        }
+        let typed = by_tile
+            .accs
+            .iter()
+            .map(|a| matches!(a, LaneBuf::Tuple(_)))
+            .collect();
+        (encoded(&folded(by_tile)), encoded(&folded(by_row)), typed)
+    }
+
+    #[test]
+    fn tuple_sums_fold_as_lanes_to_the_row_paths_bytes() {
+        let n = 40;
+        let keys = || VCol::Long(Arc::new((0..n as i64).map(|i| i * 7 % 5).collect()));
+        let doubles = |f: fn(usize) -> f64| VCol::Double(Arc::new((0..n).map(f).collect()));
+        let tuple = |cols: Vec<VCol<'static>>| VCol::Tuple(Arc::new(cols));
+        let ones = || VCol::Long(Arc::new(vec![1; n]));
+        // Magnitudes far apart, a NaN and both zeros: a sum that
+        // re-associated or changed its per-key order would show.
+        let x = doubles(|i| match i {
+            3 => f64::NAN,
+            4 => -0.0,
+            _ => (i * 7919 % 1000) as f64 * 1e-3 + (i % 3) as f64 * 1e9,
+        });
+        let y = doubles(|i| 0.1 * i as f64 - 1.5);
+        let add = [BinOp::Add];
+
+        // `(x, y, 1)`, as K-Means averages, over two tiles.
+        let flat = tuple(vec![x.clone(), y.clone(), ones()]);
+        let tiles = [
+            (keys(), vec![flat.clone()], n),
+            (keys(), vec![flat.clone()], n),
+        ];
+        let (tiled, rowed, typed) = fold_tiles_and_rows(&add, &tiles);
+        assert_eq!(tiled, rowed, "flat");
+        assert_eq!(typed, [true], "a tuple of numbers sums as lanes");
+
+        // `((x, y), 1)`, nested, next to a plain sum.
+        let nested = tuple(vec![tuple(vec![x.clone(), y.clone()]), ones()]);
+        let tiles = [(keys(), vec![nested, y.clone()], n)];
+        let (tiled, rowed, typed) = fold_tiles_and_rows(&[BinOp::Add, BinOp::Add], &tiles);
+        assert_eq!(tiled, rowed, "nested");
+        assert_eq!(typed, [true, false]);
+
+        // A constant tuple lane, after a tile of lanes.
+        let pair = Value::pair(Value::Double(0.25), Value::Long(3));
+        let tiles = [
+            (keys(), vec![tuple(vec![y.clone(), ones()])], n),
+            (keys(), vec![VCol::Const(pair)], n),
+        ];
+        let (tiled, rowed, typed) = fold_tiles_and_rows(&add, &tiles);
+        assert_eq!(tiled, rowed, "constant");
+        assert_eq!(typed, [true]);
+
+        // A long component that turns double mid-tile (a boxed lane) or
+        // in the next tile (a double lane): no kernel adds a double to a
+        // long, so the sums are boxed and `apply` promotes them.
+        let mixed = VCol::Val(Arc::new(
+            (0..n)
+                .map(|i| match i {
+                    17 => Value::Double(0.5),
+                    _ => Value::Long(1),
+                })
+                .collect(),
+        ));
+        for second in [mixed, doubles(|i| i as f64 * 0.5)] {
+            let tiles = [
+                (keys(), vec![tuple(vec![x.clone(), ones()])], n),
+                (keys(), vec![tuple(vec![x.clone(), second])], n),
+            ];
+            let (tiled, rowed, typed) = fold_tiles_and_rows(&add, &tiles);
+            assert_eq!(tiled, rowed, "long turned double");
+            assert_eq!(typed, [false], "boxed at the first double");
+        }
+    }
+
+    #[test]
+    fn stored_pairs_reach_the_lane_fold() {
+        // `(k, (n, x))` pairs as a scan reads them: boxed, one per row.
+        let pairs: Vec<Value> = (0..300i64)
+            .map(|i| {
+                let x = match i {
+                    11 => f64::NAN,
+                    _ => (i * 7919 % 1000) as f64 * 1e-3 + (i % 7) as f64 * 1e8,
+                };
+                Value::pair(
+                    Value::Long(i % 23),
+                    Value::pair(Value::Long(i), Value::Double(x)),
+                )
+            })
+            .collect();
+        // A tile of them comes apart into the key lane and the value
+        // lanes `KeyedFold::tile` hands to `fold_tile` ...
+        let tile = decompose(&pairs);
+        assert!(matches!(tile, VCol::Refs(_)));
+        let (keys, vals) = pair_lanes(&tile, pairs.len(), 2).expect("taken apart");
+        assert!(matches!(keys, VCol::Long(_)));
+        assert!(matches!(vals.as_slice(), [VCol::Long(_), VCol::Double(_)]));
+        // (a pair with a string leaf, or of another arity, does not) ...
+        let mut odd = pairs.clone();
+        odd[5] = Value::pair(
+            Value::Long(5),
+            Value::pair(Value::str("x"), Value::Double(1.0)),
+        );
+        assert!(pair_lanes(&decompose(&odd), odd.len(), 2).is_none());
+        assert!(pair_lanes(&tile, pairs.len(), 3).is_none());
+        // ... and folds to the row path's bytes, tile by tile or in a
+        // `map_expr(Input).aggregate_by_key` on either layout.
+        let ops = [BinOp::Add, BinOp::Add];
+        let pass = vec![step_map(RowExpr::Input, None)];
+        for batch in [1, 7, 4096] {
+            let (tiled, rowed) = combine_both(&pairs, &pass, &ops, batch);
+            assert_eq!(encoded(&tiled.unwrap()), encoded(&rowed.unwrap()));
+        }
+        let aggregate = |layout| {
+            let ctx = crate::Context::new(2, 3).with_layout(layout);
+            let agg = diablo_runtime::AggOp::new(BinOp::Add).unwrap();
+            let out = ctx
+                .from_vec(pairs.clone())
+                .map_expr(RowExpr::Input)
+                .and_then(|d| d.aggregate_by_key(vec![agg, agg]))
+                .and_then(|d| d.try_collect())
+                .unwrap();
+            encoded(&out)
+        };
+        assert_eq!(
+            aggregate(crate::Layout::Columnar),
+            aggregate(crate::Layout::Row)
+        );
     }
 
     /// A fold per row of the expansion `steps` over the fields `input`:
