@@ -123,9 +123,60 @@ pub enum RowExpr {
     },
 }
 
+/// Structural equality: the same tree, each constant the same value down
+/// to each leaf's variant, doubles bit for bit. Not `Value`'s equality,
+/// under which `1` and `1.0` are one value though `x + 1` and `x + 1.0`
+/// are not one expression.
+impl PartialEq for RowExpr {
+    fn eq(&self, other: &RowExpr) -> bool {
+        use RowExpr::*;
+        match (self, other) {
+            (Input, Input) => true,
+            (Col(i), Col(j)) => i == j,
+            (Const(a), Const(b)) => same_value(a, b),
+            (Bin(o, a, b), Bin(p, c, d)) => o == p && a == c && b == d,
+            (Un(o, a), Un(p, b)) => o == p && a == b,
+            (Call(f, xs), Call(g, ys)) => f == g && xs == ys,
+            (Tuple(xs), Tuple(ys)) => xs == ys,
+            (Field(a, n), Field(b, m)) => n == m && a == b,
+            (
+                Unpack {
+                    shape: s,
+                    mismatch: m,
+                },
+                Unpack {
+                    shape: t,
+                    mismatch: n,
+                },
+            ) => s == t && m == n,
+            _ => false,
+        }
+    }
+}
+
+/// True when `a` and `b` are the same value down to each leaf's variant:
+/// a long is never the same as a double, and doubles are the same when
+/// their bits are (`Value`'s order compares two doubles by `total_cmp`).
+fn same_value(a: &Value, b: &Value) -> bool {
+    let all = |x: &[Value], y: &[Value]| {
+        x.len() == y.len() && x.iter().zip(y).all(|(p, q)| same_value(p, q))
+    };
+    match (a, b) {
+        (Value::Tuple(x), Value::Tuple(y)) => all(x, y),
+        (Value::Bag(x), Value::Bag(y)) => all(x, y),
+        (Value::Record(x), Value::Record(y)) => {
+            x.len() == y.len()
+                && x.iter()
+                    .zip(y.iter())
+                    .all(|((n, p), (m, q))| n == m && same_value(p, q))
+        }
+        _ => std::mem::discriminant(a) == std::mem::discriminant(b) && a == b,
+    }
+}
+
 /// A field selector whose tuple position (`_1`, `_2`, …) is resolved once,
 /// when the expression is built, instead of being re-parsed for every row.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FieldName {
     name: String,
     pos: Option<usize>,
@@ -884,12 +935,63 @@ fn bool_col(lane: Vec<bool>) -> VCol<'static> {
     VCol::Bool(Arc::new(lane))
 }
 
+/// A comparison of a boxed lane with a constant on either side, in one
+/// loop over the lane: `Value`'s order and equality, the relation
+/// [`BinOp::apply`] compares with, and a string constant against a string
+/// row compares the two `&str`s. `None` for any other operands.
+fn boxed_cmp(op: BinOp, a: &VCol, b: &VCol) -> Option<Vec<bool>> {
+    use std::cmp::Ordering::{Greater, Less};
+    use BinOp::*;
+    let (col, c, op) = match (a, b) {
+        (VCol::Refs(_) | VCol::Val(_), VCol::Const(c)) => (a, c, op),
+        // `c op v` is `v op' c`, `op'` the mirrored comparison.
+        (VCol::Const(c), VCol::Refs(_) | VCol::Val(_)) => {
+            let mirrored = match op {
+                Lt => Gt,
+                Le => Ge,
+                Gt => Lt,
+                Ge => Le,
+                op => op,
+            };
+            (b, c, mirrored)
+        }
+        _ => return None,
+    };
+    fn each(col: &VCol, test: impl Fn(&Value) -> bool) -> Vec<bool> {
+        match col {
+            VCol::Refs(rows) => rows.iter().map(|v| test(v)).collect(),
+            VCol::Val(rows) => rows.iter().map(test).collect(),
+            _ => unreachable!("a boxed lane"),
+        }
+    }
+    let eq = |v: &Value| match (v, c) {
+        (Value::Str(s), Value::Str(k)) => **s == **k,
+        _ => v == c,
+    };
+    let ord = |v: &Value| match (v, c) {
+        (Value::Str(s), Value::Str(k)) => (**s).cmp(&**k),
+        _ => v.cmp(c),
+    };
+    Some(match op {
+        Eq => each(col, eq),
+        Ne => each(col, |v| !eq(v)),
+        Lt => each(col, |v| ord(v) == Less),
+        Le => each(col, |v| ord(v) != Greater),
+        Gt => each(col, |v| ord(v) == Greater),
+        Ge => each(col, |v| ord(v) != Less),
+        _ => return None,
+    })
+}
+
 /// Per-element fallback: exact runtime semantics for anything the lane
 /// loops do not specialize. Boxed operands are read in place, and a
 /// comparison's answers go straight into a boolean lane.
 fn fallback_bin(op: BinOp, a: &VCol, b: &VCol, len: usize) -> Result<VCol<'static>> {
     use BinOp::*;
     if matches!(op, Eq | Ne | Lt | Le | Gt | Ge) {
+        if let Some(lane) = boxed_cmp(op, a, b) {
+            return Ok(bool_col(lane));
+        }
         let mut lane = Vec::with_capacity(len);
         for i in 0..len {
             lane.push(matches!(op.apply(&a.at(i), &b.at(i))?, Value::Bool(true)));
@@ -1142,9 +1244,14 @@ fn vec_eval<'a>(expr: &RowExpr, input: &VCol<'a>, len: usize) -> Result<VCol<'a>
         RowExpr::Col(i) => project(input, *i),
         RowExpr::Const(v) => Ok(VCol::Const(v.clone())),
         RowExpr::Bin(op, a, b) => {
-            let a = vec_eval(a, input, len)?;
-            let b = vec_eval(b, input, len)?;
-            vec_bin(*op, &a, &b, len)
+            let x = vec_eval(a, input, len)?;
+            // `e op e` evaluates `e` once.
+            let y = if a == b {
+                x.clone()
+            } else {
+                vec_eval(b, input, len)?
+            };
+            vec_bin(*op, &x, &y, len)
         }
         RowExpr::Un(op, e) => {
             let col = vec_eval(e, input, len)?;
@@ -2267,6 +2374,130 @@ mod tests {
                 "[s1:X] pattern P does not match source row (1, 2, 3)"
             );
         }
+    }
+
+    #[test]
+    fn boxed_comparisons_equal_the_row_path_to_the_bit() {
+        use BinOp::*;
+        let strs = ["key", "key", "ke", "key1", "", "kéy", "ké", "KEY", "zzz"];
+        let strings: Vec<Value> = strs.iter().map(Value::str).collect();
+        let tuple = Value::pair(Value::Long(1), Value::str("key"));
+        let mixed = vec![
+            Value::str("key"),
+            Value::Long(1),
+            Value::Double(1.0),
+            Value::Long(0),
+            Value::Double(-0.0),
+            Value::Double(0.0),
+            Value::Double(f64::NAN),
+            Value::Unit,
+            tuple.clone(),
+            Value::str(""),
+            Value::Bool(true),
+        ];
+        let constants = [
+            Value::str("key"),
+            Value::str(""),
+            Value::str("kéy"),
+            Value::Long(1),
+            Value::Double(1.0),
+            Value::Long(0),
+            Value::Double(-0.0),
+            Value::Double(f64::NAN),
+            Value::Unit,
+            tuple,
+        ];
+        for rows in [&strings, &mixed] {
+            let lanes = [
+                VCol::Refs(Arc::new(rows.iter().collect())),
+                VCol::Val(Arc::new(rows.clone())),
+            ];
+            for (lane, c) in lanes
+                .iter()
+                .flat_map(|l| constants.iter().map(move |c| (l, c)))
+            {
+                let k = VCol::Const(c.clone());
+                for op in [Eq, Ne, Lt, Le, Gt, Ge] {
+                    for (a, b, flipped) in [(lane, &k, false), (&k, lane, true)] {
+                        assert!(boxed_cmp(op, a, b).is_some(), "{op:?} takes the loop");
+                        let got = vec_bin(op, a, b, rows.len()).unwrap();
+                        assert!(matches!(got, VCol::Bool(_)), "{op:?}: a boolean lane");
+                        for (i, row) in rows.iter().enumerate() {
+                            let want = if flipped {
+                                op.apply(c, row)
+                            } else {
+                                op.apply(row, c)
+                            };
+                            let side = if flipped {
+                                "constant first"
+                            } else {
+                                "row first"
+                            };
+                            assert!(
+                                same_value(&got.get(i), &want.unwrap()),
+                                "{row} {op:?} {c}, {side}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_repeated_operand_is_evaluated_once_to_the_same_bits() {
+        // `(p._1 - c) * (p._1 - c)`, a squared distance, over doubles that
+        // round, overflow, are NaN or negative zero, and over longs.
+        let xs = [0.1, -0.0, 1e300, f64::NAN, 2.5, -7.25, f64::INFINITY];
+        let rows: Vec<Value> = (0..300)
+            .map(|i| {
+                let x = xs[i % xs.len()] * (i as f64 + 1.0).sqrt();
+                Value::pair(Value::Double(x), Value::Long(i as i64 - 150))
+            })
+            .collect();
+        let p1 = RowExpr::field(RowExpr::Input, "_1");
+        let p2 = RowExpr::field(RowExpr::Input, "_2");
+        let diff = |e: &RowExpr, c: Value| bin(BinOp::Sub, e.clone(), RowExpr::Const(c));
+        let squared = |d: RowExpr| bin(BinOp::Mul, d.clone(), d);
+        let exprs = [
+            squared(diff(&p1, Value::Double(0.3))),
+            squared(diff(&p2, Value::Long(3))),
+            squared(diff(&p2, Value::Double(3.0))),
+            // Equal values, different constants: both sides are evaluated.
+            bin(
+                BinOp::Mul,
+                diff(&p2, Value::Long(1)),
+                diff(&p2, Value::Double(1.0)),
+            ),
+            bin(
+                BinOp::Add,
+                diff(&p1, Value::Double(0.0)),
+                diff(&p1, Value::Double(-0.0)),
+            ),
+        ];
+        for expr in exprs {
+            let (col, row) = run_both(&rows, &[step_map(expr.clone(), None)], 64);
+            let (col, row) = (col.unwrap(), row.unwrap());
+            assert_eq!(col.len(), row.len());
+            for (c, r) in col.iter().zip(&row) {
+                assert!(same_value(c, r), "{expr:?}: {c} against {r}");
+            }
+        }
+        let operands = |e: &RowExpr| match e {
+            RowExpr::Bin(_, a, b) => a == b,
+            _ => unreachable!(),
+        };
+        assert!(operands(&squared(diff(&p1, Value::Double(0.3)))));
+        let pair = |a: Value, b: Value| bin(BinOp::Mul, diff(&p2, a), diff(&p2, b));
+        assert!(!operands(&pair(Value::Long(1), Value::Double(1.0))));
+        assert!(!operands(&pair(Value::Double(0.0), Value::Double(-0.0))));
+        let nan = Value::Double(f64::NAN);
+        assert!(operands(&pair(nan.clone(), nan)));
+        let tuple = |x: Value| Value::pair(Value::Long(1), x);
+        assert!(!operands(&pair(
+            tuple(Value::Long(2)),
+            tuple(Value::Double(2.0))
+        )));
     }
 
     #[test]

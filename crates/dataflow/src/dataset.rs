@@ -62,7 +62,7 @@ use crate::columnar::{KeyedFold, Probe, ProbeKeys, RowExpr, RowFold, Shape, Tile
 use crate::exchange::{Exchange, ExchangeWriter, HashPartitioner, KeyedScatter};
 use crate::join::{Emit, Join};
 use crate::keytable::{Key, KeyTable};
-use crate::plan::{self, PartFn, PartOp, PartitionRows, PlanOp};
+use crate::plan::{self, Base, PartFn, PartOp, PartitionRows, Parts, PlanOp};
 use crate::Context;
 
 /// Result alias for engine operations.
@@ -246,7 +246,7 @@ impl Rows {
     /// a partition per task on `ctx`'s workers (the check reads each
     /// row's key, a pointer away from the row), and a partition's check
     /// stops at its first row that fails it.
-    fn of(ctx: &Context, parts: &[Vec<Value>]) -> Rows {
+    fn of(ctx: &Context, parts: &[&[Value]]) -> Rows {
         let long_indices = |row: &Value| match row.as_tuple() {
             Some([key, _]) => matches!(key.as_tuple(), Some([Value::Long(_), Value::Long(_)])),
             _ => false,
@@ -260,8 +260,14 @@ impl Rows {
             checked.is_ok_and(|parts| parts.into_iter().all(|ok| ok))
         };
         Rows {
-            len: parts.iter().map(Vec::len).sum(),
-            long_indices: parts.iter().flatten().next().is_none_or(long_indices) && all_long(),
+            len: parts.iter().map(|part| part.len()).sum(),
+            long_indices: parts
+                .iter()
+                .copied()
+                .flatten()
+                .next()
+                .is_none_or(long_indices)
+                && all_long(),
         }
     }
 }
@@ -307,9 +313,10 @@ impl KeyRange {
 
     /// The range of the rows' keys, or `None` when a row is no pair or
     /// its key is no long.
-    fn read(parts: &[Vec<Value>]) -> Option<KeyRange> {
+    fn read(parts: &[&[Value]]) -> Option<KeyRange> {
         parts
             .iter()
+            .copied()
             .flatten()
             .try_fold(KeyRange::EMPTY, |keys, row| match row.as_tuple() {
                 Some([Value::Long(k), _]) => Some(keys.union(KeyRange::of(*k, *k))),
@@ -358,37 +365,40 @@ pub(crate) fn key_hash(v: &impl Hash) -> u64 {
 }
 
 impl Dataset {
-    /// Builds a dataset by chunking `rows` into the context's partitions.
+    /// Builds a dataset over `rows`, cut into the context's partitions of
+    /// `⌈n / p⌉` rows each. The rows stay in the vector the caller built:
+    /// every partition is read where it lies.
     pub fn from_vec(ctx: Context, rows: Vec<Value>) -> Dataset {
+        Dataset::from_shared(ctx, Arc::new(rows))
+    }
+
+    /// [`Dataset::from_vec`] over a **shared** row vector, not one row of
+    /// it copied. The serving layer holds each named dataset as one
+    /// `Arc<Vec<Value>>` and hands every concurrent request a view over the
+    /// same allocation; requests clone only the `Arc`. Base data is never
+    /// entered into the dataset cache — a `Scan` plan reads it directly.
+    pub fn from_shared(ctx: Context, rows: Arc<Vec<Value>>) -> Dataset {
         let p = ctx.partitions();
-        let chunk = rows.len().div_ceil(p).max(1);
-        let mut parts: Vec<Vec<Value>> = Vec::with_capacity(p);
-        let mut it = rows.into_iter();
-        for _ in 0..p {
-            let part: Vec<Value> = it.by_ref().take(chunk).collect();
-            parts.push(part);
-        }
-        Dataset::from_materialized(ctx, parts)
+        Dataset::from_base(ctx, Base::even(rows, p))
+    }
+
+    /// Builds a dataset over partitions as they are, of any lengths:
+    /// their rows are moved into one vector, each partition keeping its
+    /// rows in their order. The partition list must not be empty.
+    pub fn from_partitions(ctx: Context, parts: Vec<Vec<Value>>) -> Dataset {
+        Dataset::from_base(ctx, Base::joined(parts))
     }
 
     /// Builds the dataset `{lo, ..., hi}` of longs, range-partitioned;
     /// more than `i64::MAX` rows is an error.
     pub fn range(ctx: Context, lo: i64, hi: i64) -> Result<Dataset> {
         let n = range_len(lo, hi)?;
-        let p = ctx.partitions().max(1) as u64;
-        let chunk = n.div_ceil(p);
-        let parts = (0..p)
-            .map(|i| {
-                // Every offset added to `lo` is below `n`, so each sum is
-                // exact even where `lo + n` would overflow.
-                let offset = i * chunk;
-                let start = lo.wrapping_add_unsigned(offset);
-                (0..n.saturating_sub(offset).min(chunk))
-                    .map(|j| Value::Long(start.wrapping_add_unsigned(j)))
-                    .collect()
-            })
+        // Every offset added to `lo` is below `n`, so each sum is exact
+        // even where `lo + n` would overflow.
+        let rows = (0..n)
+            .map(|j| Value::Long(lo.wrapping_add_unsigned(j)))
             .collect();
-        Ok(Dataset::from_materialized(ctx, parts))
+        Ok(Dataset::from_vec(ctx, rows))
     }
 
     /// Builds the range fill `{(k, value) | k ← lo..=hi}` ([`RangeFill`]):
@@ -412,25 +422,14 @@ impl Dataset {
         })
     }
 
-    /// Wraps already-materialized partitions (internal): the plan is a
-    /// `Scan`, so forcing is free.
-    fn from_materialized(ctx: Context, parts: Vec<Vec<Value>>) -> Dataset {
-        Dataset::from_shared_parts(ctx, Arc::new(parts))
-    }
-
-    /// Wraps **shared** already-materialized partitions without copying a
-    /// row. The serving layer holds each named dataset as one
-    /// `Arc<Vec<Vec<Value>>>` and hands every concurrent request a view
-    /// over the same allocation; requests never clone the base data, only
-    /// the `Arc`. The partition list must not be empty. Base data is
-    /// never entered into the dataset cache — a `Scan` plan reads it
-    /// directly.
-    pub fn from_shared_parts(ctx: Context, parts: Arc<Vec<Vec<Value>>>) -> Dataset {
-        assert!(!parts.is_empty(), "need at least one partition");
+    /// Wraps base data (internal): the plan is a `Scan`, so forcing is
+    /// free.
+    fn from_base(ctx: Context, base: Base) -> Dataset {
+        assert!(base.partitions() > 0, "need at least one partition");
         let slot = Arc::new(crate::dscache::CacheSlot::new(ctx.dataset_cache().clone()));
         Dataset {
             ctx,
-            plan: Arc::new(PlanOp::Scan(parts)),
+            plan: Arc::new(PlanOp::Scan(base)),
             slot,
             known: Arc::default(),
             ran: Arc::default(),
@@ -447,7 +446,7 @@ impl Dataset {
         let slot = Arc::new(crate::dscache::CacheSlot::new(ctx.dataset_cache().clone()));
         Dataset {
             ctx,
-            plan: Arc::new(PlanOp::Scan(Arc::new(Vec::new()))),
+            plan: Arc::new(PlanOp::Scan(Base::joined(Vec::new()))),
             slot,
             known: Arc::default(),
             ran: Arc::default(),
@@ -498,24 +497,25 @@ impl Dataset {
     /// skips execution; base data (`Scan` plans) bypasses the cache —
     /// it is already materialized and the cache could only evict what
     /// the plan holds anyway.
-    pub(crate) fn force(&self) -> Result<Arc<Vec<Vec<Value>>>> {
+    pub(crate) fn force(&self) -> Result<Parts> {
         if matches!(self.plan.as_ref(), PlanOp::Scan(_)) {
-            return Ok(plan::materialize(&self.ctx, &self.plan)?.into_arc());
+            return plan::materialize(&self.ctx, &self.plan);
         }
         let cache = self.ctx.dataset_cache().clone();
         if let Some(p) = cache.get(self.slot.id(), &self.ctx)? {
-            return Ok(p);
+            return Ok(Parts::Shared(p));
         }
         let parts = plan::materialize(&self.ctx, &self.plan)?.into_arc();
         self.enter(&parts)?;
-        Ok(parts)
+        Ok(Parts::Shared(parts))
     }
 
     /// Enters `parts`, this dataset's rows, into the dataset cache.
     fn enter(&self, parts: &Arc<Vec<Vec<Value>>>) -> Result<()> {
         let cache = self.ctx.dataset_cache();
         cache.insert(self.slot.id(), parts.clone(), &self.ctx)?;
-        self.known.rows.get_or_init(|| Rows::of(&self.ctx, parts));
+        let rows = || Rows::of(&self.ctx, &plan::slices(parts));
+        self.known.rows.get_or_init(rows);
         self.ran.store(true, Ordering::Release);
         Ok(())
     }
@@ -527,17 +527,18 @@ impl Dataset {
     /// pending plan runs now, in one fused stage, and records that it ran,
     /// as any stage that fuses it does. At most `keep` rows are handed
     /// over as base data, outside the dataset cache: the reader holds them
-    /// whole anyway. More enter the cache as [`Dataset::materialize`]
-    /// enters them, charged to its budget and spilled under it.
+    /// whole anyway, their rows moved into one vector. More enter the
+    /// cache as [`Dataset::materialize`] enters them, charged to its
+    /// budget and spilled under it.
     pub fn computed(&self, keep: usize) -> Result<Dataset> {
         if self.rows_known().is_some() {
             return Ok(self.clone());
         }
-        let parts = plan::materialize(&self.ctx, &self.effective_plan())?.into_arc();
-        if parts.iter().map(Vec::len).sum::<usize>() <= keep {
-            return Ok(Dataset::from_shared_parts(self.ctx.clone(), parts));
+        let parts = plan::materialize(&self.ctx, &self.effective_plan())?;
+        if parts.rows() <= keep {
+            return Ok(Dataset::from_base(self.ctx.clone(), parts.into_base()));
         }
-        self.enter(&parts)?;
+        self.enter(&parts.into_arc())?;
         Ok(self.clone())
     }
 
@@ -560,9 +561,12 @@ impl Dataset {
     /// no reader has forced.
     pub fn rows_known(&self) -> Option<Rows> {
         match self.plan.as_ref() {
-            PlanOp::Scan(parts) => {
-                Some(*self.known.rows.get_or_init(|| Rows::of(&self.ctx, parts)))
-            }
+            PlanOp::Scan(base) => Some(
+                *self
+                    .known
+                    .rows
+                    .get_or_init(|| Rows::of(&self.ctx, &base.parts())),
+            ),
             _ => self.known.rows.get().copied(),
         }
     }
@@ -577,19 +581,20 @@ impl Dataset {
         if let Some(keys) = self.known.keys.get() {
             return *keys;
         }
-        let parts = match self.plan.as_ref() {
-            PlanOp::Scan(parts) => parts.clone(),
+        let keys = match self.plan.as_ref() {
+            PlanOp::Scan(base) => KeyRange::read(&base.parts()),
             _ if self.known.rows.get().is_some() => {
                 let cache = self.ctx.dataset_cache();
                 if !cache.contains(self.slot.id()) {
                     // Evicted: no rows to read short of recomputing them.
                     return None;
                 }
-                cache.get(self.slot.id(), &self.ctx).ok().flatten()?
+                let parts = cache.get(self.slot.id(), &self.ctx).ok().flatten()?;
+                KeyRange::read(&plan::slices(&parts))
             }
             _ => return None,
         };
-        *self.known.keys.get_or_init(|| KeyRange::read(&parts))
+        *self.known.keys.get_or_init(|| keys)
     }
 
     /// The range fill this dataset is, when it is one
@@ -610,7 +615,7 @@ impl Dataset {
         // A fill's rows are its bounds' keys, which the range just
         // compared; any other dataset's rows are read.
         if crate::verify::enabled() && self.fill().is_none() {
-            crate::verify::verify_keys_within(&self.force()?, lo, hi)?;
+            crate::verify::verify_keys_within(&self.force()?.slices(), lo, hi)?;
         }
         Ok(true)
     }
@@ -653,7 +658,7 @@ impl Dataset {
     /// A pending plan reads `false`, even one that would turn out empty.
     pub fn is_known_empty(&self) -> bool {
         match self.plan.as_ref() {
-            PlanOp::Scan(parts) => parts.iter().all(Vec::is_empty),
+            PlanOp::Scan(base) => base.rows().is_empty(),
             _ => {
                 self.known.rows.get().is_some_and(|rows| rows.len == 0)
                     || self.known.keys.get() == Some(&Some(KeyRange::EMPTY))
@@ -667,7 +672,7 @@ impl Dataset {
     /// that is not a `Scan` passes unread.
     pub fn verify_unique_keys(&self, input: &str) -> Result<()> {
         match self.plan.as_ref() {
-            PlanOp::Scan(parts) => crate::verify::verify_unique_keys(parts, input),
+            PlanOp::Scan(base) => crate::verify::verify_unique_keys(&base.parts(), input),
             _ => Ok(()),
         }
     }
@@ -683,11 +688,7 @@ impl Dataset {
     /// Panics if a pending operator in the plan fails; see
     /// [`Dataset::try_collect`].
     pub fn count(&self) -> usize {
-        self.force()
-            .expect("dataset materialization failed")
-            .iter()
-            .map(Vec::len)
-            .sum()
+        self.force().expect("dataset materialization failed").rows()
     }
 
     /// Materializes all rows in partition order.
@@ -703,9 +704,9 @@ impl Dataset {
     /// operator errors.
     pub fn try_collect(&self) -> Result<Vec<Value>> {
         let parts = self.force()?;
-        let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-        for p in parts.iter() {
-            out.extend(p.iter().cloned());
+        let mut out = Vec::with_capacity(parts.rows());
+        for p in parts.slices() {
+            out.extend_from_slice(p);
         }
         Ok(out)
     }
@@ -1159,13 +1160,13 @@ impl Dataset {
     /// the probe — and by none if no row does.
     pub fn join_probe(&self, build: &Dataset, on: JoinOn) -> Result<Dataset> {
         let parts = build.force()?;
-        let rows = parts.iter().map(Vec::len).sum::<usize>();
-        self.ctx.stats().record_broadcast(rows as u64);
+        self.ctx.stats().record_broadcast(parts.rows() as u64);
         let keys = ProbeKeys {
             probe: on.left_key,
             build: on.right_key,
         };
-        let probe = Probe::build(parts.iter().flatten(), &on.right, Some(keys), &on.mismatch);
+        let rows = parts.slices().into_iter().flatten();
+        let probe = Probe::build(rows, &on.right, Some(keys), &on.mismatch);
         self.probing(probe)
     }
 
@@ -1368,7 +1369,7 @@ impl std::fmt::Debug for Dataset {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let shape = match self.plan.as_ref() {
             // Base data is never cached; its shape is on the plan itself.
-            PlanOp::Scan(parts) => Some((parts.len(), parts.iter().map(Vec::len).sum::<usize>())),
+            PlanOp::Scan(base) => Some((base.partitions(), base.rows().len())),
             _ => self.ctx.dataset_cache().shape(self.slot.id()),
         };
         match shape {
@@ -1505,6 +1506,44 @@ mod tests {
 
     fn ctx() -> Context {
         Context::new(4, 8)
+    }
+
+    #[test]
+    fn from_vec_cuts_the_callers_rows_where_they_lie() {
+        // The partitions the rows were copied into before binding kept the
+        // caller's vector: `⌈n / p⌉` rows each, in order.
+        fn copied(rows: &[Value], p: usize) -> Vec<Vec<Value>> {
+            let chunk = rows.len().div_ceil(p).max(1);
+            let mut it = rows.iter().cloned();
+            (0..p).map(|_| it.by_ref().take(chunk).collect()).collect()
+        }
+        for p in [1, 2, 3, 4, 7] {
+            for n in [0, 1, p - 1, p, p + 1, 1_000] {
+                let rows: Vec<Value> = (0..n as i64).map(Value::Long).collect();
+                let want = copied(&rows, p);
+                let at = rows.as_ptr();
+                let d = Dataset::from_vec(Context::new(2, p), rows);
+                let PlanOp::Scan(base) = d.plan.as_ref() else {
+                    panic!("bound rows are a scan");
+                };
+                assert_eq!(
+                    base.rows().as_ptr(),
+                    at,
+                    "n {n}, p {p}: the caller's vector"
+                );
+                let Parts::Base(forced) = d.force().unwrap() else {
+                    panic!("n {n}, p {p}: a scan forces to its base");
+                };
+                let parts = forced.parts();
+                assert_eq!(parts, want, "n {n}, p {p}");
+                for (i, part) in parts.iter().enumerate() {
+                    let start = want[..i].iter().map(Vec::len).sum::<usize>();
+                    assert_eq!(part.as_ptr(), at.wrapping_add(start), "n {n}, p {p}");
+                }
+                let read = d.map(|v| Ok(v.clone())).unwrap().try_collect().unwrap();
+                assert_eq!(read, want.concat(), "n {n}, p {p}");
+            }
+        }
     }
 
     fn pairs(ctx: &Context, entries: &[(i64, i64)]) -> Dataset {
@@ -1992,7 +2031,11 @@ mod tests {
                 let generated = fill.merge(&updates, add).unwrap().force().unwrap();
                 assert_eq!(shuffles() - before, 1, "the fill is not scattered");
                 let want = scattered.merge(&updates, add).unwrap().force().unwrap();
-                assert_eq!(generated, want, "[{lo}, {hi}] over {partitions} partitions");
+                assert_eq!(
+                    generated.slices(),
+                    want.slices(),
+                    "[{lo}, {hi}] over {partitions} partitions"
+                );
             }
         }
     }

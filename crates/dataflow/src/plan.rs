@@ -185,10 +185,68 @@ impl Source<'_> {
 /// session).
 pub(crate) type Tag = Option<Arc<str>>;
 
+/// Base data: the rows a caller bound, in the one vector it built, cut
+/// into partitions at `ends` (partition `i` is `rows[ends[i - 1]..ends[i]]`).
+/// Binding rows moves the vector in, not its rows, and every reader of a
+/// [`PlanOp::Scan`] reads a partition where it lies, through
+/// [`Base::part`].
+#[derive(Clone)]
+pub(crate) struct Base {
+    rows: Arc<Vec<Value>>,
+    ends: Arc<[usize]>,
+}
+
+impl Base {
+    /// `rows` cut into `p` partitions of `⌈n / p⌉` rows, the last ones
+    /// short or empty.
+    pub(crate) fn even(rows: Arc<Vec<Value>>, p: usize) -> Base {
+        let n = rows.len();
+        let chunk = n.div_ceil(p).max(1);
+        let ends = (1..=p).map(|i| (i * chunk).min(n)).collect();
+        Base { rows, ends }
+    }
+
+    /// `parts` moved into one vector, each partition keeping its rows in
+    /// their order; partitions may differ in length.
+    pub(crate) fn joined(parts: Vec<Vec<Value>>) -> Base {
+        let mut rows = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+        let mut ends = Vec::with_capacity(parts.len());
+        for part in parts {
+            rows.extend(part);
+            ends.push(rows.len());
+        }
+        Base {
+            rows: Arc::new(rows),
+            ends: ends.into(),
+        }
+    }
+
+    /// The number of partitions.
+    pub(crate) fn partitions(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The rows of partition `i`.
+    pub(crate) fn part(&self, i: usize) -> &[Value] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.rows[start..self.ends[i]]
+    }
+
+    /// Every partition's rows, in partition order.
+    pub(crate) fn parts(&self) -> Vec<&[Value]> {
+        (0..self.partitions()).map(|i| self.part(i)).collect()
+    }
+
+    /// Every row, in partition order.
+    pub(crate) fn rows(&self) -> &[Value] {
+        &self.rows
+    }
+}
+
 /// One node of the lazy physical plan.
 pub(crate) enum PlanOp {
-    /// Materialized partitions — the leaves of every plan.
-    Scan(Arc<Vec<Vec<Value>>>),
+    /// Base data ([`Base`]) — the leaves of every plan.
+    Scan(Base),
     /// A forced dataset standing in for its lineage: resolved through the
     /// shared dataset cache at execution time. A hit reads the cached
     /// partitions (memory or disk tier) like a `Scan`; a miss — the entry
@@ -419,20 +477,55 @@ pub(crate) fn collapse(plan: &Arc<PlanOp>) -> Collapsed {
     }
 }
 
+/// Each partition's rows as a slice.
+pub(crate) fn slices(parts: &[Vec<Value>]) -> Vec<&[Value]> {
+    parts.iter().map(Vec::as_slice).collect()
+}
+
 /// Walker output: shared when no work was needed, owned otherwise.
 pub(crate) enum Parts {
-    /// Untouched materialized partitions (zero-copy).
+    /// Base data, read where it lies (zero-copy).
+    Base(Base),
+    /// Partitions the dataset cache holds (zero-copy).
     Shared(Arc<Vec<Vec<Value>>>),
     /// Freshly computed partitions.
     Owned(Vec<Vec<Value>>),
 }
 
 impl Parts {
-    /// Converts into a shared handle without copying owned data.
-    pub fn into_arc(self) -> Arc<Vec<Vec<Value>>> {
+    /// Every partition's rows, in partition order.
+    pub(crate) fn slices(&self) -> Vec<&[Value]> {
         match self {
+            Parts::Base(base) => base.parts(),
+            Parts::Shared(parts) => slices(parts),
+            Parts::Owned(parts) => slices(parts),
+        }
+    }
+
+    /// The number of rows.
+    pub(crate) fn rows(&self) -> usize {
+        self.slices().iter().map(|part| part.len()).sum()
+    }
+
+    /// The partitions as the dataset cache holds them, owned ones moved.
+    /// Base data is copied; it never enters the cache, which reads it
+    /// from its `Scan`.
+    pub(crate) fn into_arc(self) -> Arc<Vec<Vec<Value>>> {
+        match self {
+            Parts::Base(base) => {
+                Arc::new(base.parts().into_iter().map(<[Value]>::to_vec).collect())
+            }
             Parts::Shared(p) => p,
             Parts::Owned(p) => Arc::new(p),
+        }
+    }
+
+    /// The partitions as base data ([`Base::joined`]), owned ones moved.
+    pub(crate) fn into_base(self) -> Base {
+        match self {
+            Parts::Base(base) => base,
+            Parts::Shared(p) => Base::joined(Arc::unwrap_or_clone(p)),
+            Parts::Owned(p) => Base::joined(p),
         }
     }
 }
@@ -514,15 +607,15 @@ fn resolve_cached(
     Ok(parts)
 }
 
-/// Materializes a plan into partitions: the partitions a scanned or
-/// cached base already holds when no step is pending (zero-copy), else one
-/// fused stage that collects each partition's transformed rows.
+/// Materializes a plan into partitions: the rows a scanned or cached base
+/// already holds when no step is pending (zero-copy), else one fused stage
+/// that collects each partition's transformed rows.
 pub(crate) fn materialize(ctx: &Context, plan: &Arc<PlanOp>) -> Result<Parts> {
     crate::verify::verify_plan(plan)?;
     let Collapsed { base, steps, .. } = collapse(plan);
     if steps.is_empty() {
         match base.as_ref() {
-            PlanOp::Scan(parts) => return Ok(Parts::Shared(parts.clone())),
+            PlanOp::Scan(base) => return Ok(Parts::Base(base.clone())),
             PlanOp::Cached(slot, inner) => {
                 return resolve_cached(ctx, slot, inner).map(Parts::Shared)
             }
@@ -577,15 +670,19 @@ where
             })?
         }
         base => {
+            let cached;
             let parts = match base {
-                PlanOp::Scan(parts) => parts.clone(),
-                PlanOp::Cached(slot, inner) => resolve_cached(ctx, slot, inner)?,
+                PlanOp::Scan(base) => base.parts(),
+                PlanOp::Cached(slot, inner) => {
+                    cached = resolve_cached(ctx, slot, inner)?;
+                    slices(&cached)
+                }
                 // collapse() never returns a row node as base.
                 _ => return Err(RuntimeError::new("corrupt plan: row node as base")),
             };
             note_stage(ctx, mode, parts.len(), None, &steps, label);
             let weight = |i: usize| parts[i].len() as u64;
-            run_stage_weighted(ctx, &parts, weight, |p, part: &Vec<Value>, cancel| {
+            run_stage_weighted(ctx, &parts, weight, |p, part: &&[Value], cancel| {
                 run(p, Source::Rows(part), cancel)
             })?
         }
@@ -696,8 +793,8 @@ fn describe_stage(
 pub(crate) fn render(plan: &Arc<PlanOp>, out: &mut String) {
     let Collapsed { base, steps, .. } = collapse(plan);
     match base.as_ref() {
-        PlanOp::Scan(parts) => {
-            out.push_str(&format!("scan[{}p]", parts.len()));
+        PlanOp::Scan(base) => {
+            out.push_str(&format!("scan[{}p]", base.partitions()));
         }
         PlanOp::Cached(_, inner) => {
             out.push_str("cached(");

@@ -84,7 +84,7 @@ pub(crate) fn verify_plan(plan: &Arc<PlanOp>) -> Result<()> {
 /// Recursive walk: validates a node and returns its partition count.
 fn check(plan: &PlanOp) -> Result<usize> {
     match plan {
-        PlanOp::Scan(parts) => partitions(parts.len()),
+        PlanOp::Scan(base) => partitions(base.partitions()),
         PlanOp::Shuffled(buckets, ..) => {
             for chunk in buckets.iter().flat_map(|b| b.chunks()) {
                 check_chunk(chunk)?;
@@ -201,7 +201,7 @@ pub(crate) fn verify_cached_partition(
 /// Verifies that no key occurs twice among the `(key, value)` rows of the
 /// base data bound as `input` (rows of another shape are left to the
 /// operators that read them). No-op when the verifier is disabled.
-pub(crate) fn verify_unique_keys(parts: &[Vec<diablo_runtime::Value>], input: &str) -> Result<()> {
+pub(crate) fn verify_unique_keys(parts: &[&[diablo_runtime::Value]], input: &str) -> Result<()> {
     if !enabled() {
         return Ok(());
     }
@@ -209,10 +209,11 @@ pub(crate) fn verify_unique_keys(parts: &[Vec<diablo_runtime::Value>], input: &s
 }
 
 /// The ungated body of [`verify_unique_keys`].
-fn check_unique_keys(parts: &[Vec<diablo_runtime::Value>], input: &str) -> Result<()> {
+fn check_unique_keys(parts: &[&[diablo_runtime::Value]], input: &str) -> Result<()> {
     let mut seen = std::collections::HashSet::new();
     let keys = parts
         .iter()
+        .copied()
         .flatten()
         .filter_map(|row| match row.as_tuple() {
             Some([k, _]) => Some(k),
@@ -234,11 +235,11 @@ fn check_unique_keys(parts: &[Vec<diablo_runtime::Value>], input: &str) -> Resul
 /// those bounds covers them. Ungated: the caller reads the gate, since it
 /// forces the rows only when the verifier is on.
 pub(crate) fn verify_keys_within(
-    parts: &[Vec<diablo_runtime::Value>],
+    parts: &[&[diablo_runtime::Value]],
     lo: i64,
     hi: i64,
 ) -> Result<()> {
-    let outside = parts.iter().flatten().find(|row| {
+    let outside = parts.iter().copied().flatten().find(|row| {
         !matches!(row.as_tuple(), Some([diablo_runtime::Value::Long(k), _]) if (lo..=hi).contains(k))
     });
     match outside {
@@ -265,7 +266,7 @@ mod tests {
 
     #[test]
     fn zero_partition_scan_is_a_violation() {
-        let plan = Arc::new(PlanOp::Scan(Arc::new(Vec::new())));
+        let plan = Arc::new(PlanOp::Scan(crate::plan::Base::joined(Vec::new())));
         let err = check(&plan).unwrap_err();
         assert!(err.message.contains("plan verifier"), "{err}");
         assert!(err.message.contains("zero partitions"), "{err}");
@@ -273,7 +274,8 @@ mod tests {
 
     #[test]
     fn healthy_scan_reports_its_partition_count() {
-        let plan = PlanOp::Scan(Arc::new(vec![vec![Value::Long(1)], vec![]]));
+        let parts = vec![vec![Value::Long(1)], vec![]];
+        let plan = PlanOp::Scan(crate::plan::Base::joined(parts));
         assert_eq!(check(&plan).unwrap(), 2);
     }
 
@@ -337,12 +339,12 @@ mod tests {
     #[test]
     fn a_repeated_key_across_partitions_is_a_violation() {
         let row = |k: i64| Value::pair(Value::Long(k), Value::Unit);
-        let unique = vec![vec![row(1), row(2)], vec![row(3)]];
+        let unique: [&[Value]; 2] = [&[row(1), row(2)], &[row(3)]];
         assert!(check_unique_keys(&unique, "V").is_ok());
         // `1` and `1.0` are the same key, as in every keyed operator.
-        let repeated = vec![
-            vec![row(1), row(2)],
-            vec![Value::pair(Value::Double(1.0), Value::Unit)],
+        let repeated: [&[Value]; 2] = [
+            &[row(1), row(2)],
+            &[Value::pair(Value::Double(1.0), Value::Unit)],
         ];
         let err = check_unique_keys(&repeated, "V").unwrap_err();
         assert!(err.message.starts_with("plan verifier:"), "{err}");

@@ -7,8 +7,8 @@
 //! memory budget) but has private statistics and statement labels, so
 //! concurrent requests never interleave each other's `sN:var` error
 //! tags. Named datasets registered with `BindDataset` are held once as
-//! `Arc`ed partitions; every request wraps the same allocation
-//! zero-copy.
+//! one `Arc`ed row vector; every request scans the same allocation
+//! zero-copy, cut into partitions as an inline-bound input is.
 //!
 //! ## Request lifecycle
 //!
@@ -134,13 +134,13 @@ impl Program {
     }
 }
 
-/// A server-side dataset's rows, partitioned and shared by every run.
-type Parts = Arc<Vec<Vec<Value>>>;
+/// A server-side dataset's rows, in the one vector every run shares.
+type Rows = Arc<Vec<Value>>;
 
-/// A named server-side dataset: shared partitions plus the content
+/// A named server-side dataset: its shared rows plus the content
 /// fingerprint that versions it in cache keys.
 struct NamedData {
-    parts: Parts,
+    rows: Rows,
     fingerprint: u64,
 }
 
@@ -403,7 +403,6 @@ fn handle_request(req: Request, shared: &Arc<Shared>) -> Response {
         },
         Request::BindDataset { name, rows } => {
             let fingerprint = rows_hash(&rows);
-            let parts = partition_rows(rows, shared.ctx.partitions());
             // A writer only ever makes one `HashMap::insert` of a value
             // built beforehand, so a panic under the lock leaves the map
             // whole: a poisoned lock is taken over, not a panic here.
@@ -414,7 +413,7 @@ fn handle_request(req: Request, shared: &Arc<Shared>) -> Response {
                 .insert(
                     name,
                     NamedData {
-                        parts: Arc::new(parts),
+                        rows: Arc::new(rows),
                         fingerprint,
                     },
                 );
@@ -422,18 +421,6 @@ fn handle_request(req: Request, shared: &Arc<Shared>) -> Response {
         }
         Request::Run { .. } => unreachable!("the parser hands a run over as a `RunFrame`"),
     }
-}
-
-/// Chunks rows into `p` partitions, mirroring `Dataset::from_vec` so a
-/// server-held dataset scans exactly like an inline-bound one.
-fn partition_rows(rows: Vec<Value>, p: usize) -> Vec<Vec<Value>> {
-    let chunk = rows.len().div_ceil(p).max(1);
-    let mut parts = Vec::with_capacity(p);
-    let mut it = rows.into_iter();
-    for _ in 0..p {
-        parts.push(it.by_ref().take(chunk).collect());
-    }
-    parts
 }
 
 fn stat_counters(shared: &Arc<Shared>) -> Vec<(String, u64)> {
@@ -490,7 +477,7 @@ fn handle_run(run: RunFrame<'_>, shared: &Arc<Shared>) -> Result<Vec<u8>, String
     // held across the admission wait below, one queued miss and one
     // `BindDataset` — a writer, which new readers queue behind — would
     // stall every later request, hits included.
-    let served: Vec<(&str, Parts, u64)> = {
+    let served: Vec<(&str, Rows, u64)> = {
         // A read; the map is whole even under a poisoned lock, since its
         // one writer makes one `insert` (`handle_request`).
         let datasets = shared
@@ -503,7 +490,7 @@ fn handle_run(run: RunFrame<'_>, shared: &Arc<Shared>) -> Result<Vec<u8>, String
             .filter(|(name, _)| scalar(name).is_none() && inline(name).is_none())
             .filter_map(|(name, _)| {
                 let d = datasets.get(name)?;
-                Some((name.as_str(), d.parts.clone(), d.fingerprint))
+                Some((name.as_str(), d.rows.clone(), d.fingerprint))
             })
             .collect()
     };
@@ -582,8 +569,8 @@ fn handle_run(run: RunFrame<'_>, shared: &Arc<Shared>) -> Result<Vec<u8>, String
         for (name, r) in rows {
             session.bind_input(name, r);
         }
-        for (name, parts, _) in served {
-            session.bind_dataset(name, Dataset::from_shared_parts(tenant.clone(), parts));
+        for (name, rows, _) in served {
+            session.bind_dataset(name, Dataset::from_shared(tenant.clone(), rows));
         }
 
         session.run(compiled).map_err(|e| e.to_string())?;

@@ -163,8 +163,7 @@ fn small_parts(size: usize) -> Vec<Vec<Value>> {
 /// surface, with its statement tag intact.
 fn poisoned_run(ctx: Context, size: usize) -> RuntimeError {
     ctx.set_statement_label(Some("s7: C := poisoned morsel map"));
-    let parts = std::sync::Arc::new(small_parts(size));
-    let d = diablo_dataflow::Dataset::from_shared_parts(ctx.clone(), parts)
+    let d = diablo_dataflow::Dataset::from_partitions(ctx.clone(), small_parts(size))
         .map(|v| match v.as_long() {
             Some(11_000) => Err(RuntimeError::new("boom at the first poisoned row")),
             Some(14_000) => Err(RuntimeError::new("boom at a later morsel")),

@@ -115,6 +115,95 @@ fn concurrent_clients_match_local_runs_byte_for_byte() {
     server.stop();
 }
 
+/// Outputs as the wire carries them in a reply.
+fn outputs_bytes(outputs: Vec<(String, Output)>) -> Vec<u8> {
+    Response::RunOk {
+        outputs,
+        stats: RequestStats::default(),
+        warnings: Vec::new(),
+    }
+    .encode()
+    .expect("encodes")
+}
+
+#[test]
+fn concurrent_clients_read_one_bound_dataset() {
+    // Every Fig. 3 input is bound once, by name, and no request sends
+    // rows: two clients run each program several times, uncached, so
+    // their stages scan the one row vector the server holds at the same
+    // time. Programs that declare an input of the same name are run in
+    // different rounds, each round binding its own inputs.
+    let mut rounds: Vec<Vec<wl::Workload>> = Vec::new();
+    for w in wl::figure3_workloads(1, 13) {
+        let names = |w: &wl::Workload| w.collections.iter().map(|(n, _)| *n).collect::<Vec<_>>();
+        let apart = |round: &Vec<wl::Workload>| {
+            round
+                .iter()
+                .all(|x| names(x).iter().all(|n| !names(&w).contains(n)))
+        };
+        match rounds.iter_mut().find(|round| apart(round)) {
+            Some(round) => round.push(w),
+            None => rounds.push(vec![w]),
+        }
+    }
+    let server =
+        Server::start("127.0.0.1:0", Context::new(2, 4), ServeConfig::default()).expect("server");
+    let addr = server.addr().to_string();
+    let mut control = Client::connect(&addr).expect("connect");
+
+    const CLIENTS: usize = 2;
+    const RUNS: usize = 3;
+    for round in rounds {
+        for w in &round {
+            for (name, rows) in &w.collections {
+                control.bind_dataset(name, rows.clone()).expect("bind");
+            }
+        }
+        let expected: Arc<Vec<Vec<u8>>> = Arc::new(
+            round
+                .iter()
+                .map(|w| outputs_bytes(local_outputs(w).expect(w.name)))
+                .collect(),
+        );
+        let round = Arc::new(round);
+        let barrier = Arc::new(Barrier::new(CLIENTS));
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let (addr, round, expected, barrier) = (
+                    addr.clone(),
+                    round.clone(),
+                    expected.clone(),
+                    barrier.clone(),
+                );
+                thread::spawn(move || {
+                    let mut client = Client::connect(&addr).expect("connect");
+                    barrier.wait();
+                    for run in 0..RUNS {
+                        for i in 0..round.len() {
+                            let at = (i + c) % round.len();
+                            let w = &round[at];
+                            let scalars = remote_bindings(w).0;
+                            let res = client
+                                .run(w.source, scalars, Vec::new(), true)
+                                .unwrap_or_else(|e| panic!("{} (client {c}): {e}", w.name));
+                            assert!(!res.stats.cache_hit, "{} ran", w.name);
+                            assert!(
+                                outputs_bytes(res.outputs) == expected[at],
+                                "{} (client {c}, run {run})",
+                                w.name
+                            );
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in clients {
+            h.join().expect("client thread");
+        }
+    }
+    server.stop();
+}
+
 const DIV_BY_ZERO: &str = "
     input V: vector[long];
     var X: vector[long] = vector();
