@@ -5,9 +5,9 @@
 //! lanes, struct-of-arrays tuples, and the boxed lane (`VCol::Val`) for
 //! strings, records and mixed types. Boxed rows are the boxed lane. Typed
 //! lanes read as a column tile with no `decompose`, the boxed lane
-//! decomposed as boxed rows are ([`Chunk::col`]), and [`Chunk::row`]
-//! boxes one row for a row consumer: the row it stands for is the row the
-//! exchange was sent.
+//! decomposed as boxed rows are ([`Chunk::col`]), and a row consumer
+//! boxes one row at a time from the lanes: the row it stands for is the
+//! row the exchange was sent.
 //!
 //! Who writes which: a columnar tile sent through a keyed scatter appends
 //! its columns to a [`ChunkBuf`]'s typed lanes; a row — of a chain on the
@@ -63,11 +63,6 @@ impl Chunk {
         self.len
     }
 
-    /// Row `i`, boxed.
-    pub fn row(&self, i: usize) -> Value {
-        self.lanes.get(i)
-    }
-
     /// Every row, boxed: borrowed from the boxed lane, built from typed
     /// ones.
     pub fn rows(&self) -> Cow<'_, [Value]> {
@@ -86,23 +81,13 @@ impl Chunk {
         }
     }
 
-    /// The arity of row `i` when it is a tuple.
-    pub fn arity(&self, i: usize) -> Option<usize> {
+    /// The error of [`env_fields`] for the first row that is not a tuple,
+    /// if one is not.
+    pub fn tuples(&self) -> Result<()> {
         match &self.lanes {
-            VCol::Tuple(cols) => Some(cols.len()),
-            VCol::Long(_) | VCol::Double(_) | VCol::Bool(_) => None,
-            lanes => lanes.at(i).as_tuple().map(<[Value]>::len),
+            VCol::Tuple(_) => Ok(()),
+            lanes => (0..self.len).try_for_each(|i| env_fields(&lanes.at(i)).map(drop)),
         }
-    }
-
-    /// Appends the fields of row `i`, which must be a tuple (the error of
-    /// `env_fields` otherwise).
-    pub fn push_fields(&self, i: usize, out: &mut Vec<Value>) -> Result<()> {
-        match &self.lanes {
-            VCol::Tuple(cols) => out.extend(cols.iter().map(|c| c.get(i))),
-            lanes => out.extend_from_slice(env_fields(&lanes.at(i))?),
-        }
-        Ok(())
     }
 
     /// The key and value of row `i`, a `(key, value)` pair (the error of
@@ -604,7 +589,6 @@ mod tests {
         assert_eq!(rows(&c), pairs);
         for (i, row) in pairs.iter().enumerate() {
             assert_eq!(c.row_size(i), serialized_size(row));
-            assert_eq!(c.arity(i), Some(2));
         }
         assert_eq!(estimate_bytes(&[c]), estimate_bytes(&[Chunk::boxed(pairs)]));
     }

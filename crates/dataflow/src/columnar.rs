@@ -41,14 +41,17 @@
 //!     (`Dataset::aggregate`), is the same fold on a constant key: one
 //!     slot, and no row is reassembled at all;
 //!   * the block [`Packer`] reads index and value lanes where they lie.
-//! * **Joins' matches and lane keys** — a stage above a join's
-//!   build–probe reads a [`Source::Matches`] instead of rows: each tile's
-//!   input column is gathered from the two bucket sides by index (the
-//!   left rows' fields, then the right rows' leaves), so no row of a match
-//!   is built. A key column of flat tuples of primitive lanes, like
-//!   `(i, j)`, is hashed and compared from its lanes ([`KeyLanes`]) —
-//!   by the keyed fold, a keyed scatter's bucket, and the build–probe
-//!   ([`for_each_key`]) — and boxed only when a key table inserts it.
+//! * **Joins and lane keys** — every join is one build–probe, a
+//!   [`Probe`]: built once on the driver for `Dataset::join_probe` and
+//!   `Dataset::cross`, or once per bucket from a partitioned join's right
+//!   chunk, whose left chunk is then read as a [`Source::Chunk`] and
+//!   probed ahead of the fused chain. A probe tile's output columns are
+//!   the tile's fields and the build rows' leaves gathered by index, so no
+//!   row of a match is built. A key column of flat tuples of primitive
+//!   lanes, like `(i, j)`, is hashed and compared from its lanes
+//!   ([`KeyLanes`]) — by the keyed fold, a keyed scatter's bucket, and
+//!   the build–probe ([`each_key`]) — and boxed only when a key table
+//!   inserts it.
 //!
 //! ## Error identity
 //!
@@ -78,10 +81,10 @@ use diablo_runtime::{BinOp, Func, RuntimeError, UnOp, Value};
 use crate::block::Packer;
 use crate::chunk::{self, Chunk, LaneBuf};
 use crate::exchange::{ExchangeWriter, HashPartitioner};
-use crate::join::Emit;
 use crate::keytable::{Key, KeyLane, KeyLanes, KeyTable, Prim};
-use crate::plan::{Result, Source, Step, StepOp};
+use crate::plan::{Result, RowFlatFn, Source, Step, StepOp};
 use crate::stats::Stats;
+use crate::JoinOn;
 
 /// A transparent row expression: the part of a `map`/`filter` step the
 /// engine can see through and lower to per-column loops.
@@ -236,6 +239,15 @@ impl Shape {
         }
     }
 
+    /// The number of [`Shape::Bind`] positions.
+    pub(crate) fn binds(&self) -> usize {
+        match self {
+            Shape::Bind => 1,
+            Shape::Skip => 0,
+            Shape::Tuple(ps) => ps.iter().map(Shape::binds).sum(),
+        }
+    }
+
     /// Appends the values bound at the [`Shape::Bind`] positions, left to
     /// right. Returns `false` when `v` does not have this shape.
     fn bind(&self, v: &Value, out: &mut Vec<Value>) -> bool {
@@ -267,18 +279,22 @@ pub(crate) fn env_fields(row: &Value) -> Result<&[Value]> {
         .ok_or_else(|| RuntimeError::new(format!("expected a tuple row to extend, got {row}")))
 }
 
-/// A join's build side, built once on the driver and read by every task
-/// that probes it — the transparent form of the `flat_map` behind
-/// `Dataset::join_probe` and `Dataset::cross`: every probe row (a tuple)
-/// is followed, once per build row its key matches and in build order, by
-/// the leaves `shape` binds in that build row. A cross is the probe on the
-/// constant key `()`, which every build row holds.
+/// A join's build side, read by every task that probes it — the
+/// transparent form of the `flat_map` behind `Dataset::join_probe` and
+/// `Dataset::cross` (built once on the driver), and of a partitioned
+/// join's post-shuffle stage (built once per bucket, from its right
+/// chunk): every probe row (a tuple) is followed, once per build row its
+/// key matches and in build order, by the leaves `shape` binds in that
+/// build row. A cross is the probe on the constant key `()`, which every
+/// build row holds.
 ///
 /// The build rows' leaves are owned lanes, taken apart once, and build
 /// keys match probe keys as every keyed operator matches them
-/// ([`KeyTable`], [`for_each_key`]). A build row the shape does not fit is
-/// the error `"{mismatch} {row}"` — and a build key that fails, its own
-/// error — raised by the first probe row that reaches the step.
+/// ([`KeyTable`], [`each_key`]). A probe row that is not a tuple is the
+/// error of [`env_fields`], whether or not its key matches. A build row
+/// the shape does not fit is the error `"{mismatch} {row}"` — and a build
+/// key that fails, its own error — raised by the first probe row that
+/// reaches the step.
 pub(crate) struct Probe {
     /// The build rows' bound leaves, one lane per leaf.
     leaves: Vec<VCol<'static>>,
@@ -306,18 +322,29 @@ struct BuildKeys {
 }
 
 impl BuildKeys {
-    /// Keys the rows of `build` by `key`: a long lane of keys in one loop
-    /// ([`KeyTable::upsert_longs`]), any other key column as
-    /// [`for_each_key`] reads it.
+    /// Keys the rows of `build` by `key`, evaluated once as a column: a
+    /// long lane of keys in one loop ([`KeyTable::upsert_longs`]), any
+    /// other key column as [`each_key`] reads it. When the column
+    /// evaluation fails, row by row with [`RowExpr::eval`], so the keys
+    /// and the first error are the row path's.
     fn new(build: &Chunk, key: &RowExpr) -> Result<BuildKeys> {
-        let mut table = KeyTable::with_capacity(build.len());
-        let mut slots = Vec::with_capacity(build.len());
-        match vec_eval(key, &build.col(), build.len()) {
-            Ok(VCol::Long(lane)) => table.upsert_longs(&lane, || (), &mut slots),
-            _ => for_each_key(build, key, true, &mut |_, k| {
+        let len = build.len();
+        let mut table = KeyTable::with_capacity(len);
+        let mut slots = Vec::with_capacity(len);
+        let keys = vec_eval(key, &build.col(), len);
+        if let Ok(VCol::Long(lane)) = &keys {
+            table.upsert_longs(lane, || (), &mut slots);
+        } else {
+            let mut upsert = |_, k: Key<'_>| {
                 slots.push(table.upsert(k, || ()).slot as u32);
                 Ok(())
-            })?,
+            };
+            match keys {
+                Ok(col) => each_key(&col, len, upsert)?,
+                Err(_) => (0..len).try_for_each(|i| {
+                    upsert(i, Key::from(Cow::Owned(key.eval(&build.lanes.at(i))?)))
+                })?,
+            }
         }
         // Slots are numbered in first-seen order.
         let keys = slots.iter().max().map_or(0, |&s| s as usize + 1);
@@ -421,7 +448,35 @@ impl Probe {
             }
             len += 1;
         }
-        let leaves: Vec<VCol<'static>> = lanes.into_iter().map(LaneBuf::finish).collect();
+        let leaves = lanes.into_iter().map(LaneBuf::finish).collect();
+        Probe::keyed(leaves, len, unfit, keys)
+    }
+
+    /// Builds over one bucket's right chunk, whose rows are the tuples of
+    /// the leaves `on.right` binds, taking the chunk as it arrived: tuple
+    /// lanes are the leaves as they are, and boxed rows are taken apart
+    /// as [`Probe::build`] takes them.
+    pub(crate) fn bucket(right: &Chunk, on: &JoinOn) -> Probe {
+        let keys = Some(ProbeKeys {
+            probe: on.left_key.clone(),
+            build: on.right_key.clone(),
+        });
+        match (&right.lanes, on.right.whole_tuple()) {
+            (VCol::Tuple(lanes), Some(n)) if lanes.len() == n => {
+                Probe::keyed(lanes.to_vec(), right.len(), None, keys)
+            }
+            _ => Probe::build(right.rows().iter(), &on.right, keys, &on.mismatch),
+        }
+    }
+
+    /// The probe over `len` build rows of `leaves`, keyed by `keys`
+    /// unless a build row did not fit.
+    fn keyed(
+        leaves: Vec<VCol<'static>>,
+        len: usize,
+        unfit: Option<RuntimeError>,
+        keys: Option<ProbeKeys>,
+    ) -> Probe {
         let mut probe = Probe {
             leaves,
             len,
@@ -438,12 +493,16 @@ impl Probe {
         probe
     }
 
+    /// The step's closure: [`Probe::expand`] on the shared probe.
+    pub(crate) fn expander(probe: &Arc<Probe>) -> RowFlatFn {
+        let probe = probe.clone();
+        Arc::new(move |row: &Value| probe.expand(row))
+    }
+
     /// Probe row `fields` followed by the leaves of build row `j`.
     fn extended(&self, fields: &[Value], j: usize) -> Value {
-        let mut out = Vec::with_capacity(fields.len() + self.leaves.len());
-        out.extend_from_slice(fields);
-        out.extend(self.leaves.iter().map(|c| c.get(j)));
-        Value::tuple(out)
+        let leaves = self.leaves.iter().map(|c| c.get(j));
+        Value::Tuple(fields.iter().cloned().chain(leaves).collect())
     }
 
     /// The row path: what the step's closure runs, and what a failed
@@ -586,11 +645,14 @@ impl RowExpr {
                     .collect::<Result<Vec<Value>>>()?;
                 f.apply(&vs)
             }
-            RowExpr::Tuple(es) => Ok(Value::tuple(
-                es.iter()
-                    .map(|e| e.eval(row))
-                    .collect::<Result<Vec<Value>>>()?,
-            )),
+            RowExpr::Tuple(es) => match es.as_slice() {
+                [a, b] => Ok(Value::pair(a.eval(row)?, b.eval(row)?)),
+                _ => Ok(Value::tuple(
+                    es.iter()
+                        .map(|e| e.eval(row))
+                        .collect::<Result<Vec<Value>>>()?,
+                )),
+            },
             RowExpr::Field(e, name) => name.get(&e.eval(row)?).cloned(),
             RowExpr::Unpack { shape, mismatch } => {
                 let unfit = || RuntimeError::new(format!("{mismatch} {row}"));
@@ -717,16 +779,35 @@ impl VCol<'_> {
             VCol::Long(v) => Cow::Owned(Value::Long(v[i])),
             VCol::Double(v) => Cow::Owned(Value::Double(v[i])),
             VCol::Bool(v) => Cow::Owned(Value::Bool(v[i])),
-            VCol::Tuple(cols) => Cow::Owned(Value::tuple(cols.iter().map(|c| c.get(i)).collect())),
+            VCol::Tuple(cols) => Cow::Owned(Value::Tuple(cols.iter().map(|c| c.get(i)).collect())),
             VCol::Const(v) => Cow::Borrowed(v),
             VCol::Refs(rows) => Cow::Borrowed(rows[i]),
             VCol::Val(rows) => Cow::Borrowed(&rows[i]),
         }
     }
 
+    /// Rows `range` of this column: primitive lanes copied, boxed values
+    /// borrowed ([`decompose`]) — one tile of a shuffled chunk.
+    fn slice(&self, range: Range<usize>) -> VCol<'_> {
+        fn part<T: Clone>(lane: &[T], range: Range<usize>) -> Arc<Vec<T>> {
+            Arc::new(lane[range].to_vec())
+        }
+        match self {
+            VCol::Long(v) => VCol::Long(part(v, range)),
+            VCol::Double(v) => VCol::Double(part(v, range)),
+            VCol::Bool(v) => VCol::Bool(part(v, range)),
+            VCol::Tuple(cols) => VCol::Tuple(Arc::new(
+                cols.iter().map(|c| c.slice(range.clone())).collect(),
+            )),
+            VCol::Const(v) => VCol::Const(v.clone()),
+            VCol::Refs(v) => VCol::Refs(part(v, range)),
+            VCol::Val(v) => decompose(&v[range]),
+        }
+    }
+
     /// Rows `rows` of this column, in that order: primitive lanes copied,
-    /// boxed values borrowed ([`refs_col`]) — a join side's field for the
-    /// matches of one tile.
+    /// boxed values borrowed ([`refs_col`]) — a build side's leaf for the
+    /// matches of one probe piece.
     pub(crate) fn gather_rows(&self, rows: &[u32]) -> VCol<'_> {
         match self {
             VCol::Tuple(cols) => {
@@ -1322,34 +1403,14 @@ fn mask_of(col: &VCol, len: usize) -> Result<Vec<bool>> {
     }
 }
 
-/// The input column of the tile `range` of a source: its rows decomposed,
-/// or — for a join's matches — the left rows' field columns followed by
-/// the right rows' leaf columns, gathered from the two sides by index (a
-/// lane side's fields straight from its lanes, a boxed side's primitive
-/// fields into lanes), so no row of a match is built. Matches whose sides
-/// are not tuples of one arity each, and `Dataset::join`'s `(k, (l, r))`
-/// rows, are made into rows and decomposed.
-fn tile_column<'a>(src: Source<'a>, range: Range<usize>) -> Result<VCol<'a>> {
-    let m = match src {
-        Source::Rows(rows) => return Ok(decompose(&rows[range])),
-        Source::Matches(m) => m,
-    };
-    if m.emit == Emit::Concat {
-        let (lefts, rights): (Vec<u32>, Vec<u32>) = range.clone().map(|k| m.sides(k)).unzip();
-        let (l, r) = m.chunks();
-        if let (Some(l), Some(r)) = (field_columns(l, &lefts), field_columns(r, &rights)) {
-            return Ok(VCol::Tuple(Arc::new(l.into_iter().chain(r).collect())));
-        }
+/// The input column of the tile `range` of a source: its rows
+/// decomposed, or a chunk's lanes over those rows.
+fn tile_column<'a>(src: Source<'a>, range: Range<usize>) -> VCol<'a> {
+    match src {
+        Source::Rows(rows) => decompose(&rows[range]),
+        Source::Chunk(chunk) if range.len() == chunk.len() => chunk.col(),
+        Source::Chunk(chunk) => chunk.lanes.slice(range),
     }
-    Ok(decompose_owned(
-        range.map(|k| m.row(k)).collect::<Result<_>>()?,
-    ))
-}
-
-/// The field columns of rows `rows` of a join side when they are tuples
-/// of one arity: gathered from its tuple lanes, projected from boxed rows.
-fn field_columns<'a>(side: &'a Chunk, rows: &[u32]) -> Option<Vec<VCol<'a>>> {
-    side.lanes.gather_rows(rows).tuple_columns(rows.len())
 }
 
 /// What takes the pieces of a tile run through a chain: the surviving
@@ -1596,9 +1657,8 @@ pub(crate) trait TileSink {
 }
 
 /// Drives every tile of `src` through an eligible chain in columnar
-/// form. A failing tile is replayed tuple-at-a-time into the same sink —
-/// a join's tile from its slice of the match list, one emitted row at a
-/// time — skipping the rows its pieces sunk before the failure: the row
+/// form. A failing tile is replayed tuple-at-a-time into the same sink,
+/// skipping the rows its pieces sunk before the failure: the row
 /// path emits the same rows in the same order, and the canonical first
 /// error may come from an earlier row or from the consumer, not from the
 /// lane that failed first (see the module docs).
@@ -1622,13 +1682,12 @@ pub(crate) fn drive_tiles(
         let tile = start..(start + width).min(src.len());
         // The rows this tile's pieces sank, and the sink's own error.
         let (mut sunk, mut refused) = (0, None);
-        let ran = tile_column(src, tile.clone()).and_then(|col| {
-            run_tile(col, tile.len(), None, steps, batch, &mut |col, len, _| {
-                sink.tile(&col, len)
-                    .inspect_err(|e| refused = Some(e.clone()))?;
-                sunk += len;
-                Ok(())
-            })
+        let col = tile_column(src, tile.clone());
+        let ran = run_tile(col, tile.len(), None, steps, batch, &mut |col, len, _| {
+            sink.tile(&col, len)
+                .inspect_err(|e| refused = Some(e.clone()))?;
+            sunk += len;
+            Ok(())
         });
         if let Some(e) = refused {
             return Err(e);
@@ -1706,27 +1765,6 @@ pub(crate) fn each_key(
         Some(keys) => (0..len).try_for_each(|i| each(i, Key::from(keys.key(i)))),
         None => (0..len).try_for_each(|i| each(i, Key::from(col.at(i)))),
     }
-}
-
-/// Hands `each` the key of every row of `rows` under `key`, in row order.
-/// With `lanes`, the keys are evaluated as one column ([`Chunk::col`]:
-/// typed lanes as they are, the boxed lane decomposed) and read where
-/// they lie ([`each_key`]); without `lanes`, and when the column
-/// evaluation fails, row by row with [`RowExpr::eval`] — so the keys are
-/// the same either way and the first error is the row path's.
-pub(crate) fn for_each_key(
-    rows: &Chunk,
-    key: &RowExpr,
-    lanes: bool,
-    each: &mut dyn FnMut(usize, Key<'_>) -> Result<()>,
-) -> Result<()> {
-    let len = rows.len();
-    if lanes && len > 0 {
-        if let Ok(col) = vec_eval(key, &rows.col(), len) {
-            return each_key(&col, len, each);
-        }
-    }
-    (0..len).try_for_each(|i| each(i, Key::from(Cow::Owned(key.eval(&rows.lanes.at(i))?))))
 }
 
 /// The lane kernel of a monoid over longs: [`BinOp::apply`]'s arithmetic
@@ -3579,7 +3617,8 @@ mod tests {
             ];
             for side in &sides {
                 let mut got = Vec::new();
-                for_each_key(side, &e, true, &mut |_, k| {
+                let keys = vec_eval(&e, &side.col(), side.len()).unwrap();
+                each_key(&keys, side.len(), |_, k| {
                     got.push(k.into_value());
                     Ok(())
                 })

@@ -60,7 +60,6 @@ use crate::block::{self, BlockContract, BlockZip, ElementCols, Packer};
 use crate::chunk::{Bucket, Chunk};
 use crate::columnar::{KeyedFold, Probe, ProbeKeys, RowExpr, RowFold, Shape, TileSink};
 use crate::exchange::{Exchange, ExchangeWriter, HashPartitioner, KeyedScatter};
-use crate::join::{Emit, Join};
 use crate::keytable::{Key, KeyTable};
 use crate::plan::{self, Base, PartFn, PartOp, PartitionRows, Parts, PlanOp};
 use crate::Context;
@@ -826,13 +825,9 @@ impl Dataset {
     fn probing(&self, probe: Probe) -> Result<Dataset> {
         self.ctx.record_logical_op();
         let probe = Arc::new(probe);
-        let f = {
-            let probe = probe.clone();
-            move |row: &Value| probe.expand(row)
-        };
         Ok(self.derived(PlanOp::FlatMap(
             self.effective_plan(),
-            Arc::new(f),
+            Probe::expander(&probe),
             self.tag(),
             "flat_map",
             Some(probe),
@@ -1102,21 +1097,30 @@ impl Dataset {
     }
 
     /// Inner equi-join on `(key, value)` rows: produces
-    /// `(key, (left, right))` for every matching pair, the key as the
-    /// first left row of its group spells it — the same operator as
-    /// [`Dataset::join_on`], over pairs keyed by their first field. The
-    /// matching stage is lazy, so a `map` after a join fuses with it.
+    /// `(key, (left, right))` for every matching pair, the key as the left
+    /// row spells it — [`Dataset::join_on`] over the unpacked pairs, keyed
+    /// by their first field, followed by one transparent step that makes
+    /// each match its `(k, (l, r))` row. The same stages, shuffles and
+    /// order as `join_on`, and the matching stage is lazy, so a `map`
+    /// after a join fuses with it.
     pub fn join(&self, other: &Dataset) -> Result<Dataset> {
-        let pair = RowExpr::Unpack {
-            shape: Shape::Tuple(vec![Shape::Bind, Shape::Bind]),
+        let pair = || Shape::Tuple(vec![Shape::Bind, Shape::Bind]);
+        let on = JoinOn {
+            left_key: RowExpr::Col(0),
+            right: pair(),
+            right_key: RowExpr::Col(0),
             mismatch: NOT_A_PAIR.into(),
         };
-        self.map_expr(pair.clone())?.join_keyed(
-            &other.map_expr(pair)?,
+        let left = self.map_expr(RowExpr::Unpack {
+            shape: pair(),
+            mismatch: NOT_A_PAIR.into(),
+        })?;
+        // `(k, l, k', r)` → `(k, (l, r))`.
+        let nest = RowExpr::Tuple(vec![
             RowExpr::Col(0),
-            RowExpr::Col(0),
-            Emit::Pairs,
-        )
+            RowExpr::Tuple(vec![RowExpr::Col(1), RowExpr::Col(3)]),
+        ]);
+        left.join_on(other, on)?.map_expr(nest)
     }
 
     /// Inner equi-join described by data: every left row (a tuple) whose
@@ -1126,23 +1130,40 @@ impl Dataset {
     /// Both sides compute their key as one more transparent step of their
     /// pending chain and scatter by it (eagerly; a columnar stage reads the
     /// key column in place and never boxes a `(key, row)` pair, nor a key
-    /// of primitive lanes), and the rows cross the exchange as themselves.
-    /// The lazy post-shuffle stage is a build–probe per bucket: a key table
-    /// over the left rows' keys holding row indices, probed by the right
-    /// rows, yielding a match list (`join::Matches`) — index pairs, not
-    /// rows; an eligible columnar chain above it gathers its columns from
-    /// the two sides, anything else makes each match's row as it reads it.
-    /// Output order is left keys as first seen, then left × right rows of a
-    /// key, each in bucket order.
+    /// of primitive lanes), and the rows cross the exchange as themselves,
+    /// the right ones as the tuples of their leaves. The lazy post-shuffle
+    /// stage builds one probe per bucket from its right rows — the build
+    /// [`Dataset::join_probe`] makes on the driver — and runs the bucket's
+    /// left rows through it ahead of the chain above: an eligible columnar
+    /// chain reads the left rows' lanes and gathers each match's columns
+    /// by index, and no row of a match is built before the chain needs it.
+    /// Output order is hash buckets ascending, then each left row in bucket
+    /// order, followed by the right rows its key matches, in bucket order.
     ///
     /// A right row `on.right` does not fit is the error
-    /// `"{on.mismatch} {row}"`, raised by the right scatter.
+    /// `"{on.mismatch} {row}"`, raised by the right scatter; a left row
+    /// that is not a tuple is an error whether or not its key matches.
     pub fn join_on(&self, other: &Dataset, on: JoinOn) -> Result<Dataset> {
         let right = other.map_expr(RowExpr::Unpack {
-            shape: on.right,
-            mismatch: on.mismatch,
+            shape: on.right.clone(),
+            mismatch: on.mismatch.clone(),
         })?;
-        self.join_keyed(&right, on.left_key, on.right_key, Emit::Concat)
+        let keyed = |key: &RowExpr| RowExpr::Tuple(vec![key.clone(), RowExpr::Input]);
+        let left = self.map_expr(keyed(&on.left_key))?;
+        let right = right.map_expr(keyed(&on.right_key))?;
+        self.ctx.record_logical_op();
+        let lrows = left.scatter_keyed("join (scatter left)", Crossing::Rows)?;
+        let rrows = right.scatter_keyed("join (scatter right)", Crossing::Rows)?;
+        // The right rows cross as the tuples of their leaves.
+        let on = JoinOn {
+            right: Shape::Tuple(vec![Shape::Bind; on.right.binds()]),
+            ..on
+        };
+        Ok(self.post_shuffle(
+            Dataset::two_sided(lrows, rrows),
+            PartOp::Join(Arc::new(on)),
+            "join (build + probe)",
+        ))
     }
 
     /// [`Dataset::join_on`] against a side that is built, not scattered:
@@ -1168,33 +1189,6 @@ impl Dataset {
         let rows = parts.slices().into_iter().flatten();
         let probe = Probe::build(rows, &on.right, Some(keys), &on.mismatch);
         self.probing(probe)
-    }
-
-    /// The one join operator: `self`'s rows keyed by `left_key`, `right`'s
-    /// by `right_key`, and `emit` saying how a match becomes a row.
-    fn join_keyed(
-        &self,
-        right: &Dataset,
-        left_key: RowExpr,
-        right_key: RowExpr,
-        emit: Emit,
-    ) -> Result<Dataset> {
-        let keyed = |key: &RowExpr| RowExpr::Tuple(vec![key.clone(), RowExpr::Input]);
-        let left = self.map_expr(keyed(&left_key))?;
-        let right = right.map_expr(keyed(&right_key))?;
-        self.ctx.record_logical_op();
-        let lrows = left.scatter_keyed("join (scatter left)", Crossing::Rows)?;
-        let rrows = right.scatter_keyed("join (scatter right)", Crossing::Rows)?;
-        let join = Join {
-            left_key,
-            right_key,
-            emit,
-        };
-        Ok(self.post_shuffle(
-            Dataset::two_sided(lrows, rrows),
-            PartOp::Join(Arc::new(join)),
-            "join (build + probe)",
-        ))
     }
 
     /// An element-wise statement on §5 blocks: `((i, j), x op y)` for every
@@ -1828,13 +1822,14 @@ mod tests {
             lines[1].ends_with("→ reduce_by_key (reduce) → map ⇒ materialize (fused 2 narrow ops)"),
             "{lines:?}"
         );
-        // A join forced by collect: its build–probe runs inside the
-        // materialize stage, after the two scatters — no extra stage.
+        // A join forced by collect: its build–probe, and the step that
+        // nests each match as `(k, (l, r))`, run inside the materialize
+        // stage, after the two scatters — no extra stage.
         let other = pairs(&ctx, &[(3, 30), (4, 40), (99, 0)]);
         let lines = stage_lines(&|| assert_eq!(d.join(&other).unwrap().collect().len(), 50));
         assert_eq!(lines.len(), 3, "{lines:?}");
         assert!(
-            lines[2].ends_with("→ join (build + probe) ⇒ materialize"),
+            lines[2].ends_with("→ join (build + probe) → map ⇒ materialize (fused 2 narrow ops)"),
             "{lines:?}"
         );
     }
@@ -1924,16 +1919,16 @@ mod tests {
             .collect();
         let after = ctx.stats().snapshot().since(&before);
         assert_eq!(after.physical_stages, 3, "{after:?}");
-        // Left keys as first seen (0, 1, 2; nothing matches 1), each left
-        // row of a key with each right row of it, both in arrival order.
+        // Each left row in arrival order (nothing matches key 1), followed
+        // by every right row of its key, in arrival order.
         let want: Vec<Value> = [
             (0, "zero"),
-            (3, "zero"),
-            (6, "zero"),
             (2, "two"),
             (2, "deux"),
+            (3, "zero"),
             (5, "two"),
             (5, "deux"),
+            (6, "zero"),
             (8, "two"),
             (8, "deux"),
         ]

@@ -446,12 +446,6 @@ impl<T> KeyTable<T> {
         .ok()
     }
 
-    /// The payload of `key`, if the table holds it.
-    pub fn get_mut(&mut self, key: &Key<'_>) -> Option<&mut T> {
-        let slot = self.slot(key)?;
-        Some(&mut self.entries[slot].value)
-    }
-
     /// Finds `key`, inserting it with `init()` as payload if it is new. An
     /// owned key is moved in; a borrowed one is cloned, and a lane key
     /// boxed, on insertion only.

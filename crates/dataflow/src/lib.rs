@@ -48,12 +48,14 @@
 //! * a join is one operator ([`Dataset::join_on`], with [`Dataset::join`]
 //!   as its `(key, value)` form): both keys are [`RowExpr`]s, so each side
 //!   scatters its rows by a key computed as a column and the rows cross
-//!   the exchange as themselves; the lazy post-shuffle stage is a
-//!   build–probe over row indices whose output is a match list, not rows
-//!   — a columnar chain above it gathers its columns from the two sides.
+//!   the exchange as themselves; the lazy post-shuffle stage builds one
+//!   probe per bucket from its right rows — the build
+//!   [`Dataset::join_probe`] makes on the driver for a small side — and
+//!   runs the left rows through it ahead of the chain above, which
+//!   gathers each match's columns by index rather than building rows.
 //!   Its keyless counterpart is
-//!   [`Dataset::cross`], a broadcast nested loop as a transparent
-//!   expansion step;
+//!   [`Dataset::cross`], a broadcast nested loop as the same probe on a
+//!   constant key;
 //! * a dense matrix statement can run on §5 blocks instead
 //!   ([`Dataset::block_zip`], [`Dataset::block_contract`]): each side
 //!   packs its elements into `BLOCK_SIDE` × `BLOCK_SIDE` blocks with a
@@ -90,7 +92,6 @@ mod columnar;
 mod dataset;
 mod dscache;
 mod exchange;
-mod join;
 mod keytable;
 mod plan;
 mod pool;

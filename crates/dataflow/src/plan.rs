@@ -33,10 +33,12 @@
 //! merge and the join's build–probe key on them, and group-by and the §5
 //! block operators read rows; so dropping the node frees a few vectors
 //! per bucket instead of one boxed row per exchanged row. A join's
-//! post-shuffle node ([`PartOp::Join`]) hands the chain above it the
-//! join's match list rather than rows ([`Source::Matches`]): a columnar
-//! chain gathers its columns from the two bucket sides, anything else
-//! makes each match's row as it reads it.
+//! post-shuffle node ([`PartOp::Join`]) builds one [`Probe`] from the
+//! right chunk and hands the chain the left chunk as it arrived
+//! ([`Source::Chunk`]), behind one more step that probes it: a columnar
+//! chain reads the left chunk's lanes tile by tile and the probe gathers
+//! each match's columns by index, and the row path boxes each left row as
+//! it enters the chain.
 //!
 //! A stage runs one way: [`consume`] sets it up — one item per partition
 //! of a scanned, cached or shuffled base — and hands each partition's
@@ -66,12 +68,11 @@ use std::sync::Arc;
 
 use diablo_runtime::{BinOp, RuntimeError, Value};
 
-use crate::chunk::Bucket;
+use crate::chunk::{Bucket, Chunk};
 use crate::columnar::{Probe, RowExpr, RowFold, RowSink, TileSink, TotalFold};
-use crate::join::{Join, Matches};
 use crate::pool::{run_stage_weighted, Cancel};
 use crate::stats::Stats;
-use crate::{Context, Layout};
+use crate::{Context, JoinOn, Layout};
 
 /// How many rows a stage sink emits between cooperative-cancellation
 /// polls. Cheap enough to leave on everywhere; fine-grained enough that a
@@ -115,42 +116,58 @@ pub(crate) type PartFn = Arc<dyn Fn(usize, &Bucket) -> Result<Vec<Value>> + Send
 pub(crate) enum PartOp {
     /// New rows, from a function of the bucket.
     Rows(PartFn),
-    /// A join's matches over one bucket pair: rows the fused chain above
-    /// reads without their being built ([`Source::Matches`]).
-    Join(Arc<Join>),
+    /// A partitioned join's build–probe over one bucket pair: a [`Probe`]
+    /// built from the right chunk, whose rows are the tuples of the
+    /// leaves `on.right` binds, and probed by the left chunk's rows ahead
+    /// of the fused chain.
+    Join(Arc<JoinOn>),
 }
 
 impl PartOp {
     /// Runs the node over bucket `p` and hands `then` its output as a
-    /// [`Source`]; an error of the node itself carries the node's tag.
+    /// [`Source`] and the chain to drive it through: `steps`, behind the
+    /// join's probe step for a join. An error of the node itself, the
+    /// probe's included, carries the node's tag.
     fn run<R>(
         &self,
         p: usize,
         bucket: &Bucket,
         tag: &Tag,
-        mode: &DriveMode,
-        then: impl FnOnce(Source<'_>) -> Result<R>,
+        steps: &[Step],
+        then: impl FnOnce(Source<'_>, &[Step]) -> Result<R>,
     ) -> Result<R> {
         match self {
-            PartOp::Rows(f) => then(Source::Rows(&f(p, bucket).map_err(|e| tag_opt(e, tag))?)),
-            PartOp::Join(join) => {
-                let columnar = matches!(mode, DriveMode::Columnar(..));
-                let matches = bucket
-                    .two()
-                    .and_then(|(l, r)| join.matches(l, r, columnar))
-                    .map_err(|e| tag_opt(e, tag))?;
-                then(Source::Matches(&matches))
+            PartOp::Rows(f) => {
+                let rows = f(p, bucket).map_err(|e| tag_opt(e, tag))?;
+                then(Source::Rows(&rows), steps)
+            }
+            PartOp::Join(on) => {
+                let (left, right) = bucket.two().map_err(|e| tag_opt(e, tag))?;
+                // A left row that is no tuple fails the bucket before any
+                // step runs, whether or not its key matches.
+                left.tuples().map_err(|e| tag_opt(e, tag))?;
+                let probe = Arc::new(Probe::bucket(right, on));
+                let probe = Step {
+                    op: StepOp::FlatMap(Probe::expander(&probe), Some(probe)),
+                    tag: tag.clone(),
+                    expr: None,
+                    what: "join probe",
+                };
+                let steps: Vec<Step> = std::iter::once(probe)
+                    .chain(steps.iter().cloned())
+                    .collect();
+                then(Source::Chunk(left), &steps)
             }
         }
     }
 }
 
-/// The input of a fused chain: rows that exist, or a join's matches, made
-/// into rows only where the chain needs them.
+/// The input of a fused chain: rows that exist, or a shuffled chunk's
+/// rows, read from its lanes and boxed only where the chain needs them.
 #[derive(Clone, Copy)]
 pub(crate) enum Source<'a> {
     Rows(&'a [Value]),
-    Matches(&'a Matches<'a>),
+    Chunk(&'a Chunk),
 }
 
 impl Source<'_> {
@@ -158,12 +175,12 @@ impl Source<'_> {
     pub(crate) fn len(&self) -> usize {
         match self {
             Source::Rows(rows) => rows.len(),
-            Source::Matches(m) => m.len(),
+            Source::Chunk(chunk) => chunk.len(),
         }
     }
 
     /// Drives the input rows in `range` through `steps` tuple-at-a-time;
-    /// a match's row is made as it enters the chain.
+    /// a chunk's row is boxed as it enters the chain.
     pub(crate) fn drive_rows(
         &self,
         range: Range<usize>,
@@ -174,9 +191,9 @@ impl Source<'_> {
             Source::Rows(rows) => rows[range]
                 .iter()
                 .try_for_each(|row| drive(Cow::Borrowed(row), steps, sink)),
-            Source::Matches(m) => range
+            Source::Chunk(chunk) => range
                 .into_iter()
-                .try_for_each(|k| drive(Cow::Owned(m.row(k)?), steps, sink)),
+                .try_for_each(|i| drive(chunk.lanes.at(i), steps, sink)),
         }
     }
 }
@@ -656,8 +673,7 @@ where
     crate::verify::verify_plan(plan)?;
     let mode = &DriveMode::of(ctx);
     let Collapsed { base, steps, ran } = collapse(plan);
-    let run = |p: usize, src: Source<'_>, cancel: &Cancel<'_>| {
-        let steps = &steps;
+    let run = |p: usize, src: Source<'_>, steps: &[Step], cancel: &Cancel<'_>| {
         task(p, &PartitionRows { src, steps, mode }, cancel)
     };
     let out = match base.as_ref() {
@@ -666,7 +682,9 @@ where
             note_stage(ctx, mode, buckets.len(), prelude, &steps, label);
             let weight = |i: usize| buckets[i].len() as u64;
             run_stage_weighted(ctx, buckets, weight, |p, bucket, cancel| {
-                op.run(p, bucket, tag, mode, |src| run(p, src, cancel))
+                op.run(p, bucket, tag, &steps, |src, steps| {
+                    run(p, src, steps, cancel)
+                })
             })?
         }
         base => {
@@ -683,7 +701,7 @@ where
             note_stage(ctx, mode, parts.len(), None, &steps, label);
             let weight = |i: usize| parts[i].len() as u64;
             run_stage_weighted(ctx, &parts, weight, |p, part: &&[Value], cancel| {
-                run(p, Source::Rows(part), cancel)
+                run(p, Source::Rows(part), &steps, cancel)
             })?
         }
     };

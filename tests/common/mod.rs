@@ -81,28 +81,21 @@ impl fmt::Display for Engine {
 /// The matches of an inner equi-join, computed on the driver by a nested
 /// loop over collected `(key, row)` inputs: one `(key, left, right)` per
 /// pair of rows whose keys are equal (`Value` equality), the key spelled
-/// as the first left row of its group spells it. Listed in the order the
-/// engine's join documents: hash buckets ascending (of `partitions`), then
-/// left keys as first seen, then left × right rows in input order.
+/// as the left row spells it. Listed in the order the engine's join
+/// documents: hash buckets ascending (of `partitions`), then each left row
+/// in input order, followed by the right rows its key matches, in input
+/// order.
 pub fn nested_loop_join(
     left: &[(Value, Value)],
     right: &[(Value, Value)],
     partitions: usize,
 ) -> Vec<(Value, Value, Value)> {
-    let mut groups: Vec<(&Value, Vec<&Value>)> = Vec::new();
-    for (k, row) in left {
-        match groups.iter_mut().find(|(g, _)| *g == k) {
-            Some((_, rows)) => rows.push(row),
-            None => groups.push((k, vec![row])),
-        }
-    }
-    groups.sort_by_key(|(k, _)| HashPartitioner.partition(k, partitions));
+    let mut lefts: Vec<&(Value, Value)> = left.iter().collect();
+    lefts.sort_by_key(|(k, _)| HashPartitioner.partition(k, partitions));
     let mut out = Vec::new();
-    for (k, lrows) in groups {
-        for l in lrows {
-            for (_, r) in right.iter().filter(|(rk, _)| rk == k) {
-                out.push((k.clone(), l.clone(), r.clone()));
-            }
+    for (k, l) in lefts {
+        for (_, r) in right.iter().filter(|(rk, _)| rk == k) {
+            out.push((k.clone(), l.clone(), r.clone()));
         }
     }
     out

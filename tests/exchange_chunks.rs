@@ -202,6 +202,56 @@ fn a_replayed_tile_raises_the_row_paths_first_error() {
 }
 
 #[test]
+fn a_heavy_right_key_is_probed_in_pieces_and_a_failing_piece_replays() {
+    // Right key 7 holds 5 000 rows, more matches than either tile width
+    // (3 and 4096), so the bucket's probe cuts each left row of key 7 into
+    // batch-wide pieces. Then a later step divides by zero at right row
+    // 4 500, in a later piece: the tile is replayed row by row and raises
+    // the row path's first error, statement tag included.
+    let left: Vec<Value> = (0..12i64)
+        .map(|i| Value::pair(l(i % 4 + 5), l(i)))
+        .collect();
+    let right: Vec<Value> = (0..5000i64)
+        .map(|j| Value::pair(l(7), l(j)))
+        .chain((0..9i64).map(|j| Value::pair(l(j), l(-j))))
+        .collect();
+    let join = |ctx: &Context| {
+        let on = JoinOn {
+            left_key: RowExpr::Col(0),
+            right: Shape::Tuple(vec![Shape::Bind, Shape::Bind]),
+            right_key: RowExpr::Col(0),
+            mismatch: Arc::from("join pattern (k, v) does not match row"),
+        };
+        pairs(ctx, left.clone())?.join_on(&pairs(ctx, right.clone())?, on)
+    };
+    conforms("a heavy key", |ctx| {
+        let picked = RowExpr::Tuple(vec![RowExpr::Col(1), RowExpr::Col(3)]);
+        let rows = join(ctx)?.map_expr(picked)?.try_collect()?;
+        // Three left rows per key 5..=8; key 7 meets 5 001 right rows, the
+        // others one each.
+        assert_eq!(rows.len(), 3 * 5001 + 3 * 3);
+        Ok(rows)
+    });
+    conforms("a failing later piece", |ctx| {
+        let joined = join(ctx)?;
+        ctx.set_statement_label(Some("s5:J"));
+        let divided = joined.map_expr(RowExpr::Bin(
+            BinOp::Div,
+            Box::new(RowExpr::Const(l(1))),
+            Box::new(RowExpr::Bin(
+                BinOp::Sub,
+                Box::new(RowExpr::Col(3)),
+                Box::new(RowExpr::Const(l(4500))),
+            )),
+        ));
+        ctx.set_statement_label(None);
+        let err = divided?.try_collect().unwrap_err();
+        assert!(err.message.contains("[s5:J] division by zero"), "{err}");
+        Err(err)
+    });
+}
+
+#[test]
 fn a_join_of_a_row_path_side_and_a_columnar_side() {
     let rows: Vec<Value> = (0..30i64)
         .map(|i| Value::pair(l(i % 6), Value::Double(i as f64)))

@@ -4,10 +4,13 @@
 //! otherwise both sides are scattered by key. Either way the rows are the
 //! reference evaluator's: each hand-built comprehension below runs through
 //! `run_comp` on both layouts, over workers {1, 2, 7} and tile widths
-//! {1, 7, default}, and is held to `comp::eval_comp` and, as a multiset,
-//! to the partitioned `Dataset::join_on`.
+//! {1, 7, default}, and is held to `comp::eval_comp` and to the
+//! partitioned `Dataset::join_on`, which lists each left row's matches in
+//! the order the built join does.
 
 mod common;
+
+use std::collections::BTreeMap;
 
 use common::Engine;
 use diablo_comp::{eval_comp, CExpr, Comprehension, Env, Pattern, Qual};
@@ -101,21 +104,17 @@ impl Case {
         s
     }
 
-    /// The engine's rows, sorted, and the plan trace of the run.
+    /// The engine's rows, and the plan trace of the run.
     fn run(&self, engine: Engine, workers: usize) -> (Result<Vec<Value>, RuntimeError>, String) {
         let s = self.session(engine, workers);
         s.context().start_plan_trace();
         let got = run_comp(&self.comp(), &s).and_then(|d| d.try_collect());
         let trace = s.context().take_plan_trace().join("\n");
-        let sorted = got.map(|mut rows| {
-            rows.sort();
-            rows
-        });
-        (sorted, trace)
+        (got, trace)
     }
 
-    /// The partitioned join's rows on the same engine, sorted; a guard
-    /// case has none of these.
+    /// The partitioned join's rows on the same engine; a guard case has
+    /// none of these.
     fn partitioned(&self, engine: Engine, workers: usize) -> Vec<Value> {
         assert!(self.guard.is_empty());
         let ctx = engine.context(workers, 4);
@@ -125,13 +124,10 @@ impl Case {
             right_key: self.right_key.clone(),
             mismatch: "join pattern (j, w) does not match row".into(),
         };
-        let mut rows = ctx
-            .from_vec(self.a.clone())
+        ctx.from_vec(self.a.clone())
             .join_on(&ctx.from_vec(self.b.clone()), on)
             .and_then(|d| d.try_collect())
-            .expect("the partitioned join runs");
-        rows.sort();
-        rows
+            .expect("the partitioned join runs")
     }
 
     /// Runs the case everywhere, holds every run to both oracles, and
@@ -141,17 +137,32 @@ impl Case {
         let mut trace = String::new();
         for (engine, workers) in configs() {
             let (got, t) = self.run(engine, workers);
-            let got = got.unwrap_or_else(|e| panic!("{what}, {engine}, {workers} workers: {e}"));
-            assert_eq!(got, want, "{what}, {engine}, {workers} workers");
+            let mut got =
+                got.unwrap_or_else(|e| panic!("{what}, {engine}, {workers} workers: {e}"));
             assert_eq!(
-                got,
-                self.partitioned(engine, workers),
+                matches_by_left_row(&got),
+                matches_by_left_row(&self.partitioned(engine, workers)),
                 "{what}, {engine}, {workers} workers"
             );
+            got.sort();
+            assert_eq!(got, want, "{what}, {engine}, {workers} workers");
             trace = t;
         }
         trace
     }
+}
+
+/// The `(j, w)` each left row `(i, v)` of joined rows `(i, v, j, w)` meets,
+/// in the order the rows list them: the built and the partitioned join
+/// follow each left row by its matches in `B`'s order.
+fn matches_by_left_row(rows: &[Value]) -> BTreeMap<Value, Vec<Value>> {
+    let mut out: BTreeMap<Value, Vec<Value>> = BTreeMap::new();
+    for row in rows {
+        let f = row.as_tuple().expect("a joined row is a tuple");
+        let (left, right) = (Value::tuple(f[..2].to_vec()), Value::tuple(f[2..].to_vec()));
+        out.entry(left).or_default().push(right);
+    }
+    out
 }
 
 /// The trace of a join whose right side was built and probed.
