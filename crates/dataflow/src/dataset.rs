@@ -53,7 +53,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use diablo_runtime::array::key_value_ref;
-use diablo_runtime::size::{sampled_size, serialized_size};
 use diablo_runtime::{AggOp, BinOp, RuntimeError, Value};
 
 use crate::block::{self, BlockContract, BlockZip, ElementCols, Packer};
@@ -61,7 +60,7 @@ use crate::chunk::{Bucket, Chunk};
 use crate::columnar::{KeyedFold, Probe, ProbeKeys, RowExpr, RowFold, Shape, TileSink};
 use crate::exchange::{Exchange, ExchangeWriter, HashPartitioner, KeyedScatter};
 use crate::keytable::{Key, KeyTable};
-use crate::plan::{self, Base, PartFn, PartOp, PartitionRows, Parts, PlanOp};
+use crate::plan::{self, Base, PartFn, PartOp, PartitionRows, PlanOp};
 use crate::Context;
 
 /// Result alias for engine operations.
@@ -245,11 +244,12 @@ impl Rows {
     /// a partition per task on `ctx`'s workers (the check reads each
     /// row's key, a pointer away from the row), and a partition's check
     /// stops at its first row that fails it.
-    fn of(ctx: &Context, parts: &[&[Value]]) -> Rows {
+    fn of(ctx: &Context, base: &Base) -> Rows {
         let long_indices = |row: &Value| match row.as_tuple() {
             Some([key, _]) => matches!(key.as_tuple(), Some([Value::Long(_), Value::Long(_)])),
             _ => false,
         };
+        let parts = &base.parts();
         let all_long = || {
             let (checked, _) = ctx.pool().run(
                 parts,
@@ -259,14 +259,8 @@ impl Rows {
             checked.is_ok_and(|parts| parts.into_iter().all(|ok| ok))
         };
         Rows {
-            len: parts.iter().map(|part| part.len()).sum(),
-            long_indices: parts
-                .iter()
-                .copied()
-                .flatten()
-                .next()
-                .is_none_or(long_indices)
-                && all_long(),
+            len: base.rows().len(),
+            long_indices: base.rows().first().is_none_or(long_indices) && all_long(),
         }
     }
 }
@@ -312,11 +306,9 @@ impl KeyRange {
 
     /// The range of the rows' keys, or `None` when a row is no pair or
     /// its key is no long.
-    fn read(parts: &[&[Value]]) -> Option<KeyRange> {
-        parts
+    fn read(base: &Base) -> Option<KeyRange> {
+        base.rows()
             .iter()
-            .copied()
-            .flatten()
             .try_fold(KeyRange::EMPTY, |keys, row| match row.as_tuple() {
                 Some([Value::Long(k), _]) => Some(keys.union(KeyRange::of(*k, *k))),
                 _ => None,
@@ -492,31 +484,28 @@ impl Dataset {
 
     /// Executes the pending plan through the plan walker (fusing
     /// the narrow chain into one physical stage per base) and enters
-    /// the partitions into the context's dataset cache. A cache hit
+    /// the rows into the context's dataset cache. A cache hit
     /// skips execution; base data (`Scan` plans) bypasses the cache —
     /// it is already materialized and the cache could only evict what
     /// the plan holds anyway.
-    pub(crate) fn force(&self) -> Result<Parts> {
+    pub(crate) fn force(&self) -> Result<Base> {
         if matches!(self.plan.as_ref(), PlanOp::Scan(_)) {
             return plan::materialize(&self.ctx, &self.plan);
         }
-        let cache = self.ctx.dataset_cache().clone();
-        if let Some(p) = cache.get(self.slot.id(), &self.ctx)? {
-            return Ok(Parts::Shared(p));
+        if let Some(base) = self.ctx.dataset_cache().get(self.slot.id(), &self.ctx) {
+            return Ok(base);
         }
-        let parts = plan::materialize(&self.ctx, &self.plan)?.into_arc();
-        self.enter(&parts)?;
-        Ok(Parts::Shared(parts))
+        let base = plan::materialize(&self.ctx, &self.plan)?;
+        self.enter(&base);
+        Ok(base)
     }
 
-    /// Enters `parts`, this dataset's rows, into the dataset cache.
-    fn enter(&self, parts: &Arc<Vec<Vec<Value>>>) -> Result<()> {
+    /// Enters `base`, this dataset's rows, into the dataset cache.
+    fn enter(&self, base: &Base) {
         let cache = self.ctx.dataset_cache();
-        cache.insert(self.slot.id(), parts.clone(), &self.ctx)?;
-        let rows = || Rows::of(&self.ctx, &plan::slices(parts));
-        self.known.rows.get_or_init(rows);
+        cache.insert(self.slot.id(), base.clone(), &self.ctx);
+        self.known.rows.get_or_init(|| Rows::of(&self.ctx, base));
         self.ran.store(true, Ordering::Release);
-        Ok(())
     }
 
     /// This dataset's rows for a reader that reads them once and whole —
@@ -533,11 +522,11 @@ impl Dataset {
         if self.rows_known().is_some() {
             return Ok(self.clone());
         }
-        let parts = plan::materialize(&self.ctx, &self.effective_plan())?;
-        if parts.rows() <= keep {
-            return Ok(Dataset::from_base(self.ctx.clone(), parts.into_base()));
+        let base = plan::materialize(&self.ctx, &self.effective_plan())?;
+        if base.rows().len() <= keep {
+            return Ok(Dataset::from_base(self.ctx.clone(), base));
         }
-        self.enter(&parts.into_arc())?;
+        self.enter(&base);
         Ok(self.clone())
     }
 
@@ -560,12 +549,7 @@ impl Dataset {
     /// no reader has forced.
     pub fn rows_known(&self) -> Option<Rows> {
         match self.plan.as_ref() {
-            PlanOp::Scan(base) => Some(
-                *self
-                    .known
-                    .rows
-                    .get_or_init(|| Rows::of(&self.ctx, &base.parts())),
-            ),
+            PlanOp::Scan(base) => Some(*self.known.rows.get_or_init(|| Rows::of(&self.ctx, base))),
             _ => self.known.rows.get().copied(),
         }
     }
@@ -581,15 +565,14 @@ impl Dataset {
             return *keys;
         }
         let keys = match self.plan.as_ref() {
-            PlanOp::Scan(base) => KeyRange::read(&base.parts()),
+            PlanOp::Scan(base) => KeyRange::read(base),
             _ if self.known.rows.get().is_some() => {
                 let cache = self.ctx.dataset_cache();
                 if !cache.contains(self.slot.id()) {
                     // Evicted: no rows to read short of recomputing them.
                     return None;
                 }
-                let parts = cache.get(self.slot.id(), &self.ctx).ok().flatten()?;
-                KeyRange::read(&plan::slices(&parts))
+                KeyRange::read(&cache.get(self.slot.id(), &self.ctx)?)
             }
             _ => return None,
         };
@@ -614,7 +597,7 @@ impl Dataset {
         // A fill's rows are its bounds' keys, which the range just
         // compared; any other dataset's rows are read.
         if crate::verify::enabled() && self.fill().is_none() {
-            crate::verify::verify_keys_within(&self.force()?.slices(), lo, hi)?;
+            crate::verify::verify_keys_within(&self.force()?, lo, hi)?;
         }
         Ok(true)
     }
@@ -671,7 +654,7 @@ impl Dataset {
     /// that is not a `Scan` passes unread.
     pub fn verify_unique_keys(&self, input: &str) -> Result<()> {
         match self.plan.as_ref() {
-            PlanOp::Scan(base) => crate::verify::verify_unique_keys(&base.parts(), input),
+            PlanOp::Scan(base) => crate::verify::verify_unique_keys(base, input),
             _ => Ok(()),
         }
     }
@@ -687,7 +670,10 @@ impl Dataset {
     /// Panics if a pending operator in the plan fails; see
     /// [`Dataset::try_collect`].
     pub fn count(&self) -> usize {
-        self.force().expect("dataset materialization failed").rows()
+        self.force()
+            .expect("dataset materialization failed")
+            .rows()
+            .len()
     }
 
     /// Materializes all rows in partition order.
@@ -702,12 +688,7 @@ impl Dataset {
     /// Materializes all rows in partition order, surfacing deferred
     /// operator errors.
     pub fn try_collect(&self) -> Result<Vec<Value>> {
-        let parts = self.force()?;
-        let mut out = Vec::with_capacity(parts.rows());
-        for p in parts.slices() {
-            out.extend_from_slice(p);
-        }
-        Ok(out)
+        Ok(self.force()?.rows().to_vec())
     }
 
     /// Materializes all rows sorted (for deterministic comparisons).
@@ -720,13 +701,15 @@ impl Dataset {
         rows
     }
 
-    /// Shares the whole dataset with every task — Spark's broadcast.
+    /// Shares the whole dataset with every task — Spark's broadcast: its
+    /// rows in partition order, as the vector the forced dataset holds,
+    /// not a copy of it.
     pub fn broadcast(&self) -> Result<Arc<Vec<Value>>> {
-        let rows = self.try_collect()?;
+        let rows = self.force()?.rows().clone();
         self.ctx.stats().record_broadcast(rows.len() as u64);
         self.ctx
             .plan_note_with(|| format!("broadcast: {} rows to all workers", rows.len()));
-        Ok(Arc::new(rows))
+        Ok(rows)
     }
 
     // ------------------------------------------------------------- narrow
@@ -1180,14 +1163,13 @@ impl Dataset {
     /// `"{on.mismatch} {row}"`, raised by the first left row that reaches
     /// the probe — and by none if no row does.
     pub fn join_probe(&self, build: &Dataset, on: JoinOn) -> Result<Dataset> {
-        let parts = build.force()?;
-        self.ctx.stats().record_broadcast(parts.rows() as u64);
+        let base = build.force()?;
+        self.ctx.stats().record_broadcast(base.rows().len() as u64);
         let keys = ProbeKeys {
             probe: on.left_key,
             build: on.right_key,
         };
-        let rows = parts.slices().into_iter().flatten();
-        let probe = Probe::build(rows, &on.right, Some(keys), &on.mismatch);
+        let probe = Probe::build(base.rows().iter(), &on.right, Some(keys), &on.mismatch);
         self.probing(probe)
     }
 
@@ -1483,14 +1465,6 @@ pub(crate) fn sort_rows(rows: &mut Vec<Value>) {
         .collect();
 }
 
-/// Sampled byte estimate of partitions ([`sampled_size`] per partition).
-pub(crate) fn estimate_bytes(parts: &[Vec<Value>]) -> u64 {
-    parts
-        .iter()
-        .map(|p| sampled_size(p.len(), |i| serialized_size(&p[i])))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1525,9 +1499,7 @@ mod tests {
                     at,
                     "n {n}, p {p}: the caller's vector"
                 );
-                let Parts::Base(forced) = d.force().unwrap() else {
-                    panic!("n {n}, p {p}: a scan forces to its base");
-                };
+                let forced = d.force().unwrap();
                 let parts = forced.parts();
                 assert_eq!(parts, want, "n {n}, p {p}");
                 for (i, part) in parts.iter().enumerate() {
@@ -2027,8 +1999,8 @@ mod tests {
                 assert_eq!(shuffles() - before, 1, "the fill is not scattered");
                 let want = scattered.merge(&updates, add).unwrap().force().unwrap();
                 assert_eq!(
-                    generated.slices(),
-                    want.slices(),
+                    generated.parts(),
+                    want.parts(),
                     "[{lo}, {hi}] over {partitions} partitions"
                 );
             }
@@ -2122,6 +2094,24 @@ mod tests {
         let after = ctx.stats().snapshot().since(&before);
         assert_eq!(after.broadcasts, 1);
         assert_eq!(after.broadcast_records, 10);
+    }
+
+    #[test]
+    fn a_broadcast_shares_the_forced_rows() {
+        let ctx = ctx();
+        ctx.set_dataset_budget(None);
+        let forced = ctx
+            .range(0, 99)
+            .unwrap()
+            .map(|v| Ok(v.clone()))
+            .unwrap()
+            .materialize()
+            .unwrap();
+        for d in [forced, ctx.range(0, 9).unwrap()] {
+            let (a, b) = (d.broadcast().unwrap(), d.broadcast().unwrap());
+            assert!(Arc::ptr_eq(&a, &b));
+            assert_eq!(*a, d.collect());
+        }
     }
 
     #[test]

@@ -9,23 +9,28 @@
 //! of the dataset and embedded in downstream plans through
 //! `PlanOp::Cached`) and live in two tiers:
 //!
-//! * **memory** — the materialized `Arc<Vec<Vec<Value>>>`, charged its
-//!   sampled in-memory byte estimate against the budget
-//!   (`DIABLO_DATASET_BUDGET` / [`Context::set_dataset_budget`]);
-//! * **disk** — the partitions encoded with the exchange's canonical
-//!   binary codec ([`crate::encode_value`]) into one file per entry, with
-//!   a per-partition `(offset, len, rows)` index so reads decode segment
-//!   by segment. Disk entries are charged their encoded size against a
-//!   ledger of [`DISK_BUDGET_FACTOR`] × the memory budget.
+//! * **memory** — the materialized rows as a [`Base`] (one row vector
+//!   and its partition ends), charged its sampled in-memory byte estimate
+//!   against the budget (`DIABLO_DATASET_BUDGET` /
+//!   [`Context::set_dataset_budget`]);
+//! * **disk** — the row vector written as one frame of its boxed lane
+//!   ([`chunk::encode_frame`], the format of the exchange's spill runs)
+//!   into one file per entry, which keeps its partition ends; a read
+//!   decodes exactly the entry's row count back into one vector
+//!   ([`chunk::decode_frame`]). Disk entries are charged their encoded
+//!   size against a ledger of [`DISK_BUDGET_FACTOR`] × the memory budget.
 //!
 //! Inserting past the memory budget **demotes** least-recently-used
 //! memory entries to disk (a dataset spill); past the disk ledger, LRU
 //! disk entries are **evicted** outright and marked, so the next read
 //! misses and the owner transparently **recomputes** the dataset from its
-//! plan lineage and reinserts it. A budget of `0` disables caching
-//! entirely (every insert is an immediate eviction; deterministic
-//! recompute keeps results byte-identical), and an unbounded budget (the
-//! default) keeps every entry in memory forever — the pre-cache behavior.
+//! plan lineage and reinserts it. A file that cannot be written, or read
+//! back whole, is an eviction too: the rows were computed correctly, so a
+//! lost file costs one recompute, never a query error. A budget of `0`
+//! disables caching entirely (every insert is an immediate eviction;
+//! deterministic recompute keeps results byte-identical), and an
+//! unbounded budget (the default) keeps every entry in memory forever —
+//! the pre-cache behavior.
 //!
 //! Eviction, spill, and recompute events are counted on the **calling
 //! context's** statistics (the cache itself is shared across tenants, the
@@ -46,11 +51,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use diablo_runtime::{RuntimeError, Value};
+use diablo_runtime::size::{sampled_size, serialized_size};
 
-use crate::dataset::estimate_bytes;
-use crate::exchange::{decode_value, encode_value};
-use crate::plan::Result;
+use crate::chunk::{self, Chunk};
+use crate::columnar::VCol;
+use crate::plan::Base;
 use crate::Context;
 
 /// How many memory budgets' worth of **encoded** bytes the disk tier may
@@ -100,20 +105,13 @@ impl Drop for CacheSlot {
     }
 }
 
-/// Where one entry's partitions live.
-/// One spilled partition inside an entry's file: byte offset, encoded
-/// length, and row count.
-type Segment = (u64, u64, usize);
-
+/// Where one entry's rows live.
 enum Tier {
     /// In memory, charged its sampled byte estimate.
-    Mem(Arc<Vec<Vec<Value>>>),
-    /// On disk: one encoded file with a per-partition segment index.
-    Disk {
-        path: PathBuf,
-        /// `(offset, encoded len, rows)` per partition.
-        index: Vec<Segment>,
-    },
+    Mem(Base),
+    /// On disk: one frame of the rows' boxed lane, and where each
+    /// partition ends.
+    Disk { path: PathBuf, ends: Arc<[usize]> },
 }
 
 struct Entry {
@@ -185,51 +183,51 @@ impl DatasetCache {
     /// the LRU clock or reading disk — for `Debug` rendering.
     pub(crate) fn shape(&self, id: u64) -> Option<(usize, usize)> {
         let inner = self.inner.lock().ok()?;
-        inner.entries.get(&id).map(|e| match &e.tier {
-            Tier::Mem(parts) => (parts.len(), parts.iter().map(Vec::len).sum()),
-            Tier::Disk { index, .. } => (index.len(), index.iter().map(|&(_, _, r)| r).sum()),
+        inner.entries.get(&id).map(|e| {
+            let ends = match &e.tier {
+                Tier::Mem(base) => base.ends(),
+                Tier::Disk { ends, .. } => ends,
+            };
+            (ends.len(), ends.last().copied().unwrap_or(0))
         })
     }
 
-    /// Reads an entry: a memory hit is a clone of the shared `Arc`, a
-    /// disk hit decodes the entry's file segment by segment. A disk entry
+    /// Reads an entry: a memory hit is a clone of the shared [`Base`], a
+    /// disk hit decodes the entry's frame into a new one. A disk entry
     /// whose file cannot be read back whole is dropped and counted as an
     /// eviction. A miss on an **evicted** id counts one recompute on
     /// `ctx`'s stats (the caller is about to re-derive the dataset from
     /// its lineage).
-    pub(crate) fn get(&self, id: u64, ctx: &Context) -> Result<Option<Arc<Vec<Vec<Value>>>>> {
-        let Ok(mut inner) = self.inner.lock() else {
-            return Ok(None);
-        };
+    pub(crate) fn get(&self, id: u64, ctx: &Context) -> Option<Base> {
+        let mut inner = self.inner.lock().ok()?;
         inner.clock += 1;
         let clock = inner.clock;
         if let Some(entry) = inner.entries.get_mut(&id) {
             entry.touched = clock;
             let read = match &entry.tier {
-                Tier::Mem(parts) => return Ok(Some(parts.clone())),
-                Tier::Disk { path, index } => read_entry(id, path, index)?,
+                Tier::Mem(base) => return Some(base.clone()),
+                Tier::Disk { path, ends } => read_entry(path, ends),
             };
-            if let Some(parts) = read {
-                return Ok(Some(Arc::new(parts)));
+            if read.is_some() {
+                return read;
             }
-            remove_entry(&mut inner, id);
-            inner.evicted.insert(id);
-            ctx.stats().record_dataset_eviction();
+            evict(&mut inner, id, ctx);
         }
         if inner.evicted.contains(&id) {
             ctx.stats().record_dataset_recompute();
         }
-        Ok(None)
+        None
     }
 
     /// Inserts a freshly materialized dataset, then enforces both
     /// ledgers: memory overflow demotes LRU memory entries to disk
     /// (counted as dataset spills), disk overflow drops LRU disk entries
     /// outright (counted as evictions, marked for recompute accounting).
-    pub(crate) fn insert(&self, id: u64, parts: Arc<Vec<Vec<Value>>>, ctx: &Context) -> Result<()> {
+    /// An entry whose file cannot be written is evicted the same way.
+    pub(crate) fn insert(&self, id: u64, base: Base, ctx: &Context) {
         let budget = self.budget();
         let Ok(mut inner) = self.inner.lock() else {
-            return Ok(());
+            return;
         };
         inner.clock += 1;
         let clock = inner.clock;
@@ -238,38 +236,26 @@ impl DatasetCache {
         if budget == 0 {
             // Caching is off: the insert itself is the eviction, and the
             // mark makes the next read count a recompute.
-            inner.evicted.insert(id);
-            ctx.stats().record_dataset_eviction();
-            return Ok(());
+            evict(&mut inner, id, ctx);
+            return;
         }
-        let bytes = estimate_bytes(&parts);
+        let bytes = estimate_bytes(&base);
         if budget == u64::MAX || bytes <= budget {
             inner.mem_bytes += bytes;
             inner.entries.insert(
                 id,
                 Entry {
-                    tier: Tier::Mem(parts),
+                    tier: Tier::Mem(base),
                     bytes,
                     touched: clock,
                 },
             );
         } else {
             // Bigger than the whole memory budget: straight to disk.
-            let dir = self.dir(&mut inner)?;
-            let (path, index, encoded) = spill_entry(&dir, id, &parts)?;
-            ctx.stats().record_dataset_spill(encoded);
-            inner.disk_bytes += encoded;
-            inner.entries.insert(
-                id,
-                Entry {
-                    tier: Tier::Disk { path, index },
-                    bytes: encoded,
-                    touched: clock,
-                },
-            );
+            self.spill(&mut inner, id, &base, clock, ctx);
         }
         if budget == u64::MAX {
-            return Ok(());
+            return;
         }
         // Demote LRU memory entries until memory fits the budget.
         while inner.mem_bytes > budget {
@@ -278,7 +264,7 @@ impl DatasetCache {
             };
             // `lru_id(_, true)` only names memory entries.
             let Some(Entry {
-                tier: Tier::Mem(vparts),
+                tier: Tier::Mem(vbase),
                 bytes,
                 touched,
             }) = inner.entries.remove(&victim)
@@ -286,18 +272,7 @@ impl DatasetCache {
                 break;
             };
             inner.mem_bytes -= bytes;
-            let dir = self.dir(&mut inner)?;
-            let (path, index, encoded) = spill_entry(&dir, victim, &vparts)?;
-            ctx.stats().record_dataset_spill(encoded);
-            inner.disk_bytes += encoded;
-            inner.entries.insert(
-                victim,
-                Entry {
-                    tier: Tier::Disk { path, index },
-                    bytes: encoded,
-                    touched,
-                },
-            );
+            self.spill(&mut inner, victim, &vbase, touched, ctx);
         }
         // Drop LRU disk entries until the disk ledger fits its cap.
         let disk_cap = budget.saturating_mul(DISK_BUDGET_FACTOR);
@@ -305,11 +280,32 @@ impl DatasetCache {
             let Some(victim) = lru_id(&inner, false) else {
                 break;
             };
-            remove_entry(&mut inner, victim);
-            inner.evicted.insert(victim);
-            ctx.stats().record_dataset_eviction();
+            evict(&mut inner, victim, ctx);
         }
-        Ok(())
+    }
+
+    /// Writes `base` to disk as entry `id`, touched at `touched`, counting
+    /// a dataset spill; when its file cannot be written, evicts it instead.
+    fn spill(&self, inner: &mut Inner, id: u64, base: &Base, touched: u64, ctx: &Context) {
+        let Some((path, encoded)) = self.dir(inner).and_then(|dir| spill_entry(&dir, id, base))
+        else {
+            evict(inner, id, ctx);
+            return;
+        };
+        ctx.stats().record_dataset_spill(encoded);
+        inner.disk_bytes += encoded;
+        let tier = Tier::Disk {
+            path,
+            ends: base.ends().clone(),
+        };
+        inner.entries.insert(
+            id,
+            Entry {
+                tier,
+                bytes: encoded,
+                touched,
+            },
+        );
     }
 
     /// Slot-drop cleanup: drops an entry and clears its evicted mark —
@@ -322,19 +318,20 @@ impl DatasetCache {
         }
     }
 
-    /// The cache's temp directory, created on first spill.
-    fn dir(&self, inner: &mut Inner) -> Result<PathBuf> {
+    /// The cache's temp directory, created on first spill; `None` when it
+    /// cannot be.
+    fn dir(&self, inner: &mut Inner) -> Option<PathBuf> {
         if let Some(dir) = &inner.dir {
-            return Ok(dir.clone());
+            return Some(dir.clone());
         }
         let dir = std::env::temp_dir().join(format!(
             "diablo-dataset-cache-{}-{}",
             std::process::id(),
             self.cache_id
         ));
-        std::fs::create_dir_all(&dir).map_err(io_err)?;
+        std::fs::create_dir_all(&dir).ok()?;
         inner.dir = Some(dir.clone());
-        Ok(dir)
+        Some(dir)
     }
 }
 
@@ -360,6 +357,14 @@ fn lru_id(inner: &Inner, mem: bool) -> Option<u64> {
         .map(|(id, _)| *id)
 }
 
+/// Drops an entry under pressure and marks it, so the next read counts a
+/// recompute; counts one eviction.
+fn evict(inner: &mut Inner, id: u64, ctx: &Context) {
+    remove_entry(inner, id);
+    inner.evicted.insert(id);
+    ctx.stats().record_dataset_eviction();
+}
+
 /// Removes an entry, unwinding its ledger charge and deleting its file.
 fn remove_entry(inner: &mut Inner, id: u64) {
     if let Some(entry) = inner.entries.remove(&id) {
@@ -373,78 +378,69 @@ fn remove_entry(inner: &mut Inner, id: u64) {
     }
 }
 
-/// Encodes every partition of an entry into one file, returning the
-/// per-partition segment index and the encoded size.
-fn spill_entry(dir: &Path, id: u64, parts: &[Vec<Value>]) -> Result<(PathBuf, Vec<Segment>, u64)> {
-    let mut buf = Vec::new();
-    let mut index = Vec::with_capacity(parts.len());
-    for part in parts {
-        let off = buf.len() as u64;
-        for row in part {
-            encode_value(row, &mut buf)?;
-        }
-        index.push((off, buf.len() as u64 - off, part.len()));
-    }
-    let path = dir.join(format!("ds-{id}.bin"));
-    std::fs::write(&path, &buf).map_err(io_err)?;
-    Ok((path, index, buf.len() as u64))
+/// Sampled byte estimate of an entry's rows ([`sampled_size`] per
+/// partition).
+fn estimate_bytes(base: &Base) -> u64 {
+    base.parts()
+        .iter()
+        .map(|p| sampled_size(p.len(), |i| serialized_size(&p[i])))
+        .sum()
 }
 
-/// Decodes a disk entry back into partitions, segment by segment. `None`
-/// when the file cannot be read back whole: missing or unreadable, a
-/// segment past its end, bytes the codec rejects, or a partition whose
-/// row count differs from the spilled index's (under the plan verifier
-/// that last one is an error).
-fn read_entry(id: u64, path: &Path, index: &[Segment]) -> Result<Option<Vec<Vec<Value>>>> {
-    let Ok(data) = std::fs::read(path) else {
-        return Ok(None);
+/// Writes an entry's rows to its file as one frame of their boxed lane,
+/// returning the path and the encoded size; `None` when a row cannot be
+/// encoded or the file cannot be written.
+fn spill_entry(dir: &Path, id: u64, base: &Base) -> Option<(PathBuf, u64)> {
+    let rows = Chunk {
+        len: base.rows().len(),
+        lanes: VCol::Val(base.rows().clone()),
     };
-    let mut parts = Vec::with_capacity(index.len());
-    for (p, &(off, len, rows)) in index.iter().enumerate() {
-        let Some(mut cur) = data.get(off as usize..(off + len) as usize) else {
-            return Ok(None);
-        };
-        let mut out = Vec::with_capacity(rows);
-        while !cur.is_empty() {
-            let Ok(row) = decode_value(&mut cur) else {
-                return Ok(None);
-            };
-            out.push(row);
-        }
-        crate::verify::verify_cached_partition(id, p, rows, out.len())?;
-        if out.len() != rows {
-            return Ok(None);
-        }
-        parts.push(out);
+    let mut buf = Vec::new();
+    chunk::encode_frame(&rows, &mut buf).ok()?;
+    let path = dir.join(format!("ds-{id}.bin"));
+    if std::fs::write(&path, &buf).is_err() {
+        let _ = std::fs::remove_file(&path);
+        return None;
     }
-    Ok(Some(parts))
+    Some((path, buf.len() as u64))
 }
 
-fn io_err(e: std::io::Error) -> RuntimeError {
-    RuntimeError::new(format!("dataset cache I/O: {e}"))
+/// Decodes a disk entry back into its rows, cut at `ends`. `None` when
+/// the file cannot be read back whole: missing or unreadable, or not
+/// exactly one boxed-lane frame of the entry's row count
+/// ([`chunk::decode_frame`] reads exactly that count or fails).
+fn read_entry(path: &Path, ends: &Arc<[usize]>) -> Option<Base> {
+    let data = std::fs::read(path).ok()?;
+    let n = ends.last().copied().unwrap_or(0);
+    match chunk::decode_frame(&data, n).ok()?.lanes {
+        VCol::Val(rows) => Some(Base::cut(rows, ends.clone())),
+        _ => None,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diablo_runtime::Value;
 
     fn ctx() -> Context {
         Context::new(2, 2)
     }
 
-    fn rows(n: i64) -> Arc<Vec<Vec<Value>>> {
-        Arc::new(vec![(0..n).map(Value::Long).collect(), Vec::new()])
+    /// `0..n` in the first of two partitions.
+    fn rows(n: i64) -> Base {
+        Base::joined(vec![(0..n).map(Value::Long).collect(), Vec::new()])
     }
 
     #[test]
     fn unbounded_cache_keeps_everything_in_memory() {
         let c = ctx();
         let cache = DatasetCache::new(u64::MAX);
-        cache.insert(1, rows(100), &c).unwrap();
-        cache.insert(2, rows(100), &c).unwrap();
+        cache.insert(1, rows(100), &c);
+        cache.insert(2, rows(100), &c);
         assert!(cache.contains(1) && cache.contains(2));
-        let got = cache.get(1, &c).unwrap().unwrap();
-        assert_eq!(got[0].len(), 100);
+        let got = cache.get(1, &c).unwrap();
+        assert_eq!(got.part(0).len(), 100);
         let snap = c.stats().snapshot();
         assert_eq!(snap.dataset_spills, 0);
         assert_eq!(snap.dataset_evictions, 0);
@@ -456,14 +452,14 @@ mod tests {
         let parts = rows(64);
         let budget = estimate_bytes(&parts) + 1;
         let cache = DatasetCache::new(budget);
-        cache.insert(1, parts.clone(), &c).unwrap();
+        cache.insert(1, parts.clone(), &c);
         // The second insert pushes entry 1 (LRU) to disk.
-        cache.insert(2, rows(64), &c).unwrap();
+        cache.insert(2, rows(64), &c);
         let snap = c.stats().snapshot();
         assert!(snap.dataset_spills >= 1, "{snap:?}");
         assert!(snap.dataset_spilled_bytes > 0);
-        let got = cache.get(1, &c).unwrap().expect("still readable");
-        assert_eq!(got.as_ref(), parts.as_ref(), "disk round-trip is exact");
+        let got = cache.get(1, &c).expect("still readable");
+        assert_eq!(got.parts(), parts.parts(), "disk round-trip is exact");
     }
 
     #[test]
@@ -471,26 +467,26 @@ mod tests {
         let c = ctx();
         // Budget so small everything demotes, disk cap 8× still tiny.
         let cache = DatasetCache::new(1);
-        cache.insert(1, rows(64), &c).unwrap();
-        cache.insert(2, rows(64), &c).unwrap();
+        cache.insert(1, rows(64), &c);
+        cache.insert(2, rows(64), &c);
         let snap = c.stats().snapshot();
         assert!(snap.dataset_evictions >= 1, "{snap:?}");
         // At least one id is gone; reading it counts one recompute.
         let victim = if cache.contains(1) { 2 } else { 1 };
-        assert!(cache.get(victim, &c).unwrap().is_none());
+        assert!(cache.get(victim, &c).is_none());
         assert_eq!(c.stats().snapshot().dataset_recomputes, 1);
         // Reinserting clears the mark.
-        cache.insert(victim, rows(64), &c).unwrap();
+        cache.insert(victim, rows(64), &c);
     }
 
     #[test]
     fn zero_budget_disables_caching() {
         let c = ctx();
         let cache = DatasetCache::new(0);
-        cache.insert(7, rows(10), &c).unwrap();
+        cache.insert(7, rows(10), &c);
         assert!(!cache.contains(7));
         assert_eq!(c.stats().snapshot().dataset_evictions, 1);
-        assert!(cache.get(7, &c).unwrap().is_none());
+        assert!(cache.get(7, &c).is_none());
         assert_eq!(c.stats().snapshot().dataset_recomputes, 1);
     }
 
@@ -498,8 +494,8 @@ mod tests {
     /// entry's file.
     fn spilled(c: &Context) -> (DatasetCache, PathBuf) {
         let cache = DatasetCache::new(estimate_bytes(&rows(64)) + 1);
-        cache.insert(1, rows(64), c).unwrap();
-        cache.insert(2, rows(64), c).unwrap();
+        cache.insert(1, rows(64), c);
+        cache.insert(2, rows(64), c);
         let inner = cache.inner.lock().unwrap();
         let Tier::Disk { path, .. } = &inner.entries[&1].tier else {
             panic!("entry 1 stayed in memory");
@@ -513,15 +509,12 @@ mod tests {
     /// reads back.
     fn read_is_an_eviction(c: &Context, cache: &DatasetCache) {
         let before = c.stats().snapshot();
-        assert!(cache.get(1, c).unwrap().is_none());
+        assert!(cache.get(1, c).is_none());
         let snap = c.stats().snapshot().since(&before);
         assert_eq!((snap.dataset_evictions, snap.dataset_recomputes), (1, 1));
         assert!(!cache.contains(1));
-        cache.insert(1, rows(64), c).unwrap();
-        assert_eq!(
-            cache.get(1, c).unwrap().unwrap().as_ref(),
-            rows(64).as_ref()
-        );
+        cache.insert(1, rows(64), c);
+        assert_eq!(cache.get(1, c).unwrap().parts(), rows(64).parts());
     }
 
     #[test]
@@ -534,17 +527,83 @@ mod tests {
 
     #[test]
     fn a_truncated_or_garbled_cache_file_is_an_eviction() {
-        let c = ctx();
+        // The frame is the boxed-lane tag, then 64 longs of 9 bytes each.
+        let row = 9;
         let garble = |bytes: Vec<u8>| vec![0xff; bytes.len()];
         let truncate = |mut bytes: Vec<u8>| {
             bytes.truncate(bytes.len() / 2);
             bytes
         };
-        for damage in [&truncate as &dyn Fn(Vec<u8>) -> Vec<u8>, &garble] {
+        let cut_at_a_row = |mut bytes: Vec<u8>| {
+            bytes.truncate(bytes.len() - row);
+            bytes
+        };
+        let one_row_more = |mut bytes: Vec<u8>| {
+            crate::exchange::encode_value(&Value::Long(64), &mut bytes).unwrap();
+            bytes
+        };
+        let unknown_lane = |mut bytes: Vec<u8>| {
+            bytes[0] = 0x7f;
+            bytes
+        };
+        let damages: [&dyn Fn(Vec<u8>) -> Vec<u8>; 5] = [
+            &truncate,
+            &garble,
+            &cut_at_a_row,
+            &one_row_more,
+            &unknown_lane,
+        ];
+        for damage in damages {
+            // Under the plan verifier too (the debug default): a frame
+            // reads exactly its entry's row count or fails.
+            let c = ctx();
             let (cache, path) = spilled(&c);
-            std::fs::write(&path, damage(std::fs::read(&path).unwrap())).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            assert_eq!(bytes.len(), 1 + 64 * row);
+            std::fs::write(&path, damage(bytes)).unwrap();
             read_is_an_eviction(&c, &cache);
         }
+    }
+
+    #[test]
+    fn a_cache_file_that_cannot_be_written_is_an_eviction() {
+        let c = ctx();
+        let blocker = std::env::temp_dir().join(format!(
+            "diablo-dataset-cache-blocker-{}",
+            std::process::id()
+        ));
+        std::fs::write(&blocker, b"a file, not a directory").unwrap();
+        let base = rows(64);
+        let cache = DatasetCache::new(estimate_bytes(&base) + 1);
+        cache.inner.lock().unwrap().dir = Some(blocker.clone());
+        cache.insert(1, base.clone(), &c);
+        // Entry 2 demotes entry 1, whose file cannot be written: the
+        // insert succeeds and entry 1 is evicted.
+        cache.insert(2, rows(64), &c);
+        let snap = c.stats().snapshot();
+        assert_eq!((snap.dataset_spills, snap.dataset_evictions), (0, 1));
+        assert!(!cache.contains(1) && cache.contains(2));
+        assert!(cache.get(1, &c).is_none());
+        assert_eq!(c.stats().snapshot().dataset_recomputes, 1);
+        // An entry over the whole budget cannot go straight to disk either.
+        cache.insert(3, rows(128), &c);
+        assert!(!cache.contains(3));
+        assert_eq!(c.stats().snapshot().dataset_evictions, 2);
+        // The dataset a write failed for recomputes the same rows.
+        let d = Context::new(2, 2).with_dataset_budget(256);
+        let dataset = d.range(0, 99).unwrap().map(|v| Ok(v.clone())).unwrap();
+        d.dataset_cache().inner.lock().unwrap().dir = Some(blocker.clone());
+        let want: Vec<Value> = (0..=99).map(Value::Long).collect();
+        assert_eq!(dataset.materialize().unwrap().collect(), want);
+        let before = d.stats().snapshot();
+        assert_eq!(dataset.collect(), want);
+        assert_eq!(d.stats().snapshot().since(&before).dataset_recomputes, 1);
+        // The cache's `Drop` removes its directory: take the file back
+        // first.
+        for cache in [&cache, &**d.dataset_cache()] {
+            cache.inner.lock().unwrap().dir = None;
+        }
+        std::fs::remove_file(&blocker).unwrap();
     }
 
     #[test]
@@ -611,9 +670,9 @@ mod tests {
     fn remove_clears_entry_and_mark() {
         let c = ctx();
         let cache = DatasetCache::new(0);
-        cache.insert(3, rows(4), &c).unwrap();
+        cache.insert(3, rows(4), &c);
         cache.forget(3);
-        assert!(cache.get(3, &c).unwrap().is_none());
+        assert!(cache.get(3, &c).is_none());
         assert_eq!(
             c.stats().snapshot().dataset_recomputes,
             0,

@@ -43,8 +43,14 @@
 //! A stage runs one way: [`consume`] sets it up — one item per partition
 //! of a scanned, cached or shuffled base — and hands each partition's
 //! rows to a task; [`materialize`] is `consume` with a task that collects
-//! them. Every task drives its rows into a [`TileSink`] through the one
+//! them, and moves each partition's rows into one [`Base`]. Every task
+//! drives its rows into a [`TileSink`] through the one
 //! [`DriveMode::drive`].
+//!
+//! Rows at rest have that one form: base data a caller bound, a forced
+//! dataset, and a dataset-cache entry are each a [`Base`] — one row
+//! vector and the ends of its partitions — and a `Scan` and a `Cached`
+//! barrier are read through the same [`Base::parts`].
 //!
 //! Every row-level node carries an optional **statement tag** — the source
 //! statement that built it, set by driver layers through
@@ -202,11 +208,13 @@ impl Source<'_> {
 /// session).
 pub(crate) type Tag = Option<Arc<str>>;
 
-/// Base data: the rows a caller bound, in the one vector it built, cut
-/// into partitions at `ends` (partition `i` is `rows[ends[i - 1]..ends[i]]`).
-/// Binding rows moves the vector in, not its rows, and every reader of a
-/// [`PlanOp::Scan`] reads a partition where it lies, through
-/// [`Base::part`].
+/// Rows at rest, in one vector cut into partitions at `ends` (partition
+/// `i` is `rows[ends[i - 1]..ends[i]]`): the rows a caller bound, in the
+/// vector it built, and the rows of every materialized or cached dataset.
+/// Binding rows moves the vector in, not its rows; a materialization
+/// moves its partitions' rows into one vector ([`Base::joined`]); and
+/// every reader of a [`PlanOp::Scan`] or a [`PlanOp::Cached`] barrier
+/// reads a partition where it lies, through [`Base::part`].
 #[derive(Clone)]
 pub(crate) struct Base {
     rows: Arc<Vec<Value>>,
@@ -238,6 +246,17 @@ impl Base {
         }
     }
 
+    /// `rows` cut at `ends`, the last of which is `rows.len()`.
+    pub(crate) fn cut(rows: Arc<Vec<Value>>, ends: Arc<[usize]>) -> Base {
+        debug_assert_eq!(ends.last().copied().unwrap_or(0), rows.len());
+        Base { rows, ends }
+    }
+
+    /// Where each partition ends.
+    pub(crate) fn ends(&self) -> &Arc<[usize]> {
+        &self.ends
+    }
+
     /// The number of partitions.
     pub(crate) fn partitions(&self) -> usize {
         self.ends.len()
@@ -254,8 +273,8 @@ impl Base {
         (0..self.partitions()).map(|i| self.part(i)).collect()
     }
 
-    /// Every row, in partition order.
-    pub(crate) fn rows(&self) -> &[Value] {
+    /// Every row, in partition order, in the one vector that holds them.
+    pub(crate) fn rows(&self) -> &Arc<Vec<Value>> {
         &self.rows
     }
 }
@@ -494,59 +513,6 @@ pub(crate) fn collapse(plan: &Arc<PlanOp>) -> Collapsed {
     }
 }
 
-/// Each partition's rows as a slice.
-pub(crate) fn slices(parts: &[Vec<Value>]) -> Vec<&[Value]> {
-    parts.iter().map(Vec::as_slice).collect()
-}
-
-/// Walker output: shared when no work was needed, owned otherwise.
-pub(crate) enum Parts {
-    /// Base data, read where it lies (zero-copy).
-    Base(Base),
-    /// Partitions the dataset cache holds (zero-copy).
-    Shared(Arc<Vec<Vec<Value>>>),
-    /// Freshly computed partitions.
-    Owned(Vec<Vec<Value>>),
-}
-
-impl Parts {
-    /// Every partition's rows, in partition order.
-    pub(crate) fn slices(&self) -> Vec<&[Value]> {
-        match self {
-            Parts::Base(base) => base.parts(),
-            Parts::Shared(parts) => slices(parts),
-            Parts::Owned(parts) => slices(parts),
-        }
-    }
-
-    /// The number of rows.
-    pub(crate) fn rows(&self) -> usize {
-        self.slices().iter().map(|part| part.len()).sum()
-    }
-
-    /// The partitions as the dataset cache holds them, owned ones moved.
-    /// Base data is copied; it never enters the cache, which reads it
-    /// from its `Scan`.
-    pub(crate) fn into_arc(self) -> Arc<Vec<Vec<Value>>> {
-        match self {
-            Parts::Base(base) => {
-                Arc::new(base.parts().into_iter().map(<[Value]>::to_vec).collect())
-            }
-            Parts::Shared(p) => p,
-            Parts::Owned(p) => Arc::new(p),
-        }
-    }
-
-    /// The partitions as base data ([`Base::joined`]), owned ones moved.
-    pub(crate) fn into_base(self) -> Base {
-        match self {
-            Parts::Base(base) => base,
-            Parts::Shared(p) => Base::joined(Arc::unwrap_or_clone(p)),
-            Parts::Owned(p) => Base::joined(p),
-        }
-    }
-}
-
 /// How the walker pushes rows through a fused step chain: the context's
 /// [`Layout`], resolved once per materialization point.
 pub(crate) enum DriveMode {
@@ -606,36 +572,34 @@ fn note_layout(ctx: &Context, mode: &DriveMode, steps: &[Step]) {
     }
 }
 
-/// Resolves a `Cached` barrier to materialized partitions: a cache hit
-/// reads the entry (memory or disk tier); a miss re-derives the inner
-/// plan — the lineage replay — and reinserts it under the same slot, so
-/// one recompute serves every later reader until the next eviction.
+/// Resolves a `Cached` barrier to its rows: a cache hit reads the entry
+/// (memory or disk tier); a miss re-derives the inner plan — the lineage
+/// replay — and reinserts it under the same slot, so one recompute
+/// serves every later reader until the next eviction.
 fn resolve_cached(
     ctx: &Context,
     slot: &Arc<crate::dscache::CacheSlot>,
     inner: &Arc<PlanOp>,
-) -> Result<Arc<Vec<Vec<Value>>>> {
+) -> Result<Base> {
     let cache = slot.cache();
-    if let Some(parts) = cache.get(slot.id(), ctx)? {
-        return Ok(parts);
+    if let Some(base) = cache.get(slot.id(), ctx) {
+        return Ok(base);
     }
-    let parts = materialize(ctx, inner)?.into_arc();
-    cache.insert(slot.id(), parts.clone(), ctx)?;
-    Ok(parts)
+    let base = materialize(ctx, inner)?;
+    cache.insert(slot.id(), base.clone(), ctx);
+    Ok(base)
 }
 
-/// Materializes a plan into partitions: the rows a scanned or cached base
-/// already holds when no step is pending (zero-copy), else one fused stage
-/// that collects each partition's transformed rows.
-pub(crate) fn materialize(ctx: &Context, plan: &Arc<PlanOp>) -> Result<Parts> {
+/// Materializes a plan: the rows a scanned or cached base already holds
+/// when no step is pending (zero-copy), else one fused stage that collects
+/// each partition's transformed rows, moved into one vector.
+pub(crate) fn materialize(ctx: &Context, plan: &Arc<PlanOp>) -> Result<Base> {
     crate::verify::verify_plan(plan)?;
     let Collapsed { base, steps, .. } = collapse(plan);
     if steps.is_empty() {
         match base.as_ref() {
-            PlanOp::Scan(base) => return Ok(Parts::Base(base.clone())),
-            PlanOp::Cached(slot, inner) => {
-                return resolve_cached(ctx, slot, inner).map(Parts::Shared)
-            }
+            PlanOp::Scan(base) => return Ok(base.clone()),
+            PlanOp::Cached(slot, inner) => return resolve_cached(ctx, slot, inner),
             _ => {}
         }
     }
@@ -644,7 +608,7 @@ pub(crate) fn materialize(ctx: &Context, plan: &Arc<PlanOp>) -> Result<Parts> {
         rows.for_each(&mut cancellable_sink(cancel, |v| out.push(v)))?;
         Ok(out)
     })
-    .map(Parts::Owned)
+    .map(Base::joined)
 }
 
 /// Runs `task` once per partition over the plan's *transformed* rows, in
@@ -688,16 +652,13 @@ where
             })?
         }
         base => {
-            let cached;
-            let parts = match base {
-                PlanOp::Scan(base) => base.parts(),
-                PlanOp::Cached(slot, inner) => {
-                    cached = resolve_cached(ctx, slot, inner)?;
-                    slices(&cached)
-                }
+            let base = match base {
+                PlanOp::Scan(base) => base.clone(),
+                PlanOp::Cached(slot, inner) => resolve_cached(ctx, slot, inner)?,
                 // collapse() never returns a row node as base.
                 _ => return Err(RuntimeError::new("corrupt plan: row node as base")),
             };
+            let parts = base.parts();
             note_stage(ctx, mode, parts.len(), None, &steps, label);
             let weight = |i: usize| parts[i].len() as u64;
             run_stage_weighted(ctx, &parts, weight, |p, part: &&[Value], cancel| {

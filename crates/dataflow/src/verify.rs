@@ -33,10 +33,12 @@
 //! * **Chunk shape** (`Exchange::finish`, and every `Shuffled` node of a
 //!   plan): every lane of a `Cols` chunk holds the chunk's `len` rows, so
 //!   a short lane is this error, not an out-of-bounds panic in a reader.
-//! * **Dataset-cache row conservation** ([`verify_cached_partition`],
-//!   called on every disk-tier read): each decoded partition of a
-//!   disk-backed cache entry holds exactly the rows recorded when the
-//!   entry spilled.
+//! * **Dataset-cache row conservation** is no check of its own: a
+//!   disk-backed cache entry is one frame read with
+//!   `chunk::decode_frame(data, n)`, which decodes exactly the entry's
+//!   recorded row count or fails, and a failed read is an eviction
+//!   (`dscache::read_entry`; `dscache::tests` covers cut, extended and
+//!   mistagged files).
 //!
 //! * **Input keys** ([`verify_unique_keys`]): base data bound as an array
 //!   holds no key twice (§3.4).
@@ -55,7 +57,7 @@ use diablo_runtime::RuntimeError;
 
 use crate::chunk::Chunk;
 use crate::columnar::VCol;
-use crate::plan::{PlanOp, Result};
+use crate::plan::{Base, PlanOp, Result};
 
 /// Whether the verifier is on: `DIABLO_VERIFY_PLAN` (`1` / `0`, panic on
 /// anything else), defaulting to `debug-assertions`. Re-read per call so
@@ -177,48 +179,23 @@ fn check_exchange_output(dest: &[Chunk], partitions: usize, emitted: u64) -> Res
     Ok(())
 }
 
-/// Verifies row conservation of one disk-backed dataset-cache partition:
-/// the decoded row count must match what was recorded when the entry
-/// spilled. No-op when the verifier is disabled.
-pub(crate) fn verify_cached_partition(
-    id: u64,
-    partition: usize,
-    expected: usize,
-    got: usize,
-) -> Result<()> {
-    if !enabled() {
-        return Ok(());
-    }
-    if got != expected {
-        return Err(violation(format!(
-            "disk-backed dataset {id} partition {partition} decoded {got} rows but {expected} \
-             were spilled — rows were lost or duplicated in the dataset cache"
-        )));
-    }
-    Ok(())
-}
-
 /// Verifies that no key occurs twice among the `(key, value)` rows of the
 /// base data bound as `input` (rows of another shape are left to the
 /// operators that read them). No-op when the verifier is disabled.
-pub(crate) fn verify_unique_keys(parts: &[&[diablo_runtime::Value]], input: &str) -> Result<()> {
+pub(crate) fn verify_unique_keys(base: &Base, input: &str) -> Result<()> {
     if !enabled() {
         return Ok(());
     }
-    check_unique_keys(parts, input)
+    check_unique_keys(base, input)
 }
 
 /// The ungated body of [`verify_unique_keys`].
-fn check_unique_keys(parts: &[&[diablo_runtime::Value]], input: &str) -> Result<()> {
+fn check_unique_keys(base: &Base, input: &str) -> Result<()> {
     let mut seen = std::collections::HashSet::new();
-    let keys = parts
-        .iter()
-        .copied()
-        .flatten()
-        .filter_map(|row| match row.as_tuple() {
-            Some([k, _]) => Some(k),
-            _ => None,
-        });
+    let keys = base.rows().iter().filter_map(|row| match row.as_tuple() {
+        Some([k, _]) => Some(k),
+        _ => None,
+    });
     for k in keys {
         if !seen.insert(k) {
             return Err(violation(format!(
@@ -234,12 +211,8 @@ fn check_unique_keys(parts: &[&[diablo_runtime::Value]], input: &str) -> Result<
 /// long in `lo..=hi`: the rows a merge skips because a range fill over
 /// those bounds covers them. Ungated: the caller reads the gate, since it
 /// forces the rows only when the verifier is on.
-pub(crate) fn verify_keys_within(
-    parts: &[&[diablo_runtime::Value]],
-    lo: i64,
-    hi: i64,
-) -> Result<()> {
-    let outside = parts.iter().copied().flatten().find(|row| {
+pub(crate) fn verify_keys_within(base: &Base, lo: i64, hi: i64) -> Result<()> {
+    let outside = base.rows().iter().find(|row| {
         !matches!(row.as_tuple(), Some([diablo_runtime::Value::Long(k), _]) if (lo..=hi).contains(k))
     });
     match outside {
@@ -339,13 +312,13 @@ mod tests {
     #[test]
     fn a_repeated_key_across_partitions_is_a_violation() {
         let row = |k: i64| Value::pair(Value::Long(k), Value::Unit);
-        let unique: [&[Value]; 2] = [&[row(1), row(2)], &[row(3)]];
+        let unique = Base::joined(vec![vec![row(1), row(2)], vec![row(3)]]);
         assert!(check_unique_keys(&unique, "V").is_ok());
         // `1` and `1.0` are the same key, as in every keyed operator.
-        let repeated: [&[Value]; 2] = [
-            &[row(1), row(2)],
-            &[Value::pair(Value::Double(1.0), Value::Unit)],
-        ];
+        let repeated = Base::joined(vec![
+            vec![row(1), row(2)],
+            vec![Value::pair(Value::Double(1.0), Value::Unit)],
+        ]);
         let err = check_unique_keys(&repeated, "V").unwrap_err();
         assert!(err.message.starts_with("plan verifier:"), "{err}");
         assert!(err.message.contains("input `V` holds key 1"), "{err}");

@@ -207,6 +207,40 @@ fn kmeans_splices_closest_and_matches_the_reference_and_the_interpreter() {
     assert_eq!(centroids.len(), 4);
 }
 
+#[test]
+fn an_in_fold_cross_sorts_a_copy_of_the_broadcast_rows() {
+    // `closest` folds each point against `C0` itself, whose rows are bound
+    // out of key order: the fold meets them sorted, and the dataset keeps
+    // its order, bound as base data or forced into the dataset cache.
+    let src = KMEANS.replace("C[j]", "C0[j]");
+    let compiled = diablo_core::compile(&src).unwrap();
+    let inputs = grid_inputs(40);
+    let (scalars, _) = bindings(&inputs);
+    let mut centroids = inputs.centroids.clone();
+    centroids.reverse();
+    for engine in ENGINES {
+        let ctx = engine.context(2, 4);
+        let forced = ctx
+            .from_vec(centroids.clone())
+            .map(|v| Ok(v.clone()))
+            .unwrap()
+            .materialize()
+            .unwrap();
+        for bound in [ctx.from_vec(centroids.clone()), forced] {
+            let mut s = Session::new(ctx.clone());
+            scalars
+                .iter()
+                .for_each(|(n, v)| s.bind_scalar(n, v.clone()));
+            s.bind_input("P", inputs.points.clone());
+            s.bind_dataset("C0", bound.clone());
+            let plan = s.explain(&compiled).unwrap();
+            assert!(plan.contains("folded per row"), "{plan}");
+            assert!(plan.contains("broadcast: 4 rows"), "{plan}");
+            assert_eq!(bound.collect(), centroids, "{engine}");
+        }
+    }
+}
+
 /// The plan of one K-Means-like run of `src` over `inputs`, on two
 /// workers under the columnar layout.
 fn kmeans_plan(src: &str, inputs: &Inputs) -> String {
