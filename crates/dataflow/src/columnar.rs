@@ -7,14 +7,13 @@
 //! operator per tuple, even inside fused stages. This module generalizes
 //! the §5 tile runtime's batch layout to arbitrary datasets:
 //!
-//! * **[`RowExpr`]** — a small expression IR over whole rows. Operators
+//! * **[`RowExpr`]** — a small expression IR over whole rows. A step
 //!   built from it (via `Dataset::map_expr` / `Dataset::filter_expr`, or
-//!   the exec crate's lowering of comprehension steps) carry the
-//!   expression *alongside* the compiled closure, so the engine can see
-//!   that a step is arithmetic/comparison/projection instead of an opaque
-//!   `Fn` pointer. The closure and the expression are derived from the
-//!   same source, so the row path and the columnar path agree by
-//!   construction.
+//!   the exec crate's lowering of comprehension steps) *is* the
+//!   expression, so the engine can see that a step is
+//!   arithmetic/comparison/projection instead of an opaque `Fn` pointer.
+//!   The row path evaluates that expression ([`RowExpr::eval`]) and the
+//!   columnar path lowers it, so the two agree by construction.
 //! * **[`VCol`]** — typed column chunks: `Vec<i64>` / `Vec<f64>` /
 //!   `Vec<bool>` lanes, struct-of-arrays tuples, broadcast constants,
 //!   references to the boxed values of the source tile (strings, tuples
@@ -65,7 +64,7 @@
 //! raised. If the replay sails through (a non-deterministic operator), the
 //! batched error is kept.
 //!
-//! Stages containing a step without an expression (an opaque UDF) never
+//! Stages containing a step that is not data (an opaque UDF) never
 //! enter the columnar path at all: `DriveMode::drive` hands them to the
 //! same sink tuple-at-a-time, per stage, records
 //! [`StatsSnapshot::row_fallback_stages`](crate::StatsSnapshot), and the
@@ -82,7 +81,7 @@ use crate::block::Packer;
 use crate::chunk::{self, Chunk, LaneBuf};
 use crate::exchange::{ExchangeWriter, HashPartitioner};
 use crate::keytable::{Key, KeyLane, KeyLanes, KeyTable, Prim};
-use crate::plan::{Result, RowFlatFn, Source, Step, StepOp};
+use crate::plan::{Result, Source, Step, StepOp};
 use crate::stats::Stats;
 use crate::JoinOn;
 
@@ -92,7 +91,7 @@ use crate::JoinOn;
 /// Evaluation semantics are exactly those of the runtime operators
 /// ([`BinOp::apply`], [`UnOp::apply`], [`Func::apply`]): wrapping 64-bit
 /// integer arithmetic, checked long division, `total_cmp` double
-/// comparisons. A closure derived from a `RowExpr` (the row path) and the
+/// comparisons. Its row-at-a-time evaluation (the row path) and its
 /// vectorized interpretation (the columnar path) therefore return the same
 /// rows and raise the same errors.
 #[derive(Clone, Debug)]
@@ -493,19 +492,13 @@ impl Probe {
         probe
     }
 
-    /// The step's closure: [`Probe::expand`] on the shared probe.
-    pub(crate) fn expander(probe: &Arc<Probe>) -> RowFlatFn {
-        let probe = probe.clone();
-        Arc::new(move |row: &Value| probe.expand(row))
-    }
-
     /// Probe row `fields` followed by the leaves of build row `j`.
     fn extended(&self, fields: &[Value], j: usize) -> Value {
         let leaves = self.leaves.iter().map(|c| c.get(j));
         Value::Tuple(fields.iter().cloned().chain(leaves).collect())
     }
 
-    /// The row path: what the step's closure runs, and what a failed
+    /// The row path: what the step runs on one row, and what a failed
     /// tile's replay runs.
     pub(crate) fn expand(&self, row: &Value) -> Result<Vec<Value>> {
         let fields = env_fields(row)?;
@@ -624,9 +617,9 @@ impl RowExpr {
         RowExpr::Field(Box::new(e), FieldName::new(name))
     }
 
-    /// Evaluates the expression against one row — the row path. This is
-    /// what `Dataset::map_expr` / `filter_expr` closures call, and what a
-    /// failed tile's replay runs.
+    /// Evaluates the expression against one row — the row path: what a
+    /// `map_expr` or `filter_expr` step runs on one row, and what a failed
+    /// tile's replay runs.
     pub fn eval(&self, row: &Value) -> Result<Value> {
         match self {
             RowExpr::Input => Ok(row.clone()),
@@ -1385,21 +1378,18 @@ fn vec_eval<'a>(expr: &RowExpr, input: &VCol<'a>, len: usize) -> Result<VCol<'a>
     }
 }
 
+/// A filter's result for one row, which must be a boolean.
+pub(crate) fn condition(v: &Value) -> Result<bool> {
+    v.as_bool()
+        .ok_or_else(|| RuntimeError::new("condition must be boolean"))
+}
+
 /// A filter result as a validity mask.
 fn mask_of(col: &VCol, len: usize) -> Result<Vec<bool>> {
     match col {
         VCol::Bool(v) => Ok(v.as_ref().clone()),
         VCol::Const(Value::Bool(b)) => Ok(vec![*b; len]),
-        _ => {
-            let mut mask = Vec::with_capacity(len);
-            for i in 0..len {
-                match col.at(i).as_bool() {
-                    Some(b) => mask.push(b),
-                    None => return Err(RuntimeError::new("condition must be boolean")),
-                }
-            }
-            Ok(mask)
-        }
+        _ => (0..len).map(|i| condition(&col.at(i))).collect(),
     }
 }
 
@@ -1433,18 +1423,13 @@ fn run_tile<'a>(
     batch: usize,
     emit: &mut Emitter<'a, '_>,
 ) -> Result<()> {
-    let opaque = || RuntimeError::new("opaque step in a columnar stage");
     for (k, s) in steps.iter().enumerate() {
         if len == 0 {
             break;
         }
         match &s.op {
-            StepOp::Map(_) => {
-                let expr = s.expr.as_ref().ok_or_else(opaque)?;
-                col = vec_eval(expr, &col, len).map_err(|e| s.tag_err(e))?;
-            }
-            StepOp::Filter(_) => {
-                let expr = s.expr.as_ref().ok_or_else(opaque)?;
+            StepOp::Map(expr) => col = vec_eval(expr, &col, len).map_err(|e| s.tag_err(e))?,
+            StepOp::Filter(expr) => {
                 let mask = vec_eval(expr, &col, len)
                     .and_then(|c| mask_of(&c, len))
                     .map_err(|e| s.tag_err(e))?;
@@ -1461,8 +1446,7 @@ fn run_tile<'a>(
                 len = kept;
                 col = col.compact(&mask);
             }
-            StepOp::FlatMap(_, probe) => {
-                let probe = probe.as_ref().ok_or_else(opaque)?;
+            StepOp::Probe(probe) => {
                 let rest = &steps[k + 1..];
                 return probe.tile(
                     &col,
@@ -1473,6 +1457,7 @@ fn run_tile<'a>(
                     &mut |col, len, from| run_tile(col, len, from, rest, batch, emit),
                 );
             }
+            StepOp::Udf(..) => return Err(RuntimeError::new("opaque step in a columnar stage")),
             StepOp::Fold(fold) => col = fold.tile(&col, len, batch, s)?,
         }
     }
@@ -2192,40 +2177,23 @@ impl TileSink for Packer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::drive;
+    use crate::plan::{drive, Udf};
 
     fn longs(ns: &[i64]) -> Vec<Value> {
         ns.iter().map(|&n| Value::Long(n)).collect()
     }
 
     fn step_map(expr: RowExpr, tag: Option<&str>) -> Step {
-        let e = Arc::new(expr);
-        let f = {
-            let e = e.clone();
-            move |row: &Value| e.eval(row)
-        };
         Step {
-            op: StepOp::Map(Arc::new(f)),
+            op: StepOp::Map(Arc::new(expr)),
             tag: tag.map(Arc::from),
-            expr: Some(e),
-            what: "map",
         }
     }
 
     fn step_filter(expr: RowExpr, tag: Option<&str>) -> Step {
-        let e = Arc::new(expr);
-        let f = {
-            let e = e.clone();
-            move |row: &Value| match e.eval(row)? {
-                Value::Bool(b) => Ok(b),
-                _ => Err(RuntimeError::new("condition must be boolean")),
-            }
-        };
         Step {
-            op: StepOp::Filter(Arc::new(f)),
+            op: StepOp::Filter(Arc::new(expr)),
             tag: tag.map(Arc::from),
-            expr: Some(e),
-            what: "filter",
         }
     }
 
@@ -2922,8 +2890,6 @@ mod tests {
         Step {
             op: StepOp::Fold(Arc::new(fold)),
             tag: None,
-            expr: None,
-            what: "fold per row",
         }
     }
 
@@ -3145,21 +3111,10 @@ mod tests {
     }
 
     fn step_probe(items: Vec<Value>, shape: Shape, keys: Option<ProbeKeys>) -> Step {
-        let probe = Arc::new(Probe::build(
-            items.iter(),
-            &shape,
-            keys,
-            "pattern Q does not match row",
-        ));
-        let f = {
-            let probe = probe.clone();
-            move |row: &Value| probe.expand(row)
-        };
+        let probe = Probe::build(items.iter(), &shape, keys, "pattern Q does not match row");
         Step {
-            op: StepOp::FlatMap(Arc::new(f), Some(probe)),
+            op: StepOp::Probe(Arc::new(probe)),
             tag: None,
-            expr: None,
-            what: "flat_map",
         }
     }
 
@@ -3631,10 +3586,8 @@ mod tests {
     #[test]
     fn opaque_steps_are_ineligible() {
         let opaque = Step {
-            op: StepOp::Map(Arc::new(|v: &Value| Ok(v.clone()))),
+            op: StepOp::Udf(Udf::Map(Arc::new(|v: &Value| Ok(v.clone()))), "map"),
             tag: None,
-            expr: None,
-            what: "map",
         };
         let transparent = step_map(RowExpr::Input, None);
         assert!(!eligible(&[]));

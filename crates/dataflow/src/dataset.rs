@@ -60,7 +60,7 @@ use crate::chunk::{Bucket, Chunk};
 use crate::columnar::{KeyedFold, Probe, ProbeKeys, RowExpr, RowFold, Shape, TileSink};
 use crate::exchange::{Exchange, ExchangeWriter, HashPartitioner, KeyedScatter};
 use crate::keytable::{Key, KeyTable};
-use crate::plan::{self, Base, PartFn, PartOp, PartitionRows, PlanOp};
+use crate::plan::{self, Base, PartFn, PartOp, PartitionRows, PlanOp, Step, StepOp, Udf};
 use crate::Context;
 
 /// Result alias for engine operations.
@@ -729,35 +729,15 @@ impl Dataset {
     where
         F: Fn(&Value) -> Result<Value> + Send + Sync + 'static,
     {
-        self.ctx.record_logical_op();
-        Ok(self.derived(PlanOp::Map(
-            self.effective_plan(),
-            Arc::new(f),
-            self.tag(),
-            None,
-            what,
-        )))
+        self.step(StepOp::Udf(Udf::Map(Arc::new(f)), what))
     }
 
     /// Applies a **transparent** row expression to every row (lazy). The
-    /// closure the engine runs is derived from `expr`, and the expression
-    /// itself rides the plan node — so the columnar layout can lower
-    /// this step to per-column inner loops while the row layout executes
-    /// it exactly like [`Dataset::map`].
+    /// step is the expression itself, so the columnar layout lowers it to
+    /// per-column inner loops and the row layout evaluates it row by row
+    /// ([`RowExpr::eval`](crate::RowExpr::eval)).
     pub fn map_expr(&self, expr: crate::RowExpr) -> Result<Dataset> {
-        self.ctx.record_logical_op();
-        let expr = Arc::new(expr);
-        let f = {
-            let expr = expr.clone();
-            move |row: &Value| expr.eval(row)
-        };
-        Ok(self.derived(PlanOp::Map(
-            self.effective_plan(),
-            Arc::new(f),
-            self.tag(),
-            Some(expr),
-            "map",
-        )))
+        self.step(StepOp::Map(Arc::new(expr)))
     }
 
     /// Applies `f` to every row, flattening the results (lazy).
@@ -774,14 +754,7 @@ impl Dataset {
     where
         F: Fn(&Value) -> Result<Vec<Value>> + Send + Sync + 'static,
     {
-        self.ctx.record_logical_op();
-        Ok(self.derived(PlanOp::FlatMap(
-            self.effective_plan(),
-            Arc::new(f),
-            self.tag(),
-            what,
-            None,
-        )))
+        self.step(StepOp::Udf(Udf::FlatMap(Arc::new(f)), what))
     }
 
     /// Crosses every row with `items` — the broadcast nested loop behind a
@@ -802,19 +775,10 @@ impl Dataset {
     }
 
     /// Appends a probe of a built side as a transparent expansion step
-    /// (lazy): the closure the engine runs is derived from the probe, and
-    /// the probe rides the plan node, so a columnar stage expands whole
-    /// tiles while the row layout runs it like a [`Dataset::flat_map`].
+    /// (lazy): the step is the probe, so a columnar stage expands whole
+    /// tiles and the row layout expands each row ([`Probe::expand`]).
     fn probing(&self, probe: Probe) -> Result<Dataset> {
-        self.ctx.record_logical_op();
-        let probe = Arc::new(probe);
-        Ok(self.derived(PlanOp::FlatMap(
-            self.effective_plan(),
-            Probe::expander(&probe),
-            self.tag(),
-            "flat_map",
-            Some(probe),
-        )))
+        self.step(StepOp::Probe(Arc::new(probe)))
     }
 
     /// Follows every row — a tuple — with the fold of its own expansion
@@ -847,19 +811,13 @@ impl Dataset {
                 "a fold per row expands each row through narrow steps only",
             ));
         }
-        self.ctx.record_logical_op();
-        let fold = RowFold {
+        self.step(StepOp::Fold(Arc::new(RowFold {
             input,
             steps: chain.steps,
             values,
             ops: ops.iter().map(|o| o.op).collect(),
             init,
-        };
-        Ok(self.derived(PlanOp::Fold(
-            self.effective_plan(),
-            Arc::new(fold),
-            self.tag(),
-        )))
+        })))
     }
 
     /// Keeps the rows satisfying `f` (lazy).
@@ -867,13 +825,7 @@ impl Dataset {
     where
         F: Fn(&Value) -> Result<bool> + Send + Sync + 'static,
     {
-        self.ctx.record_logical_op();
-        Ok(self.derived(PlanOp::Filter(
-            self.effective_plan(),
-            Arc::new(f),
-            self.tag(),
-            None,
-        )))
+        self.step(StepOp::Udf(Udf::Filter(Arc::new(f)), "filter"))
     }
 
     /// Keeps the rows satisfying a **transparent** predicate expression
@@ -881,21 +833,17 @@ impl Dataset {
     /// expression must evaluate to a boolean per row; anything else is
     /// the usual `condition must be boolean` error.
     pub fn filter_expr(&self, expr: crate::RowExpr) -> Result<Dataset> {
+        self.step(StepOp::Filter(Arc::new(expr)))
+    }
+
+    /// Appends one narrow step, tagged with the current statement (lazy).
+    fn step(&self, op: StepOp) -> Result<Dataset> {
         self.ctx.record_logical_op();
-        let expr = Arc::new(expr);
-        let f = {
-            let expr = expr.clone();
-            move |row: &Value| match expr.eval(row)? {
-                Value::Bool(b) => Ok(b),
-                _ => Err(RuntimeError::new("condition must be boolean")),
-            }
+        let step = Step {
+            op,
+            tag: self.tag(),
         };
-        Ok(self.derived(PlanOp::Filter(
-            self.effective_plan(),
-            Arc::new(f),
-            self.tag(),
-            Some(expr),
-        )))
+        Ok(self.derived(PlanOp::Step(self.effective_plan(), step)))
     }
 
     /// Total reduction with a binary combiner: fused per-partition folds

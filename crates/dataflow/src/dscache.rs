@@ -130,7 +130,8 @@ struct Inner {
     clock: u64,
     mem_bytes: u64,
     disk_bytes: u64,
-    /// The cache's temp directory, created on first spill.
+    /// The cache's temp directory while it holds a file: made by a spill,
+    /// removed with the last file.
     dir: Option<PathBuf>,
 }
 
@@ -318,8 +319,8 @@ impl DatasetCache {
         }
     }
 
-    /// The cache's temp directory, created on first spill; `None` when it
-    /// cannot be.
+    /// The cache's temp directory, made when a spill finds none; `None`
+    /// when it cannot be.
     fn dir(&self, inner: &mut Inner) -> Option<PathBuf> {
         if let Some(dir) = &inner.dir {
             return Some(dir.clone());
@@ -366,6 +367,9 @@ fn evict(inner: &mut Inner, id: u64, ctx: &Context) {
 }
 
 /// Removes an entry, unwinding its ledger charge and deleting its file.
+/// The last file to go takes the cache's directory with it, so a process
+/// that exits with the cache still alive leaves no empty directory behind;
+/// the next spill makes it again.
 fn remove_entry(inner: &mut Inner, id: u64) {
     if let Some(entry) = inner.entries.remove(&id) {
         match &entry.tier {
@@ -373,6 +377,12 @@ fn remove_entry(inner: &mut Inner, id: u64) {
             Tier::Disk { path, .. } => {
                 inner.disk_bytes -= entry.bytes;
                 let _ = std::fs::remove_file(path);
+                let on_disk = |e: &Entry| matches!(e.tier, Tier::Disk { .. });
+                let removed = |dir: &Path| std::fs::remove_dir(dir).is_ok();
+                let last = !inner.entries.values().any(on_disk);
+                if last && inner.dir.as_deref().is_some_and(removed) {
+                    inner.dir = None;
+                }
             }
         }
     }
@@ -523,6 +533,25 @@ mod tests {
         let (cache, path) = spilled(&c);
         std::fs::remove_file(&path).unwrap();
         read_is_an_eviction(&c, &cache);
+    }
+
+    #[test]
+    fn the_last_disk_entry_takes_the_directory_with_it() {
+        let c = ctx();
+        let (cache, path) = spilled(&c);
+        let dir = path.parent().unwrap().to_path_buf();
+        cache.forget(1);
+        assert!(!dir.exists(), "{dir:?}");
+        assert!(cache.inner.lock().unwrap().dir.is_none());
+        // The next spill makes it again: entry 3 demotes entry 2, which
+        // reads back as it went in.
+        cache.insert(3, rows(64), &c);
+        assert!(matches!(
+            cache.inner.lock().unwrap().entries[&2].tier,
+            Tier::Disk { .. }
+        ));
+        assert!(dir.exists(), "{dir:?}");
+        assert_eq!(cache.get(2, &c).unwrap().parts(), rows(64).parts());
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! * at every **materialization point** — a shuffle (`group_by_key`,
 //!   `reduce_by_key`, `join`, the array-merge `⊳`), `collect`,
 //!   `reduce`, or `broadcast` — the walker **fuses** the pending narrow
-//!   chain into a single closure and runs it once per partition on the
+//!   chain into a single list of steps and runs it once per partition on the
 //!   worker pool. A chain of N narrow operators costs one pass over the
 //!   source rows and allocates no per-operator intermediate `Vec`;
 //! * *shuffle* operations physically re-bucket rows by key hash before the

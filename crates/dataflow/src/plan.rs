@@ -13,13 +13,16 @@
 //! work-stealing pool; the layout only decides how a stage drives rows
 //! through its fused chain ([`DriveMode`]).
 //!
-//! Narrow operators (`map`, `filter`, `flat_map`) never run
-//! when called — they append a node to the plan. At a *materialization
-//! point* (a shuffle, `collect`, `reduce`, `broadcast`) the walker
-//! collapses every pending
-//! chain of row-level nodes into one [`Step`] list and runs it as a single
-//! physical stage per partition, feeding each transformed row into a sink
-//! without materializing any per-operator intermediate `Vec<Value>`.
+//! Narrow operators (`map`, `filter`, `flat_map`, a fold per row) never
+//! run when called — each appends one [`PlanOp::Step`] node to the plan,
+//! holding its [`Step`]. A step is its data: a [`RowExpr`], a [`Probe`] or
+//! a [`RowFold`], which the row path evaluates and a columnar stage lowers
+//! to lane loops; only an opaque UDF holds a closure ([`StepOp::Udf`]). At
+//! a *materialization point* (a shuffle, `collect`, `reduce`, `broadcast`)
+//! the walker collapses every pending chain of step nodes into one
+//! [`Step`] list and runs it as a single physical stage per partition,
+//! feeding each transformed row into a sink without materializing any
+//! per-operator intermediate `Vec<Value>`.
 //!
 //! The post-shuffle work of every keyed operator is a lazy
 //! [`PlanOp::Shuffled`] node over the gathered buckets, so the
@@ -52,7 +55,7 @@
 //! vector and the ends of its partitions — and a `Scan` and a `Cached`
 //! barrier are read through the same [`Base::parts`].
 //!
-//! Every row-level node carries an optional **statement tag** — the source
+//! Every step carries an optional **statement tag** — the source
 //! statement that built it, set by driver layers through
 //! [`Context::set_statement_label`](crate::Context::set_statement_label).
 //! Tags surface in two places: fused stages that span several source
@@ -75,7 +78,7 @@ use std::sync::Arc;
 use diablo_runtime::{BinOp, RuntimeError, Value};
 
 use crate::chunk::{Bucket, Chunk};
-use crate::columnar::{Probe, RowExpr, RowFold, RowSink, TileSink, TotalFold};
+use crate::columnar::{condition, Probe, RowExpr, RowFold, RowSink, TileSink, TotalFold};
 use crate::pool::{run_stage_weighted, Cancel};
 use crate::stats::Stats;
 use crate::{Context, JoinOn, Layout};
@@ -152,12 +155,9 @@ impl PartOp {
                 // A left row that is no tuple fails the bucket before any
                 // step runs, whether or not its key matches.
                 left.tuples().map_err(|e| tag_opt(e, tag))?;
-                let probe = Arc::new(Probe::bucket(right, on));
                 let probe = Step {
-                    op: StepOp::FlatMap(Probe::expander(&probe), Some(probe)),
+                    op: StepOp::Probe(Arc::new(Probe::bucket(right, on))),
                     tag: tag.clone(),
-                    expr: None,
-                    what: "join probe",
                 };
                 let steps: Vec<Step> = std::iter::once(probe)
                     .chain(steps.iter().cloned())
@@ -291,33 +291,9 @@ pub(crate) enum PlanOp {
     /// id) keeps the entry's identity alive for exactly as long as some
     /// plan can still read it.
     Cached(Arc<crate::dscache::CacheSlot>, Arc<PlanOp>),
-    /// Row-wise `map`. The optional [`RowExpr`] is the transparent column
-    /// expression the closure was derived from, when the transformation
-    /// is engine-visible (`map_expr`, lowered loop steps); `None` marks
-    /// an opaque UDF, which the `&'static str` names for plan traces
-    /// (`map`, or what a driver layer called it: `keyed map`, …).
-    Map(
-        Arc<PlanOp>,
-        RowMapFn,
-        Tag,
-        Option<Arc<RowExpr>>,
-        &'static str,
-    ),
-    /// Row-wise `filter`, with its transparent predicate expression when
-    /// engine-visible.
-    Filter(Arc<PlanOp>, RowPredFn, Tag, Option<Arc<RowExpr>>),
-    /// Row-wise `flat_map`, named like an opaque `Map` — or, with a
-    /// [`Probe`], the transparent expansion the closure was derived from.
-    FlatMap(
-        Arc<PlanOp>,
-        RowFlatFn,
-        Tag,
-        &'static str,
-        Option<Arc<Probe>>,
-    ),
-    /// A per-row fold ([`RowFold`]): each row, followed by the fold of its
-    /// own expansion.
-    Fold(Arc<PlanOp>, Arc<RowFold>, Tag),
+    /// A narrow step ([`Step`]) over its input's rows: `map`, `filter`,
+    /// `flat_map` or a per-row fold, as data or as an opaque closure.
+    Step(Arc<PlanOp>, Step),
     /// Gathered shuffle buckets — one per partition, each one chunk or a
     /// left and a right chunk, as the exchange built them — and the
     /// bucket-wise work that reads them, fused with the steps above it.
@@ -333,18 +309,30 @@ pub(crate) enum PlanOp {
     Pending(Arc<PlanOp>, Arc<AtomicBool>),
 }
 
-/// The operator of one fused narrow step.
+/// The operator of one narrow step: its data when the engine can see
+/// through it, which both layouts run, or an opaque closure, which keeps a
+/// stage on the row path.
 #[derive(Clone)]
 pub(crate) enum StepOp {
-    /// From [`PlanOp::Map`].
-    Map(RowMapFn),
-    /// From [`PlanOp::Filter`].
-    Filter(RowPredFn),
-    /// From [`PlanOp::FlatMap`], with the expansion's transparent form
-    /// when it has one.
-    FlatMap(RowFlatFn, Option<Arc<Probe>>),
-    /// From [`PlanOp::Fold`]: one row per row.
+    /// Each row becomes what the expression computes over it.
+    Map(Arc<RowExpr>),
+    /// Keeps the rows the expression, a boolean, holds of.
+    Filter(Arc<RowExpr>),
+    /// Each row followed by its build rows: a join's probe, or a cross.
+    Probe(Arc<Probe>),
+    /// Each row followed by the fold of its own expansion: one row per row.
     Fold(Arc<RowFold>),
+    /// An opaque UDF, named for the `layout: row (opaque …)` note (`map`,
+    /// or what a driver layer called it: `keyed map`, …).
+    Udf(Udf, &'static str),
+}
+
+/// The closure of an opaque step.
+#[derive(Clone)]
+pub(crate) enum Udf {
+    Map(RowMapFn),
+    Filter(RowPredFn),
+    FlatMap(RowFlatFn),
 }
 
 /// One fused narrow step (a row-level op of a collapsed chain) plus the
@@ -353,39 +341,33 @@ pub(crate) enum StepOp {
 pub(crate) struct Step {
     pub op: StepOp,
     pub tag: Tag,
-    /// The transparent column expression, when the step is
-    /// columnar-eligible; `None` marks an opaque UDF the columnar
-    /// layout demotes to the row path.
-    pub expr: Option<Arc<RowExpr>>,
-    /// What an opaque step is, for the `layout: row (opaque …)` note.
-    pub what: &'static str,
 }
 
 impl Step {
     fn label(&self) -> &'static str {
         match self.op {
-            StepOp::Map(_) => "map",
-            StepOp::Filter(_) => "filter",
-            StepOp::FlatMap(..) => "flat_map",
+            StepOp::Map(_) | StepOp::Udf(Udf::Map(_), _) => "map",
+            StepOp::Filter(_) | StepOp::Udf(Udf::Filter(_), _) => "filter",
+            StepOp::Probe(_) | StepOp::Udf(Udf::FlatMap(_), _) => "flat_map",
             StepOp::Fold(_) => "fold per row",
         }
     }
 
-    /// The expansion this step performs, when the engine can see it.
-    pub(crate) fn probe(&self) -> Option<&Probe> {
-        match &self.op {
-            StepOp::FlatMap(_, probe) => probe.as_deref(),
-            _ => None,
+    /// What the step is, for the `layout: row (opaque …)` note.
+    fn what(&self) -> &'static str {
+        match self.op {
+            StepOp::Udf(_, what) => what,
+            _ => self.label(),
         }
     }
 
-    /// True when the step is described by data — a [`RowExpr`], a
-    /// [`Probe`], or a [`RowFold`] over such steps — so a columnar stage
-    /// can run it.
+    /// True when the step is data — a [`RowExpr`], a [`Probe`], or a
+    /// [`RowFold`] over such steps — so a columnar stage can run it.
     pub(crate) fn transparent(&self) -> bool {
         match &self.op {
             StepOp::Fold(fold) => fold.transparent(),
-            _ => self.expr.is_some() || self.probe().is_some(),
+            StepOp::Udf(..) => false,
+            _ => true,
         }
     }
 
@@ -394,7 +376,7 @@ impl Step {
     /// otherwise. A columnar stage narrows its tiles by it.
     pub(crate) fn widening(&self) -> usize {
         match &self.op {
-            StepOp::FlatMap(_, Some(p)) => p.widening(),
+            StepOp::Probe(p) => p.widening(),
             StepOp::Fold(fold) => fold.widening(),
             _ => 1,
         }
@@ -427,20 +409,28 @@ pub(crate) fn drive(
     let Some((s, rest)) = steps.split_first() else {
         return sink(row.into_owned());
     };
+    let tagged = |e| s.tag_err(e);
     match &s.op {
-        StepOp::Map(f) => drive(Cow::Owned(f(&row).map_err(|e| s.tag_err(e))?), rest, sink),
-        StepOp::Filter(f) => {
-            if f(&row).map_err(|e| s.tag_err(e))? {
-                drive(row, rest, sink)?;
-            }
-            Ok(())
-        }
-        StepOp::FlatMap(f, _) => f(&row)
-            .map_err(|e| s.tag_err(e))?
-            .into_iter()
-            .try_for_each(|v| drive(Cow::Owned(v), rest, sink)),
+        StepOp::Map(e) => drive(Cow::Owned(e.eval(&row).map_err(tagged)?), rest, sink),
+        StepOp::Udf(Udf::Map(f), _) => drive(Cow::Owned(f(&row).map_err(tagged)?), rest, sink),
         StepOp::Fold(fold) => drive(Cow::Owned(fold.row(&row, s)?), rest, sink),
+        StepOp::Filter(e) => match e.eval(&row).and_then(|v| condition(&v)).map_err(tagged)? {
+            true => drive(row, rest, sink),
+            false => Ok(()),
+        },
+        StepOp::Udf(Udf::Filter(f), _) => match f(&row).map_err(tagged)? {
+            true => drive(row, rest, sink),
+            false => Ok(()),
+        },
+        StepOp::Probe(p) => each(p.expand(&row).map_err(tagged)?, rest, sink),
+        StepOp::Udf(Udf::FlatMap(f), _) => each(f(&row).map_err(tagged)?, rest, sink),
     }
+}
+
+/// Drives each row of an expansion through the rest of the chain.
+fn each(rows: Vec<Value>, rest: &[Step], sink: &mut dyn FnMut(Value) -> Result<()>) -> Result<()> {
+    rows.into_iter()
+        .try_for_each(|v| drive(Cow::Owned(v), rest, sink))
 }
 
 /// A plan collapsed to a base node plus the fused row steps above it.
@@ -453,48 +443,15 @@ pub(crate) struct Collapsed {
     pub ran: Vec<Arc<AtomicBool>>,
 }
 
-/// Walks `Map`/`Filter`/`FlatMap`/`Fold` (and `Pending`) nodes down to the
-/// nearest barrier.
+/// Walks `Step` (and `Pending`) nodes down to the nearest barrier.
 pub(crate) fn collapse(plan: &Arc<PlanOp>) -> Collapsed {
     let mut steps: Vec<Step> = Vec::new();
     let mut ran = Vec::new();
     let mut cur = plan.clone();
     loop {
         let next = match cur.as_ref() {
-            PlanOp::Map(input, f, tag, expr, what) => {
-                steps.push(Step {
-                    op: StepOp::Map(f.clone()),
-                    tag: tag.clone(),
-                    expr: expr.clone(),
-                    what,
-                });
-                input.clone()
-            }
-            PlanOp::Filter(input, f, tag, expr) => {
-                steps.push(Step {
-                    op: StepOp::Filter(f.clone()),
-                    tag: tag.clone(),
-                    expr: expr.clone(),
-                    what: "filter",
-                });
-                input.clone()
-            }
-            PlanOp::FlatMap(input, f, tag, what, probe) => {
-                steps.push(Step {
-                    op: StepOp::FlatMap(f.clone(), probe.clone()),
-                    tag: tag.clone(),
-                    expr: None,
-                    what,
-                });
-                input.clone()
-            }
-            PlanOp::Fold(input, fold, tag) => {
-                steps.push(Step {
-                    op: StepOp::Fold(fold.clone()),
-                    tag: tag.clone(),
-                    expr: None,
-                    what: "fold per row",
-                });
+            PlanOp::Step(input, step) => {
+                steps.push(step.clone());
                 input.clone()
             }
             PlanOp::Pending(inner, fact) => {
@@ -565,8 +522,8 @@ fn note_layout(ctx: &Context, mode: &DriveMode, steps: &[Step]) {
         Some(opaque) => {
             stats.record_row_fallback_stage();
             ctx.plan_note_with(|| match &opaque.tag {
-                Some(t) => format!("  layout: row (opaque {} from {t})", opaque.what),
-                None => format!("  layout: row (opaque {})", opaque.what),
+                Some(t) => format!("  layout: row (opaque {} from {t})", opaque.what()),
+                None => format!("  layout: row (opaque {})", opaque.what()),
             });
         }
     }
@@ -784,11 +741,7 @@ pub(crate) fn render(plan: &Arc<PlanOp>, out: &mut String) {
             out.push_str(&format!("scan[{}p] → {label}", buckets.len()));
         }
         // collapse() never returns a row node as base.
-        PlanOp::Map(..)
-        | PlanOp::Filter(..)
-        | PlanOp::FlatMap(..)
-        | PlanOp::Fold(..)
-        | PlanOp::Pending(..) => {}
+        PlanOp::Step(..) | PlanOp::Pending(..) => {}
     }
     for s in &steps {
         out.push_str(" → ");

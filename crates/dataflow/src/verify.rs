@@ -94,10 +94,7 @@ fn check(plan: &PlanOp) -> Result<usize> {
             partitions(buckets.len())
         }
         // Row nodes preserve their input's partition count.
-        PlanOp::Map(input, ..)
-        | PlanOp::Filter(input, ..)
-        | PlanOp::FlatMap(input, ..)
-        | PlanOp::Fold(input, ..) => check(input),
+        PlanOp::Step(input, _) => check(input),
         // A cached barrier stands in for its (structurally equivalent)
         // inner plan; on a cache miss that inner plan is what re-runs.
         PlanOp::Cached(_, inner) | PlanOp::Pending(inner, _) => check(inner),

@@ -346,19 +346,24 @@ fn columnar_mid_batch_failures_match_the_row_path_byte_for_byte() {
             ),
         ])
     };
+    // The first error of `chain`, built under the statement tag `stmt`
+    // over `rows` and feeding a keyed shuffle.
+    type Chain<'a> = &'a dyn Fn(&Dataset) -> Result<Dataset, RuntimeError>;
+    fn first_error(engine: Engine, stmt: &str, rows: &[Value], chain: Chain) -> RuntimeError {
+        let ctx = engine.context(3, 6);
+        ctx.set_statement_label(Some(stmt));
+        let d = chain(&ctx.from_vec(rows.to_vec())).unwrap();
+        ctx.set_statement_label(None);
+        match d.reduce_by_key(|a, b| BinOp::Add.apply(a, b)) {
+            Err(e) => e,
+            Ok(k) => k.try_collect().unwrap_err(),
+        }
+    }
+    let longs: Vec<Value> = (0..300).map(Value::Long).collect();
     for budget in [None, Some(4096), Some(0)] {
         let run = |engine: Engine| -> RuntimeError {
-            let ctx = engine.budget(budget).context(3, 6);
-            ctx.set_statement_label(Some("s3: C := 1000 / (V[i] - 137)"));
-            let d = ctx
-                .from_vec((0..300).map(Value::Long).collect())
-                .map_expr(expr())
-                .unwrap();
-            ctx.set_statement_label(None);
-            match d.reduce_by_key(|a, b| BinOp::Add.apply(a, b)) {
-                Err(e) => e,
-                Ok(k) => k.try_collect().unwrap_err(),
-            }
+            let stmt = "s3: C := 1000 / (V[i] - 137)";
+            first_error(engine.budget(budget), stmt, &longs, &|d| d.map_expr(expr()))
         };
         let row_path = run(Engine::ROW);
         let columnar = run(Engine::COLUMNAR.tile(64));
@@ -369,6 +374,37 @@ fn columnar_mid_batch_failures_match_the_row_path_byte_for_byte() {
         assert!(columnar.message.contains("zero"), "{columnar}");
         assert!(
             columnar.message.contains("s3: C := 1000 / (V[i] - 137)"),
+            "budget {budget:?}: statement tag lost mid-batch: {columnar}"
+        );
+    }
+    // A transparent filter over bools whose 137th row is a long: the row
+    // path's own step raises what the columnar mask raises mid-tile.
+    let flags: Vec<Value> = (0..300i64)
+        .map(|i| match i {
+            137 => Value::Long(i),
+            _ => Value::Bool(i % 3 == 0),
+        })
+        .collect();
+    let keyed = RowExpr::Tuple(vec![RowExpr::Input, RowExpr::Const(Value::Long(1))]);
+    for budget in [None, Some(4096), Some(0)] {
+        let run = |engine: Engine| -> RuntimeError {
+            let stmt = "s4: if (F[i]) c += 1";
+            first_error(engine.budget(budget), stmt, &flags, &|d| {
+                d.filter_expr(RowExpr::Input)?.map_expr(keyed.clone())
+            })
+        };
+        let row_path = run(Engine::ROW);
+        let columnar = run(Engine::COLUMNAR.tile(64));
+        assert_eq!(
+            columnar.message, row_path.message,
+            "budget {budget:?}: columnar changed the first error"
+        );
+        assert!(
+            columnar.message.contains("condition must be boolean"),
+            "{columnar}"
+        );
+        assert!(
+            columnar.message.contains("s4: if (F[i]) c += 1"),
             "budget {budget:?}: statement tag lost mid-batch: {columnar}"
         );
     }

@@ -7,14 +7,18 @@
 //! whether the response came from the result cache.
 
 use std::collections::HashMap;
+use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use std::thread;
+use std::time::Duration;
 
 use diablo_core::compile;
 use diablo_dataflow::Context;
 use diablo_exec::Session;
 use diablo_runtime::Value;
-use diablo_serve::{Client, Output, RequestStats, Response, RunResult, ServeConfig, Server};
+use diablo_serve::{
+    proto, Client, Output, Request, RequestStats, Response, RunResult, ServeConfig, Server,
+};
 use diablo_workloads as wl;
 
 /// Runs a workload locally, producing outputs shaped exactly like a
@@ -372,6 +376,60 @@ fn identical_concurrent_misses_coalesce_into_one_execution() {
         (CLIENTS - 1) as u64,
         "{stats:?}"
     );
+    server.stop();
+}
+
+#[test]
+fn a_client_that_drops_its_connection_mid_run_frees_its_admission_slot() {
+    // One execution slot: a run whose client is gone before its reply
+    // must give the slot back, or the next request waits out its queue
+    // deadline and times out.
+    let workloads = wl::figure3_workloads(1, 9);
+    let cfg = ServeConfig {
+        max_inflight: 1,
+        queue_deadline: Duration::from_secs(2),
+        ..ServeConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", Context::new(2, 4), cfg).expect("server");
+    let addr = server.addr().to_string();
+    let mut control = Client::connect(&addr).expect("connect");
+    let mut stats =
+        || -> HashMap<String, u64> { control.stats().expect("stats").into_iter().collect() };
+
+    // Client A sends a run and closes its stream without reading.
+    let (scalars, rows) = remote_bindings(&workloads[0]);
+    let run = Request::Run {
+        program: workloads[0].source.to_string(),
+        scalars,
+        rows,
+        no_cache: false,
+    };
+    let mut a = TcpStream::connect(&addr).expect("connect");
+    proto::write_frame(&mut a, &run.encode().expect("encodes")).expect("a Run frame");
+    drop(a);
+    while stats()["admitted"] < 1 {
+        thread::sleep(Duration::from_millis(1));
+    }
+
+    // Client B, and then a third run, are admitted and answered with
+    // their local runs' bytes.
+    for (w, admitted) in workloads[1..3].iter().zip([2, 3]) {
+        let (scalars, rows) = remote_bindings(w);
+        let res = Client::connect(&addr)
+            .expect("connect")
+            .run(w.source, scalars, rows, false)
+            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let local = local_outputs(w).expect(w.name);
+        assert_eq!(
+            outputs_bytes(res.outputs),
+            outputs_bytes(local),
+            "{}",
+            w.name
+        );
+        let stats = stats();
+        assert_eq!(stats["admitted"], admitted, "{stats:?}");
+        assert_eq!(stats["admission_timeouts"], 0, "{stats:?}");
+    }
     server.stop();
 }
 
