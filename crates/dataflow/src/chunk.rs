@@ -768,6 +768,31 @@ mod tests {
         assert!(err.message.contains("depth limit"), "{err}");
     }
 
+    /// Group By rows and a non-ASCII name, framed: the bytes were
+    /// captured while each record still held its own copy of every name.
+    #[test]
+    fn a_chunk_of_records_frames_to_its_golden_bytes() {
+        let kv = |k, a| Value::record(vec![("K".into(), l(k)), ("A".into(), Value::Double(a))]);
+        let c = Chunk::boxed(vec![
+            Value::pair(l(0), kv(3, 2.5)),
+            Value::pair(l(1), kv(-1, -0.0)),
+            Value::pair(l(2), Value::record(vec![("ñ".into(), Value::Unit)])),
+        ]);
+        let bytes = frame(&c);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            concat!(
+                "0405020000000200000000000000000602000000010000004b02030000000000000001000000",
+                "4103000000000000044005020000000201000000000000000602000000010000004b02ffffff",
+                "ffffffffff010000004103000000000000008005020000000202000000000000000601000000",
+                "02000000c3b100"
+            )
+        );
+        let back = decode_frame(&bytes, c.len()).unwrap();
+        assert_eq!(back.rows(), c.rows());
+    }
+
     #[test]
     fn a_hostile_frame_is_an_error_or_the_rows_its_bytes_spell() {
         // Every cut of a frame is short of the rows the reader expects.

@@ -75,6 +75,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use diablo_runtime::array::key_value_ref;
+use diablo_runtime::value::FieldNames;
 use diablo_runtime::{BinOp, Func, RuntimeError, UnOp, Value};
 
 use crate::block::Packer;
@@ -167,10 +168,7 @@ fn same_value(a: &Value, b: &Value) -> bool {
         (Value::Tuple(x), Value::Tuple(y)) => all(x, y),
         (Value::Bag(x), Value::Bag(y)) => all(x, y),
         (Value::Record(x), Value::Record(y)) => {
-            x.len() == y.len()
-                && x.iter()
-                    .zip(y.iter())
-                    .all(|((n, p), (m, q))| n == m && same_value(p, q))
+            x.names() == y.names() && all(x.values(), y.values())
         }
         _ => std::mem::discriminant(a) == std::mem::discriminant(b) && a == b,
     }
@@ -212,6 +210,33 @@ impl FieldName {
     /// ``value {v} has no field `{name}` ``.
     pub(crate) fn get<'v>(&self, v: &'v Value) -> Result<&'v Value> {
         self.of(v).ok_or_else(|| self.missing_in(v))
+    }
+}
+
+/// A [`FieldName`] read across one tile. A record field's position is
+/// found once, in the first record's names, and every record under that
+/// same names list (`Arc::ptr_eq`) is read by position; any other row is
+/// searched by name ([`FieldName::of`]).
+struct TileField<'n> {
+    name: &'n FieldName,
+    first: Option<(FieldNames, Option<usize>)>,
+}
+
+impl<'n> TileField<'n> {
+    fn new(name: &'n FieldName) -> TileField<'n> {
+        TileField { name, first: None }
+    }
+
+    fn of<'v>(&mut self, v: &'v Value) -> Option<&'v Value> {
+        if let Value::Record(r) = v {
+            let (names, pos) = self
+                .first
+                .get_or_insert_with(|| (r.names().clone(), r.position(&self.name.name)));
+            if Arc::ptr_eq(names, r.names()) {
+                return pos.map(|i| &r.values()[i]);
+            }
+        }
+        self.name.of(v)
     }
 }
 
@@ -749,7 +774,7 @@ fn refs_col(refs: Vec<&Value>) -> VCol<'_> {
 /// the offending value.
 fn gather_field<'a>(
     rows: &[&'a Value],
-    field: impl Fn(&'a Value) -> Option<&'a Value>,
+    mut field: impl FnMut(&'a Value) -> Option<&'a Value>,
     missing: impl Fn(&Value) -> RuntimeError,
 ) -> Result<VCol<'a>> {
     let mut refs = Vec::with_capacity(rows.len());
@@ -1265,16 +1290,19 @@ fn project<'a>(col: &VCol<'a>, i: usize) -> Result<VCol<'a>> {
 
 /// Record-field / tuple-position access over a column.
 fn project_field<'a>(col: &VCol<'a>, name: &FieldName, len: usize) -> Result<VCol<'a>> {
+    let mut field = TileField::new(name);
     match (col, name.pos) {
         // `_k` on a struct-of-arrays tuple is just the k-th child column.
         (VCol::Tuple(cols), Some(k)) if k < cols.len() => return Ok(cols[k].clone()),
-        (VCol::Refs(rows), _) => return gather_field(rows, |v| name.of(v), |v| name.missing_in(v)),
+        (VCol::Refs(rows), _) => {
+            return gather_field(rows, |v| field.of(v), |v| name.missing_in(v))
+        }
         _ => {}
     }
     let mut out = Vec::with_capacity(len);
     for i in 0..len {
         let v = col.at(i);
-        match name.of(&v) {
+        match field.of(&v) {
             Some(f) => out.push(f.clone()),
             None => return Err(name.missing_in(&v)),
         }

@@ -759,10 +759,10 @@ pub(crate) fn encode_nested(v: &Value, out: &mut Vec<u8>, depth: usize) -> Resul
                 encode_nested(f, out, depth - 1)?;
             }
         }
-        Value::Record(fields) => {
+        Value::Record(r) => {
             out.push(6);
-            put_len(out, fields.len())?;
-            for (n, f) in fields.iter() {
+            put_len(out, r.len())?;
+            for (n, f) in r.iter() {
                 put_len(out, n.len())?;
                 out.extend_from_slice(n.as_bytes());
                 encode_nested(f, out, depth - 1)?;
@@ -854,16 +854,16 @@ pub(crate) fn decode_nested(buf: &mut &[u8], depth: usize) -> Result<Value> {
             }
         },
         6 => {
+            // Names are read in place: the record takes a recent record's
+            // names when they are the same, and copies them only when not.
             let n = take_len(buf)?;
             let mut fields = Vec::with_capacity(n.min(buf.len()));
             for _ in 0..n {
                 let ln = take_len(buf)?;
-                let name = std::str::from_utf8(take(buf, ln)?)
-                    .map_err(|_| corrupt())?
-                    .to_string();
+                let name = std::str::from_utf8(take(buf, ln)?).map_err(|_| corrupt())?;
                 fields.push((name, decode_nested(buf, d)?));
             }
-            Value::record(fields)
+            Value::Record(Arc::new(fields.into_iter().collect()))
         }
         7 => {
             let n = take_len(buf)?;

@@ -493,7 +493,9 @@ where
 /// outputs in input order; the first error by input index is returned.
 /// Items carry scheduling weights (rows) and a [`Cancel`] token for
 /// mid-morsel cancellation; the stage records schedule statistics and
-/// (when a plan trace is active) an explain note.
+/// (when a plan trace is active) an explain note. The note leaves out the
+/// steal count, which only [`Stats`](crate::Stats) keeps: it depends on
+/// thread timing, and a plan's text must not.
 pub(crate) fn run_stage_weighted<T, R, E, F, W>(
     ctx: &Context,
     inputs: &[T],
@@ -520,11 +522,10 @@ where
     if inputs.len() > 1 {
         ctx.plan_note_with(|| {
             format!(
-                "sched: {} item(s) across {} worker(s) — {} run, {} stolen, max queue {}",
+                "sched: {} item(s) across {} worker(s) — {} run, max queue {}",
                 inputs.len(),
                 ctx.workers(),
                 m.morsels,
-                m.steals,
                 m.max_depth
             )
         });

@@ -21,8 +21,11 @@ mod store;
 
 pub use store::{Cell, Store};
 
+use std::sync::Arc;
+
 use diablo_lang::ast::{Const, DeclInit, Expr, Lhs, Stmt};
 use diablo_lang::types::TypedProgram;
+use diablo_runtime::value::Record;
 use diablo_runtime::{RuntimeError, Value};
 
 /// Result alias: interpreter errors are runtime errors.
@@ -249,31 +252,25 @@ impl Interpreter {
                 let Some(cur) = self.read_lhs(base)? else {
                     return Ok(());
                 };
-                let Value::Record(fields) = &cur else {
+                let Value::Record(rec) = &cur else {
                     return Err(RuntimeError::new(format!(
                         "cannot project `.{field}` out of {}",
                         cur.type_name()
                     )));
                 };
-                let old = cur
-                    .field(field)
-                    .ok_or_else(|| RuntimeError::new(format!("no field `{field}`")))?
-                    .clone();
+                let old = rec
+                    .get(field)
+                    .ok_or_else(|| RuntimeError::new(format!("no field `{field}`")))?;
                 let new_field = match accum {
-                    Some(op) => op.apply(&old, &v)?,
+                    Some(op) => op.apply(old, &v)?,
                     None => v,
                 };
-                let new_fields: Vec<(String, Value)> = fields
+                let values = rec
                     .iter()
-                    .map(|(n, f)| {
-                        if n == field {
-                            (n.clone(), new_field.clone())
-                        } else {
-                            (n.clone(), f.clone())
-                        }
-                    })
+                    .map(|(n, f)| if **n == **field { &new_field } else { f }.clone())
                     .collect();
-                self.write(base, Value::record(new_fields), None)
+                let new = Record::new(rec.names().clone(), values);
+                self.write(base, Value::Record(Arc::new(new)), None)
             }
         }
     }

@@ -32,8 +32,8 @@ pub fn serialized_size(v: &Value) -> usize {
         Value::Double(_) => DOUBLE_SIZE,
         Value::Str(s) => 4 + s.len(),
         Value::Tuple(fs) => tuple_size(fs.iter().map(serialized_size)),
-        Value::Record(fields) => {
-            2 + fields
+        Value::Record(r) => {
+            2 + r
                 .iter()
                 .map(|(n, v)| 2 + n.len() + serialized_size(v))
                 .sum::<usize>()

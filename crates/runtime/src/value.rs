@@ -8,6 +8,7 @@
 //! `f64::total_cmp` and hashed by bit pattern) so that any value can be used
 //! as a group-by or join key in the engine's shuffles.
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -32,7 +33,7 @@ pub enum Value {
     /// A tuple `(v1, ..., vn)`.
     Tuple(Arc<[Value]>),
     /// A record `⟨A1 = v1, ..., An = vn⟩` with named fields.
-    Record(Arc<Vec<(String, Value)>>),
+    Record(Arc<Record>),
     /// A bag of values. Produced by lifting variables in a `group by` and by
     /// nested comprehensions.
     Bag(Arc<Vec<Value>>),
@@ -55,9 +56,11 @@ impl Value {
         Value::Tuple(Arc::from([a, b]))
     }
 
-    /// Builds a record value from named fields.
+    /// Builds a record value from named fields. Its names are those of a
+    /// record recently built on this thread with the same names, when
+    /// there is one ([`Record`]).
     pub fn record(fields: Vec<(String, Value)>) -> Value {
-        Value::Record(Arc::new(fields))
+        Value::Record(Arc::new(fields.into_iter().collect()))
     }
 
     /// Builds a bag value.
@@ -128,7 +131,7 @@ impl Value {
     /// Looks up a record field by name, or a tuple position `_1`, `_2`, ….
     pub fn field(&self, name: &str) -> Option<&Value> {
         match self {
-            Value::Record(fields) => fields.iter().find(|(n, _)| n == name).map(|(_, v)| v),
+            Value::Record(r) => r.get(name),
             Value::Tuple(fs) => {
                 let idx: usize = name.strip_prefix('_')?.parse().ok()?;
                 fs.get(idx.checked_sub(1)?)
@@ -154,6 +157,177 @@ impl Value {
             Value::Record(_) => "record",
             Value::Bag(_) => "bag",
         }
+    }
+}
+
+/// A record's values, in field order, under a list of field names that
+/// records built with the same names share. A record is two allocations,
+/// itself and its values, and holds no name of its own.
+///
+/// [`Value::record`] and `FromIterator` take the names list of a record
+/// recently built on the same thread, when its names are the same. Each
+/// thread keeps its 8 most recently used lists, and only lists of at most
+/// 512 bytes of names and pointers: no input can make what a thread keeps
+/// grow. So rows generated, decoded or evaluated one after another share
+/// one list. Sharing is never observable: order, equality, hash and text
+/// read the names, not where they lie.
+#[derive(Clone)]
+pub struct Record {
+    names: FieldNames,
+    values: Box<[Value]>,
+}
+
+/// A record's field names, in order: one list, shared by every record
+/// built with the same names.
+pub type FieldNames = Arc<[Box<str>]>;
+
+/// How many names lists a thread keeps for the records it builds next.
+const RECENT_NAMES: usize = 8;
+
+/// The largest names list a thread keeps, counting each name's bytes and
+/// its pointer.
+const MAX_SHARED_NAMES_BYTES: usize = 512;
+
+thread_local! {
+    static RECENT: RefCell<Vec<FieldNames>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The names of `fields` as a names list: a recently built list with the
+/// same names, or a new one, which is kept for the next record when it is
+/// small enough.
+fn shared_names<S: AsRef<str>>(fields: &[(S, Value)]) -> FieldNames {
+    let same = |list: &FieldNames| {
+        list.len() == fields.len()
+            && list
+                .iter()
+                .zip(fields)
+                .all(|(a, (b, _))| **a == *b.as_ref())
+    };
+    let fresh = || -> FieldNames { fields.iter().map(|(n, _)| Box::from(n.as_ref())).collect() };
+    let bytes = fields
+        .iter()
+        .map(|(n, _)| n.as_ref().len() + std::mem::size_of::<Box<str>>())
+        .sum::<usize>();
+    if bytes > MAX_SHARED_NAMES_BYTES {
+        return fresh();
+    }
+    // A thread being torn down has no list left: its records get their own.
+    RECENT
+        .try_with(|recent| {
+            let mut recent = recent.borrow_mut();
+            if let Some(i) = recent.iter().position(same) {
+                // Most recent first: the next lookup finds it at once.
+                recent[..=i].rotate_right(1);
+                return recent[0].clone();
+            }
+            let list = fresh();
+            recent.truncate(RECENT_NAMES - 1);
+            recent.insert(0, list.clone());
+            list
+        })
+        .unwrap_or_else(|_| fresh())
+}
+
+impl Record {
+    /// The record with `values` under `names`, one value per name.
+    ///
+    /// # Panics
+    ///
+    /// When there are not as many values as names.
+    pub fn new(names: FieldNames, values: Vec<Value>) -> Record {
+        assert_eq!(
+            names.len(),
+            values.len(),
+            "a record holds one value per name"
+        );
+        Record {
+            names,
+            values: values.into_boxed_slice(),
+        }
+    }
+
+    /// The field names, in order.
+    pub fn names(&self) -> &FieldNames {
+        &self.names
+    }
+
+    /// The field values, in order.
+    pub fn values(&self) -> &[Value] {
+        &self.values
+    }
+
+    /// The number of fields.
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// True for the record with no fields.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// The fields as `(name, value)` pairs, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&Box<str>, &Value)> {
+        self.names.iter().zip(self.values.iter())
+    }
+
+    /// The position of the first field called `name`.
+    pub fn position(&self, name: &str) -> Option<usize> {
+        self.names.iter().position(|n| **n == *name)
+    }
+
+    /// The value of the first field called `name`.
+    pub fn get(&self, name: &str) -> Option<&Value> {
+        self.position(name).map(|i| &self.values[i])
+    }
+}
+
+/// Fields in order, under shared names when a recent record had them.
+impl<S: AsRef<str>> FromIterator<(S, Value)> for Record {
+    fn from_iter<I: IntoIterator<Item = (S, Value)>>(fields: I) -> Record {
+        let fields: Vec<(S, Value)> = fields.into_iter().collect();
+        let names = shared_names(&fields);
+        // Exactly as many slots as values: a shrinking `into_boxed_slice`
+        // would leave the allocator a sliver per record.
+        let mut values = Vec::with_capacity(fields.len());
+        values.extend(fields.into_iter().map(|(_, v)| v));
+        Record {
+            names,
+            values: values.into_boxed_slice(),
+        }
+    }
+}
+
+/// Field by field, name then value, a shorter prefix first: two records
+/// under one names list compare their values alone.
+impl Ord for Record {
+    fn cmp(&self, other: &Record) -> Ordering {
+        if Arc::ptr_eq(&self.names, &other.names) {
+            self.values.iter().cmp(other.values.iter())
+        } else {
+            self.iter().cmp(other.iter())
+        }
+    }
+}
+
+impl PartialOrd for Record {
+    fn partial_cmp(&self, other: &Record) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Record {
+    fn eq(&self, other: &Record) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Record {}
+
+/// The `(name, value)` list a record prints as wherever it is debugged.
+impl std::fmt::Debug for Record {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -200,15 +374,7 @@ impl Ord for Value {
                 }
                 a.len().cmp(&b.len())
             }
-            (Record(a), Record(b)) => {
-                for ((na, va), (nb, vb)) in a.iter().zip(b.iter()) {
-                    let c = na.cmp(nb).then_with(|| va.cmp(vb));
-                    if c != Ordering::Equal {
-                        return c;
-                    }
-                }
-                a.len().cmp(&b.len())
-            }
+            (Record(a), Record(b)) => a.cmp(b),
             (Bag(a), Bag(b)) => {
                 for (x, y) in a.iter().zip(b.iter()) {
                     let c = x.cmp(y);
@@ -259,9 +425,9 @@ impl Hash for Value {
                     f.hash(state);
                 }
             }
-            Value::Record(fields) => {
+            Value::Record(r) => {
                 5u8.hash(state);
-                for (n, v) in fields.iter() {
+                for (n, v) in r.iter() {
                     n.hash(state);
                     v.hash(state);
                 }
@@ -294,9 +460,9 @@ impl std::fmt::Display for Value {
                 }
                 write!(f, ")")
             }
-            Value::Record(fields) => {
+            Value::Record(r) => {
                 write!(f, "<|")?;
-                for (i, (n, v)) in fields.iter().enumerate() {
+                for (i, (n, v)) in r.iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
                     }

@@ -103,9 +103,9 @@ fn stream_value(h: &mut WordHash, v: &Value) {
             tagged(h, 5, fs.len());
             fs.iter().for_each(|x| stream_value(h, x));
         }
-        Value::Record(fields) => {
-            tagged(h, 6, fields.len());
-            for (n, x) in fields.iter() {
+        Value::Record(r) => {
+            tagged(h, 6, r.len());
+            for (n, x) in r.iter() {
                 h.put(n.len() as u32 as u64, 4);
                 h.bytes(n.as_bytes());
                 stream_value(h, x);

@@ -29,11 +29,12 @@ fn approx_eq(a: &Value, b: &Value) -> bool {
             xs.len() == ys.len() && xs.iter().zip(ys.iter()).all(|(x, y)| approx_eq(x, y))
         }
         (Value::Record(xs), Value::Record(ys)) => {
-            xs.len() == ys.len()
+            xs.names() == ys.names()
                 && xs
+                    .values()
                     .iter()
-                    .zip(ys.iter())
-                    .all(|((n, x), (m, y))| n == m && approx_eq(x, y))
+                    .zip(ys.values())
+                    .all(|(x, y)| approx_eq(x, y))
         }
         (Value::Bag(xs), Value::Bag(ys)) => {
             xs.len() == ys.len() && xs.iter().zip(ys.iter()).all(|(x, y)| approx_eq(x, y))

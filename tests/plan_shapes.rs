@@ -209,6 +209,27 @@ fn session_explain_renders_fused_plan() {
 }
 
 #[test]
+fn explain_is_one_text_on_two_workers() {
+    // Which worker runs an item, and whether it was stolen, depends on
+    // thread timing; the plan text must not. The exchange is unbounded:
+    // under a budget, which chunks have arrived when it spills also
+    // depends on timing, and the `spill:` note counts them.
+    let w = wl::matrix_factorization(20, 2, 2, 3);
+    let compiled = compile(w.source).expect("compiles");
+    let plans: Vec<String> = (0..5)
+        .map(|_| {
+            let ctx = Context::new(2, 4);
+            ctx.set_memory_budget(None);
+            session_for(&w, &ctx).explain(&compiled).expect("explains")
+        })
+        .collect();
+    assert!(plans[0].contains("sched: "), "{}", plans[0]);
+    for plan in &plans[1..] {
+        assert_eq!(plan, &plans[0]);
+    }
+}
+
+#[test]
 fn plan_trace_notes_the_layout_per_stage_under_the_columnar_backend() {
     // Satellite of the columnar engine: the executed-plan trace (the same
     // lines `Session::explain` renders) carries a per-stage layout note —
